@@ -114,18 +114,8 @@ def test_durable_log_overhead_is_bounded(uid_floor):
             fsync="batch",
         )
 
-    def sqlite_store():
-        return Store.open(
-            "sqlite",
-            f"{workdir}/sqlite-{next(counters)}",
-            fsync="batch",
-        )
-
     plain, wall_plain, _ = _timed_min2(uid_floor, lambda: None)
     durable, wall_log, log_stats = _timed_min2(uid_floor, log_store)
-    __, wall_sqlite, sqlite_stats = _timed_min2(
-        uid_floor, sqlite_store
-    )
 
     # Durability is an observer: the schedule is byte-identical.
     assert canonical_trace(plain.trace.events) == canonical_trace(
@@ -135,7 +125,6 @@ def test_durable_log_overhead_is_bounded(uid_floor):
     assert plain.makespan == durable.makespan
 
     factor_log = wall_log / wall_plain
-    factor_sqlite = wall_sqlite / wall_plain
     BENCH_PATH.write_text(
         json.dumps(
             {
@@ -150,13 +139,10 @@ def test_durable_log_overhead_is_bounded(uid_floor):
                 "committed": plain.stats.committed,
                 "wall_s_memory": round(wall_plain, 3),
                 "wall_s_log": round(wall_log, 3),
-                "wall_s_sqlite": round(wall_sqlite, 3),
                 "log_overhead_factor": round(factor_log, 2),
-                "sqlite_overhead_factor": round(factor_sqlite, 2),
                 "log_appends": log_stats.get("appends"),
                 "log_fsyncs": log_stats.get("fsyncs"),
                 "log_bytes_written": log_stats.get("bytes_written"),
-                "sqlite_appends": sqlite_stats.get("appends"),
                 "max_allowed_factor": MAX_DURABLE_FACTOR,
             },
             indent=2,
@@ -164,9 +150,8 @@ def test_durable_log_overhead_is_bounded(uid_floor):
         + "\n"
     )
     print(
-        f"\ndurability overhead: log {factor_log:.2f}x, "
-        f"sqlite {factor_sqlite:.2f}x over memory "
-        f"({wall_plain:.3f}s -> {wall_log:.3f}s / {wall_sqlite:.3f}s; "
+        f"\ndurability overhead: log {factor_log:.2f}x over memory "
+        f"({wall_plain:.3f}s -> {wall_log:.3f}s; "
         f"{log_stats.get('appends')} appends, "
         f"{log_stats.get('fsyncs')} fsyncs)"
     )

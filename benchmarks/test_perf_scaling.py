@@ -2,37 +2,29 @@
 
 The scheduling hot path is served by incremental structures (see
 ``docs/performance.md``): the conflict adjacency index, the lock table's
-blocker index, the manager's wake-up index, and — since the sharding
-PR — the Pearce–Kelly wait-for reachability structure plus the
-per-subsystem lock shards.  This file
+blocker index, the manager's wake-up index, the Pearce–Kelly wait-for
+reachability structure and the compiled conflict plane.  This file
 
 * reconstructs the **naive path** — the exact pre-index formulations:
   O(pairs) conflict scans, O(locks²) commit-blocker re-derivation, and
   the O(parked²) parked-list fixpoint poll — as drop-in subclasses,
-* reconstructs the **monolithic path** — the pre-sharding
-  :class:`LockTable` with the rebuild-and-DFS per-park deadlock check
-  and whole-table audits,
 * asserts **trace equivalence**: fixed-seed runs under
-  ``process-locking`` produce byte-identical schedules on every path,
+  ``process-locking`` produce byte-identical schedules on both paths,
 * sweeps process count and conflict density through ``run_workload``
   and updates ``BENCH_scaling.json`` (wall time, throughput,
   lock-ops/sec per path) so later PRs have a perf trajectory,
-* asserts the indexed path is ≥ 2× faster than the naive path, and the
-  sharded+incremental path ≥ 1.5× the monolithic lock-ops/sec, each on
-  its largest swept workload,
+* asserts the indexed path is ≥ 2× faster than the naive path on its
+  largest swept workload,
 * sweeps the **parallel execution mode** (``repro.parallel``) against
   the sequential manager over workers × batch-k grids, asserts every
   variant's schedule is byte-identical to the sequential run, and
   bounds the parallel overhead (≥ 0.7× sequential at
-  ``workers=n_subsystems`` on the largest point — the compiled plane
-  collapsed the gate-scan asymmetry the old ≥ 1.5× bar measured),
-* reconstructs the **adjacency path** — the sharded stack as it stood
-  before the compiled conflict plane (frozenset adjacency iteration,
-  un-memoized Figure-1 classification, dict-based gate) — and asserts
-  the compiled plane is ≥ 1.3× faster on the largest contention point
-  (``compiled_vs_indexed``),
+  ``workers=n_subsystems`` on the largest point),
 * pins an absolute lock-ops/sec floor on the smallest point for the CI
   ``perf-guard`` job.
+
+The end-to-end numbers (goodput and latency through the durable
+``repro serve``) live in ``bench/`` — see ``bench/README.md``.
 """
 
 from __future__ import annotations
@@ -43,22 +35,13 @@ import json
 import time
 from pathlib import Path
 
-import functools
-
 from repro.core.lock_table import LockTable
 from repro.core.locks import LockEntry, LockMode
 from repro.core.reference import (
-    adjacency_conflicting_locks,
-    adjacency_conflicting_locks_flat,
-    adjacency_conflicting_younger_flat,
-    adjacency_iter_conflicting,
-    adjacency_probe_blocked,
     naive_commit_blockers,
     naive_conflicting_locks,
     naive_find_wait_cycle,
-    reference_classify_regular,
 )
-from repro.core.sharding import ShardedLockTable
 from repro.errors import ProtocolError
 from repro.scheduler.manager import ManagerConfig, ProcessManager
 from repro.sim.metrics import lock_operations
@@ -74,20 +57,6 @@ SCALING_SWEEP = [
     (80, 0.3, 0.5),
     (120, 0.3, 1.0),
 ]
-
-#: Multi-subsystem contention sweep for sharded-vs-monolithic (six
-#: subsystems, audited runs).  The largest point carries the ≥1.5×
-#: lock-ops/sec assertion.
-CONTENTION_SWEEP = [
-    (40, 0.4, 0.5),
-    (80, 0.5, 0.3),
-    (200, 0.5, 0.25),
-]
-
-#: Audit sampling interval for the sharded-vs-monolithic sweep: both
-#: paths audit at the same cadence; the monolithic table can only audit
-#: everything, the sharded table round-robins one shard per audit.
-AUDIT_EVERY = 16
 
 #: High resubmission headroom: heavy contention is the point here, and
 #: starvation accounting is a protocol question, not a perf one.
@@ -226,136 +195,6 @@ def run_naive_workload(workload, protocol_name, seed, config):
     return manager.run()
 
 
-def run_monolithic_workload(workload, protocol_name, seed, config):
-    """``run_workload`` but with the pre-sharding monolithic table.
-
-    The plain :class:`LockTable` has no shard map, so the sampling
-    auditor falls back to whole-table audits; pair this with
-    ``incremental_deadlock=False`` in ``config`` to get the full
-    pre-sharding hot path (rebuild-and-DFS on every park).
-    """
-    protocol = make_protocol(protocol_name, workload)
-    protocol.table = LockTable(workload.conflicts)
-    manager = ProcessManager(
-        protocol,
-        subsystems=workload.make_subsystems(),
-        config=config,
-        seed=seed,
-    )
-    for index, program in enumerate(workload.programs):
-        manager.submit(program, at=workload.arrival_time(index))
-    return manager.run()
-
-
-# ----------------------------------------------------------------------
-# the adjacency (pre-compiled-plane) path, kept runnable as a reference
-# ----------------------------------------------------------------------
-class AdjacencyLockTable(ShardedLockTable):
-    """Sharded table with the pre-compiled-plane hot-path formulations.
-
-    Exactly the indexed+sharded stack as it stood before the compiled
-    conflict plane: blocker discovery and every conflict query iterate
-    the dict-based adjacency frozensets instead of ANDing bitmasks.
-    The bitmask fields stay untouched (and stale) — every reader is
-    overridden, so the adjacency path pays neither mask upkeep nor
-    mask wins.
-    """
-
-    def acquire(self, process, type_name, mode, activity_uid=None):
-        self._sync()
-        self._position += 1
-        entry = LockEntry(
-            process=process,
-            type_name=type_name,
-            mode=mode,
-            position=self._position,
-            activity_uid=activity_uid,
-            table=self,
-        )
-        pid = process.pid
-        self._by_type.setdefault(type_name, []).append(entry)
-        self._by_pid.setdefault(pid, []).append(entry)
-        if mode is LockMode.C:
-            self._c_by_pid.setdefault(pid, []).append(entry)
-        else:
-            self._p_counts[pid] = self._p_counts.get(pid, 0) + 1
-        by_type = self._by_type
-        for candidate in self._conflicts.conflicting_types(type_name):
-            for other in by_type.get(candidate, ()):
-                if other.pid != pid:
-                    self._add_block_edge(other.pid, pid)
-        shard = self.shard_of(type_name)
-        shard.lock_count += 1
-        shard.acquires += 1
-        return entry
-
-    def conflicting_locks(self, type_name, exclude_pid=None):
-        return adjacency_conflicting_locks(self, type_name, exclude_pid)
-
-    def iter_conflicting(self, type_name, exclude_pid=None):
-        return adjacency_iter_conflicting(self, type_name, exclude_pid)
-
-    def probe_blocked(self, type_name, exclude_pid, ts, aborting):
-        return adjacency_probe_blocked(
-            self, type_name, exclude_pid, ts, aborting
-        )
-
-    def conflicting_locks_flat(self, type_name, exclude_pid):
-        return adjacency_conflicting_locks_flat(
-            self, type_name, exclude_pid
-        )
-
-    def conflicting_younger_flat(
-        self, type_name, exclude_pid, ts, aborting
-    ):
-        return adjacency_conflicting_younger_flat(
-            self, type_name, exclude_pid, ts, aborting
-        )
-
-
-class AdjacencyProcessManager(ProcessManager):
-    """Manager with the pre-compiled-plane conflict gate."""
-
-    def _gate_flight(self, flight):
-        if flight.entry is None:
-            return
-        if not self.config.gate_conflicting_executions:
-            return
-        conflict = self.protocol.conflicts.conflict
-        for other in self._inflight.values():
-            if other is flight or other.cancelled or other.entry is None:
-                continue
-            if other.entry.position >= flight.entry.position:
-                continue
-            if conflict(other.activity.name, flight.activity.name):
-                flight.gate.add(other.activity.uid)
-                self._dependents.setdefault(
-                    other.activity.uid, set()
-                ).add(flight.activity.uid)
-
-
-def run_adjacency_workload(workload, protocol_name, seed, config):
-    """``run_workload`` through the pre-compiled-plane stack.
-
-    Adjacency table, adjacency gate, and the un-memoized Figure-1
-    classification — the full hot path as of the sharding/parallel PRs.
-    """
-    protocol = make_protocol(protocol_name, workload)
-    protocol.table = AdjacencyLockTable(workload.conflicts)
-    protocol.classify_regular = functools.partial(
-        reference_classify_regular, protocol
-    )
-    manager = AdjacencyProcessManager(
-        protocol,
-        subsystems=workload.make_subsystems(),
-        config=config,
-        seed=seed,
-    )
-    for index, program in enumerate(workload.programs):
-        manager.submit(program, at=workload.arrival_time(index))
-    return manager.run()
-
-
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
@@ -416,7 +255,7 @@ def _spec(n_processes, density, spacing, seed) -> WorkloadSpec:
 
 
 def _spec6(n_processes, density, spacing, seed) -> WorkloadSpec:
-    """Six-subsystem contention spec for the sharded sweep."""
+    """Six-subsystem contention spec (``benchmarks/test_profile.py`` uses it)."""
     return WorkloadSpec(
         n_processes=n_processes,
         n_activity_types=36,
@@ -457,20 +296,19 @@ def _worker_counts(n_subsystems: int) -> list[int]:
     return counts
 
 
-def _timed_run_quiet(workload, seed, config, runner=run_workload):
+def _timed_run_quiet(workload, seed, config):
     """One timed run with the cyclic GC parked.
 
     Collector pauses land at allocation-count thresholds, not at fixed
     schedule points, so they add run-to-run jitter that swamps the
     compared margins; every side is timed with the collector off and a
-    clean heap.  ``runner`` swaps in an alternate execution path with
-    ``run_workload``'s signature (the adjacency reconstruction, say).
+    clean heap.
     """
     gc.collect()
     gc.disable()
     try:
         start = time.perf_counter()
-        result = runner(
+        result = run_workload(
             workload, "process-locking", seed=seed, config=config
         )
         return result, time.perf_counter() - start
@@ -581,187 +419,6 @@ class TestScaling:
         )
 
 
-class TestShardedIncrementalScaling:
-    """Sharded table + incremental wait-for vs the monolithic path.
-
-    Every point runs four byte-identical schedules:
-
-    * **sharded** — the default stack (sharded table, incremental
-      wait-for) with the sampling auditor round-robining one shard,
-    * **monolithic** — the pre-sharding stack (plain table, DFS on
-      every park, whole-table audits) at the *same* audit cadence,
-    * **incremental / dfs** — the same pair with audits off, isolating
-      the per-park deadlock check.
-
-    The ≥1.5× lock-ops/sec bar applies to sharded-vs-monolithic on the
-    largest point.
-    """
-
-    def test_sharded_vs_monolithic_sweep(self, uid_floor):
-        audited = dict(audit=True, audit_every=AUDIT_EVERY)
-        config_sharded = ManagerConfig(**BENCH_CONFIG, **audited)
-        config_monolithic = ManagerConfig(
-            **BENCH_CONFIG, **audited, incremental_deadlock=False
-        )
-        config_incremental = ManagerConfig(**BENCH_CONFIG)
-        config_dfs = ManagerConfig(
-            **BENCH_CONFIG, incremental_deadlock=False
-        )
-        rows = []
-        for n_processes, density, spacing in CONTENTION_SWEEP:
-            spec = _spec6(n_processes, density, spacing, seed=7)
-            uid_floor.pin()
-            sharded, wall_sharded = _timed_run(
-                run_workload, build_workload(spec), 7, config_sharded
-            )
-            uid_floor.repin()
-            monolithic, wall_monolithic = _timed_run(
-                run_monolithic_workload,
-                build_workload(spec),
-                7,
-                config_monolithic,
-            )
-            uid_floor.repin()
-            incremental, wall_incremental = _timed_run(
-                run_workload, build_workload(spec), 7, config_incremental
-            )
-            uid_floor.repin()
-            dfs, wall_dfs = _timed_run(
-                run_workload, build_workload(spec), 7, config_dfs
-            )
-            reference = _canonical_trace(sharded)
-            assert reference == _canonical_trace(monolithic)
-            assert reference == _canonical_trace(incremental)
-            assert reference == _canonical_trace(dfs)
-            ops = lock_operations(sharded.protocol_stats)
-            rows.append(
-                {
-                    "n_processes": n_processes,
-                    "conflict_density": density,
-                    "arrival_spacing": spacing,
-                    "n_subsystems": spec.n_subsystems,
-                    "audit_every": AUDIT_EVERY,
-                    "committed": sharded.stats.committed,
-                    "lock_ops": ops,
-                    "wall_s_sharded": round(wall_sharded, 3),
-                    "wall_s_monolithic": round(wall_monolithic, 3),
-                    "wall_s_incremental": round(wall_incremental, 3),
-                    "wall_s_dfs": round(wall_dfs, 3),
-                    "lock_ops_per_sec_sharded": round(
-                        ops / wall_sharded
-                    ),
-                    "lock_ops_per_sec_monolithic": round(
-                        ops / wall_monolithic
-                    ),
-                    "sharded_vs_monolithic": round(
-                        wall_monolithic / wall_sharded, 2
-                    ),
-                    "incremental_vs_dfs": round(
-                        wall_dfs / wall_incremental, 2
-                    ),
-                }
-            )
-        _update_bench(
-            "sharded_vs_monolithic",
-            {
-                "description": (
-                    "sharded table + incremental wait-for vs the "
-                    "monolithic pre-sharding path; audited runs share "
-                    "one sampling cadence; fixed seed 7, byte-identical "
-                    "schedules asserted across all four variants"
-                ),
-                "sweep": rows,
-            },
-        )
-        print()
-        for row in rows:
-            print(row)
-        largest = rows[-1]
-        assert largest["sharded_vs_monolithic"] >= 1.5, (
-            f"sharded path only {largest['sharded_vs_monolithic']}x the "
-            f"monolithic lock-ops/sec on the largest workload: {largest}"
-        )
-
-
-class TestCompiledVsIndexed:
-    """Compiled conflict plane vs the adjacency (pre-bitset) hot path.
-
-    Both sides run the sharded table and the incremental wait-for
-    structure; the only difference is the conflict representation —
-    per-type bitmasks + per-process held-type masks against frozenset
-    adjacency iteration — plus the allocation-lean passes that rode in
-    with the compiled plane (Wcc memo, slotted records).  Walls are
-    min-of-2 with the GC parked on both sides; byte-identical schedules
-    asserted at every point; the ≥1.3× bar applies to the largest
-    (200-process) point.
-    """
-
-    def test_compiled_vs_indexed_sweep(self, uid_floor):
-        config = ManagerConfig(**BENCH_CONFIG)
-        rows = []
-        for n_processes, density, spacing in CONTENTION_SWEEP:
-            spec = _spec6(n_processes, density, spacing, seed=7)
-            workload = build_workload(spec)
-            uid_floor.pin()
-            compiled, wall_c1 = _timed_run_quiet(workload, 7, config)
-            uid_floor.repin()
-            _, wall_c2 = _timed_run_quiet(workload, 7, config)
-            wall_compiled = min(wall_c1, wall_c2)
-            uid_floor.repin()
-            indexed, wall_i1 = _timed_run_quiet(
-                workload, 7, config, runner=run_adjacency_workload
-            )
-            uid_floor.repin()
-            _, wall_i2 = _timed_run_quiet(
-                workload, 7, config, runner=run_adjacency_workload
-            )
-            wall_indexed = min(wall_i1, wall_i2)
-            assert _schedule_digest(compiled) == _schedule_digest(
-                indexed
-            ), f"schedule diverged at {n_processes} processes"
-            ops = lock_operations(compiled.protocol_stats)
-            rows.append(
-                {
-                    "n_processes": n_processes,
-                    "conflict_density": density,
-                    "arrival_spacing": spacing,
-                    "n_subsystems": spec.n_subsystems,
-                    "committed": compiled.stats.committed,
-                    "lock_ops": ops,
-                    "wall_s_compiled": round(wall_compiled, 3),
-                    "wall_s_indexed": round(wall_indexed, 3),
-                    "lock_ops_per_sec_compiled": round(
-                        ops / wall_compiled
-                    ),
-                    "lock_ops_per_sec_indexed": round(
-                        ops / wall_indexed
-                    ),
-                    "speedup": round(wall_indexed / wall_compiled, 2),
-                }
-            )
-        _update_bench(
-            "compiled_vs_indexed",
-            {
-                "description": (
-                    "compiled conflict plane (bitset masks, Wcc memo, "
-                    "slotted records) vs the adjacency hot path of the "
-                    "sharding/parallel PRs; fixed seed 7, GC parked, "
-                    "min-of-2 walls both sides, byte-identical "
-                    "schedules asserted at every point"
-                ),
-                "sweep": rows,
-            },
-        )
-        print()
-        for row in rows:
-            print(row)
-        largest = rows[-1]
-        assert largest["speedup"] >= 1.3, (
-            f"compiled plane only {largest['speedup']}x the adjacency "
-            f"path on the largest workload: {largest}"
-        )
-
-
 #: Pinned lock-ops/sec floor for the CI perf guard (smallest scaling
 #: point, min-of-2 GC-parked walls).  Set to roughly a quarter of the
 #: rate measured on the build box at PR time, so only a genuine hot-path
@@ -801,8 +458,7 @@ class TestParallelVsSequential:
     the largest point: one CPU under the GIL means wall-clock gains
     were algorithmic, not thread-level — the per-shard in-flight
     buckets beat the sequential gate's scan of *all* in-flight
-    activities, and the probe-first C-grant path skipped work.  The
-    compiled conflict plane (``TestCompiledVsIndexed``) collapsed that
+    activities.  The compiled conflict plane collapsed that
     gap: the sequential gate is now one bitwise AND per in-flight
     activity, so both modes run the same cheap hot path and the
     parallel mode's thread handoffs put it within noise of — not ahead

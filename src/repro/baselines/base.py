@@ -20,8 +20,8 @@ from repro.activities.activity import Activity
 from repro.activities.commutativity import ConflictMatrix
 from repro.activities.registry import ActivityRegistry
 from repro.core.decisions import Decision, ProtocolStats
+from repro.core.lock_table import LockTable
 from repro.core.locks import LockMode
-from repro.core.sharding import ShardedLockTable
 from repro.obs import NULL_TRACER
 from repro.obs.events import ActivityClassified
 from repro.process.instance import Process
@@ -46,7 +46,7 @@ class BaselineProtocol:
     ) -> None:
         self.registry = registry
         self.conflicts = conflicts
-        self.table = ShardedLockTable(conflicts)
+        self.table = LockTable(conflicts)
         self.stats = ProtocolStats()
         self._timestamps = itertools.count(1)
         self._processes: dict[int, Process] = {}
@@ -80,10 +80,7 @@ class BaselineProtocol:
         return list(self._processes.values())
 
     def audit(self, shards=None) -> None:
-        if shards is None:
-            self.table.check_invariants(self._processes)
-        else:
-            self.table.check_invariants(self._processes, shards=shards)
+        self.table.check_invariants(self._processes, shards=shards)
 
     # ------------------------------------------------------------------
     # defaults

@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--store",
         default=None,
-        choices=("log", "sqlite", "memory"),
+        choices=("log", "memory"),
         help=(
             "durable persistence backend; submissions and outcomes "
             "survive kill -9 and replay on restart (default: "
@@ -437,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     store.add_argument(
         "--store",
         default=None,
-        choices=("log", "sqlite", "memory"),
+        choices=("log", "memory"),
         help="backend kind (default: REPRO_STORE, else log)",
     )
     store.add_argument(

@@ -192,8 +192,8 @@ KNOBS: dict[str, Knob] = {
             parse=_parse_optional_str,
             description=(
                 "durable storage backend: 'log' (append-only CRC32 "
-                "frame log), 'sqlite', or 'memory' (volatile, for "
-                "benchmarks); unset = no durability"
+                "frame log) or 'memory' (volatile, for benchmarks); "
+                "unset = no durability"
             ),
         ),
         Knob(
@@ -202,9 +202,9 @@ KNOBS: dict[str, Knob] = {
             default=None,
             parse=_parse_optional_str,
             description=(
-                "directory (log backend) or database path (sqlite) of "
-                "the durable store (unset = a fresh temp directory, "
-                "which persists nothing across restarts on purpose)"
+                "directory of the durable store (unset = a fresh temp "
+                "directory, which persists nothing across restarts on "
+                "purpose)"
             ),
         ),
         Knob(

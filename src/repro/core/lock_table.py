@@ -39,6 +39,21 @@ anything conflicting with ``t``" is one AND against P's mask — no
 frozenset iteration, no per-pair frozenset allocation.  The plane is
 adopted by identity and resynced whenever the conflict relation
 mutates or a type registers late (see :meth:`_live_plane`).
+
+Activities of different subsystems never conflict (they cannot share
+data — :class:`~repro.activities.commutativity.ConflictMatrix` enforces
+it at declaration time), so the per-type lists partition cleanly by the
+owning subsystem: every conflict edge, blocker-index edge, and
+ordered-sharing decision is *local to one shard*.  The table
+materializes that partition as a map of :class:`LockShard` objects —
+one per subsystem, each owning its activity types and keeping live
+counters (lock count, acquire/release totals) that feed the per-shard
+observability gauges — and can run its structural audit **per shard**,
+so a sampling auditor (``REPRO_AUDIT_EVERY``) round-robins one shard per
+audit instead of rescanning every lock.  The shard map changes how the
+table is *audited and observed*, never how a request is ordered or
+granted: the global per-process lists, P-lock counts and the
+commit-blocker index stay the source of truth.
 """
 
 from __future__ import annotations
@@ -46,7 +61,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from operator import attrgetter
 
-from repro.activities.commutativity import ConflictMatrix, iter_bits
+from repro.activities.commutativity import ConflictMatrix
 from repro.core.locks import LockEntry, LockMode
 from repro.errors import ProtocolError
 from repro.process.instance import Process
@@ -55,8 +70,40 @@ from repro.process.instance import Process
 _BY_POSITION = attrgetter("position")
 
 
+class LockShard:
+    """One subsystem's slice of the lock table (types + counters)."""
+
+    __slots__ = (
+        "name", "types", "lock_count", "acquires", "releases", "worker",
+        "type_mask", "live_mask",
+    )
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        #: Activity type names owned by this shard.
+        self.types: set[str] = set()
+        #: Live locks currently held on this shard's types.
+        self.lock_count = 0
+        self.acquires = 0
+        self.releases = 0
+        #: Owning worker index under parallel execution (None = unowned).
+        self.worker: int | None = None
+        #: Bitmask of compiled type ids owned by this shard.
+        self.type_mask = 0
+        #: Bitmask of owned type ids with at least one live lock — the
+        #: shard's slice of the table-wide live mask.
+        self.live_mask = 0
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"LockShard({self.name!r}, types={len(self.types)}, "
+            f"locks={self.lock_count})"
+        )
+
+
 class LockTable:
-    """Per-activity-type ordered lock lists plus incremental indexes."""
+    """Per-activity-type ordered lock lists plus incremental indexes,
+    partitioned into per-subsystem :class:`LockShard` slices."""
 
     def __init__(self, conflicts: ConflictMatrix) -> None:
         self._conflicts = conflicts
@@ -79,6 +126,58 @@ class LockTable:
         #: (strict 2PL: locks release all-at-once), which keeps the
         #: per-process masks exact without per-type refcounts.
         self._pid_type_masks: dict[int, int] = {}
+        self._shards: dict[str, LockShard] = {}
+        self._shard_by_type: dict[str, LockShard] = {}
+        for activity_type in conflicts.registry:
+            self._assign(activity_type.name, activity_type.subsystem)
+
+    # ------------------------------------------------------------------
+    # shard map
+    # ------------------------------------------------------------------
+    def _assign(self, type_name: str, subsystem: str) -> LockShard:
+        shard = self._shards.get(subsystem)
+        if shard is None:
+            shard = LockShard(subsystem)
+            self._shards[subsystem] = shard
+        shard.types.add(type_name)
+        shard.type_mask |= 1 << self._conflicts.compiled().index[type_name]
+        self._shard_by_type[type_name] = shard
+        return shard
+
+    def shard_of(self, type_name: str) -> LockShard:
+        """The shard owning ``type_name`` (registering late types)."""
+        shard = self._shard_by_type.get(type_name)
+        if shard is None:
+            # Type registered after the table was built.
+            activity_type = self._conflicts.registry.get(type_name)
+            shard = self._assign(type_name, activity_type.subsystem)
+        return shard
+
+    @property
+    def shards(self) -> dict[str, LockShard]:
+        return self._shards
+
+    def shard_names(self) -> tuple[str, ...]:
+        return tuple(self._shards)
+
+    def assign_workers(self, n_workers: int) -> dict[str, int]:
+        """Distribute shards over ``n_workers`` workers round-robin.
+
+        Shard order (registry declaration order) is deterministic, so
+        the assignment is a pure function of the workload — the same
+        shard lands on the same worker at every run, which keeps worker
+        annotations in the trace reproducible.
+        """
+        assignment: dict[str, int] = {}
+        for index, name in enumerate(self.shard_names()):
+            worker = index % max(1, n_workers)
+            self._shards[name].worker = worker
+            assignment[name] = worker
+        return assignment
+
+    def worker_of(self, type_name: str) -> int | None:
+        """The worker owning ``type_name``'s shard (None when unowned)."""
+        return self.shard_of(type_name).worker
 
     def _live_plane(self):
         """The current compiled plane, adopting a recompile if needed.
@@ -163,6 +262,10 @@ class LockTable:
             for other_pid, held in pid_masks.items():
                 if other_pid != pid and held & conflict_mask:
                     add_edge(other_pid, pid)
+        shard = self.shard_of(type_name)
+        shard.lock_count += 1
+        shard.acquires += 1
+        shard.live_mask = self._live_mask & shard.type_mask
         return entry
 
     def release_all(self, pid: int) -> list[LockEntry]:
@@ -199,6 +302,15 @@ class LockTable:
                 waiters.discard(pid)
                 if not waiters:
                     del self._blocks[blocker]
+        touched: set[str] = set()
+        for entry in released:
+            shard = self.shard_of(entry.type_name)
+            shard.lock_count -= 1
+            shard.releases += 1
+            touched.add(shard.name)
+        for name in touched:
+            shard = self._shards[name]
+            shard.live_mask = self._live_mask & shard.type_mask
         return released
 
     def _note_upgrade(self, entry: LockEntry) -> None:
@@ -298,26 +410,6 @@ class LockTable:
         result.sort(key=_BY_POSITION)
         return result
 
-    def iter_conflicting(
-        self, type_name: str, exclude_pid: int | None = None
-    ) -> Iterator[LockEntry]:
-        """Unordered iterator over live conflicting locks.
-
-        The batch probe (:meth:`ProcessLockManager.probe_c_grants`) only
-        needs *existence* of a disqualifying holder, not sharing order,
-        so this skips :meth:`conflicting_locks`'s k-way merge and yields
-        the per-type lists as-is — an early ``break`` in the caller then
-        costs O(first counterexample), not O(all holders).
-        """
-        plane = self._live_plane()
-        live = plane.masks[plane.id_of(type_name)] & self._live_mask
-        by_type = self._by_type
-        names = plane.names
-        for i in iter_bits(live):
-            for entry in by_type[names[i]]:
-                if exclude_pid is None or entry.pid != exclude_pid:
-                    yield entry
-
     def probe_blocked(
         self, type_name: str, exclude_pid: int, ts: int, aborting
     ) -> bool:
@@ -346,58 +438,6 @@ class LockTable:
             if holder.timestamp >= ts or holder.state is aborting:
                 return True
         return False
-
-    def conflicting_locks_flat(
-        self, type_name: str, exclude_pid: int
-    ) -> list[LockEntry]:
-        """:meth:`conflicting_locks`, built by collect-then-sort.
-
-        Byte-identical output (positions are globally unique, so
-        sorting by position reproduces the k-way merge order); the flat
-        collect + timsort over already-sorted runs beats ``heapq.merge``
-        whose key callable fires once per yielded element.
-        """
-        plane = self._live_plane()
-        live = plane.masks[plane.id_of(type_name)] & self._live_mask
-        by_type = self._by_type
-        names = plane.names
-        entries = [
-            entry
-            for i in iter_bits(live)
-            for entry in by_type[names[i]]
-            if entry.process.pid != exclude_pid
-        ]
-        entries.sort(key=_BY_POSITION)
-        return entries
-
-    def conflicting_younger_flat(
-        self, type_name: str, exclude_pid: int, ts: int, aborting
-    ) -> list[LockEntry]:
-        """Conflicting entries whose holder is younger or aborting.
-
-        The Comp-Rule denial for a RUNNING requester reads only the
-        younger/aborting partition buckets (older holders can always be
-        shared behind), so after a failed :meth:`probe_blocked` the
-        caller partitions this filtered subset instead of the full
-        holder list.  Position-sorting the subset preserves the exact
-        bucket insertion order the full scan would have produced —
-        filtering never reorders survivors.
-        """
-        plane = self._live_plane()
-        live = plane.masks[plane.id_of(type_name)] & self._live_mask
-        by_type = self._by_type
-        names = plane.names
-        entries: list[LockEntry] = []
-        append = entries.append
-        for i in iter_bits(live):
-            for entry in by_type[names[i]]:
-                holder = entry.process
-                if holder.pid == exclude_pid:
-                    continue
-                if holder.timestamp >= ts or holder.state is aborting:
-                    append(entry)
-        entries.sort(key=_BY_POSITION)
-        return entries
 
     def entry_for_activity(
         self, pid: int, activity_uid: int
@@ -456,8 +496,14 @@ class LockTable:
     def lock_count(self) -> int:
         return sum(len(entries) for entries in self._by_pid.values())
 
-    def check_invariants(self, live_pids: Iterable[int]) -> None:
-        """Audit structural invariants (used by tests and the auditor).
+    def check_invariants(
+        self,
+        live_pids: Iterable[int],
+        shards: Iterable[str] | None = None,
+    ) -> None:
+        """Audit structural invariants, fully or one shard at a time.
+
+        With ``shards=None`` this is the full audit:
 
         * every held lock belongs to a live process;
         * per-type lists are position-sorted;
@@ -467,7 +513,13 @@ class LockTable:
         * the live-type and per-process bitmasks match a recomputation
           from the primary lists, and the compiled conflict rows of
           every live type agree with the dict-based matrix (the
-          dev-time oracle for the compiled plane).
+          dev-time oracle for the compiled plane);
+        * the shard map is consistent (every held type is owned by
+          exactly one shard, per-shard lock counters sum to the global
+          count) and every shard passes its local audit.
+
+        With a list of shard names, only those shards are audited — the
+        sampling auditor's round-robin mode.
 
         Syncs with the conflict matrix first: after a mid-run
         ``declare_conflict`` the blocker index is stale by design until
@@ -475,6 +527,13 @@ class LockTable:
         """
         self._sync()
         live = set(live_pids)
+        if shards is not None:
+            for name in shards:
+                shard = self._shards.get(name)
+                if shard is None:
+                    raise ProtocolError(f"unknown lock shard {name!r}")
+                self._check_shard(shard, live)
+            return
         seen_ids: set[int] = set()
         for type_name, entries in self._by_type.items():
             positions = [entry.position for entry in entries]
@@ -508,6 +567,9 @@ class LockTable:
                 )
         self._check_blocker_index()
         self._check_masks()
+        self._check_shard_totals()
+        for shard in self._shards.values():
+            self._check_shard(shard, live)
 
     def _check_masks(self) -> None:
         plane = self._live_plane()
@@ -575,3 +637,101 @@ class LockTable:
             raise ProtocolError(
                 "blocks map is not the transpose of blocked_by"
             )
+
+    def _check_shard_totals(self) -> None:
+        per_shard = sum(
+            shard.lock_count for shard in self._shards.values()
+        )
+        if per_shard != self.lock_count:
+            raise ProtocolError(
+                f"shard lock counters sum to {per_shard}, table holds "
+                f"{self.lock_count}"
+            )
+        for type_name in self._by_type:
+            if type_name not in self._shard_by_type:
+                raise ProtocolError(
+                    f"held type {type_name!r} is not owned by any shard"
+                )
+
+    def _check_shard(self, shard: LockShard, live: set[int]) -> None:
+        """Shard-local structural audit.
+
+        Checks only the shard's types: position-sortedness, holder
+        liveness, counter agreement, conflict locality (the conflict
+        relation never leaves the shard), and a blocker-index
+        recomputation restricted to the shard's entries — every edge it
+        derives must be present in the global index (conflicts are
+        shard-local, so the shard sees the complete evidence for each of
+        its edges).
+        """
+        plane = self._live_plane()
+        index = plane.index
+        masks = plane.masks
+        expected_type_mask = 0
+        for type_name in shard.types:
+            expected_type_mask |= 1 << index[type_name]
+        if shard.type_mask != expected_type_mask:
+            raise ProtocolError(
+                f"shard {shard.name!r}: type mask {shard.type_mask:#x} "
+                f"disagrees with owned types ({expected_type_mask:#x})"
+            )
+        count = 0
+        entries = []
+        for type_name in shard.types:
+            # Conflict locality as one mask test: every conflict of an
+            # owned type must stay inside the shard's type mask.
+            if masks[index[type_name]] & ~shard.type_mask:
+                foreign = [
+                    plane.names[i]
+                    for i in range(len(plane.names))
+                    if masks[index[type_name]] >> i & 1
+                    and not shard.type_mask >> i & 1
+                ]
+                raise ProtocolError(
+                    f"shard {shard.name!r}: type {type_name!r} "
+                    f"conflicts with foreign types {foreign!r}"
+                )
+            type_entries = self._by_type.get(type_name)
+            if not type_entries:
+                continue
+            positions = [entry.position for entry in type_entries]
+            if positions != sorted(positions):
+                raise ProtocolError(
+                    f"shard {shard.name!r}: lock list of {type_name!r} "
+                    f"is not position-sorted"
+                )
+            for entry in type_entries:
+                if entry.pid not in live:
+                    raise ProtocolError(
+                        f"shard {shard.name!r}: lock {entry} belongs to "
+                        f"a terminated process"
+                    )
+            count += len(type_entries)
+            entries.extend(type_entries)
+        if count != shard.lock_count:
+            raise ProtocolError(
+                f"shard {shard.name!r}: counter says "
+                f"{shard.lock_count} locks, lists hold {count}"
+            )
+        if shard.live_mask != self._live_mask & shard.type_mask:
+            raise ProtocolError(
+                f"shard {shard.name!r}: live mask {shard.live_mask:#x} "
+                f"disagrees with the table-wide live mask slice "
+                f"({self._live_mask & shard.type_mask:#x})"
+            )
+        conflict = self._conflicts.conflict
+        for mine in entries:
+            for other in entries:
+                if (
+                    other.pid != mine.pid
+                    and other.position < mine.position
+                    and conflict(other.type_name, mine.type_name)
+                ):
+                    if other.pid not in self._blocked_by.get(
+                        mine.pid, ()
+                    ):
+                        raise ProtocolError(
+                            f"shard {shard.name!r}: blocker edge "
+                            f"P{other.pid} -> P{mine.pid} missing from "
+                            f"the global index"
+                        )

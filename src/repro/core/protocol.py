@@ -66,8 +66,8 @@ from repro.core.decisions import (
     ProtocolStats,
 )
 from repro.core.cost_based import WccMemo
+from repro.core.lock_table import LockTable
 from repro.core.locks import LockEntry, LockMode
-from repro.core.sharding import ShardedLockTable
 from repro.core.rules import HolderPartition, partition_holders
 from repro.errors import ProtocolError
 from repro.obs import NULL_TRACER
@@ -109,14 +109,6 @@ class ProcessLockManager:
     #: program's own static threshold, byte-identically.
     threshold_provider = None
 
-    #: Enabled by the parallel manager: Comp-Rule requests from RUNNING
-    #: processes take the probe's early-exit holder scan and grant
-    #: directly when it passes, skipping the ordered-merge + partition
-    #: build.  Decision-for-decision identical to the slow path (the
-    #: probe condition is exactly the partition fall-through), so the
-    #: emitted schedule does not depend on this flag.
-    probe_fast_path = False
-
     def __init__(
         self,
         registry: ActivityRegistry,
@@ -132,7 +124,7 @@ class ProcessLockManager:
         #: conflicting P locks) is kept as an ablation; it admits wait
         #: cycles among cost-protected processes.
         self.global_p_deferment = global_p_deferment
-        self.table = ShardedLockTable(conflicts)
+        self.table = LockTable(conflicts)
         self.stats = ProtocolStats()
         self._timestamps = itertools.count(1)
         self._processes: dict[int, Process] = {}
@@ -276,7 +268,9 @@ class ProcessLockManager:
             )
         conflicting = [
             entry
-            for entry in self._conflict_scan(activity.name, process.pid)
+            for entry in self.table.conflicting_locks(
+                activity.name, exclude_pid=process.pid
+            )
             if entry.position > original.position
         ]
         partition = partition_holders(process, conflicting)
@@ -333,27 +327,6 @@ class ProcessLockManager:
             for type_name in type_names
         }
 
-    def _conflict_scan(
-        self, type_name: str, exclude_pid: int
-    ) -> list[LockEntry]:
-        """Foreign conflicting holders, for partition building.
-
-        Always in lock-position order: the partition buckets are pid
-        *sets*, and a set of ints iterates by insertion history, so
-        handing the rules a differently-ordered scan would reorder
-        cascade victims downstream.  The fast path still wins by
-        replacing the lock table's heapq k-way merge (a ``__lt__`` call
-        per element pair) with one flat collect + timsort over the
-        already-sorted per-type runs.
-        """
-        if self.probe_fast_path:
-            return self.table.conflicting_locks_flat(
-                type_name, exclude_pid
-            )
-        return self.table.conflicting_locks(
-            type_name, exclude_pid=exclude_pid
-        )
-
     def _probe_one(self, process: Process, type_name: str) -> bool:
         """One read-only Comp-Rule verdict (see :meth:`probe_c_grants`)."""
         return not self.table.probe_blocked(
@@ -396,33 +369,13 @@ class ProcessLockManager:
     # the rules
     # ------------------------------------------------------------------
     def _comp_rule(self, process: Process, activity: Activity) -> Decision:
-        if (
-            self.probe_fast_path
-            and process.state is ProcessState.RUNNING
-        ):
-            if self._probe_one(process, activity.name):
-                # Probe-verified grant: every foreign conflicting holder
-                # is strictly older and not aborting, which is precisely
-                # the fall-through condition of the partition checks
-                # below for a RUNNING requester — same acquire, same
-                # stats, same Grant.
-                entry = self.table.acquire(
-                    process, activity.name, LockMode.C, activity.uid
-                )
-                self.stats.c_grants += 1
-                return Grant(locks=(entry,))
-            # Probe-verified denial: the RUNNING branch below reads only
-            # the younger/aborting buckets, so partition the filtered
-            # subset — same buckets, same insertion order, no work spent
-            # classifying the (usually dominant) older holders.
-            conflicting = self.table.conflicting_younger_flat(
-                activity.name,
-                process.pid,
-                process.timestamp,
-                ProcessState.ABORTING,
-            )
-        else:
-            conflicting = self._conflict_scan(activity.name, process.pid)
+        # Always in lock-position order: the partition buckets are pid
+        # *sets*, and a set of ints iterates by insertion history, so a
+        # differently-ordered scan would reorder cascade victims
+        # downstream.
+        conflicting = self.table.conflicting_locks(
+            activity.name, exclude_pid=process.pid
+        )
         partition = partition_holders(process, conflicting)
         if process.state is ProcessState.COMPLETING:
             return self._first_class_request(
@@ -476,7 +429,9 @@ class ProcessLockManager:
         target_types.append(activity.name)
         conflicting: dict[int, LockEntry] = {}
         for type_name in target_types:
-            for entry in self._conflict_scan(type_name, process.pid):
+            for entry in self.table.conflicting_locks(
+                type_name, exclude_pid=process.pid
+            ):
                 conflicting[entry.lock_id] = entry
         partition = partition_holders(process, list(conflicting.values()))
         if process.state is ProcessState.COMPLETING:
@@ -640,7 +595,4 @@ class ProcessLockManager:
         (plus the liveness tests) checks the count stays zero when the
         cost-based extension is off.
         """
-        if shards is None:
-            self.table.check_invariants(self._processes)
-        else:
-            self.table.check_invariants(self._processes, shards=shards)
+        self.table.check_invariants(self._processes, shards=shards)

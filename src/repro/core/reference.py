@@ -13,11 +13,11 @@ recompute-from-scratch formulations alive as *oracles*:
 * ``benchmarks/test_perf_scaling.py`` runs whole workloads through the
   naive path and asserts byte-identical schedules (and measures the
   speedup the indexes buy);
-* the ``adjacency_*`` functions below preserve the pre-compiled-plane
-  hot path (frozenset adjacency iteration instead of bitmask ANDs) for
-  the ``compiled_vs_indexed`` sweep and the compiled-table property
-  tests — the dict-based :class:`ConflictMatrix` itself stays the
-  dev-time oracle of the compiled bitsets.
+* :func:`naive_blocker_pids` and :func:`naive_probe_blocked` walk the
+  dict-based conflict adjacency instead of ANDing bitmasks, for the
+  compiled-table property tests — the dict-based
+  :class:`ConflictMatrix` itself stays the dev-time oracle of the
+  compiled bitsets.
 
 The functions intentionally reach into private table state — they *are*
 the specification of what that state means.
@@ -110,20 +110,7 @@ def naive_blocked_by(table) -> dict[int, set[int]]:
     return blocked_by
 
 
-# ----------------------------------------------------------------------
-# adjacency-path formulations (pre-compiled-plane hot path)
-# ----------------------------------------------------------------------
-# The compiled-plane PR moved blocker discovery, the Comp-Rule probes,
-# and the flat denial scans from frozenset adjacency iteration onto
-# per-type bitmasks.  These functions keep the adjacency formulations
-# alive verbatim: the compiled-table property tests assert query-level
-# agreement after every random table mutation, and the
-# ``compiled_vs_indexed`` benchmark sweep replays whole workloads
-# through them to price the compilation (byte-identical schedules
-# asserted).
-
-
-def adjacency_blocker_pids(table, type_name: str, pid: int) -> set[int]:
+def naive_blocker_pids(table, type_name: str, pid: int) -> set[int]:
     """Foreign holder pids conflicting with ``type_name`` (acquire-time
     blocker discovery, adjacency formulation)."""
     pids: set[int] = set()
@@ -135,7 +122,7 @@ def adjacency_blocker_pids(table, type_name: str, pid: int) -> set[int]:
     return pids
 
 
-def adjacency_probe_blocked(
+def naive_probe_blocked(
     table, type_name: str, exclude_pid: int, ts: int, aborting
 ) -> bool:
     """Per-entry nested-loop formulation of ``probe_blocked``."""
@@ -148,70 +135,6 @@ def adjacency_probe_blocked(
             if holder.timestamp >= ts or holder.state is aborting:
                 return True
     return False
-
-
-def adjacency_conflicting_locks(
-    table, type_name: str, exclude_pid: int | None = None
-) -> list:
-    """k-way-merge formulation of ``conflicting_locks``."""
-    import heapq
-
-    lists = [
-        entries
-        for candidate in table._conflicts.conflicting_types(type_name)
-        if (entries := table._by_type.get(candidate))
-    ]
-    if not lists:
-        return []
-    if len(lists) == 1:
-        merged = lists[0]
-    else:
-        merged = heapq.merge(*lists, key=lambda entry: entry.position)
-    if exclude_pid is None:
-        return list(merged)
-    return [entry for entry in merged if entry.pid != exclude_pid]
-
-
-def adjacency_conflicting_locks_flat(
-    table, type_name: str, exclude_pid: int
-) -> list:
-    """Collect-then-sort formulation of ``conflicting_locks_flat``."""
-    by_type = table._by_type
-    entries = [
-        entry
-        for candidate in table._conflicts.conflicting_types(type_name)
-        for entry in by_type.get(candidate, ())
-        if entry.process.pid != exclude_pid
-    ]
-    entries.sort(key=lambda entry: entry.position)
-    return entries
-
-
-def adjacency_conflicting_younger_flat(
-    table, type_name: str, exclude_pid: int, ts: int, aborting
-) -> list:
-    """Filter-then-sort formulation of ``conflicting_younger_flat``."""
-    by_type = table._by_type
-    entries = []
-    for candidate in table._conflicts.conflicting_types(type_name):
-        for entry in by_type.get(candidate, ()):
-            holder = entry.process
-            if holder.pid == exclude_pid:
-                continue
-            if holder.timestamp >= ts or holder.state is aborting:
-                entries.append(entry)
-    entries.sort(key=lambda entry: entry.position)
-    return entries
-
-
-def adjacency_iter_conflicting(
-    table, type_name: str, exclude_pid: int | None = None
-):
-    """Unordered per-type iteration formulation of ``iter_conflicting``."""
-    for candidate in table._conflicts.conflicting_types(type_name):
-        for entry in table._by_type.get(candidate, ()):
-            if exclude_pid is None or entry.pid != exclude_pid:
-                yield entry
 
 
 def reference_classify_regular(protocol, process, activity):

@@ -136,6 +136,5 @@ class WalCorruptionError(StorageError):
         super().__init__(message)
         #: Store namespace (log name) the bad record lives in.
         self.namespace = namespace
-        #: Byte offset (append-log) or sequence number (sqlite) of the
-        #: offending record, when known.
+        #: Byte offset of the offending record, when known.
         self.offset = offset

@@ -98,8 +98,7 @@ class ParallelProcessManager(ProcessManager):
     """Thread-per-shard manager with batch lock acquisition.
 
     Requires a protocol exposing the batch probe interface
-    (``probe_c_grants`` / ``grant_c_direct``) over a
-    :class:`~repro.core.sharding.ShardedLockTable`;
+    (``probe_c_grants`` / ``grant_c_direct``);
     :func:`~repro.scheduler.manager.make_manager` checks and falls back
     to the sequential manager otherwise.
     """
@@ -122,10 +121,6 @@ class ParallelProcessManager(ProcessManager):
         table = protocol.table
         names = table.shard_names()
         self._batch_k = max(1, self.config.batch_k)
-        #: Let single C requests (first tries and parked retries) take
-        #: the probe's early-exit scan inside the Comp-Rule — decision
-        #: and stats identical, partition build skipped on grants.
-        protocol.probe_fast_path = True
         n_workers = max(1, min(self.config.workers, max(1, len(names))))
         #: shard name -> owning worker index (deterministic round-robin).
         self._assignment = table.assign_workers(n_workers)

@@ -107,18 +107,11 @@ class ManagerConfig:
     #: Run the protocol's structural audit after every event (slow).
     audit: bool = False
     #: Audit every Nth event instead of every event (``REPRO_AUDIT_EVERY``
-    #: env knob, resolved by :mod:`repro.config`).  With a sharded lock
-    #: table and N > 1, each audit checks one shard round-robin, so the
-    #: sampled auditor's per-event cost no longer scans the whole table.
-    #: N = 1 keeps the seed behaviour.
+    #: env knob, resolved by :mod:`repro.config`).  With N > 1, each
+    #: audit checks one lock shard round-robin, so the sampled auditor's
+    #: per-event cost no longer scans the whole table.  N = 1 keeps the
+    #: seed behaviour.
     audit_every: int = field(default_factory=repro_config.audit_every)
-    #: Answer the per-park deadlock check from the incrementally
-    #: maintained wait-for reachability structure (O(1) amortized in the
-    #: common acyclic case) instead of re-walking every parked request.
-    #: Disabling restores the rebuild-and-DFS formulation (used by the
-    #: benchmarks as the monolithic baseline); both produce byte-identical
-    #: schedules, which ``audit`` asserts on every resolve.
-    incremental_deadlock: bool = True
     #: Hard cap on simulation events.
     max_events: int = 1_000_000
     #: Serialize conflicting activity *executions* in lock-sharing order
@@ -152,7 +145,7 @@ class ManagerConfig:
     #: :func:`make_manager` attaches it to the pool; with ``None`` and
     #: the ``REPRO_STORE`` knob set, a store is opened ambiently (at a
     #: temp path unless ``REPRO_STORE_PATH`` names one), which is how
-    #: the whole test suite runs durably under ``REPRO_STORE=sqlite``.
+    #: the whole test suite runs durably under ``REPRO_STORE=log``.
     #: Durability never alters scheduling decisions — schedules stay
     #: byte-identical to the in-memory run at the same seed.
     store: object | None = None
@@ -530,8 +523,7 @@ class ProcessManager:
             )
         self._cancel_all_work(process)
         plan = process.plan_protocol_abort()
-        if self.config.incremental_deadlock:
-            self._note_abort_started(pid)
+        self._note_abort_started(pid)
         self.stats.add("cancellations")
         self._start_compensation_run(
             process,
@@ -1125,8 +1117,7 @@ class ProcessManager:
             )
         self._cancel_all_work(process)
         plan = process.plan_protocol_abort()
-        if self.config.incremental_deadlock:
-            self._note_abort_started(pid)
+        self._note_abort_started(pid)
         self.stats.protocol_aborts += 1
         self.records[pid].cascade_aborts += 1
         self._start_compensation_run(
@@ -1203,8 +1194,7 @@ class ProcessManager:
         self.trace.record_abort(process)
         self.protocol.detach(process)
         del self._processes[process.pid]
-        if self.config.incremental_deadlock:
-            self._drop_cascade_edges_to(process.pid)
+        self._drop_cascade_edges_to(process.pid)
         self.protocol.stats.aborts += 1
         if self.tracer.enabled:
             self.tracer.emit(
@@ -1252,8 +1242,7 @@ class ProcessManager:
         self.trace.record_commit(process)
         self.protocol.detach(process)
         del self._processes[process.pid]
-        if self.config.incremental_deadlock:
-            self._drop_cascade_edges_to(process.pid)
+        self._drop_cascade_edges_to(process.pid)
         self.stats.committed += 1
         self.records[process.pid].committed_at = self.engine.now
         if self.tracer.enabled:
@@ -1282,24 +1271,22 @@ class ProcessManager:
             self._wait_index.setdefault(pid, set()).add(request.seq)
         if request.kind is RequestKind.COMMIT:
             self._parked_commit_pids.add(request.process.pid)
-        if self.config.incremental_deadlock:
-            waiter = request.process.pid
-            if request.reason == "awaiting-cascade":
-                # Mirror _wait_edges: a victim only becomes an edge once
-                # its abort is genuinely under way.  Still-running
-                # victims are added by _begin_protocol_abort right after
-                # this park.
-                contributed = {
-                    pid
-                    for pid in request.wait_for
-                    if (proc := self._processes.get(pid)) is not None
-                    and proc.state is ProcessState.ABORTING
-                }
-            else:
-                contributed = set(request.wait_for)
-            request.waitfor_edges = contributed
-            for pid in contributed:
-                self._waitfor.add_edge(waiter, pid)
+        waiter = request.process.pid
+        if request.reason == "awaiting-cascade":
+            # Mirror _wait_edges: a victim only becomes an edge once its
+            # abort is genuinely under way.  Still-running victims are
+            # added by _begin_protocol_abort right after this park.
+            contributed = {
+                pid
+                for pid in request.wait_for
+                if (proc := self._processes.get(pid)) is not None
+                and proc.state is ProcessState.ABORTING
+            }
+        else:
+            contributed = set(request.wait_for)
+        request.waitfor_edges = contributed
+        for pid in contributed:
+            self._waitfor.add_edge(waiter, pid)
         if self.tracer.enabled:
             self.tracer.emit(self._wait_edge_event("insert", request))
 
@@ -1483,19 +1470,17 @@ class ProcessManager:
         sacrificed; cycles without a running member are escalated to the
         forced-progress path (pure OSL's unresolvable violations).
         """
-        if self.config.incremental_deadlock:
-            if self.config.audit and (
-                self.config.audit_every == 1
-                or self._audit_tick % self.config.audit_every == 0
-            ):
-                # The cross-check rebuilds the full relation, so a
-                # sampling auditor (audit_every > 1) thins it to the
-                # same cadence as the structural audits — otherwise an
-                # audited run would re-pay the cost the incremental
-                # structure exists to avoid.
-                self._audit_waitfor()
-            if self._waitfor.acyclic():
-                return
+        if self.config.audit and (
+            self.config.audit_every == 1
+            or self._audit_tick % self.config.audit_every == 0
+        ):
+            # The cross-check rebuilds the full relation, so a sampling
+            # auditor (audit_every > 1) thins it to the same cadence as
+            # the structural audits — otherwise an audited run would
+            # re-pay the cost the incremental structure exists to avoid.
+            self._audit_waitfor()
+        if self._waitfor.acyclic():
+            return
         cycle = self._find_wait_cycle(self._wait_edges())
         if cycle is None:
             return
@@ -1503,11 +1488,9 @@ class ProcessManager:
 
     def _act_on_wait_cycle(self, cycle: list[int]) -> None:
         """Abort the cycle's victim (or force progress when unabortable)."""
-        table = getattr(self.protocol, "table", None)
         protected = (
-            table.p_lock_holders()
-            if table is not None
-            and self.config.prefer_unprotected_victims
+            self.protocol.table.p_lock_holders()
+            if self.config.prefer_unprotected_victims
             else set()
         )
         try:
@@ -1624,21 +1607,16 @@ class ProcessManager:
 
     def _holder_info(self, pids) -> tuple[Holder, ...]:
         """Blocking-holder snapshots (timestamp + held modes) for pids."""
-        table = getattr(self.protocol, "table", None)
+        table = self.protocol.table
         holders = []
         for pid in sorted(pids):
             process = self._processes.get(pid)
             timestamp = process.timestamp if process is not None else -1
-            modes = ""
-            if table is not None:
-                modes = "".join(
-                    sorted(
-                        {
-                            entry.mode.value
-                            for entry in table.locks_of(pid)
-                        }
-                    )
+            modes = "".join(
+                sorted(
+                    {entry.mode.value for entry in table.locks_of(pid)}
                 )
+            )
             holders.append(
                 Holder(pid=pid, timestamp=timestamp, modes=modes)
             )
@@ -1704,25 +1682,19 @@ class ProcessManager:
 
     def _gauge_sample(self) -> dict[str, float]:
         """Current values of the virtual-time gauges (sampled on emit)."""
-        table = getattr(self.protocol, "table", None)
+        table = self.protocol.table
         sample = {
             "parked": float(len(self._parked)),
             "inflight": float(self.stats._inflight),
             "live": float(len(self._processes)),
+            "locks": float(table.lock_count),
         }
-        if table is not None:
-            sample["locks"] = float(table.lock_count)
-            shards = getattr(table, "shards", None)
-            if shards:
-                for shard in shards.values():
-                    sample[f"locks.{shard.name}"] = float(
-                        shard.lock_count
-                    )
-                depths = self._shard_depths()
-                for name in shards:
-                    sample[f"queue.{name}"] = float(
-                        depths.get(name, 0)
-                    )
+        shards = table.shards
+        for shard in shards.values():
+            sample[f"locks.{shard.name}"] = float(shard.lock_count)
+        depths = self._shard_depths()
+        for name in shards:
+            sample[f"queue.{name}"] = float(depths.get(name, 0))
         return sample
 
     # ------------------------------------------------------------------
@@ -1753,12 +1725,7 @@ class ProcessManager:
         if every > 1:
             # Sampled audits pay per-shard cost: check one shard per
             # audit, round-robin, instead of rescanning the whole table.
-            table = getattr(self.protocol, "table", None)
-            names = (
-                table.shard_names()
-                if table is not None and hasattr(table, "shard_names")
-                else ()
-            )
+            names = self.protocol.table.shard_names()
             if names:
                 shards = (self._next_audit_shard(names),)
         self._run_audit(shards)
@@ -1776,10 +1743,7 @@ class ProcessManager:
         The parallel manager overrides this to dispatch single-shard
         audits to the worker owning the shard.
         """
-        if shards is None:
-            self.protocol.audit()
-        else:
-            self.protocol.audit(shards=shards)
+        self.protocol.audit(shards=shards)
 
 
 def _attach_store(
@@ -1790,7 +1754,7 @@ def _attach_store(
     ``config.store`` wins; otherwise, when the ``REPRO_STORE`` knob
     names a backend, a store is opened ambiently (fresh temp directory
     unless ``REPRO_STORE_PATH`` is set) — that is how the entire test
-    suite runs durably under ``REPRO_STORE=sqlite``.  Pools that are
+    suite runs durably under ``REPRO_STORE=log``.  Pools that are
     already attached, and callers without a pool, are left alone.
     """
     if subsystems is None or getattr(subsystems, "store", None) is not None:
@@ -1816,20 +1780,14 @@ def make_manager(
     ``config.workers == 0`` (the default) returns the sequential
     :class:`ProcessManager`.  ``workers ≥ 1`` returns the
     thread-per-shard :class:`~repro.parallel.ParallelProcessManager`
-    when the protocol supports it — a sharded lock table plus the batch
-    probe interface (:meth:`ProcessLockManager.probe_c_grants`); the
-    baselines fall back to the sequential path silently, so every
-    construction site can route through this factory unconditionally.
+    when the protocol supports it — the batch probe interface
+    (:meth:`ProcessLockManager.probe_c_grants`); the baselines fall back
+    to the sequential path silently, so every construction site can
+    route through this factory unconditionally.
     """
     config = config or ManagerConfig()
     _attach_store(config, subsystems)
-    table = getattr(protocol, "table", None)
-    if (
-        config.workers > 0
-        and hasattr(protocol, "probe_c_grants")
-        and table is not None
-        and hasattr(table, "assign_workers")
-    ):
+    if config.workers > 0 and hasattr(protocol, "probe_c_grants"):
         from repro.parallel.manager import ParallelProcessManager
 
         return ParallelProcessManager(

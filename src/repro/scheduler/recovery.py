@@ -136,10 +136,9 @@ def crash(manager: ProcessManager) -> CrashImage:
         # The pivot decision is write-ahead-logged: once any lock of the
         # process actually went to P mode, the journal records the
         # treatment so recovery replays the conversion — and only then.
-        table = getattr(manager.protocol, "table", None)
-        pivot_treated = table is not None and any(
+        pivot_treated = any(
             entry.mode is LockMode.P
-            for entry in table.locks_of(process.pid)
+            for entry in manager.protocol.table.locks_of(process.pid)
         )
         snapshots.append(
             _snapshot_process(

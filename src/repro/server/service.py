@@ -94,15 +94,15 @@ class ServiceConfig:
     #: regardless.
     flight_path: str | None = None
     #: Durable persistence: a :class:`repro.storage.Store` instance, a
-    #: backend-kind string (``log`` / ``sqlite`` / ``memory``), or
+    #: backend-kind string (``log`` / ``memory``), or
     #: ``None`` to defer to the ``REPRO_STORE`` knob (unset = run
     #: in-memory, the seed behaviour).  When set, every acknowledged
     #: submission and terminal outcome is journaled, snapshots are cut
     #: on the ``snapshot_every`` cadence, and a restart on the same
     #: store replays and resumes — see ``docs/persistence.md``.
     store: object | None = None
-    #: Store directory (log) or database path (sqlite); ``None`` defers
-    #: to ``REPRO_STORE_PATH``, then to a fresh temporary directory.
+    #: Store directory; ``None`` defers to ``REPRO_STORE_PATH``, then
+    #: to a fresh temporary directory.
     store_path: str | None = None
     #: fsync policy ``always`` / ``batch`` / ``never``; ``None`` defers
     #: to the ``REPRO_STORE_FSYNC`` knob.

@@ -3,7 +3,7 @@
 The paper assumes the bottom-layer subsystems are real transactional
 systems that survive crashes; this package makes the reproduction live
 up to that.  A pluggable :class:`~repro.storage.facade.Store` (append-
-only CRC32-framed log, sqlite, or volatile memory — see
+only CRC32-framed log or volatile memory — see
 :mod:`repro.storage.backend`) persists the subsystem write-ahead logs,
 the subsystem record stores, and the process manager's state as a
 logical redo journal with periodic snapshots; the
@@ -20,7 +20,6 @@ from repro.storage.backend import (
     FSYNC_POLICIES,
     AppendLogBackend,
     MemoryBackend,
-    SqliteBackend,
     open_backend,
 )
 from repro.storage.codec import ScanResult, encode_frame, scan_frames
@@ -38,7 +37,6 @@ __all__ = [
     "ProgramCodec",
     "RecoveryInfo",
     "ScanResult",
-    "SqliteBackend",
     "Store",
     "encode_frame",
     "open_backend",

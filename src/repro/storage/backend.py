@@ -2,16 +2,13 @@
 
 A backend stores ordered opaque payloads per **namespace** (one logical
 log: the scheduler journal, a snapshot slot, one subsystem's WAL, ...).
-Three implementations share the same five-method surface:
+Two implementations share the same five-method surface:
 
 * :class:`AppendLogBackend` — one append-only file of CRC32-framed
   records (:mod:`repro.storage.codec`) per namespace, with an fsync
   policy (``always`` / ``batch`` / ``never``).  Torn tails are healed
   (truncated) at open; CRC mismatches raise
   :class:`~repro.errors.WalCorruptionError`.
-* :class:`SqliteBackend` — one ``frames`` table in a single database
-  file; appends become inserts, the fsync policy maps onto sqlite's
-  journaling pragmas, and the stored CRC32 is re-verified on read.
 * :class:`MemoryBackend` — a dict of lists; persists nothing and
   exists so benchmarks can price durability against a true no-op and
   tests can exercise the facade without touching disk.
@@ -23,11 +20,9 @@ tee can emit from shard workers while the engine thread appends.
 from __future__ import annotations
 
 import os
-import sqlite3
 import threading
-import zlib
 
-from repro.errors import StorageError, WalCorruptionError
+from repro.errors import StorageError
 from repro.storage.codec import encode_frame, scan_frames
 
 FSYNC_POLICIES = ("always", "batch", "never")
@@ -242,177 +237,27 @@ class AppendLogBackend:
             self._files.clear()
 
 
-class SqliteBackend:
-    """Every namespace as rows of one ``frames`` table.
-
-    The stored CRC32 is verified again on every read, so a corrupted
-    payload surfaces as :class:`~repro.errors.WalCorruptionError`
-    exactly like a corrupt log frame.  The fsync policy maps onto
-    sqlite: ``always`` commits (synchronous=FULL) per append, ``batch``
-    commits every ``sync_every`` appends (synchronous=NORMAL), and
-    ``never`` commits only at flush points (synchronous=OFF).
-    """
-
-    kind = "sqlite"
-    _PRAGMAS = {"always": "FULL", "batch": "NORMAL", "never": "OFF"}
-
-    def __init__(
-        self, path: str, fsync: str = "batch", sync_every: int = 64
-    ) -> None:
-        self.path = str(path)
-        self.fsync = _check_policy(fsync)
-        self.sync_every = max(1, int(sync_every))
-        parent = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(parent, exist_ok=True)
-        self._conn = sqlite3.connect(self.path, check_same_thread=False)
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute(
-            f"PRAGMA synchronous={self._PRAGMAS[self.fsync]}"
-        )
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS frames ("
-            " ns TEXT NOT NULL,"
-            " seq INTEGER NOT NULL,"
-            " crc INTEGER NOT NULL,"
-            " payload BLOB NOT NULL,"
-            " PRIMARY KEY (ns, seq))"
-        )
-        self._conn.commit()
-        self._next_seq: dict[str, int] = {}
-        self._uncommitted = 0
-        self._mutex = threading.Lock()
-        self.appends = 0
-        self.fsyncs = 0
-        self.bytes_written = 0
-
-    def _seq(self, namespace: str) -> int:
-        seq = self._next_seq.get(namespace)
-        if seq is None:
-            row = self._conn.execute(
-                "SELECT COALESCE(MAX(seq), 0) FROM frames WHERE ns = ?",
-                (namespace,),
-            ).fetchone()
-            seq = int(row[0]) + 1
-        self._next_seq[namespace] = seq + 1
-        return seq
-
-    def append(self, namespace: str, payload: bytes) -> None:
-        with self._mutex:
-            self._conn.execute(
-                "INSERT INTO frames (ns, seq, crc, payload) "
-                "VALUES (?, ?, ?, ?)",
-                (
-                    namespace,
-                    self._seq(namespace),
-                    zlib.crc32(payload),
-                    sqlite3.Binary(payload),
-                ),
-            )
-            self.appends += 1
-            self.bytes_written += len(payload)
-            self._uncommitted += 1
-            if self.fsync == "always" or (
-                self.fsync == "batch"
-                and self._uncommitted >= self.sync_every
-            ):
-                self._conn.commit()
-                self.fsyncs += 1
-                self._uncommitted = 0
-
-    def replace(self, namespace: str, payloads: list[bytes]) -> None:
-        with self._mutex:
-            self._conn.execute(
-                "DELETE FROM frames WHERE ns = ?", (namespace,)
-            )
-            for seq, payload in enumerate(payloads, start=1):
-                self._conn.execute(
-                    "INSERT INTO frames (ns, seq, crc, payload) "
-                    "VALUES (?, ?, ?, ?)",
-                    (
-                        namespace,
-                        seq,
-                        zlib.crc32(payload),
-                        sqlite3.Binary(payload),
-                    ),
-                )
-                self.bytes_written += len(payload)
-            self._next_seq[namespace] = len(payloads) + 1
-            self._conn.commit()
-            self.fsyncs += 1
-            self._uncommitted = 0
-
-    def read_all(self, namespace: str) -> list[bytes]:
-        with self._mutex:
-            rows = self._conn.execute(
-                "SELECT seq, crc, payload FROM frames "
-                "WHERE ns = ? ORDER BY seq",
-                (namespace,),
-            ).fetchall()
-        payloads = []
-        for seq, crc, payload in rows:
-            payload = bytes(payload)
-            if zlib.crc32(payload) != crc:
-                raise WalCorruptionError(
-                    f"row {seq} fails its CRC32 check",
-                    namespace=namespace,
-                    offset=seq,
-                )
-            payloads.append(payload)
-        return payloads
-
-    def namespaces(self) -> list[str]:
-        with self._mutex:
-            rows = self._conn.execute(
-                "SELECT DISTINCT ns FROM frames ORDER BY ns"
-            ).fetchall()
-        return [row[0] for row in rows]
-
-    def heal(self) -> dict[str, int]:
-        """Sqlite commits are atomic; there is no torn tail to heal."""
-        return {}
-
-    def flush(self) -> None:
-        with self._mutex:
-            if self._conn is not None and self._uncommitted:
-                self._conn.commit()
-                self.fsyncs += 1
-                self._uncommitted = 0
-
-    def close(self) -> None:
-        with self._mutex:
-            if self._conn is None:
-                return
-            self._conn.commit()
-            self._conn.close()
-            self._conn = None
-
-
 BACKENDS = {
     "memory": MemoryBackend,
     "log": AppendLogBackend,
-    "sqlite": SqliteBackend,
 }
+
+
+def check_kind(kind: str) -> None:
+    """Raise the typed error unless ``kind`` names a backend — callable
+    before anything is created on disk."""
+    if kind not in BACKENDS:
+        raise StorageError(
+            f"unknown store backend {kind!r}; "
+            f"expected one of {sorted(BACKENDS)}"
+        )
 
 
 def open_backend(
     kind: str, path: str, fsync: str = "batch", sync_every: int = 64
 ):
     """Construct the backend for ``kind`` rooted at ``path``."""
+    check_kind(kind)
     if kind == "memory":
         return MemoryBackend(fsync=fsync, sync_every=sync_every)
-    if kind == "log":
-        return AppendLogBackend(
-            path, fsync=fsync, sync_every=sync_every
-        )
-    if kind == "sqlite":
-        # A directory (the usual ``--store-path``) gets a conventional
-        # database file inside it, so log and sqlite stores can share
-        # path handling; an explicit ``*.db`` path is used verbatim.
-        if not path.endswith(".db"):
-            os.makedirs(path, exist_ok=True)
-            path = os.path.join(path, "repro.db")
-        return SqliteBackend(path, fsync=fsync, sync_every=sync_every)
-    raise StorageError(
-        f"unknown store backend {kind!r}; "
-        f"expected one of {sorted(BACKENDS)}"
-    )
+    return AppendLogBackend(path, fsync=fsync, sync_every=sync_every)

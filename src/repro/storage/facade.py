@@ -30,7 +30,7 @@ import tempfile
 
 from repro import config as repro_config
 from repro.errors import StorageError, WalCorruptionError
-from repro.storage.backend import open_backend
+from repro.storage.backend import check_kind, open_backend
 
 #: Bumped when the on-disk record formats change shape.
 FORMAT_VERSION = 1
@@ -184,8 +184,9 @@ class Store:
         if kind is None:
             raise StorageError(
                 "no store backend configured: pass kind= or set "
-                "REPRO_STORE to 'log', 'sqlite', or 'memory'"
+                "REPRO_STORE to 'log' or 'memory'"
             )
+        check_kind(kind)
         path = repro_config.store_path(path)
         if path is None:
             path = tempfile.mkdtemp(prefix="repro-store-")
@@ -223,9 +224,7 @@ class Store:
     def stats(self) -> dict:
         return {
             "kind": self.backend.kind,
-            "path": getattr(
-                self.backend, "root", getattr(self.backend, "path", "")
-            ),
+            "path": getattr(self.backend, "root", ""),
             "fsync": getattr(self.backend, "fsync", "n/a"),
             "appends": self.backend.appends,
             "fsyncs": self.backend.fsyncs,

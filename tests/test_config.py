@@ -115,3 +115,20 @@ class TestConsumers:
             assert manager._fanout_threshold == 5
         finally:
             manager.close()
+
+
+def test_removed_incremental_deadlock_is_a_type_error():
+    from repro.scheduler.manager import ManagerConfig
+
+    with pytest.raises(TypeError, match="incremental_deadlock"):
+        ManagerConfig(incremental_deadlock=False)
+
+
+def test_removed_sqlite_store_flag_exits_2(capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve", "--store", "sqlite"])
+    assert exit_info.value.code == 2
+    error = capsys.readouterr().err
+    assert "sqlite" in error and "log" in error and "memory" in error

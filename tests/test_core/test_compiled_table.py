@@ -1,4 +1,4 @@
-"""Property tests: the compiled-plane lock table vs the adjacency path.
+"""Property tests: the compiled-plane lock table vs its naive references.
 
 The compiled conflict plane replaced frozenset adjacency iteration in
 every hot lock-table query with bitmask ANDs over ``_live_mask`` /
@@ -9,8 +9,8 @@ after every step, that
 * the live-type and per-process bitmasks match a recompute from the
   primary per-type/per-pid lists (plane adoption after a post-freeze
   ``declare_conflict`` included), and
-* every bitmask query agrees with its pre-compiled adjacency
-  formulation preserved in :mod:`repro.core.reference`.
+* every bitmask query agrees with its recompute-from-the-dict-matrix
+  reference in :mod:`repro.core.reference`.
 """
 
 from __future__ import annotations
@@ -23,12 +23,9 @@ from repro.activities.registry import ActivityRegistry
 from repro.core.lock_table import LockTable
 from repro.core.locks import LockMode
 from repro.core.reference import (
-    adjacency_blocker_pids,
-    adjacency_conflicting_locks,
-    adjacency_conflicting_locks_flat,
-    adjacency_conflicting_younger_flat,
-    adjacency_iter_conflicting,
-    adjacency_probe_blocked,
+    naive_blocker_pids,
+    naive_conflicting_locks,
+    naive_probe_blocked,
 )
 from repro.process.state import ProcessState
 
@@ -74,7 +71,7 @@ def recomputed_masks(table: LockTable) -> tuple[int, dict[int, int]]:
     return live, pid_masks
 
 
-def assert_agrees_with_adjacency(
+def assert_agrees_with_references(
     table: LockTable, processes: dict[int, "FakeProcess"]
 ) -> None:
     # check_invariants audits the masks against the lists and the
@@ -89,26 +86,11 @@ def assert_agrees_with_adjacency(
             process = processes[pid]
             assert table.conflicting_locks(
                 name, exclude_pid=pid
-            ) == adjacency_conflicting_locks(table, name, pid)
-            assert table.conflicting_locks_flat(
-                name, pid
-            ) == adjacency_conflicting_locks_flat(table, name, pid)
-            assert table.conflicting_younger_flat(
-                name, pid, process.timestamp, ABORTING
-            ) == adjacency_conflicting_younger_flat(
-                table, name, pid, process.timestamp, ABORTING
-            )
+            ) == naive_conflicting_locks(table, name, pid)
             assert table.probe_blocked(
                 name, pid, process.timestamp, ABORTING
-            ) == adjacency_probe_blocked(
+            ) == naive_probe_blocked(
                 table, name, pid, process.timestamp, ABORTING
-            )
-            by_position = lambda entry: entry.position  # noqa: E731
-            assert sorted(
-                table.iter_conflicting(name, pid), key=by_position
-            ) == sorted(
-                adjacency_iter_conflicting(table, name, pid),
-                key=by_position,
             )
             # Acquire-time blocker discovery: the foreign pids the
             # bitmask AND finds are the adjacency scan's, exactly.
@@ -119,9 +101,9 @@ def assert_agrees_with_adjacency(
                 other
                 for other, bits in held.items()
                 if other != pid and bits & mask
-            } == adjacency_blocker_pids(table, name, pid)
+            } == naive_blocker_pids(table, name, pid)
         assert table.conflicting_locks(name) == (
-            adjacency_conflicting_locks(table, name)
+            naive_conflicting_locks(table, name)
         )
 
 
@@ -174,7 +156,7 @@ class TestCompiledTableProperties:
                 matrix.declare_conflict(left, right)
             else:  # flip_state
                 processes[op[1]].state = op[2]
-            assert_agrees_with_adjacency(table, processes)
+            assert_agrees_with_references(table, processes)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -193,7 +175,7 @@ class TestCompiledTableProperties:
             table.acquire(processes[pid], name, LockMode.C)
         for pid in PIDS:
             table.release_all(pid)
-            assert_agrees_with_adjacency(table, processes)
+            assert_agrees_with_references(table, processes)
         assert table._live_mask == 0
         assert table._pid_type_masks == {}
 
@@ -207,4 +189,4 @@ class TestCompiledTableProperties:
                 processes[pid], TYPE_NAMES[pid % 3], LockMode.C
             )
         matrix.close_perfect()
-        assert_agrees_with_adjacency(table, processes)
+        assert_agrees_with_references(table, processes)

@@ -175,3 +175,59 @@ def test_property_pseudo_pivots_are_sticky(costs, threshold):
             assert step.treatment is LockMode.P
         if step.treatment is LockMode.P:
             seen_p = True
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    costs=st.lists(
+        st.floats(min_value=0.1, max_value=100.0),
+        min_size=1,
+        max_size=6,
+    ),
+    picks=st.lists(st.integers(min_value=0, max_value=6), max_size=12),
+    threshold=st.floats(min_value=0.0, max_value=500.0),
+    cost_based=st.booleans(),
+    cap=st.none() | st.floats(min_value=0.0, max_value=500.0),
+)
+def test_property_memoized_classification_matches_reference(
+    costs, picks, threshold, cost_based, cap
+):
+    """``classify_regular`` (the ``WccMemo`` path) decides and charges
+    exactly like the un-memoized reference, repeats (memo hits), real
+    pivots and a threshold provider included."""
+    from repro.activities.activity import Activity
+    from repro.activities.commutativity import ConflictMatrix
+    from repro.core.reference import reference_classify_regular
+
+    registry = ActivityRegistry()
+    names = []
+    for index, cost in enumerate(costs):
+        registry.define_compensatable(
+            f"t{index}", "s", cost=cost, compensation_cost=cost / 2
+        )
+        names.append(f"t{index}")
+    registry.define_pivot("pivot", "s", cost=1.0)
+    names.append("pivot")
+    sequence = [names[pick % len(names)] for pick in picks]
+    protocol = ProcessLockManager(
+        registry, ConflictMatrix(registry), cost_based=cost_based
+    )
+    if cap is not None:
+        protocol.threshold_provider = lambda process: cap
+    program = (
+        ProgramBuilder("p", registry, wcc_threshold=threshold)
+        .sequence(names[0])
+        .build()
+    )
+    live = Process(pid=1, program=program, timestamp=1)
+    twin = Process(pid=2, program=program, timestamp=2)
+    for seq, name in enumerate(sequence):
+        activity_type = registry.get(name)
+        memoized = protocol.classify_regular(
+            live, Activity(activity_type, process_id=1, seq=seq)
+        )
+        reference = reference_classify_regular(
+            protocol, twin, Activity(activity_type, process_id=2, seq=seq)
+        )
+        assert memoized is reference
+        assert live.wcc == twin.wcc

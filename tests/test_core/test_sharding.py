@@ -1,11 +1,11 @@
-"""Tests for the sharded lock table and the sampled per-shard auditor.
+"""Tests for the lock table's shard map and the sampled per-shard auditor.
 
-The shard layer must be *observationally inert*: partitioning by
-subsystem changes how the table is audited and gauged, never how a lock
-request is ordered or granted.  These tests pin the partition itself,
-the per-shard counters and audits (including corruption detection), the
-``REPRO_AUDIT_EVERY`` sampling knob with its round-robin shard cursor,
-and the schedule byte-identity of sampled-audit runs.
+Partitioning by subsystem changes how the table is audited and gauged,
+never how a lock request is ordered or granted.  These tests pin the
+partition itself, the per-shard counters and audits (including
+corruption detection), the ``REPRO_AUDIT_EVERY`` sampling knob with its
+round-robin shard cursor, and the schedule byte-identity of
+sampled-audit runs.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.lock_table import LockTable
 from repro.core.locks import LockMode
-from repro.core.sharding import ShardedLockTable
 from repro.errors import ProtocolError
 from repro.faults.harness import canonical_trace
 from repro.obs import Tracer
@@ -32,7 +31,7 @@ class FakeProcess:
 
 @pytest.fixture
 def table(conflicts):
-    return ShardedLockTable(conflicts)
+    return LockTable(conflicts)
 
 
 class TestShardPartition:
@@ -88,6 +87,13 @@ class TestShardCounters:
         assert (shop.lock_count, shop.releases) == (1, 1)
         assert (bank.lock_count, bank.releases) == (0, 1)
         table.check_invariants([2])
+
+    def test_full_audit_accepts_a_one_shot_iterable(self, table):
+        """``live_pids`` is consumed once: a generator must audit the
+        shards against the same live set as the global checks."""
+        table.acquire(FakeProcess(1), "reserve", LockMode.C)
+        table.acquire(FakeProcess(2), "charge", LockMode.P)
+        table.check_invariants(pid for pid in (1, 2))
 
     def test_per_shard_audit_checks_only_named_shard(self, table):
         p1 = FakeProcess(1)
@@ -243,43 +249,3 @@ class TestShardObservability:
                 assert record["shard"] is None
             else:
                 assert record["shard"] in subsystems
-
-
-class TestDropInEquivalence:
-    def test_sharded_table_is_schedule_inert(self, uid_floor):
-        """Monolithic table + sharded table: byte-identical schedules."""
-        spec = WorkloadSpec(
-            n_processes=12,
-            n_activity_types=18,
-            n_subsystems=3,
-            conflict_density=0.5,
-            failure_probability=0.05,
-            arrival_spacing=0.5,
-            seed=13,
-        )
-        from repro.sim.runner import make_protocol
-        from repro.scheduler.manager import ProcessManager
-
-        def run(sharded: bool):
-            workload = build_workload(spec)
-            protocol = make_protocol("process-locking", workload)
-            if not sharded:
-                protocol.table = LockTable(workload.conflicts)
-            manager = ProcessManager(
-                protocol,
-                subsystems=workload.make_subsystems(),
-                seed=spec.seed,
-            )
-            for index, program in enumerate(workload.programs):
-                manager.submit(
-                    program, at=workload.arrival_time(index)
-                )
-            return manager.run()
-
-        uid_floor.pin()
-        monolithic = run(sharded=False)
-        uid_floor.repin()
-        sharded = run(sharded=True)
-        assert canonical_trace(
-            monolithic.trace.events
-        ) == canonical_trace(sharded.trace.events)

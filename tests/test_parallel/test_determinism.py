@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.lock_table import LockTable
 from repro.parallel import ParallelProcessManager
 from repro.scheduler.manager import (
     ManagerConfig,
@@ -130,19 +129,6 @@ class TestMakeManagerDispatch:
         )
         assert isinstance(manager, ParallelProcessManager)
         manager.close()
-
-    def test_unsharded_table_falls_back_to_sequential(self, small_spec):
-        """A protocol over a plain (monolithic) lock table cannot host
-        shard workers; the factory silently degrades."""
-        workload = build_workload(small_spec())
-        protocol = make_protocol("process-locking", workload)
-        protocol.table = LockTable(workload.conflicts)
-        manager = make_manager(
-            protocol,
-            subsystems=workload.make_subsystems(),
-            config=ManagerConfig(workers=4),
-        )
-        assert type(manager) is ProcessManager
 
     def test_repro_workers_env_sets_the_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")

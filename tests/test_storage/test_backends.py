@@ -1,4 +1,4 @@
-"""Backend contract: memory, append-only log, and sqlite behave alike."""
+"""Backend contract: memory and the append-only log behave alike."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from repro.errors import StorageError, WalCorruptionError
 from repro.storage import (
     AppendLogBackend,
     MemoryBackend,
-    SqliteBackend,
+    Store,
     encode_frame,
     open_backend,
 )
@@ -19,12 +19,10 @@ from repro.storage import (
 def _make(kind: str, tmp_path):
     if kind == "memory":
         return MemoryBackend()
-    if kind == "log":
-        return AppendLogBackend(str(tmp_path / "store"))
-    return SqliteBackend(str(tmp_path / "store.db"))
+    return AppendLogBackend(str(tmp_path / "store"))
 
 
-KINDS = ("memory", "log", "sqlite")
+KINDS = ("memory", "log")
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -50,7 +48,7 @@ def test_replace_swaps_whole_namespace(kind, tmp_path):
     backend.close()
 
 
-@pytest.mark.parametrize("kind", ("log", "sqlite"))
+@pytest.mark.parametrize("kind", ("log",))
 def test_data_survives_reopen(kind, tmp_path):
     backend = _make(kind, tmp_path)
     backend.append("journal", b"durable")
@@ -64,7 +62,7 @@ def test_data_survives_reopen(kind, tmp_path):
     third.close()
 
 
-@pytest.mark.parametrize("kind", ("log", "sqlite"))
+@pytest.mark.parametrize("kind", ("log",))
 def test_close_is_idempotent(kind, tmp_path):
     backend = _make(kind, tmp_path)
     backend.append("journal", b"x")
@@ -99,20 +97,6 @@ def test_log_corrupt_frame_raises_typed_error(tmp_path):
     again = AppendLogBackend(str(tmp_path / "store"))
     with pytest.raises(WalCorruptionError):
         again.read_all("journal")
-
-
-def test_sqlite_corrupt_payload_raises_typed_error(tmp_path):
-    backend = SqliteBackend(str(tmp_path / "store.db"))
-    backend.append("journal", b"payload")
-    backend.flush()
-    backend._conn.execute(
-        "UPDATE frames SET payload = ? WHERE ns = 'journal'",
-        (b"tampered",),
-    )
-    backend._conn.commit()
-    with pytest.raises(WalCorruptionError):
-        backend.read_all("journal")
-    backend.close()
 
 
 def test_log_namespace_maps_to_filesystem_safely(tmp_path):
@@ -172,11 +156,34 @@ def test_open_backend_dispatch(tmp_path):
     log = open_backend("log", str(tmp_path / "a"))
     assert log.kind == "log"
     log.close()
-    lite = open_backend("sqlite", str(tmp_path / "b"))
-    assert lite.kind == "sqlite"
-    assert lite.path.endswith("repro.db")
-    lite.close()
     mem = open_backend("memory", str(tmp_path / "c"))
     assert mem.kind == "memory"
     with pytest.raises(StorageError):
         open_backend("tape", str(tmp_path / "d"))
+
+
+@pytest.mark.parametrize("how", ("argument", "env", "service"))
+def test_removed_sqlite_kind_fails_typed_before_creating_files(
+    how, tmp_path, monkeypatch
+):
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr("tempfile.tempdir", None)
+    monkeypatch.delenv("REPRO_STORE_PATH", raising=False)
+    with pytest.raises(StorageError, match="'log', 'memory'"):
+        if how == "argument":
+            Store.open("sqlite")
+        elif how == "env":
+            monkeypatch.setenv("REPRO_STORE", "sqlite")
+            Store.open()
+        else:
+            from repro.server.service import (
+                ProcessLockingService,
+                ServiceConfig,
+            )
+
+            ProcessLockingService(
+                ServiceConfig(
+                    store="sqlite", store_path=str(tmp_path / "store")
+                )
+            )
+    assert list(tmp_path.iterdir()) == []

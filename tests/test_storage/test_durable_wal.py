@@ -53,7 +53,7 @@ def test_durable_record_store_replays_last_write_wins(tmp_path):
     again.close()
 
 
-@pytest.mark.parametrize("kind", ("log", "sqlite"))
+@pytest.mark.parametrize("kind", ("log",))
 def test_attach_store_rolls_back_previous_losers(kind, tmp_path):
     store = _store(tmp_path, kind)
     pool = SubsystemPool(store=store)

@@ -65,7 +65,7 @@ def _submit_all(plane, manager, workload):
         plane.note_submit(pid, index)
 
 
-@pytest.mark.parametrize("kind", ("log", "sqlite"))
+@pytest.mark.parametrize("kind", ("log",))
 @pytest.mark.parametrize("steps", (0, 10, 25, 60))
 def test_stop_at_snapshot_recovers_to_ct(tmp_path, kind, steps):
     workload = build_workload(SPEC)
