@@ -100,13 +100,16 @@ def _populate_store(path: str, seed: int, processes: int) -> None:
             store="log",
             store_path=path,
             store_fsync="never",
-            snapshot_every=10_000,  # keep the journal long (no compaction)
+            # Several snapshots, so the trace namespace holds several
+            # frames and the fsync-loss family reaches it too.
+            snapshot_every=32,
         )
     ).start()
     try:
-        service.execute(
-            {"cmd": "submit", "count": processes, "wait": True}
-        ).result(timeout=120)
+        for program in range(processes):
+            service.execute(
+                {"cmd": "submit", "program": program, "wait": True}
+            ).result(timeout=120)
         service.execute({"cmd": "drain"}).result(timeout=120)
     finally:
         service.stop()

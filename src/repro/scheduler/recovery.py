@@ -110,9 +110,24 @@ def crash(manager: ProcessManager) -> CrashImage:
     """Capture the durable journal of a (running) manager.
 
     Read-only: the caller simply abandons the crashed manager
-    afterwards.  Pending (launched-but-uncommitted) activities are
-    recorded by *name only* — their subsystem transactions abort with
-    the crash (the bottom layer is ACA) and they will be relaunched.
+    afterwards.
+    """
+    return CrashImage(
+        snapshots=snapshot_live(manager),
+        trace_events=list(manager.trace.events),
+        records=dict(manager.records),
+        crashed_at=manager.engine.now,
+        max_pid=max(manager.records, default=0),
+    )
+
+
+def snapshot_live(manager: ProcessManager) -> list[ProcessSnapshot]:
+    """The journal entries of the live processes — the part of a crash
+    image whose size follows the work in flight, not the history.
+
+    Pending (launched-but-uncommitted) activities are recorded by
+    *name only* — their subsystem transactions abort with the crash
+    (the bottom layer is ACA) and they will be relaunched.
     """
     snapshots = []
     for process in manager._processes.values():
@@ -145,13 +160,7 @@ def crash(manager: ProcessManager) -> CrashImage:
                 process, tuple(pending), pivot_treated=pivot_treated
             )
         )
-    return CrashImage(
-        snapshots=snapshots,
-        trace_events=list(manager.trace.events),
-        records=dict(manager.records),
-        crashed_at=manager.engine.now,
-        max_pid=max(manager.records, default=0),
-    )
+    return snapshots
 
 
 def _snapshot_process(

@@ -11,8 +11,10 @@ out narrow repositories over it:
   one JSON record per submission, terminal outcome, lock grant, Wcc
   classification, or retry-budget event, in emit order.
 * :class:`SnapshotRepository` — a single-slot checkpoint document
-  (atomic whole-namespace replace), holding the serialized crash image
-  plus the journal watermark it covers.
+  (atomic whole-namespace replace): live-process state plus the
+  journal and trace watermarks it covers.
+* :class:`TraceRepository` — the observed schedule, append-only: each
+  checkpoint appends the events recorded since the previous one.
 * :class:`FrameRepository` — ordered JSON records in one namespace;
   the per-subsystem WAL (``sswal/<name>``) and redo data
   (``ssdata/<name>``) repositories are instances of it.
@@ -32,12 +34,17 @@ from repro import config as repro_config
 from repro.errors import StorageError, WalCorruptionError
 from repro.storage.backend import check_kind, open_backend
 
-#: Bumped when the on-disk record formats change shape.
-FORMAT_VERSION = 1
+#: Bumped when the on-disk record formats change shape; a store
+#: written under another version is refused by
+#: :meth:`MetaRepository.ensure`.  2: the trace left the snapshot
+#: document for its own namespace, and finished processes live in
+#: their terminal journal records only.
+FORMAT_VERSION = 2
 
 META_NS = "meta"
 JOURNAL_NS = "journal"
 SNAPSHOT_NS = "snapshot"
+TRACE_NS = "trace"
 SUBSYSTEM_WAL_PREFIX = "sswal/"
 SUBSYSTEM_DATA_PREFIX = "ssdata/"
 
@@ -113,6 +120,57 @@ class SnapshotRepository:
         return loads(payloads[-1], SNAPSHOT_NS)
 
 
+class TraceRepository:
+    """The observed schedule ``<_S``, written once per event.
+
+    One frame per checkpoint: ``{"start": p, "events": [...]}`` holds
+    the events at trace positions ``p, p+1, ...``.  A checkpoint
+    appends (and syncs) its frame *before* its document is swapped in,
+    so the document's ``trace_len`` never points past the durable
+    trace; a crash between the two steps leaves an orphan frame past
+    the watermark, which the next incarnation's first frame — starting
+    at that same watermark — supersedes.
+    """
+
+    def __init__(self, backend) -> None:
+        self._backend = backend
+
+    def append(self, start: int, events: list) -> None:
+        self._backend.append(
+            TRACE_NS, dumps({"start": start, "events": events})
+        )
+
+    def events(self, watermark: int = 0) -> list:
+        """Every event on disk, in position order.
+
+        Raises :class:`WalCorruptionError` when a frame starts past the
+        end of what precedes it, or when fewer than ``watermark``
+        events are there: a checkpoint covers a trace prefix that is
+        gone.  Events at or past ``watermark`` may be orphans; the
+        caller cuts them.
+        """
+        events: list = []
+        for payload in self._backend.read_all(TRACE_NS):
+            frame = loads(payload, TRACE_NS)
+            start = frame["start"]
+            if start > len(events):
+                raise WalCorruptionError(
+                    f"{TRACE_NS}: frame starts at position {start} but "
+                    f"only {len(events)} events precede it",
+                    namespace=TRACE_NS,
+                )
+            # A frame starting inside what was read supersedes it.
+            del events[start:]
+            events.extend(frame["events"])
+        if len(events) < watermark:
+            raise WalCorruptionError(
+                f"{TRACE_NS}: holds {len(events)} events but the "
+                f"snapshot covers {watermark}",
+                namespace=TRACE_NS,
+            )
+        return events
+
+
 class MetaRepository:
     """The store's identity document."""
 
@@ -162,6 +220,7 @@ class Store:
         self.meta = MetaRepository(backend)
         self.journal = JournalRepository(backend)
         self.snapshots = SnapshotRepository(backend)
+        self.trace = TraceRepository(backend)
         #: Namespaces healed at open: ``{namespace: dropped_bytes}``.
         self.healed: dict[str, int] = backend.heal()
 
@@ -252,11 +311,32 @@ class Store:
                 report["corrupt"].append(namespace)
                 report["ok"] = False
             report["namespaces"][namespace] = entry
+        if report["ok"]:
+            # Every frame decodes; now the one cross-namespace bond:
+            # the snapshot's watermark must lie inside the trace.
+            try:
+                self._checked_trace(self.snapshots.load())
+            except WalCorruptionError as exc:
+                entry = report["namespaces"].setdefault(
+                    TRACE_NS, {"records": 0}
+                )
+                entry["error"] = str(exc)
+                report["corrupt"].append(TRACE_NS)
+                report["ok"] = False
         report["healed"] = dict(self.healed)
         return report
 
+    def _checked_trace(self, snapshot: dict | None) -> list:
+        """The trace's events, verified against ``snapshot``'s watermark."""
+        watermark = 0 if snapshot is None else snapshot.get("trace_len", 0)
+        return self.trace.events(watermark)
+
     def describe(self) -> dict:
-        """Inspection summary: meta, snapshot, journal, subsystems."""
+        """Inspection summary: meta, snapshot, journal, trace, subsystems.
+
+        Raises :class:`WalCorruptionError` when the trace is shorter
+        than the snapshot's watermark, as a restart would.
+        """
         snapshot = self.snapshots.load()
         journal = self.journal.records()
         kinds: dict[str, int] = {}
@@ -271,10 +351,12 @@ class Store:
             if snapshot is None
             else {
                 "journal_lsn": snapshot.get("journal_lsn"),
+                "trace_len": snapshot.get("trace_len"),
                 "crashed_at": snapshot.get("crashed_at"),
                 "processes": len(snapshot.get("processes", [])),
                 "max_pid": snapshot.get("max_pid"),
             },
+            "trace": {"events": len(self._checked_trace(snapshot))},
             "subsystems": {
                 name: {
                     "wal_records": len(self.subsystem_wal(name)),
@@ -287,11 +369,17 @@ class Store:
     def compact(self) -> dict:
         """Drop records the next recovery can no longer need.
 
-        * journal — keeps pre-watermark submissions that are still
+        * journal — before the snapshot watermark, keeps the latest
+          ``terminal`` record of each pid (the one durable home of a
+          finished process) and the submissions that are still
           undecided (no terminal record, not live in the snapshot:
-          exactly the pending-initiation processes) plus everything
-          past the snapshot watermark; with no snapshot the journal is
-          untouched.
+          exactly the pending-initiation processes); everything past
+          the watermark stays.  What goes is subsumed: decided and
+          live pids' ``submit`` records, ``cancel`` records, and the
+          informational ``grant`` / ``wcc`` / ``retry-exhausted``
+          detail.  With no snapshot the journal is untouched.
+        * trace — untouched: every event is written once and the
+          post-crash CT / P-RC check needs them all.
         * subsystem WALs — keep only the write records of loser
           transactions (no terminal record yet); winners' undo
           information is dead weight.
@@ -310,17 +398,20 @@ class Store:
             }
             journal = self.journal.records()
             head, tail = journal[:watermark], journal[watermark:]
-            terminal_pids = {
-                record["pid"]
-                for record in head
+            latest_terminal = {
+                record["pid"]: index
+                for index, record in enumerate(head)
                 if record.get("kind") == "terminal"
             }
             kept_head = [
                 record
-                for record in head
-                if record.get("kind") == "submit"
-                and record["pid"] not in terminal_pids
-                and record["pid"] not in live_pids
+                for index, record in enumerate(head)
+                if latest_terminal.get(record.get("pid")) == index
+                or (
+                    record.get("kind") == "submit"
+                    and record["pid"] not in latest_terminal
+                    and record["pid"] not in live_pids
+                )
             ]
             self.journal.rewrite(kept_head + tail)
             snapshot = dict(snapshot, journal_lsn=len(kept_head))

@@ -1,6 +1,6 @@
 """Serialization between live scheduler state and durable records.
 
-The persistence plane stores three shapes:
+The persistence plane stores four shapes:
 
 * **journal records** — flat dicts appended to
   :class:`~repro.storage.facade.JournalRepository`:
@@ -9,11 +9,17 @@ The persistence plane stores three shapes:
   captured by :class:`JournalTracer` (they make ``repro store
   inspect`` explain *why* the journal looks the way it does, and feed
   replay-progress metrics).
-* **snapshot documents** — a serialized
-  :class:`~repro.scheduler.recovery.CrashImage` plus the journal
-  watermark (``journal_lsn``) the image covers.
 * **process records** — :class:`~repro.scheduler.events.ProcessRecord`
-  as a plain dict inside terminal journal records.
+  as a plain dict inside terminal journal records, which are the one
+  durable home of a finished process.
+* **trace rows** — the observed schedule's events as positional rows,
+  appended to :class:`~repro.storage.facade.TraceRepository` one frame
+  per checkpoint.
+* **checkpoint documents** — what is left of a
+  :class:`~repro.scheduler.recovery.CrashImage` once the trace and the
+  finished processes live elsewhere: live-process continuations, the
+  records of still-undecided pids, and the journal and trace
+  watermarks (``journal_lsn``, ``trace_len``) the checkpoint covers.
 
 Programs are referenced by **catalog index**: the persistence plane is
 always bound to a submission catalog (the workload's program list),
@@ -114,29 +120,35 @@ def snapshot_from_dict(data: dict, codec: ProgramCodec) -> ProcessSnapshot:
 # ----------------------------------------------------------------------
 # trace events (the splice)
 # ----------------------------------------------------------------------
-def trace_event_to_dict(event: ScheduleEvent) -> dict:
-    return {
-        "position": event.position,
-        "process": list(event.process),
-        "kind": event.kind.value,
-        "name": event.name,
-        "uid": event.uid,
-        "compensates": event.compensates,
-        "compensatable": event.compensatable,
-        "point_of_no_return": event.point_of_no_return,
-    }
+def trace_event_to_row(event: ScheduleEvent) -> list:
+    """One event as a positional row for the ``trace`` namespace.
+
+    The position is not stored: an event's position *is* its index in
+    the trace (:class:`~repro.scheduler.trace.TraceRecorder` numbers
+    them so), and each trace frame carries its start position.
+    """
+    return [
+        list(event.process),
+        event.kind.value,
+        event.name,
+        event.uid,
+        event.compensates,
+        event.compensatable,
+        event.point_of_no_return,
+    ]
 
 
-def trace_event_from_dict(data: dict) -> ScheduleEvent:
+def trace_event_from_row(row: list, position: int) -> ScheduleEvent:
+    process, kind, name, uid, compensates, compensatable, pnr = row
     return ScheduleEvent(
-        position=data["position"],
-        process=tuple(data["process"]),
-        kind=EventKind(data["kind"]),
-        name=data["name"],
-        uid=data["uid"],
-        compensates=data["compensates"],
-        compensatable=data["compensatable"],
-        point_of_no_return=data["point_of_no_return"],
+        position=position,
+        process=tuple(process),
+        kind=EventKind(kind),
+        name=name,
+        uid=uid,
+        compensates=compensates,
+        compensatable=compensatable,
+        point_of_no_return=pnr,
     )
 
 
@@ -152,37 +164,57 @@ def record_from_dict(data: dict) -> ProcessRecord:
 
 
 # ----------------------------------------------------------------------
-# the whole crash image
+# the checkpoint document
 # ----------------------------------------------------------------------
-def image_to_dict(
-    image: CrashImage, codec: ProgramCodec, journal_lsn: int
+def checkpoint_to_dict(
+    snapshots: list[ProcessSnapshot],
+    records: dict[int, ProcessRecord],
+    codec: ProgramCodec,
+    *,
+    journal_lsn: int,
+    trace_len: int,
+    crashed_at: float,
+    max_pid: int,
 ) -> dict:
+    """The snapshot document: live state plus the two watermarks.
+
+    ``records`` holds only the pids with no terminal journal record
+    yet; the trace lives in its own namespace, ``trace_len`` events of
+    which this checkpoint covers.
+    """
     return {
         "journal_lsn": journal_lsn,
-        "crashed_at": image.crashed_at,
-        "max_pid": image.max_pid,
+        "trace_len": trace_len,
+        "crashed_at": crashed_at,
+        "max_pid": max_pid,
         "processes": [
-            snapshot_to_dict(snapshot, codec)
-            for snapshot in image.snapshots
-        ],
-        "trace": [
-            trace_event_to_dict(event) for event in image.trace_events
+            snapshot_to_dict(snapshot, codec) for snapshot in snapshots
         ],
         "records": {
             str(pid): record_to_dict(record)
-            for pid, record in image.records.items()
+            for pid, record in records.items()
         },
     }
 
 
-def image_from_dict(data: dict, codec: ProgramCodec) -> CrashImage:
+def checkpoint_from_dict(
+    data: dict, trace_rows: list, codec: ProgramCodec
+) -> CrashImage:
+    """The crash image a checkpoint document describes.
+
+    ``trace_rows`` is the prefix of the ``trace`` namespace the
+    document's ``trace_len`` covers.  ``records`` comes back holding
+    only what the document carries; the caller adds the finished
+    processes from their ``terminal`` journal records.
+    """
     return CrashImage(
         snapshots=[
             snapshot_from_dict(entry, codec)
             for entry in data["processes"]
         ],
         trace_events=[
-            trace_event_from_dict(entry) for entry in data["trace"]
+            trace_event_from_row(row, position)
+            for position, row in enumerate(trace_rows)
         ],
         records={
             int(pid): record_from_dict(record)

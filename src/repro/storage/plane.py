@@ -11,12 +11,17 @@ the durability protocol:
 * every terminal outcome is journaled (``terminal`` records, carrying
   the final :class:`~repro.scheduler.events.ProcessRecord`) at the next
   quiescent point;
-* once enough journal records accumulate, a **snapshot** — the
-  existing :func:`repro.scheduler.recovery.crash` image, serialized —
-  is swapped in atomically.
+* once enough journal records accumulate, a **snapshot** is cut.  It
+  writes what changed since the previous one: the trace events
+  recorded since go to the append-only ``trace`` namespace, and a small
+  document — live-process continuations, the records of undecided
+  pids, the journal and trace watermarks — is swapped in atomically
+  after them.  Finished processes are not copied anywhere: their
+  ``terminal`` record is their durable home.
 
-Restart recovery composes the pieces: heal torn tails, load the
-snapshot, rebuild the crash image, run it through the *existing*
+Restart recovery composes the pieces: heal torn tails, rebuild the
+:func:`repro.scheduler.recovery.crash` image from document + trace
+prefix + terminal records, run it through the *existing*
 :func:`repro.scheduler.recovery.recover` machinery (locks re-acquired
 in sharing order, processes adopted mid-flight), then walk the journal
 — terminal records restore finished processes without re-execution,
@@ -39,13 +44,14 @@ from repro import config as repro_config
 from repro.activities.activity import ensure_uid_floor
 from repro.obs.events import StoreRecovered, StoreSnapshot, StoreTornTail
 from repro.scheduler.events import ProcessRecord
-from repro.scheduler.recovery import CrashImage, crash, recover
+from repro.scheduler.recovery import CrashImage, recover, snapshot_live
 from repro.storage.journal import (
     ProgramCodec,
-    image_from_dict,
-    image_to_dict,
+    checkpoint_from_dict,
+    checkpoint_to_dict,
     record_from_dict,
     record_to_dict,
+    trace_event_to_row,
 )
 
 
@@ -87,11 +93,23 @@ class PersistencePlane:
         self.snapshot_every = repro_config.store_snapshot_every(
             snapshot_every
         )
+        # Each namespace is read and decoded once, here; recover()
+        # consumes and releases the two lists (and counts the time
+        # reading them took as its own).
+        started = time.monotonic()
+        self._document = store.snapshots.load()
+        self._journal = store.journal.records()
+        self._read_seconds = time.monotonic() - started
         #: Journal length found on disk at open (appends via
         #: ``store.journal.appended`` count from here).
-        self._base_len = len(self.store.journal)
+        self._base_len = len(self._journal)
         self._snapshot_lsn = 0
-        self._journaled_terminal: set[int] = set()
+        #: Trace events the last snapshot covers; the next one appends
+        #: from here.
+        self._trace_len = 0
+        self._max_pid = 0
+        #: Submitted pids with no terminal record journaled yet.
+        self._undecided: set[int] = set()
         self.last_recovery: RecoveryInfo | None = None
 
     # ------------------------------------------------------------------
@@ -102,10 +120,7 @@ class PersistencePlane:
         self.store.meta.ensure(identity)
 
     def has_state(self) -> bool:
-        return (
-            self._base_len > 0
-            or self.store.snapshots.load() is not None
-        )
+        return self._base_len > 0 or self._document is not None
 
     @property
     def journal_len(self) -> int:
@@ -114,6 +129,42 @@ class PersistencePlane:
     # ------------------------------------------------------------------
     # startup recovery
     # ------------------------------------------------------------------
+    def load_image(self) -> tuple[CrashImage, dict[int, str]]:
+        """The crash image as of the last snapshot, rebuilt from what
+        open read, and the journaled outcome of each finished pid.
+
+        Finished processes come from the journal: the latest
+        ``terminal`` record of each pid.  A pid that is live in the
+        snapshot re-executes from its snapshot state instead (its
+        post-snapshot trace was lost with the crash, so restoring the
+        terminal would leave the spliced schedule incomplete); its
+        stale terminal record is ignored and a fresh one is journaled
+        when it finishes again.
+        """
+        document = self._document
+        if document is None:
+            image = CrashImage(snapshots=[], trace_events=[])
+        else:
+            trace_len = document["trace_len"]
+            rows = self.store.trace.events(trace_len)
+            del rows[trace_len:]  # orphans of a crash before the swap
+            image = checkpoint_from_dict(document, rows, self.codec)
+        live = {snapshot.pid for snapshot in image.snapshots}
+        outcomes: dict[int, str] = {}
+        for entry in self._journal:
+            kind = entry.get("kind")
+            if kind in ("submit", "terminal"):
+                image.max_pid = max(image.max_pid, int(entry["pid"]))
+            if kind == "terminal" and entry["pid"] not in live:
+                pid, stored = entry["pid"], entry.get("record")
+                image.records[pid] = (
+                    record_from_dict(stored)
+                    if stored
+                    else ProcessRecord(pid=pid, submitted_at=0.0)
+                )
+                outcomes[pid] = entry.get("outcome")
+        return image, outcomes
+
     def recover(
         self,
         protocol,
@@ -130,33 +181,15 @@ class PersistencePlane:
         """
         started = time.monotonic()
         info = RecoveryInfo(healed=dict(self.store.healed))
-        document = self.store.snapshots.load()
-        journal = self.store.journal.records()
+        image, outcomes = self.load_image()
+        document, journal = self._document, self._journal
+        self._document, self._journal = None, []
         info.journal_records = len(journal)
         if document is not None:
-            image = image_from_dict(document, self.codec)
-            info.snapshot_lsn = int(document.get("journal_lsn", 0))
+            info.snapshot_lsn = int(document["journal_lsn"])
             self._snapshot_lsn = info.snapshot_lsn
-        else:
-            image = CrashImage(snapshots=[], trace_events=[])
-        image_pids = {
-            snapshot.pid for snapshot in image.snapshots
-        }
-        # Journal pass 1: the latest terminal record per pid.  A pid
-        # that is live in the snapshot re-executes from its snapshot
-        # state instead (its post-snapshot trace was lost with the
-        # crash, so restoring the terminal would leave the spliced
-        # schedule incomplete); its stale terminal record is ignored
-        # and a fresh one is journaled when it finishes again.
-        terminal: dict[int, dict] = {}
-        max_pid = image.max_pid
-        for record in journal:
-            kind = record.get("kind")
-            if kind in ("submit", "terminal"):
-                max_pid = max(max_pid, int(record["pid"]))
-            if kind == "terminal" and record["pid"] not in image_pids:
-                terminal[record["pid"]] = record
-        image.max_pid = max_pid
+        self._trace_len = len(image.trace_events)
+        self._max_pid = image.max_pid
         if tracer is not None and tracer.enabled:
             # Keep stamped times monotone across incarnations.
             tracer.offset = (
@@ -182,38 +215,32 @@ class PersistencePlane:
             )
         )
         info.adopted = len(image.snapshots)
-        # Journal pass 2: restore finished processes, re-schedule the
-        # undecided remainder under their original pids.
-        for pid in sorted(terminal):
-            record = terminal[pid]
-            stored = record.get("record")
-            process_record = (
-                record_from_dict(stored)
-                if stored
-                else ProcessRecord(pid=pid, submitted_at=0.0)
-            )
-            manager.records[pid] = process_record
+        self._undecided.update(
+            snapshot.pid for snapshot in image.snapshots
+        )
+        # recover() restored the finished processes' records with the
+        # image; count them, then re-schedule the undecided remainder
+        # under their original pids.
+        for pid, outcome in outcomes.items():
             manager.stats.submitted += 1
-            if process_record.committed_at is not None:
+            if manager.records[pid].committed_at is not None:
                 manager.stats.committed += 1
-            if record.get("outcome") == "cancelled":
+            if outcome == "cancelled":
                 info.cancelled_pids.add(pid)
                 manager.stats.cancellations += 1
-            self._journaled_terminal.add(pid)
-            info.restored += 1
-        seen: set[int] = set()
+        info.restored = len(outcomes)
         for record in journal:
             if record.get("kind") != "submit":
                 continue
             pid = int(record["pid"])
-            if pid in image_pids or pid in terminal or pid in seen:
+            if pid in self._undecided or pid in outcomes:
                 continue
-            seen.add(pid)
+            self._undecided.add(pid)
             manager.submit_recovered(
                 pid, self.codec.program_at(int(record["program"]))
             )
             info.resubmitted += 1
-        info.seconds = time.monotonic() - started
+        info.seconds = self._read_seconds + time.monotonic() - started
         self.last_recovery = info
         if tracer is not None and tracer.enabled:
             for namespace, dropped in sorted(info.healed.items()):
@@ -250,6 +277,8 @@ class PersistencePlane:
                 "at": at,
             }
         )
+        self._undecided.add(pid)
+        self._max_pid = max(self._max_pid, pid)
 
     def note_cancel(self, pid: int) -> None:
         self.store.journal.append({"kind": "cancel", "pid": pid})
@@ -259,12 +288,13 @@ class PersistencePlane:
     ) -> bool:
         """Quiescent-point bookkeeping; returns True on a snapshot.
 
-        Journals newly terminal processes, takes a snapshot when the
-        journal has outgrown the cadence, and flushes so everything
+        Journals newly terminal processes (in ascending pid order, so
+        a schedule fixes the journal's bytes), takes a snapshot when
+        the journal has outgrown the cadence, and flushes so everything
         acknowledged after this point is durable.
         """
-        for pid in sorted(manager.records):
-            if pid in self._journaled_terminal or not is_terminal(pid):
+        for pid in sorted(self._undecided):
+            if not is_terminal(pid):
                 continue
             record = manager.records[pid]
             if record.committed_at is not None:
@@ -281,7 +311,7 @@ class PersistencePlane:
                     "record": record_to_dict(record),
                 }
             )
-            self._journaled_terminal.add(pid)
+            self._undecided.discard(pid)
         took = False
         if (
             self.journal_len - self._snapshot_lsn
@@ -293,23 +323,49 @@ class PersistencePlane:
         return took
 
     def snapshot(self, manager) -> int:
-        """Serialize the manager's crash image; returns the watermark."""
-        image = crash(manager)
+        """Checkpoint what changed since the last one; returns the
+        journal watermark.
+
+        Two steps, in this order: the trace events recorded since the
+        previous snapshot are appended to the ``trace`` namespace and
+        synced (with the journal); then the document is swapped in
+        atomically.  A crash in between recovers the previous snapshot
+        exactly; the appended events lie past its ``trace_len`` and are
+        superseded by the next incarnation's first snapshot.
+        """
+        events = manager.trace.events
+        if len(events) > self._trace_len:
+            self.store.trace.append(
+                self._trace_len,
+                [
+                    trace_event_to_row(event)
+                    for event in events[self._trace_len:]
+                ],
+            )
+        self.store.flush()
+        processes = snapshot_live(manager)
         lsn = self.journal_len
         self.store.snapshots.save(
-            image_to_dict(image, self.codec, journal_lsn=lsn)
+            checkpoint_to_dict(
+                processes,
+                {pid: manager.records[pid] for pid in self._undecided},
+                self.codec,
+                journal_lsn=lsn,
+                trace_len=len(events),
+                crashed_at=manager.engine.now,
+                max_pid=self._max_pid,
+            )
         )
         self._snapshot_lsn = lsn
+        self._trace_len = len(events)
         tracer = manager.tracer
         if tracer.enabled:
             tracer.emit(
-                StoreSnapshot(
-                    processes=len(image.snapshots), journal_lsn=lsn
-                )
+                StoreSnapshot(processes=len(processes), journal_lsn=lsn)
             )
         return lsn
 
     def final(self, manager) -> None:
-        """Drain-time checkpoint: snapshot the settled world and sync."""
+        """Drain-time checkpoint of the settled world (a snapshot syncs
+        everything it covers before its document goes in)."""
         self.snapshot(manager)
-        self.store.flush()

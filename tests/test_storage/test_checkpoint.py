@@ -1,0 +1,352 @@
+"""Incremental checkpoints: trace delta + slim document + terminal records.
+
+A snapshot writes what changed since the previous one
+(``docs/persistence.md``, "What is persisted").  These tests hold the
+three pieces together: the image a restart rebuilds from them equals
+the image the manager would have captured in memory, at every
+snapshot; a crash between the two write steps loses nothing that was
+durable; a damaged trace is a typed error; and store bytes grow
+linearly with the work done.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+
+import pytest
+
+from repro.cli import main as repro_main
+from repro.errors import StorageError, WalCorruptionError
+from repro.scheduler.manager import ManagerConfig, make_manager
+from repro.scheduler.recovery import crash
+from repro.server.service import ProcessLockingService, ServiceConfig
+from repro.sim.runner import make_protocol
+from repro.sim.workload import WorkloadSpec, build_workload
+from repro.storage import JournalTracer, PersistencePlane, Store
+from repro.storage.codec import encode_frame, scan_frames
+from repro.storage.facade import FORMAT_VERSION, dumps, loads
+from tests.test_storage.test_plane import _is_terminal
+
+CONTENDED = WorkloadSpec(
+    n_processes=14,
+    conflict_density=0.6,
+    failure_probability=0.1,
+    seed=11,
+)
+
+
+class _JournalTee(JournalTracer):
+    """The service's journal tee, which makes the journal grow with the
+    schedule (grants, Wcc classifications) — plus the pids between an
+    abort and their resubmission, which look finished to a predicate
+    that reads only the manager's tables."""
+
+    def __init__(self, journal) -> None:
+        super().__init__(journal)
+        self.awaiting_resubmit: set[int] = set()
+
+    def emit(self, event) -> None:
+        if event.kind == "process.abort" and event.resubmit:
+            self.awaiting_resubmit.add(event.pid)
+        elif event.kind == "process.resubmit":
+            self.awaiting_resubmit.discard(event.pid)
+        super().emit(event)
+
+
+def _open_manager(workload, path, snapshot_every):
+    """A plane + manager on ``path``: recovered when it holds state."""
+    store = Store.open("log", path, fsync="never")
+    plane = PersistencePlane(
+        store, workload.programs, snapshot_every=snapshot_every
+    )
+    config = ManagerConfig(max_resubmissions=100_000, store=store)
+    protocol = make_protocol("process-locking", workload)
+    tracer = _JournalTee(store.journal)
+    if plane.has_state():
+        manager, _ = plane.recover(
+            protocol,
+            config=config,
+            subsystems=workload.make_subsystems(),
+            seed=CONTENDED.seed,
+            tracer=tracer,
+        )
+    else:
+        manager = make_manager(
+            protocol,
+            subsystems=workload.make_subsystems(),
+            config=config,
+            seed=CONTENDED.seed,
+            tracer=tracer,
+        )
+    return store, plane, manager
+
+
+def _stored_image(workload, path):
+    """The image a restart on ``path`` would rebuild, read right now."""
+    store = Store.open("log", path, fsync="never")
+    try:
+        image, _ = PersistencePlane(store, workload.programs).load_image()
+        return image
+    finally:
+        store.close()
+
+
+def _drive(plane, manager, steps=5):
+    """Step the engine to quiescence; a drain point every ``steps``
+    events or so, mid-flight but with no resubmission outstanding."""
+    engine = manager.engine
+    while engine.pending:
+        engine.run_steps(steps)
+        while manager.tracer.awaiting_resubmit:
+            engine.run_steps(1)
+        plane.after_drain(manager, _is_terminal(manager), set())
+
+
+@pytest.mark.parametrize("cadence", (1, 7, 256))
+def test_stored_image_equals_crash_image_at_every_snapshot(
+    tmp_path, cadence
+):
+    workload = build_workload(CONTENDED)
+    path = str(tmp_path / "store")
+    store, plane, manager = _open_manager(workload, path, cadence)
+    checked = []
+    take = plane.snapshot
+
+    def snapshot_and_compare(manager):
+        lsn = take(manager)
+        assert _stored_image(workload, path) == crash(manager)
+        checked.append(lsn)
+        return lsn
+
+    plane.snapshot = snapshot_and_compare
+    for index, program in enumerate(workload.programs):
+        plane.note_submit(manager.submit(program, at=index), index)
+    _drive(plane, manager)
+    plane.final(manager)
+    store.close()
+    assert manager.stats.resubmissions > 0  # it was contended
+    assert len(manager.trace.events) > 100
+    # Cadence 1 snapshots at every drain point, 256 only at the end.
+    assert len(checked) >= {1: 20, 7: 10, 256: 1}[cadence]
+
+
+def test_crash_between_trace_append_and_document_swap(tmp_path):
+    """The previous snapshot is recovered exactly; the orphan delta is
+    neither an error nor replayed, and the next writer supersedes it."""
+    workload = build_workload(CONTENDED)
+    path = str(tmp_path / "store")
+    store, plane, manager = _open_manager(workload, path, 7)
+    for index, program in enumerate(workload.programs):
+        plane.note_submit(manager.submit(program, at=index), index)
+    images = []
+    take = plane.snapshot
+
+    def snapshot_and_keep(manager):
+        lsn = take(manager)
+        image = crash(manager)
+        # crash() shares the live, still-mutating record objects.
+        image.records = copy.deepcopy(image.records)
+        images.append(image)
+        return lsn
+
+    plane.snapshot = snapshot_and_keep
+    replace = store.backend.replace
+
+    def die_on_third_swap(namespace, payloads):
+        if namespace == "snapshot" and len(images) == 2:
+            raise KeyboardInterrupt("killed before the swap")
+        replace(namespace, payloads)
+
+    store.backend.replace = die_on_third_swap
+    with pytest.raises(KeyboardInterrupt):
+        _drive(plane, manager)
+    store.close()
+    # The delta of the third snapshot did reach the trace file.
+    durable = images[-1]
+    orphaned = Store.open("log", path, fsync="never")
+    assert len(orphaned.trace.events()) > len(durable.trace_events)
+    orphaned.close()
+    assert _stored_image(workload, path) == durable
+
+    store2, plane2, recovered = _open_manager(workload, path, 7)
+    assert len(recovered.trace.events) == len(durable.trace_events)
+    _drive(plane2, recovered)
+    plane2.final(recovered)
+    store2.close()
+    assert _stored_image(workload, path) == crash(recovered)
+
+
+# ----------------------------------------------------------------------
+# through the service
+# ----------------------------------------------------------------------
+SPEC = WorkloadSpec(
+    n_processes=6,
+    conflict_density=0.4,
+    failure_probability=0.08,
+    grounded=True,
+    seed=5,
+)
+
+
+def _config(tmp_path, **overrides) -> ServiceConfig:
+    return ServiceConfig(
+        spec=SPEC,
+        seed=5,
+        store="log",
+        store_path=str(tmp_path / "store"),
+        store_fsync="never",
+        snapshot_every=overrides.pop("snapshot_every", 16),
+        **overrides,
+    )
+
+
+def _run_once(tmp_path, count=12) -> None:
+    """One clean incarnation: ``count`` processes, several snapshots."""
+    service = ProcessLockingService(_config(tmp_path)).start()
+    for k in range(count):
+        service.execute(
+            {"cmd": "submit", "program": k, "wait": True}
+        ).result(timeout=60)
+    service.stop()
+
+
+def _trace_frames(tmp_path) -> list[dict]:
+    data = (tmp_path / "store" / "trace.log").read_bytes()
+    return [loads(payload) for payload in scan_frames(data).payloads]
+
+
+def _write_trace(tmp_path, frames: list[dict]) -> None:
+    (tmp_path / "store" / "trace.log").write_bytes(
+        b"".join(encode_frame(dumps(frame)) for frame in frames)
+    )
+
+
+def _assert_refused_everywhere(tmp_path, capsys, *needles) -> None:
+    """serve, ``store verify`` (exit 2) and describe all refuse, typed."""
+    path = str(tmp_path / "store")
+    with pytest.raises(WalCorruptionError) as caught:
+        ProcessLockingService(_config(tmp_path))
+    assert caught.value.namespace == "trace"
+    for needle in needles:
+        assert needle in str(caught.value)
+    store = Store.open("log", path)
+    try:
+        with pytest.raises(WalCorruptionError):
+            store.describe()
+        report = store.verify()
+        assert not report["ok"] and report["corrupt"] == ["trace"]
+    finally:
+        store.close()
+    assert repro_main(["store", "verify", "--path", path]) == 2
+    assert repro_main(["store", "inspect", "--path", path]) == 2
+    capsys.readouterr()
+
+
+def test_trace_shorter_than_watermark_is_typed(tmp_path, capsys):
+    _run_once(tmp_path)
+    frames = _trace_frames(tmp_path)
+    assert len(frames) >= 3
+    watermark = frames[-1]["start"] + len(frames[-1]["events"])
+    _write_trace(tmp_path, frames[:-1])  # a lost fsync
+    _assert_refused_everywhere(
+        tmp_path, capsys, str(frames[-1]["start"]), str(watermark)
+    )
+
+
+def test_trace_gap_is_typed(tmp_path, capsys):
+    _run_once(tmp_path)
+    frames = _trace_frames(tmp_path)
+    _write_trace(tmp_path, frames[:1] + frames[2:])
+    _assert_refused_everywhere(
+        tmp_path, capsys, f"position {frames[2]['start']}"
+    )
+
+
+def test_orphan_delta_past_watermark_is_ignored(tmp_path, capsys):
+    _run_once(tmp_path)
+    frames = _trace_frames(tmp_path)
+    watermark = frames[-1]["start"] + len(frames[-1]["events"])
+    orphan = {"start": watermark, "events": frames[-1]["events"][:2]}
+    _write_trace(tmp_path, frames + [orphan])
+    path = str(tmp_path / "store")
+    assert repro_main(["store", "verify", "--path", path]) == 0
+    assert repro_main(["store", "inspect", "--path", path]) == 0
+    shown = capsys.readouterr().out
+    described = json.loads(shown[shown.index("{"):])
+    assert described["snapshot"]["trace_len"] == watermark
+    assert described["trace"]["events"] == watermark + 2
+    service = ProcessLockingService(_config(tmp_path)).start()
+    try:
+        assert len(service.manager.trace.events) == watermark
+        report = service.execute({"cmd": "check"}).result(timeout=30)
+        assert report["complete"] and report["correct_termination"]
+    finally:
+        service.stop()
+
+
+def test_v1_store_is_refused_naming_format(tmp_path):
+    _run_once(tmp_path, count=2)
+    assert FORMAT_VERSION == 2
+    store = Store.open("log", str(tmp_path / "store"))
+    store.backend.replace(
+        "meta", [dumps(dict(store.meta.load(), format=1))]
+    )
+    store.close()
+    with pytest.raises(StorageError, match="format: store has 1"):
+        ProcessLockingService(_config(tmp_path))
+
+
+def test_store_bytes_grow_linearly_with_submissions(tmp_path):
+    def bytes_after(requests: int) -> int:
+        config = _config(tmp_path / str(requests), snapshot_every=64)
+        service = ProcessLockingService(config).start()
+        try:
+            for k in range(requests):
+                service.execute(
+                    {"cmd": "submit", "program": k, "wait": True}
+                ).result(timeout=60)
+            return service.store.stats()["bytes_written"]
+        finally:
+            service.stop()
+
+    assert bytes_after(400) <= 2.3 * bytes_after(200)
+
+
+def test_compact_then_restart_keeps_finished_work(tmp_path):
+    """`repro store compact` must not make a restart forget outcomes."""
+    first = ProcessLockingService(
+        _config(tmp_path, time_scale=5.0)
+    ).start()
+    (cancelled_pid,) = first.execute(
+        {"cmd": "submit", "count": 1, "at": 50.0}
+    ).result(timeout=30)["pids"]
+    assert first.execute(
+        {"cmd": "cancel", "pid": cancelled_pid}
+    ).result(timeout=30)["cancelled"]
+    first.stop()
+    _run_once(tmp_path, count=60)
+
+    def restart_and_look() -> tuple:
+        service = ProcessLockingService(_config(tmp_path)).start()
+        try:
+            stats = service.execute({"cmd": "stats"}).result(timeout=30)
+            status = service.execute(
+                {"cmd": "status", "pid": cancelled_pid}
+            ).result(timeout=30)
+            return (
+                stats["manager"],
+                stats["store"]["recovered"]["restored"],
+                status,
+            )
+        finally:
+            service.stop()
+
+    before = restart_and_look()
+    assert before[0]["submitted"] == 61 and before[1] == 61
+    assert before[2]["outcome"] == "cancelled"
+    store = Store.open("log", str(tmp_path / "store"))
+    dropped = store.compact()["dropped"]["journal"]
+    store.close()
+    assert dropped > 61  # submits, the cancel, grants, classifications
+    assert restart_and_look() == before

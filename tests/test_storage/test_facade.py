@@ -93,8 +93,9 @@ def test_compact_drops_decided_journal_and_won_wal(tmp_path):
     # Journal: pid 1 decided, pid 2 still pending at the watermark.
     store.journal.append({"kind": "submit", "pid": 1, "program": 0})
     store.journal.append({"kind": "submit", "pid": 2, "program": 1})
+    store.journal.append({"kind": "grant", "pid": 1, "name": "a"})
     store.journal.append({"kind": "terminal", "pid": 1})
-    store.snapshots.save({"journal_lsn": 3, "processes": []})
+    store.snapshots.save({"journal_lsn": 4, "processes": []})
     store.journal.append({"kind": "submit", "pid": 3, "program": 0})
     # Subsystem WAL: txn 1 committed (droppable), txn 2 a loser.
     wal = store.subsystem_wal("bank")
@@ -109,13 +110,15 @@ def test_compact_drops_decided_journal_and_won_wal(tmp_path):
     data.append({"key": "dead", "deleted": True})
     report = store.compact()
     journal = store.journal.records()
-    # Kept: pid 2's undecided pre-watermark submit + the tail.
+    # Kept: pid 2's undecided pre-watermark submit, pid 1's terminal
+    # record (the one home of a finished process) + the tail.
     assert [(r["kind"], r["pid"]) for r in journal] == [
         ("submit", 2),
+        ("terminal", 1),
         ("submit", 3),
     ]
     # The snapshot watermark now covers the kept head.
-    assert store.snapshots.load()["journal_lsn"] == 1
+    assert store.snapshots.load()["journal_lsn"] == 2
     # WAL keeps only the loser's records.
     kept_wal = store.subsystem_wal("bank").records()
     assert [r["txn_id"] for r in kept_wal] == [2]
@@ -123,8 +126,8 @@ def test_compact_drops_decided_journal_and_won_wal(tmp_path):
     assert store.subsystem_data("bank").records() == [
         {"key": "k", "value": 2}
     ]
-    assert report["before"]["journal"] == 4
-    assert report["after"]["journal"] == 2
+    assert report["before"]["journal"] == 5
+    assert report["after"]["journal"] == 3
     assert report["dropped"]["journal"] == 2
     store.close()
 
