@@ -16,7 +16,8 @@ explain replay consume.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import copy
+from dataclasses import dataclass, field, fields
 
 from repro.core.decisions import (  # noqa: F401  (re-exported)
     RULE_BY_REASON,
@@ -474,6 +475,58 @@ EVENT_TYPES: dict[str, type] = {
 }
 
 
+#: Field annotations whose values are immutable (scalars and tuples of
+#: scalars), so the payload may hold the event's own object.
+_SHARED_ANNOTATIONS = frozenset(
+    {
+        "int",
+        "str",
+        "bool",
+        "float",
+        "int | None",
+        "str | None",
+        "tuple[int, ...]",
+        "tuple[str, ...]",
+    }
+)
+
+
+def _holders(holders) -> tuple[dict, ...]:
+    return tuple(
+        {"pid": h.pid, "timestamp": h.timestamp, "modes": h.modes}
+        for h in holders
+    )
+
+
+def _field_plan(cls) -> tuple:
+    """``(name, convert)`` per field; ``convert`` is ``None`` where the
+    value goes into the payload as it is."""
+    plan = []
+    for spec in fields(cls):
+        if spec.type in _SHARED_ANNOTATIONS:
+            convert = None
+        elif spec.type == "tuple[Holder, ...]":
+            convert = _holders
+        else:  # a mutable value (``FaultInjected.detail``)
+            convert = copy.deepcopy
+        plan.append((spec.name, convert))
+    return tuple(plan)
+
+
+_FIELD_PLANS: dict[type, tuple] = {
+    cls: _field_plan(cls) for cls in EVENT_TYPES.values()
+}
+
+
 def event_payload(event) -> dict:
-    """Flat JSON-ready payload of one event (without stamp fields)."""
-    return asdict(event)
+    """Flat JSON-ready payload of one event (without stamp fields).
+
+    A fresh dictionary equal to ``dataclasses.asdict(event)``, built
+    from a per-class field plan instead of a recursive deep copy.
+    """
+    return {
+        name: getattr(event, name)
+        if convert is None
+        else convert(getattr(event, name))
+        for name, convert in _FIELD_PLANS[type(event)]
+    }

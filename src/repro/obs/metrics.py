@@ -27,8 +27,11 @@ Three pieces live here:
 Performance note: like :class:`~repro.obs.tracer.Tracer`, nothing on
 the emit path flattens events through ``event_payload`` — the feeder
 reads attributes directly and the flight recorder stores the event
-object, flattening lazily at dump time.  The metrics-over-tracer factor
-is pinned by ``benchmarks/test_obs_overhead.py``.
+object, flattening lazily at dump time.  The sampler-polled gauges are
+not on the emit path either: whoever drives the engine calls
+:meth:`MetricsTracer.refresh_gauges` at its drain boundaries.  The
+metrics-over-tracer factor is pinned by
+``benchmarks/test_obs_overhead.py``.
 """
 
 from __future__ import annotations
@@ -148,9 +151,14 @@ class Counter(_Family):
     def inc(self, labels: tuple = (), amount: float = 1) -> None:
         if amount < 0:
             raise ValueError(f"{self.name}: counters only go up")
-        labels = self._check_labels(labels)
+        self.bump(self._check_labels(labels), amount)
+
+    def bump(self, key: tuple, amount: float = 1) -> None:
+        """:meth:`inc` for a caller that vouches for its arguments:
+        ``key`` is a tuple of ``str``, one per label name, and
+        ``amount`` is not negative."""
         with self._lock:
-            self._children[labels] = self._children.get(labels, 0) + amount
+            self._children[key] = self._children.get(key, 0) + amount
 
     def value(self, labels: tuple = ()) -> float:
         labels = self._check_labels(labels)
@@ -727,6 +735,8 @@ class EventMetrics:
         )
         # Pairing state for derived observations.
         self._gauge_targets: dict[str, tuple | object] = {}
+        #: kind -> (its ``repro_events_total`` key, its handler).
+        self._by_kind: dict[str, tuple] = {}
         self._defer_since: dict[tuple, float] = {}
         self._park_since: dict[int, tuple[float, str]] = {}
         self._retry_counts: dict[int, int] = {}
@@ -766,28 +776,33 @@ class EventMetrics:
     # ------------------------------------------------------------------
     def observe(self, t: float, event) -> None:
         kind = event.kind
-        self.events.inc((kind,))
-        handler = self._handlers.get(kind)
+        resolved = self._by_kind.get(kind)
+        if resolved is None:
+            resolved = self._by_kind[kind] = (
+                (kind,),
+                self._handlers.get(kind),
+            )
+        key, handler = resolved
+        self.events.bump(key)
         if handler is not None:
             handler(t, event)
 
     def sample_gauges(self, samples: dict[str, float]) -> None:
         """Consume one sampler poll (same dict the Tracer gauges get).
 
-        Hot path (once per emit): the first poll resolves each sample
-        key to a ``(child-map, label-key)`` write target; later polls
-        write straight to the child under the registry lock.
+        The first poll resolves each sample key to a ``(child-map,
+        label-key)`` write target; later polls write straight to the
+        children under the registry lock.
         """
         targets = self._gauge_targets
-        lock = self.registry._lock
-        for name, value in samples.items():
-            target = targets.get(name)
-            if target is None:
-                target = targets[name] = self._resolve_gauge(name)
-            if target is _IGNORED_SAMPLE:
-                continue
-            children, key = target
-            with lock:
+        with self.registry._lock:
+            for name, value in samples.items():
+                target = targets.get(name)
+                if target is None:
+                    target = targets[name] = self._resolve_gauge(name)
+                if target is _IGNORED_SAMPLE:
+                    continue
+                children, key = target
                 children[key] = value
 
     def _resolve_gauge(self, name: str):
@@ -814,16 +829,16 @@ class EventMetrics:
     # per-kind handlers
     # ------------------------------------------------------------------
     def _on_submit(self, t, event) -> None:
-        self.submitted.inc()
+        self.submitted.bump(())
 
     def _on_init(self, t, event) -> None:
-        self.initiated.inc()
+        self.initiated.bump(())
 
     def _on_commit(self, t, event) -> None:
-        self.outcomes.inc(("committed",))
+        self.outcomes.bump(("committed",))
 
     def _on_abort_begin(self, t, event) -> None:
-        self.aborts.inc((event.cause,))
+        self.aborts.bump((event.cause,))
 
     def _on_abort(self, t, event) -> None:
         if event.resubmit:
@@ -831,70 +846,70 @@ class EventMetrics:
         if event.pid in self._cancelling:
             self._cancelling.discard(event.pid)
             return
-        self.outcomes.inc(("aborted",))
+        self.outcomes.bump(("aborted",))
 
     def _on_cancel(self, t, event) -> None:
-        self.outcomes.inc(("cancelled",))
+        self.outcomes.bump(("cancelled",))
         if event.initiated:
             self._cancelling.add(event.pid)
 
     def _on_resubmit(self, t, event) -> None:
-        self.resubmitted.inc()
+        self.resubmitted.bump(())
 
     def _on_grant(self, t, event) -> None:
-        self.lock_grants.inc((event.request,))
+        self.lock_grants.bump((event.request,))
         key = (event.pid, event.uid, event.request)
         since = self._defer_since.pop(key, None)
         if since is not None:
             self.lock_wait.observe(t - since, (event.request,))
 
     def _on_defer(self, t, event) -> None:
-        self.lock_defers.inc((event.rule,))
+        self.lock_defers.bump((event.rule,))
         self._defer_since.setdefault(
             (event.pid, event.uid, event.request), t
         )
 
     def _on_cascade(self, t, event) -> None:
-        self.cascades.inc()
-        self.cascade_victims.inc(amount=len(event.victims))
+        self.cascades.bump(())
+        self.cascade_victims.bump((), len(event.victims))
 
     def _on_self_abort(self, t, event) -> None:
-        self.self_aborts.inc((event.rule,))
+        self.self_aborts.bump((event.rule,))
 
     def _on_convert(self, t, event) -> None:
-        self.conversions.inc()
+        self.conversions.bump(())
 
     def _on_classify(self, t, event) -> None:
-        self.classified.inc((event.mode,))
+        self.classified.bump((event.mode,))
 
     def _on_activity_start(self, t, event) -> None:
-        self.activities.inc(("started",))
+        self.activities.bump(("started",))
         worker = event.worker
-        self.worker_dispatch.inc(
+        self.worker_dispatch.bump(
             ("none" if worker is None else str(worker),)
         )
 
     def _on_activity_retry(self, t, event) -> None:
-        self.retries.inc()
+        self.retries.bump(())
         self._retry_counts[event.uid] = (
             self._retry_counts.get(event.uid, 0) + 1
         )
 
     def _on_activity_commit(self, t, event) -> None:
         if event.compensation:
-            self.compensations.inc()
-            self.activities.inc(("compensated",))
+            self.compensations.bump(())
+            self.activities.bump(("compensated",))
         else:
-            self.activities.inc(("committed",))
+            self.activities.bump(("committed",))
         self.retries_per_activity.observe(
             self._retry_counts.pop(event.uid, 0)
         )
 
     def _on_activity_fail(self, t, event) -> None:
-        self.activities.inc(("failed",))
+        self.activities.bump(("failed",))
 
     def _on_activity_cancel(self, t, event) -> None:
-        self.activities.inc(("cancelled",))
+        self.activities.bump(("cancelled",))
         self.retries_per_activity.observe(
             self._retry_counts.pop(event.uid, 0)
         )
@@ -902,7 +917,7 @@ class EventMetrics:
     def _on_wait_edge(self, t, event) -> None:
         shard = event.shard if event.shard is not None else "none"
         if event.op == "insert":
-            self.parks.inc((shard,))
+            self.parks.bump((shard,))
             self._park_since[event.seq] = (t, shard)
         else:
             since = self._park_since.pop(event.seq, None)
@@ -910,16 +925,16 @@ class EventMetrics:
                 self.park_duration.observe(t - since[0], (since[1],))
 
     def _on_deadlock_victim(self, t, event) -> None:
-        self.deadlock_victims.inc()
+        self.deadlock_victims.bump(())
 
     def _on_deadlock_forced(self, t, event) -> None:
-        self.deadlock_forced.inc()
+        self.deadlock_forced.bump(())
 
     def _on_fault(self, t, event) -> None:
-        self.faults.inc((event.channel,))
+        self.faults.bump((event.channel,))
 
     def _on_breaker(self, t, event) -> None:
-        self.breaker_transitions.inc(
+        self.breaker_transitions.bump(
             (event.subsystem, event.to_state)
         )
         self.breaker_state.set(
@@ -928,10 +943,10 @@ class EventMetrics:
         )
 
     def _on_admission(self, t, event) -> None:
-        self.admission.inc((event.op,))
+        self.admission.bump((event.op,))
 
     def _on_backpressure(self, t, event) -> None:
-        self.backpressure.inc((event.op,))
+        self.backpressure.bump((event.op,))
 
     def _on_degrade(self, t, event) -> None:
         self.degraded.set(1.0 if event.active else 0.0)
@@ -942,7 +957,7 @@ class EventMetrics:
         subsystem = (
             event.subsystem if event.subsystem is not None else "none"
         )
-        self.retry_budget.inc((subsystem,))
+        self.retry_budget.bump((subsystem,))
 
 
 # ----------------------------------------------------------------------
@@ -972,7 +987,6 @@ class MetricsTracer:
         self._offset = 0.0
         self._clock: Callable[[], float] = lambda: 0.0
         self._sampler: Callable[[], dict[str, float]] | None = None
-        self._last_sample: dict[str, float] = {}
         self._seq = itertools.count()
 
     @property
@@ -993,14 +1007,25 @@ class MetricsTracer:
     def bind_sampler(
         self, sampler: Callable[[], dict[str, float]] | None
     ) -> None:
-        # The tee polls the (possibly O(live-work)) sampler once per
-        # emit and shares the result: sinks get a view of the poll this
-        # emit already took, not the raw sampler — same per-emit gauge
-        # cadence in their series banks at half the sampling cost.
+        # The registry's gauges are read at scrape time, so the tee
+        # polls at drain boundaries (refresh_gauges), never per emit.
+        # A sink that banks a series point per emit gets the sampler
+        # itself and polls exactly as it would standalone.
         self._sampler = sampler
-        shared = None if sampler is None else (lambda: self._last_sample)
         for sink in self.sinks:
-            sink.bind_sampler(shared)
+            sink.bind_sampler(sampler)
+
+    def refresh_gauges(self) -> None:
+        """Poll the sampler into the registry's gauges.
+
+        Called by whoever drives the engine when a drain ends, on the
+        thread that owns the manager (the sampler reads its tables):
+        the service after every drain, ``ProcessManager.run`` once at
+        the end.
+        """
+        sampler = self._sampler
+        if sampler is not None:
+            self.metrics.sample_gauges(sampler())
 
     @property
     def now(self) -> float:
@@ -1012,10 +1037,6 @@ class MetricsTracer:
         recorder = self.recorder
         if recorder is not None:
             recorder.append(next(self._seq), t, event)
-        sampler = self._sampler
-        if sampler is not None:
-            self._last_sample = sampler()
-            self.metrics.sample_gauges(self._last_sample)
         for sink in self.sinks:
             sink.emit(event)
 

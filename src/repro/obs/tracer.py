@@ -70,6 +70,9 @@ class NullTracer:
     ) -> None:
         pass
 
+    def refresh_gauges(self) -> None:
+        pass
+
 
 #: The process-wide disabled tracer; shared safely because it is
 #: stateless.
@@ -105,6 +108,10 @@ class Tracer:
     ) -> None:
         """Poll ``sampler()`` for gauge values on every emit."""
         self._sampler = sampler
+
+    def refresh_gauges(self) -> None:
+        """The drain-boundary hook of the tracer protocol; the series
+        bank already holds a sample per emit."""
 
     @property
     def now(self) -> float:

@@ -403,6 +403,7 @@ class ProcessManager:
         finally:
             self.close()
         self.stats.note_inflight(self.engine.now, 0)
+        self.tracer.refresh_gauges()
         if require_quiescence and self._processes:
             leftovers = {
                 pid: proc.state.value
@@ -1681,7 +1682,7 @@ class ProcessManager:
             )
 
     def _gauge_sample(self) -> dict[str, float]:
-        """Current values of the virtual-time gauges (sampled on emit)."""
+        """Current values of the virtual-time gauges."""
         table = self.protocol.table
         sample = {
             "parked": float(len(self._parked)),

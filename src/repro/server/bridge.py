@@ -1,13 +1,16 @@
 """Bridge the manager's decision events onto the service event bus.
 
 :class:`BusTracer` satisfies the :class:`repro.obs.Tracer` protocol
-(``enabled`` / ``emit`` / ``bind_clock`` / ``bind_sampler``), so it
-slots into :func:`repro.scheduler.manager.make_manager` exactly where
-a recording tracer would — but instead of banking series it flattens
-each event to the same ``{seq, t, kind, **payload}`` record shape the
-JSONL exporter writes, publishes it on the bus under
-``topic = event.kind``, and keeps a bounded ring of recent records for
-the ``STATS``/reconnect paths.
+(``enabled`` / ``emit`` / ``bind_clock`` / ``bind_sampler`` /
+``refresh_gauges``), so it slots into
+:func:`repro.scheduler.manager.make_manager` exactly where a recording
+tracer would — but instead of banking series it stamps each event and
+publishes it on the bus under ``topic = event.kind``,
+flattened to the same ``{seq, t, kind, **payload}`` record shape the
+JSONL exporter writes.  The record is built only when a live
+subscription covers the kind: an event nobody listens to consumes its
+sequence number and is counted, nothing more (the flight recorder is
+the ring of recent events; it flattens when dumped).
 
 Stamping uses the *virtual* clock the manager binds, so the record
 stream of a fixed-seed scripted session is byte-identical run to run —
@@ -17,7 +20,6 @@ wall time never leaks into the frames.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from collections.abc import Callable
 
 from repro.obs.events import event_payload
@@ -31,16 +33,14 @@ class BusTracer:
     the series bank, and polling per emit would only add jitter to the
     event stream clients see.  Thread-safety matches the parallel
     manager's needs — ``emit`` may be called from shard workers, and
-    every structure touched here is safe under concurrent append
-    (atomic counter, bounded deque, locked bus).
+    every structure touched here is safe under concurrent use
+    (atomic counter, locked bus).
     """
 
     enabled = True
 
-    def __init__(self, bus: EventBus, retain: int = 1024) -> None:
+    def __init__(self, bus: EventBus) -> None:
         self.bus = bus
-        #: Ring of the most recent records (newest last).
-        self.recent: deque[dict] = deque(maxlen=retain)
         #: Mirrors :attr:`repro.obs.Tracer.offset`: added to every
         #: clock reading so stamps stay monotone across manager
         #: incarnations under the fault injector.
@@ -57,14 +57,21 @@ class BusTracer:
     ) -> None:
         """Accepted for protocol compatibility; gauges are not bridged."""
 
+    def refresh_gauges(self) -> None:
+        """Gauges are not bridged."""
+
     def emit(self, event) -> None:
-        """Flatten, stamp, retain, and publish one decision event."""
-        record = {
-            "seq": next(self._seq),
-            "t": self._clock() + self.offset,
-            "kind": event.kind,
-        }
-        record.update(event_payload(event))
-        self.recent.append(record)
+        """Stamp and publish one decision event, flattened on demand."""
+        kind = event.kind
+        seq = next(self._seq)
         self.emitted += 1
-        self.bus.publish(event.kind, record)
+        bus = self.bus
+        record = None
+        if bus.listeners(kind):
+            record = {
+                "seq": seq,
+                "t": self._clock() + self.offset,
+                "kind": kind,
+            }
+            record.update(event_payload(event))
+        bus.publish(kind, record)

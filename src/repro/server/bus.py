@@ -73,6 +73,10 @@ class EventBus:
         self._mutex = threading.Lock()
         self._tokens = itertools.count(1)
         self._subs: tuple[Subscription, ...] = ()
+        #: ``(subs, {topic: covering subs})`` for the ``_subs`` tuple it
+        #: was computed from; a subscribe or unsubscribe replaces that
+        #: tuple, which retires the whole cache at the next lookup.
+        self._covering: tuple[tuple, dict] = ((), {})
         self.counters = BusCounters()
 
     def subscribe(
@@ -99,22 +103,45 @@ class EventBus:
             self._subs = kept
         return changed
 
-    def publish(self, topic: str, record: dict) -> int:
+    def listeners(self, topic: str) -> tuple[Subscription, ...]:
+        """The live subscriptions covering ``topic`` (often none).
+
+        Answered from a per-topic cache keyed on the copy-on-write
+        subscriber tuple, so a publisher asking before every event pays
+        a dict lookup, and sees a subscribe or unsubscribe from another
+        thread at its next call.
+        """
+        subs = self._subs
+        cached_for, by_topic = self._covering
+        if cached_for is not subs:
+            by_topic = {}
+            self._covering = (subs, by_topic)
+        covering = by_topic.get(topic)
+        if covering is None:
+            covering = by_topic[topic] = tuple(
+                sub for sub in subs if sub.covers(topic)
+            )
+        return covering
+
+    def publish(self, topic: str, record: dict | None) -> int:
         """Deliver ``record`` to every covering subscriber.
 
         Returns the delivery count.  Callback exceptions are swallowed
         and counted (:attr:`BusCounters.dropped`) — the publisher is
         the simulation engine thread and must stay alive.
+
+        A publisher that found no :meth:`listeners` may pass ``None``
+        for a record it never built: the publish is counted, and a
+        subscription that arrived in between starts at the next one.
         """
         with self._mutex:
-            subs = self._subs
             counters = self.counters
             counters.published += 1
             counters.by_topic[topic] = counters.by_topic.get(topic, 0) + 1
+        if record is None:
+            return 0
         delivered = 0
-        for sub in subs:
-            if not sub.covers(topic):
-                continue
+        for sub in self.listeners(topic):
             try:
                 sub.callback(topic, record)
                 delivered += 1

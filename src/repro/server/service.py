@@ -581,6 +581,10 @@ class ProcessLockingService:
             self.plane.after_drain(
                 self.manager, self._is_terminal, self._cancelled
             )
+        # The registry's gauges, once per drain and on this thread (the
+        # sampler reads manager tables): a scrape or a ``metrics``
+        # builder below reads what the drain left.
+        self.tracer.refresh_gauges()
         self._settle_latencies()
         for builder, fut in self._deferred:
             if not fut.set_running_or_notify_cancel():

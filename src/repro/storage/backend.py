@@ -2,7 +2,7 @@
 
 A backend stores ordered opaque payloads per **namespace** (one logical
 log: the scheduler journal, a snapshot slot, one subsystem's WAL, ...).
-Two implementations share the same five-method surface:
+Two implementations share the same surface:
 
 * :class:`AppendLogBackend` — one append-only file of CRC32-framed
   records (:mod:`repro.storage.codec`) per namespace, with an fsync
@@ -12,6 +12,9 @@ Two implementations share the same five-method surface:
 * :class:`MemoryBackend` — a dict of lists; persists nothing and
   exists so benchmarks can price durability against a true no-op and
   tests can exercise the facade without touching disk.
+
+``append_many`` is ``append`` for a group of frames: the same bytes in
+the same order, handed to the file in one ``write``.
 
 All mutating calls are serialized by one lock per backend: the journal
 tee can emit from shard workers while the engine thread appends.
@@ -51,10 +54,15 @@ class MemoryBackend:
         self.bytes_written = 0
 
     def append(self, namespace: str, payload: bytes) -> None:
+        self.append_many(namespace, (payload,))
+
+    def append_many(self, namespace: str, payloads) -> None:
         with self._mutex:
-            self._frames.setdefault(namespace, []).append(bytes(payload))
-            self.appends += 1
-            self.bytes_written += len(payload)
+            self._frames.setdefault(namespace, []).extend(
+                bytes(p) for p in payloads
+            )
+            self.appends += len(payloads)
+            self.bytes_written += sum(len(p) for p in payloads)
 
     def replace(self, namespace: str, payloads: list[bytes]) -> None:
         with self._mutex:
@@ -133,17 +141,23 @@ class AppendLogBackend:
 
     # -- writes --------------------------------------------------------
     def append(self, namespace: str, payload: bytes) -> None:
-        frame = encode_frame(payload)
+        self.append_many(namespace, (payload,))
+
+    def append_many(self, namespace: str, payloads) -> None:
+        """Append one frame per payload, in order, in a single write
+        (and at most one fsync: ``batch`` counts frames, so a group
+        that crosses ``sync_every`` syncs once, at its end)."""
+        frames = b"".join(map(encode_frame, payloads))
         with self._mutex:
             handle = self._handle(namespace)
-            handle.write(frame)
-            self.appends += 1
-            self.bytes_written += len(frame)
+            handle.write(frames)
+            self.appends += len(payloads)
+            self.bytes_written += len(frames)
             if self.fsync == "always":
                 os.fsync(handle.fileno())
                 self.fsyncs += 1
             elif self.fsync == "batch":
-                pending = self._unsynced.get(namespace, 0) + 1
+                pending = self._unsynced.get(namespace, 0) + len(payloads)
                 if pending >= self.sync_every:
                     os.fsync(handle.fileno())
                     self.fsyncs += 1

@@ -98,10 +98,33 @@ class JournalRepository(FrameRepository):
         #: Records appended through this handle (gauge fodder; the
         #: authoritative count is ``len(self)``).
         self.appended = 0
+        #: Informational records waiting for :meth:`write_deferred`.
+        self._deferred: list[dict] = []
 
     def append(self, record: dict) -> None:
+        self.write_deferred()
         super().append(record)
         self.appended += 1
+
+    def defer(self, record: dict) -> None:
+        """Queue a record no acknowledgement depends on.
+
+        It reaches the backend, in order, ahead of the next
+        :meth:`append` or at :meth:`write_deferred` — the persistence
+        plane calls that at every drain — so the journal's bytes are
+        those of appending it right away; a crash in between loses it.
+        """
+        self._deferred.append(record)
+
+    def write_deferred(self) -> None:
+        """Hand the queued records to the backend as one write."""
+        deferred = self._deferred
+        if deferred:
+            self._deferred = []
+            self._backend.append_many(
+                self.namespace, [dumps(record) for record in deferred]
+            )
+            self.appended += len(deferred)
 
 
 class SnapshotRepository:
@@ -275,9 +298,11 @@ class Store:
 
     # -- maintenance ---------------------------------------------------
     def flush(self) -> None:
+        self.journal.write_deferred()
         self.backend.flush()
 
     def close(self) -> None:
+        self.journal.write_deferred()
         self.backend.close()
 
     def stats(self) -> dict:

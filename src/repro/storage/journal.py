@@ -235,8 +235,10 @@ class JournalTracer:
     :class:`~repro.obs.metrics.MetricsTracer` sink tuple; it receives
     every event the engine emits and appends the durability-relevant
     subset — lock grants, Wcc classifications, exhausted retry budgets
-    — as informational journal records.  Emits can arrive from shard
-    workers; the backend serializes appends internally.
+    — as informational journal records.  No acknowledgement waits on
+    them, so they are queued (:meth:`JournalRepository.defer`) and
+    written in one piece at the next drain.  Emits can arrive from
+    shard workers; queueing is a list append.
     """
 
     enabled = True
@@ -252,10 +254,13 @@ class JournalTracer:
     def bind_sampler(self, sampler) -> None:
         pass
 
+    def refresh_gauges(self) -> None:
+        pass
+
     def emit(self, event) -> None:
         kind = getattr(event, "kind", "")
         if kind == "lock.grant":
-            self._journal.append(
+            self._journal.defer(
                 {
                     "kind": "grant",
                     "t": self._clock() + self.offset,
@@ -266,7 +271,7 @@ class JournalTracer:
                 }
             )
         elif kind == "wcc.classify":
-            self._journal.append(
+            self._journal.defer(
                 {
                     "kind": "wcc",
                     "t": self._clock() + self.offset,
@@ -278,7 +283,7 @@ class JournalTracer:
                 }
             )
         elif kind == "retry.budget_exhausted":
-            self._journal.append(
+            self._journal.defer(
                 {
                     "kind": "retry-exhausted",
                     "t": self._clock() + self.offset,

@@ -293,6 +293,9 @@ class PersistencePlane:
         the journal has outgrown the cadence, and flushes so everything
         acknowledged after this point is durable.
         """
+        # The drain's decision records, after its submits and ahead of
+        # its terminals — where appending them one by one put them.
+        self.store.journal.write_deferred()
         for pid in sorted(self._undecided):
             if not is_terminal(pid):
                 continue

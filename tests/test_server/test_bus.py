@@ -102,22 +102,33 @@ class TestBusTracer:
                 {"seq": 0, "t": 4.5, "kind": "process.submit", "pid": 7},
             )
         ]
-        assert tracer.recent[-1]["pid"] == 7
         assert tracer.emitted == 1
 
     def test_offset_applied_like_obs_tracer(self):
-        tracer = BusTracer(EventBus())
+        bus = EventBus()
+        tracer = BusTracer(bus)
+        seen: list[dict] = []
+        bus.subscribe(["*"], lambda t, r: seen.append(r))
         tracer.bind_clock(lambda: 1.0)
         tracer.offset = 10.0
         tracer.emit(ProcessSubmitted(pid=1))
-        assert tracer.recent[-1]["t"] == 11.0
+        assert seen[-1]["t"] == 11.0
 
-    def test_retention_bounded(self):
-        tracer = BusTracer(EventBus(), retain=3)
-        for pid in range(5):
+    def test_unheard_events_are_counted_and_keep_their_seq(self):
+        bus = EventBus()
+        tracer = BusTracer(bus)
+        for pid in range(3):
             tracer.emit(ProcessSubmitted(pid=pid))
-        assert [r["pid"] for r in tracer.recent] == [2, 3, 4]
+        seen: list[dict] = []
+        token = bus.subscribe(["*"], lambda t, r: seen.append(r))
+        tracer.emit(ProcessSubmitted(pid=3))
+        bus.unsubscribe(token)
+        tracer.emit(ProcessSubmitted(pid=4))
+        assert [(r["seq"], r["pid"]) for r in seen] == [(3, 3)]
         assert tracer.emitted == 5
+        assert bus.counters.published == 5
+        assert bus.counters.by_topic == {"process.submit": 5}
+        assert bus.counters.delivered == 1
 
     def test_protocol_compatible(self):
         tracer = BusTracer(EventBus())

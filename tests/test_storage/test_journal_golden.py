@@ -1,0 +1,156 @@
+"""What a session leaves behind does not depend on when it was written.
+
+The journal tee queues its informational records and the plane writes
+them once per drain; the bus bridge flattens an event only for a
+listener; the registry's gauges are sampled per drain.  None of that
+may show: the digests below were recorded at commit 1205e68, where
+every record was appended, every event flattened and every gauge
+sampled as it was emitted.  A moved digest means the bytes a store, a
+subscriber or a ``metrics`` reader gets have changed.
+
+The scripted session runs in a fresh interpreter for the reason
+``test_schedule_golden`` gives: uid counters start from zero there.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from repro.server.service import ProcessLockingService, ServiceConfig
+from repro.sim.workload import WorkloadSpec
+from repro.storage.backend import AppendLogBackend
+from repro.storage.facade import JournalRepository
+
+ROOT = Path(__file__).resolve().parents[2]
+
+CONTENDED = WorkloadSpec(
+    n_processes=16,
+    n_activity_types=12,
+    conflict_density=0.6,
+    failure_probability=0.04,
+    seed=3,
+)
+
+#: Recorded at 1205e68 by ``python -c "...session(sys.argv[1])"``.
+RECORDED = {
+    "journal": (
+        "89e8c2d827aee0333ed034629d5f60d043d82b6e81a98f60f117a61820997371"
+    ),
+    "trace": (
+        "0d784f50f4a4844917fa21d44c3aee2e86edec48cf3d7a83e8df1333531af75e"
+    ),
+    "frames": (
+        "d0bb2ed1b466e3685678b20b82f4ffb28fae84c9564cb6856b2a5f5a26e77211"
+    ),
+    "gauges": (
+        "956a01c632a244a18ce2dbf8a0e3a4788c37aa4f4a484f3cf46947c96f3bde2f"
+    ),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def session(store_path: str) -> dict[str, str]:
+    """Three contended bursts through a durable in-thread service with
+    a ``*`` subscriber; digests of the journal and trace files, of the
+    subscriber's frames and of the gauges a ``metrics`` verb returns
+    after the last drain."""
+    service = ProcessLockingService(
+        ServiceConfig(
+            spec=CONTENDED,
+            seed=3,
+            workers=0,
+            store="log",
+            store_path=store_path,
+            store_fsync="never",
+            snapshot_every=256,
+        )
+    )
+    frames: list[str] = []
+    service.bus.subscribe(
+        ["*"],
+        lambda topic, record: frames.append(
+            json.dumps(record, sort_keys=True)
+        ),
+    )
+    service.start()
+    for program in (0, 5, 11):
+        service.execute(
+            {"cmd": "submit", "program": program, "count": 16, "wait": True}
+        ).result(timeout=120)
+    families = service.execute({"cmd": "metrics"}).result(timeout=30)[
+        "metrics"
+    ]["families"]
+    gauges = {
+        family["name"]: family["samples"]
+        for family in families
+        if family["type"] == "gauge"
+        and not family["name"].startswith(("repro_store", "repro_bus"))
+    }
+    service.stop()
+    root = Path(store_path)
+    return {
+        "journal": _sha256((root / "journal.log").read_bytes()),
+        "trace": _sha256((root / "trace.log").read_bytes()),
+        "frames": _sha256("\n".join(frames).encode()),
+        "gauges": _sha256(json.dumps(gauges, sort_keys=True).encode()),
+    }
+
+
+def test_session_digests_match_recorded(tmp_path):
+    src = str(ROOT / "src")
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ,
+        PYTHONPATH=src + (os.pathsep + inherited if inherited else ""),
+    )
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys\n"
+         "from tests.test_storage.test_journal_golden import session\n"
+         "print(json.dumps(session(sys.argv[1])))",
+         str(tmp_path / "store")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == RECORDED
+
+
+def test_deferred_records_keep_their_place(tmp_path):
+    """Queued records land ahead of the next direct append, in order —
+    the file of appending each right away, frame for frame."""
+    records = [{"kind": "grant", "n": n} for n in range(3)]
+    submit, terminal = {"kind": "submit"}, {"kind": "terminal"}
+
+    eager_backend = AppendLogBackend(str(tmp_path / "eager"))
+    eager = JournalRepository(eager_backend)
+    for record in (submit, *records, terminal):
+        eager.append(record)
+
+    lazy_backend = AppendLogBackend(str(tmp_path / "lazy"))
+    lazy = JournalRepository(lazy_backend)
+    lazy.append(submit)
+    for record in records:
+        lazy.defer(record)
+    assert lazy.appended == 1 and len(lazy) == 1  # nothing written yet
+    lazy.append(terminal)
+    assert lazy.records() == [submit, *records, terminal]
+    lazy.defer(records[0])
+    lazy.write_deferred()
+    eager.append(records[0])
+
+    for backend in (eager_backend, lazy_backend):
+        backend.close()
+    assert (tmp_path / "lazy" / "journal.log").read_bytes() == (
+        tmp_path / "eager" / "journal.log"
+    ).read_bytes()
+    assert lazy.appended == eager.appended == 6
+    assert lazy_backend.appends == eager_backend.appends == 6
+    assert lazy_backend.bytes_written == eager_backend.bytes_written

@@ -15,6 +15,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -33,7 +34,7 @@ SPEC = WorkloadSpec(
 
 def _service(tmp_path, **overrides) -> ProcessLockingService:
     config = ServiceConfig(
-        spec=SPEC,
+        spec=overrides.pop("spec", SPEC),
         seed=5,
         store="log",
         store_path=str(tmp_path / "store"),
@@ -111,6 +112,79 @@ class TestInThreadRestart:
                 assert status["state"] == "done", (
                     f"P{pid} not terminal after restart: {status}"
                 )
+            report = second.execute({"cmd": "check"}).result(
+                timeout=30
+            )
+            assert report["complete"]
+            assert report["correct_termination"]
+            assert report["process_recoverable"]
+        finally:
+            second.stop()
+
+    @pytest.mark.parametrize("queued", ("dropped", "written"))
+    def test_crash_between_engine_drain_and_after_drain(
+        self, tmp_path, queued
+    ):
+        """The journal tee's grant/wcc records of a drain are queued
+        until ``after_drain``; dying before it drops them.  Nothing
+        reads them back at restart, so recovery is the one the store
+        with those records written (``written``) gets: the acknowledged
+        burst restored with its outcomes, the unacknowledged one re-run
+        from its ``submit`` records, the spliced schedule clean."""
+        contended = SPEC.with_(
+            n_processes=16, conflict_density=0.6, grounded=False
+        )
+        first = ProcessLockingService(
+            ServiceConfig(
+                spec=contended,
+                seed=5,
+                store="log",
+                store_path=str(tmp_path / "store"),
+                store_fsync="never",
+                snapshot_every=100_000,
+            )
+        )
+        post_drain = first._post_drain
+        armed = threading.Event()
+
+        def crash_when_armed():
+            if not armed.is_set():
+                return post_drain()
+            assert first.store.journal._deferred  # the drain queued some
+            if queued == "written":
+                first.store.journal.write_deferred()
+            first._stop.set()
+
+        first._post_drain = crash_when_armed
+        first.start()
+        acknowledged = first.execute(
+            {"cmd": "submit", "count": 16, "wait": True}
+        ).result(timeout=60)
+        armed.set()
+        lost = first.execute({"cmd": "submit", "count": 16, "wait": True})
+        first._thread.join(timeout=30)
+        assert not first._thread.is_alive()
+        assert not lost.done()  # never acknowledged
+
+        second = _service(tmp_path, spec=contended)
+        try:
+            recovery = second.recovery
+            assert (
+                recovery.restored,
+                recovery.resubmitted,
+                recovery.adopted,
+            ) == (16, 16, 0)
+            second.execute({"cmd": "ping"}).result(timeout=60)
+            for row in acknowledged["outcomes"]:
+                status = second.execute(
+                    {"cmd": "status", "pid": row["pid"]}
+                ).result(timeout=30)
+                assert status["outcome"] == row["outcome"]
+            for pid in range(17, 33):
+                status = second.execute(
+                    {"cmd": "status", "pid": pid}
+                ).result(timeout=30)
+                assert status["state"] == "done"
             report = second.execute({"cmd": "check"}).result(
                 timeout=30
             )
