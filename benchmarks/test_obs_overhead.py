@@ -4,7 +4,7 @@ The tracer's contract (see ``src/repro/obs/tracer.py``) has two halves:
 
 * **disabled** (the default ``NULL_TRACER``) — every emit site is one
   attribute read; the schedule is byte-identical to an uninstrumented
-  run, so the perf trajectory in ``BENCH_scaling.json`` is unaffected;
+  run, so what ``bench/`` measures untraced is unaffected;
 * **enabled** — full decision-level tracing costs a bounded constant
   factor, small enough to leave on whenever a run needs explaining.
 
@@ -80,7 +80,7 @@ def _timed(tracer=None):
 
 
 def _timed_min2(uid_floor, make_tracer):
-    """Min-of-2 walls, same policy as ``test_perf_scaling``.
+    """Min-of-2 walls.
 
     The pinned factors have only a few percent of headroom, so a single
     cold wall on either side flips the ratio spuriously.  Each run

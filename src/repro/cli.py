@@ -500,39 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the knob table as JSON instead of text",
     )
-
-    profile = sub.add_parser(
-        "profile",
-        help=(
-            "run one workload with phase-level wall-clock attribution "
-            "(grant/park/wake/deadlock/trace-emit shares)"
-        ),
-    )
-    _add_workload_args(profile, trace_out=False)
-    profile.add_argument(
-        "--protocol",
-        default="process-locking",
-        choices=sorted(PROTOCOL_FACTORIES),
-    )
-    profile.add_argument(
-        "--traced",
-        action="store_true",
-        help=(
-            "profile with decision-level tracing enabled, so the "
-            "trace-emit phase is exercised (events stay in memory)"
-        ),
-    )
-    profile.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the phase breakdown as JSON instead of a table",
-    )
-    profile.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help="also write the JSON phase breakdown to FILE",
-    )
     return parser
 
 
@@ -1029,54 +996,6 @@ def cmd_config(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    import json as json_module
-
-    from repro.obs.profiling import run_profiled_workload
-
-    workload = build_workload(_spec_from(args))
-    tracer = None
-    if args.traced:
-        from repro.obs import Tracer
-
-        tracer = Tracer()
-    result, profiler = run_profiled_workload(
-        workload,
-        args.protocol,
-        seed=args.seed,
-        config=_parallel_config(args, audit=True),
-        tracer=tracer,
-    )
-    report = profiler.report()
-    report["protocol"] = args.protocol
-    report["processes"] = args.processes
-    report["events"] = len(result.trace.events)
-    if args.out is not None:
-        with open(args.out, "w") as handle:
-            json_module.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"profile: wrote {args.out}")
-    if args.json:
-        print(json_module.dumps(report, indent=2, sort_keys=True))
-        return 0
-    rows = [
-        {
-            "phase": phase,
-            "seconds": f"{data['seconds']:.4f}",
-            "share": f"{data['share']:6.1%}",
-            "calls": data["calls"],
-        }
-        for phase, data in report["phases"].items()
-    ]
-    print(
-        f"profile: {args.protocol}, {args.processes} processes, "
-        f"{report['events']} schedule events, "
-        f"{report['total_s']:.3f}s wall"
-    )
-    print(render_dict_table(rows))
-    return 0
-
-
 def cmd_conformance(args: argparse.Namespace) -> int:
     names = (
         [args.protocol]
@@ -1109,7 +1028,6 @@ _COMMANDS = {
     "store": cmd_store,
     "top": cmd_top,
     "config": cmd_config,
-    "profile": cmd_profile,
 }
 
 

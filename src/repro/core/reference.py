@@ -10,9 +10,9 @@ recompute-from-scratch formulations alive as *oracles*:
   :func:`naive_blocked_by` on every audit;
 * the property tests churn a table through random histories and assert
   index/oracle agreement after every step;
-* ``benchmarks/test_perf_scaling.py`` runs whole workloads through the
-  naive path and asserts byte-identical schedules (and measures the
-  speedup the indexes buy);
+* ``tests/test_scheduler/test_naive_equivalence.py`` runs whole
+  workloads through the naive path and asserts byte-identical
+  schedules;
 * :func:`naive_blocker_pids` and :func:`naive_probe_blocked` walk the
   dict-based conflict adjacency instead of ANDing bitmasks, for the
   compiled-table property tests — the dict-based

@@ -11,7 +11,7 @@ Every round gets a *fresh* :class:`~repro.resilience.ResilienceLayer`
 (the layer is stateful per logical run); rounds are seeded from
 ``plan.seed`` alone, so soak reports are deterministic byte for byte.
 
-``repro soak`` drives this from the CLI; the CI ``soak-smoke`` job
+``repro soak`` drives this from the CLI; the CI ``smoke`` job
 asserts a fixed-seed soak of ≥ 1000 events passes with zero violations.
 """
 

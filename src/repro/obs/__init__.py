@@ -26,10 +26,7 @@ observable, instead of only the end-of-run aggregates of
   Prometheus text exposition, the :class:`EventMetrics` feeder mapping
   the event stream onto it, and the :class:`MetricsTracer` tee;
 * :mod:`repro.obs.flight` — a bounded ring of the last N events,
-  dumped as JSONL on drain/crash so any incident is explainable;
-* :mod:`repro.obs.profiling` — phase-level wall-clock attribution
-  (grant / park / wake / deadlock / trace-emit shares) behind
-  ``repro profile`` and ``benchmarks/test_profile.py``.
+  dumped as JSONL on drain/crash so any incident is explainable.
 """
 
 from repro.obs.explain import deferred_pids, explain_process
@@ -43,11 +40,6 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.flight import FlightRecorder
-from repro.obs.profiling import (
-    PhaseProfiler,
-    instrument,
-    run_profiled_workload,
-)
 from repro.obs.metrics import (
     EventMetrics,
     MetricsRegistry,
@@ -66,7 +58,6 @@ __all__ = [
     "MetricsTracer",
     "NULL_TRACER",
     "NullTracer",
-    "PhaseProfiler",
     "SeriesBank",
     "Tracer",
     "deferred_pids",
@@ -74,13 +65,11 @@ __all__ = [
     "explain_process",
     "export_all",
     "histogram_quantile",
-    "instrument",
     "parse_prometheus",
     "perfetto_trace",
     "read_jsonl",
     "record_to_event",
     "replay_metrics",
-    "run_profiled_workload",
     "wait_for_dot",
     "write_jsonl",
 ]

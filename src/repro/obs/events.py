@@ -530,3 +530,14 @@ def event_payload(event) -> dict:
         else convert(getattr(event, name))
         for name, convert in _FIELD_PLANS[type(event)]
     }
+
+
+def flat_record(seq: int, t: float, event) -> dict:
+    """The ``{seq, t, kind, **payload}`` record of one stamped event.
+
+    The one spelling of what a JSONL line, a flight-ring dump and a bus
+    frame carry; key order is part of the journal's byte format.
+    """
+    record = {"seq": seq, "t": t, "kind": event.kind}
+    record.update(event_payload(event))
+    return record

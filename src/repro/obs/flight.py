@@ -13,7 +13,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 
-from repro.obs.events import event_payload
+from repro.obs.events import flat_record
 
 __all__ = ["FlightRecorder"]
 
@@ -55,12 +55,7 @@ class FlightRecorder:
         with self._lock:
             window = list(self._ring)
             self.dumps += 1
-        records = []
-        for seq, t, event in window:
-            record = {"seq": seq, "t": t, "kind": event.kind}
-            record.update(event_payload(event))
-            records.append(_jsonable(record))
-        return records
+        return [_jsonable(flat_record(*stamp)) for stamp in window]
 
     def dump_jsonl(self, path) -> int:
         """Write the retained window as JSONL; returns records written."""

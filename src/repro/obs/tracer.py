@@ -29,7 +29,7 @@ from repro.obs.events import (
     ActivityClassified,
     CascadeRequested,
     LockDeferred,
-    event_payload,
+    flat_record,
 )
 from repro.obs.series import SeriesBank
 
@@ -44,9 +44,7 @@ class Stamped:
 
     def to_record(self) -> dict:
         """Flat dictionary form (what the JSONL log stores per line)."""
-        record = {"seq": self.seq, "t": self.t, "kind": self.event.kind}
-        record.update(event_payload(self.event))
-        return record
+        return flat_record(self.seq, self.t, self.event)
 
 
 class NullTracer:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable
 
-from repro.obs.events import event_payload
+from repro.obs.events import flat_record
 from repro.server.bus import EventBus
 
 
@@ -68,10 +68,5 @@ class BusTracer:
         bus = self.bus
         record = None
         if bus.listeners(kind):
-            record = {
-                "seq": seq,
-                "t": self._clock() + self.offset,
-                "kind": kind,
-            }
-            record.update(event_payload(event))
+            record = flat_record(seq, self._clock() + self.offset, event)
         bus.publish(kind, record)

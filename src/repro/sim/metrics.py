@@ -28,9 +28,6 @@ class RunMetrics:
     unresolvable_violations: int
     defers: int
     cascade_victims: int
-    #: Lock-table operations the protocol performed (grants, conversions,
-    #: deferments, commit checks) — the denominator for lock-ops/sec.
-    lock_ops: int = 0
     #: Fault-injection counters (zero outside chaos runs): faults the
     #: injector forced, transient retries it caused, and manager
     #: crash/recover cycles survived.
@@ -67,30 +64,55 @@ class RunMetrics:
         }
 
 
-def summarize(protocol_name: str, result: RunResult) -> RunMetrics:
-    """Condense a :class:`RunResult` into a :class:`RunMetrics` row."""
-    protocol_stats = result.protocol_stats
-    unresolvable = getattr(protocol_stats, "unresolvable", 0)
-    unresolvable += result.stats.unresolvable_violations
+def _row(
+    protocol_name: str,
+    stats: ManagerStats,
+    protocol_stats: object,
+    makespan: float,
+    mean_latency: float,
+    **fault_counters: int,
+) -> RunMetrics:
+    """The one :class:`RunMetrics` construction behind both summaries.
+
+    Throughput and mean concurrency derive from ``stats`` and
+    ``makespan`` exactly as :class:`RunResult` derives them, so a plain
+    run and an incarnation-merged chaos run share the arithmetic.
+    """
     return RunMetrics(
         protocol=protocol_name,
-        committed=result.stats.committed,
-        submitted=result.stats.submitted,
-        makespan=result.makespan,
-        throughput=result.throughput,
-        mean_latency=result.mean_latency,
-        mean_concurrency=result.mean_concurrency,
-        protocol_aborts=result.stats.protocol_aborts,
-        intrinsic_aborts=result.stats.intrinsic_aborts,
-        subprocess_aborts=result.stats.subprocess_aborts,
-        resubmissions=result.stats.resubmissions,
-        compensations=result.stats.compensations,
-        compensated_cost=result.stats.compensated_cost,
-        deadlock_victims=result.stats.deadlock_victims,
-        unresolvable_violations=unresolvable,
+        committed=stats.committed,
+        submitted=stats.submitted,
+        makespan=makespan,
+        throughput=stats.committed / makespan if makespan > 0 else 0.0,
+        mean_latency=mean_latency,
+        mean_concurrency=(
+            stats.busy_area / makespan if makespan > 0 else 0.0
+        ),
+        protocol_aborts=stats.protocol_aborts,
+        intrinsic_aborts=stats.intrinsic_aborts,
+        subprocess_aborts=stats.subprocess_aborts,
+        resubmissions=stats.resubmissions,
+        compensations=stats.compensations,
+        compensated_cost=stats.compensated_cost,
+        deadlock_victims=stats.deadlock_victims,
+        unresolvable_violations=(
+            getattr(protocol_stats, "unresolvable", 0)
+            + stats.unresolvable_violations
+        ),
         defers=getattr(protocol_stats, "defers", 0),
         cascade_victims=getattr(protocol_stats, "cascade_victims", 0),
-        lock_ops=lock_operations(protocol_stats),
+        **fault_counters,
+    )
+
+
+def summarize(protocol_name: str, result: RunResult) -> RunMetrics:
+    """Condense a :class:`RunResult` into a :class:`RunMetrics` row."""
+    return _row(
+        protocol_name,
+        result.stats,
+        result.protocol_stats,
+        result.makespan,
+        result.mean_latency,
     )
 
 
@@ -127,54 +149,18 @@ def summarize_chaos(protocol_name: str, chaos) -> RunMetrics:
     crashes summarizes the whole logical execution, not just the final
     incarnation.
     """
-    result = chaos.result
-    stats = chaos.stats
-    makespan = chaos.makespan
-    protocol_stats = result.protocol_stats
-    unresolvable = getattr(protocol_stats, "unresolvable", 0)
-    unresolvable += stats.unresolvable_violations
     counters = chaos.counters
-    return RunMetrics(
-        protocol=protocol_name,
-        committed=stats.committed,
-        submitted=stats.submitted,
-        makespan=makespan,
-        throughput=stats.committed / makespan if makespan > 0 else 0.0,
-        mean_latency=result.mean_latency,
-        mean_concurrency=(
-            stats.busy_area / makespan if makespan > 0 else 0.0
-        ),
-        protocol_aborts=stats.protocol_aborts,
-        intrinsic_aborts=stats.intrinsic_aborts,
-        subprocess_aborts=stats.subprocess_aborts,
-        resubmissions=stats.resubmissions,
-        compensations=stats.compensations,
-        compensated_cost=stats.compensated_cost,
-        deadlock_victims=stats.deadlock_victims,
-        unresolvable_violations=unresolvable,
-        defers=getattr(protocol_stats, "defers", 0),
-        cascade_victims=getattr(protocol_stats, "cascade_victims", 0),
-        lock_ops=lock_operations(protocol_stats),
+    return _row(
+        protocol_name,
+        chaos.stats,
+        chaos.result.protocol_stats,
+        chaos.makespan,
+        chaos.result.mean_latency,
         faults_injected=counters.injected_failures
         + counters.outages_started
         + counters.subsystem_crashes,
         fault_retries=counters.injected_retries,
         fault_recoveries=counters.manager_recoveries,
-    )
-
-
-def lock_operations(protocol_stats: object) -> int:
-    """Total lock-table operations recorded by a protocol's counters."""
-    return sum(
-        getattr(protocol_stats, name, 0)
-        for name in (
-            "c_grants",
-            "p_grants",
-            "conversions",
-            "defers",
-            "commits",
-            "aborts",
-        )
     )
 
 
@@ -202,7 +188,6 @@ def aggregate(metrics: list[RunMetrics]) -> dict[str, float]:
             [m.unresolvable_violations for m in metrics]
         ),
         "deadlock_victims": mean([m.deadlock_victims for m in metrics]),
-        "lock_ops": mean([m.lock_ops for m in metrics]),
         "faults_injected": mean([m.faults_injected for m in metrics]),
         "fault_retries": mean([m.fault_retries for m in metrics]),
         "fault_recoveries": mean(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import settings as hypothesis_settings
 
 import repro.activities.activity as _activity_module
 import repro.core.locks as _locks_module
@@ -15,6 +16,15 @@ from repro.process.builder import ProgramBuilder
 from repro.process.instance import Process
 from repro.process.program import ProcessProgram
 
+
+# Tier-1 is a fixed suite: every ``@given`` test draws the same examples
+# on every run and neither reads nor writes a local ``.hypothesis/``
+# example database.  Each ``@settings(...)`` in the suite inherits both
+# from this profile; randomized exploration is ``repro soak``'s job.
+hypothesis_settings.register_profile(
+    "tier1", derandomize=True, database=None
+)
+hypothesis_settings.load_profile("tier1")
 
 #: Strictly increasing uid/lock-id floors, one per pinned run pair,
 #: shared by every :class:`UidFloorPinner` in the session.  Activity

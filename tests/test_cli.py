@@ -381,3 +381,13 @@ class TestErrorHardening:
         err = capsys.readouterr().err
         assert "unreadable trace" in err
         assert "Traceback" not in err
+
+    def test_removed_profile_verb_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", "--processes", "8"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'profile'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        assert "profile" not in capsys.readouterr().out

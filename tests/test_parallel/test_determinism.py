@@ -3,9 +3,9 @@
 The tentpole contract: at the same seed, every (workers, batch-k)
 variant of the thread-per-shard manager emits a schedule byte-identical
 to the sequential manager's.  These tests sweep small contended
-workloads across seeds, worker counts, and batch depths — the perf
-benchmark (``benchmarks/test_perf_scaling.py``) asserts the same
-property on its large sweep points.
+workloads across seeds, worker counts, and batch depths; the
+``workers=2 batch_k=2`` digest in
+``tests/test_scheduler/test_schedule_golden.py`` pins one larger point.
 """
 
 from __future__ import annotations

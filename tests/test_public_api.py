@@ -102,3 +102,14 @@ def test_subsystem_would_block_carries_holders():
     exc = SubsystemWouldBlock(frozenset({3, 1}))
     assert exc.holders == frozenset({1, 3})
     assert "1" in str(exc) and "3" in str(exc)
+
+
+def test_obs_exports_no_profiler():
+    """The simulator-loop phase profiler is gone; ``bench/`` measures."""
+    import repro.obs
+
+    assert not [
+        name for name in dir(repro.obs) if "profil" in name.lower()
+    ]
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.obs.profiling")

@@ -30,12 +30,9 @@ ROOT = Path(__file__).resolve().parents[2]
 
 
 def _spec6(n_processes, density, spacing, seed) -> WorkloadSpec:
-    """The six-subsystem contention shape of ``benchmarks/test_perf_scaling``.
+    """The six-subsystem contention shape the digests below were recorded on.
 
-    A deliberate copy of that file's ``_spec6``: tier-1 collects ``tests/``
-    only and must not import ``benchmarks/``, and the digests below pin
-    these exact numbers, so an edit to the benchmark helper must not move
-    them.
+    The digests pin these exact numbers.
     """
     return WorkloadSpec(
         n_processes=n_processes,

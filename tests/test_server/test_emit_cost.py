@@ -33,13 +33,13 @@ class _Counted:
 
     def __init__(self, monkeypatch) -> None:
         self.payloads = self.samples = self.drains = 0
-        build = bridge.event_payload
+        build = bridge.flat_record
 
-        def counting_payload(event):
+        def counting_record(seq, t, event):
             self.payloads += 1
-            return build(event)
+            return build(seq, t, event)
 
-        monkeypatch.setattr(bridge, "event_payload", counting_payload)
+        monkeypatch.setattr(bridge, "flat_record", counting_record)
         self.service = service = ProcessLockingService(
             ServiceConfig(spec=CONTENDED, seed=3, workers=0)
         )
