@@ -73,11 +73,7 @@ def _run_once(store):
             plane.note_submit(pid, index)
     result = manager.run()
     if plane is not None:
-        is_terminal = lambda pid: (  # noqa: E731
-            pid not in manager._pending_init
-            and pid not in manager._processes
-        )
-        plane.after_drain(manager, is_terminal, set())
+        plane.after_drain(manager)
         plane.final(manager)
     return result, time.perf_counter() - start
 

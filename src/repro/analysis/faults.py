@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.analysis.tables import render_dict_table
 
 #: Invariants in display order (columns of the run table).
-CHECKS = ("terminated", "ct", "prc", "splice", "wal")
+CHECKS = ("terminated", "conserved", "ct", "prc", "splice", "wal")
 
 
 def _verdict(checks: dict, name: str) -> str:

@@ -6,6 +6,8 @@ end-to-end guarantees *under faults*:
 * **termination** — every process reaches an acceptable terminal state
   (the observed schedule is complete; the simulation reached
   quiescence);
+* **conservation** — every submitted pid ends in exactly one outcome,
+  none lost across a manager crash;
 * **CT** — the complete schedule has correct termination
   (Definition 6 / Theorem 1), checked in strided prefixes;
 * **P-RC** — the schedule is process-recoverable (Definition 7 /
@@ -26,7 +28,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from repro.errors import SchedulerError, StarvationError
+from repro.errors import SchedulerError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     ActivityFailures,
@@ -38,6 +40,7 @@ from repro.faults.plan import (
     SubsystemOutage,
     compile_plan,
 )
+from repro.scheduler.events import conserved
 from repro.scheduler.manager import ManagerConfig
 from repro.sim.metrics import RunMetrics, summarize_chaos
 from repro.sim.workload import Workload, WorkloadSpec, build_workload
@@ -148,7 +151,7 @@ def run_chaos(
     )
     try:
         chaos = injector.run()
-    except (SchedulerError, StarvationError) as exc:
+    except SchedulerError as exc:  # StarvationError is one
         report.checks["terminated"] = False
         report.failures.append(f"liveness: {exc}")
         return report
@@ -156,6 +159,9 @@ def run_chaos(
         workload.conflicts.conflict
     )
     report.checks["terminated"] = observed.is_complete
+    report.checks["conserved"] = conserved(
+        chaos.result.records, chaos.stats
+    )
     report.checks["ct"] = observed.is_complete and has_correct_termination(
         observed, stride=ct_stride
     )

@@ -111,6 +111,15 @@ class ProcessCancelled:
     initiated: bool
 
 
+@dataclass(frozen=True, slots=True)
+class ProcessStarved:
+    """Out of resubmissions: the ``process.abort`` after it is final."""
+
+    kind = "process.starved"
+    pid: int
+    resubmissions: int
+
+
 # ----------------------------------------------------------------------
 # protocol decisions
 # ----------------------------------------------------------------------
@@ -447,6 +456,7 @@ EVENT_TYPES: dict[str, type] = {
         AbortBegun,
         ProcessAborted,
         ProcessCancelled,
+        ProcessStarved,
         ProcessResubmitted,
         LockGranted,
         LockDeferred,

@@ -233,8 +233,11 @@ def explain_process(records: list[dict], pid: int) -> str:
                     else " (before initiation: dropped)"
                 ),
             )
+        elif kind == "process.starved":
+            outcome = "starved"
+            add(t, f"STARVED after {record['resubmissions']} resubmissions")
         elif kind == "process.abort":
-            if outcome != "cancelled":
+            if outcome not in ("cancelled", "starved"):
                 outcome = "aborted"
             tail = (
                 "resubmission scheduled"

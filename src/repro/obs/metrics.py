@@ -551,9 +551,9 @@ class EventMetrics:
     The one subtle case is a client cancel of a *running* process: the
     manager emits ``process.cancel`` + ``process.abort-begin(cancel)``
     + a terminal ``process.abort`` but counts only ``cancellations`` —
-    so the feeder remembers cancelling pids and files the terminal
+    so the feeder remembers those pids and files the terminal
     abort under ``outcome="cancelled"`` instead of double-counting it
-    as an abort.
+    as an abort (``process.starved`` works the same way).
     """
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
@@ -572,7 +572,8 @@ class EventMetrics:
         )
         self.outcomes = r.counter(
             "repro_process_outcomes_total",
-            "Terminal process outcomes (committed/aborted/cancelled).",
+            "Terminal process outcomes "
+            "(committed/aborted/cancelled/starved).",
             ("outcome",),
         )
         self.aborts = r.counter(
@@ -740,7 +741,7 @@ class EventMetrics:
         self._defer_since: dict[tuple, float] = {}
         self._park_since: dict[int, tuple[float, str]] = {}
         self._retry_counts: dict[int, int] = {}
-        self._cancelling: set[int] = set()
+        self._filed: set[int] = set()
         self._handlers: dict[str, Callable[[float, object], None]] = {
             "process.submit": self._on_submit,
             "process.init": self._on_init,
@@ -748,6 +749,7 @@ class EventMetrics:
             "process.abort-begin": self._on_abort_begin,
             "process.abort": self._on_abort,
             "process.cancel": self._on_cancel,
+            "process.starved": self._on_starved,
             "process.resubmit": self._on_resubmit,
             "lock.grant": self._on_grant,
             "lock.defer": self._on_defer,
@@ -843,15 +845,19 @@ class EventMetrics:
     def _on_abort(self, t, event) -> None:
         if event.resubmit:
             return
-        if event.pid in self._cancelling:
-            self._cancelling.discard(event.pid)
+        if event.pid in self._filed:
+            self._filed.discard(event.pid)
             return
         self.outcomes.bump(("aborted",))
 
     def _on_cancel(self, t, event) -> None:
         self.outcomes.bump(("cancelled",))
         if event.initiated:
-            self._cancelling.add(event.pid)
+            self._filed.add(event.pid)
+
+    def _on_starved(self, t, event) -> None:
+        self.outcomes.bump(("starved",))
+        self._filed.add(event.pid)
 
     def _on_resubmit(self, t, event) -> None:
         self.resubmitted.bump(())

@@ -24,9 +24,9 @@ emitted as a typed :mod:`repro.obs` event with its reason.  The layer is
 deterministic: it draws no randomness and reads only the virtual clock.
 
 One layer instance serves one *logical* run: a manager crash/recovery
-re-binds the same layer to the recovered manager (pending deferred
-admissions are rescheduled on the new engine; breaker cooldowns rebase
-to the restarted clock).
+re-binds the same layer to the recovered manager (breaker cooldowns
+rebase to the restarted clock; deferred admissions are pending pids of
+the manager's and come back with its crash image).
 """
 
 from __future__ import annotations
@@ -106,11 +106,6 @@ class ResilienceLayer:
         self._defers: dict[int, int] = {}
         #: pid -> times backpressure has paused its admission so far.
         self._bp_defers: dict[int, int] = {}
-        #: Deferred admissions pending re-initiation (pid -> program).
-        #: Needed across manager crashes: a pending ``_initiate``
-        #: callback dies with the crashed engine, so ``bind`` reschedules
-        #: every entry on the recovered manager.
-        self._pending: dict[int, object] = {}
         #: id(program) -> subsystems its activities need (cached).
         self._needs_cache: dict[int, tuple[str, ...]] = {}
 
@@ -121,21 +116,10 @@ class ResilienceLayer:
         """Attach to a manager (called from ``ProcessManager.__init__``).
 
         On re-bind after a crash the breaker cooldowns rebase to the
-        recovered engine's restarted clock and every pending deferred
-        admission is rescheduled — without this, shed processes would be
-        silently lost on crash (they are not in the crash journal, which
-        only covers *initiated* processes).
+        recovered engine's restarted clock.
         """
         self._manager = manager
         self.health.rebase_clock()
-        delay = self.config.admission_retry_delay
-        for pid, program in list(self._pending.items()):
-            manager.engine.schedule(
-                delay,
-                lambda pid=pid, program=program: manager._initiate(
-                    pid, program
-                ),
-            )
         setattr(
             manager.protocol,
             "threshold_provider",
@@ -190,7 +174,7 @@ class ResilienceLayer:
         )
 
     # ------------------------------------------------------------------
-    # admission gating (called from ProcessManager._initiate)
+    # admission gating (called from ProcessManager._start)
     # ------------------------------------------------------------------
     def admission_delay(self, pid: int, program) -> float | None:
         """``None`` to admit ``pid`` now, else the defer delay.
@@ -208,9 +192,8 @@ class ResilienceLayer:
             if name in self.health.open_subsystems(now)
         ]
         if not blocked:
-            if pid in self._pending:
-                del self._pending[pid]
-                count = self._defers.pop(pid, 0)
+            count = self._defers.pop(pid, 0)
+            if count:
                 self.stats.admissions_readmitted += 1
                 self._emit_admission(
                     pid, "readmit", tuple(blocked), count
@@ -220,7 +203,6 @@ class ResilienceLayer:
         if count > self.config.max_admission_defers:
             # Budget spent: admit anyway so a permanently dark
             # subsystem cannot starve admissions forever.
-            self._pending.pop(pid, None)
             self._defers.pop(pid, None)
             self.stats.admissions_forced += 1
             self._emit_admission(
@@ -228,22 +210,9 @@ class ResilienceLayer:
             )
             return None
         self._defers[pid] = count
-        self._pending[pid] = program
         self.stats.admissions_deferred += 1
         self._emit_admission(pid, "defer", tuple(blocked), count)
         return self.config.admission_retry_delay
-
-    def discard_pending(self, pid: int) -> None:
-        """Forget a deferred admission whose process was cancelled.
-
-        Called by :meth:`ProcessManager.cancel` when it drops a
-        not-yet-initiated process: without this, a crash/recovery
-        re-bind would resurrect the cancelled admission from
-        ``_pending``.
-        """
-        self._pending.pop(pid, None)
-        self._defers.pop(pid, None)
-        self._bp_defers.pop(pid, None)
 
     def backpressure_delay(
         self, pid: int, program, depth_of

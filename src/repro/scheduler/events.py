@@ -8,12 +8,15 @@ flight* (activities whose completion event is scheduled).
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.activities.activity import Activity
 from repro.core.locks import LockMode
 from repro.process.instance import LedgerEntry, Process
+from repro.process.program import ProcessProgram
+
+#: The terminal outcomes of a pid; exactly one is ever recorded.
+OUTCOMES = ("committed", "aborted", "cancelled", "starved")
 
 
 class RequestKind(enum.Enum):
@@ -96,15 +99,27 @@ class CompensationRun:
     """A sequence of compensations being executed for one process.
 
     ``queue`` holds the remaining ledger entries in reverse execution
-    order; ``on_done`` fires once the last compensation committed
-    (finalizing an abort, or switching to the pivot's next alternative).
+    order; ``then`` names what follows the last compensation:
+    ``"next-branch"`` (the pivot's next alternative), ``"resubmit"``
+    (a cascade victim restarts), or the outcome the abort ends in.
     """
 
     process: Process
     queue: list[LedgerEntry]
-    on_done: Callable[[], None]
+    then: str
     label: str = ""
     victims_aborted: int = 0
+
+
+@dataclass(slots=True)
+class ScheduledStart:
+    """A start the engine holds for a pid: its initiation (``pending``,
+    no ``process`` yet) or the restart of a cascade victim's successor
+    (``awaiting-resubmit``).  ``handle.time`` is when it fires."""
+
+    program: ProcessProgram
+    handle: object
+    process: Process | None = None
 
 
 @dataclass(slots=True)
@@ -126,9 +141,37 @@ class ProcessRecord:
     #: ("protocol-abort", "intrinsic-abort", or "subprocess-abort").
     compensated_causes: list[str] = field(default_factory=list)
     retries: int = 0
+    #: One of :data:`OUTCOMES`, written once, by the manager; ``None``
+    #: while undecided — "terminal" *means* ``outcome is not None``.
+    outcome: str | None = None
 
     @property
     def latency(self) -> float | None:
         if self.committed_at is None:
             return None
         return self.committed_at - self.submitted_at
+
+
+def by_outcome(records: dict[int, ProcessRecord]) -> dict:
+    """Pids grouped by recorded outcome (``None`` = undecided)."""
+    groups: dict[str | None, list[int]] = {}
+    for pid in sorted(records):
+        groups.setdefault(records[pid].outcome, []).append(pid)
+    return groups
+
+
+def conserved(records, stats=None, undecided=()) -> bool:
+    """The conservation oracle: every submitted pid has exactly one
+    outcome or is one the manager still enumerates as ``undecided`` —
+    at quiescence ``submitted == committed + aborted + cancelled +
+    starved``.  ``stats`` (covering the whole logical run) is
+    cross-checked when given."""
+    groups = by_outcome(records)
+    if groups.pop(None, []) != sorted(undecided):
+        return False
+    counted = [len(groups.get(name, ())) for name in ("committed", "starved")]
+    return set(groups) <= set(OUTCOMES) and (
+        stats is None
+        or [stats.submitted, stats.committed, stats.starved]
+        == [len(records), *counted]
+    )

@@ -59,6 +59,7 @@ from repro.obs.events import (
     ProcessCommitted,
     ProcessInitiated,
     ProcessResubmitted,
+    ProcessStarved,
     ProcessSubmitted,
     RetryBudgetExhausted,
     SelfAbortDecision,
@@ -80,6 +81,8 @@ from repro.scheduler.events import (
     ParkedRequest,
     ProcessRecord,
     RequestKind,
+    ScheduledStart,
+    by_outcome,
 )
 from repro.scheduler.trace import TraceRecorder
 from repro.subsystems.subsystem import SubsystemPool
@@ -89,7 +92,7 @@ from repro.subsystems.subsystem import SubsystemPool
 class ManagerConfig:
     """Tunables of the process manager."""
 
-    #: Abort + resubmit bound per process before declaring starvation.
+    #: Resubmissions per process before it ends ``starved``.
     max_resubmissions: int = 500
     #: Virtual-time delay before a cascade victim is resubmitted.
     resubmit_delay: float = 1.0
@@ -161,6 +164,8 @@ class ManagerStats:
     protocol_aborts: int = 0
     subprocess_aborts: int = 0
     resubmissions: int = 0
+    #: Cascade victims out of resubmissions (outcome ``starved``).
+    starved: int = 0
     compensations: int = 0
     compensated_cost: float = 0.0
     #: Compensated cost split by what triggered the compensation run.
@@ -215,7 +220,7 @@ class RunResult:
         return [
             pid
             for pid, record in self.records.items()
-            if record.committed_at is not None
+            if record.outcome == "committed"
         ]
 
     @property
@@ -268,10 +273,8 @@ class ProcessManager:
         #: the manager's own failure sampling untouched.
         self.injector = None
         #: Optional resilience layer from the config (duck-typed; see
-        #: :mod:`repro.resilience`).  ``bind`` reschedules any deferred
-        #: admissions it carries — crash recovery builds a fresh manager
-        #: around the same layer, and those pending initiations are not
-        #: part of the crash journal.
+        #: :mod:`repro.resilience`).  Crash recovery builds a fresh
+        #: manager around the same layer.
         self.resilience = self.config.resilience
         self.engine = SimulationEngine()
         self.rng = random.Random(seed)
@@ -279,7 +282,13 @@ class ProcessManager:
         self.stats = ManagerStats()
         self.records: dict[int, ProcessRecord] = {}
         self._pids = itertools.count(1)
+        # An undecided pid is in exactly one of ``_starts`` (pending /
+        # awaiting-resubmit) and ``_processes``; decided, its record
+        # has the outcome.  Everyone else asks the lifecycle read API.
         self._processes: dict[int, Process] = {}
+        self._starts: dict[int, ScheduledStart] = {}
+        #: Pids decided since :meth:`take_finished` was last called.
+        self._finished: list[int] = []
         #: Parked requests keyed by park sequence (insertion-ordered).
         self._parked: dict[int, ParkedRequest] = {}
         self._park_seq = itertools.count(1)
@@ -306,9 +315,6 @@ class ProcessManager:
         self._dependents: dict[int, set[int]] = {}
         self._comp_runs: dict[int, CompensationRun] = {}
         self._stashed_failures: dict[int, Activity] = {}
-        #: pid -> engine handle of its pending initiation callback, so
-        #: :meth:`cancel` can drop a process that has not started yet.
-        self._pending_init: dict[int, object] = {}
         self.tracer.bind_clock(lambda: self.engine.now)
         self.tracer.bind_sampler(self._gauge_sample)
         if self.resilience is not None:
@@ -317,56 +323,57 @@ class ProcessManager:
     # ------------------------------------------------------------------
     # submission & run loop
     # ------------------------------------------------------------------
-    def submit(self, program: ProcessProgram, at: float = 0.0) -> int:
-        """Schedule a new process for initiation at virtual time ``at``."""
-        pid = next(self._pids)
-        self.records[pid] = ProcessRecord(pid=pid, submitted_at=at)
-        self.stats.submitted += 1
-        if self.tracer.enabled:
-            self.tracer.emit(ProcessSubmitted(pid=pid))
-        self._pending_init[pid] = self.engine.schedule(
-            at, lambda: self._initiate(pid, program)
-        )
-        return pid
-
-    def submit_recovered(
-        self, pid: int, program: ProcessProgram, at: float = 0.0
+    def submit(
+        self,
+        program: ProcessProgram,
+        at: float = 0.0,
+        pid: int | None = None,
     ) -> int:
-        """Re-schedule a journaled submission under its original pid.
+        """Schedule a new process for initiation at virtual time ``at``.
 
-        Restart recovery (:mod:`repro.storage.plane`) uses this for
-        submissions that were durably acknowledged but never reached a
-        terminal state: the process runs again from scratch, keeping
-        its pid so clients polling by pid see it complete.  The
-        existing :class:`ProcessRecord` (from the crash image) is kept
-        when present.
+        ``pid`` re-schedules a journaled or crash-imaged submission
+        that never reached an outcome under its original pid (clients
+        poll by pid); its :class:`ProcessRecord` is kept when present.
         """
-        if pid in self._pending_init or pid in self._processes:
+        if pid is None:
+            pid = next(self._pids)
+        elif self.phase(pid) or self.outcome(pid):
             raise SchedulerError(
-                f"cannot re-submit live process {pid}"
+                f"cannot re-submit process {pid}: it is "
+                f"{self.phase(pid) or self.outcome(pid)}"
             )
         if pid not in self.records:
             self.records[pid] = ProcessRecord(pid=pid, submitted_at=at)
         self.stats.submitted += 1
         if self.tracer.enabled:
             self.tracer.emit(ProcessSubmitted(pid=pid))
-        self._pending_init[pid] = self.engine.schedule(
-            at, lambda: self._initiate(pid, program)
-        )
+        self._hold_start(pid, program, at)
         return pid
 
-    def _initiate(self, pid: int, program: ProcessProgram) -> None:
-        self._pending_init.pop(pid, None)
-        if self.resilience is not None:
+    def _hold_start(self, pid, program, delay, successor=None) -> None:
+        """Have the engine start ``pid`` in ``delay``: initiate it, or
+        restart ``successor``, a cascade victim's next incarnation."""
+        self._starts[pid] = ScheduledStart(
+            program,
+            self.engine.schedule(delay, lambda: self._start(pid)),
+            successor,
+        )
+
+    def _start(self, pid: int) -> None:
+        start = self._starts.pop(pid)
+        process, program = start.process, start.program
+        resubmission = process is not None
+        if resubmission:
+            self.records[pid].resubmissions += 1
+            self.stats.resubmissions += 1
+        elif self.resilience is not None:
             # Admission gate: shed *before* a timestamp is drawn or any
             # lock is requested — a deferred process holds nothing and
             # blocks nobody, so guaranteed termination is untouched.
             delay = self.resilience.admission_delay(pid, program)
             if delay is not None:
                 self.stats.admissions_deferred += 1
-                self._pending_init[pid] = self.engine.schedule(
-                    delay, lambda: self._initiate(pid, program)
-                )
+                self._hold_start(pid, program, delay)
                 return
             # Shard-queue backpressure: a program needing a saturated
             # shard is paused at the door.  Off (``None``) unless the
@@ -374,17 +381,22 @@ class ProcessManager:
             delay = self._backpressure_delay(pid, program)
             if delay is not None:
                 self.stats.add("admissions_backpressured")
-                self._pending_init[pid] = self.engine.schedule(
-                    delay, lambda: self._initiate(pid, program)
-                )
+                self._hold_start(pid, program, delay)
                 return
-        timestamp = self.protocol.new_timestamp()
-        process = Process(pid=pid, program=program, timestamp=timestamp)
+        if not resubmission:
+            timestamp = self.protocol.new_timestamp()
+            process = Process(pid=pid, program=program, timestamp=timestamp)
         self._processes[pid] = process
         self.protocol.attach(process)
         if self.tracer.enabled:
             self.tracer.emit(
-                ProcessInitiated(pid=pid, timestamp=timestamp)
+                ProcessResubmitted(
+                    pid=pid,
+                    incarnation=process.incarnation,
+                    timestamp=process.timestamp,
+                )
+                if resubmission
+                else ProcessInitiated(pid=pid, timestamp=process.timestamp)
             )
         self._step(process)
         self._post_event()
@@ -395,7 +407,9 @@ class ProcessManager:
         Raises
         ------
         SchedulerError
-            If processes remain unterminated after the event queue drains
+            If processes remain unterminated after the event queue
+            drains, or a pid ended without an outcome — or, as
+            :class:`StarvationError`, ``starved``
             (``require_quiescence``) — a liveness failure.
         """
         try:
@@ -404,14 +418,17 @@ class ProcessManager:
             self.close()
         self.stats.note_inflight(self.engine.now, 0)
         self.tracer.refresh_gauges()
-        if require_quiescence and self._processes:
-            leftovers = {
-                pid: proc.state.value
-                for pid, proc in self._processes.items()
-            }
+        groups = by_outcome(self.records) if require_quiescence else {}
+        if None in groups:
             raise SchedulerError(
-                f"simulation drained with live processes: {leftovers}; "
+                f"simulation drained with pids {groups[None]} undecided "
+                f"(live: {self.undecided()}); "
                 f"parked={[str(p) for p in self._parked.values()]}"
+            )
+        if "starved" in groups:
+            raise StarvationError(
+                f"pids {groups['starved']} exceeded "
+                f"{self.config.max_resubmissions} resubmissions"
             )
         return RunResult(
             records=self.records,
@@ -421,59 +438,59 @@ class ProcessManager:
             makespan=self.engine.now,
         )
 
-    def adopt_recovered(self, process: Process) -> None:
+    def adopt_recovered(
+        self,
+        process: Process,
+        abort_then: str | None = None,
+        resubmit_in: float | None = None,
+    ) -> None:
         """Take over a process restored from a crash journal.
 
         Completing and running processes resume forward execution;
-        aborting processes finish their abort-process execution;
-        completing processes interrupted mid-alternative-abort finish
-        compensating and move to the next branch.  See
-        :mod:`repro.scheduler.recovery`.
+        aborting processes finish their abort-process execution and
+        end as ``abort_then`` says (``aborted`` when the image has no
+        such field); completing processes interrupted
+        mid-alternative-abort finish compensating and move to the next
+        branch; ``resubmit_in`` marks a successor that was awaiting
+        its restart.  See :mod:`repro.scheduler.recovery`.
         """
         pid = process.pid
-        self._processes[pid] = process
-        self.protocol.attach(process)
         if pid not in self.records:
             self.records[pid] = ProcessRecord(
                 pid=pid, submitted_at=self.engine.now
             )
         self.stats.submitted += 1
+        if resubmit_in is not None:
+            self._hold_start(pid, process.program, resubmit_in, process)
+            return
+        self._processes[pid] = process
+        self.protocol.attach(process)
+        # An interrupted compensation run is registered now (a crash
+        # before ``resume`` still finds how it ends), advanced there.
+        run = plan = None
+        if process.state is ProcessState.ABORTING:
+            plan = process.resume_abort_plan()
+            then, label = abort_then or "aborted", "protocol-abort:recovery"
+        elif process.state is ProcessState.COMPLETING and process.unwinding:
+            self.stats.subprocess_aborts += 1
+            plan = process.resume_subprocess_plan()
+            then, label = "next-branch", "subprocess-abort"
+        if plan is not None:
+            run = self._comp_runs[pid] = CompensationRun(
+                process, list(plan.compensations), then, label
+            )
 
         def resume() -> None:
-            if (
-                self._processes.get(pid) is not process
-                or pid in self._comp_runs
-            ):
-                # Adopted processes resume via same-time callbacks, and
-                # an earlier one can cascade-abort this process before
-                # its own callback fires — that abort path owns the
-                # process (and its compensation run) now, so the
-                # recovery resume must stand down.
+            if self._processes.get(pid) is not process:
                 return
-            if process.state is ProcessState.ABORTING:
-                self._start_compensation_run(
-                    process,
-                    process.resume_abort_plan(),
-                    label="protocol-abort:recovery",
-                    on_done=lambda: self._finalize_abort(
-                        process, resubmit=False
-                    ),
-                )
-            elif (
-                process.state is ProcessState.COMPLETING
-                and process.unwinding
-            ):
-                self.stats.subprocess_aborts += 1
-                self._start_compensation_run(
-                    process,
-                    process.resume_subprocess_plan(),
-                    label="subprocess-abort",
-                    on_done=lambda: self._after_subprocess_abort(
-                        process
-                    ),
-                )
-            else:
+            if run is not None:
+                self._advance_compensation(run)
+            elif pid not in self._comp_runs:
                 self._step(process)
+            # else: adopted processes resume via same-time callbacks,
+            # and an earlier one cascade-aborted this process before its
+            # own fired — that abort owns the process (and its
+            # compensation run) now, so this resume stands down.
             self._post_event()
 
         self.engine.schedule(0.0, resume)
@@ -481,60 +498,81 @@ class ProcessManager:
     def cancel(self, pid: int) -> bool:
         """Cancel a submitted process on a client's explicit request.
 
-        Two shapes, mirroring how far the process got:
+        Three shapes, mirroring how far the process got — in each the
+        pid ends ``cancelled``:
 
-        * **not yet initiated** (its initiation callback is still
-          scheduled, possibly re-scheduled by admission deferrals) —
-          the callback is dropped; the process never drew a timestamp,
-          holds nothing, and has nothing to compensate;
+        * **not started** (``pending`` or ``awaiting-resubmit``: the
+          engine still holds its start, possibly re-scheduled by
+          admission deferrals) — the start is dropped; nothing is held
+          and nothing is left to compensate;
         * **running** — aborted through the regular protocol-abort
           machinery (compensations run, locks release, waiters wake)
-          but *without* the cascade path's resubmission.
+          but *without* the cascade path's resubmission;
+        * **aborting towards a resubmission** — only that is dropped.
 
-        Completing and aborting processes are past the point of client
-        cancellation, exactly like protocol-induced aborts; ``False``
-        is returned and the process finishes on its own.
+        Completing processes and aborts that end the pid anyway are
+        past the point of client cancellation, exactly like
+        protocol-induced aborts; ``False`` is returned and the process
+        finishes on its own.
         """
-        handle = self._pending_init.pop(pid, None)
-        if handle is not None:
-            SimulationEngine.cancel(handle)
-            if self.resilience is not None:
-                discard = getattr(
-                    self.resilience, "discard_pending", None
-                )
-                if discard is not None:
-                    discard(pid)
-            self.stats.add("cancellations")
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    ProcessCancelled(pid=pid, initiated=False)
-                )
-            return True
-        process = self._processes.get(pid)
-        if process is None or process.state is not ProcessState.RUNNING:
+        not_started = pid in self._starts
+        run = self._comp_runs.get(pid)
+        resubmitting = run is not None and run.then == "resubmit"
+        if not (not_started or resubmitting or self.phase(pid) == "running"):
             return False
-        if self.tracer.enabled:
-            self.tracer.emit(ProcessCancelled(pid=pid, initiated=True))
-            self.tracer.emit(
-                AbortBegun(
-                    pid=pid,
-                    incarnation=process.incarnation,
-                    cause="cancel",
-                )
-            )
-        self._cancel_all_work(process)
-        plan = process.plan_protocol_abort()
-        self._note_abort_started(pid)
         self.stats.add("cancellations")
-        self._start_compensation_run(
-            process,
-            plan,
-            label="protocol-abort:cancel",
-            on_done=lambda: self._finalize_abort(
-                process, resubmit=False
-            ),
-        )
+        if self.tracer.enabled:
+            self.tracer.emit(
+                ProcessCancelled(pid=pid, initiated=not not_started)
+            )
+        if not_started:
+            SimulationEngine.cancel(self._starts.pop(pid).handle)
+            self._decide(pid, "cancelled")
+        elif resubmitting:
+            run.then = "cancelled"
+        else:
+            self._begin_protocol_abort(pid, "cancel", then="cancelled")
         return True
+
+    # ------------------------------------------------------------------
+    # lifecycle read API — the one place a pid's fate is asked about
+    # ------------------------------------------------------------------
+    def process(self, pid: int) -> Process | None:
+        """The incarnation behind an undecided pid: live, or the
+        successor it awaits its restart as; ``None`` while pending."""
+        start = self._starts.get(pid)
+        return start.process if start else self._processes.get(pid)
+
+    def phase(self, pid: int) -> str | None:
+        """``pending``, ``running``, ``completing``, ``aborting`` or
+        ``awaiting-resubmit``; ``None`` once decided (or unknown)."""
+        if pid in self._processes:
+            return self._processes[pid].state.value
+        if pid not in self._starts:
+            return None
+        return "awaiting-resubmit" if self.process(pid) else "pending"
+
+    def outcome(self, pid: int) -> str | None:
+        """The pid's terminal outcome; ``None`` while undecided."""
+        record = self.records.get(pid)
+        return record.outcome if record is not None else None
+
+    def undecided(self) -> dict[int, str]:
+        """``pid -> phase`` of every submitted pid without an outcome."""
+        return {p: self.phase(p) for p in (*self._starts, *self._processes)}
+
+    def take_finished(self) -> list[int]:
+        """The pids decided since this was last called, in order."""
+        finished, self._finished = self._finished, []
+        return finished
+
+    def _decide(self, pid: int, outcome: str) -> None:
+        """Record a pid's terminal outcome — the only writer, once."""
+        record = self.records[pid]
+        if record.outcome is not None:
+            raise SchedulerError(f"P{pid}: {outcome} after {record.outcome}")
+        record.outcome = outcome
+        self._finished.append(pid)
 
     def close(self) -> None:
         """Release execution resources (shard workers, when any).
@@ -981,7 +1019,7 @@ class ProcessManager:
                 process,
                 plan,
                 label="subprocess-abort",
-                on_done=lambda: self._after_subprocess_abort(process),
+                then="next-branch",
             )
         else:
             self.stats.intrinsic_aborts += 1
@@ -997,20 +1035,14 @@ class ProcessManager:
                 process,
                 plan,
                 label="intrinsic-abort",
-                on_done=lambda: self._finalize_abort(
-                    process, resubmit=False
-                ),
+                then="aborted",
             )
-
-    def _after_subprocess_abort(self, process: Process) -> None:
-        process.start_next_branch()
-        self._step(process)
 
     # ------------------------------------------------------------------
     # compensation runs
     # ------------------------------------------------------------------
     def _start_compensation_run(
-        self, process: Process, plan: FailurePlan, label: str, on_done
+        self, process: Process, plan: FailurePlan, label: str, then: str
     ) -> None:
         if process.pid in self._comp_runs:
             raise SchedulerError(
@@ -1019,7 +1051,7 @@ class ProcessManager:
         run = CompensationRun(
             process=process,
             queue=list(plan.compensations),
-            on_done=on_done,
+            then=then,
             label=label,
         )
         self._comp_runs[process.pid] = run
@@ -1029,7 +1061,11 @@ class ProcessManager:
         process = run.process
         if not run.queue:
             del self._comp_runs[process.pid]
-            run.on_done()
+            if run.then == "next-branch":
+                process.start_next_branch()
+                self._step(process)
+            else:
+                self._finalize_abort(process, run.then)
             return
         entry = run.queue[0]
         activity = process.make_compensation(entry)
@@ -1095,9 +1131,10 @@ class ProcessManager:
     # aborts (protocol-induced)
     # ------------------------------------------------------------------
     def _begin_protocol_abort(
-        self, pid: int, cause: str = "cascade"
+        self, pid: int, cause: str = "cascade", then: str = "resubmit"
     ) -> None:
-        """Abort a running process on the protocol's behalf.
+        """Abort a running process on the protocol's (or, with ``then``
+        ``"cancelled"``, a client's) behalf.
 
         ``cause`` distinguishes the paper's cascading aborts (Comp-,
         Piv-, and C⁻¹-Rule victims), deadlock-cycle resolution (reachable
@@ -1119,13 +1156,11 @@ class ProcessManager:
         self._cancel_all_work(process)
         plan = process.plan_protocol_abort()
         self._note_abort_started(pid)
-        self.stats.protocol_aborts += 1
-        self.records[pid].cascade_aborts += 1
+        if then == "resubmit":
+            self.stats.protocol_aborts += 1
+            self.records[pid].cascade_aborts += 1
         self._start_compensation_run(
-            process,
-            plan,
-            label=f"protocol-abort:{cause}",
-            on_done=lambda: self._finalize_abort(process, resubmit=True),
+            process, plan, label=f"protocol-abort:{cause}", then=then
         )
 
     def _cancel_all_work(self, process: Process) -> None:
@@ -1190,50 +1225,41 @@ class ProcessManager:
             if request.kind is RequestKind.REGULAR:
                 process.abandon(request.activity)
 
-    def _finalize_abort(self, process: Process, resubmit: bool) -> None:
+    def _finalize_abort(self, process: Process, then: str) -> None:
+        """End an abort: ``then`` is ``"resubmit"`` or the pid's outcome.
+        Out of resubmissions it is ``starved`` — reported by :meth:`run`
+        after the drain, never raised from inside this callback."""
+        pid = process.pid
+        count = self.records[pid].resubmissions
+        if then == "resubmit" and count >= self.config.max_resubmissions:
+            then = "starved"
+            self.stats.starved += 1
+            if self.tracer.enabled:
+                self.tracer.emit(ProcessStarved(pid, count))
         process.finish_abort()
         self.trace.record_abort(process)
         self.protocol.detach(process)
-        del self._processes[process.pid]
-        self._drop_cascade_edges_to(process.pid)
+        del self._processes[pid]
+        self._drop_cascade_edges_to(pid)
         self.protocol.stats.aborts += 1
         if self.tracer.enabled:
             self.tracer.emit(
                 ProcessAborted(
-                    pid=process.pid,
+                    pid=pid,
                     incarnation=process.incarnation,
-                    resubmit=resubmit,
+                    resubmit=then == "resubmit",
                 )
             )
-        if resubmit:
-            record = self.records[process.pid]
-            record.resubmissions += 1
-            self.stats.resubmissions += 1
-            if record.resubmissions > self.config.max_resubmissions:
-                raise StarvationError(
-                    f"P{process.pid} exceeded "
-                    f"{self.config.max_resubmissions} resubmissions"
-                )
-            successor = process.resubmit()
-            self.engine.schedule(
+        if then == "resubmit":
+            self._hold_start(
+                pid,
+                process.program,
                 self.config.resubmit_delay,
-                lambda: self._resubmit(successor),
+                process.resubmit(),
             )
-        self._retry_parked(process.pid)
-
-    def _resubmit(self, process: Process) -> None:
-        self._processes[process.pid] = process
-        self.protocol.attach(process)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                ProcessResubmitted(
-                    pid=process.pid,
-                    incarnation=process.incarnation,
-                    timestamp=process.timestamp,
-                )
-            )
-        self._step(process)
-        self._post_event()
+        else:
+            self._decide(pid, then)
+        self._retry_parked(pid)
 
     # ------------------------------------------------------------------
     # commits
@@ -1246,6 +1272,7 @@ class ProcessManager:
         self._drop_cascade_edges_to(process.pid)
         self.stats.committed += 1
         self.records[process.pid].committed_at = self.engine.now
+        self._decide(process.pid, "committed")
         if self.tracer.enabled:
             self.tracer.emit(
                 ProcessCommitted(

@@ -9,15 +9,18 @@ failure.  This module models that:
   the moment of a crash — the **process journal**: for every live
   process its program, timestamp, incarnation, state, executed-activity
   ledger (with compensation status), open failure scopes, and pending
-  work.  Volatile state — the lock table, in-flight activities, parked
-  lock requests, the event queue — is deliberately *not* captured.
+  work; for any other undecided pid the start it waits for (initiation,
+  or resubmission).  Volatile state — the lock table, in-flight
+  activities, parked lock requests, the event queue — is deliberately
+  *not* captured.
 * :func:`recover` rebuilds a fresh manager from the image: locks are
   re-acquired in the original sharing order (the pre-crash state was
   rule-produced, hence consistent), completing processes resume
   *forward* (they must commit — guaranteed termination), running
   processes simply continue (their lock state is intact; in-flight
   activities were lost and are relaunched), and aborting processes
-  finish their abort-process execution.
+  finish their abort-process execution and then resubmit, or end, as
+  they were about to.
 
 The recovered manager's trace continues the pre-crash trace, so the
 combined schedule can be checked against CT and P-RC end to end — the
@@ -90,6 +93,12 @@ class ProcessSnapshot:
     #: whose pivot request was still parked at the crash already carries
     #: the over-threshold charge without any conversion having happened.
     pivot_treated: bool = False
+    #: How an ``aborting`` process's abort ends: ``"resubmit"`` or the
+    #: outcome it is heading for (``None`` in other states).
+    abort_then: str | None = None
+    #: Virtual time until an ``awaiting-resubmit`` successor restarts
+    #: (``None`` for a live process).
+    resubmit_in: float | None = None
 
 
 @dataclass
@@ -101,6 +110,9 @@ class CrashImage:
     records: dict[int, ProcessRecord] = field(default_factory=dict)
     crashed_at: float = 0.0
     max_pid: int = 0
+    #: ``(pid, program, virtual time until its initiation)`` of every
+    #: submitted pid that had not been initiated yet.
+    pending: list[tuple] = field(default_factory=list)
 
 
 # ----------------------------------------------------------------------
@@ -112,25 +124,37 @@ def crash(manager: ProcessManager) -> CrashImage:
     Read-only: the caller simply abandons the crashed manager
     afterwards.
     """
+    now = manager.engine.now
     return CrashImage(
         snapshots=snapshot_live(manager),
         trace_events=list(manager.trace.events),
         records=dict(manager.records),
-        crashed_at=manager.engine.now,
+        crashed_at=now,
         max_pid=max(manager.records, default=0),
+        pending=[
+            (pid, start.program, start.handle.time - now)
+            for pid, start in sorted(manager._starts.items())
+            if start.process is None
+        ],
     )
 
 
 def snapshot_live(manager: ProcessManager) -> list[ProcessSnapshot]:
-    """The journal entries of the live processes — the part of a crash
-    image whose size follows the work in flight, not the history.
+    """The journal entries of the live processes and of the
+    ``awaiting-resubmit`` successors — the part of a crash image whose
+    size follows the work in flight, not the history.
 
     Pending (launched-but-uncommitted) activities are recorded by
     *name only* — their subsystem transactions abort with the crash
     (the bottom layer is ACA) and they will be relaunched.
     """
     snapshots = []
-    for process in manager._processes.values():
+    now = manager.engine.now
+    for pid, phase in manager.undecided().items():
+        if phase == "pending":
+            continue
+        process = manager.process(pid)
+        start, run = manager._starts.get(pid), manager._comp_runs.get(pid)
         pending = list(process.ready_activities())
         for flight in manager._inflight.values():
             if (
@@ -157,7 +181,11 @@ def snapshot_live(manager: ProcessManager) -> list[ProcessSnapshot]:
         )
         snapshots.append(
             _snapshot_process(
-                process, tuple(pending), pivot_treated=pivot_treated
+                process,
+                tuple(pending),
+                pivot_treated=pivot_treated,
+                abort_then=run.then if phase == "aborting" else None,
+                resubmit_in=start.handle.time - now if start else None,
             )
         )
     return snapshots
@@ -166,7 +194,7 @@ def snapshot_live(manager: ProcessManager) -> list[ProcessSnapshot]:
 def _snapshot_process(
     process: Process,
     pending: tuple[str, ...],
-    pivot_treated: bool = False,
+    **lifecycle,
 ) -> ProcessSnapshot:
     ledger = tuple(
         LedgerRecord(
@@ -201,7 +229,7 @@ def _snapshot_process(
         unwinding=process.unwinding,
         ledger=ledger,
         scopes=scopes,
-        pivot_treated=pivot_treated,
+        **lifecycle,
     )
 
 
@@ -336,12 +364,8 @@ def recover(
             "recovery needs a fresh protocol instance (its lock table "
             "is rebuilt from the journal)"
         )
-    processes = [
-        restore_process(snapshot)
-        for snapshot in sorted(
-            image.snapshots, key=lambda snap: snap.timestamp
-        )
-    ]
+    snapshots = sorted(image.snapshots, key=lambda snap: snap.timestamp)
+    processes = [restore_process(snapshot) for snapshot in snapshots]
     max_ts = max((p.timestamp for p in processes), default=0)
     protocol.ensure_timestamp_floor(max_ts)
     max_uid = max(
@@ -370,6 +394,12 @@ def recover(
         or snapshot.state == ProcessState.COMPLETING.value
     }
     rebuild_locks(protocol, processes, protected_pids)
-    for process in processes:
-        manager.adopt_recovered(process)
+    for snapshot, process in zip(snapshots, processes):
+        manager.adopt_recovered(
+            process,
+            abort_then=snapshot.abort_then,
+            resubmit_in=snapshot.resubmit_in,
+        )
+    for pid, program, delay in image.pending:
+        manager.submit(program, at=delay, pid=pid)
     return manager

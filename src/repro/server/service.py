@@ -49,6 +49,7 @@ from dataclasses import dataclass, field, fields, replace
 from repro import config as repro_config
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import EventMetrics, MetricsTracer
+from repro.scheduler.events import conserved
 from repro.scheduler.manager import ManagerConfig, make_manager
 from repro.server.bridge import BusTracer
 from repro.server.bus import EventBus
@@ -209,7 +210,6 @@ class ProcessLockingService:
             if self.config.batch_k is not None
             else manager_config.batch_k,
         )
-        self._cancelled: set[int] = set()
         #: Recovery outcome of this incarnation (``None`` = cold start).
         self.recovery = None
         self.plane = None
@@ -237,7 +237,6 @@ class ProcessLockingService:
                 seed=self.config.seed,
                 tracer=self.tracer,
             )
-            self._cancelled |= self.recovery.cancelled_pids
         else:
             self.manager = make_manager(
                 protocol,
@@ -265,6 +264,11 @@ class ProcessLockingService:
         self._stop = threading.Event()
         self._started = threading.Event()
         self._thread: threading.Thread | None = None
+        #: Set when an exception ended the engine loop: the answer to
+        #: every request from then on.  ``_intake`` orders the enqueue
+        #: in ``execute`` against ``_fail``'s last sweep of the queue.
+        self.failed: ServiceError | None = None
+        self._intake = threading.Lock()
         # Shed mirrors, written on the engine thread after each drain
         # and read lock-free from the network thread (atomic swaps).
         self._pending_submissions = 0
@@ -360,6 +364,9 @@ class ProcessLockingService:
         :class:`ServiceError` for request-level failures.
         """
         fut: Future = Future()
+        if self.failed is not None:
+            fut.set_exception(self.failed)
+            return fut
         shed = self.shed_reason(request.get("cmd", ""))
         if shed is not None:
             self._c_shed.inc((shed[0],))
@@ -378,7 +385,11 @@ class ProcessLockingService:
                 ServiceError("draining", "server has drained")
             )
             return fut
-        self._commands.put((request, fut))
+        with self._intake:
+            if self.failed is None:
+                self._commands.put((request, fut))
+                return fut
+        fut.set_exception(self.failed)
         return fut
 
     # ------------------------------------------------------------------
@@ -388,20 +399,40 @@ class ProcessLockingService:
         eager = self.config.time_scale <= 0
         start_wall = time.monotonic()
         self._started.set()
-        while not self._stop.is_set():
-            batch = self._next_batch()
-            for request, fut in batch:
-                self._apply(request, fut)
-            if eager:
-                self.manager.engine.run(
-                    max_events=self.manager.config.max_events
-                )
-            else:
-                deadline = (
-                    time.monotonic() - start_wall
-                ) * self.config.time_scale
-                self.manager.engine.run_due(deadline)
-            self._post_drain()
+        try:
+            while not self._stop.is_set():
+                batch = self._next_batch()
+                for request, fut in batch:
+                    self._apply(request, fut)
+                if eager:
+                    self.manager.engine.run(
+                        max_events=self.manager.config.max_events
+                    )
+                else:
+                    deadline = (
+                        time.monotonic() - start_wall
+                    ) * self.config.time_scale
+                    self.manager.engine.run_due(deadline)
+                self._post_drain()
+        except Exception as exc:  # the manager's state is unknown now
+            self._fail(exc)
+
+    def _fail(self, exc: Exception) -> None:
+        """The engine loop died (callbacks and ``_post_drain`` run
+        outside any request handler): fail every future it strands."""
+        with self._intake:
+            self.failed = ServiceError(
+                "internal",
+                f"engine loop died: {type(exc).__name__}: {exc}",
+            )
+        self._flight_dump("internal-error")
+        stranded = [fut for _, fut in self._deferred + self._waiters]
+        self._deferred, self._waiters = [], []
+        while not self._commands.empty():
+            stranded.append(self._commands.get_nowait()[1])
+        for fut in stranded:
+            if not fut.done():
+                fut.set_exception(self.failed)
 
     def _next_batch(self) -> list:
         batch = []
@@ -498,10 +529,8 @@ class ProcessLockingService:
         if pid not in self.manager.records:
             raise ServiceError("unknown-pid", f"no process {pid}")
         cancelled = self.manager.cancel(pid)
-        if cancelled:
-            self._cancelled.add(pid)
-            if self.plane is not None:
-                self.plane.note_cancel(pid)
+        if cancelled and self.plane is not None:
+            self.plane.note_cancel(pid)
         self._deferred.append(
             (lambda: {"pid": pid, "cancelled": cancelled}, fut)
         )
@@ -526,18 +555,14 @@ class ProcessLockingService:
         )
         self.manager.close()
         if self.plane is not None:
-            self.plane.after_drain(
-                self.manager, self._is_terminal, self._cancelled
-            )
+            self.plane.after_drain(self.manager)
             self.plane.final(self.manager)
         self._drained.set()
         self._settle_latencies()
         self._flight_dump("drain")
         body = self._stats_body()
         body["drained"] = True
-        body["quiesced"] = not (
-            self.manager._processes or self.manager._pending_init
-        )
+        body["quiesced"] = not self.manager.undecided()
         self.bus.publish(
             "service.drained",
             {"kind": "service.drained", "quiesced": body["quiesced"]},
@@ -562,25 +587,18 @@ class ProcessLockingService:
         if not self._wall_submitted:
             return
         now_wall = time.monotonic()
-        done = [
-            pid
-            for pid in self._wall_submitted
-            if self._is_terminal(pid)
-        ]
+        outcome = self.manager.outcome
+        done = [pid for pid in self._wall_submitted if outcome(pid)]
         for pid in done:
             started = self._wall_submitted.pop(pid)
-            self.metrics.observe_latency(
-                now_wall - started, self._outcome(pid)
-            )
+            self.metrics.observe_latency(now_wall - started, outcome(pid))
 
     def _post_drain(self) -> None:
         if self.plane is not None:
             # Durability point: terminals journaled, snapshot cadence
             # honoured, everything flushed — before any future below
             # acknowledges a client.
-            self.plane.after_drain(
-                self.manager, self._is_terminal, self._cancelled
-            )
+            self.plane.after_drain(self.manager)
         # The registry's gauges, once per drain and on this thread (the
         # sampler reads manager tables): a scrape or a ``metrics``
         # builder below reads what the drain left.
@@ -603,13 +621,16 @@ class ProcessLockingService:
         if self._waiters:
             unresolved = []
             for pids, fut in self._waiters:
-                if all(self._is_terminal(p) for p in pids):
+                if all(map(self.manager.outcome, pids)):
                     if fut.set_running_or_notify_cancel():
                         fut.set_result(self._outcomes_body(pids))
                 else:
                     unresolved.append((pids, fut))
             self._waiters = unresolved
-        self._pending_submissions = len(self.manager._pending_init)
+        self._pending_submissions = sum(
+            phase in ("pending", "awaiting-resubmit")
+            for phase in self.manager.undecided().values()
+        )
         self._open_breakers = self._snapshot_open_breakers()
 
     def _snapshot_open_breakers(self) -> tuple[str, ...]:
@@ -620,43 +641,28 @@ class ProcessLockingService:
         return health.open_subsystems(self.manager.engine.now)
 
     # -- response bodies -----------------------------------------------
-    def _is_terminal(self, pid: int) -> bool:
-        return (
-            pid not in self.manager._pending_init
-            and pid not in self.manager._processes
-        )
-
-    def _outcome(self, pid: int) -> str:
-        record = self.manager.records.get(pid)
-        if record is not None and record.committed_at is not None:
-            return "committed"
-        if pid in self._cancelled:
-            return "cancelled"
-        return "aborted"
-
     def _outcomes_body(self, pids: set[int]) -> dict:
-        rows = []
-        for pid in sorted(pids):
-            record = self.manager.records.get(pid)
-            rows.append(
-                {
-                    "pid": pid,
-                    "outcome": self._outcome(pid),
-                    "latency": record.latency if record else None,
-                }
-            )
+        records = self.manager.records
+        rows = [
+            {
+                "pid": pid,
+                "outcome": records[pid].outcome,
+                "latency": records[pid].latency,
+            }
+            for pid in sorted(pids)
+        ]
         return {"pids": sorted(pids), "outcomes": rows}
 
     def _status_body(self, pid: int) -> dict:
         manager = self.manager
-        if pid in manager._pending_init:
+        phase = manager.phase(pid)
+        if phase == "pending":
             return {"pid": pid, "state": "pending"}
-        process = manager._processes.get(pid)
-        if process is not None:
+        if phase is not None:
             return {
                 "pid": pid,
-                "state": process.state.value,
-                "incarnation": process.incarnation,
+                "state": phase,
+                "incarnation": manager.process(pid).incarnation,
             }
         record = manager.records.get(pid)
         if record is None:
@@ -664,7 +670,7 @@ class ProcessLockingService:
         return {
             "pid": pid,
             "state": "done",
-            "outcome": self._outcome(pid),
+            "outcome": record.outcome,
             "committed_at": record.committed_at,
             "latency": record.latency,
             "resubmissions": record.resubmissions,
@@ -777,7 +783,8 @@ class ProcessLockingService:
         }
 
     def _check_body(self, stride: int) -> dict:
-        schedule = self.manager.trace.to_schedule(
+        manager = self.manager
+        schedule = manager.trace.to_schedule(
             self.workload.conflicts.conflict
         )
         complete = schedule.is_complete
@@ -791,6 +798,9 @@ class ProcessLockingService:
             "prefix_reducible": prefix_reducible,
             "process_recoverable": report.ok,
             "violations": len(report.violations),
+            "conserved": conserved(  # docs/faults.md
+                manager.records, manager.stats, manager.undecided()
+            ),
         }
 
 

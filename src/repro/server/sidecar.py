@@ -8,7 +8,8 @@ registry without speaking the JSON-lines protocol:
 * ``GET /metrics`` — Prometheus text exposition (format 0.0.4);
 * ``GET /metrics.json`` — the same registry as the ``metrics`` wire
   verb's JSON snapshot;
-* ``GET /healthz`` — liveness (``503`` once the service drained).
+* ``GET /healthz`` — liveness (``503`` once the service drained, or
+  when its engine loop died).
 
 The server is a daemon-threaded :class:`~http.server.ThreadingHTTPServer`
 serving read-only snapshots; it never touches the engine thread (the
@@ -46,11 +47,12 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(200, "application/json", body)
         elif path == "/healthz":
             drained = service._drained.is_set()
-            status = 503 if drained else 200
+            ok = not drained and service.failed is None
+            status = 200 if ok else 503
             body = (
                 json.dumps(
                     {
-                        "ok": not drained,
+                        "ok": ok,
                         "draining": service.draining,
                         "drained": drained,
                     }

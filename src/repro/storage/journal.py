@@ -4,7 +4,8 @@ The persistence plane stores four shapes:
 
 * **journal records** — flat dicts appended to
   :class:`~repro.storage.facade.JournalRepository`:
-  ``submit`` / ``terminal`` / ``cancel`` drive recovery; ``grant``,
+  ``submit`` / ``terminal`` / ``cancel`` drive recovery (a ``cancel``
+  with no ``terminal`` after it is re-applied); ``grant``,
   ``wcc`` and ``retry-exhausted`` are informational redo detail
   captured by :class:`JournalTracer` (they make ``repro store
   inspect`` explain *why* the journal looks the way it does, and feed
@@ -17,9 +18,10 @@ The persistence plane stores four shapes:
   per checkpoint.
 * **checkpoint documents** — what is left of a
   :class:`~repro.scheduler.recovery.CrashImage` once the trace and the
-  finished processes live elsewhere: live-process continuations, the
-  records of still-undecided pids, and the journal and trace
-  watermarks (``journal_lsn``, ``trace_len``) the checkpoint covers.
+  finished processes live elsewhere: the continuations of live and
+  ``awaiting-resubmit`` processes, the records of still-undecided
+  pids, and the journal and trace watermarks (``journal_lsn``,
+  ``trace_len``) the checkpoint covers.
 
 Programs are referenced by **catalog index**: the persistence plane is
 always bound to a submission catalog (the workload's program list),
@@ -92,6 +94,8 @@ def snapshot_to_dict(
         "ledger": [asdict(record) for record in snapshot.ledger],
         "scopes": [asdict(record) for record in snapshot.scopes],
         "pivot_treated": snapshot.pivot_treated,
+        "abort_then": snapshot.abort_then,
+        "resubmit_in": snapshot.resubmit_in,
     }
 
 
@@ -114,6 +118,9 @@ def snapshot_from_dict(data: dict, codec: ProgramCodec) -> ProcessSnapshot:
             ScopeRecord(**record) for record in data["scopes"]
         ),
         pivot_treated=data["pivot_treated"],
+        # Absent from documents written before these fields existed.
+        abort_then=data.get("abort_then"),
+        resubmit_in=data.get("resubmit_in"),
     )
 
 
@@ -156,11 +163,15 @@ def trace_event_from_row(row: list, position: int) -> ScheduleEvent:
 # process records
 # ----------------------------------------------------------------------
 def record_to_dict(record: ProcessRecord) -> dict:
-    return asdict(record)
+    """Without ``outcome``: a ``terminal`` journal record carries it
+    next to this dict, and nothing else that is stored has one yet."""
+    data = asdict(record)
+    del data["outcome"]
+    return data
 
 
-def record_from_dict(data: dict) -> ProcessRecord:
-    return ProcessRecord(**data)
+def record_from_dict(data: dict, outcome=None) -> ProcessRecord:
+    return ProcessRecord(**data, outcome=outcome)
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,8 @@ prefix + terminal records, run it through the *existing*
 :func:`repro.scheduler.recovery.recover` machinery (locks re-acquired
 in sharing order, processes adopted mid-flight), then walk the journal
 — terminal records restore finished processes without re-execution,
-and undecided submissions are re-scheduled under their original pids.
+undecided submissions are re-scheduled under their original pids, and
+an acknowledged ``cancel`` with no terminal yet is applied again.
 
 Semantics (documented in ``docs/persistence.md``): process *outcomes*
 are exactly-once — a journaled terminal is never re-run — while
@@ -43,7 +44,6 @@ from dataclasses import dataclass, field
 from repro import config as repro_config
 from repro.activities.activity import ensure_uid_floor
 from repro.obs.events import StoreRecovered, StoreSnapshot, StoreTornTail
-from repro.scheduler.events import ProcessRecord
 from repro.scheduler.recovery import CrashImage, recover, snapshot_live
 from repro.storage.journal import (
     ProgramCodec,
@@ -59,7 +59,8 @@ from repro.storage.journal import (
 class RecoveryInfo:
     """What a restart found and did."""
 
-    #: Live processes adopted from the snapshot (resume mid-flight).
+    #: Processes adopted from the snapshot (resume mid-flight, or
+    #: go on awaiting their resubmission).
     adopted: int = 0
     #: Journaled submissions re-scheduled under their original pids.
     resubmitted: int = 0
@@ -67,9 +68,6 @@ class RecoveryInfo:
     restored: int = 0
     journal_records: int = 0
     snapshot_lsn: int = 0
-    #: Pids whose terminal outcome was a client cancel (the service
-    #: re-seeds its cancelled set from this).
-    cancelled_pids: set[int] = field(default_factory=set)
     #: Torn tails truncated at open: ``{namespace: dropped_bytes}``.
     healed: dict[str, int] = field(default_factory=dict)
     seconds: float = 0.0
@@ -108,8 +106,6 @@ class PersistencePlane:
         #: from here.
         self._trace_len = 0
         self._max_pid = 0
-        #: Submitted pids with no terminal record journaled yet.
-        self._undecided: set[int] = set()
         self.last_recovery: RecoveryInfo | None = None
 
     # ------------------------------------------------------------------
@@ -129,9 +125,10 @@ class PersistencePlane:
     # ------------------------------------------------------------------
     # startup recovery
     # ------------------------------------------------------------------
-    def load_image(self) -> tuple[CrashImage, dict[int, str]]:
+    def load_image(self) -> tuple[CrashImage, list[int]]:
         """The crash image as of the last snapshot, rebuilt from what
-        open read, and the journaled outcome of each finished pid.
+        open read, and the pids with an acknowledged ``cancel`` that
+        have no outcome yet.
 
         Finished processes come from the journal: the latest
         ``terminal`` record of each pid.  A pid that is live in the
@@ -139,7 +136,8 @@ class PersistencePlane:
         post-snapshot trace was lost with the crash, so restoring the
         terminal would leave the spliced schedule incomplete); its
         stale terminal record is ignored and a fresh one is journaled
-        when it finishes again.
+        when it finishes again.  Submissions with neither are the
+        image's ``pending`` pids (no delay is kept: they start at once).
         """
         document = self._document
         if document is None:
@@ -150,20 +148,32 @@ class PersistencePlane:
             del rows[trace_len:]  # orphans of a crash before the swap
             image = checkpoint_from_dict(document, rows, self.codec)
         live = {snapshot.pid for snapshot in image.snapshots}
-        outcomes: dict[int, str] = {}
+        submits: dict[int, int] = {}
+        cancels: set[int] = set()
         for entry in self._journal:
-            kind = entry.get("kind")
-            if kind in ("submit", "terminal"):
-                image.max_pid = max(image.max_pid, int(entry["pid"]))
-            if kind == "terminal" and entry["pid"] not in live:
-                pid, stored = entry["pid"], entry.get("record")
-                image.records[pid] = (
-                    record_from_dict(stored)
-                    if stored
-                    else ProcessRecord(pid=pid, submitted_at=0.0)
+            kind, pid = entry.get("kind"), entry.get("pid")
+            if kind == "submit":
+                submits[pid] = int(entry["program"])
+            elif kind == "cancel":
+                cancels.add(pid)
+            elif kind == "terminal" and pid not in live:
+                stored = entry.get("record")
+                image.records[pid] = record_from_dict(
+                    stored or {"pid": pid, "submitted_at": 0.0},
+                    entry.get("outcome"),
                 )
-                outcomes[pid] = entry.get("outcome")
-        return image, outcomes
+        image.max_pid = max(image.max_pid, *submits, *image.records, 0)
+        decided = {
+            pid
+            for pid, record in image.records.items()
+            if record.outcome is not None
+        }
+        image.pending = [
+            (pid, self.codec.program_at(program), 0.0)
+            for pid, program in submits.items()
+            if pid not in live and pid not in decided
+        ]
+        return image, sorted(cancels - decided)
 
     def recover(
         self,
@@ -181,7 +191,7 @@ class PersistencePlane:
         """
         started = time.monotonic()
         info = RecoveryInfo(healed=dict(self.store.healed))
-        image, outcomes = self.load_image()
+        image, cancels = self.load_image()
         document, journal = self._document, self._journal
         self._document, self._journal = None, []
         info.journal_records = len(journal)
@@ -215,31 +225,21 @@ class PersistencePlane:
             )
         )
         info.adopted = len(image.snapshots)
-        self._undecided.update(
-            snapshot.pid for snapshot in image.snapshots
-        )
+        info.resubmitted = len(image.pending)
         # recover() restored the finished processes' records with the
-        # image; count them, then re-schedule the undecided remainder
-        # under their original pids.
-        for pid, outcome in outcomes.items():
-            manager.stats.submitted += 1
-            if manager.records[pid].committed_at is not None:
-                manager.stats.committed += 1
-            if outcome == "cancelled":
-                info.cancelled_pids.add(pid)
-                manager.stats.cancellations += 1
-        info.restored = len(outcomes)
-        for record in journal:
-            if record.get("kind") != "submit":
-                continue
-            pid = int(record["pid"])
-            if pid in self._undecided or pid in outcomes:
-                continue
-            self._undecided.add(pid)
-            manager.submit_recovered(
-                pid, self.codec.program_at(int(record["program"]))
-            )
-            info.resubmitted += 1
+        # image and re-scheduled the pending pids; count the former.
+        stats = manager.stats
+        for record in image.records.values():
+            if record.outcome is not None:
+                info.restored += 1
+                stats.submitted += 1
+                stats.committed += record.outcome == "committed"
+                stats.cancellations += record.outcome == "cancelled"
+                stats.starved += record.outcome == "starved"
+        for pid in cancels:
+            # False: adopted mid-abort, already heading for "cancelled".
+            if not manager.cancel(pid):
+                stats.cancellations += 1
         info.seconds = self._read_seconds + time.monotonic() - started
         self.last_recovery = info
         if tracer is not None and tracer.enabled:
@@ -277,44 +277,32 @@ class PersistencePlane:
                 "at": at,
             }
         )
-        self._undecided.add(pid)
         self._max_pid = max(self._max_pid, pid)
 
     def note_cancel(self, pid: int) -> None:
         self.store.journal.append({"kind": "cancel", "pid": pid})
 
-    def after_drain(
-        self, manager, is_terminal, cancelled: set[int]
-    ) -> bool:
+    def after_drain(self, manager) -> bool:
         """Quiescent-point bookkeeping; returns True on a snapshot.
 
-        Journals newly terminal processes (in ascending pid order, so
-        a schedule fixes the journal's bytes), takes a snapshot when
-        the journal has outgrown the cadence, and flushes so everything
-        acknowledged after this point is durable.
+        Journals the pids decided since the last call (in ascending
+        pid order, so a schedule fixes the journal's bytes), takes a
+        snapshot when the journal has outgrown the cadence, and flushes
+        so everything acknowledged after this point is durable.
         """
         # The drain's decision records, after its submits and ahead of
         # its terminals — where appending them one by one put them.
         self.store.journal.write_deferred()
-        for pid in sorted(self._undecided):
-            if not is_terminal(pid):
-                continue
+        for pid in sorted(manager.take_finished()):
             record = manager.records[pid]
-            if record.committed_at is not None:
-                outcome = "committed"
-            elif pid in cancelled:
-                outcome = "cancelled"
-            else:
-                outcome = "aborted"
             self.store.journal.append(
                 {
                     "kind": "terminal",
                     "pid": pid,
-                    "outcome": outcome,
+                    "outcome": record.outcome,
                     "record": record_to_dict(record),
                 }
             )
-            self._undecided.discard(pid)
         took = False
         if (
             self.journal_len - self._snapshot_lsn
@@ -351,7 +339,7 @@ class PersistencePlane:
         self.store.snapshots.save(
             checkpoint_to_dict(
                 processes,
-                {pid: manager.records[pid] for pid in self._undecided},
+                {pid: manager.records[pid] for pid in manager.undecided()},
                 self.codec,
                 journal_lsn=lsn,
                 trace_len=len(events),

@@ -183,6 +183,7 @@ EXEMPLARS = [
     ev.AbortBegun(pid=1, incarnation=0, cause="cascade"),
     ev.ProcessAborted(pid=1, incarnation=0, resubmit=True),
     ev.ProcessCancelled(pid=1, initiated=False),
+    ev.ProcessStarved(pid=1, resubmissions=500),
     ev.ProcessResubmitted(pid=1, incarnation=1, timestamp=3),
     ev.LockGranted(
         pid=1, incarnation=0, request="regular", activity="reserve",

@@ -252,7 +252,11 @@ class TestEventMetrics:
 # ----------------------------------------------------------------------
 # stats reconciliation (the satellite property test)
 # ----------------------------------------------------------------------
-def _run_with_metrics(seed: int, cancel_pids: tuple[int, ...] = ()):
+def _run_with_metrics(
+    seed: int,
+    cancel_pids: tuple[int, ...] = (),
+    max_resubmissions: int = 100_000,
+):
     spec = CONTENDED.with_(seed=seed)
     workload = build_workload(spec)
     protocol = make_protocol("process-locking", workload)
@@ -260,7 +264,7 @@ def _run_with_metrics(seed: int, cancel_pids: tuple[int, ...] = ()):
     manager = make_manager(
         protocol,
         subsystems=workload.make_subsystems(),
-        config=ManagerConfig(max_resubmissions=100_000),
+        config=ManagerConfig(max_resubmissions=max_resubmissions),
         seed=seed,
         tracer=tracer,
     )
@@ -276,7 +280,9 @@ def _run_with_metrics(seed: int, cancel_pids: tuple[int, ...] = ()):
             workload.arrival_time(index) + 1.0,
             lambda pid=pid: manager.cancel(pid),
         )
-    result = manager.run()
+    # Starved pids are outcomes to reconcile here, not a failed run.
+    result = manager.run(require_quiescence=False)
+    assert not manager.undecided()
     return result.stats, tracer
 
 
@@ -285,11 +291,24 @@ def test_event_derived_counters_reconcile_with_manager_stats(seed):
     stats, tracer = _run_with_metrics(
         seed, cancel_pids=(0, 4, 9, 15)
     )
-    m = tracer.metrics
+    assert stats.starved == 0
+    _assert_reconciled(stats, tracer.metrics)
 
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_starved_outcomes_reconcile_too(seed):
+    stats, tracer = _run_with_metrics(
+        seed, cancel_pids=(0, 4, 9, 15), max_resubmissions=2
+    )
+    assert stats.starved > 0
+    _assert_reconciled(stats, tracer.metrics)
+
+
+def _assert_reconciled(stats, m) -> None:
     assert m.submitted.total() == stats.submitted
     assert m.outcomes.value(("committed",)) == stats.committed
     assert m.outcomes.value(("cancelled",)) == stats.cancellations
+    assert m.outcomes.value(("starved",)) == stats.starved
     protocol_aborts = (
         m.aborts.value(("cascade",))
         + m.aborts.value(("deadlock",))

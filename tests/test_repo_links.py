@@ -52,3 +52,54 @@ def test_named_files_and_verbs_exist(source):
     assert not missing, f"{source.name} names missing files: {missing}"
     unknown = sorted(set(VERB.findall(text)) - set(_COMMANDS))
     assert not unknown, f"{source.name} names unknown verbs: {unknown}"
+
+
+# ----------------------------------------------------------------------
+# one owner for a pid's lifecycle (docs/protocol.md, "Process phases")
+# ----------------------------------------------------------------------
+#: The manager's lifecycle tables, reached into from outside.
+REACH_IN = re.compile(r"manager\._(processes|pending_init|starts)\b")
+
+#: Side-books and re-derivations that were folded into the manager's
+#: read API; spelled in pieces so this file does not name them either.
+RETIRED = re.compile(
+    "|".join(
+        head + tail
+        for head, tail in (
+            ("submit_", "recovered"),
+            ("discard_", "pending"),
+            ("cancelled_", "pids"),
+            ("_is_", "terminal"),
+        )
+    )
+)
+
+
+def _python_files(*roots: str):
+    for root in roots:
+        yield from sorted((ROOT / root).rglob("*.py"))
+
+
+def test_lifecycle_is_read_through_the_manager_api():
+    """Outside ``scheduler/`` (the owner) and ``parallel/`` (its
+    subclass) nobody probes the manager's dicts to infer a pid's fate:
+    ``phase`` / ``outcome`` / ``undecided`` / ``take_finished`` answer."""
+    owners = (ROOT / "src/repro/scheduler", ROOT / "src/repro/parallel")
+    offenders = [
+        f"{path.relative_to(ROOT)}:{number}"
+        for path in _python_files("src/repro")
+        if not any(owner in path.parents for owner in owners)
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if REACH_IN.search(line)
+    ]
+    assert not offenders, offenders
+
+
+def test_retired_lifecycle_books_stay_retired():
+    offenders = [
+        f"{path.relative_to(ROOT)}:{number}"
+        for path in _python_files("src", "tests", "benchmarks")
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if RETIRED.search(line)
+    ]
+    assert not offenders, offenders

@@ -202,19 +202,42 @@ class TestAdaptiveThreshold:
 
 class TestCrashRebind:
     def test_pending_admissions_are_rescheduled(self):
-        layer, _ = bound_layer()
-        trip(layer, "shop")
+        """A deferred admission is a pending pid of the manager's: it
+        comes back with the crash image, and a cancelled one does not."""
+        from repro.activities.commutativity import ConflictMatrix
+        from repro.core.protocol import ProcessLockManager
+        from repro.scheduler.manager import ManagerConfig, ProcessManager
+        from repro.scheduler.recovery import crash, recover
+
         program = TestAdmissionGating().program()
-        assert layer.admission_delay(7, program) is not None
+        conflicts = ConflictMatrix(program.registry)
+        layer = ResilienceLayer(CFG)
+        config = ManagerConfig(resilience=layer)
+        manager = ProcessManager(
+            ProcessLockManager(program.registry, conflicts), config=config
+        )
+        trip(layer, "shop")
+        kept, dropped = manager.submit(program), manager.submit(program)
+        manager.engine.run_steps(2)  # both initiations: both deferred
+        assert layer.stats.admissions_deferred == 2
+        assert manager.undecided() == {kept: "pending", dropped: "pending"}
+        assert manager.cancel(dropped)
 
         # The manager crashes: a fresh incarnation re-binds the layer.
-        recovered = FakeManager()
-        layer.bind(recovered)
-        assert len(recovered.engine.scheduled) == 1
-        delay, fn = recovered.engine.scheduled[0]
-        assert delay == CFG.admission_retry_delay
-        fn()
-        assert recovered.initiated == [7]
+        image = crash(manager)
+        assert image.pending == [(kept, program, CFG.admission_retry_delay)]
+        recovered = recover(
+            image,
+            ProcessLockManager(program.registry, conflicts),
+            config=config,
+        )
+        assert recovered.undecided() == {kept: "pending"}
+        result = recovered.run()
+        assert result.records[kept].outcome == "committed"
+        assert result.records[dropped].outcome == "cancelled"
+        # The layer knew the pid across the crash: a re-admission, not
+        # a first admission.
+        assert layer.stats.admissions_readmitted == 1
 
     def test_rebind_rebases_open_cooldowns(self):
         layer, manager = bound_layer()

@@ -68,17 +68,18 @@ class TestInflightActivity:
 
 
 class TestCompensationRun:
-    def test_carries_queue_and_callback(self, flat_program):
+    def test_carries_queue_and_ending(self, flat_program):
         process = Process(pid=1, program=flat_program, timestamp=1)
         activity = process.launch("reserve")
         process.on_committed(activity)
-        fired = []
         run = CompensationRun(
             process=process,
             queue=list(process.ledger),
-            on_done=lambda: fired.append(True),
+            then="resubmit",
             label="test",
         )
         assert len(run.queue) == 1
-        run.on_done()
-        assert fired == [True]
+        # The ending is data the manager (and a crash image) can read
+        # and a cancel can rewrite — not a closure.
+        run.then = "cancelled"
+        assert run.then == "cancelled"

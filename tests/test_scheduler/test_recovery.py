@@ -189,8 +189,8 @@ class TestLockRebuild:
         protocol2 = ProcessLockManager(registry, conflicts)
         recovered = recover(image, protocol2)
         recovered.engine.run_steps(1)
-        younger = recovered._processes.get(2)
-        older = recovered._processes.get(1)
+        younger = recovered.process(2)
+        older = recovered.process(1)
         if younger is not None and older is not None:
             blockers = protocol2.table.commit_blockers(younger)
             assert blockers <= {1}

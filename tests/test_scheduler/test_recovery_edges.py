@@ -18,7 +18,6 @@ P-RC.
 
 from __future__ import annotations
 
-from repro.process.state import ProcessState
 from repro.scheduler.manager import ManagerConfig, ProcessManager
 from repro.scheduler.recovery import crash, recover
 from repro.sim.arrivals import poisson_arrivals
@@ -86,16 +85,13 @@ class TestCrashMidCompensation:
         manager = fresh_manager(workload, seed=0)
         steps = run_until(
             manager,
-            lambda m: any(
-                p.state is ProcessState.ABORTING
-                for p in m._processes.values()
-            ),
+            lambda m: "aborting" in m.undecided().values(),
         )
         assert steps is not None, "never observed an ABORTING process"
         aborting = {
             pid
-            for pid, process in manager._processes.items()
-            if process.state is ProcessState.ABORTING
+            for pid, phase in manager.undecided().items()
+            if phase == "aborting"
         }
         image = crash(manager)
         recovered = recover_fresh(workload, image, seed=0)
@@ -229,8 +225,8 @@ class TestRecoveryResumeRace:
         manager.engine.run_steps(9)
         running_at_crash = {
             pid
-            for pid, process in manager._processes.items()
-            if process.state is ProcessState.RUNNING
+            for pid, phase in manager.undecided().items()
+            if phase == "running"
         }
         image = crash(manager)
         recovered = recover(
@@ -243,9 +239,9 @@ class TestRecoveryResumeRace:
         starts: list[tuple[float, int, str]] = []
         inner = recovered._start_compensation_run
 
-        def spy(process, plan, label, on_done):
+        def spy(process, plan, label, then):
             starts.append((recovered.engine.now, process.pid, label))
-            inner(process, plan, label, on_done)
+            inner(process, plan, label, then)
 
         recovered._start_compensation_run = spy
         result = recovered.run()
@@ -260,10 +256,11 @@ class TestRecoveryResumeRace:
             and label == "protocol-abort:cascade"
         }
         assert raced, "no adoption-time cascade hit a RUNNING process"
-        # ... and its recovery resume stood down instead of starting an
-        # overlapping "protocol-abort:recovery" compensation run.
-        assert not [
-            entry
-            for entry in starts
-            if entry[1] in raced and entry[2] == "protocol-abort:recovery"
-        ]
+        # ... and its recovery resume stood down instead of starting a
+        # second, overlapping compensation run.
+        for pid in raced:
+            assert [
+                label
+                for now, started, label in starts
+                if started == pid and now == 0.0
+            ] == ["protocol-abort:cascade"]

@@ -29,13 +29,6 @@ SPEC = WorkloadSpec(
 )
 
 
-def _is_terminal(manager):
-    return lambda pid: (
-        pid not in manager._pending_init
-        and pid not in manager._processes
-    )
-
-
 def _build(workload, store, snapshot_every=1, seed=5):
     plane = PersistencePlane(
         store, workload.programs, snapshot_every=snapshot_every
@@ -73,7 +66,7 @@ def test_stop_at_snapshot_recovers_to_ct(tmp_path, kind, steps):
     plane, manager, _ = _build(workload, store)
     _submit_all(plane, manager, workload)
     manager.engine.run_steps(steps)
-    plane.after_drain(manager, _is_terminal(manager), set())
+    plane.after_drain(manager)
     plane.snapshot(manager)
     store.flush()
     store.close()
@@ -85,7 +78,7 @@ def test_stop_at_snapshot_recovers_to_ct(tmp_path, kind, steps):
         workload.programs
     )
     result = recovered.run()
-    plane2.after_drain(recovered, _is_terminal(recovered), set())
+    plane2.after_drain(recovered)
     schedule = result.trace.to_schedule(workload.conflicts.conflict)
     assert schedule.is_complete
     assert has_correct_termination(schedule, stride=4)
@@ -121,7 +114,7 @@ def test_finished_processes_restore_without_rerun(tmp_path):
     plane, manager, _ = _build(workload, store)
     _submit_all(plane, manager, workload)
     result = manager.run()
-    plane.after_drain(manager, _is_terminal(manager), set())
+    plane.after_drain(manager)
     plane.final(manager)
     committed = result.stats.committed
     events_before = len(result.trace.events)
@@ -132,7 +125,7 @@ def test_finished_processes_restore_without_rerun(tmp_path):
     assert info.adopted == 0 and info.resubmitted == 0
     assert recovered.stats.committed == committed
     # Nothing re-runs: the engine has no scheduled work.
-    assert not recovered._pending_init and not recovered._processes
+    assert not recovered.undecided()
     assert len(recovered.trace.events) == events_before
     for pid, record in result.records.items():
         assert recovered.records[pid].committed_at == (
@@ -147,7 +140,7 @@ def test_pid_sequence_continues_after_recovery(tmp_path):
     plane, manager, _ = _build(workload, store)
     _submit_all(plane, manager, workload)
     manager.run()
-    plane.after_drain(manager, _is_terminal(manager), set())
+    plane.after_drain(manager)
     store.close()
     store2 = Store.open("log", str(tmp_path / "store"))
     plane2, recovered, __ = _build(workload, store2)
@@ -162,7 +155,7 @@ def test_snapshot_cadence_throttles_snapshots(tmp_path):
     plane, manager, _ = _build(workload, store, snapshot_every=10_000)
     _submit_all(plane, manager, workload)
     manager.run()
-    took = plane.after_drain(manager, _is_terminal(manager), set())
+    took = plane.after_drain(manager)
     assert not took  # journal far below the cadence
     assert store.snapshots.load() is None
     store.close()

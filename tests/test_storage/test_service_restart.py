@@ -215,6 +215,136 @@ class TestInThreadRestart:
         finally:
             second.stop()
 
+    @pytest.mark.parametrize("snapshot_every", (1, 32))
+    def test_acknowledged_cancel_of_running_victim_survives_kill(
+        self, tmp_path, snapshot_every
+    ):
+        """The cancel is acknowledged while compensations still run;
+        the ``cancel`` record is all a restart has (cadence 32: the
+        pid re-runs from its ``submit`` record; cadence 1: it is
+        adopted from a snapshot) — and it must end ``cancelled``."""
+        first = _service(
+            tmp_path, time_scale=5.0, tick=0.005,
+            snapshot_every=snapshot_every,
+        )
+        (pid,) = first.execute({"cmd": "submit", "program": 2}).result(
+            timeout=30
+        )["pids"]
+        record = first.manager.records[pid]
+        deadline = time.monotonic() + 30
+        while not record.activities_committed:  # something to undo
+            assert time.monotonic() < deadline and record.outcome is None
+            time.sleep(0.005)
+        assert first.execute({"cmd": "cancel", "pid": pid}).result(
+            timeout=30
+        )["cancelled"]
+        assert first.manager.phase(pid) == "aborting"
+        first._stop.set()  # as in test_abrupt_death_mid_flight_recovers
+        first._thread.join(timeout=10)
+        assert first.manager.outcome(pid) is None
+        second = _service(tmp_path)
+        try:
+            second.execute({"cmd": "ping"}).result(timeout=60)
+            status = second.execute(
+                {"cmd": "status", "pid": pid}
+            ).result(timeout=30)
+            assert (status["state"], status["outcome"]) == (
+                "done",
+                "cancelled",
+            )
+            stats = second.execute({"cmd": "stats"}).result(timeout=30)
+            assert stats["manager"]["cancellations"] == 1
+            report = second.execute({"cmd": "check"}).result(timeout=30)
+            assert report["complete"] and report["correct_termination"]
+            assert report["conserved"]
+        finally:
+            second.stop()
+
+    def test_restart_inside_the_resubmission_gap(self, tmp_path):
+        """Killed while a cascade victim awaits its resubmission: the
+        first incarnation's abort is not an outcome — no ``terminal``
+        record, not ``done`` — and the pid finishes exactly once."""
+        from repro.storage import PersistencePlane, Store
+        from tests.test_storage.test_journal_golden import CONTENDED
+
+        def open_service(**pacing):
+            return _service(
+                tmp_path, spec=CONTENDED, snapshot_every=1, **pacing
+            )
+
+        # One virtual unit of resubmit delay = 1 s of wall.
+        first = open_service(time_scale=1.0, tick=0.005)
+        pids = first.execute({"cmd": "submit", "count": 16}).result(
+            timeout=30
+        )["pids"]
+        deadline = time.monotonic() + 60
+        states: set[str] = set()
+        while "awaiting-resubmit" not in states:  # asked on its thread
+            assert time.monotonic() < deadline
+            states = {
+                first.execute({"cmd": "status", "pid": pid}).result(
+                    timeout=30
+                )["state"]
+                for pid in pids
+            }
+        # A journal record, so this drain cuts a snapshot of the gap.
+        pids += first.execute({"cmd": "submit"}).result(timeout=30)["pids"]
+        first._stop.set()
+        first._thread.join(timeout=10)
+
+        store = Store.open("log", str(tmp_path / "store"))
+        image, _ = PersistencePlane(
+            store, first.workload.programs
+        ).load_image()
+        terminals = {
+            entry["pid"]
+            for entry in store.journal.records()
+            if entry["kind"] == "terminal"
+        }
+        store.close()
+        in_gap = [
+            snapshot.pid
+            for snapshot in image.snapshots
+            if snapshot.resubmit_in is not None
+        ]
+        assert in_gap, "the last snapshot caught no pid in the gap"
+        assert not terminals & set(in_gap)
+
+        second = open_service(time_scale=1e-6, tick=0.005)
+        try:
+            for pid in in_gap:
+                status = second.execute(
+                    {"cmd": "status", "pid": pid}
+                ).result(timeout=30)
+                assert status["state"] == "awaiting-resubmit"
+            assert second.execute({"cmd": "drain"}).result(timeout=120)[
+                "quiesced"
+            ]
+            for pid in pids:
+                status = second.execute(
+                    {"cmd": "status", "pid": pid}
+                ).result(timeout=30)
+                assert status["state"] == "done"
+                assert status["outcome"] in ("committed", "aborted")
+            report = second.execute({"cmd": "check"}).result(timeout=60)
+            assert report["complete"]
+            assert report["correct_termination"]
+            assert report["process_recoverable"]
+            assert report["conserved"]
+        finally:
+            second.stop()
+        store = Store.open("log", str(tmp_path / "store"))
+        try:
+            written = [
+                entry["pid"]
+                for entry in store.journal.records()
+                if entry["kind"] == "terminal"
+            ]
+            assert sorted(written) == sorted(pids)  # one each
+            assert store.verify()["ok"]
+        finally:
+            store.close()
+
 
 @pytest.mark.slow
 class TestKillNine:
