@@ -49,12 +49,9 @@ SPEC = WorkloadSpec(
 #: sit well under 2x with batch fsync.
 MAX_DURABLE_FACTOR = 3.0
 
-CONFIG = dict(max_resubmissions=100_000)
-
-
 def _run_once(store):
     workload = build_workload(SPEC)
-    config = ManagerConfig(**CONFIG, store=store)
+    config = ManagerConfig(store=store)
     manager = make_manager(
         make_protocol("process-locking", workload),
         subsystems=workload.make_subsystems(),

@@ -19,7 +19,10 @@ from repro.sim.workload import WorkloadSpec, build_workload
 
 RATES = [0.05, 0.1, 0.2, 0.4]
 PROTOCOLS = ["serial", "s2pl", "process-locking"]
-SEEDS = [1, 2, 3]
+#: Every failure of a run is drawn from one shared stream, so any
+#: schedule change re-rolls all of them; over three seeds that noise
+#: is larger than the gaps between the protocols.
+SEEDS = list(range(1, 17))
 
 SPEC = WorkloadSpec(
     n_processes=24,

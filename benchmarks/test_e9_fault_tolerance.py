@@ -29,7 +29,10 @@ SPEC = WorkloadSpec(
     failure_probability=0.08,
     pivot_probability=0.8,
 )
-CRASH_POINTS = [5, 15, 30, 60, 120]
+#: Both runs drain within 70 events; each seed meets a completing
+#: process at one of these points, and pids held at the restart gate
+#: at most of them.
+CRASH_POINTS = [5, 15, 30, 40, 60]
 SEEDS = [3, 9]
 
 
@@ -47,6 +50,10 @@ def run_e9():
                 manager.submit(program)
             manager.engine.run_steps(point)
             image = crash(manager)
+            held = sum(
+                bool(manager.held_behind(pid))
+                for pid in manager.undecided()
+            )
             completing = [
                 snap.pid
                 for snap in image.snapshots
@@ -72,6 +79,7 @@ def run_e9():
                     "crash after": point,
                     "live at crash": len(image.snapshots),
                     "completing at crash": len(completing),
+                    "held at crash": held,
                     "forward recovery": forward_ok,
                     "complete": schedule.is_complete,
                     "CT": has_correct_termination(schedule, stride=3),
@@ -92,7 +100,10 @@ def test_e9_fault_tolerance(benchmark):
         "the sweep should hit at least one crash with a completing "
         "process to make forward recovery observable"
     )
+    assert sum(row["completing at crash"] > 0 for row in rows) >= 2
+    assert any(row["held at crash"] > 0 for row in rows)
     for row in rows:
+        assert row["live at crash"] > 0, row
         assert row["forward recovery"], row
         assert row["complete"], row
         assert row["CT"], row

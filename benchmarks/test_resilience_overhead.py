@@ -37,11 +37,14 @@ BENCH_PATH = (
     / "BENCH_resilience_overhead.json"
 )
 
-#: Digest of this benchmark's schedule recorded on a build *without*
-#: the resilience subsystem (uids renumbered canonically, so the value
-#: is floor-independent).  If the default-config run ever drifts from
-#: it, a hook leaked into the ``resilience=None`` path.
-PINNED_PRE_PR_DIGEST = "aaba0fa041610606"
+#: Digest of this benchmark's schedule at the default config (uids
+#: renumbered canonically, so the value is floor-independent).  If the
+#: default-config run ever drifts from it, a hook leaked into the
+#: ``resilience=None`` path.  ``aaba0fa041610606``, recorded on a
+#: build *without* the resilience subsystem, held until the restart
+#: gate changed when cascade victims come back — a schedule change by
+#: design, with which the digest was recorded again.
+PINNED_PRE_PR_DIGEST = "992d7d051b3003bf"
 
 #: Fixed uid floor: both paired runs restart the global counters here
 #: so their raw traces are byte-comparable within the test.
@@ -81,9 +84,7 @@ def _inert_layer() -> ResilienceLayer:
 
 
 def _timed(resilience=None):
-    config = ManagerConfig(
-        max_resubmissions=100_000, resilience=resilience
-    )
+    config = ManagerConfig(resilience=resilience)
     workload = build_workload(SPEC)
     start = time.perf_counter()
     result = run_workload(

@@ -94,8 +94,6 @@ class PureOrderedSharedLocking(BaselineProtocol):
                 # exactly the failure mode process locking prevents.
                 self.stats.unresolvable += 1
         if victims:
-            self.stats.cascades_requested += 1
-            self.stats.cascade_victims += len(victims)
             return AbortVictims(victims=frozenset(victims))
         if waits:
             self.stats.note_defer("wait-aborting")

@@ -158,6 +158,4 @@ class StrictTwoPhaseLocking(BaselineProtocol):
         return Defer(wait_for=frozenset(blockers), reason=reason)
 
     def _wound(self, victims: set[int]) -> AbortVictims:
-        self.stats.cascades_requested += 1
-        self.stats.cascade_victims += len(victims)
         return AbortVictims(victims=frozenset(victims))

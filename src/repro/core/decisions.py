@@ -112,6 +112,10 @@ class ProtocolStats:
     conversions: int = 0
     defers: int = 0
     defer_reasons: dict[str, int] = field(default_factory=dict)
+    #: Cascade decisions that began at least one abort, and the aborts
+    #: they began — counted by the process manager where the abort
+    #: starts: re-asked after a victim is gone, a rule names the
+    #: remaining victims again.
     cascades_requested: int = 0
     cascade_victims: int = 0
     commit_defers: int = 0

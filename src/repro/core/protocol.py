@@ -555,8 +555,6 @@ class ProcessLockManager:
                 f"cascade requested against non-running processes "
                 f"{sorted(victims)}"
             )
-        self.stats.cascades_requested += 1
-        self.stats.cascade_victims += len(running)
         return AbortVictims(victims=frozenset(running))
 
     def _require_active(self, process: Process) -> None:

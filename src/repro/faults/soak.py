@@ -198,7 +198,6 @@ def run_soak(plan: SoakPlan) -> SoakReport:
         config = ManagerConfig(
             audit=True,
             audit_every=plan.audit_every,
-            max_resubmissions=100_000,
             resilience=layer,
             workers=workers,
             batch_k=batch_k,

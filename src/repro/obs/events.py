@@ -97,6 +97,20 @@ class ProcessResubmitted:
 
 
 @dataclass(frozen=True, slots=True)
+class ProcessHeld:
+    """The restart gate closed on a cascade victim's successor: it is
+    not restarted while an older undecided process (``behind``) may
+    still request a type conflicting with its first lock requests.
+    Emitted once per hold; the ``process.resubmit`` that follows ends
+    it."""
+
+    kind = "process.held"
+    pid: int
+    incarnation: int
+    behind: tuple[int, ...]
+
+
+@dataclass(frozen=True, slots=True)
 class ProcessCancelled:
     """A client explicitly cancelled the process (service front door).
 
@@ -457,6 +471,7 @@ EVENT_TYPES: dict[str, type] = {
         ProcessAborted,
         ProcessCancelled,
         ProcessStarved,
+        ProcessHeld,
         ProcessResubmitted,
         LockGranted,
         LockDeferred,

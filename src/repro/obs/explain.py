@@ -93,6 +93,8 @@ def explain_process(records: list[dict], pid: int) -> str:
     blocked_total = sum(durations.values())
     outcome = "still live at end of trace"
     seen = False
+    #: (line index, since) of a restart-gate hold not yet ended.
+    held: tuple[int, float] | None = None
 
     def add(t: float, text: str) -> None:
         lines.append(f"  vt {t:>8.2f}  {text}")
@@ -245,7 +247,14 @@ def explain_process(records: list[dict], pid: int) -> str:
                 else "terminal"
             )
             add(t, f"abort-process execution finished ({tail})")
+        elif kind == "process.held":
+            held = (len(lines), t)
+            older = ", ".join(f"P{p}" for p in record["behind"])
+            add(t, f"held behind {older}")
         elif kind == "process.resubmit":
+            if held is not None:
+                lines[held[0]] += f" for {t - held[1]:g} vt"
+                held = None
             resubmissions += 1
             add(
                 t,

@@ -126,6 +126,7 @@ _HOLDER_TUPLE_FIELDS = {
 
 #: Fields holding flat tuples of scalars (JSON lists).
 _SCALAR_TUPLE_FIELDS = {
+    ("process.held", "behind"),
     ("wait.edge", "blockers"),
     ("deadlock.victim", "cycle"),
     ("deadlock.forced", "cycle"),

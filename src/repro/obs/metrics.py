@@ -603,11 +603,11 @@ class EventMetrics:
         )
         self.cascades = r.counter(
             "repro_lock_cascades_total",
-            "Cascade requests issued by timestamp order.",
+            "Cascade decisions that began at least one abort.",
         )
         self.cascade_victims = r.counter(
             "repro_cascade_victims_total",
-            "Holders sacrificed across all cascade requests.",
+            "Cascade-victim aborts begun.",
         )
         self.conversions = r.counter(
             "repro_lock_conversions_total",
@@ -698,6 +698,11 @@ class EventMetrics:
         self.live_gauge = r.gauge(
             "repro_live_processes", "Processes currently live."
         )
+        self.held_gauge = r.gauge(
+            "repro_processes_held",
+            "Cascade victims held at the restart gate behind an older "
+            "process.",
+        )
         self.locks_gauge = r.gauge(
             "repro_locks_total", "Lock entries currently on the table."
         )
@@ -742,6 +747,8 @@ class EventMetrics:
         self._park_since: dict[int, tuple[float, str]] = {}
         self._retry_counts: dict[int, int] = {}
         self._filed: set[int] = set()
+        #: A ``lock.cascade`` decision whose first abort has not begun.
+        self._cascade_pending = False
         self._handlers: dict[str, Callable[[float, object], None]] = {
             "process.submit": self._on_submit,
             "process.init": self._on_init,
@@ -815,6 +822,8 @@ class EventMetrics:
             return self.inflight_gauge._children, ()
         if name == "live":
             return self.live_gauge._children, ()
+        if name == "held":
+            return self.held_gauge._children, ()
         if name == "locks":
             return self.locks_gauge._children, ()
         if name.startswith("locks."):
@@ -841,6 +850,13 @@ class EventMetrics:
 
     def _on_abort_begin(self, t, event) -> None:
         self.aborts.bump((event.cause,))
+        if event.cause == "cascade":
+            # A victim counts where its abort begins, a cascade once
+            # per decision that begins one (``ProtocolStats`` likewise).
+            self.cascade_victims.bump(())
+            if self._cascade_pending:
+                self._cascade_pending = False
+                self.cascades.bump(())
 
     def _on_abort(self, t, event) -> None:
         if event.resubmit:
@@ -876,8 +892,7 @@ class EventMetrics:
         )
 
     def _on_cascade(self, t, event) -> None:
-        self.cascades.bump(())
-        self.cascade_victims.bump((), len(event.victims))
+        self._cascade_pending = True
 
     def _on_self_abort(self, t, event) -> None:
         self.self_aborts.bump((event.rule,))

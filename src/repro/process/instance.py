@@ -242,6 +242,25 @@ class Process:
             and self.state.is_active
         )
 
+    def may_still_request(self, plane) -> int:
+        """Bitmask (dense type ids of ``plane``) of the activity types
+        this incarnation may still ask a lock for — static and
+        node-granular: the subtree of its current node plus the later
+        alternatives of its open pivots; its whole program while it is
+        aborting (what it undoes, and restarts as); nothing once it has
+        run to its end.
+        """
+        masks = self.program.request_masks(plane)
+        if not self.state.is_active:
+            return masks.whole
+        if self._current is None:
+            return 0
+        mask = masks.subtree[self._current.node_id]
+        for scope in self._scopes:
+            for later in scope.node.children[scope.branch_index + 1:]:
+                mask |= masks.subtree[later.node_id]
+        return mask
+
     @property
     def outstanding(self) -> int:
         """Number of launched-but-unresolved activities."""

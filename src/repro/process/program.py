@@ -69,6 +69,26 @@ class ProgramNode:
 
 
 @dataclass(frozen=True)
+class RequestMasks:
+    """A program's static lock-request footprint, as bitmasks over the
+    dense type ids of one compiled conflict plane
+    (:meth:`~repro.activities.commutativity.ConflictMatrix.compiled`).
+
+    What the manager's restart gate compares: an older process *may
+    still request* the types below its current node
+    (:meth:`~repro.process.instance.Process.may_still_request`), and a
+    cascade victim's successor first asks for its root node's.
+    """
+
+    #: ``node_id`` -> one bit per activity type in that node's subtree.
+    subtree: dict[int, int]
+    #: Every type of the program (the root's subtree).
+    whole: int
+    #: The types that conflict with an activity of the root node.
+    root_conflicts: int
+
+
+@dataclass(frozen=True)
 class ProcessProgram:
     """An immutable, named process program.
 
@@ -138,6 +158,33 @@ class ProcessProgram:
             )
             node = node.children[0] if node.children else None
         return cost
+
+    def request_masks(self, plane) -> RequestMasks:
+        """The program's :class:`RequestMasks` over ``plane``, computed
+        once per plane (a mutated conflict relation compiles a new one)."""
+        cached = self.__dict__.get("_request_masks")
+        if cached is not None and cached[0] is plane:
+            return cached[1]
+        subtree: dict[int, int] = {}
+
+        def fold(node: ProgramNode) -> int:
+            mask = 0
+            for name in node.activities:
+                mask |= 1 << plane.id_of(name)
+            for child in node.children:
+                mask |= fold(child)
+            subtree[node.node_id] = mask
+            return mask
+
+        whole = fold(self.root)
+        root_conflicts = 0
+        for name in self.root.activities:
+            root_conflicts |= plane.mask_of[name]
+        masks = RequestMasks(subtree, whole, root_conflicts)
+        # Frozen dataclass: the cache is not a field (eq/hash/repr
+        # ignore it), so it is written past ``__setattr__``.
+        self.__dict__["_request_masks"] = (plane, masks)
+        return masks
 
     def validate(self) -> None:
         """Check guaranteed termination; see :mod:`repro.process.validation`."""

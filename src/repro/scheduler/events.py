@@ -113,9 +113,11 @@ class CompensationRun:
 
 @dataclass(slots=True)
 class ScheduledStart:
-    """A start the engine holds for a pid: its initiation (``pending``,
-    no ``process`` yet) or the restart of a cascade victim's successor
-    (``awaiting-resubmit``).  ``handle.time`` is when it fires."""
+    """A start waiting for a pid: its initiation (``pending``, no
+    ``process`` yet) or the restart of a cascade victim's successor
+    (``awaiting-resubmit``).  ``handle.time`` is when the engine fires
+    it — or fired it, for a successor the manager's restart gate has
+    held since and will start itself."""
 
     program: ProcessProgram
     handle: object

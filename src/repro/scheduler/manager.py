@@ -5,8 +5,9 @@ processes from process programs, asks the locking protocol for permission
 before invoking each activity, executes the resulting decisions (grant /
 defer / cascade-abort / self-abort), drives compensation runs for failed
 subprocesses and aborted processes, resubmits cascade victims with their
-original timestamps, and records the observed schedule for the theory
-oracles.
+original timestamps — once no older process would wound them again (the
+restart gate in :meth:`ProcessManager._start`) — and records the observed
+schedule for the theory oracles.
 
 It is deliberately protocol-agnostic: any object with the
 :class:`ProcessLockManager` decision interface can be plugged in, which is
@@ -57,6 +58,7 @@ from repro.obs.events import (
     ProcessAborted,
     ProcessCancelled,
     ProcessCommitted,
+    ProcessHeld,
     ProcessInitiated,
     ProcessResubmitted,
     ProcessStarved,
@@ -94,7 +96,8 @@ class ManagerConfig:
 
     #: Resubmissions per process before it ends ``starved``.
     max_resubmissions: int = 500
-    #: Virtual-time delay before a cascade victim is resubmitted.
+    #: Virtual-time delay before a cascade victim's restart is tried
+    #: (the restart gate may hold it longer).
     resubmit_delay: float = 1.0
     #: Delay before a transiently failed retriable activity is retried.
     retry_delay: float = 1.0
@@ -287,6 +290,12 @@ class ProcessManager:
         # has the outcome.  Everyone else asks the lifecycle read API.
         self._processes: dict[int, Process] = {}
         self._starts: dict[int, ScheduledStart] = {}
+        #: The ``awaiting-resubmit`` pids of ``_starts`` held at the
+        #: restart gate (their timer has fired) -> the one older pid
+        #: each watches, one it was last seen held behind.  A hint for
+        #: :meth:`_release_held`, rebuilt by every re-test; what a pid
+        #: waits behind is always asked of :meth:`held_behind`.
+        self._held: dict[int, int] = {}
         #: Pids decided since :meth:`take_finished` was last called.
         self._finished: list[int] = []
         #: Parked requests keyed by park sequence (insertion-ordered).
@@ -360,10 +369,29 @@ class ProcessManager:
         )
 
     def _start(self, pid: int) -> None:
-        start = self._starts.pop(pid)
+        start = self._starts[pid]
         process, program = start.process, start.program
         resubmission = process is not None
         if resubmission:
+            # Restart gate: a successor re-takes its first locks only
+            # once no older process will still ask for a conflicting
+            # one and wound it again.  Held, it keeps its place in
+            # ``_starts`` (pid, timestamp, ``awaiting-resubmit``) with
+            # no lock, no parked request and — its timer has fired —
+            # nothing in the engine; :meth:`_release_held` re-tests it.
+            behind = self._in_the_way_of(process)
+            if behind:
+                if pid not in self._held and self.tracer.enabled:
+                    self.tracer.emit(
+                        ProcessHeld(
+                            pid=pid,
+                            incarnation=process.incarnation,
+                            behind=tuple(behind),
+                        )
+                    )
+                self._held[pid] = behind[-1]
+                return
+            self._held.pop(pid, None)
             self.records[pid].resubmissions += 1
             self.stats.resubmissions += 1
         elif self.resilience is not None:
@@ -383,6 +411,7 @@ class ProcessManager:
                 self.stats.add("admissions_backpressured")
                 self._hold_start(pid, program, delay)
                 return
+        del self._starts[pid]
         if not resubmission:
             timestamp = self.protocol.new_timestamp()
             process = Process(pid=pid, program=program, timestamp=timestamp)
@@ -400,6 +429,60 @@ class ProcessManager:
             )
         self._step(process)
         self._post_event()
+
+    def held_behind(self, pid: int) -> list[int]:
+        """The older pids a held ``pid`` waits behind right now —
+        derived from live state on every call, never stored; empty for
+        a pid that is not held at the restart gate."""
+        if pid not in self._held:
+            return []
+        return self._in_the_way_of(self._starts[pid].process)
+
+    def _in_the_way_of(self, successor: Process) -> list[int]:
+        """The older undecided pids — live, or awaiting their own
+        restart — that may still request an activity type conflicting
+        with ``successor``'s first lock requests (its root node).
+
+        Only strictly older timestamps count, so waits cannot cycle
+        and the oldest undecided pid is never held.
+        """
+        plane = self.protocol.conflicts.compiled()
+        wanted = successor.program.request_masks(plane).root_conflicts
+        if not wanted:
+            return []
+        timestamp = successor.timestamp
+        undecided = itertools.chain(
+            self._processes.values(),
+            (
+                start.process
+                for start in self._starts.values()
+                if start.process is not None
+            ),
+        )
+        return sorted(
+            process.pid
+            for process in undecided
+            if process.timestamp < timestamp
+            and process.may_still_request(plane) & wanted
+        )
+
+    def _release_held(self, shrunk: int) -> None:
+        """Re-test the held pids watching ``shrunk``, oldest first, and
+        restart those whose gate opened.
+
+        Called where pid ``shrunk`` may request less than before: it
+        committed an activity, entered a next branch, or was decided.
+        A held pid stays held at least until the one older pid it
+        watches gets there, so nobody else needs a look.
+        """
+        if not self._held:
+            return
+        starts = self._starts
+        watching = [p for p, w in self._held.items() if w == shrunk]
+        watching.sort(key=lambda p: starts[p].process.timestamp)
+        for pid in watching:
+            if pid in self._held:  # not cancelled by a restart above
+                self._start(pid)
 
     def run(self, require_quiescence: bool = True) -> RunResult:
         """Run the simulation to completion and package the results.
@@ -503,8 +586,9 @@ class ProcessManager:
 
         * **not started** (``pending`` or ``awaiting-resubmit``: the
           engine still holds its start, possibly re-scheduled by
-          admission deferrals) — the start is dropped; nothing is held
-          and nothing is left to compensate;
+          admission deferrals, or the restart gate does) — the start
+          is dropped; nothing is held and nothing is left to
+          compensate;
         * **running** — aborted through the regular protocol-abort
           machinery (compensations run, locks release, waiters wake)
           but *without* the cascade path's resubmission;
@@ -527,7 +611,9 @@ class ProcessManager:
             )
         if not_started:
             SimulationEngine.cancel(self._starts.pop(pid).handle)
+            self._held.pop(pid, None)
             self._decide(pid, "cancelled")
+            self._release_held(pid)
         elif resubmitting:
             run.then = "cancelled"
         else:
@@ -686,12 +772,16 @@ class ProcessManager:
             self._resolve_wait_cycles()
         elif isinstance(decision, AbortVictims):
             # Park the request until the victims' aborts complete, then
-            # retry; protocol state already counted the cascade.
+            # retry.  A victim counts where its abort begins: one that
+            # finalizes at once wakes this request, whose re-asked rule
+            # names (and whose nested decision aborts) the rest.
             request.wait_for = decision.victims
             request.reason = "awaiting-cascade"
             self._park(request)
-            for victim_pid in decision.victims:
-                self._begin_protocol_abort(victim_pid)
+            begun = sum(map(self._begin_protocol_abort, decision.victims))
+            if begun:
+                self.protocol.stats.cascades_requested += 1
+                self.protocol.stats.cascade_victims += begun
             self._resolve_wait_cycles()
         elif isinstance(decision, SelfAbort):
             if process.state is not ProcessState.RUNNING:
@@ -877,6 +967,7 @@ class ProcessManager:
             self._on_activity_failed(process, activity)
         else:
             self._on_activity_committed(process, activity)
+            self._release_held(process.pid)
         self._post_event()
 
     def _wants_transient_retry(self, flight: InflightActivity) -> bool:
@@ -1064,6 +1155,7 @@ class ProcessManager:
             if run.then == "next-branch":
                 process.start_next_branch()
                 self._step(process)
+                self._release_held(process.pid)
             else:
                 self._finalize_abort(process, run.then)
             return
@@ -1132,9 +1224,10 @@ class ProcessManager:
     # ------------------------------------------------------------------
     def _begin_protocol_abort(
         self, pid: int, cause: str = "cascade", then: str = "resubmit"
-    ) -> None:
+    ) -> bool:
         """Abort a running process on the protocol's (or, with ``then``
-        ``"cancelled"``, a client's) behalf.
+        ``"cancelled"``, a client's) behalf; ``False`` when it is not
+        running any more and nothing was begun.
 
         ``cause`` distinguishes the paper's cascading aborts (Comp-,
         Piv-, and C⁻¹-Rule victims), deadlock-cycle resolution (reachable
@@ -1144,7 +1237,7 @@ class ProcessManager:
         """
         process = self._processes.get(pid)
         if process is None or process.state is not ProcessState.RUNNING:
-            return  # already terminating (or terminated)
+            return False  # already terminating (or terminated)
         if self.tracer.enabled:
             self.tracer.emit(
                 AbortBegun(
@@ -1162,6 +1255,7 @@ class ProcessManager:
         self._start_compensation_run(
             process, plan, label=f"protocol-abort:{cause}", then=then
         )
+        return True
 
     def _cancel_all_work(self, process: Process) -> None:
         """Cancel in-flight activities and parked requests of a victim."""
@@ -1260,6 +1354,8 @@ class ProcessManager:
         else:
             self._decide(pid, then)
         self._retry_parked(pid)
+        if then != "resubmit":
+            self._release_held(pid)
 
     # ------------------------------------------------------------------
     # commits
@@ -1281,6 +1377,7 @@ class ProcessManager:
                 )
             )
         self._retry_parked(process.pid)
+        self._release_held(process.pid)
 
     # ------------------------------------------------------------------
     # parked-request machinery
@@ -1715,6 +1812,7 @@ class ProcessManager:
             "parked": float(len(self._parked)),
             "inflight": float(self.stats._inflight),
             "live": float(len(self._processes)),
+            "held": float(len(self._held)),
             "locks": float(table.lock_count),
         }
         shards = table.shards

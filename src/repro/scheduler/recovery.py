@@ -97,7 +97,8 @@ class ProcessSnapshot:
     #: outcome it is heading for (``None`` in other states).
     abort_then: str | None = None
     #: Virtual time until an ``awaiting-resubmit`` successor restarts
-    #: (``None`` for a live process).
+    #: (``None`` for a live process; 0 for one held at the restart
+    #: gate, which the recovered manager re-tests at once).
     resubmit_in: float | None = None
 
 
@@ -185,7 +186,12 @@ def snapshot_live(manager: ProcessManager) -> list[ProcessSnapshot]:
                 tuple(pending),
                 pivot_treated=pivot_treated,
                 abort_then=run.then if phase == "aborting" else None,
-                resubmit_in=start.handle.time - now if start else None,
+                # A start held at the restart gate fired in the past:
+                # the hold is derived from live state, so the image
+                # says "at once" and the recovered manager re-tests it.
+                resubmit_in=(
+                    max(0.0, start.handle.time - now) if start else None
+                ),
             )
         )
     return snapshots

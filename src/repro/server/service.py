@@ -659,11 +659,15 @@ class ProcessLockingService:
         if phase == "pending":
             return {"pid": pid, "state": "pending"}
         if phase is not None:
-            return {
+            body = {
                 "pid": pid,
                 "state": phase,
                 "incarnation": manager.process(pid).incarnation,
             }
+            behind = manager.held_behind(pid)
+            if behind:  # held at the restart gate: why it waits
+                body["behind"] = behind
+            return body
         record = manager.records.get(pid)
         if record is None:
             raise ServiceError("unknown-pid", f"no process {pid}")

@@ -94,6 +94,26 @@ class TestExplain:
         assert "CASCADE-ABORTED by" in text
         assert "lost the timestamp comparison" in text
 
+    def test_a_hold_names_who_it_waited_behind_and_for_how_long(
+        self, records
+    ):
+        """"Why did pid X wait": from ``process.held`` and the
+        ``process.resubmit`` that ends the hold."""
+        held = next(r for r in records if r["kind"] == "process.held")
+        resubmit = next(
+            r
+            for r in records
+            if r["kind"] == "process.resubmit"
+            and r["pid"] == held["pid"]
+            and r["seq"] > held["seq"]
+        )
+        assert resubmit["incarnation"] == held["incarnation"]
+        older = ", ".join(f"P{pid}" for pid in held["behind"])
+        waited = resubmit["t"] - held["t"]
+        assert waited > 0
+        text = explain_process(records, held["pid"])
+        assert f"held behind {older} for {waited:g} vt" in text
+
     def test_unknown_pid_raises(self, records):
         with pytest.raises(ValueError, match="no events"):
             explain_process(records, 999_999)

@@ -184,6 +184,7 @@ EXEMPLARS = [
     ev.ProcessAborted(pid=1, incarnation=0, resubmit=True),
     ev.ProcessCancelled(pid=1, initiated=False),
     ev.ProcessStarved(pid=1, resubmissions=500),
+    ev.ProcessHeld(pid=4, incarnation=1, behind=(2, 3)),
     ev.ProcessResubmitted(pid=1, incarnation=1, timestamp=3),
     ev.LockGranted(
         pid=1, incarnation=0, request="regular", activity="reserve",

@@ -255,7 +255,7 @@ class TestEventMetrics:
 def _run_with_metrics(
     seed: int,
     cancel_pids: tuple[int, ...] = (),
-    max_resubmissions: int = 100_000,
+    **config,
 ):
     spec = CONTENDED.with_(seed=seed)
     workload = build_workload(spec)
@@ -264,7 +264,7 @@ def _run_with_metrics(
     manager = make_manager(
         protocol,
         subsystems=workload.make_subsystems(),
-        config=ManagerConfig(max_resubmissions=max_resubmissions),
+        config=ManagerConfig(**config),
         seed=seed,
         tracer=tracer,
     )
@@ -298,7 +298,7 @@ def test_event_derived_counters_reconcile_with_manager_stats(seed):
 @pytest.mark.parametrize("seed", [0, 3, 11])
 def test_starved_outcomes_reconcile_too(seed):
     stats, tracer = _run_with_metrics(
-        seed, cancel_pids=(0, 4, 9, 15), max_resubmissions=2
+        seed, cancel_pids=(0, 4, 9, 15), max_resubmissions=0
     )
     assert stats.starved > 0
     _assert_reconciled(stats, tracer.metrics)
@@ -413,7 +413,6 @@ def test_incremental_shard_depths_match_recompute():
     manager = make_manager(
         protocol,
         subsystems=workload.make_subsystems(),
-        config=ManagerConfig(max_resubmissions=100_000),
         seed=spec.seed,
         tracer=tracer,
     )

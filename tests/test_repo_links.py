@@ -58,7 +58,7 @@ def test_named_files_and_verbs_exist(source):
 # one owner for a pid's lifecycle (docs/protocol.md, "Process phases")
 # ----------------------------------------------------------------------
 #: The manager's lifecycle tables, reached into from outside.
-REACH_IN = re.compile(r"manager\._(processes|pending_init|starts)\b")
+REACH_IN = re.compile(r"manager\._(processes|pending_init|starts|held)\b")
 
 #: Side-books and re-derivations that were folded into the manager's
 #: read API; spelled in pieces so this file does not name them either.

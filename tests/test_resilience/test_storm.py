@@ -52,7 +52,6 @@ def run_storm(layer: ResilienceLayer):
     config = ManagerConfig(
         audit=True,
         audit_every=8,
-        max_resubmissions=100_000,
         resilience=layer,
     )
     return run_chaos(

@@ -25,7 +25,9 @@ CONTENDED = WorkloadSpec(
     seed=3,
 )
 
-BURST = {"cmd": "submit", "count": 16, "wait": True}
+#: Three passes over the catalog: ~1,700 events even though a cascade
+#: victim now waits out the older process instead of re-colliding.
+BURST = {"cmd": "submit", "count": 48, "wait": True}
 
 
 class _Counted:

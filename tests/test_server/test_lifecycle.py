@@ -64,13 +64,18 @@ def test_paced_acknowledged_outcomes_never_change():
         service.stop()
 
 
-def _catch_in_gap(service, pids, deadline_s=60) -> tuple[int, dict]:
-    """Poll ``status`` until some pid is awaiting its resubmission."""
+def _catch_in_gap(
+    service, pids, deadline_s=60, held=False
+) -> tuple[int, dict]:
+    """Poll ``status`` until some pid is awaiting its resubmission
+    (``held``: at the restart gate, past the resubmit delay)."""
     deadline = time.monotonic() + deadline_s
     while time.monotonic() < deadline:
         for pid in pids:
             status = _call(service, cmd="status", pid=pid)
-            if status["state"] == "awaiting-resubmit":
+            if status["state"] == "awaiting-resubmit" and (
+                "behind" in status or not held
+            ):
                 return pid, status
     pytest.fail("no pid was ever seen awaiting its resubmission")
 
@@ -103,10 +108,59 @@ def test_gap_is_a_state_and_cancel_reaches_it():
         service.stop()
 
 
+def _metric_values(service, name) -> dict:
+    """``labels -> value`` of one family of the ``metrics`` verb."""
+    families = _call(service, cmd="metrics")["metrics"]["families"]
+    (family,) = [f for f in families if f["name"] == name]
+    return {
+        tuple(sorted(sample["labels"].items())): sample["value"]
+        for sample in family["samples"]
+    }
+
+
+def test_a_held_pid_is_live_and_says_what_it_waits_behind():
+    """Past the gap a victim may be held at the restart gate: still
+    ``awaiting-resubmit`` to everyone who asks, and ``status`` names
+    the older pids it waits behind."""
+    service = _service(time_scale=4.0, tick=0.005)
+    try:
+        waiting = service.execute({"cmd": "submit", "count": 16, "wait": True})
+        pid, status = _catch_in_gap(service, range(1, 17), held=True)
+        assert status == {
+            "pid": pid,
+            "state": "awaiting-resubmit",
+            "incarnation": status["incarnation"],
+            "behind": status["behind"],
+        }
+        assert all(0 < older < pid for older in status["behind"])
+        assert not waiting.done()
+        assert _call(service, cmd="stats")["service"]["backlog"] >= 1
+        assert _metric_values(service, "repro_processes_held")[()] >= 1
+        assert _call(service, cmd="cancel", pid=pid)["cancelled"]
+        after = _call(service, cmd="status", pid=pid)
+        assert (after["state"], after["outcome"]) == ("done", "cancelled")
+        assert _call(service, cmd="drain")["quiesced"]
+        rows = waiting.result(timeout=120)["outcomes"]
+        assert {row["outcome"] for row in rows} <= set(OUTCOMES)
+        assert _metric_values(service, "repro_processes_held")[()] == 0
+        # A victim counts once, and both verbs say the same.
+        stats = _call(service, cmd="stats")["manager"]
+        begun = _metric_values(service, "repro_process_aborts_total")
+        cascade = begun[(("cause", "cascade"),)]
+        assert stats["protocol_aborts"] == cascade > 0  # no cycles, no dies
+        victims = _metric_values(service, "repro_cascade_victims_total")
+        cascades = _metric_values(service, "repro_lock_cascades_total")
+        assert victims[()] == cascade
+        assert 0 < cascades[()] <= cascade
+        assert _call(service, cmd="check")["conserved"]
+    finally:
+        service.stop()
+
+
 def test_starvation_is_served_as_an_outcome():
     """At the parent the engine thread was dead within a second and
     both the submit and the ping timed out."""
-    service = _service(manager_config=ManagerConfig(max_resubmissions=3))
+    service = _service(manager_config=ManagerConfig(max_resubmissions=0))
     try:
         body = _call(service, cmd="submit", count=16, wait=True)
         outcomes = {row["pid"]: row["outcome"] for row in body["outcomes"]}
@@ -117,7 +171,7 @@ def test_starvation_is_served_as_an_outcome():
         assert _call(service, cmd="ping")["pong"] is True
         status = _call(service, cmd="status", pid=starved[0])
         assert status["outcome"] == "starved"
-        assert status["resubmissions"] == 3
+        assert status["resubmissions"] == 0
         stats = _call(service, cmd="stats")["manager"]
         assert stats["starved"] == len(starved)
         families = {

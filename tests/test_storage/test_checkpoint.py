@@ -28,7 +28,7 @@ from repro.storage.codec import encode_frame, scan_frames
 from repro.storage.facade import FORMAT_VERSION, dumps, loads
 
 CONTENDED = WorkloadSpec(
-    n_processes=14,
+    n_processes=20,
     conflict_density=0.6,
     failure_probability=0.1,
     seed=11,
@@ -41,7 +41,7 @@ def _open_manager(workload, path, snapshot_every):
     plane = PersistencePlane(
         store, workload.programs, snapshot_every=snapshot_every
     )
-    config = ManagerConfig(max_resubmissions=100_000, store=store)
+    config = ManagerConfig(store=store)
     protocol = make_protocol("process-locking", workload)
     # The service's journal tee: the journal grows with the schedule
     # (grants, Wcc classifications), so the cadences bite.
@@ -98,7 +98,7 @@ def test_stored_image_equals_crash_image_at_every_snapshot(
     workload = build_workload(CONTENDED)
     path = str(tmp_path / "store")
     store, plane, manager = _open_manager(workload, path, cadence)
-    checked, phases = [], set()
+    checked, phases, held = [], set(), []
     take = plane.snapshot
 
     def snapshot_and_compare(manager):
@@ -107,6 +107,7 @@ def test_stored_image_equals_crash_image_at_every_snapshot(
             crash(manager)
         )
         phases.update(manager.undecided().values())
+        held.append(any(map(manager.held_behind, manager.undecided())))
         checked.append(lsn)
         return lsn
 
@@ -124,6 +125,8 @@ def test_stored_image_equals_crash_image_at_every_snapshot(
         assert phases >= {
             "pending", "running", "aborting", "awaiting-resubmit"
         }
+        # ... some of them taken with a pid held at the restart gate.
+        assert any(held) and not all(held)
 
 
 def test_crash_between_trace_append_and_document_swap(tmp_path):

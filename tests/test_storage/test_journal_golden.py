@@ -3,10 +3,13 @@
 The journal tee queues its informational records and the plane writes
 them once per drain; the bus bridge flattens an event only for a
 listener; the registry's gauges are sampled per drain.  None of that
-may show: the digests below were recorded at commit 1205e68, where
-every record was appended, every event flattened and every gauge
-sampled as it was emitted.  A moved digest means the bytes a store, a
-subscriber or a ``metrics`` reader gets have changed.
+may show: a moved digest means the bytes a store, a subscriber or a
+``metrics`` reader gets have changed.  First recorded at commit
+1205e68, where every record was appended, every event flattened and
+every gauge sampled as it was emitted, and unmoved by the two changes
+that deferred all three; recorded again when the restart gate changed
+the schedule of the session itself (fewer resubmissions, one more
+event kind, one more gauge).
 
 The scripted session runs in a fresh interpreter for the reason
 ``test_schedule_golden`` gives: uid counters start from zero there.
@@ -36,19 +39,19 @@ CONTENDED = WorkloadSpec(
     seed=3,
 )
 
-#: Recorded at 1205e68 by ``python -c "...session(sys.argv[1])"``.
+#: Recorded by ``python -c "...session(sys.argv[1])"``.
 RECORDED = {
     "journal": (
-        "89e8c2d827aee0333ed034629d5f60d043d82b6e81a98f60f117a61820997371"
+        "76b1b57bed28b59c75d803ecb78be76d1de4ddba4f824ba659d86b64ed576228"
     ),
     "trace": (
-        "0d784f50f4a4844917fa21d44c3aee2e86edec48cf3d7a83e8df1333531af75e"
+        "269abfff52f3831d49c29434548f848a66525985a364e90a374acc1bb975405e"
     ),
     "frames": (
-        "d0bb2ed1b466e3685678b20b82f4ffb28fae84c9564cb6856b2a5f5a26e77211"
+        "ebcd2cf6aeb62ac6b1679c9f74a767a9e4a58992c5b96029f108d5431093ecb6"
     ),
     "gauges": (
-        "956a01c632a244a18ce2dbf8a0e3a4788c37aa4f4a484f3cf46947c96f3bde2f"
+        "360b8de68a6a6d1d6cbcdc63a6e420bce1dd87fcebe97a9944f070a7c8366c72"
     ),
 }
 

@@ -350,7 +350,12 @@ class TestInThreadRestart:
 class TestKillNine:
     """A real server process, a real SIGKILL, a real restart."""
 
-    def _spawn(self, store_path, time_scale):
+    def _spawn(
+        self,
+        store_path,
+        time_scale,
+        world=("--processes", "6", "--seed", "5", "--snapshot-every", "16"),
+    ):
         env = dict(os.environ)
         src = os.path.join(os.getcwd(), "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get(
@@ -365,16 +370,11 @@ class TestKillNine:
                 "serve",
                 "--port",
                 "0",
-                "--processes",
-                "6",
-                "--seed",
-                "5",
+                *world,
                 "--store",
                 "log",
                 "--store-path",
                 str(store_path),
-                "--snapshot-every",
-                "16",
                 "--time-scale",
                 str(time_scale),
             ],
@@ -453,3 +453,70 @@ class TestKillNine:
         finally:
             restarted.terminate()
             restarted.wait(timeout=30)
+
+    def test_kill_nine_while_a_pid_is_held_at_the_restart_gate(
+        self, tmp_path
+    ):
+        """The hold is derived from live state: the image says only
+        ``awaiting-resubmit``, and the restarted manager works out
+        again what the pid waits behind."""
+        from repro.client import ServiceClient
+        from repro.storage import Store
+
+        store_path = tmp_path / "store"
+        world = (
+            "--processes", "16", "--density", "0.6", "--seed", "3",
+            "--snapshot-every", "1",
+        )
+        # Four virtual units a second: a hold lasts seconds of wall.
+        server, port = self._spawn(store_path, 4.0, world)
+        try:
+            with ServiceClient("127.0.0.1", port, timeout=30) as client:
+                submitted = client.submit(count=16)["pids"]
+                held = None
+                deadline = time.monotonic() + 60
+                while held is None:
+                    assert time.monotonic() < deadline, "nothing was held"
+                    held = next(
+                        (
+                            status
+                            for status in map(client.status, submitted)
+                            if status.get("behind")
+                        ),
+                        None,
+                    )
+                assert held["state"] == "awaiting-resubmit"
+                assert all(older < held["pid"] for older in held["behind"])
+                # A journal record: this drain cuts a snapshot of the hold.
+                submitted += client.submit(at=1000.0)["pids"]
+                assert client.status(held["pid"]).get("behind")
+        finally:
+            server.send_signal(signal.SIGKILL)
+            server.wait(timeout=30)
+
+        # Restarted all but frozen, to look before anything moves.
+        restarted, port = self._spawn(store_path, 1e-6, world)
+        try:
+            with ServiceClient("127.0.0.1", port, timeout=120) as client:
+                status = client.status(held["pid"])
+                assert status["state"] == "awaiting-resubmit"
+                assert status["incarnation"] == held["incarnation"]
+                assert status["behind"]  # re-tested after adoption
+                assert client.drain()["quiesced"]
+                for pid in submitted:
+                    status = client.status(pid)
+                    assert status["state"] == "done"
+                    assert status["outcome"] in ("committed", "aborted")
+                report = client.check(stride=4)
+                assert report["complete"]
+                assert report["correct_termination"]
+                assert report["process_recoverable"]
+                assert report["conserved"]
+        finally:
+            restarted.terminate()
+            restarted.wait(timeout=30)
+        store = Store.open("log", str(store_path))
+        try:
+            assert store.verify()["ok"]
+        finally:
+            store.close()
