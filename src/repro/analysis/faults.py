@@ -84,7 +84,6 @@ def _run_json(run) -> dict[str, object]:
         "incarnations": run.incarnations,
         "dropped_injections": run.dropped_injections,
         "retry_budget_exhausted": run.retry_budget_exhausted,
-        "admissions_deferred": run.admissions_deferred,
         "trace_digest": run.trace_digest,
     }
 
@@ -120,7 +119,6 @@ def soak_rows(report) -> list[dict[str, object]]:
         row["injected"] = (
             run.metrics.faults_injected if run.metrics else "-"
         )
-        row["deferred"] = run.admissions_deferred
         row["recoveries"] = run.incarnations - 1
         rows.append(row)
     return rows
@@ -155,26 +153,6 @@ def render_soak(report) -> str:
 
 def soak_json(report) -> dict[str, object]:
     """Machine-readable soak report (``repro soak --json``)."""
-    resilience = []
-    for stats in report.resilience_stats:
-        if stats is None:
-            resilience.append(None)
-        else:
-            resilience.append(
-                {
-                    "admissions_deferred": stats.admissions_deferred,
-                    "admissions_readmitted": (
-                        stats.admissions_readmitted
-                    ),
-                    "admissions_forced": stats.admissions_forced,
-                    "breaker_opens": stats.breaker_opens,
-                    "breaker_closes": stats.breaker_closes,
-                    "degradations": stats.degradations,
-                    "recoveries": stats.recoveries,
-                    "outage_hits": stats.outage_hits,
-                    "retry_exhaustions": stats.retry_exhaustions,
-                }
-            )
     return {
         "seed": report.plan.seed,
         "ok": report.ok,
@@ -182,7 +160,6 @@ def soak_json(report) -> dict[str, object]:
         "min_events": report.plan.min_events,
         "counts": report.counts(),
         "runs": [_run_json(run) for run in report.runs],
-        "resilience": resilience,
     }
 
 

@@ -14,8 +14,6 @@ from repro.obs.metrics import histogram_quantile
 
 __all__ = ["TopState", "render_top"]
 
-_STATE_NAMES = {0.0: "closed", 1.0: "half-open", 2.0: "open"}
-
 
 def family(snapshot: dict, name: str) -> dict | None:
     """One family entry out of a ``metrics`` wire-verb body."""
@@ -152,30 +150,6 @@ def render_top(
         f"latency     submit→done p50 {_fmt_latency(p50)}  "
         f"p99 {_fmt_latency(p99)}  (n={count:.0f})"
     )
-
-    degraded = counter_total(snapshot, "repro_degraded")
-    breaker_rows = gauge_samples(snapshot, "repro_breaker_state")
-    if breaker_rows:
-        parts = []
-        for labels, value in sorted(
-            breaker_rows, key=lambda r: r[0].get("subsystem", "")
-        ):
-            name = labels.get("subsystem", "?")
-            state_name = _STATE_NAMES.get(value, "?")
-            marker = {"closed": " ", "half-open": "~", "open": "!"}.get(
-                state_name, "?"
-            )
-            parts.append(f"{marker}{name}={state_name}")
-        lines.append(
-            "breakers    "
-            + "  ".join(parts)
-            + ("   [Wcc* DEGRADED]" if degraded else "")
-        )
-    else:
-        lines.append(
-            "breakers    (none tripped)"
-            + ("   [Wcc* DEGRADED]" if degraded else "")
-        )
 
     depth_rows = gauge_samples(snapshot, "repro_shard_queue_depth")
     lock_rows = {

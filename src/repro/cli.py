@@ -282,13 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
         "soak",
         help=(
             "long-horizon soak campaign: rotating workloads × fault "
-            "families with circuit breakers and periodic audits "
+            "families with periodic audits "
             "(exits non-zero unless every round passes and the event "
             "floor is met)"
         ),
     )
     soak.add_argument("--seed", type=int, default=0)
-    soak.add_argument("--rounds", type=int, default=8)
+    soak.add_argument("--rounds", type=int, default=12)
     soak.add_argument("--processes", type=int, default=16)
     soak.add_argument("--threshold", type=float, default=25.0)
     soak.add_argument(
@@ -309,11 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail unless at least this many events were processed",
     )
     soak.add_argument(
-        "--no-resilience",
-        action="store_true",
-        help="run without the circuit-breaker resilience layer",
-    )
-    soak.add_argument(
         "--json",
         action="store_true",
         help="emit the machine-readable report instead of tables",
@@ -330,14 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--host",
-        default=None,
-        help="bind address (default: REPRO_SERVE_HOST or 127.0.0.1)",
+        default="127.0.0.1",
+        help="bind address (default: 127.0.0.1)",
     )
     serve.add_argument(
         "--port",
         type=_nonneg_int,
-        default=None,
-        help="TCP port, 0 = ephemeral (default: REPRO_SERVE_PORT)",
+        default=7453,
+        help="TCP port, 0 = ephemeral (default: 7453)",
     )
     serve.add_argument(
         "--protocol",
@@ -368,10 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--backlog",
         type=_positive_int,
-        default=None,
+        default=256,
         help=(
             "submission backlog before SUBMITs are shed at the socket "
-            "(default: REPRO_SERVE_BACKLOG)"
+            "(default: 256)"
         ),
     )
     serve.add_argument(
@@ -380,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "HTTP /metrics sidecar port, 0 = ephemeral (default: "
-            "REPRO_SERVE_METRICS_PORT; unset = no sidecar)"
+            "no sidecar)"
         ),
     )
     serve.add_argument(
@@ -411,11 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--snapshot-every",
         type=_positive_int,
-        default=None,
-        help=(
-            "journal records between snapshots (default: "
-            "REPRO_STORE_SNAPSHOT_EVERY)"
-        ),
+        default=256,
+        help="journal records between snapshots (default: 256)",
     )
 
     store = sub.add_parser(
@@ -829,7 +821,6 @@ def cmd_soak(args: argparse.Namespace) -> int:
         wcc_threshold=args.threshold,
         protocol=args.protocol,
         audit_every=args.audit_every,
-        resilience=not args.no_resilience,
         min_events=args.min_events,
         workers=args.workers,
         batch_k=args.batch_k,

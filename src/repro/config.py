@@ -37,14 +37,9 @@ __all__ = [
     "parallel_fanout",
     "resolve",
     "seed_workers",
-    "serve_host",
-    "serve_metrics_port",
-    "serve_port",
     "store_fsync",
     "store_kind",
     "store_path",
-    "store_snapshot_every",
-    "store_sync_every",
     "workers",
 ]
 
@@ -131,40 +126,6 @@ KNOBS: dict[str, Knob] = {
             ),
         ),
         Knob(
-            name="serve_host",
-            env="REPRO_SERVE_HOST",
-            default="127.0.0.1",
-            parse=str,
-            description="bind address of `repro serve`",
-        ),
-        Knob(
-            name="serve_port",
-            env="REPRO_SERVE_PORT",
-            default=7453,
-            floor=0,
-            description="TCP port of `repro serve` (0 = ephemeral)",
-        ),
-        Knob(
-            name="serve_backlog",
-            env="REPRO_SERVE_BACKLOG",
-            default=256,
-            floor=1,
-            description=(
-                "submission backlog the server accepts before shedding "
-                "SUBMITs at the socket (overload protection)"
-            ),
-        ),
-        Knob(
-            name="serve_metrics_port",
-            env="REPRO_SERVE_METRICS_PORT",
-            default=None,
-            parse=_parse_optional_int,
-            description=(
-                "HTTP /metrics sidecar port of `repro serve` (0 = "
-                "ephemeral, unset = no sidecar)"
-            ),
-        ),
-        Knob(
             name="flight_events",
             env="REPRO_FLIGHT_EVENTS",
             default=512,
@@ -214,30 +175,9 @@ KNOBS: dict[str, Knob] = {
             parse=str,
             description=(
                 "fsync policy of the durable store: 'always' (sync "
-                "every append), 'batch' (sync every "
-                "REPRO_STORE_SYNC_EVERY appends and at every drain "
-                "point), or 'never' (leave syncing to the OS)"
-            ),
-        ),
-        Knob(
-            name="store_sync_every",
-            env="REPRO_STORE_SYNC_EVERY",
-            default=64,
-            floor=1,
-            description=(
-                "appends between fsyncs under the 'batch' policy "
-                "(a crash can lose at most this many unsynced records)"
-            ),
-        ),
-        Knob(
-            name="store_snapshot_every",
-            env="REPRO_STORE_SNAPSHOT_EVERY",
-            default=256,
-            floor=1,
-            description=(
-                "journal records accumulated since the last snapshot "
-                "before the service takes a new one at the next "
-                "quiescent point"
+                "every append), 'batch' (sync every `sync_every` "
+                "appends, 64 by default, and at every drain point), or "
+                "'never' (leave syncing to the OS)"
             ),
         ),
     )
@@ -319,22 +259,6 @@ def parallel_fanout(override: int | None = None) -> int | None:
     return None if value is None else max(1, value)
 
 
-def serve_host(override: str | None = None) -> str:
-    return resolve("serve_host", override)
-
-
-def serve_port(override: int | None = None) -> int:
-    return resolve("serve_port", override)
-
-
-def serve_backlog(override: int | None = None) -> int:
-    return resolve("serve_backlog", override)
-
-
-def serve_metrics_port(override: int | None = None) -> int | None:
-    return resolve("serve_metrics_port", override)
-
-
 def flight_events(override: int | None = None) -> int:
     return resolve("flight_events", override)
 
@@ -353,11 +277,3 @@ def store_path(override: str | None = None) -> str | None:
 
 def store_fsync(override: str | None = None) -> str:
     return resolve("store_fsync", override)
-
-
-def store_sync_every(override: int | None = None) -> int:
-    return resolve("store_sync_every", override)
-
-
-def store_snapshot_every(override: int | None = None) -> int:
-    return resolve("store_snapshot_every", override)

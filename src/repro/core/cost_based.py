@@ -104,12 +104,6 @@ class WccMemo:
     skipping the two registry lookups and the pivot/infinite-cost
     branch of :meth:`ActivityRegistry.compensation_cost` per call.
 
-    What is **deliberately not** cached is the effective threshold:
-    ``Wcc*`` is re-read on every classification — from the program or
-    from ``threshold_provider`` — because the resilience layer moves it
-    while subsystem breakers open and close.  Invalidation for the
-    threshold therefore *is* the provider call itself.
-
     The registry is append-only and its entries immutable, so memoized
     pairs never go stale: a name unknown at memo creation simply misses
     into the registry (which raises on truly unknown types, preserving
@@ -136,17 +130,6 @@ class WccMemo:
             )
             self._entries[type_name] = entry
         return entry
-
-
-def degraded_threshold(base: float, cap: float) -> float:
-    """Effective ``Wcc*`` while the resilience layer is degraded.
-
-    A *cap* rather than a multiplier: programs running with an infinite
-    threshold (pure optimism) must degrade too, and ``inf * factor`` is
-    still ``inf``.  ``min`` also guarantees degradation never *loosens*
-    a program's own threshold.
-    """
-    return min(base, cap)
 
 
 @dataclass(frozen=True)

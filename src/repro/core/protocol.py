@@ -102,13 +102,6 @@ class ProcessLockManager:
     #: Comp→Piv lock conversions.
     tracer = NULL_TRACER
 
-    #: Optional override for the effective ``Wcc*`` used by
-    #: :meth:`classify_regular` — a callable ``process -> float``.  The
-    #: resilience layer installs one to tighten the threshold while
-    #: subsystem breakers are open; ``None`` (the default) keeps each
-    #: program's own static threshold, byte-identically.
-    threshold_provider = None
-
     def __init__(
         self,
         registry: ActivityRegistry,
@@ -129,9 +122,7 @@ class ProcessLockManager:
         self._timestamps = itertools.count(1)
         self._processes: dict[int, Process] = {}
         self._token_owner: int | None = None
-        #: Memoized Figure-1 charge inputs (see :class:`WccMemo`); the
-        #: effective threshold is never cached — it is re-read from the
-        #: program or ``threshold_provider`` on every classification.
+        #: Memoized Figure-1 charge inputs (see :class:`WccMemo`).
         self._wcc_memo = WccMemo(registry)
 
     # ------------------------------------------------------------------
@@ -212,8 +203,6 @@ class ProcessLockManager:
         charge, real_pivot = self._wcc_memo.lookup(activity.name)
         process.charge_wcc(charge)
         threshold = process.program.wcc_threshold
-        if self.threshold_provider is not None:
-            threshold = self.threshold_provider(process)
         pseudo_pivot = (
             not real_pivot
             and self.cost_based

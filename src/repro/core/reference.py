@@ -140,9 +140,7 @@ def naive_probe_blocked(
 def reference_classify_regular(protocol, process, activity):
     """Un-memoized Figure-1 classification (pre-``WccMemo`` formulation).
 
-    Recomputes ``c(a) + c(a⁻¹)`` through the registry on every call;
-    threshold handling is identical to the live path (it was never
-    cached — see :class:`~repro.core.cost_based.WccMemo`).
+    Recomputes ``c(a) + c(a⁻¹)`` through the registry on every call.
     """
     from repro.core.locks import LockMode
     from repro.obs.events import ActivityClassified
@@ -152,8 +150,6 @@ def reference_classify_regular(protocol, process, activity):
     process.charge_wcc(activity_type.cost + comp_cost)
     real_pivot = activity_type.point_of_no_return
     threshold = process.program.wcc_threshold
-    if protocol.threshold_provider is not None:
-        threshold = protocol.threshold_provider(process)
     pseudo_pivot = (
         not real_pivot
         and protocol.cost_based

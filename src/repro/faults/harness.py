@@ -120,8 +120,6 @@ class ChaosRunReport:
     events: int = 0
     #: Retry budgets that forced a failing retriable to succeed.
     retry_budget_exhausted: int = 0
-    #: Admissions the resilience layer deferred (0 without a layer).
-    admissions_deferred: int = 0
 
     @property
     def ok(self) -> bool:
@@ -179,7 +177,6 @@ def run_chaos(
     report.retry_budget_exhausted = (
         chaos.counters.retry_budget_exhausted
     )
-    report.admissions_deferred = chaos.stats.admissions_deferred
     return report
 
 

@@ -183,18 +183,6 @@ class FaultInjector:
         now = self._manager.engine.now
         return any(start <= now < end for start, end in windows)
 
-    def _notify_outage_hit(self, activity: Activity) -> None:
-        """Feed the outage hit to an attached resilience layer."""
-        resilience = (
-            self._manager.resilience
-            if self._manager is not None
-            else None
-        )
-        if resilience is not None:
-            resilience.on_outage_hit(
-                activity.activity_type.subsystem
-            )
-
     def _decision_stream(self, label, process: Process, activity):
         return self.schedule.stream(
             f"{label}:{process.pid}:{process.incarnation}:"
@@ -213,7 +201,6 @@ class FaultInjector:
         if self._subsystem_down(activity):
             self.counters.outage_hits += 1
             self.counters.injected_failures += 1
-            self._notify_outage_hit(activity)
             self._trace_fault(
                 "failure", process, activity, via="outage"
             )
@@ -243,7 +230,6 @@ class FaultInjector:
         if self._subsystem_down(activity):
             self.counters.outage_hits += 1
             self.counters.injected_retries += 1
-            self._notify_outage_hit(activity)
             self._trace_fault("retry", process, activity, via="outage")
             return True
         spec = self.schedule.failures

@@ -7,9 +7,8 @@ transient-failure churn) — with periodic structural audits engaged
 (``ManagerConfig(audit=True, audit_every=...)``) and the full invariant
 battery (termination / CT / P-RC / splice / WAL) asserted per round.
 
-Every round gets a *fresh* :class:`~repro.resilience.ResilienceLayer`
-(the layer is stateful per logical run); rounds are seeded from
-``plan.seed`` alone, so soak reports are deterministic byte for byte.
+Rounds are seeded from ``plan.seed`` alone, so soak reports are
+deterministic byte for byte.
 
 ``repro soak`` drives this from the CLI; the CI ``smoke`` job
 asserts a fixed-seed soak of ≥ 1000 events passes with zero violations.
@@ -44,14 +43,12 @@ class SoakPlan:
     """Parameters of one soak campaign."""
 
     seed: int = 0
-    rounds: int = 8
+    rounds: int = 12
     processes: int = 16
     wcc_threshold: float = 25.0
     protocol: str = "process-locking"
     #: Structural-audit sampling cadence (1 = audit every event).
     audit_every: int = 16
-    #: Attach a fresh resilience layer (breakers on) per round.
-    resilience: bool = True
     #: The campaign fails if fewer total events were processed.
     min_events: int = 1000
     #: Shard worker threads for every round (0 = sequential manager;
@@ -70,8 +67,6 @@ class SoakReport:
     plan: SoakPlan
     runs: list[ChaosRunReport] = field(default_factory=list)
     events_total: int = 0
-    #: Per-round resilience snapshots (``None`` entries when disabled).
-    resilience_stats: list[object | None] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -100,9 +95,6 @@ class SoakReport:
             ),
             "retry_budget_exhausted": sum(
                 run.retry_budget_exhausted for run in self.runs
-            ),
-            "admissions_deferred": sum(
-                run.admissions_deferred for run in self.runs
             ),
         }
 
@@ -189,16 +181,10 @@ def run_soak(plan: SoakPlan) -> SoakReport:
     for round_index in range(plan.rounds):
         workload = build_workload(_round_spec(plan, round_index))
         fault_plan = _round_plan(plan, round_index, workload)
-        layer = None
-        if plan.resilience:
-            from repro.resilience import ResilienceLayer
-
-            layer = ResilienceLayer()
         workers, batch_k = _round_workers(plan, round_index)
         config = ManagerConfig(
             audit=True,
             audit_every=plan.audit_every,
-            resilience=layer,
             workers=workers,
             batch_k=batch_k,
         )
@@ -213,7 +199,4 @@ def run_soak(plan: SoakPlan) -> SoakReport:
         )
         report.runs.append(run)
         report.events_total += run.events
-        report.resilience_stats.append(
-            layer.stats if layer is not None else None
-        )
     return report

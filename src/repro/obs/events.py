@@ -337,61 +337,8 @@ class FaultInjected:
 
 
 # ----------------------------------------------------------------------
-# resilience (circuit breakers, admission gating, adaptive Wcc*)
+# retry budgets (repro.faults.retry)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
-class BreakerTransition:
-    """One circuit-breaker state change, with the signal that drove it."""
-
-    kind = "resilience.breaker"
-    subsystem: str
-    from_state: str  # "closed" | "open" | "half-open"
-    to_state: str
-    #: e.g. "failure-threshold", "outage-threshold", "cooldown-elapsed",
-    #: "probe-successes", "probe-failure".
-    reason: str
-    #: Lifetime trip count of this breaker (after this transition).
-    opens: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class AdmissionGate:
-    """An admission decision of the resilience layer."""
-
-    kind = "resilience.admission"
-    pid: int
-    op: str  # "defer" | "readmit" | "force-admit"
-    #: Open-breaker subsystems that blocked the admission (empty on
-    #: readmit).
-    subsystems: tuple[str, ...] = ()
-    #: How many times this pid has been deferred so far.
-    deferrals: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class BackpressureEngaged:
-    """A shard-queue backpressure decision of the resilience layer."""
-
-    kind = "resilience.backpressure"
-    pid: int
-    op: str  # "defer" | "force-admit"
-    #: Saturated shards (subsystems) that paused the admission.
-    subsystems: tuple[str, ...] = ()
-    #: How many times this pid has been backpressured so far.
-    deferrals: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class DegradationChanged:
-    """The adaptive ``Wcc*`` cap engaged or lifted."""
-
-    kind = "resilience.degrade"
-    active: bool
-    cap: float
-    reason: str  # "breaker-open" | "all-breakers-closed"
-    open_subsystems: tuple[str, ...] = ()
-
-
 @dataclass(frozen=True, slots=True)
 class RetryBudgetExhausted:
     """A retry budget forced a failing retriable to count as success.
@@ -488,10 +435,6 @@ EVENT_TYPES: dict[str, type] = {
         DeadlockVictim,
         UnresolvableForced,
         FaultInjected,
-        BreakerTransition,
-        AdmissionGate,
-        BackpressureEngaged,
-        DegradationChanged,
         RetryBudgetExhausted,
         StoreRecovered,
         StoreSnapshot,

@@ -271,44 +271,6 @@ def explain_process(records: list[dict], pid: int) -> str:
                 f"after {record['attempts']} attempts — treated as "
                 f"success to preserve termination",
             )
-        elif kind == "resilience.admission":
-            op = record["op"]
-            if op == "defer":
-                subsystems = ", ".join(record.get("subsystems", ()))
-                add(
-                    t,
-                    f"admission DEFERRED by resilience layer "
-                    f"(open breakers: {subsystems}; "
-                    f"deferral {record['deferrals']})",
-                )
-            elif op == "readmit":
-                add(
-                    t,
-                    f"re-admitted after "
-                    f"{record['deferrals']} deferral(s)",
-                )
-            else:
-                add(
-                    t,
-                    f"force-admitted after exhausting "
-                    f"{record['deferrals']} deferrals",
-                )
-        elif kind == "resilience.backpressure":
-            op = record["op"]
-            subsystems = ", ".join(record.get("subsystems", ()))
-            if op == "defer":
-                add(
-                    t,
-                    f"admission BACKPRESSURED by saturated shard(s) "
-                    f"{subsystems} (deferral {record['deferrals']})",
-                )
-            else:
-                add(
-                    t,
-                    f"force-admitted through backpressure after "
-                    f"{record['deferrals']} deferrals "
-                    f"(saturated: {subsystems})",
-                )
         elif kind == "fault.inject":
             add(
                 t,

@@ -130,9 +130,6 @@ _SCALAR_TUPLE_FIELDS = {
     ("wait.edge", "blockers"),
     ("deadlock.victim", "cycle"),
     ("deadlock.forced", "cycle"),
-    ("resilience.admission", "subsystems"),
-    ("resilience.backpressure", "subsystems"),
-    ("resilience.degrade", "open_subsystems"),
 }
 
 

@@ -10,10 +10,10 @@ Three pieces live here:
 * :class:`EventMetrics` — the domain feeder: it maps every
   :mod:`repro.obs.events` dataclass onto metric families (process
   outcomes, lock grants/defers by rule, virtual-time lock-wait and park
-  histograms, retries per activity, breaker state gauges, …) and keeps
-  the small amount of pairing state the derivations need (park inserts
-  awaiting their delete, defers awaiting their grant, pids whose
-  terminal abort was really a client cancel).
+  histograms, retries per activity, …) and keeps the small amount of
+  pairing state the derivations need (park inserts awaiting their
+  delete, defers awaiting their grant, pids whose terminal abort was
+  really a client cancel).
 * :class:`MetricsTracer` — a tee tracer: it feeds an
   :class:`EventMetrics`, optionally appends to a
   :class:`~repro.obs.flight.FlightRecorder`, and forwards the raw event
@@ -69,9 +69,6 @@ RETRY_BUCKETS: tuple[float, ...] = (0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0)
 LATENCY_BUCKETS: tuple[float, ...] = (
     0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
-
-#: Breaker states as gauge values (ordering matches escalation).
-BREAKER_STATE_VALUES = {"closed": 0.0, "half-open": 1.0, "open": 2.0}
 
 #: Cached verdict for sampler keys no gauge family consumes.
 _IGNORED_SAMPLE = object()
@@ -656,38 +653,10 @@ class EventMetrics:
             "Fault-injector actions by channel.",
             ("channel",),
         )
-        self.breaker_transitions = r.counter(
-            "repro_breaker_transitions_total",
-            "Circuit-breaker state changes by subsystem and new state.",
-            ("subsystem", "to_state"),
-        )
-        self.breaker_state = r.gauge(
-            "repro_breaker_state",
-            "Circuit-breaker state (0=closed, 1=half-open, 2=open).",
-            ("subsystem",),
-        )
-        self.admission = r.counter(
-            "repro_admission_total",
-            "Admission-gate decisions (defer/readmit/force-admit).",
-            ("op",),
-        )
-        self.backpressure = r.counter(
-            "repro_backpressure_total",
-            "Shard-queue backpressure decisions (defer/force-admit).",
-            ("op",),
-        )
         self.retry_budget = r.counter(
             "repro_retry_budget_exhausted_total",
             "Retry budgets exhausted, by subsystem.",
             ("subsystem",),
-        )
-        self.degraded = r.gauge(
-            "repro_degraded",
-            "1 while the adaptive Wcc* degradation cap is engaged.",
-        )
-        self.wcc_cap = r.gauge(
-            "repro_wcc_cap",
-            "Last Wcc* cap applied by the degradation controller.",
         )
         self.parked_gauge = r.gauge(
             "repro_parked", "Requests currently parked."
@@ -773,10 +742,6 @@ class EventMetrics:
             "deadlock.victim": self._on_deadlock_victim,
             "deadlock.forced": self._on_deadlock_forced,
             "fault.inject": self._on_fault,
-            "resilience.breaker": self._on_breaker,
-            "resilience.admission": self._on_admission,
-            "resilience.backpressure": self._on_backpressure,
-            "resilience.degrade": self._on_degrade,
             "retry.budget_exhausted": self._on_retry_budget,
         }
 
@@ -953,26 +918,6 @@ class EventMetrics:
 
     def _on_fault(self, t, event) -> None:
         self.faults.bump((event.channel,))
-
-    def _on_breaker(self, t, event) -> None:
-        self.breaker_transitions.bump(
-            (event.subsystem, event.to_state)
-        )
-        self.breaker_state.set(
-            BREAKER_STATE_VALUES.get(event.to_state, -1.0),
-            (event.subsystem,),
-        )
-
-    def _on_admission(self, t, event) -> None:
-        self.admission.bump((event.op,))
-
-    def _on_backpressure(self, t, event) -> None:
-        self.backpressure.bump((event.op,))
-
-    def _on_degrade(self, t, event) -> None:
-        self.degraded.set(1.0 if event.active else 0.0)
-        if event.active:
-            self.wcc_cap.set(event.cap)
 
     def _on_retry_budget(self, t, event) -> None:
         subsystem = (

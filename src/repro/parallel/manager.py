@@ -4,9 +4,9 @@
 :class:`~repro.scheduler.manager.ProcessManager` along three axes, all
 preserving byte-identical schedules at the same seed:
 
-* **shard-local hot paths** — the execution gate, per-pid flight
-  cancellation, and backpressure depth reads are answered from
-  secondary indexes of the in-flight map instead of full scans.
+* **shard-local hot paths** — the execution gate and per-pid flight
+  cancellation are answered from secondary indexes of the in-flight
+  map instead of full scans.
   Conflicts never cross subsystems (the
   :class:`~repro.activities.commutativity.ConflictMatrix` rejects them
   at declaration), so a same-shard scan sees exactly the conflicting
@@ -19,10 +19,8 @@ preserving byte-identical schedules at the same seed:
   launch → classify → grant → start.  The probe is valid across the
   whole prefix because the only protocol mutation inside it is the
   requester's *own* C acquisitions, which the probe excludes by pid.
-  Any misprediction (an adaptive ``Wcc*`` provider tightening the
-  threshold, or a non-grantable verdict) falls back to the full
-  per-lock request path for that activity — byte-identical by
-  construction.
+  A non-grantable verdict falls back to the full per-lock request
+  path for that activity — byte-identical by construction.
 * **worker fan-out** — when a probe spans several shard groups that are
   all large enough (``REPRO_PARALLEL_FANOUT`` locks), the per-group
   probes run concurrently on the shards' owning workers; the
@@ -35,7 +33,6 @@ preserving byte-identical schedules at the same seed:
 from __future__ import annotations
 
 from repro import config as repro_config
-from repro.core.locks import LockMode
 from repro.parallel.executor import ShardExecutor
 from repro.process.instance import Process
 from repro.process.state import ProcessState
@@ -184,14 +181,6 @@ class ParallelProcessManager(ProcessManager):
                 break
             activity = process.launch(name)
             mode = self.protocol.classify_regular(process, activity)
-            if mode is not LockMode.C:
-                # Static-threshold misprediction: an installed adaptive
-                # Wcc* provider tightened the cap between prediction and
-                # classification.  The activity is already launched and
-                # charged — continue through the full request path, as
-                # the sequential manager would.
-                self._request_regular(process, activity, mode)
-                return True
             self._apply_decision(
                 self.protocol.grant_c_direct(process, activity),
                 ParkedRequest(
@@ -208,14 +197,9 @@ class ParallelProcessManager(ProcessManager):
     def _predicted_c_prefix(self, process: Process, names) -> list[str]:
         """The longest prefix of ``names`` predicted to classify as C.
 
-        Simulates :meth:`ProcessLockManager.classify_regular`'s Wcc
-        accounting without mutating the process, against the *static*
-        program threshold — never the adaptive provider, whose
-        evaluation pokes circuit breakers and emits transitions.  The
-        provider only ever lowers the threshold, so predicted-P is
-        certainly P (excluded here) and predicted-C at worst
-        mispredicts, which :meth:`_batch_step` resolves through the
-        full request path.
+        Replays :meth:`ProcessLockManager.classify_regular`'s Wcc
+        accounting against the program's threshold without mutating
+        the process, so the prediction is the classification.
         """
         if process.state is not ProcessState.RUNNING:
             return []

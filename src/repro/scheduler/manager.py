@@ -140,12 +140,6 @@ class ManagerConfig:
     #: process pre-declares per shard visit (parallel manager only;
     #: 1 = the plain per-lock fast path).  ``REPRO_BATCH_K`` env knob.
     batch_k: int = field(default_factory=repro_config.batch_k)
-    #: Optional resilience layer (duck-typed; see
-    #: :class:`repro.resilience.ResilienceLayer`): subsystem circuit
-    #: breakers feeding admission gating and an adaptive ``Wcc*`` cap.
-    #: ``None`` (the default) adds no hooks anywhere — schedules stay
-    #: byte-identical to the pre-resilience behaviour.
-    resilience: object | None = None
     #: Durable storage facade (:class:`repro.storage.Store`) backing
     #: the subsystem pool's WALs and record stores.
     #: :func:`make_manager` attaches it to the pool; with ``None`` and
@@ -181,11 +175,6 @@ class ManagerStats:
     #: Processes aborted (or dropped pre-initiation) on a client's
     #: explicit request — the service front door's CANCEL command.
     cancellations: int = 0
-    #: Admissions the resilience layer deferred (0 without a layer).
-    admissions_deferred: int = 0
-    #: Admissions the shard-queue backpressure gate deferred (0 unless
-    #: a ``shard_queue_cap`` is configured on the resilience layer).
-    admissions_backpressured: int = 0
     busy_area: float = 0.0
     _inflight: int = field(default=0, repr=False)
     _last_change: float = field(default=0.0, repr=False)
@@ -275,10 +264,6 @@ class ProcessManager:
         #: activity outcomes and add execution latency; ``None`` keeps
         #: the manager's own failure sampling untouched.
         self.injector = None
-        #: Optional resilience layer from the config (duck-typed; see
-        #: :mod:`repro.resilience`).  Crash recovery builds a fresh
-        #: manager around the same layer.
-        self.resilience = self.config.resilience
         self.engine = SimulationEngine()
         self.rng = random.Random(seed)
         self.trace = TraceRecorder()
@@ -326,8 +311,6 @@ class ProcessManager:
         self._stashed_failures: dict[int, Activity] = {}
         self.tracer.bind_clock(lambda: self.engine.now)
         self.tracer.bind_sampler(self._gauge_sample)
-        if self.resilience is not None:
-            self.resilience.bind(self)
 
     # ------------------------------------------------------------------
     # submission & run loop
@@ -394,23 +377,6 @@ class ProcessManager:
             self._held.pop(pid, None)
             self.records[pid].resubmissions += 1
             self.stats.resubmissions += 1
-        elif self.resilience is not None:
-            # Admission gate: shed *before* a timestamp is drawn or any
-            # lock is requested — a deferred process holds nothing and
-            # blocks nobody, so guaranteed termination is untouched.
-            delay = self.resilience.admission_delay(pid, program)
-            if delay is not None:
-                self.stats.admissions_deferred += 1
-                self._hold_start(pid, program, delay)
-                return
-            # Shard-queue backpressure: a program needing a saturated
-            # shard is paused at the door.  Off (``None``) unless the
-            # layer configures ``shard_queue_cap``.
-            delay = self._backpressure_delay(pid, program)
-            if delay is not None:
-                self.stats.add("admissions_backpressured")
-                self._hold_start(pid, program, delay)
-                return
         del self._starts[pid]
         if not resubmission:
             timestamp = self.protocol.new_timestamp()
@@ -585,10 +551,9 @@ class ProcessManager:
         pid ends ``cancelled``:
 
         * **not started** (``pending`` or ``awaiting-resubmit``: the
-          engine still holds its start, possibly re-scheduled by
-          admission deferrals, or the restart gate does) — the start
-          is dropped; nothing is held and nothing is left to
-          compensate;
+          engine still holds its start, or the restart gate does) —
+          the start is dropped; nothing is held and nothing is left
+          to compensate;
         * **running** — aborted through the regular protocol-abort
           machinery (compensations run, locks release, waiters wake)
           but *without* the cascade path's resubmission;
@@ -670,26 +635,8 @@ class ProcessManager:
         """
 
     # ------------------------------------------------------------------
-    # backpressure (engaged only via the resilience layer's queue caps)
+    # shard queue depths (the ``repro_shard_queue_depth`` gauge)
     # ------------------------------------------------------------------
-    def _backpressure_delay(self, pid: int, program) -> float | None:
-        """``None`` to admit now, else the backpressure defer delay.
-
-        Delegates to the resilience layer's ``backpressure_delay`` hook
-        when the attached layer has one; the default layer ships with
-        the cap off (``shard_queue_cap=None``), so existing runs are
-        untouched byte for byte.
-        """
-        hook = getattr(self.resilience, "backpressure_delay", None)
-        if hook is None:
-            return None
-        return hook(pid, program, self._shard_queue_depth)
-
-    def _shard_queue_depth(self, subsystem: str) -> int:
-        """Live work queued on one shard: in-flight activities plus
-        parked non-commit requests on the subsystem's types."""
-        return self._shard_depth_counts.get(subsystem, 0)
-
     def _note_shard_depth(self, activity, delta: int) -> None:
         """Bump the incremental depth counter for ``activity``'s shard.
 
@@ -883,14 +830,9 @@ class ProcessManager:
             )
         duration = flight.activity.activity_type.cost
         if self.injector is not None:
-            extra = self.injector.latency_for(
+            duration += self.injector.latency_for(
                 flight.process, flight.activity
             )
-            duration += extra
-            if self.resilience is not None and extra > 0:
-                self.resilience.on_latency(
-                    flight.activity.activity_type.subsystem, extra
-                )
         if flight.kind is RequestKind.REGULAR:
             self.engine.schedule(
                 duration, lambda: self._complete_regular(flight)
@@ -949,10 +891,6 @@ class ProcessManager:
         failed = not activity_type.retriable and self._samples_failure(
             process, activity
         )
-        if self.resilience is not None:
-            self.resilience.on_activity_outcome(
-                activity_type.subsystem, failed
-            )
         if self.tracer.enabled:
             event_cls = ActivityFailed if failed else ActivityCommitted
             self.tracer.emit(
@@ -1012,10 +950,6 @@ class ProcessManager:
             counters = getattr(self.injector, "counters", None)
             if counters is not None:
                 counters.retry_budget_exhausted += 1
-            if self.resilience is not None:
-                self.resilience.on_retry_exhausted(
-                    activity.activity_type.subsystem
-                )
             return False
         return verdict
 

@@ -58,6 +58,11 @@ class LedgerRecord:
     node_id: int
     compensated: bool
     compensates: int | None
+    #: Sharing-order position of the lock held for this activity — its
+    #: *grant* order, which a request that waited parked does not share
+    #: with its launch (uid) order.  ``None`` in documents written
+    #: before the field existed.
+    position: int | None = None
 
 
 @dataclass(frozen=True)
@@ -173,17 +178,16 @@ def snapshot_live(manager: ProcessManager) -> list[ProcessSnapshot]:
         stashed = manager._stashed_failures.get(process.pid)
         if stashed is not None:
             pending.append(stashed.name)
+        locks = manager.protocol.table.locks_of(process.pid)
         # The pivot decision is write-ahead-logged: once any lock of the
         # process actually went to P mode, the journal records the
         # treatment so recovery replays the conversion — and only then.
-        pivot_treated = any(
-            entry.mode is LockMode.P
-            for entry in manager.protocol.table.locks_of(process.pid)
-        )
+        pivot_treated = any(entry.mode is LockMode.P for entry in locks)
         snapshots.append(
             _snapshot_process(
                 process,
                 tuple(pending),
+                {entry.activity_uid: entry.position for entry in locks},
                 pivot_treated=pivot_treated,
                 abort_then=run.then if phase == "aborting" else None,
                 # A start held at the restart gate fired in the past:
@@ -200,6 +204,7 @@ def snapshot_live(manager: ProcessManager) -> list[ProcessSnapshot]:
 def _snapshot_process(
     process: Process,
     pending: tuple[str, ...],
+    lock_positions: dict[int, int],
     **lifecycle,
 ) -> ProcessSnapshot:
     ledger = tuple(
@@ -210,6 +215,7 @@ def _snapshot_process(
             node_id=entry.node.node_id,
             compensated=entry.compensated,
             compensates=entry.activity.compensates,
+            position=lock_positions[entry.activity.uid],
         )
         for entry in process.ledger
     )
@@ -302,14 +308,19 @@ def restore_process(snapshot: ProcessSnapshot) -> Process:
 def rebuild_locks(
     protocol,
     processes: list[Process],
+    positions: dict[int, int],
     protected_pids: set[int] | None = None,
 ) -> None:
     """Re-acquire every surviving lock in the original sharing order.
 
     Under strict 2PL a live process holds one lock per ledger activity
-    (regular *and* compensating); activity uids are globally monotone in
-    launch order, so replaying acquisitions in uid order reproduces the
-    sharing order.  ``protected_pids`` names the processes whose pivot
+    (regular *and* compensating), and the sharing order is the order of
+    the locks' journaled ``positions`` (activity uid -> position) — not
+    of the uids themselves: a uid is drawn at launch, a position at
+    grant, and a request that waited parked is granted behind the
+    conflicting locks granted meanwhile.  (A document from before
+    positions were journaled has none and replays in uid order.)
+    ``protected_pids`` names the processes whose pivot
     treatment (Comp→Piv C→P conversion) had actually been granted
     before the crash — journalled via ``ProcessSnapshot.pivot_treated``
     — and only those replay the conversion.  Replaying it for a process
@@ -321,7 +332,11 @@ def rebuild_locks(
     """
     entries = sorted(
         (
-            (entry.activity.uid, process, entry)
+            (
+                positions.get(entry.activity.uid, entry.activity.uid),
+                process,
+                entry,
+            )
             for process in processes
             for entry in process.ledger
         ),
@@ -399,7 +414,13 @@ def recover(
         if snapshot.pivot_treated
         or snapshot.state == ProcessState.COMPLETING.value
     }
-    rebuild_locks(protocol, processes, protected_pids)
+    positions = {
+        record.uid: record.position
+        for snapshot in snapshots
+        for record in snapshot.ledger
+        if record.position is not None
+    }
+    rebuild_locks(protocol, processes, positions, protected_pids)
     for snapshot, process in zip(snapshots, processes):
         manager.adopt_recovered(
             process,

@@ -30,7 +30,6 @@ import contextlib
 import signal
 import threading
 
-from repro import config as repro_config
 from repro.server.protocol import (
     WireError,
     decode_line,
@@ -159,8 +158,8 @@ def _unsubscribe(service, request, tokens) -> dict:
 
 async def serve(
     service: ProcessLockingService,
-    host: str | None = None,
-    port: int | None = None,
+    host: str = "127.0.0.1",
+    port: int = 7453,
     *,
     metrics_port: int | None = None,
     on_ready=None,
@@ -173,21 +172,16 @@ async def serve(
     ephemeral port).  ``shutdown`` is set by SIGTERM/SIGINT (installed
     when the loop runs on the main thread) or by the embedding test.
 
-    With a ``metrics_port`` (or the ``REPRO_SERVE_METRICS_PORT`` knob)
-    an HTTP ``/metrics`` sidecar runs for the server's lifetime; it is
-    exposed as ``service.sidecar`` before ``on_ready`` fires.
+    With a ``metrics_port`` an HTTP ``/metrics`` sidecar runs for the
+    server's lifetime; it is exposed as ``service.sidecar`` before
+    ``on_ready`` fires.
     """
     service.start()
-    resolved_metrics_port = repro_config.serve_metrics_port(
-        metrics_port
-    )
-    if resolved_metrics_port is not None:
+    if metrics_port is not None:
         from repro.server.sidecar import MetricsSidecar
 
         service.sidecar = MetricsSidecar(
-            service,
-            repro_config.serve_host(host),
-            resolved_metrics_port,
+            service, host, metrics_port
         ).start()
     shutdown = shutdown or asyncio.Event()
     loop = asyncio.get_running_loop()
@@ -204,12 +198,7 @@ async def serve(
         finally:
             connections.discard(task)
 
-    server = await asyncio.start_server(
-        entry,
-        repro_config.serve_host(host),
-        repro_config.serve_port(port),
-        backlog=128,
-    )
+    server = await asyncio.start_server(entry, host, port, backlog=128)
     bound = server.sockets[0].getsockname()
     if on_ready is not None:
         on_ready(bound[0], bound[1])
@@ -242,8 +231,8 @@ async def serve(
 
 def run_server(
     config: ServiceConfig | None = None,
-    host: str | None = None,
-    port: int | None = None,
+    host: str = "127.0.0.1",
+    port: int = 7453,
     metrics_port: int | None = None,
 ) -> None:
     """Blocking entry point behind ``repro serve``."""

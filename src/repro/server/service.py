@@ -25,10 +25,8 @@ Overload protection
 :meth:`ProcessLockingService.shed_reason` is checked by the network
 layer *before* a ``SUBMIT`` is enqueued — i.e. before the process
 draws a timestamp or touches a lock: submissions are shed when the
-service is draining, when the not-yet-initiated backlog reaches the
-``serve_backlog`` knob, or when any subsystem circuit breaker of the
-attached resilience layer is open (mirroring the admission gate at the
-socket instead of queueing work the gate would only defer).
+service is draining or when the not-yet-initiated backlog reaches
+``max_backlog``.
 
 Drain
 -----
@@ -76,15 +74,15 @@ class ServiceConfig:
     #: ``REPRO_WORKERS`` / ``REPRO_BATCH_K`` knobs (:mod:`repro.config`).
     workers: int | None = None
     batch_k: int | None = None
-    #: Submission backlog before shedding; ``None`` defers to the
-    #: ``REPRO_SERVE_BACKLOG`` knob.
-    max_backlog: int | None = None
+    #: Not-yet-initiated submissions accepted before ``SUBMIT``s are
+    #: shed at the socket (overload protection).
+    max_backlog: int = 256
     #: Virtual-time units per wall second; 0 = eager (see module doc).
     time_scale: float = 0.0
     #: Paced-mode wall poll interval, seconds.
     tick: float = 0.02
-    #: Full manager-config override for advanced callers (resilience
-    #: layers, audit cadence); ``workers``/``batch_k`` above still win.
+    #: Full manager-config override for advanced callers (retry
+    #: policy, audit cadence); ``workers``/``batch_k`` above still win.
     manager_config: ManagerConfig | None = None
     #: Flight-recorder ring capacity; ``None`` defers to the
     #: ``REPRO_FLIGHT_EVENTS`` knob.
@@ -108,12 +106,12 @@ class ServiceConfig:
     #: fsync policy ``always`` / ``batch`` / ``never``; ``None`` defers
     #: to the ``REPRO_STORE_FSYNC`` knob.
     store_fsync: str | None = None
-    #: Batch-fsync threshold; ``None`` defers to
-    #: ``REPRO_STORE_SYNC_EVERY``.
-    store_sync_every: int | None = None
-    #: Journal records between snapshots; ``None`` defers to
-    #: ``REPRO_STORE_SNAPSHOT_EVERY``.
-    snapshot_every: int | None = None
+    #: Appends between fsyncs under the ``batch`` policy (a crash can
+    #: lose at most this many unsynced records).
+    store_sync_every: int = 64
+    #: Journal records accumulated since the last snapshot before the
+    #: next quiescent point takes a new one.
+    snapshot_every: int = 256
 
 
 class ProcessLockingService:
@@ -245,9 +243,6 @@ class ProcessLockingService:
                 seed=self.config.seed,
                 tracer=self.tracer,
             )
-        self.max_backlog = repro_config.serve_backlog(
-            self.config.max_backlog
-        )
         self._commands: queue.Queue = queue.Queue()
         #: (response builder, future) pairs resolved after each drain.
         self._deferred: list[tuple[object, Future]] = []
@@ -269,10 +264,9 @@ class ProcessLockingService:
         #: in ``execute`` against ``_fail``'s last sweep of the queue.
         self.failed: ServiceError | None = None
         self._intake = threading.Lock()
-        # Shed mirrors, written on the engine thread after each drain
-        # and read lock-free from the network thread (atomic swaps).
+        # Shed mirror, written on the engine thread after each drain
+        # and read lock-free from the network thread (atomic swap).
         self._pending_submissions = 0
-        self._open_breakers: tuple[str, ...] = ()
 
     def _open_store(self):
         """Resolve the configured durability backend (or ``None``).
@@ -342,17 +336,11 @@ class ProcessLockingService:
         if cmd != "submit":
             return None
         backlog = self._pending_submissions + self._commands.qsize()
-        if backlog >= self.max_backlog:
+        if backlog >= self.config.max_backlog:
             return (
                 "overloaded",
                 f"submission backlog {backlog} at cap "
-                f"{self.max_backlog}; retry later",
-            )
-        if self._open_breakers:
-            return (
-                "overloaded",
-                "circuit breaker open for subsystem(s) "
-                f"{', '.join(self._open_breakers)}; retry later",
+                f"{self.config.max_backlog}; retry later",
             )
         return None
 
@@ -631,14 +619,6 @@ class ProcessLockingService:
             phase in ("pending", "awaiting-resubmit")
             for phase in self.manager.undecided().values()
         )
-        self._open_breakers = self._snapshot_open_breakers()
-
-    def _snapshot_open_breakers(self) -> tuple[str, ...]:
-        layer = self.manager.resilience
-        health = getattr(layer, "health", None)
-        if health is None:
-            return ()
-        return health.open_subsystems(self.manager.engine.now)
 
     # -- response bodies -----------------------------------------------
     def _outcomes_body(self, pids: set[int]) -> dict:
@@ -698,7 +678,6 @@ class ProcessLockingService:
             "service": {
                 "backlog": self._pending_submissions,
                 "draining": self._draining.is_set(),
-                "open_breakers": list(self._open_breakers),
                 "waiters": len(self._waiters),
                 "catalog_size": len(self.workload.programs),
                 "workers": manager.config.workers,

@@ -1,9 +1,8 @@
 """Stdlib HTTP sidecar exposing the service's metrics registry.
 
-``repro serve`` starts this next to the TCP front door when the
-``REPRO_SERVE_METRICS_PORT`` knob (or ``--metrics-port``) is set, so
-any Prometheus scraper — or plain ``curl`` — can read the live
-registry without speaking the JSON-lines protocol:
+``repro serve --metrics-port N`` starts this next to the TCP front
+door, so any Prometheus scraper — or plain ``curl`` — can read the
+live registry without speaking the JSON-lines protocol:
 
 * ``GET /metrics`` — Prometheus text exposition (format 0.0.4);
 * ``GET /metrics.json`` — the same registry as the ``metrics`` wire

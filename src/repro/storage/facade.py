@@ -254,9 +254,10 @@ class Store:
         kind: str | None = None,
         path: str | None = None,
         fsync: str | None = None,
-        sync_every: int | None = None,
+        sync_every: int = 64,
     ) -> "Store":
-        """Open a store, resolving every argument via ``REPRO_STORE_*``.
+        """Open a store; ``kind`` / ``path`` / ``fsync`` left ``None``
+        resolve via their ``REPRO_STORE*`` knobs.
 
         With no path configured anywhere, a fresh temporary directory
         is used — durable within the process lifetime only, which is
@@ -276,7 +277,7 @@ class Store:
             kind,
             path,
             fsync=repro_config.store_fsync(fsync),
-            sync_every=repro_config.store_sync_every(sync_every),
+            sync_every=sync_every,
         )
         return cls(backend)
 

@@ -41,7 +41,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro import config as repro_config
 from repro.activities.activity import ensure_uid_floor
 from repro.obs.events import StoreRecovered, StoreSnapshot, StoreTornTail
 from repro.scheduler.recovery import CrashImage, recover, snapshot_live
@@ -84,13 +83,11 @@ class PersistencePlane:
         self,
         store,
         catalog,
-        snapshot_every: int | None = None,
+        snapshot_every: int = 256,
     ) -> None:
         self.store = store
         self.codec = ProgramCodec(catalog)
-        self.snapshot_every = repro_config.store_snapshot_every(
-            snapshot_every
-        )
+        self.snapshot_every = snapshot_every
         # Each namespace is read and decoded once, here; recover()
         # consumes and releases the two lists (and counts the time
         # reading them took as its own).

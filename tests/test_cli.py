@@ -235,20 +235,16 @@ class TestObservabilityCommands:
         assert payload["ok"] is False
         assert payload["events_total"] < payload["min_events"]
         assert len(payload["runs"]) == 2
-        assert len(payload["resilience"]) == 2
-        assert payload["resilience"][0] is not None
+        assert "resilience" not in payload
+        assert "admissions_deferred" not in payload["counts"]
+        assert "admissions_deferred" not in payload["runs"][0]
 
     def test_soak_no_resilience(self, capsys):
-        import json
-
-        code = main(
-            ["soak", "--seed", "7", "--rounds", "2",
-             "--processes", "6", "--min-events", "50",
-             "--no-resilience", "--json"]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert payload["resilience"] == [None, None]
+        """The flag went with the layer it switched off."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["soak", "--rounds", "2", "--no-resilience"])
+        assert exit_info.value.code == 2
+        assert "--no-resilience" in capsys.readouterr().err
 
 
 class TestServiceCommands:
@@ -259,10 +255,18 @@ class TestServiceCommands:
         for env in (
             "REPRO_WORKERS", "REPRO_BATCH_K", "REPRO_AUDIT_EVERY",
             "REPRO_SEED_WORKERS", "REPRO_PARALLEL_FANOUT",
-            "REPRO_SERVE_HOST", "REPRO_SERVE_PORT",
-            "REPRO_SERVE_BACKLOG",
+            "REPRO_FLIGHT_EVENTS", "REPRO_FLIGHT_PATH",
+            "REPRO_STORE", "REPRO_STORE_PATH", "REPRO_STORE_FSYNC",
         ):
             assert env in out
+        # The serve and store-cadence settings are flags and config
+        # fields only.
+        for env in (
+            "REPRO_SERVE_HOST", "REPRO_SERVE_PORT",
+            "REPRO_SERVE_BACKLOG", "REPRO_SERVE_METRICS_PORT",
+            "REPRO_STORE_SNAPSHOT_EVERY", "REPRO_STORE_SYNC_EVERY",
+        ):
+            assert env not in out
 
     def test_config_json_reports_sources(self, capsys, monkeypatch):
         import json
@@ -274,13 +278,19 @@ class TestServiceCommands:
             row["knob"]: row
             for row in json.loads(capsys.readouterr().out)
         }
+        assert len(rows) == 10
         assert rows["workers"]["value"] == 2
         assert rows["workers"]["source"] == "env"
         assert rows["batch_k"]["source"] == "default"
 
     def test_serve_parser_defaults(self):
+        from repro.server.service import ServiceConfig
+
         args = build_parser().parse_args(["serve"])
-        assert args.port is None
+        assert (args.host, args.port) == ("127.0.0.1", 7453)
+        # The flags restate the fields' defaults; they must not drift.
+        assert args.backlog == ServiceConfig().max_backlog == 256
+        assert args.snapshot_every == ServiceConfig().snapshot_every == 256
         assert args.time_scale == 0.0
         assert args.protocol == "process-locking"
         assert args.metrics_port is None
@@ -315,7 +325,6 @@ class TestRenderTop:
         m.observe_latency(0.02, "committed")
         m.observe_latency(0.08, "committed")
         m.sample_gauges({"queue.bank": 2.0, "locks.bank": 1.0})
-        m.breaker_state.set(2.0, ("bank",))
         stats = {
             "manager": {
                 "submitted": 10, "committed": 8,
@@ -339,7 +348,6 @@ class TestRenderTop:
         assert "vt 42.00" in frame
         assert "submitted       10" in frame
         assert "p50" in frame and "(n=2)" in frame
-        assert "!bank=open" in frame
         assert "bank: q=2 locks=1" in frame
         assert "published      100" in frame
 

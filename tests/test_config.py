@@ -48,18 +48,53 @@ class TestParallelFanout:
 
 
 class TestServeKnobs:
-    def test_host_is_string(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVE_HOST", raising=False)
-        assert repro_config.serve_host() == "127.0.0.1"
-        monkeypatch.setenv("REPRO_SERVE_HOST", "0.0.0.0")
-        assert repro_config.serve_host() == "0.0.0.0"
+    """The serve and store-cadence settings have no env spelling: the
+    default lives on the argument or field that uses it."""
 
-    def test_port_and_backlog(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVE_PORT", raising=False)
-        assert repro_config.serve_port() == 7453
-        assert repro_config.serve_port(0) == 0
-        monkeypatch.setenv("REPRO_SERVE_BACKLOG", "9")
-        assert repro_config.serve_backlog() == 9
+    GONE = (
+        "REPRO_SERVE_HOST",
+        "REPRO_SERVE_PORT",
+        "REPRO_SERVE_BACKLOG",
+        "REPRO_SERVE_METRICS_PORT",
+        "REPRO_STORE_SNAPSHOT_EVERY",
+        "REPRO_STORE_SYNC_EVERY",
+    )
+
+    @pytest.fixture(autouse=True)
+    def _set_them_all(self, monkeypatch):
+        for env in self.GONE:
+            monkeypatch.setenv(env, "9")
+
+    def test_host_is_string(self):
+        import inspect
+
+        from repro.server.net import run_server, serve
+
+        for entry in (run_server, serve):
+            defaults = inspect.signature(entry).parameters
+            assert defaults["host"].default == "127.0.0.1"
+            assert defaults["port"].default == 7453
+            assert defaults["metrics_port"].default is None
+
+    def test_port_and_backlog(self, tmp_path):
+        from repro.server.service import ServiceConfig
+        from repro.storage import PersistencePlane, Store
+
+        config = ServiceConfig()
+        assert config.max_backlog == 256
+        assert config.snapshot_every == 256
+        assert config.store_sync_every == 64
+        store = Store.open("log", str(tmp_path))
+        try:
+            assert store.backend.sync_every == 64
+            assert PersistencePlane(store, []).snapshot_every == 256
+        finally:
+            store.close()
+
+    def test_table_has_ten_knobs_and_none_of_the_six(self):
+        envs = {knob.env for knob in repro_config.KNOBS.values()}
+        assert len(envs) == 10
+        assert not envs & set(self.GONE)
 
 
 class TestDescribe:

@@ -187,14 +187,13 @@ def test_property_pseudo_pivots_are_sticky(costs, threshold):
     picks=st.lists(st.integers(min_value=0, max_value=6), max_size=12),
     threshold=st.floats(min_value=0.0, max_value=500.0),
     cost_based=st.booleans(),
-    cap=st.none() | st.floats(min_value=0.0, max_value=500.0),
 )
 def test_property_memoized_classification_matches_reference(
-    costs, picks, threshold, cost_based, cap
+    costs, picks, threshold, cost_based
 ):
     """``classify_regular`` (the ``WccMemo`` path) decides and charges
-    exactly like the un-memoized reference, repeats (memo hits), real
-    pivots and a threshold provider included."""
+    exactly like the un-memoized reference, repeats (memo hits) and
+    real pivots included."""
     from repro.activities.activity import Activity
     from repro.activities.commutativity import ConflictMatrix
     from repro.core.reference import reference_classify_regular
@@ -212,8 +211,6 @@ def test_property_memoized_classification_matches_reference(
     protocol = ProcessLockManager(
         registry, ConflictMatrix(registry), cost_based=cost_based
     )
-    if cap is not None:
-        protocol.threshold_provider = lambda process: cap
     program = (
         ProgramBuilder("p", registry, wcc_threshold=threshold)
         .sequence(names[0])

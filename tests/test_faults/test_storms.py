@@ -1,9 +1,10 @@
-"""Acceptance: correlated-outage storms under the resilience layer.
+"""Acceptance: correlated-outage storms at the ``Wcc*`` boundary.
 
-The fixed-seed storm below opens breakers while arrivals are still
-streaming in, so the admission gate actually sheds processes and later
-re-admits them — and the run must still satisfy the full invariant
-battery (termination, CT, P-RC, splice, WAL).
+The fixed-seed storm below takes the subsystems of the
+threshold-crossing activities dark in bursts while arrivals are still
+streaming in — the failure mode that stresses pseudo-pivot protection
+most — and the run must still satisfy the full invariant battery
+(termination, CT, P-RC, splice, WAL).
 """
 
 from __future__ import annotations
@@ -17,16 +18,11 @@ from repro.faults.storms import (
     threshold_boundary_storm,
     threshold_boundary_subsystems,
 )
-from repro.resilience import (
-    BreakerConfig,
-    ResilienceConfig,
-    ResilienceLayer,
-)
 from repro.scheduler.manager import ManagerConfig
 from repro.sim.workload import WorkloadSpec, build_workload
 
-#: Arrivals stretched out (spacing 2.0 over 20 processes) so the storm
-#: has admissions left to shed once its breakers open.
+#: Arrivals stretched out (spacing 2.0 over 20 processes) so processes
+#: keep arriving into subsystems the storm has already taken dark.
 STORM_SPEC = WorkloadSpec(
     n_processes=20,
     pivot_probability=1.0,
@@ -38,21 +34,11 @@ STORM_SPEC = WorkloadSpec(
     seed=3,
 )
 
-#: Aggressive breakers: two outage hits trip a subsystem open.
-RESILIENCE = ResilienceConfig(
-    breaker=BreakerConfig(failure_threshold=2, cooldown=15.0)
-)
 
-
-def run_storm(layer: ResilienceLayer):
+def run_storm():
     workload = build_workload(STORM_SPEC)
     plan = threshold_boundary_storm(
         workload, start_event=10, bursts=4, spacing=20, duration=20.0
-    )
-    config = ManagerConfig(
-        audit=True,
-        audit_every=8,
-        resilience=layer,
     )
     return run_chaos(
         workload,
@@ -60,15 +46,14 @@ def run_storm(layer: ResilienceLayer):
         plan,
         seed=STORM_SPEC.seed,
         workload_name="storm",
-        config=config,
+        config=ManagerConfig(audit=True, audit_every=8),
         ct_stride=5,
     )
 
 
 class TestStormAcceptance:
-    def test_storm_sheds_readmits_and_keeps_every_invariant(self):
-        layer = ResilienceLayer(RESILIENCE)
-        report = run_storm(layer)
+    def test_storm_keeps_every_invariant(self):
+        report = run_storm()
         # Full battery, each check individually.
         assert report.checks["terminated"]
         assert report.checks["ct"]
@@ -76,29 +61,16 @@ class TestStormAcceptance:
         assert report.checks["splice"]
         assert report.checks["wal"]
         assert report.ok
-        # The layer did real work: breakers tripped, admissions were
-        # shed while subsystems were dark, and every shed process came
-        # back (termination covers them — the schedule is complete).
-        stats = layer.stats
-        assert stats.breaker_opens > 0
-        assert stats.outage_hits > 0
-        assert stats.admissions_deferred > 0
-        assert stats.admissions_readmitted > 0
-        assert stats.degradations >= 1
-        assert report.admissions_deferred == stats.admissions_deferred
+        # The storm bit: activities ran into the dark subsystems.
+        assert report.metrics.faults_injected > 0
 
     def test_storm_is_deterministic(self, uid_floor):
         uid_floor.pin()
-        first_layer = ResilienceLayer(RESILIENCE)
-        first = run_storm(first_layer)
+        first = run_storm()
         uid_floor.repin()
-        second_layer = ResilienceLayer(RESILIENCE)
-        second = run_storm(second_layer)
+        second = run_storm()
         assert first.trace_digest == second.trace_digest
         assert first.schedule_canonical == second.schedule_canonical
-        assert dataclasses.asdict(
-            first_layer.stats
-        ) == dataclasses.asdict(second_layer.stats)
 
 
 class TestStormConstruction:

@@ -236,20 +236,6 @@ EXEMPLARS = [
         channel="crash", pid=1, activity="reserve",
         detail={"offset": 4.0},
     ),
-    ev.BreakerTransition(
-        subsystem="bank", from_state="closed", to_state="open",
-        reason="failure-threshold", opens=2,
-    ),
-    ev.AdmissionGate(
-        pid=1, op="defer", subsystems=("bank", "shop"), deferrals=3
-    ),
-    ev.BackpressureEngaged(
-        pid=1, op="defer", subsystems=("bank",), deferrals=1
-    ),
-    ev.DegradationChanged(
-        active=True, cap=25.0, reason="breaker-open",
-        open_subsystems=("bank",),
-    ),
     ev.RetryBudgetExhausted(
         pid=1, activity="ship", uid=9, attempts=5, subsystem="shop"
     ),
@@ -264,6 +250,7 @@ EXEMPLARS = [
 
 def test_exemplars_cover_every_event_type():
     assert {type(e).kind for e in EXEMPLARS} == set(EVENT_TYPES)
+    assert len(EVENT_TYPES) == 28
 
 
 @pytest.mark.parametrize(

@@ -190,6 +190,17 @@ class TestHistogramQuantile:
 # the event feeder on hand-built streams
 # ----------------------------------------------------------------------
 class TestEventMetrics:
+    def test_exposition_has_no_subsystem_health_families(self):
+        names = [
+            family["name"]
+            for family in EventMetrics().registry.snapshot()["families"]
+        ]
+        assert len(names) == 33
+        gone = ("breaker", "admission", "backpressure", "degraded", "wcc_cap")
+        assert not [
+            name for name in names if any(word in name for word in gone)
+        ]
+
     def test_lock_wait_pairs_first_defer_with_grant(self):
         m = EventMetrics()
         defer = LockDeferred(
@@ -321,11 +332,6 @@ def _assert_reconciled(stats, m) -> None:
     assert m.retries.total() == stats.retries
     assert m.compensations.total() == stats.compensations
     assert m.deadlock_victims.total() == stats.deadlock_victims
-    assert m.admission.value(("defer",)) == stats.admissions_deferred
-    assert (
-        m.backpressure.value(("defer",))
-        == stats.admissions_backpressured
-    )
     # Every submitted process reached exactly one terminal outcome.
     assert m.outcomes.total() == stats.submitted
     # The cancels actually exercised both counters.

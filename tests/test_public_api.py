@@ -16,7 +16,6 @@ PACKAGES = [
     "repro.faults",
     "repro.obs",
     "repro.process",
-    "repro.resilience",
     "repro.scheduler",
     "repro.sim",
     "repro.subsystems",
@@ -48,6 +47,16 @@ def test_public_classes_and_functions_documented(package_name):
         "public items without docstrings: "
         + ", ".join(undocumented)
     )
+
+
+def test_subsystem_health_layer_is_gone():
+    """DESIGN.md, "Removed: subsystem-health layer"."""
+    from repro.scheduler.manager import ManagerConfig
+
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.resilience")
+    with pytest.raises(TypeError, match="resilience"):
+        ManagerConfig(resilience=None)
 
 
 def test_version_is_exported():

@@ -103,3 +103,46 @@ def test_retired_lifecycle_books_stay_retired():
         if RETIRED.search(line)
     ]
     assert not offenders, offenders
+
+
+# ----------------------------------------------------------------------
+# the subsystem-health layer is gone (DESIGN.md, "Removed")
+# ----------------------------------------------------------------------
+#: Its vocabulary, spelled in pieces like ``RETIRED`` above.
+HEALTH_LAYER = re.compile(
+    "|".join(
+        head + tail
+        for head, tail in (
+            ("resil", "ien"),
+            ("break", "er"),
+            ("back", "pressure"),
+            ("threshold_", "provider"),
+            ("admissions", "_"),
+            ("degraded", "_"),
+        )
+    )
+)
+
+#: The tests that pin the removal have to name what they pin.
+HEALTH_LAYER_PINS = {
+    "tests/test_public_api.py",
+    "tests/test_cli.py",
+    "tests/test_obs/test_metrics.py",
+}
+
+
+def test_subsystem_health_layer_leaves_no_trace():
+    """Nowhere under src, tests, benchmarks, docs and .github."""
+    scanned = [
+        *_python_files("src", "tests", "benchmarks"),
+        *sorted((ROOT / "docs").glob("*.md")),
+        ROOT / ".github" / "workflows" / "ci.yml",
+    ]
+    offenders = [
+        f"{path.relative_to(ROOT)}:{number}"
+        for path in scanned
+        if str(path.relative_to(ROOT)) not in HEALTH_LAYER_PINS
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if HEALTH_LAYER.search(line)
+    ]
+    assert not offenders, offenders

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ProtocolError, SchedulerError, StarvationError
+from repro.errors import SchedulerError, StarvationError
 from repro.faults import injector as injector_module
 from repro.faults.harness import run_chaos
 from repro.faults.plan import FaultPlan, ManagerCrash
@@ -82,33 +82,29 @@ def test_crash_sweep_conserves_every_pid(seed, monkeypatch):
     assert held or at_event == CRASH_POINTS[0]
 
 
-@pytest.mark.xfail(
-    raises=ProtocolError,
-    strict=True,
-    reason=(
-        "open, not a lifecycle bug: rebuild_locks replays grants in "
-        "activity-uid (launch) order, so a lock that was granted after "
-        "waiting parked comes back ahead of conflicting locks granted "
-        "meanwhile; here two abort-process executions, P5's and older "
-        "P1's, end up waiting on each other (crashed two events later, "
-        "the run drains but the spliced schedule fails CT)"
-    ),
-)
 @pytest.mark.parametrize(
     "protocol", ("process-locking", "process-locking-basic")
 )
 def test_crash_after_a_parked_grant_rebuilds_locks_out_of_order(protocol):
-    """With the restart gate a regular request is rarely granted after
-    waiting parked, so the 12-process sweep above no longer reaches
-    this; 24 staggered processes at density 0.7 do, at seed 48."""
+    """A lock granted after waiting parked sits *behind* the conflicting
+    locks granted meanwhile, although its activity was launched (drew
+    its uid) before theirs: recovery must replay the journaled
+    positions.  With the restart gate the 12-process sweep above never
+    reaches this; 24 staggered processes at density 0.7 do, at seed 48
+    (replayed in uid order, 9 of these 20 crash points fail: two wait
+    cycles between abort-process executions, seven spliced schedules
+    that are not CT)."""
     spec = WorkloadSpec(
         n_processes=24, conflict_density=0.7, arrival_spacing=0.5, seed=48
     )
-    plan = FaultPlan(
-        name="crash", manager_crashes=(ManagerCrash(at_event=81),)
-    )
-    report = run_chaos(build_workload(spec), protocol, plan, seed=48)
-    assert report.ok, report.failures
+    for at_event in range(75, 95):
+        plan = FaultPlan(
+            name="crash",
+            manager_crashes=(ManagerCrash(at_event=at_event),),
+        )
+        report = run_chaos(build_workload(spec), protocol, plan, seed=48)
+        assert report.ok, (at_event, report.failures)
+        assert all(report.checks.values()), (at_event, report.checks)
 
 
 @pytest.mark.parametrize("seed,at_event", [(0, 15), (7, 45), (21, 90)])

@@ -60,7 +60,7 @@ class TestSnapshotRestore:
         reserved = process.launch("reserve")
         process.on_committed(reserved)
         snapshot = _snapshot_process(
-            process, tuple(process.ready_activities())
+            process, tuple(process.ready_activities()), {reserved.uid: 1}
         )
         clone = restore_process(snapshot)
         assert clone.pid == 1
@@ -75,11 +75,13 @@ class TestSnapshotRestore:
         from repro.process.instance import Process
 
         process = Process(pid=2, program=order_program, timestamp=7)
+        positions = {}
         for name in ("reserve", "wrap", "charge"):
             activity = process.launch(name)
             process.on_committed(activity)
+            positions[activity.uid] = len(positions) + 1
         snapshot = _snapshot_process(
-            process, tuple(process.ready_activities())
+            process, tuple(process.ready_activities()), positions
         )
         clone = restore_process(snapshot)
         assert clone.state is ProcessState.COMPLETING

@@ -157,18 +157,6 @@ class TestOverload:
         finally:
             service.stop()
 
-    def test_open_breaker_mirror_sheds(self):
-        service = make_service()
-        try:
-            service._open_breakers = ("billing",)
-            shed = service.shed_reason("submit")
-            assert shed is not None
-            assert "billing" in shed[1]
-            assert service.shed_reason("stats") is None
-        finally:
-            service._open_breakers = ()
-            service.stop()
-
 
 class TestCheckAndDrain:
     def test_check_battery_on_live_trace(self):

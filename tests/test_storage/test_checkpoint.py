@@ -19,13 +19,18 @@ import pytest
 from repro.cli import main as repro_main
 from repro.errors import StorageError, WalCorruptionError
 from repro.scheduler.manager import ManagerConfig, make_manager
-from repro.scheduler.recovery import crash
+from repro.scheduler.recovery import crash, recover
 from repro.server.service import ProcessLockingService, ServiceConfig
 from repro.sim.runner import make_protocol
 from repro.sim.workload import WorkloadSpec, build_workload
 from repro.storage import JournalTracer, PersistencePlane, Store
 from repro.storage.codec import encode_frame, scan_frames
 from repro.storage.facade import FORMAT_VERSION, dumps, loads
+from repro.storage.journal import (
+    ProgramCodec,
+    snapshot_from_dict,
+    snapshot_to_dict,
+)
 
 CONTENDED = WorkloadSpec(
     n_processes=20,
@@ -295,6 +300,44 @@ def test_v1_store_is_refused_naming_format(tmp_path):
     store.close()
     with pytest.raises(StorageError, match="format: store has 1"):
         ProcessLockingService(_config(tmp_path))
+
+
+def test_document_without_lock_positions_still_loads():
+    """A document written before ledger records carried the lock's
+    sharing-order position reads back with ``position=None`` and
+    recovers (in uid order, as it was written to be)."""
+    workload = build_workload(CONTENDED)
+    manager = make_manager(
+        make_protocol("process-locking", workload),
+        subsystems=workload.make_subsystems(),
+        seed=CONTENDED.seed,
+    )
+    for index, program in enumerate(workload.programs):
+        manager.submit(program, at=index)
+    manager.engine.run_steps(60)
+    image = crash(manager)
+    codec = ProgramCodec(workload.programs)
+    documents = [
+        snapshot_to_dict(snapshot, codec) for snapshot in image.snapshots
+    ]
+    ledgers = [entry for doc in documents for entry in doc["ledger"]]
+    assert ledgers and all(entry["position"] for entry in ledgers)
+    for entry in ledgers:
+        del entry["position"]
+    image.snapshots = [snapshot_from_dict(doc, codec) for doc in documents]
+    assert not any(
+        record.position
+        for snapshot in image.snapshots
+        for record in snapshot.ledger
+    )
+    recovered = recover(
+        image,
+        make_protocol("process-locking", workload),
+        subsystems=workload.make_subsystems(),
+        seed=CONTENDED.seed,
+    )
+    recovered.run()
+    assert not recovered.undecided()
 
 
 def test_store_bytes_grow_linearly_with_submissions(tmp_path):

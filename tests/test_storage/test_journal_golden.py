@@ -9,7 +9,10 @@ may show: a moved digest means the bytes a store, a subscriber or a
 every gauge sampled as it was emitted, and unmoved by the two changes
 that deferred all three; recorded again when the restart gate changed
 the schedule of the session itself (fewer resubmissions, one more
-event kind, one more gauge).
+event kind, one more gauge).  ``gauges`` alone was recorded once more
+when the subsystem-health layer went: the ``metrics`` verb lost three
+gauge families that never had a sample here; every remaining gauge
+kept its samples, and journal, trace and frames did not move.
 
 The scripted session runs in a fresh interpreter for the reason
 ``test_schedule_golden`` gives: uid counters start from zero there.
@@ -51,7 +54,7 @@ RECORDED = {
         "ebcd2cf6aeb62ac6b1679c9f74a767a9e4a58992c5b96029f108d5431093ecb6"
     ),
     "gauges": (
-        "360b8de68a6a6d1d6cbcdc63a6e420bce1dd87fcebe97a9944f070a7c8366c72"
+        "59bf63497b7c96f9bb8945ca7706c4eb1db4826789805cacb07fe7d95955649c"
     ),
 }
 
