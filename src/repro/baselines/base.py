@@ -10,6 +10,10 @@ can drive any of them unchanged:
 * ``request_compensation_lock(process, activity) -> Decision``
 * ``try_commit(process) -> Decision``
 * ``timestamps() / running_pids() / audit()``
+
+and one thing process locking never needs: ``force_progress``, the
+choice of which parked request to force when a wait cycle has no
+running member left to abort.
 """
 
 from __future__ import annotations
@@ -22,18 +26,21 @@ from repro.activities.registry import ActivityRegistry
 from repro.core.decisions import Decision, ProtocolStats
 from repro.core.lock_table import LockTable
 from repro.core.locks import LockMode
+from repro.errors import ProtocolError
 from repro.obs import NULL_TRACER
 from repro.obs.events import ActivityClassified
 from repro.process.instance import Process
 from repro.process.state import ProcessState
+from repro.scheduler.events import RequestKind
 
 
 class BaselineProtocol:
     """Common state and helpers for baseline protocols."""
 
-    #: Manager hint: break unresolvable wait cycles by force-committing a
-    #: parked commit instead of raising (pure OSL sets this).
-    forced_commit_on_unresolvable = False
+    #: Out-of-order grants :meth:`force_progress` may fall back on:
+    #: ``(process, activity) -> Decision`` where a protocol has one.
+    force_grant_compensation = None
+    force_grant_regular = None
 
     #: Observability hook, installed by the manager.  Decision outcomes
     #: are traced by the manager itself; baselines only emit their
@@ -114,6 +121,38 @@ class BaselineProtocol:
                 )
             )
         return mode
+
+    def force_progress(self, cycle, parked):
+        """Choose and force the parked request that breaks an
+        unresolvable wait cycle — one without a running member to abort.
+
+        Only reachable under pure OSL, whose arrival-order sharing can
+        deadlock completing processes against each other and aborting
+        processes among themselves, and S2PL (completing against
+        completing).  ``parked`` is every parked request in park order.
+        Preference: the first parked commit on the cycle (returned with
+        ``None``: the manager commits the process, which escapes the
+        cycle), else the first compensation, else the first regular
+        request this protocol grants out of order (returned with that
+        grant).  Each models the consistency violation a real
+        deployment would suffer, and the manager counts it as one.
+        """
+        on_cycle = [r for r in parked if r.process.pid in cycle]
+        for request in on_cycle:
+            if request.kind is RequestKind.COMMIT:
+                return request, None
+        for kind, force in (
+            (RequestKind.COMPENSATION, self.force_grant_compensation),
+            (RequestKind.REGULAR, self.force_grant_regular),
+        ):
+            if force is None:
+                continue
+            for request in on_cycle:
+                if request.kind is kind:
+                    return request, force(request.process, request.activity)
+        raise ProtocolError(
+            f"unresolvable wait cycle {cycle} with no forcible request"
+        )
 
     # Subclasses must implement:
     def request_activity_lock(

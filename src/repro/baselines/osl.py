@@ -49,8 +49,6 @@ class OslStats(ProtocolStats):
 class PureOrderedSharedLocking(BaselineProtocol):
     """OSL with lock sharing in arrival order and late validation only."""
 
-    forced_commit_on_unresolvable = True
-
     def __init__(self, registry, conflicts) -> None:
         super().__init__(registry, conflicts)
         self.stats = OslStats()

@@ -45,10 +45,6 @@ from repro.process.state import ProcessState
 class StrictTwoPhaseLocking(BaselineProtocol):
     """Exclusive conflict-based activity locks, held to process end."""
 
-    #: Completing-vs-completing deadlocks have no correct resolution under
-    #: plain S2PL; let the manager force progress and count the violation.
-    forced_commit_on_unresolvable = True
-
     def __init__(
         self, registry, conflicts, variant: str = "wound-wait"
     ) -> None:

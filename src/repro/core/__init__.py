@@ -14,7 +14,7 @@ from repro.core.cost_based import (
     wcc_after,
     worst_case_cost,
 )
-from repro.core.deadlock import WaitForGraph, choose_cycle_victim
+from repro.core.deadlock import choose_cycle_victim
 from repro.core.decisions import (
     AbortVictims,
     Decision,
@@ -43,7 +43,6 @@ __all__ = [
     "LockTable",
     "ProcessLockManager",
     "ProtocolStats",
-    "WaitForGraph",
     "can_ordered_share",
     "choose_cycle_victim",
     "figure1_trace",

@@ -9,22 +9,19 @@ the paper's "timestamp-based deadlock prevention".
 
 The cost-based extension introduces pseudo pivots whose P locks can make
 an *older* process wait for a *younger running* one, so cycles become
-possible there.  Detection runs on every park, so it is hot-path code:
-
-* :class:`IncrementalWaitFor` maintains reachability under edge
-  insert/delete (Pearce–Kelly topological-order maintenance), answering
-  the common acyclic park in O(1) amortized;
-* :class:`WaitForGraph` over :class:`Digraph` reproduces the original
-  (historically networkx-backed) cycle *search* — byte-for-byte the same
-  cycle, hence the same victim — and only runs once a cycle exists.
+possible there (and under the S2PL / pure-OSL baselines).  The manager
+keeps no graph of its own: who waits on whom is read from the parked
+requests.  A park only adds edges that leave the parking pid, so a cycle
+it closes runs through that pid and the manager's per-park check is a
+depth-first walk from there; only when that walk comes back to its start
+is the whole relation handed to :func:`find_wait_cycle`, which
+reproduces the original (historically networkx-backed) cycle *search* —
+byte-for-byte the same cycle, hence the same victim.
 
 Everything here is pure Python; the real networkx implementations
 survive only as oracles in :mod:`repro.core.reference` and the property
 tests.  The victim is the youngest *running* process on the cycle (never
 a completing one, which by construction cannot be required).
-
-The graph doubles as an auditor: simulations assert acyclicity after
-every step when the cost-based extension is off.
 """
 
 from __future__ import annotations
@@ -37,11 +34,10 @@ from repro.errors import ProtocolError
 def has_cycle(adjacency: Mapping[int, Iterable[int]]) -> bool:
     """Whether the directed graph ``adjacency`` contains a cycle.
 
-    Iterative three-color depth-first search over a plain mapping.  This
-    is the naive O(nodes + edges) formulation; the scheduler's hot path
-    uses :class:`IncrementalWaitFor` instead and keeps this walk as the
-    audit-time cross-check (and as the guard in front of the full cycle
-    search when a cycle does exist).
+    Iterative three-color depth-first search over a plain mapping,
+    O(nodes + edges): the guard in front of the full cycle search, and
+    the audit-time cross-check of the manager's walk from the parking
+    pid.
     """
     done: set[int] = set()
     on_path: set[int] = set()
@@ -278,268 +274,26 @@ def topological_order(graph: Digraph) -> list[int]:
     return order
 
 
-class WaitForGraph:
-    """Directed waits-for graph over process ids."""
+def find_wait_cycle(edges: Mapping[int, Iterable[int]]) -> list[int] | None:
+    """One wait cycle of the relation ``edges`` as a pid list, or ``None``.
 
-    def __init__(self) -> None:
-        self._graph = Digraph()
-
-    def set_waits(self, waiter: int, blockers: frozenset[int]) -> None:
-        """Replace the outgoing wait edges of ``waiter``."""
-        self.clear_waits(waiter)
-        for blocker in blockers:
-            if blocker != waiter:
-                self._graph.add_edge(waiter, blocker)
-
-    def clear_waits(self, waiter: int) -> None:
-        """Remove all outgoing wait edges of ``waiter``."""
-        if waiter in self._graph:
-            for blocker in list(self._graph.successors(waiter)):
-                self._graph.remove_edge(waiter, blocker)
-
-    def remove_process(self, pid: int) -> None:
-        """Drop a terminated process from the graph entirely."""
-        if pid in self._graph:
-            self._graph.remove_node(pid)
-
-    def find_cycle(self) -> list[int] | None:
-        """Return one wait cycle as a list of pids, or ``None``.
-
-        Guarded by :func:`has_cycle`; the full edge search (which picks
-        the *same* cycle the original networkx code did) only runs when
-        a cycle actually exists.
-        """
-        if not has_cycle(self._graph.adj):
-            return None
-        cycle = find_cycle_edges(self._graph)
-        return [edge[0] for edge in cycle]
-
-    def assert_acyclic(self) -> None:
-        """Raise :class:`ProtocolError` when a wait cycle exists."""
-        cycle = self.find_cycle()
-        if cycle is not None:
-            raise ProtocolError(
-                f"wait-for cycle detected: {' -> '.join(map(str, cycle))}"
-            )
-
-    def waiters(self) -> set[int]:
-        """All processes with at least one outgoing wait edge."""
-        return {
-            node
-            for node in self._graph
-            if self._graph.out_degree(node) > 0
-        }
-
-    def edges(self) -> list[tuple[int, int]]:
-        return list(self._graph.edges)
-
-
-class IncrementalWaitFor:
-    """Incremental wait-for cycle maintenance (Pearce–Kelly).
-
-    Maintains a topological order of the wait-for graph under edge
-    insertion and deletion, so the per-park "is there a deadlock?"
-    question is answered without re-walking the parked set:
-
-    * inserting an edge that already respects the order is **O(1)**;
-    * an order-violating insert reorders only the *affected region*
-      between the endpoints (Pearce & Kelly's discovery/reassignment);
-    * an insert that closes a cycle keeps the edge and marks the
-      maintainer *dirty* — :meth:`acyclic` then answers ``False`` via a
-      full Kahn pass until deletions break the cycle (cycles are rare
-      and the manager resolves them immediately);
-    * deletions are **O(1)** — removing an edge never invalidates a
-      topological order.
-
-    Edges carry multiplicities: two parked requests may contribute the
-    same waiter→blocker pair, and insert/delete must pair up exactly.
-
-    Fresh nodes are allocated indices *below* every existing one (and an
-    edge's blocker endpoint is materialized before its waiter), so the
-    protocol's dominant edge shape — a freshly parked younger process
-    waiting on an established older holder — is order-consistent on
-    arrival and costs no reorder at all.
-
-    ``ops`` counts nodes visited by reorder/rebuild passes.  It is the
-    observable for the O(1)-amortized claim: a park whose edges respect
-    the current order leaves ``ops`` untouched, where the historical
-    per-park DFS visited every parked process.
+    ``edges`` maps each waiter to its blockers.  The cheap
+    :func:`has_cycle` walk answers the acyclic case; only when a cycle
+    exists is the insertion-ordered graph built — waiters in mapping
+    order, each one's blockers in ``frozenset`` iteration order, self
+    edges dropped — and searched by :func:`find_cycle_edges`, which
+    picks the same cycle (hence the same victim) the historical
+    networkx-backed search did.
     """
-
-    __slots__ = (
-        "_succ",
-        "_pred",
-        "_multi",
-        "_ord",
-        "_floor",
-        "_dirty",
-        "ops",
-    )
-
-    def __init__(self) -> None:
-        self._succ: dict[int, set[int]] = {}
-        self._pred: dict[int, set[int]] = {}
-        self._multi: dict[tuple[int, int], int] = {}
-        # Topological index: every edge w→b satisfies ord[w] < ord[b]
-        # while the graph is acyclic (waiters sort before blockers).
-        self._ord: dict[int, int] = {}
-        #: Smallest index handed out so far; fresh nodes go below it.
-        self._floor = 0
-        self._dirty = False
-        #: Nodes visited by affected-region reorders and Kahn rebuilds.
-        self.ops = 0
-
-    def _ensure(self, node: int) -> None:
-        if node not in self._ord:
-            self._floor -= 1
-            self._ord[node] = self._floor
-            self._succ[node] = set()
-            self._pred[node] = set()
-
-    def add_edge(self, waiter: int, blocker: int) -> None:
-        """Insert one waiter→blocker contribution."""
-        if waiter == blocker:
-            return
-        key = (waiter, blocker)
-        count = self._multi.get(key, 0)
-        self._multi[key] = count + 1
-        if count:
-            return
-        # Blocker first: when both endpoints are new, the waiter lands
-        # below the blocker and the edge is consistent immediately.
-        self._ensure(blocker)
-        self._ensure(waiter)
-        self._succ[waiter].add(blocker)
-        self._pred[blocker].add(waiter)
-        if self._dirty:
-            # Already cyclic; order maintenance resumes at the next
-            # acyclic() rebuild.
-            return
-        ord_ = self._ord
-        if ord_[waiter] < ord_[blocker]:
-            return
-        # Affected region (Pearce–Kelly): nodes reachable forward from
-        # the blocker and backward from the waiter whose indices lie in
-        # [ord[blocker], ord[waiter]].  Anything outside that window
-        # keeps its index, which is what makes the acyclic insert
-        # amortized O(1) for timestamp-disciplined waits.
-        upper = ord_[waiter]
-        lower = ord_[blocker]
-        delta_f: list[int] = []
-        stack = [blocker]
-        seen = {blocker}
-        while stack:
-            node = stack.pop()
-            self.ops += 1
-            delta_f.append(node)
-            for nxt in self._succ[node]:
-                if nxt == waiter:
-                    # blocker ⇝ waiter existed already: the new edge
-                    # closes a cycle.  Keep it; answer via Kahn.
-                    self._dirty = True
-                    return
-                if nxt not in seen and ord_[nxt] <= upper:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        delta_b: list[int] = []
-        stack = [waiter]
-        seen_b = {waiter}
-        while stack:
-            node = stack.pop()
-            self.ops += 1
-            delta_b.append(node)
-            for prev in self._pred[node]:
-                if prev not in seen_b and ord_[prev] >= lower:
-                    seen_b.add(prev)
-                    stack.append(prev)
-        delta_b.sort(key=ord_.__getitem__)
-        delta_f.sort(key=ord_.__getitem__)
-        affected = delta_b + delta_f
-        pool = sorted(ord_[node] for node in affected)
-        for node, index in zip(affected, pool):
-            ord_[node] = index
-
-    def remove_edge(self, waiter: int, blocker: int) -> None:
-        """Remove one waiter→blocker contribution.
-
-        Raises ``KeyError`` if the pair was never inserted — the manager
-        tracks its contributions exactly, so a miss is a bug.
-        """
-        if waiter == blocker:
-            return
-        key = (waiter, blocker)
-        count = self._multi[key]
-        if count > 1:
-            self._multi[key] = count - 1
-            return
-        del self._multi[key]
-        self._succ[waiter].discard(blocker)
-        self._pred[blocker].discard(waiter)
-        # Deletions never create cycles; while dirty, the next
-        # acyclic() call re-checks whether this one broke the last one.
-
-    def discard_node(self, node: int) -> None:
-        """Drop a node that no longer carries any contribution."""
-        if node not in self._ord:
-            return
-        if self._succ[node] or self._pred[node]:
-            raise ProtocolError(
-                f"discard_node({node}): contributions still present"
-            )
-        del self._succ[node]
-        del self._pred[node]
-        del self._ord[node]
-
-    def acyclic(self) -> bool:
-        """Whether the current wait-for graph is acyclic.
-
-        O(1) while the maintained order is intact; after a
-        cycle-closing insert it costs one Kahn pass per call until the
-        cycle is gone, at which point the pass doubles as the order
-        rebuild.
-        """
-        if not self._dirty:
-            return True
-        order = self._kahn()
-        if order is None:
-            return False
-        for index, node in enumerate(order):
-            self._ord[node] = index
-        # Fresh nodes keep landing below every rebuilt index.
-        self._floor = 0
-        self._dirty = False
-        return True
-
-    def _kahn(self) -> list[int] | None:
-        indegree = {
-            node: len(preds) for node, preds in self._pred.items()
-        }
-        ready = [node for node, deg in indegree.items() if deg == 0]
-        order: list[int] = []
-        while ready:
-            node = ready.pop()
-            self.ops += 1
-            order.append(node)
-            for nxt in self._succ[node]:
-                indegree[nxt] -= 1
-                if indegree[nxt] == 0:
-                    ready.append(nxt)
-        if len(order) != len(indegree):
-            return None
-        return order
-
-    def edges(self) -> list[tuple[int, int]]:
-        return list(self._multi)
-
-    def edge_count(self) -> int:
-        return len(self._multi)
-
-    def adjacency(self) -> dict[int, set[int]]:
-        """Plain successor mapping (for audits against the oracle)."""
-        return {
-            node: set(succs)
-            for node, succs in self._succ.items()
-        }
+    if not has_cycle(edges):
+        return None
+    graph = Digraph()
+    for waiter, blockers in edges.items():
+        for blocker in frozenset(blockers):
+            if blocker != waiter:
+                graph.add_edge(waiter, blocker)
+    cycle = find_cycle_edges(graph)
+    return [edge[0] for edge in cycle] if cycle else None
 
 
 def choose_cycle_victim(

@@ -72,9 +72,10 @@ def naive_find_wait_cycle(edges: dict[int, set[int]]) -> list | None:
     """Unguarded cycle search through the real :mod:`networkx`.
 
     Rebuilds the wait-for graph as an actual ``networkx.DiGraph`` (with
-    the same node/edge insertion order :class:`WaitForGraph` would use)
-    and runs ``nx.find_cycle`` on *every* call — the formulation the
-    scheduler used before the in-tree port plus :class:`IncrementalWaitFor`
+    the same node/edge insertion order
+    :func:`~repro.core.deadlock.find_wait_cycle` uses) and runs
+    ``nx.find_cycle`` on *every* call — the formulation the scheduler
+    used before the in-tree port and the walk from the parking pid
     replaced it.  When a cycle exists both return the same one; this is
     the oracle the ported cycle search is property-tested against.
     """
@@ -82,8 +83,8 @@ def naive_find_wait_cycle(edges: dict[int, set[int]]) -> list | None:
 
     graph = nx.DiGraph()
     for waiter, blockers in edges.items():
-        # frozenset(...) mirrors WaitForGraph.set_waits exactly, so the
-        # edge insertion order — and hence the found cycle — matches.
+        # frozenset(...) mirrors find_wait_cycle exactly, so the edge
+        # insertion order — and hence the found cycle — matches.
         for blocker in frozenset(blockers):
             if blocker != waiter:
                 graph.add_edge(waiter, blocker)

@@ -1,17 +1,10 @@
 """The thread-per-shard process manager.
 
 :class:`ParallelProcessManager` specializes the sequential
-:class:`~repro.scheduler.manager.ProcessManager` along three axes, all
-preserving byte-identical schedules at the same seed:
+:class:`~repro.scheduler.manager.ProcessManager` along two axes, both
+preserving byte-identical schedules at the same seed (parked requests,
+flights and execution gating are the sequential manager's own):
 
-* **shard-local hot paths** — the execution gate and per-pid flight
-  cancellation are answered from secondary indexes of the in-flight
-  map instead of full scans.
-  Conflicts never cross subsystems (the
-  :class:`~repro.activities.commutativity.ConflictMatrix` rejects them
-  at declaration), so a same-shard scan sees exactly the conflicting
-  candidates the global scan would, and the gate's *set* semantics make
-  the restriction order-independent.
 * **batch lock acquisition** — a process pre-declares its next
   ``batch_k`` ready activity types, the protocol probes the Comp-Rule
   verdict for each (read-only), and the coordinator then replays the
@@ -36,59 +29,8 @@ from repro import config as repro_config
 from repro.parallel.executor import ShardExecutor
 from repro.process.instance import Process
 from repro.process.state import ProcessState
-from repro.scheduler.events import (
-    InflightActivity,
-    ParkedRequest,
-    RequestKind,
-)
+from repro.scheduler.events import ParkedRequest, RequestKind
 from repro.scheduler.manager import ProcessManager
-
-
-class _IndexedInflight(dict):
-    """uid → flight map with per-shard and per-pid secondary indexes.
-
-    A drop-in for the manager's plain ``_inflight`` dict: the primary
-    mapping (and its iteration order) is untouched; ``by_shard`` and
-    ``by_pid`` mirror it keyed by subsystem name and owning pid, each
-    bucket insertion-ordered — so a per-bucket scan yields the same
-    flights, in the same relative order, as the global scan filtered to
-    that bucket.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.by_shard: dict[str, dict[int, InflightActivity]] = {}
-        self.by_pid: dict[int, dict[int, InflightActivity]] = {}
-
-    def __setitem__(self, uid: int, flight: InflightActivity) -> None:
-        if uid in self:
-            del self[uid]
-        super().__setitem__(uid, flight)
-        shard = flight.activity.activity_type.subsystem
-        self.by_shard.setdefault(shard, {})[uid] = flight
-        self.by_pid.setdefault(flight.process.pid, {})[uid] = flight
-
-    def __delitem__(self, uid: int) -> None:
-        flight = self[uid]
-        super().__delitem__(uid)
-        shard = flight.activity.activity_type.subsystem
-        bucket = self.by_shard.get(shard)
-        if bucket is not None:
-            bucket.pop(uid, None)
-            if not bucket:
-                del self.by_shard[shard]
-        pids = self.by_pid.get(flight.process.pid)
-        if pids is not None:
-            pids.pop(uid, None)
-            if not pids:
-                del self.by_pid[flight.process.pid]
-
-    def pop(self, uid: int, default=None):
-        if uid in self:
-            flight = self[uid]
-            del self[uid]
-            return flight
-        return default
 
 
 class ParallelProcessManager(ProcessManager):
@@ -122,15 +64,6 @@ class ParallelProcessManager(ProcessManager):
         #: shard name -> owning worker index (deterministic round-robin).
         self._assignment = table.assign_workers(n_workers)
         self._executor = ShardExecutor(n_workers)
-        #: Replace the plain in-flight dict with the indexed one (empty
-        #: at construction time, so swapping representations is safe).
-        self._inflight = _IndexedInflight()
-        #: pid -> {seq -> request}: the parked store restricted per
-        #: process, maintained by the ``_park``/``_unpark`` overrides.
-        #: Each bucket is seq-ordered (parks draw monotone seqs), so
-        #: scanning one bucket reproduces the global parked order
-        #: restricted to that pid.
-        self._parked_by_pid: dict[int, dict[int, ParkedRequest]] = {}
         #: Minimum per-group shard size before a probe is shipped to the
         #: workers.  Unset, fan-out is disabled: on a GIL build the
         #: probes are pure-Python CPU work, so cross-thread dispatch can
@@ -255,76 +188,6 @@ class ParallelProcessManager(ProcessManager):
                 verdicts.update(result)
             return verdicts
         return self.protocol.probe_c_grants(process, names)
-
-    # ------------------------------------------------------------------
-    # per-pid reads of the parked store
-    # ------------------------------------------------------------------
-    def _park(self, request: ParkedRequest) -> None:
-        super()._park(request)
-        self._parked_by_pid.setdefault(request.process.pid, {})[
-            request.seq
-        ] = request
-
-    def _unpark(self, request: ParkedRequest) -> None:
-        super()._unpark(request)
-        pid = request.process.pid
-        bucket = self._parked_by_pid.get(pid)
-        if bucket is not None:
-            bucket.pop(request.seq, None)
-            if not bucket:
-                del self._parked_by_pid[pid]
-
-    def _cancel_parked_of(self, process, kinds) -> None:
-        bucket = self._parked_by_pid.get(process.pid)
-        if not bucket:
-            return
-        doomed = [
-            request
-            for request in bucket.values()
-            if request.kind in kinds
-        ]
-        for request in doomed:
-            self._unpark(request)
-            if request.kind is RequestKind.REGULAR:
-                process.abandon(request.activity)
-
-    # ------------------------------------------------------------------
-    # shard-local reads of the in-flight map
-    # ------------------------------------------------------------------
-    def _gate_flight(self, flight: InflightActivity) -> None:
-        if flight.entry is None:
-            return
-        if not self.config.gate_conflicting_executions:
-            return
-        bucket = self._inflight.by_shard.get(
-            flight.activity.activity_type.subsystem
-        )
-        if not bucket or len(bucket) <= 1:
-            return
-        plane = self.protocol.conflicts.compiled()
-        conflict_mask = plane.masks[plane.id_of(flight.activity.name)]
-        if not conflict_mask:
-            return
-        position = flight.entry.position
-        flight_uid = flight.activity.uid
-        gate_add = flight.gate.add
-        dependents = self._dependents
-        for other in bucket.values():
-            if (
-                conflict_mask & other.type_bit
-                and other.entry.position < position
-                and not other.cancelled
-            ):
-                other_uid = other.activity.uid
-                gate_add(other_uid)
-                waiters = dependents.get(other_uid)
-                if waiters is None:
-                    dependents[other_uid] = {flight_uid}
-                else:
-                    waiters.add(flight_uid)
-
-    def _flights_of(self, pid: int) -> list[InflightActivity]:
-        return list(self._inflight.by_pid.get(pid, {}).values())
 
     # ------------------------------------------------------------------
     # worker-aware observability & audits

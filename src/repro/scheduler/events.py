@@ -45,13 +45,6 @@ class ParkedRequest:
     reason: str = ""
     parked_at: float = 0.0
     seq: int = 0
-    #: Blocker pids currently contributed to the manager's incremental
-    #: wait-for graph for this request.  A subset of ``wait_for``:
-    #: "awaiting-cascade" blockers only count once their abort is under
-    #: way, and edges to terminated blockers are withdrawn while the
-    #: request stays parked.  Managed by ``_park``/``_unpark`` and the
-    #: abort/termination hooks; empty while unparked.
-    waitfor_edges: set[int] = field(default_factory=set)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         what = (
@@ -108,7 +101,6 @@ class CompensationRun:
     queue: list[LedgerEntry]
     then: str
     label: str = ""
-    victims_aborted: int = 0
 
 
 @dataclass(slots=True)

@@ -27,9 +27,8 @@ from repro import config as repro_config
 
 from repro.activities.activity import Activity
 from repro.core.deadlock import (
-    IncrementalWaitFor,
-    WaitForGraph,
     choose_cycle_victim,
+    find_wait_cycle,
     has_cycle,
 )
 from repro.core.cost_based import retry_wcc_charge
@@ -88,6 +87,13 @@ from repro.scheduler.events import (
 )
 from repro.scheduler.trace import TraceRecorder
 from repro.subsystems.subsystem import SubsystemPool
+
+#: Wake-up drains that may nest before a termination only queues its
+#: waiters for an enclosing drain.  Each level costs six Python frames;
+#: the golden points and 16-process bursts nest 7 deep, 150-400-process
+#: runs 49-78, and the interpreter's stack gives out near 165
+#: (DESIGN.md §7).
+_MAX_NESTED_DRAINS = 96
 
 
 @dataclass
@@ -283,23 +289,29 @@ class ProcessManager:
         self._held: dict[int, int] = {}
         #: Pids decided since :meth:`take_finished` was last called.
         self._finished: list[int] = []
-        #: Parked requests keyed by park sequence (insertion-ordered).
+        #: Parked requests keyed by park sequence (insertion-ordered):
+        #: the one record of who waits on whom.  The three below index
+        #: it; the wait-for relation is read from it, never mirrored.
         self._parked: dict[int, ParkedRequest] = {}
         self._park_seq = itertools.count(1)
+        #: pid -> its own parked requests by seq (park-ordered).
+        self._parked_of: dict[int, dict[int, ParkedRequest]] = {}
         #: pid -> park seqs of requests waiting on that pid.
         self._wait_index: dict[int, set[int]] = {}
         #: Min-heap of park seqs woken by a termination, pending retry.
         self._wake_pending: list[int] = []
-        #: Pids with a parked COMMIT request (O(1) membership).
-        self._parked_commit_pids: set[int] = set()
+        #: Wake-up drains on the stack (see ``_MAX_NESTED_DRAINS``).
+        self._drain_depth = 0
+        #: Whether the last deadlock search may have left a cycle
+        #: standing: it takes one victim per call, and a second cycle
+        #: closed by the same park need not run through the next
+        #: parking pid.
+        self._cycle_standing = False
         self._inflight: dict[int, InflightActivity] = {}
         #: subsystem -> live queue depth (in-flight + parked activity
         #: requests), maintained incrementally at the _inflight/_parked
         #: mutation sites so gauge sampling never scans either store.
         self._shard_depth_counts: dict[str, int] = {}
-        #: Incrementally maintained wait-for reachability over the parked
-        #: requests (mirrors :meth:`_wait_edges` exactly; audited).
-        self._waitfor = IncrementalWaitFor()
         self._audit_tick = 0
         self._audit_shard_cursor = 0
         #: Guards the round-robin audit cursor (the sampled auditor may
@@ -716,7 +728,7 @@ class ProcessManager:
             request.wait_for = decision.wait_for
             request.reason = decision.reason
             self._park(request)
-            self._resolve_wait_cycles()
+            self._resolve_wait_cycles(process.pid)
         elif isinstance(decision, AbortVictims):
             # Park the request until the victims' aborts complete, then
             # retry.  A victim counts where its abort begins: one that
@@ -729,7 +741,7 @@ class ProcessManager:
             if begun:
                 self.protocol.stats.cascades_requested += 1
                 self.protocol.stats.cascade_victims += begun
-            self._resolve_wait_cycles()
+            self._resolve_wait_cycles(process.pid)
         elif isinstance(decision, SelfAbort):
             if process.state is not ProcessState.RUNNING:
                 raise ProtocolError(
@@ -1182,7 +1194,6 @@ class ProcessManager:
             )
         self._cancel_all_work(process)
         plan = process.plan_protocol_abort()
-        self._note_abort_started(pid)
         if then == "resubmit":
             self.stats.protocol_aborts += 1
             self.records[pid].cascade_aborts += 1
@@ -1224,13 +1235,7 @@ class ProcessManager:
             process.abandon(flight.activity)
 
     def _flights_of(self, pid: int) -> list[InflightActivity]:
-        """In-flight activities of one process, in launch order.
-
-        The parallel manager overrides this with an O(answer) read from
-        its per-pid in-flight index; both produce the same list in the
-        same order (per-pid insertion order equals global insertion
-        order restricted to the pid).
-        """
+        """In-flight activities of one process, in launch order."""
         return [
             flight
             for flight in list(self._inflight.values())
@@ -1242,11 +1247,8 @@ class ProcessManager:
     ) -> None:
         doomed = [
             request
-            for request in self._parked.values()
-            if (
-                request.process.pid == process.pid
-                and request.kind in kinds
-            )
+            for request in self._parked_of.get(process.pid, {}).values()
+            if request.kind in kinds
         ]
         for request in doomed:
             self._unpark(request)
@@ -1268,7 +1270,6 @@ class ProcessManager:
         self.trace.record_abort(process)
         self.protocol.detach(process)
         del self._processes[pid]
-        self._drop_cascade_edges_to(pid)
         self.protocol.stats.aborts += 1
         if self.tracer.enabled:
             self.tracer.emit(
@@ -1299,7 +1300,6 @@ class ProcessManager:
         self.trace.record_commit(process)
         self.protocol.detach(process)
         del self._processes[process.pid]
-        self._drop_cascade_edges_to(process.pid)
         self.stats.committed += 1
         self.records[process.pid].committed_at = self.engine.now
         self._decide(process.pid, "committed")
@@ -1323,49 +1323,30 @@ class ProcessManager:
         store stays ordered by park time exactly like the historical
         append-to-a-list representation.
         """
-        request.seq = next(self._park_seq)
-        self._parked[request.seq] = request
+        seq = request.seq = next(self._park_seq)
+        self._parked[seq] = request
+        self._parked_of.setdefault(request.process.pid, {})[seq] = request
         self._note_shard_depth(request.activity, +1)
         for pid in request.wait_for:
-            self._wait_index.setdefault(pid, set()).add(request.seq)
-        if request.kind is RequestKind.COMMIT:
-            self._parked_commit_pids.add(request.process.pid)
-        waiter = request.process.pid
-        if request.reason == "awaiting-cascade":
-            # Mirror _wait_edges: a victim only becomes an edge once its
-            # abort is genuinely under way.  Still-running victims are
-            # added by _begin_protocol_abort right after this park.
-            contributed = {
-                pid
-                for pid in request.wait_for
-                if (proc := self._processes.get(pid)) is not None
-                and proc.state is ProcessState.ABORTING
-            }
-        else:
-            contributed = set(request.wait_for)
-        request.waitfor_edges = contributed
-        for pid in contributed:
-            self._waitfor.add_edge(waiter, pid)
+            self._wait_index.setdefault(pid, set()).add(seq)
         if self.tracer.enabled:
             self.tracer.emit(self._wait_edge_event("insert", request))
 
     def _unpark(self, request: ParkedRequest) -> None:
-        """Remove a parked request and unregister its wait-index entries."""
-        del self._parked[request.seq]
+        """Remove a parked request and unregister its index entries."""
+        seq, waiter = request.seq, request.process.pid
+        del self._parked[seq]
+        own = self._parked_of[waiter]
+        del own[seq]
+        if not own:
+            del self._parked_of[waiter]
         self._note_shard_depth(request.activity, -1)
         for pid in request.wait_for:
             bucket = self._wait_index.get(pid)
             if bucket is not None:
-                bucket.discard(request.seq)
+                bucket.discard(seq)
                 if not bucket:
                     del self._wait_index[pid]
-        if request.kind is RequestKind.COMMIT:
-            self._parked_commit_pids.discard(request.process.pid)
-        if request.waitfor_edges:
-            waiter = request.process.pid
-            for pid in request.waitfor_edges:
-                self._waitfor.remove_edge(waiter, pid)
-            request.waitfor_edges = set()
         if self.tracer.enabled:
             self.tracer.emit(self._wait_edge_event("delete", request))
 
@@ -1380,170 +1361,132 @@ class ProcessManager:
         same heap — the innermost drain therefore always retries the
         oldest eligible request first, which reproduces the historical
         scan-in-park-order fixpoint exactly.
+
+        Each nested drain sits six frames above the one whose retry
+        terminated ``dead_pid``, so a long cascade chain would exhaust
+        the interpreter's stack.  ``_MAX_NESTED_DRAINS`` deep, a
+        termination only queues its waiters: an enclosing drain is on
+        the stack by construction and retries them, oldest first, as
+        it unwinds.
         """
         bucket = self._wait_index.pop(dead_pid, None)
         if bucket:
             for seq in bucket:
                 heapq.heappush(self._wake_pending, seq)
-        while self._wake_pending:
-            seq = heapq.heappop(self._wake_pending)
-            request = self._parked.get(seq)
-            if request is None:
-                continue  # cancelled or already retried reentrantly
-            if all(
-                pid in self._processes for pid in request.wait_for
-            ):
-                continue  # re-parked; everything it waits on is live
-            self._unpark(request)
-            process = request.process
-            if process.state.is_terminal:
-                continue
-            if request.kind is RequestKind.REGULAR:
-                decision = self.protocol.request_activity_lock(
-                    process, request.activity, request.mode
-                )
-            elif request.kind is RequestKind.COMPENSATION:
-                decision = self.protocol.request_compensation_lock(
-                    process, request.activity
-                )
-            else:
-                decision = self.protocol.try_commit(process)
-            self._apply_decision(decision, request)
+        if self._drain_depth >= _MAX_NESTED_DRAINS:
+            return
+        self._drain_depth += 1
+        try:
+            while self._wake_pending:
+                seq = heapq.heappop(self._wake_pending)
+                request = self._parked.get(seq)
+                if request is None:
+                    continue  # cancelled or already retried reentrantly
+                if all(
+                    pid in self._processes for pid in request.wait_for
+                ):
+                    continue  # re-parked; everything it waits on is live
+                self._unpark(request)
+                process = request.process
+                if process.state.is_terminal:
+                    continue
+                if request.kind is RequestKind.REGULAR:
+                    decision = self.protocol.request_activity_lock(
+                        process, request.activity, request.mode
+                    )
+                elif request.kind is RequestKind.COMPENSATION:
+                    decision = self.protocol.request_compensation_lock(
+                        process, request.activity
+                    )
+                else:
+                    decision = self.protocol.try_commit(process)
+                self._apply_decision(decision, request)
+        finally:
+            self._drain_depth -= 1
 
     def _has_parked_commit(self, process: Process) -> bool:
-        return process.pid in self._parked_commit_pids
+        return any(
+            request.kind is RequestKind.COMMIT
+            for request in self._parked_of.get(process.pid, {}).values()
+        )
 
     # ------------------------------------------------------------------
     # deadlock resolution (cost-based extension only)
     # ------------------------------------------------------------------
+    def _blockers_of(self, request: ParkedRequest) -> frozenset[int]:
+        """The pids ``request`` waits on right now."""
+        if request.reason != "awaiting-cascade":
+            return request.wait_for
+        # A victim that is still running has its abort initiation pending
+        # in the current callback; only victims whose aborts are genuinely
+        # under way (and possibly stuck) are wait-graph edges.  Read live:
+        # a victim becomes an edge when its abort begins, between the park
+        # and the resolve of one ``_apply_decision``, and stops being one
+        # when it terminates.
+        return frozenset(
+            pid
+            for pid in request.wait_for
+            if (proc := self._processes.get(pid)) is not None
+            and proc.state is ProcessState.ABORTING
+        )
+
     def _wait_edges(self) -> dict[int, set[int]]:
         """The waits-for relation of the currently parked requests."""
         edges: dict[int, set[int]] = {}
         for request in self._parked.values():
-            blockers = request.wait_for
-            if request.reason == "awaiting-cascade":
-                # A victim that is still running has its abort initiation
-                # pending in the current callback; only victims whose
-                # aborts are genuinely under way (and possibly stuck) are
-                # wait-graph edges.
-                blockers = frozenset(
-                    pid
-                    for pid in blockers
-                    if (proc := self._processes.get(pid)) is not None
-                    and proc.state is ProcessState.ABORTING
-                )
-            edges.setdefault(request.process.pid, set()).update(blockers)
+            edges.setdefault(request.process.pid, set()).update(
+                self._blockers_of(request)
+            )
         return edges
 
-    @staticmethod
-    def _find_wait_cycle(
-        edges: dict[int, set[int]]
-    ) -> list[int] | None:
-        """One wait cycle in ``edges``, or ``None``.
+    def _waits_on_itself(self, waiter: int) -> bool:
+        """Whether ``waiter`` reaches itself over the waits-for relation
+        (depth-first over each reached pid's own parked requests)."""
+        parked_of = self._parked_of
+        seen = {waiter}
+        stack = [waiter]
+        while stack:
+            for request in parked_of.get(stack.pop(), {}).values():
+                for pid in self._blockers_of(request):
+                    if pid == waiter:
+                        return True
+                    if pid not in seen:
+                        seen.add(pid)
+                        stack.append(pid)
+        return False
 
-        The cheap :func:`~repro.core.deadlock.has_cycle` walk answers the
-        common acyclic case without materializing a
-        :class:`WaitForGraph`; when a cycle exists, the graph is built
-        exactly as before and the original search picks the same cycle.
-        """
-        if not has_cycle(edges):
-            return None
-        graph = WaitForGraph()
-        for waiter, blockers in edges.items():
-            graph.set_waits(waiter, frozenset(blockers))
-        return graph.find_cycle()
-
-    def _note_abort_started(self, pid: int) -> None:
-        """Materialize awaiting-cascade edges once ``pid`` is aborting.
-
-        Mirrors :meth:`_wait_edges`' dynamic filter incrementally: a
-        cascade victim becomes a wait-graph edge exactly when its abort
-        begins.  The wait index names the parked requests waiting on
-        ``pid``, so only those are touched.
-        """
-        for seq in self._wait_index.get(pid, ()):
-            request = self._parked[seq]
-            if (
-                request.reason == "awaiting-cascade"
-                and pid in request.wait_for
-                and pid not in request.waitfor_edges
-            ):
-                request.waitfor_edges.add(pid)
-                self._waitfor.add_edge(request.process.pid, pid)
-
-    def _drop_cascade_edges_to(self, dead_pid: int) -> None:
-        """Withdraw awaiting-cascade edges to a terminated process.
-
-        Runs at termination time, *before* the wake-up drain: requests
-        woken by the termination may be retried (and re-parked) one at a
-        time, and reentrant cycle checks in between must not see edges
-        to the dead pid — especially since cascade victims resubmit
-        under the same pid, so a stale edge could later close a bogus
-        cycle against the new incarnation.
-        """
-        bucket = self._wait_index.get(dead_pid)
-        if not bucket:
-            return
-        for seq in bucket:
-            request = self._parked[seq]
-            if (
-                request.reason == "awaiting-cascade"
-                and dead_pid in request.waitfor_edges
-            ):
-                request.waitfor_edges.discard(dead_pid)
-                self._waitfor.remove_edge(request.process.pid, dead_pid)
-
-    def _audit_waitfor(self) -> None:
-        """Assert the incremental graph mirrors the rebuilt relation."""
-        expected: dict[int, set[int]] = {}
-        for waiter, blockers in self._wait_edges().items():
-            cleaned = {pid for pid in blockers if pid != waiter}
-            if cleaned:
-                expected[waiter] = cleaned
-        actual = {
-            node: succs
-            for node, succs in self._waitfor.adjacency().items()
-            if succs
-        }
-        if actual != expected:
-            raise ProtocolError(
-                f"incremental wait-for graph diverged: "
-                f"incremental={actual} rebuilt={expected}"
-            )
-        if self._waitfor.acyclic() == has_cycle(expected):
-            raise ProtocolError(
-                "incremental acyclicity disagrees with the DFS oracle"
-            )
-
-    def _resolve_wait_cycles(self) -> None:
+    def _resolve_wait_cycles(self, waiter: int) -> None:
         """Break wait-for cycles among genuinely blocked requests.
 
-        The common acyclic case is answered by the incrementally
-        maintained reachability structure in O(1) amortized — without
-        re-walking the parked set.  Only when a cycle exists is the
-        waits-for relation rebuilt from the parked requests (the source
-        of truth) so the original search picks the exact same cycle.
-        Under the basic process-locking protocol no cycle can form
-        (timestamp discipline); with pseudo pivots or the baseline
-        protocols, the youngest running process on the cycle is
-        sacrificed; cycles without a running member are escalated to the
-        forced-progress path (pure OSL's unresolvable violations).
+        Called after pid ``waiter`` parked a request.  A park only adds
+        edges that leave the parking pid, so a cycle it closes runs
+        through that pid: the common acyclic case is answered by a walk
+        from there.  Only when the walk comes back (or the previous
+        search left a cycle standing) is the whole relation rebuilt
+        from the parked requests so the original search picks the exact
+        same cycle.  Under the basic process-locking protocol no cycle
+        can form (timestamp discipline); with pseudo pivots or the
+        baseline protocols, the youngest running process on the cycle
+        is sacrificed; cycles without a running member are escalated to
+        the protocol's forced-progress choice (pure OSL's unresolvable
+        violations).
         """
-        if self.config.audit and (
-            self.config.audit_every == 1
-            or self._audit_tick % self.config.audit_every == 0
+        if self._cycle_standing or self._waits_on_itself(waiter):
+            cycle = find_wait_cycle(self._wait_edges())
+            self._cycle_standing = cycle is not None
+            if cycle is not None:
+                self._act_on_wait_cycle(cycle)
+        elif (
+            # Audited runs cross-check "no cycle" against the whole
+            # relation, at the structural auditor's cadence.
+            self.config.audit
+            and self._audit_tick % self.config.audit_every == 0
+            and has_cycle(self._wait_edges())
         ):
-            # The cross-check rebuilds the full relation, so a sampling
-            # auditor (audit_every > 1) thins it to the same cadence as
-            # the structural audits — otherwise an audited run would
-            # re-pay the cost the incremental structure exists to avoid.
-            self._audit_waitfor()
-        if self._waitfor.acyclic():
-            return
-        cycle = self._find_wait_cycle(self._wait_edges())
-        if cycle is None:
-            return
-        self._act_on_wait_cycle(cycle)
+            raise ProtocolError(
+                f"wait cycle missed by the walk from P{waiter}: "
+                f"{self._wait_edges()}"
+            )
 
     def _act_on_wait_cycle(self, cycle: list[int]) -> None:
         """Abort the cycle's victim (or force progress when unabortable)."""
@@ -1560,11 +1503,26 @@ class ProcessManager:
                 protected=protected,
             )
         except ProtocolError:
-            if not getattr(
-                self.protocol, "forced_commit_on_unresolvable", False
-            ):
+            # No running member to abort: only the baselines get here,
+            # and which parked request to force is their policy.
+            force = getattr(self.protocol, "force_progress", None)
+            if force is None:
                 raise
-            self._force_progress_in_cycle(cycle)
+            request, decision = force(cycle, self._parked.values())
+            self._unpark(request)
+            self.stats.unresolvable_violations += 1
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    UnresolvableForced(
+                        pid=request.process.pid,
+                        request=request.kind.value,
+                        cycle=tuple(cycle),
+                    )
+                )
+            if decision is None:
+                self._finalize_commit(request.process)
+            else:
+                self._apply_decision(decision, request)
             return
         self.stats.deadlock_victims += 1
         if self.tracer.enabled:
@@ -1572,65 +1530,6 @@ class ProcessManager:
                 DeadlockVictim(pid=victim, cycle=tuple(cycle))
             )
         self._begin_protocol_abort(victim, cause="deadlock")
-
-    def _force_progress_in_cycle(self, cycle: list[int]) -> None:
-        """Break an unresolvable cycle without a running member.
-
-        Only reachable under the pure-OSL baseline, whose arrival-order
-        sharing can deadlock completing processes against each other and
-        aborting processes among themselves.  Preference order: force a
-        parked commit through (a completing process escapes the cycle),
-        else force a parked compensation through out of order.  Both model
-        the consistency violation a real deployment would suffer and are
-        counted as such.
-        """
-        for request in list(self._parked.values()):
-            if (
-                request.kind is RequestKind.COMMIT
-                and request.process.pid in cycle
-            ):
-                self._unpark(request)
-                self.stats.unresolvable_violations += 1
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        UnresolvableForced(
-                            pid=request.process.pid,
-                            request=request.kind.value,
-                            cycle=tuple(cycle),
-                        )
-                    )
-                self._finalize_commit(request.process)
-                return
-        hooks = (
-            (RequestKind.COMPENSATION, "force_grant_compensation"),
-            (RequestKind.REGULAR, "force_grant_regular"),
-        )
-        for kind, hook_name in hooks:
-            force = getattr(self.protocol, hook_name, None)
-            if force is None:
-                continue
-            for request in list(self._parked.values()):
-                if (
-                    request.kind is kind
-                    and request.process.pid in cycle
-                ):
-                    self._unpark(request)
-                    self.stats.unresolvable_violations += 1
-                    if self.tracer.enabled:
-                        self.tracer.emit(
-                            UnresolvableForced(
-                                pid=request.process.pid,
-                                request=request.kind.value,
-                                cycle=tuple(cycle),
-                            )
-                        )
-                    self._apply_decision(
-                        force(request.process, request.activity), request
-                    )
-                    return
-        raise ProtocolError(
-            f"unresolvable wait cycle {cycle} with no forcible request"
-        )
 
     # ------------------------------------------------------------------
     # observability (only reached when the tracer is enabled)

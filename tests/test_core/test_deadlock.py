@@ -1,64 +1,29 @@
-"""Tests for wait-for graph bookkeeping and cycle-victim choice."""
+"""Tests for the wait-cycle search and cycle-victim choice."""
 
 import pytest
 
-from repro.core.deadlock import WaitForGraph, choose_cycle_victim
+from repro.core.deadlock import choose_cycle_victim, find_wait_cycle
 from repro.errors import ProtocolError
 
 
-class TestWaitForGraph:
+class TestFindWaitCycle:
     def test_no_cycle_initially(self):
-        graph = WaitForGraph()
-        assert graph.find_cycle() is None
-        graph.assert_acyclic()
+        assert find_wait_cycle({}) is None
 
     def test_simple_cycle_detected(self):
-        graph = WaitForGraph()
-        graph.set_waits(1, frozenset({2}))
-        graph.set_waits(2, frozenset({1}))
-        cycle = graph.find_cycle()
+        cycle = find_wait_cycle({1: {2}, 2: {1}})
         assert cycle is not None
         assert set(cycle) == {1, 2}
-        with pytest.raises(ProtocolError):
-            graph.assert_acyclic()
 
     def test_chain_is_acyclic(self):
-        graph = WaitForGraph()
-        graph.set_waits(3, frozenset({2}))
-        graph.set_waits(2, frozenset({1}))
-        assert graph.find_cycle() is None
-        assert graph.waiters() == {2, 3}
-
-    def test_set_waits_replaces(self):
-        graph = WaitForGraph()
-        graph.set_waits(1, frozenset({2}))
-        graph.set_waits(1, frozenset({3}))
-        assert graph.edges() == [(1, 3)]
+        assert find_wait_cycle({3: {2}, 2: {1}}) is None
 
     def test_self_edges_ignored(self):
-        graph = WaitForGraph()
-        graph.set_waits(1, frozenset({1, 2}))
-        assert graph.edges() == [(1, 2)]
-
-    def test_clear_waits(self):
-        graph = WaitForGraph()
-        graph.set_waits(1, frozenset({2}))
-        graph.clear_waits(1)
-        assert graph.edges() == []
-
-    def test_remove_process_drops_incoming_edges(self):
-        graph = WaitForGraph()
-        graph.set_waits(1, frozenset({2}))
-        graph.set_waits(3, frozenset({2}))
-        graph.remove_process(2)
-        assert graph.edges() == []
+        assert find_wait_cycle({1: {1, 2}}) is None
+        assert set(find_wait_cycle({1: {1, 2}, 2: {1}})) == {1, 2}
 
     def test_three_cycle(self):
-        graph = WaitForGraph()
-        graph.set_waits(1, frozenset({2}))
-        graph.set_waits(2, frozenset({3}))
-        graph.set_waits(3, frozenset({1}))
-        assert set(graph.find_cycle()) == {1, 2, 3}
+        assert set(find_wait_cycle({1: {2}, 2: {3}, 3: {1}})) == {1, 2, 3}
 
 
 class TestVictimChoice:

@@ -1,19 +1,12 @@
-"""Property tests for the incremental wait-for maintainer and graph ports.
+"""Property tests for the in-tree graph ports behind deadlock handling.
 
-Three oracle layers back the networkx-free hot path:
-
-* :class:`IncrementalWaitFor` (Pearce–Kelly order maintenance) is
-  churned through random insert / delete / clear-waiter sequences and
-  must agree with the three-color :func:`has_cycle` recompute after
-  every step — including the older-waits-for-younger edges a pseudo
-  pivot introduces.
-* The ported :func:`find_cycle_edges` / :func:`topological_order` must
-  return *identical* results to the real ``networkx`` algorithms they
-  replaced, because the chosen cycle decides the deadlock victim and
-  the schedule bytes downstream.
-* The operation-count test pins the acceptance claim: a protocol-shaped
-  acyclic park costs **zero** reorder work, where the historical
-  per-park DFS visited every parked process each time.
+The ported :func:`find_cycle_edges` / :func:`topological_order` must
+return *identical* results to the real ``networkx`` algorithms they
+replaced, and :func:`find_wait_cycle` the same cycle as the unguarded
+networkx search over the same relation, because the chosen cycle
+decides the deadlock victim and the schedule bytes downstream.  (That
+the manager's walk from the parking pid agrees with the search over
+the whole relation is ``tests/test_scheduler/test_wait_cycles.py``.)
 """
 
 from __future__ import annotations
@@ -25,123 +18,14 @@ from hypothesis import strategies as st
 
 from repro.core.deadlock import (
     Digraph,
-    IncrementalWaitFor,
-    WaitForGraph,
     find_cycle_edges,
-    has_cycle,
+    find_wait_cycle,
     topological_order,
 )
 from repro.core.reference import naive_find_wait_cycle
 from repro.errors import ProtocolError
 
 NODES = st.integers(min_value=0, max_value=7)
-
-op_strategy = st.one_of(
-    st.tuples(st.just("add"), NODES, NODES),
-    # delete/clear pick from the live edge multiset by index, so every
-    # generated op is applicable regardless of the prefix.
-    st.tuples(st.just("remove"), st.integers(min_value=0), NODES),
-    st.tuples(st.just("clear"), NODES, NODES),
-)
-
-
-def _model_adjacency(multi: dict[tuple[int, int], int]) -> dict[int, set[int]]:
-    adjacency: dict[int, set[int]] = {}
-    for (waiter, blocker), count in multi.items():
-        if count > 0:
-            adjacency.setdefault(waiter, set()).add(blocker)
-    return adjacency
-
-
-class TestIncrementalVsOracle:
-    """Random churn: acyclicity always matches the full recompute."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(ops=st.lists(op_strategy, min_size=1, max_size=60))
-    def test_matches_has_cycle_under_churn(self, ops):
-        waitfor = IncrementalWaitFor()
-        multi: dict[tuple[int, int], int] = {}
-        for op in ops:
-            kind = op[0]
-            if kind == "add":
-                __, waiter, blocker = op
-                waitfor.add_edge(waiter, blocker)
-                if waiter != blocker:
-                    key = (waiter, blocker)
-                    multi[key] = multi.get(key, 0) + 1
-            elif kind == "remove":
-                live = [key for key, count in multi.items() if count > 0]
-                if not live:
-                    continue
-                waiter, blocker = live[op[1] % len(live)]
-                waitfor.remove_edge(waiter, blocker)
-                multi[(waiter, blocker)] -= 1
-            else:  # clear: withdraw every contribution of one waiter,
-                # the shape of an unpark.
-                waiter = op[1]
-                for (src, blocker), count in list(multi.items()):
-                    if src != waiter:
-                        continue
-                    for _ in range(count):
-                        waitfor.remove_edge(src, blocker)
-                    multi[(src, blocker)] = 0
-            adjacency = _model_adjacency(multi)
-            assert waitfor.acyclic() == (not has_cycle(adjacency))
-        assert sorted(waitfor.edges()) == sorted(
-            key for key, count in multi.items() if count > 0
-        )
-
-    def test_pseudo_pivot_cycle_detected_and_cleared(self):
-        """Older-waits-for-younger closes a cycle; withdrawing it heals.
-
-        The timestamp discipline normally only produces young→old
-        edges (acyclic by construction).  A pseudo pivot's unretained
-        C-lock lets an *older* process end up waiting on a younger
-        holder — the one shape that can close a cycle.
-        """
-        waitfor = IncrementalWaitFor()
-        # Discipline edges, youngest parked last: 4→3→2→1.
-        for young, old in ((2, 1), (3, 2), (4, 3)):
-            waitfor.add_edge(young, old)
-            assert waitfor.acyclic()
-        # Pseudo-pivot inversion: the oldest waits on the youngest.
-        waitfor.add_edge(1, 4)
-        assert not waitfor.acyclic()
-        # The edge is retained while cyclic; victim abort withdraws one
-        # contribution and the graph must report acyclic again.
-        waitfor.remove_edge(1, 4)
-        assert waitfor.acyclic()
-        # Repeated churn after the lazy rebuild stays consistent.
-        waitfor.add_edge(1, 4)
-        assert not waitfor.acyclic()
-        waitfor.remove_edge(2, 1)
-        assert waitfor.acyclic()
-
-    def test_multiplicity_keeps_edge_until_last_removal(self):
-        waitfor = IncrementalWaitFor()
-        waitfor.add_edge(2, 1)
-        waitfor.add_edge(2, 1)
-        waitfor.add_edge(1, 2)
-        assert not waitfor.acyclic()
-        waitfor.remove_edge(2, 1)
-        assert not waitfor.acyclic()  # second contribution still live
-        waitfor.remove_edge(2, 1)
-        assert waitfor.acyclic()
-        assert waitfor.edges() == [(1, 2)]
-
-    def test_remove_unknown_edge_raises(self):
-        waitfor = IncrementalWaitFor()
-        with pytest.raises(KeyError):
-            waitfor.remove_edge(1, 2)
-
-    def test_discard_node_requires_no_contributions(self):
-        waitfor = IncrementalWaitFor()
-        waitfor.add_edge(2, 1)
-        with pytest.raises(ProtocolError):
-            waitfor.discard_node(2)
-        waitfor.remove_edge(2, 1)
-        waitfor.discard_node(2)
-        waitfor.discard_node(2)  # idempotent once gone
 
 
 class TestPortedAlgorithmsMatchNetworkx:
@@ -204,65 +88,6 @@ class TestPortedAlgorithmsMatchNetworkx:
             NODES, st.frozensets(NODES, max_size=4), max_size=8
         )
     )
-    def test_waitforgraph_matches_naive_oracle(self, waits):
-        graph = WaitForGraph()
-        for waiter, blockers in waits.items():
-            graph.set_waits(waiter, blockers)
-        assert graph.find_cycle() == naive_find_wait_cycle(
-            {waiter: set(blockers) for waiter, blockers in waits.items()}
-        )
-
-
-def _legacy_dfs_visits(adjacency: dict[int, set[int]]) -> int:
-    """Nodes the historical per-park ``has_cycle`` scan touched.
-
-    The pre-incremental resolver rebuilt the wait-for graph and ran the
-    three-color DFS over *every* node on *every* park; on an acyclic
-    graph the DFS colors each node exactly once.
-    """
-    nodes = set(adjacency)
-    for blockers in adjacency.values():
-        nodes |= blockers
-    return len(nodes)
-
-
-class TestAcyclicParkCost:
-    """Acceptance: the acyclic park no longer walks the parked set."""
-
-    def test_discipline_shaped_parks_cost_zero_reorders(self):
-        # N successive parks, each a *fresh, younger* waiter blocking on
-        # the previously parked process — the timestamp-discipline shape
-        # that dominates every workload.  Order-consistent on arrival,
-        # so the Pearce–Kelly maintainer does no reorder work at all,
-        # while the legacy formulation revisits the whole parked set.
-        n_parks = 400
-        waitfor = IncrementalWaitFor()
-        adjacency: dict[int, set[int]] = {}
-        legacy_visits = 0
-        for step in range(n_parks):
-            waitfor.add_edge(step + 1, step)
-            adjacency.setdefault(step + 1, set()).add(step)
-            assert waitfor.acyclic()
-            legacy_visits += _legacy_dfs_visits(adjacency)
-        assert waitfor.ops == 0
-        # The replaced formulation was quadratic over the same history.
-        assert legacy_visits >= n_parks * (n_parks - 1) // 2
-
-    def test_random_acyclic_churn_is_cheap(self):
-        # Even with blockers appearing *after* their waiters (the rarer
-        # awaiting-cascade materialization), total reorder work stays a
-        # small multiple of the edge count — amortized O(1) per park —
-        # instead of the legacy Θ(parks · graph).
-        import random
-
-        rng = random.Random(42)
-        n_edges = 600
-        waitfor = IncrementalWaitFor()
-        for index in range(n_edges):
-            # Mostly discipline-shaped, occasionally inverted-but-
-            # acyclic (waiter older than blocker yet no cycle closed).
-            waiter = index + 1
-            blocker = rng.randrange(max(1, index)) if index else 0
-            waitfor.add_edge(waiter, blocker)
-            assert waitfor.acyclic()
-        assert waitfor.ops <= 4 * n_edges
+    def test_find_wait_cycle_matches_naive_oracle(self, waits):
+        edges = {waiter: set(blockers) for waiter, blockers in waits.items()}
+        assert find_wait_cycle(edges) == naive_find_wait_cycle(edges)

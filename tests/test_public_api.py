@@ -59,6 +59,14 @@ def test_subsystem_health_layer_is_gone():
         ManagerConfig(resilience=None)
 
 
+def test_wait_for_mirror_is_gone():
+    """DESIGN.md, "Removed: incremental wait-for maintainer"."""
+    with pytest.raises(ImportError):
+        from repro.core import WaitForGraph  # noqa: F401
+    with pytest.raises(ImportError):
+        from repro.core.deadlock import IncrementalWaitFor  # noqa: F401
+
+
 def test_version_is_exported():
     assert repro.__version__
 

@@ -131,18 +131,42 @@ HEALTH_LAYER_PINS = {
 }
 
 
-def test_subsystem_health_layer_leaves_no_trace():
-    """Nowhere under src, tests, benchmarks, docs and .github."""
+def _traces_of(vocabulary: re.Pattern, pins=()) -> list[str]:
+    """``path:line`` of every match under src, tests, benchmarks, docs
+    and .github, outside the ``pins`` files."""
     scanned = [
         *_python_files("src", "tests", "benchmarks"),
         *sorted((ROOT / "docs").glob("*.md")),
         ROOT / ".github" / "workflows" / "ci.yml",
     ]
-    offenders = [
+    return [
         f"{path.relative_to(ROOT)}:{number}"
         for path in scanned
-        if str(path.relative_to(ROOT)) not in HEALTH_LAYER_PINS
+        if str(path.relative_to(ROOT)) not in pins
         for number, line in enumerate(path.read_text().splitlines(), 1)
-        if HEALTH_LAYER.search(line)
+        if vocabulary.search(line)
     ]
+
+
+def test_subsystem_health_layer_leaves_no_trace():
+    offenders = _traces_of(HEALTH_LAYER, HEALTH_LAYER_PINS)
+    assert not offenders, offenders
+
+
+# ----------------------------------------------------------------------
+# one book for waiting work (DESIGN.md, "Removed: incremental wait-for
+# maintainer")
+# ----------------------------------------------------------------------
+#: The wait-for mirror, the second cycle detector, the parallel
+#: manager's index forks and the side-books they kept in step.
+WAIT_FOR_MIRROR = re.compile(
+    "IncrementalWaitFor|WaitForGraph|_IndexedInflight|waitfor_edges"
+    "|_parked_commit_pids|_parked_by_pid|_audit_waitfor"
+)
+
+
+def test_wait_for_mirror_leaves_no_trace():
+    """Except here and in the two import-fails pins."""
+    pins = {"tests/test_repo_links.py", "tests/test_public_api.py"}
+    offenders = _traces_of(WAIT_FOR_MIRROR, pins)
     assert not offenders, offenders

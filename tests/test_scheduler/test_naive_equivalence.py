@@ -2,8 +2,8 @@
 
 The scheduling hot path is served by incremental structures (see
 ``docs/performance.md``): the conflict adjacency index, the lock table's
-blocker index, the manager's wake-up index and the Pearce–Kelly wait-for
-reachability structure.  This file keeps the **naive path** — the exact
+blocker index, the manager's wake-up index and its deadlock check's walk
+from the parking pid.  This file keeps the **naive path** — the exact
 pre-index formulations from :mod:`repro.core.reference`: O(pairs)
 conflict scans, O(locks²) commit-blocker re-derivation, an unguarded
 per-park cycle search and the O(parked²) parked-list fixpoint poll —
@@ -90,7 +90,7 @@ class NaiveProcessManager(ProcessManager):
     """Manager with the original parked-list fixpoint poll and the
     original unguarded per-park deadlock search."""
 
-    def _resolve_wait_cycles(self):
+    def _resolve_wait_cycles(self, waiter):
         cycle = naive_find_wait_cycle(self._wait_edges())
         if cycle is None:
             return

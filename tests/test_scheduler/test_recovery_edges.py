@@ -18,6 +18,7 @@ P-RC.
 
 from __future__ import annotations
 
+from repro.scheduler.events import RequestKind
 from repro.scheduler.manager import ManagerConfig, ProcessManager
 from repro.scheduler.recovery import crash, recover
 from repro.sim.arrivals import poisson_arrivals
@@ -123,11 +124,16 @@ class TestCrashWithParkedCommit:
     def test_parked_commit_survives_crash_and_commits(self):
         workload = build_workload(self.SPEC)
         manager = fresh_manager(workload, seed=33)
-        steps = run_until(
-            manager, lambda m: bool(m._parked_commit_pids)
-        )
+        def parked_commits(m):
+            return {
+                request.process.pid
+                for request in m._parked.values()
+                if request.kind is RequestKind.COMMIT
+            }
+
+        steps = run_until(manager, parked_commits)
         assert steps is not None, "never observed a parked commit"
-        parked = set(manager._parked_commit_pids)
+        parked = parked_commits(manager)
         image = crash(manager)
         recovered = recover_fresh(workload, image, seed=33)
         result = recovered.run()

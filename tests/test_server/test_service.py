@@ -157,6 +157,32 @@ class TestOverload:
         finally:
             service.stop()
 
+    def test_one_large_burst_is_served_not_fatal(self):
+        """``count`` is unbounded and the backlog cap is tested per
+        command, whatever its count: 400 simultaneous arrivals at
+        density 0.6 chain more cascade victims than the interpreter
+        has stack for."""
+        service = make_service(
+            spec=WorkloadSpec(
+                n_processes=16,
+                conflict_density=0.6,
+                failure_probability=0.04,
+                seed=3,
+            ),
+            seed=3,
+        )
+        try:
+            body = call(service, cmd="submit", count=400, wait=True)
+            assert len(body["outcomes"]) == 400
+            assert service.failed is None
+            # Whole-schedule reducibility; every prefix would take minutes.
+            check = call(service, cmd="check", stride=100_000)
+            assert check["conserved"] is True
+            assert check["prefix_reducible"] is True
+            assert check["process_recoverable"] is True
+        finally:
+            service.stop()
+
 
 class TestCheckAndDrain:
     def test_check_battery_on_live_trace(self):
