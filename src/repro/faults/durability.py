@@ -3,22 +3,32 @@
 The campaign materializes one durable run — a grounded workload driven
 through :class:`~repro.server.service.ProcessLockingService` on a
 ``log``-backend :class:`~repro.storage.Store` — then attacks the files
-it left behind, round by seeded round:
+it left behind, round by seeded round.  Against the **commit log**,
+which every appended namespace shares:
 
 * **torn tail** — the log is truncated at an arbitrary byte offset
-  (a kill -9 mid-``write``); reopening must heal deterministically,
-  keeping exactly a *frame prefix* of the original records and never
-  surfacing a partial record;
+  (a kill -9 mid-``write``); reopening must heal deterministically to
+  the **global prefix**: every namespace holds exactly its frames that
+  lie wholly before the cut, so all of them stop at one point of the
+  program's history, and no partial record surfaces;
 * **checksum corruption** — one byte inside a complete frame is
-  flipped (bit rot, a bad sector); reading must raise the typed
+  flipped (bit rot, a bad sector); opening must raise the typed
   :class:`~repro.errors.WalCorruptionError` instead of decoding junk;
 * **partial fsync loss** — whole tail frames disappear (a power cut
   after an acknowledged-but-unsynced batch); reopening must recover
-  the surviving prefix cleanly.
+  the surviving global prefix cleanly, with nothing to heal.
 
-Every assertion is structural — frame counts and payload equality
-against the pristine file — so a failure pinpoints the byte-level
-guarantee that broke, not a downstream symptom.
+Against each **swapped slot** (``meta``, ``snapshot``), the same three:
+a truncated file reads as empty, a flipped byte raises, a swap that
+never became durable leaves no file.
+
+The frame assertions are structural — payload equality against the
+pristine log — so a failure pinpoints the byte-level guarantee that
+broke.  Each family also **restarts a service** on one damaged copy of
+the log, beside the newest checkpoint document that can be on disk at
+that cut: it must come up, drain, and pass the ``check`` battery
+(complete, CT, P-RC, ``conserved``) and ``Store.verify`` — or, on the
+flipped byte, refuse to start with the typed error.
 """
 
 from __future__ import annotations
@@ -30,7 +40,12 @@ import tempfile
 from dataclasses import dataclass, field
 
 from repro.errors import WalCorruptionError
-from repro.storage.codec import HEADER_SIZE, scan_frames
+from repro.storage import Store
+from repro.storage.backend import COMMIT_LOG, scan_log
+from repro.storage.codec import HEADER_SIZE
+
+LOG_FILE = COMMIT_LOG + ".log"
+SNAPSHOT_FILE = "snapshot.log"
 
 
 @dataclass
@@ -86,12 +101,11 @@ class DurabilityReport:
         return "\n".join(lines)
 
 
-def _populate_store(path: str, seed: int, processes: int) -> None:
-    """Run a grounded workload durably, leaving real files behind."""
+def _service(path: str, seed: int, processes: int):
     from repro.server.service import ProcessLockingService, ServiceConfig
     from repro.sim.workload import WorkloadSpec
 
-    service = ProcessLockingService(
+    return ProcessLockingService(
         ServiceConfig(
             spec=WorkloadSpec(
                 n_processes=processes, grounded=True, seed=seed
@@ -101,61 +115,100 @@ def _populate_store(path: str, seed: int, processes: int) -> None:
             store_path=path,
             store_fsync="never",
             # Several snapshots, so the trace namespace holds several
-            # frames and the fsync-loss family reaches it too.
+            # frames and there are several documents to restart beside.
             snapshot_every=32,
         )
-    ).start()
+    )
+
+
+def _populate_store(
+    path: str, seed: int, processes: int
+) -> list[tuple[int, bytes | None]]:
+    """Run a grounded workload durably, leaving real files behind.
+
+    Returns the checkpoint documents the run swapped in, oldest first:
+    ``(log size, snapshot file bytes)``, the size read once the drain
+    that cut the document was over — so a log cut at or past it is a
+    state the document can be found beside.  No document at size 0.
+    """
+    log = os.path.join(path, LOG_FILE)
+    slot = os.path.join(path, SNAPSHOT_FILE)
+    documents: list[tuple[int, bytes | None]] = [(0, None)]
+
+    def note_document() -> None:
+        with open(slot, "rb") as handle:
+            document = handle.read()
+        if document != documents[-1][1]:
+            documents.append((os.path.getsize(log), document))
+
+    service = _service(path, seed, processes).start()
     try:
         for program in range(processes):
             service.execute(
                 {"cmd": "submit", "program": program, "wait": True}
             ).result(timeout=120)
+            if os.path.exists(slot):
+                note_document()
         service.execute({"cmd": "drain"}).result(timeout=120)
     finally:
         service.stop()
+    note_document()
+    return documents
 
 
-def _log_files(path: str) -> dict[str, str]:
-    """``{namespace: filepath}`` for every log file in the store dir."""
-    files = {}
-    for name in sorted(os.listdir(path)):
-        if name.endswith(".log"):
-            namespace = name[: -len(".log")].replace("@", "/")
-            files[namespace] = os.path.join(path, name)
-    return files
+def _truncate(path: str, offset: int) -> None:
+    with open(path, "r+b") as handle:
+        handle.truncate(offset)
 
 
-def _frames_of(filepath: str) -> list[bytes]:
-    with open(filepath, "rb") as handle:
-        return scan_frames(handle.read()).payloads
+def _flip(path: str, offset: int) -> None:
+    with open(path, "r+b") as handle:
+        handle.seek(offset)
+        byte = handle.read(1)
+        handle.seek(offset)
+        handle.write(bytes([byte[0] ^ 0xFF]))
 
 
-def _reopen_frames(path: str, namespace: str) -> list[bytes]:
-    """Open the store (healing torn tails) and read one namespace raw."""
-    from repro.storage import Store
-
+def _reopen(path: str, namespaces) -> dict[str, list[bytes]]:
+    """Open the store (healing the log's torn tail); what it reads."""
     store = Store.open("log", path, fsync="never")
     try:
-        return [
-            payload
-            for payload in store.backend.read_all(namespace)
-        ]
+        return {
+            namespace: store.backend.read_all(namespace)
+            for namespace in namespaces
+        }
     finally:
         store.close()
 
 
-def _check_prefix(
-    recovered: list[bytes], pristine: list[bytes]
-) -> str:
-    """Empty string when ``recovered`` is a frame prefix, else why not."""
-    if len(recovered) > len(pristine):
-        return (
-            f"recovered {len(recovered)} frames from a file that "
-            f"only ever held {len(pristine)}"
+def _restart(path: str, seed: int, processes: int) -> str:
+    """Serve from the store at ``path`` until it drains; empty string
+    when the check battery and ``Store.verify`` pass, else what fails."""
+    service = _service(path, seed, processes).start()
+    try:
+        service.execute({"cmd": "drain"}).result(timeout=120)
+        report = service.execute({"cmd": "check"}).result(timeout=120)
+    finally:
+        service.stop()
+    failed = [
+        name
+        for name in (
+            "complete",
+            "correct_termination",
+            "process_recoverable",
+            "conserved",
         )
-    for index, (got, want) in enumerate(zip(recovered, pristine)):
-        if got != want:
-            return f"frame {index} differs after recovery"
+        if not report[name]
+    ]
+    if failed:
+        return f"restarted, but check says not {', '.join(failed)}"
+    store = Store.open("log", path, fsync="never")
+    try:
+        verdict = store.verify()
+    finally:
+        store.close()
+    if not verdict["ok"]:
+        return f"restarted, but verify finds {verdict['corrupt']} corrupt"
     return ""
 
 
@@ -166,14 +219,9 @@ def run_durability_campaign(
     report = DurabilityReport(seed=seed)
     rng = random.Random(seed)
     processes = 6 if quick else 10
-    cuts_per_file = 3 if quick else 6
+    cuts = 6 if quick else 12
     workdir = tempfile.mkdtemp(prefix="repro-durability-")
     golden = os.path.join(workdir, "golden")
-    _populate_store(golden, seed, processes)
-    pristine = {
-        namespace: _frames_of(filepath)
-        for namespace, filepath in _log_files(golden).items()
-    }
 
     def fresh_copy() -> str:
         target = tempfile.mkdtemp(dir=workdir, prefix="round-")
@@ -181,111 +229,155 @@ def run_durability_campaign(
         shutil.copytree(golden, target)
         return target
 
+    def attempt(
+        family: str, namespace: str, detail: str, probe, corrupt=False
+    ) -> bool:
+        """One round.  ``probe()`` returns why the damaged store let it
+        down, or an empty string; a ``WalCorruptionError`` out of it is
+        what a ``corrupt`` round must see, and a failure of any other:
+        a cut is a shorter file or a torn tail, never corruption."""
+        try:
+            failure = probe()
+            if corrupt:
+                failure = "corrupt frame went undetected"
+        except WalCorruptionError as error:
+            failure = "" if corrupt else f"a mere cut raised: {error}"
+        report.rounds.append(
+            DurabilityRound(
+                family=family,
+                namespace=namespace,
+                detail=detail,
+                ok=not failure,
+                failure=failure,
+            )
+        )
+        return not failure
+
     try:
-        # -- torn tails: truncate at arbitrary byte offsets ------------
-        for namespace, filepath in _log_files(golden).items():
-            size = os.path.getsize(filepath)
-            if size <= HEADER_SIZE:
-                continue
-            offsets = sorted(
-                rng.sample(
-                    range(1, size), min(cuts_per_file, size - 1)
-                )
-            )
-            for offset in offsets:
-                target = fresh_copy()
-                victim = os.path.join(
-                    target, os.path.basename(filepath)
-                )
-                with open(victim, "r+b") as handle:
-                    handle.truncate(offset)
-                failure = ""
-                try:
-                    recovered = _reopen_frames(target, namespace)
-                    failure = _check_prefix(
-                        recovered, pristine[namespace]
-                    )
-                except WalCorruptionError as error:
-                    # A cut landing on a frame boundary of an earlier
-                    # record is indistinguishable from a shorter valid
-                    # log; a cut mid-frame must heal, never raise.
-                    failure = f"torn tail raised: {error}"
-                report.rounds.append(
-                    DurabilityRound(
-                        family="torn-tail",
-                        namespace=namespace,
-                        detail=f"truncate@{offset}/{size}B",
-                        ok=not failure,
-                        failure=failure,
-                    )
-                )
+        documents = _populate_store(golden, seed, processes)
+        with open(os.path.join(golden, LOG_FILE), "rb") as handle:
+            scan, ids, owners = scan_log(handle.read())
+        size = scan.good_bytes
 
-        # -- checksum corruption: flip a byte in a complete frame ------
-        for namespace, filepath in _log_files(golden).items():
-            frames = pristine[namespace]
-            if not frames:
-                continue
+        def global_prefix(target: str, cut: int) -> str:
+            """Every namespace holds its frames that end by ``cut``."""
+            held = _reopen(target, ids)
+            for namespace in ids:
+                want = [
+                    payload
+                    for owner, payload, end in zip(
+                        owners, scan.payloads, scan.ends
+                    )
+                    if owner == namespace and end <= cut
+                ]
+                if held[namespace] != want:
+                    return (
+                        f"{namespace} recovered {len(held[namespace])} "
+                        f"frames, not the {len(want)} ahead of the cut"
+                    )
+            return ""
+
+        def cut_log(family: str, offset: int, restart: bool) -> None:
             target = fresh_copy()
-            victim = os.path.join(target, os.path.basename(filepath))
-            # Pick a byte inside the first frame's payload: always a
-            # complete frame, so healing cannot quietly drop it.
-            offset = HEADER_SIZE + rng.randrange(len(frames[0]))
-            with open(victim, "r+b") as handle:
-                handle.seek(offset)
-                byte = handle.read(1)
-                handle.seek(offset)
-                handle.write(bytes([byte[0] ^ 0xFF]))
-            failure = "corrupt frame went undetected"
-            try:
-                recovered = _reopen_frames(target, namespace)
-                if recovered[:1] != frames[:1]:
-                    # Length/CRC collision fallout must still never
-                    # surface a silently different record...
-                    failure = "corrupt frame decoded to wrong payload"
-            except WalCorruptionError:
-                failure = ""
-            report.rounds.append(
-                DurabilityRound(
-                    family="checksum",
-                    namespace=namespace,
-                    detail=f"flip byte@{offset}",
-                    ok=not failure,
-                    failure=failure,
-                )
+            _truncate(os.path.join(target, LOG_FILE), offset)
+            prefix_held = attempt(
+                family,
+                COMMIT_LOG,
+                f"truncate@{offset}/{size}B",
+                lambda: global_prefix(target, offset),
+            )
+            if not (restart and prefix_held):
+                return
+            # Beside the newest document that can be there at this cut.
+            document = [
+                document for at, document in documents if at <= offset
+            ][-1]
+            slot = os.path.join(target, SNAPSHOT_FILE)
+            if document is None:
+                os.remove(slot)
+            else:
+                with open(slot, "wb") as handle:
+                    handle.write(document)
+            attempt(
+                family,
+                COMMIT_LOG,
+                f"restart on truncate@{offset}",
+                lambda: _restart(target, seed, processes),
             )
 
-        # -- partial fsync loss: drop whole tail frames ----------------
-        for namespace, filepath in _log_files(golden).items():
-            frames = pristine[namespace]
-            if len(frames) < 2:
-                continue
-            keep = rng.randrange(1, len(frames))
-            boundary = sum(
-                HEADER_SIZE + len(payload)
-                for payload in frames[:keep]
+        # -- the commit log: torn tails at arbitrary byte offsets ------
+        for index, offset in enumerate(
+            sorted(rng.sample(range(1, size), cuts))
+        ):
+            cut_log("torn-tail", offset, restart=index == cuts // 2)
+
+        # -- a flipped byte in a complete frame's payload (the frame
+        # stays complete, so healing cannot quietly drop it) -----------
+        frame = rng.randrange(len(scan.ends))
+        offset = rng.randrange(
+            (scan.ends[frame - 1] if frame else 0) + HEADER_SIZE,
+            scan.ends[frame],
+        )
+        target = fresh_copy()
+        _flip(os.path.join(target, LOG_FILE), offset)
+        attempt(
+            "checksum",
+            COMMIT_LOG,
+            f"flip byte@{offset}",
+            lambda: global_prefix(target, size),
+            corrupt=True,
+        )
+        attempt(
+            "checksum",
+            COMMIT_LOG,
+            f"restart on flip byte@{offset}",
+            lambda: _restart(target, seed, processes),
+            corrupt=True,
+        )
+
+        # -- whole tail frames lost: cuts at frame boundaries ----------
+        for index, offset in enumerate(
+            sorted(rng.sample(scan.ends[:-1], cuts // 2))
+        ):
+            cut_log("fsync-loss", offset, restart=index == cuts // 4)
+
+        # -- the swapped slots -----------------------------------------
+        def reads_empty(target: str, namespace: str) -> str:
+            held = _reopen(target, [namespace])[namespace]
+            return f"a damaged slot reads {held}" if held else ""
+
+        for namespace, name in (
+            ("meta", "meta.log"),
+            ("snapshot", SNAPSHOT_FILE),
+        ):
+            slot_size = os.path.getsize(os.path.join(golden, name))
+            offset = rng.randrange(1, slot_size)
+            torn = fresh_copy()
+            _truncate(os.path.join(torn, name), offset)
+            attempt(
+                "torn-tail",
+                namespace,
+                f"truncate@{offset}/{slot_size}B",
+                lambda: reads_empty(torn, namespace),
             )
-            target = fresh_copy()
-            victim = os.path.join(target, os.path.basename(filepath))
-            with open(victim, "r+b") as handle:
-                handle.truncate(boundary)
-            failure = ""
-            try:
-                recovered = _reopen_frames(target, namespace)
-                if recovered != frames[:keep]:
-                    failure = (
-                        f"expected the {keep}-frame prefix, got "
-                        f"{len(recovered)} frames"
-                    )
-            except WalCorruptionError as error:
-                failure = f"frame-boundary truncation raised: {error}"
-            report.rounds.append(
-                DurabilityRound(
-                    family="fsync-loss",
-                    namespace=namespace,
-                    detail=f"keep {keep}/{len(frames)} frames",
-                    ok=not failure,
-                    failure=failure,
-                )
+            offset = rng.randrange(HEADER_SIZE, slot_size)
+            flipped = fresh_copy()
+            _flip(os.path.join(flipped, name), offset)
+            attempt(
+                "checksum",
+                namespace,
+                f"flip byte@{offset}",
+                lambda: reads_empty(flipped, namespace),
+                corrupt=True,
+            )
+            # A swap that never became durable leaves no file.
+            absent = fresh_copy()
+            os.remove(os.path.join(absent, name))
+            attempt(
+                "fsync-loss",
+                namespace,
+                "restart without the file",
+                lambda: _restart(absent, seed, processes),
             )
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

@@ -4,17 +4,19 @@ A backend stores ordered opaque payloads per **namespace** (one logical
 log: the scheduler journal, a snapshot slot, one subsystem's WAL, ...).
 Two implementations share the same surface:
 
-* :class:`AppendLogBackend` — one append-only file of CRC32-framed
-  records (:mod:`repro.storage.codec`) per namespace, with an fsync
-  policy (``always`` / ``batch`` / ``never``).  Torn tails are healed
-  (truncated) at open; CRC mismatches raise
+* :class:`AppendLogBackend` — one append-only commit log of
+  CRC32-framed records (:mod:`repro.storage.codec`) shared by every
+  appended namespace, a file each for the swapped slots, and an fsync
+  policy (``always`` / ``batch`` / ``never``).  The log's torn tail is
+  healed (truncated) at open; CRC mismatches raise
   :class:`~repro.errors.WalCorruptionError`.
 * :class:`MemoryBackend` — a dict of lists; persists nothing and
   exists so benchmarks can price durability against a true no-op and
   tests can exercise the facade without touching disk.
 
 ``append_many`` is ``append`` for a group of frames: the same bytes in
-the same order, handed to the file in one ``write``.
+the same order, handed to the file in one ``write``; ``replace_many``
+is ``replace`` for a group of namespaces.
 
 All mutating calls are serialized by one lock per backend: the journal
 tee can emit from shard workers while the engine thread appends.
@@ -25,10 +27,15 @@ from __future__ import annotations
 import os
 import threading
 
-from repro.errors import StorageError
+from repro.errors import StorageError, WalCorruptionError
 from repro.storage.codec import encode_frame, scan_frames
 
 FSYNC_POLICIES = ("always", "batch", "never")
+
+#: The commit log's own name: its file (``commit.log``), its key in
+#: ``heal()`` and the ``namespace`` of its corruption errors.  No
+#: namespace may be called that.
+COMMIT_LOG = "commit"
 
 
 def _check_policy(fsync: str) -> str:
@@ -65,13 +72,21 @@ class MemoryBackend:
             self.bytes_written += sum(len(p) for p in payloads)
 
     def replace(self, namespace: str, payloads: list[bytes]) -> None:
+        self.replace_many({namespace: payloads})
+
+    def replace_many(self, contents: dict[str, list[bytes]]) -> None:
         with self._mutex:
-            self._frames[namespace] = [bytes(p) for p in payloads]
-            self.bytes_written += sum(len(p) for p in payloads)
+            for namespace, payloads in contents.items():
+                self._frames[namespace] = [bytes(p) for p in payloads]
+                self.bytes_written += sum(len(p) for p in payloads)
 
     def read_all(self, namespace: str) -> list[bytes]:
         with self._mutex:
             return list(self._frames.get(namespace, []))
+
+    def count(self, namespace: str) -> int:
+        with self._mutex:
+            return len(self._frames.get(namespace, ()))
 
     def namespaces(self) -> list[str]:
         with self._mutex:
@@ -88,14 +103,60 @@ class MemoryBackend:
         pass
 
 
-class AppendLogBackend:
-    """One CRC32-framed append-only file per namespace.
+def scan_log(data: bytes):
+    """Decode the bytes of a commit log: ``(scan, ids, owners)``.
 
-    ``root`` is a directory; namespace ``a/b`` maps to file ``a@b.log``
-    (namespaces never contain ``@``).  Appends write straight through
-    to the OS (unbuffered), so a killed *process* loses nothing; only a
-    machine crash can lose the un-fsynced suffix, which is exactly what
-    the ``batch``/``never`` policies trade for speed.
+    ``scan`` is the tagged :func:`~repro.storage.codec.scan_frames`
+    result, ``ids`` the declared ``{namespace: id}``, and ``owners[i]``
+    the namespace frame ``i`` belongs to — ``None`` for a declaration.
+    Raises :class:`~repro.errors.WalCorruptionError` on a frame whose
+    id nothing ahead of it declares, as on a bad CRC.
+    """
+    scan = scan_frames(data, namespace=COMMIT_LOG, tagged=True)
+    names: dict[int, str] = {}
+    owners: list[str | None] = []
+    try:
+        for tag, payload in zip(scan.tags, scan.payloads):
+            if tag:
+                owners.append(names[tag])
+            else:
+                names[payload[0]] = payload[1:].decode("utf-8")
+                owners.append(None)
+    except (KeyError, IndexError, UnicodeDecodeError):
+        raise WalCorruptionError(
+            f"frame {len(owners)} has namespace id {tag}, which no "
+            "well-formed frame ahead of it declares",
+            namespace=COMMIT_LOG,
+        ) from None
+    return scan, {name: tag for tag, name in names.items()}, owners
+
+
+class AppendLogBackend:
+    """One CRC32-framed append-only commit log, and a file per slot.
+
+    ``root`` is a directory.  Every namespace that is *appended* to
+    shares ``commit.log``: its frames carry a one-byte namespace id
+    ahead of the payload and lie in program order, whichever namespace
+    they belong to.  An id is declared in-band, by a frame of id 0
+    holding the id and the name, written ahead of the namespace's first
+    frame; ids count up from 1, so one log holds 255 namespaces.  One
+    file means one ``fsync`` per flush and one order of everything
+    written: any byte cut of the log is a prefix of the program's
+    appends to *all* namespaces, so a record that was written after
+    another is never durable without it.
+
+    A namespace that is only ever *replaced* (``meta``, ``snapshot``)
+    is a slot: untagged frames in a file of its own, ``a/b`` in
+    ``a@b.log`` (namespaces never contain ``@``), swapped whole by
+    tmp + rename.
+
+    Appends write straight through to the OS (unbuffered), so a killed
+    *process* loses nothing; only a machine crash can lose the
+    un-fsynced suffix, which is exactly what the ``batch``/``never``
+    policies trade for speed.  The log is scanned once, at first use:
+    its torn tail is healed there, and ``read_all`` hands each
+    namespace's payloads out of that scan and lets go of them — a read
+    after that scans the log again, for every namespace at once.
     """
 
     kind = "log"
@@ -108,36 +169,114 @@ class AppendLogBackend:
         self.fsync = _check_policy(fsync)
         self.sync_every = max(1, int(sync_every))
         os.makedirs(self.root, exist_ok=True)
-        self._files: dict[str, object] = {}
-        self._unsynced: dict[str, int] = {}
+        self._log_path = os.path.join(self.root, COMMIT_LOG + self._SUFFIX)
+        self._log = None
+        #: Of the namespaces in the log: id byte, frame count, and the
+        #: payloads of the latest scan that nobody has read yet.
+        self._tags: dict[str, bytes] = {}
+        self._counts: dict[str, int] = {}
+        self._scanned: dict[str, list[bytes]] = {}
+        self._healed: dict[str, int] = {}
+        self._unsynced = 0
         self._mutex = threading.Lock()
         self.appends = 0
         self.fsyncs = 0
         self.bytes_written = 0
 
-    # -- namespace <-> filename ----------------------------------------
-    def _path(self, namespace: str) -> str:
-        if "@" in namespace or namespace.startswith("."):
+    # -- the log -------------------------------------------------------
+    def _open(self) -> None:
+        """First use: scan the log, cut its torn tail, open it."""
+        result = self._scan()
+        if result.torn:
+            with open(self._log_path, "r+b") as out:
+                out.truncate(result.good_bytes)
+                os.fsync(out.fileno())
+                self.fsyncs += 1
+            self._healed = {COMMIT_LOG: result.torn_bytes}
+        self._log = open(self._log_path, "ab", buffering=0)
+
+    def _scan(self):
+        """Read the log once and sort its payloads by namespace."""
+        try:
+            with open(self._log_path, "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
+            data = b""
+        result, ids, owners = scan_log(data)
+        scanned: dict[str, list[bytes]] = {name: [] for name in ids}
+        for owner, payload in zip(owners, result.payloads):
+            if owner is not None:
+                scanned[owner].append(payload)
+        self._tags = {name: bytes([tag]) for name, tag in ids.items()}
+        self._counts = {
+            name: len(payloads) for name, payloads in scanned.items()
+        }
+        self._scanned = scanned
+        return result
+
+    def _declare(self, namespace: str) -> bytes:
+        """Give ``namespace`` the next id, and say so in the log."""
+        if os.path.exists(self._slot_path(namespace)):
+            raise StorageError(
+                f"namespace {namespace!r} is a swapped slot; it takes "
+                "no appends"
+            )
+        if len(self._tags) == 255:
+            raise StorageError(
+                f"the commit log holds 255 namespaces; no id is left "
+                f"for {namespace!r}"
+            )
+        tag = bytes([len(self._tags) + 1])
+        declaration = encode_frame(tag + namespace.encode("utf-8"), b"\0")
+        self._log.write(declaration)
+        self.bytes_written += len(declaration)
+        self._tags[namespace] = tag
+        self._counts[namespace] = 0
+        return tag
+
+    def _sync(self) -> None:
+        os.fsync(self._log.fileno())
+        self.fsyncs += 1
+        self._unsynced = 0
+
+    # -- slots ---------------------------------------------------------
+    def _slot_path(self, namespace: str) -> str:
+        if (
+            "@" in namespace
+            or namespace.startswith(".")
+            or namespace == COMMIT_LOG
+        ):
             raise StorageError(f"illegal namespace {namespace!r}")
         return os.path.join(
             self.root, namespace.replace("/", "@") + self._SUFFIX
         )
 
-    def namespaces(self) -> list[str]:
-        found = []
-        for entry in os.listdir(self.root):
-            if entry.endswith(self._SUFFIX):
-                found.append(
-                    entry[: -len(self._SUFFIX)].replace("@", "/")
-                )
-        return sorted(found)
+    def _read_slot(self, namespace: str) -> list[bytes]:
+        try:
+            with open(self._slot_path(namespace), "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
+            return []
+        return scan_frames(data, namespace=namespace).payloads
 
-    def _handle(self, namespace: str):
-        handle = self._files.get(namespace)
-        if handle is None:
-            handle = open(self._path(namespace), "ab", buffering=0)
-            self._files[namespace] = handle
-        return handle
+    def _swap(self, path: str, data: bytes) -> None:
+        """Atomically give ``path`` the content ``data`` (tmp + rename)."""
+        tmp = path + ".tmp"
+        with open(tmp, "wb") as out:
+            out.write(data)
+            out.flush()
+            if self.fsync != "never":
+                os.fsync(out.fileno())
+                self.fsyncs += 1
+        os.replace(tmp, path)
+        self.bytes_written += len(data)
+        if self.fsync != "never":
+            fd = os.open(self.root, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+                self.fsyncs += 1
+            finally:
+                os.close(fd)
 
     # -- writes --------------------------------------------------------
     def append(self, namespace: str, payload: bytes) -> None:
@@ -147,108 +286,123 @@ class AppendLogBackend:
         """Append one frame per payload, in order, in a single write
         (and at most one fsync: ``batch`` counts frames, so a group
         that crosses ``sync_every`` syncs once, at its end)."""
-        frames = b"".join(map(encode_frame, payloads))
         with self._mutex:
-            handle = self._handle(namespace)
-            handle.write(frames)
+            if self._log is None:
+                self._open()
+            tag = self._tags.get(namespace) or self._declare(namespace)
+            frames = b"".join(
+                [encode_frame(payload, tag) for payload in payloads]
+            )
+            self._log.write(frames)
+            self._scanned.pop(namespace, None)
+            self._counts[namespace] += len(payloads)
             self.appends += len(payloads)
             self.bytes_written += len(frames)
             if self.fsync == "always":
-                os.fsync(handle.fileno())
-                self.fsyncs += 1
+                self._sync()
             elif self.fsync == "batch":
-                pending = self._unsynced.get(namespace, 0) + len(payloads)
-                if pending >= self.sync_every:
-                    os.fsync(handle.fileno())
-                    self.fsyncs += 1
-                    pending = 0
-                self._unsynced[namespace] = pending
+                self._unsynced += len(payloads)
+                if self._unsynced >= self.sync_every:
+                    self._sync()
 
     def replace(self, namespace: str, payloads: list[bytes]) -> None:
-        """Atomically swap a namespace's whole content (tmp + rename)."""
-        path = self._path(namespace)
-        tmp = path + ".tmp"
-        with self._mutex:
-            handle = self._files.pop(namespace, None)
-            if handle is not None:
-                handle.close()
-            with open(tmp, "wb") as out:
-                for payload in payloads:
-                    frame = encode_frame(payload)
-                    out.write(frame)
-                    self.bytes_written += len(frame)
-                out.flush()
-                if self.fsync != "never":
-                    os.fsync(out.fileno())
-                    self.fsyncs += 1
-            os.replace(tmp, path)
-            if self.fsync != "never":
-                self._fsync_dir()
-            self._unsynced.pop(namespace, None)
+        """Atomically swap a namespace's whole content."""
+        self.replace_many({namespace: payloads})
 
-    def _fsync_dir(self) -> None:
-        fd = os.open(self.root, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-            self.fsyncs += 1
-        finally:
-            os.close(fd)
+    def replace_many(self, contents: dict[str, list[bytes]]) -> None:
+        """Swap the whole content of several namespaces: those that
+        live in the log together, in one swap of it (every other
+        namespace's frames stay where they are, the new ones go to the
+        end); a slot each by its own."""
+        with self._mutex:
+            if self._log is None:
+                self._open()
+            logged = [name for name in contents if name in self._tags]
+            if logged:
+                with open(self._log_path, "rb") as handle:
+                    data = handle.read()
+                result = scan_frames(data, namespace=COMMIT_LOG, tagged=True)
+                dropped = {self._tags[name][0] for name in logged}
+                frames, start = [], 0
+                for tag, end in zip(result.tags, result.ends):
+                    if tag not in dropped:
+                        frames.append(data[start:end])
+                    start = end
+                for name in logged:
+                    tag = self._tags[name]
+                    frames.extend(
+                        encode_frame(payload, tag)
+                        for payload in contents[name]
+                    )
+                    self._counts[name] = len(contents[name])
+                    self._scanned.pop(name, None)
+                self._log.close()
+                self._swap(self._log_path, b"".join(frames))
+                self._log = open(self._log_path, "ab", buffering=0)
+                self._unsynced = 0
+            for name, payloads in contents.items():
+                if name not in self._tags:
+                    self._swap(
+                        self._slot_path(name),
+                        b"".join(map(encode_frame, payloads)),
+                    )
 
     # -- reads & recovery ----------------------------------------------
     def read_all(self, namespace: str) -> list[bytes]:
-        path = self._path(namespace)
-        try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-        except FileNotFoundError:
-            return []
-        return scan_frames(data, namespace=namespace).payloads
+        with self._mutex:
+            if self._log is None:
+                self._open()
+            if namespace in self._tags:
+                if namespace not in self._scanned:
+                    self._scan()
+                return self._scanned.pop(namespace)
+        return self._read_slot(namespace)
+
+    def count(self, namespace: str) -> int:
+        """Frames in ``namespace``, without reading the log for it."""
+        with self._mutex:
+            if self._log is None:
+                self._open()
+            held = self._counts.get(namespace)
+        return len(self._read_slot(namespace)) if held is None else held
+
+    def namespaces(self) -> list[str]:
+        with self._mutex:
+            if self._log is None:
+                self._open()
+            found = set(self._tags)
+        for entry in os.listdir(self.root):
+            name, suffix = os.path.splitext(entry)
+            if suffix == self._SUFFIX and name != COMMIT_LOG:
+                found.add(name.replace("@", "/"))
+        return sorted(found)
 
     def heal(self) -> dict[str, int]:
-        """Truncate every torn tail; ``{namespace: dropped_bytes}``.
+        """What opening the log cut off its torn tail:
+        ``{"commit": dropped_bytes}``, or nothing.
 
         Corrupt (complete but CRC-failing) frames are *not* healed —
         they raise, because silently dropping acknowledged records
         would turn bit rot into data loss.
         """
-        healed: dict[str, int] = {}
         with self._mutex:
-            for namespace in self.namespaces():
-                path = self._path(namespace)
-                with open(path, "rb") as handle:
-                    data = handle.read()
-                result = scan_frames(data, namespace=namespace)
-                if result.torn:
-                    handle = self._files.pop(namespace, None)
-                    if handle is not None:
-                        handle.close()
-                    with open(path, "r+b") as out:
-                        out.truncate(result.good_bytes)
-                        out.flush()
-                        os.fsync(out.fileno())
-                        self.fsyncs += 1
-                    healed[namespace] = result.torn_bytes
-        return healed
+            if self._log is None:
+                self._open()
+            return dict(self._healed)
 
     # -- lifecycle -----------------------------------------------------
     def flush(self) -> None:
         with self._mutex:
-            if self.fsync == "never":
-                return
-            for namespace, handle in self._files.items():
-                if self.fsync == "always":
-                    continue
-                if self._unsynced.get(namespace, 0):
-                    os.fsync(handle.fileno())
-                    self.fsyncs += 1
-                    self._unsynced[namespace] = 0
+            if self.fsync == "batch" and self._unsynced:
+                self._sync()
 
     def close(self) -> None:
         self.flush()
         with self._mutex:
-            for handle in self._files.values():
-                handle.close()
-            self._files.clear()
+            if self._log is not None:
+                self._log.close()
+                self._log = None
+            self._scanned = {}
 
 
 BACKENDS = {

@@ -7,6 +7,10 @@ Every record is stored as one self-validating frame::
     +----------------+----------------+===========+
 
 ``length`` counts payload bytes only; ``crc32`` is over the payload.
+A **tagged** frame — the commit log's, which interleaves every appended
+namespace in one file — spends the first payload byte on the id of the
+namespace the rest belongs to, inside the length and under the CRC; the
+backend declares which name an id stands for (:mod:`repro.storage.backend`).
 The frame shape gives crash recovery a clean split:
 
 * a **torn tail** — fewer bytes on disk than the last frame claims
@@ -38,14 +42,16 @@ HEADER_SIZE = _HEADER.size
 MAX_FRAME_PAYLOAD = 64 * 1024 * 1024
 
 
-def encode_frame(payload: bytes) -> bytes:
-    """One durable frame for ``payload``."""
-    if len(payload) > MAX_FRAME_PAYLOAD:
+def encode_frame(payload: bytes, tag: bytes = b"") -> bytes:
+    """One durable frame for ``payload``, behind ``tag`` when given."""
+    length = len(tag) + len(payload)
+    if length > MAX_FRAME_PAYLOAD:
         raise WalCorruptionError(
-            f"refusing to encode a {len(payload)}-byte frame "
+            f"refusing to encode a {length}-byte frame "
             f"(cap {MAX_FRAME_PAYLOAD})"
         )
-    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+    header = _HEADER.pack(length, zlib.crc32(payload, zlib.crc32(tag)))
+    return header + tag + payload
 
 
 @dataclass
@@ -53,6 +59,10 @@ class ScanResult:
     """Outcome of walking a byte string frame by frame."""
 
     payloads: list[bytes] = field(default_factory=list)
+    #: Of a tagged scan: each frame's tag byte, beside its payload.
+    tags: list[int] = field(default_factory=list)
+    #: Offset just past each frame (the frame boundaries).
+    ends: list[int] = field(default_factory=list)
     #: Bytes covered by complete, CRC-valid frames (the truncation
     #: point when the tail is torn).
     good_bytes: int = 0
@@ -64,18 +74,22 @@ class ScanResult:
         return self.torn_bytes > 0
 
 
-def scan_frames(data: bytes, namespace: str = "") -> ScanResult:
-    """Decode every complete frame of ``data``.
+def scan_frames(
+    data: bytes, namespace: str = "", tagged: bool = False
+) -> ScanResult:
+    """Decode every complete frame of ``data``; with ``tagged``, split
+    each payload's first byte off into ``tags``.
 
     Raises
     ------
     WalCorruptionError
         On a complete frame whose CRC32 does not match, or whose header
         claims an impossible length while enough bytes follow for the
-        header itself.  An incomplete frame at the very end is reported
-        as a torn tail instead.
+        header itself, or (tagged) that has no tag byte.  An incomplete
+        frame at the very end is reported as a torn tail instead.
     """
     result = ScanResult()
+    view = memoryview(data)
     offset = 0
     total = len(data)
     while offset < total:
@@ -94,15 +108,25 @@ def scan_frames(data: bytes, namespace: str = "") -> ScanResult:
         if end > total:
             result.torn_bytes = total - offset
             return result
-        payload = data[offset + HEADER_SIZE : end]
-        if zlib.crc32(payload) != crc:
+        start = offset + HEADER_SIZE
+        if zlib.crc32(view[start:end]) != crc:
             raise WalCorruptionError(
                 f"frame at offset {offset} fails its CRC32 check "
                 f"({length} payload bytes)",
                 namespace=namespace,
                 offset=offset,
             )
-        result.payloads.append(payload)
+        if tagged:
+            if not length:
+                raise WalCorruptionError(
+                    f"frame at offset {offset} carries no tag",
+                    namespace=namespace,
+                    offset=offset,
+                )
+            result.tags.append(data[start])
+            start += 1
+        result.payloads.append(data[start:end])
+        result.ends.append(end)
         offset = end
         result.good_bytes = offset
     return result

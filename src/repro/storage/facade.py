@@ -38,8 +38,9 @@ from repro.storage.backend import check_kind, open_backend
 #: written under another version is refused by
 #: :meth:`MetaRepository.ensure`.  2: the trace left the snapshot
 #: document for its own namespace, and finished processes live in
-#: their terminal journal records only.
-FORMAT_VERSION = 2
+#: their terminal journal records only.  3: every appended namespace
+#: shares one commit log; only the swapped slots keep a file each.
+FORMAT_VERSION = 3
 
 META_NS = "meta"
 JOURNAL_NS = "journal"
@@ -81,13 +82,8 @@ class FrameRepository:
             for payload in self._backend.read_all(self.namespace)
         ]
 
-    def rewrite(self, records: list[dict]) -> None:
-        self._backend.replace(
-            self.namespace, [dumps(record) for record in records]
-        )
-
     def __len__(self) -> int:
-        return len(self._backend.read_all(self.namespace))
+        return self._backend.count(self.namespace)
 
 
 class JournalRepository(FrameRepository):
@@ -172,9 +168,19 @@ class TraceRepository:
         gone.  Events at or past ``watermark`` may be orphans; the
         caller cuts them.
         """
+        return self.splice(
+            (
+                loads(payload, TRACE_NS)
+                for payload in self._backend.read_all(TRACE_NS)
+            ),
+            watermark,
+        )
+
+    @staticmethod
+    def splice(frames, watermark: int = 0) -> list:
+        """:meth:`events` of the decoded ``frames``, in file order."""
         events: list = []
-        for payload in self._backend.read_all(TRACE_NS):
-            frame = loads(payload, TRACE_NS)
+        for frame in frames:
             start = frame["start"]
             if start > len(events):
                 raise WalCorruptionError(
@@ -235,6 +241,11 @@ class MetaRepository:
         return current
 
 
+def _trace_watermark(snapshot: dict | None) -> int:
+    """Trace events the checkpoint document ``snapshot`` covers."""
+    return 0 if snapshot is None else snapshot.get("trace_len", 0)
+
+
 class Store:
     """Facade over one durable backend; repository per concern."""
 
@@ -244,7 +255,8 @@ class Store:
         self.journal = JournalRepository(backend)
         self.snapshots = SnapshotRepository(backend)
         self.trace = TraceRepository(backend)
-        #: Namespaces healed at open: ``{namespace: dropped_bytes}``.
+        #: The torn tail cut at open: ``{"commit": dropped_bytes}`` (the
+        #: log's own name — its frames belong to every namespace).
         self.healed: dict[str, int] = backend.heal()
 
     # -- construction --------------------------------------------------
@@ -325,13 +337,16 @@ class Store:
         to exit code 2.
         """
         report: dict = {"ok": True, "namespaces": {}, "corrupt": []}
+        trace: list[dict] = []
         for namespace in self.backend.namespaces():
             entry: dict = {"records": 0, "error": None}
             try:
                 payloads = self.backend.read_all(namespace)
                 entry["records"] = len(payloads)
                 for payload in payloads:
-                    loads(payload, namespace)
+                    record = loads(payload, namespace)
+                    if namespace == TRACE_NS:
+                        trace.append(record)
             except WalCorruptionError as exc:
                 entry["error"] = str(exc)
                 report["corrupt"].append(namespace)
@@ -341,7 +356,9 @@ class Store:
             # Every frame decodes; now the one cross-namespace bond:
             # the snapshot's watermark must lie inside the trace.
             try:
-                self._checked_trace(self.snapshots.load())
+                self.trace.splice(
+                    trace, _trace_watermark(self.snapshots.load())
+                )
             except WalCorruptionError as exc:
                 entry = report["namespaces"].setdefault(
                     TRACE_NS, {"records": 0}
@@ -351,11 +368,6 @@ class Store:
                 report["ok"] = False
         report["healed"] = dict(self.healed)
         return report
-
-    def _checked_trace(self, snapshot: dict | None) -> list:
-        """The trace's events, verified against ``snapshot``'s watermark."""
-        watermark = 0 if snapshot is None else snapshot.get("trace_len", 0)
-        return self.trace.events(watermark)
 
     def describe(self) -> dict:
         """Inspection summary: meta, snapshot, journal, trace, subsystems.
@@ -382,7 +394,11 @@ class Store:
                 "processes": len(snapshot.get("processes", [])),
                 "max_pid": snapshot.get("max_pid"),
             },
-            "trace": {"events": len(self._checked_trace(snapshot))},
+            "trace": {
+                "events": len(
+                    self.trace.events(_trace_watermark(snapshot))
+                )
+            },
             "subsystems": {
                 name: {
                     "wal_records": len(self.subsystem_wal(name)),
@@ -411,11 +427,13 @@ class Store:
           information is dead weight.
         * subsystem data — last-write-wins rewrite, one record per
           live key.
+
+        Whatever is rewritten goes in together
+        (:meth:`~repro.storage.backend.AppendLogBackend.replace_many`):
+        a crash leaves the old records or the new, of every namespace.
         """
-        before = {
-            namespace: len(self.backend.read_all(namespace))
-            for namespace in self.backend.namespaces()
-        }
+        before = self._counts()
+        contents: dict[str, list[dict]] = {}
         snapshot = self.snapshots.load()
         if snapshot is not None:
             watermark = int(snapshot.get("journal_lsn", 0))
@@ -439,39 +457,43 @@ class Store:
                     and record["pid"] not in live_pids
                 )
             ]
-            self.journal.rewrite(kept_head + tail)
-            snapshot = dict(snapshot, journal_lsn=len(kept_head))
-            self.snapshots.save(snapshot)
+            contents[JOURNAL_NS] = kept_head + tail
+            # The watermark goes in first: a crash before the log is
+            # swapped leaves it short of the old journal's, which only
+            # makes the next compaction keep more; one past the new
+            # journal's would let it drop a live ``cancel``.
+            self.snapshots.save(
+                dict(snapshot, journal_lsn=len(kept_head))
+            )
         for name in self.subsystem_names():
-            wal_repo = self.subsystem_wal(name)
-            records = wal_repo.records()
+            records = self.subsystem_wal(name).records()
             terminated = {
                 record["txn_id"]
                 for record in records
                 if record.get("kind") != "write"
             }
-            wal_repo.rewrite(
-                [
-                    record
-                    for record in records
-                    if record.get("kind") == "write"
-                    and record["txn_id"] not in terminated
-                ]
-            )
-            data_repo = self.subsystem_data(name)
+            contents[SUBSYSTEM_WAL_PREFIX + name] = [
+                record
+                for record in records
+                if record.get("kind") == "write"
+                and record["txn_id"] not in terminated
+            ]
             state: dict[str, dict] = {}
-            for record in data_repo.records():
+            for record in self.subsystem_data(name).records():
                 if record.get("deleted"):
                     state.pop(record["key"], None)
                 else:
                     state[record["key"]] = record
-            data_repo.rewrite(
-                [state[key] for key in sorted(state)]
-            )
-        after = {
-            namespace: len(self.backend.read_all(namespace))
-            for namespace in self.backend.namespaces()
-        }
+            contents[SUBSYSTEM_DATA_PREFIX + name] = [
+                state[key] for key in sorted(state)
+            ]
+        self.backend.replace_many(
+            {
+                namespace: [dumps(record) for record in records]
+                for namespace, records in contents.items()
+            }
+        )
+        after = self._counts()
         return {
             "before": before,
             "after": after,
@@ -480,6 +502,12 @@ class Store:
                 - after.get(namespace, 0)
                 for namespace in before
             },
+        }
+
+    def _counts(self) -> dict[str, int]:
+        return {
+            namespace: self.backend.count(namespace)
+            for namespace in self.backend.namespaces()
         }
 
 

@@ -67,7 +67,7 @@ class RecoveryInfo:
     restored: int = 0
     journal_records: int = 0
     snapshot_lsn: int = 0
-    #: Torn tails truncated at open: ``{namespace: dropped_bytes}``.
+    #: Torn tail truncated at open: ``{"commit": dropped_bytes}``.
     healed: dict[str, int] = field(default_factory=dict)
     seconds: float = 0.0
 
@@ -88,7 +88,8 @@ class PersistencePlane:
         self.store = store
         self.codec = ProgramCodec(catalog)
         self.snapshot_every = snapshot_every
-        # Each namespace is read and decoded once, here; recover()
+        # Each namespace is decoded once, here (the backend scanned the
+        # log once, at open, and hands the payloads over); recover()
         # consumes and releases the two lists (and counts the time
         # reading them took as its own).
         started = time.monotonic()

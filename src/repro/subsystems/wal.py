@@ -130,7 +130,9 @@ class DurableWriteAheadLog(WriteAheadLog):
         super().__init__()
         self._repository = repository
         for data in repository.records():
-            self._records.append(_record_from_dict(data))
+            self._records.append(
+                _record_from_dict(data, repository.namespace)
+            )
         if self._records:
             self._lsns = itertools.count(
                 max(record.lsn for record in self._records) + 1
@@ -142,17 +144,20 @@ class DurableWriteAheadLog(WriteAheadLog):
 
 
 def _record_to_dict(record: WalRecord) -> dict:
-    return {
+    """A ``write`` record carries its key and before-image; a terminal
+    record has neither, and reads back with the defaults."""
+    data = {
         "lsn": record.lsn,
         "txn_id": record.txn_id,
         "kind": record.kind.value,
-        "key": record.key,
-        "before": record.before,
     }
+    if record.kind is WalKind.WRITE:
+        data["key"] = record.key
+        data["before"] = record.before
+    return data
 
 
-def _record_from_dict(data: dict) -> WalRecord:
-    namespace = ""
+def _record_from_dict(data: dict, namespace: str = "") -> WalRecord:
     try:
         return WalRecord(
             lsn=int(data["lsn"]),

@@ -170,3 +170,23 @@ def test_wait_for_mirror_leaves_no_trace():
     pins = {"tests/test_repo_links.py", "tests/test_public_api.py"}
     offenders = _traces_of(WAIT_FOR_MIRROR, pins)
     assert not offenders, offenders
+
+
+# ----------------------------------------------------------------------
+# one commit log (DESIGN.md, "One commit log")
+# ----------------------------------------------------------------------
+#: The files of store format 2, one per appended namespace; those
+#: namespaces share ``commit.log`` now.  (``meta.log`` and
+#: ``snapshot.log``, the swapped slots, are still files.)
+FILE_PER_NAMESPACE = re.compile(r"\b(journal|trace)\.log\b|\bss(wal|data)@")
+
+
+def test_file_per_namespace_names_stay_retired():
+    """Except here and where a format-2 directory is built to be
+    refused."""
+    pins = {
+        "tests/test_repo_links.py",
+        "tests/test_storage/test_checkpoint.py",
+    }
+    offenders = _traces_of(FILE_PER_NAMESPACE, pins)
+    assert not offenders, offenders

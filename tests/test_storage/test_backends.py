@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.errors import StorageError, WalCorruptionError
@@ -13,6 +11,11 @@ from repro.storage import (
     Store,
     encode_frame,
     open_backend,
+)
+from tests.test_storage.commit_log import (
+    flip_payload_byte,
+    log_path,
+    namespace_bytes,
 )
 
 
@@ -75,12 +78,12 @@ def test_log_heal_truncates_torn_tail(tmp_path):
     backend = AppendLogBackend(str(tmp_path / "store"))
     backend.append("journal", b"keep-me")
     backend.close()
-    path = tmp_path / "store" / "journal.log"
+    path = log_path(tmp_path / "store")
     pristine = path.read_bytes()
-    path.write_bytes(pristine + encode_frame(b"torn")[:-2])
+    path.write_bytes(pristine + encode_frame(b"torn", b"\x01")[:-2])
     again = AppendLogBackend(str(tmp_path / "store"))
     healed = again.heal()
-    assert healed == {"journal": len(encode_frame(b"torn")) - 2}
+    assert healed == {"commit": len(encode_frame(b"torn", b"\x01")) - 2}
     assert again.read_all("journal") == [b"keep-me"]
     again.close()
     assert path.read_bytes() == pristine
@@ -90,22 +93,30 @@ def test_log_corrupt_frame_raises_typed_error(tmp_path):
     backend = AppendLogBackend(str(tmp_path / "store"))
     backend.append("journal", b"payload")
     backend.close()
-    path = tmp_path / "store" / "journal.log"
-    data = bytearray(path.read_bytes())
-    data[-1] ^= 0xFF
-    path.write_bytes(bytes(data))
+    flip_payload_byte(tmp_path / "store", "journal")
     again = AppendLogBackend(str(tmp_path / "store"))
     with pytest.raises(WalCorruptionError):
         again.read_all("journal")
 
 
 def test_log_namespace_maps_to_filesystem_safely(tmp_path):
+    """Appended namespaces share the commit log; only a replaced one
+    (a slot) gets a file, its ``/`` spelled ``@``."""
     backend = AppendLogBackend(str(tmp_path / "store"))
     backend.append("sswal/bank", b"x")
+    backend.append("journal", b"y")
+    backend.replace("slot/one", [b"z"])
     backend.close()
-    assert (tmp_path / "store" / "sswal@bank.log").exists()
+    assert sorted(p.name for p in (tmp_path / "store").iterdir()) == [
+        "commit.log",
+        "slot@one.log",
+    ]
     again = AppendLogBackend(str(tmp_path / "store"))
     assert again.read_all("sswal/bank") == [b"x"]
+    assert again.read_all("slot/one") == [b"z"]
+    assert again.namespaces() == ["journal", "slot/one", "sswal/bank"]
+    with pytest.raises(StorageError, match="swapped slot"):
+        again.append("slot/one", b"no")
     again.close()
 
 
@@ -115,6 +126,8 @@ def test_log_rejects_unsafe_namespaces(tmp_path):
         backend.append("evil@ns", b"x")
     with pytest.raises(StorageError):
         backend.append(".hidden", b"x")
+    with pytest.raises(StorageError):
+        backend.replace("commit", [b"x"])  # the log's own file name
 
 
 def test_fsync_policies_count_syncs(tmp_path):
@@ -147,8 +160,9 @@ def test_unbuffered_append_is_visible_without_close(tmp_path):
     """kill -9 semantics: bytes reach the file on append, not close."""
     backend = AppendLogBackend(str(tmp_path / "store"), fsync="never")
     backend.append("journal", b"ack-this")
-    size = os.path.getsize(tmp_path / "store" / "journal.log")
-    assert size == len(encode_frame(b"ack-this"))
+    assert namespace_bytes(tmp_path / "store", "journal") == encode_frame(
+        b"ack-this"
+    )
     backend.close()
 
 

@@ -23,14 +23,20 @@ from repro.scheduler.recovery import crash, recover
 from repro.server.service import ProcessLockingService, ServiceConfig
 from repro.sim.runner import make_protocol
 from repro.sim.workload import WorkloadSpec, build_workload
-from repro.storage import JournalTracer, PersistencePlane, Store
-from repro.storage.codec import encode_frame, scan_frames
+from repro.storage import (
+    AppendLogBackend,
+    JournalTracer,
+    PersistencePlane,
+    Store,
+)
+from repro.storage.codec import encode_frame
 from repro.storage.facade import FORMAT_VERSION, dumps, loads
 from repro.storage.journal import (
     ProgramCodec,
     snapshot_from_dict,
     snapshot_to_dict,
 )
+from tests.test_storage.commit_log import payloads_of
 
 CONTENDED = WorkloadSpec(
     n_processes=20,
@@ -217,14 +223,16 @@ def _run_once(tmp_path, count=12) -> None:
 
 
 def _trace_frames(tmp_path) -> list[dict]:
-    data = (tmp_path / "store" / "trace.log").read_bytes()
-    return [loads(payload) for payload in scan_frames(data).payloads]
+    return [
+        loads(payload)
+        for payload in payloads_of(tmp_path / "store", "trace")
+    ]
 
 
 def _write_trace(tmp_path, frames: list[dict]) -> None:
-    (tmp_path / "store" / "trace.log").write_bytes(
-        b"".join(encode_frame(dumps(frame)) for frame in frames)
-    )
+    backend = AppendLogBackend(str(tmp_path / "store"), fsync="never")
+    backend.replace("trace", [dumps(frame) for frame in frames])
+    backend.close()
 
 
 def _assert_refused_everywhere(tmp_path, capsys, *needles) -> None:
@@ -292,13 +300,33 @@ def test_orphan_delta_past_watermark_is_ignored(tmp_path, capsys):
 
 def test_v1_store_is_refused_naming_format(tmp_path):
     _run_once(tmp_path, count=2)
-    assert FORMAT_VERSION == 2
+    assert FORMAT_VERSION == 3
     store = Store.open("log", str(tmp_path / "store"))
     store.backend.replace(
         "meta", [dumps(dict(store.meta.load(), format=1))]
     )
     store.close()
     with pytest.raises(StorageError, match="format: store has 1"):
+        ProcessLockingService(_config(tmp_path))
+
+
+def test_format_2_store_is_refused_naming_format(tmp_path):
+    """A file per namespace, the meta file among them: the layout
+    before the commit log.  The meta slot kept its name and framing,
+    so the format check still reads it — and refuses."""
+    _run_once(tmp_path, count=2)
+    root = tmp_path / "store"
+    meta = Store.open("log", str(root))
+    document = dict(meta.meta.load(), format=2)
+    meta.close()
+    (root / "commit.log").unlink()
+    (root / "meta.log").write_bytes(encode_frame(dumps(document)))
+    (root / "journal.log").write_bytes(
+        encode_frame(dumps({"kind": "submit", "pid": 1, "program": 0}))
+    )
+    with pytest.raises(
+        StorageError, match="format: store has 2, caller wants 3"
+    ):
         ProcessLockingService(_config(tmp_path))
 
 

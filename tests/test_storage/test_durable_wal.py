@@ -126,8 +126,36 @@ def test_recover_store_surfaces_typed_corruption(tmp_path):
     store = _store(tmp_path)
     repo = store.subsystem_wal("bank")
     repo.append({"lsn": "not-an-int", "txn_id": 1, "kind": "write"})
-    with pytest.raises(WalCorruptionError):
+    with pytest.raises(WalCorruptionError) as caught:
         DurableWriteAheadLog(repo)
+    assert caught.value.namespace == "sswal/bank"
+    store.close()
+
+
+def test_terminal_records_carry_no_dead_fields(tmp_path):
+    """``commit`` / ``abort`` records have no key and no before-image;
+    they are not written, and the log reads back the same."""
+    store = _store(tmp_path)
+    wal = DurableWriteAheadLog(store.subsystem_wal("bank"))
+    wal.log_write(1, "k", {"balance": 3})
+    wal.log_commit(1)
+    wal.log_write(2, "k", None)
+    wal.log_abort(2)
+    assert store.subsystem_wal("bank").records() == [
+        {"lsn": 1, "txn_id": 1, "kind": "write", "key": "k",
+         "before": {"balance": 3}},
+        {"lsn": 2, "txn_id": 1, "kind": "commit"},
+        {"lsn": 3, "txn_id": 2, "kind": "write", "key": "k",
+         "before": None},
+        {"lsn": 4, "txn_id": 2, "kind": "abort"},
+    ]
+    reloaded = DurableWriteAheadLog(store.subsystem_wal("bank"))
+    assert reloaded.records == wal.records
+    # A record that still spells the two defaults out reads the same.
+    old = store.subsystem_wal("old")
+    old.append({"lsn": 2, "txn_id": 1, "kind": "commit", "key": "",
+                "before": None})
+    assert DurableWriteAheadLog(old).records == [wal.records[1]]
     store.close()
 
 

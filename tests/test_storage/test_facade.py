@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import StorageError, WalCorruptionError
 from repro.storage import Store
+from tests.test_storage.commit_log import flip_payload_byte
 
 
 def _open(tmp_path, kind="log"):
@@ -70,12 +71,9 @@ def test_verify_reports_clean_and_corrupt(tmp_path):
     assert report["namespaces"]["journal"]["records"] == 1
     clean.close()
     # Flip one byte inside the journal's only frame.
-    path = tmp_path / "store" / "journal.log"
-    data = bytearray(path.read_bytes())
-    data[12] ^= 0xFF
-    path.write_bytes(bytes(data))
+    flip_payload_byte(tmp_path / "store", "journal")
     with pytest.raises(WalCorruptionError):
-        # heal() at open walks the file and trips on the bad CRC.
+        # heal() at open walks the log and trips on the bad CRC.
         _open(tmp_path)
 
 

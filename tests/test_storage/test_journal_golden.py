@@ -31,6 +31,7 @@ from repro.server.service import ProcessLockingService, ServiceConfig
 from repro.sim.workload import WorkloadSpec
 from repro.storage.backend import AppendLogBackend
 from repro.storage.facade import JournalRepository
+from tests.test_storage.commit_log import log_path, namespace_bytes
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -65,9 +66,11 @@ def _sha256(data: bytes) -> str:
 
 def session(store_path: str) -> dict[str, str]:
     """Three contended bursts through a durable in-thread service with
-    a ``*`` subscriber; digests of the journal and trace files, of the
-    subscriber's frames and of the gauges a ``metrics`` verb returns
-    after the last drain."""
+    a ``*`` subscriber; digests of the journal and trace namespaces
+    (each one's frames end to end — byte for byte the file it had to
+    itself when these were recorded; the commit log only changed the
+    container), of the subscriber's frames and of the gauges a
+    ``metrics`` verb returns after the last drain."""
     service = ProcessLockingService(
         ServiceConfig(
             spec=CONTENDED,
@@ -101,10 +104,9 @@ def session(store_path: str) -> dict[str, str]:
         and not family["name"].startswith(("repro_store", "repro_bus"))
     }
     service.stop()
-    root = Path(store_path)
     return {
-        "journal": _sha256((root / "journal.log").read_bytes()),
-        "trace": _sha256((root / "trace.log").read_bytes()),
+        "journal": _sha256(namespace_bytes(store_path, "journal")),
+        "trace": _sha256(namespace_bytes(store_path, "trace")),
         "frames": _sha256("\n".join(frames).encode()),
         "gauges": _sha256(json.dumps(gauges, sort_keys=True).encode()),
     }
@@ -131,7 +133,7 @@ def test_session_digests_match_recorded(tmp_path):
 
 def test_deferred_records_keep_their_place(tmp_path):
     """Queued records land ahead of the next direct append, in order —
-    the file of appending each right away, frame for frame."""
+    the log of appending each right away, frame for frame."""
     records = [{"kind": "grant", "n": n} for n in range(3)]
     submit, terminal = {"kind": "submit"}, {"kind": "terminal"}
 
@@ -154,9 +156,9 @@ def test_deferred_records_keep_their_place(tmp_path):
 
     for backend in (eager_backend, lazy_backend):
         backend.close()
-    assert (tmp_path / "lazy" / "journal.log").read_bytes() == (
-        tmp_path / "eager" / "journal.log"
-    ).read_bytes()
+    assert log_path(tmp_path / "lazy").read_bytes() == (
+        log_path(tmp_path / "eager").read_bytes()
+    )
     assert lazy.appended == eager.appended == 6
     assert lazy_backend.appends == eager_backend.appends == 6
     assert lazy_backend.bytes_written == eager_backend.bytes_written
