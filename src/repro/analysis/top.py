@@ -121,7 +121,6 @@ def render_top(
     draining = " DRAINING" if service.get("draining") else ""
     lines.append(
         f"repro top — vt {engine.get('now', 0.0):.2f}  "
-        f"workers {service.get('workers', 0)}  "
         f"backlog {service.get('backlog', 0)}  "
         f"subscribers {bus.get('subscribers', 0)}{draining}"
     )

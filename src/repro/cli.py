@@ -199,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(PROTOCOL_FACTORIES),
     )
     scenario.add_argument("--seed", type=int, default=0)
-    _add_parallel_args(scenario)
     scenario.add_argument(
         "--trace-out",
         default=None,
@@ -313,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the machine-readable report instead of tables",
     )
-    _add_parallel_args(soak)
 
     serve = sub.add_parser(
         "serve",
@@ -349,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--failure-prob", type=float, default=0.05)
     serve.add_argument("--threshold", type=float, default=math.inf)
     serve.add_argument("--seed", type=int, default=0)
-    _add_parallel_args(serve)
     serve.add_argument(
         "--time-scale",
         type=float,
@@ -511,7 +508,6 @@ def _add_workload_args(
     parser.add_argument("--failure-prob", type=float, default=0.05)
     parser.add_argument("--threshold", type=float, default=math.inf)
     parser.add_argument("--seed", type=int, default=0)
-    _add_parallel_args(parser)
     parser.add_argument(
         "--grounded",
         action="store_true",
@@ -528,38 +524,6 @@ def _add_workload_args(
                 "waitfor.dot, series.json) to DIR"
             ),
         )
-
-
-def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
-    """Parallel-execution knobs (shared; schedules stay byte-identical)."""
-    parser.add_argument(
-        "--workers",
-        type=_nonneg_int,
-        default=0,
-        help=(
-            "shard worker threads (0 = sequential manager; N >= 1 "
-            "selects the thread-per-shard manager, byte-identical "
-            "schedules)"
-        ),
-    )
-    parser.add_argument(
-        "--batch-k",
-        type=_positive_int,
-        default=1,
-        help=(
-            "batch lock-acquisition depth: upcoming activities "
-            "pre-declared per shard visit (parallel manager only)"
-        ),
-    )
-
-
-def _parallel_config(args: argparse.Namespace, **kwargs) -> ManagerConfig:
-    """A ManagerConfig carrying the CLI's parallel knobs."""
-    return ManagerConfig(
-        workers=getattr(args, "workers", 0),
-        batch_k=getattr(args, "batch_k", 1),
-        **kwargs,
-    )
 
 
 def _make_tracer(args: argparse.Namespace):
@@ -607,7 +571,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     tracer = _make_tracer(args)
     result = run_workload(
         workload, args.protocol, seed=args.seed,
-        config=_parallel_config(args, audit=True),
+        config=ManagerConfig(audit=True),
         tracer=tracer,
     )
     metrics = summarize(args.protocol, result)
@@ -641,8 +605,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for name in args.protocols:
         tracer = _make_tracer(args)
         result = run_workload(
-            workload, name, seed=args.seed,
-            config=_parallel_config(args), tracer=tracer,
+            workload, name, seed=args.seed, tracer=tracer,
         )
         metrics.append(summarize(name, result))
         if tracer is not None:
@@ -662,7 +625,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     manager = make_manager(
         protocol,
         subsystems=scenario.make_subsystems(),
-        config=_parallel_config(args, audit=True),
+        config=ManagerConfig(audit=True),
         seed=args.seed,
         tracer=tracer,
     )
@@ -687,8 +650,7 @@ def cmd_sweep_threshold(args: argparse.Namespace) -> int:
         workload = build_workload(spec)
         tracer = _make_tracer(args)
         result = run_workload(
-            workload, "process-locking", seed=args.seed,
-            config=_parallel_config(args), tracer=tracer,
+            workload, "process-locking", seed=args.seed, tracer=tracer,
         )
         if tracer is not None:
             _export_trace(tracer, f"{args.trace_out}/wcc-{raw}")
@@ -713,8 +675,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     workload = build_workload(_spec_from(args))
     tracer = Tracer()
     result = run_workload(
-        workload, args.protocol, seed=args.seed,
-        config=_parallel_config(args), tracer=tracer,
+        workload, args.protocol, seed=args.seed, tracer=tracer
     )
     metrics = summarize(args.protocol, result)
     print(_metrics_rows([metrics]))
@@ -822,8 +783,6 @@ def cmd_soak(args: argparse.Namespace) -> int:
         protocol=args.protocol,
         audit_every=args.audit_every,
         min_events=args.min_events,
-        workers=args.workers,
-        batch_k=args.batch_k,
     )
     report = run_soak(plan)
     if args.json:
@@ -848,8 +807,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         protocol=args.protocol,
         spec=spec,
         seed=args.seed,
-        workers=args.workers,
-        batch_k=args.batch_k,
         max_backlog=args.backlog,
         time_scale=args.time_scale,
         store=args.store,

@@ -2,8 +2,7 @@
 
 Historically each subsystem read its own environment variable inline
 (``ManagerConfig`` field factories, the seed-sweep pool in
-:mod:`repro.sim.runner`, the probe fan-out gate in
-:mod:`repro.parallel.manager`), which made the full knob surface hard to
+:mod:`repro.sim.runner`), which made the full knob surface hard to
 discover and easy to drift.  This module is now the single source of
 truth: every knob is declared once with its environment variable, its
 default, its clamp, and a one-line description, and every consumer
@@ -30,17 +29,14 @@ __all__ = [
     "KNOBS",
     "Knob",
     "audit_every",
-    "batch_k",
     "describe",
     "flight_events",
     "flight_path",
-    "parallel_fanout",
     "resolve",
     "seed_workers",
     "store_fsync",
     "store_kind",
     "store_path",
-    "workers",
 ]
 
 
@@ -63,11 +59,6 @@ class Knob:
     floor: int | None = None
 
 
-def _parse_optional_int(raw: str) -> int | None:
-    """``REPRO_PARALLEL_FANOUT`` semantics: empty string means unset."""
-    return int(raw) if raw else None
-
-
 def _parse_optional_str(raw: str) -> str | None:
     return raw if raw else None
 
@@ -75,26 +66,6 @@ def _parse_optional_str(raw: str) -> str | None:
 KNOBS: dict[str, Knob] = {
     knob.name: knob
     for knob in (
-        Knob(
-            name="workers",
-            env="REPRO_WORKERS",
-            default=0,
-            floor=0,
-            description=(
-                "shard worker threads (0 = sequential manager; N >= 1 "
-                "selects the thread-per-shard parallel manager)"
-            ),
-        ),
-        Knob(
-            name="batch_k",
-            env="REPRO_BATCH_K",
-            default=1,
-            floor=1,
-            description=(
-                "batch lock-acquisition depth: upcoming activities "
-                "pre-declared per shard visit (parallel manager only)"
-            ),
-        ),
         Knob(
             name="audit_every",
             env="REPRO_AUDIT_EVERY",
@@ -112,17 +83,6 @@ KNOBS: dict[str, Knob] = {
             description=(
                 "seed-sweep process pool size (1 = serial, 0 = one "
                 "worker per core, N = at most N workers)"
-            ),
-        ),
-        Knob(
-            name="parallel_fanout",
-            env="REPRO_PARALLEL_FANOUT",
-            default=None,
-            parse=_parse_optional_int,
-            description=(
-                "min locks per shard group before batch probes fan out "
-                "to the owning workers (unset = probes stay on the "
-                "coordinator; sensible on free-threaded builds only)"
             ),
         ),
         Knob(
@@ -238,25 +198,12 @@ def describe() -> list[dict[str, object]]:
 
 # Named accessors: the call sites read as documentation and the clamp
 # semantics stay greppable next to their historical homes.
-def workers(override: int | None = None) -> int:
-    return resolve("workers", override)
-
-
-def batch_k(override: int | None = None) -> int:
-    return resolve("batch_k", override)
-
-
 def audit_every(override: int | None = None) -> int:
     return resolve("audit_every", override)
 
 
 def seed_workers(override: int | None = None) -> int:
     return resolve("seed_workers", override)
-
-
-def parallel_fanout(override: int | None = None) -> int | None:
-    value = resolve("parallel_fanout", override)
-    return None if value is None else max(1, value)
 
 
 def flight_events(override: int | None = None) -> int:

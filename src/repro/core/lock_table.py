@@ -74,7 +74,7 @@ class LockShard:
     """One subsystem's slice of the lock table (types + counters)."""
 
     __slots__ = (
-        "name", "types", "lock_count", "acquires", "releases", "worker",
+        "name", "types", "lock_count", "acquires", "releases",
         "type_mask", "live_mask",
     )
 
@@ -86,8 +86,6 @@ class LockShard:
         self.lock_count = 0
         self.acquires = 0
         self.releases = 0
-        #: Owning worker index under parallel execution (None = unowned).
-        self.worker: int | None = None
         #: Bitmask of compiled type ids owned by this shard.
         self.type_mask = 0
         #: Bitmask of owned type ids with at least one live lock — the
@@ -159,25 +157,6 @@ class LockTable:
 
     def shard_names(self) -> tuple[str, ...]:
         return tuple(self._shards)
-
-    def assign_workers(self, n_workers: int) -> dict[str, int]:
-        """Distribute shards over ``n_workers`` workers round-robin.
-
-        Shard order (registry declaration order) is deterministic, so
-        the assignment is a pure function of the workload — the same
-        shard lands on the same worker at every run, which keeps worker
-        annotations in the trace reproducible.
-        """
-        assignment: dict[str, int] = {}
-        for index, name in enumerate(self.shard_names()):
-            worker = index % max(1, n_workers)
-            self._shards[name].worker = worker
-            assignment[name] = worker
-        return assignment
-
-    def worker_of(self, type_name: str) -> int | None:
-        """The worker owning ``type_name``'s shard (None when unowned)."""
-        return self.shard_of(type_name).worker
 
     def _live_plane(self):
         """The current compiled plane, adopting a recompile if needed.

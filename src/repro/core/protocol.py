@@ -289,7 +289,9 @@ class ProcessLockManager:
         return Grant(locks=(entry,))
 
     # ------------------------------------------------------------------
-    # batch fast path (the parallel manager's shard-transaction probe)
+    # batch probe: residue of the removed thread-per-shard manager,
+    # pinned by bench/ (bench/tracing.py hooks both names), goes with
+    # ROADMAP 2(a)
     # ------------------------------------------------------------------
     def probe_c_grants(
         self, process: Process, type_names: Sequence[str]

@@ -468,9 +468,6 @@ class FaultInjector:
         prior_events = list(manager.trace.events)
         self._slices.append((manager.stats, manager.engine.now))
         image = crash(manager)
-        # The crashed incarnation never reaches run()'s finally, so its
-        # shard workers (if any) are released here.
-        manager.close()
         self._incarnation += 1
         if self.tracer.enabled:
             self.tracer.emit(

@@ -51,13 +51,6 @@ class SoakPlan:
     audit_every: int = 16
     #: The campaign fails if fewer total events were processed.
     min_events: int = 1000
-    #: Shard worker threads for every round (0 = sequential manager;
-    #: the default rotation still runs one parallel round — see
-    #: :func:`_round_workers` — so parallel execution is soaked even
-    #: without opting in).
-    workers: int = 0
-    #: Batch lock-acquisition depth handed to the parallel manager.
-    batch_k: int = 1
 
 
 @dataclass
@@ -159,35 +152,13 @@ def _round_plan(
     )
 
 
-def _round_workers(plan: SoakPlan, round_index: int) -> tuple[int, int]:
-    """(workers, batch_k) of one round.
-
-    With ``plan.workers`` left at 0, every fourth round still runs
-    under the thread-per-shard manager (workers=2, batch_k=2) so the
-    default soak rotation exercises the parallel path; schedules are
-    byte-identical either way, so round outcomes don't depend on the
-    choice.  An explicit ``plan.workers`` applies to every round.
-    """
-    if plan.workers > 0:
-        return plan.workers, plan.batch_k
-    if round_index % 4 == 3:
-        return 2, max(2, plan.batch_k)
-    return 0, plan.batch_k
-
-
 def run_soak(plan: SoakPlan) -> SoakReport:
     """Run the whole soak campaign and collect its report."""
     report = SoakReport(plan=plan)
     for round_index in range(plan.rounds):
         workload = build_workload(_round_spec(plan, round_index))
         fault_plan = _round_plan(plan, round_index, workload)
-        workers, batch_k = _round_workers(plan, round_index)
-        config = ManagerConfig(
-            audit=True,
-            audit_every=plan.audit_every,
-            workers=workers,
-            batch_k=batch_k,
-        )
+        config = ManagerConfig(audit=True, audit_every=plan.audit_every)
         run = run_chaos(
             workload,
             plan.protocol,

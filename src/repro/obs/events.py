@@ -232,9 +232,6 @@ class ActivityStarted:
     activity: str
     uid: int
     compensation: bool = False
-    #: Shard worker owning the activity's type under parallel execution;
-    #: ``None`` on the sequential manager.
-    worker: int | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -284,7 +281,7 @@ class WaitEdge:
     """Insertion or deletion of parked wait-for edges.
 
     One event covers the whole edge fan (waiter → each blocker) of one
-    parked request; ``seq`` is the manager's park sequence, which pairs
+    parked request; ``park`` is the manager's park sequence, which pairs
     the delete with its insert for blocked-time accounting.
     """
 
@@ -292,15 +289,13 @@ class WaitEdge:
     op: str  # "insert" | "delete"
     waiter: int
     blockers: tuple[int, ...]
-    seq: int
+    park: int
     request: str
     activity: str | None
     reason: str
     #: Lock shard (subsystem) of the requested activity's type; ``None``
     #: for commit requests, which span all of the process's shards.
     shard: str | None = None
-    #: Shard worker owning that shard under parallel execution.
-    worker: int | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -466,11 +461,24 @@ def _holders(holders) -> tuple[dict, ...]:
     )
 
 
+#: Keys :func:`flat_record` stamps on every record.
+STAMP_KEYS = ("seq", "t", "kind")
+
+
 def _field_plan(cls) -> tuple:
     """``(name, convert)`` per field; ``convert`` is ``None`` where the
-    value goes into the payload as it is."""
+    value goes into the payload as it is.
+
+    A field may not take a stamp's name: :func:`flat_record` lays the
+    payload over ``seq`` / ``t`` / ``kind``.
+    """
     plan = []
     for spec in fields(cls):
+        if spec.name in STAMP_KEYS:
+            raise TypeError(
+                f"{cls.__name__}.{spec.name} would overwrite the "
+                "record's stamp"
+            )
         if spec.type in _SHARED_ANNOTATIONS:
             convert = None
         elif spec.type == "tuple[Holder, ...]":

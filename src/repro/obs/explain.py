@@ -33,33 +33,28 @@ def _park_durations(
     dict[int, float],
     dict[int, float],
     dict[int, str | None],
-    dict[int, int | None],
 ]:
-    """Map park seq -> insert time, parked duration, lock shard, and
-    shard worker for ``pid``.
+    """Map park seq -> insert time, parked duration and lock shard for
+    ``pid``.
 
     A request still parked when the trace ends has no delete event and
     therefore no duration entry.  The shard is the subsystem whose lock
     list the parked request contends on (``None`` for commit requests,
-    which span shards); the worker is the shard's owning worker under
-    parallel execution (``None`` on sequential runs).
+    which span shards).
     """
     inserted: dict[int, float] = {}
     durations: dict[int, float] = {}
     shards: dict[int, str | None] = {}
-    workers: dict[int, int | None] = {}
     for record in records:
         if record["kind"] != "wait.edge" or record["waiter"] != pid:
             continue
+        park = record["park"]
         if record["op"] == "insert":
-            inserted[record["seq"]] = record["t"]
-            shards[record["seq"]] = record.get("shard")
-            workers[record["seq"]] = record.get("worker")
-        elif record["seq"] in inserted:
-            durations[record["seq"]] = (
-                record["t"] - inserted[record["seq"]]
-            )
-    return inserted, durations, shards, workers
+            inserted[park] = record["t"]
+            shards[park] = record.get("shard")
+        elif park in inserted:
+            durations[park] = record["t"] - inserted[park]
+    return inserted, durations, shards
 
 
 def _request_label(record: dict) -> str:
@@ -79,9 +74,7 @@ def explain_process(records: list[dict], pid: int) -> str:
     ValueError
         If the trace contains no event for ``pid``.
     """
-    inserted, durations, park_shards, park_workers = _park_durations(
-        records, pid
-    )
+    inserted, durations, park_shards = _park_durations(records, pid)
     # Pair each defer with its park (same waiter, same time, in order)
     # to attach the parked duration to the defer line.
     park_seqs = sorted(inserted)
@@ -168,9 +161,6 @@ def explain_process(records: list[dict], pid: int) -> str:
                     park_index += 1
                     if park_shards.get(seq):
                         text += f" [shard {park_shards[seq]}]"
-                    if park_workers.get(seq) is not None:
-                        # worker 0 is a real worker — test against None
-                        text += f" [worker {park_workers[seq]}]"
                     if seq in durations:
                         text += (
                             f"; parked for {durations[seq]:g} vt"

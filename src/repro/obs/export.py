@@ -31,7 +31,7 @@ import math
 from dataclasses import fields
 from pathlib import Path
 
-from repro.obs.events import EVENT_TYPES, Holder
+from repro.obs.events import EVENT_TYPES, STAMP_KEYS, Holder
 from repro.obs.series import SeriesBank
 
 #: Exported µs per virtual time unit (1 vt unit == 1 ms on screen).
@@ -53,12 +53,6 @@ _INSTANT_KINDS = {
 
 #: Span-terminating kinds, keyed off the start's activity uid.
 _SPAN_ENDS = {"activity.commit", "activity.fail", "activity.cancel"}
-
-#: Synthetic Perfetto pid hosting the per-shard-worker thread tracks
-#: (parallel runs only).  Far above any real process id, so the track
-#: group can never collide with a process track.
-_WORKER_TRACK_PID = 1_000_000_000
-
 
 #: String stand-ins for non-finite floats.  Strict JSON has no
 #: ``Infinity``/``NaN`` tokens (Perfetto's importer rejects them), yet a
@@ -176,7 +170,7 @@ def _holder_args(record: dict) -> dict:
     args = {
         key: value
         for key, value in record.items()
-        if key not in ("seq", "t", "kind") and value is not None
+        if key not in STAMP_KEYS and value is not None
     }
     return args
 
@@ -187,7 +181,6 @@ def perfetto_trace(
     """Convert trace records (+ optional series) to Perfetto JSON."""
     trace_events: list[dict] = []
     pids_seen: set[int] = set()
-    workers_seen: set[int] = set()
     open_spans: dict[int, dict] = {}
     max_t = 0.0
 
@@ -202,30 +195,6 @@ def perfetto_trace(
                 "tid": 0,
                 "name": "process_name",
                 "args": {"name": f"P{pid}"},
-            }
-        )
-
-    def note_worker(worker: int) -> None:
-        if worker in workers_seen:
-            return
-        if not workers_seen:
-            trace_events.append(
-                {
-                    "ph": "M",
-                    "pid": _WORKER_TRACK_PID,
-                    "tid": 0,
-                    "name": "process_name",
-                    "args": {"name": "shard workers"},
-                }
-            )
-        workers_seen.add(worker)
-        trace_events.append(
-            {
-                "ph": "M",
-                "pid": _WORKER_TRACK_PID,
-                "tid": worker,
-                "name": "thread_name",
-                "args": {"name": f"worker-{worker}"},
             }
         )
 
@@ -245,18 +214,6 @@ def perfetto_trace(
             "args": {"uid": start["uid"], "outcome": outcome},
         }
         trace_events.append(span)
-        worker = start.get("worker")
-        if worker is not None:
-            # Mirror the span onto the owning shard worker's thread
-            # track so parallel runs show real per-worker concurrency.
-            note_worker(worker)
-            mirrored = dict(span)
-            mirrored["pid"] = _WORKER_TRACK_PID
-            mirrored["tid"] = worker
-            mirrored["args"] = dict(
-                span["args"], pid=start["pid"], worker=worker
-            )
-            trace_events.append(mirrored)
 
     for record in records:
         t = record["t"]
@@ -337,9 +294,9 @@ def wait_for_dot(records: list[dict], at: float | None = None) -> str:
         if at is not None and record["t"] > at:
             break
         if record["op"] == "insert":
-            live[record["seq"]] = record
+            live[record["park"]] = record
         else:
-            live.pop(record["seq"], None)
+            live.pop(record["park"], None)
         size = sum(len(r["blockers"]) for r in live.values())
         if size > best_size:
             best_size = size
@@ -359,7 +316,7 @@ def wait_for_dot(records: list[dict], at: float | None = None) -> str:
         nodes.update(record["blockers"])
     for pid in sorted(nodes):
         lines.append(f'  p{pid} [label="P{pid}"];')
-    for record in sorted(snapshot.values(), key=lambda r: r["seq"]):
+    for record in sorted(snapshot.values(), key=lambda r: r["park"]):
         # Annotate each edge with the lock shard (subsystem) the parked
         # request contends on; commit requests span shards and carry
         # none.

@@ -621,12 +621,6 @@ class EventMetrics:
             "(started/committed/failed/cancelled/compensated).",
             ("outcome",),
         )
-        self.worker_dispatch = r.counter(
-            "repro_worker_dispatch_total",
-            "Activity starts by shard worker (label 'none' when "
-            "sequential).",
-            ("worker",),
-        )
         self.retries = r.counter(
             "repro_activity_retries_total",
             "Activity retry attempts.",
@@ -870,10 +864,6 @@ class EventMetrics:
 
     def _on_activity_start(self, t, event) -> None:
         self.activities.bump(("started",))
-        worker = event.worker
-        self.worker_dispatch.bump(
-            ("none" if worker is None else str(worker),)
-        )
 
     def _on_activity_retry(self, t, event) -> None:
         self.retries.bump(())
@@ -904,9 +894,9 @@ class EventMetrics:
         shard = event.shard if event.shard is not None else "none"
         if event.op == "insert":
             self.parks.bump((shard,))
-            self._park_since[event.seq] = (t, shard)
+            self._park_since[event.park] = (t, shard)
         else:
-            since = self._park_since.pop(event.seq, None)
+            since = self._park_since.pop(event.park, None)
             if since is not None:
                 self.park_duration.observe(t - since[0], (since[1],))
 

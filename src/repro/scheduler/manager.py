@@ -20,7 +20,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-import threading
 from dataclasses import dataclass, field
 
 from repro import config as repro_config
@@ -134,18 +133,6 @@ class ManagerConfig:
     #: Prefer deadlock-cycle victims that hold no P locks (honours
     #: pseudo-pivot protection).  Disabling is an ablation.
     prefer_unprotected_victims: bool = True
-    #: Parallel execution mode (:mod:`repro.parallel`): number of shard
-    #: workers.  0 (the default) is the literal sequential manager;
-    #: N ≥ 1 makes :func:`make_manager` return the thread-per-shard
-    #: manager (worker count capped at the shard count), whose emitted
-    #: schedule is byte-identical to the sequential run at the same
-    #: seed.  ``REPRO_WORKERS`` env knob
-    #: (:mod:`repro.config`).
-    workers: int = field(default_factory=repro_config.workers)
-    #: Batch lock acquisition depth: how many upcoming activities a
-    #: process pre-declares per shard visit (parallel manager only;
-    #: 1 = the plain per-lock fast path).  ``REPRO_BATCH_K`` env knob.
-    batch_k: int = field(default_factory=repro_config.batch_k)
     #: Durable storage facade (:class:`repro.storage.Store`) backing
     #: the subsystem pool's WALs and record stores.
     #: :func:`make_manager` attaches it to the pool; with ``None`` and
@@ -185,22 +172,10 @@ class ManagerStats:
     _inflight: int = field(default=0, repr=False)
     _last_change: float = field(default=0.0, repr=False)
 
-    def __post_init__(self) -> None:
-        # Deliberately *not* a dataclass field: invisible to
-        # ``fields()`` — and therefore to eq/repr and ``merge_stats`` —
-        # so stats objects stay comparable across runs.
-        self._mutex = threading.Lock()
-
-    def add(self, name: str, delta: float = 1) -> None:
-        """Counter bump that is safe under concurrent shard workers."""
-        with self._mutex:
-            setattr(self, name, getattr(self, name) + delta)
-
     def note_inflight(self, now: float, delta: int) -> None:
-        with self._mutex:
-            self.busy_area += self._inflight * (now - self._last_change)
-            self._inflight += delta
-            self._last_change = now
+        self.busy_area += self._inflight * (now - self._last_change)
+        self._inflight += delta
+        self._last_change = now
 
 
 @dataclass
@@ -314,11 +289,11 @@ class ProcessManager:
         self._shard_depth_counts: dict[str, int] = {}
         self._audit_tick = 0
         self._audit_shard_cursor = 0
-        #: Guards the round-robin audit cursor (the sampled auditor may
-        #: be driven from shard workers in the parallel manager).
-        self._audit_mutex = threading.Lock()
-        #: uid -> uids of flights gated behind it (execution ordering).
-        self._dependents: dict[int, set[int]] = {}
+        #: uid -> uids of flights gated behind it, in the order they were
+        #: gated (lock-position order).  Insertion-ordered, not a set:
+        #: the order dependents are released in is the order they start
+        #: in, and a set of ints iterates by uid *value*.
+        self._dependents: dict[int, dict[int, None]] = {}
         self._comp_runs: dict[int, CompensationRun] = {}
         self._stashed_failures: dict[int, Activity] = {}
         self.tracer.bind_clock(lambda: self.engine.now)
@@ -473,10 +448,7 @@ class ProcessManager:
             :class:`StarvationError`, ``starved``
             (``require_quiescence``) — a liveness failure.
         """
-        try:
-            self.engine.run(max_events=self.config.max_events)
-        finally:
-            self.close()
+        self.engine.run(max_events=self.config.max_events)
         self.stats.note_inflight(self.engine.now, 0)
         self.tracer.refresh_gauges()
         groups = by_outcome(self.records) if require_quiescence else {}
@@ -581,7 +553,7 @@ class ProcessManager:
         resubmitting = run is not None and run.then == "resubmit"
         if not (not_started or resubmitting or self.phase(pid) == "running"):
             return False
-        self.stats.add("cancellations")
+        self.stats.cancellations += 1
         if self.tracer.enabled:
             self.tracer.emit(
                 ProcessCancelled(pid=pid, initiated=not not_started)
@@ -636,15 +608,6 @@ class ProcessManager:
             raise SchedulerError(f"P{pid}: {outcome} after {record.outcome}")
         record.outcome = outcome
         self._finished.append(pid)
-
-    def close(self) -> None:
-        """Release execution resources (shard workers, when any).
-
-        A no-op for the sequential manager; the parallel manager shuts
-        its :class:`~repro.parallel.ShardExecutor` down here.  Called
-        automatically when :meth:`run` drains, and by the fault injector
-        when it abandons a crashed incarnation.
-        """
 
     # ------------------------------------------------------------------
     # shard queue depths (the ``repro_shard_queue_depth`` gauge)
@@ -818,9 +781,9 @@ class ProcessManager:
                 gate_add(other_uid)
                 waiters = dependents.get(other_uid)
                 if waiters is None:
-                    dependents[other_uid] = {flight_uid}
+                    dependents[other_uid] = {flight_uid: None}
                 else:
-                    waiters.add(flight_uid)
+                    waiters[flight_uid] = None
 
     def _start_flight(self, flight: InflightActivity) -> None:
         flight.started = True
@@ -834,9 +797,6 @@ class ProcessManager:
                     uid=flight.activity.uid,
                     compensation=(
                         flight.kind is RequestKind.COMPENSATION
-                    ),
-                    worker=self._worker_for_type(
-                        flight.activity.activity_type.name
                     ),
                 )
             )
@@ -855,7 +815,7 @@ class ProcessManager:
             )
 
     def _release_dependents(self, flight: InflightActivity) -> None:
-        for dep_uid in self._dependents.pop(flight.activity.uid, set()):
+        for dep_uid in self._dependents.pop(flight.activity.uid, ()):
             dependent = self._inflight.get(dep_uid)
             if dependent is None or dependent.cancelled:
                 continue
@@ -1534,32 +1494,18 @@ class ProcessManager:
     # ------------------------------------------------------------------
     # observability (only reached when the tracer is enabled)
     # ------------------------------------------------------------------
-    def _worker_for_type(self, type_name: str) -> int | None:
-        """Shard worker owning ``type_name`` (``None`` when sequential).
-
-        The parallel manager overrides this with its shard→worker
-        assignment; event payloads carry the answer so exported traces
-        can show per-worker tracks.
-        """
-        return None
-
     def _wait_edge_event(self, op: str, request: ParkedRequest) -> WaitEdge:
         activity = request.activity
         return WaitEdge(
             op=op,
             waiter=request.process.pid,
             blockers=tuple(sorted(request.wait_for)),
-            seq=request.seq,
+            park=request.seq,
             request=request.kind.value,
             activity=activity.name if activity else None,
             reason=request.reason,
             shard=(
                 activity.activity_type.subsystem if activity else None
-            ),
-            worker=(
-                self._worker_for_type(activity.activity_type.name)
-                if activity
-                else None
             ),
         )
 
@@ -1686,22 +1632,8 @@ class ProcessManager:
             # audit, round-robin, instead of rescanning the whole table.
             names = self.protocol.table.shard_names()
             if names:
-                shards = (self._next_audit_shard(names),)
-        self._run_audit(shards)
-
-    def _next_audit_shard(self, names: tuple[str, ...]) -> str:
-        """Advance the round-robin audit cursor (thread-safe)."""
-        with self._audit_mutex:
-            name = names[self._audit_shard_cursor % len(names)]
-            self._audit_shard_cursor += 1
-        return name
-
-    def _run_audit(self, shards: tuple[str, ...] | None) -> None:
-        """Execute one (possibly shard-restricted) structural audit.
-
-        The parallel manager overrides this to dispatch single-shard
-        audits to the worker owning the shard.
-        """
+                shards = (names[self._audit_shard_cursor % len(names)],)
+                self._audit_shard_cursor += 1
         self.protocol.audit(shards=shards)
 
 
@@ -1734,28 +1666,9 @@ def make_manager(
     seed: int = 0,
     tracer=None,
 ) -> ProcessManager:
-    """Build the manager the config asks for.
-
-    ``config.workers == 0`` (the default) returns the sequential
-    :class:`ProcessManager`.  ``workers ≥ 1`` returns the
-    thread-per-shard :class:`~repro.parallel.ParallelProcessManager`
-    when the protocol supports it — the batch probe interface
-    (:meth:`ProcessLockManager.probe_c_grants`); the baselines fall back
-    to the sequential path silently, so every construction site can
-    route through this factory unconditionally.
-    """
+    """Build the process manager, its pool backed by the configured store."""
     config = config or ManagerConfig()
     _attach_store(config, subsystems)
-    if config.workers > 0 and hasattr(protocol, "probe_c_grants"):
-        from repro.parallel.manager import ParallelProcessManager
-
-        return ParallelProcessManager(
-            protocol,
-            subsystems=subsystems,
-            config=config,
-            seed=seed,
-            tracer=tracer,
-        )
     return ProcessManager(
         protocol,
         subsystems=subsystems,

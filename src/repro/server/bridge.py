@@ -31,10 +31,9 @@ class BusTracer:
 
     The sampler hook is accepted but unused: gauge polling exists for
     the series bank, and polling per emit would only add jitter to the
-    event stream clients see.  Thread-safety matches the parallel
-    manager's needs — ``emit`` may be called from shard workers, and
-    every structure touched here is safe under concurrent use
-    (atomic counter, locked bus).
+    event stream clients see.  ``emit`` runs on the engine thread only;
+    the bus it publishes to is locked because subscribers come and go
+    from the network thread.
     """
 
     enabled = True

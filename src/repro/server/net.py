@@ -242,7 +242,6 @@ def run_server(
         print(
             f"repro-serve listening on {bound_host}:{bound_port} "
             f"(protocol={service.config.protocol}, "
-            f"workers={service.manager.config.workers}, "
             f"catalog={len(service.workload.programs)})",
             flush=True,
         )

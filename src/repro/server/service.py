@@ -1,8 +1,7 @@
 """The engine-thread core of the process-locking service.
 
 :class:`ProcessLockingService` owns one
-:class:`~repro.scheduler.manager.ProcessManager` (sequential or
-thread-per-shard, picked by the ``workers`` knob through
+:class:`~repro.scheduler.manager.ProcessManager` (built by
 :func:`~repro.scheduler.manager.make_manager`) and drives it from a
 single dedicated engine thread; every network-facing layer talks to it
 through a command queue, so the simulation state is never touched
@@ -70,10 +69,10 @@ class ServiceConfig:
     #: and its registry/conflict matrix/subsystems define the world.
     spec: WorkloadSpec = field(default_factory=WorkloadSpec)
     seed: int = 0
-    #: Shard workers / batch depth; ``None`` defers to the
-    #: ``REPRO_WORKERS`` / ``REPRO_BATCH_K`` knobs (:mod:`repro.config`).
+    #: Residue of the removed thread-per-shard manager, pinned by
+    #: bench/ (``bench/server_main.py`` passes ``workers=0``); goes with
+    #: ROADMAP 2(a).  ``None`` / ``0`` only.
     workers: int | None = None
-    batch_k: int | None = None
     #: Not-yet-initiated submissions accepted before ``SUBMIT``s are
     #: shed at the socket (overload protection).
     max_backlog: int = 256
@@ -82,7 +81,7 @@ class ServiceConfig:
     #: Paced-mode wall poll interval, seconds.
     tick: float = 0.02
     #: Full manager-config override for advanced callers (retry
-    #: policy, audit cadence); ``workers``/``batch_k`` above still win.
+    #: policy, audit cadence).
     manager_config: ManagerConfig | None = None
     #: Flight-recorder ring capacity; ``None`` defers to the
     #: ``REPRO_FLIGHT_EVENTS`` knob.
@@ -112,6 +111,13 @@ class ServiceConfig:
     #: Journal records accumulated since the last snapshot before the
     #: next quiescent point takes a new one.
     snapshot_every: int = 256
+
+    def __post_init__(self) -> None:
+        if self.workers not in (None, 0):
+            raise ValueError(
+                f"workers={self.workers!r}: the thread-per-shard manager "
+                "was removed (DESIGN.md §7); only None or 0 is accepted"
+            )
 
 
 class ProcessLockingService:
@@ -198,15 +204,6 @@ class ProcessLockingService:
         self.workload = build_workload(self.config.spec)
         manager_config = (
             self.config.manager_config or ManagerConfig()
-        )
-        manager_config = replace(
-            manager_config,
-            workers=repro_config.workers(self.config.workers)
-            if self.config.workers is not None
-            else manager_config.workers,
-            batch_k=repro_config.batch_k(self.config.batch_k)
-            if self.config.batch_k is not None
-            else manager_config.batch_k,
         )
         #: Recovery outcome of this incarnation (``None`` = cold start).
         self.recovery = None
@@ -541,7 +538,6 @@ class ProcessLockingService:
         self.manager.engine.run(
             max_events=self.manager.config.max_events
         )
-        self.manager.close()
         if self.plane is not None:
             self.plane.after_drain(self.manager)
             self.plane.final(self.manager)
@@ -680,7 +676,6 @@ class ProcessLockingService:
                 "draining": self._draining.is_set(),
                 "waiters": len(self._waiters),
                 "catalog_size": len(self.workload.programs),
-                "workers": manager.config.workers,
             },
             "bus": {
                 "published": counters.published,

@@ -18,8 +18,9 @@ Two implementations share the same surface:
 the same order, handed to the file in one ``write``; ``replace_many``
 is ``replace`` for a group of namespaces.
 
-All mutating calls are serialized by one lock per backend: the journal
-tee can emit from shard workers while the engine thread appends.
+All mutating calls are serialized by one lock per backend: the engine
+thread appends while the thread that owns the service reads stats and,
+after a join that may time out, closes the store.
 """
 
 from __future__ import annotations

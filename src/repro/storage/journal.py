@@ -248,8 +248,7 @@ class JournalTracer:
     subset — lock grants, Wcc classifications, exhausted retry budgets
     — as informational journal records.  No acknowledgement waits on
     them, so they are queued (:meth:`JournalRepository.defer`) and
-    written in one piece at the next drain.  Emits can arrive from
-    shard workers; queueing is a list append.
+    written in one piece at the next drain; queueing is a list append.
     """
 
     enabled = True

@@ -28,11 +28,12 @@ hypothesis_settings.load_profile("tier1")
 
 #: Strictly increasing uid/lock-id floors, one per pinned run pair,
 #: shared by every :class:`UidFloorPinner` in the session.  Activity
-#: uids and lock ids come from module-global counters, and uid *values*
-#: leak into scheduling via int-set iteration order (the in-flight gate
-#: bookkeeping), so two runs are only byte-comparable when they start
-#: from the same floor.  The floors stay monotone so other tests in the
-#: same interpreter keep their uid-ordering assumptions.
+#: uids and lock ids come from module-global counters and are written
+#: into trace records, journal frames and lock entries as they are, so
+#: two runs are only *byte*-comparable when they start from the same
+#: floor.  (The schedule itself does not depend on them:
+#: ``test_schedule_golden.py``.)  The floors stay monotone so other
+#: tests in the same interpreter keep their uid-ordering assumptions.
 _UID_FLOORS = itertools.count(10_000_000, 10_000_000)
 
 

@@ -253,8 +253,7 @@ class TestServiceCommands:
         out = capsys.readouterr().out
         assert "REPRO_* environment knobs" in out
         for env in (
-            "REPRO_WORKERS", "REPRO_BATCH_K", "REPRO_AUDIT_EVERY",
-            "REPRO_SEED_WORKERS", "REPRO_PARALLEL_FANOUT",
+            "REPRO_AUDIT_EVERY", "REPRO_SEED_WORKERS",
             "REPRO_FLIGHT_EVENTS", "REPRO_FLIGHT_PATH",
             "REPRO_STORE", "REPRO_STORE_PATH", "REPRO_STORE_FSYNC",
         ):
@@ -268,20 +267,38 @@ class TestServiceCommands:
         ):
             assert env not in out
 
+    def test_removed_env_knobs_change_nothing(self, capsys, monkeypatch):
+        """DESIGN.md, "Removed: thread-per-shard manager"."""
+
+        def outputs():
+            assert main(["config"]) == 0
+            assert main(["run", "--processes", "6", "--seed", "1"]) == 0
+            return capsys.readouterr().out
+
+        before = outputs()
+        for env in (
+            "REPRO_WORKERS", "REPRO_BATCH_K", "REPRO_PARALLEL_FANOUT"
+        ):
+            monkeypatch.setenv(env, "2")
+            assert env not in before
+        assert outputs() == before
+        assert before.count("REPRO_") == 1 + 7  # the title and the rows
+
     def test_config_json_reports_sources(self, capsys, monkeypatch):
         import json
 
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        monkeypatch.delenv("REPRO_BATCH_K", raising=False)
+        monkeypatch.setenv("REPRO_AUDIT_EVERY", "2")
+        monkeypatch.delenv("REPRO_FLIGHT_EVENTS", raising=False)
         assert main(["config", "--json"]) == 0
         rows = {
             row["knob"]: row
             for row in json.loads(capsys.readouterr().out)
         }
-        assert len(rows) == 10
-        assert rows["workers"]["value"] == 2
-        assert rows["workers"]["source"] == "env"
-        assert rows["batch_k"]["source"] == "default"
+        assert len(rows) == 7
+        assert not {"workers", "batch_k", "parallel_fanout"} & set(rows)
+        assert rows["audit_every"]["value"] == 2
+        assert rows["audit_every"]["source"] == "env"
+        assert rows["flight_events"]["source"] == "default"
 
     def test_serve_parser_defaults(self):
         from repro.server.service import ServiceConfig
@@ -331,7 +348,7 @@ class TestRenderTop:
                 "protocol_aborts": 1, "intrinsic_aborts": 1,
                 "cancellations": 0, "resubmissions": 1, "retries": 2,
             },
-            "service": {"workers": 0, "backlog": 3, "draining": False},
+            "service": {"backlog": 3, "draining": False},
             "engine": {"now": 42.0, "events_processed": 500},
             "bus": {
                 "published": 100, "delivered": 50, "dropped": 0,
@@ -363,24 +380,31 @@ class TestRenderTop:
 
 
 class TestErrorHardening:
-    def test_malformed_workers_one_line_error(self, capsys):
+    def test_malformed_integer_one_line_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--workers", "banana"])
+            main(["serve", "--port", "banana"])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "expected an integer, got 'banana'" in err
 
-    def test_negative_workers_rejected(self, capsys):
+    def test_negative_port_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--workers", "-3"])
+            main(["serve", "--port", "-3"])
         assert excinfo.value.code == 2
         assert "integer >= 0" in capsys.readouterr().err
 
-    def test_zero_batch_k_rejected(self, capsys):
+    def test_zero_backlog_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", "--batch-k", "0"])
+            main(["serve", "--backlog", "0"])
         assert excinfo.value.code == 2
         assert "integer >= 1" in capsys.readouterr().err
+
+    def test_removed_worker_flags_exit_2(self, capsys):
+        for flag in ("--workers", "--batch-k"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["run", flag, "2"])
+            assert excinfo.value.code == 2
+            assert flag in capsys.readouterr().err
 
     def test_explain_corrupt_trace_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "events.jsonl"

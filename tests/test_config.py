@@ -7,44 +7,28 @@ from repro import config as repro_config
 
 class TestResolution:
     def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert repro_config.workers() == 0
-        assert repro_config.source("workers") == "default"
+        monkeypatch.delenv("REPRO_FLIGHT_EVENTS", raising=False)
+        assert repro_config.flight_events() == 512
+        assert repro_config.source("flight_events") == "default"
 
     def test_env_wins_over_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert repro_config.workers() == 3
-        assert repro_config.source("workers") == "env"
+        monkeypatch.setenv("REPRO_FLIGHT_EVENTS", "3")
+        assert repro_config.flight_events() == 3
+        assert repro_config.source("flight_events") == "env"
 
     def test_override_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert repro_config.workers(5) == 5
-        assert repro_config.source("workers", 5) == "override"
+        monkeypatch.setenv("REPRO_FLIGHT_EVENTS", "3")
+        assert repro_config.flight_events(5) == 5
+        assert repro_config.source("flight_events", 5) == "override"
 
     def test_floor_clamps_env_and_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_K", "-4")
-        assert repro_config.batch_k() == 1
-        assert repro_config.batch_k(-2) == 1
+        monkeypatch.setenv("REPRO_AUDIT_EVERY", "-4")
+        assert repro_config.audit_every() == 1
+        assert repro_config.audit_every(-2) == 1
 
     def test_unknown_knob_raises(self):
         with pytest.raises(KeyError):
             repro_config.resolve("no-such-knob")
-
-
-class TestParallelFanout:
-    def test_empty_string_means_unset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_FANOUT", "")
-        assert repro_config.parallel_fanout() is None
-
-    def test_value_clamped_to_one(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_FANOUT", "0")
-        assert repro_config.parallel_fanout() == 1
-        monkeypatch.setenv("REPRO_PARALLEL_FANOUT", "7")
-        assert repro_config.parallel_fanout() == 7
-
-    def test_unset_is_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PARALLEL_FANOUT", raising=False)
-        assert repro_config.parallel_fanout() is None
 
 
 class TestServeKnobs:
@@ -91,9 +75,9 @@ class TestServeKnobs:
         finally:
             store.close()
 
-    def test_table_has_ten_knobs_and_none_of_the_six(self):
+    def test_table_has_seven_knobs_and_none_of_the_six(self):
         envs = {knob.env for knob in repro_config.KNOBS.values()}
-        assert len(envs) == 10
+        assert len(envs) == 7
         assert not envs & set(self.GONE)
 
 
@@ -114,13 +98,8 @@ class TestConsumers:
     def test_manager_config_defaults_from_env(self, monkeypatch):
         from repro.scheduler.manager import ManagerConfig
 
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        monkeypatch.setenv("REPRO_BATCH_K", "4")
         monkeypatch.setenv("REPRO_AUDIT_EVERY", "8")
-        config = ManagerConfig()
-        assert config.workers == 2
-        assert config.batch_k == 4
-        assert config.audit_every == 8
+        assert ManagerConfig().audit_every == 8
 
     def test_seed_worker_resolution(self, monkeypatch):
         from repro.sim.runner import _resolve_workers
@@ -133,23 +112,6 @@ class TestConsumers:
         assert _resolve_workers(None, n_jobs=2) == 2
         monkeypatch.setenv("REPRO_SEED_WORKERS", "")
         assert _resolve_workers(None, n_jobs=8) == 1
-
-    def test_parallel_manager_reads_fanout(self, monkeypatch):
-        from repro.scheduler.manager import ManagerConfig, make_manager
-        from repro.sim.runner import make_protocol
-        from repro.sim.workload import WorkloadSpec, build_workload
-
-        monkeypatch.setenv("REPRO_PARALLEL_FANOUT", "5")
-        workload = build_workload(WorkloadSpec(n_processes=2, seed=0))
-        manager = make_manager(
-            make_protocol("process-locking", workload),
-            subsystems=workload.make_subsystems(),
-            config=ManagerConfig(workers=2),
-        )
-        try:
-            assert manager._fanout_threshold == 5
-        finally:
-            manager.close()
 
 
 def test_removed_incremental_deadlock_is_a_type_error():

@@ -98,6 +98,38 @@ class TestCompRule:
         assert isinstance(decision, Defer)
         assert younger.pid in decision.wait_for
 
+    @pytest.mark.parametrize("requester_is_older", [True, False])
+    @pytest.mark.parametrize("holder_aborting", [True, False])
+    def test_probe_agrees_with_the_comp_rule(
+        self, env, requester_is_older, holder_aborting
+    ):
+        """Residue of the thread-per-shard manager, pinned by bench/
+        (goes with ROADMAP 2(a)): the read-only probe says yes exactly
+        where the Comp-Rule grants, and the direct grant is the rule's
+        grant tail."""
+        protocol, older, younger = env
+        requester, holder = (
+            (older, younger) if requester_is_older else (younger, older)
+        )
+        grant_c(protocol, holder, "reserve")
+        if holder_aborting:
+            holder.begin_abort()
+        verdicts = protocol.probe_c_grants(requester, ["reserve", "ship"])
+        assert verdicts["ship"]  # commutes with everything held
+        twin = launch(requester, "reserve")
+        decision = protocol.request_activity_lock(
+            requester, twin, LockMode.C
+        )
+        assert verdicts["reserve"] == isinstance(decision, Grant)
+        assert verdicts["reserve"] == (
+            not requester_is_older and not holder_aborting
+        )
+        direct = protocol.grant_c_direct(
+            requester, mint(protocol, requester, "ship")
+        )
+        assert isinstance(direct, Grant)
+        assert [lock.mode for lock in direct.locks] == [LockMode.C]
+
     def test_commutative_requests_ignore_each_other(self, env):
         protocol, older, younger = env
         ship = mint(protocol, older, "ship")

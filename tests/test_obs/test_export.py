@@ -72,8 +72,8 @@ def test_perfetto_closes_dangling_spans_at_trace_end():
 
 
 def test_wait_for_dot_snapshots_peak_contention():
-    def edge(seq, t, op, waiter, blockers):
-        return {"seq": seq, "t": t, "kind": "wait.edge", "op": op,
+    def edge(park, t, op, waiter, blockers):
+        return {"park": park, "t": t, "kind": "wait.edge", "op": op,
                 "waiter": waiter, "blockers": blockers, "request":
                 "regular", "activity": "reserve", "reason": "x"}
 
@@ -216,7 +216,7 @@ EXEMPLARS = [
     ),
     ev.ActivityStarted(
         pid=1, incarnation=0, activity="reserve", uid=9,
-        compensation=False, worker=2,
+        compensation=False,
     ),
     ev.ActivityRetried(pid=1, activity="ship", uid=9, attempt=2),
     ev.ActivityCommitted(
@@ -226,9 +226,9 @@ EXEMPLARS = [
     ev.ActivityFailed(pid=1, incarnation=0, activity="charge", uid=9),
     ev.ActivityCancelled(pid=1, incarnation=0, activity="ship", uid=9),
     ev.WaitEdge(
-        op="insert", waiter=1, blockers=(2, 3), seq=7,
+        op="insert", waiter=1, blockers=(2, 3), park=7,
         request="regular", activity="reserve", reason="conflict",
-        shard="bank", worker=0,
+        shard="bank",
     ),
     ev.DeadlockVictim(pid=1, cycle=(1, 2, 3)),
     ev.UnresolvableForced(pid=1, request="commit", cycle=(1, 2)),

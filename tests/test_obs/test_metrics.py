@@ -195,8 +195,11 @@ class TestEventMetrics:
             family["name"]
             for family in EventMetrics().registry.snapshot()["families"]
         ]
-        assert len(names) == 33
-        gone = ("breaker", "admission", "backpressure", "degraded", "wcc_cap")
+        assert len(names) == 32
+        gone = (
+            "breaker", "admission", "backpressure", "degraded", "wcc_cap",
+            "worker",
+        )
         assert not [
             name for name in names if any(word in name for word in gone)
         ]

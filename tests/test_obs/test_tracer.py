@@ -73,6 +73,35 @@ class TestStamping:
         assert record["rule"] == "Piv-Rule (literal P-lock deferment)"
         assert record["blockers"][0]["modes"] == "P"
 
+    def test_every_record_of_a_contended_run_keeps_its_stamp(self):
+        """``wait.edge`` included: its park sequence is ``park``, not a
+        payload ``seq`` laid over the stream's."""
+        from repro.sim.runner import run_workload
+        from repro.sim.workload import WorkloadSpec, build_workload
+
+        tracer = Tracer()
+        run_workload(
+            build_workload(
+                WorkloadSpec(n_processes=12, conflict_density=0.6, seed=3)
+            ),
+            seed=3,
+            tracer=tracer,
+        )
+        records = tracer.records()
+        assert any(r["kind"] == "wait.edge" for r in records)
+        assert [r["seq"] for r in records] == list(range(len(records)))
+
+    def test_a_field_named_like_a_stamp_is_rejected(self):
+        from dataclasses import make_dataclass
+
+        import pytest
+
+        from repro.obs.events import STAMP_KEYS, _field_plan
+
+        for name in STAMP_KEYS:
+            with pytest.raises(TypeError, match=name):
+                _field_plan(make_dataclass("Shadowing", [(name, "int")]))
+
     def test_no_series_mode(self):
         tracer = Tracer(collect_series=False)
         tracer.emit(defer_event())

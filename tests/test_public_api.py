@@ -67,6 +67,23 @@ def test_wait_for_mirror_is_gone():
         from repro.core.deadlock import IncrementalWaitFor  # noqa: F401
 
 
+def test_thread_per_shard_manager_is_gone():
+    """DESIGN.md, "Removed: thread-per-shard manager"."""
+    from repro.scheduler.manager import ManagerConfig
+    from repro.server.service import ServiceConfig
+
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.parallel")
+    with pytest.raises(TypeError, match="workers"):
+        ManagerConfig(workers=1)
+    with pytest.raises(TypeError, match="batch_k"):
+        ServiceConfig(batch_k=2)
+    # The one name bench/ still passes: no silent sequential fallback.
+    assert ServiceConfig(workers=0).workers == 0
+    with pytest.raises(ValueError, match="removed"):
+        ServiceConfig(workers=2)
+
+
 def test_version_is_exported():
     assert repro.__version__
 

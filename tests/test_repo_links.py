@@ -81,14 +81,14 @@ def _python_files(*roots: str):
 
 
 def test_lifecycle_is_read_through_the_manager_api():
-    """Outside ``scheduler/`` (the owner) and ``parallel/`` (its
-    subclass) nobody probes the manager's dicts to infer a pid's fate:
-    ``phase`` / ``outcome`` / ``undecided`` / ``take_finished`` answer."""
-    owners = (ROOT / "src/repro/scheduler", ROOT / "src/repro/parallel")
+    """Outside ``scheduler/`` (the owner) nobody probes the manager's
+    dicts to infer a pid's fate: ``phase`` / ``outcome`` /
+    ``undecided`` / ``take_finished`` answer."""
+    owner = ROOT / "src/repro/scheduler"
     offenders = [
         f"{path.relative_to(ROOT)}:{number}"
         for path in _python_files("src/repro")
-        if not any(owner in path.parents for owner in owners)
+        if owner not in path.parents
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if REACH_IN.search(line)
     ]
@@ -190,3 +190,48 @@ def test_file_per_namespace_names_stay_retired():
     }
     offenders = _traces_of(FILE_PER_NAMESPACE, pins)
     assert not offenders, offenders
+
+
+# ----------------------------------------------------------------------
+# one manager (DESIGN.md, "Removed: thread-per-shard manager")
+# ----------------------------------------------------------------------
+THREAD_PER_SHARD = re.compile(
+    r"repro\.parallel|ParallelProcessManager|ShardExecutor"
+    r"|batch_k|--batch-k|REPRO_WORKERS|REPRO_BATCH_K"
+    r"|REPRO_PARALLEL_FANOUT|assign_workers|worker_of"
+    r"|_worker_for_type|worker_dispatch"
+)
+
+#: The three names ``bench/`` still uses (``ServiceConfig.workers`` as a
+#: keyword, an attribute or an annotated field) and the only files that
+#: may spell each: where it is defined and the one test that pins it.
+RESIDUE = {
+    re.compile(r"\bworkers=|\.workers\b|\bworkers:"): {
+        "src/repro/server/service.py",
+        "tests/test_public_api.py",
+    },
+    re.compile(r"probe_c_grants|grant_c_direct"): {
+        "src/repro/core/protocol.py",
+        "src/repro/core/lock_table.py",
+        "tests/test_core/test_protocol_rules.py",
+    },
+}
+
+
+def test_thread_per_shard_manager_leaves_no_trace():
+    """Except in the files that pin the removal; the residue waits where
+    it is defined, marked, for the PR that may touch ``bench/``."""
+    pins = {
+        "tests/test_repo_links.py",
+        "tests/test_public_api.py",
+        "tests/test_cli.py",
+    }
+    offenders = _traces_of(THREAD_PER_SHARD, pins)
+    for names, homes in RESIDUE.items():
+        offenders += _traces_of(names, homes | {"tests/test_repo_links.py"})
+    assert not offenders, offenders
+    for home in ("src/repro/server/service.py", "src/repro/core/protocol.py"):
+        # Comment leaders out, line breaks folded.
+        prose = " ".join(re.sub("#:?", " ", (ROOT / home).read_text()).split())
+        assert "pinned by bench/" in prose, home
+        assert "goes with ROADMAP 2(a)" in prose, home

@@ -1,35 +1,34 @@
 """Golden schedule digests: the refactoring safety net.
 
-Six fixed points and the sha256 of their canonical traces.  A digest
+Five fixed points and the sha256 of their canonical traces.  A digest
 that moves means a *schedule* changed — a refactor that claims to be
-behaviour-preserving is wrong, not slower.  Recorded at commit 343d128
-and unmoved until the restart gate (``ProcessManager._start``) changed
-when a cascade victim comes back, which is a schedule change: the six
-were recorded again with it, at the default ``ManagerConfig``
-(``pl-40-parallel`` still equals ``pl-40``).
+behaviour-preserving is wrong, not slower.  Recorded at commit 343d128;
+recorded again when the restart gate (``ProcessManager._start``)
+changed when a cascade victim comes back; and ``pl-40``, ``pl-80``,
+``pl-60-seed3`` and ``osl-40`` once more when gated flights began to be
+released in gate order (``s2pl-40`` did not move).
 
-Each point runs in a fresh interpreter: activity uids and lock ids come
-from module-global counters and their values leak into scheduling via
-int-set iteration order, so only a run that starts the counters from
-zero is comparable with the recorded one.
+Until then a schedule depended on the absolute values of its activity
+uids: the flights gated behind a finishing one were kept in a set of
+ints and started in its iteration order, so the same point gave one
+digest in a fresh interpreter and another after other runs had advanced
+the module-global uid counter, and every point had to be replayed in a
+subprocess.  They run here, in whatever state the suite left the
+counters in, and once more in reverse order;
+``test_a_raised_uid_floor_does_not_change_the_schedule`` pins the cause.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import subprocess
-import sys
-from pathlib import Path
+import itertools
 
 import pytest
 
-from repro.scheduler.manager import ManagerConfig
+import repro.activities.activity as activity_module
+from repro.faults.harness import canonical_trace
 from repro.sim.runner import run_workload
 from repro.sim.workload import WorkloadSpec, build_workload
-from tests.test_parallel.conftest import canonical_trace
-
-ROOT = Path(__file__).resolve().parents[2]
 
 
 def _spec6(n_processes, density, spacing, seed) -> WorkloadSpec:
@@ -48,62 +47,60 @@ def _spec6(n_processes, density, spacing, seed) -> WorkloadSpec:
     )
 
 
-#: name -> (spec, protocol, workers, batch_k, recorded digest)
+#: name -> (spec, protocol, recorded digest)
 POINTS = {
     "pl-40": (
-        _spec6(40, 0.5, 0.25, 7), "process-locking", 0, 1,
-        "6ecc6d2b47307db9a2e91e576d13032c340944b0efe7bb45a19335ed4812590b",
+        _spec6(40, 0.5, 0.25, 7), "process-locking",
+        "48383dd354c18b369fd8982f8d5eff0663b160fda6d91ebf0db13c1f9c988471",
     ),
     "pl-80": (
-        _spec6(80, 0.5, 0.25, 7), "process-locking", 0, 1,
-        "17115fc40ac1aaccc0eeb659605ebfeb392a624352f28ddf331ccca42bb5a67d",
+        _spec6(80, 0.5, 0.25, 7), "process-locking",
+        "1566107da87379c588c872abe1eb454e6d9323a4592590d81e40a402a2147f2c",
     ),
     "pl-60-seed3": (
-        _spec6(60, 0.6, 0.2, 3), "process-locking", 0, 1,
-        "7988f1d84d25584e346d3a374b7c1d9b97df7c5d2765a92b484d0943d9977d16",
-    ),
-    "pl-40-parallel": (
-        _spec6(40, 0.5, 0.25, 7), "process-locking", 2, 2,
-        "6ecc6d2b47307db9a2e91e576d13032c340944b0efe7bb45a19335ed4812590b",
+        _spec6(60, 0.6, 0.2, 3), "process-locking",
+        "c2611df4fd19947dd775aabc713ab5b88942bd34b16e646ccac4ed8cb2d3de1f",
     ),
     "s2pl-40": (
-        _spec6(40, 0.5, 0.25, 7), "s2pl", 0, 1,
+        _spec6(40, 0.5, 0.25, 7), "s2pl",
         "235ae4bed72605fcc93d5fdc6cd43169123aac389625dc84581899abbf3cf767",
     ),
     "osl-40": (
-        _spec6(40, 0.5, 0.25, 7), "osl-pure", 0, 1,
-        "92ef2e27a7d449b6be27ae5f9f4ff31488137c19b5a4e76148e9ce20091c6eb8",
+        _spec6(40, 0.5, 0.25, 7), "osl-pure",
+        "c7e9da3d13fa8a8cba7802c0770b32369d76ba10a0af5c2526a5c5f02b116f0c",
     ),
 }
 
 
+def schedule(spec: WorkloadSpec, protocol: str) -> str:
+    result = run_workload(build_workload(spec), protocol, seed=spec.seed)
+    return canonical_trace(result.trace.events)
+
+
 def digest(name: str) -> str:
-    """Run one point in *this* interpreter and hash its schedule."""
-    spec, protocol, workers, batch_k, _ = POINTS[name]
-    result = run_workload(
-        build_workload(spec),
-        protocol,
-        seed=spec.seed,
-        config=ManagerConfig(workers=workers, batch_k=batch_k),
-    )
-    return hashlib.sha256(canonical_trace(result).encode()).hexdigest()
+    """Run one point and hash its schedule."""
+    spec, protocol, _ = POINTS[name]
+    return hashlib.sha256(schedule(spec, protocol).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", POINTS)
 def test_schedule_digest_matches_recorded(name):
-    src = str(ROOT / "src")
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(
-        os.environ,
-        PYTHONPATH=src + (os.pathsep + inherited if inherited else ""),
-    )
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys\n"
-         "from tests.test_scheduler.test_schedule_golden import digest\n"
-         "print(digest(sys.argv[1]))",
-         name],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == POINTS[name][4]
+    assert digest(name) == POINTS[name][2]
+
+
+def test_digests_do_not_depend_on_what_ran_before():
+    for name in reversed(POINTS):
+        assert digest(name) == POINTS[name][2], name
+
+
+def test_a_raised_uid_floor_does_not_change_the_schedule(monkeypatch):
+    """What a long-lived or restarted ``repro serve`` does (recovery
+    raises the floor past the recovered maximum) to the same
+    submissions."""
+    spec = WorkloadSpec(n_processes=200, conflict_density=0.6, seed=3)
+    # Undone at teardown: the suite's counter resumes where it was.
+    monkeypatch.setattr(activity_module, "_activity_ids", itertools.count(1))
+    fresh = schedule(spec, "process-locking")
+    for floor in (1_000_000, 12_345_678):
+        activity_module.ensure_uid_floor(floor)
+        assert schedule(spec, "process-locking") == fresh, floor

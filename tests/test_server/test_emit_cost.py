@@ -43,7 +43,7 @@ class _Counted:
 
         monkeypatch.setattr(bridge, "flat_record", counting_record)
         self.service = service = ProcessLockingService(
-            ServiceConfig(spec=CONTENDED, seed=3, workers=0)
+            ServiceConfig(spec=CONTENDED, seed=3)
         )
         sample = service.manager._gauge_sample
 
@@ -98,9 +98,7 @@ def _session(uid_floor, subscribe_early: bool):
     """Three bursts; a ``*`` subscriber from the start, or one that a
     second thread registers while the second burst is being served."""
     uid_floor.repin()
-    service = ProcessLockingService(
-        ServiceConfig(spec=CONTENDED, seed=3, workers=0)
-    )
+    service = ProcessLockingService(ServiceConfig(spec=CONTENDED, seed=3))
     frames: list[dict] = []
 
     def subscribe():
@@ -138,12 +136,5 @@ def test_late_subscriber_sees_the_tail_byte_for_byte(uid_floor):
         json.dumps(frame) for frame in whole[first:]
     ]
     # Every frame carries its global emission index: the events before
-    # the subscription consumed sequence numbers unheard.  (A
-    # ``wait.edge`` payload has a ``seq`` field of its own, the park
-    # sequence, which has always shadowed the stamp in its record.)
-    stamped = [
-        (first + offset, frame["seq"])
-        for offset, frame in enumerate(tail)
-        if frame["kind"] != "wait.edge"
-    ]
-    assert stamped and all(index == seq for index, seq in stamped)
+    # the subscription consumed sequence numbers unheard.
+    assert [frame["seq"] for frame in tail] == list(range(first, emitted))

@@ -234,24 +234,6 @@ class TestCheckAndDrain:
             service.stop()
 
 
-class TestParallelBackend:
-    def test_workers_spin_up_parallel_manager(self):
-        from repro.parallel.manager import ParallelProcessManager
-
-        service = make_service(workers=2, batch_k=2)
-        try:
-            assert isinstance(
-                service.manager, ParallelProcessManager
-            )
-            body = call(
-                service, cmd="submit", count=4, wait=True
-            )
-            assert len(body["outcomes"]) == 4
-            assert call(service, cmd="check")["prefix_reducible"]
-        finally:
-            service.stop()
-
-
 #: Scripted session run by the determinism test: a fresh process each
 #: time, because activity uids are a process-global counter by design
 #: (the faults harness remaps them for the same reason).

@@ -55,36 +55,27 @@ class TestRunnerIntegration:
             run_workload(workload, "serial", arrivals=[0.0])
 
 
-class TestOpenSystemParallel:
-    """Open-system arrival streams through the parallel manager.
-
-    The thread-per-shard manager promises byte-identical schedules to
-    the sequential one; sustained Poisson arrivals (processes landing
-    while earlier ones are still in flight) are exactly the regime the
-    service front door submits, so these tests pin termination, metric
-    merging, and sequential equivalence under it.
+class TestOpenSystem:
+    """Open-system arrival streams: sustained Poisson arrivals
+    (processes landing while earlier ones are still in flight) are the
+    regime the service front door submits, so these tests pin
+    termination and metric merging under it.
     """
 
     SPEC = WorkloadSpec(n_processes=12, seed=21, conflict_density=0.4)
 
-    def _run(self, workers: int):
-        from repro.scheduler.manager import ManagerConfig
-
+    def _run(self):
         workload = build_workload(self.SPEC)
         arrivals = poisson_arrivals(
             rate=0.2, count=len(workload.programs), seed=13
         )
         result = run_workload(
-            workload,
-            "process-locking",
-            seed=21,
-            config=ManagerConfig(workers=workers, batch_k=2),
-            arrivals=arrivals,
+            workload, "process-locking", seed=21, arrivals=arrivals
         )
-        return workload, arrivals, result
+        return arrivals, result
 
     def test_terminates_under_sustained_arrivals(self):
-        __, arrivals, result = self._run(workers=2)
+        arrivals, result = self._run()
         # Every submission reached a terminal state (quiescence is
         # enforced by run()); the stream really was open-system.
         assert result.stats.submitted == len(arrivals)
@@ -92,10 +83,10 @@ class TestOpenSystemParallel:
         assert len(result.records) == len(arrivals)
         assert result.stats.committed >= 1
 
-    def test_metrics_merge_across_shard_workers(self):
+    def test_metrics_merge(self):
         from repro.sim.metrics import aggregate, merge_stats, summarize
 
-        __, __, result = self._run(workers=3)
+        __, result = self._run()
         merged = merge_stats([result.stats])
         assert merged.submitted == result.stats.submitted
         assert merged.committed == result.stats.committed
@@ -104,16 +95,7 @@ class TestOpenSystemParallel:
         assert rows["committed"] == metrics.committed
         assert rows["throughput"] == pytest.approx(metrics.throughput)
 
-    def test_parallel_schedule_matches_sequential(self):
-        __, __, sequential = self._run(workers=0)
-        __, __, parallel = self._run(workers=2)
-        assert [str(e) for e in parallel.trace.events] == [
-            str(e) for e in sequential.trace.events
-        ]
-        assert parallel.stats.committed == sequential.stats.committed
-        assert parallel.makespan == sequential.makespan
-
-    def test_arrival_times_respected_by_parallel_manager(self):
-        __, arrivals, result = self._run(workers=2)
+    def test_arrival_times_respected(self):
+        arrivals, result = self._run()
         for pid, at in enumerate(arrivals, start=1):
             assert result.records[pid].submitted_at == at

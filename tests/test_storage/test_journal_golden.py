@@ -13,9 +13,15 @@ event kind, one more gauge).  ``gauges`` alone was recorded once more
 when the subsystem-health layer went: the ``metrics`` verb lost three
 gauge families that never had a sample here; every remaining gauge
 kept its samples, and journal, trace and frames did not move.
+``frames`` alone was recorded once more when the thread-per-shard
+manager went: ``activity.start`` and ``wait.edge`` lost their
+always-``null`` ``worker`` key and ``wait.edge`` names its park
+sequence ``park`` instead of laying it over the stamp's ``seq``; with
+those keys put back the old digest returns.
 
-The scripted session runs in a fresh interpreter for the reason
-``test_schedule_golden`` gives: uid counters start from zero there.
+The scripted session runs in a fresh interpreter: its records carry
+activity uids as they are, and those come from a module-global counter
+that starts from zero only there.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ RECORDED = {
         "269abfff52f3831d49c29434548f848a66525985a364e90a374acc1bb975405e"
     ),
     "frames": (
-        "ebcd2cf6aeb62ac6b1679c9f74a767a9e4a58992c5b96029f108d5431093ecb6"
+        "576bf610b8419353e9b724a86d3dd9daae305b422aead1a9a1ccd667c75efcf9"
     ),
     "gauges": (
         "59bf63497b7c96f9bb8945ca7706c4eb1db4826789805cacb07fe7d95955649c"
@@ -75,7 +81,6 @@ def session(store_path: str) -> dict[str, str]:
         ServiceConfig(
             spec=CONTENDED,
             seed=3,
-            workers=0,
             store="log",
             store_path=store_path,
             store_fsync="never",
