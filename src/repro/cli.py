@@ -403,8 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--snapshot-every",
         type=_positive_int,
-        default=256,
-        help="journal records between snapshots (default: 256)",
+        default=48,
+        help=(
+            "journal records between snapshots (default: 48, a submit "
+            "and a terminal each: about 24 processes)"
+        ),
     )
 
     store = sub.add_parser(

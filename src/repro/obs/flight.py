@@ -1,11 +1,13 @@
 """Bounded in-memory flight recorder for the last N trace events.
 
-The recorder is a thread-safe ring buffer of ``(seq, t, event)``
-triples.  Appending is O(1) and never flattens the event — records are
-built lazily at dump time, so a recorder in the service emit path costs
-one deque append per event.  Dumps go out as the same JSONL format the
-exporters write, so ``repro explain`` and :func:`replay_metrics` work
-on a crash dump exactly as on a full trace.
+The recorder is a ring buffer of ``(seq, t, event)`` triples with one
+writer, the thread that drives the engine.  Appending is O(1), takes no
+lock and never flattens the event — records are built lazily at dump
+time, so a recorder in the service emit path costs one deque append per
+event; a reader on another thread copies the ring in one step under the
+GIL (``list(deque)``) before it looks.  Dumps go out as the same JSONL
+format the exporters write, so ``repro explain`` and
+:func:`replay_metrics` work on a crash dump exactly as on a full trace.
 """
 
 from __future__ import annotations
@@ -33,13 +35,12 @@ class FlightRecorder:
         self.dumps = 0
 
     def append(self, seq: int, t: float, event) -> None:
-        with self._lock:
-            self._ring.append((seq, t, event))
-            self.appended += 1
+        """Record one event; the one writer's call, unlocked."""
+        self._ring.append((seq, t, event))
+        self.appended += 1
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._ring)
+        return len(self._ring)
 
     def snapshot(self) -> list[dict]:
         """Flat record dictionaries for the retained window (oldest

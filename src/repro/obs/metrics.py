@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
+from bisect import bisect_left
 from collections.abc import Callable, Iterable, Sequence
 
 __all__ = [
@@ -137,35 +138,43 @@ class _Family:
         return tuple(str(v) for v in labels)
 
     def _sorted_children(self) -> list[tuple[tuple, object]]:
-        return sorted(self._children.items())
+        # ``list(d.items())`` copies in one step under the GIL: a
+        # trusted-path writer may add a child meanwhile, unlocked.
+        return sorted(list(self._children.items()))
 
 
 class Counter(_Family):
-    """Monotone counter family."""
+    """Monotone counter family.
+
+    Two ways in.  :meth:`inc` checks its labels and takes the registry
+    lock, for a family more than one thread writes (the service's shed
+    counter, written on the asyncio thread).  :meth:`bump` does
+    neither: the event feeder's families have one writer, the thread
+    that drives the engine, and readers on other threads copy the
+    children before they look (:meth:`_sorted_children`).
+    """
 
     type_name = "counter"
 
     def inc(self, labels: tuple = (), amount: float = 1) -> None:
         if amount < 0:
             raise ValueError(f"{self.name}: counters only go up")
-        self.bump(self._check_labels(labels), amount)
+        key = self._check_labels(labels)
+        with self._lock:
+            self.bump(key, amount)
 
     def bump(self, key: tuple, amount: float = 1) -> None:
         """:meth:`inc` for a caller that vouches for its arguments:
-        ``key`` is a tuple of ``str``, one per label name, and
-        ``amount`` is not negative."""
-        with self._lock:
-            self._children[key] = self._children.get(key, 0) + amount
+        ``key`` is a tuple of ``str``, one per label name, ``amount``
+        is not negative, and no other thread writes this family."""
+        self._children[key] = self._children.get(key, 0) + amount
 
     def value(self, labels: tuple = ()) -> float:
-        labels = self._check_labels(labels)
-        with self._lock:
-            return self._children.get(labels, 0)
+        return self._children.get(self._check_labels(labels), 0)
 
     def total(self) -> float:
         """Sum over every child (handy for reconciliation tests)."""
-        with self._lock:
-            return sum(self._children.values())
+        return sum(list(self._children.values()))
 
 
 class Gauge(_Family):
@@ -213,31 +222,36 @@ class Histogram(_Family):
         self.buckets = ordered
 
     def observe(self, value: float, labels: tuple = ()) -> None:
-        labels = self._check_labels(labels)
+        key = self._check_labels(labels)
         with self._lock:
-            child = self._children.get(labels)
-            if child is None:
-                child = _HistChild(len(self.buckets))
-                self._children[labels] = child
-            slot = len(self.buckets)
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    slot = i
-                    break
-            child.counts[slot] += 1
-            child.total += value
-            child.count += 1
+            self.record(key, value)
+
+    def record(self, key: tuple, value: float) -> None:
+        """:meth:`observe` for a caller that vouches for its arguments,
+        as :meth:`Counter.bump` is for :meth:`Counter.inc`: ``key`` is
+        a tuple of ``str``, one per label name, and no other thread
+        writes this family."""
+        child = self._children.get(key)
+        if child is None:
+            child = self._children[key] = _HistChild(len(self.buckets))
+        # The first bound >= value; NaN, like anything past the last
+        # bound, lands in the +Inf slot.
+        buckets = self.buckets
+        slot = (
+            bisect_left(buckets, value) if value == value else len(buckets)
+        )
+        child.counts[slot] += 1
+        child.total += value
+        child.count += 1
 
     def cumulative(self, labels: tuple = ()) -> list[tuple[float, int]]:
         """``[(le, cumulative_count), ...]`` ending with ``+Inf``."""
-        labels = self._check_labels(labels)
-        with self._lock:
-            child = self._children.get(labels)
-            counts = (
-                list(child.counts)
-                if child is not None
-                else [0] * (len(self.buckets) + 1)
-            )
+        child = self._children.get(self._check_labels(labels))
+        counts = (
+            list(child.counts)
+            if child is not None
+            else [0] * (len(self.buckets) + 1)
+        )
         out: list[tuple[float, int]] = []
         running = 0
         for bound, n in zip(self.buckets, counts):
@@ -842,7 +856,7 @@ class EventMetrics:
         key = (event.pid, event.uid, event.request)
         since = self._defer_since.pop(key, None)
         if since is not None:
-            self.lock_wait.observe(t - since, (event.request,))
+            self.lock_wait.record((event.request,), t - since)
 
     def _on_defer(self, t, event) -> None:
         self.lock_defers.bump((event.rule,))
@@ -877,8 +891,8 @@ class EventMetrics:
             self.activities.bump(("compensated",))
         else:
             self.activities.bump(("committed",))
-        self.retries_per_activity.observe(
-            self._retry_counts.pop(event.uid, 0)
+        self.retries_per_activity.record(
+            (), self._retry_counts.pop(event.uid, 0)
         )
 
     def _on_activity_fail(self, t, event) -> None:
@@ -886,8 +900,8 @@ class EventMetrics:
 
     def _on_activity_cancel(self, t, event) -> None:
         self.activities.bump(("cancelled",))
-        self.retries_per_activity.observe(
-            self._retry_counts.pop(event.uid, 0)
+        self.retries_per_activity.record(
+            (), self._retry_counts.pop(event.uid, 0)
         )
 
     def _on_wait_edge(self, t, event) -> None:
@@ -898,7 +912,7 @@ class EventMetrics:
         else:
             since = self._park_since.pop(event.park, None)
             if since is not None:
-                self.park_duration.observe(t - since[0], (since[1],))
+                self.park_duration.record((since[1],), t - since[0])
 
     def _on_deadlock_victim(self, t, event) -> None:
         self.deadlock_victims.bump(())

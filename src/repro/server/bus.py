@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import threading
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def topic_matches(pattern: str, topic: str) -> bool:
@@ -52,21 +52,27 @@ class Subscription:
 
 @dataclass
 class BusCounters:
-    """Publish-side accounting, surfaced by the ``STATS`` command."""
+    """Publish-side accounting, surfaced by the ``STATS`` command.
+
+    Per-kind counts are the metrics registry's
+    (``repro_events_total{kind}``).
+    """
 
     published: int = 0
     delivered: int = 0
     dropped: int = 0
-    by_topic: dict[str, int] = field(default_factory=dict)
 
 
 class EventBus:
-    """Thread-safe publish/subscribe fan-out over string topics.
+    """Publish/subscribe fan-out over string topics; subscribers may
+    come and go from any thread.
 
-    Subscription state is copy-on-write: ``publish`` snapshots the
-    subscriber tuple under the lock and calls the callbacks outside it,
-    so a callback may itself subscribe or unsubscribe (and publishers
-    on different threads never serialize on subscriber work).
+    Subscription state is copy-on-write under a lock: ``publish``
+    reads the current subscriber tuple (one atomic attribute read) and
+    calls the callbacks outside any lock, so a callback may itself
+    subscribe or unsubscribe.  Publishing has one thread, the one that
+    drives the engine (the bridge, and the service's own
+    announcements), so :attr:`counters` are written without a lock.
     """
 
     def __init__(self) -> None:
@@ -112,13 +118,13 @@ class EventBus:
         thread at its next call.
         """
         subs = self._subs
-        cached_for, by_topic = self._covering
+        cached_for, cache = self._covering
         if cached_for is not subs:
-            by_topic = {}
-            self._covering = (subs, by_topic)
-        covering = by_topic.get(topic)
+            cache = {}
+            self._covering = (subs, cache)
+        covering = cache.get(topic)
         if covering is None:
-            covering = by_topic[topic] = tuple(
+            covering = cache[topic] = tuple(
                 sub for sub in subs if sub.covers(topic)
             )
         return covering
@@ -134,10 +140,8 @@ class EventBus:
         for a record it never built: the publish is counted, and a
         subscription that arrived in between starts at the next one.
         """
-        with self._mutex:
-            counters = self.counters
-            counters.published += 1
-            counters.by_topic[topic] = counters.by_topic.get(topic, 0) + 1
+        counters = self.counters
+        counters.published += 1
         if record is None:
             return 0
         delivered = 0
@@ -146,11 +150,8 @@ class EventBus:
                 sub.callback(topic, record)
                 delivered += 1
             except Exception:
-                with self._mutex:
-                    counters.dropped += 1
-        if delivered:
-            with self._mutex:
-                counters.delivered += delivered
+                counters.dropped += 1
+        counters.delivered += delivered
         return delivered
 
     @property

@@ -109,8 +109,9 @@ class ServiceConfig:
     #: lose at most this many unsynced records).
     store_sync_every: int = 64
     #: Journal records accumulated since the last snapshot before the
-    #: next quiescent point takes a new one.
-    snapshot_every: int = 256
+    #: next quiescent point takes a new one (a ``submit`` and a
+    #: ``terminal`` per process: about 24 processes).
+    snapshot_every: int = 48
 
     def __post_init__(self) -> None:
         if self.workers not in (None, 0):
@@ -135,19 +136,12 @@ class ProcessLockingService:
             self.config.flight_path
         )
         self.store = self._open_store()
-        sinks: tuple = (self.bus_tracer,)
-        if self.store is not None:
-            from repro.storage import JournalTracer
-
-            # Decision provenance (grants, Wcc classifications, retry
-            # exhaustions) rides the same journal as the redo records.
-            sinks = sinks + (JournalTracer(self.store.journal),)
         # The tee feeds the metrics registry and the flight ring, then
         # forwards to the bus bridge, which stamps exactly as it would
         # standalone (byte-identical wire frames).
         self.tracer = MetricsTracer(
             metrics=self.metrics,
-            sinks=sinks,
+            sinks=(self.bus_tracer,),
             recorder=self.flight,
         )
         registry = self.metrics.registry

@@ -24,14 +24,13 @@ from repro.storage.backend import (
 )
 from repro.storage.codec import ScanResult, encode_frame, scan_frames
 from repro.storage.facade import FrameRepository, Store
-from repro.storage.journal import JournalTracer, ProgramCodec
+from repro.storage.journal import ProgramCodec
 from repro.storage.plane import PersistencePlane, RecoveryInfo
 
 __all__ = [
     "FSYNC_POLICIES",
     "AppendLogBackend",
     "FrameRepository",
-    "JournalTracer",
     "MemoryBackend",
     "PersistencePlane",
     "ProgramCodec",

@@ -8,8 +8,8 @@ out narrow repositories over it:
   every reopen so a server cannot replay a journal produced by a
   different world.
 * :class:`JournalRepository` — the scheduler's logical redo journal:
-  one JSON record per submission, terminal outcome, lock grant, Wcc
-  classification, or retry-budget event, in emit order.
+  one JSON record per submission, terminal outcome or cancel, in the
+  order they were decided.
 * :class:`SnapshotRepository` — a single-slot checkpoint document
   (atomic whole-namespace replace): live-process state plus the
   journal and trace watermarks it covers.
@@ -50,11 +50,14 @@ SUBSYSTEM_WAL_PREFIX = "sswal/"
 SUBSYSTEM_DATA_PREFIX = "ssdata/"
 
 
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` builds
+#: one of these per call; every record shares this one instead.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps(record: dict) -> bytes:
     """Canonical JSON bytes for one record."""
-    return json.dumps(
-        record, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    return _CANONICAL.encode(record).encode("utf-8")
 
 
 def loads(payload: bytes, namespace: str = "") -> dict:
@@ -94,33 +97,10 @@ class JournalRepository(FrameRepository):
         #: Records appended through this handle (gauge fodder; the
         #: authoritative count is ``len(self)``).
         self.appended = 0
-        #: Informational records waiting for :meth:`write_deferred`.
-        self._deferred: list[dict] = []
 
     def append(self, record: dict) -> None:
-        self.write_deferred()
         super().append(record)
         self.appended += 1
-
-    def defer(self, record: dict) -> None:
-        """Queue a record no acknowledgement depends on.
-
-        It reaches the backend, in order, ahead of the next
-        :meth:`append` or at :meth:`write_deferred` — the persistence
-        plane calls that at every drain — so the journal's bytes are
-        those of appending it right away; a crash in between loses it.
-        """
-        self._deferred.append(record)
-
-    def write_deferred(self) -> None:
-        """Hand the queued records to the backend as one write."""
-        deferred = self._deferred
-        if deferred:
-            self._deferred = []
-            self._backend.append_many(
-                self.namespace, [dumps(record) for record in deferred]
-            )
-            self.appended += len(deferred)
 
 
 class SnapshotRepository:
@@ -311,11 +291,9 @@ class Store:
 
     # -- maintenance ---------------------------------------------------
     def flush(self) -> None:
-        self.journal.write_deferred()
         self.backend.flush()
 
     def close(self) -> None:
-        self.journal.write_deferred()
         self.backend.close()
 
     def stats(self) -> dict:
@@ -418,8 +396,9 @@ class Store:
           exactly the pending-initiation processes); everything past
           the watermark stays.  What goes is subsumed: decided and
           live pids' ``submit`` records, ``cancel`` records, and the
-          informational ``grant`` / ``wcc`` / ``retry-exhausted``
-          detail.  With no snapshot the journal is untouched.
+          ``grant`` / ``wcc`` / ``retry-exhausted`` rows an older
+          journal may still hold.  With no snapshot the journal is
+          untouched.
         * trace — untouched: every event is written once and the
           post-crash CT / P-RC check needs them all.
         * subsystem WALs — keep only the write records of loser

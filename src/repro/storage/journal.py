@@ -3,13 +3,12 @@
 The persistence plane stores four shapes:
 
 * **journal records** — flat dicts appended to
-  :class:`~repro.storage.facade.JournalRepository`:
-  ``submit`` / ``terminal`` / ``cancel`` drive recovery (a ``cancel``
-  with no ``terminal`` after it is re-applied); ``grant``,
-  ``wcc`` and ``retry-exhausted`` are informational redo detail
-  captured by :class:`JournalTracer` (they make ``repro store
-  inspect`` explain *why* the journal looks the way it does, and feed
-  replay-progress metrics).
+  :class:`~repro.storage.facade.JournalRepository`: ``submit`` /
+  ``terminal`` / ``cancel``, the redo records recovery reads (a
+  ``cancel`` with no ``terminal`` after it is re-applied).  Stores
+  written before the journal held redo records only also carry
+  ``grant`` / ``wcc`` / ``retry-exhausted`` rows; every reader skips a
+  kind it does not know.
 * **process records** — :class:`~repro.scheduler.events.ProcessRecord`
   as a plain dict inside terminal journal records, which are the one
   durable home of a finished process.
@@ -32,7 +31,7 @@ program graphs.
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from repro.errors import StorageError
 from repro.scheduler.events import ProcessRecord
@@ -162,12 +161,29 @@ def trace_event_from_row(row: list, position: int) -> ScheduleEvent:
 # ----------------------------------------------------------------------
 # process records
 # ----------------------------------------------------------------------
+#: ``(name, is_list)`` per stored :class:`ProcessRecord` field: every
+#: field but ``outcome``; the list fields are copied, as ``asdict``
+#: would.
+_RECORD_PLAN = tuple(
+    (spec.name, spec.default_factory is list)
+    for spec in fields(ProcessRecord)
+    if spec.name != "outcome"
+)
+
+
 def record_to_dict(record: ProcessRecord) -> dict:
     """Without ``outcome``: a ``terminal`` journal record carries it
-    next to this dict, and nothing else that is stored has one yet."""
-    data = asdict(record)
-    del data["outcome"]
-    return data
+    next to this dict, and nothing else that is stored has one yet.
+
+    Equal to ``asdict(record)`` less ``outcome``, built from a field
+    plan instead of a recursive deep copy (one per terminal record).
+    """
+    return {
+        name: list(getattr(record, name))
+        if is_list
+        else getattr(record, name)
+        for name, is_list in _RECORD_PLAN
+    }
 
 
 def record_from_dict(data: dict, outcome=None) -> ProcessRecord:
@@ -234,71 +250,3 @@ def checkpoint_from_dict(
         crashed_at=data["crashed_at"],
         max_pid=data["max_pid"],
     )
-
-
-# ----------------------------------------------------------------------
-# journal tee
-# ----------------------------------------------------------------------
-class JournalTracer:
-    """A tracer-protocol sink that journals decision events.
-
-    Installed next to the bus bridge in the service's
-    :class:`~repro.obs.metrics.MetricsTracer` sink tuple; it receives
-    every event the engine emits and appends the durability-relevant
-    subset — lock grants, Wcc classifications, exhausted retry budgets
-    — as informational journal records.  No acknowledgement waits on
-    them, so they are queued (:meth:`JournalRepository.defer`) and
-    written in one piece at the next drain; queueing is a list append.
-    """
-
-    enabled = True
-
-    def __init__(self, journal) -> None:
-        self._journal = journal
-        self.offset = 0.0
-        self._clock = lambda: 0.0
-
-    def bind_clock(self, clock) -> None:
-        self._clock = clock
-
-    def bind_sampler(self, sampler) -> None:
-        pass
-
-    def refresh_gauges(self) -> None:
-        pass
-
-    def emit(self, event) -> None:
-        kind = getattr(event, "kind", "")
-        if kind == "lock.grant":
-            self._journal.defer(
-                {
-                    "kind": "grant",
-                    "t": self._clock() + self.offset,
-                    "pid": event.pid,
-                    "name": event.activity,
-                    "mode": event.mode,
-                    "position": event.position,
-                }
-            )
-        elif kind == "wcc.classify":
-            self._journal.defer(
-                {
-                    "kind": "wcc",
-                    "t": self._clock() + self.offset,
-                    "pid": event.pid,
-                    "name": event.activity,
-                    "mode": event.mode,
-                    "wcc": event.wcc,
-                    "pseudo_pivot": event.pseudo_pivot,
-                }
-            )
-        elif kind == "retry.budget_exhausted":
-            self._journal.defer(
-                {
-                    "kind": "retry-exhausted",
-                    "t": self._clock() + self.offset,
-                    "pid": event.pid,
-                    "name": event.activity,
-                    "attempts": event.attempts,
-                }
-            )

@@ -83,7 +83,7 @@ class PersistencePlane:
         self,
         store,
         catalog,
-        snapshot_every: int = 256,
+        snapshot_every: int = 48,
     ) -> None:
         self.store = store
         self.codec = ProgramCodec(catalog)
@@ -288,9 +288,6 @@ class PersistencePlane:
         snapshot when the journal has outgrown the cadence, and flushes
         so everything acknowledged after this point is durable.
         """
-        # The drain's decision records, after its submits and ahead of
-        # its terminals — where appending them one by one put them.
-        self.store.journal.write_deferred()
         for pid in sorted(manager.take_finished()):
             record = manager.records[pid]
             self.store.journal.append(

@@ -307,7 +307,7 @@ class TestServiceCommands:
         assert (args.host, args.port) == ("127.0.0.1", 7453)
         # The flags restate the fields' defaults; they must not drift.
         assert args.backlog == ServiceConfig().max_backlog == 256
-        assert args.snapshot_every == ServiceConfig().snapshot_every == 256
+        assert args.snapshot_every == ServiceConfig().snapshot_every == 48
         assert args.time_scale == 0.0
         assert args.protocol == "process-locking"
         assert args.metrics_port is None

@@ -66,12 +66,12 @@ class TestServeKnobs:
 
         config = ServiceConfig()
         assert config.max_backlog == 256
-        assert config.snapshot_every == 256
+        assert config.snapshot_every == 48
         assert config.store_sync_every == 64
         store = Store.open("log", str(tmp_path))
         try:
             assert store.backend.sync_every == 64
-            assert PersistencePlane(store, []).snapshot_every == 256
+            assert PersistencePlane(store, []).snapshot_every == 48
         finally:
             store.close()
 

@@ -235,3 +235,17 @@ def test_thread_per_shard_manager_leaves_no_trace():
         prose = " ".join(re.sub("#:?", " ", (ROOT / home).read_text()).split())
         assert "pinned by bench/" in prose, home
         assert "goes with ROADMAP 2(a)" in prose, home
+
+
+# ----------------------------------------------------------------------
+# the journal holds redo records only (DESIGN.md, "Removed: journal
+# provenance records")
+# ----------------------------------------------------------------------
+#: The journal tee, its deferral queue and the bus's per-topic book
+#: (``repro_events_total{kind}`` counts that).
+JOURNAL_TEE = re.compile(r"JournalTracer|write_deferred|by_topic")
+
+
+def test_journal_tee_leaves_no_trace():
+    offenders = _traces_of(JOURNAL_TEE, {"tests/test_repo_links.py"})
+    assert not offenders, offenders

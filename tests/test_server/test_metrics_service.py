@@ -8,12 +8,14 @@ stay usable after DRAIN for post-mortems).
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.client import ServiceClient
-from repro.obs import replay_metrics
+from repro.obs import parse_prometheus, replay_metrics
 from repro.server.net import start_server_thread
-from repro.server.service import ServiceConfig
+from repro.server.service import ProcessLockingService, ServiceConfig
 from repro.sim.workload import WorkloadSpec
 
 
@@ -175,3 +177,77 @@ class TestPostDrain:
                 client.metrics(), "repro_submit_to_commit_seconds"
             )
             assert sum(s["count"] for s in family["samples"]) == 3
+
+
+class TestScrapedWhileServing:
+    """The event feeder's counters, the flight ring and the bus's
+    counters take no lock on the engine thread; a scrape on another
+    thread copies before it iterates."""
+
+    def test_scrapes_during_contended_bursts_then_reconcile(self):
+        service = ProcessLockingService(
+            ServiceConfig(
+                spec=WorkloadSpec(
+                    n_processes=16,
+                    n_activity_types=12,
+                    conflict_density=0.6,
+                    failure_probability=0.04,
+                    seed=3,
+                ),
+                seed=3,
+            )
+        ).start()
+        stop, scrapes, errors = threading.Event(), [], []
+
+        def scrape():
+            try:
+                while not stop.is_set():
+                    parse_prometheus(service.render_metrics())
+                    service.metrics_snapshot()
+                    scrapes.append(len(service.flight))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        scraper = threading.Thread(target=scrape)
+        scraper.start()
+        try:
+            for program in (0, 5, 11):
+                service.execute(
+                    {"cmd": "submit", "program": program, "count": 48,
+                     "wait": True}
+                ).result(timeout=120)
+        finally:
+            stop.set()
+            scraper.join(timeout=30)
+        try:
+            assert not errors, errors
+            assert len(scrapes) > 3
+            service.execute({"cmd": "drain"}).result(timeout=60)
+            stats = service.execute({"cmd": "stats"}).result(timeout=30)
+            body = service.metrics_snapshot()
+        finally:
+            service.stop()
+        manager = stats["manager"]
+        assert manager["resubmissions"] > 0  # it was contended
+        assert manager["submitted"] == 144
+        assert _counter(body, "repro_process_submitted_total") == 144
+        assert _counter(
+            body, "repro_process_outcomes_total", outcome="committed"
+        ) == manager["committed"]
+        assert _counter(body, "repro_process_outcomes_total") == 144
+        assert (
+            _counter(body, "repro_process_resubmitted_total")
+            == manager["resubmissions"]
+        )
+        assert (
+            _counter(body, "repro_activity_retries_total")
+            == manager["retries"]
+        )
+        assert (
+            _counter(body, "repro_compensations_total")
+            == manager["compensations"]
+        )
+        emitted = service.bus_tracer.emitted
+        assert _counter(body, "repro_events_total") == emitted
+        assert service.flight.appended == emitted
+        assert stats["bus"]["published"] >= emitted

@@ -23,12 +23,7 @@ from repro.scheduler.recovery import crash, recover
 from repro.server.service import ProcessLockingService, ServiceConfig
 from repro.sim.runner import make_protocol
 from repro.sim.workload import WorkloadSpec, build_workload
-from repro.storage import (
-    AppendLogBackend,
-    JournalTracer,
-    PersistencePlane,
-    Store,
-)
+from repro.storage import AppendLogBackend, PersistencePlane, Store
 from repro.storage.codec import encode_frame
 from repro.storage.facade import FORMAT_VERSION, dumps, loads
 from repro.storage.journal import (
@@ -54,16 +49,12 @@ def _open_manager(workload, path, snapshot_every):
     )
     config = ManagerConfig(store=store)
     protocol = make_protocol("process-locking", workload)
-    # The service's journal tee: the journal grows with the schedule
-    # (grants, Wcc classifications), so the cadences bite.
-    tracer = JournalTracer(store.journal)
     if plane.has_state():
         manager, _ = plane.recover(
             protocol,
             config=config,
             subsystems=workload.make_subsystems(),
             seed=CONTENDED.seed,
-            tracer=tracer,
         )
     else:
         manager = make_manager(
@@ -71,7 +62,6 @@ def _open_manager(workload, path, snapshot_every):
             subsystems=workload.make_subsystems(),
             config=config,
             seed=CONTENDED.seed,
-            tracer=tracer,
         )
     return store, plane, manager
 
@@ -102,7 +92,7 @@ def _drive(plane, manager, steps=5):
         plane.after_drain(manager)
 
 
-@pytest.mark.parametrize("cadence", (1, 7, 256))
+@pytest.mark.parametrize("cadence", (0, 1, 7, 256))
 def test_stored_image_equals_crash_image_at_every_snapshot(
     tmp_path, cadence
 ):
@@ -130,9 +120,11 @@ def test_stored_image_equals_crash_image_at_every_snapshot(
     store.close()
     assert manager.stats.resubmissions > 0  # it was contended
     assert len(manager.trace.events) > 100
-    # Cadence 1 snapshots at every drain point, 256 only at the end.
-    assert len(checked) >= {1: 20, 7: 10, 256: 1}[cadence]
-    if cadence == 1:
+    # The journal holds a submit and a terminal per pid (40 records):
+    # cadence 0 snapshots at every drain point, 1 at every one that
+    # decided a pid, 7 at every seventh record, 256 only at the end.
+    assert len(checked) >= {0: 30, 1: 15, 7: 4, 256: 1}[cadence]
+    if cadence == 0:
         assert phases >= {
             "pending", "running", "aborting", "awaiting-resubmit"
         }
@@ -213,8 +205,11 @@ def _config(tmp_path, **overrides) -> ServiceConfig:
 
 
 def _run_once(tmp_path, count=12) -> None:
-    """One clean incarnation: ``count`` processes, several snapshots."""
-    service = ProcessLockingService(_config(tmp_path)).start()
+    """One clean incarnation: ``count`` processes, one at a time (a
+    submit and a terminal record each), a snapshot every other one."""
+    service = ProcessLockingService(
+        _config(tmp_path, snapshot_every=4)
+    ).start()
     for k in range(count):
         service.execute(
             {"cmd": "submit", "program": k, "wait": True}
@@ -419,5 +414,5 @@ def test_compact_then_restart_keeps_finished_work(tmp_path):
     store = Store.open("log", str(tmp_path / "store"))
     dropped = store.compact()["dropped"]["journal"]
     store.close()
-    assert dropped > 61  # submits, the cancel, grants, classifications
+    assert dropped > 61  # the 61 decided pids' submits and the cancel
     assert restart_and_look() == before

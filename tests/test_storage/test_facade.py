@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import asdict
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import StorageError, WalCorruptionError
+from repro.scheduler.events import OUTCOMES, ProcessRecord
 from repro.storage import Store
+from repro.storage.facade import dumps
+from repro.storage.journal import record_to_dict
 from tests.test_storage.commit_log import flip_payload_byte
 
 
@@ -154,3 +162,58 @@ def test_open_memory_backend(tmp_path):
     store.journal.append({"kind": "submit", "pid": 1})
     assert len(store.journal) == 1
     store.close()
+
+
+# ----------------------------------------------------------------------
+# the canonical encoding, byte for byte
+# ----------------------------------------------------------------------
+def _json_dumps(record) -> bytes:
+    """What ``dumps`` is bound to equal: canonical ``json.dumps``."""
+    return json.dumps(
+        record, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=24,
+)
+
+TIMES = st.floats(allow_nan=False)
+NAMES = st.lists(st.text(max_size=8), max_size=4)
+
+RECORDS = st.builds(
+    ProcessRecord,
+    pid=st.integers(min_value=1),
+    submitted_at=TIMES,
+    committed_at=st.none() | TIMES,
+    intrinsically_aborted_at=st.none() | TIMES,
+    resubmissions=st.integers(min_value=0),
+    cascade_aborts=st.integers(min_value=0),
+    activities_committed=st.integers(min_value=0),
+    compensations=st.integers(min_value=0),
+    compensated_cost=TIMES,
+    compensated_names=NAMES,
+    compensated_causes=NAMES,
+    retries=st.integers(min_value=0),
+    outcome=st.none() | st.sampled_from(OUTCOMES),
+)
+
+
+@given(st.dictionaries(st.text(max_size=8), JSON, max_size=6))
+def test_dumps_is_canonical_json_dumps(record):
+    assert dumps(record) == _json_dumps(record)
+
+
+@given(RECORDS)
+def test_record_to_dict_is_asdict_without_outcome(record):
+    expected = asdict(record)
+    del expected["outcome"]
+    stored = record_to_dict(record)
+    assert stored == expected
+    assert dumps(stored) == _json_dumps(expected)
+    # The lists are copies, as asdict's are.
+    assert stored["compensated_names"] is not record.compensated_names
+    assert stored["compensated_causes"] is not record.compensated_causes
