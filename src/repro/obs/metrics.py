@@ -148,10 +148,11 @@ class Counter(_Family):
 
     Two ways in.  :meth:`inc` checks its labels and takes the registry
     lock, for a family more than one thread writes (the service's shed
-    counter, written on the asyncio thread).  :meth:`bump` does
-    neither: the event feeder's families have one writer, the thread
-    that drives the engine, and readers on other threads copy the
-    children before they look (:meth:`_sorted_children`).
+    counter, written by whichever thread calls ``execute``).
+    :meth:`bump` does neither: the event feeder's families have one
+    writer, the thread that drives the engine, and readers on other
+    threads copy the children before they look
+    (:meth:`_sorted_children`).
     """
 
     type_name = "counter"
@@ -720,7 +721,9 @@ class EventMetrics:
         self._gauge_targets: dict[str, tuple | object] = {}
         #: kind -> (its ``repro_events_total`` key, its handler).
         self._by_kind: dict[str, tuple] = {}
-        self._defer_since: dict[tuple, float] = {}
+        #: pid -> {(uid, request): virtual time of its first defer};
+        #: dropped when the pid's abort begins or it is cancelled.
+        self._defer_since: dict[int, dict[tuple, float]] = {}
         self._park_since: dict[int, tuple[float, str]] = {}
         self._retry_counts: dict[int, int] = {}
         self._filed: set[int] = set()
@@ -823,6 +826,9 @@ class EventMetrics:
 
     def _on_abort_begin(self, t, event) -> None:
         self.aborts.bump((event.cause,))
+        # Its deferred requests die with the incarnation; a successor
+        # that asks again waits from its own defer.
+        self._defer_since.pop(event.pid, None)
         if event.cause == "cascade":
             # A victim counts where its abort begins, a cascade once
             # per decision that begins one (``ProtocolStats`` likewise).
@@ -841,6 +847,7 @@ class EventMetrics:
 
     def _on_cancel(self, t, event) -> None:
         self.outcomes.bump(("cancelled",))
+        self._defer_since.pop(event.pid, None)
         if event.initiated:
             self._filed.add(event.pid)
 
@@ -853,15 +860,19 @@ class EventMetrics:
 
     def _on_grant(self, t, event) -> None:
         self.lock_grants.bump((event.request,))
-        key = (event.pid, event.uid, event.request)
-        since = self._defer_since.pop(key, None)
+        stamps = self._defer_since.get(event.pid)
+        if stamps is None:
+            return
+        since = stamps.pop((event.uid, event.request), None)
+        if not stamps:
+            del self._defer_since[event.pid]
         if since is not None:
             self.lock_wait.record((event.request,), t - since)
 
     def _on_defer(self, t, event) -> None:
         self.lock_defers.bump((event.rule,))
-        self._defer_since.setdefault(
-            (event.pid, event.uid, event.request), t
+        self._defer_since.setdefault(event.pid, {}).setdefault(
+            (event.uid, event.request), t
         )
 
     def _on_cascade(self, t, event) -> None:

@@ -15,12 +15,18 @@ scripting a closed simulation:
   (requests, responses, event frames) with canonical encoding so a
   scripted session is byte-deterministic;
 * :mod:`repro.server.service` — :class:`ProcessLockingService`, the
-  engine-thread core: a command queue in front of a
-  :class:`~repro.scheduler.manager.ProcessManager` (sequential or
-  thread-per-shard), overload shedding, graceful drain, and the
-  CT/P-RC/prefix-reducibility battery over the live trace;
+  core: a command queue in front of a
+  :class:`~repro.scheduler.manager.ProcessManager`, drained by one
+  loop that also runs the asyncio event loop between drains, overload
+  shedding, graceful drain, and the CT/P-RC/prefix-reducibility
+  battery over the live trace;
 * :mod:`repro.server.net` — the asyncio TCP server (``repro serve``)
   with per-connection ordered delivery and SIGTERM drain.
+
+One thread serves: it reads the wire, drains the engine, fsyncs and
+answers, with no hand-off to a second thread.  In-process callers get
+the same loop on a thread of its own
+(:meth:`ProcessLockingService.start`).
 """
 
 from repro.server.bridge import BusTracer

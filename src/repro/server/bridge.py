@@ -31,10 +31,10 @@ class BusTracer:
 
     The sampler hook is accepted but unused: gauge polling exists for
     the series bank, and polling per emit would only add jitter to the
-    event stream clients see.  ``emit`` runs on the engine thread only,
-    which makes it the bus's one publisher; only the bus's subscriber
-    list is locked, because subscribers come and go from the network
-    thread.
+    event stream clients see.  ``emit`` runs where the engine drains
+    only, which makes it the bus's one publisher; only the bus's
+    subscriber list is locked, because in-process subscribers may come
+    and go from any thread.
     """
 
     enabled = True

@@ -18,7 +18,7 @@ Patterns
 Delivery is synchronous on the publisher's thread: subscribers get the
 record in publish order, and a subscriber that raises is counted in
 :attr:`EventBus.dropped` rather than poisoning the publisher (the
-manager's engine thread must never die to a slow client callback).
+thread that drives the engine must never die to a client callback).
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class EventBus:
 
         Returns the delivery count.  Callback exceptions are swallowed
         and counted (:attr:`BusCounters.dropped`) — the publisher is
-        the simulation engine thread and must stay alive.
+        the thread that drives the engine, and must stay alive.
 
         A publisher that found no :meth:`listeners` may pass ``None``
         for a record it never built: the publish is counted, and a

@@ -4,14 +4,22 @@ One asyncio task per connection reads JSON-lines requests and a
 companion writer task drains a single per-connection outbound queue —
 responses and pushed event frames share that one queue, so a client
 always observes its events and responses in a well-defined order (for
-a lockstep client in eager mode, a byte-deterministic one: the engine
-thread publishes a batch's events before it resolves the batch's
-response futures, and the loop preserves that order).
+a lockstep client in eager mode, a byte-deterministic one: a drain
+publishes its events before it resolves its response futures).
+
+The event loop runs on the serving thread, inside the service's
+:meth:`~repro.server.service.ProcessLockingService._run_loop`: between
+drains the loop reads the wire, and a drain runs on the same thread.
+So a response future resolves on the thread that awaits it, and a bus
+event is put straight onto the subscriber's queue — nothing here
+crosses a thread.  :func:`run_server` and :func:`start_server_thread`
+hand :func:`serve` to
+:meth:`~repro.server.service.ProcessLockingService.host`, which sets
+that up on the calling thread.
 
 ``SUBSCRIBE``/``UNSUBSCRIBE`` are connection-local: they wire the
-service bus straight into the connection's outbound queue via
-``call_soon_threadsafe`` and never touch the engine thread.  Every
-other command funnels through
+service bus straight into the connection's outbound queue and never
+reach the engine.  Every other command funnels through
 :meth:`~repro.server.service.ProcessLockingService.execute`, with
 ``SUBMIT`` shed at the socket (see
 :meth:`~repro.server.service.ProcessLockingService.shed_reason`)
@@ -29,6 +37,7 @@ import asyncio
 import contextlib
 import signal
 import threading
+from concurrent.futures import Future
 
 from repro.server.protocol import (
     WireError,
@@ -48,13 +57,24 @@ from repro.server.service import (
 _CLOSE = object()
 
 
+async def _answer(fut: Future) -> dict:
+    """The body ``fut`` resolves to.  A drain on this thread resolves
+    it, so its done-callback may complete an asyncio future directly."""
+    if not fut.done():
+        waiter = asyncio.get_running_loop().create_future()
+        fut.add_done_callback(
+            lambda _: waiter.done() or waiter.set_result(None)
+        )
+        await waiter
+    return fut.result()
+
+
 async def handle_connection(
     service: ProcessLockingService,
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
 ) -> None:
     """Serve one client until EOF, ``bye``, or cancellation."""
-    loop = asyncio.get_running_loop()
     out_q: asyncio.Queue = asyncio.Queue()
 
     async def pump() -> None:
@@ -69,9 +89,8 @@ async def handle_connection(
     tokens: list[int] = []
 
     def push_event(topic: str, record: dict) -> None:
-        loop.call_soon_threadsafe(
-            out_q.put_nowait, event_frame(topic, record)
-        )
+        # The bus publishes from a drain, on this loop's thread.
+        out_q.put_nowait(event_frame(topic, record))
 
     try:
         while True:
@@ -100,9 +119,7 @@ async def handle_connection(
                 )
                 continue
             try:
-                body = await asyncio.wrap_future(
-                    service.execute(request)
-                )
+                body = await _answer(service.execute(request))
                 out_q.put_nowait(ok_response(req_id, **body))
             except ServiceError as exc:
                 out_q.put_nowait(
@@ -167,6 +184,10 @@ async def serve(
 ) -> None:
     """Listen, serve, and drain gracefully on shutdown.
 
+    Runs as a task on the service's own loop, under its ``_run_loop``
+    (:meth:`~repro.server.service.ProcessLockingService.host` arranges
+    both).
+
     ``on_ready(host, port)`` fires once the socket is bound (the CLI
     prints the address; tests and the in-thread helper capture the
     ephemeral port).  ``shutdown`` is set by SIGTERM/SIGINT (installed
@@ -176,7 +197,6 @@ async def serve(
     server's lifetime; it is exposed as ``service.sidecar`` before
     ``on_ready`` fires.
     """
-    service.start()
     if metrics_port is not None:
         from repro.server.sidecar import MetricsSidecar
 
@@ -210,9 +230,7 @@ async def serve(
         await server.wait_closed()
         if not service._drained.is_set():
             with contextlib.suppress(Exception):
-                await asyncio.wrap_future(
-                    service.execute({"cmd": "drain"})
-                )
+                await _answer(service.execute({"cmd": "drain"}))
         if connections:
             with contextlib.suppress(asyncio.TimeoutError):
                 await asyncio.wait_for(
@@ -226,7 +244,6 @@ async def serve(
     if service.sidecar is not None:
         service.sidecar.stop()
         service.sidecar = None
-    service.stop()
 
 
 def run_server(
@@ -267,7 +284,7 @@ def run_server(
                 )
             print(line, flush=True)
 
-    asyncio.run(
+    service.host(
         serve(
             service,
             host,
@@ -290,15 +307,12 @@ class ServerHandle:
         self.port = port
         #: Bound sidecar port, or ``None`` when no sidecar runs.
         self.metrics_port: int | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._shutdown: asyncio.Event | None = None
+        self._shutdown = asyncio.Event()
         self._thread: threading.Thread | None = None
 
     def stop(self) -> None:
         """Trigger the graceful-drain path and join the thread."""
-        if self._loop is not None and self._shutdown is not None:
-            with contextlib.suppress(RuntimeError):
-                self._loop.call_soon_threadsafe(self._shutdown.set)
+        self.service.wake(self._shutdown.set)
         if self._thread is not None:
             self._thread.join(timeout=30)
 
@@ -315,31 +329,27 @@ def start_server_thread(
     ready = threading.Event()
     failure: list[BaseException] = []
 
+    def on_ready(bound_host: str, bound_port: int) -> None:
+        handle.host = bound_host
+        handle.port = bound_port
+        sidecar = service.sidecar
+        handle.metrics_port = (
+            sidecar.port if sidecar is not None else None
+        )
+        ready.set()
+
     def main() -> None:
-        async def body() -> None:
-            handle._loop = asyncio.get_running_loop()
-            handle._shutdown = asyncio.Event()
-
-            def on_ready(bound_host: str, bound_port: int) -> None:
-                handle.host = bound_host
-                handle.port = bound_port
-                sidecar = service.sidecar
-                handle.metrics_port = (
-                    sidecar.port if sidecar is not None else None
-                )
-                ready.set()
-
-            await serve(
-                service,
-                host,
-                port,
-                metrics_port=metrics_port,
-                on_ready=on_ready,
-                shutdown=handle._shutdown,
-            )
-
         try:
-            asyncio.run(body())
+            service.host(
+                serve(
+                    service,
+                    host,
+                    port,
+                    metrics_port=metrics_port,
+                    on_ready=on_ready,
+                    shutdown=handle._shutdown,
+                )
+            )
         except BaseException as exc:  # surfaced via ready-wait below
             failure.append(exc)
             ready.set()

@@ -1,11 +1,28 @@
-"""The engine-thread core of the process-locking service.
+"""The core of the process-locking service.
 
 :class:`ProcessLockingService` owns one
 :class:`~repro.scheduler.manager.ProcessManager` (built by
-:func:`~repro.scheduler.manager.make_manager`) and drives it from a
-single dedicated engine thread; every network-facing layer talks to it
-through a command queue, so the simulation state is never touched
-concurrently.
+:func:`~repro.scheduler.manager.make_manager`) and drives it from
+:meth:`~ProcessLockingService._run_loop`, on the one thread that also
+runs the asyncio event loop the wire is read on (the *serving thread*).
+Between drains ``_run_loop`` runs that loop; a request read there is
+queued by :meth:`~ProcessLockingService.execute`, which ends the loop's
+turn, so every command read in one turn shares one drain, one fsync and
+one round of answers, and the answers resolve on the thread that awaits
+them.  The manager is therefore never touched concurrently and nothing
+crosses a thread on the served path.
+
+Hosts
+-----
+:meth:`~ProcessLockingService.host` creates the loop on the calling
+thread, starts a ``main`` coroutine on it and runs ``_run_loop``.
+:func:`repro.server.net.run_server` and
+:func:`~repro.server.net.start_server_thread` hand it ``serve()``.
+In-process callers use :meth:`~ProcessLockingService.start`, which runs
+``host`` with no coroutine on a thread of its own, and call
+``execute(...).result()`` from theirs; such a foreign-thread call wakes
+the loop with :meth:`~ProcessLockingService.wake`, the one cross-thread
+hop left.
 
 Pacing
 ------
@@ -37,11 +54,13 @@ process is ever dropped mid-flight.
 
 from __future__ import annotations
 
-import queue
+import asyncio
+import contextlib
 import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field, fields, replace
+from queue import SimpleQueue
 
 from repro import config as repro_config
 from repro.obs.flight import FlightRecorder
@@ -234,10 +253,10 @@ class ProcessLockingService:
                 seed=self.config.seed,
                 tracer=self.tracer,
             )
-        self._commands: queue.Queue = queue.Queue()
+        self._commands: SimpleQueue = SimpleQueue()
         #: (response builder, future) pairs resolved after each drain.
         self._deferred: list[tuple[object, Future]] = []
-        #: (pid set, request id, future) triples for ``wait`` submits.
+        #: (pid set, future) pairs for ``wait`` submits.
         self._waiters: list[tuple[set[int], Future]] = []
         #: pid -> wall submit time, popped into the submit-to-commit
         #: histogram when the pid turns terminal.
@@ -245,18 +264,24 @@ class ProcessLockingService:
         #: The HTTP metrics sidecar, installed by the network layer
         #: when a metrics port is configured.
         self.sidecar = None
+        #: The event loop ``_run_loop`` runs between drains, and the
+        #: ident of the serving thread that runs both (set by ``host``).
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._owner: int | None = None
         self._draining = threading.Event()
         self._drained = threading.Event()
         self._stop = threading.Event()
         self._started = threading.Event()
+        #: The in-process host thread (``start``); ``None`` when the
+        #: network layer hosts the loop.
         self._thread: threading.Thread | None = None
         #: Set when an exception ended the engine loop: the answer to
-        #: every request from then on.  ``_intake`` orders the enqueue
-        #: in ``execute`` against ``_fail``'s last sweep of the queue.
+        #: every request from then on.  ``_intake`` orders an enqueue
+        #: from a foreign thread against ``_fail``'s last sweep.
         self.failed: ServiceError | None = None
         self._intake = threading.Lock()
-        # Shed mirror, written on the engine thread after each drain
-        # and read lock-free from the network thread (atomic swap).
+        # Shed mirror, written after each drain; the sidecar's thread
+        # reads it too (an atomic swap).
         self._pending_submissions = 0
 
     def _open_store(self):
@@ -286,11 +311,48 @@ class ProcessLockingService:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
+    def host(self, main=None) -> None:
+        """Serve on the calling thread, which becomes the serving
+        thread, until :meth:`stop`: a new event loop, ``main`` (the
+        network layer's ``serve()`` coroutine) as a task on it, and
+        ``_run_loop`` running both.  The task's end stops the service.
+
+        If the engine dies first, the loop keeps running ``main`` —
+        which answers every request ``internal`` — until it ends.  The
+        store is closed on the way out, and an exception out of
+        ``main`` (a port already taken) is re-raised.
+        """
+        self._loop = loop = asyncio.new_event_loop()
+        self._owner = threading.get_ident()
+        task = None
+        if main is not None:
+            task = loop.create_task(main)
+            task.add_done_callback(lambda _: self.stop())
+        try:
+            self._run_loop()
+            if task is not None and self.failed is not None:
+                loop.run_until_complete(task)
+        finally:
+            leftover = asyncio.all_tasks(loop)
+            for pending in leftover:
+                pending.cancel()
+            if leftover:
+                loop.run_until_complete(
+                    asyncio.gather(*leftover, return_exceptions=True)
+                )
+            loop.run_until_complete(loop.shutdown_asyncgens())
+            loop.close()
+            if self.store is not None:
+                self.store.close()
+        if task is not None and not task.cancelled():
+            task.result()
+
     def start(self) -> "ProcessLockingService":
-        """Spawn the engine thread (idempotent)."""
+        """Serve in-process callers from a thread that runs :meth:`host`
+        with no sockets (idempotent)."""
         if self._thread is None:
             self._thread = threading.Thread(
-                target=self._run_loop,
+                target=self.host,
                 name="repro-service-engine",
                 daemon=True,
             )
@@ -299,26 +361,45 @@ class ProcessLockingService:
         return self
 
     def stop(self) -> None:
-        """Drain (if not already) and stop the engine thread."""
-        if self._thread is None:
+        """Drain (if not already) and end ``_run_loop``.
+
+        From another thread this waits for the drain and joins the
+        ``start`` thread.  On the serving thread it only queues the
+        drain: ``_run_loop`` applies it, answers it, then returns.
+        """
+        if self._loop is None:
             return
+        here = threading.get_ident() == self._owner
         if not self._drained.is_set():
-            try:
-                self.execute({"cmd": "drain"}).result(timeout=60)
-            except Exception:
-                pass
+            drain = self.execute({"cmd": "drain"})
+            if not here:
+                with contextlib.suppress(Exception):
+                    drain.result(timeout=60)
         self._stop.set()
-        self._thread.join(timeout=10)
-        self._thread = None
-        if self.store is not None:
-            self.store.close()
+        if here:
+            self._loop.stop()
+            return
+        self.wake()
+        if self._thread is not None:
+            self._thread.join(timeout=10)
+            self._thread = None
+
+    def wake(self, callback=None) -> None:
+        """From another thread: run ``callback`` on the serving thread,
+        or (by default) end the event loop's turn so ``_run_loop`` takes
+        the queued commands.  The one cross-thread hop in."""
+        loop = self._loop
+        if loop is None:  # not hosted yet: the first turn reads the queue
+            return
+        with contextlib.suppress(RuntimeError):  # closed: nothing to wake
+            loop.call_soon_threadsafe(callback or loop.stop)
 
     @property
     def draining(self) -> bool:
         return self._draining.is_set()
 
     # ------------------------------------------------------------------
-    # network-facing entry points (any thread)
+    # entry points (the serving thread, or any thread in-process)
     # ------------------------------------------------------------------
     def shed_reason(self, cmd: str) -> tuple[str, str] | None:
         """``(code, message)`` when ``cmd`` must be rejected up front."""
@@ -336,11 +417,14 @@ class ProcessLockingService:
         return None
 
     def execute(self, request: dict) -> Future:
-        """Queue one request for the engine thread; returns a future.
+        """Queue one request for the next drain; returns a future.
 
         The future resolves to a response *body* dict (the network
         layer wraps it into a wire frame) or raises
-        :class:`ServiceError` for request-level failures.
+        :class:`ServiceError` for request-level failures.  On the
+        serving thread the call ends the event loop's turn, so the
+        drain takes every command read in that turn; from any other
+        thread it wakes the loop (:meth:`wake`).
         """
         fut: Future = Future()
         if self.failed is not None:
@@ -364,17 +448,27 @@ class ProcessLockingService:
                 ServiceError("draining", "server has drained")
             )
             return fut
+        if threading.get_ident() == self._owner:
+            self._commands.put((request, fut))
+            self._loop.stop()
+            return fut
         with self._intake:
             if self.failed is None:
                 self._commands.put((request, fut))
+                self.wake()
                 return fut
         fut.set_exception(self.failed)
         return fut
 
     # ------------------------------------------------------------------
-    # engine thread
+    # the serving thread
     # ------------------------------------------------------------------
     def _run_loop(self) -> None:
+        """Serve until :meth:`stop`: run the event loop until commands
+        arrive (``_next_batch``), apply them, drain the engine, answer
+        (``_post_drain``).  Returns early, after ``_fail``, if the
+        engine raised; the host's loop may go on answering
+        ``internal``."""
         eager = self.config.time_scale <= 0
         start_wall = time.monotonic()
         self._started.set()
@@ -414,16 +508,18 @@ class ProcessLockingService:
                 fut.set_exception(self.failed)
 
     def _next_batch(self) -> list:
+        """Every queued command, after running the event loop until one
+        is queued or ``tick`` has passed; the wire is served in here."""
+        commands = self._commands
+        if commands.empty() and not self._stop.is_set():
+            loop = self._loop
+            timer = loop.call_later(self.config.tick, loop.stop)
+            loop.run_forever()
+            timer.cancel()
         batch = []
-        try:
-            batch.append(self._commands.get(timeout=self.config.tick))
-        except queue.Empty:
-            return batch
-        while True:
-            try:
-                batch.append(self._commands.get_nowait())
-            except queue.Empty:
-                return batch
+        while not commands.empty():
+            batch.append(commands.get_nowait())
+        return batch
 
     def _apply(self, request: dict, fut: Future) -> None:
         cmd = request.get("cmd")
@@ -466,7 +562,7 @@ class ProcessLockingService:
         )
         return str(self.flight_path)
 
-    # -- command handlers (engine thread) ------------------------------
+    # -- command handlers (serving thread) -----------------------------
     def _cmd_ping(self, request: dict, fut: Future) -> None:
         self._deferred.append(
             (lambda: {"pong": True, "now": self.manager.engine.now}, fut)
@@ -559,7 +655,7 @@ class ProcessLockingService:
     def _cmd_bye(self, request: dict, fut: Future) -> None:
         self._deferred.append((lambda: {"bye": True}, fut))
 
-    # -- post-drain bookkeeping (engine thread) ------------------------
+    # -- post-drain bookkeeping (serving thread) -----------------------
     def _settle_latencies(self) -> None:
         """Move terminal pids into the submit-to-commit histogram."""
         if not self._wall_submitted:
@@ -706,7 +802,7 @@ class ProcessLockingService:
     def _refresh_service_gauges(self) -> None:
         """Fold server-side state into the registry before a snapshot.
 
-        Called on the engine thread for the wire verb and on the
+        Called on the serving thread for the wire verb and on the
         sidecar's HTTP thread for scrapes — every read here is either a
         lock-free mirror or an atomic attribute read.
         """

@@ -11,9 +11,9 @@ live registry without speaking the JSON-lines protocol:
   when its engine loop died).
 
 The server is a daemon-threaded :class:`~http.server.ThreadingHTTPServer`
-serving read-only snapshots; it never touches the engine thread (the
-registry is internally locked), so a scrape can never stall the
-simulation.
+serving read-only snapshots from threads of its own; it never waits
+for the serving thread (the registry is internally locked), so a
+scrape can never stall the simulation.
 """
 
 from __future__ import annotations

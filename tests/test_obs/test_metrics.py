@@ -27,6 +27,7 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.obs.events import (
+    AbortBegun,
     ActivityCommitted,
     ActivityRetried,
     LockDeferred,
@@ -223,6 +224,32 @@ class TestEventMetrics:
         assert m.lock_wait.cumulative(("regular",))[3] == (5.0, 1)
         assert m.lock_defers.value(("Comp-Rule",)) == 2
 
+    def test_a_resubmitted_request_waits_from_its_own_defer(self):
+        """A commit request has no uid, so both incarnations of a pid
+        ask under one key: the successor's wait (1 vt) must not be
+        timed from the aborted incarnation's defer (50 vt earlier)."""
+        m = EventMetrics()
+
+        def commit_defer(incarnation: int) -> LockDeferred:
+            return LockDeferred(
+                pid=1, incarnation=incarnation, timestamp=1,
+                request="commit", activity=None, uid=None, mode=None,
+                reason="conflict", rule="Piv-Rule",
+            )
+
+        m.observe(1.0, commit_defer(0))
+        m.observe(2.0, AbortBegun(pid=1, incarnation=0, cause="cascade"))
+        m.observe(50.0, commit_defer(1))
+        m.observe(51.0, LockGranted(
+            pid=1, incarnation=1, request="commit",
+            activity=None, uid=None, mode=None,
+        ))
+        # One wait, in the (0.5, 1] bucket.
+        assert m.lock_wait.cumulative(("commit",))[:2] == [
+            (0.5, 0), (1.0, 1),
+        ]
+        assert m._defer_since == {}
+
     def test_retries_histogram_counts_attempts_per_uid(self):
         m = EventMetrics()
         for attempt in (1, 2, 3):
@@ -242,7 +269,7 @@ class TestEventMetrics:
     def test_cancel_of_running_process_is_not_an_abort_outcome(self):
         m = EventMetrics()
         m.observe(0.0, ProcessCancelled(pid=4, initiated=True))
-        from repro.obs.events import AbortBegun, ProcessAborted
+        from repro.obs.events import ProcessAborted
 
         m.observe(0.0, AbortBegun(pid=4, incarnation=0, cause="cancel"))
         m.observe(1.0, ProcessAborted(
@@ -339,6 +366,42 @@ def _assert_reconciled(stats, m) -> None:
     assert m.outcomes.total() == stats.submitted
     # The cancels actually exercised both counters.
     assert stats.cancellations > 0
+
+
+def test_no_defer_stamp_outlives_its_incarnation():
+    """4,000 submits in 16-process bursts on the contended catalog, a
+    quarter of each burst cancelled while it runs: at quiescence no
+    first-defer stamp is left.  Each deferred request of a pid that was
+    then cancelled or aborted used to keep one for ever."""
+    spec = WorkloadSpec(
+        n_processes=16,
+        n_activity_types=12,
+        conflict_density=0.6,
+        failure_probability=0.04,
+        seed=3,
+    )
+    workload = build_workload(spec)
+    tracer = MetricsTracer()
+    manager = make_manager(
+        make_protocol("process-locking", workload),
+        subsystems=workload.make_subsystems(),
+        seed=3,
+        tracer=tracer,
+    )
+    engine = manager.engine
+    for _ in range(250):
+        pids = [manager.submit(program) for program in workload.programs]
+        engine.run_due(engine.now + 2.0)
+        for pid in pids[::4]:
+            manager.cancel(pid)
+        engine.run()
+    assert not manager.undecided()
+    metrics = tracer.metrics
+    assert metrics.submitted.total() == 4_000
+    assert metrics.lock_defers.total() > 0
+    assert metrics.aborts.value(("cancel",)) > 0
+    assert metrics.aborts.value(("cascade",)) > 0
+    assert metrics._defer_since == {}
 
 
 def test_tee_leaves_sink_tracer_records_byte_identical(uid_floor):

@@ -7,6 +7,7 @@ result, a document or a ``repro`` verb that is gone.
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -249,3 +250,27 @@ JOURNAL_TEE = re.compile(r"JournalTracer|write_deferred|by_topic")
 def test_journal_tee_leaves_no_trace():
     offenders = _traces_of(JOURNAL_TEE, {"tests/test_repo_links.py"})
     assert not offenders, offenders
+
+
+# ----------------------------------------------------------------------
+# one serving thread (DESIGN.md, "Removed: the engine thread on the
+# served path")
+# ----------------------------------------------------------------------
+def test_the_served_path_crosses_no_thread_but_the_wake():
+    """The engine drains on the event loop's own thread, so nothing in
+    ``repro.server`` hands work to another thread and back; waking the
+    loop for an in-process caller on a foreign thread is the one hop."""
+    hops = []
+    for path in sorted((ROOT / "src/repro/server").glob("*.py")):
+        text = path.read_text()
+        assert "wrap_future" not in text, path.name
+        assert "queue.Queue(" not in text, path.name
+        hops += [
+            f"{path.name}:{function.name}"
+            for function in ast.walk(ast.parse(text))
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "call_soon_threadsafe"
+        ]
+    assert hops == ["service.py:wake"], hops

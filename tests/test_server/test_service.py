@@ -1,6 +1,8 @@
-"""Tests for the engine-thread service core (no sockets)."""
+"""Tests for the service core, hosted in-process (no sockets)."""
 
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -230,6 +232,90 @@ class TestCheckAndDrain:
             for pid in (1, 2, 3):
                 status = call(service, cmd="status", pid=pid)
                 assert status["state"] == "done"
+        finally:
+            service.stop()
+
+
+class TestOneServingThread:
+    def test_commands_queued_in_one_turn_share_one_drain_and_fsync(
+        self, tmp_path
+    ):
+        service = ProcessLockingService(
+            ServiceConfig(
+                spec=WorkloadSpec(n_processes=4, seed=11),
+                seed=11,
+                store="log",
+                store_path=str(tmp_path),
+                store_fsync="batch",
+                store_sync_every=100_000,  # only a drain's flush syncs
+            )
+        )
+        batches = []
+        next_batch = service._next_batch
+
+        def recording_next_batch():
+            batch = next_batch()
+            if batch:
+                batches.append(len(batch))
+            return batch
+
+        service._next_batch = recording_next_batch
+        fsyncs = service.store.stats()["fsyncs"]
+        futures = [
+            service.execute(request)
+            for request in (
+                {"cmd": "submit", "count": 2, "wait": True},
+                {"cmd": "submit", "program": 1},
+                {"cmd": "ping"},
+            )
+        ]
+        service.start()
+        try:
+            waited, submitted, pong = (
+                fut.result(timeout=30) for fut in futures
+            )
+            assert [row["pid"] for row in waited["outcomes"]] == [1, 2]
+            assert submitted == {"pids": [3]}
+            assert pong["pong"] is True
+            assert batches == [3]
+            assert service.store.stats()["fsyncs"] == fsyncs + 1
+        finally:
+            service.stop()
+
+    def test_callers_on_many_threads_lose_no_command(self):
+        """Each caller's ``execute`` queues and wakes the loop from its
+        own thread; with the interpreter switching threads every 10 µs
+        every command is still applied, and each exactly once."""
+        service = make_service()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def caller() -> list[int]:
+                return [
+                    call(service, cmd="submit")["pids"][0]
+                    for _ in range(25)
+                ]
+
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(caller) for _ in range(4)]
+                pids = [p for f in futures for p in f.result(timeout=60)]
+            assert sorted(pids) == list(range(1, 101))
+        finally:
+            sys.setswitchinterval(interval)
+            service.stop()
+
+    def test_stop_on_the_serving_thread_drains_without_deadlock(self):
+        service = make_service(time_scale=1e-6, tick=0.005)
+        try:
+            waiting = service.execute(
+                {"cmd": "submit", "count": 3, "at": 50.0, "wait": True}
+            )
+            service.wake(service.stop)  # stop() called on its thread
+            service._thread.join(timeout=30)
+            assert not service._thread.is_alive()
+            rows = waiting.result(timeout=0)["outcomes"]
+            assert all(row["outcome"] for row in rows) and len(rows) == 3
+            assert not service.manager.undecided()
         finally:
             service.stop()
 
