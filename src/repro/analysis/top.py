@@ -150,21 +150,14 @@ def render_top(
         f"p99 {_fmt_latency(p99)}  (n={count:.0f})"
     )
 
-    depth_rows = gauge_samples(snapshot, "repro_shard_queue_depth")
-    lock_rows = {
-        labels.get("shard"): value
-        for labels, value in gauge_samples(snapshot, "repro_locks_held")
-    }
-    if depth_rows:
-        shard_parts = []
-        for labels, depth in sorted(
-            depth_rows, key=lambda r: r[0].get("shard", "")
-        ):
-            shard = labels.get("shard", "?")
-            locks = lock_rows.get(shard, 0.0)
-            shard_parts.append(
-                f"{shard}: q={depth:.0f} locks={locks:.0f}"
+    lock_rows = gauge_samples(snapshot, "repro_locks_held")
+    if lock_rows:
+        shard_parts = [
+            f"{labels.get('shard', '?')}: locks={locks:.0f}"
+            for labels, locks in sorted(
+                lock_rows, key=lambda r: r[0].get("shard", "")
             )
+        ]
         lines.append("shards      " + "   ".join(shard_parts))
 
     defers = counter_total(snapshot, "repro_lock_defers_total")

@@ -86,8 +86,8 @@ class BaselineProtocol:
     def live_processes(self) -> list[Process]:
         return list(self._processes.values())
 
-    def audit(self, shards=None) -> None:
-        self.table.check_invariants(self._processes, shards=shards)
+    def audit(self) -> None:
+        self.table.check_invariants(self._processes)
 
     # ------------------------------------------------------------------
     # defaults

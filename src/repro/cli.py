@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     soak.add_argument(
         "--audit-every",
-        type=int,
+        type=_positive_int,
         default=16,
         help="structural-audit sampling cadence (1 = every event)",
     )

@@ -12,7 +12,7 @@ Resolution order (strictly, for every knob):
 
 1. an **explicit override** passed by the caller (a CLI flag or a
    config-object field the caller set) wins;
-2. otherwise the **environment variable**;
+2. otherwise the **environment variable** (an empty one is unset);
 3. otherwise the built-in **default**.
 
 ``repro config`` renders the table below with each knob's current value
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 __all__ = [
     "KNOBS",
     "Knob",
-    "audit_every",
     "describe",
     "flight_events",
     "flight_path",
@@ -59,23 +58,9 @@ class Knob:
     floor: int | None = None
 
 
-def _parse_optional_str(raw: str) -> str | None:
-    return raw if raw else None
-
-
 KNOBS: dict[str, Knob] = {
     knob.name: knob
     for knob in (
-        Knob(
-            name="audit_every",
-            env="REPRO_AUDIT_EVERY",
-            default=1,
-            floor=1,
-            description=(
-                "structural-audit sampling cadence (1 = audit every "
-                "event; N > 1 samples one shard round-robin per audit)"
-            ),
-        ),
         Knob(
             name="seed_workers",
             env="REPRO_SEED_WORKERS",
@@ -99,7 +84,7 @@ KNOBS: dict[str, Knob] = {
             name="flight_path",
             env="REPRO_FLIGHT_PATH",
             default=None,
-            parse=_parse_optional_str,
+            parse=str,
             description=(
                 "JSONL path the service dumps the flight recorder to "
                 "on SIGTERM drain or unhandled errors (unset = dump "
@@ -110,7 +95,7 @@ KNOBS: dict[str, Knob] = {
             name="store_kind",
             env="REPRO_STORE",
             default=None,
-            parse=_parse_optional_str,
+            parse=str,
             description=(
                 "durable storage backend: 'log' (append-only CRC32 "
                 "frame log) or 'memory' (volatile, for benchmarks); "
@@ -121,7 +106,7 @@ KNOBS: dict[str, Knob] = {
             name="store_path",
             env="REPRO_STORE_PATH",
             default=None,
-            parse=_parse_optional_str,
+            parse=str,
             description=(
                 "directory of the durable store (unset = a fresh temp "
                 "directory, which persists nothing across restarts on "
@@ -156,7 +141,7 @@ def resolve(name: str, override: object = None):
         value = override
     else:
         raw = os.environ.get(knob.env)
-        if raw is None or (raw == "" and knob.parse is not str):
+        if not raw:
             value = knob.default
         else:
             value = knob.parse(raw)
@@ -170,8 +155,7 @@ def source(name: str, override: object = None) -> str:
     if override is not None:
         return "override"
     knob = KNOBS[name]
-    raw = os.environ.get(knob.env)
-    if raw is None or (raw == "" and knob.parse is not str):
+    if not os.environ.get(knob.env):
         return "default"
     return "env"
 
@@ -198,10 +182,6 @@ def describe() -> list[dict[str, object]]:
 
 # Named accessors: the call sites read as documentation and the clamp
 # semantics stay greppable next to their historical homes.
-def audit_every(override: int | None = None) -> int:
-    return resolve("audit_every", override)
-
-
 def seed_workers(override: int | None = None) -> int:
     return resolve("seed_workers", override)
 

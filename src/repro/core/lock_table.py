@@ -21,7 +21,8 @@ primary per-type and per-process lists, the table maintains
   a strictly increasing global counter, every conflicting lock that
   exists when a new lock is appended has a smaller position — so edges
   are added on :meth:`acquire` and only ever removed by
-  :meth:`release_all`, making :meth:`commit_blockers` and
+  :meth:`release_all` (or rebuilt wholesale when the conflict relation
+  changes), making :meth:`commit_blockers` and
   :meth:`on_hold` O(1) lookups instead of O(locks²) rescans.
 
 The per-type lists are position-sorted *by construction* (appends use a
@@ -37,23 +38,9 @@ bitmask per process (``_pid_type_masks``), so "which held types
 conflict with ``t``" is ``masks[t] & _live_mask`` and "does P hold
 anything conflicting with ``t``" is one AND against P's mask — no
 frozenset iteration, no per-pair frozenset allocation.  The plane is
-adopted by identity and resynced whenever the conflict relation
-mutates or a type registers late (see :meth:`_live_plane`).
-
-Activities of different subsystems never conflict (they cannot share
-data — :class:`~repro.activities.commutativity.ConflictMatrix` enforces
-it at declaration time), so the per-type lists partition cleanly by the
-owning subsystem: every conflict edge, blocker-index edge, and
-ordered-sharing decision is *local to one shard*.  The table
-materializes that partition as a map of :class:`LockShard` objects —
-one per subsystem, each owning its activity types and keeping live
-counters (lock count, acquire/release totals) that feed the per-shard
-observability gauges — and can run its structural audit **per shard**,
-so a sampling auditor (``REPRO_AUDIT_EVERY``) round-robins one shard per
-audit instead of rescanning every lock.  The shard map changes how the
-table is *audited and observed*, never how a request is ordered or
-granted: the global per-process lists, P-lock counts and the
-commit-blocker index stay the source of truth.
+adopted by identity; whenever the conflict relation mutates or a type
+registers late, :meth:`_live_plane` — the one resync point — rebuilds
+the masks and the blocker index against it.
 """
 
 from __future__ import annotations
@@ -70,42 +57,11 @@ from repro.process.instance import Process
 _BY_POSITION = attrgetter("position")
 
 
-class LockShard:
-    """One subsystem's slice of the lock table (types + counters)."""
-
-    __slots__ = (
-        "name", "types", "lock_count", "acquires", "releases",
-        "type_mask", "live_mask",
-    )
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        #: Activity type names owned by this shard.
-        self.types: set[str] = set()
-        #: Live locks currently held on this shard's types.
-        self.lock_count = 0
-        self.acquires = 0
-        self.releases = 0
-        #: Bitmask of compiled type ids owned by this shard.
-        self.type_mask = 0
-        #: Bitmask of owned type ids with at least one live lock — the
-        #: shard's slice of the table-wide live mask.
-        self.live_mask = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"LockShard({self.name!r}, types={len(self.types)}, "
-            f"locks={self.lock_count})"
-        )
-
-
 class LockTable:
-    """Per-activity-type ordered lock lists plus incremental indexes,
-    partitioned into per-subsystem :class:`LockShard` slices."""
+    """Per-activity-type ordered lock lists plus incremental indexes."""
 
     def __init__(self, conflicts: ConflictMatrix) -> None:
         self._conflicts = conflicts
-        self._conflicts_version = conflicts.version
         self._by_type: dict[str, list[LockEntry]] = {}
         self._by_pid: dict[int, list[LockEntry]] = {}
         self._c_by_pid: dict[int, list[LockEntry]] = {}
@@ -124,62 +80,40 @@ class LockTable:
         #: (strict 2PL: locks release all-at-once), which keeps the
         #: per-process masks exact without per-type refcounts.
         self._pid_type_masks: dict[int, int] = {}
-        self._shards: dict[str, LockShard] = {}
-        self._shard_by_type: dict[str, LockShard] = {}
-        for activity_type in conflicts.registry:
-            self._assign(activity_type.name, activity_type.subsystem)
-
-    # ------------------------------------------------------------------
-    # shard map
-    # ------------------------------------------------------------------
-    def _assign(self, type_name: str, subsystem: str) -> LockShard:
-        shard = self._shards.get(subsystem)
-        if shard is None:
-            shard = LockShard(subsystem)
-            self._shards[subsystem] = shard
-        shard.types.add(type_name)
-        shard.type_mask |= 1 << self._conflicts.compiled().index[type_name]
-        self._shard_by_type[type_name] = shard
-        return shard
-
-    def shard_of(self, type_name: str) -> LockShard:
-        """The shard owning ``type_name`` (registering late types)."""
-        shard = self._shard_by_type.get(type_name)
-        if shard is None:
-            # Type registered after the table was built.
-            activity_type = self._conflicts.registry.get(type_name)
-            shard = self._assign(type_name, activity_type.subsystem)
-        return shard
-
-    @property
-    def shards(self) -> dict[str, LockShard]:
-        return self._shards
-
-    def shard_names(self) -> tuple[str, ...]:
-        return tuple(self._shards)
 
     def _live_plane(self):
-        """The current compiled plane, adopting a recompile if needed.
+        """The current compiled plane, resyncing the table to a recompile.
 
-        Type ids are stable across recompiles (the registry is
-        append-only), but a recompile may follow bulk conflict edits —
-        the live masks are rebuilt from the per-type lists rather than
-        trusting stale bits.
+        The one resync point: the plane is replaced whenever the
+        conflict relation mutates (``declare_conflict`` /
+        ``close_perfect``) or a type registers late.  Type ids are
+        stable across recompiles (the registry is append-only), but the
+        relation may have changed, so the live masks and the blocker
+        index are rebuilt by replaying the live locks in position order
+        against the new masks — exactly what :meth:`acquire` would have
+        derived had the relation held from the start.
         """
         plane = self._conflicts.compiled()
         if plane is not self._plane:
             self._plane = plane
             index = plane.index
-            mask = 0
-            for type_name in self._by_type:
-                mask |= 1 << index[type_name]
-            self._live_mask = mask
+            mask_of = plane.mask_of
+            self._blocked_by = {}
+            self._blocks = {}
             pid_masks: dict[int, int] = {}
-            for pid, entries in self._by_pid.items():
-                pid_mask = 0
-                for entry in entries:
-                    pid_mask |= 1 << index[entry.type_name]
-                pid_masks[pid] = pid_mask
+            for entry in sorted(self.iter_entries(), key=_BY_POSITION):
+                pid = entry.pid
+                conflict_mask = mask_of[entry.type_name]
+                for other_pid, held in pid_masks.items():
+                    if other_pid != pid and held & conflict_mask:
+                        self._add_block_edge(other_pid, pid)
+                pid_masks[pid] = (
+                    pid_masks.get(pid, 0) | 1 << index[entry.type_name]
+                )
+            live = 0
+            for held in pid_masks.values():
+                live |= held
+            self._live_mask = live
             self._pid_type_masks = pid_masks
         return plane
 
@@ -194,7 +128,7 @@ class LockTable:
         activity_uid: int | None = None,
     ) -> LockEntry:
         """Append a granted lock to the type's list (policy pre-checked)."""
-        self._sync()
+        plane = self._live_plane()
         self._position += 1
         entry = LockEntry(
             process=process,
@@ -225,7 +159,6 @@ class LockTable:
                 c_list.append(entry)
         else:
             self._p_counts[pid] = self._p_counts.get(pid, 0) + 1
-        plane = self._live_plane()
         bit = 1 << plane.id_of(type_name)
         self._live_mask |= bit
         pid_masks = self._pid_type_masks
@@ -241,10 +174,6 @@ class LockTable:
             for other_pid, held in pid_masks.items():
                 if other_pid != pid and held & conflict_mask:
                     add_edge(other_pid, pid)
-        shard = self.shard_of(type_name)
-        shard.lock_count += 1
-        shard.acquires += 1
-        shard.live_mask = self._live_mask & shard.type_mask
         return entry
 
     def release_all(self, pid: int) -> list[LockEntry]:
@@ -281,15 +210,6 @@ class LockTable:
                 waiters.discard(pid)
                 if not waiters:
                     del self._blocks[blocker]
-        touched: set[str] = set()
-        for entry in released:
-            shard = self.shard_of(entry.type_name)
-            shard.lock_count -= 1
-            shard.releases += 1
-            touched.add(shard.name)
-        for name in touched:
-            shard = self._shards[name]
-            shard.live_mask = self._live_mask & shard.type_mask
         return released
 
     def _note_upgrade(self, entry: LockEntry) -> None:
@@ -311,30 +231,6 @@ class LockTable:
     def _add_block_edge(self, blocker: int, waiter: int) -> None:
         self._blocked_by.setdefault(waiter, set()).add(blocker)
         self._blocks.setdefault(blocker, set()).add(waiter)
-
-    def _sync(self) -> None:
-        """Rebuild the blocker index if the conflict relation changed.
-
-        Declaring conflicts while locks are live is unusual (workloads
-        build their matrix up front) but legal; the version check keeps
-        the incremental index honest at the cost of one integer compare
-        on the hot path.
-        """
-        if self._conflicts.version == self._conflicts_version:
-            return
-        self._conflicts_version = self._conflicts.version
-        self._blocked_by = {}
-        self._blocks = {}
-        entries = [e for es in self._by_pid.values() for e in es]
-        conflict = self._conflicts.conflict
-        for mine in entries:
-            for other in entries:
-                if (
-                    other.pid != mine.pid
-                    and other.position < mine.position
-                    and conflict(other.type_name, mine.type_name)
-                ):
-                    self._add_block_edge(other.pid, mine.pid)
 
     # ------------------------------------------------------------------
     # queries
@@ -435,12 +331,12 @@ class LockTable:
         with a smaller sharing position.  Served from the incremental
         blocker index in O(answer).
         """
-        self._sync()
+        self._live_plane()
         return set(self._blocked_by.get(process.pid, ()))
 
     def blockers_of(self, pid: int) -> frozenset[int]:
         """Pids holding an earlier conflicting lock than ``pid``."""
-        self._sync()
+        self._live_plane()
         return frozenset(self._blocked_by.get(pid, ()))
 
     def waiters_on(self, pid: int) -> frozenset[int]:
@@ -451,12 +347,12 @@ class LockTable:
         to rebuild this relation by scanning every live lock (wait-graph
         construction, wake-up scheduling) read it here instead.
         """
-        self._sync()
+        self._live_plane()
         return frozenset(self._blocks.get(pid, ()))
 
     def on_hold(self, process: Process) -> bool:
         """Whether any lock of ``process`` is currently on hold."""
-        self._sync()
+        self._live_plane()
         return bool(self._blocked_by.get(process.pid))
 
     def holders(self) -> set[int]:
@@ -475,14 +371,23 @@ class LockTable:
     def lock_count(self) -> int:
         return sum(len(entries) for entries in self._by_pid.values())
 
-    def check_invariants(
-        self,
-        live_pids: Iterable[int],
-        shards: Iterable[str] | None = None,
-    ) -> None:
-        """Audit structural invariants, fully or one shard at a time.
+    def locks_by_subsystem(self) -> dict[str, int]:
+        """Live locks per subsystem of the registry, zeros included.
 
-        With ``shards=None`` this is the full audit:
+        Read off the per-type lists when asked (the gauge sampler), in
+        registry order; nothing is counted on acquire or release.
+        """
+        by_type = self._by_type
+        counts: dict[str, int] = {}
+        for activity_type in self._conflicts.registry:
+            subsystem = activity_type.subsystem
+            counts[subsystem] = counts.get(subsystem, 0) + len(
+                by_type.get(activity_type.name, ())
+            )
+        return counts
+
+    def check_invariants(self, live_pids: Iterable[int]) -> None:
+        """Audit the table's structural invariants:
 
         * every held lock belongs to a live process;
         * per-type lists are position-sorted;
@@ -492,27 +397,14 @@ class LockTable:
         * the live-type and per-process bitmasks match a recomputation
           from the primary lists, and the compiled conflict rows of
           every live type agree with the dict-based matrix (the
-          dev-time oracle for the compiled plane);
-        * the shard map is consistent (every held type is owned by
-          exactly one shard, per-shard lock counters sum to the global
-          count) and every shard passes its local audit.
+          dev-time oracle for the compiled plane).
 
-        With a list of shard names, only those shards are audited — the
-        sampling auditor's round-robin mode.
-
-        Syncs with the conflict matrix first: after a mid-run
-        ``declare_conflict`` the blocker index is stale by design until
-        the next query, and the audit must judge the synced state.
+        Resyncs with the conflict matrix first: after a mid-run
+        ``declare_conflict`` the indexes are stale by design until the
+        next query, and the audit must judge the synced state.
         """
-        self._sync()
+        self._live_plane()
         live = set(live_pids)
-        if shards is not None:
-            for name in shards:
-                shard = self._shards.get(name)
-                if shard is None:
-                    raise ProtocolError(f"unknown lock shard {name!r}")
-                self._check_shard(shard, live)
-            return
         seen_ids: set[int] = set()
         for type_name, entries in self._by_type.items():
             positions = [entry.position for entry in entries]
@@ -546,9 +438,6 @@ class LockTable:
                 )
         self._check_blocker_index()
         self._check_masks()
-        self._check_shard_totals()
-        for shard in self._shards.values():
-            self._check_shard(shard, live)
 
     def _check_masks(self) -> None:
         plane = self._live_plane()
@@ -616,101 +505,3 @@ class LockTable:
             raise ProtocolError(
                 "blocks map is not the transpose of blocked_by"
             )
-
-    def _check_shard_totals(self) -> None:
-        per_shard = sum(
-            shard.lock_count for shard in self._shards.values()
-        )
-        if per_shard != self.lock_count:
-            raise ProtocolError(
-                f"shard lock counters sum to {per_shard}, table holds "
-                f"{self.lock_count}"
-            )
-        for type_name in self._by_type:
-            if type_name not in self._shard_by_type:
-                raise ProtocolError(
-                    f"held type {type_name!r} is not owned by any shard"
-                )
-
-    def _check_shard(self, shard: LockShard, live: set[int]) -> None:
-        """Shard-local structural audit.
-
-        Checks only the shard's types: position-sortedness, holder
-        liveness, counter agreement, conflict locality (the conflict
-        relation never leaves the shard), and a blocker-index
-        recomputation restricted to the shard's entries — every edge it
-        derives must be present in the global index (conflicts are
-        shard-local, so the shard sees the complete evidence for each of
-        its edges).
-        """
-        plane = self._live_plane()
-        index = plane.index
-        masks = plane.masks
-        expected_type_mask = 0
-        for type_name in shard.types:
-            expected_type_mask |= 1 << index[type_name]
-        if shard.type_mask != expected_type_mask:
-            raise ProtocolError(
-                f"shard {shard.name!r}: type mask {shard.type_mask:#x} "
-                f"disagrees with owned types ({expected_type_mask:#x})"
-            )
-        count = 0
-        entries = []
-        for type_name in shard.types:
-            # Conflict locality as one mask test: every conflict of an
-            # owned type must stay inside the shard's type mask.
-            if masks[index[type_name]] & ~shard.type_mask:
-                foreign = [
-                    plane.names[i]
-                    for i in range(len(plane.names))
-                    if masks[index[type_name]] >> i & 1
-                    and not shard.type_mask >> i & 1
-                ]
-                raise ProtocolError(
-                    f"shard {shard.name!r}: type {type_name!r} "
-                    f"conflicts with foreign types {foreign!r}"
-                )
-            type_entries = self._by_type.get(type_name)
-            if not type_entries:
-                continue
-            positions = [entry.position for entry in type_entries]
-            if positions != sorted(positions):
-                raise ProtocolError(
-                    f"shard {shard.name!r}: lock list of {type_name!r} "
-                    f"is not position-sorted"
-                )
-            for entry in type_entries:
-                if entry.pid not in live:
-                    raise ProtocolError(
-                        f"shard {shard.name!r}: lock {entry} belongs to "
-                        f"a terminated process"
-                    )
-            count += len(type_entries)
-            entries.extend(type_entries)
-        if count != shard.lock_count:
-            raise ProtocolError(
-                f"shard {shard.name!r}: counter says "
-                f"{shard.lock_count} locks, lists hold {count}"
-            )
-        if shard.live_mask != self._live_mask & shard.type_mask:
-            raise ProtocolError(
-                f"shard {shard.name!r}: live mask {shard.live_mask:#x} "
-                f"disagrees with the table-wide live mask slice "
-                f"({self._live_mask & shard.type_mask:#x})"
-            )
-        conflict = self._conflicts.conflict
-        for mine in entries:
-            for other in entries:
-                if (
-                    other.pid != mine.pid
-                    and other.position < mine.position
-                    and conflict(other.type_name, mine.type_name)
-                ):
-                    if other.pid not in self._blocked_by.get(
-                        mine.pid, ()
-                    ):
-                        raise ProtocolError(
-                            f"shard {shard.name!r}: blocker edge "
-                            f"P{other.pid} -> P{mine.pid} missing from "
-                            f"the global index"
-                        )

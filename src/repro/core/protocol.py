@@ -574,14 +574,12 @@ class ProcessLockManager:
             if proc.state is ProcessState.RUNNING
         }
 
-    def audit(self, shards: Sequence[str] | None = None) -> None:
+    def audit(self) -> None:
         """Assert structural invariants of the lock table.
 
-        ``shards`` restricts the audit to the named lock shards (the
-        sampling auditor's round-robin mode); ``None`` is the full
-        audit.  Deadlock freedom of the basic protocol is asserted
-        separately: the manager counts cycle victims, and experiment E5
-        (plus the liveness tests) checks the count stays zero when the
-        cost-based extension is off.
+        Deadlock freedom of the basic protocol is asserted separately:
+        the manager counts cycle victims, and experiment E5 (plus the
+        liveness tests) checks the count stays zero when the cost-based
+        extension is off.
         """
-        self.table.check_invariants(self._processes, shards=shards)
+        self.table.check_invariants(self._processes)

@@ -689,11 +689,6 @@ class EventMetrics:
             "Lock entries currently held, by shard.",
             ("shard",),
         )
-        self.queue_depth = r.gauge(
-            "repro_shard_queue_depth",
-            "Open work (in-flight + parked) per lock shard.",
-            ("shard",),
-        )
         self.lock_wait = r.histogram(
             "repro_lock_wait_vt",
             "Virtual time from first defer to grant, by request class.",
@@ -804,8 +799,6 @@ class EventMetrics:
             return self.locks_gauge._children, ()
         if name.startswith("locks."):
             return self.locks_by_shard._children, (name[6:],)
-        if name.startswith("queue."):
-            return self.queue_depth._children, (name[6:],)
         return _IGNORED_SAMPLE
 
     def observe_latency(self, seconds: float, outcome: str) -> None:

@@ -117,12 +117,9 @@ class ManagerConfig:
     retry_policy: object | None = None
     #: Run the protocol's structural audit after every event (slow).
     audit: bool = False
-    #: Audit every Nth event instead of every event (``REPRO_AUDIT_EVERY``
-    #: env knob, resolved by :mod:`repro.config`).  With N > 1, each
-    #: audit checks one lock shard round-robin, so the sampled auditor's
-    #: per-event cost no longer scans the whole table.  N = 1 keeps the
-    #: seed behaviour.
-    audit_every: int = field(default_factory=repro_config.audit_every)
+    #: With ``audit``, run the full audit every Nth event instead of
+    #: every event (``repro soak`` samples every 16th).
+    audit_every: int = 1
     #: Hard cap on simulation events.
     max_events: int = 1_000_000
     #: Serialize conflicting activity *executions* in lock-sharing order
@@ -283,12 +280,7 @@ class ProcessManager:
         #: parking pid.
         self._cycle_standing = False
         self._inflight: dict[int, InflightActivity] = {}
-        #: subsystem -> live queue depth (in-flight + parked activity
-        #: requests), maintained incrementally at the _inflight/_parked
-        #: mutation sites so gauge sampling never scans either store.
-        self._shard_depth_counts: dict[str, int] = {}
         self._audit_tick = 0
-        self._audit_shard_cursor = 0
         #: uid -> uids of flights gated behind it, in the order they were
         #: gated (lock-position order).  Insertion-ordered, not a set:
         #: the order dependents are released in is the order they start
@@ -610,29 +602,6 @@ class ProcessManager:
         self._finished.append(pid)
 
     # ------------------------------------------------------------------
-    # shard queue depths (the ``repro_shard_queue_depth`` gauge)
-    # ------------------------------------------------------------------
-    def _note_shard_depth(self, activity, delta: int) -> None:
-        """Bump the incremental depth counter for ``activity``'s shard.
-
-        Called at every ``_inflight``/``_parked`` mutation site; parked
-        COMMIT requests carry no activity and never count.
-        """
-        if activity is None:
-            return
-        counts = self._shard_depth_counts
-        shard = activity.activity_type.subsystem
-        counts[shard] = counts.get(shard, 0) + delta
-
-    def _shard_depths(self) -> dict[str, int]:
-        """All shard queue depths (incremental; O(live shards))."""
-        return {
-            shard: depth
-            for shard, depth in self._shard_depth_counts.items()
-            if depth
-        }
-
-    # ------------------------------------------------------------------
     # forward progress
     # ------------------------------------------------------------------
     def _step(self, process: Process) -> None:
@@ -738,7 +707,6 @@ class ProcessManager:
             plane = self.protocol.conflicts.compiled()
             flight.type_bit = 1 << plane.id_of(activity.name)
         self._inflight[activity.uid] = flight
-        self._note_shard_depth(activity, +1)
         self._gate_flight(flight)
         if not flight.gate:
             self._start_flight(flight)
@@ -856,8 +824,7 @@ class ProcessManager:
                 lambda: self._complete_regular(flight),
             )
             return
-        if self._inflight.pop(activity.uid, None) is not None:
-            self._note_shard_depth(activity, -1)
+        self._inflight.pop(activity.uid, None)
         self.stats.note_inflight(self.engine.now, -1)
         self._release_dependents(flight)
         failed = not activity_type.retriable and self._samples_failure(
@@ -1085,8 +1052,7 @@ class ProcessManager:
             return            # belong to abortable processes
         process = flight.process
         activity = flight.activity
-        if self._inflight.pop(activity.uid, None) is not None:
-            self._note_shard_depth(activity, -1)
+        self._inflight.pop(activity.uid, None)
         self.stats.note_inflight(self.engine.now, -1)
         self._release_dependents(flight)
         run = self._comp_runs.get(process.pid)
@@ -1179,7 +1145,6 @@ class ProcessManager:
         for flight in self._flights_of(process.pid):
             flight.cancelled = True
             del self._inflight[flight.activity.uid]
-            self._note_shard_depth(flight.activity, -1)
             if self.tracer.enabled:
                 self.tracer.emit(
                     ActivityCancelled(
@@ -1286,7 +1251,6 @@ class ProcessManager:
         seq = request.seq = next(self._park_seq)
         self._parked[seq] = request
         self._parked_of.setdefault(request.process.pid, {})[seq] = request
-        self._note_shard_depth(request.activity, +1)
         for pid in request.wait_for:
             self._wait_index.setdefault(pid, set()).add(seq)
         if self.tracer.enabled:
@@ -1300,7 +1264,6 @@ class ProcessManager:
         del own[seq]
         if not own:
             del self._parked_of[waiter]
-        self._note_shard_depth(request.activity, -1)
         for pid in request.wait_for:
             bucket = self._wait_index.get(pid)
             if bucket is not None:
@@ -1594,12 +1557,8 @@ class ProcessManager:
             "held": float(len(self._held)),
             "locks": float(table.lock_count),
         }
-        shards = table.shards
-        for shard in shards.values():
-            sample[f"locks.{shard.name}"] = float(shard.lock_count)
-        depths = self._shard_depths()
-        for name in shards:
-            sample[f"queue.{name}"] = float(depths.get(name, 0))
+        for subsystem, count in table.locks_by_subsystem().items():
+            sample[f"locks.{subsystem}"] = float(count)
         return sample
 
     # ------------------------------------------------------------------
@@ -1623,18 +1582,8 @@ class ProcessManager:
         if not self.config.audit:
             return
         self._audit_tick += 1
-        every = self.config.audit_every
-        if every > 1 and self._audit_tick % every:
-            return
-        shards = None
-        if every > 1:
-            # Sampled audits pay per-shard cost: check one shard per
-            # audit, round-robin, instead of rescanning the whole table.
-            names = self.protocol.table.shard_names()
-            if names:
-                shards = (names[self._audit_shard_cursor % len(names)],)
-                self._audit_shard_cursor += 1
-        self.protocol.audit(shards=shards)
+        if self._audit_tick % self.config.audit_every == 0:
+            self.protocol.audit()
 
 
 def _attach_store(

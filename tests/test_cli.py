@@ -253,7 +253,7 @@ class TestServiceCommands:
         out = capsys.readouterr().out
         assert "REPRO_* environment knobs" in out
         for env in (
-            "REPRO_AUDIT_EVERY", "REPRO_SEED_WORKERS",
+            "REPRO_SEED_WORKERS",
             "REPRO_FLIGHT_EVENTS", "REPRO_FLIGHT_PATH",
             "REPRO_STORE", "REPRO_STORE_PATH", "REPRO_STORE_FSYNC",
         ):
@@ -268,7 +268,8 @@ class TestServiceCommands:
             assert env not in out
 
     def test_removed_env_knobs_change_nothing(self, capsys, monkeypatch):
-        """DESIGN.md, "Removed: thread-per-shard manager"."""
+        """DESIGN.md, "Removed: thread-per-shard manager" and "Removed:
+        the lock table's shard map"."""
 
         def outputs():
             assert main(["config"]) == 0
@@ -277,27 +278,30 @@ class TestServiceCommands:
 
         before = outputs()
         for env in (
-            "REPRO_WORKERS", "REPRO_BATCH_K", "REPRO_PARALLEL_FANOUT"
+            "REPRO_WORKERS", "REPRO_BATCH_K", "REPRO_PARALLEL_FANOUT",
+            "REPRO_AUDIT_EVERY",
         ):
             monkeypatch.setenv(env, "2")
             assert env not in before
         assert outputs() == before
-        assert before.count("REPRO_") == 1 + 7  # the title and the rows
+        assert before.count("REPRO_") == 1 + 6  # the title and the rows
 
     def test_config_json_reports_sources(self, capsys, monkeypatch):
         import json
 
-        monkeypatch.setenv("REPRO_AUDIT_EVERY", "2")
+        monkeypatch.setenv("REPRO_SEED_WORKERS", "2")
         monkeypatch.delenv("REPRO_FLIGHT_EVENTS", raising=False)
         assert main(["config", "--json"]) == 0
         rows = {
             row["knob"]: row
             for row in json.loads(capsys.readouterr().out)
         }
-        assert len(rows) == 7
-        assert not {"workers", "batch_k", "parallel_fanout"} & set(rows)
-        assert rows["audit_every"]["value"] == 2
-        assert rows["audit_every"]["source"] == "env"
+        assert len(rows) == 6
+        assert not {
+            "workers", "batch_k", "parallel_fanout", "audit_every"
+        } & set(rows)
+        assert rows["seed_workers"]["value"] == 2
+        assert rows["seed_workers"]["source"] == "env"
         assert rows["flight_events"]["source"] == "default"
 
     def test_serve_parser_defaults(self):
@@ -341,7 +345,7 @@ class TestRenderTop:
         m = EventMetrics()
         m.observe_latency(0.02, "committed")
         m.observe_latency(0.08, "committed")
-        m.sample_gauges({"queue.bank": 2.0, "locks.bank": 1.0})
+        m.sample_gauges({"locks.bank": 1.0, "locks.shop": 0.0})
         stats = {
             "manager": {
                 "submitted": 10, "committed": 8,
@@ -365,7 +369,7 @@ class TestRenderTop:
         assert "vt 42.00" in frame
         assert "submitted       10" in frame
         assert "p50" in frame and "(n=2)" in frame
-        assert "bank: q=2 locks=1" in frame
+        assert "bank: locks=1   shop: locks=0" in frame
         assert "published      100" in frame
 
     def test_rates_come_from_successive_polls(self):
@@ -392,6 +396,13 @@ class TestErrorHardening:
             main(["serve", "--port", "-3"])
         assert excinfo.value.code == 2
         assert "integer >= 0" in capsys.readouterr().err
+
+    def test_zero_audit_cadence_rejected(self, capsys):
+        """``--audit-every 0`` used to die of a modulo by zero."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["soak", "--audit-every", "0"])
+        assert excinfo.value.code == 2
+        assert "integer >= 1" in capsys.readouterr().err
 
     def test_zero_backlog_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -22,9 +22,23 @@ class TestResolution:
         assert repro_config.source("flight_events", 5) == "override"
 
     def test_floor_clamps_env_and_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_AUDIT_EVERY", "-4")
-        assert repro_config.audit_every() == 1
-        assert repro_config.audit_every(-2) == 1
+        monkeypatch.setenv("REPRO_FLIGHT_EVENTS", "-4")
+        assert repro_config.flight_events() == 1
+        assert repro_config.flight_events(-2) == 1
+
+    def test_empty_variable_is_unset(self, monkeypatch, tmp_path):
+        """An exported-but-empty ``REPRO_STORE_FSYNC=`` used to reach the
+        store as the fsync policy ``''`` and fail its open."""
+        monkeypatch.setenv("REPRO_STORE_FSYNC", "")
+        assert repro_config.store_fsync() == "batch"
+        assert repro_config.source("store_fsync") == "default"
+        from repro.storage import Store
+
+        Store.open("log", str(tmp_path)).close()
+        for knob in repro_config.KNOBS.values():
+            monkeypatch.setenv(knob.env, "")
+            assert repro_config.resolve(knob.name) == knob.default
+            assert repro_config.source(knob.name) == "default"
 
     def test_unknown_knob_raises(self):
         with pytest.raises(KeyError):
@@ -75,9 +89,9 @@ class TestServeKnobs:
         finally:
             store.close()
 
-    def test_table_has_seven_knobs_and_none_of_the_six(self):
+    def test_table_has_six_knobs_and_none_of_the_six(self):
         envs = {knob.env for knob in repro_config.KNOBS.values()}
-        assert len(envs) == 7
+        assert len(envs) == 6
         assert not envs & set(self.GONE)
 
 
@@ -95,11 +109,22 @@ class TestDescribe:
 class TestConsumers:
     """The historical inline readers now route through the registry."""
 
-    def test_manager_config_defaults_from_env(self, monkeypatch):
-        from repro.scheduler.manager import ManagerConfig
+    def test_manager_config_defaults_from_env(self, monkeypatch, tmp_path):
+        """An unset ``ManagerConfig.store`` defers to ``REPRO_STORE``."""
+        from repro.scheduler.manager import make_manager
+        from repro.sim.runner import make_protocol
+        from repro.sim.workload import WorkloadSpec, build_workload
 
-        monkeypatch.setenv("REPRO_AUDIT_EVERY", "8")
-        assert ManagerConfig().audit_every == 8
+        monkeypatch.setenv("REPRO_STORE", "memory")
+        monkeypatch.setenv("REPRO_STORE_PATH", str(tmp_path))
+        workload = build_workload(
+            WorkloadSpec(n_processes=2, grounded=True, seed=1)
+        )
+        pool = workload.make_subsystems()
+        make_manager(
+            make_protocol("process-locking", workload), subsystems=pool
+        )
+        assert pool.store is not None
 
     def test_seed_worker_resolution(self, monkeypatch):
         from repro.sim.runner import _resolve_workers

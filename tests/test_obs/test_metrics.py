@@ -196,7 +196,7 @@ class TestEventMetrics:
             family["name"]
             for family in EventMetrics().registry.snapshot()["families"]
         ]
-        assert len(names) == 32
+        assert len(names) == 31
         gone = (
             "breaker", "admission", "backpressure", "degraded", "wcc_cap",
             "worker",
@@ -283,11 +283,11 @@ class TestEventMetrics:
         m = EventMetrics()
         m.sample_gauges({
             "parked": 2.0, "inflight": 3.0, "live": 4.0,
-            "locks": 5.0, "locks.bank": 1.0, "queue.bank": 6.0,
+            "locks": 5.0, "locks.bank": 1.0, "locks.shop": 0.0,
         })
         assert m.parked_gauge.value() == 2.0
         assert m.locks_by_shard.value(("bank",)) == 1.0
-        assert m.queue_depth.value(("bank",)) == 6.0
+        assert set(m.locks_by_shard._children) == {("bank",), ("shop",)}
 
 
 # ----------------------------------------------------------------------
@@ -474,44 +474,48 @@ def test_metrics_tracer_offset_propagates_to_sinks():
 
 
 def test_incremental_shard_depths_match_recompute():
-    """The queue-depth gauges come from counters bumped at the
-    ``_inflight``/``_parked`` mutation sites; every mid-run sample must
-    agree with a brute-force scan of both stores, and a drained manager
-    must be back at zero on every shard."""
+    """The per-shard depths ``repro_locks_held`` reports ("shard" = the
+    owning subsystem) are read off the per-type lock lists when the
+    gauges are sampled. Checked drain by drain through a contended
+    3-subsystem run: one sample per subsystem of the registry, zeros
+    included, each equal to a recompute of that subsystem's share of
+    the table; a drained manager is back at zero on every shard."""
     spec = CONTENDED.with_(seed=9)
     workload = build_workload(spec)
     protocol = make_protocol("process-locking", workload)
-    tracer = MetricsTracer(sinks=(Tracer(),))
+    tracer = MetricsTracer()
     manager = make_manager(
         protocol,
         subsystems=workload.make_subsystems(),
         seed=spec.seed,
         tracer=tracer,
     )
-    checked = 0
-    incremental = manager._shard_depths
-
-    def checking():
-        nonlocal checked
-        depths = incremental()
-        brute: dict[str, int] = {}
-        for flight in manager._inflight.values():
-            shard = flight.activity.activity_type.subsystem
-            brute[shard] = brute.get(shard, 0) + 1
-        for request in manager._parked.values():
-            if request.activity is not None:
-                shard = request.activity.activity_type.subsystem
-                brute[shard] = brute.get(shard, 0) + 1
-        assert depths == brute
-        checked += 1
-        return depths
-
-    manager._shard_depths = checking
     for i, program in enumerate(workload.programs):
         manager.submit(program, at=workload.arrival_time(i))
-    manager.run()
-
-    assert checked > 100
-    assert all(
-        depth == 0 for depth in manager._shard_depth_counts.values()
-    )
+    subsystems = {t.subsystem for t in workload.registry}
+    assert len(subsystems) == 3
+    table = protocol.table
+    held = tracer.metrics.locks_by_shard
+    drains = busy = 0
+    deadline = 0.0
+    while manager.engine.pending:
+        deadline += 0.25
+        manager.engine.run_due(deadline)
+        tracer.refresh_gauges()
+        drains += 1
+        expected = {
+            subsystem: float(
+                sum(
+                    len(table.locks_on(t.name))
+                    for t in workload.registry
+                    if t.subsystem == subsystem
+                )
+            )
+            for subsystem in subsystems
+        }
+        assert {
+            shard: held.value((shard,)) for (shard,) in held._children
+        } == expected
+        busy += any(expected.values())
+    assert drains > 20 and busy > 10
+    assert all(depth == 0.0 for depth in expected.values())

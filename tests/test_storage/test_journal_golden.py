@@ -25,7 +25,12 @@ the new journal is the old one with its ``grant`` / ``wcc`` rows taken
 out, byte for byte, and the new frames are the old ones but for the
 ``journal_lsn`` of their ``store.snapshot`` events, which counts fewer
 records; ``trace``, ``gauges`` and the five schedule digests did not
-move.
+move.  ``gauges`` alone was recorded once more when the lock table's
+shard map went: the ``metrics`` verb lost the per-subsystem queue-depth
+family (three samples, all zero after the last drain); the parent's
+gauges dict with that one family taken out hashes to the new digest,
+and ``repro_locks_held``, now read off the lock table when sampled,
+kept its samples.
 
 The scripted session runs in a fresh interpreter: its records carry
 activity uids as they are, and those come from a module-global counter
@@ -70,7 +75,7 @@ RECORDED = {
         "9938c29e2fc7ffb65b53dbff73d1af4c0dabb97c9e84c9eed6b8a543dd0800fa"
     ),
     "gauges": (
-        "59bf63497b7c96f9bb8945ca7706c4eb1db4826789805cacb07fe7d95955649c"
+        "2c10a42c94ad92c5db08d442762f57edd0e01f7dbe116c06f0f8f159d58d7496"
     ),
 }
 
