@@ -61,7 +61,6 @@ class PureOrderedSharedLocking(BaselineProtocol):
         entry = self.table.acquire(
             process, activity.name, LockMode.C, activity.uid
         )
-        self.stats.c_grants += 1
         return Grant(locks=(entry,))
 
     def request_compensation_lock(
@@ -94,14 +93,13 @@ class PureOrderedSharedLocking(BaselineProtocol):
         if victims:
             return AbortVictims(victims=frozenset(victims))
         if waits:
-            self.stats.note_defer("wait-aborting")
+            self.stats.defers += 1
             return Defer(
                 wait_for=frozenset(waits), reason="wait-aborting"
             )
         entry = self.table.acquire(
             process, activity.name, LockMode.C, activity.uid
         )
-        self.stats.c_grants += 1
         return Grant(locks=(entry,))
 
     def force_grant_compensation(
@@ -117,7 +115,6 @@ class PureOrderedSharedLocking(BaselineProtocol):
         entry = self.table.acquire(
             process, activity.name, LockMode.C, activity.uid
         )
-        self.stats.c_grants += 1
         return Grant(locks=(entry,))
 
     def try_commit(self, process: Process) -> Decision:
@@ -128,10 +125,8 @@ class PureOrderedSharedLocking(BaselineProtocol):
             if pid in self._processes
         }
         if blockers:
-            self.stats.commit_defers += 1
-            self.stats.note_defer("commit-on-hold")
+            self.stats.defers += 1
             return Defer(
                 wait_for=frozenset(blockers), reason="commit-on-hold"
             )
-        self.stats.commits += 1
         return Grant()

@@ -101,7 +101,7 @@ class StrictTwoPhaseLocking(BaselineProtocol):
             if e.timestamp < process.timestamp
         }
         if older:
-            self.stats.note_defer("s2pl-die")
+            self.stats.defers += 1
             return SelfAbort(reason="wait-die")
         return self._wait(running | unabortable, "s2pl-wait")
 
@@ -125,7 +125,6 @@ class StrictTwoPhaseLocking(BaselineProtocol):
 
     def try_commit(self, process: Process) -> Decision:
         # Nothing is ever shared, so nothing is ever on hold.
-        self.stats.commits += 1
         return Grant()
 
     def force_grant_regular(
@@ -146,11 +145,10 @@ class StrictTwoPhaseLocking(BaselineProtocol):
         entry = self.table.acquire(
             process, activity.name, LockMode.C, activity.uid
         )
-        self.stats.c_grants += 1
         return Grant(locks=(entry,))
 
     def _wait(self, blockers: set[int], reason: str) -> Defer:
-        self.stats.note_defer(reason)
+        self.stats.defers += 1
         return Defer(wait_for=frozenset(blockers), reason=reason)
 
     def _wound(self, victims: set[int]) -> AbortVictims:

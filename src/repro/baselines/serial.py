@@ -30,14 +30,13 @@ class SerialScheduler(BaselineProtocol):
         self, process: Process, activity: Activity, mode: LockMode
     ) -> Decision:
         if not self._admit(process):
-            self.stats.note_defer("serial-token")
+            self.stats.defers += 1
             return Defer(
                 wait_for=frozenset({self._owner}), reason="serial-token"
             )
         entry = self.table.acquire(
             process, activity.name, LockMode.C, activity.uid
         )
-        self.stats.c_grants += 1
         return Grant(locks=(entry,))
 
     def request_compensation_lock(
@@ -47,11 +46,9 @@ class SerialScheduler(BaselineProtocol):
         entry = self.table.acquire(
             process, activity.name, LockMode.C, activity.uid
         )
-        self.stats.c_grants += 1
         return Grant(locks=(entry,))
 
     def try_commit(self, process: Process) -> Decision:
-        self.stats.commits += 1
         return Grant()
 
     def detach(self, process: Process) -> None:

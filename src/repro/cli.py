@@ -266,16 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print each plan's compiled fault schedule (canonical form)",
     )
-    chaos.add_argument(
-        "--durability",
-        action="store_true",
-        help=(
-            "run the durability chaos campaign instead: torn tails, "
-            "checksum corruption, and partial-fsync loss against an "
-            "on-disk store, asserting recovery never applies a "
-            "partial record"
-        ),
-    )
 
     soak = sub.add_parser(
         "soak",
@@ -425,12 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
             "verify = walk every frame, exit 2 on corruption; "
             "compact = drop records recovery can no longer need"
         ),
-    )
-    store.add_argument(
-        "--store",
-        default=None,
-        choices=("log", "memory"),
-        help="backend kind (default: REPRO_STORE, else log)",
     )
     store.add_argument(
         "--path",
@@ -743,17 +727,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.analysis.faults import campaign_json, render_campaign
     from repro.faults import run_campaign
 
-    if args.durability:
-        from repro.faults import run_durability_campaign
-
-        report = run_durability_campaign(
-            seed=args.seed, quick=args.quick
-        )
-        if args.json:
-            print(json.dumps(report.to_dict(), indent=2))
-        else:
-            print(report.describe())
-        return 0 if report.ok else 1
     report = run_campaign(
         seed=args.seed,
         quick=args.quick,
@@ -830,9 +803,18 @@ def cmd_store(args: argparse.Namespace) -> int:
     from repro.errors import StorageError, WalCorruptionError
     from repro.storage import Store
 
-    kind = args.store or repro_config.store_kind() or "log"
+    # Only the log backend has files to read: whatever REPRO_STORE says,
+    # this is the one opened, and only on a directory that exists.
+    path = repro_config.store_path(args.path)
+    if path is None or not os.path.isdir(path):
+        print(
+            f"not a store directory: {path or 'none given'} "
+            "(pass --path DIR or set REPRO_STORE_PATH)",
+            file=sys.stderr,
+        )
+        return 2
     try:
-        store = Store.open(kind, args.path)
+        store = Store.open("log", path)
     except WalCorruptionError as error:
         print(f"store corrupt: {error}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ Every lock request (and every commit attempt) resolves to exactly one of:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.locks import LockEntry
 
@@ -105,25 +105,17 @@ Decision = Grant | Defer | AbortVictims | SelfAbort
 
 @dataclass
 class ProtocolStats:
-    """Counters describing the protocol's decisions during a run."""
+    """The protocol's decision counters that run summaries read.
 
-    c_grants: int = 0
-    p_grants: int = 0
-    conversions: int = 0
+    Grants per request class, defers per rule and conversions are the
+    metrics registry's ``repro_lock_*`` families; defers per reason are
+    the series bank's ``defer_reasons`` histogram.
+    """
+
     defers: int = 0
-    defer_reasons: dict[str, int] = field(default_factory=dict)
     #: Cascade decisions that began at least one abort, and the aborts
     #: they began — counted by the process manager where the abort
     #: starts: re-asked after a victim is gone, a rule names the
     #: remaining victims again.
     cascades_requested: int = 0
     cascade_victims: int = 0
-    commit_defers: int = 0
-    commits: int = 0
-    aborts: int = 0
-
-    def note_defer(self, reason: str) -> None:
-        self.defers += 1
-        self.defer_reasons[reason] = (
-            self.defer_reasons.get(reason, 0) + 1
-        )

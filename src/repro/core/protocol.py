@@ -285,7 +285,6 @@ class ProcessLockManager:
         entry = self.table.acquire(
             process, activity.name, LockMode.C, activity.uid
         )
-        self.stats.c_grants += 1
         return Grant(locks=(entry,))
 
     # ------------------------------------------------------------------
@@ -340,7 +339,6 @@ class ProcessLockManager:
         entry = self.table.acquire(
             process, activity.name, LockMode.C, activity.uid
         )
-        self.stats.c_grants += 1
         return Grant(locks=(entry,))
 
     def try_commit(self, process: Process) -> Decision:
@@ -351,9 +349,7 @@ class ProcessLockManager:
             if pid in self._processes
         }
         if blockers:
-            self.stats.commit_defers += 1
             return self._defer(process, blockers, "commit-on-hold")
-        self.stats.commits += 1
         return Grant()
 
     # ------------------------------------------------------------------
@@ -388,7 +384,6 @@ class ProcessLockManager:
         entry = self.table.acquire(
             process, activity.name, LockMode.C, activity.uid
         )
-        self.stats.c_grants += 1
         return Grant(locks=(entry,))
 
     def _piv_rule(self, process: Process, activity: Activity) -> Decision:
@@ -488,7 +483,6 @@ class ProcessLockManager:
             entry = self.table.acquire(
                 process, activity.name, LockMode.C, activity.uid
             )
-            self.stats.c_grants += 1
             return Grant(locks=(entry,))
         return self._grant_p(
             process,
@@ -506,7 +500,6 @@ class ProcessLockManager:
     ) -> Grant:
         for entry in own_c_locks:
             entry.upgrade_to_p()
-            self.stats.conversions += 1
             if self.tracer.enabled:
                 self.tracer.emit(
                     LockConverted(
@@ -520,7 +513,6 @@ class ProcessLockManager:
         )
         if real_pivot:
             self._token_owner = process.pid
-        self.stats.p_grants += 1
         return Grant(locks=(entry,))
 
     # ------------------------------------------------------------------
@@ -531,7 +523,7 @@ class ProcessLockManager:
         reason: str,
     ) -> Defer:
         wait_for = frozenset(blockers)
-        self.stats.note_defer(reason)
+        self.stats.defers += 1
         return Defer(wait_for=wait_for, reason=reason)
 
     def _cascade(self, victims: set[int]) -> AbortVictims:

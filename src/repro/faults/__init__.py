@@ -18,11 +18,6 @@ Layers:
   round) behind ``repro soak``.
 """
 
-from repro.faults.durability import (
-    DurabilityReport,
-    DurabilityRound,
-    run_durability_campaign,
-)
 from repro.faults.harness import (
     DEFAULT_PROTOCOLS,
     CampaignReport,
@@ -74,8 +69,6 @@ __all__ = [
     "ChaosRunResult",
     "CorrelatedOutage",
     "DEFAULT_PROTOCOLS",
-    "DurabilityReport",
-    "DurabilityRound",
     "ExponentialBackoff",
     "FaultCounters",
     "FaultInjector",
@@ -101,7 +94,6 @@ __all__ = [
     "outage_storm",
     "run_campaign",
     "run_chaos",
-    "run_durability_campaign",
     "run_soak",
     "threshold_boundary_storm",
     "threshold_boundary_subsystems",

@@ -1195,7 +1195,6 @@ class ProcessManager:
         self.trace.record_abort(process)
         self.protocol.detach(process)
         del self._processes[pid]
-        self.protocol.stats.aborts += 1
         if self.tracer.enabled:
             self.tracer.emit(
                 ProcessAborted(

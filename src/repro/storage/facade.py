@@ -27,7 +27,6 @@ rely on byte-stable frames.
 from __future__ import annotations
 
 import json
-import os
 import tempfile
 
 from repro import config as repro_config
@@ -488,8 +487,3 @@ class Store:
             namespace: self.backend.count(namespace)
             for namespace in self.backend.namespaces()
         }
-
-
-def default_store_dir() -> str:
-    """A stable default path for CLI flows that want one."""
-    return os.path.join(os.getcwd(), "repro-store")

@@ -11,7 +11,8 @@ the durability protocol:
 * every terminal outcome is journaled (``terminal`` records, carrying
   the final :class:`~repro.scheduler.events.ProcessRecord`) at the next
   quiescent point;
-* once enough journal records accumulate, a **snapshot** is cut.  It
+* once enough journal records accumulate, or a pid the last snapshot
+  holds live is decided, a **snapshot** is cut.  It
   writes what changed since the previous one: the trace events
   recorded since go to the append-only ``trace`` namespace, and a small
   document — live-process continuations, the records of undecided
@@ -104,6 +105,10 @@ class PersistencePlane:
         #: from here.
         self._trace_len = 0
         self._max_pid = 0
+        #: Pids the newest document holds live or awaiting resubmission:
+        #: a restart adopts and re-runs them, whatever their ``terminal``
+        #: records say.
+        self._adoptable: set[int] = set()
         self.last_recovery: RecoveryInfo | None = None
 
     # ------------------------------------------------------------------
@@ -198,6 +203,7 @@ class PersistencePlane:
             self._snapshot_lsn = info.snapshot_lsn
         self._trace_len = len(image.trace_events)
         self._max_pid = image.max_pid
+        self._adoptable = {snapshot.pid for snapshot in image.snapshots}
         if tracer is not None and tracer.enabled:
             # Keep stamped times monotone across incarnations.
             tracer.offset = (
@@ -285,10 +291,14 @@ class PersistencePlane:
 
         Journals the pids decided since the last call (in ascending
         pid order, so a schedule fixes the journal's bytes), takes a
-        snapshot when the journal has outgrown the cadence, and flushes
-        so everything acknowledged after this point is durable.
+        snapshot when the journal has outgrown the cadence, or when it
+        decided a pid the newest document holds live (a restart would
+        re-run that pid, so no answer may go out on its outcome before
+        a newer document), and flushes so everything acknowledged after
+        this point is durable.
         """
-        for pid in sorted(manager.take_finished()):
+        finished = sorted(manager.take_finished())
+        for pid in finished:
             record = manager.records[pid]
             self.store.journal.append(
                 {
@@ -302,6 +312,7 @@ class PersistencePlane:
         if (
             self.journal_len - self._snapshot_lsn
             >= self.snapshot_every
+            or not self._adoptable.isdisjoint(finished)
         ):
             self.snapshot(manager)
             took = True
@@ -344,6 +355,7 @@ class PersistencePlane:
         )
         self._snapshot_lsn = lsn
         self._trace_len = len(events)
+        self._adoptable = {process.pid for process in processes}
         tracer = manager.tracer
         if tracer.enabled:
             tracer.emit(

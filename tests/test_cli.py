@@ -417,6 +417,52 @@ class TestErrorHardening:
             assert excinfo.value.code == 2
             assert flag in capsys.readouterr().err
 
+    def test_removed_durability_and_store_flags_exit_2(self, capsys):
+        """DESIGN.md §7, "Removed: the sampled durability campaign"."""
+        for flag, argv in (
+            ("--durability", ["chaos", "--durability"]),
+            ("--store", ["store", "verify", "--store", "log"]),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert flag in capsys.readouterr().err
+
+    def test_store_reads_the_log_whatever_repro_store_says(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``REPRO_STORE=memory`` used to verify an empty in-memory store
+        instead of the files at ``--path``, and pass."""
+        from repro.storage import AppendLogBackend
+        from tests.test_storage.commit_log import flip_payload_byte
+
+        backend = AppendLogBackend(str(tmp_path), fsync="never")
+        backend.append("journal", b'{"kind":"submit","pid":1}')
+        backend.close()
+        flip_payload_byte(tmp_path, "journal")
+        for kind in ("memory", "log"):
+            monkeypatch.setenv("REPRO_STORE", kind)
+            for action in ("verify", "inspect", "compact"):
+                assert main(["store", action, "--path", str(tmp_path)]) == 2
+                assert "store corrupt" in capsys.readouterr().err
+
+    def test_store_without_a_directory_exits_2(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """It used to verify a fresh temporary directory, pass, and
+        leave the directory behind."""
+        import tempfile
+
+        monkeypatch.delenv("REPRO_STORE_PATH", raising=False)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        missing = tmp_path / "missing"
+        for extra in ([], ["--path", str(missing)]):
+            assert main(["store", "verify", *extra]) == 2
+            err = capsys.readouterr().err
+            assert "not a store directory" in err
+            assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_explain_corrupt_trace_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "events.jsonl"
         bad.write_text("this is { not jsonl\n")

@@ -1,5 +1,7 @@
 """Unit tests for decision objects and protocol statistics."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core.decisions import (
@@ -33,16 +35,17 @@ class TestDecisionObjects:
 
 
 class TestProtocolStats:
-    def test_note_defer_counts_by_reason(self):
-        stats = ProtocolStats()
-        stats.note_defer("a")
-        stats.note_defer("a")
-        stats.note_defer("b")
-        assert stats.defers == 3
-        assert stats.defer_reasons == {"a": 2, "b": 1}
+    def test_keeps_only_the_counters_that_are_read(self):
+        """Grants, conversions, commits, aborts and per-reason defers
+        are counted by the metrics registry and the series bank."""
+        assert [spec.name for spec in fields(ProtocolStats)] == [
+            "defers",
+            "cascades_requested",
+            "cascade_victims",
+        ]
 
     def test_fresh_stats_are_zero(self):
         stats = ProtocolStats()
-        assert stats.c_grants == 0
+        assert stats.defers == 0
+        assert stats.cascades_requested == 0
         assert stats.cascade_victims == 0
-        assert stats.commits == 0

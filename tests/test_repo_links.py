@@ -295,3 +295,29 @@ def test_lock_shard_map_leaves_no_trace():
     pins = {"tests/test_repo_links.py", "tests/test_cli.py"}
     offenders = _traces_of(LOCK_SHARD_MAP, pins)
     assert not offenders, offenders
+
+
+# ----------------------------------------------------------------------
+# one crash harness (DESIGN.md, "Removed: the sampled durability
+# campaign")
+# ----------------------------------------------------------------------
+DURABILITY_CAMPAIGN = re.compile(
+    r"run_durability_campaign|DurabilityReport|DurabilityRound"
+    r"|faults[/.]durability|--durability|chaos-durability\.json"
+)
+
+
+def test_durability_campaign_leaves_no_trace():
+    """``tests/test_storage/test_crash_points.py`` is the one crash-point
+    harness; only this file and the test that pins the removed flag
+    name the campaign."""
+    pins = {"tests/test_repo_links.py", "tests/test_cli.py"}
+    offenders = _traces_of(DURABILITY_CAMPAIGN, pins) + [
+        f"{name}:{number}"
+        for name in ("README.md", ".gitignore")
+        for number, line in enumerate(
+            (ROOT / name).read_text().splitlines(), 1
+        )
+        if DURABILITY_CAMPAIGN.search(line)
+    ]
+    assert not offenders, offenders
