@@ -28,13 +28,7 @@ def averaged_metrics(
     seeds: list[int] | None = None,
     config: ManagerConfig | None = None,
 ) -> dict[str, float]:
-    """Run ``protocol`` over seed-varied workloads; average the metrics.
-
-    Runs serially by default (byte-identical to the historical loop);
-    set ``REPRO_SEED_WORKERS`` to fan the per-seed runs out over a
-    process pool (each run is an isolated fixed-seed simulation, so the
-    averaged result is the same either way).
-    """
+    """Run ``protocol`` over seed-varied workloads; average the metrics."""
     rows = run_protocol_over_seeds(
         spec, protocol, seeds=seeds or SEEDS, config=config
     )

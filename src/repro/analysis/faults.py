@@ -84,6 +84,7 @@ def _run_json(run) -> dict[str, object]:
         "incarnations": run.incarnations,
         "dropped_injections": run.dropped_injections,
         "retry_budget_exhausted": run.retry_budget_exhausted,
+        "audited": run.audited,
         "trace_digest": run.trace_digest,
     }
 
@@ -103,66 +104,6 @@ def campaign_json(report) -> dict[str, object]:
     }
 
 
-def soak_rows(report) -> list[dict[str, object]]:
-    """One table row per soak round."""
-    rows = []
-    for index, run in enumerate(report.runs):
-        row: dict[str, object] = {
-            "round": index,
-            "plan": run.plan,
-            "workload": run.workload,
-        }
-        for name in CHECKS:
-            row[name] = _verdict(run.checks, name)
-        row["events"] = run.events
-        row["committed"] = run.metrics.committed if run.metrics else "-"
-        row["injected"] = (
-            run.metrics.faults_injected if run.metrics else "-"
-        )
-        row["recoveries"] = run.incarnations - 1
-        rows.append(row)
-    return rows
-
-
-def render_soak(report) -> str:
-    """The soak-campaign report as text tables."""
-    counts = report.counts()
-    parts = [
-        render_dict_table(
-            soak_rows(report),
-            title=(
-                f"soak campaign (seed {report.plan.seed}): "
-                f"{counts['passed']}/{counts['rounds']} rounds passed, "
-                f"{counts['events']} events "
-                f"(floor {report.plan.min_events})"
-            ),
-        )
-    ]
-    if report.events_total < report.plan.min_events:
-        parts.append(
-            f"FAILED: only {report.events_total} events processed "
-            f"(< min_events {report.plan.min_events})"
-        )
-    for run in report.failed:
-        parts.append(
-            f"FAILED {run.plan} × {run.workload}: "
-            f"{', '.join(run.failures)}"
-        )
-    return "\n\n".join(parts)
-
-
-def soak_json(report) -> dict[str, object]:
-    """Machine-readable soak report (``repro soak --json``)."""
-    return {
-        "seed": report.plan.seed,
-        "ok": report.ok,
-        "events_total": report.events_total,
-        "min_events": report.plan.min_events,
-        "counts": report.counts(),
-        "runs": [_run_json(run) for run in report.runs],
-    }
-
-
 def render_campaign(report, verbose: bool = False) -> str:
     """The full chaos-campaign report as text tables."""
     counts = report.counts()
@@ -171,7 +112,8 @@ def render_campaign(report, verbose: bool = False) -> str:
             plan_rollup_rows(report),
             title=(
                 f"chaos campaign (seed {report.seed}): "
-                f"{counts['passed']}/{counts['runs']} runs passed"
+                f"{counts['passed']}/{counts['runs']} runs passed, "
+                f"{counts['events']} events"
             ),
         )
     ]

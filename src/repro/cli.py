@@ -7,7 +7,7 @@ Exposes the library's main entry points without writing Python::
     python -m repro compare --protocols serial s2pl process-locking
     python -m repro scenario hospital --protocol process-locking
     python -m repro sweep-threshold --thresholds 0 10 40 inf
-    python -m repro trace --seed 7 --out trace-out
+    python -m repro run --seed 7 --trace-out trace-out
     python -m repro explain 12 --trace trace-out
 
 Every command prints plain-text tables (see
@@ -58,27 +58,68 @@ SCENARIOS = {
 }
 
 
-def _nonneg_int(raw: str) -> int:
-    """argparse type: an integer >= 0, with a one-line error."""
+def _int_at_least(raw: str, floor: int) -> int:
+    """argparse helper: an integer >= ``floor``, with a one-line error."""
     try:
         value = int(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected an integer, got {raw!r}"
         ) from None
-    if value < 0:
+    if value < floor:
         raise argparse.ArgumentTypeError(
-            f"expected an integer >= 0, got {value}"
+            f"expected an integer >= {floor}, got {value}"
         )
     return value
 
 
+def _nonneg_int(raw: str) -> int:
+    """argparse type: an integer >= 0."""
+    return _int_at_least(raw, 0)
+
+
 def _positive_int(raw: str) -> int:
-    """argparse type: an integer >= 1, with a one-line error."""
-    value = _nonneg_int(raw)
-    if value < 1:
+    """argparse type: an integer >= 1."""
+    return _int_at_least(raw, 1)
+
+
+def _number(raw: str) -> float:
+    """argparse helper: a float (``inf`` allowed, NaN not)."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"expected a number, got {raw!r}")
+    return value
+
+
+def _density(raw: str) -> float:
+    """argparse type: a conflict density in [0, 1]."""
+    value = _number(raw)
+    if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1, got {value}"
+            f"expected a density in [0, 1], got {value:g}"
+        )
+    return value
+
+
+def _failure_prob(raw: str) -> float:
+    """argparse type: a failure probability in [0, 1)."""
+    value = _number(raw)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"expected a probability in [0, 1), got {value:g}"
+        )
+    return value
+
+
+def _threshold(raw: str) -> float:
+    """argparse type: a ``Wcc*`` threshold, a number >= 0 or ``inf``."""
+    value = _number(raw)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(
+            f"expected a threshold >= 0 or inf, got {value:g}"
         )
     return value
 
@@ -144,25 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the metric rows as JSON instead of a table",
     )
 
-    trace = sub.add_parser(
-        "trace",
-        help=(
-            "run a workload with decision-level tracing and export "
-            "JSONL + Perfetto JSON + wait-for DOT + series"
-        ),
-    )
-    _add_workload_args(trace, trace_out=False)
-    trace.add_argument(
-        "--protocol",
-        default="process-locking",
-        choices=sorted(PROTOCOL_FACTORIES),
-    )
-    trace.add_argument(
-        "--out",
-        default="trace-out",
-        help="output directory for the trace artifacts",
-    )
-
     explain = sub.add_parser(
         "explain",
         help=(
@@ -226,24 +248,21 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--thresholds",
         nargs="+",
-        default=["0", "10", "40", "inf"],
+        type=_threshold,
+        default=[0.0, 10.0, 40.0, math.inf],
         help="Wcc* values ('inf' allowed)",
     )
 
     chaos = sub.add_parser(
         "chaos",
         help=(
-            "deterministic fault-injection campaign (plans × workloads "
-            "× protocols) asserting termination, CT, P-RC, trace "
-            "splicing, and WAL recovery per run"
+            "deterministic fault-injection campaign (workloads × plans "
+            "× protocols), audited after every event, asserting "
+            "termination, CT, P-RC, trace splicing, and WAL recovery "
+            "per run"
         ),
     )
     chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument(
-        "--quick",
-        action="store_true",
-        help="trimmed campaign for CI smoke runs",
-    )
     chaos.add_argument(
         "--protocols",
         nargs="+",
@@ -265,42 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--dump-schedules",
         action="store_true",
         help="print each plan's compiled fault schedule (canonical form)",
-    )
-
-    soak = sub.add_parser(
-        "soak",
-        help=(
-            "long-horizon soak campaign: rotating workloads × fault "
-            "families with periodic audits "
-            "(exits non-zero unless every round passes and the event "
-            "floor is met)"
-        ),
-    )
-    soak.add_argument("--seed", type=int, default=0)
-    soak.add_argument("--rounds", type=int, default=12)
-    soak.add_argument("--processes", type=int, default=16)
-    soak.add_argument("--threshold", type=float, default=25.0)
-    soak.add_argument(
-        "--protocol",
-        default="process-locking",
-        choices=sorted(PROTOCOL_FACTORIES),
-    )
-    soak.add_argument(
-        "--audit-every",
-        type=_positive_int,
-        default=16,
-        help="structural-audit sampling cadence (1 = every event)",
-    )
-    soak.add_argument(
-        "--min-events",
-        type=int,
-        default=1000,
-        help="fail unless at least this many events were processed",
-    )
-    soak.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the machine-readable report instead of tables",
     )
 
     serve = sub.add_parser(
@@ -333,9 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=8,
         help="catalog size: programs clients can SUBMIT by index",
     )
-    serve.add_argument("--density", type=float, default=0.3)
-    serve.add_argument("--failure-prob", type=float, default=0.05)
-    serve.add_argument("--threshold", type=float, default=math.inf)
+    serve.add_argument("--density", type=_density, default=0.3)
+    serve.add_argument("--failure-prob", type=_failure_prob, default=0.05)
+    serve.add_argument("--threshold", type=_threshold, default=math.inf)
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument(
         "--time-scale",
@@ -479,38 +462,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_workload_args(
-    parser: argparse.ArgumentParser, trace_out: bool = True
-) -> None:
+def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     """Workload parameters shared by every workload-driven subcommand.
 
-    Defined once so `run`, `compare`, `sweep-threshold`, and `trace`
-    cannot drift apart in their defaults.  ``trace_out=False`` skips the
-    ``--trace-out`` flag (the `trace` subcommand always traces and names
-    its directory via ``--out``).
+    Defined once so `run`, `compare` and `sweep-threshold` cannot drift
+    apart in their defaults or in what they accept.
     """
-    parser.add_argument("--processes", type=int, default=8)
-    parser.add_argument("--activity-types", type=int, default=12)
-    parser.add_argument("--density", type=float, default=0.3)
-    parser.add_argument("--failure-prob", type=float, default=0.05)
-    parser.add_argument("--threshold", type=float, default=math.inf)
+    parser.add_argument("--processes", type=_positive_int, default=8)
+    parser.add_argument("--activity-types", type=_positive_int, default=12)
+    parser.add_argument("--density", type=_density, default=0.3)
+    parser.add_argument("--failure-prob", type=_failure_prob, default=0.05)
+    parser.add_argument("--threshold", type=_threshold, default=math.inf)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--grounded",
         action="store_true",
         help="back activities with real subsystem transaction programs",
     )
-    if trace_out:
-        parser.add_argument(
-            "--trace-out",
-            default=None,
-            metavar="DIR",
-            help=(
-                "enable decision-level tracing and write the export "
-                "artifacts (events.jsonl, trace.perfetto.json, "
-                "waitfor.dot, series.json) to DIR"
-            ),
-        )
+    parser.add_argument(
+        "--trace-out",
+        default=None,
+        metavar="DIR",
+        help=(
+            "enable decision-level tracing and write the export "
+            "artifacts (events.jsonl, trace.perfetto.json, "
+            "waitfor.dot, series.json) to DIR"
+        ),
+    )
 
 
 def _make_tracer(args: argparse.Namespace):
@@ -525,11 +503,19 @@ def _make_tracer(args: argparse.Namespace):
 def _export_trace(tracer, out_dir: str) -> None:
     if tracer is None:
         return
-    from repro.obs import export_all
+    from repro.obs import deferred_pids, export_all
 
     paths = export_all(tracer, out_dir)
     names = ", ".join(path.name for path in paths.values())
     print(f"trace: {len(tracer)} events -> {out_dir}/ ({names})")
+    pids = deferred_pids(tracer.records())
+    if pids:
+        shown = ", ".join(f"P{pid}" for pid in pids[:8])
+        print(
+            f"deferred processes (most deferred first): {shown}\n"
+            f"inspect one with: repro explain {pids[0]} --trace {out_dir}"
+        )
+    print(f"open {out_dir}/trace.perfetto.json at https://ui.perfetto.dev")
 
 
 def _spec_from(args: argparse.Namespace) -> WorkloadSpec:
@@ -631,8 +617,8 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 
 def cmd_sweep_threshold(args: argparse.Namespace) -> int:
     rows = []
-    for raw in args.thresholds:
-        threshold = math.inf if raw in ("inf", "Inf") else float(raw)
+    for threshold in args.thresholds:
+        label = f"{threshold:g}"
         spec = _spec_from(args).with_(wcc_threshold=threshold)
         workload = build_workload(spec)
         tracer = _make_tracer(args)
@@ -640,11 +626,11 @@ def cmd_sweep_threshold(args: argparse.Namespace) -> int:
             workload, "process-locking", seed=args.seed, tracer=tracer,
         )
         if tracer is not None:
-            _export_trace(tracer, f"{args.trace_out}/wcc-{raw}")
+            _export_trace(tracer, f"{args.trace_out}/wcc-{label}")
         metrics = summarize("process-locking", result)
         rows.append(
             {
-                "Wcc*": raw,
+                "Wcc*": label,
                 "committed": metrics.committed,
                 "cascades": metrics.cascade_victims,
                 "comp_cost": round(metrics.compensated_cost, 1),
@@ -653,36 +639,6 @@ def cmd_sweep_threshold(args: argparse.Namespace) -> int:
             }
         )
     print(render_dict_table(rows, title="Wcc* sweep"))
-    return 0
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs import Tracer, deferred_pids, export_all
-
-    workload = build_workload(_spec_from(args))
-    tracer = Tracer()
-    result = run_workload(
-        workload, args.protocol, seed=args.seed, tracer=tracer
-    )
-    metrics = summarize(args.protocol, result)
-    print(_metrics_rows([metrics]))
-    paths = export_all(tracer, args.out)
-    print()
-    print(f"traced {len(tracer)} events:")
-    for name, path in sorted(paths.items()):
-        print(f"  {name:<10} {path}")
-    pids = deferred_pids(tracer.records())
-    if pids:
-        shown = ", ".join(f"P{pid}" for pid in pids[:8])
-        print()
-        print(
-            f"deferred processes (most deferred first): {shown}\n"
-            f"inspect one with: repro explain {pids[0]} "
-            f"--trace {args.out}"
-        )
-    print(
-        f"open {args.out}/trace.perfetto.json at https://ui.perfetto.dev"
-    )
     return 0
 
 
@@ -696,8 +652,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
         source = source / "events.jsonl"
     if not source.exists():
         print(
-            f"no trace at {source}; produce one with `repro trace` or "
-            f"any workload command's --trace-out DIR",
+            f"no trace at {source}; produce one with any workload "
+            f"command's --trace-out DIR",
             file=sys.stderr,
         )
         return 2
@@ -729,7 +685,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     report = run_campaign(
         seed=args.seed,
-        quick=args.quick,
         protocols=tuple(args.protocols) if args.protocols else None,
     )
     if args.json:
@@ -740,31 +695,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         printed: set[str] = set()
         print()
         for run in report.runs:
-            if run.plan in printed:
+            # A storm is aimed per workload, so one plan name may
+            # compile to several schedules.
+            if run.schedule_canonical in printed:
                 continue
-            printed.add(run.plan)
+            printed.add(run.schedule_canonical)
             print(f"{run.plan}: {run.schedule_canonical}")
-    return 0 if report.ok else 1
-
-
-def cmd_soak(args: argparse.Namespace) -> int:
-    from repro.analysis.faults import render_soak, soak_json
-    from repro.faults import SoakPlan, run_soak
-
-    plan = SoakPlan(
-        seed=args.seed,
-        rounds=args.rounds,
-        processes=args.processes,
-        wcc_threshold=args.threshold,
-        protocol=args.protocol,
-        audit_every=args.audit_every,
-        min_events=args.min_events,
-    )
-    report = run_soak(plan)
-    if args.json:
-        print(json.dumps(soak_json(report), indent=2))
-    else:
-        print(render_soak(report))
     return 0 if report.ok else 1
 
 
@@ -949,11 +885,9 @@ def cmd_conformance(args: argparse.Namespace) -> int:
 _COMMANDS = {
     "exhibits": cmd_exhibits,
     "chaos": cmd_chaos,
-    "soak": cmd_soak,
     "conformance": cmd_conformance,
     "run": cmd_run,
     "compare": cmd_compare,
-    "trace": cmd_trace,
     "explain": cmd_explain,
     "scenario": cmd_scenario,
     "sweep-threshold": cmd_sweep_threshold,

@@ -1,8 +1,8 @@
 """One registry for every ``REPRO_*`` environment knob.
 
 Historically each subsystem read its own environment variable inline
-(``ManagerConfig`` field factories, the seed-sweep pool in
-:mod:`repro.sim.runner`), which made the full knob surface hard to
+(``ManagerConfig`` field factories, the service's flight recorder),
+which made the full knob surface hard to
 discover and easy to drift.  This module is now the single source of
 truth: every knob is declared once with its environment variable, its
 default, its clamp, and a one-line description, and every consumer
@@ -32,7 +32,6 @@ __all__ = [
     "flight_events",
     "flight_path",
     "resolve",
-    "seed_workers",
     "store_fsync",
     "store_kind",
     "store_path",
@@ -61,15 +60,6 @@ class Knob:
 KNOBS: dict[str, Knob] = {
     knob.name: knob
     for knob in (
-        Knob(
-            name="seed_workers",
-            env="REPRO_SEED_WORKERS",
-            default=1,
-            description=(
-                "seed-sweep process pool size (1 = serial, 0 = one "
-                "worker per core, N = at most N workers)"
-            ),
-        ),
         Knob(
             name="flight_events",
             env="REPRO_FLIGHT_EVENTS",
@@ -182,10 +172,6 @@ def describe() -> list[dict[str, object]]:
 
 # Named accessors: the call sites read as documentation and the clamp
 # semantics stay greppable next to their historical homes.
-def seed_workers(override: int | None = None) -> int:
-    return resolve("seed_workers", override)
-
-
 def flight_events(override: int | None = None) -> int:
     return resolve("flight_events", override)
 

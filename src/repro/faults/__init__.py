@@ -9,13 +9,11 @@ Layers:
 * :mod:`repro.faults.injector` — the :class:`FaultInjector` that drives
   a manager through a schedule (outages, WAL subsystem crashes, manager
   crash/recover cycles, seeded failure/latency decisions);
-* :mod:`repro.faults.harness` — campaign sweeps asserting termination,
-  CT, P-RC, trace splicing, and WAL cleanliness per run;
+* :mod:`repro.faults.harness` — the one campaign behind ``repro chaos``:
+  audited runs asserting termination, CT, P-RC, trace splicing, and WAL
+  cleanliness per run;
 * :mod:`repro.faults.storms` — correlated-outage burst trains,
-  including storms aimed at the cost-based ``Wcc*`` boundary;
-* :mod:`repro.faults.soak` — long-horizon soak campaigns (thousands of
-  virtual-time events, sampled audits, full invariant battery per
-  round) behind ``repro soak``.
+  including storms aimed at the cost-based ``Wcc*`` boundary.
 """
 
 from repro.faults.harness import (
@@ -55,7 +53,6 @@ from repro.faults.retry import (
     RetryPolicy,
     make_policy,
 )
-from repro.faults.soak import SoakPlan, SoakReport, run_soak
 from repro.faults.storms import (
     outage_storm,
     threshold_boundary_storm,
@@ -81,8 +78,6 @@ __all__ = [
     "ManagerCrash",
     "RetryPolicy",
     "RetrySpec",
-    "SoakPlan",
-    "SoakReport",
     "SubsystemCrash",
     "SubsystemOutage",
     "WalCheck",
@@ -94,7 +89,6 @@ __all__ = [
     "outage_storm",
     "run_campaign",
     "run_chaos",
-    "run_soak",
     "threshold_boundary_storm",
     "threshold_boundary_subsystems",
     "trace_digest",

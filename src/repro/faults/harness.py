@@ -17,6 +17,12 @@ end-to-end guarantees *under faults*:
 * **WAL** — subsystem crash recovery left no losers in the write-ahead
   log and rolled every doomed write back to its before-image.
 
+The campaign runs every workload under every plan with
+``ManagerConfig(audit=True)``: the protocol's structural audit runs
+after every event, and every "no cycle" answer of the deadlock walk is
+checked against the whole wait-for relation, so a broken invariant
+fails its run even when the end-to-end checks would pass.
+
 Every decision in a campaign derives from ``(plan, seed)``, so two
 campaigns with the same seed produce byte-identical fault schedules and
 (uid-renumbered) traces — the determinism tests assert exactly that.
@@ -28,10 +34,11 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from repro.errors import SchedulerError
+from repro.errors import ProtocolError, SchedulerError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     ActivityFailures,
+    CorrelatedOutage,
     FaultPlan,
     InjectedLatency,
     ManagerCrash,
@@ -40,6 +47,7 @@ from repro.faults.plan import (
     SubsystemOutage,
     compile_plan,
 )
+from repro.faults.storms import threshold_boundary_storm
 from repro.scheduler.events import conserved
 from repro.scheduler.manager import ManagerConfig
 from repro.sim.metrics import RunMetrics, summarize_chaos
@@ -120,6 +128,8 @@ class ChaosRunReport:
     events: int = 0
     #: Retry budgets that forced a failing retriable to succeed.
     retry_budget_exhausted: int = 0
+    #: The protocol's structural audit ran after every event.
+    audited: bool = False
 
     @property
     def ok(self) -> bool:
@@ -133,7 +143,6 @@ def run_chaos(
     seed: int = 0,
     workload_name: str = "",
     config: ManagerConfig | None = None,
-    ct_stride: int = 5,
 ) -> ChaosRunReport:
     """Run one plan against one workload/protocol and check invariants."""
     schedule = compile_plan(plan, seed)
@@ -143,6 +152,7 @@ def run_chaos(
         protocol=protocol_name,
         seed=seed,
         schedule_canonical=schedule.canonical(),
+        audited=config is not None and config.audit,
     )
     injector = FaultInjector(
         workload, protocol_name, schedule, config=config, seed=seed
@@ -153,6 +163,9 @@ def run_chaos(
         report.checks["terminated"] = False
         report.failures.append(f"liveness: {exc}")
         return report
+    except ProtocolError as exc:  # an audit found a broken invariant
+        report.failures.append(f"audit: {exc}")
+        return report
     observed = chaos.result.trace.to_schedule(
         workload.conflicts.conflict
     )
@@ -161,7 +174,7 @@ def run_chaos(
         chaos.result.records, chaos.stats
     )
     report.checks["ct"] = observed.is_complete and has_correct_termination(
-        observed, stride=ct_stride
+        observed, stride=5
     )
     report.checks["prc"] = is_process_recoverable(observed)
     report.checks["splice"] = chaos.splice_ok
@@ -181,65 +194,72 @@ def run_chaos(
 
 
 # ----------------------------------------------------------------------
-# the default campaign
+# the campaign
 # ----------------------------------------------------------------------
-def default_plans(quick: bool = False) -> list[FaultPlan]:
-    """The stock fault plans: a control plus one per fault family."""
-    plans = [
-        FaultPlan(name="baseline"),
-        FaultPlan(
-            name="failures",
-            failures=ActivityFailures(
-                rate_scale=3.0, transient_prob=0.25
-            ),
-            retry=RetrySpec(kind="exponential", max_attempts=4),
+#: The workload-independent plans: a control, one per fault family, and
+#: a correlated group outage.
+_FIXED_PLANS = (
+    FaultPlan(name="baseline"),
+    FaultPlan(
+        name="failures",
+        failures=ActivityFailures(rate_scale=3.0, transient_prob=0.25),
+        retry=RetrySpec(kind="exponential", max_attempts=4),
+    ),
+    FaultPlan(
+        name="outages",
+        outages=(
+            SubsystemOutage("sub0", at_event=30, duration=25.0),
+            SubsystemOutage("sub1", at_event=70, duration=15.0),
         ),
-        FaultPlan(
-            name="outages",
-            outages=(
-                SubsystemOutage("sub0", at_event=30, duration=25.0),
-                SubsystemOutage("sub1", at_event=70, duration=15.0),
-            ),
-            retry=RetrySpec(kind="fixed", base_delay=2.0),
+        retry=RetrySpec(kind="fixed", base_delay=2.0),
+    ),
+    FaultPlan(
+        name="crashes",
+        subsystem_crashes=(SubsystemCrash("sub0", at_event=40),),
+        manager_crashes=(
+            ManagerCrash(at_event=20),
+            ManagerCrash(at_event=60),
         ),
-        FaultPlan(
-            name="crashes",
-            subsystem_crashes=(
-                SubsystemCrash("sub0", at_event=40),
-            ),
-            manager_crashes=(
-                ManagerCrash(at_event=20),
-                ManagerCrash(at_event=60),
-            ),
-            latency=InjectedLatency(extra=0.5, jitter=0.5),
-        ),
-        FaultPlan(
-            name="mayhem",
-            failures=ActivityFailures(
-                rate_scale=2.0, transient_prob=0.15
-            ),
-            outages=(
-                SubsystemOutage("sub1", at_event=35, duration=20.0),
-            ),
-            subsystem_crashes=(
-                SubsystemCrash("sub2", at_event=55),
-            ),
-            manager_crashes=(ManagerCrash(at_event=25),),
-            latency=InjectedLatency(extra=0.25, jitter=1.0),
-            retry=RetrySpec(
-                kind="jittered", jitter=0.5, max_attempts=5
+        latency=InjectedLatency(extra=0.5, jitter=0.5),
+    ),
+    FaultPlan(
+        name="mayhem",
+        failures=ActivityFailures(rate_scale=2.0, transient_prob=0.15),
+        outages=(SubsystemOutage("sub1", at_event=35, duration=20.0),),
+        subsystem_crashes=(SubsystemCrash("sub2", at_event=55),),
+        manager_crashes=(ManagerCrash(at_event=25),),
+        latency=InjectedLatency(extra=0.25, jitter=1.0),
+        retry=RetrySpec(kind="jittered", jitter=0.5, max_attempts=5),
+    ),
+    # Two subsystems go dark from one trigger, a failure front 2.0
+    # apart, while a third crashes and the manager crashes after both.
+    FaultPlan(
+        name="correlated",
+        failures=ActivityFailures(rate_scale=1.5, transient_prob=0.15),
+        correlated_outages=(
+            CorrelatedOutage(
+                subsystems=("sub0", "sub1"),
+                at_event=30,
+                duration=15.0,
+                stagger=2.0,
             ),
         ),
-    ]
-    if quick:
-        return [p for p in plans if p.name in ("failures", "crashes")]
-    return plans
+        subsystem_crashes=(SubsystemCrash("sub2", at_event=45),),
+        manager_crashes=(ManagerCrash(at_event=60),),
+        latency=InjectedLatency(extra=0.25, jitter=0.5),
+        retry=RetrySpec(kind="jittered", jitter=0.5, max_attempts=5),
+    ),
+)
 
 
-def default_workloads(
-    seed: int, quick: bool = False
-) -> dict[str, Workload]:
-    """The stock campaign workloads, materialized once per campaign."""
+def default_plans(workload: Workload) -> list[FaultPlan]:
+    """The campaign's plans for one workload: the fixed ones plus a
+    correlated-outage storm aimed at the workload's ``Wcc*`` frontier."""
+    return [*_FIXED_PLANS, threshold_boundary_storm(workload, name="storm")]
+
+
+def default_workloads(seed: int) -> dict[str, Workload]:
+    """The campaign workloads, materialized once per campaign."""
     specs = {
         "small": WorkloadSpec(n_processes=6, seed=seed),
         "dense-parallel": WorkloadSpec(
@@ -264,13 +284,18 @@ def default_workloads(
             grounded=True,
             seed=seed + 3,
         ),
+        # The longest runs: arrivals keep streaming into the outage
+        # windows, and the durable pool gives the crashes a WAL to undo.
+        "spaced-16": WorkloadSpec(
+            n_processes=16,
+            conflict_density=0.4,
+            retriable_tail=3,
+            arrival_spacing=0.5,
+            wcc_threshold=25.0,
+            grounded=True,
+            seed=seed + 4,
+        ),
     }
-    if quick:
-        specs = {
-            name: spec
-            for name, spec in specs.items()
-            if name in ("small", "grounded-durable")
-        }
     return {name: build_workload(spec) for name, spec in specs.items()}
 
 
@@ -294,12 +319,16 @@ class CampaignReport:
             "runs": len(self.runs),
             "passed": sum(1 for run in self.runs if run.ok),
             "failed": len(self.failed),
+            "events": sum(run.events for run in self.runs),
             "recoveries": sum(run.incarnations - 1 for run in self.runs),
             "injected": sum(
                 run.metrics.faults_injected for run in self.runs
             ),
             "retries": sum(
                 run.metrics.fault_retries for run in self.runs
+            ),
+            "retry_budget_exhausted": sum(
+                run.retry_budget_exhausted for run in self.runs
             ),
             "dropped_injections": sum(
                 run.dropped_injections for run in self.runs
@@ -309,22 +338,17 @@ class CampaignReport:
 
 def run_campaign(
     seed: int = 0,
-    quick: bool = False,
     protocols: tuple[str, ...] | None = None,
-    config: ManagerConfig | None = None,
-    ct_stride: int = 5,
 ) -> CampaignReport:
-    """Sweep plans × workloads × protocols and check every invariant.
+    """Sweep workloads × plans × protocols and check every invariant.
 
-    The full campaign is 5 plans × 4 workloads × 3 protocols = 60 runs;
-    ``quick`` trims it to 2 × 2 × len(protocols) for CI smoke use.
+    7 plans × 5 workloads × the 3 default protocols = 105 runs, each
+    audited after every event (``ManagerConfig(audit=True)``).
     """
     protocols = protocols or DEFAULT_PROTOCOLS
-    plans = default_plans(quick=quick)
-    workloads = default_workloads(seed, quick=quick)
     report = CampaignReport(seed=seed)
-    for plan in plans:
-        for workload_name, workload in workloads.items():
+    for workload_name, workload in default_workloads(seed).items():
+        for plan in default_plans(workload):
             for protocol_name in protocols:
                 report.runs.append(
                     run_chaos(
@@ -333,8 +357,7 @@ def run_campaign(
                         plan,
                         seed=seed,
                         workload_name=workload_name,
-                        config=config,
-                        ct_stride=ct_stride,
+                        config=ManagerConfig(audit=True),
                     )
                 )
     return report

@@ -20,14 +20,14 @@ Three injection channels exist:
   subsystem crashes, recovery must roll the loser back), and
   whole-manager crash/recover cycles through
   :mod:`repro.scheduler.recovery`;
-* **retry policy** — installed on the :class:`ManagerConfig` from the
-  plan's :class:`~repro.faults.plan.RetrySpec`, bounding injected
-  transient failures so termination stays guaranteed.
+* **retry policy** — installed on a copy of the :class:`ManagerConfig`
+  from the plan's :class:`~repro.faults.plan.RetrySpec`, bounding
+  injected transient failures so termination stays guaranteed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.activities.activity import Activity
 from repro.faults.plan import (
@@ -122,8 +122,7 @@ class ChaosRunResult:
     splice_ok: bool
     wal_checks: list[WalCheck] = field(default_factory=list)
     incarnations: int = 1
-    #: Simulation events processed across every incarnation (the
-    #: denominator of long-horizon soak accounting).
+    #: Simulation events processed across every incarnation.
     events: int = 0
 
 
@@ -165,12 +164,18 @@ class FaultInjector:
         self._slices: list[tuple[object, float]] = []
 
     def _configured(self, config: ManagerConfig | None) -> ManagerConfig:
+        """The caller's config with the plan's retry policy installed —
+        on a copy, so a config shared by several runs carries no plan's
+        policy into the next."""
         config = config or ManagerConfig()
-        if self.schedule.plan.retry is not None:
-            config.retry_policy = make_policy(
+        if self.schedule.plan.retry is None:
+            return config
+        return replace(
+            config,
+            retry_policy=make_policy(
                 self.schedule.plan.retry, seed=self.schedule.seed
-            )
-        return config
+            ),
+        )
 
     # ------------------------------------------------------------------
     # decision hooks (called by the manager)

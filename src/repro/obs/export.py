@@ -339,8 +339,8 @@ def export_all(tracer, out_dir: str | Path) -> dict[str, Path]:
     """Write every export of one traced run into ``out_dir``.
 
     Produces ``events.jsonl``, ``trace.perfetto.json``,
-    ``waitfor.dot``, and (when the tracer collected series)
-    ``series.json``; returns the written paths keyed by artifact name.
+    ``waitfor.dot`` and ``series.json``; returns the written paths keyed
+    by artifact name.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -358,16 +358,13 @@ def export_all(tracer, out_dir: str | Path) -> dict[str, Path]:
     dot_path = out / "waitfor.dot"
     dot_path.write_text(wait_for_dot(records), encoding="utf-8")
     paths["waitfor"] = dot_path
-    if tracer.series is not None:
-        series_path = out / "series.json"
-        series_path.write_text(
-            json.dumps(
-                _jsonable(tracer.series.to_dict()),
-                indent=2,
-                allow_nan=False,
-            )
-            + "\n",
-            encoding="utf-8",
+    series_path = out / "series.json"
+    series_path.write_text(
+        json.dumps(
+            _jsonable(tracer.series.to_dict()), indent=2, allow_nan=False
         )
-        paths["series"] = series_path
+        + "\n",
+        encoding="utf-8",
+    )
+    paths["series"] = series_path
     return paths

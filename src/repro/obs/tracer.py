@@ -82,11 +82,9 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, collect_series: bool = True) -> None:
+    def __init__(self) -> None:
         self.stamped: list[Stamped] = []
-        self.series: SeriesBank | None = (
-            SeriesBank() if collect_series else None
-        )
+        self.series = SeriesBank()
         #: Added to every clock reading; bumped across manager
         #: incarnations by the fault injector.
         self.offset = 0.0
@@ -123,8 +121,6 @@ class Tracer:
         t = self.now
         self.stamped.append(Stamped(seq=next(self._seq), t=t, event=event))
         bank = self.series
-        if bank is None:
-            return
         if isinstance(event, LockDeferred):
             bank.bump("defer_reasons", event.reason)
             if event.activity is not None:

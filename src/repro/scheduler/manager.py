@@ -117,9 +117,6 @@ class ManagerConfig:
     retry_policy: object | None = None
     #: Run the protocol's structural audit after every event (slow).
     audit: bool = False
-    #: With ``audit``, run the full audit every Nth event instead of
-    #: every event (``repro soak`` samples every 16th).
-    audit_every: int = 1
     #: Hard cap on simulation events.
     max_events: int = 1_000_000
     #: Serialize conflicting activity *executions* in lock-sharing order
@@ -280,7 +277,6 @@ class ProcessManager:
         #: parking pid.
         self._cycle_standing = False
         self._inflight: dict[int, InflightActivity] = {}
-        self._audit_tick = 0
         #: uid -> uids of flights gated behind it, in the order they were
         #: gated (lock-position order).  Insertion-ordered, not a set:
         #: the order dependents are released in is the order they start
@@ -1400,9 +1396,8 @@ class ProcessManager:
                 self._act_on_wait_cycle(cycle)
         elif (
             # Audited runs cross-check "no cycle" against the whole
-            # relation, at the structural auditor's cadence.
+            # relation.
             self.config.audit
-            and self._audit_tick % self.config.audit_every == 0
             and has_cycle(self._wait_edges())
         ):
             raise ProtocolError(
@@ -1578,10 +1573,7 @@ class ProcessManager:
             )
 
     def _post_event(self) -> None:
-        if not self.config.audit:
-            return
-        self._audit_tick += 1
-        if self._audit_tick % self.config.audit_every == 0:
+        if self.config.audit:
             self.protocol.audit()
 
 

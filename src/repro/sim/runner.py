@@ -9,11 +9,7 @@ checks the resulting schedule against the theory oracles, and returns a
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
-
-from repro import config as repro_config
 
 from repro.baselines.aca import CascadeAvoidingScheduler
 from repro.baselines.osl import PureOrderedSharedLocking
@@ -30,11 +26,6 @@ from repro.sim.metrics import RunMetrics, summarize
 from repro.sim.rng import spread_seeds
 from repro.sim.workload import Workload, WorkloadSpec, build_workload
 from repro.theory.schedule import ProcessSchedule
-
-#: Environment knob for the seed-sweep worker pool: unset/1 = serial
-#: (byte-identical to the historical loop), 0 = one worker per core,
-#: N = at most N workers.
-WORKERS_ENV = "REPRO_SEED_WORKERS"
 
 #: Registry of runnable protocols: name -> factory(registry, conflicts).
 PROTOCOL_FACTORIES: dict[str, Callable] = {
@@ -129,42 +120,6 @@ def compare_protocols(
     return rows
 
 
-def _resolve_workers(max_workers: int | None, n_jobs: int) -> int:
-    """Effective pool size: explicit arg beats the environment knob.
-
-    Resolution itself lives in :mod:`repro.config` (override > env >
-    default); 0 still means one worker per core.
-    """
-    max_workers = repro_config.seed_workers(max_workers)
-    if max_workers == 0:
-        max_workers = os.cpu_count() or 1
-    return max(1, min(max_workers, n_jobs))
-
-
-def _seed_job(
-    job: tuple[WorkloadSpec, str, int, ManagerConfig | None],
-) -> RunMetrics:
-    """One (spec, protocol, seed) run — module-level so it pickles."""
-    spec, protocol_name, seed, config = job
-    workload = build_workload(spec.with_(seed=seed))
-    result = run_workload(workload, protocol_name, seed=seed, config=config)
-    return summarize(protocol_name, result)
-
-
-def _map_jobs(jobs: list, max_workers: int | None) -> list[RunMetrics]:
-    """Run seed jobs serially or over a process pool, preserving order.
-
-    ``executor.map`` yields results in submission order, so the parallel
-    path returns exactly what the serial loop would; each worker process
-    builds its own workload and manager, so runs share no state.
-    """
-    workers = _resolve_workers(max_workers, len(jobs))
-    if workers <= 1:
-        return [_seed_job(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_seed_job, jobs))
-
-
 def run_protocol_over_seeds(
     spec: WorkloadSpec,
     protocol_name: str,
@@ -172,46 +127,23 @@ def run_protocol_over_seeds(
     seed: int = 0,
     repetitions: int = 4,
     config: ManagerConfig | None = None,
-    max_workers: int | None = None,
 ) -> list[RunMetrics]:
     """Run seed-varied builds of one workload spec, one row per seed.
 
     ``seeds`` wins when given; otherwise ``repetitions`` seeds are
-    spread from ``seed``.  ``max_workers`` (or ``REPRO_SEED_WORKERS``)
-    > 1 fans the runs out over a process pool; results are identical to
-    the serial loop either way, since every run is an isolated
-    fixed-seed simulation.
+    spread from ``seed``.
     """
     if seeds is None:
         seeds = spread_seeds(seed, repetitions)
-    jobs = [(spec, protocol_name, s, config) for s in seeds]
-    return _map_jobs(jobs, max_workers)
-
-
-def compare_protocols_over_seeds(
-    spec: WorkloadSpec,
-    protocol_names: list[str],
-    seeds: list[int] | None = None,
-    seed: int = 0,
-    repetitions: int = 4,
-    config: ManagerConfig | None = None,
-    max_workers: int | None = None,
-) -> dict[str, list[RunMetrics]]:
-    """Seed-averaged :func:`compare_protocols`: every protocol is run
-    over the same seed list and the per-seed metric rows are returned
-    grouped by protocol (in input order)."""
-    if seeds is None:
-        seeds = spread_seeds(seed, repetitions)
-    jobs = [
-        (spec, name, s, config)
-        for name in protocol_names
-        for s in seeds
+    return [
+        run_and_summarize(
+            build_workload(spec.with_(seed=run_seed)),
+            protocol_name,
+            seed=run_seed,
+            config=config,
+        )[1]
+        for run_seed in seeds
     ]
-    results = _map_jobs(jobs, max_workers)
-    grouped: dict[str, list[RunMetrics]] = {}
-    for (__, name, *_), metrics in zip(jobs, results):
-        grouped.setdefault(name, []).append(metrics)
-    return grouped
 
 
 def schedule_of(workload: Workload, result: RunResult) -> ProcessSchedule:

@@ -20,7 +20,7 @@ from repro.process.program import ProcessProgram
 # Tier-1 is a fixed suite: every ``@given`` test draws the same examples
 # on every run and neither reads nor writes a local ``.hypothesis/``
 # example database.  Each ``@settings(...)`` in the suite inherits both
-# from this profile; randomized exploration is ``repro soak``'s job.
+# from this profile.
 hypothesis_settings.register_profile(
     "tier1", derandomize=True, database=None
 )

@@ -111,8 +111,8 @@ class TestObservabilityCommands:
     def trace_dir(self, tmp_path, seed="7"):
         out = tmp_path / "trace"
         code = main(
-            ["trace", "--processes", "8", "--density", "0.6",
-             "--seed", seed, "--out", str(out)]
+            ["run", "--processes", "8", "--density", "0.6",
+             "--seed", seed, "--trace-out", str(out)]
         )
         assert code == 0
         return out
@@ -122,7 +122,9 @@ class TestObservabilityCommands:
 
         out = self.trace_dir(tmp_path)
         printed = capsys.readouterr().out
-        assert "traced" in printed
+        assert "trace:" in printed
+        assert "deferred processes (most deferred first)" in printed
+        assert f" --trace {out}" in printed
         assert "https://ui.perfetto.dev" in printed
         for name in (
             "events.jsonl", "trace.perfetto.json", "waitfor.dot",
@@ -197,54 +199,26 @@ class TestObservabilityCommands:
         import json
 
         code = main(
-            ["chaos", "--quick", "--json",
-             "--protocols", "process-locking"]
+            ["chaos", "--json", "--protocols", "serial"]
         )
         out = capsys.readouterr().out
         payload = json.loads(out)
         assert code == (0 if payload["ok"] else 1)
         assert payload["counts"]["runs"] == len(payload["runs"])
+        assert payload["counts"]["events"] == sum(
+            run["events"] for run in payload["runs"]
+        )
         run = payload["runs"][0]
         # Raw booleans, not display strings.
         assert isinstance(run["ok"], bool)
+        assert run["audited"] is True
         assert all(
             isinstance(value, bool)
             for value in run["checks"].values()
         )
-
-    def test_soak_text_and_exit_code(self, capsys):
-        code = main(
-            ["soak", "--seed", "7", "--rounds", "2",
-             "--processes", "6", "--min-events", "50"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "soak campaign (seed 7)" in out
-        assert "2/2 rounds passed" in out
-
-    def test_soak_json_and_failing_floor_exits_1(self, capsys):
-        import json
-
-        code = main(
-            ["soak", "--seed", "7", "--rounds", "2",
-             "--processes", "6", "--min-events", "999999999",
-             "--json"]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 1
-        assert payload["ok"] is False
-        assert payload["events_total"] < payload["min_events"]
-        assert len(payload["runs"]) == 2
         assert "resilience" not in payload
         assert "admissions_deferred" not in payload["counts"]
-        assert "admissions_deferred" not in payload["runs"][0]
-
-    def test_soak_no_resilience(self, capsys):
-        """The flag went with the layer it switched off."""
-        with pytest.raises(SystemExit) as exit_info:
-            main(["soak", "--rounds", "2", "--no-resilience"])
-        assert exit_info.value.code == 2
-        assert "--no-resilience" in capsys.readouterr().err
+        assert "admissions_deferred" not in run
 
 
 class TestServiceCommands:
@@ -253,7 +227,6 @@ class TestServiceCommands:
         out = capsys.readouterr().out
         assert "REPRO_* environment knobs" in out
         for env in (
-            "REPRO_SEED_WORKERS",
             "REPRO_FLIGHT_EVENTS", "REPRO_FLIGHT_PATH",
             "REPRO_STORE", "REPRO_STORE_PATH", "REPRO_STORE_FSYNC",
         ):
@@ -268,8 +241,8 @@ class TestServiceCommands:
             assert env not in out
 
     def test_removed_env_knobs_change_nothing(self, capsys, monkeypatch):
-        """DESIGN.md, "Removed: thread-per-shard manager" and "Removed:
-        the lock table's shard map"."""
+        """DESIGN.md, "Removed: thread-per-shard manager", "Removed:
+        the lock table's shard map" and "Removed: the soak campaign"."""
 
         def outputs():
             assert main(["config"]) == 0
@@ -279,30 +252,31 @@ class TestServiceCommands:
         before = outputs()
         for env in (
             "REPRO_WORKERS", "REPRO_BATCH_K", "REPRO_PARALLEL_FANOUT",
-            "REPRO_AUDIT_EVERY",
+            "REPRO_AUDIT_EVERY", "REPRO_SEED_WORKERS",
         ):
             monkeypatch.setenv(env, "2")
             assert env not in before
         assert outputs() == before
-        assert before.count("REPRO_") == 1 + 6  # the title and the rows
+        assert before.count("REPRO_") == 1 + 5  # the title and the rows
 
     def test_config_json_reports_sources(self, capsys, monkeypatch):
         import json
 
-        monkeypatch.setenv("REPRO_SEED_WORKERS", "2")
-        monkeypatch.delenv("REPRO_FLIGHT_EVENTS", raising=False)
+        monkeypatch.setenv("REPRO_FLIGHT_EVENTS", "2")
+        monkeypatch.delenv("REPRO_STORE_FSYNC", raising=False)
         assert main(["config", "--json"]) == 0
         rows = {
             row["knob"]: row
             for row in json.loads(capsys.readouterr().out)
         }
-        assert len(rows) == 6
+        assert len(rows) == 5
         assert not {
-            "workers", "batch_k", "parallel_fanout", "audit_every"
+            "workers", "batch_k", "parallel_fanout", "audit_every",
+            "seed_workers",
         } & set(rows)
-        assert rows["seed_workers"]["value"] == 2
-        assert rows["seed_workers"]["source"] == "env"
-        assert rows["flight_events"]["source"] == "default"
+        assert rows["flight_events"]["value"] == 2
+        assert rows["flight_events"]["source"] == "env"
+        assert rows["store_fsync"]["source"] == "default"
 
     def test_serve_parser_defaults(self):
         from repro.server.service import ServiceConfig
@@ -398,11 +372,71 @@ class TestErrorHardening:
         assert "integer >= 0" in capsys.readouterr().err
 
     def test_zero_audit_cadence_rejected(self, capsys):
-        """``--audit-every 0`` used to die of a modulo by zero."""
+        """``soak --audit-every 0`` used to die of a modulo by zero.  No
+        cadence can be given now: an audited manager audits every
+        event."""
+        from repro.scheduler.manager import ManagerConfig
+
         with pytest.raises(SystemExit) as excinfo:
-            main(["soak", "--audit-every", "0"])
+            main(["chaos", "--audit-every", "0"])
         assert excinfo.value.code == 2
-        assert "integer >= 1" in capsys.readouterr().err
+        assert "--audit-every" in capsys.readouterr().err
+        with pytest.raises(TypeError, match="audit_every"):
+            ManagerConfig(audit=True, audit_every=0)
+
+    def test_retired_campaign_and_trace_verbs_exit_2(self, capsys):
+        """DESIGN.md §7, "Removed: the soak campaign": ``repro chaos``
+        is the one campaign and ``run --trace-out`` the one traced
+        run."""
+        for argv, named in (
+            (["soak", "--seed", "7"], "'soak'"),
+            (["trace", "--out", "trace-out"], "'trace'"),
+            (["chaos", "--quick"], "--quick"),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep-threshold", "--thresholds", "abc"],
+             "expected a number, got 'abc'"),
+            (["run", "--threshold", "nan"], "expected a number"),
+            (["run", "--threshold", "-1"], "threshold >= 0 or inf"),
+            (["run", "--failure-prob", "1.5"], "probability in [0, 1)"),
+            (["run", "--processes", "-1"], "integer >= 1, got -1"),
+            (["run", "--processes", "0"], "integer >= 1, got 0"),
+            (["compare", "--activity-types", "0"], "integer >= 1"),
+            (["run", "--density", "2"], "density in [0, 1], got 2"),
+            (["serve", "--density", "-0.1"], "density in [0, 1]"),
+            (["serve", "--failure-prob", "1"], "probability in [0, 1)"),
+            (["serve", "--threshold", "x"], "expected a number"),
+        ],
+    )
+    def test_workload_flags_are_validated_by_the_parser(
+        self, argv, message, capsys
+    ):
+        """Each used to die in a traceback (rc 1) or, for ``--processes
+        -1`` and ``--density 2``, to run and exit 0."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        # argparse's usage, then one line naming the flag.
+        assert message in err.splitlines()[-1]
+        assert argv[1] in err.splitlines()[-1]
+
+    def test_sweep_accepts_inf_and_labels_thresholds(self, capsys):
+        code = main(
+            ["sweep-threshold", "--processes", "3",
+             "--thresholds", "2.5", "inf"]
+        )
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()[3:]
+        assert [row.split()[0] for row in rows] == ["2.5", "inf"]
 
     def test_zero_backlog_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -89,9 +89,9 @@ class TestServeKnobs:
         finally:
             store.close()
 
-    def test_table_has_six_knobs_and_none_of_the_six(self):
+    def test_table_has_five_knobs_and_none_of_the_six(self):
         envs = {knob.env for knob in repro_config.KNOBS.values()}
-        assert len(envs) == 6
+        assert len(envs) == 5
         assert not envs & set(self.GONE)
 
 
@@ -125,18 +125,6 @@ class TestConsumers:
             make_protocol("process-locking", workload), subsystems=pool
         )
         assert pool.store is not None
-
-    def test_seed_worker_resolution(self, monkeypatch):
-        from repro.sim.runner import _resolve_workers
-
-        monkeypatch.setenv("REPRO_SEED_WORKERS", "4")
-        assert _resolve_workers(None, n_jobs=8) == 4
-        # Explicit argument beats the environment.
-        assert _resolve_workers(2, n_jobs=8) == 2
-        # Clamped to the job count; zero expands to the core count.
-        assert _resolve_workers(None, n_jobs=2) == 2
-        monkeypatch.setenv("REPRO_SEED_WORKERS", "")
-        assert _resolve_workers(None, n_jobs=8) == 1
 
 
 def test_removed_incremental_deadlock_is_a_type_error():

@@ -6,7 +6,7 @@ and the ``wait.edge`` events).  The table keeps no per-shard state: the
 per-subsystem counts are read off the per-type lists when asked, and one
 full structural audit checks the whole table.  These tests pin the
 partition, the derived counts, the audit's corruption detection, the
-schedule byte-identity of sampled audits and the per-subsystem gauges.
+schedule byte-identity of audited runs and the per-subsystem gauges.
 """
 
 from __future__ import annotations
@@ -125,8 +125,8 @@ class TestShardAuditDetection:
             table.check_invariants([1, 2])
 
 
-class TestAuditSamplingKnob:
-    def test_sampled_audit_preserves_schedule_bytes(self, uid_floor):
+class TestAudit:
+    def test_audit_preserves_schedule_bytes(self, uid_floor):
         spec = WorkloadSpec(
             n_processes=12,
             n_activity_types=18,
@@ -137,19 +137,15 @@ class TestAuditSamplingKnob:
             seed=11,
         )
         uid_floor.pin()
-        dense = run_workload(
+        audited = run_workload(
             build_workload(spec),
             seed=spec.seed,
-            config=ManagerConfig(audit=True, audit_every=1),
+            config=ManagerConfig(audit=True),
         )
         uid_floor.repin()
-        sampled = run_workload(
-            build_workload(spec),
-            seed=spec.seed,
-            config=ManagerConfig(audit=True, audit_every=3),
-        )
-        assert canonical_trace(dense.trace.events) == canonical_trace(
-            sampled.trace.events
+        plain = run_workload(build_workload(spec), seed=spec.seed)
+        assert canonical_trace(audited.trace.events) == canonical_trace(
+            plain.trace.events
         )
 
 

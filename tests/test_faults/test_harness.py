@@ -2,58 +2,136 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
+import pytest
+
 from repro import cli
 from repro.faults.harness import (
+    DEFAULT_PROTOCOLS,
     default_plans,
     default_workloads,
     run_campaign,
     run_chaos,
 )
 from repro.faults.plan import FaultPlan, ManagerCrash
+from repro.faults.storms import threshold_boundary_subsystems
 from repro.sim.workload import WorkloadSpec, build_workload
 
 
+#: The plans and workloads the campaign ran before it took over the soak
+#: campaign's shapes; they keep their names, specs and trace digests.
+EARLIER_PLANS = {"baseline", "failures", "outages", "crashes", "mayhem"}
+EARLIER_WORKLOADS = {
+    "small", "dense-parallel", "cost-threshold", "grounded-durable"
+}
+#: sha256 prefix of the sorted ``(plan, workload, protocol,
+#: trace_digest)`` rows of those 60 runs at seed 7, unaudited.
+EARLIER_ROWS_DIGEST = "521c0dbbb38aa2ff"
+
+
+@pytest.fixture(scope="module")
+def campaign():
+    """``repro chaos --seed 7``, CI's campaign, run once per module."""
+    return run_campaign(seed=7)
+
+
 class TestCampaign:
-    def test_full_campaign_passes_every_acceptance_check(self):
-        report = run_campaign(seed=7)
-        assert len(report.runs) >= 50
-        assert report.ok, [
+    def test_full_campaign_passes_every_acceptance_check(self, campaign):
+        assert campaign.ok, [
             (r.plan, r.workload, r.protocol, r.failures)
-            for r in report.failed
+            for r in campaign.failed
         ]
-        counts = report.counts()
+        assert all(run.audited for run in campaign.runs)
+        counts = campaign.counts()
         # The campaign must actually exercise every channel.
         assert counts["injected"] > 0
         assert counts["retries"] > 0
         assert counts["recoveries"] > 0
+        assert counts["retry_budget_exhausted"] > 0
+        assert all(
+            run.checks["conserved"] and run.checks["wal"]
+            for run in campaign.runs
+        )
 
-    def test_quick_campaign_shape(self):
-        report = run_campaign(seed=7, quick=True)
-        plans = {r.plan for r in report.runs}
-        workloads = {r.workload for r in report.runs}
-        assert plans == {p.name for p in default_plans(quick=True)}
-        assert workloads == set(default_workloads(7, quick=True))
-        assert report.ok
-
-    def test_paired_campaigns_are_byte_identical(self, uid_floor):
-        uid_floor.pin()
-        first = run_campaign(seed=3, quick=True)
-        uid_floor.repin()
-        second = run_campaign(seed=3, quick=True)
-        assert [r.schedule_canonical for r in first.runs] == [
-            r.schedule_canonical for r in second.runs
+    def test_campaign_shape(self, campaign):
+        workloads = default_workloads(7)
+        plans = [plan.name for plan in default_plans(workloads["small"])]
+        assert plans == [
+            "baseline", "failures", "outages", "crashes", "mayhem",
+            "correlated", "storm",
         ]
-        assert [r.trace_digest for r in first.runs] == [
-            r.trace_digest for r in second.runs
-        ]
+        cells = {(r.plan, r.workload, r.protocol) for r in campaign.runs}
+        assert cells == {
+            (plan, workload, protocol)
+            for plan in plans
+            for workload in workloads
+            for protocol in DEFAULT_PROTOCOLS
+        }
+        assert len(campaign.runs) == len(cells) == 105
+        assert EARLIER_PLANS < set(plans)
+        assert EARLIER_WORKLOADS < set(workloads)
 
-    def test_different_seeds_diverge(self, uid_floor):
-        uid_floor.pin()
-        first = run_campaign(seed=3, quick=True)
-        uid_floor.repin()
-        second = run_campaign(seed=4, quick=True)
-        assert [r.trace_digest for r in first.runs] != [
-            r.trace_digest for r in second.runs
+    def test_audits_leave_the_earlier_rows_unchanged(self, campaign):
+        rows = sorted(
+            (r.plan, r.workload, r.protocol, r.trace_digest)
+            for r in campaign.runs
+            if r.plan in EARLIER_PLANS and r.workload in EARLIER_WORKLOADS
+        )
+        assert len(rows) == 60
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest[:16] == EARLIER_ROWS_DIGEST
+
+    def test_storm_is_aimed_per_workload(self):
+        workloads = default_workloads(7)
+        storms = {
+            name: default_plans(workload)[-1]
+            for name, workload in workloads.items()
+        }
+        for name, storm in storms.items():
+            targets = threshold_boundary_subsystems(workloads[name])
+            assert storm.name == "storm"
+            assert storm.failures.subsystems == targets
+            assert all(
+                group.subsystems == targets
+                for group in storm.correlated_outages
+            )
+
+    def test_seed7_campaign_meets_the_event_floor(self, campaign):
+        """The floor the long-horizon runs were held to: CI asserts it
+        on ``repro chaos --seed 7 --json``."""
+        assert campaign.counts()["events"] >= 1000
+
+    def test_counts_aggregate_run_fields(self, campaign):
+        counts = campaign.counts()
+        assert counts["runs"] == len(campaign.runs)
+        assert counts["events"] == sum(run.events for run in campaign.runs)
+        assert counts["retry_budget_exhausted"] == sum(
+            run.retry_budget_exhausted for run in campaign.runs
+        )
+        assert counts["recoveries"] == sum(
+            run.incarnations - 1 for run in campaign.runs
+        )
+
+    def test_paired_campaigns_are_byte_identical(self, campaign):
+        # Trace digests renumber uids, so no uid floor is needed.
+        again = run_campaign(seed=7, protocols=("process-locking",))
+        first = [r for r in campaign.runs if r.protocol == "process-locking"]
+        assert [r.schedule_canonical for r in first] == [
+            r.schedule_canonical for r in again.runs
+        ]
+        assert [r.trace_digest for r in first] == [
+            r.trace_digest for r in again.runs
+        ]
+        assert [r.checks for r in first] == [r.checks for r in again.runs]
+
+    def test_different_seeds_diverge(self, campaign):
+        other = run_campaign(seed=4, protocols=("process-locking",))
+        assert other.ok, [(r.plan, r.workload, r.failures) for r in other.failed]
+        first = [r for r in campaign.runs if r.protocol == "process-locking"]
+        assert [r.trace_digest for r in first] != [
+            r.trace_digest for r in other.runs
         ]
 
 
@@ -74,19 +152,49 @@ class TestRecoveredRunAccounting:
         assert report.metrics.submitted == 5
 
 
+class TestAuditedRun:
+    def test_a_broken_invariant_fails_the_run_not_the_campaign(
+        self, monkeypatch
+    ):
+        from repro.core.protocol import ProcessLockManager
+        from repro.errors import ProtocolError
+        from repro.scheduler.manager import ManagerConfig
+
+        def broken(self):
+            raise ProtocolError("lock list out of position order")
+
+        monkeypatch.setattr(ProcessLockManager, "audit", broken)
+        workload = build_workload(WorkloadSpec(n_processes=3, seed=3))
+        plan = FaultPlan(name="baseline")
+        report = run_chaos(
+            workload, "process-locking", plan,
+            config=ManagerConfig(audit=True),
+        )
+        assert report.audited
+        assert report.failures == [
+            "audit: lock list out of position order"
+        ]
+        assert not report.ok
+        assert not run_chaos(workload, "process-locking", plan).audited
+
+
 class TestCli:
     def test_chaos_verb_exits_zero_on_green_campaign(self, capsys):
-        assert cli.main(["chaos", "--quick", "--seed", "7"]) == 0
+        assert cli.main(
+            ["chaos", "--seed", "7", "--protocols", "serial"]
+        ) == 0
         out = capsys.readouterr().out
         assert "chaos campaign (seed 7)" in out
-        assert "runs passed" in out
+        assert "35/35 runs passed" in out
 
     def test_chaos_dump_schedules_prints_canonical_plans(self, capsys):
         code = cli.main(
-            ["chaos", "--quick", "--seed", "7", "--dump-schedules"]
+            ["chaos", "--seed", "7", "--protocols", "serial",
+             "--dump-schedules"]
         )
         assert code == 0
         out = capsys.readouterr().out
-        for plan in default_plans(quick=True):
-            # canonical() emits compact separators: no space after ':'.
-            assert f'"plan":"{plan.name}"' in out
+        for workload in default_workloads(7).values():
+            for plan in default_plans(workload):
+                # canonical() emits compact separators: no space after ':'.
+                assert f'"plan":"{plan.name}"' in out

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.faults.harness import canonical_trace
+from repro.faults.harness import canonical_trace, run_chaos
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     ActivityFailures,
@@ -14,6 +14,8 @@ from repro.faults.plan import (
     SubsystemOutage,
     compile_plan,
 )
+from repro.obs import Tracer, explain_process
+from repro.scheduler.manager import ManagerConfig
 from repro.sim.workload import WorkloadSpec, build_workload
 
 #: Pivot always taken, no alternatives: the retriable tail always runs.
@@ -90,6 +92,38 @@ class TestRetryBudget:
         assert counters.injected_retries % 3 == 0
         cycles = counters.injected_retries // 3
         assert chaos.stats.retries == 2 * cycles
+
+    def test_a_shared_config_carries_no_policy_into_the_next_run(
+        self, uid_floor
+    ):
+        """The injector used to install the plan's retry policy on the
+        config it was handed, so a plan without a retry spec ran under
+        the previous plan's budget when both shared one config."""
+        workload = build_workload(RETRIABLE_SPEC)
+        budgeted = FaultPlan(
+            name="budgeted",
+            failures=ActivityFailures(transient_prob=0.8),
+            retry=RetrySpec(kind="fixed", max_attempts=2),
+        )
+        unbudgeted = FaultPlan(
+            name="unbudgeted",
+            failures=ActivityFailures(transient_prob=0.8),
+        )
+        shared = ManagerConfig()
+        run_chaos(workload, "process-locking", budgeted, config=shared)
+        assert shared.retry_policy is None
+        uid_floor.pin()
+        on_shared = run_chaos(
+            workload, "process-locking", unbudgeted, config=shared
+        )
+        uid_floor.repin()
+        on_fresh = run_chaos(workload, "process-locking", unbudgeted)
+        assert on_shared.trace_digest == on_fresh.trace_digest
+        assert on_shared.retry_budget_exhausted == 0
+        assert (
+            on_shared.metrics.fault_retries
+            == on_fresh.metrics.fault_retries
+        )
 
 
 class TestLatencyInjection:
@@ -180,3 +214,60 @@ class TestSubsystemCrash:
         assert chaos.counters.subsystem_crashes == 0
         assert chaos.counters.dropped_injections == 1
         assert chaos.wal_checks == []
+
+
+class TestRetryBudgetExhaustedEvent:
+    def chaos(self, tracer=None):
+        # Every retriable attempt fails transiently; a budget of 2
+        # guarantees exhaustion on every retriable activity.
+        spec = WorkloadSpec(
+            n_processes=3,
+            pivot_probability=1.0,
+            alternative_count=0,
+            retriable_tail=2,
+            seed=5,
+        )
+        plan = FaultPlan(
+            name="exhaust",
+            failures=ActivityFailures(transient_prob=1.0),
+            retry=RetrySpec(
+                kind="fixed", base_delay=1.0, max_attempts=2
+            ),
+        )
+        workload = build_workload(spec)
+        injector = FaultInjector(
+            workload,
+            "process-locking",
+            compile_plan(plan, 5),
+            seed=5,
+            tracer=tracer,
+        )
+        return injector.run()
+
+    def test_counter_and_event_fire_together(self):
+        tracer = Tracer()
+        chaos = self.chaos(tracer)
+        records = [
+            record
+            for record in tracer.records()
+            if record["kind"] == "retry.budget_exhausted"
+        ]
+        assert chaos.counters.retry_budget_exhausted > 0
+        assert len(records) == chaos.counters.retry_budget_exhausted
+        sample = records[0]
+        assert sample["attempts"] == 2
+        assert sample["activity"]
+        assert sample["subsystem"]
+
+    def test_explain_narrates_the_exhaustion(self):
+        tracer = Tracer()
+        self.chaos(tracer)
+        records = tracer.records()
+        pid = next(
+            record["pid"]
+            for record in records
+            if record["kind"] == "retry.budget_exhausted"
+        )
+        text = explain_process(records, pid)
+        assert "retry budget exhausted" in text
+        assert "treated as success" in text

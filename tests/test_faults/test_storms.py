@@ -46,8 +46,7 @@ def run_storm():
         plan,
         seed=STORM_SPEC.seed,
         workload_name="storm",
-        config=ManagerConfig(audit=True, audit_every=8),
-        ct_stride=5,
+        config=ManagerConfig(audit=True),
     )
 
 

@@ -149,14 +149,6 @@ class TestExportAll:
         assert len(restored) == len(tracer)
         assert restored == json.loads(json.dumps(tracer.records()))
 
-    def test_no_series_tracer_skips_series_artifact(self, tmp_path):
-        tracer = Tracer(collect_series=False)
-        run_workload(
-            build_workload(CONTENDED), seed=CONTENDED.seed, tracer=tracer
-        )
-        paths = export_all(tracer, tmp_path / "out")
-        assert "series" not in paths
-
 
 def _reject(token):
     raise AssertionError(f"non-strict JSON constant in export: {token}")

@@ -102,12 +102,6 @@ class TestStamping:
             with pytest.raises(TypeError, match=name):
                 _field_plan(make_dataclass("Shadowing", [(name, "int")]))
 
-    def test_no_series_mode(self):
-        tracer = Tracer(collect_series=False)
-        tracer.emit(defer_event())
-        assert tracer.series is None
-        assert len(tracer) == 1
-
 
 class TestSeries:
     def test_defer_bumps_histograms(self):

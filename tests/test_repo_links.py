@@ -321,3 +321,28 @@ def test_durability_campaign_leaves_no_trace():
         if DURABILITY_CAMPAIGN.search(line)
     ]
     assert not offenders, offenders
+
+
+# ----------------------------------------------------------------------
+# one fault campaign (DESIGN.md §7, "Removed: the soak campaign")
+# ----------------------------------------------------------------------
+SOAK_CAMPAIGN = re.compile(
+    r"run_soak|SoakPlan|SoakReport|faults[/.]soak|render_soak|soak_json"
+    r"|soak-report\.json|audit_every|REPRO_SEED_WORKERS|repro soak"
+)
+
+
+def test_soak_campaign_leaves_no_trace():
+    """``repro chaos`` is the one campaign and audits every event; only
+    this file and the tests that pin the removed verb, flags, field and
+    knob name what went."""
+    pins = {"tests/test_repo_links.py", "tests/test_cli.py"}
+    offenders = _traces_of(SOAK_CAMPAIGN, pins) + [
+        f"{name}:{number}"
+        for name in ("README.md", ".gitignore")
+        for number, line in enumerate(
+            (ROOT / name).read_text().splitlines(), 1
+        )
+        if SOAK_CAMPAIGN.search(line)
+    ]
+    assert not offenders, offenders

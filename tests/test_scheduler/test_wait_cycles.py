@@ -70,7 +70,7 @@ class _Book:
     def __init__(self) -> None:
         self.manager = manager = ProcessManager(
             SimpleNamespace(),
-            config=ManagerConfig(audit=True, audit_every=1),
+            config=ManagerConfig(audit=True),
         )
         self.states = manager._processes = {
             pid: SimpleNamespace(pid=pid, state=RUNNING) for pid in range(8)
