@@ -76,7 +76,7 @@ def run_e11():
                     "CON": "parameterized" if refined else "type-level",
                     "makespan": round(result.makespan, 1),
                     "concurrency": round(result.mean_concurrency, 2),
-                    "cascades": result.protocol_stats.cascade_victims,
+                    "cascades": result.stats.cascade_victims,
                 }
             )
     return rows

@@ -62,7 +62,7 @@ def main() -> None:
                 "inf" if math.isinf(threshold) else f"{threshold:g}",
                 result.stats.committed,
                 f"{result.makespan:.0f}",
-                protocol.stats.cascade_victims,
+                result.stats.cascade_victims,
                 lab_comps,
                 f"{result.stats.compensated_cost_protocol:.0f}",
             )

@@ -51,7 +51,7 @@ def main() -> None:
     print(f"committed  : {result.stats.committed}/{result.stats.submitted}")
     print(f"makespan   : {result.makespan:.1f}")
     print(f"throughput : {result.throughput:.3f} processes / time unit")
-    print(f"cascades   : {protocol.stats.cascade_victims}")
+    print(f"cascades   : {result.stats.cascade_victims}")
     print(f"compensated: {result.stats.compensations} activities "
           f"(cost {result.stats.compensated_cost:.1f})")
 

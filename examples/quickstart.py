@@ -77,7 +77,7 @@ def main() -> None:
 
     print(f"committed : {result.stats.committed}/{result.stats.submitted}")
     print(f"makespan  : {result.makespan:.1f} virtual time units")
-    print(f"cascades  : {protocol.stats.cascade_victims} victim aborts")
+    print(f"cascades  : {result.stats.cascade_victims} victim aborts")
     print(f"resubmits : {result.stats.resubmissions}")
     print()
     print("observed schedule:")

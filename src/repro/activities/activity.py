@@ -245,10 +245,11 @@ class Activity:
     compensates: int | None = None
     uid: int = field(default_factory=lambda: next(_activity_ids))
 
-    @property
-    def name(self) -> str:
-        """Name of the invoked activity type."""
-        return self.activity_type.name
+    def __post_init__(self) -> None:
+        # ``name``, the invoked type's name, is a plain attribute (not a
+        # field, not a property): every event an activity takes part in
+        # reads it.
+        object.__setattr__(self, "name", self.activity_type.name)
 
     @property
     def is_compensation(self) -> bool:

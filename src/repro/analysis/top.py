@@ -73,10 +73,6 @@ class TopState:
         self.events = 0.0
 
 
-def _fmt_rate(value: float) -> str:
-    return f"{value:8.1f}/s"
-
-
 def _fmt_latency(seconds: float) -> str:
     if math.isnan(seconds):
         return "     -"

@@ -2,14 +2,13 @@
 
 from repro.baselines.aca import CascadeAvoidingScheduler
 from repro.baselines.base import BaselineProtocol
-from repro.baselines.osl import OslStats, PureOrderedSharedLocking
+from repro.baselines.osl import PureOrderedSharedLocking
 from repro.baselines.s2pl import StrictTwoPhaseLocking
 from repro.baselines.serial import SerialScheduler
 
 __all__ = [
     "BaselineProtocol",
     "CascadeAvoidingScheduler",
-    "OslStats",
     "PureOrderedSharedLocking",
     "SerialScheduler",
     "StrictTwoPhaseLocking",

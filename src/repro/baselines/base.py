@@ -23,12 +23,12 @@ import itertools
 from repro.activities.activity import Activity
 from repro.activities.commutativity import ConflictMatrix
 from repro.activities.registry import ActivityRegistry
-from repro.core.decisions import Decision, ProtocolStats
+from repro.core.decisions import Decision
 from repro.core.lock_table import LockTable
 from repro.core.locks import LockMode
 from repro.errors import ProtocolError
-from repro.obs import NULL_TRACER
 from repro.obs.events import ActivityClassified
+from repro.obs.metrics import MetricsTracer
 from repro.process.instance import Process
 from repro.process.state import ProcessState
 from repro.scheduler.events import RequestKind
@@ -42,19 +42,18 @@ class BaselineProtocol:
     force_grant_compensation = None
     force_grant_regular = None
 
-    #: Observability hook, installed by the manager.  Decision outcomes
-    #: are traced by the manager itself; baselines only emit their
-    #: Figure-1-equivalent classification so Wcc gauges stay comparable
-    #: across protocols.
-    tracer = NULL_TRACER
-
     def __init__(
         self, registry: ActivityRegistry, conflicts: ConflictMatrix
     ) -> None:
         self.registry = registry
         self.conflicts = conflicts
         self.table = LockTable(conflicts)
-        self.stats = ProtocolStats()
+        #: Where events go, installed by the manager.  Decision outcomes
+        #: are traced by the manager itself; baselines only emit their
+        #: Figure-1-equivalent classification (so Wcc gauges stay
+        #: comparable across protocols) and pure OSL its unresolvable
+        #: cascades.
+        self.tracer = MetricsTracer()
         self._timestamps = itertools.count(1)
         self._processes: dict[int, Process] = {}
 
@@ -107,19 +106,18 @@ class BaselineProtocol:
         )
         real_pivot = activity_type.point_of_no_return
         mode = LockMode.P if real_pivot else LockMode.C
-        if self.tracer.enabled:
-            self.tracer.emit(
-                ActivityClassified(
-                    pid=process.pid,
-                    incarnation=process.incarnation,
-                    activity=activity.name,
-                    mode=mode.value,
-                    wcc=process.wcc,
-                    threshold=process.program.wcc_threshold,
-                    pseudo_pivot=False,
-                    real_pivot=real_pivot,
-                )
+        self.tracer.emit(
+            ActivityClassified(
+                pid=process.pid,
+                incarnation=process.incarnation,
+                activity=activity.name,
+                mode=mode.value,
+                wcc=process.wcc,
+                threshold=process.program.wcc_threshold,
+                pseudo_pivot=False,
+                real_pivot=real_pivot,
             )
+        )
         return mode
 
     def force_progress(self, cycle, parked):

@@ -13,7 +13,7 @@ motivate process locking:
   the work has been done;
 * **unresolvable violations** — a cascading abort reaches a *completing*
   process, which cannot be rolled back; the simulation counts the event
-  (``stats.unresolvable``) and lets the completing process proceed,
+  (a ``lock.unresolvable`` event) and lets the completing process proceed,
   modelling the semantic inconsistency a real deployment would suffer.
 
 Commit-wait cycles among completing processes are likewise unresolvable;
@@ -22,8 +22,6 @@ the manager force-commits one participant and counts it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.activities.activity import Activity
 from repro.baselines.base import BaselineProtocol
 from repro.core.decisions import (
@@ -31,27 +29,16 @@ from repro.core.decisions import (
     Decision,
     Defer,
     Grant,
-    ProtocolStats,
 )
 from repro.core.locks import LockMode
 from repro.errors import ProtocolError
+from repro.obs.events import UnresolvableCascade
 from repro.process.instance import Process
 from repro.process.state import ProcessState
 
 
-@dataclass
-class OslStats(ProtocolStats):
-    """Protocol counters plus the OSL-specific violation count."""
-
-    unresolvable: int = 0
-
-
 class PureOrderedSharedLocking(BaselineProtocol):
     """OSL with lock sharing in arrival order and late validation only."""
-
-    def __init__(self, registry, conflicts) -> None:
-        super().__init__(registry, conflicts)
-        self.stats = OslStats()
 
     def request_activity_lock(
         self, process: Process, activity: Activity, mode: LockMode
@@ -87,13 +74,18 @@ class PureOrderedSharedLocking(BaselineProtocol):
                 waits.add(holder.pid)
             else:
                 # A completing process shared behind us: it cannot be
-                # cascade-aborted.  Count the violation and proceed —
+                # cascade-aborted.  Report the violation and proceed —
                 # exactly the failure mode process locking prevents.
-                self.stats.unresolvable += 1
+                self.tracer.emit(
+                    UnresolvableCascade(
+                        pid=process.pid,
+                        activity=activity.name,
+                        holder=holder.pid,
+                    )
+                )
         if victims:
             return AbortVictims(victims=frozenset(victims))
         if waits:
-            self.stats.defers += 1
             return Defer(
                 wait_for=frozenset(waits), reason="wait-aborting"
             )
@@ -125,7 +117,6 @@ class PureOrderedSharedLocking(BaselineProtocol):
             if pid in self._processes
         }
         if blockers:
-            self.stats.defers += 1
             return Defer(
                 wait_for=frozenset(blockers), reason="commit-on-hold"
             )

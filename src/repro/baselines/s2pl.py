@@ -101,7 +101,6 @@ class StrictTwoPhaseLocking(BaselineProtocol):
             if e.timestamp < process.timestamp
         }
         if older:
-            self.stats.defers += 1
             return SelfAbort(reason="wait-die")
         return self._wait(running | unabortable, "s2pl-wait")
 
@@ -148,7 +147,6 @@ class StrictTwoPhaseLocking(BaselineProtocol):
         return Grant(locks=(entry,))
 
     def _wait(self, blockers: set[int], reason: str) -> Defer:
-        self.stats.defers += 1
         return Defer(wait_for=frozenset(blockers), reason=reason)
 
     def _wound(self, victims: set[int]) -> AbortVictims:

@@ -30,7 +30,6 @@ class SerialScheduler(BaselineProtocol):
         self, process: Process, activity: Activity, mode: LockMode
     ) -> Decision:
         if not self._admit(process):
-            self.stats.defers += 1
             return Defer(
                 wait_for=frozenset({self._owner}), reason="serial-token"
             )

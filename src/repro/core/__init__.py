@@ -20,7 +20,6 @@ from repro.core.decisions import (
     Decision,
     Defer,
     Grant,
-    ProtocolStats,
 )
 from repro.core.lock_table import LockTable
 from repro.core.locks import LockEntry, LockMode, can_ordered_share
@@ -42,7 +41,6 @@ __all__ = [
     "LockMode",
     "LockTable",
     "ProcessLockManager",
-    "ProtocolStats",
     "can_ordered_share",
     "choose_cycle_victim",
     "figure1_trace",

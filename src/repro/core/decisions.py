@@ -101,21 +101,3 @@ class SelfAbort:
 
 
 Decision = Grant | Defer | AbortVictims | SelfAbort
-
-
-@dataclass
-class ProtocolStats:
-    """The protocol's decision counters that run summaries read.
-
-    Grants per request class, defers per rule and conversions are the
-    metrics registry's ``repro_lock_*`` families; defers per reason are
-    the series bank's ``defer_reasons`` histogram.
-    """
-
-    defers: int = 0
-    #: Cascade decisions that began at least one abort, and the aborts
-    #: they began — counted by the process manager where the abort
-    #: starts: re-asked after a victim is gone, a rule names the
-    #: remaining victims again.
-    cascades_requested: int = 0
-    cascade_victims: int = 0

@@ -243,6 +243,14 @@ class LockTable:
         """Live C-mode locks of one process, in acquisition order."""
         return tuple(self._c_by_pid.get(pid, ()))
 
+    def modes_of(self, pid: int) -> str:
+        """The lock modes one process holds: ``""``, ``"C"``, ``"P"``
+        or ``"CP"`` (a blocker's snapshot in a defer or cascade event),
+        read off the two per-pid lists' lengths."""
+        held = len(self._by_pid.get(pid, ()))
+        c_held = len(self._c_by_pid.get(pid, ()))
+        return ("C" if c_held else "") + ("P" if held > c_held else "")
+
     def locks_on(self, type_name: str) -> tuple[LockEntry, ...]:
         """The ordered lock list of one activity type."""
         return tuple(self._by_type.get(type_name, ()))

@@ -63,14 +63,13 @@ from repro.core.decisions import (
     Decision,
     Defer,
     Grant,
-    ProtocolStats,
 )
 from repro.core.cost_based import WccMemo
 from repro.core.lock_table import LockTable
 from repro.core.locks import LockEntry, LockMode
 from repro.core.rules import HolderPartition, partition_holders
 from repro.errors import ProtocolError
-from repro.obs import NULL_TRACER
+from repro.obs.metrics import MetricsTracer
 from repro.obs.events import ActivityClassified, LockConverted
 from repro.process.instance import Process
 from repro.process.state import ProcessState
@@ -95,13 +94,6 @@ class ProcessLockManager:
         only).
     """
 
-    #: Observability hook; the manager installs its own tracer here.
-    #: Decision outcomes (grant/defer/cascade) are traced by the manager,
-    #: which knows the request context; the protocol itself only emits
-    #: what the manager cannot see: Figure-1 classifications and in-place
-    #: Comp→Piv lock conversions.
-    tracer = NULL_TRACER
-
     def __init__(
         self,
         registry: ActivityRegistry,
@@ -118,7 +110,12 @@ class ProcessLockManager:
         #: cycles among cost-protected processes.
         self.global_p_deferment = global_p_deferment
         self.table = LockTable(conflicts)
-        self.stats = ProtocolStats()
+        #: Where events go; the manager installs its own tracer here.
+        #: Decision outcomes (grant/defer/cascade) are traced by the
+        #: manager, which knows the request context; the protocol itself
+        #: only emits what the manager cannot see: Figure-1
+        #: classifications and in-place Comp→Piv lock conversions.
+        self.tracer = MetricsTracer()
         self._timestamps = itertools.count(1)
         self._processes: dict[int, Process] = {}
         self._token_owner: int | None = None
@@ -211,19 +208,20 @@ class ProcessLockManager:
         mode = (
             LockMode.P if real_pivot or pseudo_pivot else LockMode.C
         )
-        if self.tracer.enabled:
-            self.tracer.emit(
-                ActivityClassified(
-                    pid=process.pid,
-                    incarnation=process.incarnation,
-                    activity=activity.name,
-                    mode=mode.value,
-                    wcc=process.wcc,
-                    threshold=threshold,
-                    pseudo_pivot=pseudo_pivot,
-                    real_pivot=real_pivot,
-                )
+        self.tracer.emit(
+            # One per activity launched: positional, and the mode's
+            # ``_value_`` (``.value`` is an Enum property call).
+            ActivityClassified(
+                process.pid,
+                process.incarnation,
+                activity.name,
+                mode._value_,
+                process.wcc,
+                threshold,
+                pseudo_pivot,
+                real_pivot,
             )
+        )
         return mode
 
     # ------------------------------------------------------------------
@@ -500,14 +498,13 @@ class ProcessLockManager:
     ) -> Grant:
         for entry in own_c_locks:
             entry.upgrade_to_p()
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    LockConverted(
-                        pid=process.pid,
-                        type_name=entry.type_name,
-                        position=entry.position,
-                    )
+            self.tracer.emit(
+                LockConverted(
+                    pid=process.pid,
+                    type_name=entry.type_name,
+                    position=entry.position,
                 )
+            )
         entry = self.table.acquire(
             process, activity.name, LockMode.P, activity.uid
         )
@@ -522,9 +519,7 @@ class ProcessLockManager:
         self, process: Process, blockers: set[int] | frozenset[int],
         reason: str,
     ) -> Defer:
-        wait_for = frozenset(blockers)
-        self.stats.defers += 1
-        return Defer(wait_for=wait_for, reason=reason)
+        return Defer(wait_for=frozenset(blockers), reason=reason)
 
     def _cascade(self, victims: set[int]) -> AbortVictims:
         running = {

@@ -157,17 +157,16 @@ def reference_classify_regular(protocol, process, activity):
         and process.wcc >= threshold
     )
     mode = LockMode.P if real_pivot or pseudo_pivot else LockMode.C
-    if protocol.tracer.enabled:
-        protocol.tracer.emit(
-            ActivityClassified(
-                pid=process.pid,
-                incarnation=process.incarnation,
-                activity=activity.name,
-                mode=mode.value,
-                wcc=process.wcc,
-                threshold=threshold,
-                pseudo_pivot=pseudo_pivot,
-                real_pivot=real_pivot,
-            )
+    protocol.tracer.emit(
+        ActivityClassified(
+            pid=process.pid,
+            incarnation=process.incarnation,
+            activity=activity.name,
+            mode=mode.value,
+            wcc=process.wcc,
+            threshold=threshold,
+            pseudo_pivot=pseudo_pivot,
+            real_pivot=real_pivot,
         )
+    )
     return mode

@@ -171,7 +171,7 @@ def run_chaos(
     )
     report.checks["terminated"] = observed.is_complete
     report.checks["conserved"] = conserved(
-        chaos.result.records, chaos.stats
+        chaos.result.records, chaos.result.stats
     )
     report.checks["ct"] = observed.is_complete and has_correct_termination(
         observed, stride=5

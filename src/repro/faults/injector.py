@@ -39,8 +39,8 @@ from repro.faults.plan import (
     SubsystemOutage,
 )
 from repro.faults.retry import make_policy
-from repro.obs import NULL_TRACER
 from repro.obs.events import FaultInjected
+from repro.obs.metrics import MetricsTracer
 from repro.process.instance import Process
 from repro.scheduler.manager import (
     ManagerConfig,
@@ -49,7 +49,6 @@ from repro.scheduler.manager import (
     make_manager,
 )
 from repro.scheduler.recovery import crash, recover
-from repro.sim.metrics import merge_stats
 from repro.sim.runner import make_protocol
 from repro.sim.workload import Workload
 
@@ -79,17 +78,6 @@ class FaultCounters:
     #: recovery support, subsystem crash without a durable pool).
     dropped_injections: int = 0
 
-    @property
-    def injected_total(self) -> int:
-        return (
-            self.injected_failures
-            + self.injected_retries
-            + self.latency_injections
-            + self.outages_started
-            + self.subsystem_crashes
-            + self.manager_recoveries
-        )
-
 
 @dataclass(frozen=True)
 class WalCheck:
@@ -108,12 +96,13 @@ class WalCheck:
 
 @dataclass
 class ChaosRunResult:
-    """One fault-injected run, merged across manager incarnations."""
+    """One fault-injected run, across manager incarnations.
+
+    ``result`` is the final incarnation's; its ``stats`` is the fold
+    every incarnation emitted to, so it counts the whole run.
+    """
 
     result: RunResult
-    #: Counters merged across every manager incarnation (the final
-    #: :class:`RunResult` only carries the last incarnation's).
-    stats: object
     #: Virtual makespan summed across incarnations (each recovered
     #: manager restarts its clock at zero).
     makespan: float
@@ -143,10 +132,11 @@ class FaultInjector:
         self.protocol_name = protocol_name
         self.schedule = schedule
         self.seed = seed
-        #: Observability tracer shared across manager incarnations; its
-        #: time offset is advanced on every manager crash so stamps stay
-        #: monotone over the whole logical run.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: The fold every manager incarnation emits to (forwarding to
+        #: ``tracer`` when given): it outlives each crash, so its counts
+        #: cover the whole logical run, and its time offset is advanced
+        #: on every crash so stamps stay monotone.
+        self.tracer = MetricsTracer.over(tracer)
         self.config = self._configured(config)
         self.pool = workload.make_subsystems(durable=durable_subsystems)
         self.counters = FaultCounters()
@@ -160,8 +150,6 @@ class FaultInjector:
         #: while ``start <= now < end``.
         self._outages: dict[str, list[list[float]]] = {}
         self._manager: ProcessManager | None = None
-        #: ``(stats, makespan)`` of crashed (closed) incarnations.
-        self._slices: list[tuple[object, float]] = []
 
     def _configured(self, config: ManagerConfig | None) -> ManagerConfig:
         """The caller's config with the plan's retry policy installed —
@@ -282,15 +270,14 @@ class FaultInjector:
         self, channel: str, process: Process, activity: Activity,
         **detail,
     ) -> None:
-        if self.tracer.enabled:
-            self.tracer.emit(
-                FaultInjected(
-                    channel=channel,
-                    pid=process.pid,
-                    activity=activity.name,
-                    detail=detail,
-                )
+        self.tracer.emit(
+            FaultInjected(
+                channel=channel,
+                pid=process.pid,
+                activity=activity.name,
+                detail=detail,
             )
+        )
 
     # ------------------------------------------------------------------
     # the run loop
@@ -316,17 +303,10 @@ class FaultInjector:
                 self.counters.dropped_injections += len(pending)
                 break
         result = self._manager.run()
-        merged = merge_stats(
-            [s for s, __ in self._slices] + [result.stats],
-            submitted=len(result.records),
-        )
-        makespan = (
-            sum(m for __, m in self._slices) + result.makespan
-        )
         return ChaosRunResult(
             result=result,
-            stats=merged,
-            makespan=makespan,
+            # The offset is the crashed incarnations' summed clocks.
+            makespan=self.tracer.offset + result.makespan,
             counters=self.counters,
             splice_ok=self.splice_ok,
             wal_checks=list(self.wal_checks),
@@ -375,16 +355,15 @@ class FaultInjector:
         assert self._manager is not None
         now = self._manager.engine.now
         self._open_window(spec.subsystem, now, now + spec.duration)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                FaultInjected(
-                    channel="outage",
-                    detail={
-                        "subsystem": spec.subsystem,
-                        "duration": spec.duration,
-                    },
-                )
+        self.tracer.emit(
+            FaultInjected(
+                channel="outage",
+                detail={
+                    "subsystem": spec.subsystem,
+                    "duration": spec.duration,
+                },
             )
+        )
 
     def _fire_correlated(self, spec: CorrelatedOutage) -> None:
         """Down every member of a subsystem group from one trigger.
@@ -399,17 +378,16 @@ class FaultInjector:
             start = now + index * spec.stagger
             self._open_window(subsystem, start, start + spec.duration)
         self.counters.correlated_outages += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                FaultInjected(
-                    channel="correlated-outage",
-                    detail={
-                        "subsystems": list(spec.subsystems),
-                        "duration": spec.duration,
-                        "stagger": spec.stagger,
-                    },
-                )
+        self.tracer.emit(
+            FaultInjected(
+                channel="correlated-outage",
+                detail={
+                    "subsystems": list(spec.subsystems),
+                    "duration": spec.duration,
+                    "stagger": spec.stagger,
+                },
             )
+        )
 
     def _fire_subsystem_crash(
         self, spec: SubsystemCrash, at_event: int
@@ -447,18 +425,17 @@ class FaultInjector:
             )
         )
         self.counters.subsystem_crashes += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                FaultInjected(
-                    channel="subsystem-crash",
-                    detail={
-                        "subsystem": spec.subsystem,
-                        "at_event": at_event,
-                        "undone": undone,
-                        "rolled_back": rolled_back,
-                    },
-                )
+        self.tracer.emit(
+            FaultInjected(
+                channel="subsystem-crash",
+                detail={
+                    "subsystem": spec.subsystem,
+                    "at_event": at_event,
+                    "undone": undone,
+                    "rolled_back": rolled_back,
+                },
             )
+        )
 
     def _fire_manager_crash(self) -> None:
         assert self._manager is not None
@@ -471,22 +448,20 @@ class FaultInjector:
             return
         manager = self._manager
         prior_events = list(manager.trace.events)
-        self._slices.append((manager.stats, manager.engine.now))
         image = crash(manager)
         self._incarnation += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                FaultInjected(
-                    channel="manager-crash",
-                    detail={
-                        "crashed_at": image.crashed_at,
-                        "incarnation": self._incarnation,
-                    },
-                )
+        self.tracer.emit(
+            FaultInjected(
+                channel="manager-crash",
+                detail={
+                    "crashed_at": image.crashed_at,
+                    "incarnation": self._incarnation,
+                },
             )
-            # Each incarnation restarts its virtual clock at zero;
-            # shifting the tracer keeps stamps monotone end to end.
-            self.tracer.offset += image.crashed_at
+        )
+        # Each incarnation restarts its virtual clock at zero; shifting
+        # the tracer keeps stamps monotone end to end.
+        self.tracer.offset += image.crashed_at
         recovered = recover(
             image,
             protocol,
@@ -514,15 +489,14 @@ class FaultInjector:
             )
         }
         self.counters.manager_recoveries += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                FaultInjected(
-                    channel="manager-recover",
-                    detail={
-                        "incarnation": self._incarnation,
-                        "recovered": len(image.snapshots),
-                        "splice_ok": self.splice_ok,
-                    },
-                )
+        self.tracer.emit(
+            FaultInjected(
+                channel="manager-recover",
+                detail={
+                    "incarnation": self._incarnation,
+                    "recovered": len(image.snapshots),
+                    "splice_ok": self.splice_ok,
+                },
             )
+        )
         self._manager = recovered

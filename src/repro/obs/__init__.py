@@ -10,9 +10,9 @@ observable, instead of only the end-of-run aggregates of
   positions, defers with the blocking holders and the rule that fired,
   cascades with the timestamp comparison, lifecycle spans, wait-for
   edge inserts/deletes, fault injections);
-* :mod:`repro.obs.tracer` — the guard-checked :class:`Tracer` and the
-  disabled :data:`NULL_TRACER` singleton that every emit site consults
-  (disabled runs stay trace-equivalent and benchmark-neutral);
+* :mod:`repro.obs.tracer` — the recording :class:`Tracer`, a sink a
+  run that must be explained hands the manager (runs with and without
+  one stay trace-equivalent);
 * :mod:`repro.obs.series` — virtual-time series sampled on manager
   events (parked gauge, lock-table depth, per-process Wcc, conflict
   histograms);
@@ -23,8 +23,9 @@ observable, instead of only the end-of-run aggregates of
   resubmissions (``repro explain``);
 * :mod:`repro.obs.metrics` — the deterministic metrics plane: a
   dependency-free registry of counters/gauges/histograms with
-  Prometheus text exposition, the :class:`EventMetrics` feeder mapping
-  the event stream onto it, and the :class:`MetricsTracer` tee;
+  Prometheus text exposition, the :class:`EventMetrics` fold mapping
+  the event stream onto it (every manager's ``stats``), and the
+  always-on :class:`MetricsTracer` every emit goes to;
 * :mod:`repro.obs.flight` — a bounded ring of the last N events,
   dumped as JSONL on drain/crash so any incident is explainable.
 """
@@ -49,15 +50,13 @@ from repro.obs.metrics import (
     replay_metrics,
 )
 from repro.obs.series import SeriesBank
-from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
+from repro.obs.tracer import Tracer
 
 __all__ = [
     "EventMetrics",
     "FlightRecorder",
     "MetricsRegistry",
     "MetricsTracer",
-    "NULL_TRACER",
-    "NullTracer",
     "SeriesBank",
     "Tracer",
     "deferred_pids",

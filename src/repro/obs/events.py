@@ -6,6 +6,10 @@ lock modes) and the paper rule that fired; cascades name the victims and
 the timestamp comparison that doomed them; grants carry the sharing
 position the lock was appended at.
 
+Events are built on every emit, so they are plain (not frozen) slotted
+dataclasses: a frozen one pays an ``object.__setattr__`` call per field
+at construction.  Nothing mutates an event once emitted.
+
 Events do **not** carry their own clock — the
 :class:`~repro.obs.tracer.Tracer` stamps each emit with the virtual time
 and a global sequence number, and serializes the pair together with the
@@ -44,13 +48,13 @@ class Holder:
 # ----------------------------------------------------------------------
 # process lifecycle
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ProcessSubmitted:
     kind = "process.submit"
     pid: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ProcessInitiated:
     kind = "process.init"
     pid: int
@@ -58,14 +62,14 @@ class ProcessInitiated:
     incarnation: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ProcessCommitted:
     kind = "process.commit"
     pid: int
     incarnation: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AbortBegun:
     """A process starts its abort-process execution."""
 
@@ -78,7 +82,7 @@ class AbortBegun:
     cause: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ProcessAborted:
     kind = "process.abort"
     pid: int
@@ -86,7 +90,7 @@ class ProcessAborted:
     resubmit: bool
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ProcessResubmitted:
     """A cascade victim restarts with its *original* timestamp."""
 
@@ -96,7 +100,7 @@ class ProcessResubmitted:
     timestamp: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ProcessHeld:
     """The restart gate closed on a cascade victim's successor: it is
     not restarted while an older undecided process (``behind``) may
@@ -110,7 +114,7 @@ class ProcessHeld:
     behind: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ProcessCancelled:
     """A client explicitly cancelled the process (service front door).
 
@@ -125,7 +129,7 @@ class ProcessCancelled:
     initiated: bool
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ProcessStarved:
     """Out of resubmissions: the ``process.abort`` after it is final."""
 
@@ -137,7 +141,7 @@ class ProcessStarved:
 # ----------------------------------------------------------------------
 # protocol decisions
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class LockGranted:
     kind = "lock.grant"
     pid: int
@@ -152,7 +156,7 @@ class LockGranted:
     position: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class LockDeferred:
     kind = "lock.defer"
     pid: int
@@ -167,7 +171,7 @@ class LockDeferred:
     blockers: tuple[Holder, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CascadeRequested:
     """Timestamp order sacrifices the named running holders."""
 
@@ -182,7 +186,7 @@ class CascadeRequested:
     victims: tuple[Holder, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SelfAbortDecision:
     """The protocol told the *requester* to abort (baselines only)."""
 
@@ -196,7 +200,7 @@ class SelfAbortDecision:
     rule: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class LockConverted:
     """One Comp→Piv conversion (C lock upgraded to P in place)."""
 
@@ -206,7 +210,7 @@ class LockConverted:
     position: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ActivityClassified:
     """Figure-1 treatment decision, with the Wcc charge that drove it."""
 
@@ -221,10 +225,22 @@ class ActivityClassified:
     real_pivot: bool
 
 
+@dataclass(slots=True)
+class UnresolvableCascade:
+    """A compensation's cascade reached a *completing* holder, which
+    cannot be aborted (pure OSL): the violation process locking's
+    early verification prevents, counted and let through."""
+
+    kind = "lock.unresolvable"
+    pid: int
+    activity: str
+    holder: int
+
+
 # ----------------------------------------------------------------------
 # activity execution spans
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ActivityStarted:
     kind = "activity.start"
     pid: int
@@ -234,7 +250,7 @@ class ActivityStarted:
     compensation: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ActivityRetried:
     kind = "activity.retry"
     pid: int
@@ -243,7 +259,7 @@ class ActivityRetried:
     attempt: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ActivityCommitted:
     kind = "activity.commit"
     pid: int
@@ -251,9 +267,15 @@ class ActivityCommitted:
     activity: str
     uid: int
     compensation: bool = False
+    #: A compensation only: the cost of the activity it undid, and the
+    #: label of the run it belongs to (``protocol-abort:<cause>``,
+    #: ``intrinsic-abort`` or ``subprocess-abort``) — what the
+    #: ``compensated_cost_*`` counts are folded from.
+    undone: float | None = None
+    cause: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ActivityFailed:
     kind = "activity.fail"
     pid: int
@@ -262,7 +284,7 @@ class ActivityFailed:
     uid: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ActivityCancelled:
     """An in-flight activity of an abort victim was torn down."""
 
@@ -276,7 +298,7 @@ class ActivityCancelled:
 # ----------------------------------------------------------------------
 # wait-for bookkeeping and deadlock resolution
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class WaitEdge:
     """Insertion or deletion of parked wait-for edges.
 
@@ -298,14 +320,14 @@ class WaitEdge:
     shard: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class DeadlockVictim:
     kind = "deadlock.victim"
     pid: int
     cycle: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class UnresolvableForced:
     """Forced progress through an unresolvable wait cycle (baselines)."""
 
@@ -318,7 +340,7 @@ class UnresolvableForced:
 # ----------------------------------------------------------------------
 # fault injection
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class FaultInjected:
     """One fault-injector action (any channel)."""
 
@@ -334,7 +356,7 @@ class FaultInjected:
 # ----------------------------------------------------------------------
 # retry budgets (repro.faults.retry)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RetryBudgetExhausted:
     """A retry budget forced a failing retriable to count as success.
 
@@ -356,7 +378,7 @@ class RetryBudgetExhausted:
 # ----------------------------------------------------------------------
 # durable storage (repro.storage)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StoreRecovered:
     """Startup recovery finished replaying the durable store.
 
@@ -377,7 +399,7 @@ class StoreRecovered:
     seconds: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StoreSnapshot:
     """A checkpoint of the live crash image was swapped in."""
 
@@ -388,7 +410,7 @@ class StoreSnapshot:
     journal_lsn: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StoreTornTail:
     """Recovery truncated an incomplete record at the end of a log.
 
@@ -419,6 +441,7 @@ EVENT_TYPES: dict[str, type] = {
         LockDeferred,
         CascadeRequested,
         SelfAbortDecision,
+        UnresolvableCascade,
         LockConverted,
         ActivityClassified,
         ActivityStarted,
@@ -446,6 +469,7 @@ _SHARED_ANNOTATIONS = frozenset(
         "str",
         "bool",
         "float",
+        "float | None",
         "int | None",
         "str | None",
         "tuple[int, ...]",

@@ -1,4 +1,4 @@
-"""Deterministic metrics plane layered on the typed event stream.
+"""The metrics plane: the one fold that counts the event stream.
 
 Three pieces live here:
 
@@ -7,30 +7,27 @@ Three pieces live here:
   The same event stream always produces the same registry contents and
   the same Prometheus text exposition byte-for-byte (families render in
   declaration order, children in sorted label order).
-* :class:`EventMetrics` — the domain feeder: it maps every
-  :mod:`repro.obs.events` dataclass onto metric families (process
-  outcomes, lock grants/defers by rule, virtual-time lock-wait and park
-  histograms, retries per activity, …) and keeps the small amount of
-  pairing state the derivations need (park inserts awaiting their
-  delete, defers awaiting their grant, pids whose terminal abort was
-  really a client cancel).
-* :class:`MetricsTracer` — a tee tracer: it feeds an
-  :class:`EventMetrics`, optionally appends to a
+* :class:`EventMetrics` — the fold, and every manager's ``stats``: it
+  maps every :mod:`repro.obs.events` dataclass onto metric families
+  (process outcomes, lock grants/defers by rule, virtual-time lock-wait
+  and park histograms, retries per activity, …), and the counts the
+  ``stats`` verb, run summaries and the conservation oracle read
+  (:data:`MANAGER_COUNTS`) are read off those same families, plus the
+  compensated-cost and busy-area sums no family exports.
+* :class:`MetricsTracer` — the always-on tracer every manager emits
+  to: it feeds its :class:`EventMetrics`, optionally appends to a
   :class:`~repro.obs.flight.FlightRecorder`, and forwards the raw event
   to any number of sink tracers (:class:`~repro.obs.tracer.Tracer`,
   :class:`~repro.server.bridge.BusTracer`), which stamp exactly as they
-  would without the tee.  When metrics are disabled nothing here is
-  constructed at all — emit sites still guard on ``tracer.enabled`` and
-  the zero-overhead byte-identity guarantee of :data:`NULL_TRACER`
-  holds unchanged.
+  would without it.
 
 Performance note: like :class:`~repro.obs.tracer.Tracer`, nothing on
 the emit path flattens events through ``event_payload`` — the feeder
 reads attributes directly and the flight recorder stores the event
 object, flattening lazily at dump time.  The sampler-polled gauges are
 not on the emit path either: whoever drives the engine calls
-:meth:`MetricsTracer.refresh_gauges` at its drain boundaries.  The
-metrics-over-tracer factor is pinned by
+:meth:`MetricsTracer.refresh_gauges` at its drain boundaries.  The cost
+of the fold alone, and of a recording sink on top, is pinned by
 ``benchmarks/test_obs_overhead.py``.
 """
 
@@ -41,6 +38,7 @@ import math
 import threading
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Sequence
+from functools import cached_property
 
 __all__ = [
     "Counter",
@@ -48,6 +46,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "LATENCY_BUCKETS",
+    "MANAGER_COUNTS",
     "MetricsRegistry",
     "MetricsTracer",
     "RETRY_BUCKETS",
@@ -70,6 +69,21 @@ RETRY_BUCKETS: tuple[float, ...] = (0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0)
 LATENCY_BUCKETS: tuple[float, ...] = (
     0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
+
+#: The counts ``manager.stats`` answers, in the ``stats`` verb's key
+#: order.
+MANAGER_COUNTS: tuple[str, ...] = (
+    "submitted", "committed", "intrinsic_aborts", "protocol_aborts",
+    "subprocess_aborts", "resubmissions", "starved", "compensations",
+    "compensated_cost", "compensated_cost_protocol",
+    "compensated_cost_intrinsic", "compensated_cost_subprocess",
+    "retries", "deadlock_victims", "unresolvable_violations",
+    "cancellations", "busy_area",
+)
+
+#: Abort causes that end in a resubmission (``protocol_aborts``); a
+#: ``cancel`` abort ends the pid.
+_PROTOCOL_CAUSES = (("cascade",), ("deadlock",), ("self",))
 
 #: Cached verdict for sampler keys no gauge family consumes.
 _IGNORED_SAMPLE = object()
@@ -174,7 +188,7 @@ class Counter(_Family):
         return self._children.get(self._check_labels(labels), 0)
 
     def total(self) -> float:
-        """Sum over every child (handy for reconciliation tests)."""
+        """Sum over every child."""
         return sum(list(self._children.values()))
 
 
@@ -555,26 +569,28 @@ def histogram_quantile(
 # domain feeder
 # ----------------------------------------------------------------------
 class EventMetrics:
-    """Maps the typed event stream onto a :class:`MetricsRegistry`.
+    """Folds the typed event stream into a :class:`MetricsRegistry`.
 
-    The feeder is deliberately stats-compatible: its derived counters
-    reconcile exactly with :class:`~repro.scheduler.manager.ManagerStats`
-    (pinned by the property test in ``tests/test_obs/test_metrics.py``).
-    The one subtle case is a client cancel of a *running* process: the
-    manager emits ``process.cancel`` + ``process.abort-begin(cancel)``
-    + a terminal ``process.abort`` but counts only ``cancellations`` —
-    so the feeder remembers those pids and files the terminal
-    abort under ``outcome="cancelled"`` instead of double-counting it
-    as an abort (``process.starved`` works the same way).
+    One outcome is implied by two events: a client cancel of a
+    *running* process emits ``process.cancel`` +
+    ``process.abort-begin(cancel)`` + a terminal ``process.abort`` —
+    so the fold remembers those pids and files the terminal abort under
+    ``outcome="cancelled"`` instead of counting it again as an abort
+    (``process.starved`` works the same way).  A cascade counts once
+    per decision that begins an abort: ``lock.cascade`` marks a
+    decision, and its first ``process.abort-begin(cascade)`` counts it.
+
+    The fold outlives a manager crash under the fault injector, so its
+    counts cover the whole logical run; after a served restart it is
+    seeded once from the recovered image (:meth:`restore`).
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        r = self.registry
+    def __init__(self) -> None:
+        r = self.registry = MetricsRegistry()
         self.events = r.counter(
             "repro_events_total", "Emitted trace events by kind.", ("kind",)
         )
-        self.submitted = r.counter(
+        self.submitted_total = r.counter(
             "repro_process_submitted_total",
             "Processes submitted to the manager.",
         )
@@ -617,7 +633,7 @@ class EventMetrics:
             "repro_lock_cascades_total",
             "Cascade decisions that began at least one abort.",
         )
-        self.cascade_victims = r.counter(
+        self.cascade_victims_total = r.counter(
             "repro_cascade_victims_total",
             "Cascade-victim aborts begun.",
         )
@@ -636,11 +652,11 @@ class EventMetrics:
             "(started/committed/failed/cancelled/compensated).",
             ("outcome",),
         )
-        self.retries = r.counter(
+        self.retries_total = r.counter(
             "repro_activity_retries_total",
             "Activity retry attempts.",
         )
-        self.compensations = r.counter(
+        self.compensations_total = r.counter(
             "repro_compensations_total",
             "Compensation activities committed during aborts.",
         )
@@ -649,7 +665,7 @@ class EventMetrics:
             "Parked (deferred) requests by lock shard.",
             ("shard",),
         )
-        self.deadlock_victims = r.counter(
+        self.deadlock_victims_total = r.counter(
             "repro_deadlock_victims_total",
             "Processes aborted to break a wait-for cycle.",
         )
@@ -712,10 +728,22 @@ class EventMetrics:
             ("outcome",),
             buckets=LATENCY_BUCKETS,
         )
+        #: Sums no family exports: cost undone by compensations, by the
+        #: channel that ran them, and the time integral of the number
+        #: of activities executing.
+        self.compensated_cost = 0.0
+        self.compensated_cost_protocol = 0.0
+        self.compensated_cost_intrinsic = 0.0
+        self.compensated_cost_subprocess = 0.0
+        self.busy_area = 0.0
         # Pairing state for derived observations.
+        #: uids of the activities executing, and when that set last
+        #: changed (the busy area is integrated from there).
+        self._running: set[int] = set()
+        self._running_since = 0.0
         self._gauge_targets: dict[str, tuple | object] = {}
-        #: kind -> (its ``repro_events_total`` key, its handler).
-        self._by_kind: dict[str, tuple] = {}
+        #: event class -> (its ``repro_events_total`` key, its handler).
+        self._by_class: dict[type, tuple] = {}
         #: pid -> {(uid, request): virtual time of its first defer};
         #: dropped when the pid's abort begins or it is cancelled.
         self._defer_since: dict[int, dict[tuple, float]] = {}
@@ -755,15 +783,18 @@ class EventMetrics:
     # feeding
     # ------------------------------------------------------------------
     def observe(self, t: float, event) -> None:
-        kind = event.kind
-        resolved = self._by_kind.get(kind)
-        if resolved is None:
-            resolved = self._by_kind[kind] = (
-                (kind,),
-                self._handlers.get(kind),
+        # Keyed by the event's class: ``type()`` is one cheap call where
+        # ``event.kind``, read off a score of classes, is not.
+        cls = type(event)
+        try:
+            key, handler = self._by_class[cls]
+        except KeyError:
+            key, handler = self._by_class[cls] = (
+                (cls.kind,),
+                self._handlers.get(cls.kind),
             )
-        key, handler = resolved
-        self.events.bump(key)
+        counts = self.events._children  # Counter.bump, inlined: hot
+        counts[key] = counts.get(key, 0) + 1
         if handler is not None:
             handler(t, event)
 
@@ -805,11 +836,70 @@ class EventMetrics:
         """Service hook: one wall-clock submit-to-terminal sample."""
         self.submit_to_commit.observe(seconds, (outcome,))
 
+    def restore(
+        self, records: Iterable = (), cancelling: Iterable[int] = ()
+    ) -> None:
+        """Seed a fresh fold with the history a restart recovered.
+
+        Every pid of ``records`` (the recovered manager's records)
+        counts as submitted, every decided one under its outcome.  A
+        ``cancelling`` pid was cancelled mid-abort before the crash: it
+        counts as cancelled now, and its terminal abort is filed there.
+        """
+        for record in records:
+            self.submitted_total.bump(())
+            if record.outcome is not None:
+                self.outcomes.bump((record.outcome,))
+        for pid in cancelling:
+            self.outcomes.bump(("cancelled",))
+            self._filed.add(pid)
+
+    # ------------------------------------------------------------------
+    # the run's counts (``manager.stats``; :data:`MANAGER_COUNTS`)
+    # ------------------------------------------------------------------
+    submitted = property(lambda self: self.submitted_total.total())
+    committed = property(lambda self: self.outcomes.value(("committed",)))
+    cancellations = property(
+        lambda self: self.outcomes.value(("cancelled",))
+    )
+    starved = property(lambda self: self.outcomes.value(("starved",)))
+    protocol_aborts = property(
+        lambda self: sum(map(self.aborts.value, _PROTOCOL_CAUSES))
+    )
+    intrinsic_aborts = property(
+        lambda self: self.aborts.value(("intrinsic",))
+    )
+    subprocess_aborts = property(
+        lambda self: self.aborts.value(("subprocess",))
+    )
+    resubmissions = property(lambda self: self.resubmitted.total())
+    compensations = property(lambda self: self.compensations_total.total())
+    retries = property(lambda self: self.retries_total.total())
+    deadlock_victims = property(
+        lambda self: self.deadlock_victims_total.total()
+    )
+    #: Wait cycles forced through (the baselines' ``deadlock.forced``).
+    unresolvable_violations = property(
+        lambda self: self.deadlock_forced.total()
+    )
+    # Read by run summaries only: cascades that reached a completing
+    # holder (pure OSL), defers and cascade victims.
+    unresolvable = property(
+        lambda self: self.events.value(("lock.unresolvable",))
+    )
+    defers = property(lambda self: self.lock_defers.total())
+    cascade_victims = property(
+        lambda self: self.cascade_victims_total.total()
+    )
+    #: Activities executing now (started, not yet ended): the
+    #: ``inflight`` gauge.
+    inflight = property(lambda self: len(self._running))
+
     # ------------------------------------------------------------------
     # per-kind handlers
     # ------------------------------------------------------------------
     def _on_submit(self, t, event) -> None:
-        self.submitted.bump(())
+        self.submitted_total.bump(())
 
     def _on_init(self, t, event) -> None:
         self.initiated.bump(())
@@ -824,8 +914,8 @@ class EventMetrics:
         self._defer_since.pop(event.pid, None)
         if event.cause == "cascade":
             # A victim counts where its abort begins, a cascade once
-            # per decision that begins one (``ProtocolStats`` likewise).
-            self.cascade_victims.bump(())
+            # per decision that begins one.
+            self.cascade_victims_total.bump(())
             if self._cascade_pending:
                 self._cascade_pending = False
                 self.cascades.bump(())
@@ -882,17 +972,36 @@ class EventMetrics:
 
     def _on_activity_start(self, t, event) -> None:
         self.activities.bump(("started",))
+        self._busy_until(t)
+        self._running.add(event.uid)
+
+    def _busy_until(self, t: float) -> None:
+        """Integrate the number of executing activities up to ``t``."""
+        self.busy_area += len(self._running) * (t - self._running_since)
+        self._running_since = t
 
     def _on_activity_retry(self, t, event) -> None:
-        self.retries.bump(())
+        self.retries_total.bump(())
         self._retry_counts[event.uid] = (
             self._retry_counts.get(event.uid, 0) + 1
         )
 
     def _on_activity_commit(self, t, event) -> None:
+        self._busy_until(t)
+        self._running.discard(event.uid)
         if event.compensation:
-            self.compensations.bump(())
+            self.compensations_total.bump(())
             self.activities.bump(("compensated",))
+            undone = event.undone
+            if undone is not None:  # None: a record written before it
+                self.compensated_cost += undone
+                cause = event.cause
+                if cause.startswith("protocol-abort"):
+                    self.compensated_cost_protocol += undone
+                elif cause == "intrinsic-abort":
+                    self.compensated_cost_intrinsic += undone
+                else:
+                    self.compensated_cost_subprocess += undone
         else:
             self.activities.bump(("committed",))
         self.retries_per_activity.record(
@@ -900,9 +1009,14 @@ class EventMetrics:
         )
 
     def _on_activity_fail(self, t, event) -> None:
+        self._busy_until(t)
+        self._running.discard(event.uid)
         self.activities.bump(("failed",))
 
     def _on_activity_cancel(self, t, event) -> None:
+        if event.uid in self._running:
+            self._busy_until(t)
+            self._running.discard(event.uid)
         self.activities.bump(("cancelled",))
         self.retries_per_activity.record(
             (), self._retry_counts.pop(event.uid, 0)
@@ -919,13 +1033,17 @@ class EventMetrics:
                 self.park_duration.record((since[1],), t - since[0])
 
     def _on_deadlock_victim(self, t, event) -> None:
-        self.deadlock_victims.bump(())
+        self.deadlock_victims_total.bump(())
 
     def _on_deadlock_forced(self, t, event) -> None:
         self.deadlock_forced.bump(())
 
     def _on_fault(self, t, event) -> None:
         self.faults.bump((event.channel,))
+        if event.channel == "manager-crash":
+            # The crashed incarnation's executions end with it.
+            self._busy_until(t)
+            self._running.clear()
 
     def _on_retry_budget(self, t, event) -> None:
         subsystem = (
@@ -938,7 +1056,8 @@ class EventMetrics:
 # tee tracer
 # ----------------------------------------------------------------------
 class MetricsTracer:
-    """Enabled tracer that feeds metrics and forwards to sink tracers.
+    """The tracer every manager emits to: it folds each event into its
+    :class:`EventMetrics` and forwards it to the sink tracers.
 
     Sinks stamp events exactly as they would standalone (each keeps its
     own sequence counter and clock binding), so wrapping a
@@ -947,21 +1066,29 @@ class MetricsTracer:
     to every sink through the :attr:`offset` property.
     """
 
-    enabled = True
+    @classmethod
+    def over(cls, tracer=None) -> "MetricsTracer":
+        """The fold to count with: ``tracer`` itself when it is one,
+        else a fresh one with ``tracer`` (when given) as its sink."""
+        if isinstance(tracer, cls):
+            return tracer
+        return cls(sinks=() if tracer is None else (tracer,))
 
-    def __init__(
-        self,
-        metrics: EventMetrics | None = None,
-        sinks: Sequence = (),
-        recorder=None,
-    ) -> None:
-        self.metrics = metrics if metrics is not None else EventMetrics()
+    def __init__(self, sinks: Sequence = (), recorder=None) -> None:
         self.sinks = tuple(sinks)
         self.recorder = recorder
+        #: Whether an event goes anywhere past the fold.
+        self._tee = bool(self.sinks) or recorder is not None
         self._offset = 0.0
         self._clock: Callable[[], float] = lambda: 0.0
         self._sampler: Callable[[], dict[str, float]] | None = None
         self._seq = itertools.count()
+
+    @cached_property
+    def metrics(self) -> EventMetrics:
+        # Built on first use: a protocol's own tracer, which its manager
+        # replaces, never builds one.
+        return EventMetrics()
 
     @property
     def offset(self) -> float:
@@ -1001,18 +1128,15 @@ class MetricsTracer:
         if sampler is not None:
             self.metrics.sample_gauges(sampler())
 
-    @property
-    def now(self) -> float:
-        return self._clock() + self._offset
-
     def emit(self, event) -> None:
         t = self._clock() + self._offset
         self.metrics.observe(t, event)
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.append(next(self._seq), t, event)
-        for sink in self.sinks:
-            sink.emit(event)
+        if self._tee:
+            recorder = self.recorder
+            if recorder is not None:
+                recorder.append(next(self._seq), t, event)
+            for sink in self.sinks:
+                sink.emit(event)
 
 
 def replay_metrics(records: Iterable[dict]) -> EventMetrics:

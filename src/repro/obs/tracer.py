@@ -1,17 +1,17 @@
-"""The guard-checked tracer and its disabled no-op twin.
+"""The recording tracer: every event of a run, stamped and kept.
 
-Every instrumented layer holds a tracer reference and guards each emit
-site with ``if tracer.enabled:`` — with the default
-:data:`NULL_TRACER`, a run pays exactly one attribute read per site, no
-event objects are ever constructed, and the schedule is byte-identical
-to an uninstrumented run (asserted by the zero-overhead tests and the
-``benchmarks/test_obs_overhead.py`` guard).
-
-An enabled :class:`Tracer` stamps each event with the virtual time of
-the manager it is bound to plus a global sequence number, feeds the
-series bank (histogram bumps from the event stream, gauge samples from
-the bound sampler), and keeps everything in memory until an exporter
-(:mod:`repro.obs.export`) writes it out.
+Every instrumented layer emits each event unconditionally to the
+manager's tracer, which is always the counting fold
+(:class:`~repro.obs.metrics.MetricsTracer`, whose
+:class:`~repro.obs.metrics.EventMetrics` *is* ``manager.stats``).  A
+:class:`Tracer` is what a run that must be explained hands the manager
+on top: the fold forwards it every event as a sink, and it stamps each
+with the virtual time of the manager it is bound to plus a global
+sequence number, feeds the series bank (histogram bumps from the event
+stream, gauge samples from the bound sampler), and keeps everything in
+memory until an exporter (:mod:`repro.obs.export`) writes it out.  A
+run with or without one schedules byte-identically (the
+zero-overhead tests and ``benchmarks/test_obs_overhead.py`` pin it).
 
 Crash/recovery note: each manager incarnation restarts its virtual
 clock at zero, so the fault injector advances :attr:`Tracer.offset` by
@@ -47,40 +47,8 @@ class Stamped:
         return flat_record(self.seq, self.t, self.event)
 
 
-class NullTracer:
-    """Disabled tracer: every hook is a no-op, ``enabled`` is False.
-
-    Emit sites must guard on :attr:`enabled` before *constructing*
-    events; the methods here exist only as a defensive backstop so an
-    unguarded call cannot crash a run.
-    """
-
-    enabled = False
-
-    def emit(self, event) -> None:  # pragma: no cover - guarded away
-        pass
-
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        pass
-
-    def bind_sampler(
-        self, sampler: Callable[[], dict[str, float]]
-    ) -> None:
-        pass
-
-    def refresh_gauges(self) -> None:
-        pass
-
-
-#: The process-wide disabled tracer; shared safely because it is
-#: stateless.
-NULL_TRACER = NullTracer()
-
-
 class Tracer:
     """Collects stamped events and series for one (logical) run."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self.stamped: list[Stamped] = []

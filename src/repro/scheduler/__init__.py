@@ -10,7 +10,6 @@ from repro.scheduler.events import (
 )
 from repro.scheduler.manager import (
     ManagerConfig,
-    ManagerStats,
     ProcessManager,
     RunResult,
     make_manager,
@@ -33,7 +32,6 @@ __all__ = [
     "restore_process",
     "InflightActivity",
     "ManagerConfig",
-    "ManagerStats",
     "ParkedRequest",
     "ProcessManager",
     "ProcessRecord",

@@ -17,10 +17,12 @@ execution machinery.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
+import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import config as repro_config
 
@@ -40,7 +42,7 @@ from repro.core.decisions import (
 )
 from repro.core.locks import LockMode
 from repro.errors import ProtocolError, SchedulerError, StarvationError
-from repro.obs import NULL_TRACER
+from repro.obs.metrics import EventMetrics, MetricsTracer
 from repro.obs.events import (
     ActivityCancelled,
     ActivityCommitted,
@@ -94,6 +96,9 @@ from repro.subsystems.subsystem import SubsystemPool
 #: (DESIGN.md §7).
 _MAX_NESTED_DRAINS = 96
 
+#: A :class:`ScheduledStart`'s process (``None`` while pending).
+_START_PROCESS = operator.attrgetter("process")
+
 
 @dataclass
 class ManagerConfig:
@@ -139,46 +144,12 @@ class ManagerConfig:
 
 
 @dataclass
-class ManagerStats:
-    """Aggregate counters of one simulation run."""
-
-    submitted: int = 0
-    committed: int = 0
-    intrinsic_aborts: int = 0
-    protocol_aborts: int = 0
-    subprocess_aborts: int = 0
-    resubmissions: int = 0
-    #: Cascade victims out of resubmissions (outcome ``starved``).
-    starved: int = 0
-    compensations: int = 0
-    compensated_cost: float = 0.0
-    #: Compensated cost split by what triggered the compensation run.
-    compensated_cost_protocol: float = 0.0
-    compensated_cost_intrinsic: float = 0.0
-    compensated_cost_subprocess: float = 0.0
-    retries: int = 0
-    deadlock_victims: int = 0
-    unresolvable_violations: int = 0
-    #: Processes aborted (or dropped pre-initiation) on a client's
-    #: explicit request — the service front door's CANCEL command.
-    cancellations: int = 0
-    busy_area: float = 0.0
-    _inflight: int = field(default=0, repr=False)
-    _last_change: float = field(default=0.0, repr=False)
-
-    def note_inflight(self, now: float, delta: int) -> None:
-        self.busy_area += self._inflight * (now - self._last_change)
-        self._inflight += delta
-        self._last_change = now
-
-
-@dataclass
 class RunResult:
     """Everything a benchmark or test needs after a run."""
 
     records: dict[int, ProcessRecord]
-    stats: ManagerStats
-    protocol_stats: object
+    #: The manager's counts: the fold over its event stream.
+    stats: EventMetrics
     trace: TraceRecorder
     makespan: float
 
@@ -228,11 +199,11 @@ class ProcessManager:
         self.protocol = protocol
         self.subsystems = subsystems
         self.config = config or ManagerConfig()
-        #: Observability tracer (:mod:`repro.obs`).  Defaults to the
-        #: disabled no-op singleton; every emit site guards on
-        #: ``tracer.enabled`` before constructing an event, so untraced
-        #: runs pay one attribute read per site and stay byte-identical.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: Where every event goes: the counting fold
+        #: (:class:`~repro.obs.metrics.MetricsTracer`), which forwards
+        #: to ``tracer`` when one is given.  Its
+        #: :class:`~repro.obs.metrics.EventMetrics` is :attr:`stats`.
+        self.tracer = MetricsTracer.over(tracer)
         protocol.tracer = self.tracer
         #: Optional fault injector (duck-typed; see
         #: :mod:`repro.faults.injector`).  When attached it may decide
@@ -242,7 +213,7 @@ class ProcessManager:
         self.engine = SimulationEngine()
         self.rng = random.Random(seed)
         self.trace = TraceRecorder()
-        self.stats = ManagerStats()
+        self.stats = self.tracer.metrics
         self.records: dict[int, ProcessRecord] = {}
         self._pids = itertools.count(1)
         # An undecided pid is in exactly one of ``_starts`` (pending /
@@ -284,7 +255,8 @@ class ProcessManager:
         self._dependents: dict[int, dict[int, None]] = {}
         self._comp_runs: dict[int, CompensationRun] = {}
         self._stashed_failures: dict[int, Activity] = {}
-        self.tracer.bind_clock(lambda: self.engine.now)
+        # Read without a Python frame: the clock is read on every emit.
+        self.tracer.bind_clock(functools.partial(getattr, self.engine, "now"))
         self.tracer.bind_sampler(self._gauge_sample)
 
     # ------------------------------------------------------------------
@@ -301,19 +273,19 @@ class ProcessManager:
         ``pid`` re-schedules a journaled or crash-imaged submission
         that never reached an outcome under its original pid (clients
         poll by pid); its :class:`ProcessRecord` is kept when present.
+        Its ``process.submit`` went out before the crash.
         """
         if pid is None:
             pid = next(self._pids)
+            self.records[pid] = ProcessRecord(pid=pid, submitted_at=at)
+            self.tracer.emit(ProcessSubmitted(pid=pid))
         elif self.phase(pid) or self.outcome(pid):
             raise SchedulerError(
                 f"cannot re-submit process {pid}: it is "
                 f"{self.phase(pid) or self.outcome(pid)}"
             )
-        if pid not in self.records:
+        elif pid not in self.records:
             self.records[pid] = ProcessRecord(pid=pid, submitted_at=at)
-        self.stats.submitted += 1
-        if self.tracer.enabled:
-            self.tracer.emit(ProcessSubmitted(pid=pid))
         self._hold_start(pid, program, at)
         return pid
 
@@ -339,7 +311,7 @@ class ProcessManager:
             # nothing in the engine; :meth:`_release_held` re-tests it.
             behind = self._in_the_way_of(process)
             if behind:
-                if pid not in self._held and self.tracer.enabled:
+                if pid not in self._held:
                     self.tracer.emit(
                         ProcessHeld(
                             pid=pid,
@@ -351,23 +323,21 @@ class ProcessManager:
                 return
             self._held.pop(pid, None)
             self.records[pid].resubmissions += 1
-            self.stats.resubmissions += 1
         del self._starts[pid]
         if not resubmission:
             timestamp = self.protocol.new_timestamp()
             process = Process(pid=pid, program=program, timestamp=timestamp)
         self._processes[pid] = process
         self.protocol.attach(process)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                ProcessResubmitted(
-                    pid=pid,
-                    incarnation=process.incarnation,
-                    timestamp=process.timestamp,
-                )
-                if resubmission
-                else ProcessInitiated(pid=pid, timestamp=process.timestamp)
+        self.tracer.emit(
+            ProcessResubmitted(
+                pid=pid,
+                incarnation=process.incarnation,
+                timestamp=process.timestamp,
             )
+            if resubmission
+            else ProcessInitiated(pid=pid, timestamp=process.timestamp)
+        )
         self._step(process)
         self._post_event()
 
@@ -392,13 +362,11 @@ class ProcessManager:
         if not wanted:
             return []
         timestamp = successor.timestamp
+        # Successors awaiting restart: the starts with a process, picked
+        # out in C (``_starts`` also holds every arrival not yet begun).
         undecided = itertools.chain(
             self._processes.values(),
-            (
-                start.process
-                for start in self._starts.values()
-                if start.process is not None
-            ),
+            filter(None, map(_START_PROCESS, self._starts.values())),
         )
         return sorted(
             process.pid
@@ -437,7 +405,6 @@ class ProcessManager:
             (``require_quiescence``) — a liveness failure.
         """
         self.engine.run(max_events=self.config.max_events)
-        self.stats.note_inflight(self.engine.now, 0)
         self.tracer.refresh_gauges()
         groups = by_outcome(self.records) if require_quiescence else {}
         if None in groups:
@@ -454,7 +421,6 @@ class ProcessManager:
         return RunResult(
             records=self.records,
             stats=self.stats,
-            protocol_stats=self.protocol.stats,
             trace=self.trace,
             makespan=self.engine.now,
         )
@@ -473,14 +439,14 @@ class ProcessManager:
         such field); completing processes interrupted
         mid-alternative-abort finish compensating and move to the next
         branch; ``resubmit_in`` marks a successor that was awaiting
-        its restart.  See :mod:`repro.scheduler.recovery`.
+        its restart.  See :mod:`repro.scheduler.recovery`.  Nothing is
+        counted: the pid's events so far went out before the crash.
         """
         pid = process.pid
         if pid not in self.records:
             self.records[pid] = ProcessRecord(
                 pid=pid, submitted_at=self.engine.now
             )
-        self.stats.submitted += 1
         if resubmit_in is not None:
             self._hold_start(pid, process.program, resubmit_in, process)
             return
@@ -493,7 +459,6 @@ class ProcessManager:
             plan = process.resume_abort_plan()
             then, label = abort_then or "aborted", "protocol-abort:recovery"
         elif process.state is ProcessState.COMPLETING and process.unwinding:
-            self.stats.subprocess_aborts += 1
             plan = process.resume_subprocess_plan()
             then, label = "next-branch", "subprocess-abort"
         if plan is not None:
@@ -541,11 +506,7 @@ class ProcessManager:
         resubmitting = run is not None and run.then == "resubmit"
         if not (not_started or resubmitting or self.phase(pid) == "running"):
             return False
-        self.stats.cancellations += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                ProcessCancelled(pid=pid, initiated=not not_started)
-            )
+        self.tracer.emit(ProcessCancelled(pid=pid, initiated=not not_started))
         if not_started:
             SimulationEngine.cancel(self._starts.pop(pid).handle)
             self._held.pop(pid, None)
@@ -648,8 +609,7 @@ class ProcessManager:
         self, decision: Decision, request: ParkedRequest
     ) -> None:
         process = request.process
-        if self.tracer.enabled:
-            self._trace_decision(decision, request)
+        self._trace_decision(decision, request)
         if isinstance(decision, Grant):
             self._on_granted(request, decision)
         elif isinstance(decision, Defer):
@@ -665,10 +625,8 @@ class ProcessManager:
             request.wait_for = decision.victims
             request.reason = "awaiting-cascade"
             self._park(request)
-            begun = sum(map(self._begin_protocol_abort, decision.victims))
-            if begun:
-                self.protocol.stats.cascades_requested += 1
-                self.protocol.stats.cascade_victims += begun
+            for victim in decision.victims:
+                self._begin_protocol_abort(victim)
             self._resolve_wait_cycles(process.pid)
         elif isinstance(decision, SelfAbort):
             if process.state is not ProcessState.RUNNING:
@@ -751,24 +709,19 @@ class ProcessManager:
 
     def _start_flight(self, flight: InflightActivity) -> None:
         flight.started = True
-        self.stats.note_inflight(self.engine.now, +1)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                ActivityStarted(
-                    pid=flight.process.pid,
-                    incarnation=flight.process.incarnation,
-                    activity=flight.activity.name,
-                    uid=flight.activity.uid,
-                    compensation=(
-                        flight.kind is RequestKind.COMPENSATION
-                    ),
-                )
+        process, activity = flight.process, flight.activity
+        self.tracer.emit(
+            ActivityStarted(  # positional on the hot emit sites
+                process.pid,
+                process.incarnation,
+                activity.name,
+                activity.uid,
+                flight.kind is RequestKind.COMPENSATION,
             )
-        duration = flight.activity.activity_type.cost
+        )
+        duration = activity.activity_type.cost
         if self.injector is not None:
-            duration += self.injector.latency_for(
-                flight.process, flight.activity
-            )
+            duration += self.injector.latency_for(process, activity)
         if flight.kind is RequestKind.REGULAR:
             self.engine.schedule(
                 duration, lambda: self._complete_regular(flight)
@@ -804,38 +757,31 @@ class ProcessManager:
             # the flight stays in place, so gated successors keep
             # waiting).
             flight.attempts += 1
-            self.stats.retries += 1
             self.records[process.pid].retries += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    ActivityRetried(
-                        pid=process.pid,
-                        activity=activity.name,
-                        uid=activity.uid,
-                        attempt=flight.attempts,
-                    )
+            self.tracer.emit(
+                ActivityRetried(
+                    pid=process.pid,
+                    activity=activity.name,
+                    uid=activity.uid,
+                    attempt=flight.attempts,
                 )
+            )
             self.engine.schedule(
                 self._retry_delay(flight) + activity_type.cost,
                 lambda: self._complete_regular(flight),
             )
             return
         self._inflight.pop(activity.uid, None)
-        self.stats.note_inflight(self.engine.now, -1)
         self._release_dependents(flight)
         failed = not activity_type.retriable and self._samples_failure(
             process, activity
         )
-        if self.tracer.enabled:
-            event_cls = ActivityFailed if failed else ActivityCommitted
-            self.tracer.emit(
-                event_cls(
-                    pid=process.pid,
-                    incarnation=process.incarnation,
-                    activity=activity.name,
-                    uid=activity.uid,
-                )
+        event_cls = ActivityFailed if failed else ActivityCommitted
+        self.tracer.emit(
+            event_cls(
+                process.pid, process.incarnation, activity.name, activity.uid
             )
+        )
         if failed:
             self._on_activity_failed(process, activity)
         else:
@@ -872,16 +818,15 @@ class ProcessManager:
             # successful (guaranteed termination); surface the decision
             # instead of swallowing it silently.
             activity = flight.activity
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    RetryBudgetExhausted(
-                        pid=flight.process.pid,
-                        activity=activity.name,
-                        uid=activity.uid,
-                        attempts=flight.attempts,
-                        subsystem=activity.activity_type.subsystem,
-                    )
+            self.tracer.emit(
+                RetryBudgetExhausted(
+                    pid=flight.process.pid,
+                    activity=activity.name,
+                    uid=activity.uid,
+                    attempts=flight.attempts,
+                    subsystem=activity.activity_type.subsystem,
                 )
+            )
             counters = getattr(self.injector, "counters", None)
             if counters is not None:
                 counters.retry_budget_exhausted += 1
@@ -965,38 +910,21 @@ class ProcessManager:
                 "retriable failures are handled inline; on_failed must "
                 "not return RETRY here"
             )
-        if plan.resolution is Resolution.ABORT_SUBPROCESS:
-            self.stats.subprocess_aborts += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    AbortBegun(
-                        pid=process.pid,
-                        incarnation=process.incarnation,
-                        cause="subprocess",
-                    )
-                )
-            self._start_compensation_run(
-                process,
-                plan,
-                label="subprocess-abort",
-                then="next-branch",
+        # A failed subprocess unwinds to the next branch; anything else
+        # aborts the process.
+        subprocess = plan.resolution is Resolution.ABORT_SUBPROCESS
+        cause = "subprocess" if subprocess else "intrinsic"
+        self.tracer.emit(
+            AbortBegun(
+                pid=process.pid, incarnation=process.incarnation, cause=cause
             )
-        else:
-            self.stats.intrinsic_aborts += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    AbortBegun(
-                        pid=process.pid,
-                        incarnation=process.incarnation,
-                        cause="intrinsic",
-                    )
-                )
-            self._start_compensation_run(
-                process,
-                plan,
-                label="intrinsic-abort",
-                then="aborted",
-            )
+        )
+        self._start_compensation_run(
+            process,
+            plan,
+            label=f"{cause}-abort",
+            then="next-branch" if subprocess else "aborted",
+        )
 
     # ------------------------------------------------------------------
     # compensation runs
@@ -1049,7 +977,6 @@ class ProcessManager:
         process = flight.process
         activity = flight.activity
         self._inflight.pop(activity.uid, None)
-        self.stats.note_inflight(self.engine.now, -1)
         self._release_dependents(flight)
         run = self._comp_runs.get(process.pid)
         if run is None or not run.queue:
@@ -1057,28 +984,21 @@ class ProcessManager:
                 f"P{process.pid}: stray compensation {activity}"
             )
         entry = run.queue.pop(0)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                ActivityCommitted(
-                    pid=process.pid,
-                    incarnation=process.incarnation,
-                    activity=activity.name,
-                    uid=activity.uid,
-                    compensation=True,
-                )
+        undone_cost = entry.activity.activity_type.cost
+        self.tracer.emit(
+            ActivityCommitted(
+                pid=process.pid,
+                incarnation=process.incarnation,
+                activity=activity.name,
+                uid=activity.uid,
+                compensation=True,
+                undone=undone_cost,
+                cause=run.label,
             )
+        )
         self._run_subsystem_program(process, activity)
         process.on_compensated(entry, activity)
         self.trace.record_activity(process, activity)
-        undone_cost = entry.activity.activity_type.cost
-        self.stats.compensations += 1
-        self.stats.compensated_cost += undone_cost
-        if run.label.startswith("protocol-abort"):
-            self.stats.compensated_cost_protocol += undone_cost
-        elif run.label == "intrinsic-abort":
-            self.stats.compensated_cost_intrinsic += undone_cost
-        else:
-            self.stats.compensated_cost_subprocess += undone_cost
         record = self.records[process.pid]
         record.compensations += 1
         record.compensated_cost += undone_cost
@@ -1106,18 +1026,12 @@ class ProcessManager:
         process = self._processes.get(pid)
         if process is None or process.state is not ProcessState.RUNNING:
             return False  # already terminating (or terminated)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                AbortBegun(
-                    pid=pid,
-                    incarnation=process.incarnation,
-                    cause=cause,
-                )
-            )
+        self.tracer.emit(
+            AbortBegun(pid=pid, incarnation=process.incarnation, cause=cause)
+        )
         self._cancel_all_work(process)
         plan = process.plan_protocol_abort()
         if then == "resubmit":
-            self.stats.protocol_aborts += 1
             self.records[pid].cascade_aborts += 1
         self._start_compensation_run(
             process, plan, label=f"protocol-abort:{cause}", then=then
@@ -1141,17 +1055,14 @@ class ProcessManager:
         for flight in self._flights_of(process.pid):
             flight.cancelled = True
             del self._inflight[flight.activity.uid]
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    ActivityCancelled(
-                        pid=process.pid,
-                        incarnation=process.incarnation,
-                        activity=flight.activity.name,
-                        uid=flight.activity.uid,
-                    )
+            self.tracer.emit(
+                ActivityCancelled(
+                    pid=process.pid,
+                    incarnation=process.incarnation,
+                    activity=flight.activity.name,
+                    uid=flight.activity.uid,
                 )
-            if flight.started:
-                self.stats.note_inflight(self.engine.now, -1)
+            )
             self._release_dependents(flight)
             process.abandon(flight.activity)
 
@@ -1184,21 +1095,18 @@ class ProcessManager:
         count = self.records[pid].resubmissions
         if then == "resubmit" and count >= self.config.max_resubmissions:
             then = "starved"
-            self.stats.starved += 1
-            if self.tracer.enabled:
-                self.tracer.emit(ProcessStarved(pid, count))
+            self.tracer.emit(ProcessStarved(pid, count))
         process.finish_abort()
         self.trace.record_abort(process)
         self.protocol.detach(process)
         del self._processes[pid]
-        if self.tracer.enabled:
-            self.tracer.emit(
-                ProcessAborted(
-                    pid=pid,
-                    incarnation=process.incarnation,
-                    resubmit=then == "resubmit",
-                )
+        self.tracer.emit(
+            ProcessAborted(
+                pid=pid,
+                incarnation=process.incarnation,
+                resubmit=then == "resubmit",
             )
+        )
         if then == "resubmit":
             self._hold_start(
                 pid,
@@ -1220,16 +1128,11 @@ class ProcessManager:
         self.trace.record_commit(process)
         self.protocol.detach(process)
         del self._processes[process.pid]
-        self.stats.committed += 1
         self.records[process.pid].committed_at = self.engine.now
         self._decide(process.pid, "committed")
-        if self.tracer.enabled:
-            self.tracer.emit(
-                ProcessCommitted(
-                    pid=process.pid,
-                    incarnation=process.incarnation,
-                )
-            )
+        self.tracer.emit(
+            ProcessCommitted(pid=process.pid, incarnation=process.incarnation)
+        )
         self._retry_parked(process.pid)
         self._release_held(process.pid)
 
@@ -1248,8 +1151,7 @@ class ProcessManager:
         self._parked_of.setdefault(request.process.pid, {})[seq] = request
         for pid in request.wait_for:
             self._wait_index.setdefault(pid, set()).add(seq)
-        if self.tracer.enabled:
-            self.tracer.emit(self._wait_edge_event("insert", request))
+        self.tracer.emit(self._wait_edge_event("insert", request))
 
     def _unpark(self, request: ParkedRequest) -> None:
         """Remove a parked request and unregister its index entries."""
@@ -1265,8 +1167,7 @@ class ProcessManager:
                 bucket.discard(seq)
                 if not bucket:
                     del self._wait_index[pid]
-        if self.tracer.enabled:
-            self.tracer.emit(self._wait_edge_event("delete", request))
+        self.tracer.emit(self._wait_edge_event("delete", request))
 
     def _retry_parked(self, dead_pid: int) -> None:
         """Wake the requests that waited on a terminated process.
@@ -1427,43 +1328,35 @@ class ProcessManager:
                 raise
             request, decision = force(cycle, self._parked.values())
             self._unpark(request)
-            self.stats.unresolvable_violations += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    UnresolvableForced(
-                        pid=request.process.pid,
-                        request=request.kind.value,
-                        cycle=tuple(cycle),
-                    )
+            self.tracer.emit(
+                UnresolvableForced(
+                    pid=request.process.pid,
+                    request=request.kind.value,
+                    cycle=tuple(cycle),
                 )
+            )
             if decision is None:
                 self._finalize_commit(request.process)
             else:
                 self._apply_decision(decision, request)
             return
-        self.stats.deadlock_victims += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                DeadlockVictim(pid=victim, cycle=tuple(cycle))
-            )
+        self.tracer.emit(DeadlockVictim(pid=victim, cycle=tuple(cycle)))
         self._begin_protocol_abort(victim, cause="deadlock")
 
     # ------------------------------------------------------------------
-    # observability (only reached when the tracer is enabled)
+    # observability
     # ------------------------------------------------------------------
     def _wait_edge_event(self, op: str, request: ParkedRequest) -> WaitEdge:
         activity = request.activity
         return WaitEdge(
-            op=op,
-            waiter=request.process.pid,
-            blockers=tuple(sorted(request.wait_for)),
-            park=request.seq,
-            request=request.kind.value,
-            activity=activity.name if activity else None,
-            reason=request.reason,
-            shard=(
-                activity.activity_type.subsystem if activity else None
-            ),
+            op,
+            request.process.pid,
+            tuple(sorted(request.wait_for)),
+            request.seq,
+            request.kind._value_,
+            activity.name if activity else None,
+            request.reason,
+            activity.activity_type.subsystem if activity else None,
         )
 
     def _holder_info(self, pids) -> tuple[Holder, ...]:
@@ -1473,80 +1366,81 @@ class ProcessManager:
         for pid in sorted(pids):
             process = self._processes.get(pid)
             timestamp = process.timestamp if process is not None else -1
-            modes = "".join(
-                sorted(
-                    {entry.mode.value for entry in table.locks_of(pid)}
-                )
-            )
             holders.append(
-                Holder(pid=pid, timestamp=timestamp, modes=modes)
+                Holder(pid=pid, timestamp=timestamp, modes=table.modes_of(pid))
             )
         return tuple(holders)
 
     def _trace_decision(
         self, decision: Decision, request: ParkedRequest
     ) -> None:
-        """Emit the typed event for one protocol decision."""
+        """Emit the typed event for one protocol decision (here and in
+        :meth:`_wait_edge_event` an Enum's spelling is read as its
+        ``_value_``: ``.value`` is a property call)."""
         process = request.process
+        pid, incarnation = process.pid, process.incarnation
+        kind = request.kind
         activity = request.activity
-        common = {
-            "pid": process.pid,
-            "incarnation": process.incarnation,
-            "request": request.kind.value,
-            "activity": activity.name if activity else None,
-            "uid": activity.uid if activity else None,
-        }
-        mode = request.mode.value if request.mode else None
-        if request.kind is RequestKind.COMPENSATION:
+        name = uid = None
+        if activity is not None:
+            name, uid = activity.name, activity.uid
+        if kind is RequestKind.COMPENSATION:
             mode = "C"
+        else:
+            mode = request.mode._value_ if request.mode else None
         if isinstance(decision, Grant):
             entry = decision.locks[0] if decision.locks else None
-            self.tracer.emit(
-                LockGranted(
-                    mode=entry.mode.value if entry else mode,
-                    position=entry.position if entry else None,
-                    **common,
-                )
+            event = LockGranted(
+                pid,
+                incarnation,
+                kind._value_,
+                name,
+                uid,
+                entry.mode._value_ if entry else mode,
+                entry.position if entry else None,
             )
         elif isinstance(decision, Defer):
-            self.tracer.emit(
-                LockDeferred(
-                    timestamp=process.timestamp,
-                    mode=mode,
-                    reason=decision.reason,
-                    rule=rule_for_reason(decision.reason),
-                    blockers=self._holder_info(decision.wait_for),
-                    **common,
-                )
+            event = LockDeferred(
+                pid=pid,
+                incarnation=incarnation,
+                timestamp=process.timestamp,
+                request=kind._value_,
+                activity=name,
+                uid=uid,
+                mode=mode,
+                reason=decision.reason,
+                rule=rule_for_reason(decision.reason),
+                blockers=self._holder_info(decision.wait_for),
             )
         elif isinstance(decision, AbortVictims):
-            self.tracer.emit(
-                CascadeRequested(
-                    timestamp=process.timestamp,
-                    mode=mode,
-                    victims=self._holder_info(decision.victims),
-                    **common,
-                )
+            event = CascadeRequested(
+                pid=pid,
+                incarnation=incarnation,
+                timestamp=process.timestamp,
+                request=kind._value_,
+                activity=name,
+                uid=uid,
+                mode=mode,
+                victims=self._holder_info(decision.victims),
             )
-        elif isinstance(decision, SelfAbort):
-            self.tracer.emit(
-                SelfAbortDecision(
-                    timestamp=process.timestamp,
-                    reason=decision.reason,
-                    rule=rule_for_reason(decision.reason),
-                    pid=common["pid"],
-                    incarnation=common["incarnation"],
-                    request=common["request"],
-                    activity=common["activity"],
-                )
+        else:
+            event = SelfAbortDecision(
+                pid=pid,
+                incarnation=incarnation,
+                timestamp=process.timestamp,
+                request=kind._value_,
+                activity=name,
+                reason=decision.reason,
+                rule=rule_for_reason(decision.reason),
             )
+        self.tracer.emit(event)
 
     def _gauge_sample(self) -> dict[str, float]:
         """Current values of the virtual-time gauges."""
         table = self.protocol.table
         sample = {
             "parked": float(len(self._parked)),
-            "inflight": float(self.stats._inflight),
+            "inflight": float(self.stats.inflight),
             "live": float(len(self._processes)),
             "held": float(len(self._held)),
             "locks": float(table.lock_count),

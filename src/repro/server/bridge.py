@@ -1,10 +1,9 @@
 """Bridge the manager's decision events onto the service event bus.
 
 :class:`BusTracer` satisfies the :class:`repro.obs.Tracer` protocol
-(``enabled`` / ``emit`` / ``bind_clock`` / ``bind_sampler`` /
-``refresh_gauges``), so it slots into
-:func:`repro.scheduler.manager.make_manager` exactly where a recording
-tracer would — but instead of banking series it stamps each event and
+(``emit`` / ``bind_clock`` / ``bind_sampler`` / ``refresh_gauges``),
+so it is a sink of the manager's fold exactly where a recording tracer
+would be — but instead of banking series it stamps each event and
 publishes it on the bus under ``topic = event.kind``,
 flattened to the same ``{seq, t, kind, **payload}`` record shape the
 JSONL exporter writes.  The record is built only when a live
@@ -36,8 +35,6 @@ class BusTracer:
     subscriber list is locked, because in-process subscribers may come
     and go from any thread.
     """
-
-    enabled = True
 
     def __init__(self, bus: EventBus) -> None:
         self.bus = bus

@@ -59,12 +59,12 @@ import contextlib
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from queue import SimpleQueue
 
 from repro import config as repro_config
 from repro.obs.flight import FlightRecorder
-from repro.obs.metrics import EventMetrics, MetricsTracer
+from repro.obs.metrics import MANAGER_COUNTS, MetricsTracer
 from repro.scheduler.events import conserved
 from repro.scheduler.manager import ManagerConfig, make_manager
 from repro.server.bridge import BusTracer
@@ -147,7 +147,6 @@ class ProcessLockingService:
         self.config = config or ServiceConfig()
         self.bus = EventBus()
         self.bus_tracer = BusTracer(self.bus)
-        self.metrics = EventMetrics()
         self.flight = FlightRecorder(
             repro_config.flight_events(self.config.flight_capacity)
         )
@@ -159,10 +158,9 @@ class ProcessLockingService:
         # forwards to the bus bridge, which stamps exactly as it would
         # standalone (byte-identical wire frames).
         self.tracer = MetricsTracer(
-            metrics=self.metrics,
-            sinks=(self.bus_tracer,),
-            recorder=self.flight,
+            sinks=(self.bus_tracer,), recorder=self.flight
         )
+        self.metrics = self.tracer.metrics
         registry = self.metrics.registry
         self._g_backlog = registry.gauge(
             "repro_service_backlog",
@@ -215,44 +213,17 @@ class ProcessLockingService:
                 "Journal watermark covered by the latest snapshot.",
             )
         self.workload = build_workload(self.config.spec)
-        manager_config = (
-            self.config.manager_config or ManagerConfig()
-        )
         #: Recovery outcome of this incarnation (``None`` = cold start).
         self.recovery = None
         self.plane = None
-        if self.store is not None:
-            from repro.storage import PersistencePlane
-
-            manager_config = replace(manager_config, store=self.store)
-            self.plane = PersistencePlane(
-                self.store,
-                self.workload.programs,
-                snapshot_every=self.config.snapshot_every,
-            )
-            self.plane.ensure_meta(
-                protocol=self.config.protocol,
-                seed=self.config.seed,
-                spec=_spec_fingerprint(self.config.spec),
-            )
-        protocol = make_protocol(self.config.protocol, self.workload)
-        pool = self.workload.make_subsystems()
-        if self.plane is not None and self.plane.has_state():
-            self.manager, self.recovery = self.plane.recover(
-                protocol,
-                config=manager_config,
-                subsystems=pool,
-                seed=self.config.seed,
-                tracer=self.tracer,
-            )
-        else:
-            self.manager = make_manager(
-                protocol,
-                subsystems=pool,
-                config=manager_config,
-                seed=self.config.seed,
-                tracer=self.tracer,
-            )
+        try:
+            self.manager = self._make_manager()
+        except BaseException:
+            # A store opened here from a backend name is ours to close
+            # (a corrupt slot raises out of ``ensure_meta`` / recovery).
+            if self.store not in (None, self.config.store):
+                self.store.close()
+            raise
         self._commands: SimpleQueue = SimpleQueue()
         #: (response builder, future) pairs resolved after each drain.
         self._deferred: list[tuple[object, Future]] = []
@@ -283,6 +254,42 @@ class ProcessLockingService:
         # Shed mirror, written after each drain; the sidecar's thread
         # reads it too (an atomic swap).
         self._pending_submissions = 0
+
+    def _make_manager(self):
+        """The manager, recovered from the store when it holds state."""
+        manager_config = self.config.manager_config or ManagerConfig()
+        if self.store is not None:
+            from repro.storage import PersistencePlane
+
+            manager_config = replace(manager_config, store=self.store)
+            self.plane = PersistencePlane(
+                self.store,
+                self.workload.programs,
+                snapshot_every=self.config.snapshot_every,
+            )
+            self.plane.ensure_meta(
+                protocol=self.config.protocol,
+                seed=self.config.seed,
+                spec=_spec_fingerprint(self.config.spec),
+            )
+        protocol = make_protocol(self.config.protocol, self.workload)
+        pool = self.workload.make_subsystems()
+        if self.plane is not None and self.plane.has_state():
+            manager, self.recovery = self.plane.recover(
+                protocol,
+                config=manager_config,
+                subsystems=pool,
+                seed=self.config.seed,
+                tracer=self.tracer,
+            )
+            return manager
+        return make_manager(
+            protocol,
+            subsystems=pool,
+            config=manager_config,
+            seed=self.config.seed,
+            tracer=self.tracer,
+        )
 
     def _open_store(self):
         """Resolve the configured durability backend (or ``None``).
@@ -748,11 +755,8 @@ class ProcessLockingService:
 
     def _stats_body(self) -> dict:
         manager = self.manager
-        stats = {
-            f.name: getattr(manager.stats, f.name)
-            for f in fields(manager.stats)
-            if not f.name.startswith("_")
-        }
+        counts = manager.stats
+        stats = {name: getattr(counts, name) for name in MANAGER_COUNTS}
         counters = self.bus.counters
         return {
             "manager": stats,

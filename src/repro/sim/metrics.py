@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
-from repro.scheduler.manager import ManagerStats, RunResult
+from repro.obs.metrics import EventMetrics
+from repro.scheduler.manager import RunResult
 
 
 @dataclass(frozen=True)
@@ -35,19 +36,6 @@ class RunMetrics:
     fault_retries: int = 0
     fault_recoveries: int = 0
 
-    def fault_row(self) -> dict[str, float]:
-        """Dictionary form for the chaos-campaign table."""
-        return {
-            "protocol": self.protocol,
-            "committed": self.committed,
-            "makespan": round(self.makespan, 2),
-            "injected": self.faults_injected,
-            "retries": self.fault_retries,
-            "recoveries": self.fault_recoveries,
-            "compensations": self.compensations,
-            "resubmits": self.resubmissions,
-        }
-
     def as_row(self) -> dict[str, float]:
         """Dictionary form for table rendering."""
         return {
@@ -66,17 +54,17 @@ class RunMetrics:
 
 def _row(
     protocol_name: str,
-    stats: ManagerStats,
-    protocol_stats: object,
+    stats: EventMetrics,
     makespan: float,
     mean_latency: float,
     **fault_counters: int,
 ) -> RunMetrics:
     """The one :class:`RunMetrics` construction behind both summaries.
 
-    Throughput and mean concurrency derive from ``stats`` and
-    ``makespan`` exactly as :class:`RunResult` derives them, so a plain
-    run and an incarnation-merged chaos run share the arithmetic.
+    Every count is read off ``stats``, the manager's fold over its
+    event stream (which a chaos run's incarnations share).  Throughput
+    and mean concurrency derive from ``stats`` and ``makespan`` exactly
+    as :class:`RunResult` derives them.
     """
     return RunMetrics(
         protocol=protocol_name,
@@ -96,11 +84,10 @@ def _row(
         compensated_cost=stats.compensated_cost,
         deadlock_victims=stats.deadlock_victims,
         unresolvable_violations=(
-            getattr(protocol_stats, "unresolvable", 0)
-            + stats.unresolvable_violations
+            stats.unresolvable + stats.unresolvable_violations
         ),
-        defers=getattr(protocol_stats, "defers", 0),
-        cascade_victims=getattr(protocol_stats, "cascade_victims", 0),
+        defers=stats.defers,
+        cascade_victims=stats.cascade_victims,
         **fault_counters,
     )
 
@@ -108,52 +95,22 @@ def _row(
 def summarize(protocol_name: str, result: RunResult) -> RunMetrics:
     """Condense a :class:`RunResult` into a :class:`RunMetrics` row."""
     return _row(
-        protocol_name,
-        result.stats,
-        result.protocol_stats,
-        result.makespan,
-        result.mean_latency,
+        protocol_name, result.stats, result.makespan, result.mean_latency
     )
-
-
-def merge_stats(
-    parts: list[ManagerStats], submitted: int | None = None
-) -> ManagerStats:
-    """Sum counters across manager incarnations of one logical run.
-
-    A recovered manager re-counts its adopted processes as submissions
-    (each incarnation starts a fresh :class:`ManagerStats`), so the
-    naive sum over-counts ``submitted``; callers that know the true
-    population (``len(result.records)``) pass it via ``submitted``.
-    """
-    merged = ManagerStats()
-    for part in parts:
-        for spec in fields(ManagerStats):
-            if spec.name.startswith("_"):
-                continue
-            setattr(
-                merged,
-                spec.name,
-                getattr(merged, spec.name) + getattr(part, spec.name),
-            )
-    if submitted is not None:
-        merged.submitted = submitted
-    return merged
 
 
 def summarize_chaos(protocol_name: str, chaos) -> RunMetrics:
     """Condense a fault-injected run (a ``ChaosRunResult``).
 
-    Counters come from the incarnation-merged stats and the makespan is
-    the incarnation-summed virtual time, so a run that survived manager
-    crashes summarizes the whole logical execution, not just the final
-    incarnation.
+    The fold behind ``stats`` outlived every manager crash and the
+    makespan is the incarnation-summed virtual time, so a run that
+    survived crashes summarizes the whole logical execution, not just
+    the final incarnation.
     """
     counters = chaos.counters
     return _row(
         protocol_name,
-        chaos.stats,
-        chaos.result.protocol_stats,
+        chaos.result.stats,
         chaos.makespan,
         chaos.result.mean_latency,
         faults_injected=counters.injected_failures

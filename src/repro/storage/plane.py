@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 
 from repro.activities.activity import ensure_uid_floor
 from repro.obs.events import StoreRecovered, StoreSnapshot, StoreTornTail
+from repro.obs.metrics import MetricsTracer
 from repro.scheduler.recovery import CrashImage, recover, snapshot_live
 from repro.storage.journal import (
     ProgramCodec,
@@ -190,7 +191,9 @@ class PersistencePlane:
 
         ``protocol`` must be fresh (its lock table is rebuilt from the
         journal), exactly as :func:`repro.scheduler.recovery.recover`
-        requires.
+        requires.  The manager's fold is seeded once from the recovered
+        image: every pid it knows counts as submitted, every decided one
+        under its outcome.
         """
         started = time.monotonic()
         info = RecoveryInfo(healed=dict(self.store.healed))
@@ -204,11 +207,9 @@ class PersistencePlane:
         self._trace_len = len(image.trace_events)
         self._max_pid = image.max_pid
         self._adoptable = {snapshot.pid for snapshot in image.snapshots}
-        if tracer is not None and tracer.enabled:
-            # Keep stamped times monotone across incarnations.
-            tracer.offset = (
-                getattr(tracer, "offset", 0.0) + image.crashed_at
-            )
+        tracer = MetricsTracer.over(tracer)
+        # Keep stamped times monotone across incarnations.
+        tracer.offset += image.crashed_at
         manager = recover(
             image,
             protocol,
@@ -230,40 +231,33 @@ class PersistencePlane:
         )
         info.adopted = len(image.snapshots)
         info.resubmitted = len(image.pending)
-        # recover() restored the finished processes' records with the
-        # image and re-scheduled the pending pids; count the former.
+        info.restored = sum(
+            record.outcome is not None for record in image.records.values()
+        )
         stats = manager.stats
-        for record in image.records.values():
-            if record.outcome is not None:
-                info.restored += 1
-                stats.submitted += 1
-                stats.committed += record.outcome == "committed"
-                stats.cancellations += record.outcome == "cancelled"
-                stats.starved += record.outcome == "starved"
+        stats.restore(records=manager.records.values())
         for pid in cancels:
-            # False: adopted mid-abort, already heading for "cancelled".
             if not manager.cancel(pid):
-                stats.cancellations += 1
+                # Adopted mid-abort, already heading for "cancelled":
+                # its ``process.cancel`` went out before the crash.
+                stats.restore(cancelling=(pid,))
         info.seconds = self._read_seconds + time.monotonic() - started
         self.last_recovery = info
-        if tracer is not None and tracer.enabled:
-            for namespace, dropped in sorted(info.healed.items()):
-                tracer.emit(
-                    StoreTornTail(
-                        namespace=namespace, dropped_bytes=dropped
-                    )
-                )
+        for namespace, dropped in sorted(info.healed.items()):
             tracer.emit(
-                StoreRecovered(
-                    backend=self.store.backend.kind,
-                    adopted=info.adopted,
-                    resubmitted=info.resubmitted,
-                    restored=info.restored,
-                    journal_records=info.journal_records,
-                    healed_namespaces=len(info.healed),
-                    seconds=round(info.seconds, 6),
-                )
+                StoreTornTail(namespace=namespace, dropped_bytes=dropped)
             )
+        tracer.emit(
+            StoreRecovered(
+                backend=self.store.backend.kind,
+                adopted=info.adopted,
+                resubmitted=info.resubmitted,
+                restored=info.restored,
+                journal_records=info.journal_records,
+                healed_namespaces=len(info.healed),
+                seconds=round(info.seconds, 6),
+            )
+        )
         return manager, info
 
     # ------------------------------------------------------------------
@@ -356,11 +350,9 @@ class PersistencePlane:
         self._snapshot_lsn = lsn
         self._trace_len = len(events)
         self._adoptable = {process.pid for process in processes}
-        tracer = manager.tracer
-        if tracer.enabled:
-            tracer.emit(
-                StoreSnapshot(processes=len(processes), journal_lsn=lsn)
-            )
+        manager.tracer.emit(
+            StoreSnapshot(processes=len(processes), journal_lsn=lsn)
+        )
         return lsn
 
     def final(self, manager) -> None:

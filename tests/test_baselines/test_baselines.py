@@ -208,10 +208,10 @@ class TestPureOsl:
         plan = first.on_failed(failed)
         comp = first.make_compensation(plan.compensations[0])
         decision = protocol.request_compensation_lock(first, comp)
-        # The completing sharer cannot be aborted: violation counted,
-        # compensation proceeds.
+        # The completing sharer cannot be aborted: the violation is
+        # reported (and so counted), the compensation proceeds.
         assert isinstance(decision, Grant)
-        assert protocol.stats.unresolvable == 1
+        assert protocol.tracer.metrics.unresolvable == 1
 
 
 class TestAca:

@@ -1,6 +1,4 @@
-"""Unit tests for decision objects and protocol statistics."""
-
-from dataclasses import fields
+"""Unit tests for decision objects."""
 
 import pytest
 
@@ -8,7 +6,6 @@ from repro.core.decisions import (
     AbortVictims,
     Defer,
     Grant,
-    ProtocolStats,
     SelfAbort,
 )
 
@@ -33,19 +30,3 @@ class TestDecisionObjects:
     def test_self_abort_carries_reason(self):
         assert SelfAbort(reason="wait-die").reason == "wait-die"
 
-
-class TestProtocolStats:
-    def test_keeps_only_the_counters_that_are_read(self):
-        """Grants, conversions, commits, aborts and per-reason defers
-        are counted by the metrics registry and the series bank."""
-        assert [spec.name for spec in fields(ProtocolStats)] == [
-            "defers",
-            "cascades_requested",
-            "cascade_victims",
-        ]
-
-    def test_fresh_stats_are_zero(self):
-        stats = ProtocolStats()
-        assert stats.defers == 0
-        assert stats.cascades_requested == 0
-        assert stats.cascade_victims == 0

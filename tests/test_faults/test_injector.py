@@ -14,8 +14,9 @@ from repro.faults.plan import (
     SubsystemOutage,
     compile_plan,
 )
-from repro.obs import Tracer, explain_process
+from repro.obs import Tracer, explain_process, replay_metrics
 from repro.scheduler.manager import ManagerConfig
+from repro.sim.metrics import summarize_chaos
 from repro.sim.workload import WorkloadSpec, build_workload
 
 #: Pivot always taken, no alternatives: the retriable tail always runs.
@@ -91,7 +92,7 @@ class TestRetryBudget:
         # retry forever.
         assert counters.injected_retries % 3 == 0
         cycles = counters.injected_retries // 3
-        assert chaos.stats.retries == 2 * cycles
+        assert chaos.result.stats.retries == 2 * cycles
 
     def test_a_shared_config_carries_no_policy_into_the_next_run(
         self, uid_floor
@@ -166,10 +167,52 @@ class TestManagerCrash:
         assert chaos.incarnations == 2
         assert chaos.counters.manager_recoveries == 1
         assert chaos.splice_ok
-        # Merged accounting: population from records, not the summed
-        # per-incarnation submission counters.
-        assert chaos.stats.submitted == len(chaos.result.records)
-        assert chaos.stats.committed > 0
+        # One fold across incarnations: a pid re-scheduled or adopted by
+        # the recovered manager is not submitted a second time.
+        assert chaos.result.stats.submitted == len(chaos.result.records)
+        assert chaos.result.stats.committed > 0
+
+    def test_counts_equal_a_replay_of_the_spliced_stream(self):
+        """A run summary counts what the spliced event stream says
+        happened.  This crash lands after defers and cascades, and while
+        a completing process unwinds a failed subprocess: the summary
+        used to read defers and cascade victims from the last
+        incarnation's protocol alone, and a recovered manager counted
+        the unwinding subprocess abort a second time."""
+        spec = WorkloadSpec(
+            n_processes=8,
+            conflict_density=0.5,
+            parallel_probability=0.4,
+            alternative_count=2,
+            seed=6,
+        )
+        plan = FaultPlan(
+            name="crash",
+            failures=ActivityFailures(rate_scale=8.0),
+            manager_crashes=(ManagerCrash(at_event=35),),
+        )
+        tracer = Tracer()
+        chaos = FaultInjector(
+            build_workload(spec),
+            "process-locking",
+            compile_plan(plan, 6),
+            seed=6,
+            tracer=tracer,
+        ).run()
+        assert chaos.incarnations == 2
+        metrics = summarize_chaos("pl", chaos)
+        replayed = replay_metrics(tracer.records())
+        counted = (
+            metrics.defers,
+            metrics.cascade_victims,
+            metrics.subprocess_aborts,
+        )
+        assert counted == (
+            replayed.lock_defers.total(),
+            replayed.aborts.value(("cascade",)),
+            replayed.aborts.value(("subprocess",)),
+        )
+        assert all(counted)
 
     def test_crash_dropped_for_protocols_without_recovery(self):
         plan = FaultPlan(

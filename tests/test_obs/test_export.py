@@ -200,6 +200,7 @@ EXEMPLARS = [
         pid=1, incarnation=0, timestamp=3, request="regular",
         activity="reserve", reason="older holder", rule="WW",
     ),
+    ev.UnresolvableCascade(pid=1, activity="reserve", holder=2),
     ev.LockConverted(pid=1, type_name="reserve", position=0),
     ev.ActivityClassified(
         pid=1, incarnation=0, activity="reserve", mode="regular",
@@ -213,7 +214,7 @@ EXEMPLARS = [
     ev.ActivityRetried(pid=1, activity="ship", uid=9, attempt=2),
     ev.ActivityCommitted(
         pid=1, incarnation=0, activity="reserve", uid=9,
-        compensation=True,
+        compensation=True, undone=2.5, cause="protocol-abort:cascade",
     ),
     ev.ActivityFailed(pid=1, incarnation=0, activity="charge", uid=9),
     ev.ActivityCancelled(pid=1, incarnation=0, activity="ship", uid=9),
@@ -242,7 +243,7 @@ EXEMPLARS = [
 
 def test_exemplars_cover_every_event_type():
     assert {type(e).kind for e in EXEMPLARS} == set(EVENT_TYPES)
-    assert len(EVENT_TYPES) == 28
+    assert len(EVENT_TYPES) == 29
 
 
 @pytest.mark.parametrize(

@@ -7,12 +7,16 @@ import math
 
 import pytest
 
-from repro.obs import FlightRecorder, read_jsonl, replay_metrics
+from repro.obs import FlightRecorder, MetricsTracer, read_jsonl, replay_metrics
 from repro.obs.events import (
     ActivityClassified,
     ProcessCommitted,
     ProcessInitiated,
+    flat_record,
 )
+from repro.obs.export import _jsonable
+from repro.sim.runner import run_workload
+from repro.sim.workload import WorkloadSpec, build_workload
 
 
 def test_capacity_must_be_positive():
@@ -64,3 +68,77 @@ def test_dump_jsonl_round_trips_through_readers(tmp_path):
     metrics = replay_metrics(records)
     assert metrics.outcomes.value(("committed",)) == 1
     assert metrics.initiated.total() == 1
+
+
+class _FlattenAtEmit:
+    """A sink that flattens each event the moment it is emitted."""
+
+    offset = 0.0
+
+    def __init__(self) -> None:
+        self.records: list[dict] = []
+
+    def bind_clock(self, clock) -> None:
+        pass
+
+    def bind_sampler(self, sampler) -> None:
+        pass
+
+    def refresh_gauges(self) -> None:
+        pass
+
+    def emit(self, event) -> None:
+        self.records.append(_jsonable(flat_record(0, 0.0, event)))
+
+
+def _payloads(records):
+    return [
+        {key: value for key, value in record.items() if key not in ("seq", "t")}
+        for record in records
+    ]
+
+
+def test_a_dumped_ring_equals_the_events_as_they_were_emitted():
+    """Events are plain (not frozen) dataclasses that the ring keeps by
+    reference and flattens only when dumped: no layer may change one
+    after its emit.  And the hot emit sites build theirs positionally,
+    so each value must have landed in the field that names it."""
+    spec = WorkloadSpec(
+        n_processes=40,
+        conflict_density=0.6,
+        failure_probability=0.05,
+        seed=3,
+    )
+    sink = _FlattenAtEmit()
+    flight = FlightRecorder(capacity=100_000)
+    tracer = MetricsTracer(sinks=(sink,), recorder=flight)
+    run_workload(build_workload(spec), seed=3, tracer=tracer)
+
+    dumped = _payloads(flight.snapshot())
+    assert len(dumped) == flight.appended > 1000
+    assert dumped == _payloads(sink.records)
+
+    kinds = {record["kind"] for record in dumped}
+    assert {
+        "lock.grant", "lock.defer", "lock.cascade", "wcc.classify",
+        "activity.start", "activity.commit", "wait.edge",
+    } <= kinds
+    requests = {"regular", "compensation", "commit"}
+    for record in dumped:
+        kind = record["kind"]
+        if kind == "lock.grant":
+            assert record["request"] in requests
+            assert record["mode"] in {"C", "P", None}
+            assert record["position"] is None or record["position"] >= 0
+        elif kind == "wcc.classify":
+            assert record["mode"] in {"C", "P"}
+            assert isinstance(record["pseudo_pivot"], bool)
+            assert isinstance(record["real_pivot"], bool)
+        elif kind in ("activity.start", "activity.commit"):
+            assert isinstance(record["activity"], str)
+            assert isinstance(record["uid"], int)
+            assert isinstance(record["compensation"], bool)
+        elif kind == "wait.edge":
+            assert record["op"] in {"insert", "delete"}
+            assert record["request"] in requests
+            assert isinstance(record["park"], int)

@@ -1,11 +1,9 @@
-"""Metrics-plane tests: registry, exposition, parser, reconciliation.
+"""Metrics-plane tests: registry, exposition, parser, the fold.
 
-The heavyweight test here is the stats-reconciliation property: a
-:class:`~repro.obs.metrics.MetricsTracer` observing a full simulation
-(including mid-run client cancels) must derive exactly the counters
-:class:`~repro.scheduler.manager.ManagerStats` accumulates directly —
-any drift means an emit site and a stats bump disagree about what
-happened.
+The fold (:class:`~repro.obs.metrics.EventMetrics`) is every manager's
+``stats``; what it must get right on its own is that each pid's fate
+is counted once, under the outcome the manager decided, when one
+outcome is implied by two events (a cancel, a starvation).
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ from repro.obs.events import (
     ProcessCancelled,
     ProcessCommitted,
 )
+from repro.scheduler.events import OUTCOMES, by_outcome
 from repro.scheduler.manager import ManagerConfig, make_manager
 from repro.sim.runner import make_protocol
 from repro.sim.workload import WorkloadSpec, build_workload
@@ -291,7 +290,7 @@ class TestEventMetrics:
 
 
 # ----------------------------------------------------------------------
-# stats reconciliation (the satellite property test)
+# outcomes: each pid's fate is folded exactly once
 # ----------------------------------------------------------------------
 def _run_with_metrics(
     seed: int,
@@ -316,56 +315,62 @@ def _run_with_metrics(
     for index in cancel_pids:
         pid = pids[index]
         # Mid-run cancels: one before its initiation time, the rest
-        # while (probably) running — both shapes must reconcile.
+        # while (probably) running.
         manager.engine.schedule(
             workload.arrival_time(index) + 1.0,
             lambda pid=pid: manager.cancel(pid),
         )
-    # Starved pids are outcomes to reconcile here, not a failed run.
+    # Starved pids are outcomes to count here, not a failed run.
     result = manager.run(require_quiescence=False)
     assert not manager.undecided()
-    return result.stats, tracer
+    assert result.stats is tracer.metrics
+    return result, tracer
 
 
+@pytest.mark.parametrize("max_resubmissions", [500, 0])
 @pytest.mark.parametrize("seed", [0, 3, 11])
-def test_event_derived_counters_reconcile_with_manager_stats(seed):
-    stats, tracer = _run_with_metrics(
-        seed, cancel_pids=(0, 4, 9, 15)
+def test_every_pid_is_counted_once_under_its_fate(seed, max_resubmissions):
+    """Each pid counts once, under the outcome the manager decided — a
+    cancel or a starvation is not counted again as an abort at its
+    terminal."""
+    result, __ = _run_with_metrics(
+        seed,
+        cancel_pids=(0, 4, 9, 15),
+        max_resubmissions=max_resubmissions,
     )
-    assert stats.starved == 0
-    _assert_reconciled(stats, tracer.metrics)
+    fates = by_outcome(result.records)
+    folded = result.stats.outcomes
+    assert {
+        outcome: len(fates.get(outcome, ())) for outcome in OUTCOMES
+    } == {outcome: folded.value((outcome,)) for outcome in OUTCOMES}
+    assert folded.total() == result.stats.submitted == len(result.records)
+    assert fates["cancelled"]
+    assert bool(fates.get("starved")) == (max_resubmissions == 0)
 
-
-@pytest.mark.parametrize("seed", [0, 3, 11])
-def test_starved_outcomes_reconcile_too(seed):
-    stats, tracer = _run_with_metrics(
-        seed, cancel_pids=(0, 4, 9, 15), max_resubmissions=0
+    # The per-pid records are a second account the manager keeps
+    # without the event stream: the fold's sums must agree with theirs,
+    # the compensated cost split by the label of the run that undid it.
+    records = list(result.records.values())
+    stats = result.stats
+    for name in ("resubmissions", "retries", "compensations"):
+        assert getattr(stats, name) == sum(
+            getattr(record, name) for record in records
+        ), name
+    assert stats.compensations > 0
+    assert stats.compensated_cost == pytest.approx(
+        sum(record.compensated_cost for record in records)
     )
-    assert stats.starved > 0
-    _assert_reconciled(stats, tracer.metrics)
-
-
-def _assert_reconciled(stats, m) -> None:
-    assert m.submitted.total() == stats.submitted
-    assert m.outcomes.value(("committed",)) == stats.committed
-    assert m.outcomes.value(("cancelled",)) == stats.cancellations
-    assert m.outcomes.value(("starved",)) == stats.starved
-    protocol_aborts = (
-        m.aborts.value(("cascade",))
-        + m.aborts.value(("deadlock",))
-        + m.aborts.value(("self",))
-    )
-    assert protocol_aborts == stats.protocol_aborts
-    assert m.aborts.value(("intrinsic",)) == stats.intrinsic_aborts
-    assert m.aborts.value(("subprocess",)) == stats.subprocess_aborts
-    assert m.resubmitted.total() == stats.resubmissions
-    assert m.retries.total() == stats.retries
-    assert m.compensations.total() == stats.compensations
-    assert m.deadlock_victims.total() == stats.deadlock_victims
-    # Every submitted process reached exactly one terminal outcome.
-    assert m.outcomes.total() == stats.submitted
-    # The cancels actually exercised both counters.
-    assert stats.cancellations > 0
+    registry = build_workload(CONTENDED.with_(seed=seed)).registry
+    split = {"protocol": 0.0, "intrinsic": 0.0, "subprocess": 0.0}
+    for record in records:
+        for name, cause in zip(
+            record.compensated_names, record.compensated_causes
+        ):
+            split[cause.partition("-")[0]] += registry.get(name).cost
+    assert {
+        channel: getattr(stats, f"compensated_cost_{channel}")
+        for channel in split
+    } == pytest.approx(split)
 
 
 def test_no_defer_stamp_outlives_its_incarnation():
@@ -397,7 +402,7 @@ def test_no_defer_stamp_outlives_its_incarnation():
         engine.run()
     assert not manager.undecided()
     metrics = tracer.metrics
-    assert metrics.submitted.total() == 4_000
+    assert metrics.submitted == 4_000
     assert metrics.lock_defers.total() > 0
     assert metrics.aborts.value(("cancel",)) > 0
     assert metrics.aborts.value(("cascade",)) > 0
@@ -443,7 +448,7 @@ def test_replay_from_jsonl_matches_live_registry(tmp_path):
     samples (the tracer's series bank holds those), so a replay leaves
     them at zero by design.
     """
-    stats, tracer = _run_with_metrics(7, cancel_pids=(2,))
+    result, tracer = _run_with_metrics(7, cancel_pids=(2,))
     sink = tracer.sinks[0]
     path = write_jsonl(sink.records(), tmp_path / "events.jsonl")
     replayed = replay_metrics(read_jsonl(path))
@@ -461,7 +466,7 @@ def test_replay_from_jsonl_matches_live_registry(tmp_path):
         if f["name"] not in gauge_families
     ]
     assert live_rest == rebuilt_rest
-    assert replayed.outcomes.value(("committed",)) == stats.committed
+    assert replayed.committed == result.stats.committed
 
 
 def test_metrics_tracer_offset_propagates_to_sinks():

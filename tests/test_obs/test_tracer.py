@@ -1,6 +1,6 @@
-"""Unit tests for the tracer, its disabled twin, and the series bank."""
+"""Unit tests for the recording tracer and the series bank."""
 
-from repro.obs import NULL_TRACER, NullTracer, Tracer
+from repro.obs import Tracer
 from repro.obs.events import (
     EVENT_TYPES,
     ActivityClassified,
@@ -28,19 +28,6 @@ def defer_event(pid=1, reason="other-p-holder", activity="reserve"):
         rule=rule_for_reason(reason),
         blockers=(Holder(pid=2, timestamp=0, modes="P"),),
     )
-
-
-class TestNullTracer:
-    def test_disabled_and_inert(self):
-        assert NullTracer.enabled is False
-        assert NULL_TRACER.enabled is False
-        # Defensive backstop: unguarded calls must not raise.
-        NULL_TRACER.emit(ProcessSubmitted(pid=1))
-        NULL_TRACER.bind_clock(lambda: 0.0)
-        NULL_TRACER.bind_sampler(lambda: {})
-
-    def test_shared_singleton(self):
-        assert isinstance(NULL_TRACER, NullTracer)
 
 
 class TestStamping:

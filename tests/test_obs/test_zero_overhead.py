@@ -1,7 +1,8 @@
 """Tracing must never perturb a run.
 
-A traced run and an untraced run at the same seed must produce
-byte-identical schedules and identical :class:`RunMetrics` — the tracer
+Every run counts its events with the always-on fold; a run that also
+hands the manager a recording :class:`Tracer` must produce a
+byte-identical schedule and identical :class:`RunMetrics` — the tracer
 observes the simulation, it never participates in it.  These tests pin
 that for plain runs, cost-based runs, and full chaos runs (fault
 injector with manager crashes), using the shared ``uid_floor`` pairing
@@ -17,14 +18,15 @@ from repro.faults.plan import (
     SubsystemOutage,
     compile_plan,
 )
-from repro.obs import NULL_TRACER, Tracer
+from repro.obs import MetricsTracer, Tracer
 from repro.sim.metrics import summarize, summarize_chaos
 from repro.sim.runner import run_workload
 from repro.sim.workload import WorkloadSpec, build_workload
 
 
 def paired_runs(spec, uid_floor, protocol="process-locking"):
-    """Run ``spec`` untraced then traced from the same uid floor."""
+    """Run ``spec`` with the fold alone, then with a recording tracer
+    too, from the same uid floor."""
     uid_floor.pin()
     plain = run_workload(build_workload(spec), protocol, seed=spec.seed)
     uid_floor.repin()
@@ -78,17 +80,18 @@ class TestRunIdentity:
             ) == canonical_trace(traced.trace.events)
             assert len(tracer) > 0
 
-    def test_explicit_null_tracer_is_the_default(self, uid_floor):
+    def test_the_default_tracer_is_the_counting_fold(self, uid_floor):
         spec = WorkloadSpec(n_processes=5, seed=2)
         uid_floor.pin()
         default = run_workload(build_workload(spec), seed=2)
         uid_floor.repin()
-        explicit = run_workload(
-            build_workload(spec), seed=2, tracer=NULL_TRACER
-        )
+        fold = MetricsTracer()
+        explicit = run_workload(build_workload(spec), seed=2, tracer=fold)
         assert canonical_trace(default.trace.events) == canonical_trace(
             explicit.trace.events
         )
+        assert explicit.stats is fold.metrics
+        assert summarize("pl", default) == summarize("pl", explicit)
 
 
 CHAOS_PLAN = FaultPlan(

@@ -346,3 +346,20 @@ def test_soak_campaign_leaves_no_trace():
         if SOAK_CAMPAIGN.search(line)
     ]
     assert not offenders, offenders
+
+
+# ----------------------------------------------------------------------
+# one book of counts (DESIGN.md §7, "Removed: the second counting book")
+# ----------------------------------------------------------------------
+SECOND_COUNTING_BOOK = re.compile(
+    r"ManagerStats|ProtocolStats|OslStats|merge_stats|protocol_stats"
+    r"|NULL_TRACER|NullTracer|tracer\.enabled"
+)
+
+
+def test_second_counting_book_leaves_no_trace():
+    """Every count is the fold over the event stream (``manager.stats``
+    is the registry's feeder) and every emit is unconditional; only
+    this file names what went."""
+    offenders = _traces_of(SECOND_COUNTING_BOOK, {"tests/test_repo_links.py"})
+    assert not offenders, offenders

@@ -130,5 +130,4 @@ class TestBusTracer:
 
     def test_protocol_compatible(self):
         tracer = BusTracer(EventBus())
-        assert tracer.enabled is True
         tracer.bind_sampler(lambda: {"g": 1.0})  # accepted, unused

@@ -1,9 +1,8 @@
 """Service metrics plane over the wire: METRICS and DUMP verbs.
 
-Covers the verb round-trips, agreement between the event-derived
-registry and the manager's own stats on a *live* service, the wall
-submit-to-terminal histogram, and post-drain availability (both verbs
-stay usable after DRAIN for post-mortems).
+Covers the verb round-trips, that the ``stats`` verb and the registry
+read one fold, the wall submit-to-terminal histogram, and post-drain
+availability (both verbs stay usable after DRAIN for post-mortems).
 """
 
 from __future__ import annotations
@@ -71,31 +70,29 @@ class TestMetricsVerb:
             _family(body, "repro_service_backlog")
             _family(body, "repro_bus_frames")
 
-    def test_metrics_agree_with_stats_on_live_service(self, server):
-        with connect(server) as client:
-            client.submit(count=6, wait=True)
-            stats = client.stats()["manager"]
-            body = client.metrics()
-            assert (
-                _counter(
-                    body,
-                    "repro_process_outcomes_total",
-                    outcome="committed",
-                )
-                == stats["committed"]
-            )
-            assert (
-                _counter(body, "repro_process_submitted_total")
-                == stats["submitted"]
-            )
-            assert (
-                _counter(body, "repro_activity_retries_total")
-                == stats["retries"]
-            )
-            assert (
-                _counter(body, "repro_compensations_total")
-                == stats["compensations"]
-            )
+    def test_stats_and_metrics_read_one_fold(self, tmp_path):
+        """``manager.stats`` is the registry's feeder: the ``stats``
+        verb and every counter family read one object, cold and after
+        a restart on the same store."""
+        config = ServiceConfig(
+            spec=WorkloadSpec(n_processes=6, conflict_density=0.5, seed=5),
+            seed=5,
+            store="log",
+            store_path=str(tmp_path / "store"),
+            store_fsync="never",
+        )
+        for restarted in (False, True):
+            service = ProcessLockingService(config).start()
+            try:
+                assert (service.recovery is not None) == restarted
+                fold = service.manager.stats
+                assert fold is service.metrics is service.tracer.metrics
+                assert fold.registry is service.metrics.registry
+                service.execute(
+                    {"cmd": "submit", "count": 6, "wait": True}
+                ).result(timeout=60)
+            finally:
+                service.stop()
 
     def test_submit_to_commit_histogram_observes_every_pid(
         self, server
@@ -185,7 +182,9 @@ class TestScrapedWhileServing:
     counters take no lock on the engine thread; a scrape on another
     thread copies before it iterates."""
 
-    def test_scrapes_during_contended_bursts_then_reconcile(self):
+    def test_scrapes_during_contended_bursts_miss_no_event(self):
+        """Scraped while serving, the registry still saw every event
+        and every pid's one outcome."""
         service = ProcessLockingService(
             ServiceConfig(
                 spec=WorkloadSpec(
@@ -231,23 +230,7 @@ class TestScrapedWhileServing:
         manager = stats["manager"]
         assert manager["resubmissions"] > 0  # it was contended
         assert manager["submitted"] == 144
-        assert _counter(body, "repro_process_submitted_total") == 144
-        assert _counter(
-            body, "repro_process_outcomes_total", outcome="committed"
-        ) == manager["committed"]
         assert _counter(body, "repro_process_outcomes_total") == 144
-        assert (
-            _counter(body, "repro_process_resubmitted_total")
-            == manager["resubmissions"]
-        )
-        assert (
-            _counter(body, "repro_activity_retries_total")
-            == manager["retries"]
-        )
-        assert (
-            _counter(body, "repro_compensations_total")
-            == manager["compensations"]
-        )
         emitted = service.bus_tracer.emitted
         assert _counter(body, "repro_events_total") == emitted
         assert service.flight.appended == emitted

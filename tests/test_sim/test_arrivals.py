@@ -84,13 +84,12 @@ class TestOpenSystem:
         assert result.stats.committed >= 1
 
     def test_metrics_merge(self):
-        from repro.sim.metrics import aggregate, merge_stats, summarize
+        from repro.sim.metrics import aggregate, summarize
 
         __, result = self._run()
-        merged = merge_stats([result.stats])
-        assert merged.submitted == result.stats.submitted
-        assert merged.committed == result.stats.committed
         metrics = summarize("process-locking", result)
+        assert metrics.submitted == result.stats.submitted
+        assert metrics.committed == result.stats.committed
         rows = aggregate([metrics, metrics])
         assert rows["committed"] == metrics.committed
         assert rows["throughput"] == pytest.approx(metrics.throughput)

@@ -41,10 +41,12 @@ interleaving.
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 import shutil
 import tempfile
+import warnings
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -531,6 +533,32 @@ def test_a_flipped_slot_byte_is_refused(eager, tmp_path, slot):
     with pytest.raises(WalCorruptionError) as caught:
         _service(target)
     assert caught.value.namespace == slot
+
+
+@pytest.mark.parametrize("slot", SLOTS)
+def test_a_refused_restart_closes_the_store_it_opened(eager, tmp_path, slot):
+    """The service opened the store from a backend name, so a restart
+    refused on a damaged slot closes it before the error goes out: no
+    commit log is left open for the collector to find."""
+    target = _store_copy(eager, tmp_path)
+    path = target / f"{slot}.log"
+    damaged = bytearray(path.read_bytes())
+    damaged[len(damaged) // 2] ^= 0xFF
+    path.write_bytes(bytes(damaged))
+
+    def refused() -> bool:
+        try:
+            _service(target)
+        except WalCorruptionError:
+            return True  # the traceback, and the service, die here
+        return False
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert refused()
+        gc.collect()
+    leaked = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert leaked == []
 
 
 @pytest.mark.parametrize("slot", SLOTS)

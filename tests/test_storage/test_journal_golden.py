@@ -30,7 +30,11 @@ shard map went: the ``metrics`` verb lost the per-subsystem queue-depth
 family (three samples, all zero after the last drain); the parent's
 gauges dict with that one family taken out hashes to the new digest,
 and ``repro_locks_held``, now read off the lock table when sampled,
-kept its samples.
+kept its samples.  ``frames`` alone was recorded once more when the
+counts became one fold over the event stream: ``activity.commit`` gained
+``undone`` and ``cause`` (the cost a compensation undid and its run's
+label, ``null`` on a regular commit); with those two keys taken out of
+every frame the old digest returns.
 
 The scripted session runs in a fresh interpreter: its records carry
 activity uids as they are, and those come from a module-global counter
@@ -72,7 +76,7 @@ RECORDED = {
         "269abfff52f3831d49c29434548f848a66525985a364e90a374acc1bb975405e"
     ),
     "frames": (
-        "9938c29e2fc7ffb65b53dbff73d1af4c0dabb97c9e84c9eed6b8a543dd0800fa"
+        "c384ac3cd8c17ae891911f7fa9412cad480688cae67aa957f142a8818a8873cf"
     ),
     "gauges": (
         "2c10a42c94ad92c5db08d442762f57edd0e01f7dbe116c06f0f8f159d58d7496"
