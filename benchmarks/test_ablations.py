@@ -74,7 +74,7 @@ def run_a1():
         for label, gate in (("gated", True), ("ungated", False)):
             result = run_custom(workload, seed, gate=gate)
             schedule = schedule_of(workload, result)
-            if not is_prefix_reducible(schedule, stride=3):
+            if not is_prefix_reducible(schedule):
                 outcomes[label] += 1
     return outcomes
 

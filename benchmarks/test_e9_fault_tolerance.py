@@ -82,7 +82,7 @@ def run_e9():
                     "held at crash": held,
                     "forward recovery": forward_ok,
                     "complete": schedule.is_complete,
-                    "CT": has_correct_termination(schedule, stride=3),
+                    "CT": has_correct_termination(schedule),
                     "P-RC": is_process_recoverable(schedule),
                 }
             )

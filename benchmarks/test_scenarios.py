@@ -72,7 +72,7 @@ def run_scenarios():
                         scenario.conflicts.conflict
                     )
                     checks.append(
-                        has_correct_termination(schedule, stride=3)
+                        has_correct_termination(schedule)
                         and is_process_recoverable(schedule)
                         and all(
                             sub.is_serializable()

@@ -55,7 +55,7 @@ def main() -> None:
         result = run_workload(workload, name, seed=11)
         schedule = schedule_of(workload, result)
         print(
-            f"{name:18} P-RED={is_prefix_reducible(schedule, stride=5)!s:5} "
+            f"{name:18} P-RED={is_prefix_reducible(schedule)!s:5} "
             f"P-RC={is_process_recoverable(schedule)!s:5}"
         )
     print()

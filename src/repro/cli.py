@@ -562,7 +562,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(" ", " ".join(str(e) for e in result.trace.events))
     if args.check:
         schedule = schedule_of(workload, result)
-        ct = has_correct_termination(schedule, stride=2)
+        ct = has_correct_termination(schedule)
         prc = is_process_recoverable(schedule)
         print()
         print(f"CT   (Theorem 1): {ct}")

@@ -148,8 +148,8 @@ class ServiceClient:
     def stats(self) -> dict:
         return self.call("stats")
 
-    def check(self, stride: int = 1) -> dict:
-        return self.call("check", stride=stride)
+    def check(self) -> dict:
+        return self.call("check")
 
     def metrics(self) -> dict:
         """The server's metrics-registry snapshot (JSON form)."""

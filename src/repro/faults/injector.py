@@ -70,9 +70,6 @@ class FaultCounters:
     outage_hits: int = 0
     subsystem_crashes: int = 0
     manager_recoveries: int = 0
-    #: Times a retry budget forced a failing retriable to succeed
-    #: (bumped by the manager; see ``retry.budget_exhausted`` events).
-    retry_budget_exhausted: int = 0
     #: Event-indexed injections that never fired (run drained first) or
     #: could not apply (e.g. manager crash under a protocol without
     #: recovery support, subsystem crash without a durable pool).

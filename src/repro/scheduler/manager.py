@@ -827,9 +827,6 @@ class ProcessManager:
                     subsystem=activity.activity_type.subsystem,
                 )
             )
-            counters = getattr(self.injector, "counters", None)
-            if counters is not None:
-                counters.retry_budget_exhausted += 1
             return False
         return verdict
 

@@ -627,8 +627,7 @@ class ProcessLockingService:
         self._deferred.append((self._dump_body, fut))
 
     def _cmd_check(self, request: dict, fut: Future) -> None:
-        stride = _int_arg(request, "stride", 1, minimum=1)
-        self._deferred.append((lambda: self._check_body(stride), fut))
+        self._deferred.append((self._check_body, fut))
 
     def _cmd_drain(self, request: dict, fut: Future) -> None:
         self._draining.set()
@@ -854,13 +853,13 @@ class ProcessLockingService:
             "capacity": self.flight.capacity,
         }
 
-    def _check_body(self, stride: int) -> dict:
+    def _check_body(self) -> dict:
         manager = self.manager
         schedule = manager.trace.to_schedule(
             self.workload.conflicts.conflict
         )
         complete = schedule.is_complete
-        prefix_reducible = is_prefix_reducible(schedule, stride=stride)
+        prefix_reducible = is_prefix_reducible(schedule)
         report = check_process_recoverability(schedule)
         return {
             "events": len(schedule.events),

@@ -3,7 +3,6 @@
 from repro.theory.criteria import (
     RecoverabilityReport,
     RecoverabilityViolation,
-    check_all_prefixes_recoverable,
     check_process_recoverability,
     has_correct_termination,
     is_prefix_reducible,
@@ -16,14 +15,8 @@ from repro.theory.explain import (
     explain_irreducibility,
     first_bad_prefix,
 )
-from repro.theory.graphs import (
-    is_conflict_serializable,
-    serialization_graph,
-    serialization_order,
-)
 from repro.theory.reduction import (
-    deciders_agree,
-    exact_is_reducible,
+    Reduction,
     poly_is_reducible,
     reduce_schedule,
 )
@@ -41,19 +34,14 @@ __all__ = [
     "explain_irreducibility",
     "first_bad_prefix",
     "RecoverabilityReport",
+    "Reduction",
     "RecoverabilityViolation",
     "ScheduleEvent",
-    "check_all_prefixes_recoverable",
     "check_process_recoverability",
-    "deciders_agree",
-    "exact_is_reducible",
     "has_correct_termination",
-    "is_conflict_serializable",
     "is_prefix_reducible",
     "is_process_recoverable",
     "is_reducible",
     "poly_is_reducible",
     "reduce_schedule",
-    "serialization_graph",
-    "serialization_order",
 ]

@@ -17,9 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ScheduleError
+from repro.theory.explain import first_bad_prefix
 from repro.theory.reduction import poly_is_reducible
 from repro.theory.schedule import (
     EventKind,
+    ProcessKey,
     ProcessSchedule,
     ScheduleEvent,
 )
@@ -30,35 +32,19 @@ def is_reducible(schedule: ProcessSchedule) -> bool:
     return poly_is_reducible(schedule)
 
 
-def is_prefix_reducible(
-    schedule: ProcessSchedule, stride: int = 1
-) -> bool:
-    """P-RED: every prefix of the schedule is reducible.
-
-    ``stride`` samples prefixes for large schedules (the full schedule is
-    always included); use the default of 1 for exhaustive checking.
-    """
-    length = len(schedule.events)
-    checked: set[int] = set()
-    for cut in range(1, length + 1, max(1, stride)):
-        checked.add(cut)
-    checked.add(length)
-    for cut in sorted(checked):
-        if not poly_is_reducible(schedule.prefix(cut)):
-            return False
-    return True
+def is_prefix_reducible(schedule: ProcessSchedule) -> bool:
+    """P-RED: every prefix of the schedule is reducible (one sweep)."""
+    return first_bad_prefix(schedule) is None
 
 
-def has_correct_termination(
-    schedule: ProcessSchedule, stride: int = 1
-) -> bool:
+def has_correct_termination(schedule: ProcessSchedule) -> bool:
     """CT: the completed schedule is prefix-reducible (Definition 6)."""
     if not schedule.is_complete:
         raise ScheduleError(
             "correct termination is defined over complete schedules; "
             "complete the schedule (terminate all processes) first"
         )
-    return is_prefix_reducible(schedule, stride=stride)
+    return is_prefix_reducible(schedule)
 
 
 @dataclass
@@ -99,73 +85,88 @@ def check_process_recoverability(
     1. if ``a_jm`` is compensatable and ``a_j*`` has been observed, then
        ``a_i* <_S a_j*`` must hold;
     2. if ``a_jm`` is not compensatable, then ``a_i* <_S a_jm`` must hold.
+
+    One forward sweep keeps the compensatable regular activities still
+    *open* — neither compensated nor passed by their process's next
+    point of no return or commit — grouped by type, and pairs each later
+    regular activity with the open ones of conflicting types only.
+    Compensations are protocol-generated; their ordering constraints
+    are captured by the C⁻¹-Rule and checked via reducibility, so they
+    are never the later activity of a pair.
     """
     report = RecoverabilityReport()
-    comp_pos: dict[int, int] = {}
-    for event in schedule.events:
-        if event.is_activity and event.compensates is not None:
-            comp_pos[event.compensates] = event.position
+    conflicts_of = schedule.conflicts_of
+    star = schedule.next_no_return
+    opened: dict[int, ScheduleEvent] = {}
+    open_by_type: dict[str, dict[int, ScheduleEvent]] = {}
+    open_by_process: dict[ProcessKey, list[int]] = {}
 
-    for earlier, later in schedule.conflicting_activity_pairs():
-        if not earlier.compensatable or earlier.is_compensation:
-            continue
+    def close(uid: int | None) -> None:
+        event = opened.pop(uid, None)
+        if event is not None:
+            del open_by_type[event.name][uid]
+
+    for later in schedule.events:
         if later.is_compensation:
-            # Compensations are protocol-generated; their ordering
-            # constraints are captured by the C⁻¹-Rule and checked via
-            # reducibility, not via Definition 7.
-            continue
-        undo = comp_pos.get(earlier.uid)
-        if undo is not None and undo < later.position:
-            continue  # a_ik⁻¹ <_S a_jm: the dependency was dissolved
-        i_star = schedule.next_point_of_no_return(
-            earlier.process, earlier.position
-        )
-        if i_star is not None and i_star.position < later.position:
-            continue  # a_i* <_S a_jm: P_i already committed past a_ik
-        if later.compensatable:
-            j_star = schedule.next_point_of_no_return(
-                later.process, later.position
-            )
-            if j_star is None:
-                continue  # a_j* not in S: no constraint yet
-            if i_star is None or i_star.position >= j_star.position:
-                report.violations.append(
-                    RecoverabilityViolation(
-                        earlier,
-                        later,
-                        "the reader's point of no return "
-                        f"{j_star} precedes the writer's "
-                        f"({i_star})",
-                    )
-                )
-        else:
-            if i_star is None or i_star.position >= later.position:
-                report.violations.append(
-                    RecoverabilityViolation(
-                        earlier,
-                        later,
-                        "a non-compensatable activity executed before "
-                        "the conflicting writer reached its point of "
-                        "no return",
-                    )
-                )
+            close(later.compensates)  # a_ik⁻¹ <_S a_jm: dissolved
+        elif later.is_activity:
+            for name in conflicts_of[later.name]:
+                for earlier in open_by_type.get(name, {}).values():
+                    if earlier.process != later.process:
+                        _check_pair(report, earlier, later, star)
+        if later.kind is EventKind.COMMIT or later.point_of_no_return:
+            for uid in open_by_process.pop(later.process, ()):
+                close(uid)  # a_i* <_S a_jm: P_i committed past a_ik
+        if later.is_regular and later.compensatable:
+            opened[later.uid] = later
+            open_by_type.setdefault(later.name, {})[later.uid] = later
+            open_by_process.setdefault(later.process, []).append(later.uid)
+    report.violations.sort(
+        key=lambda v: (v.earlier.position, v.later.position)
+    )
     return report
 
 
+def _check_pair(
+    report: RecoverabilityReport,
+    earlier: ScheduleEvent,
+    later: ScheduleEvent,
+    star: dict[int, ScheduleEvent],
+) -> None:
+    """Definition 7 for one open pair: ``a_i*`` is not before ``a_jm``."""
+    i_star = star.get(earlier.position)
+    if later.compensatable:
+        j_star = star.get(later.position)
+        if j_star is None:
+            return  # a_j* not in S: no constraint yet
+        if i_star is None or i_star.position >= j_star.position:
+            report.violations.append(
+                RecoverabilityViolation(
+                    earlier,
+                    later,
+                    "the reader's point of no return "
+                    f"{j_star} precedes the writer's "
+                    f"({i_star})",
+                )
+            )
+    else:
+        report.violations.append(
+            RecoverabilityViolation(
+                earlier,
+                later,
+                "a non-compensatable activity executed before "
+                "the conflicting writer reached its point of "
+                "no return",
+            )
+        )
+
+
 def is_process_recoverable(schedule: ProcessSchedule) -> bool:
-    """P-RC: Definition 7 holds (boolean form)."""
-    return check_process_recoverability(schedule).ok
+    """P-RC: Definition 7 holds (boolean form).
 
-
-def check_all_prefixes_recoverable(schedule: ProcessSchedule) -> bool:
-    """Whether every prefix of the schedule is P-RC.
-
-    Definition 7 is monotone in the following sense only: new events can
-    *create* violations but can also *discharge* the ``a_j* in S`` guard,
-    so prefix checking is genuinely stronger and is what a dynamic
-    scheduler must guarantee.
+    This also decides P-RC for every prefix.  A violation is settled by
+    the events up to its reader (rule 2) or up to ``a_j*`` (rule 1),
+    and later events cannot change those, so a violation of a prefix
+    is a violation of the whole schedule.
     """
-    for cut in range(1, len(schedule.events) + 1):
-        if not is_process_recoverable(schedule.prefix(cut)):
-            return False
-    return True
+    return check_process_recoverability(schedule).ok

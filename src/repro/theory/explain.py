@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.deadlock import find_cycle_edges
-from repro.theory.graphs import serialization_graph
-from repro.theory.reduction import reduce_schedule
+from repro.core.deadlock import Digraph, find_cycle_edges
+from repro.theory.reduction import Reduction
 from repro.theory.schedule import (
     ProcessKey,
     ProcessSchedule,
@@ -68,88 +67,68 @@ def explain_irreducibility(
     schedule: ProcessSchedule,
 ) -> IrreducibilityWitness | None:
     """Witness for a reducibility failure, or ``None`` if reducible."""
-    survivors = reduce_schedule(schedule)
-    graph = serialization_graph(survivors, schedule.conflict)
+    reduction = Reduction.of(schedule)
+    graph = Digraph()
+    for event in reduction.survivors.values():
+        graph.add_node(event.process)
+    for tail in list(graph):
+        for head in reduction.out.get(tail, ()):
+            graph.add_edge(tail, head)
     cycle_edges_raw = find_cycle_edges(graph)
     if cycle_edges_raw is None:
         return None
-    cycle = [edge[0] for edge in cycle_edges_raw]
+    conflicts_of = schedule.conflicts_of
     cycle_edges = []
-    for source, target in ((e[0], e[1]) for e in cycle_edges_raw):
-        pair = _witness_conflict(
-            survivors, schedule, source, target
+    for source, target in cycle_edges_raw:
+        witness = next(
+            (
+                (first, second)
+                for first in reduction.by_process[source].values()
+                for second in reduction.by_process[target].values()
+                if first.position < second.position
+                and first.name in conflicts_of[second.name]
+            ),
+            None,
         )
-        if pair is not None:
-            cycle_edges.append(pair)
+        if witness is not None:
+            cycle_edges.append(witness)
     return IrreducibilityWitness(
-        cycle=cycle,
+        cycle=[edge[0] for edge in cycle_edges_raw],
         cycle_edges=cycle_edges,
-        stuck_pairs=_stuck_pairs(schedule, survivors),
-    )
-
-
-def _witness_conflict(
-    survivors: list[ScheduleEvent],
-    schedule: ProcessSchedule,
-    source: ProcessKey,
-    target: ProcessKey,
-) -> tuple[ScheduleEvent, ScheduleEvent] | None:
-    for i, first in enumerate(survivors):
-        if first.process != source:
-            continue
-        for second in survivors[i + 1:]:
-            if second.process != target:
-                continue
-            if schedule.conflict(first.name, second.name):
-                return (first, second)
-    return None
-
-
-def _stuck_pairs(
-    schedule: ProcessSchedule, survivors: list[ScheduleEvent]
-) -> list[StuckPair]:
-    surviving_uids = {event.uid for event in survivors}
-    by_uid = {event.uid: event for event in schedule.activities}
-    order = {
-        event.uid: index
-        for index, event in enumerate(schedule.activities)
-    }
-    pairs = []
-    for event in schedule.activities:
-        if event.compensates is None:
-            continue
-        if event.uid not in surviving_uids:
-            continue  # cancelled fine
-        regular = by_uid.get(event.compensates)
-        if regular is None:
-            continue
-        lo, hi = order[regular.uid], order[event.uid]
-        blockers = [
-            between
-            for between in schedule.activities[lo + 1: hi]
-            if between.uid in surviving_uids
-            and (
-                between.process == regular.process
-                or schedule.conflict(between.name, regular.name)
-            )
-        ]
-        pairs.append(
+        stuck_pairs=[
             StuckPair(
-                regular=regular, compensation=event, blockers=blockers
+                regular=regular,
+                compensation=compensation,
+                blockers=[
+                    between
+                    for between in reduction.survivors.values()
+                    if regular.position < between.position
+                    < compensation.position
+                    and (
+                        between.process == regular.process
+                        or between.name in conflicts_of[regular.name]
+                    )
+                ],
             )
-        )
-    return pairs
+            for regular, compensation in reduction.stuck
+        ],
+    )
 
 
 def first_bad_prefix(schedule: ProcessSchedule) -> int | None:
     """Length of the shortest irreducible prefix, or ``None``.
 
     A dynamic scheduler must keep every prefix reducible (P-RED); the
-    returned length pinpoints the first decision that broke it.
+    returned length pinpoints the first decision that broke it.  One
+    forward sweep: a prefix turns irreducible only when its last event
+    survives and adds an edge into its process that closes a cycle.
     """
-    from repro.theory.reduction import poly_is_reducible
-
-    for cut in range(1, len(schedule.events) + 1):
-        if not poly_is_reducible(schedule.prefix(cut)):
-            return cut
+    reduction = Reduction(schedule)
+    for event in schedule.events:
+        if (
+            event.is_activity
+            and reduction.append(event)
+            and reduction.closes_cycle(event.process)
+        ):
+            return event.position + 1
     return None

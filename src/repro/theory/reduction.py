@@ -8,169 +8,192 @@ A process schedule is *reducible* (RED) when finitely many applications of
   process may be removed —
 
 transform it into a *serial* schedule (each process's surviving activities
-contiguous).  Two independent deciders are provided:
+contiguous).
 
-:func:`exact_is_reducible`
-    A memoized breadth-first search over literal rule applications.
-    Complete but exponential; intended for schedules of at most a dozen
-    activities (property tests cross-validate the polynomial decider
-    against it).
+:func:`poly_is_reducible` decides RED in one forward sweep
+(:class:`Reduction`): it cancels compensated pairs whose open interval
+holds no surviving conflicting activity of another process and no
+surviving activity of the same process, and keeps the process-level
+serialization graph over the survivors; the schedule is reducible iff
+that graph is acyclic.  Cancelling a removable pair only ever deletes
+conflict edges and unblocks other pairs, so the greedy fixpoint is
+confluent and the procedure is exact under perfect commutativity.  The
+same sweep decides P-RED (:func:`repro.theory.explain.first_bad_prefix`).
 
-:func:`poly_is_reducible`
-    A polynomial decision procedure: greedily cancel compensated pairs
-    whose open interval contains no surviving conflicting activity of
-    another process and no surviving activity of the same process, then
-    test acyclicity of the process-level serialization graph over the
-    survivors.  Cancelling a removable pair only ever deletes conflict
-    edges and unblocks other pairs, so the greedy fixpoint is confluent
-    and the procedure is exact under perfect commutativity.
-
-Both deciders deliberately refrain from intra-process swaps (rule 1,
-case ``i = j``): the observed order of one process's activities is treated
-as required.  This is conservative — it can only under-approximate
+The sweep deliberately refrains from intra-process swaps (rule 1, case
+``i = j``): the observed order of one process's activities is treated as
+required.  This is conservative — it can only under-approximate
 reducibility — and the protocol's schedules pass without intra-process
-swaps, which keeps the two deciders comparable.
+swaps.  Property tests compare the sweep with a literal search over rule
+applications (``tests/test_theory/oracles.py``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
-from repro.theory.graphs import is_conflict_serializable
-from repro.theory.schedule import ConflictFn, ProcessSchedule, ScheduleEvent
-
-
-def _activity_list(schedule: ProcessSchedule) -> list[ScheduleEvent]:
-    return schedule.activities
+from repro.core.deadlock import has_cycle
+from repro.theory.schedule import ProcessKey, ProcessSchedule, ScheduleEvent
 
 
 # ----------------------------------------------------------------------
-# exact decider (search)
+# polynomial decider: one forward sweep
 # ----------------------------------------------------------------------
-def exact_is_reducible(
-    schedule: ProcessSchedule, max_states: int = 200_000
-) -> bool:
-    """Decide RED by exhaustive rule application (small schedules only).
+class Reduction:
+    """The compensation rule and the serialization graph, in one sweep.
 
-    Raises
-    ------
-    RuntimeError
-        If the search frontier exceeds ``max_states`` states — callers
-        should fall back to :func:`poly_is_reducible` for big inputs.
+    Activities are appended in observed order.  A new event lands after
+    every open compensation interval, so the survivors of prefix k+1
+    are the cancellation fixpoint of prefix k's survivors plus that one
+    event, and every conflict edge it adds points into its own process.
+    The sweep keeps:
+
+    * ``survivors`` (by uid, in observed order), also grouped by type
+      and by process;
+    * ``out[p][q]``: how many ordered conflicting survivor pairs run
+      from process ``p`` to process ``q`` — an edge ``p -> q`` of the
+      serialization graph while it is positive;
+    * ``stuck``: compensation pairs that could not cancel yet, retried
+      whenever a cancellation happens.
+
+    A pair ``(a, a⁻¹)`` cancels when the survivors strictly between
+    them hold neither an activity of ``a``'s process nor one whose type
+    conflicts with ``a``'s.  Cancelling only deletes edges and unblocks
+    other pairs, so the fixpoint is confluent.
     """
-    events = _activity_list(schedule)
-    conflict = schedule.conflict
-    initial = tuple(e.uid for e in events)
-    info = {e.uid: e for e in events}
 
-    def is_serial(state: tuple[int, ...]) -> bool:
-        seen: list = []
-        last = None
-        for uid in state:
-            proc = info[uid].process
-            if proc != last:
-                if proc in seen:
-                    return False
-                seen.append(proc)
-                last = proc
-        return True
+    def __init__(self, schedule: ProcessSchedule) -> None:
+        self.conflicts_of = schedule.conflicts_of
+        self.survivors: dict[int, ScheduleEvent] = {}
+        self.by_type: dict[str, dict[int, ScheduleEvent]] = {}
+        self.by_process: dict[ProcessKey, dict[int, ScheduleEvent]] = {}
+        #: Per type, the number of survivors of each process.
+        self.type_counts: dict[str, dict[ProcessKey, int]] = {}
+        self.out: dict[ProcessKey, dict[ProcessKey, int]] = {}
+        self.stuck: list[tuple[ScheduleEvent, ScheduleEvent]] = []
 
-    frontier = [initial]
-    visited = {initial}
-    while frontier:
-        state = frontier.pop()
-        if is_serial(state):
-            return True
-        if len(visited) > max_states:
-            raise RuntimeError(
-                "exact reducibility search exceeded the state budget; "
-                "use poly_is_reducible for schedules this large"
-            )
-        for succ in _successors(state, info, conflict):
-            if succ not in visited:
-                visited.add(succ)
-                frontier.append(succ)
-    return False
+    @classmethod
+    def of(cls, schedule: ProcessSchedule) -> "Reduction":
+        """The reduction of the whole schedule."""
+        reduction = cls(schedule)
+        for event in schedule.events:
+            if event.is_activity:
+                reduction.append(event)
+        return reduction
+
+    def append(self, event: ScheduleEvent) -> bool:
+        """Add the next activity; whether it created a process edge."""
+        regular = (
+            None
+            if event.compensates is None
+            else self.survivors.get(event.compensates)
+        )
+        if regular is not None:
+            if not self._blocked(regular, event.position):
+                self._remove(regular)
+                self._retry_stuck()
+                return False
+            self.stuck.append((regular, event))
+        return self._insert(event)
+
+    def closes_cycle(self, process: ProcessKey) -> bool:
+        """Whether ``process`` reaches itself in the graph."""
+        stack = [process]
+        seen = {process}
+        while stack:
+            for head in self.out.get(stack.pop(), ()):
+                if head == process:
+                    return True
+                if head not in seen:
+                    seen.add(head)
+                    stack.append(head)
+        return False
+
+    def _insert(self, event: ScheduleEvent) -> bool:
+        process = event.process
+        grew = False
+        for name in self.conflicts_of[event.name]:
+            for tail, count in self.type_counts.get(name, {}).items():
+                if tail == process:
+                    continue
+                row = self.out.setdefault(tail, {})
+                if process in row:
+                    row[process] += count
+                else:
+                    row[process] = count
+                    grew = True
+        self.survivors[event.uid] = event
+        self.by_type.setdefault(event.name, {})[event.uid] = event
+        self.by_process.setdefault(process, {})[event.uid] = event
+        counts = self.type_counts.setdefault(event.name, {})
+        counts[process] = counts.get(process, 0) + 1
+        return grew
+
+    def _remove(self, event: ScheduleEvent) -> None:
+        process = event.process
+        del self.survivors[event.uid]
+        del self.by_type[event.name][event.uid]
+        del self.by_process[process][event.uid]
+        counts = self.type_counts[event.name]
+        counts[process] -= 1
+        if not counts[process]:
+            del counts[process]
+        for name in self.conflicts_of[event.name]:
+            later: dict[ProcessKey, int] = {}
+            for other in reversed(self.by_type.get(name, {}).values()):
+                if other.position < event.position:
+                    break
+                later[other.process] = later.get(other.process, 0) + 1
+            for other, count in self.type_counts.get(name, {}).items():
+                if other == process:
+                    continue
+                after = later.get(other, 0)
+                self._unpair(other, process, count - after)
+                self._unpair(process, other, after)
+
+    def _unpair(self, tail: ProcessKey, head: ProcessKey, count: int) -> None:
+        if count:
+            row = self.out[tail]
+            row[head] -= count
+            if not row[head]:
+                del row[head]
+
+    def _blocked(self, regular: ScheduleEvent, until: int) -> bool:
+        """A survivor strictly between ``regular`` and ``until`` blocks."""
+        groups = [self.by_process[regular.process]]
+        groups += (
+            self.by_type[name]
+            for name in self.conflicts_of[regular.name]
+            if name in self.by_type
+        )
+        for group in groups:
+            for other in reversed(group.values()):
+                if other.position <= regular.position:
+                    break
+                if other.position < until:
+                    return True
+        return False
+
+    def _retry_stuck(self) -> None:
+        progress = True
+        while progress:
+            progress = False
+            for pair in list(self.stuck):
+                regular, compensation = pair
+                if regular.uid not in self.survivors:
+                    self.stuck.remove(pair)
+                elif not self._blocked(regular, compensation.position):
+                    self.stuck.remove(pair)
+                    self._remove(regular)
+                    self._remove(compensation)
+                    progress = True
 
 
-def _successors(state, info, conflict):
-    for i in range(len(state) - 1):
-        first = info[state[i]]
-        second = info[state[i + 1]]
-        if (
-            first.process != second.process
-            and not conflict(first.name, second.name)
-        ):
-            swapped = list(state)
-            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            yield tuple(swapped)
-        if (
-            first.process == second.process
-            and second.compensates == first.uid
-        ):
-            yield state[:i] + state[i + 2:]
-
-
-# ----------------------------------------------------------------------
-# polynomial decider
-# ----------------------------------------------------------------------
 def poly_is_reducible(schedule: ProcessSchedule) -> bool:
-    """Decide RED in polynomial time (see module docstring)."""
-    survivors = reduce_schedule(schedule)
-    return is_conflict_serializable(survivors, schedule.conflict)
+    """Decide RED in polynomial time: the final graph is acyclic."""
+    return not has_cycle(Reduction.of(schedule).out)
 
 
 def reduce_schedule(
     schedule: ProcessSchedule,
 ) -> list[ScheduleEvent]:
-    """Apply the compensation rule to a fixpoint; return the survivors.
-
-    A compensated pair ``(a, a⁻¹)`` is cancelled when the events observed
-    strictly between them that are still surviving contain neither an
-    activity conflicting with ``a`` from another process nor any activity
-    of ``a``'s own process (same-process activities cannot be swapped out
-    of the interval, so they must cancel first).
-    """
-    events = _activity_list(schedule)
-    conflict = schedule.conflict
-    order = {e.uid: idx for idx, e in enumerate(events)}
-    by_uid = {e.uid: e for e in events}
-    pairs: list[tuple[ScheduleEvent, ScheduleEvent]] = []
-    for event in events:
-        if event.compensates is not None:
-            regular = by_uid.get(event.compensates)
-            if regular is not None:
-                pairs.append((regular, event))
-    removed: set[int] = set()
-
-    changed = True
-    while changed:
-        changed = False
-        for regular, comp in pairs:
-            if regular.uid in removed or comp.uid in removed:
-                continue
-            lo, hi = order[regular.uid], order[comp.uid]
-            if lo > hi:
-                continue  # malformed: compensation observed first
-            blocked = False
-            for between in events[lo + 1: hi]:
-                if between.uid in removed:
-                    continue
-                if between.process == regular.process:
-                    blocked = True
-                    break
-                if conflict(between.name, regular.name):
-                    blocked = True
-                    break
-            if not blocked:
-                removed.add(regular.uid)
-                removed.add(comp.uid)
-                changed = True
-    return [e for e in events if e.uid not in removed]
-
-
-def deciders_agree(
-    schedule: ProcessSchedule,
-) -> tuple[bool, bool]:
-    """Run both deciders; returns ``(exact, polynomial)`` verdicts."""
-    return exact_is_reducible(schedule), poly_is_reducible(schedule)
+    """Apply the compensation rule to a fixpoint; return the survivors."""
+    return list(Reduction.of(schedule).survivors.values())

@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import ScheduleError
 
@@ -153,43 +154,45 @@ class ProcessSchedule:
         return ProcessSchedule(self.events[:length], self.conflict)
 
     # ------------------------------------------------------------------
-    # conflict helpers
+    # compiled views (each built once, on first use)
     # ------------------------------------------------------------------
-    def conflicting_activity_pairs(
-        self,
-    ) -> list[tuple[ScheduleEvent, ScheduleEvent]]:
-        """Ordered cross-process conflicting activity pairs ``(a, b)``.
+    @cached_property
+    def conflicts_of(self) -> dict[str, frozenset[str]]:
+        """Per activity name, the names that conflict with it.
 
-        ``a`` precedes ``b`` in ``<_S`` and ``CON(a, b)`` holds.
+        ``a in conflicts_of[b]`` iff ``conflict(a, b)``.  Built with
+        k² calls of ``conflict`` for the k distinct names in the
+        schedule and never consulted again: the deciders walk these
+        rows instead of testing activity pairs.
         """
-        acts = self.activities
-        pairs = []
-        for i, first in enumerate(acts):
-            for second in acts[i + 1:]:
-                if first.process == second.process:
-                    continue
-                if self.conflict(first.name, second.name):
-                    pairs.append((first, second))
-        return pairs
+        names = dict.fromkeys(e.name for e in self.events if e.is_activity)
+        return {
+            second: frozenset(
+                first for first in names if self.conflict(first, second)
+            )
+            for second in names
+        }
 
-    def next_point_of_no_return(
-        self, process: ProcessKey, after_position: int
-    ) -> ScheduleEvent | None:
-        """``a_i*``: the process's next no-return event after a position.
+    @cached_property
+    def next_no_return(self) -> dict[int, ScheduleEvent]:
+        """``a_i*`` for every activity that has one, keyed by position.
 
-        Returns the first point-of-no-return activity of ``process``
-        following ``after_position`` in the observed order, or its commit
-        event, or ``None`` if neither has been observed yet (partial
-        schedule).
+        The first point-of-no-return activity or commit event of the
+        activity's process strictly after it; absent while neither has
+        been observed (partial schedule).  One backward pass.
         """
-        for event in self.events[after_position + 1:]:
-            if event.process != process:
-                continue
-            if event.is_activity and event.point_of_no_return:
-                return event
-            if event.kind is EventKind.COMMIT:
-                return event
-        return None
+        found: dict[int, ScheduleEvent] = {}
+        upcoming: dict[ProcessKey, ScheduleEvent] = {}
+        for event in reversed(self.events):
+            if event.is_activity:
+                star = upcoming.get(event.process)
+                if star is not None:
+                    found[event.position] = star
+                if event.point_of_no_return:
+                    upcoming[event.process] = event
+            elif event.kind is EventKind.COMMIT:
+                upcoming[event.process] = event
+        return found
 
     def __len__(self) -> int:
         return len(self.events)

@@ -25,6 +25,12 @@ hypothesis_settings.register_profile(
     "tier1", derandomize=True, database=None
 )
 hypothesis_settings.load_profile("tier1")
+# CI's ``smoke`` job draws fresh examples, many more of them, for the
+# tests that take their example count from the profile
+# (``pytest tests/test_theory --hypothesis-profile=smoke``).
+hypothesis_settings.register_profile(
+    "smoke", max_examples=2000, deadline=None, database=None
+)
 
 #: Strictly increasing uid/lock-id floors, one per pinned run pair,
 #: shared by every :class:`UidFloorPinner` in the session.  Activity

@@ -295,8 +295,9 @@ class TestRetryBudgetExhaustedEvent:
             for record in tracer.records()
             if record["kind"] == "retry.budget_exhausted"
         ]
-        assert chaos.counters.retry_budget_exhausted > 0
-        assert len(records) == chaos.counters.retry_budget_exhausted
+        exhausted = chaos.result.stats.retry_budget.total()
+        assert exhausted > 0
+        assert len(records) == exhausted
         sample = records[0]
         assert sample["attempts"] == 2
         assert sample["activity"]

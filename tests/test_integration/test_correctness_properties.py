@@ -16,9 +16,9 @@ from repro.scheduler.manager import ManagerConfig
 from repro.sim.runner import run_workload, schedule_of
 from repro.sim.workload import WorkloadSpec, build_workload
 from repro.theory.criteria import (
-    check_all_prefixes_recoverable,
     has_correct_termination,
     is_prefix_reducible,
+    is_process_recoverable,
 )
 
 SPEC_STRATEGY = st.builds(
@@ -54,8 +54,8 @@ def test_property_process_locking_is_ct_and_prc(spec):
     )
     schedule = schedule_of(workload, result)
     assert schedule.is_complete  # liveness: everything terminated
-    assert has_correct_termination(schedule, stride=3)
-    assert check_all_prefixes_recoverable(schedule)
+    assert has_correct_termination(schedule)
+    assert is_process_recoverable(schedule)
 
 
 @_SETTINGS
@@ -89,7 +89,7 @@ def test_property_conservative_baselines_are_correct_too(spec, protocol):
     if result.stats.unresolvable_violations:
         return  # forced progress already flagged the violation
     schedule = schedule_of(workload, result)
-    assert is_prefix_reducible(schedule, stride=4)
+    assert is_prefix_reducible(schedule)
 
 
 @settings(max_examples=10, deadline=None,

@@ -18,10 +18,11 @@ from repro.sim.arrivals import poisson_arrivals
 from repro.sim.runner import make_protocol
 from repro.sim.workload import WorkloadSpec, build_workload
 from repro.theory.criteria import (
-    check_all_prefixes_recoverable,
     has_correct_termination,
+    is_process_recoverable,
 )
-from repro.theory.reduction import exact_is_reducible, poly_is_reducible
+from repro.theory.reduction import poly_is_reducible
+from tests.test_theory.oracles import exact_is_reducible
 
 
 @settings(
@@ -70,8 +71,8 @@ def test_property_kitchen_sink(seed, crash_steps, threshold):
     result = recovered.run()
     schedule = result.trace.to_schedule(workload.conflicts.conflict)
     assert schedule.is_complete
-    assert has_correct_termination(schedule, stride=4)
-    assert check_all_prefixes_recoverable(schedule)
+    assert has_correct_termination(schedule)
+    assert is_process_recoverable(schedule)
     for subsystem in pool:
         assert subsystem.is_serializable()
         assert subsystem.avoids_cascading_aborts()

@@ -54,7 +54,7 @@ class TestRepeatedCrashes:
             workload.conflicts.conflict
         )
         assert schedule.is_complete
-        assert has_correct_termination(schedule, stride=3)
+        assert has_correct_termination(schedule)
         assert is_process_recoverable(schedule)
 
 

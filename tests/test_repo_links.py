@@ -363,3 +363,29 @@ def test_second_counting_book_leaves_no_trace():
     this file names what went."""
     offenders = _traces_of(SECOND_COUNTING_BOOK, {"tests/test_repo_links.py"})
     assert not offenders, offenders
+
+
+# ----------------------------------------------------------------------
+# one sweep per verdict (DESIGN.md §7, "Removed: sampled P-RED")
+# ----------------------------------------------------------------------
+SAMPLED_PREFIX_CHECKS = re.compile(
+    r"stride|check_all_prefixes_recoverable|conflicting_activity_pairs"
+    r"|next_point_of_no_return"
+)
+
+
+def test_sampled_prefix_checks_leave_no_trace():
+    """P-RED, RED and P-RC are each one sweep over the schedule, so no
+    caller samples prefixes any more (the per-prefix forms are oracles
+    under ``tests/``)."""
+    scanned = [
+        *_python_files("src", "examples", "benchmarks"),
+        *sorted((ROOT / "docs").glob("*.md")),
+    ]
+    offenders = [
+        f"{path.relative_to(ROOT)}:{number}"
+        for path in scanned
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if SAMPLED_PREFIX_CHECKS.search(line)
+    ]
+    assert not offenders, offenders

@@ -96,7 +96,7 @@ class TestExecutionGating:
             manager.submit(order_program)
         result = manager.run()
         schedule = result.trace.to_schedule(conflicts.conflict)
-        assert is_prefix_reducible(schedule, stride=2)
+        assert is_prefix_reducible(schedule)
 
 
 class TestBusyAccounting:

@@ -113,7 +113,7 @@ class TestBasicRecovery:
         schedule = result.trace.to_schedule(
             workload.conflicts.conflict
         )
-        assert has_correct_termination(schedule, stride=2)
+        assert has_correct_termination(schedule)
         assert is_process_recoverable(schedule)
 
     def test_completing_processes_commit_after_recovery(self):
@@ -245,5 +245,5 @@ def test_property_crash_anywhere_recovers_correctly(
     result = recovered.run()
     schedule = result.trace.to_schedule(workload.conflicts.conflict)
     assert schedule.is_complete
-    assert has_correct_termination(schedule, stride=4)
+    assert has_correct_termination(schedule)
     assert is_process_recoverable(schedule)

@@ -67,7 +67,7 @@ def assert_spliced_and_correct(workload, image, result):
     assert result.trace.events[:prior] == image.trace_events
     schedule = result.trace.to_schedule(workload.conflicts.conflict)
     assert schedule.is_complete
-    assert has_correct_termination(schedule, stride=2)
+    assert has_correct_termination(schedule)
     assert is_process_recoverable(schedule)
 
 

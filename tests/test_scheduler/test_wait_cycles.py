@@ -187,7 +187,7 @@ def test_audited_cost_based_run_with_deadlock_victims_is_clean():
     assert result.stats.deadlock_victims >= 10
     assert conserved(result.records, result.stats)
     schedule = result.trace.to_schedule(workload.conflicts.conflict)
-    assert has_correct_termination(schedule, stride=4)
+    assert has_correct_termination(schedule)
     assert is_process_recoverable(schedule)
 
 

@@ -72,7 +72,6 @@ class TestLifecycle:
                 {"cmd": "submit", "program": "zero"},
                 {"cmd": "submit", "at": -1},
                 {"cmd": "status"},
-                {"cmd": "check", "stride": 0},
             ):
                 with pytest.raises(ServiceError) as excinfo:
                     call(service, **request)
@@ -177,8 +176,7 @@ class TestOverload:
             body = call(service, cmd="submit", count=400, wait=True)
             assert len(body["outcomes"]) == 400
             assert service.failed is None
-            # Whole-schedule reducibility; every prefix would take minutes.
-            check = call(service, cmd="check", stride=100_000)
+            check = call(service, cmd="check")
             assert check["conserved"] is True
             assert check["prefix_reducible"] is True
             assert check["process_recoverable"] is True

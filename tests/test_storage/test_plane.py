@@ -81,7 +81,7 @@ def test_stop_at_snapshot_recovers_to_ct(tmp_path, kind, steps):
     plane2.after_drain(recovered)
     schedule = result.trace.to_schedule(workload.conflicts.conflict)
     assert schedule.is_complete
-    assert has_correct_termination(schedule, stride=4)
+    assert has_correct_termination(schedule)
     assert is_process_recoverable(schedule)
     store2.close()
 
@@ -104,7 +104,7 @@ def test_journal_only_crash_resubmits_everything(tmp_path):
     }
     schedule = result.trace.to_schedule(workload.conflicts.conflict)
     assert schedule.is_complete
-    assert has_correct_termination(schedule, stride=4)
+    assert has_correct_termination(schedule)
     store2.close()
 
 

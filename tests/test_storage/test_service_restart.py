@@ -431,7 +431,7 @@ class TestKillNine:
                         f"P{pid} not terminal after kill -9 restart:"
                         f" {status}"
                     )
-                report = client.check(stride=4)
+                report = client.check()
                 assert report["complete"]
                 assert report["correct_termination"]
                 assert report["process_recoverable"]
@@ -499,7 +499,7 @@ class TestKillNine:
                     status = client.status(pid)
                     assert status["state"] == "done"
                     assert status["outcome"] in ("committed", "aborted")
-                report = client.check(stride=4)
+                report = client.check()
                 assert report["complete"]
                 assert report["correct_termination"]
                 assert report["process_recoverable"]

@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ScheduleError
 from repro.theory.criteria import (
-    check_all_prefixes_recoverable,
     check_process_recoverability,
     has_correct_termination,
     is_prefix_reducible,
@@ -72,15 +71,6 @@ class TestPrefixReducibility:
             [first, second, comp_first, comp_second], conflict_all
         )
         assert not is_prefix_reducible(schedule)
-
-    def test_stride_still_checks_full_schedule(self):
-        first = act(0, 1, "a")
-        second = act(1, 2, "a")
-        comp_first = act(2, 1, "a", compensates=first.uid)
-        schedule = ProcessSchedule(
-            [first, second, comp_first], conflict_all
-        )
-        assert not is_prefix_reducible(schedule, stride=10)
 
 
 class TestCorrectTermination:
@@ -201,10 +191,10 @@ class TestProcessRecoverability:
         schedule = ProcessSchedule(events, conflict_all)
         assert is_process_recoverable(schedule)
 
-    def test_prefix_check_is_stronger(self):
-        # Final schedule fine, but a prefix had the reader's pivot before
-        # the writer's -> never produced by the protocol, and the prefix
-        # checker must flag it.
+    def test_prefix_violation_persists(self):
+        # The 3-event prefix has the reader's pivot before the writer's
+        # point of no return; the writer's later commit cannot move the
+        # pivot, so the whole schedule is flagged as well.
         events = [
             act(0, 1, "a"),
             act(1, 2, "a"),
@@ -212,8 +202,12 @@ class TestProcessRecoverability:
             term(3, 2),
             term(4, 1),
         ]
-        schedule = ProcessSchedule(events, conflict_all)
-        assert not check_all_prefixes_recoverable(schedule)
+        assert not is_process_recoverable(
+            ProcessSchedule(events[:3], conflict_all)
+        )
+        assert not is_process_recoverable(
+            ProcessSchedule(events, conflict_all)
+        )
 
     def test_non_conflicting_activities_ignored(self):
         events = [

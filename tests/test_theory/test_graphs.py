@@ -1,13 +1,13 @@
-"""Unit tests for serialization-graph utilities."""
+"""Unit tests for the oracles' all-pairs serialization graph."""
 
 import itertools
 
-from repro.theory.graphs import (
+from repro.theory.schedule import EventKind, ScheduleEvent
+from tests.test_theory.oracles import (
     is_conflict_serializable,
     serialization_graph,
     serialization_order,
 )
-from repro.theory.schedule import EventKind, ScheduleEvent
 
 _uids = itertools.count(12000)
 

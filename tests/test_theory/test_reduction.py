@@ -1,8 +1,9 @@
-"""Tests for the reduction rules (RED) — exact and polynomial deciders.
+"""Tests for the reduction rules (RED) — the sweep and the exact search.
 
 The hypothesis property at the bottom is the suite's centrepiece: both
 deciders must agree on random small schedules, which cross-validates the
-polynomial algorithm against a literal implementation of Definition 4.
+one-sweep polynomial decider against a literal implementation of
+Definition 4 (the search in ``tests/test_theory/oracles.py``).
 """
 
 import itertools
@@ -10,16 +11,13 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.theory.reduction import (
-    exact_is_reducible,
-    poly_is_reducible,
-    reduce_schedule,
-)
+from repro.theory.reduction import poly_is_reducible, reduce_schedule
 from repro.theory.schedule import (
     EventKind,
     ProcessSchedule,
     ScheduleEvent,
 )
+from tests.test_theory.oracles import exact_is_reducible
 
 _uids = itertools.count(1000)
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ScheduleError
+from repro.theory.reduction import Reduction
 from repro.theory.schedule import (
     EventKind,
     ProcessSchedule,
@@ -66,16 +67,24 @@ class TestQueries:
     def test_conflicting_pairs_are_cross_process_only(self):
         events = [ev(0, 1), ev(1, 1), ev(2, 2)]
         schedule = ProcessSchedule(events, always_conflict)
-        pairs = schedule.conflicting_activity_pairs()
-        assert len(pairs) == 2  # (e0,e2) and (e1,e2)
-        assert all(a.process != b.process for a, b in pairs)
+        # (e0,e2) and (e1,e2), both P1 -> P2; (e0,e1) is same-process.
+        assert Reduction.of(schedule).out == {(1, 0): {(2, 0): 2}}
 
     def test_conflict_respects_matrix(self):
         events = [ev(0, 1, name="x"), ev(1, 2, name="y")]
-        schedule = ProcessSchedule(
-            events, lambda a, b: {a, b} == {"x", "x"}
-        )
-        assert schedule.conflicting_activity_pairs() == []
+        calls = []
+
+        def conflict(a, b):
+            calls.append((a, b))
+            return {a, b} == {"x", "x"}
+
+        schedule = ProcessSchedule(events, conflict)
+        assert schedule.conflicts_of == {
+            "x": frozenset({"x"}),
+            "y": frozenset(),
+        }
+        assert "x" not in schedule.conflicts_of["y"]
+        assert len(calls) == 4  # built once: k² calls for k names
 
     def test_next_point_of_no_return_finds_pivot(self):
         events = [
@@ -85,19 +94,19 @@ class TestQueries:
             ev(3, 1, kind=EventKind.COMMIT),
         ]
         schedule = ProcessSchedule(events, always_conflict)
-        star = schedule.next_point_of_no_return((1, 0), 0)
-        assert star is not None and star.position == 2
+        assert schedule.next_no_return[0].position == 2
+        assert schedule.next_no_return[2].kind is EventKind.COMMIT
 
     def test_next_point_of_no_return_falls_back_to_commit(self):
         events = [ev(0, 1), ev(1, 1, kind=EventKind.COMMIT)]
         schedule = ProcessSchedule(events, always_conflict)
-        star = schedule.next_point_of_no_return((1, 0), 0)
+        star = schedule.next_no_return[0]
         assert star.kind is EventKind.COMMIT
 
     def test_next_point_of_no_return_absent_in_partial(self):
         events = [ev(0, 1), ev(1, 2)]
         schedule = ProcessSchedule(events, always_conflict)
-        assert schedule.next_point_of_no_return((1, 0), 0) is None
+        assert schedule.next_no_return == {}
 
     def test_activities_excludes_terminal_events(self):
         events = [ev(0, 1), ev(1, 1, kind=EventKind.COMMIT)]
