@@ -220,7 +220,7 @@ class ProcessLockingService:
             self.manager = self._make_manager()
         except BaseException:
             # A store opened here from a backend name is ours to close
-            # (a corrupt slot raises out of ``ensure_meta`` / recovery).
+            # (a corrupt slot raises out of the plane or recovery).
             if self.store not in (None, self.config.store):
                 self.store.close()
             raise
@@ -266,11 +266,11 @@ class ProcessLockingService:
                 self.store,
                 self.workload.programs,
                 snapshot_every=self.config.snapshot_every,
-            )
-            self.plane.ensure_meta(
-                protocol=self.config.protocol,
-                seed=self.config.seed,
-                spec=_spec_fingerprint(self.config.spec),
+                identity={
+                    "protocol": self.config.protocol,
+                    "seed": self.config.seed,
+                    "spec": _spec_fingerprint(self.config.spec),
+                },
             )
         protocol = make_protocol(self.config.protocol, self.workload)
         pool = self.workload.make_subsystems()

@@ -29,7 +29,7 @@ import os
 import threading
 
 from repro.errors import StorageError, WalCorruptionError
-from repro.storage.codec import encode_frame, scan_frames
+from repro.storage.codec import HEADER_SIZE, encode_frame, scan_frames
 
 FSYNC_POLICIES = ("always", "batch", "never")
 
@@ -37,6 +37,9 @@ FSYNC_POLICIES = ("always", "batch", "never")
 #: ``heal()`` and the ``namespace`` of its corruption errors.  No
 #: namespace may be called that.
 COMMIT_LOG = "commit"
+
+#: What a commit-log frame adds to its payload: header and tag byte.
+_FRAMING = HEADER_SIZE + 1
 
 
 def _check_policy(fsync: str) -> str:
@@ -88,6 +91,11 @@ class MemoryBackend:
     def count(self, namespace: str) -> int:
         with self._mutex:
             return len(self._frames.get(namespace, ()))
+
+    def size(self, namespace: str) -> int:
+        """Payload bytes held for ``namespace`` (there is no framing)."""
+        with self._mutex:
+            return sum(map(len, self._frames.get(namespace, ())))
 
     def namespaces(self) -> list[str]:
         with self._mutex:
@@ -172,10 +180,12 @@ class AppendLogBackend:
         os.makedirs(self.root, exist_ok=True)
         self._log_path = os.path.join(self.root, COMMIT_LOG + self._SUFFIX)
         self._log = None
-        #: Of the namespaces in the log: id byte, frame count, and the
-        #: payloads of the latest scan that nobody has read yet.
+        #: Of the namespaces in the log: id byte, frame count, frame
+        #: bytes, and the payloads of the latest scan that nobody has
+        #: read yet.
         self._tags: dict[str, bytes] = {}
         self._counts: dict[str, int] = {}
+        self._sizes: dict[str, int] = {}
         self._scanned: dict[str, list[bytes]] = {}
         self._healed: dict[str, int] = {}
         self._unsynced = 0
@@ -212,6 +222,10 @@ class AppendLogBackend:
         self._counts = {
             name: len(payloads) for name, payloads in scanned.items()
         }
+        self._sizes = {
+            name: sum(_FRAMING + len(payload) for payload in payloads)
+            for name, payloads in scanned.items()
+        }
         self._scanned = scanned
         return result
 
@@ -233,6 +247,7 @@ class AppendLogBackend:
         self.bytes_written += len(declaration)
         self._tags[namespace] = tag
         self._counts[namespace] = 0
+        self._sizes[namespace] = 0
         return tag
 
     def _sync(self) -> None:
@@ -297,6 +312,7 @@ class AppendLogBackend:
             self._log.write(frames)
             self._scanned.pop(namespace, None)
             self._counts[namespace] += len(payloads)
+            self._sizes[namespace] += len(frames)
             self.appends += len(payloads)
             self.bytes_written += len(frames)
             if self.fsync == "always":
@@ -331,11 +347,13 @@ class AppendLogBackend:
                     start = end
                 for name in logged:
                     tag = self._tags[name]
-                    frames.extend(
+                    written = [
                         encode_frame(payload, tag)
                         for payload in contents[name]
-                    )
-                    self._counts[name] = len(contents[name])
+                    ]
+                    frames.extend(written)
+                    self._counts[name] = len(written)
+                    self._sizes[name] = sum(map(len, written))
                     self._scanned.pop(name, None)
                 self._log.close()
                 self._swap(self._log_path, b"".join(frames))
@@ -366,6 +384,20 @@ class AppendLogBackend:
                 self._open()
             held = self._counts.get(namespace)
         return len(self._read_slot(namespace)) if held is None else held
+
+    def size(self, namespace: str) -> int:
+        """Bytes ``namespace``'s frames take on disk, headers and tag
+        bytes included, without reading the log for it."""
+        with self._mutex:
+            if self._log is None:
+                self._open()
+            held = self._sizes.get(namespace)
+        if held is not None:
+            return held
+        try:
+            return os.path.getsize(self._slot_path(namespace))
+        except FileNotFoundError:
+            return 0
 
     def namespaces(self) -> list[str]:
         with self._mutex:

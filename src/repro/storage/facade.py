@@ -8,20 +8,23 @@ out narrow repositories over it:
   every reopen so a server cannot replay a journal produced by a
   different world.
 * :class:`JournalRepository` — the scheduler's logical redo journal:
-  one JSON record per submission, terminal outcome or cancel, in the
-  order they were decided.
+  one record per submission, terminal outcome or cancel, in the order
+  they were decided.
 * :class:`SnapshotRepository` — a single-slot checkpoint document
   (atomic whole-namespace replace): live-process state plus the
   journal and trace watermarks it covers.
 * :class:`TraceRepository` — the observed schedule, append-only: each
   checkpoint appends the events recorded since the previous one.
-* :class:`FrameRepository` — ordered JSON records in one namespace;
-  the per-subsystem WAL (``sswal/<name>``) and redo data
-  (``ssdata/<name>``) repositories are instances of it.
+* :class:`FrameRepository` — ordered records in one namespace; the
+  per-subsystem WAL (``sswal/<name>``) and redo data (``ssdata/<name>``)
+  repositories are instances of it.
 
-JSON is canonical (sorted keys, compact separators) so identical
-logical records are identical bytes — the torn-tail property tests
-rely on byte-stable frames.
+Appended records go to disk as positional JSON arrays, through the
+codecs of :mod:`repro.storage.journal` (the one module that knows their
+layout); the two slot documents as canonical JSON objects (sorted keys,
+compact separators).  Either way identical logical records are
+identical bytes — the torn-tail property tests rely on byte-stable
+frames.
 """
 
 from __future__ import annotations
@@ -32,6 +35,13 @@ import tempfile
 from repro import config as repro_config
 from repro.errors import StorageError, WalCorruptionError
 from repro.storage.backend import check_kind, open_backend
+from repro.storage.journal import (
+    JOURNAL,
+    SUBSYSTEM_DATA,
+    SUBSYSTEM_WAL,
+    TRACE,
+    loads,
+)
 
 #: Bumped when the on-disk record formats change shape; a store
 #: written under another version is refused by
@@ -39,7 +49,9 @@ from repro.storage.backend import check_kind, open_backend
 #: document for its own namespace, and finished processes live in
 #: their terminal journal records only.  3: every appended namespace
 #: shares one commit log; only the swapped slots keep a file each.
-FORMAT_VERSION = 3
+#: 4: every appended record is a positional JSON array, its layout
+#: written down once in :mod:`repro.storage.journal`.
+FORMAT_VERSION = 4
 
 META_NS = "meta"
 JOURNAL_NS = "journal"
@@ -55,32 +67,39 @@ _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def dumps(record: dict) -> bytes:
-    """Canonical JSON bytes for one record."""
+    """Canonical JSON bytes for one slot document."""
     return _CANONICAL.encode(record).encode("utf-8")
 
 
-def loads(payload: bytes, namespace: str = "") -> dict:
-    try:
-        return json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WalCorruptionError(
-            f"undecodable record: {exc}", namespace=namespace
-        ) from None
+def codec_for(namespace: str):
+    """The codec of an appended namespace's records; ``None`` for a
+    slot, which holds one keyed document."""
+    if namespace == JOURNAL_NS:
+        return JOURNAL
+    if namespace == TRACE_NS:
+        return TRACE
+    if namespace.startswith(SUBSYSTEM_WAL_PREFIX):
+        return SUBSYSTEM_WAL
+    if namespace.startswith(SUBSYSTEM_DATA_PREFIX):
+        return SUBSYSTEM_DATA
+    return None
 
 
 class FrameRepository:
-    """Ordered JSON records in one backend namespace."""
+    """Ordered records in one backend namespace, through its codec."""
 
     def __init__(self, backend, namespace: str) -> None:
         self._backend = backend
         self.namespace = namespace
+        self._codec = codec_for(namespace)
 
     def append(self, record: dict) -> None:
-        self._backend.append(self.namespace, dumps(record))
+        self._backend.append(self.namespace, self._codec.encode(record))
 
     def records(self) -> list[dict]:
+        decode = self._codec.decode
         return [
-            loads(payload, self.namespace)
+            decode(payload, self.namespace)
             for payload in self._backend.read_all(self.namespace)
         ]
 
@@ -122,7 +141,7 @@ class TraceRepository:
     """The observed schedule ``<_S``, written once per event.
 
     One frame per checkpoint: ``{"start": p, "events": [...]}`` holds
-    the events at trace positions ``p, p+1, ...``.  A checkpoint
+    the rows of the events at trace positions ``p, p+1, ...``.  A checkpoint
     appends (and syncs) its frame *before* its document is swapped in,
     so the document's ``trace_len`` never points past the durable
     trace; a crash between the two steps leaves an orphan frame past
@@ -135,7 +154,7 @@ class TraceRepository:
 
     def append(self, start: int, events: list) -> None:
         self._backend.append(
-            TRACE_NS, dumps({"start": start, "events": events})
+            TRACE_NS, TRACE.encode({"start": start, "events": events})
         )
 
     def events(self, watermark: int = 0) -> list:
@@ -149,7 +168,7 @@ class TraceRepository:
         """
         return self.splice(
             (
-                loads(payload, TRACE_NS)
+                TRACE.decode(payload, TRACE_NS)
                 for payload in self._backend.read_all(TRACE_NS)
             ),
             watermark,
@@ -218,6 +237,16 @@ class MetaRepository:
                 "replay a journal written by a different configuration"
             )
         return current
+
+
+def _check_format(meta: dict) -> None:
+    """Raise unless the identity document ``meta`` is of this format."""
+    have = meta.get("format") if type(meta) is dict else None
+    if have != FORMAT_VERSION:
+        raise StorageError(
+            f"format: store has {have!r}, this release reads "
+            f"{FORMAT_VERSION}"
+        )
 
 
 def _trace_watermark(snapshot: dict | None) -> int:
@@ -307,24 +336,29 @@ class Store:
         }
 
     def verify(self) -> dict:
-        """Walk every namespace; report decodability and corruption.
+        """Walk every namespace; decode every record through its
+        namespace's codec, and report what does not decode.
 
         Returns ``{"ok": bool, "namespaces": {ns: {...}},
         "corrupt": [...]}`` without raising — the CLI maps ``corrupt``
-        to exit code 2.
+        to exit code 2.  A store written under another format is
+        reported against ``meta``.
         """
         report: dict = {"ok": True, "namespaces": {}, "corrupt": []}
         trace: list[dict] = []
         for namespace in self.backend.namespaces():
             entry: dict = {"records": 0, "error": None}
+            codec = codec_for(namespace)
+            decode = loads if codec is None else codec.decode
             try:
                 payloads = self.backend.read_all(namespace)
                 entry["records"] = len(payloads)
-                for payload in payloads:
-                    record = loads(payload, namespace)
-                    if namespace == TRACE_NS:
-                        trace.append(record)
-            except WalCorruptionError as exc:
+                records = [decode(payload, namespace) for payload in payloads]
+                if namespace == META_NS and records:
+                    _check_format(records[-1])
+                if namespace == TRACE_NS:
+                    trace = records
+            except StorageError as exc:
                 entry["error"] = str(exc)
                 report["corrupt"].append(namespace)
                 report["ok"] = False
@@ -347,7 +381,9 @@ class Store:
         return report
 
     def describe(self) -> dict:
-        """Inspection summary: meta, snapshot, journal, trace, subsystems.
+        """Inspection summary: meta, the backend's counters, frames and
+        bytes on disk per namespace, snapshot, journal, trace,
+        subsystems.
 
         Raises :class:`WalCorruptionError` when the trace is shorter
         than the snapshot's watermark, as a restart would.
@@ -356,11 +392,17 @@ class Store:
         journal = self.journal.records()
         kinds: dict[str, int] = {}
         for record in journal:
-            kind = record.get("kind", "?")
-            kinds[kind] = kinds.get(kind, 0) + 1
+            kinds[record["kind"]] = kinds.get(record["kind"], 0) + 1
         return {
             "meta": self.meta.load(),
             "stats": self.stats(),
+            "namespaces": {
+                namespace: {
+                    "frames": self.backend.count(namespace),
+                    "bytes": self.backend.size(namespace),
+                }
+                for namespace in self.backend.namespaces()
+            },
             "journal": {"records": len(journal), "kinds": kinds},
             "snapshot": None
             if snapshot is None
@@ -394,10 +436,8 @@ class Store:
           undecided (no terminal record, not live in the snapshot:
           exactly the pending-initiation processes); everything past
           the watermark stays.  What goes is subsumed: decided and
-          live pids' ``submit`` records, ``cancel`` records, and the
-          ``grant`` / ``wcc`` / ``retry-exhausted`` rows an older
-          journal may still hold.  With no snapshot the journal is
-          untouched.
+          live pids' ``submit`` records, and ``cancel`` records.  With
+          no snapshot the journal is untouched.
         * trace — untouched: every event is written once and the
           post-crash CT / P-RC check needs them all.
         * subsystem WALs — keep only the write records of loser
@@ -423,14 +463,14 @@ class Store:
             latest_terminal = {
                 record["pid"]: index
                 for index, record in enumerate(head)
-                if record.get("kind") == "terminal"
+                if record["kind"] == "terminal"
             }
             kept_head = [
                 record
                 for index, record in enumerate(head)
-                if latest_terminal.get(record.get("pid")) == index
+                if latest_terminal.get(record["pid"]) == index
                 or (
-                    record.get("kind") == "submit"
+                    record["kind"] == "submit"
                     and record["pid"] not in latest_terminal
                     and record["pid"] not in live_pids
                 )
@@ -448,12 +488,12 @@ class Store:
             terminated = {
                 record["txn_id"]
                 for record in records
-                if record.get("kind") != "write"
+                if record["kind"] != "write"
             }
             contents[SUBSYSTEM_WAL_PREFIX + name] = [
                 record
                 for record in records
-                if record.get("kind") == "write"
+                if record["kind"] == "write"
                 and record["txn_id"] not in terminated
             ]
             state: dict[str, dict] = {}
@@ -467,7 +507,7 @@ class Store:
             ]
         self.backend.replace_many(
             {
-                namespace: [dumps(record) for record in records]
+                namespace: list(map(codec_for(namespace).encode, records))
                 for namespace, records in contents.items()
             }
         )

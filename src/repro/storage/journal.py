@@ -1,26 +1,44 @@
 """Serialization between live scheduler state and durable records.
 
-The persistence plane stores four shapes:
+Every record the store *appends* is one positional JSON array, and this
+module is the one place that says which field sits where
+(``docs/persistence.md``, "Record layout", has the table):
 
-* **journal records** — flat dicts appended to
-  :class:`~repro.storage.facade.JournalRepository`: ``submit`` /
-  ``terminal`` / ``cancel``, the redo records recovery reads (a
-  ``cancel`` with no ``terminal`` after it is re-applied).  Stores
-  written before the journal held redo records only also carry
-  ``grant`` / ``wcc`` / ``retry-exhausted`` rows; every reader skips a
-  kind it does not know.
-* **process records** — :class:`~repro.scheduler.events.ProcessRecord`
-  as a plain dict inside terminal journal records, which are the one
-  durable home of a finished process.
-* **trace rows** — the observed schedule's events as positional rows,
-  appended to :class:`~repro.storage.facade.TraceRepository` one frame
+* **journal** — ``submit`` / ``terminal`` / ``cancel``, the redo records
+  recovery reads (a ``cancel`` with no ``terminal`` after it is
+  re-applied).  A ``terminal`` record carries the final
+  :class:`~repro.scheduler.events.ProcessRecord`: it is the one durable
+  home of a finished process.
+* **trace** — the observed schedule's events as rows, one frame of them
   per checkpoint.
-* **checkpoint documents** — what is left of a
-  :class:`~repro.scheduler.recovery.CrashImage` once the trace and the
-  finished processes live elsewhere: the continuations of live and
-  ``awaiting-resubmit`` processes, the records of still-undecided
-  pids, and the journal and trace watermarks (``journal_lsn``,
-  ``trace_len``) the checkpoint covers.
+* **subsystem WAL** (``sswal/<name>``) — ``write`` / ``commit`` /
+  ``abort``.
+* **subsystem data** (``ssdata/<name>``) — ``set`` / ``delete`` redo
+  records.
+
+A record on disk is ``[tag, *fields]``: a one-letter tag naming its kind,
+then its fields in the order :data:`JOURNAL`, :data:`TRACE_ROWS`,
+:data:`SUBSYSTEM_WAL` and :data:`SUBSYSTEM_DATA` list them; no key name
+is stored.  (A trace frame is ``[start, [row, ...]]``: one kind, no
+tag.)  The repositories of :mod:`repro.storage.facade` encode and decode
+through these codecs, so everyone else reads *logical* records — the
+dicts (and trace rows) they always read.  Decoding checks the tag, the
+arity and the type of every field: a row of any other shape is a
+:class:`~repro.errors.WalCorruptionError`, never a ``TypeError`` later.
+
+Two things are not stored because decoding re-derives them exactly: a
+trace row's ``compensatable`` / ``point_of_no_return`` flags, which the
+activity type named by the row fixes (:meth:`ProgramCodec.activity_type`),
+and every field of a commit or abort event but its process (the recorder
+leaves them at their defaults).
+
+The **checkpoint document** is not appended but swapped whole into the
+snapshot slot, as one keyed JSON object: what is left of a
+:class:`~repro.scheduler.recovery.CrashImage` once the trace and the
+finished processes live elsewhere — the continuations of live and
+``awaiting-resubmit`` processes, the records of still-undecided pids,
+and the journal and trace watermarks (``journal_lsn``, ``trace_len``)
+the checkpoint covers.
 
 Programs are referenced by **catalog index**: the persistence plane is
 always bound to a submission catalog (the workload's program list),
@@ -31,10 +49,13 @@ program graphs.
 
 from __future__ import annotations
 
+import json
+from collections.abc import Callable
 from dataclasses import asdict, fields
+from typing import NamedTuple
 
-from repro.errors import StorageError
-from repro.scheduler.events import ProcessRecord
+from repro.errors import StorageError, WalCorruptionError
+from repro.scheduler.events import OUTCOMES, ProcessRecord
 from repro.scheduler.recovery import (
     CrashImage,
     LedgerRecord,
@@ -45,13 +66,19 @@ from repro.theory.schedule import EventKind, ScheduleEvent
 
 
 class ProgramCodec:
-    """Maps catalog programs to stable indexes and back."""
+    """Maps catalog programs to stable indexes and back, and activity
+    type names to the types the catalog's programs invoke."""
 
     def __init__(self, catalog) -> None:
         self.catalog = list(catalog)
         self._index = {
             id(program): index
             for index, program in enumerate(self.catalog)
+        }
+        self._types = {
+            activity_type.name: activity_type
+            for program in self.catalog
+            for activity_type in program.registry
         }
 
     def index_of(self, program) -> int:
@@ -71,6 +98,261 @@ class ProgramCodec:
                 f"snapshot references catalog program {index}, but the "
                 f"catalog only has {len(self.catalog)} entries"
             ) from None
+
+    def activity_type(self, name: str):
+        try:
+            return self._types[name]
+        except KeyError:
+            raise WalCorruptionError(
+                f"the trace names activity type {name!r}, which no "
+                "catalog program's registry defines",
+                namespace="trace",
+            ) from None
+
+
+# ----------------------------------------------------------------------
+# appended records: one positional JSON array each
+# ----------------------------------------------------------------------
+def _int(value) -> bool:
+    return type(value) is int
+
+
+def _number(value) -> bool:
+    return type(value) is int or type(value) is float
+
+
+def _stamp(value) -> bool:
+    """A time that may not have happened."""
+    return value is None or _number(value)
+
+
+def _uid(value) -> bool:
+    """An activity uid that may be absent."""
+    return value is None or _int(value)
+
+
+def _text(value) -> bool:
+    return type(value) is str
+
+
+def _texts(value) -> bool:
+    return type(value) is list and all(type(item) is str for item in value)
+
+
+def _outcome(value) -> bool:
+    return _text(value) and value in OUTCOMES
+
+
+def _json(value) -> bool:
+    """Whatever JSON value the caller stored."""
+    return True
+
+
+class Kind(NamedTuple):
+    """One record kind: the tag that leads its row, then its fields in
+    order, each with the check a decoded value must pass."""
+
+    name: str
+    tag: str
+    fields: tuple[tuple[str, Callable[[object], bool]], ...]
+
+
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
+def _dump_row(row: list) -> bytes:
+    """Compact JSON bytes for one positional row."""
+    return _COMPACT.encode(row).encode("utf-8")
+
+
+def loads(payload: bytes, namespace: str = ""):
+    """The JSON value of one payload, or a typed corruption error."""
+    try:
+        return json.loads(payload.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise WalCorruptionError(
+            f"undecodable record: {exc}", namespace=namespace
+        ) from None
+
+
+class RecordCodec:
+    """The records of one namespace: each one ``[tag, *fields]``.
+
+    A logical record is a dict of its kind's fields plus ``"kind"``;
+    :meth:`split` and :meth:`join` are where a namespace whose records
+    look otherwise says so.
+    """
+
+    def __init__(self, *kinds: Kind) -> None:
+        self.kinds = {kind.name: kind for kind in kinds}
+        self._tags = {kind.tag: kind for kind in kinds}
+
+    def split(self, record: dict) -> tuple[str, dict]:
+        """A logical record's kind and the dict its fields are read from."""
+        return record["kind"], record
+
+    def join(self, kind: str, values: dict) -> dict:
+        """The logical record of a decoded row."""
+        return {"kind": kind, **values}
+
+    def row(self, kind: str, values: dict) -> list:
+        spec = self.kinds[kind]
+        return [spec.tag, *(values[name] for name, _ in spec.fields)]
+
+    def fields(self, row, namespace: str = "") -> tuple[str, dict]:
+        """The kind and fields of a decoded ``row``; raises
+        :class:`WalCorruptionError` unless it has its kind's shape."""
+        spec = (
+            self._tags.get(row[0])
+            if type(row) is list and row and type(row[0]) is str
+            else None
+        )
+        if spec is None:
+            raise WalCorruptionError(
+                f"record {row!r:.80} has no known kind tag",
+                namespace=namespace,
+            )
+        if len(row) != len(spec.fields) + 1:
+            raise WalCorruptionError(
+                f"{spec.name} record {row!r:.80} has {len(row) - 1} "
+                f"fields, not {len(spec.fields)}",
+                namespace=namespace,
+            )
+        for (name, check), value in zip(spec.fields, row[1:]):
+            if not check(value):
+                raise WalCorruptionError(
+                    f"{spec.name} record {row!r:.80}: bad {name} "
+                    f"{value!r:.40}",
+                    namespace=namespace,
+                )
+        return spec.name, {
+            name: value for (name, _), value in zip(spec.fields, row[1:])
+        }
+
+    def encode(self, record: dict) -> bytes:
+        return _dump_row(self.row(*self.split(record)))
+
+    def decode(self, payload: bytes, namespace: str = "") -> dict:
+        return self.join(*self.fields(loads(payload, namespace), namespace))
+
+
+#: A terminal record's :class:`ProcessRecord` fields after ``pid`` (the
+#: record's own, stored once) and ``outcome`` (stored beside them).
+_PROCESS_RECORD = (
+    ("submitted_at", _number),
+    ("committed_at", _stamp),
+    ("intrinsically_aborted_at", _stamp),
+    ("resubmissions", _int),
+    ("cascade_aborts", _int),
+    ("activities_committed", _int),
+    ("compensations", _int),
+    ("compensated_cost", _number),
+    ("compensated_names", _texts),
+    ("compensated_causes", _texts),
+    ("retries", _int),
+)
+
+
+class _JournalCodec(RecordCodec):
+    """A ``terminal`` record nests its process record under
+    ``"record"``; its row holds the fields flat."""
+
+    def split(self, record: dict) -> tuple[str, dict]:
+        if record["kind"] == "terminal":
+            return "terminal", {**record["record"], **record}
+        return record["kind"], record
+
+    def join(self, kind: str, values: dict) -> dict:
+        if kind != "terminal":
+            return {"kind": kind, **values}
+        pid, outcome = values.pop("pid"), values.pop("outcome")
+        return {
+            "kind": kind,
+            "pid": pid,
+            "outcome": outcome,
+            "record": {"pid": pid, **values},
+        }
+
+
+class _DataCodec(RecordCodec):
+    """``{"key", "value"}``, or ``{"key", "deleted": True}``."""
+
+    def split(self, record: dict) -> tuple[str, dict]:
+        return ("delete" if record.get("deleted") else "set"), record
+
+    def join(self, kind: str, values: dict) -> dict:
+        return dict(values, deleted=True) if kind == "delete" else values
+
+
+class _TraceCodec:
+    """A frame ``{"start": p, "events": [row, ...]}`` as ``[p, [row,
+    ...]]``; its rows are :data:`TRACE_ROWS` rows."""
+
+    def encode(self, frame: dict) -> bytes:
+        return _dump_row([frame["start"], frame["events"]])
+
+    def decode(self, payload: bytes, namespace: str = "trace") -> dict:
+        frame = loads(payload, namespace)
+        if not (
+            type(frame) is list
+            and len(frame) == 2
+            and _int(frame[0])
+            and frame[0] >= 0
+            and type(frame[1]) is list
+        ):
+            raise WalCorruptionError(
+                f"trace frame {frame!r:.80} is not [start, [row, ...]]",
+                namespace=namespace,
+            )
+        for row in frame[1]:
+            TRACE_ROWS.fields(row, namespace)
+        return {"start": frame[0], "events": frame[1]}
+
+
+JOURNAL = _JournalCodec(
+    Kind("submit", "s", (("pid", _int), ("program", _int), ("at", _number))),
+    Kind(
+        "terminal",
+        "t",
+        (("pid", _int), ("outcome", _outcome), *_PROCESS_RECORD),
+    ),
+    Kind("cancel", "c", (("pid", _int),)),
+)
+
+#: Trace rows; a kind is named by its :class:`EventKind` value, and the
+#: tags of ``commit`` / ``abort`` are the paper's ``C_i`` / ``A_i``.
+TRACE_ROWS = RecordCodec(
+    Kind(
+        "activity",
+        "a",
+        (
+            ("pid", _int),
+            ("incarnation", _int),
+            ("name", _text),
+            ("uid", _int),
+            ("compensates", _uid),
+        ),
+    ),
+    Kind("commit", "C", (("pid", _int), ("incarnation", _int))),
+    Kind("abort", "A", (("pid", _int), ("incarnation", _int))),
+)
+
+TRACE = _TraceCodec()
+
+SUBSYSTEM_WAL = RecordCodec(
+    Kind(
+        "write",
+        "w",
+        (("lsn", _int), ("txn_id", _int), ("key", _text), ("before", _json)),
+    ),
+    Kind("commit", "c", (("lsn", _int), ("txn_id", _int))),
+    Kind("abort", "a", (("lsn", _int), ("txn_id", _int))),
+)
+
+SUBSYSTEM_DATA = _DataCodec(
+    Kind("set", "s", (("key", _text), ("value", _json))),
+    Kind("delete", "d", (("key", _text),)),
+)
 
 
 # ----------------------------------------------------------------------
@@ -127,34 +409,45 @@ def snapshot_from_dict(data: dict, codec: ProgramCodec) -> ProcessSnapshot:
 # trace events (the splice)
 # ----------------------------------------------------------------------
 def trace_event_to_row(event: ScheduleEvent) -> list:
-    """One event as a positional row for the ``trace`` namespace.
+    """One event as a :data:`TRACE_ROWS` row.
 
     The position is not stored: an event's position *is* its index in
     the trace (:class:`~repro.scheduler.trace.TraceRecorder` numbers
     them so), and each trace frame carries its start position.
     """
-    return [
-        list(event.process),
+    pid, incarnation = event.process
+    return TRACE_ROWS.row(
         event.kind.value,
-        event.name,
-        event.uid,
-        event.compensates,
-        event.compensatable,
-        event.point_of_no_return,
-    ]
+        {
+            "pid": pid,
+            "incarnation": incarnation,
+            "name": event.name,
+            "uid": event.uid,
+            "compensates": event.compensates,
+        },
+    )
 
 
-def trace_event_from_row(row: list, position: int) -> ScheduleEvent:
-    process, kind, name, uid, compensates, compensatable, pnr = row
+def trace_event_from_row(
+    row: list, position: int, codec: ProgramCodec
+) -> ScheduleEvent:
+    """The event ``row`` stands for; ``codec`` knows its activity type."""
+    kind, values = TRACE_ROWS.fields(row, "trace")
+    process = (values["pid"], values["incarnation"])
+    if kind != "activity":
+        return ScheduleEvent(
+            position=position, process=process, kind=EventKind(kind)
+        )
+    activity_type = codec.activity_type(values["name"])
     return ScheduleEvent(
         position=position,
-        process=tuple(process),
-        kind=EventKind(kind),
-        name=name,
-        uid=uid,
-        compensates=compensates,
-        compensatable=compensatable,
-        point_of_no_return=pnr,
+        process=process,
+        kind=EventKind.ACTIVITY,
+        name=values["name"],
+        uid=values["uid"],
+        compensates=values["compensates"],
+        compensatable=activity_type.compensatable,
+        point_of_no_return=activity_type.point_of_no_return,
     )
 
 
@@ -240,7 +533,7 @@ def checkpoint_from_dict(
             for entry in data["processes"]
         ],
         trace_events=[
-            trace_event_from_row(row, position)
+            trace_event_from_row(row, position, codec)
             for position, row in enumerate(trace_rows)
         ],
         records={

@@ -86,10 +86,18 @@ class PersistencePlane:
         store,
         catalog,
         snapshot_every: int = 48,
+        identity: dict | None = None,
     ) -> None:
+        """With ``identity``, the store's identity document is written
+        on first open and verified after
+        (:meth:`~repro.storage.facade.MetaRepository.ensure`) before
+        any record is decoded: a store of another format is refused by
+        name, not by the first record it cannot read."""
         self.store = store
         self.codec = ProgramCodec(catalog)
         self.snapshot_every = snapshot_every
+        if identity is not None:
+            store.meta.ensure(identity)
         # Each namespace is decoded once, here (the backend scanned the
         # log once, at open, and hands the payloads over); recover()
         # consumes and releases the two lists (and counts the time
@@ -113,12 +121,8 @@ class PersistencePlane:
         self.last_recovery: RecoveryInfo | None = None
 
     # ------------------------------------------------------------------
-    # identity & state probes
+    # state probes
     # ------------------------------------------------------------------
-    def ensure_meta(self, **identity) -> None:
-        """Write-or-verify the store's identity document."""
-        self.store.meta.ensure(identity)
-
     def has_state(self) -> bool:
         return self._base_len > 0 or self._document is not None
 
@@ -155,16 +159,14 @@ class PersistencePlane:
         submits: dict[int, int] = {}
         cancels: set[int] = set()
         for entry in self._journal:
-            kind, pid = entry.get("kind"), entry.get("pid")
+            kind, pid = entry["kind"], entry["pid"]
             if kind == "submit":
-                submits[pid] = int(entry["program"])
+                submits[pid] = entry["program"]
             elif kind == "cancel":
                 cancels.add(pid)
-            elif kind == "terminal" and pid not in live:
-                stored = entry.get("record")
+            elif pid not in live:
                 image.records[pid] = record_from_dict(
-                    stored or {"pid": pid, "submitted_at": 0.0},
-                    entry.get("outcome"),
+                    entry["record"], entry["outcome"]
                 )
         image.max_pid = max(image.max_pid, *submits, *image.records, 0)
         decided = {

@@ -120,10 +120,11 @@ class DurableWriteAheadLog(WriteAheadLog):
     """A write-ahead log that also lives on disk.
 
     Same :class:`WalRecord` protocol as the in-memory log; every append
-    writes through to the backing repository (one JSON record per
-    frame), and construction reloads whatever an earlier incarnation
-    left behind — LSNs continue past the highest reloaded one, so the
-    log stays globally ordered across restarts.
+    writes through to the backing repository (one record per frame, in
+    the layout :mod:`repro.storage.journal` gives it), and construction
+    reloads whatever an earlier incarnation left behind — LSNs continue
+    past the highest reloaded one, so the log stays globally ordered
+    across restarts.
     """
 
     def __init__(self, repository) -> None:
@@ -131,7 +132,13 @@ class DurableWriteAheadLog(WriteAheadLog):
         self._repository = repository
         for data in repository.records():
             self._records.append(
-                _record_from_dict(data, repository.namespace)
+                WalRecord(
+                    lsn=data["lsn"],
+                    txn_id=data["txn_id"],
+                    kind=WalKind(data["kind"]),
+                    key=data.get("key", ""),
+                    before=data.get("before"),
+                )
             )
         if self._records:
             self._lsns = itertools.count(
@@ -140,36 +147,15 @@ class DurableWriteAheadLog(WriteAheadLog):
 
     def _append(self, record: WalRecord) -> None:
         super()._append(record)
-        self._repository.append(_record_to_dict(record))
-
-
-def _record_to_dict(record: WalRecord) -> dict:
-    """A ``write`` record carries its key and before-image; a terminal
-    record has neither, and reads back with the defaults."""
-    data = {
-        "lsn": record.lsn,
-        "txn_id": record.txn_id,
-        "kind": record.kind.value,
-    }
-    if record.kind is WalKind.WRITE:
-        data["key"] = record.key
-        data["before"] = record.before
-    return data
-
-
-def _record_from_dict(data: dict, namespace: str = "") -> WalRecord:
-    try:
-        return WalRecord(
-            lsn=int(data["lsn"]),
-            txn_id=int(data["txn_id"]),
-            kind=WalKind(data["kind"]),
-            key=data.get("key", ""),
-            before=data.get("before"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WalCorruptionError(
-            f"malformed WAL record {data!r}: {exc}", namespace=namespace
-        ) from None
+        data = {
+            "lsn": record.lsn,
+            "txn_id": record.txn_id,
+            "kind": record.kind.value,
+        }
+        if record.kind is WalKind.WRITE:
+            data["key"] = record.key
+            data["before"] = record.before
+        self._repository.append(data)
 
 
 def validate_wal(wal: WriteAheadLog) -> None:

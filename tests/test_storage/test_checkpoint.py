@@ -25,8 +25,9 @@ from repro.sim.runner import make_protocol
 from repro.sim.workload import WorkloadSpec, build_workload
 from repro.storage import AppendLogBackend, PersistencePlane, Store
 from repro.storage.codec import encode_frame
-from repro.storage.facade import FORMAT_VERSION, dumps, loads
+from repro.storage.facade import FORMAT_VERSION, dumps
 from repro.storage.journal import (
+    TRACE,
     ProgramCodec,
     snapshot_from_dict,
     snapshot_to_dict,
@@ -219,14 +220,14 @@ def _run_once(tmp_path, count=12) -> None:
 
 def _trace_frames(tmp_path) -> list[dict]:
     return [
-        loads(payload)
+        TRACE.decode(payload)
         for payload in payloads_of(tmp_path / "store", "trace")
     ]
 
 
 def _write_trace(tmp_path, frames: list[dict]) -> None:
     backend = AppendLogBackend(str(tmp_path / "store"), fsync="never")
-    backend.replace("trace", [dumps(frame) for frame in frames])
+    backend.replace("trace", [TRACE.encode(frame) for frame in frames])
     backend.close()
 
 
@@ -295,7 +296,7 @@ def test_orphan_delta_past_watermark_is_ignored(tmp_path, capsys):
 
 def test_v1_store_is_refused_naming_format(tmp_path):
     _run_once(tmp_path, count=2)
-    assert FORMAT_VERSION == 3
+    assert FORMAT_VERSION == 4
     store = Store.open("log", str(tmp_path / "store"))
     store.backend.replace(
         "meta", [dumps(dict(store.meta.load(), format=1))]
@@ -320,9 +321,33 @@ def test_format_2_store_is_refused_naming_format(tmp_path):
         encode_frame(dumps({"kind": "submit", "pid": 1, "program": 0}))
     )
     with pytest.raises(
-        StorageError, match="format: store has 2, caller wants 3"
+        StorageError, match="format: store has 2, caller wants 4"
     ):
         ProcessLockingService(_config(tmp_path))
+
+
+def test_format_3_store_is_refused_naming_both_versions(tmp_path, capsys):
+    """Format 3 kept every appended record as a keyed JSON object in
+    the commit log this release still reads; its meta slot says so,
+    and the meta check refuses it before a record is decoded."""
+    _run_once(tmp_path, count=2)
+    root = tmp_path / "store"
+    store = Store.open("log", str(root))
+    meta = dict(store.meta.load(), format=3)
+    store.close()
+    backend = AppendLogBackend(str(root), fsync="never")
+    backend.replace("meta", [dumps(meta)])
+    backend.append(
+        "journal", dumps({"kind": "submit", "pid": 3, "program": 0})
+    )
+    backend.close()
+    with pytest.raises(
+        StorageError, match="format: store has 3, caller wants 4"
+    ) as caught:
+        ProcessLockingService(_config(tmp_path))
+    assert not isinstance(caught.value, WalCorruptionError)
+    assert repro_main(["store", "verify", "--path", str(root)]) == 2
+    assert "meta: 1 records [format: store has 3" in capsys.readouterr().out
 
 
 def test_document_without_lock_positions_still_loads():

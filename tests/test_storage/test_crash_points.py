@@ -59,7 +59,8 @@ from repro.server.service import ProcessLockingService, ServiceConfig
 from repro.sim.workload import WorkloadSpec
 from repro.storage import AppendLogBackend, Store
 from repro.storage.codec import encode_frame
-from repro.storage.facade import dumps, loads
+from repro.storage.facade import dumps
+from repro.storage.journal import JOURNAL, SUBSYSTEM_DATA, SUBSYSTEM_WAL
 from tests.test_storage.commit_log import (
     LOG_FILE,
     boundaries,
@@ -226,7 +227,7 @@ def _terminals(frames, cut: int) -> dict[int, str]:
     return {
         record["pid"]: record["outcome"]
         for record in (
-            loads(payload)
+            JOURNAL.decode(payload)
             for name, payload, end in frames
             if name == "journal" and end <= cut
         )
@@ -245,11 +246,14 @@ def _settled_records(frames, cut: int) -> dict[str, dict]:
             break
         kind, _, subsystem = name.partition("/")
         if kind == "ssdata":
-            record = loads(payload)
+            record = SUBSYSTEM_DATA.decode(payload)
             records.setdefault(subsystem, {})[record["key"]] = (
                 0 if record.get("deleted") else record["value"]
             )
-        elif kind == "sswal" and loads(payload)["kind"] != "write":
+        elif (
+            kind == "sswal"
+            and SUBSYSTEM_WAL.decode(payload)["kind"] != "write"
+        ):
             settled[subsystem] = {
                 key: value
                 for key, value in records.get(subsystem, {}).items()

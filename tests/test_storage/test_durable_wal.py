@@ -125,7 +125,7 @@ def test_validate_wal_rejects_write_without_key():
 def test_recover_store_surfaces_typed_corruption(tmp_path):
     store = _store(tmp_path)
     repo = store.subsystem_wal("bank")
-    repo.append({"lsn": "not-an-int", "txn_id": 1, "kind": "write"})
+    store.backend.append("sswal/bank", b'["w","not-an-int",1,"k",0]')
     with pytest.raises(WalCorruptionError) as caught:
         DurableWriteAheadLog(repo)
     assert caught.value.namespace == "sswal/bank"

@@ -21,10 +21,24 @@ def _open(tmp_path, kind="log"):
     return Store.open(kind, str(tmp_path / "store"))
 
 
+def _submit(pid: int, program: int = 0) -> dict:
+    return {"kind": "submit", "pid": pid, "program": program, "at": 0.0}
+
+
+def _terminal(pid: int) -> dict:
+    record = ProcessRecord(pid=pid, submitted_at=0.0, committed_at=1.5)
+    return {
+        "kind": "terminal",
+        "pid": pid,
+        "outcome": "committed",
+        "record": record_to_dict(record),
+    }
+
+
 def test_journal_appends_and_reloads(tmp_path):
     store = _open(tmp_path)
-    store.journal.append({"kind": "submit", "pid": 1, "program": 0})
-    store.journal.append({"kind": "terminal", "pid": 1})
+    store.journal.append(_submit(1))
+    store.journal.append(_terminal(1))
     assert store.journal.appended == 2
     assert len(store.journal) == 2
     store.close()
@@ -60,18 +74,20 @@ def test_meta_ensure_writes_then_verifies(tmp_path):
 
 def test_subsystem_repositories_are_namespaced(tmp_path):
     store = _open(tmp_path)
-    store.subsystem_wal("bank").append({"lsn": 1})
-    store.subsystem_wal("shop").append({"lsn": 9})
+    bank = {"lsn": 1, "txn_id": 1, "kind": "commit"}
+    shop = {"lsn": 9, "txn_id": 4, "kind": "abort"}
+    store.subsystem_wal("bank").append(bank)
+    store.subsystem_wal("shop").append(shop)
     store.subsystem_data("bank").append({"key": "k", "value": 3})
-    assert store.subsystem_wal("bank").records() == [{"lsn": 1}]
-    assert store.subsystem_wal("shop").records() == [{"lsn": 9}]
+    assert store.subsystem_wal("bank").records() == [bank]
+    assert store.subsystem_wal("shop").records() == [shop]
     assert sorted(store.subsystem_names()) == ["bank", "shop"]
     store.close()
 
 
 def test_verify_reports_clean_and_corrupt(tmp_path):
     store = _open(tmp_path)
-    store.journal.append({"kind": "submit", "pid": 1})
+    store.journal.append(_submit(1))
     store.close()
     clean = _open(tmp_path)
     report = clean.verify()
@@ -97,17 +113,20 @@ def test_compact_drops_decided_journal_and_won_wal(tmp_path):
     store = _open(tmp_path)
     store.meta.ensure({"world": "w"})
     # Journal: pid 1 decided, pid 2 still pending at the watermark.
-    store.journal.append({"kind": "submit", "pid": 1, "program": 0})
-    store.journal.append({"kind": "submit", "pid": 2, "program": 1})
-    store.journal.append({"kind": "grant", "pid": 1, "name": "a"})
-    store.journal.append({"kind": "terminal", "pid": 1})
-    store.snapshots.save({"journal_lsn": 4, "processes": []})
-    store.journal.append({"kind": "submit", "pid": 3, "program": 0})
+    store.journal.append(_submit(1))
+    store.journal.append(_submit(2, program=1))
+    store.journal.append(_terminal(1))
+    store.snapshots.save({"journal_lsn": 3, "processes": []})
+    store.journal.append(_submit(3))
     # Subsystem WAL: txn 1 committed (droppable), txn 2 a loser.
     wal = store.subsystem_wal("bank")
-    wal.append({"lsn": 1, "txn_id": 1, "kind": "write", "key": "k"})
+    wal.append(
+        {"lsn": 1, "txn_id": 1, "kind": "write", "key": "k", "before": 0}
+    )
     wal.append({"lsn": 2, "txn_id": 1, "kind": "commit"})
-    wal.append({"lsn": 3, "txn_id": 2, "kind": "write", "key": "k"})
+    wal.append(
+        {"lsn": 3, "txn_id": 2, "kind": "write", "key": "k", "before": 0}
+    )
     # Subsystem data: three versions of one key.
     data = store.subsystem_data("bank")
     data.append({"key": "k", "value": 1})
@@ -132,15 +151,15 @@ def test_compact_drops_decided_journal_and_won_wal(tmp_path):
     assert store.subsystem_data("bank").records() == [
         {"key": "k", "value": 2}
     ]
-    assert report["before"]["journal"] == 5
+    assert report["before"]["journal"] == 4
     assert report["after"]["journal"] == 3
-    assert report["dropped"]["journal"] == 2
+    assert report["dropped"]["journal"] == 1
     store.close()
 
 
 def test_compact_without_snapshot_keeps_journal(tmp_path):
     store = _open(tmp_path)
-    store.journal.append({"kind": "submit", "pid": 1, "program": 0})
+    store.journal.append(_submit(1))
     store.compact()
     assert len(store.journal.records()) == 1
     store.close()
@@ -148,7 +167,7 @@ def test_compact_without_snapshot_keeps_journal(tmp_path):
 
 def test_stats_shape(tmp_path):
     store = _open(tmp_path)
-    store.journal.append({"kind": "submit", "pid": 1})
+    store.journal.append(_submit(1))
     stats = store.stats()
     assert stats["kind"] == "log"
     assert stats["appends"] == 1
@@ -159,7 +178,7 @@ def test_stats_shape(tmp_path):
 
 def test_open_memory_backend(tmp_path):
     store = Store.open("memory", str(tmp_path))
-    store.journal.append({"kind": "submit", "pid": 1})
+    store.journal.append(_submit(1))
     assert len(store.journal) == 1
     store.close()
 

@@ -35,6 +35,13 @@ counts became one fold over the event stream: ``activity.commit`` gained
 ``undone`` and ``cause`` (the cost a compensation undid and its run's
 label, ``null`` on a regular commit); with those two keys taken out of
 every frame the old digest returns.
+``journal`` and ``trace`` were recorded once more when every appended
+record became a positional array (store format 4): decoded through the
+codec and written again as format 3 wrote them — keyed, sorted JSON
+objects, each trace row with its ``compensatable`` /
+``point_of_no_return`` flags — both hash to the digests recorded before
+it, which ``AS_FORMAT_3`` keeps and the session re-derives every run;
+``frames``, ``gauges`` and the five schedule digests did not move.
 
 The scripted session runs in a fresh interpreter: its records carry
 activity uids as they are, and those come from a module-global counter
@@ -48,14 +55,19 @@ import json
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 from repro.server.service import ProcessLockingService, ServiceConfig
 from repro.sim.workload import WorkloadSpec
-from repro.storage import AppendLogBackend, Store
-from repro.storage.facade import dumps, loads
-from tests.test_storage.commit_log import log_frames, log_path, namespace_bytes
+from repro.storage import Store, encode_frame
+from repro.storage.facade import dumps
+from repro.storage.journal import (
+    JOURNAL,
+    TRACE,
+    ProgramCodec,
+    trace_event_from_row,
+)
+from tests.test_storage.commit_log import namespace_bytes, payloads_of
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -70,10 +82,10 @@ CONTENDED = WorkloadSpec(
 #: Recorded by ``python -c "...session(sys.argv[1])"``.
 RECORDED = {
     "journal": (
-        "0dfe920375313b5b3cb6dbf29897953b016dacec3c505ad97781eb0aa6c56d26"
+        "3ddb3bb993b697fa68dbf39dac02db325d1e0c43c170b52da68d5b64ed231fe6"
     ),
     "trace": (
-        "269abfff52f3831d49c29434548f848a66525985a364e90a374acc1bb975405e"
+        "81d36f64fab7e88d6b568a76f66e2f1d1af49e442ced2bc3857799cb5d1f5863"
     ),
     "frames": (
         "c384ac3cd8c17ae891911f7fa9412cad480688cae67aa957f142a8818a8873cf"
@@ -83,18 +95,70 @@ RECORDED = {
     ),
 }
 
+#: ``journal`` and ``trace`` as recorded while the store wrote format 3,
+#: which the session's namespaces, re-encoded as format 3, still equal.
+AS_FORMAT_3 = {
+    "journal_as_format_3": (
+        "0dfe920375313b5b3cb6dbf29897953b016dacec3c505ad97781eb0aa6c56d26"
+    ),
+    "trace_as_format_3": (
+        "269abfff52f3831d49c29434548f848a66525985a364e90a374acc1bb975405e"
+    ),
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _as_format_3(store_path: str, programs) -> dict[str, str]:
+    """Digests of the journal and trace namespaces decoded and written
+    again as format 3 wrote them."""
+    codec = ProgramCodec(programs)
+
+    def trace_frame(payload: bytes) -> dict:
+        frame = TRACE.decode(payload)
+        events = (
+            trace_event_from_row(row, position, codec)
+            for position, row in enumerate(frame["events"], frame["start"])
+        )
+        return dict(
+            frame,
+            events=[
+                [
+                    list(event.process),
+                    event.kind.value,
+                    event.name,
+                    event.uid,
+                    event.compensates,
+                    event.compensatable,
+                    event.point_of_no_return,
+                ]
+                for event in events
+            ],
+        )
+
+    return {
+        f"{namespace}_as_format_3": _sha256(
+            b"".join(
+                encode_frame(dumps(decode(payload)))
+                for payload in payloads_of(store_path, namespace)
+            )
+        )
+        for namespace, decode in (
+            ("journal", JOURNAL.decode),
+            ("trace", trace_frame),
+        )
+    }
 
 
 def session(store_path: str) -> dict[str, str]:
     """Three contended bursts through a durable in-thread service with
     a ``*`` subscriber; digests of the journal and trace namespaces
     (each one's frames end to end — byte for byte the file it had to
-    itself when these were recorded; the commit log only changed the
-    container), of the subscriber's frames and of the gauges a
-    ``metrics`` verb returns after the last drain."""
+    itself before format 3; the commit log only changed the container),
+    of the two as format 3 wrote them, of the subscriber's frames and of
+    the gauges a ``metrics`` verb returns after the last drain."""
     service = ProcessLockingService(
         ServiceConfig(
             spec=CONTENDED,
@@ -132,6 +196,7 @@ def session(store_path: str) -> dict[str, str]:
         "trace": _sha256(namespace_bytes(store_path, "trace")),
         "frames": _sha256("\n".join(frames).encode()),
         "gauges": _sha256(json.dumps(gauges, sort_keys=True).encode()),
+        **_as_format_3(store_path, service.workload.programs),
     }
 
 
@@ -151,7 +216,7 @@ def test_session_digests_match_recorded(tmp_path):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == RECORDED
+    assert json.loads(done.stdout) == {**RECORDED, **AS_FORMAT_3}
 
 
 # ----------------------------------------------------------------------
@@ -201,126 +266,3 @@ def test_a_contended_grounded_session_journals_redo_records_only(
         store.close()
     assert set(kinds) <= REDO_KINDS
     assert kinds["submit"] == 32 and kinds["terminal"] >= 32
-
-
-def _crash_after_one_acknowledged_burst(path) -> list[dict]:
-    """A burst acknowledged, a second one journaled and run but killed
-    before its drain's ``after_drain``; the first burst's outcomes."""
-    first = ProcessLockingService(
-        ServiceConfig(
-            spec=GROUNDED,
-            seed=5,
-            store="log",
-            store_path=str(path),
-            store_fsync="never",
-            snapshot_every=8,
-        )
-    )
-    post_drain = first._post_drain
-    armed = threading.Event()
-    first._post_drain = lambda: (
-        first._stop.set() if armed.is_set() else post_drain()
-    )
-    first.start()
-    acknowledged = first.execute(
-        {"cmd": "submit", "count": 16, "wait": True}
-    ).result(timeout=60)
-    armed.set()
-    first.execute({"cmd": "submit", "count": 16, "wait": True})
-    first._thread.join(timeout=30)
-    assert not first._thread.is_alive()
-    return acknowledged["outcomes"]
-
-
-def _with_provenance_rows(source, target) -> int:
-    """Copy the store at ``source`` to ``target`` as an older release
-    would have written it: a ``grant``, a ``wcc`` and a
-    ``retry-exhausted`` row (the shapes its journal tee wrote) after
-    every ``submit``, the snapshot's journal watermark moved past the
-    rows it now covers.  Returns the rows added."""
-    reader = Store.open("log", str(source), fsync="never")
-    meta, document = reader.meta.load(), reader.snapshots.load()
-    reader.close()
-    writer = AppendLogBackend(str(target), fsync="never")
-    writer.replace("meta", [dumps(meta)])
-    seen = added = 0
-    watermark = document["journal_lsn"]
-    for namespace, payload, _ in log_frames(log_path(source).read_bytes()):
-        writer.append(namespace, payload)
-        if namespace != "journal":
-            continue
-        seen += 1
-        record = loads(payload)
-        if record["kind"] == "submit":
-            pid, stamp = record["pid"], float(record["pid"])
-            for row in (
-                {"kind": "grant", "t": stamp, "pid": pid, "name": "a0",
-                 "mode": "C", "position": pid},
-                {"kind": "wcc", "t": stamp, "pid": pid, "name": "a0",
-                 "mode": "C", "wcc": 1.5, "pseudo_pivot": False},
-                {"kind": "retry-exhausted", "t": stamp, "pid": pid,
-                 "name": "a0", "attempts": 3},
-            ):
-                writer.append("journal", dumps(row))
-                added += 1
-                if seen <= watermark:
-                    document["journal_lsn"] += 1
-    writer.replace("snapshot", [dumps(document)])
-    writer.close()
-    return added
-
-
-def _restart(path) -> dict:
-    service = _durable(path)
-    try:
-        recovery = service.recovery
-        service.execute({"cmd": "ping"}).result(timeout=60)
-        statuses = [
-            service.execute({"cmd": "status", "pid": pid}).result(
-                timeout=30
-            )
-            for pid in range(1, 33)
-        ]
-        report = service.execute({"cmd": "check"}).result(timeout=60)
-        return {
-            "recovered": (
-                recovery.restored,
-                recovery.resubmitted,
-                recovery.adopted,
-            ),
-            "statuses": statuses,
-            "report": report,
-        }
-    finally:
-        service.stop()
-
-
-def test_a_store_with_provenance_rows_recovers_the_same_outcomes(
-    tmp_path,
-):
-    """Older releases journaled ``grant`` / ``wcc`` / ``retry-exhausted``
-    rows next to the redo records; no reader ever needed them, so such a
-    store still opens, verifies and recovers exactly what the
-    same store without them recovers."""
-    plain, older = tmp_path / "plain", tmp_path / "older"
-    acknowledged = _crash_after_one_acknowledged_burst(plain)
-    assert _with_provenance_rows(plain, older) == 3 * 32
-    store = Store.open("log", str(older))
-    try:
-        assert store.verify()["ok"]
-        kinds = store.describe()["journal"]["kinds"]
-    finally:
-        store.close()
-    assert kinds["grant"] == kinds["wcc"] == kinds["submit"] == 32
-
-    expected, got = _restart(plain), _restart(older)
-    assert got == expected
-    assert expected["recovered"][0] == 16  # the acknowledged burst
-    assert expected["report"]["complete"]
-    assert expected["report"]["correct_termination"]
-    assert expected["report"]["process_recoverable"]
-    outcomes = {row["pid"]: row["outcome"] for row in acknowledged}
-    for status in got["statuses"]:
-        assert status["state"] == "done"
-        if status["pid"] in outcomes:
-            assert status["outcome"] == outcomes[status["pid"]]

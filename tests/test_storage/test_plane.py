@@ -166,11 +166,17 @@ def test_meta_mismatch_refuses_foreign_store(tmp_path):
 
     workload = build_workload(SPEC)
     store = Store.open("log", str(tmp_path / "store"))
-    plane, __, ___ = _build(workload, store)
-    plane.ensure_meta(protocol="process-locking", seed=5)
+    PersistencePlane(
+        store,
+        workload.programs,
+        identity={"protocol": "process-locking", "seed": 5},
+    )
     store.close()
     store2 = Store.open("log", str(tmp_path / "store"))
-    plane2 = PersistencePlane(store2, workload.programs)
     with pytest.raises(StorageError):
-        plane2.ensure_meta(protocol="process-locking", seed=99)
+        PersistencePlane(
+            store2,
+            workload.programs,
+            identity={"protocol": "process-locking", "seed": 99},
+        )
     store2.close()

@@ -1,0 +1,422 @@
+"""The positional record codec: every kind round-trips, and a row of
+any other shape is refused, typed, by decode, ``verify`` and restart.
+
+``repro.storage.journal`` owns the layout of every appended record
+(``docs/persistence.md``, "Record layout").  Encoding then decoding must
+give back the logical record the caller handed in — the fields a row
+leaves out (a trace row's two flags, the defaults of a commit or abort
+event) included.
+"""
+
+from __future__ import annotations
+
+import json
+import shutil
+from dataclasses import fields
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from repro.activities.registry import ActivityRegistry
+from repro.cli import main as repro_main
+from repro.errors import WalCorruptionError
+from repro.scheduler.events import OUTCOMES, ProcessRecord
+from repro.server.service import ProcessLockingService, ServiceConfig
+from repro.sim.workload import WorkloadSpec
+from repro.storage import AppendLogBackend, Store
+from repro.storage.facade import codec_for
+from repro.storage.journal import (
+    JOURNAL,
+    SUBSYSTEM_DATA,
+    SUBSYSTEM_WAL,
+    TRACE,
+    ProgramCodec,
+    record_to_dict,
+    trace_event_from_row,
+    trace_event_to_row,
+)
+from repro.theory.schedule import EventKind, ScheduleEvent
+from tests.test_storage.commit_log import log_frames, log_path
+
+# ----------------------------------------------------------------------
+# round trips
+# ----------------------------------------------------------------------
+#: Any float JSON writes back as itself (NaN is not equal to itself).
+TIMES = st.floats(allow_nan=False)
+STAMPS = st.none() | TIMES
+COUNTS = st.integers(min_value=0)
+IDS = st.integers(min_value=1)
+NAMES = st.lists(st.text(max_size=8), max_size=4)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | TIMES | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=16,
+)
+
+PROCESS_RECORDS = st.builds(
+    ProcessRecord,
+    pid=IDS,
+    submitted_at=TIMES,
+    committed_at=STAMPS,
+    intrinsically_aborted_at=STAMPS,
+    resubmissions=COUNTS,
+    cascade_aborts=COUNTS,
+    activities_committed=COUNTS,
+    compensations=COUNTS,
+    compensated_cost=TIMES,
+    compensated_names=NAMES,
+    compensated_causes=NAMES,
+    retries=COUNTS,
+)
+
+
+def _terminal(record: ProcessRecord, outcome: str) -> dict:
+    return {
+        "kind": "terminal",
+        "pid": record.pid,
+        "outcome": outcome,
+        "record": record_to_dict(record),
+    }
+
+
+JOURNAL_RECORDS = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "kind": st.just("submit"),
+            "pid": IDS,
+            "program": COUNTS,
+            "at": TIMES,
+        }
+    ),
+    st.builds(_terminal, PROCESS_RECORDS, st.sampled_from(OUTCOMES)),
+    st.fixed_dictionaries({"kind": st.just("cancel"), "pid": IDS}),
+)
+
+WAL_RECORDS = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "lsn": IDS,
+            "txn_id": IDS,
+            "kind": st.just("write"),
+            "key": st.text(min_size=1, max_size=8),
+            "before": JSON,
+        }
+    ),
+    st.fixed_dictionaries(
+        {
+            "lsn": IDS,
+            "txn_id": IDS,
+            "kind": st.sampled_from(("commit", "abort")),
+        }
+    ),
+)
+
+DATA_RECORDS = st.one_of(
+    st.fixed_dictionaries({"key": st.text(max_size=8), "value": JSON}),
+    st.fixed_dictionaries(
+        {"key": st.text(max_size=8), "deleted": st.just(True)}
+    ),
+)
+
+FULL_PRECISION = 27.46395300100484
+COMPENSATED = ProcessRecord(
+    pid=7,
+    submitted_at=0.1 + 0.2,
+    committed_at=None,
+    intrinsically_aborted_at=FULL_PRECISION,
+    compensations=2,
+    compensated_cost=5.905359695180615,
+    compensated_names=["act00", "act01"],
+    compensated_causes=["intrinsic-abort", "protocol-abort"],
+)
+
+
+@given(JOURNAL_RECORDS)
+@example({"kind": "submit", "pid": 3, "program": 2, "at": FULL_PRECISION})
+@example(_terminal(COMPENSATED, "aborted"))
+@example(_terminal(ProcessRecord(pid=1, submitted_at=0.0), "starved"))
+def test_journal_records_round_trip(record):
+    assert JOURNAL.decode(JOURNAL.encode(record)) == record
+
+
+@given(WAL_RECORDS)
+@example({"lsn": 4, "txn_id": 2, "kind": "abort"})
+@example(
+    {"lsn": 1, "txn_id": 1, "kind": "write", "key": "k", "before": None}
+)
+def test_wal_records_round_trip(record):
+    assert SUBSYSTEM_WAL.decode(SUBSYSTEM_WAL.encode(record)) == record
+
+
+@given(DATA_RECORDS)
+@example({"key": "k", "deleted": True})
+@example({"key": "k", "value": {"balance": FULL_PRECISION}})
+def test_data_records_round_trip(record):
+    assert SUBSYSTEM_DATA.decode(SUBSYSTEM_DATA.encode(record)) == record
+
+
+def _registry() -> ActivityRegistry:
+    registry = ActivityRegistry()
+    registry.define_compensatable("book", "s", 1.0, 0.5)
+    registry.define_pivot("pay", "s", 2.0)
+    registry.define_retriable("ship", "s", 1.0)
+    return registry
+
+
+REGISTRY = _registry()
+#: The trace codec finds activity types through the catalog's programs.
+CODEC = ProgramCodec([SimpleNamespace(registry=REGISTRY)])
+
+
+@st.composite
+def schedule_events(draw, position: int = 0) -> ScheduleEvent:
+    process = (draw(IDS), draw(COUNTS))
+    kind = draw(st.sampled_from(EventKind))
+    if kind is not EventKind.ACTIVITY:
+        return ScheduleEvent(position=position, process=process, kind=kind)
+    activity_type = draw(st.sampled_from(list(REGISTRY)))
+    return ScheduleEvent(
+        position=position,
+        process=process,
+        kind=kind,
+        name=activity_type.name,
+        uid=draw(IDS),
+        compensates=draw(IDS) if activity_type.is_compensation else None,
+        compensatable=activity_type.compensatable,
+        point_of_no_return=activity_type.point_of_no_return,
+    )
+
+
+@given(COUNTS, st.lists(schedule_events(), max_size=8))
+def test_trace_frames_round_trip_every_event_kind(start, drawn):
+    """The flags come back from the registry, a commit or abort event's
+    defaults from the event kind: each decoded event equals the event
+    the recorder made."""
+    events = [
+        ScheduleEvent(**{**vars(event), "position": start + offset})
+        for offset, event in enumerate(drawn)
+    ]
+    frame = {"start": start, "events": list(map(trace_event_to_row, events))}
+    decoded = TRACE.decode(TRACE.encode(frame))
+    assert decoded == frame
+    assert [
+        trace_event_from_row(row, start + offset, CODEC)
+        for offset, row in enumerate(decoded["events"])
+    ] == events
+
+
+def test_every_event_kind_and_flag_combination_round_trips():
+    kinds = set()
+    events = [
+        ScheduleEvent(position=0, process=(1, 0), kind=EventKind.COMMIT),
+        ScheduleEvent(position=1, process=(2, 3), kind=EventKind.ABORT),
+    ]
+    for activity_type in REGISTRY:
+        events.append(
+            ScheduleEvent(
+                position=len(events),
+                process=(4, 1),
+                kind=EventKind.ACTIVITY,
+                name=activity_type.name,
+                uid=len(events) + 10,
+                compensates=1 if activity_type.is_compensation else None,
+                compensatable=activity_type.compensatable,
+                point_of_no_return=activity_type.point_of_no_return,
+            )
+        )
+    for event in events:
+        kinds.add((event.kind, event.compensatable, event.point_of_no_return))
+        row = trace_event_to_row(event)
+        assert trace_event_from_row(row, event.position, CODEC) == event
+    assert {kind for kind, _, _ in kinds} == set(EventKind)
+    # compensatable, pivot / retriable, and compensation activities.
+    assert {(c, p) for kind, c, p in kinds if kind is EventKind.ACTIVITY} == {
+        (True, False),
+        (False, True),
+        (False, False),
+    }
+
+
+def test_the_terminal_layout_holds_every_process_record_field():
+    stored = {name for name, _ in JOURNAL.kinds["terminal"].fields}
+    assert stored == {spec.name for spec in fields(ProcessRecord)}
+
+
+def test_no_key_name_goes_to_disk():
+    record = _terminal(COMPENSATED, "aborted")
+    assert JOURNAL.encode(record) == (
+        b'["t",7,"aborted",0.30000000000000004,null,27.46395300100484,'
+        b'0,0,0,2,5.905359695180615,["act00","act01"],'
+        b'["intrinsic-abort","protocol-abort"],0]'
+    )
+    assert SUBSYSTEM_WAL.encode(
+        {"lsn": 2, "txn_id": 1, "kind": "write", "key": "k", "before": 0}
+    ) == b'["w",2,1,"k",0]'
+    assert SUBSYSTEM_DATA.encode({"key": "k", "deleted": True}) == (
+        b'["d","k"]'
+    )
+
+
+# ----------------------------------------------------------------------
+# malformed rows
+# ----------------------------------------------------------------------
+#: Per namespace: a wrong-arity row, an unknown kind tag, a record of
+#: the keyed format 3, and a field of the wrong type.
+MALFORMED = {
+    "journal": (
+        b'["s",1,0]',
+        b'["q",1]',
+        b'{"at":0.0,"kind":"submit","pid":1,"program":0}',
+        b'["s","1",0,0.0]',
+    ),
+    "trace": (
+        b'[0,[["a",1,0,"book",1]]]',
+        b'[0,[["z",1,0]]]',
+        b'{"events":[[[1,0],"commit","",0,null,false,false]],"start":0}',
+        b'[0,[["C",1,"0"]]]',
+    ),
+    "sswal/a": (
+        b'["w",1,1,"k"]',
+        b'["x",1,1]',
+        b'{"kind":"commit","lsn":1,"txn_id":1}',
+        b'["c",1,true]',
+    ),
+    "ssdata/a": (
+        b'["s","k"]',
+        b'["u","k"]',
+        b'{"key":"k","value":1}',
+        b'["d",3]',
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "namespace, payload",
+    [
+        (namespace, payload)
+        for namespace, payloads in MALFORMED.items()
+        for payload in payloads
+    ],
+)
+def test_a_malformed_row_is_refused_typed(namespace, payload):
+    with pytest.raises(WalCorruptionError) as caught:
+        codec_for(namespace).decode(payload, namespace)
+    assert caught.value.namespace == namespace
+
+
+@pytest.mark.parametrize(
+    "payload", (b"[1,2]", b"[]", b"7", b'[-1,[]]', b"[0,{}]")
+)
+def test_a_malformed_trace_frame_is_refused_typed(payload):
+    with pytest.raises(WalCorruptionError):
+        TRACE.decode(payload)
+
+
+def test_an_unknown_activity_name_is_refused_typed():
+    with pytest.raises(WalCorruptionError) as caught:
+        trace_event_from_row(["a", 1, 0, "nope", 3, None], 0, CODEC)
+    assert caught.value.namespace == "trace"
+
+
+# ----------------------------------------------------------------------
+# through the store: verify, restart and describe
+# ----------------------------------------------------------------------
+SPEC = WorkloadSpec(
+    n_processes=6,
+    conflict_density=0.4,
+    failure_probability=0.08,
+    grounded=True,
+    seed=5,
+)
+
+
+def _config(path) -> ServiceConfig:
+    return ServiceConfig(
+        spec=SPEC,
+        seed=5,
+        store="log",
+        store_path=str(path),
+        store_fsync="never",
+        snapshot_every=4,
+    )
+
+
+@pytest.fixture(scope="module")
+def served(tmp_path_factory):
+    """A grounded store, six processes in: every namespace kind in it."""
+    path = tmp_path_factory.mktemp("served") / "store"
+    service = ProcessLockingService(_config(path)).start()
+    for program in range(6):
+        service.execute(
+            {"cmd": "submit", "program": program, "wait": True}
+        ).result(timeout=60)
+    service.stop()
+    return path
+
+
+@pytest.mark.parametrize("shape", (0, 1, 2), ids=("arity", "tag", "format-3"))
+@pytest.mark.parametrize("kind", tuple(MALFORMED))
+def test_verify_and_restart_refuse_a_malformed_row(
+    served, tmp_path, capsys, kind, shape
+):
+    path = tmp_path / "store"
+    shutil.copytree(served, path)
+    namespace = kind.replace("/a", "/" + _subsystem(path))
+    backend = AppendLogBackend(str(path), fsync="never")
+    backend.append(namespace, MALFORMED[kind][shape])
+    backend.close()
+    capsys.readouterr()
+    assert repro_main(["store", "verify", "--path", str(path), "--json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["corrupt"] == [namespace]
+    assert report["namespaces"][namespace]["error"]
+    with pytest.raises(WalCorruptionError) as caught:
+        ProcessLockingService(_config(path))
+    assert caught.value.namespace == namespace
+
+
+def _subsystem(path) -> str:
+    store = Store.open("log", str(path))
+    try:
+        return store.subsystem_names()[0]
+    finally:
+        store.close()
+
+
+def test_describe_reports_frames_and_bytes_per_namespace(
+    served, tmp_path, capsys
+):
+    path = tmp_path / "store"
+    shutil.copytree(served, path)
+    expected: dict[str, list[int]] = {}
+    for namespace, payload, _ in log_frames(log_path(path).read_bytes()):
+        entry = expected.setdefault(namespace, [0, 0])
+        entry[0] += 1
+        entry[1] += 8 + 1 + len(payload)  # header, tag byte, payload
+    for slot in ("meta", "snapshot"):
+        expected[slot] = [1, (path / f"{slot}.log").stat().st_size]
+    store = Store.open("log", str(path))
+    try:
+        described = store.describe()["namespaces"]
+        assert {
+            name: [entry["frames"], entry["bytes"]]
+            for name, entry in described.items()
+        } == expected
+        assert {"journal", "trace"} < set(described)
+        assert any(name.startswith("sswal/") for name in described)
+        # An append counts at once, as the next open's scan would.
+        store.journal.append({"kind": "cancel", "pid": 1})
+        grown = store.describe()["namespaces"]["journal"]
+        assert grown == {
+            "frames": expected["journal"][0] + 1,
+            "bytes": expected["journal"][1] + 9 + len(b'["c",1]'),
+        }
+    finally:
+        store.close()
+    capsys.readouterr()
+    assert repro_main(["store", "inspect", "--path", str(path)]) == 0
+    shown = capsys.readouterr().out
+    assert '"namespaces"' in shown and '"bytes"' in shown
