@@ -2,8 +2,8 @@
 
 Pins what ``repro serve --store`` costs over the in-memory default on
 one contended grounded workload, end to end: journaled submissions,
-write-through subsystem WALs and record stores, terminal records, a
-final snapshot, and batch fsync.  The factor is recorded to
+one redo frame per committed subsystem transaction, terminal records,
+a final snapshot, and batch fsync.  The factor is recorded to
 ``BENCH_durability.json`` and asserted under a ceiling — the headline
 claim is that full kill-9 durability stays within a small constant
 factor of the in-memory run, so anything accidentally quadratic on the
@@ -31,7 +31,7 @@ BENCH_PATH = (
 )
 
 #: Grounded (every activity is a real subsystem transaction, so the
-#: WAL write-through path is exercised), contended, big enough for
+#: subsystem commit path is exercised), contended, big enough for
 #: stable timing.
 SPEC = WorkloadSpec(
     n_processes=60,
@@ -123,7 +123,7 @@ def test_durable_log_overhead_is_bounded(uid_floor):
             {
                 "description": (
                     "fully durable run (journal + snapshot + "
-                    "write-through subsystem WAL/data, batch fsync) "
+                    "one redo frame per subsystem commit, batch fsync) "
                     "vs the in-memory default on one grounded "
                     "contended workload; schedules asserted "
                     "byte-identical; all walls min-of-2"

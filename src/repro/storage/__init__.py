@@ -4,9 +4,9 @@ The paper assumes the bottom-layer subsystems are real transactional
 systems that survive crashes; this package makes the reproduction live
 up to that.  A pluggable :class:`~repro.storage.facade.Store` (append-
 only CRC32-framed log or volatile memory — see
-:mod:`repro.storage.backend`) persists the subsystem write-ahead logs,
-the subsystem record stores, and the process manager's state as a
-logical redo journal with periodic snapshots; the
+:mod:`repro.storage.backend`) persists the subsystems' committed
+transactions, one redo frame each, and the process manager's state as
+a logical redo journal with periodic snapshots; the
 :class:`~repro.storage.plane.PersistencePlane` replays all of it
 through the existing crash-recovery machinery on restart, so a
 ``kill -9``'d server comes back and drives every in-flight process to

@@ -15,9 +15,9 @@ out narrow repositories over it:
   journal and trace watermarks it covers.
 * :class:`TraceRepository` — the observed schedule, append-only: each
   checkpoint appends the events recorded since the previous one.
-* :class:`FrameRepository` — ordered records in one namespace; the
-  per-subsystem WAL (``sswal/<name>``) and redo data (``ssdata/<name>``)
-  repositories are instances of it.
+* :class:`FrameRepository` — ordered records in one namespace; each
+  subsystem's redo data (``ssdata/<name>``, one frame per committed
+  transaction) is an instance of it.
 
 Appended records go to disk as positional JSON arrays, through the
 codecs of :mod:`repro.storage.journal` (the one module that knows their
@@ -35,13 +35,7 @@ import tempfile
 from repro import config as repro_config
 from repro.errors import StorageError, WalCorruptionError
 from repro.storage.backend import check_kind, open_backend
-from repro.storage.journal import (
-    JOURNAL,
-    SUBSYSTEM_DATA,
-    SUBSYSTEM_WAL,
-    TRACE,
-    loads,
-)
+from repro.storage.journal import JOURNAL, SUBSYSTEM_DATA, TRACE, loads
 
 #: Bumped when the on-disk record formats change shape; a store
 #: written under another version is refused by
@@ -50,14 +44,15 @@ from repro.storage.journal import (
 #: their terminal journal records only.  3: every appended namespace
 #: shares one commit log; only the swapped slots keep a file each.
 #: 4: every appended record is a positional JSON array, its layout
-#: written down once in :mod:`repro.storage.journal`.
-FORMAT_VERSION = 4
+#: written down once in :mod:`repro.storage.journal`.  5: a subsystem
+#: keeps no undo log, and writes one redo frame per committed
+#: transaction.
+FORMAT_VERSION = 5
 
 META_NS = "meta"
 JOURNAL_NS = "journal"
 SNAPSHOT_NS = "snapshot"
 TRACE_NS = "trace"
-SUBSYSTEM_WAL_PREFIX = "sswal/"
 SUBSYSTEM_DATA_PREFIX = "ssdata/"
 
 
@@ -78,8 +73,6 @@ def codec_for(namespace: str):
         return JOURNAL
     if namespace == TRACE_NS:
         return TRACE
-    if namespace.startswith(SUBSYSTEM_WAL_PREFIX):
-        return SUBSYSTEM_WAL
     if namespace.startswith(SUBSYSTEM_DATA_PREFIX):
         return SUBSYSTEM_DATA
     return None
@@ -302,9 +295,6 @@ class Store:
         return cls(backend)
 
     # -- subsystem repositories ----------------------------------------
-    def subsystem_wal(self, name: str) -> FrameRepository:
-        return FrameRepository(self.backend, SUBSYSTEM_WAL_PREFIX + name)
-
     def subsystem_data(self, name: str) -> FrameRepository:
         return FrameRepository(
             self.backend, SUBSYSTEM_DATA_PREFIX + name
@@ -312,9 +302,9 @@ class Store:
 
     def subsystem_names(self) -> list[str]:
         return [
-            namespace[len(SUBSYSTEM_WAL_PREFIX):]
+            namespace[len(SUBSYSTEM_DATA_PREFIX):]
             for namespace in self.backend.namespaces()
-            if namespace.startswith(SUBSYSTEM_WAL_PREFIX)
+            if namespace.startswith(SUBSYSTEM_DATA_PREFIX)
         ]
 
     # -- maintenance ---------------------------------------------------
@@ -420,8 +410,8 @@ class Store:
             },
             "subsystems": {
                 name: {
-                    "wal_records": len(self.subsystem_wal(name)),
-                    "data_records": len(self.subsystem_data(name)),
+                    "txns": len(self.subsystem_data(name)),
+                    "keys": len(self._subsystem_state(name)),
                 }
                 for name in self.subsystem_names()
             },
@@ -440,11 +430,8 @@ class Store:
           no snapshot the journal is untouched.
         * trace — untouched: every event is written once and the
           post-crash CT / P-RC check needs them all.
-        * subsystem WALs — keep only the write records of loser
-          transactions (no terminal record yet); winners' undo
-          information is dead weight.
-        * subsystem data — last-write-wins rewrite, one record per
-          live key.
+        * subsystem data — rewritten last-write-wins: one ``txn``
+          frame holding every key's latest value.
 
         Whatever is rewritten goes in together
         (:meth:`~repro.storage.backend.AppendLogBackend.replace_many`):
@@ -484,26 +471,9 @@ class Store:
                 dict(snapshot, journal_lsn=len(kept_head))
             )
         for name in self.subsystem_names():
-            records = self.subsystem_wal(name).records()
-            terminated = {
-                record["txn_id"]
-                for record in records
-                if record["kind"] != "write"
-            }
-            contents[SUBSYSTEM_WAL_PREFIX + name] = [
-                record
-                for record in records
-                if record["kind"] == "write"
-                and record["txn_id"] not in terminated
-            ]
-            state: dict[str, dict] = {}
-            for record in self.subsystem_data(name).records():
-                if record.get("deleted"):
-                    state.pop(record["key"], None)
-                else:
-                    state[record["key"]] = record
+            state = self._subsystem_state(name)
             contents[SUBSYSTEM_DATA_PREFIX + name] = [
-                state[key] for key in sorted(state)
+                {"kind": "txn", "writes": dict(sorted(state.items()))}
             ]
         self.backend.replace_many(
             {
@@ -521,6 +491,14 @@ class Store:
                 for namespace in before
             },
         }
+
+    def _subsystem_state(self, name: str) -> dict:
+        """Subsystem ``name``'s records as its ``txn`` frames leave
+        them, last write wins."""
+        state: dict = {}
+        for record in self.subsystem_data(name).records():
+            state.update(record["writes"])
+        return state
 
     def _counts(self) -> dict[str, int]:
         return {

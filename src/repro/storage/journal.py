@@ -11,18 +11,22 @@ module is the one place that says which field sits where
   home of a finished process.
 * **trace** — the observed schedule's events as rows, one frame of them
   per checkpoint.
-* **subsystem WAL** (``sswal/<name>``) — ``write`` / ``commit`` /
-  ``abort``.
-* **subsystem data** (``ssdata/<name>``) — ``set`` / ``delete`` redo
-  records.
+* **subsystem data** (``ssdata/<name>``) — one ``txn`` redo record
+  per committed subsystem transaction that wrote: the final value of
+  every key it wrote, as one JSON object.  Nothing else of a subsystem
+  is stored (no undo log): the subsystems are no-steal, so no
+  uncommitted value reaches disk, and the codec's CRC-checked framing
+  keeps a ``txn`` frame whole or drops it whole, so a cut of the log
+  holds all of a transaction or none of it.  A read-only or aborted
+  transaction writes nothing.
 
 A record on disk is ``[tag, *fields]``: a one-letter tag naming its kind,
-then its fields in the order :data:`JOURNAL`, :data:`TRACE_ROWS`,
-:data:`SUBSYSTEM_WAL` and :data:`SUBSYSTEM_DATA` list them; no key name
-is stored.  (A trace frame is ``[start, [row, ...]]``: one kind, no
-tag.)  The repositories of :mod:`repro.storage.facade` encode and decode
-through these codecs, so everyone else reads *logical* records — the
-dicts (and trace rows) they always read.  Decoding checks the tag, the
+then its fields in the order :data:`JOURNAL`, :data:`TRACE_ROWS` and
+:data:`SUBSYSTEM_DATA` list them; no field name is stored.  (A trace
+frame is ``[start, [row, ...]]``: one kind, no tag.)  The repositories
+of :mod:`repro.storage.facade` encode and decode through these codecs,
+so everyone else reads *logical* records — the dicts (and trace rows)
+they always read.  Decoding checks the tag, the
 arity and the type of every field: a row of any other shape is a
 :class:`~repro.errors.WalCorruptionError`, never a ``TypeError`` later.
 
@@ -143,9 +147,9 @@ def _outcome(value) -> bool:
     return _text(value) and value in OUTCOMES
 
 
-def _json(value) -> bool:
-    """Whatever JSON value the caller stored."""
-    return True
+def _writes(value) -> bool:
+    """A transaction's ``{key: value}``; JSON names are strings."""
+    return type(value) is dict
 
 
 class Kind(NamedTuple):
@@ -274,16 +278,6 @@ class _JournalCodec(RecordCodec):
         }
 
 
-class _DataCodec(RecordCodec):
-    """``{"key", "value"}``, or ``{"key", "deleted": True}``."""
-
-    def split(self, record: dict) -> tuple[str, dict]:
-        return ("delete" if record.get("deleted") else "set"), record
-
-    def join(self, kind: str, values: dict) -> dict:
-        return dict(values, deleted=True) if kind == "delete" else values
-
-
 class _TraceCodec:
     """A frame ``{"start": p, "events": [row, ...]}`` as ``[p, [row,
     ...]]``; its rows are :data:`TRACE_ROWS` rows."""
@@ -339,20 +333,7 @@ TRACE_ROWS = RecordCodec(
 
 TRACE = _TraceCodec()
 
-SUBSYSTEM_WAL = RecordCodec(
-    Kind(
-        "write",
-        "w",
-        (("lsn", _int), ("txn_id", _int), ("key", _text), ("before", _json)),
-    ),
-    Kind("commit", "c", (("lsn", _int), ("txn_id", _int))),
-    Kind("abort", "a", (("lsn", _int), ("txn_id", _int))),
-)
-
-SUBSYSTEM_DATA = _DataCodec(
-    Kind("set", "s", (("key", _text), ("value", _json))),
-    Kind("delete", "d", (("key", _text),)),
-)
+SUBSYSTEM_DATA = RecordCodec(Kind("txn", "t", (("writes", _writes),)))
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,6 @@ from repro.subsystems.storage import DurableRecordStore, RecordStore
 from repro.subsystems.subsystem import SubsystemPool, TransactionalSubsystem
 from repro.subsystems.transactions import Transaction, TransactionState
 from repro.subsystems.wal import (
-    DurableWriteAheadLog,
     WalKind,
     WalRecord,
     WriteAheadLog,
@@ -24,7 +23,6 @@ __all__ = [
     "DataLockManager",
     "DataLockMode",
     "DurableRecordStore",
-    "DurableWriteAheadLog",
     "Operation",
     "OpKind",
     "ProgramCatalog",

@@ -1,8 +1,9 @@
 """In-memory record store backing a transactional subsystem.
 
 Records are keyed by string and hold arbitrary (usually numeric) values.
-The store itself is oblivious to transactions; undo information is kept by
-:class:`~repro.subsystems.transactions.Transaction` objects, and all
+The store itself is oblivious to transactions but for :meth:`commit`,
+which a durable store makes one redo frame of; undo information is kept
+by :class:`~repro.subsystems.transactions.Transaction` objects, and all
 concurrency control happens in
 :class:`~repro.subsystems.lock_manager.DataLockManager`.
 """
@@ -33,6 +34,10 @@ class RecordStore:
         """Remove ``key`` (restoring the default on future reads)."""
         self._records.pop(key, None)
 
+    def commit(self, keys) -> None:
+        """A transaction that wrote ``keys`` committed; their values
+        now are its final ones.  Memory is already up to date."""
+
     def keys(self) -> Iterator[str]:
         return iter(self._records)
 
@@ -50,28 +55,21 @@ class RecordStore:
 class DurableRecordStore(RecordStore):
     """A record store whose committed state survives restarts.
 
-    Every mutation appends a redo record (``{"key", "value"}``, or a
-    ``deleted`` marker) to the backing repository; construction replays
-    the existing redo log last-write-wins.  Undo-based crash recovery
-    (:func:`~repro.subsystems.wal.recover_store`) works unchanged on
-    top: the before-image writes it issues are themselves redo-logged,
-    so the rolled-back state is what the next incarnation reloads.
+    No-steal and redo-only: writes change memory alone, and
+    :meth:`commit` appends one ``txn`` frame holding a transaction's
+    final values (``{"kind": "txn", "writes": {key: value}}``), so
+    nothing uncommitted ever reaches the repository and there is
+    nothing to undo after a crash.  Construction replays the frames,
+    last write wins.
     """
 
     def __init__(self, repository, default: object = 0) -> None:
         super().__init__(default=default)
         self._repository = repository
         for record in repository.records():
-            if record.get("deleted"):
-                self._records.pop(record["key"], None)
-            else:
-                self._records[record["key"]] = record["value"]
+            self._records.update(record["writes"])
 
-    def write(self, key: str, value: object) -> object:
-        previous = super().write(key, value)
-        self._repository.append({"key": key, "value": value})
-        return previous
-
-    def delete(self, key: str) -> None:
-        super().delete(key)
-        self._repository.append({"key": key, "deleted": True})
+    def commit(self, keys) -> None:
+        self._repository.append(
+            {"kind": "txn", "writes": {key: self.read(key) for key in keys}}
+        )

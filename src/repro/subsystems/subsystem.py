@@ -27,11 +27,7 @@ from repro.subsystems.lock_manager import DataLockManager
 from repro.subsystems.programs import ProgramCatalog, TransactionProgram
 from repro.subsystems.storage import DurableRecordStore, RecordStore
 from repro.subsystems.transactions import Transaction, TransactionState
-from repro.subsystems.wal import (
-    DurableWriteAheadLog,
-    WriteAheadLog,
-    recover_store,
-)
+from repro.subsystems.wal import WriteAheadLog, recover_store
 
 
 class TransactionalSubsystem:
@@ -42,7 +38,8 @@ class TransactionalSubsystem:
         self.store = RecordStore()
         self.locks = DataLockManager()
         self.catalog = ProgramCatalog()
-        #: Undo write-ahead log; present when the subsystem is durable.
+        #: In-memory undo log behind :meth:`simulate_crash_and_recover`;
+        #: present when the subsystem is built ``durable``.
         self.wal: WriteAheadLog | None = (
             WriteAheadLog() if durable else None
         )
@@ -83,29 +80,26 @@ class TransactionalSubsystem:
     # ------------------------------------------------------------------
     # durability (repro.storage)
     # ------------------------------------------------------------------
-    def attach_store(self, store) -> int:
-        """Back this subsystem with a durable store; returns undo count.
+    def attach_store(self, store) -> None:
+        """Back this subsystem with a durable store.
 
         Replaces the record store with a
-        :class:`~repro.subsystems.storage.DurableRecordStore` (reloaded
-        from the store's redo log) and the WAL with a
-        :class:`~repro.subsystems.wal.DurableWriteAheadLog`, then runs
-        :func:`~repro.subsystems.wal.recover_store` so any losers of a
-        previous incarnation are rolled back before new work starts.
-        Must be called before the first transaction begins — live
-        transactions keep references to the stores they started with.
+        :class:`~repro.subsystems.storage.DurableRecordStore`, reloaded
+        from the store's redo frames; records held before the attach
+        go in as one more frame.  A previous incarnation's losers left
+        nothing there to undo: only a commit writes.  Must be called
+        before the first transaction begins — live transactions keep
+        references to the stores they started with.
         """
-        durable_store = DurableRecordStore(
+        held = self.store.snapshot()
+        self.store = DurableRecordStore(
             store.subsystem_data(self.name),
             default=self.store._default,
         )
-        for key, value in self.store.snapshot().items():
-            durable_store.write(key, value)
-        self.store = durable_store
-        self.wal = DurableWriteAheadLog(
-            store.subsystem_wal(self.name)
-        )
-        return recover_store(self.store, self.wal)
+        if held:
+            for key, value in held.items():
+                self.store.write(key, value)
+            self.store.commit(held)
 
     # ------------------------------------------------------------------
     # execution paths
@@ -230,10 +224,12 @@ class TransactionalSubsystem:
         """Crash the subsystem and run WAL recovery; returns undo count.
 
         A crash loses every in-flight transaction and every lock; the
-        store (our "disk", written in place — a steal policy) keeps
-        whatever was applied.  Recovery rolls the losers back via their
-        logged before-images, restoring a committed-only state.  Only
-        available on durable subsystems.
+        in-memory store (the simulated "disk", written in place — a
+        steal policy) keeps whatever was applied.  Recovery rolls the
+        losers back via their logged before-images, restoring a
+        committed-only state.  A durable store attached underneath
+        never saw the losers' writes, so the undo touches memory only.
+        Only available on subsystems built with ``durable=True``.
 
         In-flight :class:`Transaction` handles become unusable (their
         state is forced to aborted); callers must begin new ones.
@@ -274,7 +270,7 @@ class SubsystemPool:
 
     A pool may be backed by a durable :class:`repro.storage.Store`
     (``store=`` or a later :meth:`attach_store`): every subsystem —
-    existing and future — then persists its WAL and record store
+    existing and future — then persists its committed transactions
     through it.  :func:`~repro.scheduler.manager.make_manager` attaches
     the store configured on :class:`ManagerConfig` (or ambiently via
     the ``REPRO_STORE`` knob) exactly once per pool.
@@ -286,24 +282,22 @@ class SubsystemPool:
         if store is not None:
             self.attach_store(store)
 
-    def attach_store(self, store) -> int:
-        """Back every subsystem with ``store``; returns total undos.
+    def attach_store(self, store) -> None:
+        """Back every subsystem with ``store``.
 
         Idempotent for the same store object; re-attaching a
         *different* store is refused — half the history in one place
         and half in another would make neither recoverable.
         """
         if self.store is store:
-            return 0
+            return
         if self.store is not None:
             raise SubsystemError(
                 "subsystem pool is already attached to a store"
             )
         self.store = store
-        return sum(
+        for subsystem in self._subsystems.values():
             subsystem.attach_store(store)
-            for subsystem in self._subsystems.values()
-        )
 
     def create(
         self, name: str, durable: bool = False

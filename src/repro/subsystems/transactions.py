@@ -3,8 +3,9 @@
 A :class:`Transaction` provides the classic begin/read/write/commit/abort
 interface over a :class:`~repro.subsystems.storage.RecordStore`, guarded by
 the subsystem's :class:`~repro.subsystems.lock_manager.DataLockManager`.
-Undo is physical (before-images); strict 2PL makes undo safe without
-cascades.
+Undo is physical (before-images) and in memory only: a store sees a
+transaction's writes made durable at :meth:`~Transaction.commit`, never
+before (no-steal); strict 2PL makes undo safe without cascades.
 """
 
 from __future__ import annotations
@@ -87,8 +88,12 @@ class Transaction:
     # termination
     # ------------------------------------------------------------------
     def commit(self) -> None:
-        """Commit: release all locks, discard undo information."""
+        """Commit: hand the store the keys written (a durable store
+        makes them one redo frame), release all locks, discard undo
+        information.  A read-only transaction hands over nothing."""
         self._require_active()
+        if self._undo:
+            self._store.commit(dict.fromkeys(key for key, _ in self._undo))
         self.state = TransactionState.COMMITTED
         self._undo.clear()
         if self._wal is not None:

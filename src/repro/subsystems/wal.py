@@ -15,13 +15,11 @@ Strict 2PL guarantees no two uncommitted transactions ever wrote the
 same record concurrently, which is what makes reverse-order physical
 undo correct.
 
-:class:`WriteAheadLog` keeps the log in memory (the seed behaviour —
-crashes are simulated inside one process image).
-:class:`DurableWriteAheadLog` appends every record through a
-:class:`~repro.storage.facade.FrameRepository` as well, so the log
-survives a real process death and is reloaded on the next start;
-:func:`recover_store` then rolls back the losers of the *previous*
-incarnation from disk.
+The log lives in memory: crashes are simulated inside one process
+image.  A real process death needs no undo log — a durable store
+(:class:`~repro.subsystems.storage.DurableRecordStore`) is written
+only at commit, one redo frame per transaction, so a loser's writes
+never reach it.
 """
 
 from __future__ import annotations
@@ -62,7 +60,6 @@ class WriteAheadLog:
     # appends
     # ------------------------------------------------------------------
     def _append(self, record: WalRecord) -> None:
-        """Store one record (durable subclasses write through here)."""
         self._records.append(record)
 
     def log_write(self, txn_id: int, key: str, before: object) -> int:
@@ -116,56 +113,12 @@ class WriteAheadLog:
         return len(self._records)
 
 
-class DurableWriteAheadLog(WriteAheadLog):
-    """A write-ahead log that also lives on disk.
-
-    Same :class:`WalRecord` protocol as the in-memory log; every append
-    writes through to the backing repository (one record per frame, in
-    the layout :mod:`repro.storage.journal` gives it), and construction
-    reloads whatever an earlier incarnation left behind — LSNs continue
-    past the highest reloaded one, so the log stays globally ordered
-    across restarts.
-    """
-
-    def __init__(self, repository) -> None:
-        super().__init__()
-        self._repository = repository
-        for data in repository.records():
-            self._records.append(
-                WalRecord(
-                    lsn=data["lsn"],
-                    txn_id=data["txn_id"],
-                    kind=WalKind(data["kind"]),
-                    key=data.get("key", ""),
-                    before=data.get("before"),
-                )
-            )
-        if self._records:
-            self._lsns = itertools.count(
-                max(record.lsn for record in self._records) + 1
-            )
-
-    def _append(self, record: WalRecord) -> None:
-        super()._append(record)
-        data = {
-            "lsn": record.lsn,
-            "txn_id": record.txn_id,
-            "kind": record.kind.value,
-        }
-        if record.kind is WalKind.WRITE:
-            data["key"] = record.key
-            data["before"] = record.before
-        self._repository.append(data)
-
-
 def validate_wal(wal: WriteAheadLog) -> None:
     """Structural validation of a WAL before it is trusted for undo.
 
     Raises :class:`~repro.errors.WalCorruptionError` on records that
     can only come from a damaged log: wrong types, non-positive or
-    non-increasing LSNs, or write records without a key.  (Byte-level
-    damage — torn tails, CRC failures — is caught earlier by the
-    storage codec; this guards the logical layer.)
+    non-increasing LSNs, or write records without a key.
     """
     last_lsn = 0
     for record in wal.records:

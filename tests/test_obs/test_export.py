@@ -237,7 +237,7 @@ EXEMPLARS = [
         journal_records=120, healed_namespaces=1, seconds=0.004,
     ),
     ev.StoreSnapshot(processes=3, journal_lsn=120),
-    ev.StoreTornTail(namespace="sswal/bank", dropped_bytes=17),
+    ev.StoreTornTail(namespace="commit", dropped_bytes=17),
 ]
 
 

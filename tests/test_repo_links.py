@@ -389,3 +389,32 @@ def test_sampled_prefix_checks_leave_no_trace():
         if SAMPLED_PREFIX_CHECKS.search(line)
     ]
     assert not offenders, offenders
+
+
+# ----------------------------------------------------------------------
+# one redo frame per subsystem transaction (DESIGN.md §7, "Removed: the
+# durable undo WAL")
+# ----------------------------------------------------------------------
+DURABLE_UNDO_WAL = re.compile(
+    r"DurableWriteAheadLog|SUBSYSTEM_WAL|subsystem_wal|sswal/"
+)
+
+
+def test_durable_undo_wal_leaves_no_trace():
+    """A subsystem's commit writes one ``txn`` frame and nothing keeps
+    a durable undo log; only this file and DESIGN.md §7 name what
+    went."""
+    design = (ROOT / "DESIGN.md").read_text().splitlines()
+    notes = next(
+        index for index, line in enumerate(design) if line.startswith("## 7.")
+    )
+    offenders = _traces_of(DURABLE_UNDO_WAL, {"tests/test_repo_links.py"}) + [
+        f"{name}:{number}"
+        for name, lines in (
+            ("README.md", (ROOT / "README.md").read_text().splitlines()),
+            ("DESIGN.md", design[:notes]),
+        )
+        for number, line in enumerate(lines, 1)
+        if DURABLE_UNDO_WAL.search(line)
+    ]
+    assert not offenders, offenders

@@ -33,11 +33,11 @@ def test_append_read_roundtrip(kind, tmp_path):
     backend = _make(kind, tmp_path)
     backend.append("journal", b"one")
     backend.append("journal", b"two")
-    backend.append("sswal/bank", b"iii")
+    backend.append("ssdata/bank", b"iii")
     assert backend.read_all("journal") == [b"one", b"two"]
-    assert backend.read_all("sswal/bank") == [b"iii"]
+    assert backend.read_all("ssdata/bank") == [b"iii"]
     assert backend.read_all("absent") == []
-    assert set(backend.namespaces()) == {"journal", "sswal/bank"}
+    assert set(backend.namespaces()) == {"journal", "ssdata/bank"}
     assert backend.appends == 3
     backend.close()
 
@@ -103,7 +103,7 @@ def test_log_namespace_maps_to_filesystem_safely(tmp_path):
     """Appended namespaces share the commit log; only a replaced one
     (a slot) gets a file, its ``/`` spelled ``@``."""
     backend = AppendLogBackend(str(tmp_path / "store"))
-    backend.append("sswal/bank", b"x")
+    backend.append("ssdata/bank", b"x")
     backend.append("journal", b"y")
     backend.replace("slot/one", [b"z"])
     backend.close()
@@ -112,9 +112,9 @@ def test_log_namespace_maps_to_filesystem_safely(tmp_path):
         "slot@one.log",
     ]
     again = AppendLogBackend(str(tmp_path / "store"))
-    assert again.read_all("sswal/bank") == [b"x"]
+    assert again.read_all("ssdata/bank") == [b"x"]
     assert again.read_all("slot/one") == [b"z"]
-    assert again.namespaces() == ["journal", "slot/one", "sswal/bank"]
+    assert again.namespaces() == ["journal", "slot/one", "ssdata/bank"]
     with pytest.raises(StorageError, match="swapped slot"):
         again.append("slot/one", b"no")
     again.close()

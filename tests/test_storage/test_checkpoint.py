@@ -296,7 +296,7 @@ def test_orphan_delta_past_watermark_is_ignored(tmp_path, capsys):
 
 def test_v1_store_is_refused_naming_format(tmp_path):
     _run_once(tmp_path, count=2)
-    assert FORMAT_VERSION == 4
+    assert FORMAT_VERSION == 5
     store = Store.open("log", str(tmp_path / "store"))
     store.backend.replace(
         "meta", [dumps(dict(store.meta.load(), format=1))]
@@ -321,7 +321,7 @@ def test_format_2_store_is_refused_naming_format(tmp_path):
         encode_frame(dumps({"kind": "submit", "pid": 1, "program": 0}))
     )
     with pytest.raises(
-        StorageError, match="format: store has 2, caller wants 4"
+        StorageError, match="format: store has 2, caller wants 5"
     ):
         ProcessLockingService(_config(tmp_path))
 
@@ -342,12 +342,34 @@ def test_format_3_store_is_refused_naming_both_versions(tmp_path, capsys):
     )
     backend.close()
     with pytest.raises(
-        StorageError, match="format: store has 3, caller wants 4"
+        StorageError, match="format: store has 3, caller wants 5"
     ) as caught:
         ProcessLockingService(_config(tmp_path))
     assert not isinstance(caught.value, WalCorruptionError)
     assert repro_main(["store", "verify", "--path", str(root)]) == 2
     assert "meta: 1 records [format: store has 3" in capsys.readouterr().out
+
+
+def test_format_4_store_is_refused_naming_both_versions(tmp_path, capsys):
+    """Format 4 kept an undo log per subsystem beside its data, in
+    rows this release has no codec for; its meta slot says so, and the
+    meta check refuses it before a record is decoded."""
+    _run_once(tmp_path, count=2)
+    root = tmp_path / "store"
+    store = Store.open("log", str(root))
+    meta = dict(store.meta.load(), format=4)
+    store.close()
+    backend = AppendLogBackend(str(root), fsync="never")
+    backend.replace("meta", [dumps(meta)])
+    backend.append("ssdata/sub0", b'["s","sub0:k0",1]')
+    backend.close()
+    with pytest.raises(
+        StorageError, match="format: store has 4, caller wants 5"
+    ) as caught:
+        ProcessLockingService(_config(tmp_path))
+    assert not isinstance(caught.value, WalCorruptionError)
+    assert repro_main(["store", "verify", "--path", str(root)]) == 2
+    assert "meta: 1 records [format: store has 4" in capsys.readouterr().out
 
 
 def test_document_without_lock_positions_still_loads():

@@ -11,9 +11,9 @@ and holds the restart to what the session promised: whatever was
 acknowledged by the cut is recovered unchanged, no journaled outcome
 differs (but a pid's that the document holds live: the restart re-runs
 it, and no answer went out on that outcome), every subsystem comes back
-holding the records of its last finished transaction (an open one is
-undone from its before-images — which are there, because a WAL frame
-lies ahead of its data frame), the spliced schedule passes ``check``,
+holding the records of the last transaction it committed within the
+cut (an open one wrote nothing, and a committed one is one frame, there
+whole or not at all), the spliced schedule passes ``check``,
 ``conserved`` holds and ``Store.verify`` is clean.
 
 Two sessions are swept, on the same grounded, contended catalog:
@@ -24,10 +24,10 @@ Two sessions are swept, on the same grounded, contended catalog:
   that journals cuts a document, so documents hold processes mid-flight
   and a cascade victim awaiting its resubmission: recovery adopts them.
 
-Checked by hand when this was written: with the backend made to write
-a subsystem's data frame ahead of its WAL frame, a cut between the two
-leaves a write nobody can undo, and the sweep fails on the subsystem's
-records at the first such cut.
+Checked by hand when this was written: with a durable store made to
+write each transaction's frame as two appends (its first key, then the
+rest), a cut between the two leaves half a transaction on disk, and
+both sweeps fail on the subsystem's records at the first such cut.
 
 The swapped slots (``meta``, ``snapshot``) are files of their own: cut
 short anywhere they read as empty, a flipped byte is refused with the
@@ -60,7 +60,7 @@ from repro.sim.workload import WorkloadSpec
 from repro.storage import AppendLogBackend, Store
 from repro.storage.codec import encode_frame
 from repro.storage.facade import dumps
-from repro.storage.journal import JOURNAL, SUBSYSTEM_DATA, SUBSYSTEM_WAL
+from repro.storage.journal import JOURNAL, SUBSYSTEM_DATA
 from tests.test_storage.commit_log import (
     LOG_FILE,
     boundaries,
@@ -113,17 +113,34 @@ def _record_documents(service, log: Path) -> list[tuple[int, dict | None]]:
     return documents
 
 
+def _record_commits(service, log: Path) -> list[int]:
+    """The log's size as each subsystem commit of ``service`` returns,
+    from now on: where the transaction's writes are all on disk."""
+    commits: list[int] = []
+    for subsystem in service.manager.subsystems:
+        store = subsystem.store
+
+        def recording_commit(keys, commit=store.commit) -> None:
+            commit(keys)
+            commits.append(os.path.getsize(log))
+
+        store.commit = recording_commit
+    return commits
+
+
 def _eager_session(path: Path):
     """Run the eager scripted session on a fresh store at ``path``.
 
-    Returns ``(acks, documents)``: ``acks`` are ``(log size, kind,
-    body)`` for every answered request, the size read when the answer
-    arrived — everything the answer rests on lies before it;
-    ``documents`` are those of :func:`_record_documents`.
+    Returns ``(acks, documents, commits)``: ``acks`` are ``(log size,
+    kind, body)`` for every answered request, the size read when the
+    answer arrived — everything the answer rests on lies before it;
+    ``documents`` are those of :func:`_record_documents` and
+    ``commits`` those of :func:`_record_commits`.
     """
     service = _service(path)
     log = path / LOG_FILE
     documents = _record_documents(service, log)
+    commits = _record_commits(service, log)
     acks: list[tuple[int, str, dict]] = []
 
     def ask(kind: str, future) -> dict:
@@ -146,7 +163,7 @@ def _eager_session(path: Path):
             ),
         )
     service.stop()
-    return acks, documents
+    return acks, documents, commits
 
 
 def _turn(service, tick: int, requests=()) -> list[Future]:
@@ -169,7 +186,7 @@ def _turn(service, tick: int, requests=()) -> list[Future]:
 
 def _paced_session(path: Path):
     """Run the paced scripted session on a fresh store at ``path``;
-    ``(acks, documents)`` as of :func:`_eager_session`.
+    ``(acks, documents, commits)`` as of :func:`_eager_session`.
 
     Driven on this thread a tick at a time (:func:`_turn`), so no wall
     clock enters and every run is the same session.  Every drain that
@@ -182,6 +199,7 @@ def _paced_session(path: Path):
     service = _service(path, time_scale=PACE, snapshot_every=1)
     log = path / LOG_FILE
     documents = _record_documents(service, log)
+    commits = _record_commits(service, log)
     acks: list[tuple[int, str, dict]] = []
     unanswered: list[tuple[str, Future]] = []
 
@@ -210,16 +228,15 @@ def _paced_session(path: Path):
     _turn(service, tick, [{"cmd": "drain"}])
     service.store.close()
     assert not unanswered
-    return acks, documents
+    return acks, documents, commits
 
 
 @pytest.fixture(scope="module")
 def eager(tmp_path_factory):
-    """The eager session's store, ``acks`` and ``documents``; tests
-    damage copies of the store, never the store."""
+    """The eager session's store, ``acks``, ``documents`` and
+    ``commits``; tests damage copies of the store, never the store."""
     golden = tmp_path_factory.mktemp("eager") / "golden"
-    acks, documents = _eager_session(golden)
-    return golden, acks, documents
+    return (golden, *_eager_session(golden))
 
 
 def _terminals(frames, cut: int) -> dict[int, str]:
@@ -235,31 +252,24 @@ def _terminals(frames, cut: int) -> dict[int, str]:
     }
 
 
-def _settled_records(frames, cut: int) -> dict[str, dict]:
+def _settled_records(frames, cut: int, commits) -> dict[str, dict]:
     """Each subsystem's non-default records as of the last transaction
-    it finished within ``cut`` bytes of the log: the redo records ahead
-    of its last ``commit`` / ``abort``, last write wins."""
+    committed within ``cut`` bytes of the log: its ``txn`` frames up to
+    where that commit returned (``commits``), last write wins."""
+    settled_at = max((end for end in commits if end <= cut), default=0)
     records: dict[str, dict] = {}
-    settled: dict[str, dict] = {}
     for name, payload, end in frames:
-        if end > cut:
+        if end > settled_at:
             break
         kind, _, subsystem = name.partition("/")
         if kind == "ssdata":
-            record = SUBSYSTEM_DATA.decode(payload)
-            records.setdefault(subsystem, {})[record["key"]] = (
-                0 if record.get("deleted") else record["value"]
+            records.setdefault(subsystem, {}).update(
+                SUBSYSTEM_DATA.decode(payload)["writes"]
             )
-        elif (
-            kind == "sswal"
-            and SUBSYSTEM_WAL.decode(payload)["kind"] != "write"
-        ):
-            settled[subsystem] = {
-                key: value
-                for key, value in records.get(subsystem, {}).items()
-                if value
-            }
-    return settled
+    return {
+        subsystem: {key: value for key, value in held.items() if value}
+        for subsystem, held in records.items()
+    }
 
 
 def _restart_and_audit(
@@ -338,7 +348,7 @@ def _restart_and_audit(
         store.close()
 
 
-def _sweep(tmp_path: Path, golden: Path, acks, documents) -> None:
+def _sweep(tmp_path: Path, golden: Path, acks, documents, commits) -> None:
     """Restart from every frame boundary of ``golden``'s log, and from
     the seeded mid-frame sample, beside every document swapped in at or
     before the cut.
@@ -368,7 +378,7 @@ def _sweep(tmp_path: Path, golden: Path, acks, documents) -> None:
             if kind == "outcomes"
             for row in body["outcomes"]
         }
-        settled = _settled_records(frames, cut)
+        settled = _settled_records(frames, cut, commits)
         for (at, document), replaced in zip(documents, replacements):
             if at > cut:
                 break
@@ -396,21 +406,20 @@ def _sweep(tmp_path: Path, golden: Path, acks, documents) -> None:
 
 
 def test_restart_from_every_frame_boundary(tmp_path, eager):
-    golden, acks, documents = eager
+    golden, acks, documents, commits = eager
     assert len(documents) >= 3  # at least two snapshots
     frames = log_frames((golden / LOG_FILE).read_bytes())
     assert {name.split("/")[0] for name, _, _ in frames} == {
         "journal",
         "trace",
-        "sswal",
         "ssdata",
     }
-    _sweep(tmp_path, golden, acks, documents)
+    _sweep(tmp_path, golden, acks, documents, commits)
 
 
 def test_restart_from_every_frame_boundary_of_a_paced_session(tmp_path):
     golden = tmp_path / "golden"
-    acks, documents = _paced_session(golden)
+    acks, documents, commits = _paced_session(golden)
     held = [
         entry
         for _, document in documents[1:]
@@ -420,7 +429,7 @@ def test_restart_from_every_frame_boundary_of_a_paced_session(tmp_path):
     assert any(entry["resubmit_in"] is None for entry in held)
     assert any(entry["resubmit_in"] is not None for entry in held)
     assert {kind for _, kind, _ in acks} == {"submit", "outcomes"}
-    _sweep(tmp_path, golden, acks, documents)
+    _sweep(tmp_path, golden, acks, documents, commits)
 
 
 def test_no_answer_reports_an_outcome_a_restart_would_re_run(tmp_path):
@@ -477,7 +486,7 @@ def _store_copy(eager, tmp_path: Path) -> Path:
     return target
 
 
-@pytest.mark.parametrize("kind", ("journal", "trace", "sswal", "ssdata"))
+@pytest.mark.parametrize("kind", ("journal", "trace", "ssdata"))
 def test_a_flipped_log_byte_is_refused(eager, tmp_path, kind):
     """Bit rot in a complete frame of the commit log is never healed
     away: opening the store raises the typed error, and so does
@@ -570,7 +579,7 @@ def test_restart_without_a_slot_file(eager, tmp_path, slot):
     """A swap that never became durable leaves no file: the meta
     document is written again, and with no checkpoint the journal and
     the log's records carry the restart."""
-    golden, acks, _ = eager
+    golden, acks, _, commits = eager
     target = _store_copy(eager, tmp_path)
     (target / f"{slot}.log").unlink()
     data = (target / LOG_FILE).read_bytes()
@@ -579,11 +588,11 @@ def test_restart_without_a_slot_file(eager, tmp_path, slot):
         target,
         acks,
         _terminals(frames, len(data)),
-        _settled_records(frames, len(data)),
+        _settled_records(frames, len(data), commits),
     )
 
 
-NAMESPACES = ("journal", "trace", "sswal/a", "ssdata/a")
+NAMESPACES = ("journal", "trace", "ssdata/a", "ssdata/b")
 
 
 @settings(max_examples=15, deadline=None)

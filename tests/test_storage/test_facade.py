@@ -74,14 +74,18 @@ def test_meta_ensure_writes_then_verifies(tmp_path):
 
 def test_subsystem_repositories_are_namespaced(tmp_path):
     store = _open(tmp_path)
-    bank = {"lsn": 1, "txn_id": 1, "kind": "commit"}
-    shop = {"lsn": 9, "txn_id": 4, "kind": "abort"}
-    store.subsystem_wal("bank").append(bank)
-    store.subsystem_wal("shop").append(shop)
-    store.subsystem_data("bank").append({"key": "k", "value": 3})
-    assert store.subsystem_wal("bank").records() == [bank]
-    assert store.subsystem_wal("shop").records() == [shop]
+    bank = {"kind": "txn", "writes": {"k": 3}}
+    shop = {"kind": "txn", "writes": {"k": None}}
+    store.subsystem_data("bank").append(bank)
+    store.subsystem_data("shop").append(shop)
+    store.journal.append(_submit(1))
+    assert store.subsystem_data("bank").records() == [bank]
+    assert store.subsystem_data("shop").records() == [shop]
     assert sorted(store.subsystem_names()) == ["bank", "shop"]
+    assert store.describe()["subsystems"] == {
+        "bank": {"txns": 1, "keys": 1},
+        "shop": {"txns": 1, "keys": 1},
+    }
     store.close()
 
 
@@ -109,7 +113,7 @@ def test_loads_rejects_undecodable_payloads(tmp_path):
     store.close()
 
 
-def test_compact_drops_decided_journal_and_won_wal(tmp_path):
+def test_compact_drops_decided_journal_and_rewrites_txns(tmp_path):
     store = _open(tmp_path)
     store.meta.ensure({"world": "w"})
     # Journal: pid 1 decided, pid 2 still pending at the watermark.
@@ -118,21 +122,11 @@ def test_compact_drops_decided_journal_and_won_wal(tmp_path):
     store.journal.append(_terminal(1))
     store.snapshots.save({"journal_lsn": 3, "processes": []})
     store.journal.append(_submit(3))
-    # Subsystem WAL: txn 1 committed (droppable), txn 2 a loser.
-    wal = store.subsystem_wal("bank")
-    wal.append(
-        {"lsn": 1, "txn_id": 1, "kind": "write", "key": "k", "before": 0}
-    )
-    wal.append({"lsn": 2, "txn_id": 1, "kind": "commit"})
-    wal.append(
-        {"lsn": 3, "txn_id": 2, "kind": "write", "key": "k", "before": 0}
-    )
-    # Subsystem data: three versions of one key.
+    # Subsystem data: three transactions, two versions of "k".
     data = store.subsystem_data("bank")
-    data.append({"key": "k", "value": 1})
-    data.append({"key": "k", "value": 2})
-    data.append({"key": "dead", "value": 9})
-    data.append({"key": "dead", "deleted": True})
+    data.append({"kind": "txn", "writes": {"k": 1, "j": 5}})
+    data.append({"kind": "txn", "writes": {"k": 2}})
+    data.append({"kind": "txn", "writes": {"a": None}})
     report = store.compact()
     journal = store.journal.records()
     # Kept: pid 2's undecided pre-watermark submit, pid 1's terminal
@@ -144,13 +138,11 @@ def test_compact_drops_decided_journal_and_won_wal(tmp_path):
     ]
     # The snapshot watermark now covers the kept head.
     assert store.snapshots.load()["journal_lsn"] == 2
-    # WAL keeps only the loser's records.
-    kept_wal = store.subsystem_wal("bank").records()
-    assert [r["txn_id"] for r in kept_wal] == [2]
-    # Data is last-write-wins; the deleted key is gone entirely.
+    # Data is one last-write-wins frame, keys in order.
     assert store.subsystem_data("bank").records() == [
-        {"key": "k", "value": 2}
+        {"kind": "txn", "writes": {"a": None, "j": 5, "k": 2}}
     ]
+    assert report["dropped"]["ssdata/bank"] == 2
     assert report["before"]["journal"] == 4
     assert report["after"]["journal"] == 3
     assert report["dropped"]["journal"] == 1

@@ -30,7 +30,6 @@ from repro.storage.facade import codec_for
 from repro.storage.journal import (
     JOURNAL,
     SUBSYSTEM_DATA,
-    SUBSYSTEM_WAL,
     TRACE,
     ProgramCodec,
     record_to_dict,
@@ -95,30 +94,11 @@ JOURNAL_RECORDS = st.one_of(
     st.fixed_dictionaries({"kind": st.just("cancel"), "pid": IDS}),
 )
 
-WAL_RECORDS = st.one_of(
-    st.fixed_dictionaries(
-        {
-            "lsn": IDS,
-            "txn_id": IDS,
-            "kind": st.just("write"),
-            "key": st.text(min_size=1, max_size=8),
-            "before": JSON,
-        }
-    ),
-    st.fixed_dictionaries(
-        {
-            "lsn": IDS,
-            "txn_id": IDS,
-            "kind": st.sampled_from(("commit", "abort")),
-        }
-    ),
-)
-
-DATA_RECORDS = st.one_of(
-    st.fixed_dictionaries({"key": st.text(max_size=8), "value": JSON}),
-    st.fixed_dictionaries(
-        {"key": st.text(max_size=8), "deleted": st.just(True)}
-    ),
+DATA_RECORDS = st.fixed_dictionaries(
+    {
+        "kind": st.just("txn"),
+        "writes": st.dictionaries(st.text(max_size=8), JSON, max_size=4),
+    }
 )
 
 FULL_PRECISION = 27.46395300100484
@@ -142,18 +122,9 @@ def test_journal_records_round_trip(record):
     assert JOURNAL.decode(JOURNAL.encode(record)) == record
 
 
-@given(WAL_RECORDS)
-@example({"lsn": 4, "txn_id": 2, "kind": "abort"})
-@example(
-    {"lsn": 1, "txn_id": 1, "kind": "write", "key": "k", "before": None}
-)
-def test_wal_records_round_trip(record):
-    assert SUBSYSTEM_WAL.decode(SUBSYSTEM_WAL.encode(record)) == record
-
-
 @given(DATA_RECORDS)
-@example({"key": "k", "deleted": True})
-@example({"key": "k", "value": {"balance": FULL_PRECISION}})
+@example({"kind": "txn", "writes": {"k": None, "": 0}})
+@example({"kind": "txn", "writes": {"k": {"balance": FULL_PRECISION}}})
 def test_data_records_round_trip(record):
     assert SUBSYSTEM_DATA.decode(SUBSYSTEM_DATA.encode(record)) == record
 
@@ -252,12 +223,9 @@ def test_no_key_name_goes_to_disk():
         b'0,0,0,2,5.905359695180615,["act00","act01"],'
         b'["intrinsic-abort","protocol-abort"],0]'
     )
-    assert SUBSYSTEM_WAL.encode(
-        {"lsn": 2, "txn_id": 1, "kind": "write", "key": "k", "before": 0}
-    ) == b'["w",2,1,"k",0]'
-    assert SUBSYSTEM_DATA.encode({"key": "k", "deleted": True}) == (
-        b'["d","k"]'
-    )
+    assert SUBSYSTEM_DATA.encode(
+        {"kind": "txn", "writes": {"k": 0, "j": None}}
+    ) == b'["t",{"k":0,"j":null}]'
 
 
 # ----------------------------------------------------------------------
@@ -278,17 +246,11 @@ MALFORMED = {
         b'{"events":[[[1,0],"commit","",0,null,false,false]],"start":0}',
         b'[0,[["C",1,"0"]]]',
     ),
-    "sswal/a": (
-        b'["w",1,1,"k"]',
-        b'["x",1,1]',
-        b'{"kind":"commit","lsn":1,"txn_id":1}',
-        b'["c",1,true]',
-    ),
     "ssdata/a": (
-        b'["s","k"]',
+        b'["t",{"k":1},{}]',
         b'["u","k"]',
         b'{"key":"k","value":1}',
-        b'["d",3]',
+        b'["t",[["k",1]]]',
     ),
 }
 
@@ -406,7 +368,7 @@ def test_describe_reports_frames_and_bytes_per_namespace(
             for name, entry in described.items()
         } == expected
         assert {"journal", "trace"} < set(described)
-        assert any(name.startswith("sswal/") for name in described)
+        assert any(name.startswith("ssdata/") for name in described)
         # An append counts at once, as the next open's scan would.
         store.journal.append({"kind": "cancel", "pid": 1})
         grown = store.describe()["namespaces"]["journal"]
