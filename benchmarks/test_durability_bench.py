@@ -3,7 +3,7 @@
 Pins what ``repro serve --store`` costs over the in-memory default on
 one contended grounded workload, end to end: journaled submissions,
 one redo frame per committed subsystem transaction, terminal records,
-a final snapshot, and batch fsync.  The factor is recorded to
+the trace as per-process runs, a final snapshot, and batch fsync.  The factor is recorded to
 ``BENCH_durability.json`` and asserted under a ceiling — the headline
 claim is that full kill-9 durability stays within a small constant
 factor of the in-memory run, so anything accidentally quadratic on the
@@ -122,8 +122,9 @@ def test_durable_log_overhead_is_bounded(uid_floor):
         json.dumps(
             {
                 "description": (
-                    "fully durable run (journal + snapshot + "
-                    "one redo frame per subsystem commit, batch fsync) "
+                    "fully durable run (journal + trace as per-process "
+                    "runs + snapshot + one redo frame per subsystem "
+                    "commit, batch fsync) "
                     "vs the in-memory default on one grounded "
                     "contended workload; schedules asserted "
                     "byte-identical; all walls min-of-2"

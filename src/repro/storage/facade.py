@@ -13,8 +13,9 @@ out narrow repositories over it:
 * :class:`SnapshotRepository` — a single-slot checkpoint document
   (atomic whole-namespace replace): live-process state plus the
   journal and trace watermarks it covers.
-* :class:`TraceRepository` — the observed schedule, append-only: each
-  checkpoint appends the events recorded since the previous one.
+* :class:`TraceRepository` — the observed schedule: each checkpoint
+  appends the events recorded since the previous one, and compaction
+  rewrites what the snapshot covers as one frame.
 * :class:`FrameRepository` — ordered records in one namespace; each
   subsystem's redo data (``ssdata/<name>``, one frame per committed
   transaction) is an instance of it.
@@ -46,8 +47,9 @@ from repro.storage.journal import JOURNAL, SUBSYSTEM_DATA, TRACE, loads
 #: 4: every appended record is a positional JSON array, its layout
 #: written down once in :mod:`repro.storage.journal`.  5: a subsystem
 #: keeps no undo log, and writes one redo frame per committed
-#: transaction.
-FORMAT_VERSION = 5
+#: transaction.  6: a trace frame holds per-process runs of events
+#: with a name table and uid deltas, not one row per event.
+FORMAT_VERSION = 6
 
 META_NS = "meta"
 JOURNAL_NS = "journal"
@@ -131,10 +133,11 @@ class SnapshotRepository:
 
 
 class TraceRepository:
-    """The observed schedule ``<_S``, written once per event.
+    """The observed schedule ``<_S``, one frame per checkpoint.
 
-    One frame per checkpoint: ``{"start": p, "events": [...]}`` holds
-    the rows of the events at trace positions ``p, p+1, ...``.  A checkpoint
+    A frame ``{"start": p, "events": [...]}`` holds the rows of the
+    events at trace positions ``p, p+1, ...``; on disk it is a list of
+    per-process runs (:mod:`repro.storage.journal`).  A checkpoint
     appends (and syncs) its frame *before* its document is swapped in,
     so the document's ``trace_len`` never points past the durable
     trace; a crash between the two steps leaves an orphan frame past
@@ -428,8 +431,10 @@ class Store:
           the watermark stays.  What goes is subsumed: decided and
           live pids' ``submit`` records, and ``cancel`` records.  With
           no snapshot the journal is untouched.
-        * trace — untouched: every event is written once and the
-          post-crash CT / P-RC check needs them all.
+        * trace — the events the snapshot covers (its ``trace_len``),
+          rewritten as one frame starting at 0: superseded and orphan
+          frames go, and the post-crash CT / P-RC check still gets
+          every event.  With no snapshot the trace is untouched.
         * subsystem data — rewritten last-write-wins: one ``txn``
           frame holding every key's latest value.
 
@@ -441,6 +446,14 @@ class Store:
         contents: dict[str, list[dict]] = {}
         snapshot = self.snapshots.load()
         if snapshot is not None:
+            # A namespace the log never declared would be swapped in
+            # as a slot file of its own.
+            if self.backend.count(TRACE_NS):
+                trace_len = _trace_watermark(snapshot)
+                events = self.trace.events(trace_len)[:trace_len]
+                contents[TRACE_NS] = (
+                    [{"start": 0, "events": events}] if events else []
+                )
             watermark = int(snapshot.get("journal_lsn", 0))
             live_pids = {
                 entry["pid"] for entry in snapshot.get("processes", [])

@@ -9,8 +9,9 @@ module is the one place that says which field sits where
   re-applied).  A ``terminal`` record carries the final
   :class:`~repro.scheduler.events.ProcessRecord`: it is the one durable
   home of a finished process.
-* **trace** — the observed schedule's events as rows, one frame of them
-  per checkpoint.
+* **trace** — the observed schedule's events, one frame of them per
+  checkpoint, grouped into per-process runs with a name table and uid
+  deltas (:class:`_TraceCodec`); a frame decodes to the same rows.
 * **subsystem data** (``ssdata/<name>``) — one ``txn`` redo record
   per committed subsystem transaction that wrote: the final value of
   every key it wrote, as one JSON object.  Nothing else of a subsystem
@@ -23,7 +24,7 @@ module is the one place that says which field sits where
 A record on disk is ``[tag, *fields]``: a one-letter tag naming its kind,
 then its fields in the order :data:`JOURNAL`, :data:`TRACE_ROWS` and
 :data:`SUBSYSTEM_DATA` list them; no field name is stored.  (A trace
-frame is ``[start, [row, ...]]``: one kind, no tag.)  The repositories
+frame is ``[start, names, runs]``: one kind, no tag.)  The repositories
 of :mod:`repro.storage.facade` encode and decode through these codecs,
 so everyone else reads *logical* records — the dicts (and trace rows)
 they always read.  Decoding checks the tag, the
@@ -279,28 +280,100 @@ class _JournalCodec(RecordCodec):
 
 
 class _TraceCodec:
-    """A frame ``{"start": p, "events": [row, ...]}`` as ``[p, [row,
-    ...]]``; its rows are :data:`TRACE_ROWS` rows."""
+    """A frame ``{"start": p, "events": [row, ...]}`` of
+    :data:`TRACE_ROWS` rows as ``[p, names, runs]``.
+
+    ``names`` lists the frame's distinct activity names in order of
+    first use.  A run ``[pid, incarnation, item, ...]`` holds
+    consecutive events of one process, one item each: ``"C"`` or
+    ``"A"`` for a commit or abort; for an activity, the index of its
+    name when its uid is the previous activity's uid + 1, else
+    ``[index, uid - previous]``; for a compensation ``[index,
+    uid - previous, compensates - uid]``.  The previous uid is 0 at
+    the start of a frame: every frame decodes on its own, since one
+    that starts inside its predecessor supersedes it.
+    """
 
     def encode(self, frame: dict) -> bytes:
-        return _dump_row([frame["start"], frame["events"]])
+        names: dict[str, int] = {}
+        runs: list[list] = []
+        process = None
+        previous = 0
+        for row in frame["events"]:
+            if (row[1], row[2]) != process:
+                process = (row[1], row[2])
+                run = [*process]
+                runs.append(run)
+            if row[0] != "a":
+                run.append(row[0])
+                continue
+            _, _, _, name, uid, compensates = row
+            index = names.setdefault(name, len(names))
+            if compensates is not None:
+                run.append([index, uid - previous, compensates - uid])
+            elif uid == previous + 1:
+                run.append(index)
+            else:
+                run.append([index, uid - previous])
+            previous = uid
+        return _dump_row([frame["start"], list(names), runs])
 
     def decode(self, payload: bytes, namespace: str = "trace") -> dict:
         frame = loads(payload, namespace)
         if not (
             type(frame) is list
-            and len(frame) == 2
+            and len(frame) == 3
             and _int(frame[0])
             and frame[0] >= 0
-            and type(frame[1]) is list
+            and _texts(frame[1])
+            and type(frame[2]) is list
         ):
             raise WalCorruptionError(
-                f"trace frame {frame!r:.80} is not [start, [row, ...]]",
+                f"trace frame {frame!r:.80} is not [start, names, runs]",
                 namespace=namespace,
             )
-        for row in frame[1]:
-            TRACE_ROWS.fields(row, namespace)
-        return {"start": frame[0], "events": frame[1]}
+        names = frame[1]
+        rows: list[list] = []
+        previous = 0
+        for run in frame[2]:
+            if not (
+                type(run) is list
+                and len(run) > 2
+                and _int(run[0])
+                and _int(run[1])
+            ):
+                raise WalCorruptionError(
+                    f"trace run {run!r:.80} is not [pid, incarnation, "
+                    "item, ...]",
+                    namespace=namespace,
+                )
+            pid, incarnation = run[0], run[1]
+            for item in run[2:]:
+                if item == "C" or item == "A":
+                    rows.append([item, pid, incarnation])
+                    continue
+                if type(item) is int:
+                    index, uid, compensates = item, previous + 1, None
+                elif (
+                    type(item) is list
+                    and 2 <= len(item) <= 3
+                    and all(map(_int, item))
+                ):
+                    index, uid = item[0], previous + item[1]
+                    compensates = uid + item[2] if len(item) == 3 else None
+                else:
+                    index = -1  # refused below
+                if not 0 <= index < len(names):
+                    raise WalCorruptionError(
+                        f"trace run of process ({pid}, {incarnation}): "
+                        f"bad item {item!r:.40} (names: {len(names)})",
+                        namespace=namespace,
+                    )
+                rows.append(
+                    ["a", pid, incarnation, names[index], uid, compensates]
+                )
+                previous = uid
+        return {"start": frame[0], "events": rows}
 
 
 JOURNAL = _JournalCodec(

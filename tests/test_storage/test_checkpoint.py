@@ -296,7 +296,7 @@ def test_orphan_delta_past_watermark_is_ignored(tmp_path, capsys):
 
 def test_v1_store_is_refused_naming_format(tmp_path):
     _run_once(tmp_path, count=2)
-    assert FORMAT_VERSION == 5
+    assert FORMAT_VERSION == 6
     store = Store.open("log", str(tmp_path / "store"))
     store.backend.replace(
         "meta", [dumps(dict(store.meta.load(), format=1))]
@@ -321,7 +321,7 @@ def test_format_2_store_is_refused_naming_format(tmp_path):
         encode_frame(dumps({"kind": "submit", "pid": 1, "program": 0}))
     )
     with pytest.raises(
-        StorageError, match="format: store has 2, caller wants 5"
+        StorageError, match="format: store has 2, caller wants 6"
     ):
         ProcessLockingService(_config(tmp_path))
 
@@ -342,7 +342,7 @@ def test_format_3_store_is_refused_naming_both_versions(tmp_path, capsys):
     )
     backend.close()
     with pytest.raises(
-        StorageError, match="format: store has 3, caller wants 5"
+        StorageError, match="format: store has 3, caller wants 6"
     ) as caught:
         ProcessLockingService(_config(tmp_path))
     assert not isinstance(caught.value, WalCorruptionError)
@@ -364,12 +364,64 @@ def test_format_4_store_is_refused_naming_both_versions(tmp_path, capsys):
     backend.append("ssdata/sub0", b'["s","sub0:k0",1]')
     backend.close()
     with pytest.raises(
-        StorageError, match="format: store has 4, caller wants 5"
+        StorageError, match="format: store has 4, caller wants 6"
     ) as caught:
         ProcessLockingService(_config(tmp_path))
     assert not isinstance(caught.value, WalCorruptionError)
     assert repro_main(["store", "verify", "--path", str(root)]) == 2
     assert "meta: 1 records [format: store has 4" in capsys.readouterr().out
+
+
+def test_format_5_store_is_refused_naming_both_versions(tmp_path, capsys):
+    """Format 5 wrote a trace frame as a list of rows, one per event,
+    which this release's trace codec refuses; the meta slot says so,
+    and the meta check refuses the store before a frame is decoded."""
+    _run_once(tmp_path, count=2)
+    root = tmp_path / "store"
+    store = Store.open("log", str(root))
+    meta = dict(store.meta.load(), format=5)
+    store.close()
+    backend = AppendLogBackend(str(root), fsync="never")
+    backend.replace("meta", [dumps(meta)])
+    backend.append("trace", b'[0,[["a",1,0,"act00",1,null],["C",1,0]]]')
+    backend.close()
+    with pytest.raises(
+        StorageError, match="format: store has 5, caller wants 6"
+    ) as caught:
+        ProcessLockingService(_config(tmp_path))
+    assert not isinstance(caught.value, WalCorruptionError)
+    assert repro_main(["store", "verify", "--path", str(root)]) == 2
+    assert "meta: 1 records [format: store has 5" in capsys.readouterr().out
+
+
+def test_compact_folds_the_trace_into_one_frame(tmp_path):
+    """A restart after compaction recovers the same schedule, event for
+    event, with the same counts and the same restored processes."""
+    _run_once(tmp_path, count=24)
+
+    def restart_and_look() -> tuple:
+        service = ProcessLockingService(_config(tmp_path)).start()
+        try:
+            stats = service.execute({"cmd": "stats"}).result(timeout=30)
+            return (
+                list(service.manager.trace.events),
+                stats["manager"],
+                stats["store"]["recovered"]["restored"],
+            )
+        finally:
+            service.stop()
+
+    before = restart_and_look()
+    store = Store.open("log", str(tmp_path / "store"))
+    described = store.describe()
+    store.compact()
+    compacted = store.describe()
+    store.close()
+    assert described["namespaces"]["trace"]["frames"] >= 3
+    assert compacted["namespaces"]["trace"]["frames"] == 1
+    assert compacted["trace"] == described["trace"]
+    assert len(before[0]) == described["trace"]["events"] > 100
+    assert restart_and_look() == before
 
 
 def test_document_without_lock_positions_still_loads():

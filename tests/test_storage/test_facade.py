@@ -149,11 +149,49 @@ def test_compact_drops_decided_journal_and_rewrites_txns(tmp_path):
     store.close()
 
 
+def _rows(pid: int, first_uid: int, count: int) -> list:
+    return [
+        ["a", pid, 0, "act00", uid, None]
+        for uid in range(first_uid, first_uid + count)
+    ]
+
+
+@pytest.mark.parametrize("kind", ("log", "memory"))
+def test_compact_rewrites_the_covered_trace_as_one_frame(tmp_path, kind):
+    """Superseded rows and the orphan past the watermark go; the rows
+    the snapshot covers come back in one frame from position 0."""
+    store = _open(tmp_path, kind)
+    store.trace.append(0, _rows(1, 1, 3))
+    store.trace.append(2, _rows(2, 9, 2))  # supersedes position 2
+    store.trace.append(4, _rows(1, 4, 2))
+    store.trace.append(5, _rows(3, 20, 4))  # the orphan
+    store.snapshots.save({"journal_lsn": 0, "processes": [], "trace_len": 5})
+    covered = store.trace.events()[:5]
+    report = store.compact()
+    assert report["dropped"]["trace"] == 3
+    assert store.backend.count("trace") == 1
+    assert store.trace.events(5) == covered
+    store.close()
+
+
+def test_compact_of_a_trace_the_snapshot_does_not_reach_empties_it(tmp_path):
+    store = _open(tmp_path)
+    store.trace.append(0, _rows(1, 1, 3))  # an orphan of a crash
+    store.snapshots.save({"journal_lsn": 0, "processes": [], "trace_len": 0})
+    store.compact()
+    assert store.backend.count("trace") == 0
+    assert store.verify()["ok"]
+    store.close()
+
+
 def test_compact_without_snapshot_keeps_journal(tmp_path):
     store = _open(tmp_path)
     store.journal.append(_submit(1))
+    store.trace.append(0, _rows(1, 1, 3))
+    store.trace.append(1, _rows(2, 9, 2))
     store.compact()
     assert len(store.journal.records()) == 1
+    assert store.backend.count("trace") == 2
     store.close()
 
 

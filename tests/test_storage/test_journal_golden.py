@@ -42,6 +42,12 @@ objects, each trace row with its ``compensatable`` /
 ``point_of_no_return`` flags — both hash to the digests recorded before
 it, which ``AS_FORMAT_3`` keeps and the session re-derives every run;
 ``frames``, ``gauges`` and the five schedule digests did not move.
+``trace`` alone was recorded once more when a trace frame became a list
+of per-process runs with a name table and uid deltas (store format 6):
+its frames decode to the same rows, so ``trace_as_format_3`` (derived
+through the decoder) did not move, and neither did ``journal``,
+``journal_as_format_3``, ``frames``, ``gauges`` or the five schedule
+digests.
 
 The scripted session runs in a fresh interpreter: its records carry
 activity uids as they are, and those come from a module-global counter
@@ -85,7 +91,7 @@ RECORDED = {
         "3ddb3bb993b697fa68dbf39dac02db325d1e0c43c170b52da68d5b64ed231fe6"
     ),
     "trace": (
-        "81d36f64fab7e88d6b568a76f66e2f1d1af49e442ced2bc3857799cb5d1f5863"
+        "8b64c80856c02edd264295c21dae8ef69fa31cead4ddced0b1a29c6b0a11daf5"
     ),
     "frames": (
         "c384ac3cd8c17ae891911f7fa9412cad480688cae67aa957f142a8818a8873cf"

@@ -31,6 +31,7 @@ from repro.storage.journal import (
     JOURNAL,
     SUBSYSTEM_DATA,
     TRACE,
+    TRACE_ROWS,
     ProgramCodec,
     record_to_dict,
     trace_event_from_row,
@@ -179,6 +180,87 @@ def test_trace_frames_round_trip_every_event_kind(start, drawn):
     ] == events
 
 
+#: Few processes, so that runs interleave and recur.
+PROCESSES = st.sampled_from(((1, 0), (1, 1), (2, 0), (3, 4)))
+
+
+@st.composite
+def trace_frames(draw) -> dict:
+    """Rows of interleaving processes: an activity's uid is mostly the
+    previous one + 1 and sometimes a jump of either sign, and a
+    compensation names an earlier or a later uid."""
+    rows: list[list] = []
+    uid = draw(st.integers(min_value=0, max_value=10**6))
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        pid, incarnation = draw(PROCESSES)
+        kind = draw(st.sampled_from("aaaCA"))
+        if kind != "a":
+            rows.append([kind, pid, incarnation])
+            continue
+        uid += draw(st.just(1) | st.integers(min_value=-50, max_value=50))
+        offset = draw(st.none() | st.integers(min_value=-20, max_value=20))
+        rows.append(
+            [
+                "a",
+                pid,
+                incarnation,
+                draw(st.sampled_from(("book", "pay", "ship", "book^-1"))),
+                uid,
+                None if offset is None else uid + offset,
+            ]
+        )
+    return {"start": draw(COUNTS), "events": rows}
+
+
+@given(trace_frames())
+@example({"start": 4, "events": [["a", 9, 0, "pay", 77, None]]})
+@example({"start": 0, "events": [["C", 1, 0], ["A", 2, 1], ["C", 2, 1]]})
+@example({"start": 0, "events": []})
+@example(
+    {
+        "start": 9,
+        "events": [
+            ["a", 1, 0, "book", 1, None],
+            ["a", 2, 0, "book", 2, None],
+            ["a", 1, 0, "book^-1", 3, 1],
+            ["a", 1, 0, "book^-1", 3, 7],
+            ["a", 1, 0, "pay", -2, None],
+            ["C", 1, 0],
+        ],
+    }
+)
+def test_run_encoded_trace_frames_round_trip(frame):
+    """Runs, the name table and the uid deltas give back every row."""
+    decoded = TRACE.decode(TRACE.encode(frame))
+    assert decoded == frame
+    for row in decoded["events"]:
+        TRACE_ROWS.fields(row, "trace")
+
+
+def test_a_trace_frame_is_the_same_bytes_at_every_encode():
+    """Equal events are equal bytes: one name table in order of first
+    use, one run per stretch of a process, a bare name index where the
+    uid is the previous one + 1."""
+    rows = [
+        ["a", 3, 0, "book", 40, None],
+        ["a", 3, 0, "pay", 41, None],
+        ["a", 5, 1, "book", 42, None],
+        ["a", 3, 0, "ship", 44, None],
+        ["a", 5, 1, "book^-1", 45, 42],
+        ["A", 5, 1],
+        ["C", 3, 0],
+    ]
+    first = TRACE.encode({"start": 7, "events": rows})
+    assert first == (
+        b'[7,["book","pay","ship","book^-1"],'
+        b'[[3,0,[0,40],1],[5,1,0],[3,0,[2,2]],[5,1,[3,1,-3],"A"],'
+        b'[3,0,"C"]]]'
+    )
+    again = {"start": 7, "events": [list(row) for row in rows]}
+    assert TRACE.encode(again) == first
+    assert TRACE.encode(TRACE.decode(first)) == first
+
+
 def test_every_event_kind_and_flag_combination_round_trips():
     kinds = set()
     events = [
@@ -232,7 +314,9 @@ def test_no_key_name_goes_to_disk():
 # malformed rows
 # ----------------------------------------------------------------------
 #: Per namespace: a wrong-arity row, an unknown kind tag, a record of
-#: the keyed format 3, and a field of the wrong type.
+#: the keyed format 3, and a field of the wrong type.  The trace's are
+#: format 5 frames (``[start, [row, ...]]``) with such a row, or keyed,
+#: and refused for that shape; ``MALFORMED_RUNS`` damages the runs.
 MALFORMED = {
     "journal": (
         b'["s",1,0]',
@@ -269,12 +353,46 @@ def test_a_malformed_row_is_refused_typed(namespace, payload):
     assert caught.value.namespace == namespace
 
 
+#: Trace frames whose runs are malformed, and a frame of format 5; the
+#: frames of the wrong shape are listed beside them below.
+MALFORMED_RUNS = {
+    "run-without-pid": b'[0,["book"],[["C"]]]',
+    "run-without-items": b'[0,["book"],[[1,0]]]',
+    "run-not-a-list": b'[0,["book"],[1]]',
+    "incarnation-type": b'[0,["book"],[[1,"0",0]]]',
+    "index-past-names": b'[0,["book"],[[1,0,1]]]',
+    "index-negative": b'[0,["book"],[[1,0,[-1,4]]]]',
+    "index-empty-names": b'[0,[],[[1,0,0]]]',
+    "item-unknown-tag": b'[0,["book"],[[1,0,"Z"]]]',
+    "item-float": b'[0,["book"],[[1,0,0.5]]]',
+    "item-bool": b'[0,["book"],[[1,0,true]]]',
+    "item-short": b'[0,["book"],[[1,0,[0]]]]',
+    "item-long": b'[0,["book"],[[1,0,[0,1,2,3]]]]',
+    "item-delta-type": b'[0,["book"],[[1,0,[0,1.5]]]]',
+    "names-type": b'[0,["book",1],[[1,0,0]]]',
+    "start-negative": b'[-1,[],[]]',
+    "format-5": b'[0,[["a",1,0,"book",1,null],["C",1,0]]]',
+}
+
+
 @pytest.mark.parametrize(
-    "payload", (b"[1,2]", b"[]", b"7", b'[-1,[]]', b"[0,{}]")
+    "payload",
+    (
+        b"[1,2]",
+        b"[]",
+        b"7",
+        b'[-1,[]]',
+        b"[0,{}]",
+        *(
+            pytest.param(payload, id=name)
+            for name, payload in MALFORMED_RUNS.items()
+        ),
+    ),
 )
 def test_a_malformed_trace_frame_is_refused_typed(payload):
-    with pytest.raises(WalCorruptionError):
+    with pytest.raises(WalCorruptionError) as caught:
         TRACE.decode(payload)
+    assert caught.value.namespace == "trace"
 
 
 def test_an_unknown_activity_name_is_refused_typed():
@@ -338,6 +456,24 @@ def test_verify_and_restart_refuse_a_malformed_row(
     with pytest.raises(WalCorruptionError) as caught:
         ProcessLockingService(_config(path))
     assert caught.value.namespace == namespace
+
+
+def test_verify_and_restart_refuse_a_corrupted_run_frame(
+    served, tmp_path, capsys
+):
+    """A run naming a name the frame's table does not hold, appended
+    past everything: ``store verify`` exits 2 and a restart refuses."""
+    path = tmp_path / "store"
+    shutil.copytree(served, path)
+    backend = AppendLogBackend(str(path), fsync="never")
+    backend.append("trace", MALFORMED_RUNS["index-past-names"])
+    backend.close()
+    capsys.readouterr()
+    assert repro_main(["store", "verify", "--path", str(path), "--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["corrupt"] == ["trace"]
+    with pytest.raises(WalCorruptionError) as caught:
+        ProcessLockingService(_config(path))
+    assert caught.value.namespace == "trace"
 
 
 def _subsystem(path) -> str:
