@@ -1,9 +1,11 @@
 """Durability overhead guard.
 
 Pins what ``repro serve --store`` costs over the in-memory default on
-one contended grounded workload, end to end: journaled submissions,
-one redo frame per committed subsystem transaction, terminal records,
-the trace as per-process runs, a final snapshot, and batch fsync.  The factor is recorded to
+one contended grounded workload, end to end: each process journaled
+once (a terminal record; a submission is journaled only while its
+process is undecided at a drain point), one redo frame per committed
+subsystem transaction, the trace as per-process runs, a final
+snapshot, and batch fsync.  The factor is recorded to
 ``BENCH_durability.json`` and asserted under a ceiling — the headline
 claim is that full kill-9 durability stays within a small constant
 factor of the in-memory run, so anything accidentally quadratic on the
@@ -122,9 +124,10 @@ def test_durable_log_overhead_is_bounded(uid_floor):
         json.dumps(
             {
                 "description": (
-                    "fully durable run (journal + trace as per-process "
-                    "runs + snapshot + one redo frame per subsystem "
-                    "commit, batch fsync) "
+                    "fully durable run (journal of one record per "
+                    "decided process + trace as per-process runs + "
+                    "snapshot + one redo frame per subsystem commit, "
+                    "batch fsync) "
                     "vs the in-memory default on one grounded "
                     "contended workload; schedules asserted "
                     "byte-identical; all walls min-of-2"

@@ -378,8 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=48,
         help=(
-            "journal records between snapshots (default: 48, a submit "
-            "and a terminal each: about 24 processes)"
+            "submissions, cancels and outcomes between snapshots, "
+            "journaled or not (default: 48, two per process: about 24 "
+            "processes)"
         ),
     )
 

@@ -268,16 +268,20 @@ class ProcessManager:
         at: float = 0.0,
         pid: int | None = None,
     ) -> int:
-        """Schedule a new process for initiation at virtual time ``at``.
+        """Schedule a new process for initiation ``at`` virtual time
+        units from now; its record is submitted at ``engine.now + at``.
 
         ``pid`` re-schedules a journaled or crash-imaged submission
         that never reached an outcome under its original pid (clients
         poll by pid); its :class:`ProcessRecord` is kept when present.
         Its ``process.submit`` went out before the crash.
         """
+        submitted_at = self.engine.now + at
         if pid is None:
             pid = next(self._pids)
-            self.records[pid] = ProcessRecord(pid=pid, submitted_at=at)
+            self.records[pid] = ProcessRecord(
+                pid=pid, submitted_at=submitted_at
+            )
             self.tracer.emit(ProcessSubmitted(pid=pid))
         elif self.phase(pid) or self.outcome(pid):
             raise SchedulerError(
@@ -285,7 +289,9 @@ class ProcessManager:
                 f"{self.phase(pid) or self.outcome(pid)}"
             )
         elif pid not in self.records:
-            self.records[pid] = ProcessRecord(pid=pid, submitted_at=at)
+            self.records[pid] = ProcessRecord(
+                pid=pid, submitted_at=submitted_at
+            )
         self._hold_start(pid, program, at)
         return pid
 

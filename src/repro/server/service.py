@@ -127,9 +127,11 @@ class ServiceConfig:
     #: Appends between fsyncs under the ``batch`` policy (a crash can
     #: lose at most this many unsynced records).
     store_sync_every: int = 64
-    #: Journal records accumulated since the last snapshot before the
-    #: next quiescent point takes a new one (a ``submit`` and a
-    #: ``terminal`` per process: about 24 processes).
+    #: Submissions, cancels and outcomes accepted or decided since the
+    #: last snapshot before the next quiescent point takes a new one,
+    #: whether or not the journal got a record of each (a process
+    #: decided in the drain that admitted it gets one, its
+    #: ``terminal``): two per process, so about 24 processes.
     snapshot_every: int = 48
 
     def __post_init__(self) -> None:

@@ -8,8 +8,9 @@ out narrow repositories over it:
   every reopen so a server cannot replay a journal produced by a
   different world.
 * :class:`JournalRepository` — the scheduler's logical redo journal:
-  one record per submission, terminal outcome or cancel, in the order
-  they were decided.
+  one record per terminal outcome, and one per submission or cancel
+  whose pid a drain point found undecided, in the order they were
+  journaled.
 * :class:`SnapshotRepository` — a single-slot checkpoint document
   (atomic whole-namespace replace): live-process state plus the
   journal and trace watermarks it covers.
@@ -36,7 +37,7 @@ import tempfile
 from repro import config as repro_config
 from repro.errors import StorageError, WalCorruptionError
 from repro.storage.backend import check_kind, open_backend
-from repro.storage.journal import JOURNAL, SUBSYSTEM_DATA, TRACE, loads
+from repro.storage.journal import JOURNAL, TRACE, loads, subsystem_data
 
 #: Bumped when the on-disk record formats change shape; a store
 #: written under another version is refused by
@@ -48,8 +49,12 @@ from repro.storage.journal import JOURNAL, SUBSYSTEM_DATA, TRACE, loads
 #: written down once in :mod:`repro.storage.journal`.  5: a subsystem
 #: keeps no undo log, and writes one redo frame per committed
 #: transaction.  6: a trace frame holds per-process runs of events
-#: with a name table and uid deltas, not one row per event.
-FORMAT_VERSION = 6
+#: with a name table and uid deltas, not one row per event.  7: a
+#: process decided in the drain that admitted it has no ``submit``
+#: record; a ``terminal`` row holds its outcome as one letter and ends
+#: before the fields left at their defaults; a ``txn`` row's keys are
+#: relative to its subsystem.
+FORMAT_VERSION = 7
 
 META_NS = "meta"
 JOURNAL_NS = "journal"
@@ -76,7 +81,7 @@ def codec_for(namespace: str):
     if namespace == TRACE_NS:
         return TRACE
     if namespace.startswith(SUBSYSTEM_DATA_PREFIX):
-        return SUBSYSTEM_DATA
+        return subsystem_data(namespace[len(SUBSYSTEM_DATA_PREFIX):])
     return None
 
 

@@ -8,13 +8,16 @@ module is the one place that says which field sits where
   recovery reads (a ``cancel`` with no ``terminal`` after it is
   re-applied).  A ``terminal`` record carries the final
   :class:`~repro.scheduler.events.ProcessRecord`: it is the one durable
-  home of a finished process.
+  home of a finished process, and of its pid.  Its outcome is one
+  letter, its fields go common first, and the fields that end it at
+  their defaults are left out.
 * **trace** — the observed schedule's events, one frame of them per
   checkpoint, grouped into per-process runs with a name table and uid
   deltas (:class:`_TraceCodec`); a frame decodes to the same rows.
 * **subsystem data** (``ssdata/<name>``) — one ``txn`` redo record
   per committed subsystem transaction that wrote: the final value of
-  every key it wrote, as one JSON object.  Nothing else of a subsystem
+  every key it wrote, as one JSON object whose names are relative to
+  the subsystem (:class:`_DataCodec`).  Nothing else of a subsystem
   is stored (no undo log): the subsystems are no-steal, so no
   uncommitted value reaches disk, and the codec's CRC-checked framing
   keeps a ``txn`` frame whole or drops it whole, so a cut of the log
@@ -23,7 +26,7 @@ module is the one place that says which field sits where
 
 A record on disk is ``[tag, *fields]``: a one-letter tag naming its kind,
 then its fields in the order :data:`JOURNAL`, :data:`TRACE_ROWS` and
-:data:`SUBSYSTEM_DATA` list them; no field name is stored.  (A trace
+:func:`subsystem_data` list them; no field name is stored.  (A trace
 frame is ``[start, names, runs]``: one kind, no tag.)  The repositories
 of :mod:`repro.storage.facade` encode and decode through these codecs,
 so everyone else reads *logical* records — the dicts (and trace rows)
@@ -31,11 +34,13 @@ they always read.  Decoding checks the tag, the
 arity and the type of every field: a row of any other shape is a
 :class:`~repro.errors.WalCorruptionError`, never a ``TypeError`` later.
 
-Two things are not stored because decoding re-derives them exactly: a
+Some things are not stored because decoding re-derives them exactly: a
 trace row's ``compensatable`` / ``point_of_no_return`` flags, which the
 activity type named by the row fixes (:meth:`ProgramCodec.activity_type`),
-and every field of a commit or abort event but its process (the recorder
-leaves them at their defaults).
+every field of a commit or abort event but its process (the recorder
+leaves them at their defaults), the trailing fields of a ``terminal``
+row that are at their defaults (:attr:`Kind.defaults`), and the
+subsystem's own name in front of a ``txn`` record's keys.
 
 The **checkpoint document** is not appended but swapped whole into the
 snapshot slot, as one keyed JSON object: what is left of a
@@ -60,7 +65,7 @@ from dataclasses import asdict, fields
 from typing import NamedTuple
 
 from repro.errors import StorageError, WalCorruptionError
-from repro.scheduler.events import OUTCOMES, ProcessRecord
+from repro.scheduler.events import ProcessRecord
 from repro.scheduler.recovery import (
     CrashImage,
     LedgerRecord,
@@ -144,8 +149,21 @@ def _texts(value) -> bool:
     return type(value) is list and all(type(item) is str for item in value)
 
 
-def _outcome(value) -> bool:
-    return _text(value) and value in OUTCOMES
+#: A ``terminal`` row's outcome, one letter per member of
+#: :data:`~repro.scheduler.events.OUTCOMES`.
+OUTCOME_LETTERS = {
+    "committed": "c",
+    "aborted": "a",
+    "cancelled": "x",
+    "starved": "s",
+}
+_OUTCOMES_BY_LETTER = {
+    letter: outcome for outcome, letter in OUTCOME_LETTERS.items()
+}
+
+
+def _outcome_letter(value) -> bool:
+    return _text(value) and value in _OUTCOMES_BY_LETTER
 
 
 def _writes(value) -> bool:
@@ -160,6 +178,20 @@ class Kind(NamedTuple):
     name: str
     tag: str
     fields: tuple[tuple[str, Callable[[object], bool]], ...]
+    #: The defaults of the last ``len(defaults)`` fields.  A row ends
+    #: before the first of a trailing stretch of them that is at its
+    #: default, and decoding puts the defaults back.
+    defaults: tuple = ()
+
+
+def _at_default(value, default) -> bool:
+    """Whether ``value`` is ``default`` as JSON writes it (``0`` is not
+    ``0.0``, and ``-0.0`` is not ``0.0``)."""
+    return (
+        type(value) is type(default)
+        and value == default
+        and repr(value) == repr(default)
+    )
 
 
 _COMPACT = json.JSONEncoder(separators=(",", ":"))
@@ -201,8 +233,16 @@ class RecordCodec:
         return {"kind": kind, **values}
 
     def row(self, kind: str, values: dict) -> list:
+        """``[tag, *fields]``, ending before the trailing fields that
+        are at their defaults."""
         spec = self.kinds[kind]
-        return [spec.tag, *(values[name] for name, _ in spec.fields)]
+        row = [spec.tag, *(values[name] for name, _ in spec.fields)]
+        floor = len(row) - len(spec.defaults)
+        while len(row) > floor and _at_default(
+            row[-1], spec.defaults[len(row) - 1 - floor]
+        ):
+            row.pop()
+        return row
 
     def fields(self, row, namespace: str = "") -> tuple[str, dict]:
         """The kind and fields of a decoded ``row``; raises
@@ -217,10 +257,13 @@ class RecordCodec:
                 f"record {row!r:.80} has no known kind tag",
                 namespace=namespace,
             )
-        if len(row) != len(spec.fields) + 1:
+        most = len(spec.fields)
+        least = most - len(spec.defaults)
+        if not least <= len(row) - 1 <= most:
+            arity = f"{least} to {most}" if least < most else f"{most}"
             raise WalCorruptionError(
                 f"{spec.name} record {row!r:.80} has {len(row) - 1} "
-                f"fields, not {len(spec.fields)}",
+                f"fields, not {arity}",
                 namespace=namespace,
             )
         for (name, check), value in zip(spec.fields, row[1:]):
@@ -230,9 +273,14 @@ class RecordCodec:
                     f"{value!r:.40}",
                     namespace=namespace,
                 )
-        return spec.name, {
+        values = {
             name: value for (name, _), value in zip(spec.fields, row[1:])
         }
+        for (name, _), default in zip(
+            spec.fields[len(row) - 1:], spec.defaults[len(row) - 1 - least:]
+        ):
+            values[name] = list(default) if type(default) is list else default
+        return spec.name, values
 
     def encode(self, record: dict) -> bytes:
         return _dump_row(self.row(*self.split(record)))
@@ -242,40 +290,95 @@ class RecordCodec:
 
 
 #: A terminal record's :class:`ProcessRecord` fields after ``pid`` (the
-#: record's own, stored once) and ``outcome`` (stored beside them).
-_PROCESS_RECORD = (
-    ("submitted_at", _number),
-    ("committed_at", _stamp),
-    ("intrinsically_aborted_at", _stamp),
-    ("resubmissions", _int),
-    ("cascade_aborts", _int),
-    ("activities_committed", _int),
-    ("compensations", _int),
-    ("compensated_cost", _number),
-    ("compensated_names", _texts),
-    ("compensated_causes", _texts),
-    ("retries", _int),
+#: record's own, stored once), ``outcome`` (stored beside them) and
+#: ``submitted_at``, each with the default a row may leave it out at
+#: (:attr:`Kind.defaults`): the two nearly every process sets, then
+#: those only a process that was resubmitted, compensated, failed or
+#: retried does.
+_PROCESS_RECORD_TAIL = (
+    ("committed_at", _stamp, None),
+    ("activities_committed", _int, 0),
+    ("resubmissions", _int, 0),
+    ("cascade_aborts", _int, 0),
+    ("compensations", _int, 0),
+    ("compensated_cost", _number, 0.0),
+    ("compensated_names", _texts, []),
+    ("compensated_causes", _texts, []),
+    ("intrinsically_aborted_at", _stamp, None),
+    ("retries", _int, 0),
 )
 
 
 class _JournalCodec(RecordCodec):
     """A ``terminal`` record nests its process record under
-    ``"record"``; its row holds the fields flat."""
+    ``"record"``; its row holds the fields flat, and its outcome as one
+    letter (:data:`OUTCOME_LETTERS`)."""
 
     def split(self, record: dict) -> tuple[str, dict]:
         if record["kind"] == "terminal":
-            return "terminal", {**record["record"], **record}
+            return "terminal", {
+                **record["record"],
+                "pid": record["pid"],
+                "outcome": OUTCOME_LETTERS[record["outcome"]],
+            }
         return record["kind"], record
 
     def join(self, kind: str, values: dict) -> dict:
         if kind != "terminal":
             return {"kind": kind, **values}
-        pid, outcome = values.pop("pid"), values.pop("outcome")
+        pid, letter = values.pop("pid"), values.pop("outcome")
         return {
             "kind": kind,
             "pid": pid,
-            "outcome": outcome,
+            "outcome": _OUTCOMES_BY_LETTER[letter],
             "record": {"pid": pid, **values},
+        }
+
+
+class _DataCodec(RecordCodec):
+    """``txn`` records whose keys are stored relative to ``prefix``.
+
+    A subsystem's keys are named ``"<subsystem>:<key>"``, and its
+    namespace names the subsystem already, so a key that starts with
+    the prefix is stored without it.  Any other key — and one whose
+    rest starts with ``":"`` — is stored whole behind a ``":"``, so
+    every key reads back as it was written.
+    """
+
+    def __init__(self, prefix: str) -> None:
+        super().__init__(Kind("txn", "t", (("writes", _writes),)))
+        self.prefix = prefix
+
+    def relative(self, key: str) -> str:
+        """``key`` as a stored row names it."""
+        prefix = self.prefix
+        if key.startswith(prefix) and not key.startswith(":", len(prefix)):
+            return key[len(prefix):]
+        return ":" + key
+
+    def absolute(self, stored: str) -> str:
+        """The key a stored name stands for."""
+        if stored.startswith(":"):
+            return stored[1:]
+        return self.prefix + stored
+
+    def split(self, record: dict) -> tuple[str, dict]:
+        relative = self.relative
+        return record["kind"], {
+            "writes": {
+                relative(key): value
+                for key, value in record["writes"].items()
+            }
+        }
+
+    def join(self, kind: str, values: dict) -> dict:
+        absolute = self.absolute
+        return {
+            "kind": kind,
+            "writes": {
+                absolute(key): value
+                for key, value in values["writes"].items()
+            },
         }
 
 
@@ -381,7 +484,13 @@ JOURNAL = _JournalCodec(
     Kind(
         "terminal",
         "t",
-        (("pid", _int), ("outcome", _outcome), *_PROCESS_RECORD),
+        (
+            ("pid", _int),
+            ("outcome", _outcome_letter),
+            ("submitted_at", _number),
+            *((name, check) for name, check, _ in _PROCESS_RECORD_TAIL),
+        ),
+        tuple(default for _, _, default in _PROCESS_RECORD_TAIL),
     ),
     Kind("cancel", "c", (("pid", _int),)),
 )
@@ -406,7 +515,10 @@ TRACE_ROWS = RecordCodec(
 
 TRACE = _TraceCodec()
 
-SUBSYSTEM_DATA = RecordCodec(Kind("txn", "t", (("writes", _writes),)))
+def subsystem_data(name: str) -> _DataCodec:
+    """The codec of subsystem ``name``'s ``txn`` records: its keys
+    ``"<name>:<key>"`` stored as ``"<key>"``."""
+    return _DataCodec(name + ":")
 
 
 # ----------------------------------------------------------------------

@@ -6,13 +6,15 @@
 inside :class:`~repro.server.service.ProcessLockingService`) and owns
 the durability protocol:
 
-* every accepted submission is journaled (``submit`` records) *before*
-  the client is acknowledged;
 * every terminal outcome is journaled (``terminal`` records, carrying
   the final :class:`~repro.scheduler.events.ProcessRecord`) at the next
-  quiescent point;
-* once enough journal records accumulate, or a pid the last snapshot
-  holds live is decided, a **snapshot** is cut.  It
+  quiescent point, before any client is acknowledged;
+* at that same point, every submission and cancel accepted since is
+  journaled (``submit`` / ``cancel`` records) unless its pid was
+  decided meanwhile: a process decided in the drain that admitted it
+  is journaled once, by its ``terminal`` record;
+* once enough submissions, cancels and outcomes accumulate, or a pid
+  the last snapshot holds live is decided, a **snapshot** is cut.  It
   writes what changed since the previous one: the trace events
   recorded since go to the append-only ``trace`` namespace, and a small
   document — live-process continuations, the records of undecided
@@ -88,7 +90,10 @@ class PersistencePlane:
         snapshot_every: int = 48,
         identity: dict | None = None,
     ) -> None:
-        """With ``identity``, the store's identity document is written
+        """``snapshot_every`` counts the submissions, cancels and
+        outcomes noted since the last snapshot, journaled or not.
+
+        With ``identity``, the store's identity document is written
         on first open and verified after
         (:meth:`~repro.storage.facade.MetaRepository.ensure`) before
         any record is decoded: a store of another format is refused by
@@ -110,6 +115,13 @@ class PersistencePlane:
         #: ``store.journal.appended`` count from here).
         self._base_len = len(self._journal)
         self._snapshot_lsn = 0
+        #: Submissions, cancels and outcomes noted since the last
+        #: snapshot, journaled or not: what ``snapshot_every`` counts.
+        self._noted = 0
+        #: The ``submit`` / ``cancel`` records noted since the last
+        #: drain point, in order; :meth:`after_drain` journals those of
+        #: pids still undecided.
+        self._accepted: list[dict] = []
         #: Trace events the last snapshot covers; the next one appends
         #: from here.
         self._trace_len = 0
@@ -168,7 +180,11 @@ class PersistencePlane:
                 image.records[pid] = record_from_dict(
                     entry["record"], entry["outcome"]
                 )
-        image.max_pid = max(image.max_pid, *submits, *image.records, 0)
+        # A pid decided in the drain that admitted it has no submit
+        # record: its terminal record is its only trace in the journal.
+        image.max_pid = max(
+            image.max_pid, *(entry["pid"] for entry in self._journal), 0
+        )
         decided = {
             pid
             for pid, record in image.records.items()
@@ -206,6 +222,7 @@ class PersistencePlane:
         if document is not None:
             info.snapshot_lsn = int(document["journal_lsn"])
             self._snapshot_lsn = info.snapshot_lsn
+        self._noted = len(journal) - self._snapshot_lsn
         self._trace_len = len(image.trace_events)
         self._max_pid = image.max_pid
         self._adoptable = {snapshot.pid for snapshot in image.snapshots}
@@ -268,35 +285,44 @@ class PersistencePlane:
     def note_submit(
         self, pid: int, program_index: int, at: float = 0.0
     ) -> None:
-        """Journal one accepted submission (before the client ack)."""
-        self.store.journal.append(
-            {
-                "kind": "submit",
-                "pid": pid,
-                "program": program_index,
-                "at": at,
-            }
+        """Note one accepted submission; :meth:`after_drain` journals
+        it before the client is acknowledged, unless the drain decided
+        it."""
+        self._accepted.append(
+            {"kind": "submit", "pid": pid, "program": program_index, "at": at}
         )
+        self._noted += 1
         self._max_pid = max(self._max_pid, pid)
 
     def note_cancel(self, pid: int) -> None:
-        self.store.journal.append({"kind": "cancel", "pid": pid})
+        """Note one accepted cancel; journaled as :meth:`note_submit`
+        is."""
+        self._accepted.append({"kind": "cancel", "pid": pid})
+        self._noted += 1
 
     def after_drain(self, manager) -> bool:
         """Quiescent-point bookkeeping; returns True on a snapshot.
 
-        Journals the pids decided since the last call (in ascending
-        pid order, so a schedule fixes the journal's bytes), takes a
-        snapshot when the journal has outgrown the cadence, or when it
-        decided a pid the newest document holds live (a restart would
-        re-run that pid, so no answer may go out on its outcome before
-        a newer document), and flushes so everything acknowledged after
-        this point is durable.
+        Journals the submissions and cancels noted since the last call
+        whose pids are still undecided (a decided pid's ``terminal``
+        record says all they would), then the pids decided since the
+        last call (in ascending pid order, so a schedule fixes the
+        journal's bytes); takes a snapshot when the noted records have
+        outgrown the cadence, or when it decided a pid the newest
+        document holds live (a restart would re-run that pid, so no
+        answer may go out on its outcome before a newer document); and
+        flushes, so everything acknowledged after this point is
+        durable.
         """
+        journal = self.store.journal
+        for entry in self._accepted:
+            if manager.outcome(entry["pid"]) is None:
+                journal.append(entry)
+        self._accepted.clear()
         finished = sorted(manager.take_finished())
         for pid in finished:
             record = manager.records[pid]
-            self.store.journal.append(
+            journal.append(
                 {
                     "kind": "terminal",
                     "pid": pid,
@@ -304,10 +330,10 @@ class PersistencePlane:
                     "record": record_to_dict(record),
                 }
             )
+        self._noted += len(finished)
         took = False
         if (
-            self.journal_len - self._snapshot_lsn
-            >= self.snapshot_every
+            self._noted >= self.snapshot_every
             or not self._adoptable.isdisjoint(finished)
         ):
             self.snapshot(manager)
@@ -350,6 +376,7 @@ class PersistencePlane:
             )
         )
         self._snapshot_lsn = lsn
+        self._noted = 0
         self._trace_len = len(events)
         self._adoptable = {process.pid for process in processes}
         manager.tracer.emit(

@@ -296,7 +296,7 @@ def test_orphan_delta_past_watermark_is_ignored(tmp_path, capsys):
 
 def test_v1_store_is_refused_naming_format(tmp_path):
     _run_once(tmp_path, count=2)
-    assert FORMAT_VERSION == 6
+    assert FORMAT_VERSION == 7
     store = Store.open("log", str(tmp_path / "store"))
     store.backend.replace(
         "meta", [dumps(dict(store.meta.load(), format=1))]
@@ -321,7 +321,7 @@ def test_format_2_store_is_refused_naming_format(tmp_path):
         encode_frame(dumps({"kind": "submit", "pid": 1, "program": 0}))
     )
     with pytest.raises(
-        StorageError, match="format: store has 2, caller wants 6"
+        StorageError, match="format: store has 2, caller wants 7"
     ):
         ProcessLockingService(_config(tmp_path))
 
@@ -342,7 +342,7 @@ def test_format_3_store_is_refused_naming_both_versions(tmp_path, capsys):
     )
     backend.close()
     with pytest.raises(
-        StorageError, match="format: store has 3, caller wants 6"
+        StorageError, match="format: store has 3, caller wants 7"
     ) as caught:
         ProcessLockingService(_config(tmp_path))
     assert not isinstance(caught.value, WalCorruptionError)
@@ -364,7 +364,7 @@ def test_format_4_store_is_refused_naming_both_versions(tmp_path, capsys):
     backend.append("ssdata/sub0", b'["s","sub0:k0",1]')
     backend.close()
     with pytest.raises(
-        StorageError, match="format: store has 4, caller wants 6"
+        StorageError, match="format: store has 4, caller wants 7"
     ) as caught:
         ProcessLockingService(_config(tmp_path))
     assert not isinstance(caught.value, WalCorruptionError)
@@ -386,12 +386,38 @@ def test_format_5_store_is_refused_naming_both_versions(tmp_path, capsys):
     backend.append("trace", b'[0,[["a",1,0,"act00",1,null],["C",1,0]]]')
     backend.close()
     with pytest.raises(
-        StorageError, match="format: store has 5, caller wants 6"
+        StorageError, match="format: store has 5, caller wants 7"
     ) as caught:
         ProcessLockingService(_config(tmp_path))
     assert not isinstance(caught.value, WalCorruptionError)
     assert repro_main(["store", "verify", "--path", str(root)]) == 2
     assert "meta: 1 records [format: store has 5" in capsys.readouterr().out
+
+
+def test_format_6_store_is_refused_naming_both_versions(tmp_path, capsys):
+    """Format 6 wrote a ``submit`` record for every process and a
+    ``terminal`` row of every field with its outcome spelled out, which
+    this release's journal codec refuses; the meta slot says so, and
+    the meta check refuses the store before a record is decoded."""
+    _run_once(tmp_path, count=2)
+    root = tmp_path / "store"
+    store = Store.open("log", str(root))
+    meta = dict(store.meta.load(), format=6)
+    store.close()
+    backend = AppendLogBackend(str(root), fsync="never")
+    backend.replace("meta", [dumps(meta)])
+    backend.append(
+        "journal",
+        b'["t",3,"committed",0.0,27.5,null,0,0,8,0,0.0,[],[],0]',
+    )
+    backend.close()
+    with pytest.raises(
+        StorageError, match="format: store has 6, caller wants 7"
+    ) as caught:
+        ProcessLockingService(_config(tmp_path))
+    assert not isinstance(caught.value, WalCorruptionError)
+    assert repro_main(["store", "verify", "--path", str(root)]) == 2
+    assert "meta: 1 records [format: store has 6" in capsys.readouterr().out
 
 
 def test_compact_folds_the_trace_into_one_frame(tmp_path):
@@ -511,7 +537,12 @@ def test_compact_then_restart_keeps_finished_work(tmp_path):
     assert before[0]["submitted"] == 61 and before[1] == 61
     assert before[2]["outcome"] == "cancelled"
     store = Store.open("log", str(tmp_path / "store"))
+    kinds = store.describe()["journal"]["kinds"]
     dropped = store.compact()["dropped"]["journal"]
+    kept = store.describe()["journal"]["kinds"]
     store.close()
-    assert dropped > 61  # the 61 decided pids' submits and the cancel
+    # The 61 decided pids keep their terminal records and nothing else:
+    # a submit or cancel journaled while its pid was undecided goes.
+    assert kept == {"terminal": 61}
+    assert dropped == sum(kinds.values()) - 61
     assert restart_and_look() == before

@@ -59,8 +59,8 @@ from repro.server.service import ProcessLockingService, ServiceConfig
 from repro.sim.workload import WorkloadSpec
 from repro.storage import AppendLogBackend, Store
 from repro.storage.codec import encode_frame
-from repro.storage.facade import dumps
-from repro.storage.journal import JOURNAL, SUBSYSTEM_DATA
+from repro.storage.facade import codec_for, dumps
+from repro.storage.journal import JOURNAL, record_to_dict
 from tests.test_storage.commit_log import (
     LOG_FILE,
     boundaries,
@@ -239,17 +239,42 @@ def eager(tmp_path_factory):
     return (golden, *_eager_session(golden))
 
 
-def _terminals(frames, cut: int) -> dict[int, str]:
-    """pid -> outcome of the ``terminal`` records within ``cut``."""
+def _journal(frames, cut: int) -> list[dict]:
+    """The journal records within ``cut``, in order."""
+    return [
+        JOURNAL.decode(payload)
+        for name, payload, end in frames
+        if name == "journal" and end <= cut
+    ]
+
+
+def _terminals(frames, cut: int) -> dict[int, dict]:
+    """pid -> the latest ``terminal`` record within ``cut``."""
     return {
-        record["pid"]: record["outcome"]
-        for record in (
-            JOURNAL.decode(payload)
-            for name, payload, end in frames
-            if name == "journal" and end <= cut
-        )
+        record["pid"]: record
+        for record in _journal(frames, cut)
         if record["kind"] == "terminal"
     }
+
+
+def _journaled_once(frames, acks) -> int:
+    """Check every ``submit`` answer against the journal as the answer
+    found it: each pid it names is there, by its ``terminal`` record
+    when its drain decided it and by its ``submit`` record otherwise —
+    never both from that one drain.  Returns how many answered pids
+    outlived their drain (and kept their ``submit`` record)."""
+    outlived = 0
+    for at, kind, body in acks:
+        if kind != "submit":
+            continue
+        journal = _journal(frames, at)
+        kinds: dict[int, set[str]] = {}
+        for record in journal:
+            kinds.setdefault(record["pid"], set()).add(record["kind"])
+        for pid in body["pids"]:
+            assert kinds.get(pid) in ({"submit"}, {"terminal"}), (pid, at)
+            outlived += kinds[pid] == {"submit"}
+    return outlived
 
 
 def _settled_records(frames, cut: int, commits) -> dict[str, dict]:
@@ -264,7 +289,7 @@ def _settled_records(frames, cut: int, commits) -> dict[str, dict]:
         kind, _, subsystem = name.partition("/")
         if kind == "ssdata":
             records.setdefault(subsystem, {}).update(
-                SUBSYSTEM_DATA.decode(payload)["writes"]
+                codec_for(name).decode(payload)["writes"]
             )
     return {
         subsystem: {key: value for key, value in held.items() if value}
@@ -275,13 +300,15 @@ def _settled_records(frames, cut: int, commits) -> dict[str, dict]:
 def _restart_and_audit(
     path: Path,
     acks,
-    terminals: dict[int, str],
+    terminals: dict[int, dict],
     settled: dict[str, dict],
     adopted: frozenset[int] = frozenset(),
+    journaled: frozenset[int] = frozenset(),
 ) -> None:
     """Serve from the damaged store at ``path``; hold it to ``acks``
     (those the cut covers), to the journaled ``terminals`` and to the
-    ``settled`` subsystem records.  The outcomes of the ``adopted``
+    ``settled`` subsystem records, and issue no pid the cut's journal
+    names (``journaled``) again.  The outcomes of the ``adopted``
     pids, live in the document beside the cut, are not held: the
     restart re-runs them from it."""
     service = _service(path)  # subsystems recover here; nothing runs yet
@@ -302,19 +329,26 @@ def _restart_and_audit(
             ),
         }
     )
-    # One batch drains to quiescence, then answers every question.
+    # One batch takes a fresh submission, drains to quiescence, then
+    # answers every question.
     try:
-        drain, check, *statuses = _turn(
+        fresh, drain, check, *statuses = _turn(
             service,
             0,
             [
+                {"cmd": "submit"},
                 {"cmd": "drain"},
                 {"cmd": "check"},
                 *({"cmd": "status", "pid": pid} for pid in pids),
             ],
         )
+        records = {
+            pid: service.manager.records.get(pid) for pid in terminals
+        }
     finally:
         service.store.close()
+    (issued,) = fresh.result(timeout=0)["pids"]
+    assert issued > max({*pids, *journaled}, default=0)
     assert drain.result(timeout=0)["quiesced"]
     answers = {
         pid: status.result(timeout=0) for pid, status in zip(pids, statuses)
@@ -334,8 +368,13 @@ def _restart_and_audit(
             for row in body["outcomes"]:
                 if row["pid"] not in adopted:
                     assert outcome(row["pid"]) == row["outcome"], row
-    for pid, journaled in terminals.items():
-        assert outcome(pid) == journaled or pid in adopted, pid
+                    assert answers[row["pid"]]["latency"] == row["latency"]
+    for pid, terminal in terminals.items():
+        if pid in adopted:
+            continue
+        # The whole record comes back, not only the outcome.
+        assert outcome(pid) == terminal["outcome"], pid
+        assert record_to_dict(records[pid]) == terminal["record"], pid
     report = check.result(timeout=0)
     assert report["complete"], report
     assert report["correct_termination"], report
@@ -348,7 +387,9 @@ def _restart_and_audit(
         store.close()
 
 
-def _sweep(tmp_path: Path, golden: Path, acks, documents, commits) -> None:
+def _sweep(
+    tmp_path: Path, golden: Path, acks, documents, commits
+) -> tuple[int, int]:
     """Restart from every frame boundary of ``golden``'s log, and from
     the seeded mid-frame sample, beside every document swapped in at or
     before the cut.
@@ -359,6 +400,8 @@ def _sweep(tmp_path: Path, golden: Path, acks, documents, commits) -> None:
     outcome of a pid the document holds live.  (Beside a later cut,
     which only an unsynced swap lost in a power cut leaves, such a
     pid's outcome may differ, and the restart must still be sound.)
+
+    Returns the number of cuts and of restarts.
     """
     data = (golden / LOG_FILE).read_bytes()
     frames = log_frames(data)
@@ -371,6 +414,9 @@ def _sweep(tmp_path: Path, golden: Path, acks, documents, commits) -> None:
     restarts = 0
     for cut in cuts:
         terminals = _terminals(frames, cut)
+        journaled = frozenset(
+            record["pid"] for record in _journal(frames, cut)
+        )
         covered = [ack for ack in acks if ack[0] <= cut]
         answered = {
             row["pid"]
@@ -398,23 +444,32 @@ def _sweep(tmp_path: Path, golden: Path, acks, documents, commits) -> None:
                     encode_frame(dumps(document))
                 )
             _restart_and_audit(
-                target, covered, terminals, settled, adopted
+                target, covered, terminals, settled, adopted, journaled
             )
             shutil.rmtree(target)
             restarts += 1
     assert restarts > len(edges)
+    return len(cuts), restarts
 
 
 def test_restart_from_every_frame_boundary(tmp_path, eager):
     golden, acks, documents, commits = eager
     assert len(documents) >= 3  # at least two snapshots
-    frames = log_frames((golden / LOG_FILE).read_bytes())
+    data = (golden / LOG_FILE).read_bytes()
+    frames = log_frames(data)
     assert {name.split("/")[0] for name, _, _ in frames} == {
         "journal",
         "trace",
         "ssdata",
     }
-    _sweep(tmp_path, golden, acks, documents, commits)
+    # Every drain runs to quiescence: each process is journaled once,
+    # by its terminal record, and the cancel with it.
+    assert _journaled_once(frames, acks) == 0
+    assert {record["kind"] for record in _journal(frames, len(data))} == {
+        "terminal"
+    }
+    cuts, restarts = _sweep(tmp_path, golden, acks, documents, commits)
+    print(f"eager sweep: {cuts} cuts, {restarts} restarts")
 
 
 def test_restart_from_every_frame_boundary_of_a_paced_session(tmp_path):
@@ -429,7 +484,12 @@ def test_restart_from_every_frame_boundary_of_a_paced_session(tmp_path):
     assert any(entry["resubmit_in"] is None for entry in held)
     assert any(entry["resubmit_in"] is not None for entry in held)
     assert {kind for _, kind, _ in acks} == {"submit", "outcomes"}
-    _sweep(tmp_path, golden, acks, documents, commits)
+    # The burst outlives the drain that admitted it: a wait=false
+    # submit that was answered before its outcome keeps its record.
+    frames = log_frames((golden / LOG_FILE).read_bytes())
+    assert _journaled_once(frames, acks) == 2
+    cuts, restarts = _sweep(tmp_path, golden, acks, documents, commits)
+    print(f"paced sweep: {cuts} cuts, {restarts} restarts")
 
 
 def test_no_answer_reports_an_outcome_a_restart_would_re_run(tmp_path):

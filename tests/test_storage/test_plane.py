@@ -87,12 +87,13 @@ def test_stop_at_snapshot_recovers_to_ct(tmp_path, kind, steps):
 
 
 def test_journal_only_crash_resubmits_everything(tmp_path):
-    """Killed before any snapshot: acknowledged pids re-run from zero."""
+    """Killed before any snapshot: acknowledged pids re-run from zero.
+    (Acknowledged: a drain point journaled them, undecided.)"""
     workload = build_workload(SPEC)
     store = Store.open("log", str(tmp_path / "store"))
-    plane, manager, _ = _build(workload, store)
+    plane, manager, _ = _build(workload, store, snapshot_every=10_000)
     _submit_all(plane, manager, workload)
-    store.flush()
+    assert not plane.after_drain(manager)
     store.close()  # no snapshot was ever cut
     store2 = Store.open("log", str(tmp_path / "store"))
     plane2, recovered, info = _build(workload, store2)

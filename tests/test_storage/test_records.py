@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import shutil
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from types import SimpleNamespace
 
 import pytest
@@ -29,11 +29,12 @@ from repro.storage import AppendLogBackend, Store
 from repro.storage.facade import codec_for
 from repro.storage.journal import (
     JOURNAL,
-    SUBSYSTEM_DATA,
+    OUTCOME_LETTERS,
     TRACE,
     TRACE_ROWS,
     ProgramCodec,
     record_to_dict,
+    subsystem_data,
     trace_event_from_row,
     trace_event_to_row,
 )
@@ -123,11 +124,129 @@ def test_journal_records_round_trip(record):
     assert JOURNAL.decode(JOURNAL.encode(record)) == record
 
 
+#: The :class:`ProcessRecord` fields a ``terminal`` row may leave out,
+#: with their defaults, in row order.
+TRAILING = dict(
+    zip(
+        [name for name, _ in JOURNAL.kinds["terminal"].fields][3:],
+        JOURNAL.kinds["terminal"].defaults,
+    )
+)
+
+
+@st.composite
+def sparse_records(draw) -> ProcessRecord:
+    """A record with any subset of its trailing fields at their
+    defaults, the rest drawn — the compensation lists non-empty."""
+    drawn = {
+        "committed_at": STAMPS,
+        "activities_committed": COUNTS,
+        "resubmissions": COUNTS,
+        "cascade_aborts": COUNTS,
+        "compensations": COUNTS,
+        "compensated_cost": TIMES,
+        "compensated_names": st.lists(st.text(max_size=8), min_size=1),
+        "compensated_causes": st.lists(st.text(max_size=8), min_size=1),
+        "intrinsically_aborted_at": STAMPS,
+        "retries": COUNTS,
+    }
+    assert set(drawn) == set(TRAILING)
+    kept = draw(st.sets(st.sampled_from(sorted(drawn))))
+    return ProcessRecord(
+        pid=draw(IDS),
+        submitted_at=draw(TIMES),
+        **{name: draw(drawn[name]) for name in kept},
+    )
+
+
+@given(sparse_records(), st.sampled_from(OUTCOMES))
+@example(ProcessRecord(pid=1, submitted_at=0.0), "committed")
+@example(ProcessRecord(pid=1, submitted_at=-0.0, retries=1), "aborted")
+@example(
+    ProcessRecord(pid=2, submitted_at=1.5, compensated_cost=-0.0),
+    "cancelled",
+)
+@example(ProcessRecord(pid=3, submitted_at=2.0, committed_at=0), "starved")
+def test_terminal_rows_round_trip_at_any_defaults(record, outcome):
+    """A row ends before the trailing fields at their defaults — as
+    JSON writes them: ``0`` and ``-0.0`` are not ``0.0`` — and decoding
+    puts them back; bytes, record and outcome all survive."""
+    terminal = _terminal(record, outcome)
+    payload = JOURNAL.encode(terminal)
+    row = json.loads(payload)
+    assert row[:3] == ["t", record.pid, OUTCOME_LETTERS[outcome]]
+    assert 4 <= len(row) <= 4 + len(TRAILING)
+    if len(row) > 4:  # the last field kept is not at its default
+        name = list(TRAILING)[len(row) - 5]
+        assert json.dumps(row[-1]) != json.dumps(TRAILING[name])
+    decoded = JOURNAL.decode(payload)
+    assert decoded == terminal
+    assert JOURNAL.encode(decoded) == payload
+    assert json.dumps(decoded["record"], sort_keys=True) == json.dumps(
+        terminal["record"], sort_keys=True
+    )
+
+
+def test_the_terminal_row_leaves_out_process_record_defaults():
+    """The defaults a row may leave out are the record's own, and every
+    outcome has its own letter."""
+    defaults = {
+        spec.name: repr(
+            spec.default if spec.default_factory is MISSING
+            else spec.default_factory()
+        )
+        for spec in fields(ProcessRecord)
+        if spec.name in TRAILING
+    }
+    assert {name: repr(value) for name, value in TRAILING.items()} == defaults
+    assert sorted(OUTCOME_LETTERS) == sorted(OUTCOMES)
+    assert len(set(OUTCOME_LETTERS.values())) == len(OUTCOMES)
+    assert all(len(letter) == 1 for letter in OUTCOME_LETTERS.values())
+    committed = ProcessRecord(
+        pid=4, submitted_at=1.5, committed_at=9.0, activities_committed=3
+    )
+    assert JOURNAL.encode(_terminal(committed, "committed")) == (
+        b'["t",4,"c",1.5,9.0,3]'
+    )
+
+
+#: A subsystem's keys, and keys of any other shape: without the prefix,
+#: with ``:`` inside and in front.
+KEYS = st.one_of(
+    st.text(max_size=8).map("bank:".__add__),
+    st.text(max_size=8),
+    st.text(max_size=8).map(":".__add__),
+    st.text(max_size=8).map("bank::".__add__),
+)
+
+
+@given(st.dictionaries(KEYS, JSON, max_size=6))
+@example({"bank:k7": 1, "bank:": 0, "bank::x": 2, ":y": 3, "shop:k": 4})
+@example({"": None, ":": None, "::": None, "bank": None})
+def test_txn_keys_are_stored_relative_and_read_back_whole(writes):
+    """``bank:k7`` is stored as ``k7``; every other key is stored whole
+    behind a ``:``, so the stored names of two keys never collide and
+    each reads back as written."""
+    record = {"kind": "txn", "writes": writes}
+    codec = codec_for("ssdata/bank")
+    payload = codec.encode(record)
+    stored = json.loads(payload)[1]
+    assert len(stored) == len(writes)
+    for key in writes:
+        relative = key[len("bank:"):]
+        if key.startswith("bank:") and not relative.startswith(":"):
+            assert relative in stored
+        else:
+            assert ":" + key in stored
+    assert codec.decode(payload) == record
+
+
 @given(DATA_RECORDS)
 @example({"kind": "txn", "writes": {"k": None, "": 0}})
 @example({"kind": "txn", "writes": {"k": {"balance": FULL_PRECISION}}})
 def test_data_records_round_trip(record):
-    assert SUBSYSTEM_DATA.decode(SUBSYSTEM_DATA.encode(record)) == record
+    codec = subsystem_data("bank")
+    assert codec.decode(codec.encode(record)) == record
 
 
 def _registry() -> ActivityRegistry:
@@ -301,13 +420,16 @@ def test_the_terminal_layout_holds_every_process_record_field():
 def test_no_key_name_goes_to_disk():
     record = _terminal(COMPENSATED, "aborted")
     assert JOURNAL.encode(record) == (
-        b'["t",7,"aborted",0.30000000000000004,null,27.46395300100484,'
-        b'0,0,0,2,5.905359695180615,["act00","act01"],'
-        b'["intrinsic-abort","protocol-abort"],0]'
+        b'["t",7,"a",0.30000000000000004,null,0,0,0,2,5.905359695180615,'
+        b'["act00","act01"],["intrinsic-abort","protocol-abort"],'
+        b'27.46395300100484]'
     )
-    assert SUBSYSTEM_DATA.encode(
-        {"kind": "txn", "writes": {"k": 0, "j": None}}
+    assert subsystem_data("bank").encode(
+        {"kind": "txn", "writes": {"bank:k": 0, "bank:j": None}}
     ) == b'["t",{"k":0,"j":null}]'
+    assert codec_for("ssdata/bank").encode(
+        {"kind": "txn", "writes": {"bank:k": 0, "j": None}}
+    ) == b'["t",{"k":0,":j":null}]'
 
 
 # ----------------------------------------------------------------------
@@ -351,6 +473,37 @@ def test_a_malformed_row_is_refused_typed(namespace, payload):
     with pytest.raises(WalCorruptionError) as caught:
         codec_for(namespace).decode(payload, namespace)
     assert caught.value.namespace == namespace
+
+
+#: ``terminal`` rows of the wrong shape: arity outside 3 to 13 fields,
+#: an outcome that is no letter of ``OUTCOME_LETTERS`` (format 6 spelled
+#: it out), and a field of the wrong type, kept or trailing.
+MALFORMED_TERMINALS = {
+    "no-submitted-at": b'["t",1,"c"]',
+    "no-outcome": b'["t",1]',
+    "one-field-too-many": b'["t",1,"c",0.0,null,0,0,0,0,0.0,[],[],null,0,0]',
+    "unknown-letter": b'["t",1,"z",0.0]',
+    "spelled-out-outcome": b'["t",1,"committed",0.0,27.5]',
+    "outcome-type": b'["t",1,1,0.0]',
+    "submitted-at-type": b'["t",1,"c","0.0"]',
+    "count-type": b'["t",1,"c",0.0,9.5,"3"]',
+    "count-float": b'["t",1,"c",0.0,9.5,3.0]',
+    "names-type": b'["t",1,"a",0.0,null,0,0,0,1,2.0,"act00"]',
+    "last-field-type": b'["t",1,"c",0.0,9.5,3,0,0,0,0.0,[],[],null,"0"]',
+}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param(payload, id=name)
+        for name, payload in MALFORMED_TERMINALS.items()
+    ],
+)
+def test_a_malformed_terminal_row_is_refused_naming_the_journal(payload):
+    with pytest.raises(WalCorruptionError) as caught:
+        JOURNAL.decode(payload, "journal")
+    assert caught.value.namespace == "journal"
 
 
 #: Trace frames whose runs are malformed, and a frame of format 5; the

@@ -77,6 +77,47 @@ class TestInThreadRestart:
         finally:
             second.stop()
 
+    def test_latency_runs_from_the_virtual_time_a_submit_was_accepted(
+        self, tmp_path
+    ):
+        """A later submit's ``latency`` is its ``committed_at`` less the
+        engine's clock when the submit was accepted (``ping``'s ``now``:
+        an eager engine is idle between requests), not its commit time;
+        and ``status`` answers the same after a restart."""
+        first = _service(tmp_path)
+        statuses, accepted = {}, {}
+        for program in range(4):
+            now = first.execute({"cmd": "ping"}).result(timeout=30)["now"]
+            (row,) = first.execute(
+                {"cmd": "submit", "program": program, "wait": True}
+            ).result(timeout=60)["outcomes"]
+            status = first.execute(
+                {"cmd": "status", "pid": row["pid"]}
+            ).result(timeout=30)
+            assert status["latency"] == row["latency"]
+            statuses[row["pid"]], accepted[row["pid"]] = status, now
+        first.stop()
+        committed = [
+            pid
+            for pid, status in statuses.items()
+            if status["outcome"] == "committed"
+        ]
+        assert max(accepted[pid] for pid in committed) > 0
+        for pid in committed:
+            status = statuses[pid]
+            assert status["latency"] == pytest.approx(
+                status["committed_at"] - accepted[pid]
+            )
+            assert 0 < status["latency"] <= status["committed_at"]
+        second = _service(tmp_path)
+        try:
+            for pid, status in statuses.items():
+                assert second.execute(
+                    {"cmd": "status", "pid": pid}
+                ).result(timeout=30) == status
+        finally:
+            second.stop()
+
     def test_abrupt_death_mid_flight_recovers(self, tmp_path):
         """Engine thread killed between ticks: no drain, no close."""
         first = _service(tmp_path, time_scale=30.0, snapshot_every=8)
@@ -123,9 +164,11 @@ class TestInThreadRestart:
 
     def test_crash_between_engine_drain_and_after_drain(self, tmp_path):
         """Dying after a drain ran but before its ``after_drain``
-        journaled its terminals: the acknowledged burst is restored with
-        its outcomes, the unacknowledged one re-run from its ``submit``
-        records, the spliced schedule clean."""
+        journaled anything: the acknowledged burst is restored with its
+        outcomes; the unacknowledged one left no record (its submits
+        wait for the drain point, where they would have been elided),
+        so its pids were never promised and are issued afresh; the
+        spliced schedule is clean."""
         contended = SPEC.with_(
             n_processes=16, conflict_density=0.6, grounded=False
         )
@@ -165,13 +208,17 @@ class TestInThreadRestart:
                 recovery.restored,
                 recovery.resubmitted,
                 recovery.adopted,
-            ) == (16, 16, 0)
+            ) == (16, 0, 0)
             second.execute({"cmd": "ping"}).result(timeout=60)
             for row in acknowledged["outcomes"]:
                 status = second.execute(
                     {"cmd": "status", "pid": row["pid"]}
                 ).result(timeout=30)
                 assert status["outcome"] == row["outcome"]
+            again = second.execute(
+                {"cmd": "submit", "count": 16, "wait": True}
+            ).result(timeout=60)
+            assert again["pids"] == list(range(17, 33))
             for pid in range(17, 33):
                 status = second.execute(
                     {"cmd": "status", "pid": pid}
