@@ -122,12 +122,11 @@ class StorageError(ReproError):
 class WalCorruptionError(StorageError):
     """A durable log holds a record that fails validation.
 
-    Raised when a complete frame's CRC32 does not match its payload,
-    when a frame's payload is not decodable, or when
-    :func:`repro.subsystems.wal.recover_store` meets a structurally
-    malformed WAL record.  A *torn tail* — an incomplete frame at the
-    end of a log, the signature of a crash mid-append — is **not**
-    corruption: recovery detects it and truncates deterministically.
+    Raised when a complete frame's CRC32 does not match its payload, or
+    when a frame's payload is not decodable.  A *torn tail* — an
+    incomplete frame at the end of a log, the signature of a crash
+    mid-append — is **not** corruption: recovery detects it and
+    truncates deterministically.
     """
 
     def __init__(

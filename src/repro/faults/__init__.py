@@ -7,11 +7,11 @@ Layers:
 * :mod:`repro.faults.retry` — bounded retry/backoff policies that keep
   termination guaranteed under injected transient failures;
 * :mod:`repro.faults.injector` — the :class:`FaultInjector` that drives
-  a manager through a schedule (outages, WAL subsystem crashes, manager
+  a manager through a schedule (outages, subsystem crashes, manager
   crash/recover cycles, seeded failure/latency decisions);
 * :mod:`repro.faults.harness` — the one campaign behind ``repro chaos``:
-  audited runs asserting termination, CT, P-RC, trace splicing, and WAL
-  cleanliness per run;
+  audited runs asserting termination, CT, P-RC, trace splicing, and that
+  no doomed subsystem write reached a store, per run;
 * :mod:`repro.faults.storms` — correlated-outage burst trains,
   including storms aimed at the cost-based ``Wcc*`` boundary.
 """

@@ -14,8 +14,8 @@ end-to-end guarantees *under faults*:
   Theorem 2);
 * **splice** — after every manager crash the recovered trace continued
   the pre-crash trace exactly;
-* **WAL** — subsystem crash recovery left no losers in the write-ahead
-  log and rolled every doomed write back to its before-image.
+* **WAL** — no doomed write of a crashed subsystem transaction reached
+  the store.
 
 The campaign runs every workload under every plan with
 ``ManagerConfig(audit=True)``: the protocol's structural audit runs
@@ -285,7 +285,8 @@ def default_workloads(seed: int) -> dict[str, Workload]:
             seed=seed + 3,
         ),
         # The longest runs: arrivals keep streaming into the outage
-        # windows, and the durable pool gives the crashes a WAL to undo.
+        # windows, and the grounded pool gives the crashes a store to
+        # check.
         "spaced-16": WorkloadSpec(
             n_processes=16,
             conflict_density=0.4,

@@ -15,9 +15,9 @@ Three injection channels exist:
   latency (``latency_for``); decisions are drawn from RNG streams
   derived per activity from the schedule seed, honoring each type's
   ``p(a)``;
-* **event-indexed injections** — subsystem outages, WAL-backed
-  subsystem crashes (a doomed transaction writes sentinels, the
-  subsystem crashes, recovery must roll the loser back), and
+* **event-indexed injections** — subsystem outages, subsystem crashes
+  (a doomed transaction writes sentinels, the subsystem crashes, and
+  none of them may reach the store), and
   whole-manager crash/recover cycles through
   :mod:`repro.scheduler.recovery`;
 * **retry policy** — installed on a copy of the :class:`ManagerConfig`
@@ -72,23 +72,18 @@ class FaultCounters:
     manager_recoveries: int = 0
     #: Event-indexed injections that never fired (run drained first) or
     #: could not apply (e.g. manager crash under a protocol without
-    #: recovery support, subsystem crash without a durable pool).
+    #: recovery support, subsystem crash on an ungrounded workload).
     dropped_injections: int = 0
 
 
 @dataclass(frozen=True)
 class WalCheck:
-    """Outcome of one WAL-backed subsystem crash/recovery."""
+    """Outcome of one subsystem crash."""
 
     subsystem: str
     at_event: int
-    undone: int
-    losers_after: int
-    sentinels_rolled_back: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.losers_after == 0 and self.sentinels_rolled_back
+    #: No doomed sentinel write reached the store.
+    ok: bool
 
 
 @dataclass
@@ -122,7 +117,6 @@ class FaultInjector:
         schedule: FaultSchedule,
         config: ManagerConfig | None = None,
         seed: int = 0,
-        durable_subsystems: bool = True,
         tracer=None,
     ) -> None:
         self.workload = workload
@@ -135,7 +129,7 @@ class FaultInjector:
         #: on every crash so stamps stay monotone.
         self.tracer = MetricsTracer.over(tracer)
         self.config = self._configured(config)
-        self.pool = workload.make_subsystems(durable=durable_subsystems)
+        self.pool = workload.make_subsystems()
         self.counters = FaultCounters()
         self.wal_checks: list[WalCheck] = []
         self.splice_ok = True
@@ -393,11 +387,8 @@ class FaultInjector:
             self.counters.dropped_injections += 1
             return
         subsystem = self.pool.get(spec.subsystem)
-        if subsystem.wal is None:
-            self.counters.dropped_injections += 1
-            return
-        # A doomed loser: WAL-logged sentinel writes that the crash
-        # strands mid-flight.  Recovery must restore every before-image.
+        # A doomed loser: sentinel writes that the crash strands
+        # mid-flight.  None of them may reach the store.
         keys = [
             f"{spec.subsystem}:doomed{i}"
             for i in range(spec.doomed_writes)
@@ -408,7 +399,7 @@ class FaultInjector:
         txn = subsystem.begin()
         for key in keys:
             txn.write(key, lambda _old: "__doomed__")
-        undone = subsystem.simulate_crash_and_recover()
+        subsystem.simulate_crash_and_recover()
         rolled_back = all(
             subsystem.store.read(key) == before[key] for key in keys
         )
@@ -416,9 +407,7 @@ class FaultInjector:
             WalCheck(
                 subsystem=spec.subsystem,
                 at_event=at_event,
-                undone=undone,
-                losers_after=len(subsystem.wal.losers()),
-                sentinels_rolled_back=rolled_back,
+                ok=rolled_back,
             )
         )
         self.counters.subsystem_crashes += 1
@@ -428,7 +417,6 @@ class FaultInjector:
                 detail={
                     "subsystem": spec.subsystem,
                     "at_event": at_event,
-                    "undone": undone,
                     "rolled_back": rolled_back,
                 },
             )

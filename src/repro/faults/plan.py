@@ -2,7 +2,7 @@
 
 A :class:`FaultPlan` describes *what* to break — activity failures
 honoring each type's ``p(a)``, subsystem outages with a duration,
-WAL-backed subsystem crashes, whole-manager crashes at chosen event
+subsystem crashes, whole-manager crashes at chosen event
 indices, injected latency — without saying anything about mechanism.
 :func:`compile_plan` turns a plan plus a seed into a
 :class:`FaultSchedule`: the event-indexed injections sorted into firing
@@ -79,12 +79,11 @@ class CorrelatedOutage:
 
 @dataclass(frozen=True)
 class SubsystemCrash:
-    """Crash a durable subsystem and run its WAL recovery.
+    """Crash a subsystem with a doomed transaction in flight.
 
     At the chosen event index a doomed transaction writes
-    ``doomed_writes`` sentinel values (WAL-logged), then the subsystem
-    crashes; recovery must roll the loser back, which the harness
-    asserts key by key.
+    ``doomed_writes`` sentinel values, then the subsystem crashes; none
+    of them may reach the store, which the harness asserts key by key.
     """
 
     subsystem: str

@@ -30,7 +30,7 @@ recovery tests assert exactly that.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.activities.activity import Activity, ensure_uid_floor
 from repro.core.locks import LockMode
@@ -379,6 +379,9 @@ def recover(
     ``tracer`` hands the pre-crash run's tracer to the new incarnation;
     the caller is responsible for advancing ``tracer.offset`` by the
     crashed incarnation's final virtual time so stamps stay monotone.
+    The new engine's clock starts at 0, so an undecided record's
+    ``submitted_at`` moves back by that same time: its latency is then
+    the interval on the offset clock.  Decided records keep theirs.
     """
     if protocol.table.lock_count:
         raise SchedulerError(
@@ -406,7 +409,12 @@ def recover(
         tracer=tracer,
     )
     manager.trace = TraceRecorder(image.trace_events)
-    manager.records.update(image.records)
+    for pid, record in image.records.items():
+        if record.outcome is None:
+            record = replace(
+                record, submitted_at=record.submitted_at - image.crashed_at
+            )
+        manager.records[pid] = record
     manager._pids = itertools.count(image.max_pid + 1)
     protected_pids = {
         snapshot.pid

@@ -86,19 +86,13 @@ class Workload:
         """Virtual arrival time of the ``index``-th process."""
         return index * self.spec.arrival_spacing
 
-    def make_subsystems(
-        self, durable: bool = False
-    ) -> SubsystemPool | None:
-        """A fresh subsystem pool (grounded workloads), else ``None``.
-
-        ``durable`` backs every subsystem with a write-ahead log so the
-        fault-injection harness can crash and WAL-recover them.
-        """
+    def make_subsystems(self) -> SubsystemPool | None:
+        """A fresh subsystem pool (grounded workloads), else ``None``."""
         if not self.data_programs:
             return None
         pool = SubsystemPool()
         for activity_type in self.registry:
-            pool.get_or_create(activity_type.subsystem, durable=durable)
+            pool.get_or_create(activity_type.subsystem)
         for name, program in self.data_programs.items():
             subsystem = pool.get(self.registry.get(name).subsystem)
             subsystem.register_program(name, program)

@@ -11,13 +11,6 @@ from repro.subsystems.programs import (
 from repro.subsystems.storage import DurableRecordStore, RecordStore
 from repro.subsystems.subsystem import SubsystemPool, TransactionalSubsystem
 from repro.subsystems.transactions import Transaction, TransactionState
-from repro.subsystems.wal import (
-    WalKind,
-    WalRecord,
-    WriteAheadLog,
-    recover_store,
-    validate_wal,
-)
 
 __all__ = [
     "DataLockManager",
@@ -32,10 +25,5 @@ __all__ = [
     "TransactionProgram",
     "TransactionState",
     "TransactionalSubsystem",
-    "WalKind",
-    "WalRecord",
-    "WriteAheadLog",
     "inverse_program",
-    "recover_store",
-    "validate_wal",
 ]

@@ -18,31 +18,21 @@ from __future__ import annotations
 import itertools
 
 from repro.core.deadlock import Digraph, has_cycle
-from repro.errors import (
-    DataDeadlockAvoided,
-    SubsystemError,
-    SubsystemWouldBlock,
-)
+from repro.errors import SubsystemError
 from repro.subsystems.lock_manager import DataLockManager
 from repro.subsystems.programs import ProgramCatalog, TransactionProgram
 from repro.subsystems.storage import DurableRecordStore, RecordStore
 from repro.subsystems.transactions import Transaction, TransactionState
-from repro.subsystems.wal import WriteAheadLog, recover_store
 
 
 class TransactionalSubsystem:
     """One independent transactional application (CPSR + ACA)."""
 
-    def __init__(self, name: str, durable: bool = False) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
         self.store = RecordStore()
         self.locks = DataLockManager()
         self.catalog = ProgramCatalog()
-        #: In-memory undo log behind :meth:`simulate_crash_and_recover`;
-        #: present when the subsystem is built ``durable``.
-        self.wal: WriteAheadLog | None = (
-            WriteAheadLog() if durable else None
-        )
         self._active: list[Transaction] = []
         #: Flat operation history ``(txn_id, op, key)`` with op in
         #: ``{"r", "w", "c", "a"}``, used for serializability checking.
@@ -87,7 +77,7 @@ class TransactionalSubsystem:
         :class:`~repro.subsystems.storage.DurableRecordStore`, reloaded
         from the store's redo frames; records held before the attach
         go in as one more frame.  A previous incarnation's losers left
-        nothing there to undo: only a commit writes.  Must be called
+        nothing there: only a commit writes.  Must be called
         before the first transaction begins — live transactions keep
         references to the stores they started with.
         """
@@ -97,8 +87,6 @@ class TransactionalSubsystem:
             default=self.store._default,
         )
         if held:
-            for key, value in held.items():
-                self.store.write(key, value)
             self.store.commit(held)
 
     # ------------------------------------------------------------------
@@ -113,7 +101,6 @@ class TransactionalSubsystem:
             store=self.store,
             locks=self.locks,
             history=self.history,
-            wal=self.wal,
         )
         self._active = [
             t
@@ -138,10 +125,6 @@ class TransactionalSubsystem:
         txn = self.begin(timestamp)
         try:
             results = program.run(txn)
-        except (SubsystemWouldBlock, DataDeadlockAvoided):
-            txn.abort()
-            self.aborted_count += 1
-            raise
         except Exception:
             txn.abort()
             self.aborted_count += 1
@@ -220,36 +203,21 @@ class TransactionalSubsystem:
                     return False
         return True
 
-    def simulate_crash_and_recover(self) -> int:
-        """Crash the subsystem and run WAL recovery; returns undo count.
+    def simulate_crash_and_recover(self) -> None:
+        """Crash the subsystem: every in-flight transaction loses its
+        buffer and its locks.
 
-        A crash loses every in-flight transaction and every lock; the
-        in-memory store (the simulated "disk", written in place — a
-        steal policy) keeps whatever was applied.  Recovery rolls the
-        losers back via their logged before-images, restoring a
-        committed-only state.  A durable store attached underneath
-        never saw the losers' writes, so the undo touches memory only.
-        Only available on subsystems built with ``durable=True``.
-
-        In-flight :class:`Transaction` handles become unusable (their
-        state is forced to aborted); callers must begin new ones.
+        A loser's writes never left its buffer, so the store — memory
+        and any durable store underneath — already holds exactly the
+        committed state, and recovery has nothing to undo.  In-flight
+        :class:`Transaction` handles become unusable (they end
+        aborted); callers must begin new ones.
         """
-        if self.wal is None:
-            raise SubsystemError(
-                f"subsystem {self.name!r} is not durable; construct it "
-                "with durable=True to get WAL recovery"
-            )
-        losers = 0
         for txn in self._active:
             if txn.state is TransactionState.ACTIVE:
-                txn.state = TransactionState.ABORTED
-                self.history.append((txn.txn_id, "a", ""))
-                losers += 1
+                txn.abort()
+                self.aborted_count += 1
         self._active = []
-        self.locks = DataLockManager()
-        undone = recover_store(self.store, self.wal)
-        self.aborted_count += losers
-        return undone
 
     def register_program(
         self, activity_name: str, program: TransactionProgram
@@ -299,12 +267,10 @@ class SubsystemPool:
         for subsystem in self._subsystems.values():
             subsystem.attach_store(store)
 
-    def create(
-        self, name: str, durable: bool = False
-    ) -> TransactionalSubsystem:
+    def create(self, name: str) -> TransactionalSubsystem:
         if name in self._subsystems:
             raise SubsystemError(f"subsystem {name!r} already exists")
-        subsystem = TransactionalSubsystem(name, durable=durable)
+        subsystem = TransactionalSubsystem(name)
         self._subsystems[name] = subsystem
         if self.store is not None:
             subsystem.attach_store(self.store)
@@ -316,11 +282,9 @@ class SubsystemPool:
         except KeyError:
             raise SubsystemError(f"unknown subsystem {name!r}") from None
 
-    def get_or_create(
-        self, name: str, durable: bool = False
-    ) -> TransactionalSubsystem:
+    def get_or_create(self, name: str) -> TransactionalSubsystem:
         if name not in self._subsystems:
-            return self.create(name, durable=durable)
+            return self.create(name)
         return self._subsystems[name]
 
     def __iter__(self):

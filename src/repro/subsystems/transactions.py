@@ -3,9 +3,10 @@
 A :class:`Transaction` provides the classic begin/read/write/commit/abort
 interface over a :class:`~repro.subsystems.storage.RecordStore`, guarded by
 the subsystem's :class:`~repro.subsystems.lock_manager.DataLockManager`.
-Undo is physical (before-images) and in memory only: a store sees a
-transaction's writes made durable at :meth:`~Transaction.commit`, never
-before (no-steal); strict 2PL makes undo safe without cascades.
+Writes stay in the transaction's buffer until :meth:`~Transaction.commit`
+hands them to the store (no-steal), so an abort or a crash drops the
+buffer and has nothing to undo; strict 2PL keeps the buffer invisible to
+every other transaction, exactly as it would an in-place write.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from collections.abc import Callable
 from repro.errors import TransactionAborted
 from repro.subsystems.lock_manager import DataLockManager, DataLockMode
 from repro.subsystems.storage import RecordStore
-from repro.subsystems.wal import WriteAheadLog
 
 
 class TransactionState(enum.Enum):
@@ -35,15 +35,14 @@ class Transaction:
         store: RecordStore,
         locks: DataLockManager,
         history: list[tuple[int, str, str]] | None = None,
-        wal: WriteAheadLog | None = None,
     ) -> None:
         self.txn_id = txn_id
         self.timestamp = timestamp
         self._store = store
         self._locks = locks
-        self._undo: list[tuple[str, object]] = []
+        #: Uncommitted final values, in first-write order.
+        self._writes: dict[str, object] = {}
         self._history = history
-        self._wal = wal
         self.state = TransactionState.ACTIVE
         self.reads: list[object] = []
 
@@ -51,12 +50,13 @@ class Transaction:
     # operations
     # ------------------------------------------------------------------
     def read(self, key: str) -> object:
-        """Read ``key`` under a shared lock; returns the committed value."""
+        """Read ``key`` under a shared lock: this transaction's own
+        write if it made one, else the committed value."""
         self._require_active()
         self._locks.acquire(
             self.txn_id, self.timestamp, key, DataLockMode.SHARED
         )
-        value = self._store.read(key)
+        value = self._current(key)
         self.reads.append(value)
         self._record("r", key)
         return value
@@ -66,21 +66,15 @@ class Transaction:
     ) -> object:
         """Update ``key`` under an exclusive lock; returns the new value.
 
-        ``update`` receives the current value and returns the new one; the
-        before-image is retained for undo.
+        ``update`` receives the current value and returns the new one,
+        which stays in the buffer until commit.
         """
         self._require_active()
         self._locks.acquire(
             self.txn_id, self.timestamp, key, DataLockMode.EXCLUSIVE
         )
-        old = self._store.read(key)
-        new = update(old)
-        if self._wal is not None:
-            # WAL rule: the before-image hits the log before the write
-            # hits the store.
-            self._wal.log_write(self.txn_id, key, old)
-        self._undo.append((key, old))
-        self._store.write(key, new)
+        new = update(self._current(key))
+        self._writes[key] = new
         self._record("w", key)
         return new
 
@@ -88,34 +82,33 @@ class Transaction:
     # termination
     # ------------------------------------------------------------------
     def commit(self) -> None:
-        """Commit: hand the store the keys written (a durable store
-        makes them one redo frame), release all locks, discard undo
-        information.  A read-only transaction hands over nothing."""
+        """Commit: hand the store the buffered writes (a durable store
+        makes them one redo frame), release all locks.  A read-only
+        transaction hands over nothing."""
         self._require_active()
-        if self._undo:
-            self._store.commit(dict.fromkeys(key for key, _ in self._undo))
-        self.state = TransactionState.COMMITTED
-        self._undo.clear()
-        if self._wal is not None:
-            self._wal.log_commit(self.txn_id)
-        self._locks.release_all(self.txn_id)
-        self._record("c", "")
+        if self._writes:
+            self._store.commit(self._writes)
+        self._end(TransactionState.COMMITTED, "c")
 
     def abort(self) -> None:
-        """Abort: restore before-images in reverse order, release locks."""
+        """Abort: drop the buffered writes, release all locks."""
         self._require_active()
-        for key, old in reversed(self._undo):
-            self._store.write(key, old)
-        self._undo.clear()
-        self.state = TransactionState.ABORTED
-        if self._wal is not None:
-            self._wal.log_abort(self.txn_id)
-        self._locks.release_all(self.txn_id)
-        self._record("a", "")
+        self._end(TransactionState.ABORTED, "a")
 
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
+    def _current(self, key: str) -> object:
+        if key in self._writes:
+            return self._writes[key]
+        return self._store.read(key)
+
+    def _end(self, state: TransactionState, op: str) -> None:
+        self._writes = {}
+        self.state = state
+        self._locks.release_all(self.txn_id)
+        self._record(op, "")
+
     def _require_active(self) -> None:
         if self.state is not TransactionState.ACTIVE:
             raise TransactionAborted(

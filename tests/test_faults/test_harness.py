@@ -21,14 +21,15 @@ from repro.sim.workload import WorkloadSpec, build_workload
 
 
 #: The plans and workloads the campaign ran before it took over the soak
-#: campaign's shapes; they keep their names, specs and trace digests.
+#: campaign's shapes; they keep their names and specs.
 EARLIER_PLANS = {"baseline", "failures", "outages", "crashes", "mayhem"}
 EARLIER_WORKLOADS = {
     "small", "dense-parallel", "cost-threshold", "grounded-durable"
 }
-#: sha256 prefix of the sorted ``(plan, workload, protocol,
-#: trace_digest)`` rows of those 60 runs at seed 7, unaudited.
-EARLIER_ROWS_DIGEST = "521c0dbbb38aa2ff"
+#: sha256 prefix of the sorted ``(plan, workload, protocol, checks,
+#: dropped_injections, trace_digest)`` rows of all 105 runs at seed 7:
+#: a moved verdict, dropped injection or schedule of any run moves it.
+CAMPAIGN_ROWS_DIGEST = "34cdd641771ecc57"
 
 
 @pytest.fixture(scope="module")
@@ -74,14 +75,22 @@ class TestCampaign:
         assert EARLIER_WORKLOADS < set(workloads)
 
     def test_audits_leave_the_earlier_rows_unchanged(self, campaign):
+        """The earlier rows and every later one: each run's verdicts,
+        dropped injections and schedule are pinned by one digest."""
         rows = sorted(
-            (r.plan, r.workload, r.protocol, r.trace_digest)
+            (
+                r.plan,
+                r.workload,
+                r.protocol,
+                sorted(r.checks.items()),
+                r.dropped_injections,
+                r.trace_digest,
+            )
             for r in campaign.runs
-            if r.plan in EARLIER_PLANS and r.workload in EARLIER_WORKLOADS
         )
-        assert len(rows) == 60
+        assert len(rows) == 105
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
-        assert digest[:16] == EARLIER_ROWS_DIGEST
+        assert digest[:16] == CAMPAIGN_ROWS_DIGEST
 
     def test_storm_is_aimed_per_workload(self):
         workloads = default_workloads(7)

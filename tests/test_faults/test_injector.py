@@ -234,19 +234,24 @@ class TestManagerCrash:
 
 
 class TestSubsystemCrash:
-    def test_wal_recovery_rolls_doomed_writes_back(self):
+    def test_doomed_writes_never_reach_the_store(self):
         plan = FaultPlan(
             name="sc",
             subsystem_crashes=(SubsystemCrash("sub0", at_event=15),),
         )
-        chaos = run_plan(GROUNDED_SPEC, plan)
+        injector = FaultInjector(
+            build_workload(GROUNDED_SPEC),
+            "process-locking",
+            compile_plan(plan, 11),
+            seed=11,
+        )
+        chaos = injector.run()
         assert chaos.counters.subsystem_crashes == 1
         assert len(chaos.wal_checks) == 1
-        check = chaos.wal_checks[0]
-        assert check.ok
-        assert check.undone >= 1
-        assert check.losers_after == 0
-        assert check.sentinels_rolled_back
+        assert chaos.wal_checks[0].ok
+        stored = injector.pool.get("sub0").store.snapshot()
+        assert stored
+        assert "__doomed__" not in stored.values()
 
     def test_dropped_without_durable_pool(self):
         plan = FaultPlan(

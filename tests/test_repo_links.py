@@ -392,18 +392,20 @@ def test_sampled_prefix_checks_leave_no_trace():
 
 
 # ----------------------------------------------------------------------
-# one redo frame per subsystem transaction (DESIGN.md §7, "Removed: the
-# durable undo WAL")
+# one redo frame per subsystem transaction, and one crash model
+# (DESIGN.md §7, "Removed: the durable undo WAL" and "Removed: the
+# in-memory undo log")
 # ----------------------------------------------------------------------
 DURABLE_UNDO_WAL = re.compile(
-    r"DurableWriteAheadLog|SUBSYSTEM_WAL|subsystem_wal|sswal/"
+    r"WriteAheadLog|SUBSYSTEM_WAL|subsystem_wal|sswal/|recover_store"
+    r"|validate_wal|subsystems[./]wal\b|durable_subsystems|durable=True"
 )
 
 
 def test_durable_undo_wal_leaves_no_trace():
-    """A subsystem's commit writes one ``txn`` frame and nothing keeps
-    a durable undo log; only this file and DESIGN.md §7 name what
-    went."""
+    """A subsystem's commit writes one ``txn`` frame, and a transaction
+    buffers its writes until then: nothing keeps an undo log, durable
+    or in memory; only this file and DESIGN.md §7 name what went."""
     design = (ROOT / "DESIGN.md").read_text().splitlines()
     notes = next(
         index for index, line in enumerate(design) if line.startswith("## 7.")

@@ -1,5 +1,4 @@
-"""Durable subsystems: one redo frame per committed transaction, and the
-in-memory WAL's validation."""
+"""Durable subsystems: one redo frame per committed transaction."""
 
 from __future__ import annotations
 
@@ -21,10 +20,6 @@ from repro.subsystems import (
     DurableRecordStore,
     SubsystemPool,
     TransactionState,
-    WalKind,
-    WriteAheadLog,
-    recover_store,
-    validate_wal,
 )
 from tests.test_storage.commit_log import LOG_FILE
 
@@ -36,12 +31,8 @@ def _store(tmp_path, kind="log"):
 def test_durable_record_store_replays_last_write_wins(tmp_path):
     store = _store(tmp_path)
     data = DurableRecordStore(store.subsystem_data("bank"))
-    data.write("a", 1)
-    data.commit(["a"])
-    data.write("a", 2)
-    data.write("b", 7)
-    data.commit(["a", "b"])
-    data.write("b", 8)  # never committed: memory only
+    data.commit({"a": 1})
+    data.commit({"a": 2, "b": 7})
     assert store.subsystem_data("bank").records() == [
         {"kind": "txn", "writes": {"a": 1}},
         {"kind": "txn", "writes": {"a": 2, "b": 7}},
@@ -57,7 +48,7 @@ def test_durable_record_store_replays_last_write_wins(tmp_path):
 def test_a_previous_incarnations_loser_never_reaches_disk(kind, tmp_path):
     store = _store(tmp_path, kind)
     pool = SubsystemPool(store=store)
-    subsystem = pool.create("bank", durable=True)
+    subsystem = pool.create("bank")
     txn = subsystem.begin()
     txn.write("balance", lambda _: 100)
     txn.commit()
@@ -70,10 +61,9 @@ def test_a_previous_incarnations_loser_never_reaches_disk(kind, tmp_path):
     again = _store(tmp_path, kind)
     assert len(again.subsystem_data("bank")) == 1  # the winner's frame
     pool2 = SubsystemPool()
-    subsystem2 = pool2.create("bank", durable=True)
+    subsystem2 = pool2.create("bank")
     pool2.attach_store(again)
-    assert subsystem2.store.read("balance") == 100
-    assert not subsystem2.wal.losers()
+    assert subsystem2.store.snapshot() == {"balance": 100}
     again.close()
 
 
@@ -94,8 +84,10 @@ def test_read_only_and_aborted_transactions_append_nothing(tmp_path):
 def test_records_held_before_the_attach_go_in_as_one_frame(tmp_path):
     pool = SubsystemPool()
     subsystem = pool.create("bank")
-    subsystem.store.write("a", 1)
-    subsystem.store.write("b", 2)
+    txn = subsystem.begin()
+    txn.write("a", lambda _: 1)
+    txn.write("b", lambda _: 2)
+    txn.commit()
     store = _store(tmp_path)
     pool.attach_store(store)
     assert store.subsystem_data("bank").records() == [
@@ -166,7 +158,7 @@ def test_every_byte_cut_holds_exactly_the_whole_transactions(steps):
         whole = os.path.join(root, "whole")
         store = Store.open("log", whole, fsync="never")
         log = os.path.join(whole, LOG_FILE)
-        subsystem = SubsystemPool(store=store).create("s", durable=True)
+        subsystem = SubsystemPool(store=store).create("s")
         slots: dict[int, object] = {}
         written: dict[int, dict] = {}
         #: ``(log size as the commit returned, its final writes)``.
@@ -218,45 +210,3 @@ def test_every_byte_cut_holds_exactly_the_whole_transactions(steps):
             fresh = SubsystemPool(store=again).create("s")
             assert fresh.store.snapshot() == expected, cut
             again.close()
-
-
-# ----------------------------------------------------------------------
-# the in-memory WAL
-# ----------------------------------------------------------------------
-def test_validate_wal_accepts_clean_logs():
-    wal = WriteAheadLog()
-    wal.log_write(1, "k", 0)
-    wal.log_commit(1)
-    validate_wal(wal)
-
-
-def test_validate_wal_rejects_structural_damage():
-    wal = WriteAheadLog()
-    wal.log_write(1, "k", 0)
-    wal._records.append(
-        type(wal._records[0])(
-            lsn=1, txn_id=2, kind=WalKind.COMMIT
-        )  # duplicate LSN breaks append order
-    )
-    with pytest.raises(WalCorruptionError):
-        validate_wal(wal)
-
-
-def test_validate_wal_rejects_write_without_key():
-    wal = WriteAheadLog()
-    wal._records.append(
-        type(
-            "X", (), {}
-        )  # not a WalRecord at all
-    )
-    with pytest.raises(WalCorruptionError):
-        validate_wal(wal)
-
-
-def test_recover_store_validates_before_undoing():
-    from repro.subsystems import RecordStore
-
-    wal = WriteAheadLog()
-    wal.log_write(0, "k", 1)  # txn_id 0 is structurally invalid
-    with pytest.raises(WalCorruptionError):
-        recover_store(RecordStore(), wal)

@@ -118,6 +118,64 @@ class TestInThreadRestart:
         finally:
             second.stop()
 
+    def test_latency_spanning_a_kill_is_the_offset_clock_interval(
+        self, tmp_path
+    ):
+        """A waited submit cut by a kill: the restarted engine's clock
+        starts at 0 and the tracer's offset moves on by the crash
+        document's time, so the latency answered after the restart is
+        the interval on that offset clock, not the new commit time
+        less the old incarnation's submit time.  Driven a tick at a
+        time on this thread, so no wall clock enters."""
+        from tests.test_storage.test_crash_points import PACE, _turn
+
+        def unstarted() -> ProcessLockingService:
+            return ProcessLockingService(
+                ServiceConfig(
+                    spec=SPEC,
+                    seed=5,
+                    store="log",
+                    store_path=str(tmp_path / "store"),
+                    store_fsync="never",
+                    time_scale=PACE,
+                    snapshot_every=1,
+                )
+            )
+
+        first = unstarted()
+        (warm,) = _turn(
+            first, 0, [{"cmd": "submit", "program": 0, "wait": True}]
+        )
+        tick = 0
+        while not warm.done():
+            tick += 1
+            assert tick < 1000
+            _turn(first, tick)
+        cut = _turn(
+            first, tick, [{"cmd": "submit", "program": 5, "wait": True}]
+        )
+        _turn(first, tick + 1)
+        pid = max(first.manager.records)
+        submitted_at = first.manager.records[pid].submitted_at
+        assert submitted_at > 0 and first.manager.outcome(pid) is None
+        first.store.close()  # killed: what is on disk is all there is
+        assert not cut[0].done()
+
+        second = unstarted()
+        try:
+            offset = second.manager.tracer.offset
+            assert offset > 0
+            _, answer = _turn(
+                second, 0, [{"cmd": "drain"}, {"cmd": "status", "pid": pid}]
+            )
+        finally:
+            second.store.close()
+        status = answer.result(timeout=0)
+        assert status["outcome"] == "committed"
+        assert status["latency"] == pytest.approx(
+            status["committed_at"] + offset - submitted_at
+        )
+
     def test_abrupt_death_mid_flight_recovers(self, tmp_path):
         """Engine thread killed between ticks: no drain, no close."""
         first = _service(tmp_path, time_scale=30.0, snapshot_every=8)

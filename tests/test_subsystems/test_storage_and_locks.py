@@ -16,30 +16,22 @@ class TestRecordStore:
         store = RecordStore(default=None)
         assert store.read("missing") is None
 
-    def test_write_returns_previous(self):
+    def test_commit_applies_final_values(self):
         store = RecordStore()
-        assert store.write("k", 5) == 0
-        assert store.write("k", 7) == 5
-        assert store.read("k") == 7
-
-    def test_delete_restores_default(self):
-        store = RecordStore()
-        store.write("k", 1)
-        store.delete("k")
-        assert store.read("k") == 0
-        assert "k" not in store
+        store.commit({"k": 5})
+        store.commit({"k": 7, "m": 1})
+        assert store.snapshot() == {"k": 7, "m": 1}
 
     def test_snapshot_is_a_copy(self):
         store = RecordStore()
-        store.write("k", 1)
+        store.commit({"k": 1})
         snap = store.snapshot()
         snap["k"] = 99
         assert store.read("k") == 1
 
     def test_len_and_contains(self):
         store = RecordStore()
-        store.write("a", 1)
-        store.write("b", 2)
+        store.commit({"a": 1, "b": 2})
         assert len(store) == 2
         assert "a" in store
 

@@ -2,24 +2,29 @@
 
 The paper's bottom layer must provide serializable (CPSR) and
 cascade-free (ACA) executions; these tests drive interleaved stepwise
-transactions against a subsystem and verify both guarantees, including a
-hypothesis property over random interleavings.
+transactions against a subsystem and verify both guarantees, including
+hypothesis properties over random interleavings and crashes.
 """
 
+import tempfile
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import (
     DataDeadlockAvoided,
     SubsystemError,
     SubsystemWouldBlock,
+    TransactionAborted,
 )
+from repro.storage import Store
 from repro.subsystems.programs import (
     Operation,
     TransactionProgram,
     inverse_program,
 )
+from repro.subsystems.storage import DurableRecordStore
 from repro.subsystems.subsystem import SubsystemPool, TransactionalSubsystem
 
 
@@ -124,6 +129,52 @@ class TestInterleavedGuarantees:
         assert sub.avoids_cascading_aborts()
 
 
+class TestSubsystemCrash:
+    def test_crash_drops_in_flight_writes(self):
+        sub = TransactionalSubsystem("s")
+        committed = sub.begin()
+        committed.write("a", lambda old: 10)
+        committed.commit()
+        doomed = sub.begin()
+        doomed.write("a", lambda old: 99)
+        doomed.write("b", lambda old: 1)
+        sub.simulate_crash_and_recover()
+        assert sub.store.snapshot() == {"a": 10}
+        assert sub.aborted_count == 1
+
+    def test_locks_cleared_by_crash(self):
+        sub = TransactionalSubsystem("s")
+        doomed = sub.begin()
+        doomed.write("a", lambda old: 1)
+        sub.simulate_crash_and_recover()
+        survivor = sub.begin()
+        survivor.write("a", lambda old: 7)
+        survivor.commit()
+        assert sub.store.read("a") == 7
+
+    def test_history_stays_cpsr_and_aca(self):
+        sub = TransactionalSubsystem("s")
+        first = sub.begin()
+        first.write("a", lambda old: 1)
+        first.commit()
+        doomed = sub.begin()
+        doomed.write("b", lambda old: 1)
+        sub.simulate_crash_and_recover()
+        after = sub.begin()
+        after.read("a")
+        after.commit()
+        assert sub.is_serializable()
+        assert sub.avoids_cascading_aborts()
+
+    def test_crashed_handles_are_dead(self):
+        sub = TransactionalSubsystem("s")
+        doomed = sub.begin()
+        doomed.write("a", lambda old: 1)
+        sub.simulate_crash_and_recover()
+        with pytest.raises(TransactionAborted):
+            doomed.write("a", lambda old: 2)
+
+
 class TestPool:
     def test_get_or_create(self):
         pool = SubsystemPool()
@@ -185,3 +236,80 @@ def test_property_random_interleavings_are_cpsr_and_aca(script):
             txn.abort()
     assert sub.is_serializable()
     assert sub.avoids_cascading_aborts()
+
+
+
+KEYS = ("x", "y")
+
+
+def _run_until_crash(sub, script, crash_at) -> dict[str, int]:
+    """Play ``(transaction, op, key)`` steps on three stepwise
+    transactions up to step ``crash_at``; returns the committed
+    increments per key.  Every read must see the committed value plus
+    the reader's own buffered increments: strict 2PL lets no other
+    transaction's uncommitted write near it."""
+    txns = {i: sub.begin(timestamp=i + 1) for i in range(3)}
+    committed = dict.fromkeys(KEYS, 0)
+    pending = {i: dict.fromkeys(KEYS, 0) for i in txns}
+    for index, op, key in script[:crash_at]:
+        txn = txns[index]
+        if txn.state.value != "active":
+            continue
+        try:
+            if op == "w":
+                txn.write(key, lambda old: (old or 0) + 1)
+                pending[index][key] += 1
+            elif op == "r":
+                assert txn.read(key) == committed[key] + pending[index][key]
+            elif op == "c":
+                txn.commit()
+                for k, count in pending[index].items():
+                    committed[k] += count
+            else:
+                txn.abort()
+        except (SubsystemWouldBlock, DataDeadlockAvoided):
+            txn.abort()
+        if txn.state.value != "active":
+            pending[index] = dict.fromkeys(KEYS, 0)
+    return committed
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    script=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=2),         # transaction
+            st.sampled_from(["w", "w", "r", "c", "a"]),    # op
+            st.sampled_from(KEYS),                         # key
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+    crash_at=st.integers(min_value=0, max_value=20),
+)
+@example(script=[(0, "w", "x"), (0, "w", "x"), (0, "r", "x")], crash_at=3)
+@example(
+    script=[(0, "w", "x"), (0, "c", "x"), (1, "w", "x"), (1, "r", "x")],
+    crash_at=4,
+)
+def test_property_crash_preserves_exactly_committed_effects(
+    script, crash_at
+):
+    """Stepwise reads, increments, commits and aborts on a pool backed
+    by a ``log`` store, then a crash: memory holds exactly the
+    committed increments, the store reloads to the same state, every
+    read saw its own transaction's writes, and the history is
+    CPSR + ACA."""
+    with tempfile.TemporaryDirectory() as root:
+        store = Store.open("log", root, fsync="never")
+        try:
+            sub = SubsystemPool(store=store).create("prop")
+            committed = _run_until_crash(sub, script, crash_at)
+            sub.simulate_crash_and_recover()
+            assert {key: sub.store.read(key) for key in KEYS} == committed
+            reloaded = DurableRecordStore(store.subsystem_data("prop"))
+            assert reloaded.snapshot() == sub.store.snapshot()
+            assert sub.is_serializable()
+            assert sub.avoids_cascading_aborts()
+        finally:
+            store.close()
