@@ -26,7 +26,7 @@ from repro.activities.partitioning import (
 from repro.activities.registry import ActivityRegistry
 from repro.core.protocol import ProcessLockManager
 from repro.process.builder import ProgramBuilder
-from repro.scheduler.manager import ManagerConfig, ProcessManager
+from repro.scheduler.manager import ProcessManager
 
 PROCESSES = 12
 PARTITION_COUNTS = [1, 2, 4, 8]
@@ -48,9 +48,7 @@ def run_hotspot(partitions: int, refined: bool, seed: int = 3):
         coarse_equivalent(registry, matrix, family)
     matrix.close_perfect()
     protocol = ProcessLockManager(registry, matrix)
-    manager = ProcessManager(
-        protocol, config=ManagerConfig(audit=True), seed=seed
-    )
+    manager = ProcessManager(protocol, seed=seed)
     for index in range(PROCESSES):
         member = family.member(labels[index % partitions])
         program = (

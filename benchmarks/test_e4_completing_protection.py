@@ -11,7 +11,7 @@ import pytest
 
 from harness import print_experiment
 from repro.process.state import ProcessState
-from repro.scheduler.manager import ManagerConfig, ProcessManager
+from repro.scheduler.manager import ProcessManager
 from repro.sim.runner import make_protocol
 from repro.sim.workload import WorkloadSpec, build_workload
 
@@ -56,9 +56,7 @@ def run_e4():
     for seed in (5, 6, 7, 8):
         workload = build_workload(SPEC.with_(seed=seed))
         protocol = make_protocol("process-locking", workload)
-        manager = CensusManager(
-            protocol, config=ManagerConfig(audit=True), seed=seed
-        )
+        manager = CensusManager(protocol, seed=seed)
         for program in workload.programs:
             manager.submit(program)
         result = manager.run()

@@ -17,7 +17,7 @@ import math
 import pytest
 
 from harness import print_experiment
-from repro.scheduler.manager import ManagerConfig, make_manager
+from repro.scheduler.manager import make_manager
 from repro.sim.runner import make_protocol, run_workload
 from repro.sim.workload import WorkloadSpec, build_workload
 from tests.test_scheduler.test_restart_gate import BURST, run_bursts
@@ -58,7 +58,6 @@ def _run_bursts():
     workload = build_workload(BURST)
     manager = make_manager(
         make_protocol("process-locking", workload),
-        config=ManagerConfig(audit=True),
         seed=BURST.seed,
     )
     run_bursts(manager, workload)
@@ -73,7 +72,6 @@ def run_e5():
             spec = BASE.with_(conflict_density=density, seed=seed)
             result = run_workload(
                 build_workload(spec), "process-locking", seed=seed,
-                config=ManagerConfig(audit=True),
             )
             rows.append(
                 _row("all-at-once", spec, result.records, result.stats)
@@ -82,7 +80,6 @@ def run_e5():
         spec, protocol, *_ = POINTS[name]
         result = run_workload(
             build_workload(spec), protocol, seed=spec.seed,
-            config=ManagerConfig(audit=True),
         )
         rows.append(_row(name, spec, result.records, result.stats))
     manager = _run_bursts()

@@ -17,7 +17,6 @@ import math
 import pytest
 
 from harness import print_experiment
-from repro.scheduler.manager import ManagerConfig
 from repro.sim.runner import run_workload
 from repro.sim.workload import WorkloadSpec, build_workload
 
@@ -44,7 +43,6 @@ def measure(threshold: float) -> dict[str, float]:
         )
         result = run_workload(
             workload, "process-locking", seed=seed,
-            config=ManagerConfig(audit=True),
         )
         committed += result.stats.committed
         makespan += result.makespan

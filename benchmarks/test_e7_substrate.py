@@ -10,7 +10,7 @@ the observed read/write sets.
 import pytest
 
 from harness import print_experiment
-from repro.scheduler.manager import ManagerConfig, ProcessManager
+from repro.scheduler.manager import ProcessManager
 from repro.sim.runner import make_protocol
 from repro.sim.workload import WorkloadSpec, build_workload
 
@@ -31,7 +31,7 @@ def run_e7():
         protocol = make_protocol("process-locking", workload)
         manager = ProcessManager(
             protocol, subsystems=pool,
-            config=ManagerConfig(audit=True), seed=seed,
+            seed=seed,
         )
         for program in workload.programs:
             manager.submit(program)

@@ -14,7 +14,6 @@ import math
 import pytest
 
 from harness import print_experiment
-from repro.scheduler.manager import ManagerConfig
 from repro.sim.runner import run_workload, schedule_of
 from repro.sim.workload import WorkloadSpec, build_workload
 from repro.theory.criteria import (
@@ -44,7 +43,6 @@ def run_e8():
             workload = build_workload(base.with_(seed=seed))
             result = run_workload(
                 workload, "process-locking", seed=seed,
-                config=ManagerConfig(audit=True),
             )
             schedule = schedule_of(workload, result)
             ct = has_correct_termination(schedule)

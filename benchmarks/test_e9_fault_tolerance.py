@@ -13,7 +13,7 @@ import pytest
 
 from harness import print_experiment
 from repro.process.state import ProcessState
-from repro.scheduler.manager import ManagerConfig, ProcessManager
+from repro.scheduler.manager import ProcessManager
 from repro.scheduler.recovery import crash, recover
 from repro.sim.runner import make_protocol
 from repro.sim.workload import WorkloadSpec, build_workload
@@ -43,7 +43,6 @@ def run_e9():
         for point in CRASH_POINTS:
             manager = ProcessManager(
                 make_protocol("process-locking", workload),
-                config=ManagerConfig(audit=True),
                 seed=seed,
             )
             for program in workload.programs:
@@ -62,7 +61,6 @@ def run_e9():
             recovered = recover(
                 image,
                 make_protocol("process-locking", workload),
-                config=ManagerConfig(audit=True),
                 seed=seed,
             )
             result = recovered.run()

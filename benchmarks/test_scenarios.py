@@ -11,7 +11,7 @@ slower than serial execution; subsystem histories stay CPSR + ACA.
 import pytest
 
 from harness import print_experiment
-from repro.scheduler.manager import ManagerConfig, ProcessManager
+from repro.scheduler.manager import ProcessManager
 from repro.sim.runner import PROTOCOL_FACTORIES
 from repro.theory.criteria import (
     has_correct_termination,
@@ -59,7 +59,6 @@ def run_scenarios():
                 manager = ProcessManager(
                     protocol,
                     subsystems=pool,
-                    config=ManagerConfig(audit=True),
                     seed=seed,
                 )
                 for program in scenario.programs:

@@ -21,7 +21,7 @@ import math
 
 from repro.analysis import figure1_text, render_table
 from repro.core.protocol import ProcessLockManager
-from repro.scheduler.manager import ManagerConfig, ProcessManager
+from repro.scheduler.manager import ProcessManager
 from repro.workloads import LAB_PANEL_COST, hospital_scenario
 
 
@@ -34,7 +34,6 @@ def run_with_threshold(threshold: float, seed: int = 5):
     manager = ProcessManager(
         protocol,
         subsystems=scenario.make_subsystems(),
-        config=ManagerConfig(audit=True),
         seed=seed,
     )
     for program in scenario.programs:

@@ -18,7 +18,7 @@ Run with::
 """
 
 from repro.core.protocol import ProcessLockManager
-from repro.scheduler.manager import ManagerConfig, ProcessManager
+from repro.scheduler.manager import ProcessManager
 from repro.scheduler.recovery import crash, recover
 from repro.theory import (
     has_correct_termination,
@@ -32,9 +32,7 @@ CRASH_AFTER_EVENTS = 30
 def main() -> None:
     scenario = travel_scenario(trips=8, failure_probability=0.10)
     protocol = ProcessLockManager(scenario.registry, scenario.conflicts)
-    manager = ProcessManager(
-        protocol, config=ManagerConfig(audit=True), seed=4
-    )
+    manager = ProcessManager(protocol, seed=4)
     for program in scenario.programs:
         manager.submit(program)
 
@@ -61,9 +59,7 @@ def main() -> None:
     protocol2 = ProcessLockManager(
         scenario.registry, scenario.conflicts
     )
-    recovered = recover(
-        image, protocol2, config=ManagerConfig(audit=True), seed=4
-    )
+    recovered = recover(image, protocol2, seed=4)
     result = recovered.run()
 
     print()

@@ -17,7 +17,6 @@ Run with::
 from repro import (
     ActivityRegistry,
     ConflictMatrix,
-    ManagerConfig,
     ProcessLockManager,
     ProcessManager,
     ProgramBuilder,
@@ -68,9 +67,7 @@ def main() -> None:
 
     # 4. Run five concurrent purchases.
     protocol = ProcessLockManager(registry, conflicts)
-    manager = ProcessManager(
-        protocol, config=ManagerConfig(audit=True), seed=42
-    )
+    manager = ProcessManager(protocol, seed=42)
     for _ in range(5):
         manager.submit(program)
     result = manager.run()

@@ -20,7 +20,7 @@ Run with::
 from collections import Counter
 
 from repro.core.protocol import ProcessLockManager
-from repro.scheduler.manager import ManagerConfig, ProcessManager
+from repro.scheduler.manager import ProcessManager
 from repro.theory import (
     has_correct_termination,
     is_process_recoverable,
@@ -41,7 +41,6 @@ def main() -> None:
     manager = ProcessManager(
         protocol,
         subsystems=scenario.make_subsystems(),
-        config=ManagerConfig(audit=True),
         seed=13,
     )
     for program in scenario.programs:

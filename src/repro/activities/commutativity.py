@@ -114,8 +114,9 @@ class ConflictMatrix:
     :meth:`close_perfect`) and on late type registration.  The
     dict/frozenset representation here — :meth:`conflict`,
     :meth:`conflicting_types` and the adjacency index behind it — stays
-    as the validating dev-time oracle (theory checks, audits, the
-    reference implementations in :mod:`repro.core.reference`).
+    as the oracle of the compiled plane: the theory checks, the lock
+    table's per-step checks and the test-side reference
+    implementations read it.
     :attr:`version` increments on every mutation so dependent
     structures (the lock table's blocker index and adopted plane) can
     detect staleness cheaply.

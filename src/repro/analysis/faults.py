@@ -84,7 +84,6 @@ def _run_json(run) -> dict[str, object]:
         "incarnations": run.incarnations,
         "dropped_injections": run.dropped_injections,
         "retry_budget_exhausted": run.retry_budget_exhausted,
-        "audited": run.audited,
         "trace_digest": run.trace_digest,
     }
 

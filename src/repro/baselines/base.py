@@ -9,7 +9,7 @@ can drive any of them unchanged:
 * ``request_activity_lock(process, activity, mode) -> Decision``
 * ``request_compensation_lock(process, activity) -> Decision``
 * ``try_commit(process) -> Decision``
-* ``timestamps() / running_pids() / audit()``
+* ``timestamps() / running_pids()``
 
 and one thing process locking never needs: ``force_progress``, the
 choice of which parked request to force when a wait cycle has no
@@ -84,9 +84,6 @@ class BaselineProtocol:
 
     def live_processes(self) -> list[Process]:
         return list(self._processes.values())
-
-    def audit(self) -> None:
-        self.table.check_invariants(self._processes)
 
     # ------------------------------------------------------------------
     # defaults

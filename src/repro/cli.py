@@ -30,7 +30,7 @@ from repro.analysis.export import rows_to_json
 from repro.analysis.tables import render_dict_table
 from repro.analysis.timeline import render_timeline
 from repro.core.conformance import run_conformance
-from repro.scheduler.manager import ManagerConfig, make_manager
+from repro.scheduler.manager import make_manager
 from repro.sim.metrics import summarize
 from repro.sim.runner import (
     PROTOCOL_FACTORIES,
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help=(
             "deterministic fault-injection campaign (workloads × plans "
-            "× protocols), audited after every event, asserting "
+            "× protocols), every lock-table step checked, asserting "
             "termination, CT, P-RC, trace splicing, and WAL recovery "
             "per run"
         ),
@@ -544,9 +544,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     workload = build_workload(_spec_from(args))
     tracer = _make_tracer(args)
     result = run_workload(
-        workload, args.protocol, seed=args.seed,
-        config=ManagerConfig(audit=True),
-        tracer=tracer,
+        workload, args.protocol, seed=args.seed, tracer=tracer
     )
     metrics = summarize(args.protocol, result)
     if args.json:
@@ -599,7 +597,6 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     manager = make_manager(
         protocol,
         subsystems=scenario.make_subsystems(),
-        config=ManagerConfig(audit=True),
         seed=args.seed,
         tracer=tracer,
     )

@@ -19,8 +19,8 @@ reproduces the original (historically networkx-backed) cycle *search* —
 byte-for-byte the same cycle, hence the same victim.
 
 Everything here is pure Python; the real networkx implementations
-survive only as oracles in :mod:`repro.core.reference` and the property
-tests.  The victim is the youngest *running* process on the cycle (never
+survive only as test oracles (``tests/test_core/reference.py`` and the
+property tests).  The victim is the youngest *running* process on the cycle (never
 a completing one, which by construction cannot be required).
 """
 
@@ -36,8 +36,8 @@ def has_cycle(adjacency: Mapping[int, Iterable[int]]) -> bool:
 
     Iterative three-color depth-first search over a plain mapping,
     O(nodes + edges): the guard in front of the full cycle search, and
-    the audit-time cross-check of the manager's walk from the parking
-    pid.
+    what the wait-cycle tests hold the manager's walk from the parking
+    pid to.
     """
     done: set[int] = set()
     on_path: set[int] = set()

@@ -41,11 +41,23 @@ frozenset iteration, no per-pair frozenset allocation.  The plane is
 adopted by identity; whenever the conflict relation mutates or a type
 registers late, :meth:`_live_plane` — the one resync point — rebuilds
 the masks and the blocker index against it.
+
+Every mutation checks what it changed before it returns, and raises
+:class:`~repro.errors.ProtocolError` on a broken invariant: the one
+safety net, on in every run, served or simulated.  :meth:`acquire`
+re-derives the new lock's blockers from the dict-based conflict
+relation and the per-type lists, not from the masks it just updated;
+:meth:`release_all` checks that no index still names the pid; a
+Comp→Piv conversion checks both mode indexes; a resync applies the
+acquire check to every replayed lock, and the first use of a compiled
+plane checks each of its rows against the dict-based matrix.  Each
+check costs what its step costs.  The whole-table oracle lives under
+``tests/`` (``tests/test_core/reference.py``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from operator import attrgetter
 
 from repro.activities.commutativity import ConflictMatrix
@@ -55,6 +67,8 @@ from repro.process.instance import Process
 
 #: C-level sort key shared by every position-ordered collect.
 _BY_POSITION = attrgetter("position")
+#: The blocker row of a pid with none.
+_NONE: frozenset[int] = frozenset()
 
 
 class LockTable:
@@ -73,6 +87,7 @@ class LockTable:
         self._position = 0
         #: Adopted compiled conflict plane (resynced by identity).
         self._plane = conflicts.compiled()
+        self._check_plane(self._plane)
         #: Bitmask of type ids with at least one live lock.
         self._live_mask = 0
         #: pid -> bitmask of type ids the process holds locks on.
@@ -91,30 +106,19 @@ class LockTable:
         relation may have changed, so the live masks and the blocker
         index are rebuilt by replaying the live locks in position order
         against the new masks — exactly what :meth:`acquire` would have
-        derived had the relation held from the start.
+        derived had the relation held from the start, and checked as
+        :meth:`acquire` checks it.
         """
         plane = self._conflicts.compiled()
         if plane is not self._plane:
+            self._check_plane(plane)
             self._plane = plane
-            index = plane.index
-            mask_of = plane.mask_of
             self._blocked_by = {}
             self._blocks = {}
-            pid_masks: dict[int, int] = {}
+            self._pid_type_masks = {}
+            self._live_mask = 0
             for entry in sorted(self.iter_entries(), key=_BY_POSITION):
-                pid = entry.pid
-                conflict_mask = mask_of[entry.type_name]
-                for other_pid, held in pid_masks.items():
-                    if other_pid != pid and held & conflict_mask:
-                        self._add_block_edge(other_pid, pid)
-                pid_masks[pid] = (
-                    pid_masks.get(pid, 0) | 1 << index[entry.type_name]
-                )
-            live = 0
-            for held in pid_masks.values():
-                live |= held
-            self._live_mask = live
-            self._pid_type_masks = pid_masks
+                self._index(entry, plane)
         return plane
 
     # ------------------------------------------------------------------
@@ -142,7 +146,7 @@ class LockTable:
         by_type = self._by_type
         type_list = by_type.get(type_name)
         if type_list is None:
-            by_type[type_name] = [entry]
+            type_list = by_type[type_name] = [entry]
         else:
             type_list.append(entry)
         by_pid = self._by_pid
@@ -151,6 +155,7 @@ class LockTable:
             by_pid[pid] = [entry]
         else:
             pid_list.append(entry)
+        p_count = self._p_counts.get(pid, 0)
         if mode is LockMode.C:
             c_list = self._c_by_pid.get(pid)
             if c_list is None:
@@ -158,7 +163,45 @@ class LockTable:
             else:
                 c_list.append(entry)
         else:
-            self._p_counts[pid] = self._p_counts.get(pid, 0) + 1
+            self._p_counts[pid] = p_count + 1
+        self._index(entry, plane)
+        if (
+            type_list[-1] is not entry
+            or len(type_list) > 1
+            and type_list[-2].position >= entry.position
+        ):
+            raise ProtocolError(
+                f"acquire of {entry}: not last in the list of {type_name!r}"
+            )
+        if (
+            self._c_by_pid[pid][-1] is not entry
+            if mode is LockMode.C
+            else self._p_counts[pid] != p_count + 1
+        ):
+            raise ProtocolError(
+                f"acquire of {entry}: the {mode.value}-lock index of P{pid} "
+                f"missed it"
+            )
+        return entry
+
+    def _index(self, entry: LockEntry, plane) -> None:
+        """Enter ``entry`` into the masks and the blocker index, then
+        check what changed against the dict-based conflict relation."""
+        pid = entry.process.pid
+        type_name = entry.type_name
+        blocked_by = self._blocked_by
+        # The check walks the lists the masks summarize: the foreign
+        # holders of an earlier lock on a conflicting type.
+        by_type = self._by_type
+        position = entry.position
+        blockers = {
+            other.process.pid
+            for name in self._conflicts.conflicting_types(type_name)
+            for other in by_type.get(name, ())
+            if other.position < position
+        }
+        blockers.discard(pid)
+        expected = blockers.union(blocked_by.get(pid, ()))
         bit = 1 << plane.id_of(type_name)
         self._live_mask |= bit
         pid_masks = self._pid_type_masks
@@ -174,7 +217,19 @@ class LockTable:
             for other_pid, held in pid_masks.items():
                 if other_pid != pid and held & conflict_mask:
                     add_edge(other_pid, pid)
-        return entry
+        if not self._live_mask & pid_masks[pid] & bit:
+            raise ProtocolError(f"{entry}: a type mask missed its type")
+        if blocked_by.get(pid, _NONE) != expected:
+            raise ProtocolError(
+                f"{entry}: blockers of P{pid} are "
+                f"{sorted(blocked_by.get(pid, ()))}, not {sorted(expected)}"
+            )
+        blocks = self._blocks
+        for blocker in blockers:
+            if pid not in blocks.get(blocker, ()):
+                raise ProtocolError(
+                    f"{entry}: P{blocker} does not list P{pid} as waiting"
+                )
 
     def release_all(self, pid: int) -> list[LockEntry]:
         """Drop every lock of ``pid`` (commit or abort of the process)."""
@@ -187,7 +242,7 @@ class LockTable:
                     f"lock table corruption while releasing locks of "
                     f"P{pid} on {type_name!r}"
                 )
-            survivors = [e for e in entries if e.pid != pid]
+            survivors = [e for e in entries if e.process.pid != pid]
             if survivors:
                 self._by_type[type_name] = survivors
             else:
@@ -198,19 +253,58 @@ class LockTable:
         self._pid_type_masks.pop(pid, None)
         self._c_by_pid.pop(pid, None)
         self._p_counts.pop(pid, None)
-        for waiter in self._blocks.pop(pid, ()):
+        waiters = self._blocks.pop(pid, ())
+        for waiter in waiters:
             blockers = self._blocked_by.get(waiter)
             if blockers is not None:
                 blockers.discard(pid)
                 if not blockers:
                     del self._blocked_by[waiter]
-        for blocker in self._blocked_by.pop(pid, ()):
-            waiters = self._blocks.get(blocker)
-            if waiters is not None:
-                waiters.discard(pid)
-                if not waiters:
+        blockers = self._blocked_by.pop(pid, ())
+        for blocker in blockers:
+            waiters_of = self._blocks.get(blocker)
+            if waiters_of is not None:
+                waiters_of.discard(pid)
+                if not waiters_of:
                     del self._blocks[blocker]
+        self._check_released(pid, affected_types, waiters, blockers)
         return released
+
+    def _check_released(self, pid, types, waiters, blockers) -> None:
+        """No index names ``pid`` after its release: ``detach`` is the
+        only way a pid leaves the protocol, so this is also "every held
+        lock belongs to a live process"."""
+        if (
+            pid in self._by_pid
+            or pid in self._c_by_pid
+            or pid in self._p_counts
+            or pid in self._pid_type_masks
+            or pid in self._blocked_by
+            or pid in self._blocks
+        ):
+            raise ProtocolError(f"release of P{pid}: an index still has it")
+        for waiter in waiters:
+            if pid in self._blocked_by.get(waiter, ()):
+                raise ProtocolError(
+                    f"release of P{pid}: P{waiter} still waits on it"
+                )
+        for blocker in blockers:
+            if pid in self._blocks.get(blocker, ()):
+                raise ProtocolError(
+                    f"release of P{pid}: P{blocker} still blocks it"
+                )
+        by_type = self._by_type
+        holders = {e.process.pid for t in types for e in by_type.get(t, ())}
+        if pid in holders:
+            raise ProtocolError(f"release of P{pid}: a type list still has it")
+        index = self._plane.index
+        live = self._live_mask
+        for type_name in types:
+            if (type_name in by_type) != bool(live >> index[type_name] & 1):
+                raise ProtocolError(
+                    f"release of P{pid}: the live-type bit of "
+                    f"{type_name!r} disagrees with its list"
+                )
 
     def _note_upgrade(self, entry: LockEntry) -> None:
         """Keep the mode indexes current through a Comp→Piv conversion.
@@ -226,11 +320,27 @@ class LockTable:
                 self._c_by_pid[pid] = survivors
             else:
                 del self._c_by_pid[pid]
-        self._p_counts[pid] = self._p_counts.get(pid, 0) + 1
+        p_count = self._p_counts.get(pid, 0)
+        self._p_counts[pid] = p_count + 1
+        if any(e is entry for e in self._c_by_pid.get(pid, ())):
+            raise ProtocolError(f"upgrade of {entry}: still a C lock")
+        if self._p_counts[pid] != p_count + 1:
+            raise ProtocolError(f"upgrade of {entry}: P count missed it")
 
     def _add_block_edge(self, blocker: int, waiter: int) -> None:
         self._blocked_by.setdefault(waiter, set()).add(blocker)
         self._blocks.setdefault(blocker, set()).add(waiter)
+
+    def _check_plane(self, plane) -> None:
+        """Each compiled conflict row equals the dict-based one (once per
+        plane: the dict-based matrix is the compiled plane's oracle)."""
+        conflicting_types = self._conflicts.conflicting_types
+        for name in plane.names:
+            if plane.conflicting_types(name) != conflicting_types(name):
+                raise ProtocolError(
+                    f"compiled conflict row of {name!r} disagrees with "
+                    f"the dict-based matrix"
+                )
 
     # ------------------------------------------------------------------
     # queries
@@ -393,123 +503,3 @@ class LockTable:
                 by_type.get(activity_type.name, ())
             )
         return counts
-
-    def check_invariants(self, live_pids: Iterable[int]) -> None:
-        """Audit the table's structural invariants:
-
-        * every held lock belongs to a live process;
-        * per-type lists are position-sorted;
-        * the primary indexes agree;
-        * the mode indexes (C lists, P counts) match the entries;
-        * the blocker index matches a naive recomputation;
-        * the live-type and per-process bitmasks match a recomputation
-          from the primary lists, and the compiled conflict rows of
-          every live type agree with the dict-based matrix (the
-          dev-time oracle for the compiled plane).
-
-        Resyncs with the conflict matrix first: after a mid-run
-        ``declare_conflict`` the indexes are stale by design until the
-        next query, and the audit must judge the synced state.
-        """
-        self._live_plane()
-        live = set(live_pids)
-        seen_ids: set[int] = set()
-        for type_name, entries in self._by_type.items():
-            positions = [entry.position for entry in entries]
-            if positions != sorted(positions):
-                raise ProtocolError(
-                    f"lock list of {type_name!r} is not position-sorted"
-                )
-            for entry in entries:
-                seen_ids.add(entry.lock_id)
-                if entry.pid not in live:
-                    raise ProtocolError(
-                        f"lock {entry} belongs to a terminated process"
-                    )
-        index_ids = {e.lock_id for e in self.iter_entries()}
-        if index_ids != seen_ids:
-            raise ProtocolError("lock table indexes disagree")
-        for pid, entries in self._by_pid.items():
-            c_ids = [
-                e.lock_id for e in entries if e.mode is LockMode.C
-            ]
-            if [e.lock_id for e in self._c_by_pid.get(pid, [])] != c_ids:
-                raise ProtocolError(
-                    f"C-lock index of P{pid} disagrees with the entries"
-                )
-            p_count = sum(
-                1 for e in entries if e.mode is LockMode.P
-            )
-            if self._p_counts.get(pid, 0) != p_count:
-                raise ProtocolError(
-                    f"P-lock count of P{pid} disagrees with the entries"
-                )
-        self._check_blocker_index()
-        self._check_masks()
-
-    def _check_masks(self) -> None:
-        plane = self._live_plane()
-        index = plane.index
-        expected_live = 0
-        for type_name in self._by_type:
-            expected_live |= 1 << index[type_name]
-        if self._live_mask != expected_live:
-            raise ProtocolError(
-                f"live-type mask {self._live_mask:#x} disagrees with the "
-                f"per-type lists ({expected_live:#x})"
-            )
-        expected_pid_masks = {
-            pid: self._mask_of_entries(entries, index)
-            for pid, entries in self._by_pid.items()
-        }
-        if self._pid_type_masks != expected_pid_masks:
-            raise ProtocolError(
-                "per-process type masks disagree with the per-pid lists"
-            )
-        for type_name in self._by_type:
-            compiled_row = plane.conflicting_types(type_name)
-            oracle_row = self._conflicts.conflicting_types(type_name)
-            if compiled_row != oracle_row:
-                raise ProtocolError(
-                    f"compiled conflict row of {type_name!r} disagrees "
-                    f"with the dict-based matrix: "
-                    f"compiled={sorted(compiled_row)} "
-                    f"oracle={sorted(oracle_row)}"
-                )
-
-    @staticmethod
-    def _mask_of_entries(
-        entries: Iterable[LockEntry], index: dict[str, int]
-    ) -> int:
-        mask = 0
-        for entry in entries:
-            mask |= 1 << index[entry.type_name]
-        return mask
-
-    def _check_blocker_index(self) -> None:
-        from repro.core.reference import naive_blocked_by
-
-        expected = naive_blocked_by(self)
-        actual = {
-            pid: set(blockers)
-            for pid, blockers in self._blocked_by.items()
-            if blockers
-        }
-        if actual != expected:
-            raise ProtocolError(
-                f"blocker index disagrees with naive recomputation: "
-                f"index={actual} naive={expected}"
-            )
-        transpose: dict[int, set[int]] = {}
-        for waiter, blockers in self._blocked_by.items():
-            for blocker in blockers:
-                transpose.setdefault(blocker, set()).add(waiter)
-        blocks = {
-            pid: set(waiters)
-            for pid, waiters in self._blocks.items()
-            if waiters
-        }
-        if blocks != transpose:
-            raise ProtocolError(
-                "blocks map is not the transpose of blocked_by"
-            )

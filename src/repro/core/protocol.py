@@ -560,13 +560,3 @@ class ProcessLockManager:
             for pid, proc in self._processes.items()
             if proc.state is ProcessState.RUNNING
         }
-
-    def audit(self) -> None:
-        """Assert structural invariants of the lock table.
-
-        Deadlock freedom of the basic protocol is asserted separately:
-        the manager counts cycle victims, and experiment E5 (plus the
-        liveness tests) checks the count stays zero when the cost-based
-        extension is off.
-        """
-        self.table.check_invariants(self._processes)

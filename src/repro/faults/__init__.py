@@ -10,7 +10,7 @@ Layers:
   a manager through a schedule (outages, subsystem crashes, manager
   crash/recover cycles, seeded failure/latency decisions);
 * :mod:`repro.faults.harness` — the one campaign behind ``repro chaos``:
-  audited runs asserting termination, CT, P-RC, trace splicing, and that
+  runs asserting termination, CT, P-RC, trace splicing, and that
   no doomed subsystem write reached a store, per run;
 * :mod:`repro.faults.storms` — correlated-outage burst trains,
   including storms aimed at the cost-based ``Wcc*`` boundary.

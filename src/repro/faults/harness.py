@@ -17,11 +17,9 @@ end-to-end guarantees *under faults*:
 * **WAL** — no doomed write of a crashed subsystem transaction reached
   the store.
 
-The campaign runs every workload under every plan with
-``ManagerConfig(audit=True)``: the protocol's structural audit runs
-after every event, and every "no cycle" answer of the deadlock walk is
-checked against the whole wait-for relation, so a broken invariant
-fails its run even when the end-to-end checks would pass.
+Every lock-table step checks its own invariants (as in every run), so
+a broken invariant fails its run with ``invariant: ...`` even when the
+end-to-end checks would pass.
 
 Every decision in a campaign derives from ``(plan, seed)``, so two
 campaigns with the same seed produce byte-identical fault schedules and
@@ -128,8 +126,6 @@ class ChaosRunReport:
     events: int = 0
     #: Retry budgets that forced a failing retriable to succeed.
     retry_budget_exhausted: int = 0
-    #: The protocol's structural audit ran after every event.
-    audited: bool = False
 
     @property
     def ok(self) -> bool:
@@ -152,7 +148,6 @@ def run_chaos(
         protocol=protocol_name,
         seed=seed,
         schedule_canonical=schedule.canonical(),
-        audited=config is not None and config.audit,
     )
     injector = FaultInjector(
         workload, protocol_name, schedule, config=config, seed=seed
@@ -163,8 +158,8 @@ def run_chaos(
         report.checks["terminated"] = False
         report.failures.append(f"liveness: {exc}")
         return report
-    except ProtocolError as exc:  # an audit found a broken invariant
-        report.failures.append(f"audit: {exc}")
+    except ProtocolError as exc:  # a lock-table step broke an invariant
+        report.failures.append(f"invariant: {exc}")
         return report
     observed = chaos.result.trace.to_schedule(
         workload.conflicts.conflict
@@ -343,8 +338,7 @@ def run_campaign(
 ) -> CampaignReport:
     """Sweep workloads × plans × protocols and check every invariant.
 
-    7 plans × 5 workloads × the 3 default protocols = 105 runs, each
-    audited after every event (``ManagerConfig(audit=True)``).
+    7 plans × 5 workloads × the 3 default protocols = 105 runs.
     """
     protocols = protocols or DEFAULT_PROTOCOLS
     report = CampaignReport(seed=seed)
@@ -358,7 +352,6 @@ def run_campaign(
                         plan,
                         seed=seed,
                         workload_name=workload_name,
-                        config=ManagerConfig(audit=True),
                     )
                 )
     return report

@@ -27,11 +27,7 @@ from dataclasses import dataclass
 from repro import config as repro_config
 
 from repro.activities.activity import Activity
-from repro.core.deadlock import (
-    choose_cycle_victim,
-    find_wait_cycle,
-    has_cycle,
-)
+from repro.core.deadlock import choose_cycle_victim, find_wait_cycle
 from repro.core.cost_based import retry_wcc_charge
 from repro.core.decisions import (
     AbortVictims,
@@ -120,8 +116,6 @@ class ManagerConfig:
     #: every extra attempt also charges the activity's cost to the
     #: process's ``Wcc`` so cost-based protection sees retry storms.
     retry_policy: object | None = None
-    #: Run the protocol's structural audit after every event (slow).
-    audit: bool = False
     #: Hard cap on simulation events.
     max_events: int = 1_000_000
     #: Serialize conflicting activity *executions* in lock-sharing order
@@ -345,7 +339,6 @@ class ProcessManager:
             else ProcessInitiated(pid=pid, timestamp=process.timestamp)
         )
         self._step(process)
-        self._post_event()
 
     def held_behind(self, pid: int) -> list[int]:
         """The older pids a held ``pid`` waits behind right now —
@@ -483,7 +476,6 @@ class ProcessManager:
             # and an earlier one cascade-aborted this process before its
             # own fired — that abort owns the process (and its
             # compensation run) now, so this resume stands down.
-            self._post_event()
 
         self.engine.schedule(0.0, resume)
 
@@ -793,7 +785,6 @@ class ProcessManager:
         else:
             self._on_activity_committed(process, activity)
             self._release_held(process.pid)
-        self._post_event()
 
     def _wants_transient_retry(self, flight: InflightActivity) -> bool:
         """Whether a retriable completion turns into another attempt.
@@ -1008,7 +999,6 @@ class ProcessManager:
         record.compensated_names.append(entry.activity.name)
         record.compensated_causes.append(run.label)
         self._advance_compensation(run)
-        self._post_event()
 
     # ------------------------------------------------------------------
     # aborts (protocol-induced)
@@ -1298,16 +1288,6 @@ class ProcessManager:
             self._cycle_standing = cycle is not None
             if cycle is not None:
                 self._act_on_wait_cycle(cycle)
-        elif (
-            # Audited runs cross-check "no cycle" against the whole
-            # relation.
-            self.config.audit
-            and has_cycle(self._wait_edges())
-        ):
-            raise ProtocolError(
-                f"wait cycle missed by the walk from P{waiter}: "
-                f"{self._wait_edges()}"
-            )
 
     def _act_on_wait_cycle(self, cycle: list[int]) -> None:
         """Abort the cycle's victim (or force progress when unabortable)."""
@@ -1468,10 +1448,6 @@ class ProcessManager:
             subsystem.execute_activity(
                 activity.name, timestamp=process.timestamp
             )
-
-    def _post_event(self) -> None:
-        if self.config.audit:
-            self.protocol.audit()
 
 
 def _attach_store(

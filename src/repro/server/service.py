@@ -100,7 +100,7 @@ class ServiceConfig:
     #: Paced-mode wall poll interval, seconds.
     tick: float = 0.02
     #: Full manager-config override for advanced callers (retry
-    #: policy, audit cadence).
+    #: policy, resubmission budget).
     manager_config: ManagerConfig | None = None
     #: Flight-recorder ring capacity; ``None`` defers to the
     #: ``REPRO_FLIGHT_EVENTS`` knob.

@@ -110,7 +110,7 @@ class TestEndToEnd:
         the coarse matrix serializes their conflicting executions."""
         from repro.core.protocol import ProcessLockManager
         from repro.process.builder import ProgramBuilder
-        from repro.scheduler.manager import ManagerConfig, ProcessManager
+        from repro.scheduler.manager import ProcessManager
 
         def run(aligned: bool) -> float:
             registry = ActivityRegistry()
@@ -125,9 +125,7 @@ class TestEndToEnd:
                 coarse_equivalent(registry, matrix, family)
             matrix.close_perfect()
             protocol = ProcessLockManager(registry, matrix)
-            manager = ProcessManager(
-                protocol, config=ManagerConfig(audit=True)
-            )
+            manager = ProcessManager(protocol)
             for partition in ("s0", "s1"):
                 program = (
                     ProgramBuilder(f"p-{partition}", registry)

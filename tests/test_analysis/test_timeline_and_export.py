@@ -6,16 +6,14 @@ import math
 from repro.analysis.export import rows_to_json, save_rows
 from repro.analysis.timeline import render_timeline
 from repro.core.protocol import ProcessLockManager
-from repro.scheduler.manager import ManagerConfig, ProcessManager
+from repro.scheduler.manager import ProcessManager
 from repro.theory.schedule import ProcessSchedule
 
 
 class TestTimeline:
     def _run_schedule(self, registry, conflicts, order_program):
         protocol = ProcessLockManager(registry, conflicts)
-        manager = ProcessManager(
-            protocol, config=ManagerConfig(audit=True), seed=3
-        )
+        manager = ProcessManager(protocol, seed=3)
         manager.submit(order_program)
         manager.submit(order_program)
         result = manager.run()

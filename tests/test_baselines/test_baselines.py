@@ -10,7 +10,7 @@ from repro.core.decisions import AbortVictims, Defer, Grant, SelfAbort
 from repro.core.locks import LockMode
 from repro.errors import ProtocolError
 from repro.process.builder import ProgramBuilder
-from repro.scheduler.manager import ManagerConfig, ProcessManager
+from repro.scheduler.manager import ProcessManager
 from tests.conftest import make_process
 
 
@@ -52,7 +52,7 @@ class TestSerialScheduler:
     def test_end_to_end_serial_run(self, registry, conflicts,
                                    flat_program):
         protocol = SerialScheduler(registry, conflicts)
-        manager = ProcessManager(protocol, config=ManagerConfig(audit=True))
+        manager = ProcessManager(protocol)
         manager.submit(flat_program)
         manager.submit(flat_program)
         result = manager.run()
@@ -134,9 +134,7 @@ class TestS2PL:
     def test_end_to_end(self, registry, conflicts, order_program,
                         flat_program):
         protocol = StrictTwoPhaseLocking(registry, conflicts)
-        manager = ProcessManager(
-            protocol, config=ManagerConfig(audit=True), seed=8
-        )
+        manager = ProcessManager(protocol, seed=8)
         manager.submit(order_program)
         manager.submit(flat_program)
         result = manager.run()
@@ -240,9 +238,7 @@ class TestAca:
     ):
         """No sharing means a compensation can never have victims."""
         protocol = CascadeAvoidingScheduler(registry, conflicts)
-        manager = ProcessManager(
-            protocol, config=ManagerConfig(audit=True), seed=3
-        )
+        manager = ProcessManager(protocol, seed=3)
         for __ in range(3):
             manager.submit(flat_program)
         result = manager.run()

@@ -211,7 +211,7 @@ class TestObservabilityCommands:
         run = payload["runs"][0]
         # Raw booleans, not display strings.
         assert isinstance(run["ok"], bool)
-        assert run["audited"] is True
+        assert "audited" not in run  # every run checks every step
         assert all(
             isinstance(value, bool)
             for value in run["checks"].values()
@@ -373,16 +373,16 @@ class TestErrorHardening:
 
     def test_zero_audit_cadence_rejected(self, capsys):
         """``soak --audit-every 0`` used to die of a modulo by zero.  No
-        cadence can be given now: an audited manager audits every
-        event."""
+        cadence and no audit switch can be given now: the lock table
+        checks every step it takes, in every run."""
         from repro.scheduler.manager import ManagerConfig
 
         with pytest.raises(SystemExit) as excinfo:
             main(["chaos", "--audit-every", "0"])
         assert excinfo.value.code == 2
         assert "--audit-every" in capsys.readouterr().err
-        with pytest.raises(TypeError, match="audit_every"):
-            ManagerConfig(audit=True, audit_every=0)
+        with pytest.raises(TypeError, match="audit"):
+            ManagerConfig(audit=True)
 
     def test_retired_campaign_and_trace_verbs_exit_2(self, capsys):
         """DESIGN.md §7, "Removed: the soak campaign": ``repro chaos``

@@ -10,7 +10,7 @@ after every step, that
   primary per-type/per-pid lists (plane adoption after a post-freeze
   ``declare_conflict`` included), and
 * every bitmask query agrees with its recompute-from-the-dict-matrix
-  reference in :mod:`repro.core.reference`.
+  reference in ``tests/test_core/reference.py``.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ from repro.activities.commutativity import ConflictMatrix
 from repro.activities.registry import ActivityRegistry
 from repro.core.lock_table import LockTable
 from repro.core.locks import LockMode
-from repro.core.reference import (
+from repro.process.state import ProcessState
+from tests.test_core.reference import (
+    full_audit,
     naive_blocker_pids,
     naive_conflicting_locks,
     naive_probe_blocked,
 )
-from repro.process.state import ProcessState
 
 TYPE_NAMES = [f"t{i}" for i in range(6)]
 PIDS = list(range(1, 6))
@@ -74,10 +75,10 @@ def recomputed_masks(table: LockTable) -> tuple[int, dict[int, int]]:
 def assert_agrees_with_references(
     table: LockTable, processes: dict[int, "FakeProcess"]
 ) -> None:
-    # check_invariants audits the masks against the lists and the
-    # compiled rows against the dict-based matrix (_check_masks)...
-    table.check_invariants(live_pids=table.holders())
-    # ...and this re-derives them independently of that audit.
+    # full_audit checks the masks against the lists and the compiled
+    # rows against the dict-based matrix...
+    full_audit(table, live_pids=table.holders())
+    # ...and this re-derives the masks independently of it.
     live, pid_masks = recomputed_masks(table)
     assert table._live_mask == live
     assert table._pid_type_masks == pid_masks

@@ -196,7 +196,7 @@ def test_property_memoized_classification_matches_reference(
     real pivots included."""
     from repro.activities.activity import Activity
     from repro.activities.commutativity import ConflictMatrix
-    from repro.core.reference import reference_classify_regular
+    from tests.test_core.reference import reference_classify_regular
 
     registry = ActivityRegistry()
     names = []

@@ -4,14 +4,17 @@ The lock table is churned through randomized acquire / upgrade /
 release / conflict-declaration histories; after every step the
 incremental structures (blocker index, mode indexes, conflict adjacency)
 must agree with the recompute-from-scratch reference formulations in
-:mod:`repro.core.reference`, and :meth:`LockTable.check_invariants`
-must hold.
+``tests/test_core/reference.py``, and its whole-table
+:func:`full_audit` must hold.  The table checks each step itself; the
+same churn over a table with one seeded corruption shows those checks
+raise at the step that makes it, and only then.
 """
 
 from __future__ import annotations
 
 import networkx as nx
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.activities.commutativity import ConflictMatrix
@@ -19,7 +22,9 @@ from repro.activities.registry import ActivityRegistry
 from repro.core.deadlock import has_cycle
 from repro.core.lock_table import LockTable
 from repro.core.locks import LockMode
-from repro.core.reference import (
+from repro.errors import ProtocolError
+from tests.test_core.reference import (
+    full_audit,
     naive_blocked_by,
     naive_commit_blockers,
     naive_conflicting_locks,
@@ -54,9 +59,9 @@ def make_relation(
 def assert_agrees_with_oracles(
     table: LockTable, processes: dict[int, FakeProcess]
 ) -> None:
-    # check_invariants already audits the blocker index against
+    # full_audit already checks the blocker index against
     # naive_blocked_by and the mode indexes against the entries.
-    table.check_invariants(live_pids=table.holders())
+    full_audit(table, live_pids=table.holders())
     for process in processes.values():
         assert table.commit_blockers(process) == naive_commit_blockers(
             table, process
@@ -98,36 +103,109 @@ op_strategy = st.one_of(
 )
 
 
+class _KeepsRows(dict):
+    """A ``blocks`` map whose rows a release cannot pop."""
+
+    def pop(self, pid, default=None):
+        return self.get(pid, default)
+
+
+class _KeepsCLocks(dict):
+    """A C-lock index whose rows an upgrade cannot shrink."""
+
+    def __setitem__(self, pid, row):
+        if pid not in self:
+            super().__setitem__(pid, row)
+
+    def __delitem__(self, pid):
+        pass
+
+
+def _drop_edges(table):
+    table._add_block_edge = lambda blocker, waiter: None
+
+
+def _dangling_blocks(table):
+    table._blocks = _KeepsRows()
+
+
+def _keep_c_locks(table):
+    table._c_by_pid = _KeepsCLocks()
+
+
+#: One seeded corruption per checked step, by the step it breaks.
+CORRUPTIONS = {
+    "none": lambda table: None,
+    "acquire drops a blocker edge": _drop_edges,
+    "release_all leaves a dangling blocks row": _dangling_blocks,
+    "_note_upgrade skips the C-list removal": _keep_c_locks,
+}
+
+
 class TestLockTableProperties:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
         initial_pairs=st.lists(pair_strategy, max_size=8),
         ops=st.lists(op_strategy, min_size=1, max_size=40),
+        corruption=st.sampled_from(sorted(CORRUPTIONS)),
+    )
+    @example(
+        initial_pairs=[("t0", "t0")],
+        ops=[
+            ("acquire", 1, "t0", LockMode.C),
+            ("acquire", 2, "t0", LockMode.C),
+        ],
+        corruption="acquire drops a blocker edge",
+    )
+    @example(
+        initial_pairs=[("t0", "t0")],
+        ops=[
+            ("acquire", 1, "t0", LockMode.C),
+            ("acquire", 2, "t0", LockMode.C),
+            ("release", 1),
+        ],
+        corruption="release_all leaves a dangling blocks row",
+    )
+    @example(
+        initial_pairs=[],
+        ops=[("acquire", 1, "t0", LockMode.C), ("upgrade", 0)],
+        corruption="_note_upgrade skips the C-list removal",
     )
     def test_indexes_agree_with_oracles_under_churn(
-        self, initial_pairs, ops
+        self, initial_pairs, ops, corruption
     ):
+        """A step either raises ``ProtocolError`` on a table the whole
+        audit also rejects, or leaves one that every oracle accepts: the
+        per-step checks catch what the full oracle catches, at once."""
         __, matrix = make_relation(initial_pairs)
         table = LockTable(matrix)
+        CORRUPTIONS[corruption](table)
         processes = {pid: FakeProcess(pid) for pid in PIDS}
         for op in ops:
             kind = op[0]
-            if kind == "acquire":
-                __, pid, name, mode = op
-                table.acquire(processes[pid], name, mode)
-            elif kind == "upgrade":
-                entries = [
-                    entry
-                    for entry in table.iter_entries()
-                    if entry.mode is LockMode.C
-                ]
-                if entries:
-                    entries[op[1] % len(entries)].upgrade_to_p()
-            elif kind == "release":
-                table.release_all(op[1])
-            else:  # declare: mutate the relation mid-history
-                left, right = op[1]
-                matrix.declare_conflict(left, right)
+            try:
+                if kind == "acquire":
+                    __, pid, name, mode = op
+                    table.acquire(processes[pid], name, mode)
+                elif kind == "upgrade":
+                    entries = [
+                        entry
+                        for entry in table.iter_entries()
+                        if entry.mode is LockMode.C
+                    ]
+                    if entries:
+                        entries[op[1] % len(entries)].upgrade_to_p()
+                elif kind == "release":
+                    table.release_all(op[1])
+                else:  # declare: mutate the relation mid-history
+                    left, right = op[1]
+                    matrix.declare_conflict(left, right)
+                    table._live_plane()  # the resync is a step too
+            except ProtocolError:
+                assert corruption != "none"
+                with pytest.raises(ProtocolError):
+                    full_audit(table, live_pids=table.holders())
+                return
             assert_agrees_with_oracles(table, processes)
 
     @settings(max_examples=60, deadline=None)

@@ -6,6 +6,7 @@ from repro.core.lock_table import LockTable
 from repro.core.locks import LockMode, can_ordered_share
 from repro.errors import ProtocolError
 from tests.conftest import make_process
+from tests.test_core.reference import full_audit
 
 
 class TestTable2Function:
@@ -115,9 +116,9 @@ class TestLockTable:
         older, __ = two_processes
         table.acquire(older, "reserve", LockMode.C)
         with pytest.raises(ProtocolError):
-            table.check_invariants(live_pids=[])  # nobody is live
+            full_audit(table, live_pids=[])  # nobody is live
 
     def test_invariants_pass_for_live_holder(self, table, two_processes):
         older, __ = two_processes
         table.acquire(older, "reserve", LockMode.C)
-        table.check_invariants(live_pids=[older.pid])
+        full_audit(table, live_pids=[older.pid])

@@ -3,10 +3,10 @@
 Activities of different subsystems never conflict, so the per-type lock
 lists split cleanly by owning subsystem (a "shard" in the metric labels
 and the ``wait.edge`` events).  The table keeps no per-shard state: the
-per-subsystem counts are read off the per-type lists when asked, and one
-full structural audit checks the whole table.  These tests pin the
-partition, the derived counts, the audit's corruption detection, the
-schedule byte-identity of audited runs and the per-subsystem gauges.
+per-subsystem counts are read off the per-type lists when asked, and the
+whole-table oracle (``full_audit``) checks every subsystem's lists at
+once.  These tests pin the partition, the derived counts, the oracle's
+corruption detection and the per-subsystem gauges.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ import pytest
 from repro.core.lock_table import LockTable
 from repro.core.locks import LockMode
 from repro.errors import CommutativityError, ProtocolError
-from repro.faults.harness import canonical_trace
 from repro.obs import Tracer
-from repro.scheduler.manager import ManagerConfig
 from repro.sim.runner import run_workload
 from repro.sim.workload import WorkloadSpec, build_workload
+from tests.test_core.reference import full_audit
 
 
 class FakeProcess:
@@ -67,13 +66,7 @@ class TestShardPartition:
         assert table.locks_by_subsystem()["warehouse"] == 0
         table.acquire(FakeProcess(1), "restock", LockMode.C)
         assert table.locks_by_subsystem()["warehouse"] == 1
-        table.check_invariants([1])
-
-    def test_unknown_shard_audit_rejected(self, table):
-        """The audit takes no shard selection: it is always the whole
-        table."""
-        with pytest.raises(TypeError, match="shards"):
-            table.check_invariants([], shards=["nope"])
+        full_audit(table, [1])
 
 
 class TestShardCounters:
@@ -83,28 +76,28 @@ class TestShardCounters:
         table.acquire(p1, "charge", LockMode.P)
         table.acquire(p2, "reserve", LockMode.C)
         assert table.locks_by_subsystem() == {"shop": 2, "bank": 1}
-        table.check_invariants([1, 2])
+        full_audit(table, [1, 2])
 
         table.release_all(1)
         assert table.locks_by_subsystem() == {"shop": 1, "bank": 0}
-        table.check_invariants([2])
+        full_audit(table, [2])
 
     def test_full_audit_accepts_a_one_shot_iterable(self, table):
         """``live_pids`` is consumed once: a generator must be judged
         against the same live set by every check."""
         table.acquire(FakeProcess(1), "reserve", LockMode.C)
         table.acquire(FakeProcess(2), "charge", LockMode.P)
-        table.check_invariants(pid for pid in (1, 2))
+        full_audit(table, (pid for pid in (1, 2)))
         with pytest.raises(ProtocolError, match="terminated"):
-            table.check_invariants(pid for pid in (1,))
+            full_audit(table, (pid for pid in (1,)))
 
 
 class TestShardAuditDetection:
     def test_dead_holder_detected(self, table):
         table.acquire(FakeProcess(1), "reserve", LockMode.C)
-        table.check_invariants([1])
+        full_audit(table, [1])
         with pytest.raises(ProtocolError, match="terminated"):
-            table.check_invariants([])
+            full_audit(table, [])
 
     def test_missing_blocker_edge_detected(self, table):
         # reserve-reserve conflicts: two holders on the same type give
@@ -112,41 +105,17 @@ class TestShardAuditDetection:
         # the naive recompute.
         table.acquire(FakeProcess(1), "reserve", LockMode.C)
         table.acquire(FakeProcess(2), "reserve", LockMode.C)
-        table.check_invariants([1, 2])
+        full_audit(table, [1, 2])
         table._blocked_by[2].discard(1)
         with pytest.raises(ProtocolError, match="blocker index"):
-            table.check_invariants([1, 2])
+            full_audit(table, [1, 2])
 
     def test_unsorted_positions_detected(self, table):
         table.acquire(FakeProcess(1), "reserve", LockMode.C)
         table.acquire(FakeProcess(2), "reserve", LockMode.C)
         table._by_type["reserve"].reverse()
         with pytest.raises(ProtocolError, match="position-sorted"):
-            table.check_invariants([1, 2])
-
-
-class TestAudit:
-    def test_audit_preserves_schedule_bytes(self, uid_floor):
-        spec = WorkloadSpec(
-            n_processes=12,
-            n_activity_types=18,
-            n_subsystems=3,
-            conflict_density=0.5,
-            failure_probability=0.05,
-            arrival_spacing=0.5,
-            seed=11,
-        )
-        uid_floor.pin()
-        audited = run_workload(
-            build_workload(spec),
-            seed=spec.seed,
-            config=ManagerConfig(audit=True),
-        )
-        uid_floor.repin()
-        plain = run_workload(build_workload(spec), seed=spec.seed)
-        assert canonical_trace(audited.trace.events) == canonical_trace(
-            plain.trace.events
-        )
+            full_audit(table, [1, 2])
 
 
 class TestShardObservability:

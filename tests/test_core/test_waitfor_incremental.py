@@ -22,8 +22,8 @@ from repro.core.deadlock import (
     find_wait_cycle,
     topological_order,
 )
-from repro.core.reference import naive_find_wait_cycle
 from repro.errors import ProtocolError
+from tests.test_core.reference import naive_find_wait_cycle
 
 NODES = st.integers(min_value=0, max_value=7)
 

@@ -44,7 +44,6 @@ class TestCampaign:
             (r.plan, r.workload, r.protocol, r.failures)
             for r in campaign.failed
         ]
-        assert all(run.audited for run in campaign.runs)
         counts = campaign.counts()
         # The campaign must actually exercise every channel.
         assert counts["injected"] > 0
@@ -165,26 +164,21 @@ class TestAuditedRun:
     def test_a_broken_invariant_fails_the_run_not_the_campaign(
         self, monkeypatch
     ):
-        from repro.core.protocol import ProcessLockManager
-        from repro.errors import ProtocolError
-        from repro.scheduler.manager import ManagerConfig
+        """Every run checks every lock-table step: an acquire that drops
+        its blocker edge fails the run it happens in, and only that."""
+        from repro.core.lock_table import LockTable
 
-        def broken(self):
-            raise ProtocolError("lock list out of position order")
-
-        monkeypatch.setattr(ProcessLockManager, "audit", broken)
-        workload = build_workload(WorkloadSpec(n_processes=3, seed=3))
+        workload = build_workload(WorkloadSpec(n_processes=4, seed=3))
         plan = FaultPlan(name="baseline")
-        report = run_chaos(
-            workload, "process-locking", plan,
-            config=ManagerConfig(audit=True),
+        assert run_chaos(workload, "process-locking", plan).ok
+        monkeypatch.setattr(
+            LockTable, "_add_block_edge", lambda self, blocker, waiter: None
         )
-        assert report.audited
-        assert report.failures == [
-            "audit: lock list out of position order"
-        ]
+        report = run_chaos(workload, "process-locking", plan)
+        assert len(report.failures) == 1
+        assert report.failures[0].startswith("invariant: ")
+        assert "blockers of P" in report.failures[0]
         assert not report.ok
-        assert not run_chaos(workload, "process-locking", plan).audited
 
 
 class TestCli:

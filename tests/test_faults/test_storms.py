@@ -18,7 +18,6 @@ from repro.faults.storms import (
     threshold_boundary_storm,
     threshold_boundary_subsystems,
 )
-from repro.scheduler.manager import ManagerConfig
 from repro.sim.workload import WorkloadSpec, build_workload
 
 #: Arrivals stretched out (spacing 2.0 over 20 processes) so processes
@@ -46,7 +45,6 @@ def run_storm():
         plan,
         seed=STORM_SPEC.seed,
         workload_name="storm",
-        config=ManagerConfig(audit=True),
     )
 
 

@@ -12,7 +12,6 @@ import math
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.scheduler.manager import ManagerConfig
 from repro.sim.runner import run_workload, schedule_of
 from repro.sim.workload import WorkloadSpec, build_workload
 from repro.theory.criteria import (
@@ -50,7 +49,6 @@ def test_property_process_locking_is_ct_and_prc(spec):
         workload,
         "process-locking",
         seed=spec.seed,
-        config=ManagerConfig(audit=True),
     )
     schedule = schedule_of(workload, result)
     assert schedule.is_complete  # liveness: everything terminated
@@ -66,7 +64,6 @@ def test_property_basic_protocol_never_needs_cycle_victims(spec):
         workload,
         "process-locking-basic",
         seed=spec.seed,
-        config=ManagerConfig(audit=True),
     )
     assert result.stats.deadlock_victims == 0
     assert result.stats.unresolvable_violations == 0
@@ -84,7 +81,6 @@ def test_property_conservative_baselines_are_correct_too(spec, protocol):
     workload = build_workload(spec)
     result = run_workload(
         workload, protocol, seed=spec.seed,
-        config=ManagerConfig(audit=True),
     )
     if result.stats.unresolvable_violations:
         return  # forced progress already flagged the violation

@@ -12,7 +12,7 @@ against the exact Definition-4 search on *protocol-generated* prefixes
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.scheduler.manager import ManagerConfig, ProcessManager
+from repro.scheduler.manager import ProcessManager
 from repro.scheduler.recovery import crash, recover
 from repro.sim.arrivals import poisson_arrivals
 from repro.sim.runner import make_protocol
@@ -53,7 +53,6 @@ def test_property_kitchen_sink(seed, crash_steps, threshold):
     manager = ProcessManager(
         make_protocol("process-locking", workload),
         subsystems=pool,
-        config=ManagerConfig(audit=True),
         seed=seed,
     )
     arrivals = poisson_arrivals(0.3, len(workload.programs), seed=seed)
@@ -64,7 +63,6 @@ def test_property_kitchen_sink(seed, crash_steps, threshold):
     recovered = recover(
         image,
         make_protocol("process-locking", workload),
-        config=ManagerConfig(audit=True),
         subsystems=pool,
         seed=seed,
     )

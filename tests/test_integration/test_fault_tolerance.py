@@ -8,7 +8,7 @@ from repro.activities.commutativity import ConflictMatrix
 from repro.activities.registry import ActivityRegistry
 from repro.core.protocol import ProcessLockManager
 from repro.process.builder import ProgramBuilder
-from repro.scheduler.manager import ManagerConfig, ProcessManager
+from repro.scheduler.manager import ProcessManager
 from repro.scheduler.recovery import crash, recover
 from repro.sim.runner import make_protocol
 from repro.sim.workload import WorkloadSpec, build_workload
@@ -28,7 +28,6 @@ class TestRepeatedCrashes:
         )
         manager = ProcessManager(
             make_protocol("process-locking", workload),
-            config=ManagerConfig(audit=True),
             seed=11,
         )
         for program in workload.programs:
@@ -38,7 +37,6 @@ class TestRepeatedCrashes:
         recovered = recover(
             first_image,
             make_protocol("process-locking", workload),
-            config=ManagerConfig(audit=True),
             seed=11,
         )
         recovered.engine.run_steps(15)
@@ -46,7 +44,6 @@ class TestRepeatedCrashes:
         final = recover(
             second_image,
             make_protocol("process-locking", workload),
-            config=ManagerConfig(audit=True),
             seed=11,
         )
         result = final.run()
@@ -73,7 +70,6 @@ class TestGroundedRecovery:
         manager = ProcessManager(
             make_protocol("process-locking", workload),
             subsystems=pool,
-            config=ManagerConfig(audit=True),
             seed=6,
         )
         for program in workload.programs:
@@ -83,7 +79,6 @@ class TestGroundedRecovery:
         recovered = recover(
             image,
             make_protocol("process-locking", workload),
-            config=ManagerConfig(audit=True),
             subsystems=pool,  # the very same, still-running systems
             seed=6,
         )
@@ -153,9 +148,7 @@ def test_property_random_programs_always_terminate(data, seed):
     conflicts.declare_conflict("c2", "piv")
     conflicts.close_perfect()
     protocol = ProcessLockManager(registry, conflicts)
-    manager = ProcessManager(
-        protocol, config=ManagerConfig(audit=True), seed=seed
-    )
+    manager = ProcessManager(protocol, seed=seed)
     manager.submit(program)
     manager.submit(program)
     result = manager.run()

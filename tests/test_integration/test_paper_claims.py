@@ -9,7 +9,6 @@ import math
 
 import pytest
 
-from repro.scheduler.manager import ManagerConfig
 from repro.sim.metrics import mean, summarize
 from repro.sim.runner import run_and_summarize, run_workload
 from repro.sim.workload import WorkloadSpec, build_workload
@@ -108,7 +107,6 @@ class TestE4CompletingProtection:
             workload = build_workload(spec.with_(seed=seed))
             result = run_workload(
                 workload, "process-locking", seed=seed,
-                config=ManagerConfig(audit=True),
             )
             assert result.stats.committed >= 1
 

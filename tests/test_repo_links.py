@@ -332,10 +332,21 @@ SOAK_CAMPAIGN = re.compile(
 )
 
 
+#: The opt-in whole-table audit and the reference module it called from
+#: ``src/`` (DESIGN.md §7, "Removed: the opt-in audit and the in-``src/``
+#: reference"); the oracle lives on as ``tests/test_core/reference.py``.
+WHOLE_TABLE_AUDIT = re.compile(
+    r"repro\.core\.reference|naive_blocked_by|check_invariants"
+    r"|ManagerConfig\(audit|audit_every"
+)
+
+
 def test_soak_campaign_leaves_no_trace():
-    """``repro chaos`` is the one campaign and audits every event; only
-    this file and the tests that pin the removed verb, flags, field and
-    knob name what went."""
+    """``repro chaos`` is the one campaign, and every run's lock table
+    checks every step it takes; only this file and the tests that pin
+    the removed verb, flags, field and knob name what went, and no
+    audit switch or in-``src/`` oracle is named outside the tests and
+    DESIGN.md §7."""
     pins = {"tests/test_repo_links.py", "tests/test_cli.py"}
     offenders = _traces_of(SOAK_CAMPAIGN, pins) + [
         f"{name}:{number}"
@@ -344,6 +355,24 @@ def test_soak_campaign_leaves_no_trace():
             (ROOT / name).read_text().splitlines(), 1
         )
         if SOAK_CAMPAIGN.search(line)
+    ]
+    design = (ROOT / "DESIGN.md").read_text().splitlines()
+    notes = next(
+        index for index, line in enumerate(design) if line.startswith("## 7.")
+    )
+    offenders += [
+        f"{path.relative_to(ROOT)}:{number}"
+        for path in (
+            *_python_files("src"),
+            *sorted((ROOT / "docs").glob("*.md")),
+            ROOT / "README.md",
+        )
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if WHOLE_TABLE_AUDIT.search(line)
+    ] + [
+        f"DESIGN.md:{number}"
+        for number, line in enumerate(design[:notes], 1)
+        if WHOLE_TABLE_AUDIT.search(line)
     ]
     assert not offenders, offenders
 

@@ -14,9 +14,7 @@ def simple_env(registry, conflicts, n=2, gate=True, seed=0):
     protocol = ProcessLockManager(registry, conflicts)
     manager = ProcessManager(
         protocol,
-        config=ManagerConfig(
-            audit=True, gate_conflicting_executions=gate
-        ),
+        config=ManagerConfig(gate_conflicting_executions=gate),
         seed=seed,
     )
     for __ in range(n):
@@ -43,9 +41,7 @@ class TestExecutionGating:
         prog_a = ProgramBuilder("a", registry).step("reserve").build()
         prog_b = ProgramBuilder("b", registry).step("ship").build()
         protocol = ProcessLockManager(registry, conflicts)
-        manager = ProcessManager(
-            protocol, config=ManagerConfig(audit=True)
-        )
+        manager = ProcessManager(protocol)
         manager.submit(prog_a)
         manager.submit(prog_b)
         result = manager.run()
@@ -76,9 +72,7 @@ class TestExecutionGating:
         )
         flat = ProgramBuilder("f", registry).step("reserve").build()
         protocol = ProcessLockManager(registry, conflicts)
-        manager = ProcessManager(
-            protocol, config=ManagerConfig(audit=True), seed=1
-        )
+        manager = ProcessManager(protocol, seed=1)
         manager.submit(piv_prog)
         manager.submit(flat)
         manager.submit(flat)
@@ -89,9 +83,7 @@ class TestExecutionGating:
         self, registry, conflicts, order_program
     ):
         protocol = ProcessLockManager(registry, conflicts)
-        manager = ProcessManager(
-            protocol, config=ManagerConfig(audit=True), seed=5
-        )
+        manager = ProcessManager(protocol, seed=5)
         for __ in range(4):
             manager.submit(order_program)
         result = manager.run()
@@ -130,9 +122,7 @@ class TestParkedRetries:
             .build()
         )
         protocol = ProcessLockManager(registry, conflicts)
-        manager = ProcessManager(
-            protocol, config=ManagerConfig(audit=True)
-        )
+        manager = ProcessManager(protocol)
         for __ in range(3):
             manager.submit(program)
         result = manager.run()

@@ -18,7 +18,7 @@ def run(protocol, programs, seed=0, config=None, subsystems=None):
     manager = ProcessManager(
         protocol,
         subsystems=subsystems,
-        config=config or ManagerConfig(audit=True),
+        config=config,
         seed=seed,
     )
     for program in programs:
@@ -105,7 +105,7 @@ class TestSingleProcess:
         assert names == ["pivot", "safe"]
 
     def test_retriable_transient_retries(self, protocol, order_program):
-        config = ManagerConfig(audit=True, transient_retry_prob=0.5)
+        config = ManagerConfig(transient_retry_prob=0.5)
         __, result = run(protocol, [order_program], seed=5,
                          config=config)
         assert result.stats.committed == 1
@@ -178,7 +178,7 @@ class TestLivenessGuards:
         protocol = ProcessLockManager(registry, conflicts)
         manager = ProcessManager(
             protocol,
-            config=ManagerConfig(max_resubmissions=0, audit=True),
+            config=ManagerConfig(max_resubmissions=0),
         )
         # Two fully conflicting processes: the younger is cascaded once
         # (pivotless programs: via C-1 after an abort is not reachable
@@ -208,7 +208,7 @@ class TestArrivals:
     def test_staggered_arrivals(self, registry, conflicts):
         program = ProgramBuilder("g", registry).step("reserve").build()
         protocol = ProcessLockManager(registry, conflicts)
-        manager = ProcessManager(protocol, config=ManagerConfig(audit=True))
+        manager = ProcessManager(protocol)
         manager.submit(program, at=0.0)
         manager.submit(program, at=10.0)
         result = manager.run()

@@ -4,7 +4,7 @@ The scheduling hot path is served by incremental structures (see
 ``docs/performance.md``): the conflict adjacency index, the lock table's
 blocker index, the manager's wake-up index and its deadlock check's walk
 from the parking pid.  This file keeps the **naive path** — the exact
-pre-index formulations from :mod:`repro.core.reference`: O(pairs)
+pre-index formulations from ``tests/test_core/reference.py``: O(pairs)
 conflict scans, O(locks²) commit-blocker re-derivation, an unguarded
 per-park cycle search and the O(parked²) parked-list fixpoint poll —
 runnable as drop-in subclasses, and asserts that fixed-seed runs under
@@ -17,16 +17,16 @@ from __future__ import annotations
 
 from repro.core.lock_table import LockTable
 from repro.core.locks import LockEntry, LockMode
-from repro.core.reference import (
-    naive_commit_blockers,
-    naive_conflicting_locks,
-    naive_find_wait_cycle,
-)
 from repro.errors import ProtocolError
 from repro.faults.harness import canonical_trace
 from repro.scheduler.manager import ManagerConfig, ProcessManager
 from repro.sim.runner import make_protocol, run_workload
 from repro.sim.workload import WorkloadSpec, build_workload
+from tests.test_core.reference import (
+    naive_commit_blockers,
+    naive_conflicting_locks,
+    naive_find_wait_cycle,
+)
 
 
 class NaiveLockTable(LockTable):

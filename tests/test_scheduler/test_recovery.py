@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.core.protocol import ProcessLockManager
 from repro.errors import SchedulerError
 from repro.process.state import ProcessState
-from repro.scheduler.manager import ManagerConfig, ProcessManager
+from repro.scheduler.manager import ProcessManager
 from repro.scheduler.recovery import (
     crash,
     recover,
@@ -30,9 +30,7 @@ from repro.theory.criteria import (
 
 def fresh_manager(workload, seed):
     protocol = make_protocol("process-locking", workload)
-    manager = ProcessManager(
-        protocol, config=ManagerConfig(audit=True), seed=seed
-    )
+    manager = ProcessManager(protocol, seed=seed)
     for program in workload.programs:
         manager.submit(program)
     return manager
@@ -43,9 +41,7 @@ def crash_and_recover(workload, seed, steps):
     manager.engine.run_steps(steps)
     image = crash(manager)
     protocol = make_protocol("process-locking", workload)
-    recovered = recover(
-        image, protocol, config=ManagerConfig(audit=True), seed=seed
-    )
+    recovered = recover(image, protocol, seed=seed)
     result = recovered.run()
     return image, recovered, result
 
@@ -180,9 +176,7 @@ class TestLockRebuild:
             .build()
         )
         protocol = ProcessLockManager(registry, conflicts)
-        manager = ProcessManager(
-            protocol, config=ManagerConfig(audit=True)
-        )
+        manager = ProcessManager(protocol)
         manager.submit(program)
         manager.submit(program)
         # Run until both hold their 'reserve' locks (shared in order).
@@ -239,9 +233,7 @@ def test_property_crash_anywhere_recovers_correctly(
     manager.engine.run_steps(steps)
     image = crash(manager)
     protocol = make_protocol("process-locking", workload)
-    recovered = recover(
-        image, protocol, config=ManagerConfig(audit=True), seed=seed
-    )
+    recovered = recover(image, protocol, seed=seed)
     result = recovered.run()
     schedule = result.trace.to_schedule(workload.conflicts.conflict)
     assert schedule.is_complete

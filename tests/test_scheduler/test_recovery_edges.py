@@ -19,7 +19,7 @@ P-RC.
 from __future__ import annotations
 
 from repro.scheduler.events import RequestKind
-from repro.scheduler.manager import ManagerConfig, ProcessManager
+from repro.scheduler.manager import ProcessManager
 from repro.scheduler.recovery import crash, recover
 from repro.sim.arrivals import poisson_arrivals
 from repro.sim.runner import make_protocol
@@ -33,7 +33,6 @@ from repro.theory.criteria import (
 def fresh_manager(workload, seed):
     manager = ProcessManager(
         make_protocol("process-locking", workload),
-        config=ManagerConfig(audit=True),
         seed=seed,
     )
     for program in workload.programs:
@@ -57,9 +56,7 @@ def run_until(manager, predicate, budget=600):
 
 def recover_fresh(workload, image, seed):
     protocol = make_protocol("process-locking", workload)
-    return recover(
-        image, protocol, config=ManagerConfig(audit=True), seed=seed
-    )
+    return recover(image, protocol, seed=seed)
 
 
 def assert_spliced_and_correct(workload, image, result):
@@ -222,7 +219,6 @@ class TestRecoveryResumeRace:
         manager = ProcessManager(
             make_protocol("process-locking", workload),
             subsystems=pool,
-            config=ManagerConfig(audit=True),
             seed=16,
         )
         arrivals = poisson_arrivals(0.3, len(workload.programs), seed=16)
@@ -238,7 +234,6 @@ class TestRecoveryResumeRace:
         recovered = recover(
             image,
             make_protocol("process-locking", workload),
-            config=ManagerConfig(audit=True),
             subsystems=pool,
             seed=16,
         )

@@ -11,20 +11,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.deadlock import has_cycle
-from repro.core.reference import naive_find_wait_cycle
 from repro.process.state import ProcessState
 from repro.scheduler.events import ParkedRequest, RequestKind, conserved
-from repro.scheduler.manager import (
-    ManagerConfig,
-    ProcessManager,
-    make_manager,
-)
+from repro.scheduler.manager import ProcessManager, make_manager
 from repro.sim.runner import make_protocol, run_workload
 from repro.sim.workload import WorkloadSpec, build_workload
 from repro.theory.criteria import (
     has_correct_termination,
     is_process_recoverable,
 )
+from tests.test_core.reference import naive_find_wait_cycle
 
 RUNNING, ABORTING = ProcessState.RUNNING, ProcessState.ABORTING
 PIDS = st.integers(min_value=0, max_value=7)
@@ -68,10 +64,7 @@ class _Book:
     beginning its youngest member's abort."""
 
     def __init__(self) -> None:
-        self.manager = manager = ProcessManager(
-            SimpleNamespace(),
-            config=ManagerConfig(audit=True),
-        )
+        self.manager = manager = ProcessManager(SimpleNamespace())
         self.states = manager._processes = {
             pid: SimpleNamespace(pid=pid, state=RUNNING) for pid in range(8)
         }
@@ -173,17 +166,28 @@ def test_walk_from_the_parking_pid_equals_the_whole_relation_search(ops):
     assert not manager._parked_of and not manager._wait_index
 
 
-def test_audited_cost_based_run_with_deadlock_victims_is_clean():
-    """Pseudo pivots close real cycles (14 victims on this shape); with
-    ``audit=True`` every "no cycle" answer of the walk is cross-checked
-    against the whole relation and a miss raises ``ProtocolError``."""
+def test_audited_cost_based_run_with_deadlock_victims_is_clean(monkeypatch):
+    """Pseudo pivots close real cycles (14 victims on this shape); every
+    "no cycle" answer of the walk from the parking pid is cross-checked
+    here against the whole relation."""
+    resolve = ProcessManager._resolve_wait_cycles
+    walks = []
+
+    def cross_checked(manager, waiter):
+        if not manager._cycle_standing and not manager._waits_on_itself(
+            waiter
+        ):
+            walks.append(waiter)
+            assert not has_cycle(manager._wait_edges()), waiter
+        resolve(manager, waiter)
+
+    monkeypatch.setattr(ProcessManager, "_resolve_wait_cycles", cross_checked)
     spec = WorkloadSpec(
         n_processes=60, conflict_density=0.3, wcc_threshold=25, seed=7
     )
     workload = build_workload(spec)
-    result = run_workload(
-        workload, "process-locking", seed=7, config=ManagerConfig(audit=True)
-    )
+    result = run_workload(workload, "process-locking", seed=7)
+    assert walks
     assert result.stats.deadlock_victims >= 10
     assert conserved(result.records, result.stats)
     schedule = result.trace.to_schedule(workload.conflicts.conflict)

@@ -191,25 +191,46 @@ def test_starvation_is_served_as_an_outcome():
         service.stop()
 
 
-def test_exception_out_of_the_engine_loop_is_answered(tmp_path):
+def _explode_on_commit(service) -> None:
+    def boom(process):
+        raise RuntimeError("callback exploded")
+
+    service.manager._finalize_commit = boom
+
+
+def _drop_blocker_edges(service) -> None:
+    """Corrupt the lock table's blocker index: the next grant behind a
+    conflicting holder must be caught by the table's own check."""
+    service.manager.protocol.table._add_block_edge = (
+        lambda blocker, waiter: None
+    )
+
+
+@pytest.mark.parametrize(
+    "break_engine, raised",
+    [
+        (_explode_on_commit, "RuntimeError: callback exploded"),
+        (_drop_blocker_edges, "ProtocolError: "),
+    ],
+    ids=["callback", "invariant"],
+)
+def test_exception_out_of_the_engine_loop_is_answered(
+    tmp_path, break_engine, raised
+):
     flight = tmp_path / "flight.jsonl"
     service = _service(flight_path=str(flight), **PACED)
     sidecar = MetricsSidecar(service, "127.0.0.1", 0).start()
     health = f"http://127.0.0.1:{sidecar.port}/healthz"
     try:
         assert urllib.request.urlopen(health, timeout=5).status == 200
-        waiting = service.execute({"cmd": "submit", "count": 4, "wait": True})
-
-        def boom(process):
-            raise RuntimeError("callback exploded")
-
         # Fired by the engine between requests: no handler is on the
         # stack to turn it into an error response.
-        service.manager._finalize_commit = boom
+        break_engine(service)
+        waiting = service.execute({"cmd": "submit", "count": 4, "wait": True})
         with pytest.raises(ServiceError) as caught:
             waiting.result(timeout=30)
         assert caught.value.code == "internal"
-        assert "RuntimeError: callback exploded" in caught.value.message
+        assert raised in caught.value.message
         service._thread.join(timeout=10)
         assert not service._thread.is_alive()
         # Later requests are refused at once, with the same code.

@@ -33,7 +33,7 @@ def _build(workload, store, snapshot_every=1, seed=5):
     plane = PersistencePlane(
         store, workload.programs, snapshot_every=snapshot_every
     )
-    config = ManagerConfig(audit=True, store=store)
+    config = ManagerConfig(store=store)
     protocol = make_protocol("process-locking", workload)
     if plane.has_state():
         manager, info = plane.recover(

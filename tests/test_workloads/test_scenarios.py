@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.protocol import ProcessLockManager
-from repro.scheduler.manager import ManagerConfig, ProcessManager
+from repro.scheduler.manager import ProcessManager
 from repro.theory.criteria import (
     has_correct_termination,
     is_process_recoverable,
@@ -58,7 +58,6 @@ class TestScenarioExecution:
         manager = ProcessManager(
             protocol,
             subsystems=scenario.make_subsystems(),
-            config=ManagerConfig(audit=True),
             seed=11,
         )
         for program in scenario.programs:
