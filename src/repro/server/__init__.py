@@ -17,10 +17,12 @@ scripting a closed simulation:
 * :mod:`repro.server.service` — :class:`ProcessLockingService`, the
   core: a command queue in front of a
   :class:`~repro.scheduler.manager.ProcessManager`, drained by one
-  loop that also runs the asyncio event loop between drains, overload
+  loop that also runs the wire's event loop between drains, overload
   shedding, graceful drain, and the CT/P-RC/prefix-reducibility
   battery over the live trace;
-* :mod:`repro.server.net` — the asyncio TCP server (``repro serve``)
+* :mod:`repro.server.loop` — that event loop: one :mod:`selectors`
+  selector, a wake socketpair, a call deque and one timer;
+* :mod:`repro.server.net` — the TCP server (``repro serve``) on it,
   with per-connection ordered delivery and SIGTERM drain.
 
 One thread serves: it reads the wire, drains the engine, fsyncs and

@@ -1,43 +1,31 @@
-"""Asyncio TCP front end of the process-locking service.
+"""TCP front end of the process-locking service.
 
-One asyncio task per connection reads JSON-lines requests and a
-companion writer task drains a single per-connection outbound queue —
-responses and pushed event frames share that one queue, so a client
-always observes its events and responses in a well-defined order (for
-a lockstep client in eager mode, a byte-deterministic one: a drain
-publishes its events before it resolves its response futures).
+:func:`serve` registers a non-blocking listener on the serving thread's
+:class:`~repro.server.loop.Loop`, and each accepted socket as a
+:class:`Connection`: an input buffer split at ``\\n`` (a line over
+:data:`MAX_LINE` bytes is answered ``bad-request`` and closes the
+connection), one request in flight while later lines wait, and an
+output buffer sent when the socket is writable.  Responses and event
+frames share that buffer and a drain publishes before it answers, so a
+client sees a drain's events before its responses.  An unexpected error
+in a connection's handler closes that connection, not the loop.
 
-The event loop runs on the serving thread, inside the service's
-:meth:`~repro.server.service.ProcessLockingService._run_loop`: between
-drains the loop reads the wire, and a drain runs on the same thread.
-So a response future resolves on the thread that awaits it, and a bus
-event is put straight onto the subscriber's queue — nothing here
-crosses a thread.  :func:`run_server` and :func:`start_server_thread`
-hand :func:`serve` to
-:meth:`~repro.server.service.ProcessLockingService.host`, which sets
-that up on the calling thread.
-
-``SUBSCRIBE``/``UNSUBSCRIBE`` are connection-local: they wire the
-service bus straight into the connection's outbound queue and never
-reach the engine.  Every other command funnels through
-:meth:`~repro.server.service.ProcessLockingService.execute`, with
-``SUBMIT`` shed at the socket (see
-:meth:`~repro.server.service.ProcessLockingService.shed_reason`)
-before anything is enqueued.
-
-Shutdown: SIGTERM/SIGINT stop the listener, ``DRAIN`` the service (all
-in-flight processes run to termination), announce ``service.drained``
-to subscribers, then close lingering connections.  The smoke test
-asserts no submitted process is lost across this path.
+``SUBSCRIBE``/``UNSUBSCRIBE`` are connection-local; every other command
+goes through :meth:`~repro.server.service.ProcessLockingService.execute`.
+Shutdown (SIGTERM, SIGINT) stops the listener, drains the service, then
+closes lingering connections; no submitted process is lost on the way.
 """
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import signal
+import socket
 import threading
+import traceback
 from concurrent.futures import Future
+from functools import partial
+from selectors import EVENT_READ, EVENT_WRITE
 
 from repro.server.protocol import (
     WireError,
@@ -53,198 +41,276 @@ from repro.server.service import (
     ServiceError,
 )
 
-#: Queue sentinel that tells a connection's writer task to finish.
-_CLOSE = object()
+#: The longest request line read, in bytes, its ``\n`` not counted.
+MAX_LINE = 64 * 1024
+TOO_LONG = f"request line over the {MAX_LINE}-byte limit"
 
 
-async def _answer(fut: Future) -> dict:
-    """The body ``fut`` resolves to.  A drain on this thread resolves
-    it, so its done-callback may complete an asyncio future directly."""
-    if not fut.done():
-        waiter = asyncio.get_running_loop().create_future()
+def contained(handler):
+    """A :class:`Connection` loop handler whose error closes that
+    connection alone: quietly if the client is gone, else on stderr."""
+
+    def run(conn: Connection, *args) -> None:
+        try:
+            handler(conn, *args)
+        except OSError:  # reset by the client
+            conn.close()
+        except Exception:
+            traceback.print_exc()
+            conn.close()
+
+    return run
+
+
+class Connection:
+    """One client socket on the loop (see the module doc)."""
+
+    def __init__(self, service: ProcessLockingService, sock, on_close):
+        self.service, self.sock, self.on_close = service, sock, on_close
+        self.inbox, self.outbox = bytearray(), bytearray()
+        self.tokens: list[int] = []  # its bus subscriptions
+        self.events = 0  # selector events registered for the socket
+        #: A request is in flight / the client sent its last byte / no
+        #: more requests, close once the output is sent / closed.
+        self.busy = self.eof = self.closing = self.closed = False
+        self._watch()
+
+    @contained
+    def on_ready(self, events: int) -> None:
+        if events & EVENT_READ:
+            with contextlib.suppress(BlockingIOError):
+                data = self.sock.recv(MAX_LINE)
+                self.inbox += data
+                self.eof = not data
+            self.advance()
+        self.flush()
+
+    def advance(self) -> None:
+        """Handle buffered lines until one is in flight; after the last
+        line of a client that hung up, finish."""
+        inbox = self.inbox
+        while not (self.busy or self.closing):
+            end = inbox.find(b"\n", 0, MAX_LINE + 1) + 1
+            if not end and len(inbox) > MAX_LINE:
+                inbox.clear()
+                self.write(error_response(None, "bad-request", TOO_LONG))
+                return self.finish()
+            if not (end or self.eof):
+                return
+            if not (end or inbox):
+                return self.finish()
+            line = bytes(inbox[: end or len(inbox)])
+            del inbox[: len(line)]
+            self.handle(line)
+
+    def handle(self, line: bytes) -> None:
+        if not line.strip():
+            return
+        try:
+            request = decode_line(line)
+        except WireError as exc:
+            return self.write(error_response(None, exc.code, exc.message))
+        if request["cmd"] == "subscribe":
+            return self.write(self.subscribe(request))
+        if request["cmd"] == "unsubscribe":
+            return self.write(self.unsubscribe(request))
+        fut = self.service.execute(request)
+        if fut.done():
+            return self.answer(request, fut)
+        self.busy = True
+        # The drain resolves ``fut`` on this thread, outside the loop;
+        # the answer goes out at the loop's next turn.
+        loop = self.service.loop
         fut.add_done_callback(
-            lambda _: waiter.done() or waiter.set_result(None)
+            lambda _: loop.call_soon(partial(self.resume, request, fut))
         )
-        await waiter
-    return fut.result()
+
+    @contained
+    def resume(self, request: dict, fut: Future) -> None:
+        self.busy = False
+        if not self.closed:
+            self.answer(request, fut)
+            self.advance()
+            self.flush()
+
+    def answer(self, request: dict, fut: Future) -> None:
+        req_id = request.get("id")
+        try:
+            self.write(ok_response(req_id, **fut.result()))
+        except ServiceError as exc:
+            self.write(error_response(req_id, exc.code, exc.message))
+        if request["cmd"] == "bye":
+            self.finish()
+
+    def subscribe(self, request: dict) -> dict:
+        req_id = request.get("id")
+        topics = request.get("topics", ["*"])
+        if not (
+            isinstance(topics, list)
+            and topics
+            and all(isinstance(t, str) for t in topics)
+        ):
+            return error_response(
+                req_id,
+                "bad-request",
+                f"'topics' must be a non-empty list of strings, "
+                f"got {topics!r}",
+            )
+        token = self.service.bus.subscribe(topics, self.push_event)
+        self.tokens.append(token)
+        return ok_response(req_id, token=token, topics=topics)
+
+    def unsubscribe(self, request: dict) -> dict:
+        req_id, token = request.get("id"), request.get("token")
+        tokens, bus = self.tokens, self.service.bus
+        if token is None:
+            dropped = [t for t in tokens if bus.unsubscribe(t)]
+            tokens.clear()
+            return ok_response(req_id, dropped=len(dropped))
+        if token not in tokens:
+            return error_response(
+                req_id, "bad-request", f"unknown subscription {token!r}"
+            )
+        tokens.remove(token)
+        bus.unsubscribe(token)
+        return ok_response(req_id, dropped=1)
+
+    def write(self, frame: dict) -> None:
+        self.outbox += encode(frame)
+
+    def push_event(self, topic: str, record: dict) -> None:
+        # Published from a drain; sent once the socket is writable.
+        self.write(event_frame(topic, record))
+        self._watch()
+
+    def flush(self) -> None:
+        """Send what the kernel takes; the rest waits for writable."""
+        if self.outbox:
+            with contextlib.suppress(BlockingIOError):
+                del self.outbox[: self.sock.send(self.outbox)]
+        if self.closing and not self.outbox:
+            return self.close()
+        self._watch()
+
+    def _watch(self) -> None:
+        """Select for reading unless the client is done or the input
+        buffer is full, and for writing while output waits."""
+        full = len(self.inbox) > MAX_LINE
+        events = 0 if self.closing or self.eof or full else EVENT_READ
+        events |= EVENT_WRITE if self.outbox else 0
+        if events != self.events:
+            selector = self.service.loop.selector
+            if not self.events:
+                selector.register(self.sock, events, self.on_ready)
+            elif events:
+                selector.modify(self.sock, events, self.on_ready)
+            else:
+                selector.unregister(self.sock)
+            self.events = events
+
+    def finish(self) -> None:
+        """Take no more requests and drop the subscriptions; the
+        connection closes once its output is sent."""
+        self.closing = True
+        for token in self.tokens:
+            self.service.bus.unsubscribe(token)
+        self.tokens.clear()
+
+    def close(self) -> None:
+        if not self.closed:
+            self.finish()
+            self.closed = True
+            if self.events:
+                self.service.loop.selector.unregister(self.sock)
+            self.sock.close()
+            self.on_close(self)
 
 
-async def handle_connection(
-    service: ProcessLockingService,
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-) -> None:
-    """Serve one client until EOF, ``bye``, or cancellation."""
-    out_q: asyncio.Queue = asyncio.Queue()
-
-    async def pump() -> None:
-        while True:
-            frame = await out_q.get()
-            if frame is _CLOSE:
-                break
-            writer.write(encode(frame))
-            await writer.drain()
-
-    pump_task = asyncio.create_task(pump())
-    tokens: list[int] = []
-
-    def push_event(topic: str, record: dict) -> None:
-        # The bus publishes from a drain, on this loop's thread.
-        out_q.put_nowait(event_frame(topic, record))
-
-    try:
-        while True:
-            line = await reader.readline()
-            if not line:
-                break
-            if not line.strip():
-                continue
-            try:
-                request = decode_line(line)
-            except WireError as exc:
-                out_q.put_nowait(
-                    error_response(None, exc.code, exc.message)
-                )
-                continue
-            req_id = request.get("id")
-            cmd = request["cmd"]
-            if cmd == "subscribe":
-                out_q.put_nowait(
-                    _subscribe(service, request, push_event, tokens)
-                )
-                continue
-            if cmd == "unsubscribe":
-                out_q.put_nowait(
-                    _unsubscribe(service, request, tokens)
-                )
-                continue
-            try:
-                body = await _answer(service.execute(request))
-                out_q.put_nowait(ok_response(req_id, **body))
-            except ServiceError as exc:
-                out_q.put_nowait(
-                    error_response(req_id, exc.code, exc.message)
-                )
-            if cmd == "bye":
-                break
-    finally:
-        for token in tokens:
-            service.bus.unsubscribe(token)
-        out_q.put_nowait(_CLOSE)
-        with contextlib.suppress(Exception):
-            await pump_task
-        writer.close()
-        with contextlib.suppress(Exception):
-            await writer.wait_closed()
-
-
-def _subscribe(service, request, push_event, tokens) -> dict:
-    req_id = request.get("id")
-    topics = request.get("topics", ["*"])
-    if not (
-        isinstance(topics, list)
-        and topics
-        and all(isinstance(t, str) for t in topics)
-    ):
-        return error_response(
-            req_id,
-            "bad-request",
-            f"'topics' must be a non-empty list of strings, "
-            f"got {topics!r}",
-        )
-    token = service.bus.subscribe(topics, push_event)
-    tokens.append(token)
-    return ok_response(req_id, token=token, topics=topics)
-
-
-def _unsubscribe(service, request, tokens) -> dict:
-    req_id = request.get("id")
-    token = request.get("token")
-    if token is None:
-        dropped = [t for t in tokens if service.bus.unsubscribe(t)]
-        tokens.clear()
-        return ok_response(req_id, dropped=len(dropped))
-    if token not in tokens:
-        return error_response(
-            req_id, "bad-request", f"unknown subscription {token!r}"
-        )
-    tokens.remove(token)
-    service.bus.unsubscribe(token)
-    return ok_response(req_id, dropped=1)
-
-
-async def serve(
+def serve(
     service: ProcessLockingService,
     host: str = "127.0.0.1",
     port: int = 7453,
     *,
     metrics_port: int | None = None,
     on_ready=None,
-    shutdown: asyncio.Event | None = None,
+    shutdown: Future | None = None,
 ) -> None:
-    """Listen, serve, and drain gracefully on shutdown.
-
-    Runs as a task on the service's own loop, under its ``_run_loop``
-    (:meth:`~repro.server.service.ProcessLockingService.host` arranges
-    both).
-
-    ``on_ready(host, port)`` fires once the socket is bound (the CLI
-    prints the address; tests and the in-thread helper capture the
-    ephemeral port).  ``shutdown`` is set by SIGTERM/SIGINT (installed
-    when the loop runs on the main thread) or by the embedding test.
-
-    With a ``metrics_port`` an HTTP ``/metrics`` sidecar runs for the
-    server's lifetime; it is exposed as ``service.sidecar`` before
-    ``on_ready`` fires.
+    """Register the listener on ``service.loop`` and return; ``host``
+    calls this as ``main``.  ``on_ready(host, port)`` fires once bound.
+    Resolving ``shutdown`` (from any thread), or SIGTERM/SIGINT on the
+    main thread, stops accepting, drains, lingers up to 5 s for clients
+    and stops the service.  With a ``metrics_port`` a ``/metrics``
+    sidecar runs as ``service.sidecar`` from before ``on_ready``.
     """
+    loop = service.loop
     if metrics_port is not None:
         from repro.server.sidecar import MetricsSidecar
 
         service.sidecar = MetricsSidecar(
             service, host, metrics_port
         ).start()
-    shutdown = shutdown or asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        with contextlib.suppress(NotImplementedError, RuntimeError, ValueError):
-            loop.add_signal_handler(sig, shutdown.set)
-    connections: set[asyncio.Task] = set()
+    family, _, _, _, address = socket.getaddrinfo(
+        host, port, type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE
+    )[0]
+    listener = socket.create_server(address, family=family, backlog=128)
+    listener.setblocking(False)
+    connections: set[Connection] = set()
+    lingering = []  # non-empty once the drain is done
+    previous = {}  # signal handlers to put back
 
-    async def entry(reader, writer):
-        task = asyncio.current_task()
-        connections.add(task)
+    def accept(events: int) -> None:
         try:
-            await handle_connection(service, reader, writer)
-        finally:
-            connections.discard(task)
+            sock, _ = listener.accept()
+        except OSError:
+            return
+        sock.setblocking(False)
+        with contextlib.suppress(OSError):  # reset: its recv will say
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        connections.add(Connection(service, sock, closed))
 
-    server = await asyncio.start_server(entry, host, port, backlog=128)
-    bound = server.sockets[0].getsockname()
+    def closed(conn: Connection) -> None:
+        connections.discard(conn)
+        if lingering and not connections:
+            end()
+
+    def begin() -> None:
+        if listener.fileno() < 0:
+            return
+        loop.selector.unregister(listener)
+        listener.close()
+        if service._drained.is_set():
+            return wait_for_clients()
+        service.execute({"cmd": "drain"}).add_done_callback(
+            lambda _: loop.call_soon(wait_for_clients)
+        )
+
+    def wait_for_clients() -> None:
+        lingering.append(True)
+        loop.call_later(5.0, end)
+        if not connections:
+            end()
+
+    def end() -> None:
+        lingering.clear()  # idempotent: the timer may follow a close
+        for conn in list(connections):
+            conn.close()
+        if service.sidecar is not None:
+            service.sidecar.stop()
+            service.sidecar = None
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
+        service.stop()
+
+    loop.selector.register(listener, EVENT_READ, accept)
+    if threading.current_thread() is threading.main_thread():
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            previous[sig] = signal.signal(
+                sig, lambda signum, frame: service.wake(begin)
+            )
+    if shutdown is not None:
+        shutdown.add_done_callback(lambda _: service.wake(begin))
     if on_ready is not None:
-        on_ready(bound[0], bound[1])
-    async with server:
-        await shutdown.wait()
-        # Graceful drain: stop accepting, run every in-flight process
-        # to termination, then let clients read the final frames.
-        server.close()
-        await server.wait_closed()
-        if not service._drained.is_set():
-            with contextlib.suppress(Exception):
-                await _answer(service.execute({"cmd": "drain"}))
-        if connections:
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(
-                    asyncio.gather(
-                        *connections, return_exceptions=True
-                    ),
-                    timeout=5.0,
-                )
-        for task in list(connections):
-            task.cancel()
-    if service.sidecar is not None:
-        service.sidecar.stop()
-        service.sidecar = None
-
+        on_ready(*listener.getsockname()[:2])
 
 def run_server(
     config: ServiceConfig | None = None,
@@ -285,7 +351,8 @@ def run_server(
             print(line, flush=True)
 
     service.host(
-        serve(
+        partial(
+            serve,
             service,
             host,
             port,
@@ -307,12 +374,13 @@ class ServerHandle:
         self.port = port
         #: Bound sidecar port, or ``None`` when no sidecar runs.
         self.metrics_port: int | None = None
-        self._shutdown = asyncio.Event()
+        self._shutdown: Future = Future()
         self._thread: threading.Thread | None = None
 
     def stop(self) -> None:
         """Trigger the graceful-drain path and join the thread."""
-        self.service.wake(self._shutdown.set)
+        if not self._shutdown.done():
+            self._shutdown.set_result(None)
         if self._thread is not None:
             self._thread.join(timeout=30)
 
@@ -341,7 +409,8 @@ def start_server_thread(
     def main() -> None:
         try:
             service.host(
-                serve(
+                partial(
+                    serve,
                     service,
                     host,
                     port,

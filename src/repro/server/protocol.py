@@ -80,7 +80,7 @@ def decode_line(line: bytes | str) -> dict:
             raise WireError("bad-request", f"not utf-8: {exc}") from None
     try:
         frame = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # nested too deep
         raise WireError("bad-request", f"not json: {exc}") from None
     if not isinstance(frame, dict):
         raise WireError("bad-request", "frame must be a json object")

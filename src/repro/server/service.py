@@ -4,25 +4,24 @@
 :class:`~repro.scheduler.manager.ProcessManager` (built by
 :func:`~repro.scheduler.manager.make_manager`) and drives it from
 :meth:`~ProcessLockingService._run_loop`, on the one thread that also
-runs the asyncio event loop the wire is read on (the *serving thread*).
-Between drains ``_run_loop`` runs that loop; a request read there is
-queued by :meth:`~ProcessLockingService.execute`, which ends the loop's
-turn, so every command read in one turn shares one drain, one fsync and
-one round of answers, and the answers resolve on the thread that awaits
-them.  The manager is therefore never touched concurrently and nothing
-crosses a thread on the served path.
+runs the :class:`~repro.server.loop.Loop` the wire is read on (the
+*serving thread*).  Between drains ``_run_loop`` runs that loop; a
+request read there is queued by
+:meth:`~ProcessLockingService.execute`, which ends the loop's run after
+its turn, so every command read in one turn shares one drain, one fsync
+and one round of answers, and the answers resolve on the thread that
+waits for them.  The manager is therefore never touched concurrently
+and nothing crosses a thread on the served path.
 
 Hosts
 -----
-:meth:`~ProcessLockingService.host` creates the loop on the calling
-thread, starts a ``main`` coroutine on it and runs ``_run_loop``.
-:func:`repro.server.net.run_server` and
-:func:`~repro.server.net.start_server_thread` hand it ``serve()``.
-In-process callers use :meth:`~ProcessLockingService.start`, which runs
-``host`` with no coroutine on a thread of its own, and call
-``execute(...).result()`` from theirs; such a foreign-thread call wakes
-the loop with :meth:`~ProcessLockingService.wake`, the one cross-thread
-hop left.
+:meth:`~ProcessLockingService.host` runs the loop and ``_run_loop`` on
+the calling thread; the network layer hands it
+:func:`~repro.server.net.serve`.  In-process callers use
+:meth:`~ProcessLockingService.start`, a thread whose loop watches only
+its wake socket, and call ``execute(...).result()`` from theirs; such
+a call wakes the loop with :meth:`~ProcessLockingService.wake`, the
+one cross-thread hop left.
 
 Pacing
 ------
@@ -54,7 +53,6 @@ process is ever dropped mid-flight.
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import threading
 import time
@@ -69,6 +67,7 @@ from repro.scheduler.events import conserved
 from repro.scheduler.manager import ManagerConfig, make_manager
 from repro.server.bridge import BusTracer
 from repro.server.bus import EventBus
+from repro.server.loop import Loop
 from repro.sim.runner import make_protocol
 from repro.sim.workload import WorkloadSpec, build_workload
 from repro.theory.criteria import (
@@ -237,9 +236,9 @@ class ProcessLockingService:
         #: The HTTP metrics sidecar, installed by the network layer
         #: when a metrics port is configured.
         self.sidecar = None
-        #: The event loop ``_run_loop`` runs between drains, and the
-        #: ident of the serving thread that runs both (set by ``host``).
-        self._loop: asyncio.AbstractEventLoop | None = None
+        #: The loop ``_run_loop`` runs between drains, and the ident of
+        #: the serving thread that runs both (set by ``host``).
+        self.loop: Loop | None = None
         self._owner: int | None = None
         self._draining = threading.Event()
         self._drained = threading.Event()
@@ -321,40 +320,24 @@ class ProcessLockingService:
     # lifecycle
     # ------------------------------------------------------------------
     def host(self, main=None) -> None:
-        """Serve on the calling thread, which becomes the serving
-        thread, until :meth:`stop`: a new event loop, ``main`` (the
-        network layer's ``serve()`` coroutine) as a task on it, and
-        ``_run_loop`` running both.  The task's end stops the service.
-
-        If the engine dies first, the loop keeps running ``main`` —
-        which answers every request ``internal`` — until it ends.  The
-        store is closed on the way out, and an exception out of
-        ``main`` (a port already taken) is re-raised.
-        """
-        self._loop = loop = asyncio.new_event_loop()
+        """Serve on the calling thread until :meth:`stop`: a new
+        :class:`Loop`, ``main()`` to register sockets on it (the network
+        layer's ``serve``, whose shutdown ends in :meth:`stop`), then
+        ``_run_loop``.  If the engine dies first, the loop goes on
+        answering ``internal`` until ``main`` stops it.  An exception
+        out of ``main`` (a port already taken) propagates."""
+        self.loop = loop = Loop()
         self._owner = threading.get_ident()
-        task = None
-        if main is not None:
-            task = loop.create_task(main)
-            task.add_done_callback(lambda _: self.stop())
         try:
+            if main is not None:
+                main()
             self._run_loop()
-            if task is not None and self.failed is not None:
-                loop.run_until_complete(task)
+            while main is not None and not self._stop.is_set():
+                loop.run()
         finally:
-            leftover = asyncio.all_tasks(loop)
-            for pending in leftover:
-                pending.cancel()
-            if leftover:
-                loop.run_until_complete(
-                    asyncio.gather(*leftover, return_exceptions=True)
-                )
-            loop.run_until_complete(loop.shutdown_asyncgens())
             loop.close()
             if self.store is not None:
                 self.store.close()
-        if task is not None and not task.cancelled():
-            task.result()
 
     def start(self) -> "ProcessLockingService":
         """Serve in-process callers from a thread that runs :meth:`host`
@@ -376,7 +359,7 @@ class ProcessLockingService:
         ``start`` thread.  On the serving thread it only queues the
         drain: ``_run_loop`` applies it, answers it, then returns.
         """
-        if self._loop is None:
+        if self.loop is None:
             return
         here = threading.get_ident() == self._owner
         if not self._drained.is_set():
@@ -386,7 +369,7 @@ class ProcessLockingService:
                     drain.result(timeout=60)
         self._stop.set()
         if here:
-            self._loop.stop()
+            self.loop.stop()
             return
         self.wake()
         if self._thread is not None:
@@ -394,13 +377,12 @@ class ProcessLockingService:
             self._thread = None
 
     def wake(self, callback=None) -> None:
-        """From another thread: run ``callback`` on the serving thread,
-        or (by default) end the event loop's turn so ``_run_loop`` takes
-        the queued commands.  The one cross-thread hop in."""
-        loop = self._loop
-        if loop is None:  # not hosted yet: the first turn reads the queue
-            return
-        with contextlib.suppress(RuntimeError):  # closed: nothing to wake
+        """From another thread or a signal handler: run ``callback`` on
+        the serving thread, or (by default) end the loop's run so
+        ``_run_loop`` takes the queued commands.  The one cross-thread
+        hop in; once the loop is closed, a no-op."""
+        loop = self.loop
+        if loop is not None:  # not hosted yet: the first turn reads it
             loop.call_soon_threadsafe(callback or loop.stop)
 
     @property
@@ -431,8 +413,8 @@ class ProcessLockingService:
         The future resolves to a response *body* dict (the network
         layer wraps it into a wire frame) or raises
         :class:`ServiceError` for request-level failures.  On the
-        serving thread the call ends the event loop's turn, so the
-        drain takes every command read in that turn; from any other
+        serving thread the call ends the loop's run after its turn, so
+        the drain takes every command read in that turn; from any other
         thread it wakes the loop (:meth:`wake`).
         """
         fut: Future = Future()
@@ -459,7 +441,7 @@ class ProcessLockingService:
             return fut
         if threading.get_ident() == self._owner:
             self._commands.put((request, fut))
-            self._loop.stop()
+            self.loop.stop()
             return fut
         with self._intake:
             if self.failed is None:
@@ -473,7 +455,7 @@ class ProcessLockingService:
     # the serving thread
     # ------------------------------------------------------------------
     def _run_loop(self) -> None:
-        """Serve until :meth:`stop`: run the event loop until commands
+        """Serve until :meth:`stop`: run the loop until commands
         arrive (``_next_batch``), apply them, drain the engine, answer
         (``_post_drain``).  Returns early, after ``_fail``, if the
         engine raised; the host's loop may go on answering
@@ -517,14 +499,11 @@ class ProcessLockingService:
                 fut.set_exception(self.failed)
 
     def _next_batch(self) -> list:
-        """Every queued command, after running the event loop until one
-        is queued or ``tick`` has passed; the wire is served in here."""
+        """Every queued command, after running the loop until one is
+        queued or ``tick`` has passed; the wire is served in here."""
         commands = self._commands
         if commands.empty() and not self._stop.is_set():
-            loop = self._loop
-            timer = loop.call_later(self.config.tick, loop.stop)
-            loop.run_forever()
-            timer.cancel()
+            self.loop.run(self.config.tick)
         batch = []
         while not commands.empty():
             batch.append(commands.get_nowait())

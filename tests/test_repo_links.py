@@ -8,7 +8,10 @@ result, a document or a ``repro`` verb that is gone.
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -256,10 +259,12 @@ def test_journal_tee_leaves_no_trace():
 # one serving thread (DESIGN.md, "Removed: the engine thread on the
 # served path")
 # ----------------------------------------------------------------------
-def test_the_served_path_crosses_no_thread_but_the_wake():
-    """The engine drains on the event loop's own thread, so nothing in
-    ``repro.server`` hands work to another thread and back; waking the
-    loop for an in-process caller on a foreign thread is the one hop."""
+def test_the_served_path_crosses_no_thread_but_call_soon_threadsafe_in_wake():
+    """The engine drains on the loop's own thread, so nothing in
+    ``repro.server`` hands work to another thread and back; the loop's
+    one thread-safe call, ``Loop.call_soon_threadsafe``, is reached
+    only from ``service.wake`` (an in-process caller on a foreign
+    thread, a shutdown request, a signal)."""
     hops = []
     for path in sorted((ROOT / "src/repro/server").glob("*.py")):
         text = path.read_text()
@@ -274,6 +279,56 @@ def test_the_served_path_crosses_no_thread_but_the_wake():
             and node.attr == "call_soon_threadsafe"
         ]
     assert hops == ["service.py:wake"], hops
+
+
+def test_no_module_under_src_imports_asyncio():
+    """The serving thread runs one ``selectors`` loop
+    (``repro.server.loop``); asyncio would bring ``ssl`` with it."""
+    offenders = []
+    for path in sorted((ROOT / "src/repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [
+                f"{path.relative_to(ROOT)}:{name}"
+                for name in names
+                if name.split(".")[0] == "asyncio"
+            ]
+    assert not offenders, offenders
+
+
+def test_the_serving_process_loads_neither_asyncio_nor_ssl():
+    """A fresh interpreter imports the CLI and the front end, then
+    hosts a service for one ``ping`` (DESIGN.md, "Removed: asyncio on
+    the serving thread")."""
+    script = (
+        "import sys\n"
+        "import repro.cli, repro.server.net\n"
+        "from repro.client import ServiceClient\n"
+        "from repro.server.service import ServiceConfig\n"
+        "from repro.sim.workload import WorkloadSpec\n"
+        "handle = repro.server.net.start_server_thread(\n"
+        "    ServiceConfig(spec=WorkloadSpec(n_processes=4, seed=1), seed=1)\n"
+        ")\n"
+        "with ServiceClient(handle.host, handle.port, timeout=30) as c:\n"
+        "    assert c.ping()['pong'] is True\n"
+        "handle.stop()\n"
+        "print(sorted({'asyncio', 'ssl'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]", done.stdout
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Socket-level tests: server thread + real clients over TCP."""
 
+import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -12,7 +14,8 @@ import urllib.request
 import pytest
 
 from repro.client import ServiceCallError, ServiceClient
-from repro.server.net import start_server_thread
+from repro.server.net import MAX_LINE, start_server_thread
+from repro.server.protocol import encode
 from repro.server.service import ServiceConfig
 from repro.sim.workload import WorkloadSpec
 from tests.test_storage.test_journal_golden import CONTENDED
@@ -31,6 +34,20 @@ def server():
 
 def connect(handle) -> ServiceClient:
     return ServiceClient(handle.host, handle.port, timeout=30)
+
+
+def raw(handle) -> socket.socket:
+    """A bare socket: frames read off it in the order they were sent."""
+    return socket.create_connection((handle.host, handle.port), timeout=30)
+
+
+def read_frames(sock: socket.socket, until_id) -> list[dict]:
+    """Every frame up to and including the response ``until_id``."""
+    frames = []
+    with sock.makefile("rb") as reader:
+        while not frames or frames[-1].get("id") != until_id:
+            frames.append(json.loads(reader.readline()))
+    return frames
 
 
 class TestWire:
@@ -65,6 +82,97 @@ class TestWire:
             # future; the connection must survive for the next call.
             time.sleep(0.1)
             assert client.ping()["pong"] is True
+
+    def test_five_pipelined_requests_are_answered_in_id_order(
+        self, server
+    ):
+        """One ``sendall``, five lines: one is in flight at a time, so
+        ``status`` sees the submit before it as done."""
+        requests = [
+            {"cmd": "ping", "id": 1},
+            {"cmd": "submit", "id": 2, "count": 2},
+            {"cmd": "status", "id": 3, "pid": 1},
+            {"cmd": "stats", "id": 4},
+            {"cmd": "ping", "id": 5},
+        ]
+        with raw(server) as sock:
+            sock.sendall(b"".join(map(encode, requests)))
+            frames = read_frames(sock, until_id=5)
+        assert [frame["id"] for frame in frames] == [1, 2, 3, 4, 5]
+        assert all(frame["ok"] for frame in frames), frames
+        assert frames[1]["pids"] == [1, 2]
+        assert frames[2]["state"] == "done"
+        assert frames[3]["manager"]["submitted"] == 2
+
+    def test_a_drains_decisions_go_out_before_its_response(self, server):
+        topics = ["process.commit", "process.abort"]
+        with raw(server) as sock:
+            sock.sendall(
+                encode({"cmd": "subscribe", "id": 1, "topics": topics})
+                + encode({"cmd": "submit", "id": 2, "count": 3, "wait": True})
+            )
+            subscribed, *events, answer = read_frames(sock, until_id=2)
+        assert subscribed["ok"] and answer["ok"]
+        assert {frame["event"] for frame in events} <= set(topics)
+        assert answer["pids"] == [1, 2, 3]
+        assert {frame["record"]["pid"] for frame in events} == {1, 2, 3}
+        committed = {
+            frame["record"]["pid"]
+            for frame in events
+            if frame["event"] == "process.commit"
+        }
+        assert committed == {
+            row["pid"]
+            for row in answer["outcomes"]
+            if row["outcome"] == "committed"
+        }
+
+    def test_an_over_long_line_is_refused_and_its_connection_closed(
+        self, server
+    ):
+        head, tail = b'{"cmd":"ping","id":1,"pad":"', b'"}'
+        at_limit = head + b"x" * (MAX_LINE - len(head + tail)) + tail
+        with connect(server) as bystander, raw(server) as sock:
+            sock.sendall(at_limit + b"\n")
+            assert read_frames(sock, until_id=1)[0]["pong"] is True
+            sock.sendall(at_limit[:-2] + b'x"}\n')
+            with sock.makefile("rb") as reader:
+                frame = json.loads(reader.readline())
+                assert reader.readline() == b""  # closed by the server
+            assert frame["id"] is None
+            assert frame["error"]["code"] == "bad-request"
+            assert f"{MAX_LINE}-byte limit" in frame["error"]["message"]
+            assert bystander.ping()["pong"] is True
+
+    def test_a_deeply_nested_line_is_a_bad_request(self, server):
+        """``json`` raises ``RecursionError`` on it, not a decode error."""
+        with connect(server) as bystander, raw(server) as sock:
+            sock.sendall(b"[" * 5000 + b"\n" + encode({"cmd": "ping", "id": 2}))
+            refused, pong = read_frames(sock, until_id=2)
+            assert refused["error"]["code"] == "bad-request"
+            assert pong["pong"] is True
+            assert bystander.ping()["pong"] is True
+        assert server.service.failed is None
+
+    def test_a_handler_error_closes_only_its_connection(
+        self, server, monkeypatch, capsys
+    ):
+        import repro.server.net as net
+
+        decode = net.decode_line
+
+        def faulty(line):
+            if b"boom" in line:
+                raise RuntimeError("boom")
+            return decode(line)
+
+        monkeypatch.setattr(net, "decode_line", faulty)
+        with connect(server) as bystander, raw(server) as sock:
+            sock.sendall(b'{"cmd": "ping", "boom": 1}\n')
+            assert sock.makefile("rb").readline() == b""  # closed
+            assert bystander.ping()["pong"] is True
+        assert server.service.failed is None
+        assert "RuntimeError: boom" in capsys.readouterr().err
 
     def test_subscribe_streams_lifecycle_events(self, server):
         with connect(server) as client:
@@ -125,6 +233,47 @@ class TestConcurrentClients:
             battery = client.check()
             assert battery["prefix_reducible"] is True
             assert battery["process_recoverable"] is True
+
+
+class TestDisconnect:
+    def test_a_client_gone_mid_wait_leaves_the_loop_serving(self):
+        """The client subscribes, submits with ``wait`` and hangs up
+        while its processes run (paced): the next client is answered,
+        and the closed connection's subscription goes."""
+        handle = start_server_thread(
+            ServiceConfig(
+                spec=WorkloadSpec(n_processes=6, seed=5),
+                seed=5,
+                time_scale=20,
+                tick=0.005,
+            )
+        )
+        bus = handle.service.bus
+        subscribe = encode({"cmd": "subscribe", "id": 1})
+        submit = encode({"cmd": "submit", "id": 2, "count": 4, "wait": True})
+        try:
+            with connect(handle) as watcher:
+                with raw(handle) as sock:
+                    sock.sendall(subscribe + submit)
+                    deadline = time.monotonic() + 10
+                    while watcher.stats()["service"]["waiters"] != 1:
+                        assert time.monotonic() < deadline
+                        time.sleep(0.01)
+                    assert bus.subscriber_count == 1
+                with connect(handle) as client:
+                    assert client.ping()["pong"] is True
+                deadline = time.monotonic() + 30
+                while bus.subscriber_count:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.05)
+                while watcher.stats()["service"]["waiters"]:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.05)
+                assert watcher.ping()["pong"] is True
+        finally:
+            handle.stop()
+        assert not handle._thread.is_alive()
+        assert not handle.service.manager.undecided()
 
 
 class TestDrain:
