@@ -89,8 +89,14 @@ class DataDeadlockAvoided(TransactionAborted):
     """A data-level lock request was refused by the wait-die policy."""
 
 
-class RecordLockTimeout(SubsystemError):
-    """A data-level lock could not be acquired within the wait budget."""
+class CommitValidationError(SubsystemError):
+    """A committing subsystem transaction failed backward validation.
+
+    Another transaction committed a key this one had already read or
+    written, so committing it would break serializability in commit
+    order, which strict two-phase locking guarantees.  This is a bug
+    below the process layer, never an outcome.
+    """
 
 
 class SubsystemWouldBlock(SubsystemError):

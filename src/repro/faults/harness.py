@@ -32,7 +32,11 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from repro.errors import ProtocolError, SchedulerError
+from repro.errors import (
+    CommitValidationError,
+    ProtocolError,
+    SchedulerError,
+)
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     ActivityFailures,
@@ -158,7 +162,8 @@ def run_chaos(
         report.checks["terminated"] = False
         report.failures.append(f"liveness: {exc}")
         return report
-    except ProtocolError as exc:  # a lock-table step broke an invariant
+    except (ProtocolError, CommitValidationError) as exc:
+        # a lock-table step or a subsystem commit broke an invariant
         report.failures.append(f"invariant: {exc}")
         return report
     observed = chaos.result.trace.to_schedule(

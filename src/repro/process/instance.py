@@ -97,6 +97,13 @@ class Process:
         self.program = program
         self.timestamp = timestamp
         self.incarnation = incarnation
+        #: Schedule-level identity, ``(pid, incarnation)``: a
+        #: resubmitted execution is formally a new process that shares
+        #: the original's timestamp, so correctness checking treats the
+        #: incarnations as distinct processes.  Built once — every
+        #: recorded schedule event holds it — since :meth:`resubmit`
+        #: makes a new :class:`Process` rather than bumping the count.
+        self.key: tuple[int, int] = (pid, incarnation)
         self.state = ProcessState.RUNNING
         self.ledger: list[LedgerEntry] = []
         #: Worst-case cost accumulated so far (Equation 1); maintained by
@@ -114,16 +121,6 @@ class Process:
     # ------------------------------------------------------------------
     # identity & bookkeeping
     # ------------------------------------------------------------------
-    @property
-    def key(self) -> tuple[int, int]:
-        """Schedule-level identity: ``(pid, incarnation)``.
-
-        A resubmitted execution is formally a new process that happens to
-        share the original's timestamp, so correctness checking treats the
-        incarnations as distinct processes.
-        """
-        return (self.pid, self.incarnation)
-
     @property
     def registry(self):
         return self.program.registry

@@ -1,28 +1,34 @@
 """Transactional subsystem facade (the paper's bottom layer).
 
 A :class:`TransactionalSubsystem` bundles a record store, a data-level
-strict-2PL lock manager, and a history recorder.  It offers two execution
-paths:
+strict-2PL lock manager, and the per-key commit counters every commit is
+validated against (:class:`~repro.subsystems.transactions.CommitCounters`:
+the paper's CPSR assumption, checked online; ACA holds by construction).
+It offers two execution paths:
 
 * :meth:`execute_atomic` — run a whole transaction program in one step;
   this is what the process manager uses when an activity commits in the
   simulation (each activity is atomic by definition, Section 2);
 * :meth:`begin` — hand out a stepwise :class:`Transaction` so tests can
-  interleave operations of several transactions and verify that the
-  subsystem really produces serializable (CPSR), cascade-free (ACA)
-  histories.
+  interleave operations of several transactions.
+
+The subsystem keeps no per-operation state: what it holds grows with
+its keys, not with the transactions it has run.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from repro.core.deadlock import Digraph, has_cycle
 from repro.errors import SubsystemError
 from repro.subsystems.lock_manager import DataLockManager
 from repro.subsystems.programs import ProgramCatalog, TransactionProgram
 from repro.subsystems.storage import DurableRecordStore, RecordStore
-from repro.subsystems.transactions import Transaction, TransactionState
+from repro.subsystems.transactions import (
+    CommitCounters,
+    Transaction,
+    TransactionState,
+)
 
 
 class TransactionalSubsystem:
@@ -34,9 +40,9 @@ class TransactionalSubsystem:
         self.locks = DataLockManager()
         self.catalog = ProgramCatalog()
         self._active: list[Transaction] = []
-        #: Flat operation history ``(txn_id, op, key)`` with op in
-        #: ``{"r", "w", "c", "a"}``, used for serializability checking.
-        self.history: list[tuple[int, str, str]] = []
+        #: What every commit is validated against; ``counters.validated``
+        #: counts the commits that passed.
+        self.counters = CommitCounters()
         self._txn_ids = itertools.count(1)
         self.committed_count = 0
         self.aborted_count = 0
@@ -100,7 +106,7 @@ class TransactionalSubsystem:
             timestamp=timestamp if timestamp is not None else txn_id,
             store=self.store,
             locks=self.locks,
-            history=self.history,
+            counters=self.counters,
         )
         self._active = [
             t
@@ -140,68 +146,6 @@ class TransactionalSubsystem:
         return self.execute_atomic(
             self.catalog.get(activity_name), timestamp
         )
-
-    # ------------------------------------------------------------------
-    # history analysis (substrate guarantees)
-    # ------------------------------------------------------------------
-    def serialization_graph(self) -> Digraph:
-        """Conflict graph over committed transactions of the history.
-
-        An edge ``i -> j`` means a committed operation of ``i`` precedes a
-        conflicting committed operation of ``j``.
-        """
-        committed = {
-            txn for txn, op, _ in self.history if op == "c"
-        }
-        graph = Digraph()
-        for txn in committed:
-            graph.add_node(txn)
-        ops = [
-            (txn, op, key)
-            for txn, op, key in self.history
-            if txn in committed and op in ("r", "w")
-        ]
-        for i, (txn_a, op_a, key_a) in enumerate(ops):
-            for txn_b, op_b, key_b in ops[i + 1:]:
-                if txn_a == txn_b or key_a != key_b:
-                    continue
-                if "w" in (op_a, op_b):
-                    graph.add_edge(txn_a, txn_b)
-        return graph
-
-    def is_serializable(self) -> bool:
-        """Whether the committed projection of the history is CPSR."""
-        return not has_cycle(self.serialization_graph().adj)
-
-    def avoids_cascading_aborts(self) -> bool:
-        """ACA check: every read sees only already-committed writes.
-
-        For each read of ``key`` by ``t``, any earlier write of ``key`` by
-        another transaction must be followed by that transaction's commit
-        before the read.
-        """
-        commit_pos: dict[int, int] = {}
-        abort_pos: dict[int, int] = {}
-        for pos, (txn, op, _) in enumerate(self.history):
-            if op == "c":
-                commit_pos[txn] = pos
-            elif op == "a":
-                abort_pos[txn] = pos
-        for pos, (reader, op, key) in enumerate(self.history):
-            if op != "r":
-                continue
-            for wpos, (writer, wop, wkey) in enumerate(
-                self.history[:pos]
-            ):
-                if wop != "w" or wkey != key or writer == reader:
-                    continue
-                terminated = (
-                    commit_pos.get(writer, len(self.history)) < pos
-                    or abort_pos.get(writer, len(self.history)) < pos
-                )
-                if not terminated:
-                    return False
-        return True
 
     def simulate_crash_and_recover(self) -> None:
         """Crash the subsystem: every in-flight transaction loses its

@@ -32,7 +32,7 @@ class EventKind(enum.Enum):
     ABORT = "abort"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScheduleEvent:
     """One entry of the observed execution order ``<_S``.
 

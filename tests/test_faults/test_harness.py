@@ -18,6 +18,8 @@ from repro.faults.harness import (
 from repro.faults.plan import FaultPlan, ManagerCrash
 from repro.faults.storms import threshold_boundary_subsystems
 from repro.sim.workload import WorkloadSpec, build_workload
+from repro.subsystems.subsystem import SubsystemPool
+from tests.test_subsystems.oracles import let_a_writer_past_held_locks
 
 
 #: The plans and workloads the campaign ran before it took over the soak
@@ -179,6 +181,31 @@ class TestAuditedRun:
         assert report.failures[0].startswith("invariant: ")
         assert "blockers of P" in report.failures[0]
         assert not report.ok
+
+    def test_a_subsystem_commit_failing_its_check_fails_the_run(
+        self, monkeypatch
+    ):
+        """Every subsystem commit is validated: one overtaken by a
+        writer let past its locks fails the run as an invariant."""
+        workload = build_workload(
+            WorkloadSpec(n_processes=4, grounded=True, seed=3)
+        )
+        plan = FaultPlan(name="baseline")
+        assert run_chaos(workload, "process-locking", plan).ok
+        create = SubsystemPool.create
+
+        def create_broken(pool, name):
+            subsystem = create(pool, name)
+            let_a_writer_past_held_locks(subsystem)
+            return subsystem
+
+        monkeypatch.setattr(SubsystemPool, "create", create_broken)
+        report = run_chaos(workload, "process-locking", plan)
+        assert len(report.failures) == 1
+        assert report.failures[0].startswith("invariant: txn ")
+        assert "committed 1 time(s) by other transactions" in (
+            report.failures[0]
+        )
 
 
 class TestCli:

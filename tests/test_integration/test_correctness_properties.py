@@ -19,6 +19,11 @@ from repro.theory.criteria import (
     is_prefix_reducible,
     is_process_recoverable,
 )
+from tests.test_subsystems.oracles import (
+    avoids_cascading_aborts,
+    is_serializable,
+    record_pool,
+)
 
 SPEC_STRATEGY = st.builds(
     WorkloadSpec,
@@ -92,10 +97,12 @@ def test_property_conservative_baselines_are_correct_too(spec, protocol):
           suppress_health_check=[HealthCheck.too_slow])
 @given(spec=SPEC_STRATEGY)
 def test_property_grounded_runs_keep_subsystems_consistent(spec):
-    """With real stores attached, every subsystem history is CPSR+ACA
+    """With real stores attached, every subsystem commit passes the
+    online check and the recorded history is CPSR+ACA by the oracles,
     and compensation returns written counters to committed-only state."""
     workload = build_workload(spec.with_(grounded=True))
     pool = workload.make_subsystems()
+    recorders = record_pool(pool)
     from repro.scheduler.manager import ProcessManager
     from repro.sim.runner import make_protocol
 
@@ -105,5 +112,7 @@ def test_property_grounded_runs_keep_subsystems_consistent(spec):
         manager.submit(program, at=workload.arrival_time(index))
     manager.run()
     for subsystem in pool:
-        assert subsystem.is_serializable()
-        assert subsystem.avoids_cascading_aborts()
+        assert subsystem.counters.validated == subsystem.committed_count
+        history = recorders[subsystem.name].history
+        assert is_serializable(history)
+        assert avoids_cascading_aborts(history)

@@ -22,6 +22,11 @@ from repro.theory.criteria import (
     is_process_recoverable,
 )
 from repro.theory.reduction import poly_is_reducible
+from tests.test_subsystems.oracles import (
+    avoids_cascading_aborts,
+    is_serializable,
+    record_pool,
+)
 from tests.test_theory.oracles import exact_is_reducible
 
 
@@ -50,6 +55,7 @@ def test_property_kitchen_sink(seed, crash_steps, threshold):
         )
     )
     pool = workload.make_subsystems()
+    recorders = record_pool(pool)
     manager = ProcessManager(
         make_protocol("process-locking", workload),
         subsystems=pool,
@@ -72,8 +78,10 @@ def test_property_kitchen_sink(seed, crash_steps, threshold):
     assert has_correct_termination(schedule)
     assert is_process_recoverable(schedule)
     for subsystem in pool:
-        assert subsystem.is_serializable()
-        assert subsystem.avoids_cascading_aborts()
+        assert subsystem.counters.validated == subsystem.committed_count
+        history = recorders[subsystem.name].history
+        assert is_serializable(history)
+        assert avoids_cascading_aborts(history)
 
 
 @settings(

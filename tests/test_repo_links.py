@@ -504,3 +504,32 @@ def test_durable_undo_wal_leaves_no_trace():
         if DURABLE_UNDO_WAL.search(line)
     ]
     assert not offenders, offenders
+
+
+# ----------------------------------------------------------------------
+# the subsystem layer is checked online (DESIGN.md §7, "Removed: the
+# subsystem operation history")
+# ----------------------------------------------------------------------
+SUBSYSTEM_HISTORY = re.compile(
+    r"\.history\b|\bis_serializable\b|\bavoids_cascading_aborts\b"
+    r"|\bRecordLockTimeout\b"
+)
+
+
+def test_subsystem_history_leaves_no_trace():
+    """A subsystem validates each commit against per-key counters and
+    keeps no log of reads and writes; the offline CPSR and ACA checks
+    live on as the oracles of ``tests/test_subsystems/oracles.py``,
+    and nothing the product, its examples, its experiments or its docs
+    run or describe names them."""
+    scanned = [
+        *_python_files("src", "examples", "benchmarks"),
+        *sorted((ROOT / "docs").glob("*.md")),
+    ]
+    offenders = [
+        f"{path.relative_to(ROOT)}:{number}"
+        for path in scanned
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if SUBSYSTEM_HISTORY.search(line)
+    ]
+    assert not offenders, offenders

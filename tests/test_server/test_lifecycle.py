@@ -24,11 +24,12 @@ from repro.server.service import (
     ServiceError,
 )
 from repro.server.sidecar import MetricsSidecar
-from tests.test_storage.test_journal_golden import CONTENDED
+from tests.test_storage.test_journal_golden import CONTENDED, GROUNDED
+from tests.test_subsystems.oracles import let_a_writer_past_held_locks
 
 
 def _service(**overrides) -> ProcessLockingService:
-    config = ServiceConfig(spec=CONTENDED, seed=3, **overrides)
+    config = ServiceConfig(**{"spec": CONTENDED, "seed": 3, **overrides})
     return ProcessLockingService(config).start()
 
 
@@ -206,19 +207,29 @@ def _drop_blocker_edges(service) -> None:
     )
 
 
+def _let_a_writer_past_held_locks(service) -> None:
+    for subsystem in service.manager.subsystems:
+        let_a_writer_past_held_locks(subsystem)
+
+
 @pytest.mark.parametrize(
-    "break_engine, raised",
+    "break_engine, raised, spec",
     [
-        (_explode_on_commit, "RuntimeError: callback exploded"),
-        (_drop_blocker_edges, "ProtocolError: "),
+        (_explode_on_commit, "RuntimeError: callback exploded", CONTENDED),
+        (_drop_blocker_edges, "ProtocolError: ", CONTENDED),
+        (
+            _let_a_writer_past_held_locks,
+            "CommitValidationError: ",
+            GROUNDED,
+        ),
     ],
-    ids=["callback", "invariant"],
+    ids=["callback", "invariant", "subsystem"],
 )
 def test_exception_out_of_the_engine_loop_is_answered(
-    tmp_path, break_engine, raised
+    tmp_path, break_engine, raised, spec
 ):
     flight = tmp_path / "flight.jsonl"
-    service = _service(flight_path=str(flight), **PACED)
+    service = _service(flight_path=str(flight), spec=spec, **PACED)
     sidecar = MetricsSidecar(service, "127.0.0.1", 0).start()
     health = f"http://127.0.0.1:{sidecar.port}/healthz"
     try:

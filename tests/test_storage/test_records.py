@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import shutil
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from types import SimpleNamespace
 
 import pytest
@@ -287,7 +287,7 @@ def test_trace_frames_round_trip_every_event_kind(start, drawn):
     defaults from the event kind: each decoded event equals the event
     the recorder made."""
     events = [
-        ScheduleEvent(**{**vars(event), "position": start + offset})
+        replace(event, position=start + offset)
         for offset, event in enumerate(drawn)
     ]
     frame = {"start": start, "events": list(map(trace_event_to_row, events))}

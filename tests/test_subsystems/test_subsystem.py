@@ -2,10 +2,14 @@
 
 The paper's bottom layer must provide serializable (CPSR) and
 cascade-free (ACA) executions; these tests drive interleaved stepwise
-transactions against a subsystem and verify both guarantees, including
-hypothesis properties over random interleavings and crashes.
+transactions against a subsystem and hold the online commit check and
+the offline oracles of :mod:`tests.test_subsystems.oracles` to both
+guarantees, including hypothesis properties over random interleavings
+and crashes, and a lock manager broken on purpose that the online
+check must catch at the first bad commit.
 """
 
+import itertools
 import tempfile
 
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import (
+    CommitValidationError,
     DataDeadlockAvoided,
     SubsystemError,
     SubsystemWouldBlock,
@@ -26,6 +31,25 @@ from repro.subsystems.programs import (
 )
 from repro.subsystems.storage import DurableRecordStore
 from repro.subsystems.subsystem import SubsystemPool, TransactionalSubsystem
+from repro.subsystems.transactions import TransactionState
+from tests.test_subsystems.oracles import (
+    HistoryRecorder,
+    avoids_cascading_aborts,
+    is_serializable,
+)
+
+#: The sweeps take their example count from the profile: 100 in
+#: tier-1, 2,000 fresh ones under ``--hypothesis-profile=smoke``.
+SWEEP = settings(deadline=None)
+
+
+def _recorded(name: str = "s"):
+    sub = TransactionalSubsystem(name)
+    return sub, HistoryRecorder(sub).history
+
+
+def _cpsr_and_aca(history) -> bool:
+    return is_serializable(history) and avoids_cascading_aborts(history)
 
 
 class TestAtomicExecution:
@@ -88,7 +112,7 @@ class TestInversePrograms:
 
 class TestInterleavedGuarantees:
     def test_interleaving_is_serializable(self):
-        sub = TransactionalSubsystem("s")
+        sub, history = _recorded()
         t1 = sub.begin(timestamp=1)
         t2 = sub.begin(timestamp=2)
         t1.write("a", lambda old: (old or 0) + 1)
@@ -97,8 +121,8 @@ class TestInterleavedGuarantees:
         t2.read("d")
         t1.commit()
         t2.commit()
-        assert sub.is_serializable()
-        assert sub.avoids_cascading_aborts()
+        assert sub.counters.validated == 2
+        assert _cpsr_and_aca(history)
 
     def test_conflicting_access_blocks(self):
         sub = TransactionalSubsystem("s")
@@ -119,14 +143,14 @@ class TestInterleavedGuarantees:
         assert t1.read("k") == 1
 
     def test_aborted_writer_leaves_no_trace_for_readers(self):
-        sub = TransactionalSubsystem("s")
+        sub, history = _recorded()
         t1 = sub.begin(timestamp=1)
         t1.write("k", lambda old: 77)
         t1.abort()
         t2 = sub.begin(timestamp=2)
         assert t2.read("k") == 0
         t2.commit()
-        assert sub.avoids_cascading_aborts()
+        assert avoids_cascading_aborts(history)
 
 
 class TestSubsystemCrash:
@@ -153,7 +177,7 @@ class TestSubsystemCrash:
         assert sub.store.read("a") == 7
 
     def test_history_stays_cpsr_and_aca(self):
-        sub = TransactionalSubsystem("s")
+        sub, history = _recorded()
         first = sub.begin()
         first.write("a", lambda old: 1)
         first.commit()
@@ -163,8 +187,9 @@ class TestSubsystemCrash:
         after = sub.begin()
         after.read("a")
         after.commit()
-        assert sub.is_serializable()
-        assert sub.avoids_cascading_aborts()
+        assert sub.counters.validated == 2
+        assert history[-3] == (doomed.txn_id, "a", "")
+        assert _cpsr_and_aca(history)
 
     def test_crashed_handles_are_dead(self):
         sub = TransactionalSubsystem("s")
@@ -195,48 +220,176 @@ class TestPool:
             pool.get("ghost")
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    script=st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=2),   # transaction index
-            st.sampled_from(["r", "w", "c"]),        # operation
-            st.sampled_from(["x", "y", "z"]),        # key
-        ),
-        min_size=1,
-        max_size=24,
-    )
-)
-def test_property_random_interleavings_are_cpsr_and_aca(script):
-    """Any stepwise interleaving the lock manager admits is CPSR + ACA.
+#: Three keys, every write an increment, so a value tells how many
+#: commits of its key a transaction saw.
+SWEEP_KEYS = ("x", "y", "z")
 
-    Blocked or died operations abort the transaction (wait-die), which
-    is a legal subsystem outcome; the committed projection must always
-    be serializable and cascade-free.
+STEPS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=2),                 # slot
+        st.sampled_from(["r", "w", "w", "c", "a", "crash"]),   # op
+        st.sampled_from(SWEEP_KEYS),                           # key
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+class _Interleaver:
+    """Play ``(slot, op, key)`` steps on three stepwise transaction
+    slots of one subsystem, and judge each commit against a serial run
+    in commit order.
+
+    A slot whose transaction ended begins a fresh, younger one at its
+    next step; ``crash`` crashes the subsystem and restarts every slot.
+    A blocked or refused lock aborts the transaction (wait-die).  A
+    commit is *serial* when every value its transaction saw — each
+    read, and the old value of each increment — equals the committed
+    value at commit time plus its own earlier increments: exactly what
+    it would have seen running alone, after every commit before it.
+    ``verdicts`` holds ``(admitted, serial)`` per commit attempt; a
+    commit the online check refused is aborted.
     """
-    sub = TransactionalSubsystem("prop")
-    txns = {i: sub.begin(timestamp=i + 1) for i in range(3)}
-    dead: set[int] = set()
-    for index, op, key in script:
-        txn = txns[index]
-        if index in dead or txn.state.value != "active":
-            continue
+
+    def __init__(self, sub: TransactionalSubsystem) -> None:
+        self.sub = sub
+        self.committed = dict.fromkeys(SWEEP_KEYS, 0)
+        self.verdicts: list[tuple[bool, bool]] = []
+        self._stamps = itertools.count(1)
+        self.slots = {}
+        for slot in range(3):
+            self._begin(slot)
+
+    def _begin(self, slot: int) -> None:
+        txn = self.sub.begin(timestamp=next(self._stamps))
+        # (key, value seen, own increments of key before it), and the
+        # increments buffered so far.
+        self.slots[slot] = (txn, [], dict.fromkeys(SWEEP_KEYS, 0))
+
+    def play(self, script) -> "_Interleaver":
+        for slot, op, key in script:
+            self.step(slot, op, key)
+        return self
+
+    def step(self, slot: int, op: str, key: str) -> None:
+        if op == "crash":
+            self.sub.simulate_crash_and_recover()
+            for other in self.slots:
+                self._begin(other)
+            return
+        if self.slots[slot][0].state is not TransactionState.ACTIVE:
+            self._begin(slot)
+        txn, seen, pending = self.slots[slot]
         try:
             if op == "r":
-                txn.read(key)
+                seen.append((key, txn.read(key), pending[key]))
             elif op == "w":
-                txn.write(key, lambda old: (old or 0) + 1)
+
+                def increment(old):
+                    seen.append((key, old, pending[key]))
+                    return old + 1
+
+                txn.write(key, increment)
+                pending[key] += 1
+            elif op == "c":
+                self._commit(txn, seen, pending)
             else:
-                txn.commit()
+                txn.abort()
         except (SubsystemWouldBlock, DataDeadlockAvoided):
             txn.abort()
-            dead.add(index)
-    for index, txn in txns.items():
-        if txn.state.value == "active":
-            txn.abort()
-    assert sub.is_serializable()
-    assert sub.avoids_cascading_aborts()
 
+    def _commit(self, txn, seen, pending) -> None:
+        serial = all(
+            value == self.committed[key] + own for key, value, own in seen
+        )
+        try:
+            txn.commit()
+        except CommitValidationError:
+            self.verdicts.append((False, serial))
+            txn.abort()
+            return
+        self.verdicts.append((True, serial))
+        for key, count in pending.items():
+            self.committed[key] += count
+
+
+def _grant_everything(sub: TransactionalSubsystem) -> None:
+    """The seeded mutation: the data lock manager lets every
+    transaction past every held lock."""
+    sub.locks.acquire = lambda *args, **kwargs: None
+
+
+@SWEEP
+@given(script=STEPS)
+@example(
+    script=[(0, "w", "x"), (1, "r", "y"), (0, "crash", "x"),
+            (1, "w", "x"), (1, "c", "x"), (2, "r", "x"), (2, "c", "x")],
+)
+def test_property_random_interleavings_are_cpsr_and_aca(script):
+    """Any stepwise interleaving the lock manager admits, crashes
+    included, passes the online check at every commit, is serial in
+    commit order, and its recorded history is CPSR + ACA by the
+    offline oracles."""
+    sub, history = _recorded("prop")
+    run = _Interleaver(sub).play(script)
+    assert all(admitted and serial for admitted, serial in run.verdicts)
+    assert sub.counters.validated == len(run.verdicts)
+    assert {key: sub.store.read(key) for key in SWEEP_KEYS} == run.committed
+    assert _cpsr_and_aca(history)
+
+
+@SWEEP
+@given(script=STEPS)
+@example(
+    script=[(0, "r", "x"), (1, "r", "x"), (0, "w", "x"), (1, "w", "x"),
+            (0, "c", "x"), (1, "c", "x")],
+)
+def test_property_online_check_refuses_exactly_the_non_serial_commits(
+    script,
+):
+    """With every lock granted, the online check refuses a commit if
+    and only if it is not serial in commit order — so it raises at the
+    first bad commit — and what it admitted is all the store holds."""
+    sub = TransactionalSubsystem("mutant")
+    _grant_everything(sub)
+    run = _Interleaver(sub).play(script)
+    for admitted, serial in run.verdicts:
+        assert admitted == serial
+    assert {key: sub.store.read(key) for key in SWEEP_KEYS} == run.committed
+
+
+@pytest.mark.parametrize(
+    "script, cycle",
+    [
+        # Lost update: both read x, both increment it; the second
+        # commit would overwrite the first.
+        ([(0, "r", "x"), (1, "r", "x"), (0, "w", "x"), (1, "w", "x"),
+          (0, "c", "x"), (1, "c", "x")], True),
+        # Write skew across two keys.
+        ([(0, "r", "x"), (1, "r", "y"), (0, "w", "y"), (1, "w", "x"),
+          (0, "c", "x"), (1, "c", "x")], True),
+        # A read overtaken: 1 reads x, 0 increments and commits it,
+        # then 1 commits.  Serializable, but only with 1 first, against
+        # the commit order — which strict 2PL never produces.
+        ([(1, "r", "x"), (0, "w", "x"), (0, "c", "x"), (1, "w", "y"),
+          (1, "c", "y")], False),
+    ],
+    ids=["lost-update", "write-skew", "overtaken-read"],
+)
+def test_a_lock_let_past_is_caught_at_the_first_bad_commit(script, cycle):
+    """The seeded mutation on fixed scripts: the first commit passes,
+    the second — the first that is not serial in commit order — raises
+    and writes nothing.  Where that commit would close a cycle, the
+    offline oracle agrees it is the first bad one."""
+    sub, history = _recorded("mutant")
+    _grant_everything(sub)
+    run = _Interleaver(sub).play(script[:-1])
+    last = run.slots[script[-1][0]][0]
+    assert is_serializable(history)
+    assert is_serializable(history + [(last.txn_id, "c", "")]) != cycle
+    run.step(*script[-1])
+    assert run.verdicts == [(True, True), (False, False)]
+    assert sub.store.snapshot() == {script[2][2]: 1}
 
 
 KEYS = ("x", "y")
@@ -304,12 +457,12 @@ def test_property_crash_preserves_exactly_committed_effects(
         store = Store.open("log", root, fsync="never")
         try:
             sub = SubsystemPool(store=store).create("prop")
+            recorder = HistoryRecorder(sub)
             committed = _run_until_crash(sub, script, crash_at)
             sub.simulate_crash_and_recover()
             assert {key: sub.store.read(key) for key in KEYS} == committed
             reloaded = DurableRecordStore(store.subsystem_data("prop"))
             assert reloaded.snapshot() == sub.store.snapshot()
-            assert sub.is_serializable()
-            assert sub.avoids_cascading_aborts()
+            assert _cpsr_and_aca(recorder.history)
         finally:
             store.close()

@@ -1,9 +1,12 @@
-"""Unit tests for subsystem transactions (undo, strictness)."""
+"""Unit tests for subsystem transactions (buffering, strictness, the
+online commit check)."""
 
 import pytest
 
-from repro.errors import TransactionAborted
+from repro.errors import CommitValidationError, TransactionAborted
+from repro.subsystems.programs import Operation, TransactionProgram
 from repro.subsystems.subsystem import TransactionalSubsystem
+from tests.test_subsystems.oracles import HistoryRecorder
 
 
 @pytest.fixture
@@ -75,16 +78,61 @@ class TestCommitAbort:
 
 
 class TestHistoryRecording:
+    """The test-side recorder the oracles read (the subsystem itself
+    keeps no history)."""
+
     def test_history_records_operations(self, sub):
+        recorder = HistoryRecorder(sub)
         txn = sub.begin()
         txn.read("a")
         txn.write("b", lambda old: 1)
         txn.commit()
-        ops = [(op, key) for _, op, key in sub.history]
+        ops = [(op, key) for _, op, key in recorder.history]
         assert ops == [("r", "a"), ("w", "b"), ("c", "")]
+        assert not hasattr(sub, "history")
 
     def test_history_records_aborts(self, sub):
+        recorder = HistoryRecorder(sub)
         txn = sub.begin()
         txn.write("a", lambda old: 1)
         txn.abort()
-        assert sub.history[-1][1] == "a"
+        assert recorder.history[-1][1] == "a"
+
+
+class TestOnlineValidation:
+    def test_counters_count_committed_writers_per_key(self, sub):
+        for _ in range(3):
+            txn = sub.begin()
+            txn.read("a")
+            txn.write("b", lambda old: old + 1)
+            txn.commit()
+        aborted = sub.begin()
+        aborted.write("a", lambda old: 9)
+        aborted.abort()
+        assert sub.counters.by_key == {"b": 3}
+        assert sub.counters.validated == 3
+
+    def test_atomic_commits_are_all_validated(self, sub):
+        sub.register_program(
+            "p", TransactionProgram("inc", (Operation.write("k"),))
+        )
+        for _ in range(5):
+            sub.execute_activity("p")
+        assert sub.counters.validated == sub.committed_count == 5
+
+    def test_a_commit_of_a_key_read_since_fails_the_reader(self, sub):
+        """With the lock manager bypassed, a writer commits a key a
+        live transaction already read: that transaction must not
+        commit, and writes nothing."""
+        sub.locks.acquire = lambda *args, **kwargs: None
+        reader = sub.begin()
+        reader.read("k")
+        reader.write("m", lambda old: 5)
+        writer = sub.begin()
+        writer.write("k", lambda old: 1)
+        writer.commit()
+        with pytest.raises(CommitValidationError, match="'k'"):
+            reader.commit()
+        assert reader.state.value == "active"
+        assert sub.store.snapshot() == {"k": 1}
+        assert sub.counters.validated == 1
