@@ -44,8 +44,8 @@ BENCH_PATH = (
 )
 
 #: Benchmark point: contended enough that tracing has real work to do
-#: (defers, cascades, wait edges), big enough for stable timing — 400
-#: processes, ~24k events: without the abort storm 80 of them emit
+#: (defers, cascades, parks), big enough for stable timing — 400
+#: processes, ~21.5k events: without the abort storm 80 of them emit
 #: 4.6k (114k before) in a tenth of a second, and the factors below
 #: swing by a third.
 SPEC = WorkloadSpec(

@@ -8,8 +8,9 @@ observable, instead of only the end-of-run aggregates of
 
 * :mod:`repro.obs.events` — the typed event vocabulary (grants with
   positions, defers with the blocking holders and the rule that fired,
-  cascades with the timestamp comparison, lifecycle spans, wait-for
-  edge inserts/deletes, fault injections);
+  cascades with the timestamp comparison, lifecycle spans, fault
+  injections) and the park rule that reads the wait-for graph off the
+  decisions;
 * :mod:`repro.obs.tracer` — the recording :class:`Tracer`, a sink a
   run that must be explained hands the manager (runs with and without
   one stay trace-equivalent);

@@ -169,6 +169,9 @@ class LockDeferred:
     reason: str
     rule: str
     blockers: tuple[Holder, ...] = ()
+    #: Lock shard (subsystem) of the requested activity's type; ``None``
+    #: for commit requests, which span all of the process's shards.
+    shard: str | None = None
 
 
 @dataclass(slots=True)
@@ -184,6 +187,8 @@ class CascadeRequested:
     uid: int | None
     mode: str | None
     victims: tuple[Holder, ...] = ()
+    #: As :attr:`LockDeferred.shard`.
+    shard: str | None = None
 
 
 @dataclass(slots=True)
@@ -196,6 +201,7 @@ class SelfAbortDecision:
     timestamp: int
     request: str
     activity: str | None
+    uid: int | None
     reason: str
     rule: str
 
@@ -296,30 +302,8 @@ class ActivityCancelled:
 
 
 # ----------------------------------------------------------------------
-# wait-for bookkeeping and deadlock resolution
+# deadlock resolution
 # ----------------------------------------------------------------------
-@dataclass(slots=True)
-class WaitEdge:
-    """Insertion or deletion of parked wait-for edges.
-
-    One event covers the whole edge fan (waiter → each blocker) of one
-    parked request; ``park`` is the manager's park sequence, which pairs
-    the delete with its insert for blocked-time accounting.
-    """
-
-    kind = "wait.edge"
-    op: str  # "insert" | "delete"
-    waiter: int
-    blockers: tuple[int, ...]
-    park: int
-    request: str
-    activity: str | None
-    reason: str
-    #: Lock shard (subsystem) of the requested activity's type; ``None``
-    #: for commit requests, which span all of the process's shards.
-    shard: str | None = None
-
-
 @dataclass(slots=True)
 class DeadlockVictim:
     kind = "deadlock.victim"
@@ -449,7 +433,6 @@ EVENT_TYPES: dict[str, type] = {
         ActivityCommitted,
         ActivityFailed,
         ActivityCancelled,
-        WaitEdge,
         DeadlockVictim,
         UnresolvableForced,
         FaultInjected,
@@ -541,3 +524,92 @@ def flat_record(seq: int, t: float, event) -> dict:
     record = {"seq": seq, "t": t, "kind": event.kind}
     record.update(event_payload(event))
     return record
+
+
+# ----------------------------------------------------------------------
+# the park rule: who waits for whom, read off the decisions
+# ----------------------------------------------------------------------
+@dataclass(slots=True, eq=False)
+class Park:
+    """``pid``'s request, parked from ``start`` to ``end`` on the pids of
+    ``wait_for``; ``deferred_at`` is its first defer, carried across
+    re-parks (its lock wait runs from there to its grant)."""
+
+    pid: int
+    request: str
+    uid: int | None
+    start: float
+    wait_for: tuple[int, ...]
+    reason: str
+    shard: str | None
+    deferred_at: float | None
+    end: float | None = None
+
+
+#: Decisions end the park of their request, a defer or cascade starts
+#: the next one; the other kinds end every park of their pid.
+_DECISIONS = {"lock.defer", "lock.cascade", "lock.grant", "lock.self-abort"}
+_PID_ENDS = {
+    "process.abort-begin", "activity.fail", "process.commit", "process.abort"
+}
+
+
+class ParkTracker:
+    """The park rule.  A park starts at its ``lock.defer`` or
+    ``lock.cascade`` and ends at the first of: the next decision on the
+    same ``(pid, request, uid)``; its pid's ``process.abort-begin``,
+    ``activity.fail`` (the failed node's parked siblings are abandoned),
+    ``process.commit`` or ``process.abort``; a ``fault.inject`` of
+    channel ``manager-crash``.  No compensation can be parked at the
+    first two: compensations run only once an abort has begun.
+
+    :meth:`observe` takes events in emit order and calls ``on_end(park,
+    event)`` as each park ends; a replay feeds it the records of
+    :data:`KINDS` through ``record_to_event``.
+    """
+
+    KINDS = frozenset({*_DECISIONS, *_PID_ENDS, "fault.inject"})
+
+    def __init__(self, on_end) -> None:
+        #: pid -> {(request, uid): its open park}, in park order.
+        self.open: dict[int, dict[tuple, Park]] = {}
+        self._on_end = on_end
+
+    def observe(self, t: float, event) -> Park | None:
+        """Apply one event; returns the park it starts, if any."""
+        kind = event.kind
+        if kind == "fault.inject":
+            if event.channel == "manager-crash":
+                for pid in list(self.open):
+                    self._end_parks(pid, t, event)
+            return None
+        if kind not in _DECISIONS:
+            self._end_parks(event.pid, t, event)
+            return None
+        own = self.open.setdefault(event.pid, {})
+        key = (event.request, event.uid)
+        prior = own.pop(key, None)
+        if prior is not None:
+            prior.end = t
+            self._on_end(prior, event)
+        if kind == "lock.defer":
+            holders, reason, since = event.blockers, event.reason, t
+        elif kind == "lock.cascade":
+            holders, reason, since = event.victims, "awaiting-cascade", None
+        else:
+            if not own:
+                del self.open[event.pid]
+            return None
+        if prior is not None and prior.deferred_at is not None:
+            since = prior.deferred_at
+        wait_for = tuple(holder.pid for holder in holders)
+        park = own[key] = Park(
+            event.pid, event.request, event.uid, t, wait_for, reason,
+            event.shard, since,
+        )
+        return park
+
+    def _end_parks(self, pid, t, event) -> None:
+        for park in self.open.pop(pid, {}).values():
+            park.end = t
+            self._on_end(park, event)

@@ -12,6 +12,9 @@ simulation objects, so traces can be explained long after the run.
 
 from __future__ import annotations
 
+from repro.obs.events import ParkTracker
+from repro.obs.export import record_to_event
+
 
 def deferred_pids(records: list[dict]) -> list[int]:
     """Pids that suffered at least one deferment, most-deferred first."""
@@ -20,41 +23,6 @@ def deferred_pids(records: list[dict]) -> list[int]:
         if record["kind"] == "lock.defer":
             counts[record["pid"]] = counts.get(record["pid"], 0) + 1
     return sorted(counts, key=lambda pid: (-counts[pid], pid))
-
-
-def _describe_holder(holder: dict) -> str:
-    mode = f" holding {holder['modes']}" if holder.get("modes") else ""
-    return f"P{holder['pid']} (ts {holder['timestamp']}){mode}"
-
-
-def _park_durations(
-    records: list[dict], pid: int
-) -> tuple[
-    dict[int, float],
-    dict[int, float],
-    dict[int, str | None],
-]:
-    """Map park seq -> insert time, parked duration and lock shard for
-    ``pid``.
-
-    A request still parked when the trace ends has no delete event and
-    therefore no duration entry.  The shard is the subsystem whose lock
-    list the parked request contends on (``None`` for commit requests,
-    which span shards).
-    """
-    inserted: dict[int, float] = {}
-    durations: dict[int, float] = {}
-    shards: dict[int, str | None] = {}
-    for record in records:
-        if record["kind"] != "wait.edge" or record["waiter"] != pid:
-            continue
-        park = record["park"]
-        if record["op"] == "insert":
-            inserted[park] = record["t"]
-            shards[park] = record.get("shard")
-        elif park in inserted:
-            durations[park] = record["t"] - inserted[park]
-    return inserted, durations, shards
 
 
 def _request_label(record: dict) -> str:
@@ -74,16 +42,25 @@ def explain_process(records: list[dict], pid: int) -> str:
     ValueError
         If the trace contains no event for ``pid``.
     """
-    inserted, durations, park_shards = _park_durations(records, pid)
-    # Pair each defer with its park (same waiter, same time, in order)
-    # to attach the parked duration to the defer line.
-    park_seqs = sorted(inserted)
-    park_index = 0
     lines: list[str] = []
     defers = 0
     cascades_suffered = 0
     resubmissions = 0
-    blocked_total = sum(durations.values())
+    blocked_total = 0.0
+    #: The line of each of ``pid``'s deferments still parked.
+    defer_lines: dict = {}
+
+    def ended(park, event) -> None:
+        # A request still parked when the trace ends has no duration.
+        nonlocal blocked_total
+        if park.pid == pid:
+            blocked_total += park.end - park.start
+            if park in defer_lines:
+                lines[defer_lines.pop(park)] += (
+                    f"; parked for {park.end - park.start:g} vt"
+                )
+
+    parks = ParkTracker(ended)
     outcome = "still live at end of trace"
     seen = False
     #: (line index, since) of a restart-gate hold not yet ended.
@@ -95,9 +72,12 @@ def explain_process(records: list[dict], pid: int) -> str:
     for record in records:
         t = record["t"]
         kind = record["kind"]
+        if kind in ParkTracker.KINDS:
+            event = record_to_event(record)
+            park = parks.observe(t, event)
         if kind == "lock.cascade" and record.get("pid") != pid:
-            for victim in record.get("victims", ()):
-                if victim["pid"] == pid:
+            for victim in event.victims:
+                if victim.pid == pid:
                     seen = True
                     cascades_suffered += 1
                     add(
@@ -105,7 +85,7 @@ def explain_process(records: list[dict], pid: int) -> str:
                         f"CASCADE-ABORTED by P{record['pid']} "
                         f"(ts {record['timestamp']}) requesting "
                         f"{_request_label(record)}: holder ts "
-                        f"{victim['timestamp']} lost the timestamp "
+                        f"{victim.timestamp} lost the timestamp "
                         f"comparison",
                     )
             continue
@@ -145,31 +125,20 @@ def explain_process(records: list[dict], pid: int) -> str:
         elif kind == "lock.defer":
             defers += 1
             holders = ", ".join(
-                _describe_holder(h) for h in record["blockers"]
+                holder.describe() for holder in event.blockers
             )
             text = (
                 f"DEFERRED {_request_label(record)} — "
                 f"reason '{record['reason']}' [{record['rule']}]; "
                 f"blocked by {holders or 'terminating processes'}"
             )
-            while park_index < len(park_seqs):
-                seq = park_seqs[park_index]
-                if inserted[seq] < t:
-                    park_index += 1
-                    continue
-                if inserted[seq] == t:
-                    park_index += 1
-                    if park_shards.get(seq):
-                        text += f" [shard {park_shards[seq]}]"
-                    if seq in durations:
-                        text += (
-                            f"; parked for {durations[seq]:g} vt"
-                        )
-                break
+            if park.shard:
+                text += f" [shard {park.shard}]"
+            defer_lines[park] = len(lines)
             add(t, text)
         elif kind == "lock.cascade":
             victims = ", ".join(
-                _describe_holder(v) for v in record["victims"]
+                victim.describe() for victim in event.victims
             )
             add(
                 t,

@@ -31,7 +31,7 @@ import math
 from dataclasses import fields
 from pathlib import Path
 
-from repro.obs.events import EVENT_TYPES, STAMP_KEYS, Holder
+from repro.obs.events import EVENT_TYPES, STAMP_KEYS, Holder, ParkTracker
 from repro.obs.series import SeriesBank
 
 #: Exported µs per virtual time unit (1 vt unit == 1 ms on screen).
@@ -110,30 +110,15 @@ def read_jsonl(path: str | Path) -> list[dict]:
 
 
 # ----------------------------------------------------------------------
-# record -> event restore table
+# record -> event
 # ----------------------------------------------------------------------
-#: Fields holding tuples of :class:`Holder` (JSON lists of dicts).
-_HOLDER_TUPLE_FIELDS = {
-    ("lock.defer", "blockers"),
-    ("lock.cascade", "victims"),
-}
-
-#: Fields holding flat tuples of scalars (JSON lists).
-_SCALAR_TUPLE_FIELDS = {
-    ("process.held", "behind"),
-    ("wait.edge", "blockers"),
-    ("deadlock.victim", "cycle"),
-    ("deadlock.forced", "cycle"),
-}
-
-
 def record_to_event(record: dict):
     """Rebuild the typed event dataclass from one flat record.
 
     Inverse of :meth:`repro.obs.tracer.Stamped.to_record` for the
     payload part: JSON round-trips turn tuples into lists and
-    ``Holder`` entries into dicts, so this restores every tuple-typed
-    field per the tables above.  Covers every class in
+    ``Holder`` entries into dicts, so this restores every field its
+    annotation types as a tuple.  Covers every class in
     :data:`repro.obs.events.EVENT_TYPES`; raises :class:`ValueError`
     on an unknown kind and :class:`TypeError` when required payload
     fields are missing.
@@ -148,12 +133,12 @@ def record_to_event(record: dict):
         if name not in record:
             continue  # absent optional field: let the default fill in
         value = record[name]
-        if (kind, name) in _HOLDER_TUPLE_FIELDS:
+        if field_info.type == "tuple[Holder, ...]":
             value = tuple(
                 item if isinstance(item, Holder) else Holder(**item)
                 for item in value
             )
-        elif (kind, name) in _SCALAR_TUPLE_FIELDS:
+        elif field_info.type.startswith("tuple["):
             value = tuple(value)
         kwargs[name] = value
     return cls(**kwargs)
@@ -280,29 +265,40 @@ def _series_gauges(
 def wait_for_dot(records: list[dict], at: float | None = None) -> str:
     """DOT snapshot of the wait-for graph at virtual time ``at``.
 
-    Replays the ``wait.edge`` insert/delete stream; with ``at`` omitted
-    the snapshot is taken at the moment the graph held the most edges —
-    the most interesting picture of a run's contention.
+    Replays the decisions through the park rule
+    (:class:`~repro.obs.events.ParkTracker`); with ``at`` omitted the
+    snapshot is taken at the moment the graph held the most edges — the
+    most interesting picture of a run's contention.
     """
-    live: dict[int, dict] = {}
-    best: dict[int, dict] = {}
+    # The open parks, in park order, and their edge count.
+    live: dict = {}
+    size = 0
+
+    def ended(park, event) -> None:
+        nonlocal size
+        del live[park]
+        size -= len(park.wait_for)
+
+    parks = ParkTracker(ended)
+    best: list = []
     best_t = 0.0
     best_size = -1
     for record in records:
-        if record["kind"] != "wait.edge":
+        if record["kind"] not in ParkTracker.KINDS:
             continue
-        if at is not None and record["t"] > at:
+        t = record["t"]
+        if at is not None and t > at:
             break
-        if record["op"] == "insert":
-            live[record["park"]] = record
-        else:
-            live.pop(record["park"], None)
-        size = sum(len(r["blockers"]) for r in live.values())
+        started = parks.observe(t, record_to_event(record))
+        if started is None:
+            continue  # the graph only shrank, if it changed at all
+        live[started] = None
+        size += len(started.wait_for)
         if size > best_size:
             best_size = size
-            best = dict(live)
-            best_t = record["t"]
-    snapshot = live if at is not None else best
+            best = list(live)
+            best_t = t
+    snapshot = list(live) if at is not None else best
     when = at if at is not None else best_t
     lines = [
         "digraph waitfor {",
@@ -311,26 +307,20 @@ def wait_for_dot(records: list[dict], at: float | None = None) -> str:
         "  node [shape=circle];",
     ]
     nodes: set[int] = set()
-    for record in snapshot.values():
-        nodes.add(record["waiter"])
-        nodes.update(record["blockers"])
+    for park in snapshot:
+        nodes.add(park.pid)
+        nodes.update(park.wait_for)
     for pid in sorted(nodes):
         lines.append(f'  p{pid} [label="P{pid}"];')
-    for record in sorted(snapshot.values(), key=lambda r: r["park"]):
+    for park in snapshot:
         # Annotate each edge with the lock shard (subsystem) the parked
         # request contends on; commit requests span shards and carry
         # none.
-        shard = record.get("shard")
         label = (
-            f"{record['reason']}\\n@{shard}"
-            if shard
-            else record["reason"]
+            f"{park.reason}\\n@{park.shard}" if park.shard else park.reason
         )
-        for blocker in record["blockers"]:
-            lines.append(
-                f'  p{record["waiter"]} -> p{blocker} '
-                f'[label="{label}"];'
-            )
+        for blocker in park.wait_for:
+            lines.append(f'  p{park.pid} -> p{blocker} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -40,6 +40,8 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
 
+from repro.obs.events import ParkTracker
+
 __all__ = [
     "Counter",
     "EventMetrics",
@@ -744,10 +746,8 @@ class EventMetrics:
         self._gauge_targets: dict[str, tuple | object] = {}
         #: event class -> (its ``repro_events_total`` key, its handler).
         self._by_class: dict[type, tuple] = {}
-        #: pid -> {(uid, request): virtual time of its first defer};
-        #: dropped when the pid's abort begins or it is cancelled.
-        self._defer_since: dict[int, dict[tuple, float]] = {}
-        self._park_since: dict[int, tuple[float, str]] = {}
+        #: The open parks, read off the decisions (the park rule).
+        self._parks = ParkTracker(self._park_ended)
         self._retry_counts: dict[int, int] = {}
         self._filed: set[int] = set()
         #: A ``lock.cascade`` decision whose first abort has not begun.
@@ -772,7 +772,6 @@ class EventMetrics:
             "activity.commit": self._on_activity_commit,
             "activity.fail": self._on_activity_fail,
             "activity.cancel": self._on_activity_cancel,
-            "wait.edge": self._on_wait_edge,
             "deadlock.victim": self._on_deadlock_victim,
             "deadlock.forced": self._on_deadlock_forced,
             "fault.inject": self._on_fault,
@@ -906,12 +905,13 @@ class EventMetrics:
 
     def _on_commit(self, t, event) -> None:
         self.outcomes.bump(("committed",))
+        self._parks.observe(t, event)
 
     def _on_abort_begin(self, t, event) -> None:
         self.aborts.bump((event.cause,))
-        # Its deferred requests die with the incarnation; a successor
+        # Its parked requests die with the incarnation; a successor
         # that asks again waits from its own defer.
-        self._defer_since.pop(event.pid, None)
+        self._parks.observe(t, event)
         if event.cause == "cascade":
             # A victim counts where its abort begins, a cascade once
             # per decision that begins one.
@@ -921,6 +921,7 @@ class EventMetrics:
                 self.cascades.bump(())
 
     def _on_abort(self, t, event) -> None:
+        self._parks.observe(t, event)
         if event.resubmit:
             return
         if event.pid in self._filed:
@@ -930,7 +931,6 @@ class EventMetrics:
 
     def _on_cancel(self, t, event) -> None:
         self.outcomes.bump(("cancelled",))
-        self._defer_since.pop(event.pid, None)
         if event.initiated:
             self._filed.add(event.pid)
 
@@ -943,26 +943,30 @@ class EventMetrics:
 
     def _on_grant(self, t, event) -> None:
         self.lock_grants.bump((event.request,))
-        stamps = self._defer_since.get(event.pid)
-        if stamps is None:
-            return
-        since = stamps.pop((event.uid, event.request), None)
-        if not stamps:
-            del self._defer_since[event.pid]
-        if since is not None:
-            self.lock_wait.record((event.request,), t - since)
+        self._parks.observe(t, event)
 
     def _on_defer(self, t, event) -> None:
         self.lock_defers.bump((event.rule,))
-        self._defer_since.setdefault(event.pid, {}).setdefault(
-            (event.uid, event.request), t
-        )
+        self._park_started(self._parks.observe(t, event))
 
     def _on_cascade(self, t, event) -> None:
         self._cascade_pending = True
+        self._park_started(self._parks.observe(t, event))
+
+    def _park_started(self, park) -> None:
+        self.parks.bump((park.shard if park.shard is not None else "none",))
+
+    def _park_ended(self, park, event) -> None:
+        shard = park.shard if park.shard is not None else "none"
+        self.park_duration.record((shard,), park.end - park.start)
+        if park.deferred_at is not None and event.kind == "lock.grant":
+            self.lock_wait.record(
+                (park.request,), park.end - park.deferred_at
+            )
 
     def _on_self_abort(self, t, event) -> None:
         self.self_aborts.bump((event.rule,))
+        self._parks.observe(t, event)
 
     def _on_convert(self, t, event) -> None:
         self.conversions.bump(())
@@ -1012,6 +1016,7 @@ class EventMetrics:
         self._busy_until(t)
         self._running.discard(event.uid)
         self.activities.bump(("failed",))
+        self._parks.observe(t, event)
 
     def _on_activity_cancel(self, t, event) -> None:
         if event.uid in self._running:
@@ -1022,16 +1027,6 @@ class EventMetrics:
             (), self._retry_counts.pop(event.uid, 0)
         )
 
-    def _on_wait_edge(self, t, event) -> None:
-        shard = event.shard if event.shard is not None else "none"
-        if event.op == "insert":
-            self.parks.bump((shard,))
-            self._park_since[event.park] = (t, shard)
-        else:
-            since = self._park_since.pop(event.park, None)
-            if since is not None:
-                self.park_duration.record((since[1],), t - since[0])
-
     def _on_deadlock_victim(self, t, event) -> None:
         self.deadlock_victims_total.bump(())
 
@@ -1041,9 +1036,10 @@ class EventMetrics:
     def _on_fault(self, t, event) -> None:
         self.faults.bump((event.channel,))
         if event.channel == "manager-crash":
-            # The crashed incarnation's executions end with it.
+            # The crashed incarnation's executions and parks end with it.
             self._busy_until(t)
             self._running.clear()
+            self._parks.observe(t, event)
 
     def _on_retry_budget(self, t, event) -> None:
         subsystem = (

@@ -43,7 +43,6 @@ class ParkedRequest:
     mode: LockMode | None = None
     wait_for: frozenset[int] = frozenset()
     reason: str = ""
-    parked_at: float = 0.0
     seq: int = 0
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic

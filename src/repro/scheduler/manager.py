@@ -62,7 +62,6 @@ from repro.obs.events import (
     RetryBudgetExhausted,
     SelfAbortDecision,
     UnresolvableForced,
-    WaitEdge,
     rule_for_reason,
 )
 from repro.process.instance import (
@@ -588,7 +587,6 @@ class ProcessManager:
                 process=process,
                 activity=activity,
                 mode=mode,
-                parked_at=self.engine.now,
             ),
         )
 
@@ -599,7 +597,6 @@ class ProcessManager:
             ParkedRequest(
                 kind=RequestKind.COMMIT,
                 process=process,
-                parked_at=self.engine.now,
             ),
         )
 
@@ -961,7 +958,6 @@ class ProcessManager:
                 kind=RequestKind.COMPENSATION,
                 process=process,
                 activity=activity,
-                parked_at=self.engine.now,
             ),
         )
 
@@ -1144,7 +1140,6 @@ class ProcessManager:
         self._parked_of.setdefault(request.process.pid, {})[seq] = request
         for pid in request.wait_for:
             self._wait_index.setdefault(pid, set()).add(seq)
-        self.tracer.emit(self._wait_edge_event("insert", request))
 
     def _unpark(self, request: ParkedRequest) -> None:
         """Remove a parked request and unregister its index entries."""
@@ -1160,7 +1155,6 @@ class ProcessManager:
                 bucket.discard(seq)
                 if not bucket:
                     del self._wait_index[pid]
-        self.tracer.emit(self._wait_edge_event("delete", request))
 
     def _retry_parked(self, dead_pid: int) -> None:
         """Wake the requests that waited on a terminated process.
@@ -1329,19 +1323,6 @@ class ProcessManager:
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
-    def _wait_edge_event(self, op: str, request: ParkedRequest) -> WaitEdge:
-        activity = request.activity
-        return WaitEdge(
-            op,
-            request.process.pid,
-            tuple(sorted(request.wait_for)),
-            request.seq,
-            request.kind._value_,
-            activity.name if activity else None,
-            request.reason,
-            activity.activity_type.subsystem if activity else None,
-        )
-
     def _holder_info(self, pids) -> tuple[Holder, ...]:
         """Blocking-holder snapshots (timestamp + held modes) for pids."""
         table = self.protocol.table
@@ -1357,16 +1338,19 @@ class ProcessManager:
     def _trace_decision(
         self, decision: Decision, request: ParkedRequest
     ) -> None:
-        """Emit the typed event for one protocol decision (here and in
-        :meth:`_wait_edge_event` an Enum's spelling is read as its
-        ``_value_``: ``.value`` is a property call)."""
+        """Emit the typed event for one protocol decision (an Enum's
+        spelling is read as its ``_value_``: ``.value`` is a property
+        call).  A defer or cascade event is the park: the wait-for graph
+        is read off these events (:class:`~repro.obs.events.ParkTracker`).
+        """
         process = request.process
         pid, incarnation = process.pid, process.incarnation
         kind = request.kind
         activity = request.activity
-        name = uid = None
+        name = uid = shard = None
         if activity is not None:
             name, uid = activity.name, activity.uid
+            shard = activity.activity_type.subsystem
         if kind is RequestKind.COMPENSATION:
             mode = "C"
         else:
@@ -1383,38 +1367,22 @@ class ProcessManager:
                 entry.position if entry else None,
             )
         elif isinstance(decision, Defer):
+            reason = decision.reason
             event = LockDeferred(
-                pid=pid,
-                incarnation=incarnation,
-                timestamp=process.timestamp,
-                request=kind._value_,
-                activity=name,
-                uid=uid,
-                mode=mode,
-                reason=decision.reason,
-                rule=rule_for_reason(decision.reason),
-                blockers=self._holder_info(decision.wait_for),
+                pid, incarnation, process.timestamp, kind._value_, name, uid,
+                mode, reason, rule_for_reason(reason),
+                self._holder_info(decision.wait_for), shard,
             )
         elif isinstance(decision, AbortVictims):
             event = CascadeRequested(
-                pid=pid,
-                incarnation=incarnation,
-                timestamp=process.timestamp,
-                request=kind._value_,
-                activity=name,
-                uid=uid,
-                mode=mode,
-                victims=self._holder_info(decision.victims),
+                pid, incarnation, process.timestamp, kind._value_, name, uid,
+                mode, self._holder_info(decision.victims), shard,
             )
         else:
+            reason = decision.reason
             event = SelfAbortDecision(
-                pid=pid,
-                incarnation=incarnation,
-                timestamp=process.timestamp,
-                request=kind._value_,
-                activity=name,
-                reason=decision.reason,
-                rule=rule_for_reason(decision.reason),
+                pid, incarnation, process.timestamp, kind._value_, name, uid,
+                reason, rule_for_reason(reason),
             )
         self.tracer.emit(event)
 

@@ -2,7 +2,7 @@
 
 Activities of different subsystems never conflict, so the per-type lock
 lists split cleanly by owning subsystem (a "shard" in the metric labels
-and the ``wait.edge`` events).  The table keeps no per-shard state: the
+and the ``lock.defer`` / ``lock.cascade`` events).  The table keeps no per-shard state: the
 per-subsystem counts are read off the per-type lists when asked, and the
 whole-table oracle (``full_audit``) checks every subsystem's lists at
 once.  These tests pin the partition, the derived counts, the oracle's
@@ -141,13 +141,15 @@ class TestShardObservability:
         # One gauge per subsystem of the registry, zeros included.
         assert subsystems == {t.subsystem for t in workload.registry}
         assert len(subsystems) == 3
-        wait_edges = [
+        parks = [
             record
             for record in tracer.records()
-            if record["kind"] == "wait.edge"
+            if record["kind"] in ("lock.defer", "lock.cascade")
         ]
-        assert wait_edges
-        for record in wait_edges:
+        assert {record["kind"] for record in parks} == {
+            "lock.defer", "lock.cascade"
+        }
+        for record in parks:
             if record["request"] == "commit":
                 assert record["shard"] is None
             else:

@@ -155,11 +155,22 @@ _POSITIONAL_PREFIX = {
     ),
     "activity.commit": ("pid", "incarnation", "activity", "uid"),
     "activity.fail": ("pid", "incarnation", "activity", "uid"),
-    "wait.edge": (
-        "op", "waiter", "blockers", "park", "request", "activity",
-        "reason", "shard",
-    ),
     "process.starved": ("pid", "resubmissions"),
+    # Every decision names its request as ``(pid, request, uid)``, the
+    # key the park rule ends a park on; a defer or cascade, which is
+    # the park, names the shard it contends on.
+    "lock.defer": (
+        "pid", "incarnation", "timestamp", "request", "activity", "uid",
+        "mode", "reason", "rule", "blockers", "shard",
+    ),
+    "lock.cascade": (
+        "pid", "incarnation", "timestamp", "request", "activity", "uid",
+        "mode", "victims", "shard",
+    ),
+    "lock.self-abort": (
+        "pid", "incarnation", "timestamp", "request", "activity", "uid",
+        "reason", "rule",
+    ),
 }
 
 
@@ -168,3 +179,4 @@ def test_positionally_built_events_keep_their_field_order(kind):
     order = _POSITIONAL_PREFIX[kind]
     names = tuple(spec.name for spec in dataclasses.fields(EVENT_TYPES[kind]))
     assert names[: len(order)] == order
+

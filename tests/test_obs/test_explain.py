@@ -6,6 +6,14 @@ import pytest
 
 from repro.core.cost_based import figure1_steps_from_trace, figure1_trace
 from repro.obs import Tracer, deferred_pids, explain_process
+from repro.obs.events import (
+    AbortBegun,
+    CascadeRequested,
+    Holder,
+    LockDeferred,
+    LockGranted,
+    ProcessSubmitted,
+)
 from repro.sim.runner import run_workload
 from repro.sim.workload import WorkloadSpec, build_workload
 
@@ -117,6 +125,40 @@ class TestExplain:
     def test_unknown_pid_raises(self, records):
         with pytest.raises(ValueError, match="no events"):
             explain_process(records, 999_999)
+
+    def test_a_deferral_keeps_its_own_park_beside_a_cascade(self):
+        """P1's compensation asks for a cascade and, re-asked once P3's
+        abort is under way, is deferred at the same instant.  The defer
+        line carries its own park (2.5 vt), not the cascade's (0 vt)."""
+        request = dict(
+            pid=1, incarnation=0, timestamp=1, request="compensation",
+            activity="act02^-1", uid=7, mode="C", shard="sub2",
+        )
+        clock = [5.0]
+        tracer = Tracer()
+        tracer.bind_clock(lambda: clock[0])
+        tracer.emit(ProcessSubmitted(pid=1))
+        tracer.emit(
+            CascadeRequested(**request, victims=(Holder(3, 3, "C"),))
+        )
+        tracer.emit(AbortBegun(pid=3, incarnation=0, cause="cascade"))
+        tracer.emit(
+            LockDeferred(
+                **request, reason="wait-aborting", rule="C⁻¹-Rule",
+                blockers=(Holder(71, 71, "C"),),
+            )
+        )
+        clock[0] = 7.5
+        tracer.emit(
+            LockGranted(
+                pid=1, incarnation=0, request="compensation",
+                activity="act02^-1", uid=7, mode="C", position=0,
+            )
+        )
+        text = explain_process(tracer.records(), 1)
+        (line,) = [line for line in text.splitlines() if "DEFERRED" in line]
+        assert line.endswith("[shard sub2]; parked for 2.5 vt")
+        assert "time parked: 2.5 vt" in text
 
 
 class TestFigure1FromTrace:

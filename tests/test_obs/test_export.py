@@ -72,21 +72,32 @@ def test_perfetto_closes_dangling_spans_at_trace_end():
 
 
 def test_wait_for_dot_snapshots_peak_contention():
-    def edge(park, t, op, waiter, blockers):
-        return {"park": park, "t": t, "kind": "wait.edge", "op": op,
-                "waiter": waiter, "blockers": blockers, "request":
-                "regular", "activity": "reserve", "reason": "x"}
+    def defer(t, pid, uid, blockers):
+        return {"t": t, "kind": "lock.defer", "pid": pid, "incarnation": 0,
+                "timestamp": pid, "request": "regular",
+                "activity": "reserve", "uid": uid, "mode": "C",
+                "reason": "x", "rule": "y",
+                "blockers": [{"pid": b, "timestamp": b, "modes": "C"}
+                             for b in blockers],
+                "shard": "sub0"}
+
+    def grant(t, pid, uid):
+        return {"t": t, "kind": "lock.grant", "pid": pid,
+                "incarnation": 0, "request": "regular",
+                "activity": "reserve", "uid": uid, "mode": "C",
+                "position": 0}
 
     records = [
-        edge(1, 1.0, "insert", 3, [1]),
-        edge(2, 2.0, "insert", 4, [1, 2]),  # peak: 3 edges
-        edge(1, 3.0, "delete", 3, [1]),
-        edge(2, 4.0, "delete", 4, [1, 2]),
+        defer(1.0, 3, 30, [1]),
+        defer(2.0, 4, 40, [1, 2]),  # peak: 3 edges
+        grant(3.0, 3, 30),  # the next decision on a request ends its park
+        grant(4.0, 4, 40),
     ]
     dot = wait_for_dot(records)
     assert dot.startswith("digraph waitfor {")
     assert "@ vt 2" in dot
     assert "p3 -> p1" in dot and "p4 -> p2" in dot
+    assert 'label="x\\n@sub0"' in dot
     # ``at`` replays up to a cut-off instead of taking the peak.
     late = wait_for_dot(records, at=3.5)
     assert "p3 -> p1" not in late and "p4 -> p1" in late
@@ -187,6 +198,7 @@ EXEMPLARS = [
         activity="reserve", uid=9, mode="w", reason="conflict",
         rule="Comp-Rule",
         blockers=(Holder(pid=2, timestamp=1, modes="w"),),
+        shard="bank",
     ),
     ev.CascadeRequested(
         pid=1, incarnation=0, timestamp=3, request="commit",
@@ -198,7 +210,7 @@ EXEMPLARS = [
     ),
     ev.SelfAbortDecision(
         pid=1, incarnation=0, timestamp=3, request="regular",
-        activity="reserve", reason="older holder", rule="WW",
+        activity="reserve", uid=9, reason="older holder", rule="WW",
     ),
     ev.UnresolvableCascade(pid=1, activity="reserve", holder=2),
     ev.LockConverted(pid=1, type_name="reserve", position=0),
@@ -218,11 +230,6 @@ EXEMPLARS = [
     ),
     ev.ActivityFailed(pid=1, incarnation=0, activity="charge", uid=9),
     ev.ActivityCancelled(pid=1, incarnation=0, activity="ship", uid=9),
-    ev.WaitEdge(
-        op="insert", waiter=1, blockers=(2, 3), park=7,
-        request="regular", activity="reserve", reason="conflict",
-        shard="bank",
-    ),
     ev.DeadlockVictim(pid=1, cycle=(1, 2, 3)),
     ev.UnresolvableForced(pid=1, request="commit", cycle=(1, 2)),
     ev.FaultInjected(
@@ -243,7 +250,7 @@ EXEMPLARS = [
 
 def test_exemplars_cover_every_event_type():
     assert {type(e).kind for e in EXEMPLARS} == set(EVENT_TYPES)
-    assert len(EVENT_TYPES) == 29
+    assert len(EVENT_TYPES) == 28
 
 
 @pytest.mark.parametrize(

@@ -121,7 +121,7 @@ def test_a_dumped_ring_equals_the_events_as_they_were_emitted():
     kinds = {record["kind"] for record in dumped}
     assert {
         "lock.grant", "lock.defer", "lock.cascade", "wcc.classify",
-        "activity.start", "activity.commit", "wait.edge",
+        "activity.start", "activity.commit",
     } <= kinds
     requests = {"regular", "compensation", "commit"}
     for record in dumped:
@@ -138,7 +138,9 @@ def test_a_dumped_ring_equals_the_events_as_they_were_emitted():
             assert isinstance(record["activity"], str)
             assert isinstance(record["uid"], int)
             assert isinstance(record["compensation"], bool)
-        elif kind == "wait.edge":
-            assert record["op"] in {"insert", "delete"}
+        elif kind in ("lock.defer", "lock.cascade"):
+            # A park: its request and the shard it contends on.
             assert record["request"] in requests
-            assert isinstance(record["park"], int)
+            assert (record["shard"] is None) == (
+                record["request"] == "commit"
+            )

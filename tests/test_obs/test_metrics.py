@@ -28,6 +28,8 @@ from repro.obs.events import (
     AbortBegun,
     ActivityCommitted,
     ActivityRetried,
+    CascadeRequested,
+    FaultInjected,
     LockDeferred,
     LockGranted,
     ProcessCancelled,
@@ -247,7 +249,32 @@ class TestEventMetrics:
         assert m.lock_wait.cumulative(("commit",))[:2] == [
             (0.5, 0), (1.0, 1),
         ]
-        assert m._defer_since == {}
+        assert m._parks.open == {}
+
+    def test_parks_are_read_off_the_decisions(self):
+        """A defer or cascade is a park; the next decision on its
+        request, or a manager crash, ends it."""
+        m = EventMetrics()
+        defer = LockDeferred(
+            pid=1, incarnation=0, timestamp=1, request="regular",
+            activity="reserve", uid=9, mode="C", reason="conflict",
+            rule="Comp-Rule", shard="shop",
+        )
+        m.observe(2.0, defer)
+        m.observe(3.0, CascadeRequested(
+            pid=2, incarnation=0, timestamp=2, request="commit",
+            activity=None, uid=None, mode=None,
+        ))
+        m.observe(4.0, defer)  # re-park: the first park lasted 2 vt
+        m.observe(6.5, FaultInjected(channel="manager-crash"))
+        assert m.parks.value(("shop",)) == 2
+        assert m.parks.value(("none",)) == 1
+        durations = m.park_duration._children
+        assert durations[("shop",)].total == 4.5  # 2 + 2.5
+        assert durations[("none",)].total == 3.5
+        assert m._parks.open == {}
+        # A crash ends a wait, but grants nothing.
+        assert m.lock_wait._children == {}
 
     def test_retries_histogram_counts_attempts_per_uid(self):
         m = EventMetrics()
@@ -376,8 +403,9 @@ def test_every_pid_is_counted_once_under_its_fate(seed, max_resubmissions):
 def test_no_defer_stamp_outlives_its_incarnation():
     """4,000 submits in 16-process bursts on the contended catalog, a
     quarter of each burst cancelled while it runs: at quiescence no
-    first-defer stamp is left.  Each deferred request of a pid that was
-    then cancelled or aborted used to keep one for ever."""
+    park is left open, and with it no first-defer stamp.  Each deferred
+    request of a pid that was then cancelled or aborted used to keep
+    one for ever."""
     spec = WorkloadSpec(
         n_processes=16,
         n_activity_types=12,
@@ -406,7 +434,7 @@ def test_no_defer_stamp_outlives_its_incarnation():
     assert metrics.lock_defers.total() > 0
     assert metrics.aborts.value(("cancel",)) > 0
     assert metrics.aborts.value(("cascade",)) > 0
-    assert metrics._defer_since == {}
+    assert metrics._parks.open == {}
 
 
 def test_tee_leaves_sink_tracer_records_byte_identical(uid_floor):

@@ -61,8 +61,8 @@ class TestStamping:
         assert record["blockers"][0]["modes"] == "P"
 
     def test_every_record_of_a_contended_run_keeps_its_stamp(self):
-        """``wait.edge`` included: its park sequence is ``park``, not a
-        payload ``seq`` laid over the stream's."""
+        """Parks included: a park is its ``lock.defer`` or
+        ``lock.cascade``, which carries no sequence of its own."""
         from repro.sim.runner import run_workload
         from repro.sim.workload import WorkloadSpec, build_workload
 
@@ -75,7 +75,8 @@ class TestStamping:
             tracer=tracer,
         )
         records = tracer.records()
-        assert any(r["kind"] == "wait.edge" for r in records)
+        assert any(r["kind"] == "lock.defer" for r in records)
+        assert not any("park" in r for r in records)
         assert [r["seq"] for r in records] == list(range(len(records)))
 
     def test_a_field_named_like_a_stamp_is_rejected(self):

@@ -336,7 +336,8 @@ def test_the_serving_process_loads_neither_asyncio_nor_ssl():
 # ----------------------------------------------------------------------
 #: The shard map, its round-robin audit, the queue-depth book and the
 #: sampling knob.  ``shard`` itself stays: as a metric label and a
-#: ``wait.edge`` field it names the subsystem owning the contended type.
+#: ``lock.defer`` / ``lock.cascade`` field it names the subsystem owning
+#: the contended type.
 LOCK_SHARD_MAP = re.compile(
     r"LockShard|\bshard_of\b|shard_names|_check_shard|_note_shard_depth"
     r"|_shard_depth_counts|_audit_shard_cursor|repro_shard_queue_depth"
@@ -349,6 +350,28 @@ def test_lock_shard_map_leaves_no_trace():
     it changes nothing."""
     pins = {"tests/test_repo_links.py", "tests/test_cli.py"}
     offenders = _traces_of(LOCK_SHARD_MAP, pins)
+    assert not offenders, offenders
+
+
+# ----------------------------------------------------------------------
+# one event per park (DESIGN.md, "Removed: the wait-edge events")
+# ----------------------------------------------------------------------
+#: The wait-edge event kind and the second set of park bookkeeping that
+#: paired its inserts with its deletes.
+WAIT_EDGE = re.compile(
+    r"wait\.edge|WaitEdge|_wait_edge_event|_park_since|_on_wait_edge"
+)
+
+
+def test_wait_edge_leaves_no_trace():
+    """A park is its ``lock.defer`` or ``lock.cascade``; the wait-for
+    graph is read off the decisions (``ParkTracker``)."""
+    offenders = [
+        f"{path.relative_to(ROOT)}:{number}"
+        for path in _python_files("src", "examples", "benchmarks")
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if WAIT_EDGE.search(line)
+    ]
     assert not offenders, offenders
 
 

@@ -59,6 +59,13 @@ they were accepted (0 before); the new frames are the old ones but for
 the ``journal_lsn`` of the two ``store.snapshot`` events, which counts
 half the records.  ``trace``, ``trace_as_format_3``, ``gauges`` and the
 five schedule digests did not move.
+``frames`` alone was recorded once more when a park became its
+decision event and the ``wait.edge`` kind went: the old frames with
+every ``wait.edge`` record taken out, ``seq`` renumbered over what is
+left, and each ``lock.defer`` / ``lock.cascade`` given the ``shard`` of
+the ``wait.edge`` insert that followed it hash to the new digest.
+``journal``, ``trace``, ``gauges``, both ``*_as_format_3`` digests and
+the five schedule digests did not move.
 
 The scripted session runs in a fresh interpreter: its records carry
 activity uids as they are, and those come from a module-global counter
@@ -105,7 +112,7 @@ RECORDED = {
         "8b64c80856c02edd264295c21dae8ef69fa31cead4ddced0b1a29c6b0a11daf5"
     ),
     "frames": (
-        "ab31ef9fcca31528c804f58ec2b133ad472cd25ace1dd911b8c3452c6231da2c"
+        "632d8d8c4dbe737e22832f22f4e387278acef7bdceabc4713d4d98a5a011b805"
     ),
     "gauges": (
         "2c10a42c94ad92c5db08d442762f57edd0e01f7dbe116c06f0f8f159d58d7496"
