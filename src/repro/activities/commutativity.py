@@ -18,7 +18,7 @@ Two structural facts are enforced here:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 from repro.activities.registry import ActivityRegistry
 from repro.errors import CommutativityError
@@ -227,11 +227,6 @@ class ConflictMatrix:
             )
         self._conflicts.add(frozenset((first, second)))
         self._invalidate()
-
-    def declare_conflicts(self, pairs: Iterable[tuple[str, str]]) -> None:
-        """Declare several conflicts at once."""
-        for first, second in pairs:
-            self.declare_conflict(first, second)
 
     def close_perfect(self) -> None:
         """Extend the relation so that commutativity becomes perfect.

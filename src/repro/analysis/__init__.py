@@ -9,33 +9,22 @@ from repro.analysis.exhibits import (
     table1_text,
     table2_text,
 )
-from repro.analysis.export import rows_to_json, save_rows
-from repro.analysis.stats import (
-    Summary,
-    monotone_decreasing,
-    monotone_increasing,
-    speedup,
-    summarize_sample,
-)
+from repro.analysis.export import rows_to_json
+from repro.analysis.stats import monotone_increasing
 from repro.analysis.tables import render_dict_table, render_table
 from repro.analysis.timeline import render_timeline
 
 __all__ = [
     "PAPER_TABLE2",
-    "Summary",
     "all_exhibits_text",
     "build_figure1_demo",
     "derive_lock_compatibility",
     "figure1_text",
-    "monotone_decreasing",
     "monotone_increasing",
     "render_dict_table",
     "render_table",
     "render_timeline",
     "rows_to_json",
-    "save_rows",
-    "speedup",
-    "summarize_sample",
     "table1_text",
     "table2_text",
 ]

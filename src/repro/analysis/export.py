@@ -10,7 +10,6 @@ import dataclasses
 import json
 import math
 from collections.abc import Mapping, Sequence
-from pathlib import Path
 
 
 def _jsonable(value):
@@ -40,13 +39,3 @@ def rows_to_json(
 ) -> str:
     """Serialize experiment rows (dicts or dataclasses) to JSON."""
     return json.dumps([_jsonable(row) for row in rows], indent=indent)
-
-
-def save_rows(
-    path: str | Path,
-    rows: Sequence[Mapping[str, object]] | Sequence[object],
-) -> Path:
-    """Write :func:`rows_to_json` output to ``path``; returns the path."""
-    target = Path(path)
-    target.write_text(rows_to_json(rows) + "\n", encoding="utf-8")
-    return target

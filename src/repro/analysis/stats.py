@@ -2,58 +2,6 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Mean and spread of a sample."""
-
-    n: int
-    mean: float
-    std: float
-    ci95_half_width: float
-
-    @property
-    def ci95(self) -> tuple[float, float]:
-        return (
-            self.mean - self.ci95_half_width,
-            self.mean + self.ci95_half_width,
-        )
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.mean:.3f} ± {self.ci95_half_width:.3f} (n={self.n})"
-
-
-def summarize_sample(values: list[float]) -> Summary:
-    """Mean, standard deviation, and a normal-approximation 95% CI."""
-    n = len(values)
-    if n == 0:
-        return Summary(n=0, mean=0.0, std=0.0, ci95_half_width=0.0)
-    mean = sum(values) / n
-    if n == 1:
-        return Summary(n=1, mean=mean, std=0.0, ci95_half_width=0.0)
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    std = math.sqrt(var)
-    half = 1.96 * std / math.sqrt(n)
-    return Summary(n=n, mean=mean, std=std, ci95_half_width=half)
-
-
-def speedup(baseline: float, improved: float) -> float:
-    """``baseline / improved`` (how many times faster), inf-safe."""
-    if improved <= 0:
-        return math.inf if baseline > 0 else 1.0
-    return baseline / improved
-
-
-def monotone_decreasing(values: list[float], slack: float = 0.0) -> bool:
-    """Whether the series decreases (within ``slack`` tolerance)."""
-    return all(
-        later <= earlier + slack
-        for earlier, later in zip(values, values[1:])
-    )
-
 
 def monotone_increasing(values: list[float], slack: float = 0.0) -> bool:
     """Whether the series increases (within ``slack`` tolerance)."""

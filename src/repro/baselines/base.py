@@ -82,9 +82,6 @@ class BaselineProtocol:
             if proc.state is ProcessState.RUNNING
         }
 
-    def live_processes(self) -> list[Process]:
-        return list(self._processes.values())
-
     # ------------------------------------------------------------------
     # defaults
     # ------------------------------------------------------------------

@@ -117,21 +117,8 @@ class Digraph:
         self._succ[tail][head] = None
         self._pred[head][tail] = None
 
-    def remove_edge(self, tail: int, head: int) -> None:
-        del self._succ[tail][head]
-        del self._pred[head][tail]
-
-    def remove_node(self, node: int) -> None:
-        for head in self._succ.pop(node):
-            del self._pred[head][node]
-        for tail in self._pred.pop(node):
-            del self._succ[tail][node]
-
     def successors(self, node: int) -> Iterator[int]:
         return iter(self._succ.get(node, ()))
-
-    def out_degree(self, node: int) -> int:
-        return len(self._succ.get(node, ()))
 
 
 def _edge_dfs(graph: Digraph, start_node: int) -> Iterator[tuple[int, int]]:

@@ -159,9 +159,6 @@ class ProcessLockManager:
         """Pid of the process holding the one-completing-process token."""
         return self._token_owner
 
-    def live_processes(self) -> list[Process]:
-        return list(self._processes.values())
-
     def restore_grant(
         self,
         process: Process,

@@ -33,7 +33,6 @@ observable, instead of only the end-of-run aggregates of
 
 from repro.obs.explain import deferred_pids, explain_process
 from repro.obs.export import (
-    events_from_records,
     export_all,
     perfetto_trace,
     read_jsonl,
@@ -61,7 +60,6 @@ __all__ = [
     "SeriesBank",
     "Tracer",
     "deferred_pids",
-    "events_from_records",
     "explain_process",
     "export_all",
     "histogram_quantile",

@@ -10,12 +10,12 @@ Events are built on every emit, so they are plain (not frozen) slotted
 dataclasses: a frozen one pays an ``object.__setattr__`` call per field
 at construction.  Nothing mutates an event once emitted.
 
-Events do **not** carry their own clock — the
-:class:`~repro.obs.tracer.Tracer` stamps each emit with the virtual time
-and a global sequence number, and serializes the pair together with the
-payload (see :meth:`~repro.obs.tracer.Stamped.to_record`).  The flat
-record dictionaries are what the JSONL log, the exporters, and the
-explain replay consume.
+Events do **not** carry their own clock — the manager's fold
+(:meth:`~repro.obs.metrics.MetricsTracer.emit`) stamps each emit with
+the virtual time and a global sequence number, and every consumer
+serializes the pair together with the payload through
+:func:`flat_record`.  The flat record dictionaries are what the JSONL
+log, the exporters, and the explain replay consume.
 """
 
 from __future__ import annotations

@@ -115,7 +115,7 @@ def read_jsonl(path: str | Path) -> list[dict]:
 def record_to_event(record: dict):
     """Rebuild the typed event dataclass from one flat record.
 
-    Inverse of :meth:`repro.obs.tracer.Stamped.to_record` for the
+    Inverse of :func:`repro.obs.events.flat_record` for the
     payload part: JSON round-trips turn tuples into lists and
     ``Holder`` entries into dicts, so this restores every field its
     annotation types as a tuple.  Covers every class in
@@ -142,12 +142,6 @@ def record_to_event(record: dict):
             value = tuple(value)
         kwargs[name] = value
     return cls(**kwargs)
-
-
-def events_from_records(records: list[dict]) -> list:
-    """Restore a whole record stream (drops no stamps — pair with the
-    ``seq``/``t`` keys of the originals as needed)."""
-    return [record_to_event(record) for record in records]
 
 
 def _holder_args(record: dict) -> dict:

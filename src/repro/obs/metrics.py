@@ -15,11 +15,12 @@ Three pieces live here:
   (:data:`MANAGER_COUNTS`) are read off those same families, plus the
   compensated-cost and busy-area sums no family exports.
 * :class:`MetricsTracer` — the always-on tracer every manager emits
-  to: it feeds its :class:`EventMetrics`, optionally appends to a
-  :class:`~repro.obs.flight.FlightRecorder`, and forwards the raw event
-  to any number of sink tracers (:class:`~repro.obs.tracer.Tracer`,
-  :class:`~repro.server.bridge.BusTracer`), which stamp exactly as they
-  would without it.
+  to, and the one place an event is stamped: it reads the clock, adds
+  the crash offset and draws the sequence number, feeds its
+  :class:`EventMetrics`, and hands ``(seq, t, event)`` to an optional
+  :class:`~repro.obs.flight.FlightRecorder` and to any number of sinks
+  (:class:`~repro.obs.tracer.Tracer`,
+  :class:`~repro.server.bridge.BusTracer`).
 
 Performance note: like :class:`~repro.obs.tracer.Tracer`, nothing on
 the emit path flattens events through ``event_payload`` — the feeder
@@ -1052,14 +1053,16 @@ class EventMetrics:
 # tee tracer
 # ----------------------------------------------------------------------
 class MetricsTracer:
-    """The tracer every manager emits to: it folds each event into its
-    :class:`EventMetrics` and forwards it to the sink tracers.
+    """The tracer every manager emits to: it stamps each event, folds
+    it into its :class:`EventMetrics` and hands ``(seq, t, event)`` to
+    the flight ring and the sinks.
 
-    Sinks stamp events exactly as they would standalone (each keeps its
-    own sequence counter and clock binding), so wrapping a
-    :class:`~repro.obs.tracer.Tracer` in a tee leaves its records
-    byte-identical.  The fault injector's crash-offset bump propagates
-    to every sink through the :attr:`offset` property.
+    Nothing past the fold keeps a clock, an offset or a counter, so the
+    ring and every sink see one stamp per event.  :attr:`offset` is
+    added to every clock reading: each manager incarnation restarts its
+    virtual clock at zero, so the fault injector and a store's recovery
+    advance it by the crashed incarnation's final time, and stamped
+    times stay monotone across the whole logical run.
     """
 
     @classmethod
@@ -1075,7 +1078,7 @@ class MetricsTracer:
         self.recorder = recorder
         #: Whether an event goes anywhere past the fold.
         self._tee = bool(self.sinks) or recorder is not None
-        self._offset = 0.0
+        self.offset = 0.0
         self._clock: Callable[[], float] = lambda: 0.0
         self._sampler: Callable[[], dict[str, float]] | None = None
         self._seq = itertools.count()
@@ -1086,31 +1089,20 @@ class MetricsTracer:
         # replaces, never builds one.
         return EventMetrics()
 
-    @property
-    def offset(self) -> float:
-        return self._offset
-
-    @offset.setter
-    def offset(self, value: float) -> None:
-        self._offset = value
-        for sink in self.sinks:
-            sink.offset = value
-
     def bind_clock(self, clock: Callable[[], float]) -> None:
         self._clock = clock
-        for sink in self.sinks:
-            sink.bind_clock(clock)
 
     def bind_sampler(
         self, sampler: Callable[[], dict[str, float]] | None
     ) -> None:
         # The registry's gauges are read at scrape time, so the tee
         # polls at drain boundaries (refresh_gauges), never per emit.
-        # A sink that banks a series point per emit gets the sampler
-        # itself and polls exactly as it would standalone.
+        # A sink that banks a series point per emit (a Tracer) gets the
+        # sampler itself; no other sink takes one.
         self._sampler = sampler
         for sink in self.sinks:
-            sink.bind_sampler(sampler)
+            if hasattr(sink, "bind_sampler"):
+                sink.bind_sampler(sampler)
 
     def refresh_gauges(self) -> None:
         """Poll the sampler into the registry's gauges.
@@ -1125,14 +1117,15 @@ class MetricsTracer:
             self.metrics.sample_gauges(sampler())
 
     def emit(self, event) -> None:
-        t = self._clock() + self._offset
+        t = self._clock() + self.offset
         self.metrics.observe(t, event)
         if self._tee:
+            seq = next(self._seq)
             recorder = self.recorder
             if recorder is not None:
-                recorder.append(next(self._seq), t, event)
+                recorder.append(seq, t, event)
             for sink in self.sinks:
-                sink.emit(event)
+                sink.emit(seq, t, event)
 
 
 def replay_metrics(records: Iterable[dict]) -> EventMetrics:

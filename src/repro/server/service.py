@@ -155,9 +155,9 @@ class ProcessLockingService:
             self.config.flight_path
         )
         self.store = self._open_store()
-        # The tee feeds the metrics registry and the flight ring, then
-        # forwards to the bus bridge, which stamps exactly as it would
-        # standalone (byte-identical wire frames).
+        # The tee stamps each event once, feeds the metrics registry,
+        # and hands the stamp to the flight ring and the bus bridge, so
+        # a wire frame and its flight-ring line carry the same seq / t.
         self.tracer = MetricsTracer(
             sinks=(self.bus_tracer,), recorder=self.flight
         )

@@ -133,12 +133,3 @@ class ProgramCatalog:
 
     def __contains__(self, activity_name: str) -> bool:
         return activity_name in self._programs
-
-    def access_map(
-        self,
-    ) -> dict[str, tuple[frozenset[str], frozenset[str]]]:
-        """``{activity: (read_set, write_set)}`` for conflict derivation."""
-        return {
-            name: (program.read_set, program.write_set)
-            for name, program in self._programs.items()
-        }

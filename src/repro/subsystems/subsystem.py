@@ -65,14 +65,6 @@ class TransactionalSubsystem:
         self.down_until = max(self.down_until, until)
         self.outages += 1
 
-    def end_outage(self) -> None:
-        """Lift any outage immediately."""
-        self.down_until = 0.0
-
-    def is_down(self, now: float) -> bool:
-        """Whether the subsystem is inside an outage window at ``now``."""
-        return now < self.down_until
-
     # ------------------------------------------------------------------
     # durability (repro.storage)
     # ------------------------------------------------------------------

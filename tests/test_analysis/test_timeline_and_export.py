@@ -3,7 +3,7 @@
 import json
 import math
 
-from repro.analysis.export import rows_to_json, save_rows
+from repro.analysis.export import rows_to_json
 from repro.analysis.timeline import render_timeline
 from repro.core.protocol import ProcessLockManager
 from repro.scheduler.manager import ProcessManager
@@ -121,10 +121,6 @@ class TestExport:
         )
         assert parsed[0]["x"] == "nan"
         assert sorted(parsed[0]["y"]) == [1, 2]
-
-    def test_save_rows(self, tmp_path):
-        target = save_rows(tmp_path / "out.json", [{"k": 1}])
-        assert json.loads(target.read_text()) == [{"k": 1}]
 
     def test_non_serializable_falls_back_to_str(self):
         class Odd:

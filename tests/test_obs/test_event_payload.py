@@ -1,8 +1,8 @@
 """``event_payload`` against its oracle, ``dataclasses.asdict``.
 
 The payload is built from a per-class field plan instead of a recursive
-deep copy; the JSONL lines, wire frames, flight dumps and
-``Stamped.to_record`` made from it must not be able to tell.
+deep copy; the JSONL lines, wire frames and flight dumps that
+``flat_record`` makes from it must not be able to tell.
 """
 
 from __future__ import annotations

@@ -134,26 +134,28 @@ class TestExplain:
             pid=1, incarnation=0, timestamp=1, request="compensation",
             activity="act02^-1", uid=7, mode="C", shard="sub2",
         )
-        clock = [5.0]
         tracer = Tracer()
-        tracer.bind_clock(lambda: clock[0])
-        tracer.emit(ProcessSubmitted(pid=1))
+        tracer.emit(0, 5.0, ProcessSubmitted(pid=1))
         tracer.emit(
-            CascadeRequested(**request, victims=(Holder(3, 3, "C"),))
+            1, 5.0,
+            CascadeRequested(**request, victims=(Holder(3, 3, "C"),)),
         )
-        tracer.emit(AbortBegun(pid=3, incarnation=0, cause="cascade"))
         tracer.emit(
+            2, 5.0, AbortBegun(pid=3, incarnation=0, cause="cascade")
+        )
+        tracer.emit(
+            3, 5.0,
             LockDeferred(
                 **request, reason="wait-aborting", rule="C⁻¹-Rule",
                 blockers=(Holder(71, 71, "C"),),
-            )
+            ),
         )
-        clock[0] = 7.5
         tracer.emit(
+            4, 7.5,
             LockGranted(
                 pid=1, incarnation=0, request="compensation",
                 activity="act02^-1", uid=7, mode="C", position=0,
-            )
+            ),
         )
         text = explain_process(tracer.records(), 1)
         (line,) = [line for line in text.splitlines() if "DEFERRED" in line]

@@ -105,10 +105,9 @@ def test_wait_for_dot_snapshots_peak_contention():
 
 def test_jsonl_round_trip(tmp_path):
     tracer = Tracer()
-    tracer.bind_clock(lambda: 2.0)
     from repro.obs.events import ProcessInitiated
 
-    tracer.emit(ProcessInitiated(pid=1, timestamp=3))
+    tracer.emit(0, 2.0, ProcessInitiated(pid=1, timestamp=3))
     path = write_jsonl(tracer.records(), tmp_path / "events.jsonl")
     restored = read_jsonl(path)
     # JSON normalizes tuples to lists; compare through one dump cycle.
@@ -172,7 +171,7 @@ import math
 
 import pytest
 
-from repro.obs import events_from_records, record_to_event
+from repro.obs import record_to_event
 from repro.obs.events import EVENT_TYPES, Holder
 from repro.obs import events as ev
 
@@ -259,8 +258,7 @@ def test_exemplars_cover_every_event_type():
 def test_every_event_round_trips_through_jsonl(event, tmp_path):
     """event -> stamped record -> JSONL -> record -> event, equal."""
     tracer = Tracer()
-    tracer.bind_clock(lambda: 1.5)
-    tracer.emit(event)
+    tracer.emit(0, 1.5, event)
     path = write_jsonl(tracer.records(), tmp_path / "one.jsonl")
     (record,) = read_jsonl(path)
     assert record["t"] == 1.5
@@ -269,10 +267,10 @@ def test_every_event_round_trips_through_jsonl(event, tmp_path):
 
 def test_events_from_records_restores_the_whole_stream(tmp_path):
     tracer = Tracer()
-    for event in EXEMPLARS:
-        tracer.emit(event)
+    for seq, event in enumerate(EXEMPLARS):
+        tracer.emit(seq, 0.0, event)
     path = write_jsonl(tracer.records(), tmp_path / "all.jsonl")
-    restored = events_from_records(read_jsonl(path))
+    restored = [record_to_event(r) for r in read_jsonl(path)]
     assert restored == EXEMPLARS
 
 
@@ -288,7 +286,7 @@ def test_restored_stream_feeds_replay_and_explain(tmp_path):
     tracer = traced_run()
     path = write_jsonl(tracer.records(), tmp_path / "events.jsonl")
     records = read_jsonl(path)
-    events = events_from_records(records)
+    events = [record_to_event(r) for r in records]
     assert len(events) == len(records)
     metrics = replay_metrics(records)
     assert metrics.events.total() == len(records)

@@ -7,7 +7,15 @@ import math
 
 import pytest
 
-from repro.obs import FlightRecorder, MetricsTracer, read_jsonl, replay_metrics
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, ManagerCrash, compile_plan
+from repro.obs import (
+    FlightRecorder,
+    MetricsTracer,
+    Tracer,
+    read_jsonl,
+    replay_metrics,
+)
 from repro.obs.events import (
     ActivityClassified,
     ProcessCommitted,
@@ -73,36 +81,20 @@ def test_dump_jsonl_round_trips_through_readers(tmp_path):
 class _FlattenAtEmit:
     """A sink that flattens each event the moment it is emitted."""
 
-    offset = 0.0
-
     def __init__(self) -> None:
         self.records: list[dict] = []
 
-    def bind_clock(self, clock) -> None:
-        pass
-
-    def bind_sampler(self, sampler) -> None:
-        pass
-
-    def refresh_gauges(self) -> None:
-        pass
-
-    def emit(self, event) -> None:
-        self.records.append(_jsonable(flat_record(0, 0.0, event)))
-
-
-def _payloads(records):
-    return [
-        {key: value for key, value in record.items() if key not in ("seq", "t")}
-        for record in records
-    ]
+    def emit(self, seq, t, event) -> None:
+        self.records.append(_jsonable(flat_record(seq, t, event)))
 
 
 def test_a_dumped_ring_equals_the_events_as_they_were_emitted():
     """Events are plain (not frozen) dataclasses that the ring keeps by
     reference and flattens only when dumped: no layer may change one
     after its emit.  And the hot emit sites build theirs positionally,
-    so each value must have landed in the field that names it."""
+    so each value must have landed in the field that names it.  The
+    ring and the sink are handed one stamp: ``seq`` and ``t`` agree
+    too."""
     spec = WorkloadSpec(
         n_processes=40,
         conflict_density=0.6,
@@ -114,9 +106,10 @@ def test_a_dumped_ring_equals_the_events_as_they_were_emitted():
     tracer = MetricsTracer(sinks=(sink,), recorder=flight)
     run_workload(build_workload(spec), seed=3, tracer=tracer)
 
-    dumped = _payloads(flight.snapshot())
+    dumped = flight.snapshot()
     assert len(dumped) == flight.appended > 1000
-    assert dumped == _payloads(sink.records)
+    assert dumped == sink.records
+    assert [r["seq"] for r in dumped] == list(range(len(dumped)))
 
     kinds = {record["kind"] for record in dumped}
     assert {
@@ -144,3 +137,35 @@ def test_a_dumped_ring_equals_the_events_as_they_were_emitted():
             assert (record["shard"] is None) == (
                 record["request"] == "commit"
             )
+
+
+def test_a_crash_run_stamps_the_ring_and_the_tracer_alike():
+    """One tee, one stamp: across a manager crash the flight ring and a
+    recording tracer hold the same ``(seq, t)`` list, ``seq`` counts
+    from 0 without a gap and ``t`` never goes back."""
+    sink = Tracer()
+    flight = FlightRecorder(capacity=100_000)
+    plan = FaultPlan(
+        name="one-stamp-crash",
+        manager_crashes=(ManagerCrash(at_event=30),),
+    )
+    chaos = FaultInjector(
+        build_workload(WorkloadSpec(n_processes=12, seed=4)),
+        "process-locking",
+        compile_plan(plan, 4),
+        seed=4,
+        tracer=MetricsTracer(sinks=(sink,), recorder=flight),
+    ).run()
+    assert chaos.incarnations == 2
+
+    stamps = [(seq, t) for seq, t, __ in sink.stamped]
+    assert [(r["seq"], r["t"]) for r in flight.snapshot()] == stamps
+    assert [seq for seq, __ in stamps] == list(range(len(stamps)))
+    times = [t for __, t in stamps]
+    assert times == sorted(times)
+    (crash,) = [
+        t
+        for __, t, event in sink.stamped
+        if getattr(event, "channel", None) == "manager-crash"
+    ]
+    assert 0.0 < crash < times[-1]

@@ -43,12 +43,17 @@ from repro.sim.workload import WorkloadSpec, build_workload
 class ParkRecorder:
     """Record every park of one manager as ``(pid, request, uid, start,
     end, wait_for, reason, shard)``; ``end`` is ``None`` while it is
-    parked.  Times are the stamps ``tracer`` gives the events."""
+    parked.  Times are the stamps the manager's fold gives the events:
+    its engine's clock plus the fold's crash offset."""
 
-    def __init__(self, manager: ProcessManager, tracer: Tracer) -> None:
+    def __init__(self, manager: ProcessManager) -> None:
         self.intervals: list[tuple] = []
         self._open: dict[int, tuple] = {}
         park, unpark = manager._park, manager._unpark
+        fold, engine = manager.tracer, manager.engine
+
+        def now() -> float:
+            return engine.now + fold.offset
 
         def recorded_park(request) -> None:
             park(request)
@@ -57,7 +62,7 @@ class ParkRecorder:
                 request.process.pid,
                 request.kind.value,
                 activity.uid if activity else None,
-                tracer.now,
+                now(),
                 tuple(sorted(request.wait_for)),
                 request.reason,
                 activity.activity_type.subsystem if activity else None,
@@ -66,7 +71,7 @@ class ParkRecorder:
         def recorded_unpark(request) -> None:
             opened = self._open.pop(request.seq)
             unpark(request)
-            self._close(opened, tracer.now)
+            self._close(opened, now())
 
         manager._park = recorded_park
         manager._unpark = recorded_unpark
@@ -140,7 +145,7 @@ def run_bursts(
         seed=seed,
         tracer=tracer,
     )
-    recorder = ParkRecorder(manager, tracer)
+    recorder = ParkRecorder(manager)
     engine = manager.engine
     rng = random.Random(seed)
     for _ in range(bursts):
@@ -207,7 +212,7 @@ def test_a_manager_crash_ends_the_crashed_managers_parks(monkeypatch):
 
     def recorded_init(self, *args, **kwargs) -> None:
         init(self, *args, **kwargs)
-        recorders.append(ParkRecorder(self, tracer))
+        recorders.append(ParkRecorder(self))
 
     monkeypatch.setattr(ProcessManager, "__init__", recorded_init)
     plan = FaultPlan(
@@ -259,7 +264,7 @@ def test_a_failed_sibling_ends_the_parked_ones():
         seed=1,
         tracer=tracer,
     )
-    recorder = ParkRecorder(manager, tracer)
+    recorder = ParkRecorder(manager)
     manager.submit(ProgramBuilder("p1", registry).step("hold").build())
     manager.submit(
         ProgramBuilder("p2", registry)

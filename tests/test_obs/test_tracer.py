@@ -1,6 +1,6 @@
 """Unit tests for the recording tracer and the series bank."""
 
-from repro.obs import Tracer
+from repro.obs import MetricsTracer, Tracer
 from repro.obs.events import (
     EVENT_TYPES,
     ActivityClassified,
@@ -32,26 +32,29 @@ def defer_event(pid=1, reason="other-p-holder", activity="reserve"):
 
 class TestStamping:
     def test_seq_monotone_and_clock_applied(self):
+        """The fold stamps; its sink keeps the stamp it was handed."""
         tracer = Tracer()
+        fold = MetricsTracer(sinks=(tracer,))
         clock = iter([1.0, 2.5, 2.5])
-        tracer.bind_clock(lambda: next(clock))
+        fold.bind_clock(lambda: next(clock))
         for pid in range(3):
-            tracer.emit(ProcessSubmitted(pid=pid))
-        assert [s.seq for s in tracer.stamped] == [0, 1, 2]
-        assert [s.t for s in tracer.stamped] == [1.0, 2.5, 2.5]
+            fold.emit(ProcessSubmitted(pid=pid))
+        assert [seq for seq, __, __ in tracer.stamped] == [0, 1, 2]
+        assert [t for __, t, __ in tracer.stamped] == [1.0, 2.5, 2.5]
         assert len(tracer) == 3
 
     def test_offset_shifts_stamps(self):
         tracer = Tracer()
-        tracer.bind_clock(lambda: 5.0)
-        tracer.emit(ProcessSubmitted(pid=1))
-        tracer.offset = 100.0
-        tracer.emit(ProcessSubmitted(pid=2))
-        assert [s.t for s in tracer.stamped] == [5.0, 105.0]
+        fold = MetricsTracer(sinks=(tracer,))
+        fold.bind_clock(lambda: 5.0)
+        fold.emit(ProcessSubmitted(pid=1))
+        fold.offset = 100.0
+        fold.emit(ProcessSubmitted(pid=2))
+        assert [t for __, t, __ in tracer.stamped] == [5.0, 105.0]
 
     def test_records_are_flat_dicts(self):
         tracer = Tracer()
-        tracer.emit(defer_event())
+        tracer.emit(0, 0.0, defer_event())
         (record,) = tracer.records()
         assert record["kind"] == "lock.defer"
         assert record["seq"] == 0
@@ -94,9 +97,11 @@ class TestStamping:
 class TestSeries:
     def test_defer_bumps_histograms(self):
         tracer = Tracer()
-        tracer.emit(defer_event(reason="other-p-holder"))
-        tracer.emit(defer_event(reason="other-p-holder"))
-        tracer.emit(defer_event(reason="piv-rule-defer", activity="wrap"))
+        tracer.emit(0, 0.0, defer_event(reason="other-p-holder"))
+        tracer.emit(1, 0.0, defer_event(reason="other-p-holder"))
+        tracer.emit(
+            2, 0.0, defer_event(reason="piv-rule-defer", activity="wrap")
+        )
         hist = tracer.series.histograms
         assert hist["defer_reasons"] == {
             "other-p-holder": 2,
@@ -107,6 +112,8 @@ class TestSeries:
     def test_cascade_counts_victims(self):
         tracer = Tracer()
         tracer.emit(
+            0,
+            0.0,
             CascadeRequested(
                 pid=1,
                 incarnation=0,
@@ -119,7 +126,7 @@ class TestSeries:
                     Holder(pid=2, timestamp=5),
                     Holder(pid=3, timestamp=6),
                 ),
-            )
+            ),
         )
         hist = tracer.series.histograms
         assert hist["conflicts_by_type"] == {"reserve": 2}
@@ -127,8 +134,9 @@ class TestSeries:
 
     def test_classify_records_wcc_gauge(self):
         tracer = Tracer()
-        tracer.bind_clock(lambda: 4.0)
         tracer.emit(
+            0,
+            4.0,
             ActivityClassified(
                 pid=9,
                 incarnation=0,
@@ -138,7 +146,7 @@ class TestSeries:
                 threshold=20.0,
                 pseudo_pivot=False,
                 real_pivot=False,
-            )
+            ),
         )
         assert tracer.series.gauges["wcc/P9"].points == [(4.0, 3.0)]
 
@@ -147,7 +155,7 @@ class TestSeries:
         parked = iter([0.0, 2.0, 2.0])
         tracer.bind_sampler(lambda: {"parked": next(parked)})
         for pid in range(3):
-            tracer.emit(ProcessSubmitted(pid=pid))
+            tracer.emit(pid, 0.0, ProcessSubmitted(pid=pid))
         # Consecutive equal samples deduplicate to one point per change.
         assert tracer.series.gauges["parked"].points == [
             (0.0, 0.0),

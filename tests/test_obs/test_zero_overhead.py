@@ -146,4 +146,6 @@ class TestChaosIdentity:
             r["channel"] for r in records if r["kind"] == "fault.inject"
         }
         assert {"manager-crash", "manager-recover"} <= channels
-        assert tracer.offset > 0.0
+        # The fold's crash offset: the summed makespan runs past the
+        # last incarnation's.
+        assert traced.makespan > traced.result.makespan

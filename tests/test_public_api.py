@@ -84,6 +84,25 @@ def test_thread_per_shard_manager_is_gone():
         ServiceConfig(workers=2)
 
 
+def test_helpers_only_their_own_tests_called_are_gone():
+    """Helpers nothing but their own unit tests called, and the stamping
+    hooks a sink no longer carries (DESIGN.md §7, "Removed: per-sink
+    stamping")."""
+    import repro.analysis
+    import repro.obs
+    from repro.core.deadlock import Digraph
+    from repro.obs.tracer import Tracer
+
+    for name in ("Summary", "monotone_decreasing", "save_rows",
+                 "speedup", "summarize_sample"):
+        assert not hasattr(repro.analysis, name), name
+    assert not hasattr(repro.obs, "events_from_records")
+    for name in ("remove_edge", "remove_node", "out_degree"):
+        assert not hasattr(Digraph, name), name
+    for name in ("bind_clock", "now", "offset", "refresh_gauges"):
+        assert not hasattr(Tracer(), name), name
+
+
 def test_version_is_exported():
     assert repro.__version__
 

@@ -556,3 +556,35 @@ def test_subsystem_history_leaves_no_trace():
         if SUBSYSTEM_HISTORY.search(line)
     ]
     assert not offenders, offenders
+
+
+# ----------------------------------------------------------------------
+# one stamp per event (DESIGN.md §7, "Removed: per-sink stamping")
+# ----------------------------------------------------------------------
+#: What stamping takes: a clock, an offset, a counter to draw from.
+STAMPING = re.compile(
+    r"clock|offset|itertools|count|monotonic|^time$|^now$|^next$|_seq$"
+)
+
+
+def test_only_the_fold_stamps():
+    """``MetricsTracer.emit`` reads the clock, adds the crash offset and
+    draws the sequence number; the recording tracer and the bus bridge
+    are handed ``(seq, t, event)``, so no identifier in their code (the
+    docstrings aside) binds a clock, holds an offset or draws a
+    number."""
+    for relative in ("src/repro/obs/tracer.py", "src/repro/server/bridge.py"):
+        names = set()
+        for node in ast.walk(ast.parse((ROOT / relative).read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        offenders = sorted(name for name in names if STAMPING.search(name))
+        assert not offenders, f"{relative} stamps: {offenders}"

@@ -98,8 +98,16 @@ def test_live_service_bus_stream_matches_flight_dump():
                 if frame["event"] in EVENT_TYPES:
                     streamed.append(frame["record"])
 
-            # Both sides stamp from the same virtual clock and emit
-            # counter, so the streams agree record for record.
+            # The fold stamps each event once and hands the same
+            # (seq, t) to the ring and the bridge: the streams agree
+            # record for record, stamps included.
+            stamps = [(r["seq"], r["t"]) for r in dump]
+            assert [(r["seq"], r["t"]) for r in streamed] == stamps
+            assert [seq for seq, __ in stamps] == list(
+                range(stamps[0][0], stamps[0][0] + len(stamps))
+            )
+            times = [t for __, t in stamps]
+            assert times == sorted(times)
             assert streamed == dump
 
             pid = next(r["pid"] for r in dump if "pid" in r)

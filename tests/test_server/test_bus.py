@@ -2,6 +2,7 @@
 
 import threading
 
+from repro.obs import MetricsTracer, Tracer
 from repro.obs.events import ProcessSubmitted
 from repro.server.bridge import BusTracer
 from repro.server.bus import EventBus, topic_matches
@@ -93,41 +94,52 @@ class TestBusTracer:
         tracer = BusTracer(bus)
         seen: list[tuple[str, dict]] = []
         bus.subscribe(["process.submit"], lambda t, r: seen.append((t, r)))
-        tracer.bind_clock(lambda: 4.5)
-        tracer.emit(ProcessSubmitted(pid=7))
+        tracer.emit(0, 4.5, ProcessSubmitted(pid=7))
         assert seen == [
             (
                 "process.submit",
                 {"seq": 0, "t": 4.5, "kind": "process.submit", "pid": 7},
             )
         ]
-        assert tracer.emitted == 1
+        assert bus.counters.published == 1
 
     def test_offset_applied_like_obs_tracer(self):
+        """The crash offset lives on the fold: its bump reaches the bus
+        record and a recording tracer as one stamp."""
         bus = EventBus()
-        tracer = BusTracer(bus)
         seen: list[dict] = []
         bus.subscribe(["*"], lambda t, r: seen.append(r))
-        tracer.bind_clock(lambda: 1.0)
-        tracer.offset = 10.0
-        tracer.emit(ProcessSubmitted(pid=1))
+        recorded = Tracer()
+        fold = MetricsTracer(sinks=(BusTracer(bus), recorded))
+        fold.bind_clock(lambda: 1.0)
+        fold.offset = 10.0
+        fold.emit(ProcessSubmitted(pid=1))
         assert seen[-1]["t"] == 11.0
+        assert seen == recorded.records()
 
     def test_unheard_events_are_counted_and_keep_their_seq(self):
         bus = EventBus()
-        tracer = BusTracer(bus)
+        fold = MetricsTracer(sinks=(BusTracer(bus),))
         for pid in range(3):
-            tracer.emit(ProcessSubmitted(pid=pid))
+            fold.emit(ProcessSubmitted(pid=pid))
         seen: list[dict] = []
         token = bus.subscribe(["*"], lambda t, r: seen.append(r))
-        tracer.emit(ProcessSubmitted(pid=3))
+        fold.emit(ProcessSubmitted(pid=3))
         bus.unsubscribe(token)
-        tracer.emit(ProcessSubmitted(pid=4))
+        fold.emit(ProcessSubmitted(pid=4))
         assert [(r["seq"], r["pid"]) for r in seen] == [(3, 3)]
-        assert tracer.emitted == 5
         assert bus.counters.published == 5
         assert bus.counters.delivered == 1
 
     def test_protocol_compatible(self):
+        """A bus bridge is a plain fold sink: ``emit(seq, t, event)``
+        and nothing else, so the fold binds it no clock and no
+        sampler."""
         tracer = BusTracer(EventBus())
-        tracer.bind_sampler(lambda: {"g": 1.0})  # accepted, unused
+        fold = MetricsTracer(sinks=(tracer,))
+        fold.bind_clock(lambda: 2.0)
+        fold.bind_sampler(lambda: {"g": 1.0})
+        fold.emit(ProcessSubmitted(pid=1))
+        assert not hasattr(tracer, "bind_clock")
+        assert not hasattr(tracer, "bind_sampler")
+        assert tracer.bus.counters.published == 1

@@ -70,11 +70,10 @@ def test_unheard_events_build_nothing_and_sample_per_drain(monkeypatch):
     service = counted.service
     try:
         counted.burst()
-        emitted = service.bus_tracer.emitted
+        emitted = service.bus.counters.published
         assert emitted > 1_000  # contended: there was plenty to describe
         assert counted.payloads == 0
         assert 1 <= counted.samples <= 2 * counted.drains
-        assert service.bus.counters.published == emitted
         assert service.metrics.events.total() == emitted
 
         commits: list[dict] = []
@@ -89,7 +88,7 @@ def test_unheard_events_build_nothing_and_sample_per_drain(monkeypatch):
         assert len(commits) == committed
         assert counted.payloads == committed
         assert counted.samples <= 2 * counted.drains
-        assert service.bus.counters.published == service.bus_tracer.emitted
+        assert service.bus.counters.published == service.metrics.events.total()
     finally:
         service.stop()
 
@@ -122,7 +121,7 @@ def _session(uid_floor, subscribe_early: bool):
         service.execute(dict(BURST)).result(timeout=120)
     finally:
         service.stop()  # a durable service emits its last snapshot here
-    return frames, service.bus_tracer.emitted
+    return frames, service.flight.appended
 
 
 def test_late_subscriber_sees_the_tail_byte_for_byte(uid_floor):
