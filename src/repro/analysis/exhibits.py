@@ -4,7 +4,7 @@
   the registry enforces exactly the cost/failure-probability ranges the
   table states, and :func:`table1_text` prints them.
 * **Table 2** is *derived empirically*: :func:`derive_lock_compatibility`
-  drives two-process micro-scenarios through a live
+  drives the conformance suite's two-process scenario through a live
   :class:`~repro.core.protocol.ProcessLockManager` and observes which
   held/acquired combinations are ordered-shared (granted) versus
   exclusive (deferred/aborted).  The derived matrix must equal the
@@ -15,15 +15,13 @@
 
 from __future__ import annotations
 
-from repro.activities.commutativity import ConflictMatrix
 from repro.activities.registry import ActivityRegistry
 from repro.analysis.tables import render_table
+from repro.core.conformance import TwoProcessScenario
 from repro.core.cost_based import Figure1Step, figure1_trace
 from repro.core.decisions import Grant
 from repro.core.locks import LockMode
 from repro.core.protocol import ProcessLockManager
-from repro.process.builder import ProgramBuilder
-from repro.process.instance import Process
 
 #: The paper's Table 2: (held, acquired) -> ordered shared?
 PAPER_TABLE2: dict[tuple[LockMode, LockMode], bool] = {
@@ -60,85 +58,27 @@ def table1_text() -> str:
 # ----------------------------------------------------------------------
 # Table 2 (empirical derivation)
 # ----------------------------------------------------------------------
-def _micro_environment() -> tuple[ActivityRegistry, ConflictMatrix]:
-    registry = ActivityRegistry()
-    registry.define_compensatable("c_a", "sub", cost=1.0,
-                                  compensation_cost=0.5)
-    registry.define_compensatable("c_b", "sub", cost=1.0,
-                                  compensation_cost=0.5)
-    registry.define_pivot("p_a", "sub", cost=1.0)
-    registry.define_pivot("p_b", "sub", cost=1.0)
-    conflicts = ConflictMatrix(registry)
-    for first in ("c_a", "p_a"):
-        for second in ("c_b", "p_b"):
-            conflicts.declare_conflict(first, second)
-    conflicts.declare_conflict("c_a", "c_b")
-    conflicts.close_perfect()
-    return registry, conflicts
-
-
-def _mini_process(
-    registry: ActivityRegistry, protocol: ProcessLockManager, tag: str
-) -> Process:
-    program = (
-        ProgramBuilder(f"micro-{tag}", registry)
-        .step("c_a" if tag == "holder" else "c_b")
-        .build()
-    )
-    process = Process(
-        pid=1 if tag == "holder" else 2,
-        program=program,
-        timestamp=protocol.new_timestamp(),
-    )
-    protocol.attach(process)
-    return process
-
-
 def derive_lock_compatibility() -> dict[tuple[LockMode, LockMode], bool]:
     """Observe the protocol's held/acquired compatibility empirically.
 
-    For each combination, an *older* holder takes a lock of the held
-    mode, then a *younger* requester asks for a conflicting lock of the
-    acquired mode; the combination is ordered-shared iff the request is
-    granted immediately.
+    For each combination, a fresh :class:`TwoProcessScenario` on a live
+    :class:`ProcessLockManager`: the *older* process takes a lock of the
+    held mode (``alpha`` / C or ``omega`` / P), then the *younger* one
+    asks for a conflicting lock of the acquired mode; the combination is
+    ordered-shared iff the request is granted immediately.
     """
+    names = {LockMode.C: "alpha", LockMode.P: "omega"}
     observed: dict[tuple[LockMode, LockMode], bool] = {}
     for held in (LockMode.C, LockMode.P):
         for acquired in (LockMode.C, LockMode.P):
-            registry, conflicts = _micro_environment()
-            protocol = ProcessLockManager(registry, conflicts)
-            holder = _mini_process(registry, protocol, "holder")
-            requester = _mini_process(registry, protocol, "requester")
-            held_name = "c_a" if held is LockMode.C else "p_a"
-            acq_name = "c_b" if acquired is LockMode.C else "p_b"
-            held_activity = holder.launch("c_a")
-            # Acquire the held lock directly in the requested mode.
-            decision = protocol.request_activity_lock(
-                holder,
-                _relabel(held_activity, registry, held_name),
-                held,
-            )
+            scenario = TwoProcessScenario(ProcessLockManager)
+            decision = scenario.request(scenario.older, names[held], held)
             assert isinstance(decision, Grant)
-            acq_activity = requester.launch("c_b")
-            outcome = protocol.request_activity_lock(
-                requester,
-                _relabel(acq_activity, registry, acq_name),
-                acquired,
+            outcome = scenario.request(
+                scenario.younger, names[acquired], acquired
             )
             observed[(held, acquired)] = isinstance(outcome, Grant)
     return observed
-
-
-def _relabel(activity, registry: ActivityRegistry, name: str):
-    """Re-point a launched activity at a different activity type."""
-    from repro.activities.activity import Activity
-
-    return Activity(
-        activity_type=registry.get(name),
-        process_id=activity.process_id,
-        seq=activity.seq,
-        uid=activity.uid,
-    )
 
 
 def table2_text(

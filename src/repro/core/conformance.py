@@ -70,8 +70,14 @@ class ConformanceReport:
         return "\n".join(lines)
 
 
-class _Scenario:
-    """A fresh two-process environment per check."""
+class TwoProcessScenario:
+    """A fresh two-process environment per check.
+
+    ``alpha`` and ``beta`` are compensatable, ``omega`` a pivot, and all
+    three conflict pairwise; ``older`` and ``younger`` are attached with
+    ascending timestamps.  Table 2 is derived from one of these per cell
+    (:func:`repro.analysis.exhibits.derive_lock_compatibility`).
+    """
 
     def __init__(self, factory: ProtocolFactory) -> None:
         self.registry = ActivityRegistry()
@@ -113,7 +119,7 @@ class _Scenario:
         )
 
 
-def _check_shares_behind_older_c(scenario: _Scenario) -> bool:
+def _check_shares_behind_older_c(scenario: TwoProcessScenario) -> bool:
     """C behind an older C lock is ordered shared (Table 2)."""
     assert isinstance(
         scenario.request(scenario.older, "alpha", LockMode.C), Grant
@@ -123,7 +129,7 @@ def _check_shares_behind_older_c(scenario: _Scenario) -> bool:
     )
 
 
-def _check_shares_behind_older_p(scenario: _Scenario) -> bool:
+def _check_shares_behind_older_p(scenario: TwoProcessScenario) -> bool:
     """C behind an older P lock is ordered shared (Table 2)."""
     decision = scenario.request(scenario.older, "omega", LockMode.P)
     if not isinstance(decision, Grant):
@@ -133,7 +139,7 @@ def _check_shares_behind_older_p(scenario: _Scenario) -> bool:
     )
 
 
-def _check_p_exclusive_behind_c(scenario: _Scenario) -> bool:
+def _check_p_exclusive_behind_c(scenario: TwoProcessScenario) -> bool:
     """P behind a conflicting C lock is never simply granted."""
     decision = scenario.request(scenario.older, "alpha", LockMode.C)
     if not isinstance(decision, Grant):
@@ -143,7 +149,7 @@ def _check_p_exclusive_behind_c(scenario: _Scenario) -> bool:
     )
 
 
-def _check_p_p_exclusive(scenario: _Scenario) -> bool:
+def _check_p_p_exclusive(scenario: TwoProcessScenario) -> bool:
     """Two conflicting P locks never coexist."""
     decision = scenario.request(scenario.older, "omega", LockMode.P)
     if not isinstance(decision, Grant):
@@ -153,7 +159,7 @@ def _check_p_p_exclusive(scenario: _Scenario) -> bool:
     )
 
 
-def _check_early_verification(scenario: _Scenario) -> bool:
+def _check_early_verification(scenario: TwoProcessScenario) -> bool:
     """An older request never silently shares behind a younger holder.
 
     Process locking resolves the timestamp-order violation immediately
@@ -167,7 +173,7 @@ def _check_early_verification(scenario: _Scenario) -> bool:
     return isinstance(outcome, (AbortVictims, Defer))
 
 
-def _check_commit_respects_hold(scenario: _Scenario) -> bool:
+def _check_commit_respects_hold(scenario: TwoProcessScenario) -> bool:
     """A process sharing behind an older one cannot commit first."""
     first = scenario.request(scenario.older, "alpha", LockMode.C)
     second = scenario.request(scenario.younger, "alpha", LockMode.C)
@@ -179,7 +185,7 @@ def _check_commit_respects_hold(scenario: _Scenario) -> bool:
 
 
 def _check_compensation_wounds_later_sharers(
-    scenario: _Scenario,
+    scenario: TwoProcessScenario,
 ) -> bool:
     """C⁻¹ cascades into conflicting locks acquired after the original."""
     reserved = scenario.older.launch("alpha")
@@ -201,7 +207,7 @@ def _check_compensation_wounds_later_sharers(
     return isinstance(outcome, (AbortVictims, Defer))
 
 
-def _check_release_unblocks(scenario: _Scenario) -> bool:
+def _check_release_unblocks(scenario: TwoProcessScenario) -> bool:
     """Detaching a holder makes its locks available again."""
     decision = scenario.request(scenario.older, "omega", LockMode.P)
     if not isinstance(decision, Grant):
@@ -212,7 +218,7 @@ def _check_release_unblocks(scenario: _Scenario) -> bool:
     )
 
 
-CHECKS: list[tuple[str, Callable[[_Scenario], bool], str]] = [
+CHECKS: list[tuple[str, Callable[[TwoProcessScenario], bool], str]] = [
     ("c-shares-behind-older-c", _check_shares_behind_older_c,
      "ordered sharing of C locks in timestamp order"),
     ("c-shares-behind-older-p", _check_shares_behind_older_p,
@@ -242,7 +248,7 @@ def run_conformance(
     """
     report = ConformanceReport(protocol_name=protocol_name)
     for name, check, description in CHECKS:
-        scenario = _Scenario(factory)
+        scenario = TwoProcessScenario(factory)
         try:
             passed = bool(check(scenario))
         except Exception:

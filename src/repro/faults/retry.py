@@ -1,7 +1,7 @@
 """Retry/backoff policies for retriable activities.
 
 The paper treats retriable activities as "retried until they succeed";
-the manager's seed behaviour is a fixed ``retry_delay`` with no budget.
+the manager's seed behaviour is a fixed ``RETRY_DELAY`` with no budget.
 This module adds production-style policies — fixed, exponential, and
 seeded-jitter backoff — each with a **max-attempt budget**.  The budget
 serves two purposes:

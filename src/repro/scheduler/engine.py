@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -58,17 +60,22 @@ class SimulationEngine:
         """Cancel a scheduled callback (no-op if already fired)."""
         item.cancelled = True
 
-    def run(self, max_events: int = 1_000_000) -> None:
-        """Process events until the queue drains.
+    def _fire(self, deadline: float, limit: int, max_events: int) -> int:
+        """Fire events due by ``deadline``, at most ``limit`` of them.
+
+        The one loop behind :meth:`run`, :meth:`run_due` and
+        :meth:`run_steps`: pop, skip cancelled, advance the clock, fire,
+        count.  Returns how many fired.
 
         Raises
         ------
         SchedulerError
             If more than ``max_events`` fire — a livelock guard.
         """
+        queue = self._queue
         fired = 0
-        while self._queue:
-            time, _seq, item = heapq.heappop(self._queue)
+        while queue and queue[0][0] <= deadline and fired < limit:
+            time, _seq, item = heapq.heappop(queue)
             if item.cancelled:
                 continue
             if time < self.now:  # pragma: no cover - defensive
@@ -82,6 +89,17 @@ class SimulationEngine:
                     f"simulation exceeded {max_events} events; "
                     "suspected livelock"
                 )
+        return fired
+
+    def run(self, max_events: int = 1_000_000) -> None:
+        """Process events until the queue drains.
+
+        Raises
+        ------
+        SchedulerError
+            If more than ``max_events`` fire — a livelock guard.
+        """
+        self._fire(math.inf, sys.maxsize, max_events)
 
     def run_due(
         self, deadline: float, max_events: int = 1_000_000
@@ -95,20 +113,7 @@ class SimulationEngine:
         The clock lands *on* the deadline even when nothing fired, so
         subsequent arrivals are stamped with the paced time.
         """
-        fired = 0
-        while self._queue and self._queue[0][0] <= deadline:
-            time, _seq, item = heapq.heappop(self._queue)
-            if item.cancelled:
-                continue
-            self.now = time
-            item.callback()
-            self.events_processed += 1
-            fired += 1
-            if fired > max_events:
-                raise SchedulerError(
-                    f"simulation exceeded {max_events} events; "
-                    "suspected livelock"
-                )
+        fired = self._fire(deadline, sys.maxsize, max_events)
         if self.now < deadline:
             self.now = deadline
         return fired
@@ -117,18 +122,9 @@ class SimulationEngine:
         """Process at most ``limit`` events; returns how many fired.
 
         Used by the crash-recovery tests to stop the world at an
-        arbitrary point mid-simulation.
+        arbitrary point mid-simulation.  No livelock guard.
         """
-        fired = 0
-        while self._queue and fired < limit:
-            time, _seq, item = heapq.heappop(self._queue)
-            if item.cancelled:
-                continue
-            self.now = time
-            item.callback()
-            self.events_processed += 1
-            fired += 1
-        return fired
+        return self._fire(math.inf, limit, sys.maxsize)
 
     @property
     def pending(self) -> int:

@@ -91,6 +91,14 @@ from repro.subsystems.subsystem import SubsystemPool
 #: (DESIGN.md §7).
 _MAX_NESTED_DRAINS = 96
 
+#: Virtual-time delay before a cascade victim's restart is tried (the
+#: restart gate may hold it longer).
+RESUBMIT_DELAY = 1.0
+
+#: Delay before a transiently failed retriable activity is retried
+#: when no retry policy is configured.
+RETRY_DELAY = 1.0
+
 #: A :class:`ScheduledStart`'s process (``None`` while pending).
 _START_PROCESS = operator.attrgetter("process")
 
@@ -101,16 +109,9 @@ class ManagerConfig:
 
     #: Resubmissions per process before it ends ``starved``.
     max_resubmissions: int = 500
-    #: Virtual-time delay before a cascade victim's restart is tried
-    #: (the restart gate may hold it longer).
-    resubmit_delay: float = 1.0
-    #: Delay before a transiently failed retriable activity is retried.
-    retry_delay: float = 1.0
-    #: Probability that a retriable activity needs another attempt.
-    transient_retry_prob: float = 0.0
     #: Optional retry/backoff policy for retriable activities (see
     #: :mod:`repro.faults.retry`): any object with ``delay_for(n)`` and
-    #: ``max_attempts``.  ``None`` keeps the flat ``retry_delay`` with an
+    #: ``max_attempts``.  ``None`` keeps the flat ``RETRY_DELAY`` with an
     #: unbounded budget (the seed behaviour).  With a policy installed,
     #: every extra attempt also charges the activity's cost to the
     #: process's ``Wcc`` so cost-based protection sees retry storms.
@@ -786,28 +787,17 @@ class ProcessManager:
     def _wants_transient_retry(self, flight: InflightActivity) -> bool:
         """Whether a retriable completion turns into another attempt.
 
-        An attached fault injector overrides the manager's own
-        ``transient_retry_prob`` sampling (returning ``None`` to fall
-        through to it); a configured retry policy bounds the attempt
-        budget — once exhausted, the attempt succeeds, preserving
-        guaranteed termination.
+        Only an attached fault injector makes one fail transiently; a
+        configured retry policy bounds the attempt budget — once
+        exhausted, the attempt succeeds, preserving guaranteed
+        termination.
         """
-        verdict = None
-        if self.injector is not None:
-            verdict = self.injector.wants_retry(
-                flight.process, flight.activity, flight.attempts
-            )
-        if verdict is None:
-            verdict = (
-                self.config.transient_retry_prob > 0
-                and self.rng.random() < self.config.transient_retry_prob
-            )
-        policy = self.config.retry_policy
-        if (
-            verdict
-            and policy is not None
-            and flight.attempts >= policy.max_attempts
+        if self.injector is None or not self.injector.wants_retry(
+            flight.process, flight.activity, flight.attempts
         ):
+            return False
+        policy = self.config.retry_policy
+        if policy is not None and flight.attempts >= policy.max_attempts:
             # The budget forces a failing retriable to count as
             # successful (guaranteed termination); surface the decision
             # instead of swallowing it silently.
@@ -822,13 +812,13 @@ class ProcessManager:
                 )
             )
             return False
-        return verdict
+        return True
 
     def _retry_delay(self, flight: InflightActivity) -> float:
         """Backoff before the next attempt; charges Wcc under a policy."""
         policy = self.config.retry_policy
         if policy is None:
-            return self.config.retry_delay
+            return RETRY_DELAY
         flight.process.charge_wcc(
             retry_wcc_charge(
                 flight.process.registry, flight.activity.name
@@ -1100,7 +1090,7 @@ class ProcessManager:
             self._hold_start(
                 pid,
                 process.program,
-                self.config.resubmit_delay,
+                RESUBMIT_DELAY,
                 process.resubmit(),
             )
         else:

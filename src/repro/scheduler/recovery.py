@@ -60,9 +60,8 @@ class LedgerRecord:
     compensates: int | None
     #: Sharing-order position of the lock held for this activity — its
     #: *grant* order, which a request that waited parked does not share
-    #: with its launch (uid) order.  ``None`` in documents written
-    #: before the field existed.
-    position: int | None = None
+    #: with its launch (uid) order.
+    position: int
 
 
 @dataclass(frozen=True)
@@ -318,22 +317,21 @@ def rebuild_locks(
     the locks' journaled ``positions`` (activity uid -> position) — not
     of the uids themselves: a uid is drawn at launch, a position at
     grant, and a request that waited parked is granted behind the
-    conflicting locks granted meanwhile.  (A document from before
-    positions were journaled has none and replays in uid order.)
-    ``protected_pids`` names the processes whose pivot
-    treatment (Comp→Piv C→P conversion) had actually been granted
-    before the crash — journalled via ``ProcessSnapshot.pivot_treated``
-    — and only those replay the conversion.  Replaying it for a process
-    whose pivot request was merely *parked* would hide its on-hold C
-    locks from the Piv-Rule's conflicting-holder scan and let the pivot
-    be granted while depending on a live abortable process, which is
-    exactly the unresolvable completing↔aborting wait cycle the basic
-    protocol excludes.
+    conflicting locks granted meanwhile.  ``protected_pids`` names the
+    processes whose pivot treatment (Comp→Piv C→P conversion) had
+    actually been granted before the crash — journalled via
+    ``ProcessSnapshot.pivot_treated`` — and only those replay the
+    conversion.  Replaying it for a process whose pivot request was
+    merely *parked* would hide its on-hold C locks from the Piv-Rule's
+    conflicting-holder scan and let the pivot be granted while
+    depending on a live abortable process, which is exactly the
+    unresolvable completing↔aborting wait cycle the basic protocol
+    excludes.
     """
     entries = sorted(
         (
             (
-                positions.get(entry.activity.uid, entry.activity.uid),
+                positions[entry.activity.uid],
                 process,
                 entry,
             )
@@ -426,7 +424,6 @@ def recover(
         record.uid: record.position
         for snapshot in snapshots
         for record in snapshot.ledger
-        if record.position is not None
     }
     rebuild_locks(protocol, processes, positions, protected_pids)
     for snapshot, process in zip(snapshots, processes):

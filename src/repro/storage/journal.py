@@ -565,9 +565,8 @@ def snapshot_from_dict(data: dict, codec: ProgramCodec) -> ProcessSnapshot:
             ScopeRecord(**record) for record in data["scopes"]
         ),
         pivot_treated=data["pivot_treated"],
-        # Absent from documents written before these fields existed.
-        abort_then=data.get("abort_then"),
-        resubmit_in=data.get("resubmit_in"),
+        abort_then=data["abort_then"],
+        resubmit_in=data["resubmit_in"],
     )
 
 

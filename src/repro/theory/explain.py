@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.deadlock import Digraph, find_cycle_edges
+from repro.core.deadlock import find_cycle
 from repro.theory.reduction import Reduction
 from repro.theory.schedule import (
     ProcessKey,
@@ -68,13 +68,10 @@ def explain_irreducibility(
 ) -> IrreducibilityWitness | None:
     """Witness for a reducibility failure, or ``None`` if reducible."""
     reduction = Reduction.of(schedule)
-    graph = Digraph()
-    for event in reduction.survivors.values():
-        graph.add_node(event.process)
-    for tail in list(graph):
-        for head in reduction.out.get(tail, ()):
-            graph.add_edge(tail, head)
-    cycle_edges_raw = find_cycle_edges(graph)
+    cycle_edges_raw = find_cycle({
+        event.process: reduction.out.get(event.process, {})
+        for event in reduction.survivors.values()
+    })
     if cycle_edges_raw is None:
         return None
     conflicts_of = schedule.conflicts_of

@@ -30,7 +30,7 @@ applications (``tests/test_theory/oracles.py``).
 
 from __future__ import annotations
 
-from repro.core.deadlock import has_cycle
+from repro.core.deadlock import find_cycle
 from repro.theory.schedule import ProcessKey, ProcessSchedule, ScheduleEvent
 
 
@@ -189,7 +189,7 @@ class Reduction:
 
 def poly_is_reducible(schedule: ProcessSchedule) -> bool:
     """Decide RED in polynomial time: the final graph is acyclic."""
-    return not has_cycle(Reduction.of(schedule).out)
+    return find_cycle(Reduction.of(schedule).out) is None
 
 
 def reduce_schedule(

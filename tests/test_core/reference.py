@@ -77,9 +77,10 @@ def naive_find_wait_cycle(edges: dict[int, set[int]]) -> list | None:
     the same node/edge insertion order
     :func:`~repro.core.deadlock.find_wait_cycle` uses) and runs
     ``nx.find_cycle`` on *every* call — the formulation the scheduler
-    used before the in-tree port and the walk from the parking pid
-    replaced it.  When a cycle exists both return the same one; this is
-    the oracle the ported cycle search is property-tested against.
+    used before :func:`~repro.core.deadlock.find_cycle` and the walk
+    from the parking pid replaced it.  When a cycle exists both return
+    the same one; this is the oracle ``find_wait_cycle`` is
+    property-tested against.
     """
     import networkx as nx
 

@@ -90,15 +90,12 @@ def test_helpers_only_their_own_tests_called_are_gone():
     stamping")."""
     import repro.analysis
     import repro.obs
-    from repro.core.deadlock import Digraph
     from repro.obs.tracer import Tracer
 
     for name in ("Summary", "monotone_decreasing", "save_rows",
                  "speedup", "summarize_sample"):
         assert not hasattr(repro.analysis, name), name
     assert not hasattr(repro.obs, "events_from_records")
-    for name in ("remove_edge", "remove_node", "out_degree"):
-        assert not hasattr(Digraph, name), name
     for name in ("bind_clock", "now", "offset", "refresh_gauges"):
         assert not hasattr(Tracer(), name), name
 

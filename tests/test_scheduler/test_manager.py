@@ -6,8 +6,16 @@ import pytest
 
 from repro.core.protocol import ProcessLockManager
 from repro.errors import StarvationError
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import (
+    ActivityFailures,
+    FaultPlan,
+    RetrySpec,
+    compile_plan,
+)
 from repro.process.builder import ProgramBuilder
 from repro.scheduler.manager import ManagerConfig, ProcessManager
+from repro.sim.workload import Workload, WorkloadSpec
 from repro.theory.criteria import (
     has_correct_termination,
     is_process_recoverable,
@@ -104,13 +112,29 @@ class TestSingleProcess:
         names = [e.name for e in result.trace.events if e.is_activity]
         assert names == ["pivot", "safe"]
 
-    def test_retriable_transient_retries(self, protocol, order_program):
-        config = ManagerConfig(transient_retry_prob=0.5)
-        __, result = run(protocol, [order_program], seed=5,
-                         config=config)
-        assert result.stats.committed == 1
-        # seed 5 yields at least one transient retry of 'ship'
-        assert result.stats.retries >= 0
+    def test_retriable_transient_retries(
+        self, registry, conflicts, order_program
+    ):
+        # Transient retries come from a fault plan alone: 'ship' fails
+        # transiently on every attempt until the budget of three lets
+        # it through; rate_scale 0 keeps the other activities sound.
+        plan = FaultPlan(
+            name="flaky",
+            failures=ActivityFailures(rate_scale=0.0, transient_prob=1.0),
+            retry=RetrySpec(kind="fixed", max_attempts=3),
+        )
+        workload = Workload(
+            spec=WorkloadSpec(n_processes=1),
+            registry=registry,
+            conflicts=conflicts,
+            programs=[order_program],
+        )
+        chaos = FaultInjector(
+            workload, "process-locking", compile_plan(plan, seed=5)
+        ).run()
+        assert chaos.result.stats.committed == 1
+        assert chaos.result.stats.retries > 0
+        assert chaos.result.stats.retries == 2
 
 
 class TestTwoProcessInterleaving:

@@ -19,19 +19,14 @@ import pytest
 from repro.cli import main as repro_main
 from repro.errors import StorageError, WalCorruptionError
 from repro.scheduler.manager import ManagerConfig, make_manager
-from repro.scheduler.recovery import crash, recover
+from repro.scheduler.recovery import crash
 from repro.server.service import ProcessLockingService, ServiceConfig
 from repro.sim.runner import make_protocol
 from repro.sim.workload import WorkloadSpec, build_workload
 from repro.storage import AppendLogBackend, PersistencePlane, Store
 from repro.storage.codec import encode_frame
 from repro.storage.facade import FORMAT_VERSION, dumps
-from repro.storage.journal import (
-    TRACE,
-    ProgramCodec,
-    snapshot_from_dict,
-    snapshot_to_dict,
-)
+from repro.storage.journal import TRACE
 from tests.test_storage.commit_log import payloads_of
 
 CONTENDED = WorkloadSpec(
@@ -448,44 +443,6 @@ def test_compact_folds_the_trace_into_one_frame(tmp_path):
     assert compacted["trace"] == described["trace"]
     assert len(before[0]) == described["trace"]["events"] > 100
     assert restart_and_look() == before
-
-
-def test_document_without_lock_positions_still_loads():
-    """A document written before ledger records carried the lock's
-    sharing-order position reads back with ``position=None`` and
-    recovers (in uid order, as it was written to be)."""
-    workload = build_workload(CONTENDED)
-    manager = make_manager(
-        make_protocol("process-locking", workload),
-        subsystems=workload.make_subsystems(),
-        seed=CONTENDED.seed,
-    )
-    for index, program in enumerate(workload.programs):
-        manager.submit(program, at=index)
-    manager.engine.run_steps(60)
-    image = crash(manager)
-    codec = ProgramCodec(workload.programs)
-    documents = [
-        snapshot_to_dict(snapshot, codec) for snapshot in image.snapshots
-    ]
-    ledgers = [entry for doc in documents for entry in doc["ledger"]]
-    assert ledgers and all(entry["position"] for entry in ledgers)
-    for entry in ledgers:
-        del entry["position"]
-    image.snapshots = [snapshot_from_dict(doc, codec) for doc in documents]
-    assert not any(
-        record.position
-        for snapshot in image.snapshots
-        for record in snapshot.ledger
-    )
-    recovered = recover(
-        image,
-        make_protocol("process-locking", workload),
-        subsystems=workload.make_subsystems(),
-        seed=CONTENDED.seed,
-    )
-    recovered.run()
-    assert not recovered.undecided()
 
 
 def test_store_bytes_grow_linearly_with_submissions(tmp_path):

@@ -23,7 +23,7 @@ simulated.
 
 from __future__ import annotations
 
-from repro.core.deadlock import Digraph, has_cycle
+from repro.core.deadlock import find_cycle
 
 History = list[tuple[int, str, str]]
 
@@ -81,16 +81,14 @@ def record_pool(pool) -> dict[str, HistoryRecorder]:
     return {sub.name: HistoryRecorder(sub) for sub in pool}
 
 
-def serialization_graph(history: History) -> Digraph:
+def serialization_graph(history: History) -> dict[int, dict[int, None]]:
     """Conflict graph over the committed transactions of ``history``.
 
-    An edge ``i -> j`` means a committed operation of ``i`` precedes a
-    conflicting committed operation of ``j``.
+    An adjacency mapping: an edge ``i -> j`` means a committed operation
+    of ``i`` precedes a conflicting committed operation of ``j``.
     """
     committed = {txn for txn, op, _ in history if op == "c"}
-    graph = Digraph()
-    for txn in committed:
-        graph.add_node(txn)
+    graph: dict[int, dict[int, None]] = {txn: {} for txn in committed}
     ops = [
         (txn, op, key)
         for txn, op, key in history
@@ -101,13 +99,13 @@ def serialization_graph(history: History) -> Digraph:
             if txn_a == txn_b or key_a != key_b:
                 continue
             if "w" in (op_a, op_b):
-                graph.add_edge(txn_a, txn_b)
+                graph[txn_a][txn_b] = None
     return graph
 
 
 def is_serializable(history: History) -> bool:
     """Whether the committed projection of ``history`` is CPSR."""
-    return not has_cycle(serialization_graph(history).adj)
+    return find_cycle(serialization_graph(history)) is None
 
 
 def avoids_cascading_aborts(history: History) -> bool:

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.core.deadlock import Digraph, has_cycle, topological_order
+import networkx as nx  # test-only dependency (oracle)
+
+from repro.core.deadlock import find_cycle
 from repro.theory.schedule import (
     ConflictFn,
     EventKind,
@@ -101,22 +103,23 @@ def _successors(state, info, conflict):
 
 def serialization_graph(
     activities: Iterable[ScheduleEvent], conflict: ConflictFn
-) -> Digraph:
+) -> dict[ProcessKey, dict[ProcessKey, None]]:
     """Process-level conflict graph over the given activity events.
 
-    An edge ``P_i -> P_j`` whenever some activity of ``P_i`` precedes a
-    conflicting activity of ``P_j`` in the observed order.
+    An adjacency mapping, insertion-ordered: an edge ``P_i -> P_j``
+    whenever some activity of ``P_i`` precedes a conflicting activity
+    of ``P_j`` in the observed order.
     """
     events = sorted(activities, key=lambda e: e.position)
-    graph = Digraph()
-    for event in events:
-        graph.add_node(event.process)
+    graph: dict[ProcessKey, dict[ProcessKey, None]] = {
+        event.process: {} for event in events
+    }
     for i, first in enumerate(events):
         for second in events[i + 1:]:
             if first.process == second.process:
                 continue
             if conflict(first.name, second.name):
-                graph.add_edge(first.process, second.process)
+                graph[first.process][second.process] = None
     return graph
 
 
@@ -124,7 +127,7 @@ def is_conflict_serializable(
     activities: Iterable[ScheduleEvent], conflict: ConflictFn
 ) -> bool:
     """Acyclicity of the process-level serialization graph."""
-    return not has_cycle(serialization_graph(activities, conflict).adj)
+    return find_cycle(serialization_graph(activities, conflict)) is None
 
 
 def serialization_order(
@@ -132,9 +135,14 @@ def serialization_order(
 ) -> list[ProcessKey] | None:
     """A topological process order witnessing serializability, if any."""
     graph = serialization_graph(activities, conflict)
-    if has_cycle(graph.adj):
+    if find_cycle(graph) is not None:
         return None
-    return topological_order(graph)
+    digraph = nx.DiGraph()
+    digraph.add_nodes_from(graph)
+    digraph.add_edges_from(
+        (tail, head) for tail, heads in graph.items() for head in heads
+    )
+    return list(nx.topological_sort(digraph))
 
 
 def fixpoint_survivors(schedule: ProcessSchedule) -> list[ScheduleEvent]:

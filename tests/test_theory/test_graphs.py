@@ -27,22 +27,26 @@ def same_name(a, b):
     return a == b
 
 
+def edges(graph):
+    return [(tail, head) for tail, heads in graph.items() for head in heads]
+
+
 class TestSerializationGraph:
     def test_edge_orientation_follows_observed_order(self):
         events = [act(0, 1, "x"), act(1, 2, "x")]
         graph = serialization_graph(events, same_name)
-        assert list(graph.edges) == [((1, 0), (2, 0))]
+        assert edges(graph) == [((1, 0), (2, 0))]
 
     def test_commuting_events_add_no_edge(self):
         events = [act(0, 1, "x"), act(1, 2, "y")]
         graph = serialization_graph(events, same_name)
-        assert list(graph.edges) == []
-        assert set(graph.nodes) == {(1, 0), (2, 0)}
+        assert edges(graph) == []
+        assert set(graph) == {(1, 0), (2, 0)}
 
     def test_same_process_never_edges(self):
         events = [act(0, 1, "x"), act(1, 1, "x")]
         graph = serialization_graph(events, same_name)
-        assert list(graph.edges) == []
+        assert edges(graph) == []
 
     def test_cycle_detection(self):
         events = [
@@ -66,4 +70,4 @@ class TestSerializationGraph:
     def test_unsorted_input_is_sorted_by_position(self):
         events = [act(1, 2, "x"), act(0, 1, "x")]
         graph = serialization_graph(events, same_name)
-        assert list(graph.edges) == [((1, 0), (2, 0))]
+        assert edges(graph) == [((1, 0), (2, 0))]
