@@ -78,6 +78,9 @@ def _run_once(store):
 
 
 def _timed_min2(uid_floor, make_store):
+    """The first run's result and its whole schedule (read while its
+    store is open: a durable run's trace lives there), the faster
+    wall, the first store's stats."""
     first_result = None
     walls = []
     stats = {}
@@ -87,7 +90,7 @@ def _timed_min2(uid_floor, make_store):
         result, wall = _run_once(store)
         walls.append(wall)
         if attempt == 0:
-            first_result = result
+            first_result = result, result.trace.whole()
             if store is not None:
                 stats = store.stats()
         if store is not None:
@@ -109,13 +112,15 @@ def test_durable_log_overhead_is_bounded(uid_floor):
             fsync="batch",
         )
 
-    plain, wall_plain, _ = _timed_min2(uid_floor, lambda: None)
-    durable, wall_log, log_stats = _timed_min2(uid_floor, log_store)
+    (plain, plain_trace), wall_plain, _ = _timed_min2(
+        uid_floor, lambda: None
+    )
+    (durable, durable_trace), wall_log, log_stats = _timed_min2(
+        uid_floor, log_store
+    )
 
     # Durability is an observer: the schedule is byte-identical.
-    assert canonical_trace(plain.trace.events) == canonical_trace(
-        durable.trace.events
-    )
+    assert canonical_trace(plain_trace) == canonical_trace(durable_trace)
     assert plain.stats.committed == durable.stats.committed
     assert plain.makespan == durable.makespan
 

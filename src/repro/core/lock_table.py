@@ -95,6 +95,13 @@ class LockTable:
         #: (strict 2PL: locks release all-at-once), which keeps the
         #: per-process masks exact without per-type refcounts.
         self._pid_type_masks: dict[int, int] = {}
+        #: Live locks in all, and per subsystem of the registry (zeros
+        #: included, in registry order), counted on acquire and release:
+        #: a traced run's gauge sampler reads both on every event.
+        self._lock_count = 0
+        self._by_subsystem: dict[str, int] = {}
+        #: Type name -> subsystem, for the registry's types seen so far.
+        self._subsystem_of: dict[str, str] = {}
 
     def _live_plane(self):
         """The current compiled plane, resyncing the table to a recompile.
@@ -165,6 +172,11 @@ class LockTable:
         else:
             self._p_counts[pid] = p_count + 1
         self._index(entry, plane)
+        self._lock_count += 1
+        subsystem = self._subsystem_of.get(type_name)
+        if subsystem is None:
+            subsystem = self._learn_types()[type_name]
+        self._by_subsystem[subsystem] += 1
         if (
             type_list[-1] is not entry
             or len(type_list) > 1
@@ -172,6 +184,11 @@ class LockTable:
         ):
             raise ProtocolError(
                 f"acquire of {entry}: not last in the list of {type_name!r}"
+            )
+        if self._by_subsystem[subsystem] < len(type_list):
+            raise ProtocolError(
+                f"acquire of {entry}: {subsystem!r} counts fewer locks "
+                f"than {type_name!r} holds"
             )
         if (
             self._c_by_pid[pid][-1] is not entry
@@ -234,6 +251,10 @@ class LockTable:
     def release_all(self, pid: int) -> list[LockEntry]:
         """Drop every lock of ``pid`` (commit or abort of the process)."""
         released = self._by_pid.pop(pid, [])
+        self._lock_count -= len(released)
+        by_subsystem, subsystem_of = self._by_subsystem, self._subsystem_of
+        for entry in released:
+            by_subsystem[subsystem_of[entry.type_name]] -= 1
         affected_types = {entry.type_name for entry in released}
         for type_name in affected_types:
             entries = self._by_type.get(type_name)
@@ -283,6 +304,13 @@ class LockTable:
             or pid in self._blocks
         ):
             raise ProtocolError(f"release of P{pid}: an index still has it")
+        if not self._by_pid and (
+            self._lock_count or any(self._by_subsystem.values())
+        ):
+            raise ProtocolError(
+                f"release of P{pid}: no lock is held, but the lock "
+                f"counts say {self._lock_count} {self._by_subsystem}"
+            )
         for waiter in waiters:
             if pid in self._blocked_by.get(waiter, ()):
                 raise ProtocolError(
@@ -487,19 +515,22 @@ class LockTable:
 
     @property
     def lock_count(self) -> int:
-        return sum(len(entries) for entries in self._by_pid.values())
+        return self._lock_count
 
     def locks_by_subsystem(self) -> dict[str, int]:
-        """Live locks per subsystem of the registry, zeros included.
+        """Live locks per subsystem of the registry, zeros included, in
+        registry order."""
+        if len(self._subsystem_of) != len(self._conflicts.registry):
+            self._learn_types()
+        return dict(self._by_subsystem)
 
-        Read off the per-type lists when asked (the gauge sampler), in
-        registry order; nothing is counted on acquire or release.
-        """
-        by_type = self._by_type
-        counts: dict[str, int] = {}
+    def _learn_types(self) -> dict[str, str]:
+        """Take in the types registered since the last call (the
+        registry only grows); returns the type -> subsystem map."""
+        subsystem_of = self._subsystem_of
+        by_subsystem = self._by_subsystem
         for activity_type in self._conflicts.registry:
-            subsystem = activity_type.subsystem
-            counts[subsystem] = counts.get(subsystem, 0) + len(
-                by_type.get(activity_type.name, ())
-            )
-        return counts
+            if activity_type.name not in subsystem_of:
+                subsystem_of[activity_type.name] = activity_type.subsystem
+                by_subsystem.setdefault(activity_type.subsystem, 0)
+        return subsystem_of

@@ -34,12 +34,16 @@ class Tracer:
         self.stamped: list[tuple[int, float, object]] = []
         self.series = SeriesBank()
         self._sampler: Callable[[], dict[str, float]] | None = None
+        #: The sampler's previous poll: a poll equal to it adds no
+        #: point to any of its gauges (a series keeps changes only).
+        self._sampled: dict[str, float] | None = None
 
     def bind_sampler(
         self, sampler: Callable[[], dict[str, float]]
     ) -> None:
         """Poll ``sampler()`` for gauge values on every emit."""
         self._sampler = sampler
+        self._sampled = None
 
     def emit(self, seq: int, t: float, event) -> None:
         """Store one stamped event; update the series bank."""
@@ -58,8 +62,11 @@ class Tracer:
         elif isinstance(event, ActivityClassified):
             bank.gauge(f"wcc/P{event.pid}", t, event.wcc)
         if self._sampler is not None:
-            for name, value in self._sampler().items():
-                bank.gauge(name, t, value)
+            sample = self._sampler()
+            if sample != self._sampled:
+                self._sampled = sample
+                for name, value in sample.items():
+                    bank.gauge(name, t, value)
 
     def records(self) -> list[dict]:
         """All stamped events as flat record dictionaries."""

@@ -128,15 +128,25 @@ class ProcessRecord:
     activities_committed: int = 0
     compensations: int = 0
     compensated_cost: float = 0.0
-    #: Activity-type names whose effects had to be compensated.
-    compensated_names: list[str] = field(default_factory=list)
+    #: Activity-type names whose effects had to be compensated.  Both
+    #: compensation lists are the shared empty tuple until the first
+    #: compensation (:meth:`note_compensation`), which most processes
+    #: never reach.
+    compensated_names: list[str] | tuple[()] = ()
     #: Cause of each compensation, aligned with ``compensated_names``
     #: ("protocol-abort", "intrinsic-abort", or "subprocess-abort").
-    compensated_causes: list[str] = field(default_factory=list)
+    compensated_causes: list[str] | tuple[()] = ()
     retries: int = 0
     #: One of :data:`OUTCOMES`, written once, by the manager; ``None``
     #: while undecided — "terminal" *means* ``outcome is not None``.
     outcome: str | None = None
+
+    def note_compensation(self, name: str, cause: str) -> None:
+        """Add one compensation; the first allocates the two lists."""
+        if not self.compensated_names:
+            self.compensated_names, self.compensated_causes = [], []
+        self.compensated_names.append(name)
+        self.compensated_causes.append(cause)
 
     @property
     def latency(self) -> float | None:

@@ -982,8 +982,7 @@ class ProcessManager:
         record = self.records[process.pid]
         record.compensations += 1
         record.compensated_cost += undone_cost
-        record.compensated_names.append(entry.activity.name)
-        record.compensated_causes.append(run.label)
+        record.note_compensation(entry.activity.name, run.label)
         self._advance_compensation(run)
 
     # ------------------------------------------------------------------

@@ -111,6 +111,7 @@ class CrashImage:
     """Everything that survives a process-manager crash."""
 
     snapshots: list[ProcessSnapshot]
+    #: The trace from position ``trace_base`` on.
     trace_events: list[ScheduleEvent]
     records: dict[int, ProcessRecord] = field(default_factory=dict)
     crashed_at: float = 0.0
@@ -118,6 +119,9 @@ class CrashImage:
     #: ``(pid, program, virtual time until its initiation)`` of every
     #: submitted pid that had not been initiated yet.
     pending: list[tuple] = field(default_factory=list)
+    #: Trace events before ``trace_events``: the prefix a durable store
+    #: holds, which the image does not carry.
+    trace_base: int = 0
 
 
 # ----------------------------------------------------------------------
@@ -133,6 +137,7 @@ def crash(manager: ProcessManager) -> CrashImage:
     return CrashImage(
         snapshots=snapshot_live(manager),
         trace_events=list(manager.trace.events),
+        trace_base=manager.trace.base,
         records=dict(manager.records),
         crashed_at=now,
         max_pid=max(manager.records, default=0),
@@ -406,7 +411,7 @@ def recover(
         seed=seed,
         tracer=tracer,
     )
-    manager.trace = TraceRecorder(image.trace_events)
+    manager.trace = TraceRecorder(image.trace_events, base=image.trace_base)
     for pid, record in image.records.items():
         if record.outcome is None:
             record = replace(

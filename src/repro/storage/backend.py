@@ -165,7 +165,8 @@ class AppendLogBackend:
     policies trade for speed.  The log is scanned once, at first use:
     its torn tail is healed there, and ``read_all`` hands each
     namespace's payloads out of that scan and lets go of them — a read
-    after that scans the log again, for every namespace at once.
+    after that scans the log again and keeps that namespace's payloads
+    alone (the ``check`` verb reads the trace back so, mid-session).
     """
 
     kind = "log"
@@ -206,14 +207,18 @@ class AppendLogBackend:
             self._healed = {COMMIT_LOG: result.torn_bytes}
         self._log = open(self._log_path, "ab", buffering=0)
 
-    def _scan(self):
-        """Read the log once and sort its payloads by namespace."""
+    def _read_log(self):
+        """:func:`scan_log` of the log as it is on disk."""
         try:
             with open(self._log_path, "rb") as handle:
                 data = handle.read()
         except FileNotFoundError:
             data = b""
-        result, ids, owners = scan_log(data)
+        return scan_log(data)
+
+    def _scan(self):
+        """Read the log at open and sort its payloads by namespace."""
+        result, ids, owners = self._read_log()
         scanned: dict[str, list[bytes]] = {name: [] for name in ids}
         for owner, payload in zip(owners, result.payloads):
             if owner is not None:
@@ -372,10 +377,19 @@ class AppendLogBackend:
             if self._log is None:
                 self._open()
             if namespace in self._tags:
-                if namespace not in self._scanned:
-                    self._scan()
-                return self._scanned.pop(namespace)
+                held = self._scanned.pop(namespace, None)
+                return self._rescan(namespace) if held is None else held
         return self._read_slot(namespace)
+
+    def _rescan(self, namespace: str) -> list[bytes]:
+        """``namespace``'s payloads, read off the log again; every other
+        namespace's stay on disk."""
+        result, _, owners = self._read_log()
+        return [
+            payload
+            for owner, payload in zip(owners, result.payloads)
+            if owner == namespace
+        ]
 
     def count(self, namespace: str) -> int:
         """Frames in ``namespace``, without reading the log for it."""

@@ -616,14 +616,20 @@ def trace_event_from_row(
     )
 
 
+def trace_row_uid(row: list) -> int:
+    """The activity uid of a :data:`TRACE_ROWS` row; 0 for a commit or
+    abort."""
+    return row[4] if row[0] == "a" else 0
+
+
 # ----------------------------------------------------------------------
 # process records
 # ----------------------------------------------------------------------
 #: ``(name, is_list)`` per stored :class:`ProcessRecord` field: every
-#: field but ``outcome``; the list fields are copied, as ``asdict``
-#: would.
+#: field but ``outcome``; the list fields (empty tuples by default)
+#: are copied into lists, as ``asdict`` would.
 _RECORD_PLAN = tuple(
-    (spec.name, spec.default_factory is list)
+    (spec.name, type(spec.default) is tuple)
     for spec in fields(ProcessRecord)
     if spec.name != "outcome"
 )
@@ -645,7 +651,12 @@ def record_to_dict(record: ProcessRecord) -> dict:
 
 
 def record_from_dict(data: dict, outcome=None) -> ProcessRecord:
-    return ProcessRecord(**data, outcome=outcome)
+    """The record ``data`` holds; with no compensation its lists are
+    the shared empty default, as in a record that never compensated."""
+    record = ProcessRecord(**data, outcome=outcome)
+    if not (record.compensated_names or record.compensated_causes):
+        record.compensated_names = record.compensated_causes = ()
+    return record
 
 
 # ----------------------------------------------------------------------
@@ -682,25 +693,22 @@ def checkpoint_to_dict(
     }
 
 
-def checkpoint_from_dict(
-    data: dict, trace_rows: list, codec: ProgramCodec
-) -> CrashImage:
+def checkpoint_from_dict(data: dict, codec: ProgramCodec) -> CrashImage:
     """The crash image a checkpoint document describes.
 
-    ``trace_rows`` is the prefix of the ``trace`` namespace the
-    document's ``trace_len`` covers.  ``records`` comes back holding
-    only what the document carries; the caller adds the finished
-    processes from their ``terminal`` journal records.
+    The trace prefix the document's ``trace_len`` covers stays in the
+    ``trace`` namespace: the image carries its length only.
+    ``records`` comes back holding only what the document carries; the
+    caller adds the finished processes from their ``terminal`` journal
+    records.
     """
     return CrashImage(
         snapshots=[
             snapshot_from_dict(entry, codec)
             for entry in data["processes"]
         ],
-        trace_events=[
-            trace_event_from_row(row, position, codec)
-            for position, row in enumerate(trace_rows)
-        ],
+        trace_events=[],
+        trace_base=data["trace_len"],
         records={
             int(pid): record_from_dict(record)
             for pid, record in data["records"].items()

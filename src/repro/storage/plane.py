@@ -20,11 +20,15 @@ the durability protocol:
   document — live-process continuations, the records of undecided
   pids, the journal and trace watermarks — is swapped in atomically
   after them.  Finished processes are not copied anywhere: their
-  ``terminal`` record is their durable home.
+  ``terminal`` record is their durable home.  Nor is the trace kept
+  twice: once a snapshot holds it, the manager's recorder forgets it,
+  and reads it back from the store when the whole schedule is asked
+  for (the ``check`` verb).
 
 Restart recovery composes the pieces: heal torn tails, rebuild the
-:func:`repro.scheduler.recovery.crash` image from document + trace
-prefix + terminal records, run it through the *existing*
+:func:`repro.scheduler.recovery.crash` image from document + terminal
+records (the trace prefix stays in the store; the recorder starts
+past it), run it through the *existing*
 :func:`repro.scheduler.recovery.recover` machinery (locks re-acquired
 in sharing order, processes adopted mid-flight), then walk the journal
 — terminal records restore finished processes without re-execution,
@@ -54,7 +58,9 @@ from repro.storage.journal import (
     checkpoint_to_dict,
     record_from_dict,
     record_to_dict,
+    trace_event_from_row,
     trace_event_to_row,
+    trace_row_uid,
 )
 
 
@@ -123,8 +129,11 @@ class PersistencePlane:
         #: pids still undecided.
         self._accepted: list[dict] = []
         #: Trace events the last snapshot covers; the next one appends
-        #: from here.
+        #: from here, and the manager's recorder holds only the events
+        #: past it.
         self._trace_len = 0
+        #: The highest activity uid in the stored trace (read at open).
+        self._trace_uid_floor = 0
         self._max_pid = 0
         #: Pids the newest document holds live or awaiting resubmission:
         #: a restart adopts and re-runs them, whatever their ``terminal``
@@ -163,10 +172,15 @@ class PersistencePlane:
         if document is None:
             image = CrashImage(snapshots=[], trace_events=[])
         else:
+            # The trace prefix stays in the store: one pass over its
+            # rows checks it against the watermark and finds the uid
+            # floor a restart needs, and builds no event.
             trace_len = document["trace_len"]
             rows = self.store.trace.events(trace_len)
             del rows[trace_len:]  # orphans of a crash before the swap
-            image = checkpoint_from_dict(document, rows, self.codec)
+            self._trace_uid_floor = max(map(trace_row_uid, rows), default=0)
+            del rows
+            image = checkpoint_from_dict(document, self.codec)
         live = {snapshot.pid for snapshot in image.snapshots}
         submits: dict[int, int] = {}
         cancels: set[int] = set()
@@ -223,7 +237,7 @@ class PersistencePlane:
             info.snapshot_lsn = int(document["journal_lsn"])
             self._snapshot_lsn = info.snapshot_lsn
         self._noted = len(journal) - self._snapshot_lsn
-        self._trace_len = len(image.trace_events)
+        self._trace_len = image.trace_base
         self._max_pid = image.max_pid
         self._adoptable = {snapshot.pid for snapshot in image.snapshots}
         tracer = MetricsTracer.over(tracer)
@@ -237,17 +251,13 @@ class PersistencePlane:
             seed=seed,
             tracer=tracer,
         )
+        manager.trace.stored = self.stored_trace
         # recover() floors the activity-uid counter over live ledgers;
         # after a *process* restart (counters reborn at 1) finished
         # processes' uids live only in the trace, so floor over those
         # too — a uid collision would corrupt compensation pairing in
         # the spliced schedule.
-        ensure_uid_floor(
-            max(
-                (event.uid or 0 for event in image.trace_events),
-                default=0,
-            )
-        )
+        ensure_uid_floor(self._trace_uid_floor)
         info.adopted = len(image.snapshots)
         info.resubmitted = len(image.pending)
         info.restored = sum(
@@ -341,6 +351,17 @@ class PersistencePlane:
         self.store.flush()
         return took
 
+    def stored_trace(self, count: int) -> list:
+        """The first ``count`` events of the trace, read back from the
+        store: what :meth:`snapshot` made the manager's recorder forget
+        (:meth:`~repro.scheduler.trace.TraceRecorder.whole`)."""
+        rows = self.store.trace.events(count)
+        codec = self.codec
+        return [
+            trace_event_from_row(row, position, codec)
+            for position, row in zip(range(count), rows)
+        ]
+
     def snapshot(self, manager) -> int:
         """Checkpoint what changed since the last one; returns the
         journal watermark.
@@ -350,15 +371,18 @@ class PersistencePlane:
         synced (with the journal); then the document is swapped in
         atomically.  A crash in between recovers the previous snapshot
         exactly; the appended events lie past its ``trace_len`` and are
-        superseded by the next incarnation's first snapshot.
+        superseded by the next incarnation's first snapshot.  After the
+        swap the manager's recorder forgets the events the store now
+        holds.
         """
-        events = manager.trace.events
-        if len(events) > self._trace_len:
+        trace = manager.trace
+        trace_len = len(trace)
+        if trace_len > self._trace_len:
             self.store.trace.append(
                 self._trace_len,
                 [
                     trace_event_to_row(event)
-                    for event in events[self._trace_len:]
+                    for event in trace.events[self._trace_len - trace.base:]
                 ],
             )
         self.store.flush()
@@ -370,15 +394,16 @@ class PersistencePlane:
                 {pid: manager.records[pid] for pid in manager.undecided()},
                 self.codec,
                 journal_lsn=lsn,
-                trace_len=len(events),
+                trace_len=trace_len,
                 crashed_at=manager.engine.now,
                 max_pid=self._max_pid,
             )
         )
         self._snapshot_lsn = lsn
         self._noted = 0
-        self._trace_len = len(events)
+        self._trace_len = trace_len
         self._adoptable = {process.pid for process in processes}
+        trace.forget(trace_len, self.stored_trace)
         manager.tracer.emit(
             StoreSnapshot(processes=len(processes), journal_lsn=lsn)
         )

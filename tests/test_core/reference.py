@@ -186,7 +186,9 @@ def full_audit(table, live_pids) -> None:
       map its transpose;
     * the live-type and per-process bitmasks match a recomputation
       from the primary lists, and the compiled conflict rows of every
-      live type agree with the dict-based matrix.
+      live type agree with the dict-based matrix;
+    * the lock counts, in all and per subsystem of the registry, are
+      those the per-type lists hold.
 
     Resyncs with the conflict matrix first: after a mid-run
     ``declare_conflict`` the indexes are stale by design until the
@@ -267,3 +269,19 @@ def full_audit(table, live_pids) -> None:
                 f"compiled conflict row of {type_name!r} disagrees "
                 f"with the dict-based matrix"
             )
+    by_subsystem: dict[str, int] = {}
+    for activity_type in table._conflicts.registry:
+        by_subsystem[activity_type.subsystem] = by_subsystem.get(
+            activity_type.subsystem, 0
+        ) + len(table._by_type.get(activity_type.name, ()))
+    counted = table.locks_by_subsystem()
+    if counted != by_subsystem or list(counted) != list(by_subsystem):
+        raise ProtocolError(
+            f"per-subsystem lock counts {counted} disagree with the "
+            f"per-type lists ({by_subsystem})"
+        )
+    if table.lock_count != sum(map(len, table._by_type.values())):
+        raise ProtocolError(
+            f"lock count {table.lock_count} disagrees with the per-type "
+            f"lists"
+        )

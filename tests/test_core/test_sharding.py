@@ -2,11 +2,11 @@
 
 Activities of different subsystems never conflict, so the per-type lock
 lists split cleanly by owning subsystem (a "shard" in the metric labels
-and the ``lock.defer`` / ``lock.cascade`` events).  The table keeps no per-shard state: the
-per-subsystem counts are read off the per-type lists when asked, and the
-whole-table oracle (``full_audit``) checks every subsystem's lists at
-once.  These tests pin the partition, the derived counts, the oracle's
-corruption detection and the per-subsystem gauges.
+and the ``lock.defer`` / ``lock.cascade`` events).  The table counts
+its live locks per subsystem on acquire and release, and the
+whole-table oracle (``full_audit``) checks those counts against every
+subsystem's lists at once.  These tests pin the partition, the counts,
+the oracle's corruption detection and the per-subsystem gauges.
 """
 
 from __future__ import annotations
@@ -109,6 +109,17 @@ class TestShardAuditDetection:
         table._blocked_by[2].discard(1)
         with pytest.raises(ProtocolError, match="blocker index"):
             full_audit(table, [1, 2])
+
+    def test_a_drifted_lock_count_is_detected(self, table):
+        table.acquire(FakeProcess(1), "reserve", LockMode.C)
+        table.acquire(FakeProcess(2), "charge", LockMode.P)
+        table._by_subsystem["bank"] += 1
+        with pytest.raises(ProtocolError, match="per-subsystem"):
+            full_audit(table, [1, 2])
+        # The release that empties the table checks its own counts.
+        table.release_all(1)
+        with pytest.raises(ProtocolError, match="no lock is held"):
+            table.release_all(2)
 
     def test_unsorted_positions_detected(self, table):
         table.acquire(FakeProcess(1), "reserve", LockMode.C)

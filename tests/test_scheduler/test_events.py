@@ -21,8 +21,20 @@ class TestProcessRecord:
         record = ProcessRecord(pid=1, submitted_at=0.0)
         assert record.resubmissions == 0
         assert record.compensations == 0
-        assert record.compensated_names == []
-        assert record.compensated_causes == []
+        # No list until the first compensation: the shared empty tuple.
+        assert record.compensated_names == ()
+        assert record.compensated_causes == ()
+
+    def test_first_compensation_allocates_the_lists(self):
+        record = ProcessRecord(pid=1, submitted_at=0.0)
+        other = ProcessRecord(pid=2, submitted_at=0.0)
+        record.note_compensation("reserve", "protocol-abort")
+        record.note_compensation("wrap", "intrinsic-abort")
+        assert record.compensated_names == ["reserve", "wrap"]
+        assert record.compensated_causes == [
+            "protocol-abort", "intrinsic-abort"
+        ]
+        assert other.compensated_names == other.compensated_causes == ()
 
 
 class TestParkedRequest:

@@ -2,13 +2,13 @@
 
 A long-running ``repro serve`` must not keep per-operation state: a
 subsystem validates each commit against per-key counters instead of
-logging every read and write, and a schedule event is a slotted record
-sharing its process's one key tuple.  What is still retained per
-process (its trace events, its record, the flight ring's share) is
-counted here under ``tracemalloc``, on the benchmark's
-``grounded_closed`` catalog, the one workload whose subsystem
-transactions run.  About 1.4 kB per process is retained; logging every
-subsystem operation again would add about 1 kB.
+logging every read and write, and a durable service's trace events
+leave memory at the snapshot that stores them.  What is still retained
+per process (its record, the flight ring's share) is counted here
+under ``tracemalloc``, on the benchmark's ``grounded_closed`` catalog,
+the one workload whose subsystem transactions run.  About 350 B per
+process is retained; keeping every trace event in memory again would
+add about 1 kB, and logging every subsystem operation another 1 kB.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ GROUNDED_CLOSED = WorkloadSpec(
 )
 
 #: Bytes still held per answered process after the rounds below.
-BOUND = 2_000
+BOUND = 1_000
 
 
 def _serve(service: ProcessLockingService, requests: int) -> None:

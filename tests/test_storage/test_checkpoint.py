@@ -115,7 +115,7 @@ def test_stored_image_equals_crash_image_at_every_snapshot(
     plane.final(manager)
     store.close()
     assert manager.stats.resubmissions > 0  # it was contended
-    assert len(manager.trace.events) > 100
+    assert len(manager.trace) > 100
     # The journal holds a submit and a terminal per pid (40 records):
     # cadence 0 snapshots at every drain point, 1 at every one that
     # decided a pid, 7 at every seventh record, 256 only at the end.
@@ -162,12 +162,15 @@ def test_crash_between_trace_append_and_document_swap(tmp_path):
     # The delta of the third snapshot did reach the trace file.
     durable = images[-1]
     orphaned = Store.open("log", path, fsync="never")
-    assert len(orphaned.trace.events()) > len(durable.trace_events)
+    # The image of a snapshot carries no trace: the store holds it.
+    assert durable.trace_events == [] and durable.trace_base > 0
+    assert len(orphaned.trace.events()) > durable.trace_base
     orphaned.close()
     assert _stored_image(workload, path) == durable
 
     store2, plane2, recovered = _open_manager(workload, path, 7)
-    assert len(recovered.trace.events) == len(durable.trace_events)
+    assert len(recovered.trace) == durable.trace_base
+    assert recovered.trace.events == []
     _drive(plane2, recovered)
     plane2.final(recovered)
     store2.close()
@@ -282,7 +285,7 @@ def test_orphan_delta_past_watermark_is_ignored(tmp_path, capsys):
     assert described["trace"]["events"] == watermark + 2
     service = ProcessLockingService(_config(tmp_path)).start()
     try:
-        assert len(service.manager.trace.events) == watermark
+        assert len(service.manager.trace) == watermark
         report = service.execute({"cmd": "check"}).result(timeout=30)
         assert report["complete"] and report["correct_termination"]
     finally:
@@ -425,7 +428,7 @@ def test_compact_folds_the_trace_into_one_frame(tmp_path):
         try:
             stats = service.execute({"cmd": "stats"}).result(timeout=30)
             return (
-                list(service.manager.trace.events),
+                service.manager.trace.whole(),
                 stats["manager"],
                 stats["store"]["recovered"]["restored"],
             )

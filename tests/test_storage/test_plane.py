@@ -118,7 +118,7 @@ def test_finished_processes_restore_without_rerun(tmp_path):
     plane.after_drain(manager)
     plane.final(manager)
     committed = result.stats.committed
-    events_before = len(result.trace.events)
+    events_before = result.trace.whole()
     store.close()
     store2 = Store.open("log", str(tmp_path / "store"))
     plane2, recovered, info = _build(workload, store2)
@@ -127,7 +127,8 @@ def test_finished_processes_restore_without_rerun(tmp_path):
     assert recovered.stats.committed == committed
     # Nothing re-runs: the engine has no scheduled work.
     assert not recovered.undecided()
-    assert len(recovered.trace.events) == events_before
+    assert len(recovered.trace) == len(events_before)
+    assert recovered.trace.whole() == events_before
     for pid, record in result.records.items():
         assert recovered.records[pid].committed_at == (
             record.committed_at

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import shutil
-from dataclasses import MISSING, fields, replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import pytest
@@ -188,13 +188,12 @@ def test_terminal_rows_round_trip_at_any_defaults(record, outcome):
 
 
 def test_the_terminal_row_leaves_out_process_record_defaults():
-    """The defaults a row may leave out are the record's own, and every
-    outcome has its own letter."""
+    """The defaults a row may leave out are the record's own, as a
+    stored record holds them (its empty compensation tuples as lists),
+    and every outcome has its own letter."""
+    stored = record_to_dict(ProcessRecord(pid=1, submitted_at=0.0))
     defaults = {
-        spec.name: repr(
-            spec.default if spec.default_factory is MISSING
-            else spec.default_factory()
-        )
+        spec.name: repr(stored[spec.name])
         for spec in fields(ProcessRecord)
         if spec.name in TRAILING
     }
