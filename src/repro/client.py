@@ -23,6 +23,7 @@ import socket
 import threading
 from concurrent.futures import Future
 
+from repro.obs.events import restore_record
 from repro.server.protocol import encode
 
 
@@ -155,19 +156,18 @@ class ServiceClient:
         """The server's metrics-registry snapshot (JSON form)."""
         return self.call("metrics")
 
-    def dump(self, restore: bool = True) -> dict:
+    def dump(self) -> dict:
         """The server's flight-recorder window as trace records.
 
-        With ``restore`` (the default) the JSONL string stand-ins for
-        non-finite floats are converted back to numbers, so the
-        records feed :func:`repro.obs.explain_process` and
+        The string spellings of non-finite floats are read back as
+        numbers, in the fields that may hold one
+        (:func:`repro.obs.events.restore_record`), so the records feed
+        :func:`repro.obs.explain_process` and
         :func:`repro.obs.replay_metrics` directly.
         """
         body = self.call("dump")
-        if restore:
-            from repro.obs.export import _restore
-
-            body["events"] = [_restore(r) for r in body["events"]]
+        for record in body["events"]:
+            restore_record(record)
         return body
 
     def drain(self) -> dict:
@@ -182,13 +182,19 @@ class ServiceClient:
         return self.call("unsubscribe", token=token)
 
     def next_event(self, timeout: float | None = None) -> dict | None:
-        """Pop one pushed event frame; ``None`` on timeout."""
+        """Pop one pushed event frame; ``None`` on timeout.
+
+        The frame's record is read back as :meth:`dump` reads its
+        records, non-finite floats as numbers.
+        """
         try:
-            return self.events.get(
+            frame = self.events.get(
                 timeout=self.timeout if timeout is None else timeout
             )
         except queue.Empty:
             return None
+        restore_record(frame["record"])
+        return frame
 
     # ------------------------------------------------------------------
     # teardown

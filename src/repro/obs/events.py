@@ -15,12 +15,16 @@ Events do **not** carry their own clock — the manager's fold
 the virtual time and a global sequence number, and every consumer
 serializes the pair together with the payload through
 :func:`flat_record`.  The flat record dictionaries are what the JSONL
-log, the exporters, and the explain replay consume.
+log, the exporters, and the explain replay consume.  The same per-class
+field plan says which fields may hold a non-finite float: every JSON
+boundary writes those through :func:`json_record`, and
+:func:`restore_record` / :func:`record_to_event` read them back.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field, fields
 
 from repro.core.decisions import (  # noqa: F401  (re-exported)
@@ -460,6 +464,35 @@ _SHARED_ANNOTATIONS = frozenset(
     }
 )
 
+#: The one JSON spelling of a non-finite float.  Strict JSON has no
+#: ``Infinity`` / ``NaN`` token (Perfetto's importer rejects one), yet
+#: Wcc* = inf is the default threshold and a committed pivot drives Wcc
+#: to inf.
+NONFINITE = {"Infinity": math.inf, "-Infinity": -math.inf, "NaN": math.nan}
+
+
+def spell(value):
+    """``value``, or its :data:`NONFINITE` spelling if it is a
+    non-finite float."""
+    if value != value:
+        return "NaN"
+    if value == math.inf or value == -math.inf:
+        return "Infinity" if value > 0 else "-Infinity"
+    return value
+
+
+def unspell(value):
+    """Inverse of :func:`spell`."""
+    return NONFINITE.get(value, value) if isinstance(value, str) else value
+
+
+def _spell_values(mapping: dict) -> dict:
+    return {key: spell(value) for key, value in mapping.items()}
+
+
+def _unspell_values(mapping: dict) -> dict:
+    return {key: unspell(value) for key, value in mapping.items()}
+
 
 def _holders(holders) -> tuple[dict, ...]:
     return tuple(
@@ -468,13 +501,23 @@ def _holders(holders) -> tuple[dict, ...]:
     )
 
 
+def _holder_tuple(items) -> tuple[Holder, ...]:
+    return tuple(
+        item if isinstance(item, Holder) else Holder(**item)
+        for item in items
+    )
+
+
 #: Keys :func:`flat_record` stamps on every record.
 STAMP_KEYS = ("seq", "t", "kind")
 
 
 def _field_plan(cls) -> tuple:
-    """``(name, convert)`` per field; ``convert`` is ``None`` where the
-    value goes into the payload as it is.
+    """``(name, convert, spelled, restore)`` per field: ``convert``
+    builds the payload value, ``spelled`` is ``(spell, unspell)`` for a
+    field that may hold a non-finite float (a ``float``, or the values
+    of the one mapping, ``FaultInjected.detail``), and ``restore`` reads
+    a JSON value back as the field's type; ``None`` means as it is.
 
     A field may not take a stamp's name: :func:`flat_record` lays the
     payload over ``seq`` / ``t`` / ``kind``.
@@ -486,18 +529,35 @@ def _field_plan(cls) -> tuple:
                 f"{cls.__name__}.{spec.name} would overwrite the "
                 "record's stamp"
             )
-        if spec.type in _SHARED_ANNOTATIONS:
-            convert = None
+        convert = spelled = restore = None
+        if spec.type in ("float", "float | None"):
+            spelled = (spell, unspell)
         elif spec.type == "tuple[Holder, ...]":
-            convert = _holders
-        else:  # a mutable value (``FaultInjected.detail``)
-            convert = copy.deepcopy
-        plan.append((spec.name, convert))
+            convert, restore = _holders, _holder_tuple
+        elif spec.type in ("tuple[int, ...]", "tuple[str, ...]"):
+            restore = tuple
+        elif spec.type == "dict":  # ``FaultInjected.detail``
+            convert, spelled = copy.deepcopy, (_spell_values, _unspell_values)
+        elif spec.type not in _SHARED_ANNOTATIONS:
+            raise TypeError(
+                f"{cls.__name__}.{spec.name}: no plan for {spec.type}"
+            )
+        if spelled is not None:
+            restore = spelled[1]
+        plan.append((spec.name, convert, spelled, restore))
     return tuple(plan)
 
 
 _FIELD_PLANS: dict[type, tuple] = {
     cls: _field_plan(cls) for cls in EVENT_TYPES.values()
+}
+
+#: kind -> ``(name, spell, unspell)`` per field that may hold a
+#: non-finite float; a kind with none is absent.
+_SPELLED: dict[str, tuple] = {
+    cls.kind: spelled
+    for cls, plan in _FIELD_PLANS.items()
+    if (spelled := tuple((name, *pair) for name, __, pair, __ in plan if pair))
 }
 
 
@@ -511,7 +571,7 @@ def event_payload(event) -> dict:
         name: getattr(event, name)
         if convert is None
         else convert(getattr(event, name))
-        for name, convert in _FIELD_PLANS[type(event)]
+        for name, convert, __, __ in _FIELD_PLANS[type(event)]
     }
 
 
@@ -524,6 +584,49 @@ def flat_record(seq: int, t: float, event) -> dict:
     record = {"seq": seq, "t": t, "kind": event.kind}
     record.update(event_payload(event))
     return record
+
+
+def json_record(record: dict) -> dict:
+    """``record`` as a JSON boundary writes it: a copy with the fields
+    its kind's plan marks spelled, or ``record`` itself if it has none
+    (also a record of no event kind)."""
+    plan = _SPELLED.get(record.get("kind"))
+    if plan is None:
+        return record
+    record = record.copy()
+    for name, spell_field, __ in plan:
+        if name in record:
+            record[name] = spell_field(record[name])
+    return record
+
+
+def restore_record(record: dict) -> dict:
+    """Inverse of :func:`json_record`, in place; returns ``record``.
+    Only the marked fields are read back, so an activity named
+    ``"NaN"`` stays a string."""
+    for name, __, unspell_field in _SPELLED.get(record.get("kind"), ()):
+        if name in record:
+            record[name] = unspell_field(record[name])
+    return record
+
+
+def record_to_event(record: dict):
+    """Rebuild the typed event dataclass from one flat record.
+
+    Inverse of :func:`flat_record` for the payload part, also straight
+    off a JSON line: each field goes through its plan's ``restore``.
+    Raises :class:`ValueError` on an unknown kind and
+    :class:`TypeError` when required payload fields are missing (an
+    absent optional field takes its default).
+    """
+    cls = EVENT_TYPES.get(record["kind"])
+    if cls is None:
+        raise ValueError(f"unknown event kind {record['kind']!r}")
+    return cls(**{
+        name: record[name] if restore is None else restore(record[name])
+        for name, __, __, restore in _FIELD_PLANS[cls]
+        if name in record
+    })
 
 
 # ----------------------------------------------------------------------

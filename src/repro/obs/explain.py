@@ -12,8 +12,7 @@ simulation objects, so traces can be explained long after the run.
 
 from __future__ import annotations
 
-from repro.obs.events import ParkTracker
-from repro.obs.export import record_to_event
+from repro.obs.events import ParkTracker, record_to_event
 
 
 def deferred_pids(records: list[dict]) -> list[int]:

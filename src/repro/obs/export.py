@@ -2,7 +2,12 @@
 
 All exporters operate on the flat record dictionaries produced by
 :meth:`repro.obs.tracer.Tracer.records` (or read back from a JSONL log),
-so post-processing never needs the live simulation objects.
+so post-processing never needs the live simulation objects;
+:func:`export_all` writes every artifact in one pass over a tracer's
+stamped events.  A record is written as
+:func:`~repro.obs.events.json_record` spells it (non-finite floats as
+strings), with one ``json.dumps(..., allow_nan=False)`` per line or
+file.
 
 Perfetto / Chrome trace-event format
 ------------------------------------
@@ -28,10 +33,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import fields
 from pathlib import Path
 
-from repro.obs.events import EVENT_TYPES, STAMP_KEYS, Holder, ParkTracker
+from repro.obs.events import (
+    STAMP_KEYS,
+    ParkTracker,
+    flat_record,
+    json_record,
+    record_to_event,
+    restore_record,
+    spell,
+)
 from repro.obs.series import SeriesBank
 
 #: Exported µs per virtual time unit (1 vt unit == 1 ms on screen).
@@ -54,34 +66,9 @@ _INSTANT_KINDS = {
 #: Span-terminating kinds, keyed off the start's activity uid.
 _SPAN_ENDS = {"activity.commit", "activity.fail", "activity.cancel"}
 
-#: String stand-ins for non-finite floats.  Strict JSON has no
-#: ``Infinity``/``NaN`` tokens (Perfetto's importer rejects them), yet a
-#: committed pivot legitimately drives ``Wcc`` to ``inf``.
-_NONFINITE = {"Infinity": math.inf, "-Infinity": -math.inf, "NaN": math.nan}
-
-
-def _jsonable(value):
-    """Recursively replace non-finite floats with their string names."""
-    if isinstance(value, float) and not math.isfinite(value):
-        if math.isnan(value):
-            return "NaN"
-        return "Infinity" if value > 0 else "-Infinity"
-    if isinstance(value, dict):
-        return {key: _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    return value
-
-
-def _restore(value):
-    """Inverse of :func:`_jsonable` (applied on JSONL read-back)."""
-    if isinstance(value, str) and value in _NONFINITE:
-        return _NONFINITE[value]
-    if isinstance(value, dict):
-        return {key: _restore(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_restore(item) for item in value]
-    return value
+#: One JSONL line's JSON (what ``json.dumps(record, sort_keys=True,
+#: allow_nan=False)`` writes, without an encoder built per line).
+_line = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
 
 
 def write_jsonl(records: list[dict], path: str | Path) -> Path:
@@ -89,12 +76,7 @@ def write_jsonl(records: list[dict], path: str | Path) -> Path:
     target = Path(path)
     with target.open("w", encoding="utf-8") as handle:
         for record in records:
-            handle.write(
-                json.dumps(
-                    _jsonable(record), sort_keys=True, allow_nan=False
-                )
-                + "\n"
-            )
+            handle.write(_line(json_record(record)) + "\n")
     return target
 
 
@@ -105,110 +87,41 @@ def read_jsonl(path: str | Path) -> list[dict]:
         for line in handle:
             line = line.strip()
             if line:
-                records.append(_restore(json.loads(line)))
+                records.append(restore_record(json.loads(line)))
     return records
 
 
-# ----------------------------------------------------------------------
-# record -> event
-# ----------------------------------------------------------------------
-def record_to_event(record: dict):
-    """Rebuild the typed event dataclass from one flat record.
+class _Perfetto:
+    """Perfetto trace events, fed one JSON-spelled record at a time."""
 
-    Inverse of :func:`repro.obs.events.flat_record` for the
-    payload part: JSON round-trips turn tuples into lists and
-    ``Holder`` entries into dicts, so this restores every field its
-    annotation types as a tuple.  Covers every class in
-    :data:`repro.obs.events.EVENT_TYPES`; raises :class:`ValueError`
-    on an unknown kind and :class:`TypeError` when required payload
-    fields are missing.
-    """
-    kind = record["kind"]
-    cls = EVENT_TYPES.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown event kind {kind!r}")
-    kwargs = {}
-    for field_info in fields(cls):
-        name = field_info.name
-        if name not in record:
-            continue  # absent optional field: let the default fill in
-        value = record[name]
-        if field_info.type == "tuple[Holder, ...]":
-            value = tuple(
-                item if isinstance(item, Holder) else Holder(**item)
-                for item in value
+    def __init__(self) -> None:
+        self.events: list[dict] = []
+        self.pids: set[int] = set()
+        self.open_spans: dict[int, dict] = {}
+        self.max_t = 0.0
+
+    def add(self, record: dict) -> None:
+        t, kind, pid = record["t"], record["kind"], record.get("pid")
+        self.max_t = max(self.max_t, t)
+        if pid is not None and pid not in self.pids:
+            self.pids.add(pid)
+            self.events.append(
+                {
+                    "ph": "M",
+                    "pid": pid,
+                    "tid": 0,
+                    "name": "process_name",
+                    "args": {"name": f"P{pid}"},
+                }
             )
-        elif field_info.type.startswith("tuple["):
-            value = tuple(value)
-        kwargs[name] = value
-    return cls(**kwargs)
-
-
-def _holder_args(record: dict) -> dict:
-    """Perfetto ``args`` payload for a decision record."""
-    args = {
-        key: value
-        for key, value in record.items()
-        if key not in STAMP_KEYS and value is not None
-    }
-    return args
-
-
-def perfetto_trace(
-    records: list[dict], series: SeriesBank | dict | None = None
-) -> dict:
-    """Convert trace records (+ optional series) to Perfetto JSON."""
-    trace_events: list[dict] = []
-    pids_seen: set[int] = set()
-    open_spans: dict[int, dict] = {}
-    max_t = 0.0
-
-    def note_pid(pid) -> None:
-        if pid is None or pid in pids_seen:
-            return
-        pids_seen.add(pid)
-        trace_events.append(
-            {
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "name": "process_name",
-                "args": {"name": f"P{pid}"},
-            }
-        )
-
-    def close_span(start: dict, end_t: float, outcome: str) -> None:
-        span = {
-            "ph": "X",
-            "pid": start["pid"],
-            "tid": start.get("incarnation", 0),
-            "name": start["activity"],
-            "cat": (
-                "compensation"
-                if start.get("compensation")
-                else "activity"
-            ),
-            "ts": start["t"] * TS_SCALE,
-            "dur": max(end_t - start["t"], 0.0) * TS_SCALE,
-            "args": {"uid": start["uid"], "outcome": outcome},
-        }
-        trace_events.append(span)
-
-    for record in records:
-        t = record["t"]
-        max_t = max(max_t, t)
-        kind = record["kind"]
-        pid = record.get("pid")
-        note_pid(pid)
         if kind == "activity.start":
-            open_spans[record["uid"]] = record
+            self.open_spans[record["uid"]] = record
         elif kind in _SPAN_ENDS:
-            start = open_spans.pop(record["uid"], None)
-            if start is None:
-                continue
-            close_span(start, t, kind)
+            start = self.open_spans.pop(record["uid"], None)
+            if start is not None:
+                self._close_span(start, t, kind)
         elif kind in _INSTANT_KINDS:
-            trace_events.append(
+            self.events.append(
                 {
                     "ph": "i",
                     "s": "t",
@@ -217,106 +130,146 @@ def perfetto_trace(
                     "name": _INSTANT_KINDS[kind](record),
                     "cat": kind,
                     "ts": t * TS_SCALE,
-                    "args": _holder_args(record),
+                    "args": {
+                        key: value
+                        for key, value in record.items()
+                        if key not in STAMP_KEYS and value is not None
+                    },
                 }
             )
-    # Spans still open when the trace ended (e.g. the run was cut off).
-    for start in open_spans.values():
-        close_span(start, max_t, "open")
-    for name, points in _series_gauges(series).items():
-        for t, value in points:
-            if not math.isfinite(value):
-                continue  # counter tracks must stay numeric
-            trace_events.append(
-                {
-                    "ph": "C",
-                    "pid": 0,
-                    "name": name,
-                    "ts": t * TS_SCALE,
-                    "args": {name.rsplit("/", 1)[-1]: value},
-                }
-            )
-    return {
-        "traceEvents": trace_events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "exporter": "repro.obs",
-            "virtual_time_unit_us": TS_SCALE,
-        },
-    }
+
+    def _close_span(self, start: dict, end_t: float, outcome: str) -> None:
+        self.events.append(
+            {
+                "ph": "X",
+                "pid": start["pid"],
+                "tid": start.get("incarnation", 0),
+                "name": start["activity"],
+                "cat": (
+                    "compensation"
+                    if start.get("compensation")
+                    else "activity"
+                ),
+                "ts": start["t"] * TS_SCALE,
+                "dur": max(end_t - start["t"], 0.0) * TS_SCALE,
+                "args": {"uid": start["uid"], "outcome": outcome},
+            }
+        )
+
+    def trace(self, series: SeriesBank | dict | None) -> dict:
+        """The trace object: spans still open when the trace ended (e.g.
+        the run was cut off) close at its last stamp, and the series
+        gauges become counter tracks."""
+        for start in self.open_spans.values():
+            self._close_span(start, self.max_t, "open")
+        if isinstance(series, SeriesBank):
+            series = series.to_dict()
+        for name, points in (series or {}).get("gauges", {}).items():
+            for t, value in points:
+                if not math.isfinite(value):
+                    continue  # counter tracks must stay numeric
+                self.events.append(
+                    {
+                        "ph": "C",
+                        "pid": 0,
+                        "name": name,
+                        "ts": t * TS_SCALE,
+                        "args": {name.rsplit("/", 1)[-1]: value},
+                    }
+                )
+        return {
+            "traceEvents": self.events,
+            "displayTimeUnit": "ms",
+            "otherData": {
+                "exporter": "repro.obs",
+                "virtual_time_unit_us": TS_SCALE,
+            },
+        }
 
 
-def _series_gauges(
-    series: SeriesBank | dict | None,
-) -> dict[str, list]:
-    if series is None:
-        return {}
-    if isinstance(series, SeriesBank):
-        series = series.to_dict()
-    return series.get("gauges", {})
+def perfetto_trace(
+    records: list[dict], series: SeriesBank | dict | None = None
+) -> dict:
+    """Convert trace records (+ optional series) to Perfetto JSON; the
+    instants' ``args`` are spelled as :func:`json_record` spells them."""
+    perfetto = _Perfetto()
+    for record in records:
+        perfetto.add(json_record(record))
+    return perfetto.trace(series)
+
+
+class _WaitFor:
+    """The wait-for graph, replayed through the park rule
+    (:class:`~repro.obs.events.ParkTracker`) one event at a time; keeps
+    the open parks, in park order, and the largest graph seen."""
+
+    def __init__(self) -> None:
+        self.live: dict = {}
+        self.size = 0
+        self.best: list = []
+        self.best_t = 0.0
+        self.best_size = -1
+        self.parks = ParkTracker(self._ended)
+
+    def _ended(self, park, event) -> None:
+        del self.live[park]
+        self.size -= len(park.wait_for)
+
+    def observe(self, t: float, event) -> None:
+        started = self.parks.observe(t, event)
+        if started is None:
+            return  # the graph only shrank, if it changed at all
+        self.live[started] = None
+        self.size += len(started.wait_for)
+        if self.size > self.best_size:
+            self.best_size, self.best_t = self.size, t
+            self.best = list(self.live)
+
+    def dot(self, at: float | None = None) -> str:
+        """DOT of the graph at ``at`` (replayed up to it), or of the
+        largest graph seen when ``at`` is ``None``."""
+        snapshot = list(self.live) if at is not None else self.best
+        when = at if at is not None else self.best_t
+        lines = [
+            "digraph waitfor {",
+            "  rankdir=LR;",
+            f'  label="wait-for graph @ vt {when:g}";',
+            "  node [shape=circle];",
+        ]
+        nodes: set[int] = set()
+        for park in snapshot:
+            nodes.add(park.pid)
+            nodes.update(park.wait_for)
+        for pid in sorted(nodes):
+            lines.append(f'  p{pid} [label="P{pid}"];')
+        for park in snapshot:
+            # Annotate each edge with the lock shard (subsystem) the
+            # parked request contends on; commit requests span shards
+            # and carry none.
+            label = park.reason
+            if park.shard:
+                label += f"\\n@{park.shard}"
+            for blocker in park.wait_for:
+                lines.append(f'  p{park.pid} -> p{blocker} [label="{label}"];')
+        lines.append("}")
+        return "\n".join(lines) + "\n"
 
 
 def wait_for_dot(records: list[dict], at: float | None = None) -> str:
     """DOT snapshot of the wait-for graph at virtual time ``at``.
 
-    Replays the decisions through the park rule
-    (:class:`~repro.obs.events.ParkTracker`); with ``at`` omitted the
-    snapshot is taken at the moment the graph held the most edges — the
-    most interesting picture of a run's contention.
+    Replays the decisions through the park rule; with ``at`` omitted
+    the snapshot is taken at the moment the graph held the most edges —
+    the most interesting picture of a run's contention.
     """
-    # The open parks, in park order, and their edge count.
-    live: dict = {}
-    size = 0
-
-    def ended(park, event) -> None:
-        nonlocal size
-        del live[park]
-        size -= len(park.wait_for)
-
-    parks = ParkTracker(ended)
-    best: list = []
-    best_t = 0.0
-    best_size = -1
+    waits = _WaitFor()
     for record in records:
         if record["kind"] not in ParkTracker.KINDS:
             continue
-        t = record["t"]
-        if at is not None and t > at:
+        if at is not None and record["t"] > at:
             break
-        started = parks.observe(t, record_to_event(record))
-        if started is None:
-            continue  # the graph only shrank, if it changed at all
-        live[started] = None
-        size += len(started.wait_for)
-        if size > best_size:
-            best_size = size
-            best = list(live)
-            best_t = t
-    snapshot = list(live) if at is not None else best
-    when = at if at is not None else best_t
-    lines = [
-        "digraph waitfor {",
-        "  rankdir=LR;",
-        f'  label="wait-for graph @ vt {when:g}";',
-        "  node [shape=circle];",
-    ]
-    nodes: set[int] = set()
-    for park in snapshot:
-        nodes.add(park.pid)
-        nodes.update(park.wait_for)
-    for pid in sorted(nodes):
-        lines.append(f'  p{pid} [label="P{pid}"];')
-    for park in snapshot:
-        # Annotate each edge with the lock shard (subsystem) the parked
-        # request contends on; commit requests span shards and carry
-        # none.
-        label = (
-            f"{park.reason}\\n@{park.shard}" if park.shard else park.reason
-        )
-        for blocker in park.wait_for:
-            lines.append(f'  p{park.pid} -> p{blocker} [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        waits.observe(record["t"], record_to_event(record))
+    return waits.dot(at)
 
 
 def export_all(tracer, out_dir: str | Path) -> dict[str, Path]:
@@ -324,31 +277,33 @@ def export_all(tracer, out_dir: str | Path) -> dict[str, Path]:
 
     Produces ``events.jsonl``, ``trace.perfetto.json``,
     ``waitfor.dot`` and ``series.json``; returns the written paths keyed
-    by artifact name.
+    by artifact name.  One pass over the stamped events writes each
+    JSONL line and feeds the Perfetto trace and the wait-for replay.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    records = tracer.records()
     paths = {
-        "events": write_jsonl(records, out / "events.jsonl"),
+        "events": out / "events.jsonl",
+        "perfetto": out / "trace.perfetto.json",
+        "waitfor": out / "waitfor.dot",
+        "series": out / "series.json",
     }
-    perfetto = perfetto_trace(records, tracer.series)
-    perfetto_path = out / "trace.perfetto.json"
-    perfetto_path.write_text(
-        json.dumps(_jsonable(perfetto), allow_nan=False) + "\n",
-        encoding="utf-8",
-    )
-    paths["perfetto"] = perfetto_path
-    dot_path = out / "waitfor.dot"
-    dot_path.write_text(wait_for_dot(records), encoding="utf-8")
-    paths["waitfor"] = dot_path
-    series_path = out / "series.json"
-    series_path.write_text(
-        json.dumps(
-            _jsonable(tracer.series.to_dict()), indent=2, allow_nan=False
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-    paths["series"] = series_path
+    perfetto, waits = _Perfetto(), _WaitFor()
+    park_kinds = ParkTracker.KINDS
+    with paths["events"].open("w", encoding="utf-8") as handle:
+        for seq, t, event in tracer.stamped:
+            record = json_record(flat_record(seq, t, event))
+            handle.write(_line(record) + "\n")
+            perfetto.add(record)
+            if event.kind in park_kinds:
+                waits.observe(t, event)
+    series = tracer.series.to_dict()
+    trace = json.dumps(perfetto.trace(series), allow_nan=False)
+    paths["perfetto"].write_text(trace + "\n", encoding="utf-8")
+    paths["waitfor"].write_text(waits.dot(), encoding="utf-8")
+    for points in series["gauges"].values():  # after the counter tracks
+        for point in points:
+            point[1] = spell(point[1])
+    text = json.dumps(series, indent=2, allow_nan=False)
+    paths["series"].write_text(text + "\n", encoding="utf-8")
     return paths

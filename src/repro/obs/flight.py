@@ -6,7 +6,8 @@ lock and never flattens the event — records are built lazily at dump
 time, so a recorder in the service emit path costs one deque append per
 event; a reader on another thread copies the ring in one step under the
 GIL (``list(deque)``) before it looks.  Dumps go out as the same JSONL
-format the exporters write, so ``repro explain`` and
+records the exporters write, non-finite floats spelled as strings
+(:func:`~repro.obs.events.json_record`), so ``repro explain`` and
 :func:`replay_metrics` work on a crash dump exactly as on a full trace.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 
-from repro.obs.events import flat_record
+from repro.obs.events import flat_record, json_record
 
 __all__ = ["FlightRecorder"]
 
@@ -46,17 +47,15 @@ class FlightRecorder:
         """Flat record dictionaries for the retained window (oldest
         first), flattened only now.
 
-        Non-finite floats are already replaced with their JSONL string
-        stand-ins (see :func:`repro.obs.export._jsonable`), so the
-        records are strict-JSON safe for the wire; apply
-        :func:`repro.obs.export._restore` to get numeric values back.
+        Each record is as :func:`~repro.obs.events.json_record` spells
+        it — the fields that may hold a non-finite float hold its
+        string spelling — so the records are strict JSON for the wire;
+        :func:`~repro.obs.events.restore_record` reads them back.
         """
-        from repro.obs.export import _jsonable
-
         with self._lock:
             window = list(self._ring)
             self.dumps += 1
-        return [_jsonable(flat_record(*stamp)) for stamp in window]
+        return [json_record(flat_record(*stamp)) for stamp in window]
 
     def dump_jsonl(self, path) -> int:
         """Write the retained window as JSONL; returns records written."""

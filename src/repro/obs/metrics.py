@@ -41,7 +41,7 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
 
-from repro.obs.events import ParkTracker
+from repro.obs.events import ParkTracker, record_to_event
 
 __all__ = [
     "Counter",
@@ -1136,8 +1136,6 @@ def replay_metrics(records: Iterable[dict]) -> EventMetrics:
     gauges excepted — records carry no gauge samples, so those replay
     from the gauge series only if present, i.e. not at all).
     """
-    from repro.obs.export import record_to_event
-
     metrics = EventMetrics()
     for record in records:
         event = record_to_event(record)

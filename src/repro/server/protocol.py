@@ -24,12 +24,17 @@ Events
 ------
 ``{"event": <topic>, "record": {...}}`` frames are pushed to
 subscribed connections, interleaved with responses on the single
-per-connection outbound stream (publish order is preserved).
+per-connection outbound stream (publish order is preserved).  A record
+is strict JSON: a non-finite float is written as the string
+``"Infinity"``, ``"-Infinity"`` or ``"NaN"``
+(:func:`repro.obs.events.json_record`).
 """
 
 from __future__ import annotations
 
 import json
+
+from repro.obs.events import json_record
 
 #: The full command set.  ``submit``/``status``/``cancel`` drive the
 #: process lifecycle; ``subscribe``/``unsubscribe`` manage event
@@ -110,5 +115,6 @@ def error_response(req_id, code: str, message: str) -> dict:
 
 
 def event_frame(topic: str, record: dict) -> dict:
-    """Pushed-event frame for one bus record."""
-    return {"event": topic, "record": record}
+    """Pushed-event frame for one bus record, non-finite floats spelled
+    as strings."""
+    return {"event": topic, "record": json_record(record)}

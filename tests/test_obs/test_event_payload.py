@@ -15,7 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.events import EVENT_TYPES, Holder, event_payload
+from repro.obs.events import (
+    EVENT_TYPES,
+    NONFINITE,
+    Holder,
+    event_payload,
+    flat_record,
+    json_record,
+    record_to_event,
+    restore_record,
+)
+from repro.server.protocol import encode, event_frame
 
 _HOLDERS = (Holder(pid=3, timestamp=9, modes="CP"), Holder(pid=4, timestamp=2))
 
@@ -180,3 +190,114 @@ def test_positionally_built_events_keep_their_field_order(kind):
     names = tuple(spec.name for spec in dataclasses.fields(EVENT_TYPES[kind]))
     assert names[: len(order)] == order
 
+
+
+# ----------------------------------------------------------------------
+# non-finite floats: one spelling out, the annotated fields back
+# ----------------------------------------------------------------------
+_NONFINITE = st.sampled_from((math.inf, -math.inf, math.nan))
+_floats = st.floats(allow_nan=False) | _NONFINITE
+#: ``detail`` values as the fault injector writes them: scalars and
+#: lists of names.  A string spelled like a non-finite float is the one
+#: value the mapping cannot carry (it reads back as the float).
+_name = _text.filter(lambda text: text not in NONFINITE)
+_ROUND_TRIP = {
+    **_STRATEGY,
+    "float": _floats,
+    "float | None": st.none() | _floats,
+    "dict": st.dictionaries(
+        _text,
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | _name
+        | _floats
+        | st.lists(_name, max_size=3),
+        max_size=3,
+    ),
+}
+
+
+def _same(restored, event) -> bool:
+    """Field-wise equality that takes NaN for NaN."""
+
+    def equal(a, b) -> bool:
+        if isinstance(a, dict) and isinstance(b, dict):
+            return a.keys() == b.keys() and all(
+                equal(a[key], b[key]) for key in a
+            )
+        if isinstance(a, float) and isinstance(b, float) and a != a:
+            return b != b
+        return type(a) is type(b) and a == b
+
+    return type(restored) is type(event) and all(
+        equal(getattr(restored, spec.name), getattr(event, spec.name))
+        for spec in dataclasses.fields(event)
+    )
+
+
+def _reject(token):
+    raise AssertionError(f"non-strict JSON constant: {token}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_every_event_round_trips_with_non_finite_floats(data):
+    """A JSONL line and a pushed frame are strict JSON, and
+    ``record_to_event`` rebuilds the event from either, non-finite
+    floats included."""
+    for cls in EVENT_TYPES.values():
+        event = data.draw(
+            st.fixed_dictionaries(
+                {
+                    spec.name: _ROUND_TRIP[spec.type]
+                    for spec in dataclasses.fields(cls)
+                }
+            ).map(lambda kwargs, cls=cls: cls(**kwargs))
+        )
+        record = flat_record(3, 1.5, event)
+        line = json.dumps(
+            json_record(record), sort_keys=True, allow_nan=False
+        )
+        assert _same(record_to_event(json.loads(line)), event)
+        frame = json.loads(
+            encode(event_frame(cls.kind, record)), parse_constant=_reject
+        )
+        assert _same(record_to_event(frame["record"]), event)
+        assert _same(record_to_event(restore_record(frame["record"])), event)
+
+
+def test_only_annotated_fields_are_spelled():
+    """The plan spells exactly the fields that may hold a non-finite
+    float: the float fields and the one mapping's values; a string
+    field spelled like one stays a string either way."""
+    infinite = {
+        **_SAMPLE,
+        "float": math.inf,
+        "float | None": -math.inf,
+        "dict": {"duration": math.nan, "subsystem": "bank"},
+    }
+    spelled = set()
+    for cls in EVENT_TYPES.values():
+        record = flat_record(0, 0.0, _build(cls, infinite))
+        written = json_record(record)
+        json.dumps(written, allow_nan=False)  # must not raise
+        spelled |= {
+            (cls.kind, name)
+            for name, value in written.items()
+            if value != record[name] or value is not record[name]
+        }
+    assert spelled == {
+        ("wcc.classify", "wcc"),
+        ("wcc.classify", "threshold"),
+        ("activity.commit", "undone"),
+        ("fault.inject", "detail"),
+        ("store.recovered", "seconds"),
+    }
+    record = flat_record(
+        0, 0.0, EVENT_TYPES["activity.start"](1, 0, "NaN", 4)
+    )
+    assert json_record(record) is record
+    assert restore_record(dict(record, activity="Infinity"))[
+        "activity"
+    ] == "Infinity"

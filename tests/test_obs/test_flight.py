@@ -21,8 +21,9 @@ from repro.obs.events import (
     ProcessCommitted,
     ProcessInitiated,
     flat_record,
+    json_record,
+    restore_record,
 )
-from repro.obs.export import _jsonable
 from repro.sim.runner import run_workload
 from repro.sim.workload import WorkloadSpec, build_workload
 
@@ -53,11 +54,9 @@ def test_snapshot_is_strict_json_even_with_infinite_wcc():
     ))
     records = flight.snapshot()
     text = json.dumps(records, allow_nan=False)  # must not raise
-    assert "Infinity" in text  # the string stand-in, not the constant
+    assert "Infinity" in text  # the string spelling, not the constant
 
-    from repro.obs.export import _restore
-
-    restored = [_restore(r) for r in records]
+    restored = [restore_record(r) for r in records]
     assert restored[0]["wcc"] == math.inf
 
 
@@ -85,7 +84,7 @@ class _FlattenAtEmit:
         self.records: list[dict] = []
 
     def emit(self, seq, t, event) -> None:
-        self.records.append(_jsonable(flat_record(seq, t, event)))
+        self.records.append(json_record(flat_record(seq, t, event)))
 
 
 def test_a_dumped_ring_equals_the_events_as_they_were_emitted():

@@ -1,6 +1,7 @@
 """Socket-level tests: server thread + real clients over TCP."""
 
 import json
+import math
 import os
 import signal
 import socket
@@ -14,6 +15,7 @@ import urllib.request
 import pytest
 
 from repro.client import ServiceCallError, ServiceClient
+from repro.obs.events import ActivityClassified
 from repro.server.net import MAX_LINE, start_server_thread
 from repro.server.protocol import encode
 from repro.server.service import ServiceConfig
@@ -189,6 +191,48 @@ class TestWire:
                     break
             assert "process.submit" in kinds
             assert "process.commit" in kinds
+
+    def test_every_pushed_frame_is_strict_json(self, server):
+        """At Wcc* = inf every ``wcc.classify`` carries an infinite
+        threshold: pushed frames spell it as a string, so a strict
+        parser takes every line of the session."""
+
+        def reject(token):
+            raise AssertionError(f"non-strict JSON constant: {token}")
+
+        with raw(server) as sock:
+            sock.sendall(encode({"cmd": "subscribe", "id": 1}))
+            sock.sendall(
+                encode({"cmd": "submit", "id": 2, "count": 1, "wait": True})
+            )
+            lines = []
+            with sock.makefile("rb") as reader:
+                while not lines or b'"id":2' not in lines[-1]:
+                    lines.append(reader.readline())
+        frames = [json.loads(line, parse_constant=reject) for line in lines]
+        classified = [
+            frame["record"]
+            for frame in frames
+            if frame.get("event") == "wcc.classify"
+        ]
+        assert classified
+        assert all(r["threshold"] == "Infinity" for r in classified)
+
+    def test_dump_keeps_a_name_spelled_like_a_non_finite_float(
+        self, server
+    ):
+        with connect(server) as client:
+            client.submit(wait=True)
+            # The engine is idle once the waited submit is answered.
+            server.service.flight.append(
+                10**6, 9.0, ActivityClassified(
+                    1, 0, "NaN", "C", 2.5, math.inf, False, False
+                )
+            )
+            dumped = client.dump()["events"]
+        (record,) = [r for r in dumped if r["seq"] == 10**6]
+        assert record["activity"] == "NaN"
+        assert record["wcc"] == 2.5 and record["threshold"] == math.inf
 
     def test_unsubscribe_stops_the_stream(self, server):
         with connect(server) as client:
