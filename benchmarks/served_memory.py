@@ -3,15 +3,21 @@
 Serves two in-process grounded sessions on a log store, one fresh
 interpreter each: 1,000 and 8,000 waited single-process submits on the
 benchmark's grounded catalog (``bench/workloads.py``,
-``grounded_closed``).  Prints each session's peak RSS and trace counts,
-then the slope between the two peaks, and exits nonzero when
+``grounded_closed``), then one ``check``.  Prints each session's peak
+RSS, trace counts and what the ``check`` cost, then the slope between
+the two peaks, and exits nonzero when
 
 * the slope is over ``MAX_SLOPE`` MB per 1,000 processes (the trace
   left memory: 0.33-0.34 measured on a 2-CPU host, 1.38-1.40 when the
   recorder kept every event), or
 * the trace events held in memory at the end outnumber the largest
   frame a snapshot wrote (the recorder keeps at most one snapshot
-  cadence of events).
+  cadence of events), or
+* the one ``check`` each session ends with takes over ``MAX_CHECK_MS``
+  or lifts the peak by over ``MAX_CHECK_MB`` (it reads the verdict the
+  recorder carries: 1.6 ms and no added peak at 8,000 processes on a
+  2-CPU host, against 71 s and 912 MB when it rebuilt and re-swept the
+  whole schedule).
 
 Run from the repository root::
 
@@ -28,9 +34,18 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 
 SIZES = (1_000, 8_000)
 MAX_SLOPE = 0.6
+MAX_CHECK_MS = 50.0
+MAX_CHECK_MB = 1.0
+
+
+def _peak_mb() -> float:
+    """This interpreter's peak RSS (VmHWM; ru_maxrss is in KiB on
+    Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def session(processes: int) -> dict:
@@ -63,8 +78,11 @@ def session(processes: int) -> dict:
                 service.execute(
                     {"cmd": "submit", "program": k, "wait": True}
                 ).result(timeout=60)
-            # ru_maxrss is the peak (VmHWM), in KiB on Linux.
-            peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+            peak_mb = _peak_mb()
+            started = time.perf_counter()
+            service.execute({"cmd": "check"}).result(timeout=600)
+            check_ms = (time.perf_counter() - started) * 1_000
+            check_added_mb = _peak_mb() - peak_mb
             trace = service.manager.trace
             frames = service.store.backend.read_all("trace")
             return {
@@ -75,6 +93,8 @@ def session(processes: int) -> dict:
                 "largest_frame": max(
                     len(TRACE.decode(frame)["events"]) for frame in frames
                 ),
+                "check_ms": round(check_ms, 2),
+                "check_added_mb": round(check_added_mb, 2),
             }
         finally:
             service.stop()
@@ -112,6 +132,19 @@ def main() -> int:
                 f"FAIL: {run['resident_events']} trace events in memory "
                 f"after {run['processes']} processes, over one snapshot's "
                 f"{run['largest_frame']}"
+            )
+            failed = True
+        print(
+            f"check after {run['processes']} processes: "
+            f"{run['check_ms']:.2f} ms, +{run['check_added_mb']:.2f} MB peak"
+        )
+        if (
+            run["check_ms"] > MAX_CHECK_MS
+            or run["check_added_mb"] > MAX_CHECK_MB
+        ):
+            print(
+                f"FAIL: check over {MAX_CHECK_MS:g} ms or "
+                f"{MAX_CHECK_MB:g} MB of added peak"
             )
             failed = True
     return 1 if failed else 0

@@ -27,6 +27,7 @@ from repro.scheduler.manager import ManagerConfig, make_manager
 from repro.sim.runner import make_protocol
 from repro.sim.workload import WorkloadSpec, build_workload
 from repro.storage import PersistencePlane, Store
+from tests.test_storage.stored import stored_events
 
 BENCH_PATH = (
     Path(__file__).resolve().parent.parent / "BENCH_durability.json"
@@ -90,7 +91,9 @@ def _timed_min2(uid_floor, make_store):
         result, wall = _run_once(store)
         walls.append(wall)
         if attempt == 0:
-            first_result = result, result.trace.whole()
+            first_result = result, stored_events(
+                store, build_workload(SPEC).programs, result.trace
+            )
             if store is not None:
                 stats = store.stats()
         if store is not None:

@@ -58,7 +58,6 @@ from repro.core import (
     LockMode,
     ProcessLockManager,
     figure1_trace,
-    worst_case_cost,
 )
 from repro.process import (
     Process,
@@ -118,6 +117,5 @@ __all__ = [
     "is_reducible",
     "run_workload",
     "schedule_of",
-    "worst_case_cost",
     "__version__",
 ]

@@ -39,10 +39,6 @@ from repro.sim.runner import (
     schedule_of,
 )
 from repro.sim.workload import WorkloadSpec, build_workload
-from repro.theory.criteria import (
-    has_correct_termination,
-    is_process_recoverable,
-)
 from repro.workloads import (
     hospital_scenario,
     manufacturing_scenario,
@@ -504,12 +500,17 @@ def _make_tracer(args: argparse.Namespace):
 def _export_trace(tracer, out_dir: str) -> None:
     if tracer is None:
         return
-    from repro.obs import deferred_pids, export_all
+    from repro.obs import export_all
+    from repro.obs.explain import rank_deferred
 
     paths = export_all(tracer, out_dir)
     names = ", ".join(path.name for path in paths.values())
     print(f"trace: {len(tracer)} events -> {out_dir}/ ({names})")
-    pids = deferred_pids(tracer.records())
+    pids = rank_deferred(
+        event.pid
+        for _, _, event in tracer.stamped
+        if event.kind == "lock.defer"
+    )
     if pids:
         shown = ", ".join(f"P{pid}" for pid in pids[:8])
         print(
@@ -560,9 +561,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         print("observed schedule:")
         print(" ", " ".join(str(e) for e in result.trace.events))
     if args.check:
-        schedule = schedule_of(workload, result)
-        ct = has_correct_termination(schedule)
-        prc = is_process_recoverable(schedule)
+        verdict = result.trace.verdict
+        ct = verdict.correct_termination
+        prc = verdict.process_recoverable
         print()
         print(f"CT   (Theorem 1): {ct}")
         print(f"P-RC (Theorem 2): {prc}")
@@ -606,10 +607,10 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     print(f"scenario: {scenario.name} under {args.protocol}")
     print(_metrics_rows([summarize(args.protocol, result)]))
     _export_trace(tracer, args.trace_out)
-    schedule = result.trace.to_schedule(scenario.conflicts.conflict)
+    verdict = result.trace.verdict
     print()
-    print(f"CT   (Theorem 1): {has_correct_termination(schedule)}")
-    print(f"P-RC (Theorem 2): {is_process_recoverable(schedule)}")
+    print(f"CT   (Theorem 1): {verdict.correct_termination}")
+    print(f"P-RC (Theorem 2): {verdict.process_recoverable}")
     return 0
 
 

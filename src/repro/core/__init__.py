@@ -12,7 +12,6 @@ from repro.core.cost_based import (
     is_pseudo_pivot,
     lemma1_holds,
     wcc_after,
-    worst_case_cost,
 )
 from repro.core.deadlock import choose_cycle_victim
 from repro.core.decisions import (
@@ -48,5 +47,4 @@ __all__ = [
     "lemma1_holds",
     "partition_holders",
     "wcc_after",
-    "worst_case_cost",
 ]

@@ -18,21 +18,6 @@ from repro.activities.registry import ActivityRegistry
 from repro.core.locks import LockMode
 
 
-def worst_case_cost(
-    registry: ActivityRegistry, executed: list[str]
-) -> float:
-    """``Wcc(P, S)`` of Equation 1 over executed regular activity names.
-
-    Sums ``c(a) + c(a⁻¹)`` for every executed regular activity; the
-    compensation of a pivot contributes ``inf``.
-    """
-    total = 0.0
-    for name in executed:
-        activity = registry.get(name)
-        total += activity.cost + registry.compensation_cost(name)
-    return total
-
-
 def wcc_after(
     registry: ActivityRegistry, wcc: float, next_activity: str
 ) -> float:
@@ -195,39 +180,6 @@ def figure1_trace(
                 real_pivot=activity.point_of_no_return,
             )
         )
-    return steps
-
-
-def figure1_steps_from_trace(
-    records: list[dict], pid: int
-) -> list[Figure1Step]:
-    """Rebuild Figure-1 rows from a run's ``wcc.classify`` trace records.
-
-    The observability layer (:mod:`repro.obs`) stamps every treatment
-    decision with the post-charge ``Wcc``; replaying those records
-    recovers the same step table :func:`figure1_trace` computes
-    symbolically, which lets tests cross-check the live protocol against
-    the paper's algorithm and lets exhibits render traced runs.
-    """
-    steps: list[Figure1Step] = []
-    previous = 0.0
-    for record in records:
-        if record.get("kind") != "wcc.classify":
-            continue
-        if record["pid"] != pid:
-            continue
-        steps.append(
-            Figure1Step(
-                activity=record["activity"],
-                wcc_before=previous,
-                wcc_after=record["wcc"],
-                threshold=record["threshold"],
-                treatment=LockMode(record["mode"]),
-                pseudo_pivot=record["pseudo_pivot"],
-                real_pivot=record["real_pivot"],
-            )
-        )
-        previous = record["wcc"]
     return steps
 
 

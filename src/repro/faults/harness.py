@@ -54,10 +54,6 @@ from repro.scheduler.events import conserved
 from repro.scheduler.manager import ManagerConfig
 from repro.sim.metrics import RunMetrics, summarize_chaos
 from repro.sim.workload import Workload, WorkloadSpec, build_workload
-from repro.theory.criteria import (
-    has_correct_termination,
-    is_process_recoverable,
-)
 
 #: Campaign protocols.  All three guarantee CT/P-RC, so the harness can
 #: assert the theory oracles for every run; the other baselines (s2pl,
@@ -166,17 +162,13 @@ def run_chaos(
         # a lock-table step or a subsystem commit broke an invariant
         report.failures.append(f"invariant: {exc}")
         return report
-    observed = chaos.result.trace.to_schedule(
-        workload.conflicts.conflict
-    )
-    report.checks["terminated"] = observed.is_complete
+    verdict = chaos.result.trace.verdict
+    report.checks["terminated"] = verdict.complete
     report.checks["conserved"] = conserved(
         chaos.result.records, chaos.result.stats
     )
-    report.checks["ct"] = (
-        observed.is_complete and has_correct_termination(observed)
-    )
-    report.checks["prc"] = is_process_recoverable(observed)
+    report.checks["ct"] = verdict.correct_termination
+    report.checks["prc"] = verdict.process_recoverable
     report.checks["splice"] = chaos.splice_ok
     report.checks["wal"] = all(check.ok for check in chaos.wal_checks)
     report.failures = [

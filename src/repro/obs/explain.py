@@ -12,15 +12,22 @@ simulation objects, so traces can be explained long after the run.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterable
+
 from repro.obs.events import ParkTracker, record_to_event
 
 
 def deferred_pids(records: list[dict]) -> list[int]:
     """Pids that suffered at least one deferment, most-deferred first."""
-    counts: dict[int, int] = {}
-    for record in records:
-        if record["kind"] == "lock.defer":
-            counts[record["pid"]] = counts.get(record["pid"], 0) + 1
+    return rank_deferred(
+        record["pid"] for record in records if record["kind"] == "lock.defer"
+    )
+
+
+def rank_deferred(pids: Iterable[int]) -> list[int]:
+    """Each pid once, the most frequent first (ties by pid)."""
+    counts = Counter(pids)
     return sorted(counts, key=lambda pid: (-counts[pid], pid))
 
 

@@ -206,7 +206,7 @@ class ProcessManager:
         self.injector = None
         self.engine = SimulationEngine()
         self.rng = random.Random(seed)
-        self.trace = TraceRecorder()
+        self.trace = TraceRecorder(protocol.conflicts.conflict)
         self.stats = self.tracer.metrics
         self.records: dict[int, ProcessRecord] = {}
         self._pids = itertools.count(1)

@@ -411,7 +411,9 @@ def recover(
         seed=seed,
         tracer=tracer,
     )
-    manager.trace = TraceRecorder(image.trace_events, base=image.trace_base)
+    manager.trace = TraceRecorder(
+        protocol.conflicts.conflict, image.trace_events, base=image.trace_base
+    )
     for pid, record in image.records.items():
         if record.outcome is None:
             record = replace(

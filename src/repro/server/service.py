@@ -70,10 +70,6 @@ from repro.server.bus import EventBus
 from repro.server.loop import Loop
 from repro.sim.runner import make_protocol
 from repro.sim.workload import WorkloadSpec, build_workload
-from repro.theory.criteria import (
-    check_process_recoverability,
-    is_prefix_reducible,
-)
 
 
 @dataclass
@@ -835,21 +831,20 @@ class ProcessLockingService:
         }
 
     def _check_body(self) -> dict:
+        """The verdict the recorder carries (docs/service.md)."""
         manager = self.manager
-        schedule = manager.trace.to_schedule(
-            self.workload.conflicts.conflict
-        )
-        complete = schedule.is_complete
-        prefix_reducible = is_prefix_reducible(schedule)
-        report = check_process_recoverability(schedule)
+        verdict = manager.trace.verdict
+        prefix_reducible = verdict.first_bad is None
         return {
-            "events": len(schedule.events),
-            "complete": complete,
+            "events": len(manager.trace),
+            "complete": verdict.complete,
             # CT (Definition 6) is P-RED over a *complete* schedule.
-            "correct_termination": prefix_reducible if complete else None,
+            "correct_termination": (
+                prefix_reducible if verdict.complete else None
+            ),
             "prefix_reducible": prefix_reducible,
-            "process_recoverable": report.ok,
-            "violations": len(report.violations),
+            "process_recoverable": verdict.process_recoverable,
+            "violations": len(verdict.found),
             "conserved": conserved(  # docs/faults.md
                 manager.records, manager.stats, manager.undecided()
             ),

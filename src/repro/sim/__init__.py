@@ -1,10 +1,6 @@
 """Workload generation, simulation running, and metric collection."""
 
-from repro.sim.arrivals import (
-    burst_arrivals,
-    poisson_arrivals,
-    uniform_arrivals,
-)
+from repro.sim.arrivals import poisson_arrivals
 from repro.sim.metrics import RunMetrics, aggregate, summarize
 from repro.sim.rng import derive_rng, spread_seeds
 from repro.sim.runner import (
@@ -24,9 +20,7 @@ __all__ = [
     "WorkloadSpec",
     "aggregate",
     "build_workload",
-    "burst_arrivals",
     "poisson_arrivals",
-    "uniform_arrivals",
     "compare_protocols",
     "derive_rng",
     "make_protocol",

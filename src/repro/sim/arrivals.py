@@ -1,8 +1,8 @@
 """Arrival processes for open-system experiments.
 
-The closed-form experiments submit all processes at virtual time zero
-(or evenly spaced).  The saturation experiment (E10) instead offers load
-at a controlled rate; this module generates the arrival time series.
+The closed-form experiments submit all processes at virtual time zero.
+The saturation experiment (E10) instead offers load at a controlled
+rate; this module generates the arrival time series.
 """
 
 from __future__ import annotations
@@ -27,22 +27,3 @@ def poisson_arrivals(
         times.append(now)
     return times
 
-
-def uniform_arrivals(spacing: float, count: int) -> list[float]:
-    """Evenly spaced arrivals (``spacing`` time units apart)."""
-    if spacing < 0:
-        raise ValueError(
-            f"arrival spacing must be >= 0 (got {spacing})"
-        )
-    return [index * spacing for index in range(count)]
-
-
-def burst_arrivals(
-    burst_size: int, burst_gap: float, count: int
-) -> list[float]:
-    """Bursty arrivals: groups of ``burst_size`` at the same instant."""
-    if burst_size < 1:
-        raise ValueError("burst size must be >= 1")
-    return [
-        (index // burst_size) * burst_gap for index in range(count)
-    ]

@@ -616,12 +616,6 @@ def trace_event_from_row(
     )
 
 
-def trace_row_uid(row: list) -> int:
-    """The activity uid of a :data:`TRACE_ROWS` row; 0 for a commit or
-    abort."""
-    return row[4] if row[0] == "a" else 0
-
-
 # ----------------------------------------------------------------------
 # process records
 # ----------------------------------------------------------------------

@@ -21,16 +21,17 @@ the durability protocol:
   pids, the journal and trace watermarks — is swapped in atomically
   after them.  Finished processes are not copied anywhere: their
   ``terminal`` record is their durable home.  Nor is the trace kept
-  twice: once a snapshot holds it, the manager's recorder forgets it,
-  and reads it back from the store when the whole schedule is asked
-  for (the ``check`` verb).
+  twice: once a snapshot holds it, the manager's recorder forgets it;
+  its verdict has seen it, so nothing reads it back (the ``check``
+  verb reads the carried verdict).
 
 Restart recovery composes the pieces: heal torn tails, rebuild the
 :func:`repro.scheduler.recovery.crash` image from document + terminal
 records (the trace prefix stays in the store; the recorder starts
-past it), run it through the *existing*
-:func:`repro.scheduler.recovery.recover` machinery (locks re-acquired
-in sharing order, processes adopted mid-flight), then walk the journal
+past it, and the prefix is streamed through its verdict once), run it
+through the *existing* :func:`repro.scheduler.recovery.recover`
+machinery (locks re-acquired in sharing order, processes adopted
+mid-flight), then walk the journal
 — terminal records restore finished processes without re-execution,
 undecided submissions are re-scheduled under their original pids, and
 an acknowledged ``cancel`` with no terminal yet is applied again.
@@ -60,7 +61,6 @@ from repro.storage.journal import (
     record_to_dict,
     trace_event_from_row,
     trace_event_to_row,
-    trace_row_uid,
 )
 
 
@@ -132,8 +132,6 @@ class PersistencePlane:
         #: from here, and the manager's recorder holds only the events
         #: past it.
         self._trace_len = 0
-        #: The highest activity uid in the stored trace (read at open).
-        self._trace_uid_floor = 0
         self._max_pid = 0
         #: Pids the newest document holds live or awaiting resubmission:
         #: a restart adopts and re-runs them, whatever their ``terminal``
@@ -172,14 +170,8 @@ class PersistencePlane:
         if document is None:
             image = CrashImage(snapshots=[], trace_events=[])
         else:
-            # The trace prefix stays in the store: one pass over its
-            # rows checks it against the watermark and finds the uid
-            # floor a restart needs, and builds no event.
-            trace_len = document["trace_len"]
-            rows = self.store.trace.events(trace_len)
-            del rows[trace_len:]  # orphans of a crash before the swap
-            self._trace_uid_floor = max(map(trace_row_uid, rows), default=0)
-            del rows
+            # The trace prefix stays in the store; :meth:`recover`
+            # streams it through the recorder's verdict.
             image = checkpoint_from_dict(document, self.codec)
         live = {snapshot.pid for snapshot in image.snapshots}
         submits: dict[int, int] = {}
@@ -251,13 +243,17 @@ class PersistencePlane:
             seed=seed,
             tracer=tracer,
         )
-        manager.trace.stored = self.stored_trace
-        # recover() floors the activity-uid counter over live ledgers;
-        # after a *process* restart (counters reborn at 1) finished
-        # processes' uids live only in the trace, so floor over those
-        # too — a uid collision would corrupt compensation pairing in
-        # the spliced schedule.
-        ensure_uid_floor(self._trace_uid_floor)
+        # One pass over the stored prefix feeds the recorder's verdict
+        # and finds the uid floor: after a *process* restart, finished
+        # processes' uids live only in the trace, and a collision would
+        # corrupt compensation pairing in the spliced schedule.
+        verdict, floor, base = manager.trace.verdict, 0, image.trace_base
+        rows = self.store.trace.events(base) if base else []
+        for position in range(base):
+            event = trace_event_from_row(rows[position], position, self.codec)
+            verdict.feed(event)
+            floor = max(floor, event.uid)
+        ensure_uid_floor(floor)
         info.adopted = len(image.snapshots)
         info.resubmitted = len(image.pending)
         info.restored = sum(
@@ -351,17 +347,6 @@ class PersistencePlane:
         self.store.flush()
         return took
 
-    def stored_trace(self, count: int) -> list:
-        """The first ``count`` events of the trace, read back from the
-        store: what :meth:`snapshot` made the manager's recorder forget
-        (:meth:`~repro.scheduler.trace.TraceRecorder.whole`)."""
-        rows = self.store.trace.events(count)
-        codec = self.codec
-        return [
-            trace_event_from_row(row, position, codec)
-            for position, row in zip(range(count), rows)
-        ]
-
     def snapshot(self, manager) -> int:
         """Checkpoint what changed since the last one; returns the
         journal watermark.
@@ -403,7 +388,7 @@ class PersistencePlane:
         self._noted = 0
         self._trace_len = trace_len
         self._adoptable = {process.pid for process in processes}
-        trace.forget(trace_len, self.stored_trace)
+        trace.forget(trace_len)
         manager.tracer.emit(
             StoreSnapshot(processes=len(processes), journal_lsn=lsn)
         )

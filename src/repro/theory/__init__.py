@@ -3,6 +3,7 @@
 from repro.theory.criteria import (
     RecoverabilityReport,
     RecoverabilityViolation,
+    ScheduleMonitor,
     check_process_recoverability,
     has_correct_termination,
     is_prefix_reducible,
@@ -15,11 +16,7 @@ from repro.theory.explain import (
     explain_irreducibility,
     first_bad_prefix,
 )
-from repro.theory.reduction import (
-    Reduction,
-    poly_is_reducible,
-    reduce_schedule,
-)
+from repro.theory.reduction import Reduction, poly_is_reducible
 from repro.theory.schedule import (
     EventKind,
     ProcessSchedule,
@@ -37,11 +34,11 @@ __all__ = [
     "Reduction",
     "RecoverabilityViolation",
     "ScheduleEvent",
+    "ScheduleMonitor",
     "check_process_recoverability",
     "has_correct_termination",
     "is_prefix_reducible",
     "is_process_recoverable",
     "is_reducible",
     "poly_is_reducible",
-    "reduce_schedule",
 ]

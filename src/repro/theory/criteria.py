@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ScheduleError
-from repro.theory.explain import first_bad_prefix
-from repro.theory.reduction import poly_is_reducible
+from repro.theory.reduction import Reduction, poly_is_reducible
 from repro.theory.schedule import (
+    ConflictRows,
     EventKind,
     ProcessKey,
     ProcessSchedule,
@@ -34,7 +34,7 @@ def is_reducible(schedule: ProcessSchedule) -> bool:
 
 def is_prefix_reducible(schedule: ProcessSchedule) -> bool:
     """P-RED: every prefix of the schedule is reducible (one sweep)."""
-    return first_bad_prefix(schedule) is None
+    return ScheduleMonitor.of(schedule).first_bad is None
 
 
 def has_correct_termination(schedule: ProcessSchedule) -> bool:
@@ -73,6 +73,149 @@ class RecoverabilityReport:
         return not self.violations
 
 
+class ScheduleMonitor:
+    """P-RED and P-RC of a growing schedule, fed one event at a time.
+
+    The state is O(live) (``docs/theory.md``, "The deletion rule" and
+    "P-RC"): a forgetting :class:`~repro.theory.reduction.Reduction`;
+    the compensatable regular activities still open — neither
+    compensated nor passed by their process's ``a_i*`` — which each
+    later regular activity of another process is paired with, by
+    conflicting type; and the rule-1 pairs still pending, settled when
+    the writer reaches ``a_i*``, violated when the reader's process
+    reaches ``a_j*`` first, dropped when the reader aborts.  After the
+    first bad prefix the reduction is dropped: P-RED is decided.
+    """
+
+    def __init__(self, conflicts_of: ConflictRows) -> None:
+        self.conflicts_of = conflicts_of
+        self.reduction: Reduction | None = Reduction(conflicts_of)
+        #: Length of the shortest irreducible prefix, once there is one.
+        self.first_bad: int | None = None
+        #: Processes seen that have not terminated.
+        self.live: set[ProcessKey] = set()
+        #: P-RC violations in the order they were decided.
+        self.found: list[RecoverabilityViolation] = []
+        self._open_by_type: dict[str, dict[int, ScheduleEvent]] = {}
+        self._open_by_process: dict[ProcessKey, dict[int, ScheduleEvent]] = {}
+        #: Pending pairs by reader process, keyed by ``(writer uid,
+        #: reader uid)``; each writer process's as ``(reader, key)``.
+        self._as_reader: dict[ProcessKey, dict[tuple, tuple]] = {}
+        self._as_writer: dict[ProcessKey, list[tuple]] = {}
+
+    @classmethod
+    def of(cls, schedule: ProcessSchedule) -> "ScheduleMonitor":
+        """The monitor fed the whole schedule."""
+        monitor = cls(schedule.conflicts_of)
+        for event in schedule.events:
+            monitor.feed(event)
+        return monitor
+
+    @property
+    def complete(self) -> bool:
+        """Whether every process seen has terminated."""
+        return not self.live
+
+    @property
+    def correct_termination(self) -> bool:
+        """CT (Definition 6): the schedule is complete and P-RED."""
+        return not self.live and self.first_bad is None
+
+    @property
+    def process_recoverable(self) -> bool:
+        """P-RC (Definition 7) of the schedule so far."""
+        return not self.found
+
+    @property
+    def violations(self) -> list[RecoverabilityViolation]:
+        """The P-RC violations, by writer and then reader position."""
+        return sorted(
+            self.found, key=lambda v: (v.earlier.position, v.later.position)
+        )
+
+    def feed(self, event: ScheduleEvent) -> None:
+        """Take the next event of the schedule."""
+        process, kind = event.process, event.kind
+        reduction = self.reduction
+        if kind is not EventKind.ACTIVITY:
+            self.live.discard(process)
+            if reduction is not None:
+                reduction.terminate(process)
+            if kind is EventKind.COMMIT:
+                self._no_return(event)
+            else:  # no a_j* will come: the pairs it read are dropped
+                self._open_by_process.pop(process, None)
+                self._as_writer.pop(process, None)
+                self._as_reader.pop(process, None)
+            return
+        row = self.conflicts_of.add(event.name)
+        self.live.add(process)
+        if (
+            reduction is not None
+            and reduction.append(event)
+            and reduction.closes_cycle(process)
+        ):
+            self.first_bad = event.position + 1
+            self.reduction = None
+        compensates = event.compensates
+        if compensates is not None:  # a_ik⁻¹ <_S a_jm: dissolved
+            undone = self._open_by_process.get(process, {}).pop(
+                compensates, None
+            )
+            if undone is not None:
+                del self._open_by_type[undone.name][compensates]
+        if event.point_of_no_return:
+            self._no_return(event)
+        if compensates is not None:
+            return
+        opened = self._open_by_type
+        for name in row:
+            if opened.get(name):
+                for earlier in opened[name].values():
+                    if earlier.process != process:
+                        self._pair(earlier, event)
+        if event.compensatable:
+            opened.setdefault(event.name, {})[event.uid] = event
+            self._open_by_process.setdefault(process, {})[event.uid] = event
+
+    def _no_return(self, event: ScheduleEvent) -> None:
+        """``event`` is ``a_i*`` of its process: the process's open
+        activities close, the pairs it wrote are settled and the pairs
+        it read are violated."""
+        process = event.process
+        for uid, closed in self._open_by_process.pop(process, {}).items():
+            del self._open_by_type[closed.name][uid]
+        for reader, key in self._as_writer.pop(process, ()):
+            self._as_reader.get(reader, {}).pop(key, None)
+        for pair in self._as_reader.pop(process, {}).values():
+            self.found.append(
+                RecoverabilityViolation(
+                    *pair,
+                    f"the reader's point of no return {event} precedes "
+                    "the writer's",
+                )
+            )
+
+    def _pair(self, earlier: ScheduleEvent, later: ScheduleEvent) -> None:
+        """Definition 7 for one open pair: ``a_i*`` is not before
+        ``a_jm``."""
+        if later.compensatable:
+            key = (earlier.uid, later.uid)
+            self._as_reader.setdefault(later.process, {})[key] = earlier, later
+            self._as_writer.setdefault(earlier.process, []).append(
+                (later.process, key)
+            )
+            return
+        self.found.append(
+            RecoverabilityViolation(
+                earlier,
+                later,
+                "a non-compensatable activity executed before the "
+                "conflicting writer reached its point of no return",
+            )
+        )
+
+
 def check_process_recoverability(
     schedule: ProcessSchedule,
 ) -> RecoverabilityReport:
@@ -86,79 +229,9 @@ def check_process_recoverability(
        ``a_i* <_S a_j*`` must hold;
     2. if ``a_jm`` is not compensatable, then ``a_i* <_S a_jm`` must hold.
 
-    One forward sweep keeps the compensatable regular activities still
-    *open* — neither compensated nor passed by their process's next
-    point of no return or commit — grouped by type, and pairs each later
-    regular activity with the open ones of conflicting types only.
-    Compensations are protocol-generated; their ordering constraints
-    are captured by the C⁻¹-Rule and checked via reducibility, so they
-    are never the later activity of a pair.
+    One :class:`ScheduleMonitor` sweep.
     """
-    report = RecoverabilityReport()
-    conflicts_of = schedule.conflicts_of
-    star = schedule.next_no_return
-    opened: dict[int, ScheduleEvent] = {}
-    open_by_type: dict[str, dict[int, ScheduleEvent]] = {}
-    open_by_process: dict[ProcessKey, list[int]] = {}
-
-    def close(uid: int | None) -> None:
-        event = opened.pop(uid, None)
-        if event is not None:
-            del open_by_type[event.name][uid]
-
-    for later in schedule.events:
-        if later.is_compensation:
-            close(later.compensates)  # a_ik⁻¹ <_S a_jm: dissolved
-        elif later.is_activity:
-            for name in conflicts_of[later.name]:
-                for earlier in open_by_type.get(name, {}).values():
-                    if earlier.process != later.process:
-                        _check_pair(report, earlier, later, star)
-        if later.kind is EventKind.COMMIT or later.point_of_no_return:
-            for uid in open_by_process.pop(later.process, ()):
-                close(uid)  # a_i* <_S a_jm: P_i committed past a_ik
-        if later.is_regular and later.compensatable:
-            opened[later.uid] = later
-            open_by_type.setdefault(later.name, {})[later.uid] = later
-            open_by_process.setdefault(later.process, []).append(later.uid)
-    report.violations.sort(
-        key=lambda v: (v.earlier.position, v.later.position)
-    )
-    return report
-
-
-def _check_pair(
-    report: RecoverabilityReport,
-    earlier: ScheduleEvent,
-    later: ScheduleEvent,
-    star: dict[int, ScheduleEvent],
-) -> None:
-    """Definition 7 for one open pair: ``a_i*`` is not before ``a_jm``."""
-    i_star = star.get(earlier.position)
-    if later.compensatable:
-        j_star = star.get(later.position)
-        if j_star is None:
-            return  # a_j* not in S: no constraint yet
-        if i_star is None or i_star.position >= j_star.position:
-            report.violations.append(
-                RecoverabilityViolation(
-                    earlier,
-                    later,
-                    "the reader's point of no return "
-                    f"{j_star} precedes the writer's "
-                    f"({i_star})",
-                )
-            )
-    else:
-        report.violations.append(
-            RecoverabilityViolation(
-                earlier,
-                later,
-                "a non-compensatable activity executed before "
-                "the conflicting writer reached its point of "
-                "no return",
-            )
-        )
+    return RecoverabilityReport(ScheduleMonitor.of(schedule).violations)
 
 
 def is_process_recoverable(schedule: ProcessSchedule) -> bool:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.deadlock import find_cycle
+from repro.theory.criteria import ScheduleMonitor
 from repro.theory.reduction import Reduction
 from repro.theory.schedule import (
     ProcessKey,
@@ -116,16 +117,7 @@ def first_bad_prefix(schedule: ProcessSchedule) -> int | None:
     """Length of the shortest irreducible prefix, or ``None``.
 
     A dynamic scheduler must keep every prefix reducible (P-RED); the
-    returned length pinpoints the first decision that broke it.  One
-    forward sweep: a prefix turns irreducible only when its last event
-    survives and adds an edge into its process that closes a cycle.
+    returned length pinpoints the first decision that broke it
+    (:class:`~repro.theory.criteria.ScheduleMonitor`, one sweep).
     """
-    reduction = Reduction(schedule)
-    for event in schedule.events:
-        if (
-            event.is_activity
-            and reduction.append(event)
-            and reduction.closes_cycle(event.process)
-        ):
-            return event.position + 1
-    return None
+    return ScheduleMonitor.of(schedule).first_bad

@@ -18,7 +18,8 @@ serialization graph over the survivors; the schedule is reducible iff
 that graph is acyclic.  Cancelling a removable pair only ever deletes
 conflict edges and unblocks other pairs, so the greedy fixpoint is
 confluent and the procedure is exact under perfect commutativity.  The
-same sweep decides P-RED (:func:`repro.theory.explain.first_bad_prefix`).
+same sweep, forgetting terminated processes, decides P-RED
+(:class:`repro.theory.criteria.ScheduleMonitor`).
 
 The sweep deliberately refrains from intra-process swaps (rule 1, case
 ``i = j``): the observed order of one process's activities is treated as
@@ -29,6 +30,8 @@ applications (``tests/test_theory/oracles.py``).
 """
 
 from __future__ import annotations
+
+from collections.abc import Collection, Mapping
 
 from repro.core.deadlock import find_cycle
 from repro.theory.schedule import ProcessKey, ProcessSchedule, ScheduleEvent
@@ -50,7 +53,8 @@ class Reduction:
       and by process;
     * ``out[p][q]``: how many ordered conflicting survivor pairs run
       from process ``p`` to process ``q`` — an edge ``p -> q`` of the
-      serialization graph while it is positive;
+      serialization graph while it is positive — and ``indegree[q]``,
+      the number of such edges into ``q``;
     * ``stuck``: compensation pairs that could not cancel yet, retried
       whenever a cancellation happens.
 
@@ -58,22 +62,36 @@ class Reduction:
     them hold neither an activity of ``a``'s process nor one whose type
     conflicts with ``a``'s.  Cancelling only deletes edges and unblocks
     other pairs, so the fixpoint is confluent.
+
+    **Forgetting** (the deletion rule of serialization-graph testing).
+    Since an edge only ever points into the process of the event just
+    appended, a terminated process (:meth:`terminate`) gains no edge
+    into it again; once it has none, no cycle passes through it, and
+    its survivors block no pair (a survivor ``b`` between ``a`` and
+    ``a⁻¹`` conflicting with ``a`` is the edge ``a -> b``, into its own
+    process).  Then it leaves every structure above, and its out-edges
+    may free others in turn; until then it is ``held``.
     """
 
-    def __init__(self, schedule: ProcessSchedule) -> None:
-        self.conflicts_of = schedule.conflicts_of
+    def __init__(self, conflicts_of: Mapping[str, Collection[str]]) -> None:
+        self.conflicts_of = conflicts_of
         self.survivors: dict[int, ScheduleEvent] = {}
         self.by_type: dict[str, dict[int, ScheduleEvent]] = {}
         self.by_process: dict[ProcessKey, dict[int, ScheduleEvent]] = {}
         #: Per type, the number of survivors of each process.
         self.type_counts: dict[str, dict[ProcessKey, int]] = {}
         self.out: dict[ProcessKey, dict[ProcessKey, int]] = {}
+        self.indegree: dict[ProcessKey, int] = {}
         self.stuck: list[tuple[ScheduleEvent, ScheduleEvent]] = []
+        #: Terminated processes that still have an incoming edge.
+        self.held: set[ProcessKey] = set()
+        #: Held processes whose last incoming edge went, to forget.
+        self._freed: list[ProcessKey] = []
 
     @classmethod
     def of(cls, schedule: ProcessSchedule) -> "Reduction":
-        """The reduction of the whole schedule."""
-        reduction = cls(schedule)
+        """The reduction of the whole schedule (forgetting nothing)."""
+        reduction = cls(schedule.conflicts_of)
         for event in schedule.events:
             if event.is_activity:
                 reduction.append(event)
@@ -90,9 +108,18 @@ class Reduction:
             if not self._blocked(regular, event.position):
                 self._remove(regular)
                 self._retry_stuck()
+                self._forget()
                 return False
             self.stuck.append((regular, event))
         return self._insert(event)
+
+    def terminate(self, process: ProcessKey) -> None:
+        """``process`` has terminated: forget it once nothing points
+        into it."""
+        self.held.add(process)
+        if process not in self.indegree:
+            self._freed.append(process)
+            self._forget()
 
     def closes_cycle(self, process: ProcessKey) -> bool:
         """Whether ``process`` reaches itself in the graph."""
@@ -110,8 +137,11 @@ class Reduction:
     def _insert(self, event: ScheduleEvent) -> bool:
         process = event.process
         grew = False
+        type_counts = self.type_counts
         for name in self.conflicts_of[event.name]:
-            for tail, count in self.type_counts.get(name, {}).items():
+            if name not in type_counts:
+                continue
+            for tail, count in type_counts[name].items():
                 if tail == process:
                     continue
                 row = self.out.setdefault(tail, {})
@@ -119,11 +149,12 @@ class Reduction:
                     row[process] += count
                 else:
                     row[process] = count
+                    self.indegree[process] = self.indegree.get(process, 0) + 1
                     grew = True
         self.survivors[event.uid] = event
         self.by_type.setdefault(event.name, {})[event.uid] = event
         self.by_process.setdefault(process, {})[event.uid] = event
-        counts = self.type_counts.setdefault(event.name, {})
+        counts = type_counts.setdefault(event.name, {})
         counts[process] = counts.get(process, 0) + 1
         return grew
 
@@ -155,6 +186,30 @@ class Reduction:
             row[head] -= count
             if not row[head]:
                 del row[head]
+                self._lose_edge(head)
+
+    def _lose_edge(self, head: ProcessKey) -> None:
+        left = self.indegree.pop(head) - 1
+        if left:
+            self.indegree[head] = left
+        elif head in self.held:
+            self._freed.append(head)
+
+    def _forget(self) -> None:
+        """Drop the freed processes, and those their out-edges free."""
+        while self._freed:
+            gone = self._freed.pop()
+            self.held.discard(gone)
+            for event in self.by_process.pop(gone, {}).values():
+                del self.survivors[event.uid]
+                del self.by_type[event.name][event.uid]
+                self.type_counts[event.name].pop(gone, None)
+            for head in self.out.pop(gone, ()):
+                self._lose_edge(head)
+            if self.stuck:
+                self.stuck = [
+                    pair for pair in self.stuck if pair[0].process != gone
+                ]
 
     def _blocked(self, regular: ScheduleEvent, until: int) -> bool:
         """A survivor strictly between ``regular`` and ``until`` blocks."""
@@ -190,10 +245,3 @@ class Reduction:
 def poly_is_reducible(schedule: ProcessSchedule) -> bool:
     """Decide RED in polynomial time: the final graph is acyclic."""
     return find_cycle(Reduction.of(schedule).out) is None
-
-
-def reduce_schedule(
-    schedule: ProcessSchedule,
-) -> list[ScheduleEvent]:
-    """Apply the compensation rule to a fixpoint; return the survivors."""
-    return list(Reduction.of(schedule).survivors.values())

@@ -75,10 +75,6 @@ class ScheduleEvent:
     def is_compensation(self) -> bool:
         return self.compensates is not None
 
-    @property
-    def is_regular(self) -> bool:
-        return self.is_activity and not self.is_compensation
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         pid, inc = self.process
         owner = f"P{pid}" if inc == 0 else f"P{pid}.{inc}"
@@ -157,7 +153,7 @@ class ProcessSchedule:
     # compiled views (each built once, on first use)
     # ------------------------------------------------------------------
     @cached_property
-    def conflicts_of(self) -> dict[str, frozenset[str]]:
+    def conflicts_of(self) -> "ConflictRows":
         """Per activity name, the names that conflict with it.
 
         ``a in conflicts_of[b]`` iff ``conflict(a, b)``.  Built with
@@ -165,37 +161,39 @@ class ProcessSchedule:
         schedule and never consulted again: the deciders walk these
         rows instead of testing activity pairs.
         """
-        names = dict.fromkeys(e.name for e in self.events if e.is_activity)
-        return {
-            second: frozenset(
-                first for first in names if self.conflict(first, second)
-            )
-            for second in names
-        }
-
-    @cached_property
-    def next_no_return(self) -> dict[int, ScheduleEvent]:
-        """``a_i*`` for every activity that has one, keyed by position.
-
-        The first point-of-no-return activity or commit event of the
-        activity's process strictly after it; absent while neither has
-        been observed (partial schedule).  One backward pass.
-        """
-        found: dict[int, ScheduleEvent] = {}
-        upcoming: dict[ProcessKey, ScheduleEvent] = {}
-        for event in reversed(self.events):
+        rows = ConflictRows(self.conflict)
+        for event in self.events:
             if event.is_activity:
-                star = upcoming.get(event.process)
-                if star is not None:
-                    found[event.position] = star
-                if event.point_of_no_return:
-                    upcoming[event.process] = event
-            elif event.kind is EventKind.COMMIT:
-                upcoming[event.process] = event
-        return found
+                rows.add(event.name)
+        return rows
 
     def __len__(self) -> int:
         return len(self.events)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return " ".join(str(e) for e in self.events)
+
+
+class ConflictRows(dict):
+    """Per name seen so far, the seen names that conflict with it
+    (``a in rows[b]`` iff ``conflict(a, b)``), grown by :meth:`add`:
+    each ordered pair of names costs one ``conflict`` call, k² in all.
+    """
+
+    def __init__(self, conflict: ConflictFn) -> None:
+        super().__init__()
+        self.conflict = conflict
+
+    def add(self, name: str) -> set[str]:
+        """The row of ``name``, made (and entered in others') if new."""
+        row = self.get(name)
+        if row is None:
+            conflict = self.conflict
+            row = {name} if conflict(name, name) else set()
+            for other, other_row in self.items():
+                if conflict(other, name):
+                    row.add(other)
+                if conflict(name, other):
+                    other_row.add(name)
+            self[name] = row
+        return row

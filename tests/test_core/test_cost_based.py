@@ -12,12 +12,26 @@ from repro.core.cost_based import (
     is_pseudo_pivot,
     lemma1_holds,
     wcc_after,
-    worst_case_cost,
 )
 from repro.core.locks import LockMode
 from repro.core.protocol import ProcessLockManager
 from repro.process.builder import ProgramBuilder
 from repro.process.instance import Process
+
+
+def worst_case_cost(
+    registry: ActivityRegistry, executed: list[str]
+) -> float:
+    """``Wcc(P, S)`` of Equation 1 over executed regular activity names.
+
+    Sums ``c(a) + c(a⁻¹)`` for every executed regular activity; the
+    compensation of a pivot contributes ``inf``.
+    """
+    total = 0.0
+    for name in executed:
+        activity = registry.get(name)
+        total += activity.cost + registry.compensation_cost(name)
+    return total
 
 
 @pytest.fixture

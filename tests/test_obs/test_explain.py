@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from repro.core.cost_based import figure1_steps_from_trace, figure1_trace
+from repro.core.cost_based import Figure1Step, figure1_trace
+from repro.core.locks import LockMode
 from repro.obs import Tracer, deferred_pids, explain_process
 from repro.obs.events import (
     AbortBegun,
@@ -25,6 +26,40 @@ CONTENDED = WorkloadSpec(
     arrival_spacing=0.5,
     seed=7,
 )
+
+
+def figure1_steps_from_trace(
+    records: list[dict], pid: int
+) -> list[Figure1Step]:
+    """Rebuild Figure-1 rows from a run's ``wcc.classify`` trace records.
+
+    The observability layer (:mod:`repro.obs`) stamps every treatment
+    decision with the post-charge ``Wcc``; replaying those records
+    recovers the same step table :func:`figure1_trace` computes
+    symbolically, which cross-checks the live protocol against the
+    paper's algorithm.
+    """
+    steps: list[Figure1Step] = []
+    previous = 0.0
+    for record in records:
+        if record.get("kind") != "wcc.classify":
+            continue
+        if record["pid"] != pid:
+            continue
+        steps.append(
+            Figure1Step(
+                activity=record["activity"],
+                wcc_before=previous,
+                wcc_after=record["wcc"],
+                threshold=record["threshold"],
+                treatment=LockMode(record["mode"]),
+                pseudo_pivot=record["pseudo_pivot"],
+                real_pivot=record["real_pivot"],
+            )
+        )
+        previous = record["wcc"]
+    return steps
+
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ from repro.theory.schedule import EventKind
 
 def test_trace_records_positions_and_kinds(flat_program):
     process = Process(pid=1, program=flat_program, timestamp=1)
-    recorder = TraceRecorder()
+    recorder = TraceRecorder(lambda a, b: True)
     activity = process.launch("reserve")
     process.on_committed(activity)
     recorder.record_activity(process, activity)
@@ -20,7 +20,7 @@ def test_trace_records_positions_and_kinds(flat_program):
 
 def test_trace_captures_termination_properties(order_program):
     process = Process(pid=1, program=order_program, timestamp=1)
-    recorder = TraceRecorder()
+    recorder = TraceRecorder(lambda a, b: True)
     for name in ("reserve", "wrap", "charge"):
         activity = process.launch(name)
         process.on_committed(activity)
@@ -32,7 +32,7 @@ def test_trace_captures_termination_properties(order_program):
 
 def test_trace_compensation_links(flat_program):
     process = Process(pid=1, program=flat_program, timestamp=1)
-    recorder = TraceRecorder()
+    recorder = TraceRecorder(lambda a, b: True)
     activity = process.launch("reserve")
     process.on_committed(activity)
     recorder.record_activity(process, activity)
@@ -49,7 +49,7 @@ def test_trace_compensation_links(flat_program):
 
 def test_trace_distinguishes_incarnations(flat_program):
     first = Process(pid=3, program=flat_program, timestamp=9)
-    recorder = TraceRecorder()
+    recorder = TraceRecorder(lambda a, b: True)
     activity = first.launch("reserve")
     first.on_committed(activity)
     recorder.record_activity(first, activity)
@@ -70,7 +70,7 @@ def test_trace_distinguishes_incarnations(flat_program):
 
 def test_to_schedule_round_trip(flat_program):
     process = Process(pid=1, program=flat_program, timestamp=1)
-    recorder = TraceRecorder()
+    recorder = TraceRecorder(lambda a, b: True)
     activity = process.launch("reserve")
     process.on_committed(activity)
     recorder.record_activity(process, activity)

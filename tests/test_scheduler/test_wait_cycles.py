@@ -64,7 +64,9 @@ class _Book:
     beginning its youngest member's abort."""
 
     def __init__(self) -> None:
-        self.manager = manager = ProcessManager(SimpleNamespace())
+        self.manager = manager = ProcessManager(
+            SimpleNamespace(conflicts=SimpleNamespace(conflict=None))
+        )
         self.states = manager._processes = {
             pid: SimpleNamespace(pid=pid, state=RUNNING) for pid in range(8)
         }

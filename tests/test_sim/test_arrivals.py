@@ -3,11 +3,7 @@
 import pytest
 
 from repro.errors import SchedulerError
-from repro.sim.arrivals import (
-    burst_arrivals,
-    poisson_arrivals,
-    uniform_arrivals,
-)
+from repro.sim.arrivals import poisson_arrivals
 from repro.sim.runner import run_workload
 from repro.sim.workload import WorkloadSpec, build_workload
 
@@ -27,16 +23,6 @@ class TestGenerators:
     def test_poisson_rejects_non_positive_rate(self):
         with pytest.raises(ValueError):
             poisson_arrivals(rate=0.0, count=5)
-
-    def test_uniform(self):
-        assert uniform_arrivals(2.0, 3) == [0.0, 2.0, 4.0]
-        with pytest.raises(ValueError):
-            uniform_arrivals(-1.0, 3)
-
-    def test_burst(self):
-        assert burst_arrivals(2, 5.0, 5) == [0.0, 0.0, 5.0, 5.0, 10.0]
-        with pytest.raises(ValueError):
-            burst_arrivals(0, 5.0, 5)
 
 
 class TestRunnerIntegration:

@@ -28,6 +28,7 @@ from repro.storage.codec import encode_frame
 from repro.storage.facade import FORMAT_VERSION, dumps
 from repro.storage.journal import TRACE
 from tests.test_storage.commit_log import payloads_of
+from tests.test_storage.stored import stored_events
 
 CONTENDED = WorkloadSpec(
     n_processes=20,
@@ -428,7 +429,11 @@ def test_compact_folds_the_trace_into_one_frame(tmp_path):
         try:
             stats = service.execute({"cmd": "stats"}).result(timeout=30)
             return (
-                service.manager.trace.whole(),
+                stored_events(
+                    service.store,
+                    service.workload.programs,
+                    service.manager.trace,
+                ),
                 stats["manager"],
                 stats["store"]["recovered"]["restored"],
             )

@@ -19,6 +19,7 @@ from repro.theory.criteria import (
     has_correct_termination,
     is_process_recoverable,
 )
+from tests.test_storage.stored import stored_events, stored_schedule
 
 SPEC = WorkloadSpec(
     n_processes=6,
@@ -79,10 +80,14 @@ def test_stop_at_snapshot_recovers_to_ct(tmp_path, kind, steps):
     )
     result = recovered.run()
     plane2.after_drain(recovered)
-    schedule = result.trace.to_schedule(workload.conflicts.conflict)
+    schedule = stored_schedule(
+        store2, workload.programs, result.trace, workload.conflicts.conflict
+    )
     assert schedule.is_complete
     assert has_correct_termination(schedule)
     assert is_process_recoverable(schedule)
+    assert result.trace.verdict.correct_termination
+    assert result.trace.verdict.process_recoverable
     store2.close()
 
 
@@ -118,7 +123,7 @@ def test_finished_processes_restore_without_rerun(tmp_path):
     plane.after_drain(manager)
     plane.final(manager)
     committed = result.stats.committed
-    events_before = result.trace.whole()
+    events_before = stored_events(store, workload.programs, result.trace)
     store.close()
     store2 = Store.open("log", str(tmp_path / "store"))
     plane2, recovered, info = _build(workload, store2)
@@ -128,7 +133,9 @@ def test_finished_processes_restore_without_rerun(tmp_path):
     # Nothing re-runs: the engine has no scheduled work.
     assert not recovered.undecided()
     assert len(recovered.trace) == len(events_before)
-    assert recovered.trace.whole() == events_before
+    assert stored_events(
+        store2, workload.programs, recovered.trace
+    ) == events_before
     for pid, record in result.records.items():
         assert recovered.records[pid].committed_at == (
             record.committed_at

@@ -1,8 +1,9 @@
 """The served trace lives in the store; memory holds its tail.
 
 A durable service's recorder forgets the events each snapshot made
-durable, and ``to_schedule()`` reads them back through the store
-(``docs/persistence.md``, "The trace after a snapshot").  These tests
+durable, and its carried verdict has seen them: nothing reads them back
+(``docs/persistence.md``, "The trace after a snapshot"); these tests
+read them through ``Store.trace``.  These tests
 hold the promises that rest on it: the tail stays within one snapshot
 cadence; the schedule read back equals the one an in-memory service
 keeps whole, event for event and verdict for verdict; and after a
@@ -19,6 +20,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -26,9 +28,12 @@ from repro.faults.harness import canonical_trace
 from repro.server.service import ProcessLockingService, ServiceConfig
 from repro.sim.workload import WorkloadSpec
 from repro.theory.criteria import (
+    check_process_recoverability,
     has_correct_termination,
+    is_prefix_reducible,
     is_process_recoverable,
 )
+from tests.test_storage.stored import stored_schedule
 
 #: The benchmark's grounded catalog.
 SPEC = WorkloadSpec(
@@ -54,6 +59,17 @@ def _config(store=None, path=None, **overrides) -> ServiceConfig:
     )
 
 
+def _schedule(service):
+    """The whole schedule ``service`` recorded, its stored prefix read
+    through ``Store.trace``."""
+    return stored_schedule(
+        service.store,
+        service.workload.programs,
+        service.manager.trace,
+        service.workload.conflicts.conflict,
+    )
+
+
 def _serve(config, requests: int, watch=None) -> dict:
     """One eager single-client session: ``requests`` waited submits,
     one process each; then the whole schedule and the ``check``
@@ -66,9 +82,8 @@ def _serve(config, requests: int, watch=None) -> dict:
             ).result(timeout=60)
             if watch is not None:
                 watch(service)
-        conflict = service.workload.conflicts.conflict
         return {
-            "schedule": service.manager.trace.to_schedule(conflict),
+            "schedule": _schedule(service),
             "check": service.execute({"cmd": "check"}).result(timeout=60),
             "resident": len(service.manager.trace.events),
         }
@@ -113,6 +128,70 @@ def test_the_tail_stays_within_one_cadence_and_the_schedule_is_whole(
     assert durable["check"]["complete"]
     assert durable["check"]["correct_termination"]
     assert durable["check"]["process_recoverable"]
+
+
+def _check_and_batch(service) -> dict:
+    """One ``check``, under tracemalloc, against the batch functions
+    over the whole schedule read back through ``Store.trace``."""
+    tracemalloc.start()
+    try:
+        body = service.execute({"cmd": "check"}).result(timeout=60)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, f"check allocated {peak} B at its peak"
+    schedule = _schedule(service)
+    complete = schedule.is_complete
+    report = check_process_recoverability(schedule)
+    assert body == {
+        "events": len(schedule.events),
+        "complete": complete,
+        "correct_termination": (
+            has_correct_termination(schedule) if complete else None
+        ),
+        "prefix_reducible": is_prefix_reducible(schedule),
+        "process_recoverable": report.ok,
+        "violations": len(report.violations),
+        "conserved": True,
+    }
+    return body
+
+
+def test_check_reads_the_carried_verdict_before_and_after_a_kill(
+    tmp_path, monkeypatch
+):
+    """1,500 waited grounded submits: ``check`` reads the verdict the
+    recorder carries — no rebuild, no read-back of the stored trace —
+    and it is the batch verdict over the whole schedule; so again
+    after the service is killed (no drain, no final snapshot) and
+    restarted against its store, which streams the stored prefix
+    through the new recorder's verdict once."""
+    monkeypatch.delenv("REPRO_STORE", raising=False)
+    config = _config("log", str(tmp_path / "store"))
+    first = ProcessLockingService(config).start()
+    for k in range(1_500):
+        first.execute({"cmd": "submit", "program": k, "wait": True}).result(
+            timeout=60
+        )
+    before = _check_and_batch(first)
+    assert before["events"] > 8_000 and before["correct_termination"]
+    first._stop.set()  # killed: the serving thread just ends
+    first.wake()
+    first._thread.join(timeout=10)
+    first.store.close()
+
+    second = ProcessLockingService(config).start()
+    try:
+        assert 0 < second.manager.trace.base <= before["events"]
+        for k in range(40):
+            second.execute(
+                {"cmd": "submit", "program": k, "wait": True}
+            ).result(timeout=60)
+        after = _check_and_batch(second)
+        assert after["events"] > second.manager.trace.base
+        assert after["correct_termination"] and after["process_recoverable"]
+    finally:
+        second.stop()
 
 
 _SERVE = """
@@ -210,7 +289,7 @@ def test_kill_nine_then_the_schedule_read_through_the_store_is_correct(
             assert service.execute({"cmd": "status", "pid": pid}).result(
                 timeout=30
             )["state"] == "done"
-        schedule = trace.to_schedule(service.workload.conflicts.conflict)
+        schedule = _schedule(service)
         assert len(schedule.events) == len(trace) > len(trace.events)
         assert schedule.is_complete
         assert has_correct_termination(schedule)

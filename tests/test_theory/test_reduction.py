@@ -11,7 +11,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.theory.reduction import poly_is_reducible, reduce_schedule
+from repro.theory.reduction import Reduction, poly_is_reducible
 from repro.theory.schedule import (
     EventKind,
     ProcessSchedule,
@@ -127,7 +127,7 @@ class TestCompensationRule:
             [(1, "a"), (1, "a", 0), (2, "b")],
             [("a", "a")],
         )
-        survivors = reduce_schedule(schedule)
+        survivors = list(Reduction.of(schedule).survivors.values())
         assert [e.name for e in survivors] == ["b"]
 
     def test_same_process_event_blocks_cancellation(self):
@@ -137,7 +137,7 @@ class TestCompensationRule:
             [(1, "a"), (1, "b"), (1, "a", 0)],
             [("a", "a")],
         )
-        survivors = reduce_schedule(schedule)
+        survivors = list(Reduction.of(schedule).survivors.values())
         assert len(survivors) == 3  # nothing cancelled
         # Single process, so still serial/reducible:
         assert poly_is_reducible(schedule)

@@ -3,6 +3,10 @@
 import pytest
 
 from repro.errors import ScheduleError
+from repro.theory.criteria import (
+    ScheduleMonitor,
+    check_process_recoverability,
+)
 from repro.theory.reduction import Reduction
 from repro.theory.schedule import (
     EventKind,
@@ -27,6 +31,10 @@ def ev(pos, proc, kind=EventKind.ACTIVITY, name="a", uid=None,
 
 def always_conflict(a, b):
     return True
+
+
+def same_name(a, b):
+    return a == b
 
 
 class TestConstruction:
@@ -86,27 +94,51 @@ class TestQueries:
         assert "x" not in schedule.conflicts_of["y"]
         assert len(calls) == 4  # built once: k² calls for k names
 
+    # ``a_i*`` (the next point of no return or commit of a writer's
+    # process) is carried by the monitor: a rule-1 pair stays pending
+    # until one side reaches its own.
     def test_next_point_of_no_return_finds_pivot(self):
-        events = [
-            ev(0, 1),
-            ev(1, 2),
-            ev(2, 1, name="piv", pnr=True, compensatable=False),
-            ev(3, 1, kind=EventKind.COMMIT),
-        ]
-        schedule = ProcessSchedule(events, always_conflict)
-        assert schedule.next_no_return[0].position == 2
-        assert schedule.next_no_return[2].kind is EventKind.COMMIT
+        def schedule(pivot_is_no_return):
+            return ProcessSchedule(
+                [
+                    ev(0, 1),
+                    ev(1, 2),
+                    ev(2, 1, name="piv", pnr=pivot_is_no_return,
+                       compensatable=False),
+                    ev(3, 2, kind=EventKind.COMMIT),
+                    ev(4, 1, kind=EventKind.COMMIT),
+                ],
+                same_name,
+            )
+
+        assert check_process_recoverability(schedule(True)).ok
+        (late,) = check_process_recoverability(schedule(False)).violations
+        assert (late.earlier.position, late.later.position) == (0, 1)
 
     def test_next_point_of_no_return_falls_back_to_commit(self):
-        events = [ev(0, 1), ev(1, 1, kind=EventKind.COMMIT)]
-        schedule = ProcessSchedule(events, always_conflict)
-        star = schedule.next_no_return[0]
-        assert star.kind is EventKind.COMMIT
+        def schedule(writer_first):
+            first, second = (1, 2) if writer_first else (2, 1)
+            return ProcessSchedule(
+                [
+                    ev(0, 1),
+                    ev(1, 2),
+                    ev(2, first, kind=EventKind.COMMIT),
+                    ev(3, second, kind=EventKind.COMMIT),
+                ],
+                same_name,
+            )
+
+        assert check_process_recoverability(schedule(True)).ok
+        (late,) = check_process_recoverability(schedule(False)).violations
+        assert "C(P2)" in late.reason
 
     def test_next_point_of_no_return_absent_in_partial(self):
-        events = [ev(0, 1), ev(1, 2)]
-        schedule = ProcessSchedule(events, always_conflict)
-        assert schedule.next_no_return == {}
+        monitor = ScheduleMonitor.of(
+            ProcessSchedule([ev(0, 1), ev(1, 2)], same_name)
+        )
+        assert monitor.process_recoverable and not monitor.complete
+        monitor.feed(ev(2, 2, kind=EventKind.COMMIT))
+        assert not monitor.process_recoverable
 
     def test_activities_excludes_terminal_events(self):
         events = [ev(0, 1), ev(1, 1, kind=EventKind.COMMIT)]

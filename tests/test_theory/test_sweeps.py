@@ -28,7 +28,7 @@ from repro.theory.criteria import (
     is_reducible,
 )
 from repro.theory.explain import explain_irreducibility, first_bad_prefix
-from repro.theory.reduction import reduce_schedule
+from repro.theory.reduction import Reduction
 from repro.theory.schedule import EventKind, ProcessSchedule, ScheduleEvent
 from tests.test_theory.oracles import (
     exact_is_reducible,
@@ -118,7 +118,8 @@ def test_first_bad_prefix_matches_the_per_prefix_oracle(data):
     assert bad == per_prefix_first_bad(schedule)
     assert is_prefix_reducible(schedule) == (bad is None)
     assert is_reducible(schedule) == fixpoint_is_reducible(schedule)
-    assert reduce_schedule(schedule) == fixpoint_survivors(schedule)
+    survivors = list(Reduction.of(schedule).survivors.values())
+    assert survivors == fixpoint_survivors(schedule)
     assert (explain_irreducibility(schedule) is None) == is_reducible(
         schedule
     )
