@@ -27,7 +27,7 @@ SPEC = WorkloadSpec(
 class CensusManager(ProcessManager):
     """Manager that records each cascade victim's state at selection.
 
-    The census hooks decision application: the states are captured the
+    The census hooks the decision's event: the states are captured the
     instant the protocol names its victims, before any abort work runs.
     (``_begin_protocol_abort`` itself is also re-invoked idempotently
     for victims whose abort a nested cascade already started, so hooking
@@ -38,7 +38,7 @@ class CensusManager(ProcessManager):
         super().__init__(*args, **kwargs)
         self.victim_states: list[str] = []
 
-    def _apply_decision(self, decision, request):
+    def _trace_decision(self, decision, request):
         from repro.core.decisions import AbortVictims
 
         if isinstance(decision, AbortVictims):
@@ -46,7 +46,7 @@ class CensusManager(ProcessManager):
                 victim = self._processes.get(pid)
                 if victim is not None:
                     self.victim_states.append(victim.state.value)
-        super()._apply_decision(decision, request)
+        super()._trace_decision(decision, request)
 
 
 def run_e4():

@@ -21,7 +21,7 @@ from repro.core.decisions import (
     Grant,
 )
 from repro.core.lock_table import LockTable
-from repro.core.locks import LockEntry, LockMode, can_ordered_share
+from repro.core.locks import LockEntry, LockMode
 from repro.core.protocol import ProcessLockManager
 from repro.core.rules import HolderPartition, partition_holders
 
@@ -40,7 +40,6 @@ __all__ = [
     "LockMode",
     "LockTable",
     "ProcessLockManager",
-    "can_ordered_share",
     "choose_cycle_victim",
     "figure1_trace",
     "is_pseudo_pivot",

@@ -389,10 +389,6 @@ class LockTable:
         c_held = len(self._c_by_pid.get(pid, ()))
         return ("C" if c_held else "") + ("P" if held > c_held else "")
 
-    def locks_on(self, type_name: str) -> tuple[LockEntry, ...]:
-        """The ordered lock list of one activity type."""
-        return tuple(self._by_type.get(type_name, ()))
-
     def conflicting_locks(
         self, type_name: str, exclude_pid: int | None = None
     ) -> list[LockEntry]:
@@ -484,17 +480,6 @@ class LockTable:
         """Pids holding an earlier conflicting lock than ``pid``."""
         self._live_plane()
         return frozenset(self._blocked_by.get(pid, ()))
-
-    def waiters_on(self, pid: int) -> frozenset[int]:
-        """Pids whose commit is held up by ``pid`` (the reverse map).
-
-        The transpose of :meth:`blockers_of`: exactly the processes whose
-        locks are on hold behind a lock of ``pid``.  Consumers that used
-        to rebuild this relation by scanning every live lock (wait-graph
-        construction, wake-up scheduling) read it here instead.
-        """
-        self._live_plane()
-        return frozenset(self._blocks.get(pid, ()))
 
     def on_hold(self, process: Process) -> bool:
         """Whether any lock of ``process`` is currently on hold."""

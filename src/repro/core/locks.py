@@ -40,11 +40,6 @@ class LockMode(enum.Enum):
     P = "P"
 
 
-def can_ordered_share(held: LockMode, acquired: LockMode) -> bool:
-    """Table 2: whether ``acquired`` may be ordered-shared behind ``held``."""
-    return acquired is LockMode.C
-
-
 _lock_ids = itertools.count(1)
 
 

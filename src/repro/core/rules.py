@@ -35,10 +35,6 @@ class HolderPartition:
     older_running_c: set[int] = field(default_factory=set)
 
     @property
-    def any_p(self) -> set[int]:
-        return self.older_p | self.younger_running_p
-
-    @property
     def empty(self) -> bool:
         return not (
             self.older_c

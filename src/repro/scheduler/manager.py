@@ -17,8 +17,8 @@ execution machinery.
 
 from __future__ import annotations
 
+import contextlib
 import functools
-import heapq
 import itertools
 import operator
 import random
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from repro import config as repro_config
 
 from repro.activities.activity import Activity
-from repro.core.deadlock import choose_cycle_victim, find_wait_cycle
+from repro.core.deadlock import choose_cycle_victim
 from repro.core.cost_based import retry_wcc_charge
 from repro.core.decisions import (
     AbortVictims,
@@ -36,7 +36,6 @@ from repro.core.decisions import (
     Grant,
     SelfAbort,
 )
-from repro.core.locks import LockMode
 from repro.errors import ProtocolError, SchedulerError, StarvationError
 from repro.obs.metrics import EventMetrics, MetricsTracer
 from repro.obs.events import (
@@ -72,6 +71,7 @@ from repro.process.instance import (
 from repro.process.program import ProcessProgram
 from repro.process.state import ProcessState
 from repro.scheduler.engine import SimulationEngine
+from repro.scheduler.parking import ParkingLot
 from repro.scheduler.events import (
     CompensationRun,
     InflightActivity,
@@ -84,12 +84,11 @@ from repro.scheduler.events import (
 from repro.scheduler.trace import TraceRecorder
 from repro.subsystems.subsystem import SubsystemPool
 
-#: Wake-up drains that may nest before a termination only queues its
-#: waiters for an enclosing drain.  Each level costs six Python frames;
-#: the golden points and 16-process bursts nest 7 deep, 150-400-process
-#: runs 49-78, and the interpreter's stack gives out near 165
-#: (DESIGN.md §7).
-_MAX_NESTED_DRAINS = 96
+#: Compensation runs that may start nested on the stack before a run
+#: is started from the engine, at the same virtual time, instead.
+#: Pure OSL cascades from a compensation request, four Python frames a
+#: victim (DESIGN.md §7).
+_MAX_NESTED_RUNS = 120
 
 #: Virtual-time delay before a cascade victim's restart is tried (the
 #: restart gate may hold it longer).
@@ -223,24 +222,11 @@ class ProcessManager:
         self._held: dict[int, int] = {}
         #: Pids decided since :meth:`take_finished` was last called.
         self._finished: list[int] = []
-        #: Parked requests keyed by park sequence (insertion-ordered):
-        #: the one record of who waits on whom.  The three below index
-        #: it; the wait-for relation is read from it, never mirrored.
-        self._parked: dict[int, ParkedRequest] = {}
-        self._park_seq = itertools.count(1)
-        #: pid -> its own parked requests by seq (park-ordered).
-        self._parked_of: dict[int, dict[int, ParkedRequest]] = {}
-        #: pid -> park seqs of requests waiting on that pid.
-        self._wait_index: dict[int, set[int]] = {}
-        #: Min-heap of park seqs woken by a termination, pending retry.
-        self._wake_pending: list[int] = []
-        #: Wake-up drains on the stack (see ``_MAX_NESTED_DRAINS``).
-        self._drain_depth = 0
-        #: Whether the last deadlock search may have left a cycle
-        #: standing: it takes one victim per call, and a second cycle
-        #: closed by the same park need not run through the next
-        #: parking pid.
-        self._cycle_standing = False
+        #: The deferred requests: who waits on whom, and whom a
+        #: termination wakes.
+        self.parking = ParkingLot(self._processes)
+        #: Compensation runs started on the stack (``_MAX_NESTED_RUNS``).
+        self._run_depth = 0
         self._inflight: dict[int, InflightActivity] = {}
         #: uid -> uids of flights gated behind it, in the order they were
         #: gated (lock-position order).  Insertion-ordered, not a set:
@@ -410,7 +396,7 @@ class ProcessManager:
             raise SchedulerError(
                 f"simulation drained with pids {groups[None]} undecided "
                 f"(live: {self.undecided()}); "
-                f"parked={[str(p) for p in self._parked.values()]}"
+                f"parked={[str(p) for p in self.parking]}"
             )
         if "starved" in groups:
             raise StarvationError(
@@ -571,40 +557,33 @@ class ProcessManager:
                 break
             activity = process.launch(ready[0])
             mode = self.protocol.classify_regular(process, activity)
-            self._request_regular(process, activity, mode)
-        if process.finished and not self._has_parked_commit(process):
-            self._request_commit(process)
-
-    def _request_regular(
-        self, process: Process, activity: Activity, mode: LockMode
-    ) -> None:
-        decision = self.protocol.request_activity_lock(
-            process, activity, mode
-        )
-        self._apply_decision(
-            decision,
-            ParkedRequest(
-                kind=RequestKind.REGULAR,
-                process=process,
-                activity=activity,
-                mode=mode,
-            ),
-        )
-
-    def _request_commit(self, process: Process) -> None:
-        decision = self.protocol.try_commit(process)
-        self._apply_decision(
-            decision,
-            ParkedRequest(
-                kind=RequestKind.COMMIT,
-                process=process,
-            ),
-        )
+            self._apply_decision(
+                ParkedRequest(RequestKind.REGULAR, process, activity, mode)
+            )
+        if process.finished and not any(
+            request.kind is RequestKind.COMMIT
+            for request in self.parking.of(process.pid)
+        ):
+            self._apply_decision(ParkedRequest(RequestKind.COMMIT, process))
 
     def _apply_decision(
-        self, decision: Decision, request: ParkedRequest
+        self, request: ParkedRequest, decision: Decision | None = None
     ) -> None:
+        """Carry out the protocol's answer to ``request`` — asked here,
+        the one place it is asked, unless ``decision`` is given."""
         process = request.process
+        if decision is None:
+            kind = request.kind
+            if kind is RequestKind.REGULAR:
+                decision = self.protocol.request_activity_lock(
+                    process, request.activity, request.mode
+                )
+            elif kind is RequestKind.COMPENSATION:
+                decision = self.protocol.request_compensation_lock(
+                    process, request.activity
+                )
+            else:
+                decision = self.protocol.try_commit(process)
         self._trace_decision(decision, request)
         if isinstance(decision, Grant):
             self._on_granted(request, decision)
@@ -917,14 +896,18 @@ class ProcessManager:
             raise SchedulerError(
                 f"P{process.pid}: overlapping compensation runs"
             )
-        run = CompensationRun(
-            process=process,
-            queue=list(plan.compensations),
-            then=then,
-            label=label,
-        )
+        run = CompensationRun(process, list(plan.compensations), then, label)
         self._comp_runs[process.pid] = run
-        self._advance_compensation(run)
+        if self._run_depth >= _MAX_NESTED_RUNS:
+            # Deep in a cascade chain: the victim's run goes on from
+            # the engine, so the chain cannot outgrow the stack.
+            self.engine.schedule(0.0, lambda: self._advance_compensation(run))
+            return
+        self._run_depth += 1
+        try:
+            self._advance_compensation(run)
+        finally:
+            self._run_depth -= 1
 
     def _advance_compensation(self, run: CompensationRun) -> None:
         process = run.process
@@ -937,18 +920,9 @@ class ProcessManager:
             else:
                 self._finalize_abort(process, run.then)
             return
-        entry = run.queue[0]
-        activity = process.make_compensation(entry)
-        decision = self.protocol.request_compensation_lock(
-            process, activity
-        )
+        activity = process.make_compensation(run.queue[0])
         self._apply_decision(
-            decision,
-            ParkedRequest(
-                kind=RequestKind.COMPENSATION,
-                process=process,
-                activity=activity,
-            ),
+            ParkedRequest(RequestKind.COMPENSATION, process, activity)
         )
 
     def _complete_compensation(self, flight: InflightActivity) -> None:
@@ -1019,11 +993,7 @@ class ProcessManager:
     def _cancel_all_work(self, process: Process) -> None:
         """Cancel in-flight activities and parked requests of a victim."""
         self._cancel_parked_of(
-            process,
-            kinds=(
-                RequestKind.REGULAR,
-                RequestKind.COMMIT,
-            ),
+            process, kinds=(RequestKind.REGULAR, RequestKind.COMMIT)
         )
         stashed = self._stashed_failures.pop(process.pid, None)
         if stashed is not None:
@@ -1055,15 +1025,11 @@ class ProcessManager:
     def _cancel_parked_of(
         self, process: Process, kinds: tuple[RequestKind, ...]
     ) -> None:
-        doomed = [
-            request
-            for request in self._parked_of.get(process.pid, {}).values()
-            if request.kind in kinds
-        ]
-        for request in doomed:
-            self._unpark(request)
-            if request.kind is RequestKind.REGULAR:
-                process.abandon(request.activity)
+        for request in self.parking.of(process.pid):
+            if request.kind in kinds:
+                self._unpark(request)
+                if request.kind is RequestKind.REGULAR:
+                    process.abandon(request.activity)
 
     def _finalize_abort(self, process: Process, then: str) -> None:
         """End an abort: ``then`` is ``"resubmit"`` or the pid's outcome.
@@ -1115,162 +1081,37 @@ class ProcessManager:
         self._release_held(process.pid)
 
     # ------------------------------------------------------------------
-    # parked-request machinery
+    # parked requests and deadlock resolution: the four methods below
+    # are the one call site each into the lot (``bench/tracing.py``
+    # times them by name)
     # ------------------------------------------------------------------
     def _park(self, request: ParkedRequest) -> None:
-        """Store a deferred request and index its wait set.
-
-        Every (re-)park draws a fresh sequence number, so the parked
-        store stays ordered by park time exactly like the historical
-        append-to-a-list representation.
-        """
-        seq = request.seq = next(self._park_seq)
-        self._parked[seq] = request
-        self._parked_of.setdefault(request.process.pid, {})[seq] = request
-        for pid in request.wait_for:
-            self._wait_index.setdefault(pid, set()).add(seq)
+        self.parking.park(request)
 
     def _unpark(self, request: ParkedRequest) -> None:
-        """Remove a parked request and unregister its index entries."""
-        seq, waiter = request.seq, request.process.pid
-        del self._parked[seq]
-        own = self._parked_of[waiter]
-        del own[seq]
-        if not own:
-            del self._parked_of[waiter]
-        for pid in request.wait_for:
-            bucket = self._wait_index.get(pid)
-            if bucket is not None:
-                bucket.discard(seq)
-                if not bucket:
-                    del self._wait_index[pid]
+        self.parking.unpark(request)
 
     def _retry_parked(self, dead_pid: int) -> None:
-        """Wake the requests that waited on a terminated process.
-
-        The wait index maps each pid to the parked requests waiting on
-        it, so a termination wakes exactly its dependents instead of
-        re-polling the whole parked list to a fixpoint.  Woken requests
-        are drained in park order through a shared min-heap; retries can
-        terminate further processes, whose reentrant calls push into the
-        same heap — the innermost drain therefore always retries the
-        oldest eligible request first, which reproduces the historical
-        scan-in-park-order fixpoint exactly.
-
-        Each nested drain sits six frames above the one whose retry
-        terminated ``dead_pid``, so a long cascade chain would exhaust
-        the interpreter's stack.  ``_MAX_NESTED_DRAINS`` deep, a
-        termination only queues its waiters: an enclosing drain is on
-        the stack by construction and retries them, oldest first, as
-        it unwinds.
-        """
-        bucket = self._wait_index.pop(dead_pid, None)
-        if bucket:
-            for seq in bucket:
-                heapq.heappush(self._wake_pending, seq)
-        if self._drain_depth >= _MAX_NESTED_DRAINS:
-            return
-        self._drain_depth += 1
-        try:
-            while self._wake_pending:
-                seq = heapq.heappop(self._wake_pending)
-                request = self._parked.get(seq)
-                if request is None:
-                    continue  # cancelled or already retried reentrantly
-                if all(
-                    pid in self._processes for pid in request.wait_for
-                ):
-                    continue  # re-parked; everything it waits on is live
-                self._unpark(request)
-                process = request.process
-                if process.state.is_terminal:
-                    continue
-                if request.kind is RequestKind.REGULAR:
-                    decision = self.protocol.request_activity_lock(
-                        process, request.activity, request.mode
-                    )
-                elif request.kind is RequestKind.COMPENSATION:
-                    decision = self.protocol.request_compensation_lock(
-                        process, request.activity
-                    )
-                else:
-                    decision = self.protocol.try_commit(process)
-                self._apply_decision(decision, request)
-        finally:
-            self._drain_depth -= 1
-
-    def _has_parked_commit(self, process: Process) -> bool:
-        return any(
-            request.kind is RequestKind.COMMIT
-            for request in self._parked_of.get(process.pid, {}).values()
-        )
-
-    # ------------------------------------------------------------------
-    # deadlock resolution (cost-based extension only)
-    # ------------------------------------------------------------------
-    def _blockers_of(self, request: ParkedRequest) -> frozenset[int]:
-        """The pids ``request`` waits on right now."""
-        if request.reason != "awaiting-cascade":
-            return request.wait_for
-        # A victim that is still running has its abort initiation pending
-        # in the current callback; only victims whose aborts are genuinely
-        # under way (and possibly stuck) are wait-graph edges.  Read live:
-        # a victim becomes an edge when its abort begins, between the park
-        # and the resolve of one ``_apply_decision``, and stops being one
-        # when it terminates.
-        return frozenset(
-            pid
-            for pid in request.wait_for
-            if (proc := self._processes.get(pid)) is not None
-            and proc.state is ProcessState.ABORTING
-        )
-
-    def _wait_edges(self) -> dict[int, set[int]]:
-        """The waits-for relation of the currently parked requests."""
-        edges: dict[int, set[int]] = {}
-        for request in self._parked.values():
-            edges.setdefault(request.process.pid, set()).update(
-                self._blockers_of(request)
-            )
-        return edges
-
-    def _waits_on_itself(self, waiter: int) -> bool:
-        """Whether ``waiter`` reaches itself over the waits-for relation
-        (depth-first over each reached pid's own parked requests)."""
-        parked_of = self._parked_of
-        seen = {waiter}
-        stack = [waiter]
-        while stack:
-            for request in parked_of.get(stack.pop(), {}).values():
-                for pid in self._blockers_of(request):
-                    if pid == waiter:
-                        return True
-                    if pid not in seen:
-                        seen.add(pid)
-                        stack.append(pid)
-        return False
+        """Re-ask the protocol about the requests ``dead_pid``'s
+        termination woke, oldest park first (closed on the way out, so
+        an exception cannot leave the drain counted as nested)."""
+        with contextlib.closing(self.parking.wake(dead_pid)) as woken:
+            for request in woken:
+                self._apply_decision(request)
 
     def _resolve_wait_cycles(self, waiter: int) -> None:
-        """Break wait-for cycles among genuinely blocked requests.
+        """Break a wait-for cycle the park of pid ``waiter`` closed.
 
-        Called after pid ``waiter`` parked a request.  A park only adds
-        edges that leave the parking pid, so a cycle it closes runs
-        through that pid: the common acyclic case is answered by a walk
-        from there.  Only when the walk comes back (or the previous
-        search left a cycle standing) is the whole relation rebuilt
-        from the parked requests so the original search picks the exact
-        same cycle.  Under the basic process-locking protocol no cycle
-        can form (timestamp discipline); with pseudo pivots or the
-        baseline protocols, the youngest running process on the cycle
-        is sacrificed; cycles without a running member are escalated to
+        Under the basic process-locking protocol no cycle can form
+        (timestamp discipline); with pseudo pivots or the baseline
+        protocols, the youngest running process on the cycle is
+        sacrificed; cycles without a running member are escalated to
         the protocol's forced-progress choice (pure OSL's unresolvable
         violations).
         """
-        if self._cycle_standing or self._waits_on_itself(waiter):
-            cycle = find_wait_cycle(self._wait_edges())
-            self._cycle_standing = cycle is not None
-            if cycle is not None:
-                self._act_on_wait_cycle(cycle)
+        cycle = self.parking.cycle_through(waiter)
+        if cycle is not None:
+            self._act_on_wait_cycle(cycle)
 
     def _act_on_wait_cycle(self, cycle: list[int]) -> None:
         """Abort the cycle's victim (or force progress when unabortable)."""
@@ -1292,7 +1133,7 @@ class ProcessManager:
             force = getattr(self.protocol, "force_progress", None)
             if force is None:
                 raise
-            request, decision = force(cycle, self._parked.values())
+            request, decision = force(cycle, self.parking)
             self._unpark(request)
             self.tracer.emit(
                 UnresolvableForced(
@@ -1304,7 +1145,7 @@ class ProcessManager:
             if decision is None:
                 self._finalize_commit(request.process)
             else:
-                self._apply_decision(decision, request)
+                self._apply_decision(request, decision)
             return
         self.tracer.emit(DeadlockVictim(pid=victim, cycle=tuple(cycle)))
         self._begin_protocol_abort(victim, cause="deadlock")
@@ -1379,7 +1220,7 @@ class ProcessManager:
         """Current values of the virtual-time gauges."""
         table = self.protocol.table
         sample = {
-            "parked": float(len(self._parked)),
+            "parked": float(len(self.parking)),
             "inflight": float(self.stats.inflight),
             "live": float(len(self._processes)),
             "held": float(len(self._held)),

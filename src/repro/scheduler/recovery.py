@@ -173,11 +173,8 @@ def snapshot_live(manager: ProcessManager) -> list[ProcessSnapshot]:
                 and flight.kind is RequestKind.REGULAR
             ):
                 pending.append(flight.activity.name)
-        for request in manager._parked.values():
-            if (
-                request.process.pid == process.pid
-                and request.kind is RequestKind.REGULAR
-            ):
+        for request in manager.parking.of(pid):
+            if request.kind is RequestKind.REGULAR:
                 pending.append(request.activity.name)
         stashed = manager._stashed_failures.get(process.pid)
         if stashed is not None:

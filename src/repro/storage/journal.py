@@ -25,9 +25,10 @@ module is the one place that says which field sits where
   transaction writes nothing.
 
 A record on disk is ``[tag, *fields]``: a one-letter tag naming its kind,
-then its fields in the order :data:`JOURNAL`, :data:`TRACE_ROWS` and
-:func:`subsystem_data` list them; no field name is stored.  (A trace
-frame is ``[start, names, runs]``: one kind, no tag.)  The repositories
+then its fields in the order :data:`JOURNAL` and :func:`subsystem_data`
+list them; no field name is stored.  (A trace frame is ``[start, names,
+runs]``: one kind, no tag; :func:`trace_event_to_row` says what one
+of its rows holds.)  The repositories
 of :mod:`repro.storage.facade` encode and decode through these codecs,
 so everyone else reads *logical* records — the dicts (and trace rows)
 they always read.  Decoding checks the tag, the
@@ -134,11 +135,6 @@ def _number(value) -> bool:
 def _stamp(value) -> bool:
     """A time that may not have happened."""
     return value is None or _number(value)
-
-
-def _uid(value) -> bool:
-    """An activity uid that may be absent."""
-    return value is None or _int(value)
 
 
 def _text(value) -> bool:
@@ -383,8 +379,8 @@ class _DataCodec(RecordCodec):
 
 
 class _TraceCodec:
-    """A frame ``{"start": p, "events": [row, ...]}`` of
-    :data:`TRACE_ROWS` rows as ``[p, names, runs]``.
+    """A frame ``{"start": p, "events": [row, ...]}`` of trace rows
+    (:func:`trace_event_to_row`) as ``[p, names, runs]``.
 
     ``names`` lists the frame's distinct activity names in order of
     first use.  A run ``[pid, incarnation, item, ...]`` holds
@@ -495,24 +491,6 @@ JOURNAL = _JournalCodec(
     Kind("cancel", "c", (("pid", _int),)),
 )
 
-#: Trace rows; a kind is named by its :class:`EventKind` value, and the
-#: tags of ``commit`` / ``abort`` are the paper's ``C_i`` / ``A_i``.
-TRACE_ROWS = RecordCodec(
-    Kind(
-        "activity",
-        "a",
-        (
-            ("pid", _int),
-            ("incarnation", _int),
-            ("name", _text),
-            ("uid", _int),
-            ("compensates", _uid),
-        ),
-    ),
-    Kind("commit", "C", (("pid", _int), ("incarnation", _int))),
-    Kind("abort", "A", (("pid", _int), ("incarnation", _int))),
-)
-
 TRACE = _TraceCodec()
 
 def subsystem_data(name: str) -> _DataCodec:
@@ -573,44 +551,49 @@ def snapshot_from_dict(data: dict, codec: ProgramCodec) -> ProcessSnapshot:
 # ----------------------------------------------------------------------
 # trace events (the splice)
 # ----------------------------------------------------------------------
+#: The tag of a commit or abort row: the paper's ``C_i`` / ``A_i``.
+_END_TAGS = {EventKind.COMMIT: "C", EventKind.ABORT: "A"}
+_END_KINDS = {tag: kind for kind, tag in _END_TAGS.items()}
+
+
 def trace_event_to_row(event: ScheduleEvent) -> list:
-    """One event as a :data:`TRACE_ROWS` row.
+    """One event as a trace row: ``["a", pid, incarnation, name, uid,
+    compensates]`` for an activity, ``["C" | "A", pid, incarnation]``
+    for a commit or abort.
 
     The position is not stored: an event's position *is* its index in
     the trace (:class:`~repro.scheduler.trace.TraceRecorder` numbers
     them so), and each trace frame carries its start position.
     """
     pid, incarnation = event.process
-    return TRACE_ROWS.row(
-        event.kind.value,
-        {
-            "pid": pid,
-            "incarnation": incarnation,
-            "name": event.name,
-            "uid": event.uid,
-            "compensates": event.compensates,
-        },
-    )
+    if event.kind is EventKind.ACTIVITY:
+        return [
+            "a", pid, incarnation, event.name, event.uid, event.compensates
+        ]
+    return [_END_TAGS[event.kind], pid, incarnation]
 
 
 def trace_event_from_row(
     row: list, position: int, codec: ProgramCodec
 ) -> ScheduleEvent:
-    """The event ``row`` stands for; ``codec`` knows its activity type."""
-    kind, values = TRACE_ROWS.fields(row, "trace")
-    process = (values["pid"], values["incarnation"])
-    if kind != "activity":
+    """The event ``row`` stands for; ``codec`` knows its activity type.
+
+    ``row`` is one :meth:`_TraceCodec.decode` checked: the frame
+    decoder is the one check of what is on disk.
+    """
+    if row[0] != "a":
         return ScheduleEvent(
-            position=position, process=process, kind=EventKind(kind)
+            position, (row[1], row[2]), _END_KINDS[row[0]]
         )
-    activity_type = codec.activity_type(values["name"])
+    _, pid, incarnation, name, uid, compensates = row
+    activity_type = codec.activity_type(name)
     return ScheduleEvent(
         position=position,
-        process=process,
+        process=(pid, incarnation),
         kind=EventKind.ACTIVITY,
-        name=values["name"],
-        uid=values["uid"],
-        compensates=values["compensates"],
+        name=name,
+        uid=uid,
+        compensates=compensates,
         compensatable=activity_type.compensatable,
         point_of_no_return=activity_type.point_of_no_return,
     )

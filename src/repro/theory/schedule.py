@@ -133,13 +133,6 @@ class ProcessSchedule:
             seen.setdefault(event.process, None)
         return list(seen)
 
-    def events_of(self, process: ProcessKey) -> list[ScheduleEvent]:
-        return [e for e in self.events if e.process == process]
-
-    def terminal_event(self, process: ProcessKey) -> ScheduleEvent | None:
-        """The ``C_i`` / ``A_i`` event of ``process``, if present."""
-        return self._terminal.get(process)
-
     @property
     def is_complete(self) -> bool:
         """Whether every process has terminated (Definition 3)."""

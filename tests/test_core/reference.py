@@ -114,6 +114,12 @@ def naive_blocked_by(table) -> dict[int, set[int]]:
     return blocked_by
 
 
+def waiters_on(table, pid: int) -> frozenset[int]:
+    """Pids whose commit is held up by ``pid``: the lock table's
+    reverse map (``_blocks``), the transpose of ``blockers_of``."""
+    return frozenset(table._blocks.get(pid, ()))
+
+
 def naive_blocker_pids(table, type_name: str, pid: int) -> set[int]:
     """Foreign holder pids conflicting with ``type_name`` (acquire-time
     blocker discovery, adjacency formulation)."""

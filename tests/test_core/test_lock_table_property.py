@@ -29,6 +29,7 @@ from tests.test_core.reference import (
     naive_commit_blockers,
     naive_conflicting_locks,
     naive_conflicting_types,
+    waiters_on,
 )
 
 TYPE_NAMES = [f"t{i}" for i in range(6)]
@@ -72,7 +73,7 @@ def assert_agrees_with_oracles(
     oracle = naive_blocked_by(table)
     for pid in PIDS:
         assert table.blockers_of(pid) == frozenset(oracle.get(pid, ()))
-        assert table.waiters_on(pid) == frozenset(
+        assert waiters_on(table, pid) == frozenset(
             waiter
             for waiter, blockers in oracle.items()
             if pid in blockers

@@ -3,26 +3,27 @@
 import pytest
 
 from repro.core.lock_table import LockTable
-from repro.core.locks import LockMode, can_ordered_share
+from repro.analysis.exhibits import derive_lock_compatibility
+from repro.core.locks import LockMode
 from repro.errors import ProtocolError
 from tests.conftest import make_process
 from tests.test_core.reference import full_audit
 
 
 class TestTable2Function:
-    """The static compatibility function mirrors Table 2."""
+    """The live protocol's held/acquired compatibility is Table 2's."""
 
     def test_c_behind_c_shares(self):
-        assert can_ordered_share(LockMode.C, LockMode.C)
+        assert derive_lock_compatibility()[LockMode.C, LockMode.C]
 
     def test_p_behind_c_is_exclusive(self):
-        assert not can_ordered_share(LockMode.C, LockMode.P)
+        assert not derive_lock_compatibility()[LockMode.C, LockMode.P]
 
     def test_c_behind_p_shares(self):
-        assert can_ordered_share(LockMode.P, LockMode.C)
+        assert derive_lock_compatibility()[LockMode.P, LockMode.C]
 
     def test_p_behind_p_is_exclusive(self):
-        assert not can_ordered_share(LockMode.P, LockMode.P)
+        assert not derive_lock_compatibility()[LockMode.P, LockMode.P]
 
 
 @pytest.fixture

@@ -48,7 +48,7 @@ class TestPartition:
         assert partition.older_p == {1}
         assert partition.younger_running_p == {3}
         assert partition.older_c == set()
-        assert partition.any_p == {1, 3}
+        assert partition.older_p | partition.younger_running_p == {1, 3}
 
     def test_aborting_holders_bucketed_regardless_of_age(self, trio):
         p1, p2, p3 = trio

@@ -527,7 +527,8 @@ def test_incremental_shard_depths_match_recompute():
     )
     for i, program in enumerate(workload.programs):
         manager.submit(program, at=workload.arrival_time(i))
-    subsystems = {t.subsystem for t in workload.registry}
+    subsystem_of = {t.name: t.subsystem for t in workload.registry}
+    subsystems = set(subsystem_of.values())
     assert len(subsystems) == 3
     table = protocol.table
     held = tracer.metrics.locks_by_shard
@@ -538,16 +539,9 @@ def test_incremental_shard_depths_match_recompute():
         manager.engine.run_due(deadline)
         tracer.refresh_gauges()
         drains += 1
-        expected = {
-            subsystem: float(
-                sum(
-                    len(table.locks_on(t.name))
-                    for t in workload.registry
-                    if t.subsystem == subsystem
-                )
-            )
-            for subsystem in subsystems
-        }
+        expected = dict.fromkeys(subsystems, 0.0)
+        for entry in table.iter_entries():
+            expected[subsystem_of[entry.type_name]] += 1
         assert {
             shard: held.value((shard,)) for (shard,) in held._children
         } == expected

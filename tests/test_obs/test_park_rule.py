@@ -2,10 +2,12 @@
 
 No event marks a park's end: a park is its ``lock.defer`` or
 ``lock.cascade``, and :class:`~repro.obs.events.ParkTracker` reads its
-end off the events that follow.  :class:`ParkRecorder` wraps one
-manager's ``_park`` and ``_unpark`` (instance attributes, no hook in
-``src/``) and records the parks as they really were; the intervals the
-tracker derives from the emitted records must equal them as a multiset,
+end off the events that follow.  :class:`ParkRecorder` wraps the
+``park`` and ``unpark`` of one manager's
+:class:`~repro.scheduler.parking.ParkingLot` (instance attributes, no
+hook in ``src/``; a wake-up drain unparks there too) and records the
+parks as they really were; the intervals the tracker derives from the
+emitted records must equal them as a multiset,
 on random bursts under every protocol, with client cancels, a finite
 ``Wcc*``, pure OSL forcing its way through unresolvable cycles, failing
 parallel siblings and a manager crash.
@@ -49,7 +51,8 @@ class ParkRecorder:
     def __init__(self, manager: ProcessManager) -> None:
         self.intervals: list[tuple] = []
         self._open: dict[int, tuple] = {}
-        park, unpark = manager._park, manager._unpark
+        lot = manager.parking
+        park, unpark = lot.park, lot.unpark
         fold, engine = manager.tracer, manager.engine
 
         def now() -> float:
@@ -73,8 +76,8 @@ class ParkRecorder:
             unpark(request)
             self._close(opened, now())
 
-        manager._park = recorded_park
-        manager._unpark = recorded_unpark
+        lot.park = recorded_park
+        lot.unpark = recorded_unpark
 
     def _close(self, opened: tuple, end: float | None) -> None:
         pid, request, uid, start, wait_for, reason, shard = opened

@@ -588,3 +588,66 @@ def test_only_the_fold_stamps():
                 names.add(node.name)
         offenders = sorted(name for name in names if STAMPING.search(name))
         assert not offenders, f"{relative} stamps: {offenders}"
+
+
+# ----------------------------------------------------------------------
+# one owner for the parked requests (DESIGN.md §7, "Removed: the
+# manager's parking internals and its three ask paths")
+# ----------------------------------------------------------------------
+#: The manager's own ask paths and park counter, spelled in pieces like
+#: ``RETIRED`` above: the protocol is asked in ``_apply_decision``.
+RETIRED_ASK_PATHS = re.compile(
+    "|".join(
+        head + tail
+        for head, tail in (
+            ("_request_", "regular"),
+            ("_request_", "commit"),
+            ("_has_parked", "_commit"),
+            ("_park", "_seq"),
+        )
+    )
+)
+
+#: A :class:`~repro.scheduler.parking.ParkingLot`'s private books, read
+#: through any object (the manager held them until the lot did).
+LOT_INDEX = re.compile(
+    r"\._("
+    + "|".join(
+        head + tail
+        for head, tail in (
+            ("park", "ed"),
+            ("park", "ed_of"),
+            ("wait", "_index"),
+            ("wake", "_pending"),
+            ("drain", "_depth"),
+            ("cycle", "_standing"),
+        )
+    )
+    + r")\b"
+)
+
+
+def test_manager_parking_internals_leave_no_trace():
+    offenders = [
+        f"{path.relative_to(ROOT)}:{number}"
+        for path in _python_files("src", "tests", "benchmarks")
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if RETIRED_ASK_PATHS.search(line)
+    ]
+    assert not offenders, offenders
+
+
+def test_only_the_lot_reads_its_books():
+    """The manager, recovery and the tests go through ``park`` /
+    ``unpark`` / ``of`` / ``wake`` / ``cycle_through`` /
+    ``wait_edges`` and iteration."""
+    owner = ROOT / "src/repro/scheduler/parking.py"
+    offenders = [
+        f"{path.relative_to(ROOT)}:{number}"
+        for path in _python_files("src", "tests", "benchmarks")
+        if path != owner
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if LOT_INDEX.search(line)
+    ]
+    assert not offenders, offenders
+    assert LOT_INDEX.search(owner.read_text())

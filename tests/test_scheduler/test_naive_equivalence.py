@@ -91,7 +91,7 @@ class NaiveProcessManager(ProcessManager):
     original unguarded per-park deadlock search."""
 
     def _resolve_wait_cycles(self, waiter):
-        cycle = naive_find_wait_cycle(self._wait_edges())
+        cycle = naive_find_wait_cycle(self.parking.wait_edges())
         if cycle is None:
             return
         self._act_on_wait_cycle(cycle)
@@ -101,26 +101,16 @@ class NaiveProcessManager(ProcessManager):
         while progress:
             progress = False
             live = set(self._processes)
-            for request in list(self._parked.values()):
+            for request in list(self.parking):
                 if request.wait_for & live == request.wait_for:
                     continue  # nothing it waited for has terminated
-                if self._parked.get(request.seq) is not request:
+                own = self.parking.of(request.process.pid)
+                if not any(parked is request for parked in own):
                     continue
                 self._unpark(request)
-                process = request.process
-                if process.state.is_terminal:
+                if request.process.state.is_terminal:
                     continue
-                if request.kind.value == "regular":
-                    decision = self.protocol.request_activity_lock(
-                        process, request.activity, request.mode
-                    )
-                elif request.kind.value == "compensation":
-                    decision = self.protocol.request_compensation_lock(
-                        process, request.activity
-                    )
-                else:
-                    decision = self.protocol.try_commit(process)
-                self._apply_decision(decision, request)
+                self._apply_decision(request)
                 progress = True
 
 

@@ -124,7 +124,7 @@ class TestCrashWithParkedCommit:
         def parked_commits(m):
             return {
                 request.process.pid
-                for request in m._parked.values()
+                for request in m.parking
                 if request.kind is RequestKind.COMMIT
             }
 

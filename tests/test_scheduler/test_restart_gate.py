@@ -101,7 +101,7 @@ def _assert_holds_are_clean(manager) -> int:
     attached, and waits behind older undecided timestamps only."""
     holds = held(manager)
     undecided = manager.undecided()
-    parked = {request.process.pid for request in manager._parked.values()}
+    parked = {request.process.pid for request in manager.parking}
     for pid, behind in holds.items():
         assert undecided[pid] == "awaiting-resubmit"
         assert not manager.protocol.table.locks_of(pid)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from repro.core.deadlock import find_wait_cycle
 from repro.process.state import ProcessState
 from repro.scheduler.events import ParkedRequest, RequestKind, conserved
-from repro.scheduler.manager import ProcessManager, make_manager
+from repro.scheduler.manager import make_manager
+from repro.scheduler.parking import ParkingLot
 from repro.sim.runner import make_protocol, run_workload
 from repro.sim.workload import WorkloadSpec, build_workload
 from repro.theory.criteria import (
@@ -57,48 +58,48 @@ VICTIM_NOT_YET_ABORTING = [
 
 
 class _Book:
-    """A real manager's parked-request book driven without a protocol:
-    processes are stand-ins with a pid and a state, ``_park`` /
-    ``_unpark`` / ``_wait_edges`` / ``_resolve_wait_cycles`` are the
-    real ones, and acting on a cycle is replaced by recording it and
-    beginning its youngest member's abort."""
+    """A bare :class:`ParkingLot` over stand-in processes (a pid and a
+    state each), driven without a manager or a protocol: acting on a
+    cycle is recording it and beginning its youngest member's abort.
+    The lot is built on ``states`` itself, which is only ever mutated
+    in place: it reads the table it was handed."""
 
     def __init__(self) -> None:
-        self.manager = manager = ProcessManager(
-            SimpleNamespace(conflicts=SimpleNamespace(conflict=None))
-        )
-        self.states = manager._processes = {
+        self.states = {
             pid: SimpleNamespace(pid=pid, state=RUNNING) for pid in range(8)
         }
-        self.acted = None
-        manager._act_on_wait_cycle = self.act
+        self.lot = ParkingLot(self.states)
+        #: Whether the last cycle check found a cycle (which it may
+        #: leave standing: it acts on one victim).
+        self.standing = False
 
     def act(self, cycle) -> None:
-        self.acted = cycle
         self.begin_abort(max(cycle))
 
     def begin_abort(self, pid, compensation=NONE) -> None:
         """``_begin_protocol_abort``: the victim's parked work goes, it
         is aborting, and its first compensation may have to wait."""
-        for request in list(self.manager._parked_of.get(pid, {}).values()):
-            self.manager._unpark(request)
+        for request in self.lot.of(pid):
+            self.lot.unpark(request)
         self.states[pid].state = ABORTING
         if compensation - {pid}:
             self.park(pid, compensation - {pid}, "deferred")
 
     def finish_abort(self, pid) -> None:
-        """The pid's requests go, its waiters wake (are unparked to be
-        retried), and it restarts under the same pid."""
+        """The pid's requests go, its waiters wake (the lot unparks
+        them to be re-asked), and it restarts under the same pid."""
         self.begin_abort(pid)
-        for seq in list(self.manager._wait_index.get(pid, ())):
-            self.manager._unpark(self.manager._parked[seq])
-        self.states[pid].state = RUNNING
+        state = self.states.pop(pid)
+        for _ in self.lot.wake(pid):
+            pass
+        state.state = RUNNING
+        self.states[pid] = state
 
     def relation(self) -> dict[int, set[int]]:
         """By definition: a request waits on all of ``wait_for``, a
         cascade only on its victims that are aborting."""
         edges: dict[int, set[int]] = {}
-        for request in self.manager._parked.values():
+        for request in self.lot:
             edges.setdefault(request.process.pid, set()).update(
                 pid
                 for pid in request.wait_for
@@ -109,10 +110,11 @@ class _Book:
 
     def park(self, pid, wait_for, reason, compensation=NONE) -> None:
         """One ``_apply_decision``: park, begin the victims' aborts if
-        it is a cascade, resolve — which must act exactly as the search
-        over the whole relation, run at every park, would."""
-        manager = self.manager
-        manager._park(
+        it is a cascade, check for a cycle — which must name exactly
+        the cycle the search over the whole relation, run at every
+        park, would."""
+        lot = self.lot
+        lot.park(
             ParkedRequest(
                 RequestKind.COMMIT,
                 self.states[pid],
@@ -124,15 +126,25 @@ class _Book:
             for victim in wait_for:
                 if self.states[victim].state is RUNNING:  # not yet a victim
                     self.begin_abort(victim, compensation)
-        edges = manager._wait_edges()
+        edges = lot.wait_edges()
         assert edges == self.relation()
-        if not manager._cycle_standing:
+        if not self.standing:
             assert (find_wait_cycle(edges) is not None) == (
-                manager._waits_on_itself(pid)
+                lot._waits_on_itself(pid)
             )
-        self.acted = None
-        manager._resolve_wait_cycles(pid)
-        assert self.acted == naive_find_wait_cycle(edges)
+        cycle = lot.cycle_through(pid)
+        self.standing = cycle is not None
+        assert cycle == naive_find_wait_cycle(edges)
+        if cycle is not None:
+            self.act(cycle)
+
+
+def _nonempty(obj, path: str, skip=()) -> dict[str, int]:
+    """``path -> len`` of every non-empty container reachable from
+    ``obj`` (see :func:`container_sizes`), not looking into ``skip``."""
+    sizes: dict[str, int] = {}
+    container_sizes(obj, path, sizes, {id(other) for other in skip})
+    return {name: size for name, size in sizes.items() if size}
 
 
 # 200 examples in tier-1; more under a larger profile (CI smoke: 2,000).
@@ -146,7 +158,7 @@ def test_walk_from_the_parking_pid_equals_the_whole_relation_search(ops):
     reaches itself" — and the cycle acted on is the one the unguarded
     networkx search over the whole relation picks."""
     book = _Book()
-    manager, states = book.manager, book.states
+    lot, states = book.lot, book.states
     for op in ops:
         if isinstance(op, tuple):
             pid, blockers, cascade, compensation = op
@@ -163,30 +175,29 @@ def test_walk_from_the_parking_pid_equals_the_whole_relation_search(ops):
             aborting = [p for p, s in states.items() if s.state is ABORTING]
             if aborting:
                 book.finish_abort(aborting[op % len(aborting)])
-        elif manager._parked:
-            live = list(manager._parked.values())
-            manager._unpark(live[op % len(live)])
-    for request in list(manager._parked.values()):
-        manager._unpark(request)
-    assert not manager._parked_of and not manager._wait_index
+        elif len(lot):
+            live = list(lot)
+            lot.unpark(live[op % len(live)])
+    for request in list(lot):
+        lot.unpark(request)
+    assert _nonempty(lot, "lot", skip=[states]) == {}
 
 
 def test_audited_cost_based_run_with_deadlock_victims_is_clean(monkeypatch):
     """Pseudo pivots close real cycles (14 victims on this shape); every
-    "no cycle" answer of the walk from the parking pid is cross-checked
-    here against the whole relation."""
-    resolve = ProcessManager._resolve_wait_cycles
+    "no cycle" answer of the lot's cycle check is cross-checked here
+    against the whole relation."""
+    cycle_through = ParkingLot.cycle_through
     walks = []
 
-    def cross_checked(manager, waiter):
-        if not manager._cycle_standing and not manager._waits_on_itself(
-            waiter
-        ):
+    def cross_checked(lot, waiter):
+        cycle = cycle_through(lot, waiter)
+        if cycle is None:
             walks.append(waiter)
-            assert find_wait_cycle(manager._wait_edges()) is None, waiter
-        resolve(manager, waiter)
+            assert find_wait_cycle(lot.wait_edges()) is None, waiter
+        return cycle
 
-    monkeypatch.setattr(ProcessManager, "_resolve_wait_cycles", cross_checked)
+    monkeypatch.setattr(ParkingLot, "cycle_through", cross_checked)
     spec = WorkloadSpec(
         n_processes=60, conflict_density=0.3, wcc_threshold=25, seed=7
     )
@@ -213,6 +224,18 @@ def test_cascade_chain_deeper_than_the_stack_reaches_quiescence():
     )
     result = run_workload(build_workload(spec), "process-locking", seed=3)
     assert len(result.records) == 600
+    assert conserved(result.records, result.stats)
+
+
+def test_pure_osl_cascade_chain_deeper_than_the_stack_reaches_quiescence():
+    """Pure OSL cascades from a compensation request, four frames a
+    victim and no wake-up drain in between: 400 arrivals at density 0.6
+    chain deeper than the stack (``RecursionError`` from 380 when the
+    chain was unbounded).  Beyond ``_MAX_NESTED_RUNS`` a victim's
+    compensation run starts from the engine at the same virtual time."""
+    spec = WorkloadSpec(n_processes=400, conflict_density=0.6, seed=3)
+    result = run_workload(build_workload(spec), "osl-pure", seed=3)
+    assert len(result.records) == 400
     assert conserved(result.records, result.stats)
 
 
@@ -268,5 +291,5 @@ def test_no_residue_at_quiescence():
         if short.get(path) != size
     }
     assert not grown, grown
-    for book in ("_parked", "_parked_of", "_wait_index", "_wake_pending"):
-        assert short[f"manager.{book}"] == 0
+    lot = {p: n for p, n in short.items() if p.startswith("manager.parking.")}
+    assert lot and not any(lot.values()), lot

@@ -183,6 +183,24 @@ class TestOverload:
         finally:
             service.stop()
 
+    def test_a_pure_osl_burst_is_served_not_fatal(self):
+        """Pure OSL's cascade chain (four frames a victim) outgrew the
+        stack on the fourth of these bursts, and every later request
+        was answered ``internal``."""
+        service = make_service(
+            spec=WorkloadSpec(n_processes=16, conflict_density=0.6, seed=3),
+            seed=3,
+            protocol="osl-pure",
+        )
+        try:
+            for count in (100, 200, 400, 800):
+                body = call(service, cmd="submit", count=count, wait=True)
+                assert len(body["outcomes"]) == count
+            assert service.failed is None
+            assert call(service, cmd="check")["conserved"] is True
+        finally:
+            service.stop()
+
 
 class TestCheckAndDrain:
     def test_check_battery_on_live_trace(self):

@@ -31,7 +31,6 @@ from repro.storage.journal import (
     JOURNAL,
     OUTCOME_LETTERS,
     TRACE,
-    TRACE_ROWS,
     ProgramCodec,
     record_to_dict,
     subsystem_data,
@@ -352,7 +351,7 @@ def test_run_encoded_trace_frames_round_trip(frame):
     decoded = TRACE.decode(TRACE.encode(frame))
     assert decoded == frame
     for row in decoded["events"]:
-        TRACE_ROWS.fields(row, "trace")
+        assert len(row) == (6 if row[0] == "a" else 3), row
 
 
 def test_a_trace_frame_is_the_same_bytes_at_every_encode():

@@ -148,5 +148,11 @@ class TestQueries:
     def test_events_of(self):
         events = [ev(0, 1), ev(1, 2), ev(2, 1, kind=EventKind.COMMIT)]
         schedule = ProcessSchedule(events, always_conflict)
-        assert len(schedule.events_of((1, 0))) == 2
-        assert schedule.terminal_event((2, 0)) is None
+        assert [e for e in schedule.events if e.process == (1, 0)] == [
+            events[0], events[2]
+        ]
+        assert all(
+            e.kind is EventKind.ACTIVITY
+            for e in schedule.events
+            if e.process == (2, 0)
+        )
