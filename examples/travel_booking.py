@@ -56,7 +56,7 @@ def main() -> None:
         extras = []
         if record.resubmissions:
             extras.append(f"{record.resubmissions} resubmissions")
-        if record.compensations:
+        if record.compensated_names:
             undone = Counter(record.compensated_names)
             extras.append(
                 "compensated " + ", ".join(

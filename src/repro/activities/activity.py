@@ -142,21 +142,6 @@ class ActivityType:
         return self.compensated_by is not None
 
     @property
-    def is_pivot(self) -> bool:
-        """Whether this is a pivot: neither compensatable nor retriable.
-
-        A retriable activity without compensation is not called a pivot in
-        the paper's Table 1 sense (it never fails, so it only appears where
-        termination is already assured), but it is still a point of no
-        return once committed; see :attr:`point_of_no_return`.
-        """
-        return (
-            not self.compensatable
-            and not self.retriable
-            and not self.is_compensation
-        )
-
-    @property
     def point_of_no_return(self) -> bool:
         """Whether committing this activity forecloses compensation."""
         return not self.compensatable and not self.is_compensation

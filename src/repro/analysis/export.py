@@ -8,34 +8,25 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from collections.abc import Mapping, Sequence
 
+from repro.obs.events import spell
 
-def _jsonable(value):
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return value
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            key: _jsonable(val)
-            for key, val in dataclasses.asdict(value).items()
-        }
-    if isinstance(value, Mapping):
-        return {str(key): _jsonable(val) for key, val in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
-    return str(value)
+
+def _jsonable(row) -> dict:
+    """One flat row as a dict, a non-finite float spelled as the event
+    stream spells it (:func:`~repro.obs.events.spell`)."""
+    if dataclasses.is_dataclass(row):
+        row = dataclasses.asdict(row)
+    return {str(key): spell(value) for key, value in row.items()}
 
 
 def rows_to_json(
     rows: Sequence[Mapping[str, object]] | Sequence[object],
     indent: int = 2,
 ) -> str:
-    """Serialize experiment rows (dicts or dataclasses) to JSON."""
-    return json.dumps([_jsonable(row) for row in rows], indent=indent)
+    """Serialize flat experiment rows (dicts or dataclasses) to strict
+    JSON."""
+    return json.dumps(
+        [_jsonable(row) for row in rows], indent=indent, allow_nan=False
+    )

@@ -476,11 +476,6 @@ class LockTable:
         self._live_plane()
         return set(self._blocked_by.get(process.pid, ()))
 
-    def blockers_of(self, pid: int) -> frozenset[int]:
-        """Pids holding an earlier conflicting lock than ``pid``."""
-        self._live_plane()
-        return frozenset(self._blocked_by.get(pid, ()))
-
     def on_hold(self, process: Process) -> bool:
         """Whether any lock of ``process`` is currently on hold."""
         self._live_plane()

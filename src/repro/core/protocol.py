@@ -154,11 +154,6 @@ class ProcessLockManager:
             self._token_owner = None
         self._processes.pop(process.pid, None)
 
-    @property
-    def completing_token_owner(self) -> int | None:
-        """Pid of the process holding the one-completing-process token."""
-        return self._token_owner
-
     def restore_grant(
         self,
         process: Process,

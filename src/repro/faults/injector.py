@@ -58,18 +58,16 @@ _CHUNK = 4096
 
 @dataclass
 class FaultCounters:
-    """What the injector actually did during one run."""
+    """What the injector did that no event counts one to one.
 
-    injected_failures: int = 0
-    injected_retries: int = 0
-    latency_injections: int = 0
+    Everything else it did is one ``fault.inject`` event, counted by
+    channel in the run's fold (``stats.faults``,
+    ``repro_faults_total``).
+    """
+
+    #: Outage windows opened: one per plain outage, one per member of
+    #: a correlated group (whose event is one per group).
     outages_started: int = 0
-    #: Correlated-outage *groups* fired (each member also counts one
-    #: ``outages_started``).
-    correlated_outages: int = 0
-    outage_hits: int = 0
-    subsystem_crashes: int = 0
-    manager_recoveries: int = 0
     #: Event-indexed injections that never fired (run drained first) or
     #: could not apply (e.g. manager crash under a protocol without
     #: recovery support, subsystem crash on an ungrounded workload).
@@ -183,8 +181,6 @@ class FaultInjector:
         ``p(a)`` scaled by the plan, drawn from a per-activity stream.
         """
         if self._subsystem_down(activity):
-            self.counters.outage_hits += 1
-            self.counters.injected_failures += 1
             self._trace_fault(
                 "failure", process, activity, via="outage"
             )
@@ -203,7 +199,6 @@ class FaultInjector:
             < probability
         )
         if verdict:
-            self.counters.injected_failures += 1
             self._trace_fault("failure", process, activity)
         return verdict
 
@@ -212,8 +207,6 @@ class FaultInjector:
     ) -> bool | None:
         """Whether a retriable completion fails transiently this attempt."""
         if self._subsystem_down(activity):
-            self.counters.outage_hits += 1
-            self.counters.injected_retries += 1
             self._trace_fault("retry", process, activity, via="outage")
             return True
         spec = self.schedule.failures
@@ -232,7 +225,6 @@ class FaultInjector:
         for _ in range(attempts):
             verdict = stream.random() < spec.transient_prob
         if verdict:
-            self.counters.injected_retries += 1
             self._trace_fault("retry", process, activity)
         return verdict
 
@@ -251,7 +243,6 @@ class FaultInjector:
                 "latency", process, activity
             ).uniform(0.0, spec.jitter)
         if extra > 0:
-            self.counters.latency_injections += 1
             self._trace_fault(
                 "latency", process, activity, extra=extra
             )
@@ -368,7 +359,6 @@ class FaultInjector:
         for index, subsystem in enumerate(spec.subsystems):
             start = now + index * spec.stagger
             self._open_window(subsystem, start, start + spec.duration)
-        self.counters.correlated_outages += 1
         self.tracer.emit(
             FaultInjected(
                 channel="correlated-outage",
@@ -410,7 +400,6 @@ class FaultInjector:
                 ok=rolled_back,
             )
         )
-        self.counters.subsystem_crashes += 1
         self.tracer.emit(
             FaultInjected(
                 channel="subsystem-crash",
@@ -473,7 +462,6 @@ class FaultInjector:
                 ]
             )
         }
-        self.counters.manager_recoveries += 1
         self.tracer.emit(
             FaultInjected(
                 channel="manager-recover",

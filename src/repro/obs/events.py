@@ -333,8 +333,8 @@ class FaultInjected:
     """One fault-injector action (any channel)."""
 
     kind = "fault.inject"
-    #: "failure", "retry", "latency", "outage", "subsystem-crash",
-    #: "manager-crash", or "manager-recover".
+    #: "failure", "retry", "latency", "outage", "correlated-outage",
+    #: "subsystem-crash", "manager-crash", or "manager-recover".
     channel: str
     pid: int | None = None
     activity: str | None = None

@@ -432,7 +432,7 @@ class MetricsRegistry:
 
 
 # ----------------------------------------------------------------------
-# exposition parsing (in-tree, used by CI smoke and `repro top`)
+# exposition parsing (in-tree: the tests read a scrape back with it)
 # ----------------------------------------------------------------------
 def _parse_value(text: str) -> float:
     if text == "+Inf":
@@ -474,8 +474,8 @@ def parse_prometheus(text: str) -> dict[str, dict]:
     ``samples`` maps ``(sample_name, frozenset(labels.items()))`` to the
     float value.  Raises :class:`ValueError` on malformed lines, samples
     without a preceding ``# TYPE``, or sample names that do not belong
-    to their family — enough validation for the CI smoke test without
-    any external dependency.
+    to their family — enough validation for a test that reads a scrape
+    back, without any external dependency.
     """
     families: dict[str, dict] = {}
     current: str | None = None

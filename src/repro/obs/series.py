@@ -37,10 +37,6 @@ class Series:
     def last(self) -> float | None:
         return self.points[-1][1] if self.points else None
 
-    @property
-    def peak(self) -> float | None:
-        return max((v for __, v in self.points), default=None)
-
 
 class SeriesBank:
     """Named gauges plus labelled histograms for one traced run."""

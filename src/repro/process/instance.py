@@ -116,7 +116,6 @@ class Process:
         self._outstanding = 0
         self._node_commits = 0
         self._unwinding = False
-        self._committed_pnr_count = 0
 
     # ------------------------------------------------------------------
     # identity & bookkeeping
@@ -198,7 +197,6 @@ class Process:
         """Move past ``finished``; open a scope on points of no return."""
         became_completing = False
         if self.program.is_point_of_no_return(finished):
-            self._committed_pnr_count += 1
             self._scopes.append(
                 _Scope(
                     node=finished,
@@ -270,10 +268,6 @@ class Process:
     def unwinding(self) -> bool:
         """Whether a compensation run is pending for this process."""
         return self._unwinding
-
-    @property
-    def committed_points_of_no_return(self) -> int:
-        return self._committed_pnr_count
 
     # ------------------------------------------------------------------
     # failure handling

@@ -131,33 +131,11 @@ class ProcessProgram:
             name for node in self.iter_nodes() for name in node.activities
         }
 
-    def has_pivot(self) -> bool:
-        """Whether any reachable activity is a point of no return."""
-        return any(
-            self.registry.get(name).point_of_no_return
-            for name in self.activity_names()
-        )
-
-    def node_count(self) -> int:
-        """Number of nodes in the program tree."""
-        return sum(1 for _ in self.iter_nodes())
-
     def is_point_of_no_return(self, node: ProgramNode) -> bool:
         """Whether ``node`` is a point-of-no-return (pivot-like) node."""
         return len(node.activities) == 1 and self.registry.get(
             node.activities[0]
         ).point_of_no_return
-
-    def preferred_path_cost(self) -> float:
-        """Execution cost of the preferred (first-alternative) path."""
-        cost = 0.0
-        node: ProgramNode | None = self.root
-        while node is not None:
-            cost += sum(
-                self.registry.get(name).cost for name in node.activities
-            )
-            node = node.children[0] if node.children else None
-        return cost
 
     def request_masks(self, plane) -> RequestMasks:
         """The program's :class:`RequestMasks` over ``plane``, computed

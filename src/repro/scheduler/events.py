@@ -117,26 +117,26 @@ class ScheduledStart:
 
 @dataclass(slots=True)
 class ProcessRecord:
-    """Per-pid accounting across incarnations (for metrics)."""
+    """What a pid's client reads and its recovery replays, across
+    incarnations: when it was submitted and committed, how often it was
+    resubmitted (the starvation bound), what was compensated and why,
+    and its outcome.  Everything else about a pid is counted once, by
+    the event fold (:class:`~repro.obs.metrics.EventMetrics`)."""
 
     pid: int
     submitted_at: float
     committed_at: float | None = None
-    intrinsically_aborted_at: float | None = None
     resubmissions: int = 0
-    cascade_aborts: int = 0
-    activities_committed: int = 0
-    compensations: int = 0
-    compensated_cost: float = 0.0
     #: Activity-type names whose effects had to be compensated.  Both
     #: compensation lists are the shared empty tuple until the first
     #: compensation (:meth:`note_compensation`), which most processes
-    #: never reach.
+    #: never reach.  A pid's compensation count is their length, and
+    #: its undone cost the sum of the named types' costs.
     compensated_names: list[str] | tuple[()] = ()
-    #: Cause of each compensation, aligned with ``compensated_names``
-    #: ("protocol-abort", "intrinsic-abort", or "subprocess-abort").
+    #: Cause of each compensation, aligned with ``compensated_names``:
+    #: its run's label ("protocol-abort:<cause>", "intrinsic-abort" or
+    #: "subprocess-abort").
     compensated_causes: list[str] | tuple[()] = ()
-    retries: int = 0
     #: One of :data:`OUTCOMES`, written once, by the manager; ``None``
     #: while undecided — "terminal" *means* ``outcome is not None``.
     outcome: str | None = None

@@ -147,14 +147,6 @@ class RunResult:
     makespan: float
 
     @property
-    def committed_pids(self) -> list[int]:
-        return [
-            pid
-            for pid, record in self.records.items()
-            if record.outcome == "committed"
-        ]
-
-    @property
     def throughput(self) -> float:
         if self.makespan <= 0:
             return 0.0
@@ -732,7 +724,6 @@ class ProcessManager:
             # the flight stays in place, so gated successors keep
             # waiting).
             flight.attempts += 1
-            self.records[process.pid].retries += 1
             self.tracer.emit(
                 ActivityRetried(
                     pid=process.pid,
@@ -829,7 +820,6 @@ class ProcessManager:
         self._run_subsystem_program(process, activity)
         process.on_committed(activity)
         self.trace.record_activity(process, activity)
-        self.records[process.pid].activities_committed += 1
         stashed = self._stashed_failures.get(process.pid)
         if stashed is not None and process.outstanding == 1:
             del self._stashed_failures[process.pid]
@@ -938,7 +928,6 @@ class ProcessManager:
                 f"P{process.pid}: stray compensation {activity}"
             )
         entry = run.queue.pop(0)
-        undone_cost = entry.activity.activity_type.cost
         self.tracer.emit(
             ActivityCommitted(
                 pid=process.pid,
@@ -946,17 +935,16 @@ class ProcessManager:
                 activity=activity.name,
                 uid=activity.uid,
                 compensation=True,
-                undone=undone_cost,
+                undone=entry.activity.activity_type.cost,
                 cause=run.label,
             )
         )
         self._run_subsystem_program(process, activity)
         process.on_compensated(entry, activity)
         self.trace.record_activity(process, activity)
-        record = self.records[process.pid]
-        record.compensations += 1
-        record.compensated_cost += undone_cost
-        record.note_compensation(entry.activity.name, run.label)
+        self.records[process.pid].note_compensation(
+            entry.activity.name, run.label
+        )
         self._advance_compensation(run)
 
     # ------------------------------------------------------------------
@@ -983,8 +971,6 @@ class ProcessManager:
         )
         self._cancel_all_work(process)
         plan = process.plan_protocol_abort()
-        if then == "resubmit":
-            self.records[pid].cascade_aborts += 1
         self._start_compensation_run(
             process, plan, label=f"protocol-abort:{cause}", then=then
         )

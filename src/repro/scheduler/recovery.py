@@ -298,11 +298,6 @@ def restore_process(snapshot: ProcessSnapshot) -> Process:
         process._node_commits = 0
     process._outstanding = 0
     process._unwinding = snapshot.unwinding
-    process._committed_pnr_count = sum(
-        1
-        for record in snapshot.ledger
-        if snapshot.program.registry.get(record.name).point_of_no_return
-    )
     return process
 
 

@@ -105,19 +105,21 @@ def summarize_chaos(protocol_name: str, chaos) -> RunMetrics:
     The fold behind ``stats`` outlived every manager crash and the
     makespan is the incarnation-summed virtual time, so a run that
     survived crashes summarizes the whole logical execution, not just
-    the final incarnation.
+    the final incarnation.  The fault counts are the fold's
+    ``fault.inject`` channels, but for the outage windows opened.
     """
-    counters = chaos.counters
+    stats = chaos.result.stats
+    faults = stats.faults.value
     return _row(
         protocol_name,
-        chaos.result.stats,
+        stats,
         chaos.makespan,
         chaos.result.mean_latency,
-        faults_injected=counters.injected_failures
-        + counters.outages_started
-        + counters.subsystem_crashes,
-        fault_retries=counters.injected_retries,
-        fault_recoveries=counters.manager_recoveries,
+        faults_injected=faults(("failure",))
+        + chaos.counters.outages_started
+        + faults(("subsystem-crash",)),
+        fault_retries=faults(("retry",)),
+        fault_recoveries=faults(("manager-recover",)),
     )
 
 

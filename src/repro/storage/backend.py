@@ -166,7 +166,7 @@ class AppendLogBackend:
     its torn tail is healed there, and ``read_all`` hands each
     namespace's payloads out of that scan and lets go of them — a read
     after that scans the log again and keeps that namespace's payloads
-    alone (the ``check`` verb reads the trace back so, mid-session).
+    alone.
     """
 
     kind = "log"

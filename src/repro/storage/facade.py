@@ -7,10 +7,10 @@ out narrow repositories over it:
   workload spec, seed, format version), written once and verified on
   every reopen so a server cannot replay a journal produced by a
   different world.
-* :class:`JournalRepository` — the scheduler's logical redo journal:
-  one record per terminal outcome, and one per submission or cancel
-  whose pid a drain point found undecided, in the order they were
-  journaled.
+* ``journal`` — the scheduler's logical redo journal, a
+  :class:`FrameRepository` (LSN = record index): one record per
+  terminal outcome, and one per submission or cancel whose pid a drain
+  point found undecided, in the order they were journaled.
 * :class:`SnapshotRepository` — a single-slot checkpoint document
   (atomic whole-namespace replace): live-process state plus the
   journal and trace watermarks it covers.
@@ -53,8 +53,11 @@ from repro.storage.journal import JOURNAL, TRACE, loads, subsystem_data
 #: process decided in the drain that admitted it has no ``submit``
 #: record; a ``terminal`` row holds its outcome as one letter and ends
 #: before the fields left at their defaults; a ``txn`` row's keys are
-#: relative to its subsystem.
-FORMAT_VERSION = 7
+#: relative to its subsystem.  8: a ``terminal`` row holds only what a
+#: client reads or recovery replays (``committed_at``,
+#: ``resubmissions`` and the compensation lists), not the per-pid
+#: counts the event fold keeps.
+FORMAT_VERSION = 8
 
 META_NS = "meta"
 JOURNAL_NS = "journal"
@@ -105,20 +108,6 @@ class FrameRepository:
 
     def __len__(self) -> int:
         return self._backend.count(self.namespace)
-
-
-class JournalRepository(FrameRepository):
-    """The scheduler's redo journal; LSN = record index."""
-
-    def __init__(self, backend) -> None:
-        super().__init__(backend, JOURNAL_NS)
-        #: Records appended through this handle (gauge fodder; the
-        #: authoritative count is ``len(self)``).
-        self.appended = 0
-
-    def append(self, record: dict) -> None:
-        super().append(record)
-        self.appended += 1
 
 
 class SnapshotRepository:
@@ -261,7 +250,7 @@ class Store:
     def __init__(self, backend) -> None:
         self.backend = backend
         self.meta = MetaRepository(backend)
-        self.journal = JournalRepository(backend)
+        self.journal = FrameRepository(backend, JOURNAL_NS)
         self.snapshots = SnapshotRepository(backend)
         self.trace = TraceRepository(backend)
         #: The torn tail cut at open: ``{"commit": dropped_bytes}`` (the

@@ -288,20 +288,13 @@ class RecordCodec:
 #: A terminal record's :class:`ProcessRecord` fields after ``pid`` (the
 #: record's own, stored once), ``outcome`` (stored beside them) and
 #: ``submitted_at``, each with the default a row may leave it out at
-#: (:attr:`Kind.defaults`): the two nearly every process sets, then
-#: those only a process that was resubmitted, compensated, failed or
-#: retried does.
+#: (:attr:`Kind.defaults`): the one nearly every process sets, then
+#: those only a process that was resubmitted or compensated does.
 _PROCESS_RECORD_TAIL = (
     ("committed_at", _stamp, None),
-    ("activities_committed", _int, 0),
     ("resubmissions", _int, 0),
-    ("cascade_aborts", _int, 0),
-    ("compensations", _int, 0),
-    ("compensated_cost", _number, 0.0),
     ("compensated_names", _texts, []),
     ("compensated_causes", _texts, []),
-    ("intrinsically_aborted_at", _stamp, None),
-    ("retries", _int, 0),
 )
 
 

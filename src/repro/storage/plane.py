@@ -117,9 +117,6 @@ class PersistencePlane:
         self._document = store.snapshots.load()
         self._journal = store.journal.records()
         self._read_seconds = time.monotonic() - started
-        #: Journal length found on disk at open (appends via
-        #: ``store.journal.appended`` count from here).
-        self._base_len = len(self._journal)
         self._snapshot_lsn = 0
         #: Submissions, cancels and outcomes noted since the last
         #: snapshot, journaled or not: what ``snapshot_every`` counts.
@@ -143,11 +140,12 @@ class PersistencePlane:
     # state probes
     # ------------------------------------------------------------------
     def has_state(self) -> bool:
-        return self._base_len > 0 or self._document is not None
+        return self.journal_len > 0 or self._document is not None
 
     @property
     def journal_len(self) -> int:
-        return self._base_len + self.store.journal.appended
+        """Records in the journal: the backend's count."""
+        return len(self.store.journal)
 
     # ------------------------------------------------------------------
     # startup recovery

@@ -97,14 +97,6 @@ class DataLockManager:
             for holder in self._locks.get(key, {}).values()
         }
 
-    def held_by(self, txn_id: int) -> set[str]:
-        """Keys currently locked by ``txn_id``."""
-        return {
-            key
-            for key, holders in self._locks.items()
-            if txn_id in holders
-        }
-
     @property
     def lock_count(self) -> int:
         return sum(len(holders) for holders in self._locks.values())

@@ -84,20 +84,17 @@ class TestTerminationClassification:
         activity = make(cost=1.0, compensated_by="a^-1")
         assert activity.termination_class is TerminationClass.COMPENSATABLE
         assert activity.compensatable
-        assert not activity.is_pivot
         assert not activity.point_of_no_return
 
     def test_pivot(self):
         activity = make(cost=1.0)
         assert activity.termination_class is TerminationClass.PIVOT
-        assert activity.is_pivot
         assert activity.point_of_no_return
         assert activity.compensation_cost == INFINITE_COST
 
     def test_retriable_non_compensatable_is_point_of_no_return(self):
         activity = make(cost=1.0, retriable=True)
         assert activity.termination_class is TerminationClass.RETRIABLE
-        assert not activity.is_pivot
         assert activity.point_of_no_return
 
     def test_retriable_and_compensatable_is_orthogonal(self):

@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 from repro.analysis.export import rows_to_json
 from repro.analysis.timeline import render_timeline
 from repro.core.protocol import ProcessLockManager
@@ -99,7 +101,7 @@ class TestExport:
         rows = [{"a": 1, "b": 2.5}, {"a": 3, "b": float("inf")}]
         parsed = json.loads(rows_to_json(rows))
         assert parsed[0]["a"] == 1
-        assert parsed[1]["b"] == "inf"
+        assert parsed[1]["b"] == "Infinity"
 
     def test_dataclasses_supported(self):
         from repro.sim.metrics import RunMetrics
@@ -116,16 +118,9 @@ class TestExport:
         assert parsed[0]["protocol"] == "x"
 
     def test_nan_and_sets(self):
-        parsed = json.loads(
-            rows_to_json([{"x": math.nan, "y": {1, 2}}])
-        )
-        assert parsed[0]["x"] == "nan"
-        assert sorted(parsed[0]["y"]) == [1, 2]
-
-    def test_non_serializable_falls_back_to_str(self):
-        class Odd:
-            def __str__(self):
-                return "odd!"
-
-        parsed = json.loads(rows_to_json([{"o": Odd()}]))
-        assert parsed[0]["o"] == "odd!"
+        """A non-finite float is spelled as the event stream spells it;
+        what strict JSON has no spelling for is refused, not guessed."""
+        parsed = json.loads(rows_to_json([{"x": math.nan, "y": -math.inf}]))
+        assert parsed[0] == {"x": "NaN", "y": "-Infinity"}
+        with pytest.raises(TypeError):
+            rows_to_json([{"y": {1, 2}}])

@@ -116,7 +116,7 @@ def naive_blocked_by(table) -> dict[int, set[int]]:
 
 def waiters_on(table, pid: int) -> frozenset[int]:
     """Pids whose commit is held up by ``pid``: the lock table's
-    reverse map (``_blocks``), the transpose of ``blockers_of``."""
+    reverse map (``_blocks``), the transpose of ``commit_blockers``."""
     return frozenset(table._blocks.get(pid, ()))
 
 

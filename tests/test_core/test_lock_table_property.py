@@ -72,7 +72,9 @@ def assert_agrees_with_oracles(
         )
     oracle = naive_blocked_by(table)
     for pid in PIDS:
-        assert table.blockers_of(pid) == frozenset(oracle.get(pid, ()))
+        assert table.commit_blockers(processes[pid]) == oracle.get(
+            pid, set()
+        )
         assert waiters_on(table, pid) == frozenset(
             waiter
             for waiter, blockers in oracle.items()
@@ -231,7 +233,7 @@ class TestLockTableProperties:
             table.release_all(pid)
             assert_agrees_with_oracles(table, processes)
         assert table.lock_count == 0
-        assert table.blockers_of(PIDS[0]) == frozenset()
+        assert table.commit_blockers(processes[PIDS[0]]) == set()
 
 
 class TestHasCycleProperty:

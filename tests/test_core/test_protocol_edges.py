@@ -106,9 +106,9 @@ class TestRecoveryGrants:
         )
         assert first.position < second.position
         assert protocol.table.commit_blockers(completing) == {1}
-        assert protocol.completing_token_owner is None
+        assert protocol._token_owner is None
         protocol.restore_grant(completing, "charge", LockMode.P, 13)
-        assert protocol.completing_token_owner == completing.pid
+        assert protocol._token_owner == completing.pid
 
     def test_timestamp_floor(self, protocol):
         protocol.ensure_timestamp_floor(100)

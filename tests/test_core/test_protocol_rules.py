@@ -155,7 +155,7 @@ class TestPivRule:
             process, pivot, LockMode.P
         )
         assert isinstance(decision, Grant)
-        assert protocol.completing_token_owner == process.pid
+        assert protocol._token_owner == process.pid
         # Comp→Piv: every C lock was converted.
         assert protocol.table.c_locks_of(process.pid) == ()
 
@@ -202,14 +202,14 @@ class TestPivRule:
         pseudo = mint(protocol, first, "reserve")
         protocol.request_activity_lock(first, pseudo, LockMode.P)
         # A pseudo-pivot P lock does not take the completing token...
-        assert protocol.completing_token_owner is None
+        assert protocol._token_owner is None
         charge_first = mint(protocol, first, "charge")
         decision = protocol.request_activity_lock(
             first, charge_first, LockMode.P
         )
         # ...but a real pivot of the same process proceeds and does.
         assert isinstance(decision, Grant)
-        assert protocol.completing_token_owner == first.pid
+        assert protocol._token_owner == first.pid
         charge_second = mint(protocol, second, "charge")
         decision = protocol.request_activity_lock(
             second, charge_second, LockMode.P
@@ -299,9 +299,9 @@ class TestAbortRuleAndLifecycle:
             protocol.registry.get("charge"), process.pid, seq=0
         )
         protocol.request_activity_lock(process, charge, LockMode.P)
-        assert protocol.completing_token_owner == process.pid
+        assert protocol._token_owner == process.pid
         protocol.detach(process)
-        assert protocol.completing_token_owner is None
+        assert protocol._token_owner is None
         assert protocol.table.lock_count == 0
 
     def test_requests_from_inactive_process_rejected(self, env):

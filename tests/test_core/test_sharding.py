@@ -143,7 +143,7 @@ class TestShardObservability:
         workload = build_workload(spec)
         tracer = Tracer()
         result = run_workload(workload, seed=spec.seed, tracer=tracer)
-        assert result.committed_pids  # the run did something
+        assert result.stats.committed  # the run did something
         subsystems = {
             name.removeprefix("locks.")
             for name in tracer.series.gauges

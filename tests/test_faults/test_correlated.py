@@ -165,7 +165,9 @@ class TestCorrelatedInjection:
 
     def test_counts_one_group_and_member_outages(self):
         chaos = run_plan(self.plan())
-        assert chaos.counters.correlated_outages == 1
+        assert chaos.result.stats.faults.value(
+            ("correlated-outage",)
+        ) == 1
         assert chaos.counters.outages_started == 2
         assert chaos.result.records
 

@@ -31,12 +31,23 @@ PLAIN_SPEC = WorkloadSpec(n_processes=5, seed=3)
 GROUNDED_SPEC = WorkloadSpec(n_processes=5, grounded=True, seed=2)
 
 
-def run_plan(spec, plan, protocol="process-locking", seed=11):
+def run_plan(
+    spec, plan, protocol="process-locking", seed=11, tracer=None
+):
     workload = build_workload(spec)
     injector = FaultInjector(
-        workload, protocol, compile_plan(plan, seed), seed=seed
+        workload,
+        protocol,
+        compile_plan(plan, seed),
+        seed=seed,
+        tracer=tracer,
     )
     return injector.run()
+
+
+def injected(chaos, channel: str) -> int:
+    """``fault.inject`` events of ``channel``, off the run's fold."""
+    return chaos.result.stats.faults.value((channel,))
 
 
 class TestFailureInjection:
@@ -46,7 +57,7 @@ class TestFailureInjection:
             failures=ActivityFailures(rate_scale=100.0),
         )
         chaos = run_plan(PLAIN_SPEC, plan)
-        assert chaos.counters.injected_failures > 0
+        assert injected(chaos, "failure") > 0
         # Guaranteed termination: everything still reaches a terminal
         # state despite near-certain failures.
         assert chaos.result.records
@@ -56,7 +67,7 @@ class TestFailureInjection:
             name="cold", failures=ActivityFailures(rate_scale=0.0)
         )
         chaos = run_plan(PLAIN_SPEC, plan)
-        assert chaos.counters.injected_failures == 0
+        assert injected(chaos, "failure") == 0
 
     def test_decisions_are_paired_run_deterministic(self, uid_floor):
         plan = FaultPlan(
@@ -73,6 +84,9 @@ class TestFailureInjection:
             first.result.trace.events
         ) == canonical_trace(second.result.trace.events)
         assert first.counters == second.counters
+        assert [
+            injected(first, channel) for channel in ("failure", "retry")
+        ] == [injected(second, channel) for channel in ("failure", "retry")]
 
 
 class TestRetryBudget:
@@ -83,15 +97,15 @@ class TestRetryBudget:
             retry=RetrySpec(kind="fixed", max_attempts=3),
         )
         chaos = run_plan(RETRIABLE_SPEC, plan)
-        counters = chaos.counters
-        assert counters.injected_retries > 0
+        retries = injected(chaos, "retry")
+        assert retries > 0
         # The hook answers "fail transiently" on every attempt, but the
         # budget grants only max_attempts-1 = 2 retries per execution:
         # each exhausted cycle is 3 injected answers, 2 granted retries,
         # then an intrinsic abort.  Without the budget this plan would
         # retry forever.
-        assert counters.injected_retries % 3 == 0
-        cycles = counters.injected_retries // 3
+        assert retries % 3 == 0
+        cycles = retries // 3
         assert chaos.result.stats.retries == 2 * cycles
 
     def test_a_shared_config_carries_no_policy_into_the_next_run(
@@ -137,7 +151,7 @@ class TestLatencyInjection:
         base = run_plan(PLAIN_SPEC, quiet)
         uid_floor.repin()
         delayed = run_plan(PLAIN_SPEC, slow)
-        assert delayed.counters.latency_injections > 0
+        assert injected(delayed, "latency") > 0
         assert delayed.makespan > base.makespan
 
 
@@ -151,9 +165,14 @@ class TestOutages:
             ),
             retry=RetrySpec(kind="fixed", base_delay=2.0),
         )
-        chaos = run_plan(RETRIABLE_SPEC, plan)
+        tracer = Tracer()
+        chaos = run_plan(RETRIABLE_SPEC, plan, tracer=tracer)
         assert chaos.counters.outages_started == 3
-        assert chaos.counters.outage_hits > 0
+        assert any(
+            record["kind"] == "fault.inject"
+            and record.get("detail", {}).get("via") == "outage"
+            for record in tracer.records()
+        )
         # The outage window is finite, so the run still terminates.
         assert chaos.result.records
 
@@ -165,7 +184,7 @@ class TestManagerCrash:
         )
         chaos = run_plan(PLAIN_SPEC, plan)
         assert chaos.incarnations == 2
-        assert chaos.counters.manager_recoveries == 1
+        assert injected(chaos, "manager-recover") == 1
         assert chaos.splice_ok
         # One fold across incarnations: a pid re-scheduled or adopted by
         # the recovered manager is not submitted a second time.
@@ -220,7 +239,7 @@ class TestManagerCrash:
         )
         chaos = run_plan(PLAIN_SPEC, plan, protocol="serial")
         assert chaos.incarnations == 1
-        assert chaos.counters.manager_recoveries == 0
+        assert injected(chaos, "manager-recover") == 0
         assert chaos.counters.dropped_injections >= 1
 
     def test_injections_past_the_end_are_dropped(self):
@@ -246,7 +265,7 @@ class TestSubsystemCrash:
             seed=11,
         )
         chaos = injector.run()
-        assert chaos.counters.subsystem_crashes == 1
+        assert injected(chaos, "subsystem-crash") == 1
         assert len(chaos.wal_checks) == 1
         assert chaos.wal_checks[0].ok
         stored = injector.pool.get("sub0").store.snapshot()
@@ -259,7 +278,7 @@ class TestSubsystemCrash:
             subsystem_crashes=(SubsystemCrash("sub0", at_event=15),),
         )
         chaos = run_plan(PLAIN_SPEC, plan)  # no grounded pool at all
-        assert chaos.counters.subsystem_crashes == 0
+        assert injected(chaos, "subsystem-crash") == 0
         assert chaos.counters.dropped_injections == 1
         assert chaos.wal_checks == []
 

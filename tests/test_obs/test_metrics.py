@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -360,7 +361,7 @@ def test_every_pid_is_counted_once_under_its_fate(seed, max_resubmissions):
     """Each pid counts once, under the outcome the manager decided — a
     cancel or a starvation is not counted again as an abort at its
     terminal."""
-    result, __ = _run_with_metrics(
+    result, tracer = _run_with_metrics(
         seed,
         cancel_pids=(0, 4, 9, 15),
         max_resubmissions=max_resubmissions,
@@ -374,19 +375,36 @@ def test_every_pid_is_counted_once_under_its_fate(seed, max_resubmissions):
     assert fates["cancelled"]
     assert bool(fates.get("starved")) == (max_resubmissions == 0)
 
-    # The per-pid records are a second account the manager keeps
-    # without the event stream: the fold's sums must agree with theirs,
-    # the compensated cost split by the label of the run that undid it.
-    records = list(result.records.values())
+    # A second account of the same run, kept apart from the fold:
+    # per-pid tallies read off the recording sink's events.  The fold's
+    # sums must agree with theirs, each record's resubmissions and
+    # compensation lists with its pid's, and the compensated cost split
+    # by the label of the run that undid it.
+    (sink,) = tracer.sinks
+    tallies = {pid: Counter() for pid in result.records}
+    for _, _, event in sink.stamped:
+        if event.kind == "process.resubmit":
+            tallies[event.pid]["resubmissions"] += 1
+        elif event.kind == "activity.retry":
+            tallies[event.pid]["retries"] += 1
+        elif event.kind == "activity.commit" and event.compensation:
+            tallies[event.pid]["compensations"] += 1
+            tallies[event.pid]["compensated_cost"] += event.undone
     stats = result.stats
     for name in ("resubmissions", "retries", "compensations"):
         assert getattr(stats, name) == sum(
-            getattr(record, name) for record in records
+            tally[name] for tally in tallies.values()
         ), name
     assert stats.compensations > 0
     assert stats.compensated_cost == pytest.approx(
-        sum(record.compensated_cost for record in records)
+        sum(tally["compensated_cost"] for tally in tallies.values())
     )
+    for pid, record in result.records.items():
+        assert record.resubmissions == tallies[pid]["resubmissions"]
+        assert len(record.compensated_names) == len(
+            record.compensated_causes
+        ) == tallies[pid]["compensations"]
+    records = list(result.records.values())
     registry = build_workload(CONTENDED.with_(seed=seed)).registry
     split = {"protocol": 0.0, "intrinsic": 0.0, "subprocess": 0.0}
     for record in records:

@@ -171,7 +171,7 @@ class TestSeriesBank:
         bank.gauge("depth", 2.0, 4.0)
         series = bank.gauges["depth"]
         assert series.points == [(0.0, 1.0), (2.0, 4.0)]
-        assert series.peak == 4.0
+        assert max(value for __, value in series.points) == 4.0
         assert series.last == 4.0
 
     def test_to_dict_is_sorted_and_json_shaped(self):

@@ -9,6 +9,7 @@ from repro.process.costing import (
     describe_costing,
     enumerate_paths,
     expected_cost,
+    path_cost,
     pseudo_pivot_index,
     suggest_threshold,
     wcc_profile,
@@ -72,7 +73,9 @@ class TestCosts:
         assert expected_cost(program) == pytest.approx(2.0 / 0.9)
 
     def test_expected_at_least_plain(self, order_program):
-        plain = order_program.preferred_path_cost()
+        plain = path_cost(
+            order_program.registry, enumerate_paths(order_program)[0]
+        )
         assert expected_cost(order_program) >= plain
 
 

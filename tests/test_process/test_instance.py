@@ -41,7 +41,10 @@ class TestHappyPath:
         __, became_completing = commit_next(process, "charge")
         assert became_completing
         assert process.state is ProcessState.COMPLETING
-        assert process.committed_points_of_no_return == 1
+        assert sum(
+            entry.activity.activity_type.point_of_no_return
+            for entry in process.ledger
+        ) == 1
 
     def test_full_order_program(self, order_program):
         process = make(order_program)

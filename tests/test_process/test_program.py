@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ProcessProgramError
 from repro.process.builder import ProgramBuilder
+from repro.process.costing import enumerate_paths, path_cost
 from repro.process.program import ProgramNode
 
 
@@ -18,7 +19,7 @@ class TestBuilder:
         )
         assert program.root.activities == ("reserve",)
         assert program.root.children[0].activities == ("wrap",)
-        assert program.node_count() == 2
+        assert len(list(program.iter_nodes())) == 2
 
     def test_parallel_node(self, registry):
         program = (
@@ -92,12 +93,19 @@ class TestProgramQueries:
         }
 
     def test_has_pivot(self, order_program, flat_program):
-        assert order_program.has_pivot()
-        assert not flat_program.has_pivot()
+        def has_pivot(program):
+            return any(
+                program.registry.get(name).point_of_no_return
+                for name in program.activity_names()
+            )
 
-    def test_preferred_path_cost(self, order_program):
+        assert has_pivot(order_program)
+        assert not has_pivot(flat_program)
+
+    def test_preferred_path_cost(self, registry, order_program):
         # reserve 2.0 + wrap 1.0 + charge 1.0 + ship 1.5
-        assert order_program.preferred_path_cost() == pytest.approx(5.5)
+        preferred = enumerate_paths(order_program)[0]
+        assert path_cost(registry, preferred) == pytest.approx(5.5)
 
     def test_is_point_of_no_return(self, registry, order_program):
         nodes = list(order_program.iter_nodes())

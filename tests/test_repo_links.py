@@ -651,3 +651,29 @@ def test_only_the_lot_reads_its_books():
     ]
     assert not offenders, offenders
     assert LOT_INDEX.search(owner.read_text())
+
+
+# ----------------------------------------------------------------------
+# each fact counted once (DESIGN.md §7, "Removed: the second books")
+# ----------------------------------------------------------------------
+#: A process record's per-pid counters, the injector's tallies of what
+#: its own events count, and the journal's append count.
+SECOND_BOOKS = re.compile(
+    r"activities_committed|cascade_aborts|intrinsically_aborted_at"
+    r"|injected_failures|injected_retries|latency_injections|outage_hits"
+    r"|manager_recoveries|JournalRepository|_base_len"
+)
+
+
+def test_second_books_leave_no_trace():
+    """A pid's counts are the fold's (``stats``), the injector's are
+    its ``fault.inject`` channels, and the journal's length is the
+    backend's count.  Only this file and the golden session, which
+    puts the format-7 counts back to derive the old journal, name what
+    went."""
+    pins = {
+        "tests/test_repo_links.py",
+        "tests/test_storage/test_journal_golden.py",
+    }
+    offenders = _traces_of(SECOND_BOOKS, pins)
+    assert not offenders, offenders

@@ -1,5 +1,8 @@
 """Unit tests for the manager's bookkeeping records."""
 
+import sys
+from dataclasses import fields
+
 from repro.process.instance import Process
 from repro.scheduler.events import (
     CompensationRun,
@@ -11,6 +14,19 @@ from repro.scheduler.events import (
 
 
 class TestProcessRecord:
+    def test_keeps_only_what_a_client_or_recovery_reads(self):
+        """Every other per-pid count is the fold's."""
+        assert [spec.name for spec in fields(ProcessRecord)] == [
+            "pid",
+            "submitted_at",
+            "committed_at",
+            "resubmissions",
+            "compensated_names",
+            "compensated_causes",
+            "outcome",
+        ]
+        assert sys.getsizeof(ProcessRecord(pid=1, submitted_at=0.0)) == 88
+
     def test_latency_requires_commit(self):
         record = ProcessRecord(pid=1, submitted_at=10.0)
         assert record.latency is None
@@ -20,7 +36,6 @@ class TestProcessRecord:
     def test_fresh_record_counters(self):
         record = ProcessRecord(pid=1, submitted_at=0.0)
         assert record.resubmissions == 0
-        assert record.compensations == 0
         # No list until the first compensation: the shared empty tuple.
         assert record.compensated_names == ()
         assert record.compensated_causes == ()

@@ -181,7 +181,7 @@ class TestTwoProcessInterleaving:
         # aborts it; P2 is resubmitted and commits eventually.
         assert result.stats.committed == 2
         assert result.stats.resubmissions >= 1
-        assert result.records[2].cascade_aborts >= 1
+        assert result.records[2].resubmissions >= 1
 
     def test_every_trace_is_ct_and_prc(
         self, registry, conflicts, order_program, flat_program

@@ -81,7 +81,10 @@ class TestSnapshotRestore:
         )
         clone = restore_process(snapshot)
         assert clone.state is ProcessState.COMPLETING
-        assert clone.committed_points_of_no_return == 1
+        assert sum(
+            entry.activity.activity_type.point_of_no_return
+            for entry in clone.ledger
+        ) == 1
         assert clone.ready_activities() == ["ship"]
 
 

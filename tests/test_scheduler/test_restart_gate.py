@@ -251,9 +251,6 @@ def _assert_victims_counted_once(manager, tracer) -> None:
     assert manager.stats.cascade_victims == cascade > 0
     assert 0 < manager.stats.cascades.total() <= cascade
     assert manager.stats.protocol_aborts == sum(
-        record.cascade_aborts for record in manager.records.values()
-    )
-    assert manager.stats.protocol_aborts == sum(
         record["cause"] in ("cascade", "deadlock", "self")
         for record in begun
     )

@@ -4,16 +4,19 @@ wait-for maintainer" and "Wake-up drains nest at most 96 deep")."""
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.deadlock import find_wait_cycle
+from repro.errors import StarvationError
+from repro.obs import Tracer
 from repro.process.state import ProcessState
 from repro.scheduler.events import ParkedRequest, RequestKind, conserved
-from repro.scheduler.manager import make_manager
+from repro.scheduler.manager import ManagerConfig, make_manager
 from repro.scheduler.parking import ParkingLot
 from repro.sim.runner import make_protocol, run_workload
 from repro.sim.workload import WorkloadSpec, build_workload
@@ -237,6 +240,37 @@ def test_pure_osl_cascade_chain_deeper_than_the_stack_reaches_quiescence():
     result = run_workload(build_workload(spec), "osl-pure", seed=3)
     assert len(result.records) == 400
     assert conserved(result.records, result.stats)
+
+
+def test_pure_osl_restarts_two_pids_into_the_same_commit_cycle():
+    """Pure OSL's third pathology, a livelock: with no activity
+    failures, pids 105 and 106 restart about one time unit apart and
+    take ``act04`` and ``act06`` in opposite orders, so each commit is
+    on hold behind the other.  The deadlock victim, 106, cascades 105
+    through ``act06^-1``, and the cycle re-forms on every resubmission:
+    nothing breaks the symmetry (at the default failure probability an
+    activity failure does)."""
+    spec = WorkloadSpec(
+        n_processes=150,
+        conflict_density=0.6,
+        failure_probability=0.0,
+        seed=3,
+    )
+    tracer = Tracer()
+    with pytest.raises(StarvationError, match=r"pids \[106\] exceeded 30"):
+        run_workload(
+            build_workload(spec),
+            "osl-pure",
+            seed=3,
+            config=ManagerConfig(max_resubmissions=30),
+            tracer=tracer,
+        )
+    cycles = Counter(
+        tuple(sorted(event.cycle))
+        for __, __, event in tracer.stamped
+        if event.kind == "deadlock.victim" and event.pid == 106
+    )
+    assert cycles[(105, 106)] == 29 and cycles.total() == 30
 
 
 #: What legitimately grows with history, by attribute name — and the

@@ -6,8 +6,9 @@ logging every read and write, and a durable service's trace events
 leave memory at the snapshot that stores them.  What is still retained
 per process (its record, the flight ring's share) is counted here
 under ``tracemalloc``, on the benchmark's ``grounded_closed`` catalog,
-the one workload whose subsystem transactions run.  About 350 B per
-process is retained; keeping every trace event in memory again would
+the one workload whose subsystem transactions run.  About 300 B per
+process is retained (350 while its record kept six per-pid counts the
+event fold keeps); keeping every trace event in memory again would
 add about 1 kB, and logging every subsystem operation another 1 kB.
 """
 

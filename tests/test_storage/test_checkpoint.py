@@ -295,7 +295,7 @@ def test_orphan_delta_past_watermark_is_ignored(tmp_path, capsys):
 
 def test_v1_store_is_refused_naming_format(tmp_path):
     _run_once(tmp_path, count=2)
-    assert FORMAT_VERSION == 7
+    assert FORMAT_VERSION == 8
     store = Store.open("log", str(tmp_path / "store"))
     store.backend.replace(
         "meta", [dumps(dict(store.meta.load(), format=1))]
@@ -320,7 +320,7 @@ def test_format_2_store_is_refused_naming_format(tmp_path):
         encode_frame(dumps({"kind": "submit", "pid": 1, "program": 0}))
     )
     with pytest.raises(
-        StorageError, match="format: store has 2, caller wants 7"
+        StorageError, match="format: store has 2, caller wants 8"
     ):
         ProcessLockingService(_config(tmp_path))
 
@@ -341,7 +341,7 @@ def test_format_3_store_is_refused_naming_both_versions(tmp_path, capsys):
     )
     backend.close()
     with pytest.raises(
-        StorageError, match="format: store has 3, caller wants 7"
+        StorageError, match="format: store has 3, caller wants 8"
     ) as caught:
         ProcessLockingService(_config(tmp_path))
     assert not isinstance(caught.value, WalCorruptionError)
@@ -363,7 +363,7 @@ def test_format_4_store_is_refused_naming_both_versions(tmp_path, capsys):
     backend.append("ssdata/sub0", b'["s","sub0:k0",1]')
     backend.close()
     with pytest.raises(
-        StorageError, match="format: store has 4, caller wants 7"
+        StorageError, match="format: store has 4, caller wants 8"
     ) as caught:
         ProcessLockingService(_config(tmp_path))
     assert not isinstance(caught.value, WalCorruptionError)
@@ -385,7 +385,7 @@ def test_format_5_store_is_refused_naming_both_versions(tmp_path, capsys):
     backend.append("trace", b'[0,[["a",1,0,"act00",1,null],["C",1,0]]]')
     backend.close()
     with pytest.raises(
-        StorageError, match="format: store has 5, caller wants 7"
+        StorageError, match="format: store has 5, caller wants 8"
     ) as caught:
         ProcessLockingService(_config(tmp_path))
     assert not isinstance(caught.value, WalCorruptionError)
@@ -411,12 +411,36 @@ def test_format_6_store_is_refused_naming_both_versions(tmp_path, capsys):
     )
     backend.close()
     with pytest.raises(
-        StorageError, match="format: store has 6, caller wants 7"
+        StorageError, match="format: store has 6, caller wants 8"
     ) as caught:
         ProcessLockingService(_config(tmp_path))
     assert not isinstance(caught.value, WalCorruptionError)
     assert repro_main(["store", "verify", "--path", str(root)]) == 2
     assert "meta: 1 records [format: store has 6" in capsys.readouterr().out
+
+
+def test_format_7_store_is_refused_naming_both_versions(tmp_path, capsys):
+    """Format 7 ended a ``terminal`` row with per-pid counts the event
+    fold keeps: a committed row's sixth field was its committed
+    activities, which this release's journal codec would read as
+    resubmissions.  The meta slot says so, and the meta check refuses
+    the store before a record is decoded."""
+    _run_once(tmp_path, count=2)
+    root = tmp_path / "store"
+    store = Store.open("log", str(root))
+    meta = dict(store.meta.load(), format=7)
+    store.close()
+    backend = AppendLogBackend(str(root), fsync="never")
+    backend.replace("meta", [dumps(meta)])
+    backend.append("journal", b'["t",3,"c",0.0,27.5,8]')
+    backend.close()
+    with pytest.raises(
+        StorageError, match="format: store has 7, caller wants 8"
+    ) as caught:
+        ProcessLockingService(_config(tmp_path))
+    assert not isinstance(caught.value, WalCorruptionError)
+    assert repro_main(["store", "verify", "--path", str(root)]) == 2
+    assert "meta: 1 records [format: store has 7" in capsys.readouterr().out
 
 
 def test_compact_folds_the_trace_into_one_frame(tmp_path):

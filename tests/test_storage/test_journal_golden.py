@@ -66,6 +66,14 @@ left, and each ``lock.defer`` / ``lock.cascade`` given the ``shard`` of
 the ``wait.edge`` insert that followed it hash to the new digest.
 ``journal``, ``trace``, ``gauges``, both ``*_as_format_3`` digests and
 the five schedule digests did not move.
+``journal`` and ``journal_as_format_3`` were recorded once more when a
+``terminal`` row stopped carrying the per-pid counts the event fold
+keeps (store format 8): decoded, the new journal is the old one with
+six fields taken out of each record.  The session checks that every
+run: its journal with those six put back, recounted from its own
+events, hashes to the old ``journal_as_format_3``
+(``format_7_journal_as_format_3``).  ``trace``, ``trace_as_format_3``,
+``frames``, ``gauges`` and the five schedule digests did not move.
 
 The scripted session runs in a fresh interpreter: its records carry
 activity uids as they are, and those come from a module-global counter
@@ -106,7 +114,7 @@ CONTENDED = WorkloadSpec(
 #: Recorded by ``python -c "...session(sys.argv[1])"``.
 RECORDED = {
     "journal": (
-        "e69424f0d3fe7c6a2117ce606e4de852bd7411d8c22678da92f0b27f47de3262"
+        "613570895dffc5b552c8e9e1992b59df0ee22a6a2efd4c3a916fd8183c59759c"
     ),
     "trace": (
         "8b64c80856c02edd264295c21dae8ef69fa31cead4ddced0b1a29c6b0a11daf5"
@@ -121,10 +129,18 @@ RECORDED = {
 
 #: ``journal`` and ``trace`` decoded and written again as format 3
 #: wrote them: ``trace`` as recorded while the store wrote format 3;
-#: ``journal`` since format 7 journals each of this session's processes
-#: once (see the module docstring).
+#: ``journal`` since format 8 stores only what a client reads or
+#: recovery replays (see the module docstring).  The third is the
+#: journal as format 7 stored it, derived every run: each ``terminal``
+#: record given back the six per-pid counts format 7 also stored,
+#: recounted from the session's events (:func:`_format_7_counts`), then
+#: written as format 3 wrote it — ``journal_as_format_3`` as recorded
+#: while the store wrote format 7.
 AS_FORMAT_3 = {
     "journal_as_format_3": (
+        "46c73203969dab27aaafdd90e6541805934d30c802fb50262d4a1d34b89c0ddd"
+    ),
+    "format_7_journal_as_format_3": (
         "fcb4cdbecfcfb9772fd7ce1fd1e8544f360d22c5468a688908df901d0337d49f"
     ),
     "trace_as_format_3": (
@@ -137,10 +153,52 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _as_format_3(store_path: str, programs) -> dict[str, str]:
+def _format_7_counts(events: list[dict]) -> dict[int, dict]:
+    """Per pid, the counts a format-7 ``terminal`` record carried beside
+    what format 8 keeps, recounted from the session's events as the
+    manager counted them (``intrinsically_aborted_at`` it never set)."""
+    counts: dict[int, dict] = {}
+    for event in events:
+        if "pid" not in event:
+            continue
+        tally = counts.setdefault(
+            event["pid"],
+            {
+                "activities_committed": 0,
+                "cascade_aborts": 0,
+                "compensations": 0,
+                "compensated_cost": 0.0,
+                "intrinsically_aborted_at": None,
+                "retries": 0,
+            },
+        )
+        kind = event["kind"]
+        if kind == "activity.commit" and event["compensation"]:
+            tally["compensations"] += 1
+            tally["compensated_cost"] += event["undone"]
+        elif kind == "activity.commit":
+            tally["activities_committed"] += 1
+        elif kind == "activity.retry":
+            tally["retries"] += 1
+        elif kind == "process.abort-begin" and event["cause"] in (
+            "cascade", "deadlock", "self"  # the ones that resubmit
+        ):
+            tally["cascade_aborts"] += 1
+    return counts
+
+
+def _as_format_3(store_path: str, programs, events) -> dict[str, str]:
     """Digests of the journal and trace namespaces decoded and written
-    again as format 3 wrote them."""
+    again as format 3 wrote them, and of the journal as format 7 stored
+    it, so written."""
     codec = ProgramCodec(programs)
+    counts = _format_7_counts(events)
+
+    def format_7_record(payload: bytes) -> dict:
+        record = JOURNAL.decode(payload)
+        if record["kind"] == "terminal":
+            record["record"].update(counts[record["pid"]])
+        return record
 
     def trace_frame(payload: bytes) -> dict:
         frame = TRACE.decode(payload)
@@ -174,6 +232,13 @@ def _as_format_3(store_path: str, programs) -> dict[str, str]:
         for namespace, decode in (
             ("journal", JOURNAL.decode),
             ("trace", trace_frame),
+        )
+    } | {
+        "format_7_journal_as_format_3": _sha256(
+            b"".join(
+                encode_frame(dumps(format_7_record(payload)))
+                for payload in payloads_of(store_path, "journal")
+            )
         )
     }
 
@@ -222,7 +287,11 @@ def session(store_path: str) -> dict[str, str]:
         "trace": _sha256(namespace_bytes(store_path, "trace")),
         "frames": _sha256("\n".join(frames).encode()),
         "gauges": _sha256(json.dumps(gauges, sort_keys=True).encode()),
-        **_as_format_3(store_path, service.workload.programs),
+        **_as_format_3(
+            store_path,
+            service.workload.programs,
+            [json.loads(frame) for frame in frames],
+        ),
     }
 
 

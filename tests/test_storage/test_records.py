@@ -61,15 +61,9 @@ PROCESS_RECORDS = st.builds(
     pid=IDS,
     submitted_at=TIMES,
     committed_at=STAMPS,
-    intrinsically_aborted_at=STAMPS,
     resubmissions=COUNTS,
-    cascade_aborts=COUNTS,
-    activities_committed=COUNTS,
-    compensations=COUNTS,
-    compensated_cost=TIMES,
     compensated_names=NAMES,
     compensated_causes=NAMES,
-    retries=COUNTS,
 )
 
 
@@ -107,9 +101,7 @@ COMPENSATED = ProcessRecord(
     pid=7,
     submitted_at=0.1 + 0.2,
     committed_at=None,
-    intrinsically_aborted_at=FULL_PRECISION,
-    compensations=2,
-    compensated_cost=5.905359695180615,
+    resubmissions=2,
     compensated_names=["act00", "act01"],
     compensated_causes=["intrinsic-abort", "protocol-abort"],
 )
@@ -139,15 +131,9 @@ def sparse_records(draw) -> ProcessRecord:
     defaults, the rest drawn — the compensation lists non-empty."""
     drawn = {
         "committed_at": STAMPS,
-        "activities_committed": COUNTS,
         "resubmissions": COUNTS,
-        "cascade_aborts": COUNTS,
-        "compensations": COUNTS,
-        "compensated_cost": TIMES,
         "compensated_names": st.lists(st.text(max_size=8), min_size=1),
         "compensated_causes": st.lists(st.text(max_size=8), min_size=1),
-        "intrinsically_aborted_at": STAMPS,
-        "retries": COUNTS,
     }
     assert set(drawn) == set(TRAILING)
     kept = draw(st.sets(st.sampled_from(sorted(drawn))))
@@ -160,15 +146,15 @@ def sparse_records(draw) -> ProcessRecord:
 
 @given(sparse_records(), st.sampled_from(OUTCOMES))
 @example(ProcessRecord(pid=1, submitted_at=0.0), "committed")
-@example(ProcessRecord(pid=1, submitted_at=-0.0, retries=1), "aborted")
+@example(ProcessRecord(pid=1, submitted_at=-0.0, resubmissions=1), "aborted")
 @example(
-    ProcessRecord(pid=2, submitted_at=1.5, compensated_cost=-0.0),
+    ProcessRecord(pid=2, submitted_at=1.5, committed_at=-0.0),
     "cancelled",
 )
 @example(ProcessRecord(pid=3, submitted_at=2.0, committed_at=0), "starved")
 def test_terminal_rows_round_trip_at_any_defaults(record, outcome):
     """A row ends before the trailing fields at their defaults — as
-    JSON writes them: ``0`` and ``-0.0`` are not ``0.0`` — and decoding
+    JSON writes them: ``0`` and ``-0.0`` are not ``None`` — and decoding
     puts them back; bytes, record and outcome all survive."""
     terminal = _terminal(record, outcome)
     payload = JOURNAL.encode(terminal)
@@ -200,11 +186,9 @@ def test_the_terminal_row_leaves_out_process_record_defaults():
     assert sorted(OUTCOME_LETTERS) == sorted(OUTCOMES)
     assert len(set(OUTCOME_LETTERS.values())) == len(OUTCOMES)
     assert all(len(letter) == 1 for letter in OUTCOME_LETTERS.values())
-    committed = ProcessRecord(
-        pid=4, submitted_at=1.5, committed_at=9.0, activities_committed=3
-    )
+    committed = ProcessRecord(pid=4, submitted_at=1.5, committed_at=9.0)
     assert JOURNAL.encode(_terminal(committed, "committed")) == (
-        b'["t",4,"c",1.5,9.0,3]'
+        b'["t",4,"c",1.5,9.0]'
     )
 
 
@@ -418,9 +402,8 @@ def test_the_terminal_layout_holds_every_process_record_field():
 def test_no_key_name_goes_to_disk():
     record = _terminal(COMPENSATED, "aborted")
     assert JOURNAL.encode(record) == (
-        b'["t",7,"a",0.30000000000000004,null,0,0,0,2,5.905359695180615,'
-        b'["act00","act01"],["intrinsic-abort","protocol-abort"],'
-        b'27.46395300100484]'
+        b'["t",7,"a",0.30000000000000004,null,2,'
+        b'["act00","act01"],["intrinsic-abort","protocol-abort"]]'
     )
     assert subsystem_data("bank").encode(
         {"kind": "txn", "writes": {"bank:k": 0, "bank:j": None}}

@@ -329,7 +329,8 @@ class TestInThreadRestart:
         )["pids"]
         record = first.manager.records[pid]
         deadline = time.monotonic() + 30
-        while not record.activities_committed:  # something to undo
+        committed = first.manager.stats.activities.value
+        while not committed(("committed",)):  # something to undo
             assert time.monotonic() < deadline and record.outcome is None
             time.sleep(0.005)
         assert first.execute({"cmd": "cancel", "pid": pid}).result(

@@ -86,9 +86,9 @@ class TestDataLockManager:
         locks = DataLockManager()
         locks.acquire(1, 1, "a", DataLockMode.SHARED)
         locks.acquire(1, 1, "b", DataLockMode.EXCLUSIVE)
-        assert locks.held_by(1) == {"a", "b"}
+        assert [set(locks.holders(key)) for key in "ab"] == [{1}, {1}]
         locks.release_all(1)
-        assert locks.held_by(1) == set()
+        assert [locks.holders(key) for key in "ab"] == [{}, {}]
         assert locks.lock_count == 0
 
     def test_release_unblocks(self):
