@@ -14,6 +14,11 @@ Two structural facts are enforced here:
   conflict.  :meth:`ConflictMatrix.close_perfect` propagates conflicts to
   compensating activities accordingly, and :meth:`ConflictMatrix.is_perfect`
   verifies the property.
+
+The relation is given before any process runs, so it is compiled once
+(:meth:`ConflictMatrix.compiled`) into one bitset plane and fixed from
+then on: a later declaration or closure raises, and so does the first
+lock request on a type registered after the compile.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from repro.errors import CommutativityError
 def iter_bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of ``mask``, ascending.
 
-    Convenience for cold paths and tests; the lock table's hot loops
-    inline the same ``mask & -mask`` peel to avoid generator overhead.
+    For row decoding and the acquire check; the lock table's hottest
+    scan inlines the same ``mask & -mask`` peel.
     """
     while mask:
         low = mask & -mask
@@ -36,47 +41,39 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def pair_ends(pair: frozenset[str]) -> tuple[str, str]:
+    """The two type names of a declared pair (a self-pair is a 1-set)."""
+    return (*pair, *pair)[:2]
+
+
 class CompiledConflicts:
-    """One :class:`ConflictMatrix` state compiled to dense-id bitsets.
+    """The conflict relation compiled to dense-id bitsets.
 
-    Every registered activity type gets a dense integer id (registry
-    definition order — stable across recompiles because the registry is
-    append-only), and the conflict relation becomes one big-int bitmask
-    per type: bit ``j`` of ``masks[i]`` is set iff types ``i`` and ``j``
-    conflict.  Conflict tests are then a shift + AND, and "which held
-    types conflict with ``t``" is ``masks[t] & live_mask`` — the form
-    the lock table's hot scans consume.
+    Every activity type registered when the relation is compiled gets a
+    dense integer id (registry definition order), and the relation
+    becomes one big-int bitmask per type: bit ``j`` of ``masks[i]`` is
+    set iff types ``i`` and ``j`` conflict.  Conflict tests are then a
+    shift + AND, and "which held types conflict with ``t``" is
+    ``masks[t] & live_mask`` — the form the lock table's hot scans
+    consume.
 
-    Instances are immutable snapshots: :meth:`ConflictMatrix.compiled`
-    hands out a cached plane and replaces it wholesale whenever the
-    relation mutates (``declare_conflict`` / ``close_perfect`` bump the
-    matrix version and drop the cache) or a type is registered late
-    (detected by the registry-length check).  Consumers therefore cache
-    the plane by identity and resync when ``compiled()`` returns a new
-    object.
+    There is one plane per :class:`ConflictMatrix`, compiled on the
+    first :meth:`ConflictMatrix.compiled` call; from then on the
+    relation is fixed (``CON`` is given before any process runs,
+    Section 3.2.1), so consumers hold the plane and never re-read it.
     """
 
-    __slots__ = ("version", "index", "names", "masks", "mask_of")
+    __slots__ = ("index", "names", "masks")
 
     def __init__(
-        self,
-        version: int,
-        index: dict[str, int],
-        names: list[str],
-        masks: list[int],
+        self, index: dict[str, int], names: list[str], masks: list[int]
     ) -> None:
-        #: The matrix version this plane was compiled from.
-        self.version = version
         #: type name -> dense id (registry definition order).
         self.index = index
         #: dense id -> type name (the inverse of :attr:`index`).
         self.names = names
         #: dense id -> bitmask of conflicting dense ids.
         self.masks = masks
-        #: type name -> conflict bitmask (fused ``masks[index[name]]``).
-        self.mask_of = {
-            name: masks[i] for i, name in enumerate(names)
-        }
 
     def id_of(self, name: str) -> int:
         """Dense id of ``name`` (validating, for scan setup)."""
@@ -84,129 +81,61 @@ class CompiledConflicts:
             return self.index[name]
         except KeyError:
             raise CommutativityError(
-                f"conflict query over unknown activity type {name!r}"
+                f"activity type {name!r} is not in the compiled conflict "
+                "relation (every type is registered before CON is "
+                "compiled)"
             ) from None
-
-    def conflict(self, first: str, second: str) -> bool:
-        """``CON(first, second)`` as one shift + AND."""
-        return bool(
-            self.masks[self.id_of(first)] >> self.id_of(second) & 1
-        )
-
-    def commute(self, first: str, second: str) -> bool:
-        return not self.conflict(first, second)
-
-    def conflicting_types(self, name: str) -> frozenset[str]:
-        """Decode one row back to names (oracle/test convenience)."""
-        names = self.names
-        return frozenset(
-            names[i] for i in iter_bits(self.masks[self.id_of(name)])
-        )
 
 
 class ConflictMatrix:
     """Symmetric boolean conflict relation over activity type names.
 
-    Hot-path consumers (the lock table, the execution gate) read the
-    relation through the **compiled plane** (:meth:`compiled`): dense
-    integer type ids and per-type big-int conflict bitmasks, rebuilt
-    lazily after every mutation (:meth:`declare_conflict`,
-    :meth:`close_perfect`) and on late type registration.  The
-    dict/frozenset representation here — :meth:`conflict`,
-    :meth:`conflicting_types` and the adjacency index behind it — stays
-    as the oracle of the compiled plane: the theory checks, the lock
-    table's per-step checks and the test-side reference
-    implementations read it.
-    :attr:`version` increments on every mutation so dependent
-    structures (the lock table's blocker index and adopted plane) can
-    detect staleness cheaply.
+    The relation is built by :meth:`declare_conflict` and
+    :meth:`close_perfect`, then compiled once (:meth:`compiled`) into
+    the bitset plane the lock table, the execution gate and the restart
+    gate read.  After that it is fixed: a further declaration or
+    closure raises :class:`~repro.errors.CommutativityError`, and a
+    type registered later is unknown to the plane, so its first lock
+    request raises too.  :meth:`conflict` answers from the declared
+    pairs (the theory checks read it); :meth:`conflicting_types` decodes
+    a plane row.
     """
 
     def __init__(self, registry: ActivityRegistry) -> None:
         self._registry = registry
         self._conflicts: set[frozenset[str]] = set()
-        self._adjacency: dict[str, frozenset[str]] | None = None
         self._compiled: CompiledConflicts | None = None
-        self._version = 0
-
-    @property
-    def version(self) -> int:
-        """Mutation counter; changes whenever the relation changes."""
-        return self._version
 
     @property
     def registry(self) -> ActivityRegistry:
         """The activity registry this relation is defined over."""
         return self._registry
 
-    def _invalidate(self) -> None:
-        self._adjacency = None
-        self._compiled = None
-        self._version += 1
-
     def compiled(self) -> CompiledConflicts:
-        """The compiled bitset plane for the current relation state.
-
-        Cached: mutation (:meth:`declare_conflict`,
-        :meth:`close_perfect`) drops the cache through
-        :meth:`_invalidate`, and late type registration is caught by
-        comparing the plane's type count against the registry — so the
-        fast path is one ``None`` check plus one length compare.
-        """
+        """The compiled bitset plane; the first call fixes the relation."""
         compiled = self._compiled
-        if compiled is not None and len(compiled.names) == len(
-            self._registry
-        ):
-            return compiled
-        return self._build_compiled()
+        if compiled is None:
+            compiled = self._compiled = self._compile()
+        return compiled
 
-    def _build_compiled(self) -> CompiledConflicts:
+    def _compile(self) -> CompiledConflicts:
         names = [activity_type.name for activity_type in self._registry]
         index = {name: i for i, name in enumerate(names)}
         masks = [0] * len(names)
         for pair in self._conflicts:
-            pair_names = tuple(pair)
-            first, second = (
-                pair_names
-                if len(pair_names) == 2
-                else (pair_names[0], pair_names[0])
-            )
+            first, second = pair_ends(pair)
             a = index[first]
             b = index[second]
             masks[a] |= 1 << b
             masks[b] |= 1 << a
-        compiled = CompiledConflicts(
-            version=self._version,
-            index=index,
-            names=names,
-            masks=masks,
-        )
-        self._compiled = compiled
-        return compiled
+        return CompiledConflicts(index=index, names=names, masks=masks)
 
-    def _build_adjacency(self) -> dict[str, frozenset[str]]:
-        """Materialize the adjacency index over the full registry.
-
-        Every registered type gets an entry (possibly empty), so the
-        hot-path lookup doubles as name validation: a miss means the
-        queried name is unknown.
-        """
-        neighbours: dict[str, set[str]] = {
-            activity_type.name: set() for activity_type in self._registry
-        }
-        for pair in self._conflicts:
-            names = tuple(pair)
-            first, second = (
-                names if len(names) == 2 else (names[0], names[0])
+    def _refuse_if_compiled(self, change: str) -> None:
+        if self._compiled is not None:
+            raise CommutativityError(
+                f"{change}: the conflict relation is already compiled, "
+                "and CON is fixed from then on"
             )
-            neighbours[first].add(second)
-            neighbours[second].add(first)
-        adjacency = {
-            name: frozenset(others)
-            for name, others in neighbours.items()
-        }
-        self._adjacency = adjacency
-        return adjacency
 
     # ------------------------------------------------------------------
     # construction
@@ -216,7 +145,8 @@ class ConflictMatrix:
 
         The relation is stored symmetrically.  Declaring a conflict between
         activities of different subsystems is rejected because such
-        activities cannot share resources.
+        activities cannot share resources, and so is any declaration
+        once the relation is compiled.
         """
         type_a = self._registry.get(first)
         type_b = self._registry.get(second)
@@ -225,8 +155,8 @@ class ConflictMatrix:
                 f"activities {first!r} and {second!r} run in different "
                 "subsystems and therefore always commute"
             )
+        self._refuse_if_compiled(f"declare_conflict({first!r}, {second!r})")
         self._conflicts.add(frozenset((first, second)))
-        self._invalidate()
 
     def close_perfect(self) -> None:
         """Extend the relation so that commutativity becomes perfect.
@@ -234,24 +164,18 @@ class ConflictMatrix:
         For every conflicting pair ``(a, b)`` this adds the conflicts
         ``(a⁻¹, b)``, ``(a, b⁻¹)`` and ``(a⁻¹, b⁻¹)`` whenever the
         compensating activities exist, and conversely treats a conflict on
-        a compensation as a conflict on its regular activity.
+        a compensation as a conflict on its regular activity.  Refused
+        once the relation is compiled.
         """
+        self._refuse_if_compiled("close_perfect()")
         changed = True
-        added = False
         while changed:
             changed = False
             for pair in list(self._conflicts):
-                names = tuple(pair) if len(pair) == 2 else (
-                    next(iter(pair)),
-                    next(iter(pair)),
-                )
-                for variant in self._perfect_variants(*names):
+                for variant in self._perfect_variants(*pair_ends(pair)):
                     if variant not in self._conflicts:
                         self._conflicts.add(variant)
                         changed = True
-                        added = True
-        if added:
-            self._invalidate()
 
     def _perfect_variants(
         self, first: str, second: str
@@ -293,34 +217,18 @@ class ConflictMatrix:
         return not self.conflict(first, second)
 
     def conflicting_types(self, name: str) -> frozenset[str]:
-        """All activity type names that conflict with ``name``.
-
-        Served from the adjacency index in O(1); name validation happens
-        once at index-build time (a lookup miss on a fresh index means
-        the name is unknown).
-        """
-        adjacency = self._adjacency
-        if adjacency is None:
-            adjacency = self._build_adjacency()
-        try:
-            return adjacency[name]
-        except KeyError:
-            if name in self._registry:
-                # Type registered after the index was built: rebuild.
-                return self._build_adjacency()[name]
-            raise CommutativityError(
-                f"conflicting-types query over unknown activity type "
-                f"{name!r}"
-            ) from None
+        """All activity type names that conflict with ``name``: its
+        plane row, decoded (compiles the relation if it is not yet)."""
+        plane = self.compiled()
+        names = plane.names
+        return frozenset(
+            names[i] for i in iter_bits(plane.masks[plane.id_of(name)])
+        )
 
     def is_perfect(self) -> bool:
         """Check the perfect-commutativity property of Section 2.3."""
         for pair in self._conflicts:
-            names = tuple(pair)
-            first, second = (
-                names if len(names) == 2 else (names[0], names[0])
-            )
-            for variant in self._perfect_variants(first, second):
+            for variant in self._perfect_variants(*pair_ends(pair)):
                 if variant not in self._conflicts:
                     return False
         return True

@@ -120,6 +120,16 @@ def _threshold(raw: str) -> float:
     return value
 
 
+def _time_scale(raw: str) -> float:
+    """argparse type: virtual-time units per wall second, finite, >= 0."""
+    value = _number(raw)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite time scale >= 0, got {value:g}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -318,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument(
         "--time-scale",
-        type=float,
+        type=_time_scale,
         default=0.0,
         help=(
             "virtual-time units per wall second; 0 (default) drains "
@@ -347,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--store",
         default=None,
-        choices=("log", "memory"),
+        choices=("log",),
         help=(
             "durable persistence backend; submissions and outcomes "
             "survive kill -9 and replay on restart (default: "

@@ -88,8 +88,7 @@ KNOBS: dict[str, Knob] = {
             parse=str,
             description=(
                 "durable storage backend: 'log' (append-only CRC32 "
-                "frame log) or 'memory' (volatile, for benchmarks); "
-                "unset = no durability"
+                "frame log, the one kind); unset = no durability"
             ),
         ),
         Knob(

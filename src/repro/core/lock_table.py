@@ -21,8 +21,7 @@ primary per-type and per-process lists, the table maintains
   a strictly increasing global counter, every conflicting lock that
   exists when a new lock is appended has a smaller position — so edges
   are added on :meth:`acquire` and only ever removed by
-  :meth:`release_all` (or rebuilt wholesale when the conflict relation
-  changes), making :meth:`commit_blockers` and
+  :meth:`release_all`, making :meth:`commit_blockers` and
   :meth:`on_hold` O(1) lookups instead of O(locks²) rescans.
 
 The per-type lists are position-sorted *by construction* (appends use a
@@ -37,20 +36,19 @@ with at least one live lock (``_live_mask``) plus one held-types
 bitmask per process (``_pid_type_masks``), so "which held types
 conflict with ``t``" is ``masks[t] & _live_mask`` and "does P hold
 anything conflicting with ``t``" is one AND against P's mask — no
-frozenset iteration, no per-pair frozenset allocation.  The plane is
-adopted by identity; whenever the conflict relation mutates or a type
-registers late, :meth:`_live_plane` — the one resync point — rebuilds
-the masks and the blocker index against it.
+frozenset iteration, no per-pair frozenset allocation.  The table adopts
+the plane at construction and keeps it: the relation is fixed once
+compiled, and a type registered after that is refused at its first
+:meth:`acquire`, before the table changes.
 
 Every mutation checks what it changed before it returns, and raises
 :class:`~repro.errors.ProtocolError` on a broken invariant: the one
 safety net, on in every run, served or simulated.  :meth:`acquire`
-re-derives the new lock's blockers from the dict-based conflict
-relation and the per-type lists, not from the masks it just updated;
+re-derives the new lock's blockers from the plane's row and the
+per-type lists, not from the masks it just updated;
 :meth:`release_all` checks that no index still names the pid; a
-Comp→Piv conversion checks both mode indexes; a resync applies the
-acquire check to every replayed lock, and the first use of a compiled
-plane checks each of its rows against the dict-based matrix.  Each
+Comp→Piv conversion checks both mode indexes; and construction checks
+each row of the plane against the declared conflict pairs, once.  Each
 check costs what its step costs.  The whole-table oracle lives under
 ``tests/`` (``tests/test_core/reference.py``).
 """
@@ -60,7 +58,11 @@ from __future__ import annotations
 from collections.abc import Iterator
 from operator import attrgetter
 
-from repro.activities.commutativity import ConflictMatrix
+from repro.activities.commutativity import (
+    ConflictMatrix,
+    iter_bits,
+    pair_ends,
+)
 from repro.core.locks import LockEntry, LockMode
 from repro.errors import ProtocolError
 from repro.process.instance import Process
@@ -85,9 +87,9 @@ class LockTable:
         #: pid -> pids holding a later conflicting lock (the transpose).
         self._blocks: dict[int, set[int]] = {}
         self._position = 0
-        #: Adopted compiled conflict plane (resynced by identity).
-        self._plane = conflicts.compiled()
-        self._check_plane(self._plane)
+        #: The compiled conflict plane, adopted once (CON is fixed).
+        self._plane = plane = conflicts.compiled()
+        self._check_plane(plane)
         #: Bitmask of type ids with at least one live lock.
         self._live_mask = 0
         #: pid -> bitmask of type ids the process holds locks on.
@@ -95,38 +97,16 @@ class LockTable:
         #: (strict 2PL: locks release all-at-once), which keeps the
         #: per-process masks exact without per-type refcounts.
         self._pid_type_masks: dict[int, int] = {}
-        #: Live locks in all, and per subsystem of the registry (zeros
-        #: included, in registry order), counted on acquire and release:
-        #: a traced run's gauge sampler reads both on every event.
+        #: Live locks in all, and per subsystem (zeros included, in
+        #: registry order), counted on acquire and release: a traced
+        #: run's gauge sampler reads both on every event.
         self._lock_count = 0
-        self._by_subsystem: dict[str, int] = {}
-        #: Type name -> subsystem, for the registry's types seen so far.
-        self._subsystem_of: dict[str, str] = {}
-
-    def _live_plane(self):
-        """The current compiled plane, resyncing the table to a recompile.
-
-        The one resync point: the plane is replaced whenever the
-        conflict relation mutates (``declare_conflict`` /
-        ``close_perfect``) or a type registers late.  Type ids are
-        stable across recompiles (the registry is append-only), but the
-        relation may have changed, so the live masks and the blocker
-        index are rebuilt by replaying the live locks in position order
-        against the new masks — exactly what :meth:`acquire` would have
-        derived had the relation held from the start, and checked as
-        :meth:`acquire` checks it.
-        """
-        plane = self._conflicts.compiled()
-        if plane is not self._plane:
-            self._check_plane(plane)
-            self._plane = plane
-            self._blocked_by = {}
-            self._blocks = {}
-            self._pid_type_masks = {}
-            self._live_mask = 0
-            for entry in sorted(self.iter_entries(), key=_BY_POSITION):
-                self._index(entry, plane)
-        return plane
+        #: Type name -> subsystem, for every type of the plane.
+        self._subsystem_of = {
+            name: conflicts.registry.get(name).subsystem
+            for name in plane.names
+        }
+        self._by_subsystem = dict.fromkeys(self._subsystem_of.values(), 0)
 
     # ------------------------------------------------------------------
     # mutation
@@ -138,8 +118,9 @@ class LockTable:
         mode: LockMode,
         activity_uid: int | None = None,
     ) -> LockEntry:
-        """Append a granted lock to the type's list (policy pre-checked)."""
-        plane = self._live_plane()
+        """Append a granted lock to the type's list (policy pre-checked);
+        a type the plane lacks raises before the table changes."""
+        type_id = self._plane.id_of(type_name)
         self._position += 1
         entry = LockEntry(
             process=process,
@@ -171,11 +152,9 @@ class LockTable:
                 c_list.append(entry)
         else:
             self._p_counts[pid] = p_count + 1
-        self._index(entry, plane)
+        self._index(entry, type_id)
         self._lock_count += 1
-        subsystem = self._subsystem_of.get(type_name)
-        if subsystem is None:
-            subsystem = self._learn_types()[type_name]
+        subsystem = self._subsystem_of[type_name]
         self._by_subsystem[subsystem] += 1
         if (
             type_list[-1] is not entry
@@ -201,25 +180,26 @@ class LockTable:
             )
         return entry
 
-    def _index(self, entry: LockEntry, plane) -> None:
+    def _index(self, entry: LockEntry, type_id: int) -> None:
         """Enter ``entry`` into the masks and the blocker index, then
-        check what changed against the dict-based conflict relation."""
+        check what changed against the per-type lists."""
         pid = entry.process.pid
-        type_name = entry.type_name
+        plane = self._plane
         blocked_by = self._blocked_by
         # The check walks the lists the masks summarize: the foreign
         # holders of an earlier lock on a conflicting type.
         by_type = self._by_type
+        names = plane.names
         position = entry.position
         blockers = {
             other.process.pid
-            for name in self._conflicts.conflicting_types(type_name)
-            for other in by_type.get(name, ())
+            for i in iter_bits(plane.masks[type_id])
+            for other in by_type.get(names[i], ())
             if other.position < position
         }
         blockers.discard(pid)
         expected = blockers.union(blocked_by.get(pid, ()))
-        bit = 1 << plane.id_of(type_name)
+        bit = 1 << type_id
         self._live_mask |= bit
         pid_masks = self._pid_type_masks
         pid_masks[pid] = pid_masks.get(pid, 0) | bit
@@ -228,7 +208,7 @@ class LockTable:
         # becomes a blocker of ``pid`` right now — and never later.
         # One AND per live process decides holdership — the per-type
         # entry lists are never walked here.
-        conflict_mask = plane.mask_of[type_name]
+        conflict_mask = plane.masks[type_id]
         if conflict_mask & self._live_mask:
             add_edge = self._add_block_edge
             for other_pid, held in pid_masks.items():
@@ -268,9 +248,7 @@ class LockTable:
                 self._by_type[type_name] = survivors
             else:
                 del self._by_type[type_name]
-                index = self._plane.index.get(type_name)
-                if index is not None:
-                    self._live_mask &= ~(1 << index)
+                self._live_mask &= ~(1 << self._plane.index[type_name])
         self._pid_type_masks.pop(pid, None)
         self._c_by_pid.pop(pid, None)
         self._p_counts.pop(pid, None)
@@ -360,14 +338,19 @@ class LockTable:
         self._blocks.setdefault(blocker, set()).add(waiter)
 
     def _check_plane(self, plane) -> None:
-        """Each compiled conflict row equals the dict-based one (once per
-        plane: the dict-based matrix is the compiled plane's oracle)."""
-        conflicting_types = self._conflicts.conflicting_types
-        for name in plane.names:
-            if plane.conflicting_types(name) != conflicting_types(name):
+        """Each compiled conflict row is the one the declared pairs give
+        (once per table: the pairs are the plane's oracle)."""
+        index = plane.index
+        rows = [0] * len(plane.names)
+        for pair in self._conflicts.pairs():
+            first, second = pair_ends(pair)
+            rows[index[first]] |= 1 << index[second]
+            rows[index[second]] |= 1 << index[first]
+        for name, row, mask in zip(plane.names, rows, plane.masks):
+            if row != mask:
                 raise ProtocolError(
                     f"compiled conflict row of {name!r} disagrees with "
-                    f"the dict-based matrix"
+                    f"the declared conflict pairs"
                 )
 
     # ------------------------------------------------------------------
@@ -402,7 +385,7 @@ class LockTable:
         runs reproduces the merge order without ``heapq.merge``'s
         per-element key calls.
         """
-        plane = self._live_plane()
+        plane = self._plane
         live = plane.masks[plane.id_of(type_name)] & self._live_mask
         if not live:
             return []
@@ -443,7 +426,7 @@ class LockTable:
         ``ProcessState.ABORTING`` sentinel (passed in to keep the table
         policy-free: it compares identity, it doesn't interpret states).
         """
-        plane = self._live_plane()
+        plane = self._plane
         conflict_mask = plane.masks[plane.id_of(type_name)]
         if not conflict_mask & self._live_mask:
             return False
@@ -473,12 +456,10 @@ class LockTable:
         with a smaller sharing position.  Served from the incremental
         blocker index in O(answer).
         """
-        self._live_plane()
         return set(self._blocked_by.get(process.pid, ()))
 
     def on_hold(self, process: Process) -> bool:
         """Whether any lock of ``process`` is currently on hold."""
-        self._live_plane()
         return bool(self._blocked_by.get(process.pid))
 
     def holders(self) -> set[int]:
@@ -498,19 +479,6 @@ class LockTable:
         return self._lock_count
 
     def locks_by_subsystem(self) -> dict[str, int]:
-        """Live locks per subsystem of the registry, zeros included, in
-        registry order."""
-        if len(self._subsystem_of) != len(self._conflicts.registry):
-            self._learn_types()
+        """Live locks per subsystem of the plane's types, zeros
+        included, in registry order."""
         return dict(self._by_subsystem)
-
-    def _learn_types(self) -> dict[str, str]:
-        """Take in the types registered since the last call (the
-        registry only grows); returns the type -> subsystem map."""
-        subsystem_of = self._subsystem_of
-        by_subsystem = self._by_subsystem
-        for activity_type in self._conflicts.registry:
-            if activity_type.name not in subsystem_of:
-                subsystem_of[activity_type.name] = activity_type.subsystem
-                by_subsystem.setdefault(activity_type.subsystem, 0)
-        return subsystem_of

@@ -46,7 +46,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     MetricsTracer,
     histogram_quantile,
-    parse_prometheus,
     replay_metrics,
 )
 from repro.obs.series import SeriesBank
@@ -63,7 +62,6 @@ __all__ = [
     "explain_process",
     "export_all",
     "histogram_quantile",
-    "parse_prometheus",
     "perfetto_trace",
     "read_jsonl",
     "record_to_event",

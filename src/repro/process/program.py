@@ -139,7 +139,8 @@ class ProcessProgram:
 
     def request_masks(self, plane) -> RequestMasks:
         """The program's :class:`RequestMasks` over ``plane``, computed
-        once per plane (a mutated conflict relation compiles a new one)."""
+        once per plane (one per conflict relation: CON is fixed once
+        compiled)."""
         cached = self.__dict__.get("_request_masks")
         if cached is not None and cached[0] is plane:
             return cached[1]
@@ -157,7 +158,7 @@ class ProcessProgram:
         whole = fold(self.root)
         root_conflicts = 0
         for name in self.root.activities:
-            root_conflicts |= plane.mask_of[name]
+            root_conflicts |= plane.masks[plane.id_of(name)]
         masks = RequestMasks(subtree, whole, root_conflicts)
         # Frozen dataclass: the cache is not a field (eq/hash/repr
         # ignore it), so it is written past ``__setattr__``.

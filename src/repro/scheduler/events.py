@@ -81,8 +81,8 @@ class InflightActivity:
     attempts: int = 1
     #: ``1 << dense type id`` of the activity's type when ``entry`` is
     #: set, else 0 — gating tests conflict membership with one AND
-    #: instead of a name lookup per inflight pair.  Dense ids are
-    #: stable across plane recompiles (the registry is append-only).
+    #: instead of a name lookup per inflight pair (the plane is
+    #: compiled once, so a bit never changes meaning).
     type_bit: int = 0
 
 

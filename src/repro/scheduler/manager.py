@@ -198,6 +198,8 @@ class ProcessManager:
         self.engine = SimulationEngine()
         self.rng = random.Random(seed)
         self.trace = TraceRecorder(protocol.conflicts.conflict)
+        #: The compiled conflict plane, read once: CON is fixed.
+        self._plane = protocol.conflicts.compiled()
         self.stats = self.tracer.metrics
         self.records: dict[int, ProcessRecord] = {}
         self._pids = itertools.count(1)
@@ -334,7 +336,7 @@ class ProcessManager:
         Only strictly older timestamps count, so waits cannot cycle
         and the oldest undecided pid is never held.
         """
-        plane = self.protocol.conflicts.compiled()
+        plane = self._plane
         wanted = successor.program.request_masks(plane).root_conflicts
         if not wanted:
             return []
@@ -625,8 +627,7 @@ class ProcessManager:
             entry=entry,
         )
         if entry is not None:
-            plane = self.protocol.conflicts.compiled()
-            flight.type_bit = 1 << plane.id_of(activity.name)
+            flight.type_bit = 1 << self._plane.id_of(activity.name)
         self._inflight[activity.uid] = flight
         self._gate_flight(flight)
         if not flight.gate:
@@ -649,7 +650,7 @@ class ProcessManager:
         inflight = self._inflight
         if len(inflight) <= 1:
             return
-        plane = self.protocol.conflicts.compiled()
+        plane = self._plane
         conflict_mask = plane.masks[plane.id_of(flight.activity.name)]
         if not conflict_mask:
             return

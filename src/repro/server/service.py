@@ -54,6 +54,7 @@ process is ever dropped mid-flight.
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 import time
 from concurrent.futures import Future
@@ -105,8 +106,8 @@ class ServiceConfig:
     #: which is itself unset by default — the ``dump`` wire verb works
     #: regardless.
     flight_path: str | None = None
-    #: Durable persistence: a :class:`repro.storage.Store` instance, a
-    #: backend-kind string (``log`` / ``memory``), or
+    #: Durable persistence: a :class:`repro.storage.Store` instance, the
+    #: backend kind ``"log"``, or
     #: ``None`` to defer to the ``REPRO_STORE`` knob (unset = run
     #: in-memory, the seed behaviour).  When set, every acknowledged
     #: submission and terminal outcome is journaled, snapshots are cut
@@ -134,6 +135,11 @@ class ServiceConfig:
             raise ValueError(
                 f"workers={self.workers!r}: the thread-per-shard manager "
                 "was removed (DESIGN.md §7); only None or 0 is accepted"
+            )
+        if not 0.0 <= self.time_scale < math.inf:
+            raise ValueError(
+                f"time_scale={self.time_scale!r}: expected a finite "
+                "number >= 0 (0 drains eagerly)"
             )
 
 

@@ -2,10 +2,10 @@
 
 The paper assumes the bottom-layer subsystems are real transactional
 systems that survive crashes; this package makes the reproduction live
-up to that.  A pluggable :class:`~repro.storage.facade.Store` (append-
-only CRC32-framed log or volatile memory — see
-:mod:`repro.storage.backend`) persists the subsystems' committed
-transactions, one redo frame each, and the process manager's state as
+up to that.  A :class:`~repro.storage.facade.Store` (an append-only
+CRC32-framed log — see :mod:`repro.storage.backend`) persists the
+subsystems' committed transactions, one redo frame each, and the
+process manager's state as
 a logical redo journal with periodic snapshots; the
 :class:`~repro.storage.plane.PersistencePlane` replays all of it
 through the existing crash-recovery machinery on restart, so a
@@ -16,12 +16,7 @@ Configure with the ``REPRO_STORE*`` knobs (:mod:`repro.config`) or
 ``repro serve --store``; inspect with ``repro store``.
 """
 
-from repro.storage.backend import (
-    FSYNC_POLICIES,
-    AppendLogBackend,
-    MemoryBackend,
-    open_backend,
-)
+from repro.storage.backend import FSYNC_POLICIES, AppendLogBackend
 from repro.storage.codec import ScanResult, encode_frame, scan_frames
 from repro.storage.facade import FrameRepository, Store
 from repro.storage.journal import ProgramCodec
@@ -31,13 +26,11 @@ __all__ = [
     "FSYNC_POLICIES",
     "AppendLogBackend",
     "FrameRepository",
-    "MemoryBackend",
     "PersistencePlane",
     "ProgramCodec",
     "RecoveryInfo",
     "ScanResult",
     "Store",
     "encode_frame",
-    "open_backend",
     "scan_frames",
 ]

@@ -1,18 +1,13 @@
 """Storage backends: where durable frames physically live.
 
 A backend stores ordered opaque payloads per **namespace** (one logical
-log: the scheduler journal, a snapshot slot, one subsystem's WAL, ...).
-Two implementations share the same surface:
-
-* :class:`AppendLogBackend` — one append-only commit log of
-  CRC32-framed records (:mod:`repro.storage.codec`) shared by every
-  appended namespace, a file each for the swapped slots, and an fsync
-  policy (``always`` / ``batch`` / ``never``).  The log's torn tail is
-  healed (truncated) at open; CRC mismatches raise
-  :class:`~repro.errors.WalCorruptionError`.
-* :class:`MemoryBackend` — a dict of lists; persists nothing and
-  exists so benchmarks can price durability against a true no-op and
-  tests can exercise the facade without touching disk.
+log: the scheduler journal, a snapshot slot, one subsystem's data, ...).
+There is one, :class:`AppendLogBackend` (store kind ``log``): one
+append-only commit log of CRC32-framed records
+(:mod:`repro.storage.codec`) shared by every appended namespace, a file
+each for the swapped slots, and an fsync policy (``always`` / ``batch``
+/ ``never``).  The log's torn tail is healed (truncated) at open; CRC
+mismatches raise :class:`~repro.errors.WalCorruptionError`.
 
 ``append_many`` is ``append`` for a group of frames: the same bytes in
 the same order, handed to the file in one ``write``; ``replace_many``
@@ -49,67 +44,6 @@ def _check_policy(fsync: str) -> str:
             f"expected one of {FSYNC_POLICIES}"
         )
     return fsync
-
-
-class MemoryBackend:
-    """Frames in process memory — the durability no-op baseline."""
-
-    kind = "memory"
-
-    def __init__(self, fsync: str = "batch", sync_every: int = 64) -> None:
-        _check_policy(fsync)
-        self._frames: dict[str, list[bytes]] = {}
-        self._mutex = threading.Lock()
-        self.appends = 0
-        self.fsyncs = 0
-        self.bytes_written = 0
-
-    def append(self, namespace: str, payload: bytes) -> None:
-        self.append_many(namespace, (payload,))
-
-    def append_many(self, namespace: str, payloads) -> None:
-        with self._mutex:
-            self._frames.setdefault(namespace, []).extend(
-                bytes(p) for p in payloads
-            )
-            self.appends += len(payloads)
-            self.bytes_written += sum(len(p) for p in payloads)
-
-    def replace(self, namespace: str, payloads: list[bytes]) -> None:
-        self.replace_many({namespace: payloads})
-
-    def replace_many(self, contents: dict[str, list[bytes]]) -> None:
-        with self._mutex:
-            for namespace, payloads in contents.items():
-                self._frames[namespace] = [bytes(p) for p in payloads]
-                self.bytes_written += sum(len(p) for p in payloads)
-
-    def read_all(self, namespace: str) -> list[bytes]:
-        with self._mutex:
-            return list(self._frames.get(namespace, []))
-
-    def count(self, namespace: str) -> int:
-        with self._mutex:
-            return len(self._frames.get(namespace, ()))
-
-    def size(self, namespace: str) -> int:
-        """Payload bytes held for ``namespace`` (there is no framing)."""
-        with self._mutex:
-            return sum(map(len, self._frames.get(namespace, ())))
-
-    def namespaces(self) -> list[str]:
-        with self._mutex:
-            return sorted(self._frames)
-
-    def heal(self) -> dict[str, int]:
-        """Nothing to heal in memory."""
-        return {}
-
-    def flush(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
 
 
 def scan_log(data: bytes):
@@ -451,28 +385,3 @@ class AppendLogBackend:
                 self._log = None
             self._scanned = {}
 
-
-BACKENDS = {
-    "memory": MemoryBackend,
-    "log": AppendLogBackend,
-}
-
-
-def check_kind(kind: str) -> None:
-    """Raise the typed error unless ``kind`` names a backend — callable
-    before anything is created on disk."""
-    if kind not in BACKENDS:
-        raise StorageError(
-            f"unknown store backend {kind!r}; "
-            f"expected one of {sorted(BACKENDS)}"
-        )
-
-
-def open_backend(
-    kind: str, path: str, fsync: str = "batch", sync_every: int = 64
-):
-    """Construct the backend for ``kind`` rooted at ``path``."""
-    check_kind(kind)
-    if kind == "memory":
-        return MemoryBackend(fsync=fsync, sync_every=sync_every)
-    return AppendLogBackend(path, fsync=fsync, sync_every=sync_every)

@@ -36,7 +36,7 @@ import tempfile
 
 from repro import config as repro_config
 from repro.errors import StorageError, WalCorruptionError
-from repro.storage.backend import check_kind, open_backend
+from repro.storage.backend import AppendLogBackend
 from repro.storage.journal import JOURNAL, TRACE, loads, subsystem_data
 
 #: Bumped when the on-disk record formats change shape; a store
@@ -277,14 +277,16 @@ class Store:
         if kind is None:
             raise StorageError(
                 "no store backend configured: pass kind= or set "
-                "REPRO_STORE to 'log' or 'memory'"
+                "REPRO_STORE to 'log'"
             )
-        check_kind(kind)
+        if kind != AppendLogBackend.kind:
+            raise StorageError(
+                f"unknown store backend {kind!r}; expected 'log'"
+            )
         path = repro_config.store_path(path)
         if path is None:
             path = tempfile.mkdtemp(prefix="repro-store-")
-        backend = open_backend(
-            kind,
+        backend = AppendLogBackend(
             path,
             fsync=repro_config.store_fsync(fsync),
             sync_every=sync_every,

@@ -1,13 +1,12 @@
-"""Property tests: the compiled bitset plane agrees with the dict matrix.
+"""Property tests: the compiled bitset plane agrees with the declared pairs.
 
 The hot path reads the conflict relation exclusively through
 :class:`CompiledConflicts` (dense type ids + per-type bitmasks); the
-dict/frozenset :class:`ConflictMatrix` stays the dev-time oracle.  These
-tests churn randomized registries and relations and assert the two
-representations never disagree — including after ``close_perfect``
-closures, post-freeze ``declare_conflict`` mutation, and late type
-registration (both of which must invalidate the cached plane while
-keeping the already-assigned dense ids stable).
+declared pair set of :class:`ConflictMatrix` stays its oracle.  These
+tests build randomized registries and relations and assert the two
+never disagree, ``close_perfect`` closures included — and that once the
+plane is compiled the relation is fixed: a later declaration or closure
+raises, and a type registered later stays out of the plane.
 """
 
 from __future__ import annotations
@@ -42,6 +41,10 @@ def all_names(registry: ActivityRegistry) -> list[str]:
     return [activity_type.name for activity_type in registry]
 
 
+def plane_conflict(plane: CompiledConflicts, first: str, second: str) -> bool:
+    return bool(plane.masks[plane.id_of(first)] >> plane.id_of(second) & 1)
+
+
 def assert_plane_agrees(
     plane: CompiledConflicts, matrix: ConflictMatrix
 ) -> None:
@@ -50,15 +53,11 @@ def assert_plane_agrees(
     assert plane.names == names
     assert plane.index == {name: i for i, name in enumerate(names)}
     for first in names:
-        assert plane.conflicting_types(
-            first
-        ) == matrix.conflicting_types(first)
-        assert plane.mask_of[first] == plane.masks[plane.id_of(first)]
+        assert matrix.conflicting_types(first) == frozenset(
+            second for second in names if matrix.conflict(first, second)
+        )
         for second in names:
-            assert plane.conflict(first, second) == matrix.conflict(
-                first, second
-            )
-            assert plane.commute(first, second) == matrix.commute(
+            assert plane_conflict(plane, first, second) == matrix.conflict(
                 first, second
             )
     # Bitmask symmetry mirrors the symmetric relation.
@@ -97,27 +96,27 @@ class TestCompiledAgreement:
     @given(rel=relation())
     def test_close_perfect_closure_lands_in_the_plane(self, rel):
         _, matrix = rel
-        before = matrix.compiled()
         matrix.close_perfect()
-        after = matrix.compiled()
+        plane = matrix.compiled()
         assert matrix.is_perfect()
-        assert_plane_agrees(after, matrix)
-        if matrix.version != before.version:
-            # Closure added pairs: the cached plane was replaced.
-            assert after is not before
+        assert_plane_agrees(plane, matrix)
         # Perfect closure: a regular-pair conflict implies the whole
         # {a, a^-1} x {b, b^-1} family conflicts, in bitmask form.
         registry = matrix.registry
         for first in all_names(registry):
             comp_first = registry.get(first).compensated_by
             for second in all_names(registry):
-                if not after.conflict(first, second):
+                if not plane_conflict(plane, first, second):
                     continue
                 comp_second = registry.get(second).compensated_by
                 if comp_first is not None:
-                    assert after.conflict(comp_first, second)
+                    assert plane_conflict(plane, comp_first, second)
                 if comp_second is not None:
-                    assert after.conflict(first, comp_second)
+                    assert plane_conflict(plane, first, comp_second)
+
+
+class TestCompiledOnce:
+    """After the first ``compiled()`` the relation cannot change."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -126,37 +125,44 @@ class TestCompiledAgreement:
             st.sampled_from(BASE_NAMES), st.sampled_from(BASE_NAMES)
         ),
     )
-    def test_post_freeze_declaration_invalidates(self, rel, extra):
+    def test_post_compile_declaration_raises(self, rel, extra):
         registry, matrix = rel
         first, second = extra
         assume(first in registry and second in registry)
-        assume(not matrix.conflict(first, second))
-        frozen = matrix.compiled()
-        assert not frozen.conflict(first, second)
-        matrix.declare_conflict(first, second)
-        recompiled = matrix.compiled()
-        assert recompiled is not frozen
-        assert recompiled.version == matrix.version
-        assert recompiled.conflict(first, second)
-        # The frozen plane is an immutable snapshot of the old state.
-        assert not frozen.conflict(first, second)
-        assert_plane_agrees(recompiled, matrix)
+        plane = matrix.compiled()
+        masks, pairs = list(plane.masks), matrix.pairs()
+        with pytest.raises(CommutativityError, match="already compiled"):
+            matrix.declare_conflict(first, second)
+        assert matrix.pairs() == pairs
+        assert matrix.compiled() is plane
+        assert plane.masks == masks
 
     @settings(max_examples=40, deadline=None)
     @given(rel=relation())
-    def test_late_registration_recompiles_with_stable_ids(self, rel):
+    def test_post_compile_close_perfect_raises(self, rel):
+        _, matrix = rel
+        plane = matrix.compiled()
+        pairs = matrix.pairs()
+        with pytest.raises(CommutativityError, match="already compiled"):
+            matrix.close_perfect()
+        assert matrix.pairs() == pairs
+        assert matrix.compiled() is plane
+
+    @settings(max_examples=40, deadline=None)
+    @given(rel=relation())
+    def test_late_type_is_not_in_the_plane(self, rel):
         registry, matrix = rel
-        frozen = matrix.compiled()
+        plane = matrix.compiled()
+        names = list(plane.names)
         registry.define_compensatable(
             "late", "shop", cost=1.0, compensation_cost=0.5
         )
-        recompiled = matrix.compiled()
-        assert recompiled is not frozen
-        assert len(recompiled.names) == len(registry)
-        # Already-assigned dense ids never move (append-only registry).
-        assert recompiled.names[: len(frozen.names)] == frozen.names
-        matrix.declare_conflict("late", frozen.names[0])
-        assert_plane_agrees(matrix.compiled(), matrix)
+        assert matrix.compiled() is plane
+        assert plane.names == names
+        with pytest.raises(CommutativityError, match="'late'"):
+            plane.id_of("late")
+        with pytest.raises(CommutativityError, match="already compiled"):
+            matrix.declare_conflict("late", names[0])
 
 
 class TestPlaneValidation:
@@ -166,9 +172,7 @@ class TestPlaneValidation:
         with pytest.raises(CommutativityError):
             plane.id_of("nope")
         with pytest.raises(CommutativityError):
-            plane.conflict("b0", "nope")
-        with pytest.raises(CommutativityError):
-            plane.conflicting_types("nope")
+            matrix.conflicting_types("nope")
 
     def test_unchanged_relation_reuses_the_plane(self):
         matrix = ConflictMatrix(make_registry(3))

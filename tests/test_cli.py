@@ -413,6 +413,9 @@ class TestErrorHardening:
             (["serve", "--density", "-0.1"], "density in [0, 1]"),
             (["serve", "--failure-prob", "1"], "probability in [0, 1)"),
             (["serve", "--threshold", "x"], "expected a number"),
+            (["serve", "--time-scale", "nan"], "expected a number"),
+            (["serve", "--time-scale", "inf"], "finite time scale >= 0"),
+            (["serve", "--time-scale", "-1"], "finite time scale >= 0"),
         ],
     )
     def test_workload_flags_are_validated_by_the_parser(

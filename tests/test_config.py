@@ -115,7 +115,7 @@ class TestConsumers:
         from repro.sim.runner import make_protocol
         from repro.sim.workload import WorkloadSpec, build_workload
 
-        monkeypatch.setenv("REPRO_STORE", "memory")
+        monkeypatch.setenv("REPRO_STORE", "log")
         monkeypatch.setenv("REPRO_STORE_PATH", str(tmp_path))
         workload = build_workload(
             WorkloadSpec(n_processes=2, grounded=True, seed=1)
@@ -141,4 +141,4 @@ def test_removed_sqlite_store_flag_exits_2(capsys):
         main(["serve", "--store", "sqlite"])
     assert exit_info.value.code == 2
     error = capsys.readouterr().err
-    assert "sqlite" in error and "log" in error and "memory" in error
+    assert "sqlite" in error and "'log'" in error

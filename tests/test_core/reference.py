@@ -1,10 +1,11 @@
 """Naive reference implementations of the indexed hot-path queries.
 
-The scheduling hot path is served by incremental indexes (the conflict
-adjacency map in :class:`~repro.activities.commutativity.ConflictMatrix`,
-the blocker index in :class:`~repro.core.lock_table.LockTable`, and the
-process manager's wake-up index).  This module keeps the original
-recompute-from-scratch formulations alive as test *oracles*:
+The scheduling hot path is served by compiled and incremental indexes
+(the conflict plane of
+:class:`~repro.activities.commutativity.ConflictMatrix`, the bitmasks
+and the blocker index in :class:`~repro.core.lock_table.LockTable`).
+This module keeps the original recompute-from-scratch formulations
+alive as test *oracles*:
 
 * :func:`full_audit` checks the whole table against them at once —
   what the table's per-step checks must never let drift;
@@ -13,11 +14,10 @@ recompute-from-scratch formulations alive as test *oracles*:
 * ``tests/test_scheduler/test_naive_equivalence.py`` runs whole
   workloads through the naive path and asserts byte-identical
   schedules;
-* :func:`naive_blocker_pids` and :func:`naive_probe_blocked` walk the
-  dict-based conflict adjacency instead of ANDing bitmasks, for the
-  compiled-table property tests — the dict-based
-  :class:`ConflictMatrix` itself stays the dev-time oracle of the
-  compiled bitsets.
+* :func:`naive_blocker_pids` and :func:`naive_probe_blocked` scan the
+  declared conflict pairs instead of ANDing bitmasks, for the
+  compiled-table property tests — the declared pairs stay the oracle
+  of the compiled bitsets.
 
 The functions intentionally reach into private table state — they *are*
 the specification of what that state means.
@@ -125,7 +125,7 @@ def naive_blocker_pids(table, type_name: str, pid: int) -> set[int]:
     blocker discovery, adjacency formulation)."""
     pids: set[int] = set()
     by_type = table._by_type
-    for candidate in table._conflicts.conflicting_types(type_name):
+    for candidate in naive_conflicting_types(table._conflicts, type_name):
         for other in by_type.get(candidate, ()):
             if other.pid != pid:
                 pids.add(other.pid)
@@ -137,7 +137,7 @@ def naive_probe_blocked(
 ) -> bool:
     """Per-entry nested-loop formulation of ``probe_blocked``."""
     by_type = table._by_type
-    for candidate in table._conflicts.conflicting_types(type_name):
+    for candidate in naive_conflicting_types(table._conflicts, type_name):
         for entry in by_type.get(candidate, ()):
             holder = entry.process
             if holder.pid == exclude_pid:
@@ -192,15 +192,11 @@ def full_audit(table, live_pids) -> None:
       map its transpose;
     * the live-type and per-process bitmasks match a recomputation
       from the primary lists, and the compiled conflict rows of every
-      live type agree with the dict-based matrix;
-    * the lock counts, in all and per subsystem of the registry, are
-      those the per-type lists hold.
-
-    Resyncs with the conflict matrix first: after a mid-run
-    ``declare_conflict`` the indexes are stale by design until the
-    next query, and the audit judges the synced state.
+      live type are those the declared pairs give;
+    * the lock counts, in all and per subsystem of the plane's types,
+      are those the per-type lists hold.
     """
-    plane = table._live_plane()
+    plane = table._plane
     live = set(live_pids)
     seen_ids: set[int] = set()
     for type_name, entries in table._by_type.items():
@@ -268,18 +264,23 @@ def full_audit(table, live_pids) -> None:
             "per-process type masks disagree with the per-pid lists"
         )
     for type_name in table._by_type:
-        if plane.conflicting_types(type_name) != (
-            table._conflicts.conflicting_types(type_name)
-        ):
+        row = {
+            plane.names[i]
+            for i in range(len(plane.names))
+            if plane.masks[index[type_name]] >> i & 1
+        }
+        if row != naive_conflicting_types(table._conflicts, type_name):
             raise ProtocolError(
                 f"compiled conflict row of {type_name!r} disagrees "
-                f"with the dict-based matrix"
+                f"with the declared pairs"
             )
     by_subsystem: dict[str, int] = {}
-    for activity_type in table._conflicts.registry:
-        by_subsystem[activity_type.subsystem] = by_subsystem.get(
-            activity_type.subsystem, 0
-        ) + len(table._by_type.get(activity_type.name, ()))
+    registry = table._conflicts.registry
+    for name in plane.names:
+        subsystem = registry.get(name).subsystem
+        by_subsystem[subsystem] = by_subsystem.get(subsystem, 0) + len(
+            table._by_type.get(name, ())
+        )
     counted = table.locks_by_subsystem()
     if counted != by_subsystem or list(counted) != list(by_subsystem):
         raise ProtocolError(

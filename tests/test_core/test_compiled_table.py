@@ -3,18 +3,21 @@
 The compiled conflict plane replaced frozenset adjacency iteration in
 every hot lock-table query with bitmask ANDs over ``_live_mask`` /
 ``_pid_type_masks``.  These tests churn a table through randomized
-acquire / release / state-flip / declare-conflict histories and assert,
-after every step, that
+acquire / release / state-flip histories and assert, after every step,
+that
 
 * the live-type and per-process bitmasks match a recompute from the
-  primary per-type/per-pid lists (plane adoption after a post-freeze
-  ``declare_conflict`` included), and
-* every bitmask query agrees with its recompute-from-the-dict-matrix
+  primary per-type/per-pid lists, and
+* every bitmask query agrees with its recompute-from-the-declared-pairs
   reference in ``tests/test_core/reference.py``.
+
+The relation itself is fixed once the table holds it
+(``test_compiled_conflicts.py`` pins the refusals).
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +25,7 @@ from repro.activities.commutativity import ConflictMatrix
 from repro.activities.registry import ActivityRegistry
 from repro.core.lock_table import LockTable
 from repro.core.locks import LockMode
+from repro.errors import CommutativityError
 from repro.process.state import ProcessState
 from tests.test_core.reference import (
     full_audit,
@@ -59,7 +63,7 @@ def make_table(
 
 
 def recomputed_masks(table: LockTable) -> tuple[int, dict[int, int]]:
-    index = table._conflicts.compiled().index
+    index = table._plane.index
     live = 0
     for type_name in table._by_type:
         live |= 1 << index[type_name]
@@ -76,7 +80,7 @@ def assert_agrees_with_references(
     table: LockTable, processes: dict[int, "FakeProcess"]
 ) -> None:
     # full_audit checks the masks against the lists and the compiled
-    # rows against the dict-based matrix...
+    # rows against the declared pairs...
     full_audit(table, live_pids=table.holders())
     # ...and this re-derives the masks independently of it.
     live, pid_masks = recomputed_masks(table)
@@ -96,8 +100,7 @@ def assert_agrees_with_references(
             # Acquire-time blocker discovery: the foreign pids the
             # bitmask AND finds are the adjacency scan's, exactly.
             held = table._pid_type_masks
-            plane = table._conflicts.compiled()
-            mask = plane.mask_of[name]
+            mask = table._plane.masks[table._plane.id_of(name)]
             assert {
                 other
                 for other, bits in held.items()
@@ -120,7 +123,6 @@ op_strategy = st.one_of(
         st.sampled_from([LockMode.C, LockMode.P]),
     ),
     st.tuples(st.just("release"), st.sampled_from(PIDS)),
-    st.tuples(st.just("declare"), pair_strategy),
     st.tuples(
         st.just("flip_state"),
         st.sampled_from(PIDS),
@@ -141,7 +143,7 @@ class TestCompiledTableProperties:
     def test_masks_and_queries_agree_under_churn(
         self, initial_pairs, ops
     ):
-        matrix, table = make_table(initial_pairs)
+        _, table = make_table(initial_pairs)
         processes = {pid: FakeProcess(pid) for pid in PIDS}
         for op in ops:
             kind = op[0]
@@ -150,11 +152,6 @@ class TestCompiledTableProperties:
                 table.acquire(processes[pid], name, mode)
             elif kind == "release":
                 table.release_all(op[1])
-            elif kind == "declare":
-                # Post-freeze mutation: the table must adopt the
-                # recompiled plane before its next query.
-                left, right = op[1]
-                matrix.declare_conflict(left, right)
             else:  # flip_state
                 processes[op[1]].state = op[2]
             assert_agrees_with_references(table, processes)
@@ -170,7 +167,7 @@ class TestCompiledTableProperties:
         ),
     )
     def test_release_drains_masks(self, pairs, acquires):
-        matrix, table = make_table(pairs)
+        _, table = make_table(pairs)
         processes = {pid: FakeProcess(pid) for pid in PIDS}
         for pid, name in acquires:
             table.acquire(processes[pid], name, LockMode.C)
@@ -181,13 +178,22 @@ class TestCompiledTableProperties:
         assert table._pid_type_masks == {}
 
     @settings(max_examples=40, deadline=None)
-    @given(pairs=st.lists(pair_strategy, max_size=8))
-    def test_close_perfect_adoption(self, pairs):
+    @given(pairs=st.lists(pair_strategy, max_size=8), extra=pair_strategy)
+    def test_a_held_relation_refuses_change(self, pairs, extra):
+        """Once a table holds the plane, neither a closure nor a new
+        pair reaches it: both raise, and the table still agrees with
+        the references over the relation it was built on."""
         matrix, table = make_table(pairs)
         processes = {pid: FakeProcess(pid) for pid in PIDS}
         for pid in PIDS[:3]:
             table.acquire(
                 processes[pid], TYPE_NAMES[pid % 3], LockMode.C
             )
-        matrix.close_perfect()
+        plane, held = table._plane, matrix.pairs()
+        with pytest.raises(CommutativityError, match="already compiled"):
+            matrix.close_perfect()
+        with pytest.raises(CommutativityError, match="already compiled"):
+            matrix.declare_conflict(*extra)
+        assert matrix.pairs() == held
+        assert matrix.compiled() is plane
         assert_agrees_with_references(table, processes)

@@ -1,9 +1,9 @@
 """Property tests: the incremental indexes agree with the naive oracles.
 
 The lock table is churned through randomized acquire / upgrade /
-release / conflict-declaration histories; after every step the
-incremental structures (blocker index, mode indexes, conflict adjacency)
-must agree with the recompute-from-scratch reference formulations in
+release histories over a fixed conflict relation; after every step the
+incremental structures (blocker index, mode indexes, the compiled
+conflict rows) must agree with the recompute-from-scratch reference formulations in
 ``tests/test_core/reference.py``, and its whole-table
 :func:`full_audit` must hold.  The table checks each step itself; the
 same churn over a table with one seeded corruption shows those checks
@@ -102,7 +102,6 @@ op_strategy = st.one_of(
     ),
     st.tuples(st.just("upgrade"), st.integers(min_value=0)),
     st.tuples(st.just("release"), st.sampled_from(PIDS)),
-    st.tuples(st.just("declare"), pair_strategy),
 )
 
 
@@ -198,12 +197,8 @@ class TestLockTableProperties:
                     ]
                     if entries:
                         entries[op[1] % len(entries)].upgrade_to_p()
-                elif kind == "release":
+                else:  # release
                     table.release_all(op[1])
-                else:  # declare: mutate the relation mid-history
-                    left, right = op[1]
-                    matrix.declare_conflict(left, right)
-                    table._live_plane()  # the resync is a step too
             except ProtocolError:
                 assert corruption != "none"
                 with pytest.raises(ProtocolError):

@@ -59,13 +59,32 @@ class TestShardPartition:
         table.acquire(FakeProcess(2), "charge", LockMode.P)
         assert sum(table.locks_by_subsystem().values()) == table.lock_count
 
-    def test_late_registered_type_gets_a_shard(self, registry, table):
+    def test_late_type_is_refused_before_any_change(self, registry, table):
+        """CON is compiled once: a type registered after the table took
+        the plane raises at its first lock request, and the table is
+        left as it was."""
+        table.acquire(FakeProcess(1), "reserve", LockMode.C)
         registry.define_compensatable(
             "restock", "warehouse", cost=1.0, compensation_cost=0.5
         )
-        assert table.locks_by_subsystem()["warehouse"] == 0
-        table.acquire(FakeProcess(1), "restock", LockMode.C)
-        assert table.locks_by_subsystem()["warehouse"] == 1
+        before = (
+            table.locks_of(1),
+            table.locks_by_subsystem(),
+            table._live_mask,
+            dict(table._pid_type_masks),
+            table._position,
+        )
+        with pytest.raises(CommutativityError, match="'restock'"):
+            table.acquire(FakeProcess(2), "restock", LockMode.C)
+        assert (
+            table.locks_of(1),
+            table.locks_by_subsystem(),
+            table._live_mask,
+            dict(table._pid_type_masks),
+            table._position,
+        ) == before
+        assert table.holders() == {1}
+        assert "warehouse" not in table.locks_by_subsystem()
         full_audit(table, [1])
 
 

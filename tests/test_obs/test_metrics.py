@@ -20,7 +20,6 @@ from repro.obs import (
     MetricsTracer,
     Tracer,
     histogram_quantile,
-    parse_prometheus,
     read_jsonl,
     replay_metrics,
     write_jsonl,
@@ -40,6 +39,7 @@ from repro.scheduler.events import OUTCOMES, by_outcome
 from repro.scheduler.manager import ManagerConfig, make_manager
 from repro.sim.runner import make_protocol
 from repro.sim.workload import WorkloadSpec, build_workload
+from tests.test_obs.exposition import parse_prometheus
 
 CONTENDED = WorkloadSpec(
     n_processes=16,

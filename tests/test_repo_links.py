@@ -677,3 +677,30 @@ def test_second_books_leave_no_trace():
     }
     offenders = _traces_of(SECOND_BOOKS, pins)
     assert not offenders, offenders
+
+
+# ----------------------------------------------------------------------
+# one conflict plane, one backend (DESIGN.md §7, "Removed: the mutable
+# conflict relation and the memory backend")
+# ----------------------------------------------------------------------
+#: What served a conflict relation that could change after it was
+#: compiled, the volatile store kind and its dispatch, and the
+#: exposition parser only the tests read (``tests/test_obs/
+#: exposition.py``).
+COMPILED_ONCE = re.compile(
+    r"_live_plane|_learn_types|_build_adjacency|_invalidate\b"
+    r"|MemoryBackend|open_backend|check_kind|parse_prometheus"
+)
+
+
+def test_the_conflict_relation_is_compiled_once():
+    """``CON`` is compiled once and the lock table keeps that plane: no
+    resync, no late types, no rebuilt adjacency; and the store has one
+    backend."""
+    offenders = [
+        f"{path.relative_to(ROOT)}:{number}"
+        for path in _python_files("src")
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if COMPILED_ONCE.search(line)
+    ]
+    assert not offenders, offenders

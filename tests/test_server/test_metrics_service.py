@@ -12,10 +12,11 @@ import threading
 import pytest
 
 from repro.client import ServiceClient
-from repro.obs import parse_prometheus, replay_metrics
+from repro.obs import replay_metrics
 from repro.server.net import start_server_thread
 from repro.server.service import ProcessLockingService, ServiceConfig
 from repro.sim.workload import WorkloadSpec
+from tests.test_obs.exposition import parse_prometheus
 
 
 @pytest.fixture()

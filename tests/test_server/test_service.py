@@ -1,5 +1,6 @@
 """Tests for the service core, hosted in-process (no sockets)."""
 
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -132,6 +133,16 @@ class TestCancel:
             assert stats["manager"]["cancellations"] == 1
         finally:
             service.stop()
+
+
+class TestConfig:
+    @pytest.mark.parametrize("time_scale", [math.nan, math.inf, -1.0])
+    def test_time_scale_must_be_finite_and_non_negative(self, time_scale):
+        """A NaN scale used to acknowledge submissions the engine never
+        ran, and ``inf`` drove ``engine.now`` to ``inf`` and aborted
+        every process."""
+        with pytest.raises(ValueError, match="time_scale"):
+            ServiceConfig(time_scale=time_scale)
 
 
 class TestOverload:

@@ -19,11 +19,11 @@ import pytest
 
 from repro.client import ServiceClient
 from repro.obs import read_jsonl, replay_metrics
-from repro.obs.metrics import parse_prometheus
 from repro.server.net import start_server_thread
 from repro.server.service import ServiceConfig
 from repro.server.sidecar import PROMETHEUS_CONTENT_TYPE
 from repro.sim.workload import WorkloadSpec
+from tests.test_obs.exposition import parse_prometheus
 
 
 @pytest.fixture()

@@ -1,4 +1,4 @@
-"""Backend contract: memory and the append-only log behave alike."""
+"""Backend contract of the one backend, the append-only log (``log``)."""
 
 from __future__ import annotations
 
@@ -7,10 +7,8 @@ import pytest
 from repro.errors import StorageError, WalCorruptionError
 from repro.storage import (
     AppendLogBackend,
-    MemoryBackend,
     Store,
     encode_frame,
-    open_backend,
 )
 from tests.test_storage.commit_log import (
     flip_payload_byte,
@@ -20,12 +18,12 @@ from tests.test_storage.commit_log import (
 
 
 def _make(kind: str, tmp_path):
-    if kind == "memory":
-        return MemoryBackend()
+    assert kind == "log"
     return AppendLogBackend(str(tmp_path / "store"))
 
 
-KINDS = ("memory", "log")
+#: The store kinds there are.
+KINDS = ("log",)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -167,13 +165,14 @@ def test_unbuffered_append_is_visible_without_close(tmp_path):
 
 
 def test_open_backend_dispatch(tmp_path):
-    log = open_backend("log", str(tmp_path / "a"))
-    assert log.kind == "log"
-    log.close()
-    mem = open_backend("memory", str(tmp_path / "c"))
-    assert mem.kind == "memory"
-    with pytest.raises(StorageError):
-        open_backend("tape", str(tmp_path / "d"))
+    """``Store.open`` builds the log backend for ``log``, and refuses
+    any other kind before touching disk."""
+    store = Store.open("log", str(tmp_path / "a"))
+    assert store.backend.kind == "log"
+    store.close()
+    with pytest.raises(StorageError, match="expected 'log'"):
+        Store.open("tape", str(tmp_path / "tape"))
+    assert not (tmp_path / "tape").exists()
 
 
 @pytest.mark.parametrize("how", ("argument", "env", "service"))
@@ -183,7 +182,7 @@ def test_removed_sqlite_kind_fails_typed_before_creating_files(
     monkeypatch.setenv("TMPDIR", str(tmp_path))
     monkeypatch.setattr("tempfile.tempdir", None)
     monkeypatch.delenv("REPRO_STORE_PATH", raising=False)
-    with pytest.raises(StorageError, match="'log', 'memory'"):
+    with pytest.raises(StorageError, match="expected 'log'"):
         if how == "argument":
             Store.open("sqlite")
         elif how == "env":

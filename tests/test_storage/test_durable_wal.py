@@ -98,7 +98,7 @@ def test_records_held_before_the_attach_go_in_as_one_frame(tmp_path):
 
 def test_pool_refuses_second_store(tmp_path):
     pool = SubsystemPool(store=_store(tmp_path))
-    other = Store.open("memory", str(tmp_path))
+    other = Store.open("log", str(tmp_path / "other"))
     with pytest.raises(SubsystemError):
         pool.attach_store(other)
     # Same store is a no-op.

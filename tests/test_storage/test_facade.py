@@ -155,7 +155,7 @@ def _rows(pid: int, first_uid: int, count: int) -> list:
     ]
 
 
-@pytest.mark.parametrize("kind", ("log", "memory"))
+@pytest.mark.parametrize("kind", ("log",))
 def test_compact_rewrites_the_covered_trace_as_one_frame(tmp_path, kind):
     """Superseded rows and the orphan past the watermark go; the rows
     the snapshot covers come back in one frame from position 0."""
@@ -205,11 +205,14 @@ def test_stats_shape(tmp_path):
     store.close()
 
 
-def test_open_memory_backend(tmp_path):
-    store = Store.open("memory", str(tmp_path))
-    store.journal.append(_submit(1))
-    assert len(store.journal) == 1
-    store.close()
+def test_open_memory_backend(tmp_path, monkeypatch):
+    """The volatile ``memory`` kind was removed: asking for it, by
+    argument or through ``REPRO_STORE``, is the typed error."""
+    with pytest.raises(StorageError, match="'memory'; expected 'log'"):
+        Store.open("memory", str(tmp_path))
+    monkeypatch.setenv("REPRO_STORE", "memory")
+    with pytest.raises(StorageError, match="'memory'; expected 'log'"):
+        Store.open(path=str(tmp_path))
 
 
 # ----------------------------------------------------------------------
